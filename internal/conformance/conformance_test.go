@@ -4,7 +4,8 @@
 // edge subsets), and all schemes must agree with the graph — and therefore
 // with each other — on every vertex pair. Labeling schemes are promises
 // about entire graph families; this verifies the promise family-wide rather
-// than on sampled instances.
+// than on sampled instances. The distance plane gets the same treatment:
+// the PLL slab engine against BFS and the legacy decoder on every graph.
 package conformance
 
 import (
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/schemes/baseline"
+	"repro/internal/schemes/distance"
 	"repro/internal/schemes/forest"
 	"repro/internal/schemes/onequery"
 )
@@ -97,6 +99,65 @@ func exhaustive(t *testing.T, n int) {
 					if got != g.HasEdge(u, v) {
 						t.Fatalf("mask=%d scheme=%s: adjacency(%d,%d) = %v, graph says %v",
 							mask, s.Name(), u, v, got, g.HasEdge(u, v))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExhaustiveDistanceN4 checks the PLL distance plane on all 64 graphs
+// with 4 vertices.
+func TestExhaustiveDistanceN4(t *testing.T) {
+	exhaustiveDistance(t, 4)
+}
+
+// TestExhaustiveDistanceN5 checks the PLL distance plane on all 1024 graphs
+// with 5 vertices.
+func TestExhaustiveDistanceN5(t *testing.T) {
+	exhaustiveDistance(t, 5)
+}
+
+// exhaustiveDistance is the distance row of the conformance matrix: on every
+// graph with n vertices, PLL labels encoded straight into a slab arena and
+// served by core.DistEngine — in both physical layouts — must answer every
+// ordered pair exactly as BFS does (disconnected pairs -1) and exactly as
+// the legacy PLLDecoder does over its own labels.
+func exhaustiveDistance(t *testing.T, n int) {
+	t.Helper()
+	total := uint64(1) << uint(n*(n-1)/2)
+	for mask := uint64(0); mask < total; mask++ {
+		g, err := graphFromMask(n, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := distance.PLLScheme{}.Encode(g)
+		if err != nil {
+			t.Fatalf("mask=%d: legacy encode: %v", mask, err)
+		}
+		for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+			arena, err := distance.PLLScheme{}.EncodeArena(g, 1, lay)
+			if err != nil {
+				t.Fatalf("mask=%d layout=%v: encode: %v", mask, lay, err)
+			}
+			eng, err := core.NewDistEngine(arena)
+			if err != nil {
+				t.Fatalf("mask=%d layout=%v: engine: %v", mask, lay, err)
+			}
+			for u := 0; u < n; u++ {
+				bfs := g.BFS(u)
+				for v := 0; v < n; v++ {
+					got, err := eng.Dist(u, v)
+					if err != nil {
+						t.Fatalf("mask=%d layout=%v (%d,%d): %v", mask, lay, u, v, err)
+					}
+					old, err := legacy.Dist(u, v)
+					if err != nil {
+						t.Fatalf("mask=%d legacy (%d,%d): %v", mask, u, v, err)
+					}
+					if got != bfs[v] || got != old {
+						t.Fatalf("mask=%d layout=%v: dist(%d,%d) = %d, BFS says %d, legacy decoder %d",
+							mask, lay, u, v, got, bfs[v], old)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -21,10 +22,11 @@ import (
 // Two kernels, selected by the arena's DistKind:
 //
 //   - DistPLL: a merge-intersection min-sum scan over the two sorted hub
-//     lists, decoding δ-gap hub ranks inline (one guarded 64-bit peek per
-//     entry) and fixed-width distances beside them. Answers match
-//     distance.PLLDecoder.Dist bit for bit; unreachable pairs return -1
-//     (graph.Unreachable).
+//     lists, read straight from the slab's δ-gap hub ranks and fixed-width
+//     distances: one unaligned 8-byte load per entry, both lists decoded in
+//     lockstep into small stack blocks, then a branch-free merge (distPLL).
+//     Answers match distance.PLLDecoder.Dist bit for bit; unreachable pairs
+//     return -1 (graph.Unreachable).
 //   - DistBounded: Lemma 7's decode — the minimum over fat-hub relays
 //     (both fixed-width fat tables walked in lockstep with the legacy
 //     early-out) plus, for thin-thin pairs, a binary search of each sorted
@@ -51,7 +53,7 @@ type DistEngine struct {
 	// entries; bdist: thin-list entries).
 	meta     []vertexMeta
 	slab     []byte
-	slabBits int64
+	slabBits int64 // the slab's whole 64-bit words, in bits: no read goes past it
 	metrics  *EngineMetrics
 	cache    *distCache
 }
@@ -74,7 +76,7 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if p.DW < 1 || p.DW > 32 {
 		return nil, fmt.Errorf("%w: distance width %d (want 1..32)", ErrBadLabel, p.DW)
 	}
-	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, slab: slab, slabBits: int64(len(slab)) * 8,
+	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, slab: slab, slabBits: int64(len(slab)>>3) * 64,
 		meta: make([]vertexMeta, n)}
 	switch p.Kind {
 	case DistPLL:
@@ -273,30 +275,6 @@ func slabReadDeltaChecked(slab []byte, pos, end int64) (val uint64, width int64,
 	return v - 1, width, true
 }
 
-// pllEntry decodes the validated entry at bit off: the δ-coded rank gap and
-// the fixed-width distance beside it, returning the entry's total width.
-// One guarded 64-bit peek covers the whole gap code (validated codes are at
-// most 43 bits); the clamp only fires within the slab's last word.
-func (e *DistEngine) pllEntry(off int64) (gap, dist uint64, width int64) {
-	peek := e.slabBits - off
-	if peek > 64 {
-		peek = 64
-	}
-	buf := bitstr.SlabReadBits(e.slab, off, int(peek))
-	if peek < 64 {
-		buf <<= uint(64 - peek)
-	}
-	z := bits.LeadingZeros64(buf)
-	nb := int(buf << uint(z) >> uint(64-(z+1)))
-	v := uint64(1) << uint(nb-1)
-	if nb > 1 {
-		v |= buf << uint(2*z+1) >> uint(64-(nb-1))
-	}
-	wd := int64(2*z + nb)
-	dist = bitstr.SlabReadBits(e.slab, off+wd, e.dw)
-	return v - 1, dist, wd + int64(e.dw)
-}
-
 // N returns the number of vertices the engine serves.
 func (e *DistEngine) N() int { return e.n }
 
@@ -369,62 +347,178 @@ func (e *DistEngine) probeDist(u, v int, t *QueryTally) int {
 	return e.distBounded(mu, mv)
 }
 
-// distPLL merges the two sorted hub lists and returns the minimum summed
-// distance — the exact loop of distance.PLLDecoder.Dist, reading δ-gap
-// ranks and fixed-width distances straight from the slab.
+// pllBlock is the PLL kernel's decode block: entries per list decoded ahead
+// of the merge into a fixed stack buffer. Typical power-law hub lists fit
+// one block; longer ones refill block-wise.
+const pllBlock = 64
+
+// pllWindowBits is how many bits of an entry pllWord is guaranteed to
+// cover: 64 less the up-to-7 bits between the load's byte boundary and the
+// entry's first bit.
+const pllWindowBits = 57
+
+// pllList is one hub list's decode cursor: the bit offset of its next
+// entry, the rank of the last entry decoded, and how many entries remain.
+type pllList struct {
+	off  int64
+	rank uint64
+	rem  int
+}
+
+// distPLL returns the minimum summed distance over the hubs the two sorted
+// lists share — the answer of distance.PLLDecoder.Dist — block by block:
+// pllFill decodes up to pllBlock entries of each list into stack buffers of
+// rank<<32|dist words, then a branch-free merge walks the two buffers. Each
+// step advances whichever side holds the smaller rank (both on a tie) by
+// the comparison bits themselves rather than by jumps, and folds the summed
+// distance into best, with the miss bit lifting non-matches past any real
+// sum. A buffer that drains is refilled from its list; the scan ends when
+// either list is exhausted, as no later hub can be common.
 func (e *DistEngine) distPLL(mu, mv vertexMeta) int {
-	cntA, cntB := int(mu.cnt()), int(mv.cnt())
-	offA, offB := mu.off, mv.off
+	// Two dw <= 32 bit distances sum below 1<<33, so miss<<33 puts every
+	// non-matching step above inf; sums of 1<<30 and more count as no common
+	// hub, as they do in the legacy decoder.
 	const inf = 1 << 30
-	best := inf
-	var rankA, rankB, distA, distB uint64
-	haveA, haveB := false, false
-	i, j := 0, 0
-	for i < cntA || j < cntB {
-		if !haveA && i < cntA {
-			gap, d, wd := e.pllEntry(offA)
-			if i == 0 {
-				rankA = gap
-			} else {
-				rankA += gap
-			}
-			distA, offA = d, offA+wd
-			haveA = true
+	var bufA, bufB [pllBlock]uint64
+	a := pllList{off: mu.off, rem: int(mu.cnt())}
+	b := pllList{off: mv.off, rem: int(mv.cnt())}
+	best := uint64(inf)
+	ia, na, ib, nb := 0, 0, 0, 0
+	for {
+		ka, kb := 0, 0
+		if ia == na {
+			ka = min(a.rem, pllBlock)
+			ia, na = 0, ka
 		}
-		if !haveB && j < cntB {
-			gap, d, wd := e.pllEntry(offB)
-			if j == 0 {
-				rankB = gap
-			} else {
-				rankB += gap
-			}
-			distB, offB = d, offB+wd
-			haveB = true
+		if ib == nb {
+			kb = min(b.rem, pllBlock)
+			ib, nb = 0, kb
 		}
-		switch {
-		case !haveA:
-			j = cntB // A exhausted: no more common hubs
-		case !haveB:
-			i = cntA
-		case rankA == rankB:
-			if s := int(distA + distB); s < best {
+		if na == 0 || nb == 0 {
+			break
+		}
+		e.pllFill(&bufA, &bufB, &a, &b, ka, kb)
+		for ia < na && ib < nb {
+			x, y := bufA[ia&(pllBlock-1)], bufB[ib&(pllBlock-1)]
+			rx, ry := x>>32, y>>32
+			lt, gt := (rx-ry)>>63, (ry-rx)>>63 // ranks are below 1<<32: the borrow is the comparison
+			if s := x&(1<<32-1) + y&(1<<32-1) + (lt|gt)<<33; s < best {
 				best = s
 			}
-			haveA, haveB = false, false
-			i++
-			j++
-		case rankA < rankB:
-			haveA = false
-			i++
-		default:
-			haveB = false
-			j++
+			ia += int(1 - gt)
+			ib += int(1 - lt)
 		}
 	}
 	if best == inf {
 		return graph.Unreachable
 	}
-	return best
+	return int(best)
+}
+
+// pllFill decodes the next ka entries of list a into bufA and the next kb
+// entries of list b into bufB. Per entry: one pllWord load, the gap code off
+// its top, and the distance from the same window when code + dw fit its 57
+// bits (one more read otherwise). The chain off → load → lzcnt → shifts →
+// next off is serial within a list, so the common prefix of the two lists
+// runs in lockstep — two independent chains per iteration — and pllRest
+// finishes the longer list alone.
+func (e *DistEngine) pllFill(bufA, bufB *[pllBlock]uint64, a, b *pllList, ka, kb int) {
+	slab, dw := e.slab, e.dw
+	fast := e.slabBits - 56            // off < fast: pllWord(off) stays inside the slab
+	same := uint64(pllWindowBits - dw) // code width <= same: the distance is in the window
+	dsh := (64 - uint(dw)) & 63        // dw is 1..32
+	offA, rankA := a.off, a.rank
+	offB, rankB := b.off, b.rank
+	k := 0
+	for lim := min(ka, kb); k < lim && offA < fast && offB < fast; k++ {
+		wA, wB := pllWord(slab, offA), pllWord(slab, offB)
+		gapA, wdA := pllGap(wA)
+		gapB, wdB := pllGap(wB)
+		distA, distB := wA<<(wdA&63)>>dsh, wB<<(wdB&63)>>dsh
+		if wdA > same {
+			distA = bitstr.SlabReadBits(slab, offA+int64(wdA), dw)
+		}
+		if wdB > same {
+			distB = bitstr.SlabReadBits(slab, offB+int64(wdB), dw)
+		}
+		rankA += gapA
+		rankB += gapB
+		bufA[k&(pllBlock-1)] = rankA<<32 | distA
+		bufB[k&(pllBlock-1)] = rankB<<32 | distB
+		offA += int64(wdA) + int64(dw)
+		offB += int64(wdB) + int64(dw)
+	}
+	a.off, a.rank, a.rem = offA, rankA, a.rem-ka
+	b.off, b.rank, b.rem = offB, rankB, b.rem-kb
+	if k < ka {
+		e.pllRest(bufA, a, k, ka)
+	}
+	if k < kb {
+		e.pllRest(bufB, b, k, kb)
+	}
+}
+
+// pllRest decodes entries [from, to) of a block from list l alone — the
+// part of pllFill's work that has no partner chain. It also carries the
+// kernel's tail guard: an entry starting inside the slab's last 8 bytes,
+// where pllWord's load would leave the slab, goes through pllEntry.
+func (e *DistEngine) pllRest(buf *[pllBlock]uint64, l *pllList, from, to int) {
+	slab, dw := e.slab, e.dw
+	fast := e.slabBits - 56
+	same := uint64(pllWindowBits - dw)
+	dsh := (64 - uint(dw)) & 63
+	off, rank := l.off, l.rank
+	for i := from; i < to; i++ {
+		if off >= fast {
+			gap, dist, wd := e.pllEntry(off)
+			rank += gap
+			buf[i&(pllBlock-1)] = rank<<32 | dist
+			off += wd
+			continue
+		}
+		w := pllWord(slab, off)
+		gap, wd := pllGap(w)
+		dist := w << (wd & 63) >> dsh
+		if wd > same {
+			dist = bitstr.SlabReadBits(slab, off+int64(wd), dw)
+		}
+		rank += gap
+		buf[i&(pllBlock-1)] = rank<<32 | dist
+		off += int64(wd) + int64(dw)
+	}
+	l.off, l.rank = off, rank
+}
+
+// pllWord returns the 64-bit window whose top bit is slab bit off: one
+// unaligned big-endian 8-byte load, valid for pllWindowBits bits. The caller
+// guarantees byte off>>3 lies at least 8 bytes before the slab's end.
+func pllWord(slab []byte, off int64) uint64 {
+	return binary.BigEndian.Uint64(slab[off>>3:]) << (uint(off) & 7)
+}
+
+// pllGap decodes the validated δ gap code at the top of window w, returning
+// the gap and the code's width (at most 43 bits, so always inside the
+// window). Every shift count is masked, so the compiler emits bare shifts
+// without its >= 64 guards.
+func pllGap(w uint64) (gap, width uint64) {
+	z := uint(bits.LeadingZeros64(w))
+	nb := w << (z & 63) >> ((63 - z) & 63) // γ(nb): z zeros, then nb in z+1 bits
+	// The value is a leading 1 then the nb-1 bits after the γ prefix: plant
+	// the 1 above those bits and shift the nb-bit number down.
+	v := (w<<((2*z+1)&63)>>1 | 1<<63) >> ((64 - nb) & 63)
+	return v - 1, 2*uint64(z) + nb
+}
+
+// pllEntry decodes the validated entry at bit off with word-aligned reads
+// clamped to the slab's end, returning the rank gap, the distance and the
+// entry's total width. It is the kernel's tail guard: the only entries that
+// reach it start inside the slab's last 8 bytes.
+func (e *DistEngine) pllEntry(off int64) (gap, dist uint64, width int64) {
+	peek := min(e.slabBits-off, 64)
+	w := bitstr.SlabReadBits(e.slab, off, int(peek)) << uint(64-peek)
+	gap, wd := pllGap(w)
+	dist = bitstr.SlabReadBits(e.slab, off+int64(wd), e.dw)
+	return gap, dist, int64(wd) + int64(e.dw)
 }
 
 // distBounded is Lemma 7's decode: the minimum over fat-hub relays, then

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -45,9 +46,11 @@ func decodeFuzzInts(data []byte) []int {
 // FuzzDistEngineHeaders hammers NewDistEngineFromArena with raw slab bytes,
 // header-declared bit lengths, a layout permutation, and engine parameters.
 // The property: for ANY input, construction either errors or yields an
-// engine whose distance queries never panic or read out of bounds, and
-// whose answers are always >= -1 — build-time validation is the only line
-// of defense, because the merge kernel reads the slab unchecked by design.
+// engine whose distance queries never panic or read out of bounds and
+// answer exactly what the checked reference walk (RefDist) reads from the
+// same bits — error or correct answer. Build-time validation is the only
+// line of defense, because the merge kernel reads the slab unchecked by
+// design.
 // Seeds are real pll and bounded labelings in both layouts, so the corpus
 // starts valid and mutates outward.
 func FuzzDistEngineHeaders(f *testing.F) {
@@ -64,8 +67,12 @@ func FuzzDistEngineHeaders(f *testing.F) {
 		for i, v := range a.Order {
 			order[i] = int(v)
 		}
-		f.Add(a.Slab, encodeFuzzInts(a.BitLens), encodeFuzzInts(order),
-			byte(a.Params.Kind), a.Params.DW, a.Params.F, a.Params.NFat)
+		// Each labeling twice: as encoded, and with stray bytes after the
+		// slab's last whole word.
+		for _, slab := range [][]byte{a.Slab, append(slices.Clone(a.Slab), 0xa5, 0x5a, 0xff)} {
+			f.Add(slab, encodeFuzzInts(a.BitLens), encodeFuzzInts(order),
+				byte(a.Params.Kind), a.Params.DW, a.Params.F, a.Params.NFat)
+		}
 	}
 	pll := func(lay core.Layout) (*core.DistArena, error) {
 		return distance.PLLScheme{}.EncodeArena(g, 1, lay)
@@ -104,7 +111,7 @@ func FuzzDistEngineHeaders(f *testing.F) {
 		// Probe a spread of pairs, including out-of-range ones; answers may be
 		// garbage relative to any graph (the slab is noise), but every call
 		// must return without panicking, errors must be range errors, and any
-		// accepted answer must be a distance or the -1 sentinel.
+		// accepted answer must be the one the reference walk decodes.
 		pairs := [][2]int{
 			{0, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 3},
 			{-1, 0}, {0, n}, {n, n},
@@ -114,8 +121,15 @@ func FuzzDistEngineHeaders(f *testing.F) {
 		}
 		for _, pr := range pairs {
 			d, err := eng.Dist(pr[0], pr[1])
-			if err == nil && d < -1 {
-				t.Fatalf("dist(%d,%d) = %d", pr[0], pr[1], d)
+			if err != nil {
+				continue
+			}
+			want, err := eng.RefDist(pr[0], pr[1])
+			if err != nil {
+				t.Fatalf("accepted engine, dist(%d,%d): %v", pr[0], pr[1], err)
+			}
+			if d != want {
+				t.Fatalf("dist(%d,%d) = %d, reference walk %d", pr[0], pr[1], d, want)
 			}
 		}
 		_, _ = eng.DistMany(pairs, nil)

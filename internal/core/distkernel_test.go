@@ -1,0 +1,286 @@
+package core_test
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/bitstr"
+	"repro/internal/core"
+)
+
+// pllCase is a hand-built PLL labeling: per-vertex (hub rank, distance)
+// lists handed straight to the slab pipeline, so the kernel's edge shapes —
+// block boundaries, wide entries, the slab tail — are chosen, not hoped for.
+// The test queries every pair among vs plus the listed extra pairs.
+type pllCase struct {
+	name    string
+	entries [][]core.DistEntry
+	maxDist int32
+	vs      []int
+	pairs   [][2]int
+}
+
+// hubList returns cnt entries over ranks first, first+step, ... with
+// distances cycling through 0..maxDist.
+func hubList(cnt, first, step int, maxDist int32) []core.DistEntry {
+	list := make([]core.DistEntry, cnt)
+	for i := range list {
+		list[i] = core.DistEntry{ID: int32(first + i*step), D: int32(i*7+first) % (maxDist + 1)}
+	}
+	return list
+}
+
+// addProbes gives every entry of vertex v's list a partner vertex (from
+// base up) whose only hub is that entry's, and queues the pair: a minimum
+// over many common hubs can hide one mis-decoded entry, a single common hub
+// cannot.
+func (c *pllCase) addProbes(v, base int) {
+	for j, e := range c.entries[v] {
+		c.entries[base+j] = []core.DistEntry{{ID: e.ID, D: int32(j) % (c.maxDist + 1)}}
+		c.pairs = append(c.pairs, [2]int{v, base + j}, [2]int{base + j, v})
+	}
+}
+
+// pllKernelCases covers every entry count around the 64-entry decode block,
+// very unequal and disjoint lists, and entries at and past the 57-bit
+// window one load covers.
+func pllKernelCases() []pllCase {
+	const n = 1 << 12
+	blocks := pllCase{name: "block-boundaries", entries: make([][]core.DistEntry, n), maxDist: 9}
+	for v, cnt := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 700} {
+		blocks.entries[v] = hubList(cnt, v%3, 1, 9)            // dense: every list shares hubs
+		blocks.entries[16+v] = hubList(cnt, 5+v, 1+v%4, 9)     // strided: partial overlap
+		blocks.entries[32+v] = hubList(min(cnt, 300), 1, 3, 9) // ranks 1 mod 3 ...
+		blocks.entries[48+v] = hubList(min(cnt, 300), 2, 3, 9) // ... never meet ranks 2 mod 3
+	}
+	for v := 0; v < 64; v++ {
+		blocks.vs = append(blocks.vs, v)
+	}
+	blocks.addProbes(10, 1000)
+	blocks.addProbes(16+10, 2000)
+	blocks.addProbes(16+5, 3000)
+
+	// dw = 32 (maxDist near 2^31). A rank gap near 2^16 codes in 25 bits, so
+	// code + distance fill the 57-bit window exactly; a gap near 2^17 codes
+	// in 27 and the distance needs the second read. Distances at 2^29 and
+	// above exercise the decoders' 1<<30 "no common hub" cap.
+	const wideN = 1 << 20
+	wide := pllCase{name: "wide-entries", entries: make([][]core.DistEntry, wideN), maxDist: math.MaxInt32}
+	for v := 0; v < 16; v++ {
+		gap, cnt := 1<<17, 3+v%5
+		if v >= 8 {
+			gap, cnt = 1<<16, v-5
+		}
+		var list []core.DistEntry
+		for i := 0; i < cnt; i++ {
+			list = append(list, core.DistEntry{ID: int32((i+1)*gap + (i*v)%3), D: int32(i*1000 + 3*v + 1)})
+		}
+		// Small gaps after the large ones: same-window and second-read
+		// entries interleave.
+		last := list[len(list)-1].ID
+		list = append(list,
+			core.DistEntry{ID: last + 1, D: 1 << 29},
+			core.DistEntry{ID: last + 2, D: math.MaxInt32})
+		wide.entries[v] = list
+		wide.vs = append(wide.vs, v)
+		wide.addProbes(v, 1000+32*v)
+	}
+	return []pllCase{blocks, wide}
+}
+
+// bruteDist is the definition the kernel implements: the minimum summed
+// distance over common hubs below the decoders' 1<<30 cap, -1 without one.
+func bruteDist(a, b []core.DistEntry) int {
+	best := int64(1 << 30)
+	for _, x := range a {
+		for _, y := range b {
+			if x.ID == y.ID && int64(x.D)+int64(y.D) < best {
+				best = int64(x.D) + int64(y.D)
+			}
+		}
+	}
+	if best == 1<<30 {
+		return -1
+	}
+	return int(best)
+}
+
+// reversedOrder is a physical layout that differs from the identity
+// everywhere: label v sits at rank n-1-v.
+func reversedOrder(n int) []int32 {
+	order := make([]int32, n)
+	for r := range order {
+		order[r] = int32(n - 1 - r)
+	}
+	return order
+}
+
+// checkPLLPair pins Dist(u, v) to the checked reference walk and to the
+// brute-force definition over the source entry lists.
+func checkPLLPair(t *testing.T, eng *core.DistEngine, entries [][]core.DistEntry, u, v int) {
+	t.Helper()
+	got, err := eng.Dist(u, v)
+	if err != nil {
+		t.Fatalf("Dist(%d,%d): %v", u, v, err)
+	}
+	ref, err := eng.RefDist(u, v)
+	if err != nil {
+		t.Fatalf("RefDist(%d,%d): %v", u, v, err)
+	}
+	want := 0
+	if u != v {
+		want = bruteDist(entries[u], entries[v])
+	}
+	if got != ref || got != want {
+		t.Fatalf("Dist(%d,%d) = %d, reference walk %d, definition %d (%d and %d entries)",
+			u, v, got, ref, want, len(entries[u]), len(entries[v]))
+	}
+}
+
+// checkPLLPairs checks every ordered pair among vs.
+func checkPLLPairs(t *testing.T, eng *core.DistEngine, entries [][]core.DistEntry, vs []int) {
+	t.Helper()
+	for _, u := range vs {
+		for _, v := range vs {
+			checkPLLPair(t, eng, entries, u, v)
+		}
+	}
+}
+
+// TestDistPLLKernelEdges drives the merge kernel through its edge shapes in
+// both an identity and a permuted layout.
+func TestDistPLLKernelEdges(t *testing.T) {
+	for _, tc := range pllKernelCases() {
+		for _, lay := range []struct {
+			name  string
+			order []int32
+		}{{"id", nil}, {"reversed", reversedOrder(len(tc.entries))}} {
+			t.Run(tc.name+"/"+lay.name, func(t *testing.T) {
+				arena, err := core.EncodePLLArena(tc.entries, tc.maxDist, lay.order, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := core.NewDistEngine(arena)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPLLPairs(t, eng, tc.entries, tc.vs)
+				for _, p := range tc.pairs {
+					checkPLLPair(t, eng, tc.entries, p[0], p[1])
+				}
+			})
+		}
+	}
+}
+
+// wordExactList draws strictly increasing hub ranks below n until the PLL
+// label holding cnt of them is a whole number of 64-bit words: such a label
+// has no padding, so its last entry ends on its slab slot's last bit.
+func wordExactList(rng *rand.Rand, cnt, n, headerBits, dw int, maxDist int32) []core.DistEntry {
+	for {
+		list := make([]core.DistEntry, cnt)
+		bits, rank := headerBits, -1
+		for i := range list {
+			gap := rng.Intn(n / cnt)
+			if i > 0 {
+				gap++
+			}
+			rank = max(rank, 0) + gap
+			list[i] = core.DistEntry{ID: int32(rank), D: int32(rng.Intn(int(maxDist) + 1))}
+			bits += bitstr.DeltaLen(uint64(gap)+1) + dw
+		}
+		if bits%64 == 0 {
+			return list
+		}
+	}
+}
+
+// TestDistPLLKernelSlabTail puts a label whose last entry ends on the slab's
+// last bit at the physical end of the slab, so its final entries start
+// inside the last 8 bytes — where the kernel's 8-byte load would leave the
+// slab and the guarded decode takes over — and queries it against empty,
+// short, matching and much longer partners.
+func TestDistPLLKernelSlabTail(t *testing.T) {
+	const n = 1 << 16
+	const maxDist = 100               // dw = 7
+	const headerBits, dw = 16 + 17, 7 // w + wCnt for n = 2^16
+	rng := rand.New(rand.NewSource(41))
+	for _, tailCnt := range []int{1, 2, 40, 63, 64, 65, 150} {
+		for _, lay := range []struct {
+			name  string
+			order []int32
+			tail  int // the vertex whose label is physically last
+		}{{"id", nil, n - 1}, {"reversed", reversedOrder(n), 0}} {
+			c := pllCase{entries: make([][]core.DistEntry, n), maxDist: maxDist}
+			for v, cnt := range []int{0, 1, 30, 64, 65, 200} {
+				c.entries[10+v] = hubList(cnt, v, 1, maxDist)
+			}
+			tail := wordExactList(rng, tailCnt, n, headerBits, dw, maxDist)
+			c.entries[lay.tail] = tail
+			// Partners that share every hub, exactly one each, and the last
+			// one behind a long run of misses.
+			c.entries[20] = append([]core.DistEntry(nil), tail...)
+			c.addProbes(lay.tail, 1000)
+			if last := tail[tailCnt-1].ID; last >= 300 {
+				c.entries[21] = append(hubList(290, 0, 1, maxDist), core.DistEntry{ID: last, D: 3})
+			}
+			arena, err := core.EncodePLLArena(c.entries, maxDist, lay.order, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bits := arena.BitLens[lay.tail]; bits%64 != 0 || arena.Params.DW != dw {
+				t.Fatalf("tail label of %d bits at dw=%d: want whole words at dw=%d", bits, arena.Params.DW, dw)
+			}
+			// The same labels again over a slab with stray bytes after its last
+			// whole word (a store padded to no word boundary): the guard must
+			// keep every read inside the whole words.
+			stray := append(slices.Clone(arena.Slab), 0xff, 0xff, 0xff)
+			for name, slab := range map[string][]byte{"whole-words": arena.Slab, "stray-bytes": stray} {
+				eng, err := core.NewDistEngineFromArena(slab, arena.BitLens, arena.Order, arena.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Run(lay.name+"/"+name, func(t *testing.T) {
+					checkPLLPairs(t, eng, c.entries, []int{lay.tail, 10, 11, 12, 13, 14, 15, 20, 21, 100})
+					for _, p := range c.pairs {
+						checkPLLPair(t, eng, c.entries, p[0], p[1])
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDistEncodersFirstErrorDeterministic feeds each arena encoder invalid
+// entries in two different worker ranges: the plan phase must report the
+// lowest vertex's error every time (and, under -race, without the workers
+// sharing an error variable).
+func TestDistEncodersFirstErrorDeterministic(t *testing.T) {
+	const n = 64
+	const workers = 4
+	for round := 0; round < 20; round++ {
+		entries := make([][]core.DistEntry, n)
+		entries[3] = []core.DistEntry{{ID: 5, D: 1}, {ID: 5, D: 1}} // range 0: rank repeats
+		entries[60] = []core.DistEntry{{ID: n, D: 1}}               // range 3: rank out of range
+		_, err := core.EncodePLLArena(entries, 2, nil, workers)
+		if err == nil || !strings.Contains(err.Error(), "pll label 3 entry 1") {
+			t.Fatalf("round %d: EncodePLLArena error = %v, want label 3's", round, err)
+		}
+
+		fat := make([]bool, n)
+		fatDist := make([][]int32, n)
+		for v := range fatDist {
+			fatDist[v] = []int32{1}
+		}
+		thin := make([][]core.DistEntry, n)
+		thin[7] = []core.DistEntry{{ID: 9, D: 1}, {ID: 2, D: 1}} // range 0: ids descend
+		fatDist[50] = []int32{1, 1}                              // range 3: ragged fat table
+		_, err = core.EncodeBoundedArena(fat, fatDist, thin, 2, nil, workers)
+		if err == nil || !strings.Contains(err.Error(), "bdist label 7 thin entry 1") {
+			t.Fatalf("round %d: EncodeBoundedArena error = %v, want label 7's", round, err)
+		}
+	}
+}

@@ -184,17 +184,15 @@ func EncodePLLArena(entries [][]DistEntry, maxDist int32, order []int32, workers
 	// δ-coded rank gaps and fixed-width distances of each entry.
 	planStart := time.Now()
 	bitLens := make([]int, n)
-	var planErr error
-	runRanges(distPlanRanges(n, workers), func(lo, hi int) {
+	planErr := runRangesErr(distPlanRanges(n, workers), func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			bits := w + wCnt
 			prev := uint64(0)
 			for i, e := range entries[v] {
 				if e.ID < 0 || int(e.ID) >= n || (i > 0 && uint64(e.ID) <= prev) ||
 					e.D < 0 || e.D > maxDist {
-					planErr = fmt.Errorf("core: pll label %d entry %d: rank %d dist %d (n=%d maxDist=%d)",
+					return fmt.Errorf("core: pll label %d entry %d: rank %d dist %d (n=%d maxDist=%d)",
 						v, i, e.ID, e.D, n, maxDist)
-					return
 				}
 				gap := uint64(e.ID) - prev
 				if i == 0 {
@@ -205,6 +203,7 @@ func EncodePLLArena(entries [][]DistEntry, maxDist int32, order []int32, workers
 			}
 			bitLens[v] = bits
 		}
+		return nil
 	})
 	if planErr != nil {
 		return nil, planErr
@@ -280,21 +279,18 @@ func EncodeBoundedArena(fat []bool, fatDist [][]int32, thin [][]DistEntry, f int
 	// Phase 1: sizes are pure arithmetic on the input shapes.
 	planStart := time.Now()
 	bitLens := make([]int, n)
-	var planErr error
-	runRanges(distPlanRanges(n, workers), func(lo, hi int) {
+	planErr := runRangesErr(distPlanRanges(n, workers), func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			if len(fatDist[v]) != nFat {
-				planErr = fmt.Errorf("core: bdist label %d: fat table of %d entries, want %d", v, len(fatDist[v]), nFat)
-				return
+				return fmt.Errorf("core: bdist label %d: fat table of %d entries, want %d", v, len(fatDist[v]), nFat)
 			}
 			bits := header
 			if !fat[v] {
 				prev := int32(-1)
 				for i, e := range thin[v] {
 					if e.ID < 0 || int(e.ID) >= n || e.ID <= prev || e.D < 0 || int(e.D) > f+1 {
-						planErr = fmt.Errorf("core: bdist label %d thin entry %d: id %d dist %d (n=%d f=%d)",
+						return fmt.Errorf("core: bdist label %d thin entry %d: id %d dist %d (n=%d f=%d)",
 							v, i, e.ID, e.D, n, f)
-						return
 					}
 					prev = e.ID
 				}
@@ -302,6 +298,7 @@ func EncodeBoundedArena(fat []bool, fatDist [][]int32, thin [][]DistEntry, f int
 			}
 			bitLens[v] = bits
 		}
+		return nil
 	})
 	if planErr != nil {
 		return nil, planErr

@@ -243,6 +243,29 @@ func runRanges(ranges [][2]int, fill func(lo, hi int)) {
 	wg.Wait()
 }
 
+// runRangesErr is runRanges for a phase that can fail: every range reports
+// into its own slot, so the workers share no variable, and the lowest
+// range's error is returned — the same error whatever the scheduling.
+func runRangesErr(ranges [][2]int, plan func(lo, hi int) error) error {
+	errs := make([]error, len(ranges))
+	var wg sync.WaitGroup
+	for i, r := range ranges[1:] {
+		wg.Add(1)
+		go func(slot, lo, hi int) {
+			defer wg.Done()
+			errs[slot] = plan(lo, hi)
+		}(i+1, r[0], r[1])
+	}
+	errs[0] = plan(ranges[0][0], ranges[0][1])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // encodeFatThinSlab is the pipeline encoder behind FatThinScheme.Encode and
 // EncodeParallel. workers <= 0 selects GOMAXPROCS; lay selects the physical
 // body order (LayoutDegree returns a permuted arena labeling, answers

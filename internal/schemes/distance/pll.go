@@ -2,9 +2,9 @@ package distance
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitstr"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -34,9 +34,16 @@ func (PLLScheme) Name() string { return "dist-pll" }
 // pruned BFS sweep itself is shared with the slab encoder (pllEntries,
 // slab.go), so the legacy and arena paths label from identical entry lists.
 func (s PLLScheme) Encode(g *graph.Graph) (*PLLLabeling, error) {
-	n := g.N()
 	entries, maxDist, _ := pllEntries(g)
+	return pllLegacyLabeling(entries, maxDist)
+}
 
+// pllLegacyLabeling packs per-vertex (landmark rank, distance) lists into
+// legacy labels. The merge-scan decoder needs strictly increasing ranks;
+// the pruned sweep emits them that way (one entry per landmark, in rank
+// order), so a list that is not is reported, not repaired.
+func pllLegacyLabeling(entries [][]core.DistEntry, maxDist int32) (*PLLLabeling, error) {
+	n := len(entries)
 	w := bitstr.WidthFor(uint64(n))
 	if w == 0 {
 		w = 1
@@ -55,11 +62,11 @@ func (s PLLScheme) Encode(g *graph.Graph) (*PLLLabeling, error) {
 		b.Reset()
 		b.AppendUint(uint64(v), w)
 		b.AppendUint(uint64(len(entries[v])), wCnt)
-		// Entries were appended in increasing rank order already; assert it
-		// cheaply in sorted order for safety.
-		es := entries[v]
-		sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
-		for _, e := range es {
+		for i, e := range entries[v] {
+			if i > 0 && e.ID <= entries[v][i-1].ID {
+				return nil, fmt.Errorf("distance: pll label %d: entry %d has rank %d after rank %d",
+					v, i, e.ID, entries[v][i-1].ID)
+			}
 			b.AppendUint(uint64(e.ID), w)
 			b.AppendUint(uint64(e.D), dw)
 		}

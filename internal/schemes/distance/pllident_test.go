@@ -1,0 +1,237 @@
+package distance
+
+import (
+	"crypto/sha256"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// pllEntriesMergePrune is the pruned landmark sweep as it was before the
+// scatter-table prune: every BFS visit merges the root's and the vertex's
+// full entry lists to the exact minimum and only then compares it with the
+// BFS distance. Kept as the reference pllEntries must reproduce entry for
+// entry.
+func pllEntriesMergePrune(g *graph.Graph) (entries [][]core.DistEntry, maxDist int32, order []int) {
+	n := g.N()
+	order = g.VerticesByDegreeDesc()
+	entries = make([][]core.DistEntry, n)
+	query := func(u, v int) int32 {
+		best := int32(1 << 30)
+		eu, ev := entries[u], entries[v]
+		for i, j := 0, 0; i < len(eu) && j < len(ev); {
+			switch {
+			case eu[i].ID == ev[j].ID:
+				best = min(best, eu[i].D+ev[j].D)
+				i++
+				j++
+			case eu[i].ID < ev[j].ID:
+				i++
+			default:
+				j++
+			}
+		}
+		return best
+	}
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	var queue []int32
+	for r, vk := range order {
+		queue = append(queue[:0], int32(vk))
+		dist[vk] = 0
+		for head := 0; head < len(queue); head++ {
+			u := int(queue[head])
+			du := dist[u]
+			if query(vk, u) <= du {
+				continue
+			}
+			entries[u] = append(entries[u], core.DistEntry{ID: int32(r), D: du})
+			maxDist = max(maxDist, du)
+			for _, wv := range g.Neighbors(u) {
+				if dist[wv] < 0 {
+					dist[wv] = du + 1
+					queue = append(queue, wv)
+				}
+			}
+		}
+		for _, u := range queue {
+			dist[u] = -1
+		}
+	}
+	return entries, maxDist, order
+}
+
+// TestPLLEntriesMatchMergePrune pins the scatter-table prune to the
+// merge-based one: identical entry lists, largest distance and landmark
+// order on every graph, and — through the shared slab pipeline — identical
+// arena bytes in both layouts.
+func TestPLLEntriesMatchMergePrune(t *testing.T) {
+	graphs := map[string]func(seed int64) *graph.Graph{
+		"chunglu": func(seed int64) *graph.Graph {
+			g, err := gen.ChungLuPowerLaw(400, 2.5, 2, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+		"er":   func(seed int64) *graph.Graph { return gen.ErdosRenyi(200, 0.03, seed) },
+		"path": func(seed int64) *graph.Graph { return gen.Path(20 + int(seed)) },
+		"star": func(seed int64) *graph.Graph { return gen.Star(20 + int(seed)) },
+		// Far below the connectivity threshold: many components and
+		// isolated vertices.
+		"disconnected": func(seed int64) *graph.Graph { return gen.ErdosRenyi(150, 0.005, seed) },
+	}
+	for name, build := range graphs {
+		for seed := int64(1); seed <= 5; seed++ {
+			g := build(seed)
+			want, wantMax, wantOrder := pllEntriesMergePrune(g)
+			got, gotMax, gotOrder := pllEntries(g)
+			if gotMax != wantMax || !slices.Equal(gotOrder, wantOrder) {
+				t.Fatalf("%s seed=%d: maxDist %d / order differ from the merge prune's (maxDist %d)", name, seed, gotMax, wantMax)
+			}
+			for v := range want {
+				if !slices.Equal(got[v], want[v]) {
+					t.Fatalf("%s seed=%d: vertex %d entries %v, merge prune %v", name, seed, v, got[v], want[v])
+				}
+			}
+			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+				arena, err := PLLScheme{}.EncodeArena(g, 2, lay)
+				if err != nil {
+					t.Fatalf("%s seed=%d layout=%v: %v", name, seed, lay, err)
+				}
+				ref, err := core.EncodePLLArena(want, wantMax, arena.Order, 1)
+				if err != nil {
+					t.Fatalf("%s seed=%d layout=%v: reference arena: %v", name, seed, lay, err)
+				}
+				if sha256.Sum256(arena.Slab) != sha256.Sum256(ref.Slab) || !slices.Equal(arena.BitLens, ref.BitLens) {
+					t.Fatalf("%s seed=%d layout=%v: slab differs from the merge prune's", name, seed, lay)
+				}
+			}
+		}
+	}
+}
+
+// TestPLLLegacyLabelingRejectsUnsorted checks the legacy encoder reports a
+// list whose ranks do not strictly increase instead of sorting it.
+func TestPLLLegacyLabelingRejectsUnsorted(t *testing.T) {
+	for _, list := range [][]core.DistEntry{
+		{{ID: 2, D: 1}, {ID: 1, D: 1}},
+		{{ID: 1, D: 1}, {ID: 1, D: 2}},
+	} {
+		if _, err := pllLegacyLabeling([][]core.DistEntry{nil, list, nil}, 2); err == nil {
+			t.Errorf("entries %v: legacy labeling accepted ranks that do not increase", list)
+		}
+	}
+}
+
+// TestDistEngineMatchesPLLDecoderHandBuilt is the differential twin of
+// core's kernel edge tests: hand-built entry lists — every count around the
+// 64-entry decode block, very unequal and disjoint lists, an entry wider
+// than one 57-bit window, a last label ending on the slab's last byte —
+// go through both the legacy labeling and the slab pipeline, and DistEngine
+// must answer every pair exactly as PLLDecoder does, in both layouts.
+func TestDistEngineMatchesPLLDecoderHandBuilt(t *testing.T) {
+	run := func(cnt, first, step int, maxDist int32) []core.DistEntry {
+		list := make([]core.DistEntry, cnt)
+		for i := range list {
+			list[i] = core.DistEntry{ID: int32(first + i*step), D: int32(i*5+first) % (maxDist + 1)}
+		}
+		return list
+	}
+	type handBuilt struct {
+		name    string
+		entries [][]core.DistEntry
+		maxDist int32
+		vs      []int
+	}
+	var cases []handBuilt
+
+	blocks := handBuilt{name: "blocks", entries: make([][]core.DistEntry, 1<<11), maxDist: 11}
+	for v, cnt := range []int{0, 1, 63, 64, 65, 128, 200, 600} {
+		blocks.entries[v] = run(cnt, v%2, 1, 11)
+		blocks.entries[8+v] = run(cnt, 3+v, 1+v%3, 11)
+		blocks.entries[16+v] = run(min(cnt, 300), 1, 3, 11) // ranks 1 mod 3 ...
+		blocks.entries[24+v] = run(min(cnt, 300), 2, 3, 11) // ... never meet ranks 2 mod 3
+	}
+	for v := 0; v < 32; v++ {
+		blocks.vs = append(blocks.vs, v)
+	}
+	cases = append(cases, blocks)
+
+	// dw = 32 and first ranks past 2^17: a 27-bit gap code, so the distance
+	// lies outside the window the code was read from.
+	wide := handBuilt{name: "wide", entries: make([][]core.DistEntry, 1<<18), maxDist: math.MaxInt32}
+	for v := 0; v < 6; v++ {
+		for i := 0; i < 2+v; i++ {
+			wide.entries[v] = append(wide.entries[v], core.DistEntry{ID: int32(1<<17 + v%2 + 2*i), D: int32(1000*i + v)})
+		}
+		wide.vs = append(wide.vs, v)
+	}
+	cases = append(cases, wide)
+
+	// n = 2^16 and dw = 7: the header is 33 bits, rank 40000 codes in 24, so
+	// a one-entry label is exactly one word and every 64 further gap-1
+	// entries (11 bits each) add whole words — labels with no padding, whose
+	// last entry ends on the slab's last bit when the label is stored last.
+	tail := handBuilt{name: "tail", entries: make([][]core.DistEntry, 1<<16), maxDist: 100}
+	for v, cnt := range map[int]int{0: 65, 1: 1, 1<<16 - 2: 1, 1<<16 - 1: 129} {
+		tail.entries[v] = run(cnt, 40000, 1, 100)
+		tail.vs = append(tail.vs, v)
+	}
+	tail.entries[7] = run(300, 39900, 1, 100)
+	tail.vs = append(tail.vs, 7, 8)
+	cases = append(cases, tail)
+
+	for _, tc := range cases {
+		legacy, err := pllLegacyLabeling(tc.entries, tc.maxDist)
+		if err != nil {
+			t.Fatalf("%s: legacy labeling: %v", tc.name, err)
+		}
+		n := len(tc.entries)
+		reversed := make([]int32, n)
+		for r := range reversed {
+			reversed[r] = int32(n - 1 - r)
+		}
+		for layName, order := range map[string][]int32{"id": nil, "reversed": reversed} {
+			arena, err := core.EncodePLLArena(tc.entries, tc.maxDist, order, 2)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, layName, err)
+			}
+			if tc.name == "tail" {
+				last := n - 1
+				if order != nil {
+					last = int(order[n-1])
+				}
+				if bits := arena.BitLens[last]; bits == 0 || bits%64 != 0 {
+					t.Fatalf("tail/%s: last label has %d bits, want whole words", layName, bits)
+				}
+			}
+			eng, err := core.NewDistEngine(arena)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, layName, err)
+			}
+			for _, u := range tc.vs {
+				for _, v := range tc.vs {
+					want, err := legacy.Dist(u, v)
+					if err != nil {
+						t.Fatalf("%s: legacy Dist(%d,%d): %v", tc.name, u, v, err)
+					}
+					got, err := eng.Dist(u, v)
+					if err != nil {
+						t.Fatalf("%s/%s: Dist(%d,%d): %v", tc.name, layName, u, v, err)
+					}
+					if got != want {
+						t.Fatalf("%s/%s: Dist(%d,%d) = %d, PLLDecoder %d (%d and %d entries)",
+							tc.name, layName, u, v, got, want, len(tc.entries[u]), len(tc.entries[v]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -40,32 +40,24 @@ func (s PLLScheme) EncodeArena(g *graph.Graph, workers int, lay core.Layout) (*c
 // (landmark rank, distance) list — sorted by rank, exactly as the pruning
 // emits it — plus the largest stored distance and the landmark order
 // itself (vertices by descending degree).
+//
+// The prune is the standard pruned-landmark test: before each landmark's
+// BFS its current entries are scattered into a rank-indexed table
+// (rootDist[rank] = distance, ∞ elsewhere), so asking whether the labels
+// already certify dist(root, u) <= du is one pass over u's entries that
+// stops at the first certificate, instead of a two-list merge computing the
+// exact minimum. "A certificate exists" and "the minimum is <= du" are the
+// same predicate, so the entry lists are identical to the merge-based
+// prune's (TestPLLEntriesMatchMergePrune).
 func pllEntries(g *graph.Graph) (entries [][]core.DistEntry, maxDist int32, order []int) {
 	n := g.N()
 	order = g.VerticesByDegreeDesc()
 	entries = make([][]core.DistEntry, n)
 
-	// query returns the current upper bound on dist(u, v) from labels.
-	query := func(u, v int) int32 {
-		const inf = int32(1 << 30)
-		best := inf
-		eu, ev := entries[u], entries[v]
-		i, j := 0, 0
-		for i < len(eu) && j < len(ev) {
-			switch {
-			case eu[i].ID == ev[j].ID:
-				if d := eu[i].D + ev[j].D; d < best {
-					best = d
-				}
-				i++
-				j++
-			case eu[i].ID < ev[j].ID:
-				i++
-			default:
-				j++
-			}
-		}
-		return best
+	const inf = int32(1 << 30) // inf + any BFS distance stays inside int32
+	rootDist := make([]int32, n)
+	for i := range rootDist {
+		rootDist[i] = inf
 	}
 
 	// Pruned BFS from each landmark in rank order.
@@ -74,21 +66,24 @@ func pllEntries(g *graph.Graph) (entries [][]core.DistEntry, maxDist int32, orde
 		dist[i] = -1
 	}
 	queue := make([]int32, 0, 256)
-	var touched []int32
 	for r, vk := range order {
+		for _, e := range entries[vk] {
+			rootDist[e.ID] = e.D
+		}
 		queue = queue[:0]
-		touched = touched[:0]
 		dist[vk] = 0
 		queue = append(queue, int32(vk))
-		touched = append(touched, int32(vk))
+	bfs:
 		for head := 0; head < len(queue); head++ {
 			u := int(queue[head])
 			du := dist[u]
 			// Prune: if the existing labels already certify dist(vk,u) <= du,
 			// u needs no new entry and its subtree is covered via vk's
 			// earlier landmarks.
-			if query(vk, u) <= du {
-				continue
+			for _, e := range entries[u] {
+				if rootDist[e.ID]+e.D <= du {
+					continue bfs
+				}
 			}
 			entries[u] = append(entries[u], core.DistEntry{ID: int32(r), D: du})
 			if du > maxDist {
@@ -98,12 +93,17 @@ func pllEntries(g *graph.Graph) (entries [][]core.DistEntry, maxDist int32, orde
 				if dist[wv] < 0 {
 					dist[wv] = du + 1
 					queue = append(queue, wv)
-					touched = append(touched, wv)
 				}
 			}
 		}
-		for _, u := range touched {
+		// Every visited vertex is in the queue exactly once.
+		for _, u := range queue {
 			dist[u] = -1
+		}
+		// The root's own (r, 0) entry, added by this sweep, was never
+		// scattered; clearing it is harmless.
+		for _, e := range entries[vk] {
+			rootDist[e.ID] = inf
 		}
 	}
 	return entries, maxDist, order

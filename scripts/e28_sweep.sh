@@ -30,7 +30,7 @@ start_server() { # start_server <shed-depth>
     serve_pid=$!
     addr=""
     for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^plserve: listening on //p' "$work/serve.log")
+        addr=$(sed -n 's/.*msg=listening addr=//p' "$work/serve.log")
         [ -n "$addr" ] && break
         sleep 0.1
     done
