@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -368,6 +369,65 @@ func BenchmarkQueryEngineAdjacentManyParallel(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/query")
+}
+
+// BenchmarkQueryEngineColdSlab measures the batch probe kernel against the
+// scalar loop where the kernel earns its keep: n = 2^20, a 16 MB header table
+// and a 25 MB degree-ordered slab, probe rings of 2^21 pairs that outlast the
+// private caches. The ring is walked in 32 Ki-pair chunks, even chunks through
+// per-pair Adjacent and odd chunks through AdjacentMany, so both sides sample
+// the same minutes of the host's memory mood (it drifts 30 % between minutes;
+// back-to-back whole-ring runs are unreadable) and neither probes lines the
+// other just pulled in. Reports ns/pair for each side and their ratio.
+func BenchmarkQueryEngineColdSlab(b *testing.B) {
+	g, err := gen.ChungLuPowerLawParallel(1<<20, 2.5, 2, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := core.NewPowerLawScheme(2.5)
+	s.SetLayout(core.LayoutDegree)
+	lab, err := s.EncodeParallel(g, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewQueryEngine(lab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const ringPairs, chunk = 1 << 21, 32 << 10
+	for _, dist := range []experiments.ProbeDist{experiments.DistUniform, experiments.DistDegProp} {
+		b.Run(string(dist), func(b *testing.B) {
+			ps, err := experiments.NewProbeSampler(g, dist, 0, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ring := ps.Pairs(make([][2]int, 0, ringPairs), ringPairs)
+			out := make([]bool, 0, chunk)
+			var scalar, kernel time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for off := 0; off < ringPairs; off += 2 * chunk {
+					t0 := time.Now()
+					for _, p := range ring[off : off+chunk] {
+						if _, err := eng.Adjacent(p[0], p[1]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					t1 := time.Now()
+					if out, err = eng.AdjacentMany(ring[off+chunk:off+2*chunk], out[:0]); err != nil {
+						b.Fatal(err)
+					}
+					scalar += t1.Sub(t0)
+					kernel += time.Since(t1)
+				}
+			}
+			half := float64(b.N) * ringPairs / 2
+			b.ReportMetric(float64(scalar.Nanoseconds())/half, "scalar-ns/pair")
+			b.ReportMetric(float64(kernel.Nanoseconds())/half, "kernel-ns/pair")
+			b.ReportMetric(float64(scalar)/float64(kernel), "scalar/kernel")
+		})
+	}
 }
 
 func BenchmarkDecodePowerLaw(b *testing.B) { benchDecode(b, core.NewPowerLawScheme(2.5)) }

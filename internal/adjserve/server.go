@@ -28,7 +28,7 @@ type Server struct {
 	// sortedMin, when > 0, routes frames of at least that many pairs through
 	// core.AdjacentManySorted: pairs are decoded up front, probed in
 	// arena-offset order, and the answers scattered back into request order.
-	// 0 keeps the streaming per-pair path. Set before Serve; never mutated
+	// 0 keeps the streaming block-at-a-time path. Set before Serve; never mutated
 	// under traffic.
 	sortedMin int
 
@@ -675,28 +675,33 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 		if s.sortedMin > 0 && int(count) >= s.sortedMin {
 			return s.processSorted(body, resp, bitsOff, int(count), bufs)
 		}
-		// One tally per frame, flushed below: the engine's per-query metric
-		// cost on this path is two stack increments (see core.QueryTally).
+		// Decode a block of pairs onto the stack, hand it to the engine's batch
+		// probe kernel, OR in the answer bits. One tally per frame, flushed
+		// below: the engine's per-query metric cost on this path is two stack
+		// increments (see core.QueryTally).
 		var t core.QueryTally
-		for i := 0; i < int(count); i++ {
-			u, nu := binary.Uvarint(body)
-			if nu <= 0 {
-				return appendErr(resp[:0], "pair %d: bad u", i), 0
-			}
-			body = body[nu:]
-			v, nv := binary.Uvarint(body)
-			if nv <= 0 {
-				return appendErr(resp[:0], "pair %d: bad v", i), 0
-			}
-			body = body[nv:]
-			adj, err := s.engine.AdjacentTallied(int(u), int(v), &t)
+		var blk [core.ProbeBlock][2]int
+		var ans [core.ProbeBlock]bool
+		for i := 0; i < int(count); {
+			k, rest, bad := decodePairs(blk[:min(core.ProbeBlock, int(count)-i)], body)
+			body = rest
+			// The pairs ahead of a malformed one are probed first, so an engine
+			// error among them is the one reported: lowest pair index wins.
+			done, err := s.engine.AdjacentSpan(blk[:k], ans[:], &t)
 			if err != nil {
 				s.engine.FlushTally(&t, 0)
-				return appendErr(resp[:0], "pair %d (%d,%d): %v", i, u, v, err), 0
+				p := blk[done]
+				return appendErr(resp[:0], "pair %d (%d,%d): %v", i+done, uint64(p[0]), uint64(p[1]), err), 0
 			}
-			if adj {
-				resp[bitsOff+i/8] |= 1 << (7 - uint(i)%8)
+			if bad != "" {
+				return appendErr(resp[:0], "pair %d: bad %s", i+k, bad), 0
 			}
+			for j, adj := range ans[:k] {
+				if adj {
+					resp[bitsOff+(i+j)/8] |= 1 << (7 - uint(i+j)%8)
+				}
+			}
+			i += k
 		}
 		if len(body) != 0 {
 			s.engine.FlushTally(&t, 0)
@@ -717,25 +722,9 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 // block starting at bitsOff. The pair list, answer slice and sort keys all
 // live in bufs, so the steady-state frame loop stays allocation-free.
 func (s *Server) processSorted(body, resp []byte, bitsOff, count int, bufs *connBuffers) (out []byte, queries int) {
-	pairs := bufs.pairs[:0]
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad u", i), 0
-		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad v", i), 0
-		}
-		body = body[nv:]
-		pairs = append(pairs, [2]int{int(u), int(v)})
-	}
-	bufs.pairs = pairs
-	if len(body) != 0 {
-		return appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count), 0
+	pairs, errFrame := bufs.decodeAll(body, resp, count)
+	if errFrame != nil {
+		return errFrame, 0
 	}
 	res, err := s.engine.AdjacentManySorted(pairs, bufs.res[:0], &bufs.sc)
 	if cap(res) > cap(bufs.res) {
@@ -752,6 +741,45 @@ func (s *Server) processSorted(body, resp []byte, bitsOff, count int, bufs *conn
 	return resp, count
 }
 
+// decodePairs fills dst with uvarint-coded (u,v) pairs from body and returns
+// how many it decoded and the unread rest of body. bad is "" when dst was
+// filled; otherwise pair number n is malformed and bad names its side, "u" or
+// "v".
+func decodePairs(dst [][2]int, body []byte) (n int, rest []byte, bad string) {
+	for n < len(dst) {
+		u, nu := binary.Uvarint(body)
+		if nu <= 0 {
+			return n, body, "u"
+		}
+		v, nv := binary.Uvarint(body[nu:])
+		if nv <= 0 {
+			return n, body, "v"
+		}
+		body = body[nu+nv:]
+		dst[n] = [2]int{int(u), int(v)}
+		n++
+	}
+	return n, body, ""
+}
+
+// decodeAll decodes a frame's whole pair list into the connection scratch for
+// the sorted paths. A malformed pair or trailing bytes yield the error frame
+// (built on resp) instead.
+func (bufs *connBuffers) decodeAll(body, resp []byte, count int) (pairs [][2]int, errFrame []byte) {
+	if cap(bufs.pairs) < count {
+		bufs.pairs = make([][2]int, count)
+	}
+	pairs = bufs.pairs[:count]
+	n, body, bad := decodePairs(pairs, body)
+	if bad != "" {
+		return nil, appendErr(resp[:0], "pair %d: bad %s", n, bad)
+	}
+	if len(body) != 0 {
+		return nil, appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count)
+	}
+	return pairs, nil
+}
+
 // servedN is the vertex count of whichever plane the server holds (equal when
 // it holds both).
 func (s *Server) servedN() int {
@@ -766,25 +794,9 @@ func (s *Server) servedN() int {
 // call (probes in arena-offset order, answers in request order), then encoded
 // as uvarint distances. resp already carries the status byte and count.
 func (s *Server) processDistSorted(body, resp []byte, count int, bufs *connBuffers) (out []byte, queries int) {
-	pairs := bufs.pairs[:0]
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad u", i), 0
-		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad v", i), 0
-		}
-		body = body[nv:]
-		pairs = append(pairs, [2]int{int(u), int(v)})
-	}
-	bufs.pairs = pairs
-	if len(body) != 0 {
-		return appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count), 0
+	pairs, errFrame := bufs.decodeAll(body, resp, count)
+	if errFrame != nil {
+		return errFrame, 0
 	}
 	dists, err := s.dist.DistManySorted(pairs, bufs.dists[:0], &bufs.sc)
 	if cap(dists) > cap(bufs.dists) {

@@ -28,12 +28,28 @@ func stageSet(t *obs.SpanTally) map[[2]uint8]bool {
 	return m
 }
 
+// clientOverlap bounds how far a traced call's stage sum may exceed its wall
+// time. The stages sum to the wall time by construction, except that the
+// client clamps its residual net stage at 0: the peer starts its read stage
+// as the first bytes arrive, which can be while the client is still encoding
+// or flushing the rest, so the peer's stages may overlap the client's own by
+// at most the client's encode + flush.
+func clientOverlap(t *obs.SpanTally) int64 {
+	var ns int64
+	for _, st := range t.Stages() {
+		if st.Hop == obs.HopSelf && (st.Stage == obs.StageEncode || st.Stage == obs.StageFlush) {
+			ns += st.Ns
+		}
+	}
+	return ns
+}
+
 // TestTraceDirectE2E traces one batched call against a plain server and
 // checks the acceptance invariant: the client's own stages plus the server's
 // echoed stage report sum to the observed end-to-end latency within 5%
 // (the client constructs its net stage as exactly the unattributed remainder,
 // so the invariant is structural — the tolerance only absorbs the wall-clock
-// reads outside the traced window).
+// reads outside the traced window; see clientOverlap for the upper bound).
 func TestTraceDirectE2E(t *testing.T) {
 	eng := testEngine(t, 400, 11)
 	addr, srv, _ := startServer(t, eng, 0)
@@ -90,7 +106,7 @@ func TestTraceDirectE2E(t *testing.T) {
 	for _, st := range tally.Stages() {
 		sum += st.Ns
 	}
-	lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)
+	lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)+clientOverlap(&tally)
 	if sum < lo || sum > hi {
 		t.Errorf("stage sum %v outside [%v, %v] of e2e %v", time.Duration(sum),
 			time.Duration(lo), time.Duration(hi), wall)
@@ -178,7 +194,7 @@ func TestTraceRoutedE2E(t *testing.T) {
 
 	// Top-level invariant: self + router-hop stages cover the wall time.
 	top := hops[obs.HopSelf] + hops[obs.HopPeer]
-	lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)
+	lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)+clientOverlap(&tally)
 	if top < lo || top > hi {
 		t.Errorf("top-level stage sum %v outside [%v, %v] of e2e %v",
 			time.Duration(top), time.Duration(lo), time.Duration(hi), wall)

@@ -9,6 +9,8 @@
 package conformance
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -99,6 +101,118 @@ func exhaustive(t *testing.T, n int) {
 					if got != g.HasEdge(u, v) {
 						t.Fatalf("mask=%d scheme=%s: adjacency(%d,%d) = %v, graph says %v",
 							mask, s.Name(), u, v, got, g.HasEdge(u, v))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExhaustiveBatchN4 checks the engine's batch surface on all 64 graphs
+// with 4 vertices.
+func TestExhaustiveBatchN4(t *testing.T) {
+	exhaustiveBatch(t, 4)
+}
+
+// TestExhaustiveBatchN5 checks the engine's batch surface on all 1024 graphs
+// with 5 vertices.
+func TestExhaustiveBatchN5(t *testing.T) {
+	exhaustiveBatch(t, 5)
+}
+
+// exhaustiveBatch is the batch row of the conformance matrix: on every graph
+// with n vertices, for every fat/thin scheme and both physical layouts, one
+// AdjacentMany call over all n² ordered pairs must answer as the graph does —
+// on the unsharded engine, and on every shard of a 2- and a 3-way split for
+// the pairs that shard holds a label body for (every pair must be answerable
+// on at least one shard of each split, and a shard must refuse the rest with
+// ErrNotResident, not answer them).
+func exhaustiveBatch(t *testing.T, n int) {
+	t.Helper()
+	var all [][2]int
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			all = append(all, [2]int{u, v})
+		}
+	}
+	check := func(where string, g *graph.Graph, eng *core.QueryEngine, pairs [][2]int) {
+		t.Helper()
+		got, err := eng.AdjacentMany(pairs, nil)
+		if err != nil {
+			t.Fatalf("%s: AdjacentMany: %v", where, err)
+		}
+		for i, p := range pairs {
+			if got[i] != g.HasEdge(p[0], p[1]) {
+				t.Fatalf("%s: AdjacentMany(%d,%d) = %v, graph says %v", where, p[0], p[1], got[i], !got[i])
+			}
+		}
+	}
+	total := uint64(1) << uint(n*(n-1)/2)
+	for mask := uint64(0); mask < total; mask++ {
+		g, err := graphFromMask(n, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*core.FatThinScheme{core.NewPowerLawScheme(2.5), core.NewFixedThresholdScheme(2), core.NewSparseSchemeAuto()} {
+			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+				where := fmt.Sprintf("mask=%d scheme=%s layout=%v", mask, s.Name(), lay)
+				s.SetLayout(lay)
+				lab, err := s.Encode(g)
+				if err != nil {
+					t.Fatalf("%s: encode: %v", where, err)
+				}
+				slab, order, ok := lab.ArenaLayout()
+				if !ok {
+					t.Fatalf("%s: labeling is not arena-backed", where)
+				}
+				bitLens := make([]int, n)
+				for v := range bitLens {
+					l, err := lab.Label(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bitLens[v] = l.Len()
+				}
+				eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
+				if err != nil {
+					t.Fatalf("%s: engine: %v", where, err)
+				}
+				check(where, g, eng, all)
+				for _, count := range []int{2, 3} {
+					arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, core.ShardRange)
+					if err != nil {
+						t.Fatalf("%s: split %d: %v", where, count, err)
+					}
+					answered := make(map[[2]int]bool, len(all))
+					for i, a := range arenas {
+						where := fmt.Sprintf("%s shard %d/%d", where, i, count)
+						sh, err := core.NewQueryEngineFromPermutedArena(a.Slab, a.BitLens, order)
+						if err != nil {
+							t.Fatalf("%s: engine: %v", where, err)
+						}
+						if err := sh.SetShard(core.ShardMap{Count: count, Index: i, Fn: core.ShardRange}); err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
+						var held [][2]int
+						for _, p := range all {
+							switch _, err := sh.Adjacent(p[0], p[1]); {
+							case err == nil:
+								held = append(held, p)
+								answered[p] = true
+							case !errors.Is(err, core.ErrNotResident):
+								t.Fatalf("%s: Adjacent(%d,%d): %v", where, p[0], p[1], err)
+							default:
+								// One batch ending on the foreign pair: refused, prefix kept.
+								out, err := sh.AdjacentMany(append(held[:len(held):len(held)], p), nil)
+								if !errors.Is(err, core.ErrNotResident) || len(out) != len(held) {
+									t.Fatalf("%s: batch ending on foreign (%d,%d): %d answers, err %v", where, p[0], p[1], len(out), err)
+								}
+							}
+						}
+						check(where, g, sh, held)
+					}
+					if len(answered) != len(all) {
+						t.Fatalf("%s: %d-way split answers %d of %d pairs", where, count, len(answered), len(all))
 					}
 				}
 			}

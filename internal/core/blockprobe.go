@@ -1,0 +1,186 @@
+package core
+
+import "repro/internal/bitstr"
+
+// ProbeBlock is the number of pairs the batch probe kernel resolves together.
+// A scalar probe is a chain of dependent cache misses — two header records,
+// then each word of a binary search — with a hard-to-predict branch between
+// every two of them, so a loop of scalar probes keeps about one miss in
+// flight. A block issues all its header loads, then all first search words,
+// back to back, and the memory system overlaps them. 16, 32 and 64 measured
+// the same on the sizing prototype; 32 keeps the kernel's stack arrays at
+// 1.8 KB.
+const ProbeBlock = 32
+
+// How pass 2 of adjacentBlock left a pair for pass 3.
+const (
+	// blockScalar (the zero value) hands the pair to the scalar path: a pair
+	// that will fail (the scalar path builds the error and charges the tally
+	// exactly as Adjacent would) or one the result cache answered in pass 1.
+	blockScalar uint8 = iota
+	blockSelf
+	blockFat   // word holds the bitmap bit
+	blockThin  // word holds the first binary-search identifier
+	blockEmpty // thin side with an empty neighbor list
+)
+
+// adjacentBlock is the batch probe kernel under every batch surface:
+// AdjacentSpan cuts a span into blocks of at most ProbeBlock pairs and this
+// resolves one block into res[:len(pairs)], tallying into t. It returns the
+// number of pairs answered and, when that is short of len(pairs), the error
+// of the lowest failing pair — the answers before it are delivered, nothing
+// after it is. Answers, errors and tallies are exactly those of calling the
+// scalar adjacentTallied pair by pair in order; only the order of the memory
+// accesses differs. Four passes over stack arrays:
+//
+//  0. range checks; the lowest failing index ends the block;
+//  1. every header load (and every result-cache slot load), nothing
+//     branching on a loaded value;
+//  2. classify each pair as probe does — self, thin side (with residency),
+//     fat–fat — and issue the thin side's first binary-search word load (or
+//     the fat bitmap word load), again without branching on what it returns;
+//  3. in pair order, finish each search from its preloaded word with the
+//     ordinary branchy loop, consulting and filling the result cache as the
+//     scalar path would.
+//
+// A mispredicted branch in pass 2 or 3 discards only younger instructions, so
+// the loads issued by the pass before stay in flight.
+func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (int, error) {
+	n := len(pairs)
+	for i, p := range pairs {
+		if uint(p[0]) >= uint(e.n) || uint(p[1]) >= uint(e.n) {
+			n = i
+			break
+		}
+	}
+
+	// list[i] is u's header and other[i] is v's until pass 2 orients them:
+	// afterwards list[i] is the label the probe reads and other[i].id() the
+	// identifier it looks for.
+	var list, other [ProbeBlock]vertexMeta
+	for i, p := range pairs[:n] {
+		list[i], other[i] = e.meta[p[0]], e.meta[p[1]]
+	}
+	c := e.cache
+	var key, slot [ProbeBlock]uint64
+	if c != nil {
+		for i, p := range pairs[:n] {
+			key[i] = pairCacheKey(p[0], p[1])
+			slot[i] = c.slots[c.index(key[i])].Load()
+		}
+	}
+
+	var kind [ProbeBlock]uint8
+	var word [ProbeBlock]uint64
+	slab, w := e.slab, e.w
+	for i, p := range pairs[:n] {
+		if c != nil && slot[i]&1 == 1 && slot[i]>>2 == key[i] {
+			continue // cached in pass 1: no slab load to issue
+		}
+		mu, mv := list[i], other[i]
+		if mu.id() == mv.id() {
+			kind[i] = blockSelf
+			continue
+		}
+		switch {
+		case !mu.fat() && e.Resident(p[0]):
+		case !mv.fat() && e.Resident(p[1]):
+			mu, mv = mv, mu
+			list[i], other[i] = mu, mv
+		case mu.fat() && mv.fat() && mv.id() < uint64(mu.cnt()):
+			kind[i] = blockFat
+			word[i] = bitstr.SlabReadBits(slab, mu.off+int64(mv.id()), 1)
+			continue
+		default:
+			continue // ErrBadLabel or ErrNotResident: the scalar path reports it
+		}
+		hi := int(mu.cnt()) - 1
+		if hi < 0 {
+			kind[i] = blockEmpty
+			continue
+		}
+		kind[i] = blockThin
+		word[i] = bitstr.SlabReadBits(slab, mu.off+int64((hi>>1)*w), w)
+	}
+
+	for i, p := range pairs[:n] {
+		if kind[i] == blockScalar {
+			ans, err := e.adjacentTallied(p[0], p[1], t)
+			if err != nil {
+				return i, err
+			}
+			res[i] = ans
+			continue
+		}
+		t.queries++
+		if c != nil {
+			// Authoritative lookup (the slot's line is in L1 since pass 1): an
+			// earlier pair of this block may have filled the slot.
+			if ans, hit := c.get(key[i]); hit {
+				t.cacheHits++
+				res[i] = ans
+				continue
+			}
+			t.cacheMisses++
+		}
+		ans := false
+		switch kind[i] {
+		case blockSelf:
+			t.self++
+		case blockFat:
+			t.fat++
+			ans = word[i] == 1
+		case blockEmpty:
+			t.thin++
+		case blockThin:
+			t.thin++
+			base, target := list[i].off, other[i].id()
+			lo, hi := 0, int(list[i].cnt())-1
+			mid, got := hi>>1, word[i]
+			for {
+				if got == target {
+					ans = true
+					break
+				}
+				if got < target {
+					lo = mid + 1
+				} else {
+					hi = mid - 1
+				}
+				if lo > hi {
+					break
+				}
+				mid = int(uint(lo+hi) >> 1)
+				got = bitstr.SlabReadBits(slab, base+int64(mid*w), w)
+			}
+		}
+		res[i] = ans
+		if c != nil {
+			c.put(key[i], ans)
+		}
+	}
+	if n < len(pairs) {
+		// Out of range: the scalar path builds the error (and tallies nothing).
+		_, err := e.adjacentTallied(pairs[n][0], pairs[n][1], t)
+		return n, err
+	}
+	return n, nil
+}
+
+// AdjacentSpan answers a caller-tallied span of pairs into res (which must
+// hold at least len(pairs) entries) through the batch probe kernel, one block
+// of ProbeBlock pairs at a time. It returns the number of pairs answered;
+// when that is short of len(pairs), pairs[answered] is the first failing
+// query and err its error — res[:answered] is still valid. It is the call
+// for streaming queries at batch rates (the adjserve frame loop decodes a
+// block of pairs and hands it over): tallies go to t as plain increments, to
+// be flushed once per span with FlushTally. Allocation-free.
+func (e *QueryEngine) AdjacentSpan(pairs [][2]int, res []bool, t *QueryTally) (answered int, err error) {
+	for i := 0; i < len(pairs); i += ProbeBlock {
+		end := min(i+ProbeBlock, len(pairs))
+		if done, err := e.adjacentBlock(pairs[i:end], res[i:end], t); err != nil {
+			return i + done, err
+		}
+	}
+	return len(pairs), nil
+}

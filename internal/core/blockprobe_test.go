@@ -1,0 +1,441 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/bitstr"
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// The batch probe kernel is pinned to the scalar probe: for any span of pairs
+// AdjacentSpan must deliver the answers, the error (text and class), the
+// answered count and every QueryTally field that calling adjacentTallied —
+// what Adjacent runs — pair by pair in order does, whatever the block
+// boundaries, the layout, the sharding or the result cache.
+
+// scalarSpan is the reference: the scalar probe, one pair at a time, stopping
+// at the first failing pair.
+func scalarSpan(e *QueryEngine, pairs [][2]int, res []bool, t *QueryTally) (int, error) {
+	for i, p := range pairs {
+		ans, err := e.adjacentTallied(p[0], p[1], t)
+		if err != nil {
+			return i, err
+		}
+		res[i] = ans
+	}
+	return len(pairs), nil
+}
+
+// pinSpan runs pairs through the reference and the kernel — twice each, so a
+// result cache is seen cold and warm — from the same starting state and
+// compares everything observable.
+func pinSpan(t *testing.T, e *QueryEngine, cacheBits int, pairs [][2]int) {
+	t.Helper()
+	type outcome struct {
+		done  [2]int
+		errs  [2]error
+		res   [2][]bool
+		tally QueryTally
+	}
+	run := func(span func(*QueryEngine, [][2]int, []bool, *QueryTally) (int, error)) outcome {
+		if err := e.EnableResultCache(cacheBits); err != nil { // fresh cache, or none
+			t.Fatal(err)
+		}
+		var o outcome
+		for pass := range o.done {
+			o.res[pass] = make([]bool, len(pairs))
+			o.done[pass], o.errs[pass] = span(e, pairs, o.res[pass], &o.tally)
+		}
+		return o
+	}
+	want := run(scalarSpan)
+	got := run((*QueryEngine).AdjacentSpan)
+	for pass := range want.done {
+		if got.done[pass] != want.done[pass] {
+			t.Fatalf("pass %d: kernel answered %d pairs, scalar %d (kernel err %v, scalar err %v)",
+				pass, got.done[pass], want.done[pass], got.errs[pass], want.errs[pass])
+		}
+		if fmt.Sprint(got.errs[pass]) != fmt.Sprint(want.errs[pass]) {
+			t.Fatalf("pass %d: kernel error %q, scalar %q", pass, got.errs[pass], want.errs[pass])
+		}
+		for _, class := range []error{ErrVertexRange, ErrNotResident, ErrBadLabel} {
+			if errors.Is(got.errs[pass], class) != errors.Is(want.errs[pass], class) {
+				t.Fatalf("pass %d: kernel error %v and scalar error %v differ on %v", pass, got.errs[pass], want.errs[pass], class)
+			}
+		}
+		for i := 0; i < want.done[pass]; i++ {
+			if got.res[pass][i] != want.res[pass][i] {
+				t.Fatalf("pass %d: pair %d %v: kernel %v, scalar %v", pass, i, pairs[i], got.res[pass][i], want.res[pass][i])
+			}
+		}
+	}
+	if got.tally != want.tally {
+		t.Fatalf("tally: kernel %+v, scalar %+v", got.tally, want.tally)
+	}
+}
+
+// enginesOver encodes g with the scheme in the given layout and returns the
+// unsharded engine followed by every shard engine of a 1-, 2- and 3-way range
+// split (the 1-way "split" is the full slab with the trivial shard map
+// attached, so the residency condition is exercised with everything resident).
+func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) []*QueryEngine {
+	t.Helper()
+	s.SetLayout(lay)
+	lab, err := s.Encode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab, bitLens, order := arenaOf(t, lab)
+	build := func(slab []byte, bitLens []int, m ShardMap) *QueryEngine {
+		e, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Count > 0 {
+			if err := e.SetShard(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	engines := []*QueryEngine{
+		build(slab, bitLens, ShardMap{}),
+		build(slab, bitLens, ShardMap{Count: 1, Fn: ShardRange}),
+	}
+	for _, count := range []int{2, 3} {
+		arenas, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arenas {
+			engines = append(engines, build(a.Slab, a.BitLens, ShardMap{Count: count, Index: i, Fn: ShardRange}))
+		}
+	}
+	return engines
+}
+
+func engineName(e *QueryEngine) string {
+	if m, ok := e.Shard(); ok {
+		return fmt.Sprintf("shard%dof%d", m.Index, m.Count)
+	}
+	return "unsharded"
+}
+
+// shapesGraph has, under threshold 8, four fat vertices (0..3: 0–1 and 0–2
+// adjacent, 1–2, 1–3 and 2–3 not) and thin vertices whose neighbor lists hold
+// 0, 1, 2, 3, 4, 5, 6 and 7 identifiers spread over the id range, so the
+// exhaustive pair set below probes every list length with the target below
+// the first entry, above the last, between entries and at every position.
+func shapesGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	const n = 48
+	b := graph.NewBuilder(n)
+	add := func(u, v int) {
+		if u != v && !b.HasEdge(u, v) {
+			if err := b.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(0, 1)
+	add(0, 2)
+	for hub := 0; hub < 4; hub++ {
+		for j := 0; j < 9; j++ {
+			add(hub, 4+(hub*5+j*3)%36) // hubs reach thin vertices 4..39 only
+		}
+	}
+	// Vertices 40..46 get 1..7 extra thin neighbors stepping through 4..39;
+	// 47 stays isolated (the empty list).
+	for v := 40; v <= 46; v++ {
+		for j := 0; j < v-39; j++ {
+			add(v, 4+(v*7+j*5)%36)
+		}
+	}
+	return b.Build()
+}
+
+// allOrderedPairs lists every (u,v) with 0 <= u,v < n, self pairs included.
+func allOrderedPairs(n int) [][2]int {
+	pairs := make([][2]int, 0, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			pairs = append(pairs, [2]int{u, v})
+		}
+	}
+	return pairs
+}
+
+// answerable keeps the pairs e resolves without error, in order.
+func answerable(e *QueryEngine, pairs [][2]int) [][2]int {
+	var ok [][2]int
+	for _, p := range pairs {
+		var t QueryTally
+		if _, err := e.probe(p[0], p[1], &t); err == nil {
+			ok = append(ok, p)
+		}
+	}
+	return ok
+}
+
+func TestBlockKernelShapes(t *testing.T) {
+	g := shapesGraph(t)
+	lens := map[int]bool{}
+	fat := 0
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) >= 8 {
+			fat++
+		} else {
+			lens[g.Degree(v)] = true
+		}
+	}
+	for l := 0; l <= 7; l++ {
+		if !lens[l] {
+			t.Fatalf("shapes graph has no thin list of %d entries", l)
+		}
+	}
+	if fat != 4 {
+		t.Fatalf("shapes graph has %d fat vertices, want 4", fat)
+	}
+	all := allOrderedPairs(g.N())
+	for _, lay := range []Layout{LayoutID, LayoutDegree} {
+		for _, e := range enginesOver(t, g, NewFixedThresholdScheme(8), lay) {
+			pairs := answerable(e, all)
+			for _, cacheBits := range []int{0, 6} {
+				t.Run(fmt.Sprintf("%v/%s/cache%d", lay, engineName(e), cacheBits), func(t *testing.T) {
+					if _, sharded := e.Shard(); !sharded {
+						// Unsharded, every pair answers — and must match the graph.
+						got, err := e.AdjacentMany(all, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, p := range all {
+							if got[i] != g.HasEdge(p[0], p[1]) {
+								t.Fatalf("AdjacentMany%v = %v, graph says %v", p, got[i], !got[i])
+							}
+						}
+					}
+					// Every block phase: the same pairs cut at every offset mod 32.
+					for skip := 0; skip < ProbeBlock; skip++ {
+						pinSpan(t, e, cacheBits, pairs[skip:])
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestBlockKernelLengths(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(900, 2.5, 2, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, lay := range []Layout{LayoutID, LayoutDegree} {
+		e := enginesOver(t, g, NewPowerLawScheme(2.5), lay)[0]
+		for _, n := range []int{0, 1, 31, 32, 33, 95, 4096} {
+			pairs := make([][2]int, n)
+			for i := range pairs {
+				pairs[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
+				if i%7 == 0 { // a known edge, both orders over the run
+					u := rng.Intn(g.N())
+					if nb := g.Neighbors(u); len(nb) > 0 {
+						pairs[i] = [2]int{int(nb[rng.Intn(len(nb))]), u}
+					}
+				}
+				if i%13 == 0 && i > 0 {
+					pairs[i] = pairs[i-1] // in-block duplicate: a cache fill the scalar loop would hit
+				}
+			}
+			for _, cacheBits := range []int{0, 4, 12} { // 4: sixteen slots, collisions evict inside a block
+				pinSpan(t, e, cacheBits, pairs)
+			}
+			sorted, err := e.AdjacentManySorted(pairs, nil, new(BatchScratch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := e.AdjacentManyParallel(pairs, nil, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pairs {
+				want, err := e.Adjacent(p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want != g.HasEdge(p[0], p[1]) || sorted[i] != want || parallel[i] != want {
+					t.Fatalf("layout %v n=%d pair %d %v: graph %v, Adjacent %v, sorted %v, parallel %v",
+						lay, n, i, p, g.HasEdge(p[0], p[1]), want, sorted[i], parallel[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBlockKernelErrorAtEveryIndex plants one failing pair — out of range, or
+// not resident on a shard — at every index of a three-block span and checks
+// the kernel stops exactly there, with the answers before it delivered and
+// the tally the scalar loop leaves.
+func TestBlockKernelErrorAtEveryIndex(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(400, 2.5, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, lay := range []Layout{LayoutID, LayoutDegree} {
+		for _, e := range enginesOver(t, g, NewPowerLawScheme(2.5), lay) {
+			good := answerable(e, allOrderedPairs(g.N()))
+			rng.Shuffle(len(good), func(i, j int) { good[i], good[j] = good[j], good[i] })
+			span := good[:3*ProbeBlock]
+			bad := [][2]int{{g.N(), 0}, {0, -1}}
+			if _, sharded := e.Shard(); sharded {
+				for _, p := range allOrderedPairs(g.N()) {
+					var qt QueryTally
+					if _, err := e.probe(p[0], p[1], &qt); errors.Is(err, ErrNotResident) {
+						bad = append(bad, p)
+						break
+					}
+				}
+			}
+			for _, cacheBits := range []int{0, 8} {
+				for _, b := range bad {
+					for at := range span {
+						pairs := append(append(append([][2]int{}, span[:at]...), b), span[at:]...)
+						pinSpan(t, e, cacheBits, pairs)
+						// Through the public batch call: the prefix survives, the
+						// error names the pair.
+						out, err := e.AdjacentMany(pairs, nil)
+						if err == nil || len(out) != at {
+							t.Fatalf("%v/%s: bad pair %v at %d: AdjacentMany returned %d answers, err %v",
+								lay, engineName(e), b, at, len(out), err)
+						}
+						if !strings.HasPrefix(err.Error(), fmt.Sprintf("core: query (%d,%d): ", b[0], b[1])) {
+							t.Fatalf("error %q does not name pair %v", err, b)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockKernelBadLabelMidBlock hand-builds an arena the constructor
+// accepts but whose fat–fat probe is out of its vector: fat vertex 1's
+// adjacency vector holds one bit, fat vertex 2 has fat id 2. The pair (1,2)
+// fails with ErrBadLabel; planted mid-block, the answers before it are
+// delivered and the failing pair is tallied as a fat probe, as the scalar
+// loop tallies it.
+func TestBlockKernelBadLabelMidBlock(t *testing.T) {
+	const n, w = 4, 2
+	labels := make([]bitstr.String, n)
+	thin := func(id uint64, nbrs ...uint64) bitstr.String {
+		var b bitstr.Builder
+		b.AppendUint(0, 1)
+		b.AppendUint(id, w)
+		for _, x := range nbrs {
+			b.AppendUint(x, w)
+		}
+		return b.String()
+	}
+	fat := func(id uint64, vector ...uint64) bitstr.String {
+		var b bitstr.Builder
+		b.AppendUint(1, 1)
+		b.AppendUint(id, w)
+		for _, bit := range vector {
+			b.AppendUint(bit, 1)
+		}
+		return b.String()
+	}
+	labels[0] = thin(0, 1, 3)
+	labels[1] = fat(1, 1)       // one-bit vector: only fat id 0 is in range
+	labels[2] = fat(2, 0, 0, 0) // fat id 2 ≥ len(vector of 1)
+	labels[3] = thin(3, 0)
+	e, err := NewQueryEngineFromLabels(labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Adjacent(1, 2); !errors.Is(err, ErrBadLabel) {
+		t.Fatalf("Adjacent(1,2) = %v, want ErrBadLabel", err)
+	}
+	good := [][2]int{{0, 1}, {0, 3}, {3, 0}, {0, 0}, {1, 0}, {3, 1}, {2, 3}}
+	for _, cacheBits := range []int{0, 5} {
+		for at := 0; at < 2*ProbeBlock+3; at++ {
+			pairs := make([][2]int, 0, at+4)
+			for i := 0; i < at; i++ {
+				pairs = append(pairs, good[i%len(good)])
+			}
+			pairs = append(pairs, [2]int{1, 2}, good[0], good[1])
+			pinSpan(t, e, cacheBits, pairs)
+			var qt QueryTally
+			done, err := e.AdjacentSpan(pairs, make([]bool, len(pairs)), &qt)
+			if done != at || !errors.Is(err, ErrBadLabel) {
+				t.Fatalf("bad label at %d: answered %d, err %v", at, done, err)
+			}
+			if qt.queries != int64(at)+1 {
+				t.Fatalf("bad label at %d: tallied %d queries, want %d", at, qt.queries, at+1)
+			}
+		}
+	}
+}
+
+// TestAdjacentManyZeroAlloc: every batch surface over the kernel — plain,
+// sharded, cached, sorted — runs a warmed 4096-pair batch without touching
+// the heap.
+func TestAdjacentManyZeroAlloc(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(3000, 2.5, 2, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := enginesOver(t, g, NewPowerLawScheme(2.5), LayoutDegree)
+	plain, shard := engines[0], engines[len(engines)-1]
+	cached := enginesOver(t, g, NewPowerLawScheme(2.5), LayoutDegree)[0]
+	if err := cached.EnableResultCache(10); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	random := make([][2]int, 4096)
+	for i := range random {
+		random[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
+	}
+	out := make([]bool, 0, len(random))
+	var sc BatchScratch
+	for _, tc := range []struct {
+		name   string
+		e      *QueryEngine
+		pairs  [][2]int
+		sorted bool
+	}{
+		{"plain", plain, random, false},
+		{"sharded", shard, answerable(shard, random), false},
+		{"cached", cached, random, false},
+		{"sorted", plain, random, true},
+		{"sorted+cached", cached, random, true},
+	} {
+		run := func() error {
+			var err error
+			if tc.sorted {
+				_, err = tc.e.AdjacentManySorted(tc.pairs, out[:0], &sc)
+			} else {
+				_, err = tc.e.AdjacentMany(tc.pairs, out[:0])
+			}
+			return err
+		}
+		if len(tc.pairs) < 1000 {
+			t.Fatalf("%s: only %d pairs to drive", tc.name, len(tc.pairs))
+		}
+		if err := run(); err != nil { // warm-up grows the scratch
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs per batch, want 0", tc.name, allocs)
+		}
+	}
+}

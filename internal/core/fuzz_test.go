@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -87,20 +89,30 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 			}
 			return
 		}
-		// Probe a spread of pairs, including out-of-range ones; answers may
-		// be garbage relative to any graph (the slab is noise), but every
-		// call must return without panicking and errors must be range or
-		// label errors, never index faults.
-		pairs := [][2]int{
-			{0, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 3},
-			{-1, 0}, {0, n}, {n, n},
+		// Probe a spread of pairs, the out-of-range ones last; answers may be
+		// garbage relative to any graph (the slab is noise), but every call
+		// must return without panicking and errors must be range or label
+		// errors, never index faults.
+		pairs := [][2]int{{0, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 3}}
+		for i := 0; i < n && i < 70; i++ {
+			pairs = append(pairs, [2]int{i, (i * 7) % n}, [2]int{(i * 5) % n, i})
 		}
-		for i := 0; i < n && i < 32; i++ {
-			pairs = append(pairs, [2]int{i, (i * 7) % n})
-		}
+		pairs = append(pairs, [2]int{-1, 0}, [2]int{0, n}, [2]int{n, n})
+		// The batch kernel against the scalar probe: the same answers up to the
+		// first failing pair, and the same error there.
+		var want []bool
+		var wantErr error
 		for _, p := range pairs {
-			_, _ = eng.Adjacent(p[0], p[1])
+			ans, err := eng.Adjacent(p[0], p[1])
+			if err != nil {
+				wantErr = fmt.Errorf("core: query (%d,%d): %w", p[0], p[1], err)
+				break
+			}
+			want = append(want, ans)
 		}
-		_, _ = eng.AdjacentMany(pairs, nil)
+		got, gotErr := eng.AdjacentMany(pairs, nil)
+		if !slices.Equal(got, want) || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("AdjacentMany = %v, %v; Adjacent pair by pair = %v, %v", got, gotErr, want, wantErr)
+		}
 	})
 }

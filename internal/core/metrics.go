@@ -63,10 +63,10 @@ func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 
 // QueryTally is the stack-local accumulator the probe paths increment; it is
 // flushed to an EngineMetrics in O(1) atomic adds per span. The zero value is
-// an empty tally. Callers that stream single queries at batch rates (the
-// adjserve frame loop) keep one tally per frame, feed it to AdjacentTallied,
-// and flush with QueryEngine.FlushTally — per-query cost is two stack
-// increments, never an atomic.
+// an empty tally. Callers that stream queries at batch rates (the adjserve
+// frame loop) keep one tally per frame, feed it to AdjacentSpan, and flush
+// with QueryEngine.FlushTally — per-query cost is two stack increments,
+// never an atomic.
 type QueryTally struct {
 	queries, thin, fat, self int64
 	cacheHits, cacheMisses   int64

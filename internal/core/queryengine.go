@@ -264,24 +264,23 @@ func (e *QueryEngine) N() int { return e.n }
 
 // Adjacent answers an adjacency query between vertices u and v. It is
 // allocation-free and answers bit-for-bit identically to
-// FatThinDecoder.Adjacent over the same labels.
+// FatThinDecoder.Adjacent over the same labels. It runs the scalar probe —
+// two header reads, one classification, one binary search — which is also
+// the reference the batch kernel (adjacentBlock) is differentially pinned to.
 func (e *QueryEngine) Adjacent(u, v int) (bool, error) {
 	var t QueryTally
-	ok, err := e.AdjacentTallied(u, v, &t)
+	ok, err := e.adjacentTallied(u, v, &t)
 	if m := e.metrics; m != nil {
 		m.flush(&t)
 	}
 	return ok, err
 }
 
-// AdjacentTallied is the shared probe path: it answers one query and tallies
-// which decode branch resolved it into t — plain stack increments that the
-// batch paths (and external frame loops like adjserve) flush to atomics once
-// per span via FlushTally. It is the call to use when streaming single
-// queries at batch rates: same probes as Adjacent, no per-query metric cost.
-// With a result cache enabled (EnableResultCache) the slab is only probed on
-// a miss; hits and misses are tallied alongside the branch counts.
-func (e *QueryEngine) AdjacentTallied(u, v int, t *QueryTally) (bool, error) {
+// adjacentTallied is the scalar probe path: it answers one query and tallies
+// which decode branch resolved it into t. With a result cache enabled
+// (EnableResultCache) the slab is only probed on a miss; hits and misses are
+// tallied alongside the branch counts.
+func (e *QueryEngine) adjacentTallied(u, v int, t *QueryTally) (bool, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return false, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
@@ -302,13 +301,15 @@ func (e *QueryEngine) AdjacentTallied(u, v int, t *QueryTally) (bool, error) {
 	return e.probe(u, v, t)
 }
 
-// probe resolves one in-range query against the slab.
+// probe resolves one in-range query against the slab. A thin body answers
+// for either endpoint (thin lists are complete), so the probe reads the
+// first endpoint's when it is thin and resident, else the second's; fat–fat
+// pairs read the (replicated) bitmap. On an unsharded engine every label is
+// resident and the last case is unreachable; on a shard (SetShard) a pair
+// with no resident body to answer from was misrouted and the probe refuses —
+// wherever a resident body exists the answer is bit-for-bit the unsharded
+// engine's.
 func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
-	if e.resident != nil {
-		// Sharded engine: pick a resident body (see probeSharded). The nil
-		// check is the only cost an unsharded engine pays.
-		return e.probeSharded(u, v, t)
-	}
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
 		// Same vertex: never self-adjacent in a simple graph.
@@ -316,19 +317,21 @@ func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 		return false, nil
 	}
 	switch {
-	case !mu.fat():
+	case !mu.fat() && e.Resident(u):
 		t.thin++
 		return e.thinProbe(mu, mv.id()), nil
-	case !mv.fat():
+	case !mv.fat() && e.Resident(v):
 		t.thin++
 		return e.thinProbe(mv, mu.id()), nil
-	default:
+	case mu.fat() && mv.fat():
 		// Both fat: bit mv.id of u's adjacency vector.
 		t.fat++
 		if mv.id() >= uint64(mu.cnt()) {
 			return false, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, mv.id(), mu.cnt())
 		}
 		return bitstr.SlabReadBits(e.slab, mu.off+int64(mv.id()), 1) == 1, nil
+	default:
+		return false, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
 	}
 }
 
@@ -363,17 +366,20 @@ func (e *QueryEngine) thinProbe(m vertexMeta, target uint64) bool {
 // for len(pairs) results makes the whole batch allocation-free. It stops at
 // the first failing query.
 func (e *QueryEngine) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
+	start := len(out)
+	out = growBools(out, len(pairs))
 	var t QueryTally
-	for _, p := range pairs {
-		ok, err := e.AdjacentTallied(p[0], p[1], &t)
-		if err != nil {
-			e.flushBatch(&t, len(pairs))
-			return out, fmt.Errorf("core: query (%d,%d): %w", p[0], p[1], err)
-		}
-		out = append(out, ok)
-	}
+	done, err := e.AdjacentSpan(pairs, out[start:], &t)
 	e.flushBatch(&t, len(pairs))
+	if err != nil {
+		return out[:start+done], queryErr(pairs[done], err)
+	}
 	return out, nil
+}
+
+// queryErr names the failing pair of a batch.
+func queryErr(p [2]int, err error) error {
+	return fmt.Errorf("core: query (%d,%d): %w", p[0], p[1], err)
 }
 
 // BatchScratch holds the reusable working memory of AdjacentManySorted. One
@@ -431,15 +437,26 @@ func (e *QueryEngine) AdjacentManySorted(pairs [][2]int, out []bool, sc *BatchSc
 		keys[i] = key<<sortIdxBits | uint64(i)
 	}
 	slices.Sort(keys)
+	// Gather a block of pairs in sorted order, probe it, scatter the answers
+	// back to request order.
+	const idxMask = 1<<sortIdxBits - 1
 	var t QueryTally
-	for _, k := range keys {
-		i := int(k & (1<<sortIdxBits - 1))
-		ok, err := e.AdjacentTallied(pairs[i][0], pairs[i][1], &t)
+	var blk [ProbeBlock][2]int
+	var ans [ProbeBlock]bool
+	for len(keys) > 0 {
+		ks := keys[:min(ProbeBlock, len(keys))]
+		keys = keys[len(ks):]
+		for j, k := range ks {
+			blk[j] = pairs[k&idxMask]
+		}
+		done, err := e.adjacentBlock(blk[:len(ks)], ans[:], &t)
 		if err != nil {
 			e.flushBatch(&t, len(pairs))
-			return out[:start], fmt.Errorf("core: query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
+			return out[:start], queryErr(blk[done], err)
 		}
-		res[i] = ok
+		for j, k := range ks {
+			res[k&idxMask] = ans[j]
+		}
 	}
 	e.flushBatch(&t, len(pairs))
 	return out, nil
@@ -492,8 +509,8 @@ func (e *QueryEngine) ObserveProbe(ns int64, traceID uint64) {
 }
 
 // AdjacentManyParallel shards a batch across workers goroutines (workers
-// <= 0 selects GOMAXPROCS) and answers each shard with the allocation-free
-// single-query path. Results are returned in pair order. The engine itself
+// <= 0 selects GOMAXPROCS) and answers each shard through the batch probe
+// kernel (AdjacentSpan). Results are returned in pair order. The engine itself
 // is read-only, so shards share it without synchronization; the only
 // coordination is the final join.
 func (e *QueryEngine) AdjacentManyParallel(pairs [][2]int, out []bool, workers int) ([]bool, error) {
@@ -527,13 +544,8 @@ func (e *QueryEngine) AdjacentManyParallel(pairs [][2]int, out []bool, workers i
 			// Worker-local tally, flushed once per shard: the atomics merge
 			// shards without any cross-worker coordination in the loop.
 			var t QueryTally
-			for i := lo; i < hi; i++ {
-				ok, err := e.AdjacentTallied(pairs[i][0], pairs[i][1], &t)
-				if err != nil {
-					errs[wi] = fmt.Errorf("core: query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
-					break
-				}
-				res[i] = ok
+			if done, err := e.AdjacentSpan(pairs[lo:hi], res[lo:hi], &t); err != nil {
+				errs[wi] = queryErr(pairs[lo+done], err)
 			}
 			if m := e.metrics; m != nil {
 				m.flush(&t)

@@ -294,37 +294,6 @@ func (e *QueryEngine) AppendFatBits(dst []byte) []byte {
 	return dst
 }
 
-// probeSharded resolves one in-range query on a sharded engine. The
-// orientation differs from the unsharded probe only in *which* body it
-// reads: a thin body answers for either endpoint (thin lists are complete),
-// so the probe picks a resident one; fat–fat pairs read the replicated
-// bitmap. Answers are bit-for-bit identical to an unsharded engine over the
-// full labeling whenever a resident body exists; otherwise the pair was
-// misrouted and the probe refuses.
-func (e *QueryEngine) probeSharded(u, v int, t *QueryTally) (bool, error) {
-	mu, mv := e.meta[u], e.meta[v]
-	if mu.id() == mv.id() {
-		t.self++
-		return false, nil
-	}
-	switch {
-	case !mu.fat() && e.Resident(u):
-		t.thin++
-		return e.thinProbe(mu, mv.id()), nil
-	case !mv.fat() && e.Resident(v):
-		t.thin++
-		return e.thinProbe(mv, mu.id()), nil
-	case mu.fat() && mv.fat():
-		t.fat++
-		if mv.id() >= uint64(mu.cnt()) {
-			return false, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, mv.id(), mu.cnt())
-		}
-		return bitstr.SlabReadBits(e.slab, mu.off+int64(mv.id()), 1) == 1, nil
-	default:
-		return false, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
-	}
-}
-
 // putWord stores one big-endian 64-bit word at the start of dst.
 func putWord(dst []byte, w uint64) {
 	_ = dst[7]

@@ -8,6 +8,22 @@ import (
 	"repro/internal/gen"
 )
 
+// arenaOf returns an arena-backed labeling's slab, id-indexed label bit
+// lengths and layout permutation — the three things the engine constructors
+// and ShardLabelArenas take.
+func arenaOf(t *testing.T, lab *Labeling) (slab []byte, bitLens []int, order []int32) {
+	t.Helper()
+	slab, order, ok := lab.ArenaLayout()
+	if !ok {
+		t.Fatal("labeling is not arena-backed")
+	}
+	bitLens = make([]int, lab.N())
+	for v := range bitLens {
+		bitLens[v] = lab.labels[v].Len()
+	}
+	return slab, bitLens, order
+}
+
 // shardTestEngines builds the full engine plus count sharded engines (each
 // with its shard map attached) over one labeling of g.
 func shardTestEngines(t *testing.T, lay Layout, count int, fn ShardFn, n int, seed int64) (*QueryEngine, []*QueryEngine) {
@@ -22,18 +38,7 @@ func shardTestEngines(t *testing.T, lay Layout, count int, fn ShardFn, n int, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab, order, ok := lab.ArenaLayout()
-	if !ok {
-		t.Fatal("labeling is not arena-backed")
-	}
-	bitLens := make([]int, g.N())
-	for v := range bitLens {
-		l, err := lab.Label(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitLens[v] = l.Len()
-	}
+	slab, bitLens, order := arenaOf(t, lab)
 	full, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
 	if err != nil {
 		t.Fatal(err)
