@@ -7,17 +7,24 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
-// Golden frames: the exact response bytes of Server.process for query frames
+// Golden frames: the exact bytes both pair planes put on the wire — request
+// payloads as the client encodes them, Server.process responses for frames
 // whose size or first failure sits on and around the probe kernel's 32-pair
-// block boundary. The expectations are literals (and, for OK frames, also the
-// scalar Adjacent's answers packed by hand), so the same file run against the
-// commit before the block kernel proves request, response and error-frame
-// bytes did not move.
+// block boundary, and what a router answers downstream over a shard partition
+// and a replica fleet. The expectations are literals (and, for OK frames, also
+// the scalar engine's answers encoded by hand). Nothing here names a serving
+// loop: frames go through Server.process or over a real socket, so the same
+// file run against the commit before a serving-path change proves request,
+// response and error-frame bytes did not move.
 
 // goldenFrame answers one request payload through a fresh connection scratch.
 func goldenFrame(srv *Server, req []byte) []byte {
@@ -25,12 +32,27 @@ func goldenFrame(srv *Server, req []byte) []byte {
 	return append([]byte(nil), resp...)
 }
 
-// goldenServers returns the streaming server and the sorted-mode server over
-// one engine.
-func goldenServers(eng *core.QueryEngine) map[string]*Server {
-	sorted := NewServer(eng, 0)
-	sorted.SetSortedBatchMin(1)
-	return map[string]*Server{"stream": NewServer(eng, 0), "sorted": sorted}
+// wireFrame sends one request payload to addr on a fresh connection and
+// returns the response payload — what any client sees, whatever code answers.
+func wireFrame(t *testing.T, addr string, req []byte) []byte {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hdr := frameHeader(len(req))
+	if _, err := c.Write(append(hdr[:], req...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	resp := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(c, resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 func errFrame(msg string) []byte {
@@ -38,19 +60,72 @@ func errFrame(msg string) []byte {
 	return append(out, msg...)
 }
 
-func TestGoldenOKFrames(t *testing.T) {
-	eng := testEngine(t, 500, 7)
-	ring := randomPairs(500, 4096, 3)
-	// Every eleventh pair is a known edge, so the answer bits are not all zero.
+// goldenHex renders a frame the way the golden tables hold it: hex, or the
+// sha256 of frames too long to read.
+func goldenHex(frame []byte) string {
+	if len(frame) > 48 {
+		sum := sha256.Sum256(frame)
+		return "sha256:" + hex.EncodeToString(sum[:])
+	}
+	return hex.EncodeToString(frame)
+}
+
+// packBits is the adjacency answer codec by hand: status, count, then bit i
+// MSB-first within byte i/8.
+func packBits(t *testing.T, eng *core.QueryEngine, pairs [][2]int) []byte {
+	t.Helper()
+	out := binary.AppendUvarint([]byte{statusOK}, uint64(len(pairs)))
+	bits := make([]byte, (len(pairs)+7)/8)
+	for i, p := range pairs {
+		adj, err := eng.Adjacent(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adj {
+			bits[i/8] |= 1 << (7 - uint(i)%8)
+		}
+	}
+	return append(out, bits...)
+}
+
+// packDists is the distance answer codec by hand: status, count, then one
+// uvarint per pair with 255 for unreachable.
+func packDists(t *testing.T, eng *core.DistEngine, pairs [][2]int) []byte {
+	t.Helper()
+	out := binary.AppendUvarint([]byte{statusOK}, uint64(len(pairs)))
+	for _, p := range pairs {
+		d, err := eng.Dist(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d < 0 || d > 254 {
+			d = 255
+		}
+		out = binary.AppendUvarint(out, uint64(d))
+	}
+	return out
+}
+
+// goldenRing is the shared probe ring over an n-vertex adjacency engine: every
+// eleventh pair is a known edge, so the answer bits are not all zero.
+func goldenRing(eng *core.QueryEngine, count int) [][2]int {
+	n := eng.N()
+	ring := randomPairs(n, count, 3)
 	for i := 0; i < len(ring); i += 11 {
-		for v := 0; v < 500; v++ {
+		for v := 0; v < n; v++ {
 			if ok, _ := eng.Adjacent(ring[i][0], v); ok {
 				ring[i][1] = v
 				break
 			}
 		}
 	}
-	golden := map[int]string{ // hex of the whole frame; sha256 for the large one
+	return ring
+}
+
+func TestGoldenOKFrames(t *testing.T) {
+	eng := testEngine(t, 500, 7)
+	ring := goldenRing(eng, 4096)
+	golden := map[int]string{
 		0:    "0000",
 		1:    "000180",
 		31:   "001f80100280",
@@ -58,33 +133,15 @@ func TestGoldenOKFrames(t *testing.T) {
 		33:   "00218010028000",
 		4096: "sha256:e73ba02b029e9f01c2949070b17907c968c3668d0d9c6e10160bfcf9f7f9dfd4",
 	}
-	for name, srv := range goldenServers(eng) {
-		for _, count := range []int{0, 1, 31, 32, 33, 4096} {
-			pairs := ring[:count]
-			got := goldenFrame(srv, appendQueryReq(nil, pairs))
-			want := binary.AppendUvarint([]byte{statusOK}, uint64(count))
-			bits := make([]byte, (count+7)/8)
-			for i, p := range pairs {
-				adj, err := eng.Adjacent(p[0], p[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if adj {
-					bits[i/8] |= 1 << (7 - uint(i)%8)
-				}
-			}
-			want = append(want, bits...)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s count %d: frame %x, want %x", name, count, got, want)
-			}
-			enc := hex.EncodeToString(got)
-			if count == 4096 {
-				sum := sha256.Sum256(got)
-				enc = "sha256:" + hex.EncodeToString(sum[:])
-			}
-			if enc != golden[count] {
-				t.Errorf("%s count %d: frame %s, golden %s", name, count, enc, golden[count])
-			}
+	srv := NewServer(eng, 0)
+	for _, count := range []int{0, 1, 31, 32, 33, 4096} {
+		pairs := ring[:count]
+		got := goldenFrame(srv, appendPairsReq(nil, opQuery, pairs))
+		if want := packBits(t, eng, pairs); !bytes.Equal(got, want) {
+			t.Errorf("count %d: frame %x, want %x", count, got, want)
+		}
+		if enc := goldenHex(got); enc != golden[count] {
+			t.Errorf("count %d: frame %s, golden %s", count, enc, golden[count])
 		}
 	}
 }
@@ -124,64 +181,395 @@ func TestGoldenErrorFrames(t *testing.T) {
 	}
 	overlong := bytes.Repeat([]byte{0xff}, 11) // a uvarint that overflows 64 bits
 
-	for name, srv := range goldenServers(eng) {
-		sortedMode := name == "sorted"
-		for _, at := range []int{0, 31, 32, 33, count - 1} {
-			check := func(what string, frame []byte, want string) {
-				t.Helper()
-				if got := goldenFrame(srv, frame); !bytes.Equal(got, errFrame(want)) {
-					t.Errorf("%s %s at %d: frame %q, want %q", name, what, at, got, errFrame(want))
-				}
-			}
-			u := binary.AppendUvarint(nil, uint64(good[at][0]))
-			badU, badV := fmt.Sprintf("pair %d: bad u", at), fmt.Sprintf("pair %d: bad v", at)
-			check("bad u", req(good[:at]), badU)
-			check("bad v", req(good[:at], u...), badV)
-			check("overlong u", req(good[:at], overlong...), badU)
-			check("overlong v", req(good[:at], append(u, overlong...)...), badV)
-			// The sorted path reports engine errors through AdjacentManySorted,
-			// which names the pair but not its index, and decodes the whole
-			// frame before it probes anything.
-			rangeAt := fmt.Sprintf("pair %d (5,70000): core: vertex out of range: (5,70000) of 500", at)
-			if sortedMode {
-				rangeAt = "core: query (5,70000): core: vertex out of range: (5,70000) of 500"
-			}
-			check("range", req(with(count, at, [2]int{5, 70000})), rangeAt)
-			if at > 0 {
-				// An engine error at a lower index wins over a malformed pair
-				// behind it, in the same block (at 31, 33, 39) or the next (32).
-				want := fmt.Sprintf("pair %d (70000,5): core: vertex out of range: (70000,5) of 500", at-1)
-				if sortedMode {
-					want = badU
-				}
-				check("range before bad u", req(with(at, at-1, [2]int{70000, 5})), want)
+	srv := NewServer(eng, 0)
+	for _, at := range []int{0, 31, 32, 33, count - 1} {
+		check := func(what string, frame []byte, want string) {
+			t.Helper()
+			if got := goldenFrame(srv, frame); !bytes.Equal(got, errFrame(want)) {
+				t.Errorf("%s at %d: frame %q, want %q", what, at, got, errFrame(want))
 			}
 		}
-		if got, want := goldenFrame(srv, req(good, 1, 2, 3)), errFrame("3 trailing bytes after 40 pairs"); !bytes.Equal(got, want) {
-			t.Errorf("%s trailing: frame %q, want %q", name, got, want)
+		u := binary.AppendUvarint(nil, uint64(good[at][0]))
+		badU, badV := fmt.Sprintf("pair %d: bad u", at), fmt.Sprintf("pair %d: bad v", at)
+		check("bad u", req(good[:at]), badU)
+		check("bad v", req(good[:at], u...), badV)
+		check("overlong u", req(good[:at], overlong...), badU)
+		check("overlong v", req(good[:at], append(u, overlong...)...), badV)
+		check("range", req(with(count, at, [2]int{5, 70000})),
+			fmt.Sprintf("pair %d (5,70000): core: vertex out of range: (5,70000) of 500", at))
+		if at > 0 {
+			// An engine error at a lower index wins over a malformed pair
+			// behind it, in the same block (at 31, 33, 39) or the next (32).
+			check("range before bad u", req(with(at, at-1, [2]int{70000, 5})),
+				fmt.Sprintf("pair %d (70000,5): core: vertex out of range: (70000,5) of 500", at-1))
 		}
-		// A vertex past 2^63 prints as the client sent it in the pair, and as
-		// the engine saw it in the cause.
-		huge := binary.AppendUvarint(binary.AppendUvarint([]byte{opQuery, 1}, 1<<64-1), 1)
-		want := "pair 0 (18446744073709551615,1): core: vertex out of range: (-1,1) of 500"
-		if sortedMode {
-			want = "core: query (-1,1): core: vertex out of range: (-1,1) of 500"
+	}
+	if got, want := goldenFrame(srv, req(good, 1, 2, 3)), errFrame("3 trailing bytes after 40 pairs"); !bytes.Equal(got, want) {
+		t.Errorf("trailing: frame %q, want %q", got, want)
+	}
+	// A vertex past 2^63 prints as the client sent it in the pair, and as
+	// the engine saw it in the cause.
+	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{opQuery, 1}, 1<<64-1), 1)
+	want := "pair 0 (18446744073709551615,1): core: vertex out of range: (-1,1) of 500"
+	if got := goldenFrame(srv, huge); !bytes.Equal(got, errFrame(want)) {
+		t.Errorf("huge vertex: frame %q, want %q", got, errFrame(want))
+	}
+
+	shardSrv := NewServer(shard, 0)
+	for _, at := range []int{0, 31, 32, 33, count - 1} {
+		want := fmt.Sprintf("pair %d (%d,%d): core: query not resident on this shard: (%d,%d) on shard 1/3",
+			at, foreign[0], foreign[1], foreign[0], foreign[1])
+		if got := goldenFrame(shardSrv, req(with(count, at, foreign))); !bytes.Equal(got, errFrame(want)) {
+			t.Errorf("not resident at %d: frame %q, want %q", at, got, errFrame(want))
 		}
-		if got := goldenFrame(srv, huge); !bytes.Equal(got, errFrame(want)) {
-			t.Errorf("%s huge vertex: frame %q, want %q", name, got, errFrame(want))
+	}
+}
+
+// TestGoldenDistFrames pins the distance plane's Server.process bytes the way
+// the two tests above pin adjacency's: OK frames on and around the 32-pair
+// block boundary, and every error frame the plane can answer.
+func TestGoldenDistFrames(t *testing.T) {
+	eng := testDistEngines(t, 400, 3)["pll"]
+	srv := NewServer(nil, 0)
+	srv.SetDistEngine(eng)
+	ring := randomPairs(400, 256, 3)
+	golden := map[int]string{
+		0:   "0000",
+		1:   "000105",
+		31:  "001f050304ff01ff0104040503ff01ff0102040104020403030204040406ff01040303ff010303",
+		32:  "0020050304ff01ff0104040503ff01ff0102040104020403030204040406ff01040303ff01030302",
+		33:  "0021050304ff01ff0104040503ff01ff0102040104020403030204040406ff01040303ff0103030203",
+		256: "sha256:a1118278cb16f4d50bf573097d46bb6c2b7b497a40dbc648063261043de6727d",
+	}
+	for _, count := range []int{0, 1, 31, 32, 33, 256} {
+		pairs := ring[:count]
+		got := goldenFrame(srv, appendPairsReq(nil, opDist, pairs))
+		if want := packDists(t, eng, pairs); !bytes.Equal(got, want) {
+			t.Errorf("count %d: frame %x, want %x", count, got, want)
+		}
+		if enc := goldenHex(got); enc != golden[count] {
+			t.Errorf("count %d: frame %s, golden %s", count, enc, golden[count])
+		}
+	}
+	// An isolated vertex is unreachable from everywhere: the 255 sentinel, a
+	// two-byte uvarint.
+	for v := 0; v < 400; v++ {
+		if d, _ := eng.Dist(0, v); d < 0 {
+			got := goldenFrame(srv, appendPairsReq(nil, opDist, [][2]int{{0, v}, {v, v}}))
+			if want := []byte{statusOK, 2, 0xff, 0x01, 0}; !bytes.Equal(got, want) {
+				t.Errorf("unreachable (0,%d): frame %x, want %x", v, got, want)
+			}
+			break
 		}
 	}
 
-	for name, srv := range goldenServers(shard) {
-		for _, at := range []int{0, 31, 32, 33, count - 1} {
-			cause := fmt.Sprintf("core: query not resident on this shard: (%d,%d) on shard 1/3", foreign[0], foreign[1])
-			want := fmt.Sprintf("pair %d (%d,%d): %s", at, foreign[0], foreign[1], cause)
-			if name == "sorted" {
-				want = fmt.Sprintf("core: query (%d,%d): %s", foreign[0], foreign[1], cause)
-			}
-			if got := goldenFrame(srv, req(with(count, at, foreign))); !bytes.Equal(got, errFrame(want)) {
-				t.Errorf("%s not resident at %d: frame %q, want %q", name, at, got, errFrame(want))
-			}
+	const count = 40
+	good := ring[:count]
+	req := func(pairs [][2]int, tail ...byte) []byte {
+		out := []byte{opDist, count}
+		for _, p := range pairs {
+			out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(p[0])), uint64(p[1]))
 		}
+		return append(out, tail...)
+	}
+	with := func(n, at int, p [2]int) [][2]int {
+		pairs := append([][2]int(nil), good[:n]...)
+		pairs[at] = p
+		return pairs
+	}
+	overlong := bytes.Repeat([]byte{0xff}, 11)
+	check := func(what string, frame []byte, want string) {
+		t.Helper()
+		if got := goldenFrame(srv, frame); !bytes.Equal(got, errFrame(want)) {
+			t.Errorf("%s: frame %q, want %q", what, got, errFrame(want))
+		}
+	}
+	for _, at := range []int{0, 31, 32, count - 1} {
+		u := binary.AppendUvarint(nil, uint64(good[at][0]))
+		badU, badV := fmt.Sprintf("pair %d: bad u", at), fmt.Sprintf("pair %d: bad v", at)
+		check(badU, req(good[:at]), badU)
+		check(badV, req(good[:at], u...), badV)
+		check("overlong "+badV, req(good[:at], append(u, overlong...)...), badV)
+		rangeAt := fmt.Sprintf("pair %d (5,70000): core: vertex out of range: (5,70000) of 400", at)
+		check(rangeAt, req(with(count, at, [2]int{5, 70000})), rangeAt)
+		if at > 0 {
+			// The lowest failing index wins, whichever kind of failure it is.
+			before := fmt.Sprintf("pair %d (70000,5): core: vertex out of range: (70000,5) of 400", at-1)
+			check("range before bad u", req(with(at, at-1, [2]int{70000, 5})), before)
+		}
+	}
+	check("trailing", req(good, 1, 2, 3), "3 trailing bytes after 40 pairs")
+	check("count", []byte{opDist}, "bad pair count")
+	check("oversize", binary.AppendUvarint([]byte{opDist}, DefaultMaxBatch+1),
+		fmt.Sprintf("batch of %d pairs exceeds limit %d", DefaultMaxBatch+1, DefaultMaxBatch))
+	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{opDist, 1}, 1<<64-1), 1)
+	check("huge vertex", huge, "pair 0 (18446744073709551615,1): core: vertex out of range: (-1,1) of 400")
+
+	adjOnly := NewServer(testEngine(t, 100, 7), 0)
+	if got, want := goldenFrame(adjOnly, req(good)), errFrame("server holds no distance engine"); !bytes.Equal(got, want) {
+		t.Errorf("no distance engine: frame %q, want %q", got, want)
+	}
+	if got, want := goldenFrame(srv, appendPairsReq(nil, opQuery, good)), errFrame("server holds no adjacency engine"); !bytes.Equal(got, want) {
+		t.Errorf("no adjacency engine: frame %q, want %q", got, want)
+	}
+	if got, want := goldenFrame(srv, []byte{9}), errFrame("unknown op 9"); !bytes.Equal(got, want) {
+		t.Errorf("unknown op: frame %q, want %q", got, want)
+	}
+}
+
+// TestGoldenRequestPayloads pins what the client puts on the wire for a pair
+// batch on either plane, untraced and traced.
+func TestGoldenRequestPayloads(t *testing.T) {
+	pairs := [][2]int{{0, 1}, {127, 128}, {300, 70000}}
+	const id = 0x0807060504030201
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"query", appendPairsReq(nil, opQuery, pairs), "010300017f8001ac02f0a204"},
+		{"dist", appendPairsReq(nil, opDist, pairs), "040300017f8001ac02f0a204"},
+		{"query traced", appendPairsReqTrace(nil, opQuery, id, pairs), "8101020304050607080300017f8001ac02f0a204"},
+		{"dist traced", appendPairsReqTrace(nil, opDist, id, pairs), "8401020304050607080300017f8001ac02f0a204"},
+		{"empty query", appendPairsReq(nil, opQuery, nil), "0100"},
+		{"empty dist traced", appendPairsReqTrace(nil, opDist, id, nil), "84010203040506070800"},
+	} {
+		if enc := hex.EncodeToString(tc.got); enc != tc.want {
+			t.Errorf("%s: payload %s, want %s", tc.name, enc, tc.want)
+		}
+	}
+}
+
+// goldenFleets boots the two fleet shapes a router admits: a 3-shard
+// adjacency partition, and two replicas each holding the whole adjacency
+// labeling and the PLL distance labeling of a same-sized graph. Shard 0 of the
+// partition and replica 0 are armed to shed once their queued-frame gauge is
+// pinned.
+type goldenFleet struct {
+	addr string // the router's
+	srvs []*Server
+}
+
+func goldenFleets(t *testing.T) (full *core.QueryEngine, dist *core.DistEngine, partition, replicas goldenFleet) {
+	t.Helper()
+	boot := func(srvs []*Server) goldenFleet {
+		addrs := make([]string, len(srvs))
+		for i, srv := range srvs {
+			ln, err := netListen(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.SetShedDepth(1)
+			go srv.Serve(ln)
+			t.Cleanup(func() { srv.Close() })
+			addrs[i] = ln.Addr().String()
+		}
+		addr, _ := startRouter(t, addrs, 0)
+		return goldenFleet{addr: addr, srvs: srvs}
+	}
+	full, shards := shardEngines(t, 400, 3, core.ShardRange, 7)
+	dist = testDistEngines(t, 400, 3)["pll"]
+	var part, repl []*Server
+	for _, e := range shards {
+		part = append(part, NewServer(e, 0))
+	}
+	for range [2]int{} {
+		srv := NewServer(full, 0)
+		srv.SetDistEngine(dist)
+		repl = append(repl, srv)
+	}
+	return full, dist, boot(part), boot(repl)
+}
+
+// TestGoldenRouterFrames pins a router's downstream bytes for both planes
+// over both fleet shapes: OK frames, the router's own range check, the
+// shard/replica error noun after an upstream dies, shed propagation, and the
+// refusal of distance frames on a partition.
+func TestGoldenRouterFrames(t *testing.T) {
+	full, dist, partition, replicas := goldenFleets(t)
+	pairs := goldenRing(full, 100)
+	adjReq, distReq := appendPairsReq(nil, opQuery, pairs), appendPairsReq(nil, opDist, pairs)
+
+	wantAdj, wantDist := packBits(t, full, pairs), packDists(t, dist, pairs)
+	const adjGolden = "006480100200000800002004000010"
+	const distGolden = "sha256:957f7027a6f36451264f8bbc83950d340181bb588887ab2311d0d0286ea8b39f"
+	for _, tc := range []struct {
+		name, addr   string
+		req, want    []byte
+		wantEncoding string
+	}{
+		{"partition adjacency", partition.addr, adjReq, wantAdj, adjGolden},
+		{"replicas adjacency", replicas.addr, adjReq, wantAdj, adjGolden},
+		{"replicas distance", replicas.addr, distReq, wantDist, distGolden},
+	} {
+		got := wireFrame(t, tc.addr, tc.req)
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: frame %x, want %x", tc.name, got, tc.want)
+		}
+		if enc := goldenHex(got); enc != tc.wantEncoding {
+			t.Errorf("%s: frame %s, golden %s", tc.name, enc, tc.wantEncoding)
+		}
+	}
+	for _, addr := range []string{partition.addr, replicas.addr} {
+		if got, want := wireFrame(t, addr, []byte{opQuery, 0}), []byte{statusOK, 0}; !bytes.Equal(got, want) {
+			t.Errorf("empty adjacency frame: %x, want %x", got, want)
+		}
+	}
+	if got, want := wireFrame(t, replicas.addr, []byte{opDist, 0}), []byte{statusOK, 0}; !bytes.Equal(got, want) {
+		t.Errorf("empty distance frame: %x, want %x", got, want)
+	}
+
+	// The router range-checks before it routes; the message is its own, not
+	// the engine's.
+	outOfRange := append(append([][2]int(nil), pairs[:33]...), [2]int{5, 70000})
+	wantRange := errFrame("pair 33 (5,70000): vertex out of range [0,400)")
+	for name, got := range map[string][]byte{
+		"partition adjacency": wireFrame(t, partition.addr, appendPairsReq(nil, opQuery, outOfRange)),
+		"replicas adjacency":  wireFrame(t, replicas.addr, appendPairsReq(nil, opQuery, outOfRange)),
+		"replicas distance":   wireFrame(t, replicas.addr, appendPairsReq(nil, opDist, outOfRange)),
+	} {
+		if !bytes.Equal(got, wantRange) {
+			t.Errorf("%s out of range: frame %q, want %q", name, got, wantRange)
+		}
+	}
+	for name, tc := range map[string]struct {
+		addr      string
+		req, want []byte
+	}{
+		"partition bad v": {partition.addr, []byte{opQuery, 2, 1, 2, 3}, errFrame("pair 1: bad v")},
+		"replicas bad u":  {replicas.addr, []byte{opDist, 2, 1, 2}, errFrame("pair 1: bad u")},
+		"partition trail": {partition.addr, []byte{opQuery, 1, 1, 2, 3}, errFrame("1 trailing bytes after 1 pairs")},
+		"replicas trail":  {replicas.addr, []byte{opDist, 1, 1, 2, 3, 4}, errFrame("2 trailing bytes after 1 pairs")},
+		"replicas count":  {replicas.addr, []byte{opDist}, errFrame("bad pair count")},
+		"partition oversize": {partition.addr, binary.AppendUvarint([]byte{opQuery}, DefaultMaxBatch+1),
+			errFrame(fmt.Sprintf("batch of %d pairs exceeds limit %d", DefaultMaxBatch+1, DefaultMaxBatch))},
+		"partition distance": {partition.addr, distReq,
+			errFrame("distance queries require a replica fleet (this router fronts a 3-shard partition)")},
+		"partition unknown op": {partition.addr, []byte{9}, errFrame("unknown op 9")},
+	} {
+		if got := wireFrame(t, tc.addr, tc.req); !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: frame %q, want %q", name, got, tc.want)
+		}
+	}
+
+	// Shed propagation: a frame that needs the shedding upstream is answered
+	// with the one-byte shed frame on either plane; upstream 0 owns u=0.
+	hot := [][2]int{{0, 1}}
+	for _, f := range []goldenFleet{partition, replicas} {
+		f.srvs[0].Metrics().QueuedFrames.Add(5)
+	}
+	for name, got := range map[string][]byte{
+		"partition adjacency": wireFrame(t, partition.addr, appendPairsReq(nil, opQuery, hot)),
+		"replicas adjacency":  wireFrame(t, replicas.addr, appendPairsReq(nil, opQuery, hot)),
+		"replicas distance":   wireFrame(t, replicas.addr, appendPairsReq(nil, opDist, hot)),
+	} {
+		if !bytes.Equal(got, []byte{statusShed}) {
+			t.Errorf("%s behind a shedding upstream: frame %x, want %x", name, got, []byte{statusShed})
+		}
+	}
+	for _, f := range []goldenFleet{partition, replicas} {
+		f.srvs[0].Metrics().QueuedFrames.Add(-5)
+	}
+
+	// A dead upstream poisons the frames routed to it with an error frame that
+	// names it — as a shard on the adjacency plane, a replica on the distance
+	// plane. The cause after the noun is the upstream client's error (it holds
+	// a port number), so only the router's own prefix is pinned.
+	partition.srvs[0].Close()
+	replicas.srvs[0].Close()
+	for name, tc := range map[string]struct {
+		got    []byte
+		prefix string
+	}{
+		"partition adjacency": {wireFrame(t, partition.addr, appendPairsReq(nil, opQuery, hot)), "shard 0 (1 pairs): adjserve: "},
+		"replicas adjacency":  {wireFrame(t, replicas.addr, appendPairsReq(nil, opQuery, hot)), "shard 0 (1 pairs): adjserve: "},
+		"replicas distance":   {wireFrame(t, replicas.addr, appendPairsReq(nil, opDist, hot)), "replica 0 (1 pairs): adjserve: "},
+	} {
+		msgLen, k := binary.Uvarint(tc.got[1:])
+		if tc.got[0] != statusErr || k <= 0 || int(msgLen) != len(tc.got)-1-k || !strings.HasPrefix(string(tc.got[1+k:]), tc.prefix) {
+			t.Errorf("%s after upstream 0 died: frame %q, want an error frame starting %q", name, tc.got, tc.prefix)
+		}
+	}
+}
+
+// traceShape splits a traced OK response into its untraced body (flag
+// cleared) and the (stage, hop) sequence of its trace block; durations are
+// the one part of the frame that is not reproducible.
+func traceShape(t *testing.T, resp []byte, bodyLen int) (body []byte, shape [][2]uint8) {
+	t.Helper()
+	if len(resp) < bodyLen || resp[0] != statusOK|opTraceFlag {
+		t.Fatalf("traced response %x: want flag byte %#x and a %d-byte body", resp, statusOK|opTraceFlag, bodyLen)
+	}
+	body = append([]byte{statusOK}, resp[1:bodyLen]...)
+	var tally obs.SpanTally
+	if err := parseTraceBlock(resp[bodyLen:], &tally, obs.HopSelf); err != nil {
+		t.Fatalf("trace block %x: %v", resp[bodyLen:], err)
+	}
+	for _, st := range tally.Stages() {
+		shape = append(shape, [2]uint8{st.Stage, st.Hop})
+	}
+	return body, shape
+}
+
+// TestGoldenTracedFrames pins the traced response shape on both planes, from
+// a server and through a router: the status byte carries the trace flag, the
+// body is the untraced body, and the stage block lists the hop's stages in a
+// fixed order.
+func TestGoldenTracedFrames(t *testing.T) {
+	full, dist, partition, replicas := goldenFleets(t)
+	pairs := goldenRing(full, 100)
+	const id = 0x0807060504030201
+	wantAdj, wantDist := packBits(t, full, pairs), packDists(t, dist, pairs)
+
+	self := obs.HopSelf
+	serverShape := [][2]uint8{{obs.StageQueue, self}, {obs.StageRead, self}, {obs.StageProbe, self}}
+	// Per upstream, in upstream order: its queue/read/probe relabeled with
+	// its index, then the upstream client's own time folded into one net stage.
+	routerShape := func(upstreams int) [][2]uint8 {
+		shape := [][2]uint8{{obs.StageScatter, self}, {obs.StageUpstream, self}}
+		for s := uint8(0); s < uint8(upstreams); s++ {
+			shape = append(shape, [2]uint8{obs.StageQueue, s}, [2]uint8{obs.StageRead, s},
+				[2]uint8{obs.StageProbe, s}, [2]uint8{obs.StageNet, s})
+		}
+		return append(shape, [2]uint8{obs.StageGather, self}, [2]uint8{obs.StageQueue, self}, [2]uint8{obs.StageRead, self})
+	}
+
+	srv := NewServer(full, 0)
+	srv.SetDistEngine(dist)
+	ln, err := netListen(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	direct := ln.Addr().String()
+
+	for _, tc := range []struct {
+		name, addr string
+		op         byte
+		want       []byte
+		shape      [][2]uint8
+	}{
+		{"server adjacency", direct, opQuery, wantAdj, serverShape},
+		{"server distance", direct, opDist, wantDist, serverShape},
+		{"partition adjacency", partition.addr, opQuery, wantAdj, routerShape(3)},
+		{"replicas adjacency", replicas.addr, opQuery, wantAdj, routerShape(2)},
+		{"replicas distance", replicas.addr, opDist, wantDist, routerShape(2)},
+	} {
+		resp := wireFrame(t, tc.addr, appendPairsReqTrace(nil, tc.op, id, pairs))
+		body, shape := traceShape(t, resp, len(tc.want))
+		if !bytes.Equal(body, tc.want) {
+			t.Errorf("%s: traced body %x, want %x", tc.name, body, tc.want)
+		}
+		if fmt.Sprint(shape) != fmt.Sprint(tc.shape) {
+			t.Errorf("%s: stage block %v, want %v", tc.name, shape, tc.shape)
+		}
+	}
+	// Error frames are never extended: a traced request that fails answers
+	// byte-identically to the untraced protocol.
+	bad := appendPairsReqTrace(nil, opDist, id, [][2]int{{5, 70000}})
+	want := errFrame("pair 0 (5,70000): core: vertex out of range: (5,70000) of 400")
+	if got := wireFrame(t, direct, bad); !bytes.Equal(got, want) {
+		t.Errorf("traced error frame %q, want %q", got, want)
 	}
 }
