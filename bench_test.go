@@ -290,72 +290,6 @@ func BenchmarkQueryEngineAdjacentMany(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/query")
 }
 
-// BenchmarkQueryEngineAdjacentManySorted answers the shared 4096-pair batch
-// through the offset-sorted schedule. Must report 0 allocs/op: the sort runs
-// over the reused BatchScratch keys and the answers land in the caller's
-// slice.
-func BenchmarkQueryEngineAdjacentManySorted(b *testing.B) {
-	eng, pairs := benchEngine(b)
-	out := make([]bool, 0, len(pairs))
-	var sc core.BatchScratch
-	// One warm-up batch grows the scratch keys to the batch size; the timed
-	// loop then runs entirely on reused memory.
-	if _, err := eng.AdjacentManySorted(pairs, out[:0], &sc); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = eng.AdjacentManySorted(pairs, out[:0], &sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/query")
-}
-
-// BenchmarkQueryEngineAdjacentManySortedZipf is the skew path E25 measures:
-// a Zipf(s=1.1) probe stream over the degree-ordered arena, answered in
-// offset-sorted order with the (u,v) result cache enabled — still 0
-// allocs/op (the acceptance bar for the cache on the hot path).
-func BenchmarkQueryEngineAdjacentManySortedZipf(b *testing.B) {
-	g := benchGraph(b)
-	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
-	lab, err := s.Encode(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := core.NewQueryEngine(lab)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.EnableResultCache(16); err != nil {
-		b.Fatal(err)
-	}
-	ps, err := experiments.NewProbeSampler(g, experiments.DistZipf, 1.1, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := ps.Pairs(make([][2]int, 0, 4096), 4096)
-	out := make([]bool, 0, len(pairs))
-	var sc core.BatchScratch
-	if _, err := eng.AdjacentManySorted(pairs, out[:0], &sc); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = eng.AdjacentManySorted(pairs, out[:0], &sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/query")
-}
-
 func BenchmarkQueryEngineAdjacentManyParallel(b *testing.B) {
 	eng, pairs := benchEngine(b)
 	out := make([]bool, 0, len(pairs))

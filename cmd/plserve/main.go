@@ -14,8 +14,8 @@
 // A distance store (pllabel -scheme dist-pll or dist-bounded) is served the
 // same way: the daemon reads the store's scheme record kind, builds a
 // core.DistEngine over the mapped slab instead, and answers distance frames
-// (plquery -dist -remote ...). The tuning flags -pair-cache-bits and
-// -sort-min apply to either plane.
+// (plquery -dist -remote ...). The tuning flag -pair-cache-bits applies to
+// either plane.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight frames are answered and
 // flushed, then the process exits 0.
@@ -59,7 +59,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default)")
 		useMmap     = fs.Bool("mmap", true, "memory-map the store (false forces the copying reader)")
 		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v) result cache (0 = disabled; enable only once the store is read-only warm)")
-		sortMin     = fs.Int("sort-min", 0, "min pairs per frame to probe in arena-offset order (0 = disabled)")
 		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited)")
 		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed)")
 		maxPending  = fs.Int("max-pending-resp", 0, "flush after this many unflushed responses per conn (0 = default)")
@@ -102,10 +101,10 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 
 	// A store serves exactly one query plane: adjacency (the default) or
 	// distance (a scheme-stamped pll/bdist store → core.DistEngine behind the
-	// same listener, answering opDist frames). The engine-tuning flags
-	// (-pair-cache-bits, -sort-min) apply to whichever engine the store
-	// selects; attachMetrics abstracts over the two engine types for the
-	// admin plane below.
+	// same listener, answering opDist frames). The engine-tuning flag
+	// (-pair-cache-bits) applies to whichever engine the store selects;
+	// attachMetrics abstracts over the two engine types for the admin plane
+	// below.
 	var (
 		srv           *adjserve.Server
 		attachMetrics func(*core.EngineMetrics)
@@ -163,7 +162,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	loadedAttrs = append(loadedAttrs, "mode", mode, "elapsed", time.Since(start).Round(time.Microsecond).String())
 	logger.Info("loaded", loadedAttrs...)
 
-	srv.SetSortedBatchMin(*sortMin)
 	srv.SetMaxConns(*maxConns)
 	srv.SetShedDepth(*shedDepth)
 	srv.SetMaxPendingResponses(*maxPending)

@@ -388,6 +388,19 @@ func TestMissingLabelsFlag(t *testing.T) {
 	}
 }
 
+// TestRemovedSortFlagRejected: the sorted-batch threshold flag is gone, not
+// ignored — a deployment still passing it fails at startup instead of
+// silently serving in a mode it did not ask for. (The name is spelled in two
+// halves so a repository-wide search for the removed flag finds only history.)
+func TestRemovedSortFlagRejected(t *testing.T) {
+	path, _ := storeFixture(t)
+	removed := "-sort" + "-min"
+	err := run([]string{"-labels", path, "-addr", "127.0.0.1:0", removed, "256"}, newAddrWriter(), nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+removed) {
+		t.Fatalf("run with %s: err = %v, want an unknown-flag error", removed, err)
+	}
+}
+
 func TestUnservableStore(t *testing.T) {
 	// An empty adjacency-matrix store builds an empty engine and serves; a
 	// pre-closed stop channel makes run drain immediately either way, so

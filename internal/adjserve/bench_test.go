@@ -147,7 +147,7 @@ func BenchmarkRouterBatch(b *testing.B) {
 func BenchmarkServeTraceDisabled(b *testing.B) {
 	srv := NewServer(testEngine(b, 20000, 42), 0)
 	srv.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(256), Slow: obs.NewTraceRing(64)})
-	req := appendQueryReq(nil, randomPairs(20000, 64, 1))
+	req := appendPairsReq(nil, opQuery, randomPairs(20000, 64, 1))
 	bufs := &connBuffers{resp: make([]byte, 0, 4096)}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -166,7 +166,7 @@ func BenchmarkAdjserveShed(b *testing.B) {
 	srv := NewServer(testEngine(b, 20000, 42), 0)
 	srv.SetShedDepth(1)
 	srv.metrics.QueuedFrames.Add(5) // pinned past the bound: every frame sheds
-	req := appendQueryReq(nil, randomPairs(20000, 64, 1))
+	req := appendPairsReq(nil, opQuery, randomPairs(20000, 64, 1))
 	bufs := &connBuffers{resp: make([]byte, 0, 64)}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -142,15 +141,14 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// call is one outstanding request: the response fills dest (query), dists
-// (dist), infoN (info) or shard (shard-info), and done delivers the per-call
-// verdict exactly once. tr, when non-nil, receives the response's trace
-// block (the reader goroutine writes it strictly before the done send, so
-// the waiting caller reads it race-free); caps, when non-nil, receives the
-// info response's trailing capability bits.
+// call is one outstanding request: the response fills ans (a pair batch, in
+// whichever shape the caller sized it), infoN (info) or shard (shard-info),
+// and done delivers the per-call verdict exactly once. tr, when non-nil,
+// receives the response's trace block (the reader goroutine writes it
+// strictly before the done send, so the waiting caller reads it race-free);
+// caps, when non-nil, receives the info response's trailing capability bits.
 type call struct {
-	dest  []bool
-	dists []int
+	ans   answers
 	infoN *int
 	shard *ShardInfo
 	tr    *obs.SpanTally
@@ -159,7 +157,7 @@ type call struct {
 }
 
 // callPool recycles calls (and their verdict channels) across batches, so the
-// steady-state encode path of AdjacentMany performs zero heap allocations.
+// steady-state encode path of a pair batch performs zero heap allocations.
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan error, 1)} }}
 
 func getCall() *call { return callPool.Get().(*call) }
@@ -173,12 +171,7 @@ func putCall(ca *call) {
 	case <-ca.done:
 	default:
 	}
-	ca.dest = nil
-	ca.dists = nil
-	ca.infoN = nil
-	ca.shard = nil
-	ca.tr = nil
-	ca.caps = nil
+	*ca = call{done: ca.done}
 	callPool.Put(ca)
 }
 
@@ -390,89 +383,58 @@ func deliver(ca *call, payload []byte) error {
 		ca.done <- &RemoteError{Msg: string(body[n : n+int(msgLen)])}
 		return nil
 	case statusOK:
-		if ca.infoN != nil {
-			v, n := binary.Uvarint(body)
-			if n <= 0 {
-				return fmt.Errorf("%w: truncated info response", ErrClosed)
-			}
-			*ca.infoN = int(v)
-			// Optional trailing capability uvarint: absent on servers that
-			// predate capabilities (which means "none"); any bytes beyond it
-			// belong to future extensions and are ignored the same way.
-			if ca.caps != nil {
-				*ca.caps = 0
-				if rest := body[n:]; len(rest) > 0 {
-					if cv, k := binary.Uvarint(rest); k > 0 {
-						*ca.caps = cv
-					}
-				}
-			}
+		var err error
+		switch {
+		case ca.infoN != nil:
+			err = deliverInfo(ca, body)
+		case ca.shard != nil:
+			err = parseShardInfo(ca.shard, body)
+		default:
+			err = deliverAnswers(ca, body, traced)
+		}
+		if err == nil {
 			ca.done <- nil
-			return nil
 		}
-		if ca.shard != nil {
-			if err := parseShardInfo(ca.shard, body); err != nil {
-				return err
-			}
-			ca.done <- nil
-			return nil
-		}
-		if ca.dists != nil {
-			count, n := binary.Uvarint(body)
-			if n <= 0 || int(count) != len(ca.dists) {
-				return fmt.Errorf("%w: response for %d pairs, asked %d", ErrClosed, count, len(ca.dists))
-			}
-			body = body[n:]
-			for i := range ca.dists {
-				d, k := binary.Uvarint(body)
-				if k <= 0 {
-					return fmt.Errorf("%w: truncated distance %d of %d", ErrClosed, i, count)
-				}
-				body = body[k:]
-				if d > distBeyondWire {
-					return fmt.Errorf("%w: distance %d out of wire range", ErrClosed, d)
-				}
-				if d == distBeyondWire {
-					ca.dists[i] = graph.Unreachable
-				} else {
-					ca.dists[i] = int(d)
-				}
-			}
-			if traced {
-				if err := deliverTrace(ca, body); err != nil {
-					return err
-				}
-			} else if len(body) != 0 {
-				return fmt.Errorf("%w: %d trailing bytes after %d distances", ErrClosed, len(body), count)
-			}
-			ca.done <- nil
-			return nil
-		}
-		count, n := binary.Uvarint(body)
-		if n <= 0 || int(count) != len(ca.dest) {
-			return fmt.Errorf("%w: response for %d pairs, asked %d", ErrClosed, count, len(ca.dest))
-		}
-		bits := body[n:]
-		need := (len(ca.dest) + 7) / 8
-		if traced {
-			if len(bits) < need {
-				return fmt.Errorf("%w: %d answer bytes for %d pairs", ErrClosed, len(bits), len(ca.dest))
-			}
-			if err := deliverTrace(ca, bits[need:]); err != nil {
-				return err
-			}
-			bits = bits[:need]
-		} else if len(bits) != need {
-			return fmt.Errorf("%w: %d answer bytes for %d pairs", ErrClosed, len(bits), len(ca.dest))
-		}
-		for i := range ca.dest {
-			ca.dest[i] = bits[i/8]&(1<<(7-uint(i)%8)) != 0
-		}
-		ca.done <- nil
-		return nil
+		return err
 	default:
 		return fmt.Errorf("%w: unknown response status %d", ErrClosed, status)
 	}
+}
+
+// deliverInfo parses an info response body: the vertex count, then the
+// optional trailing capability uvarint — absent on servers that predate
+// capabilities (which means "none"); any bytes beyond it belong to future
+// extensions and are ignored the same way.
+func deliverInfo(ca *call, body []byte) error {
+	v, n := binary.Uvarint(body)
+	if n <= 0 {
+		return fmt.Errorf("%w: truncated info response", ErrClosed)
+	}
+	*ca.infoN = int(v)
+	if ca.caps != nil {
+		*ca.caps, _ = binary.Uvarint(body[n:]) // 0 when absent or malformed
+	}
+	return nil
+}
+
+// deliverAnswers parses a pair-batch response body into the call's answers
+// (packed bits or uvarints, by their shape), then the trace block a traced response appends.
+func deliverAnswers(ca *call, body []byte, traced bool) error {
+	count, n := binary.Uvarint(body)
+	if n <= 0 || count != uint64(ca.ans.len()) {
+		return fmt.Errorf("%w: response for %d pairs, asked %d", ErrClosed, count, ca.ans.len())
+	}
+	rest, err := ca.ans.decode(body[n:])
+	if err != nil {
+		return err
+	}
+	if traced {
+		return deliverTrace(ca, rest)
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after %d answers", ErrClosed, len(rest), count)
+	}
+	return nil
 }
 
 // deliverTrace merges a response's appended trace block into the call's
@@ -513,77 +475,26 @@ func (c *Client) sendFrame(cc *clientConn, payload []byte, ca *call) error {
 // split into pipelined frames of at most MaxBatch pairs; answers land in
 // pair order. On any error the appended results must not be trusted.
 func (c *Client) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
+	return c.AdjacentManyTrace(pairs, out, nil)
+}
+
+// AdjacentManyTrace is AdjacentMany with end-to-end tracing when t is
+// non-nil. When the server advertises the trace capability, every request
+// frame carries t.ID (generated if zero), each hop's stage report is merged
+// into t — the direct peer's own stages relabeled HopPeer, shard-labeled
+// stages from a router passing through — and the client appends its own
+// encode and flush stages plus the residual net stage (wall time minus
+// everything else attributed), so on success the HopSelf+HopPeer stages in t
+// sum exactly to the call's wall time. Against a server without the
+// capability the batch is sent untraced and t records the client-side stages
+// only.
+func (c *Client) AdjacentManyTrace(pairs [][2]int, out []bool, t *obs.SpanTally) ([]bool, error) {
 	start := len(out)
-	if need := start + len(pairs); cap(out) >= need {
-		out = out[:need]
-	} else {
-		grown := make([]bool, need)
-		copy(grown, out)
-		out = grown
-	}
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	dest := out[start:]
-	maxBatch := c.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-
-	c.mu.Lock()
-	cc, err := c.ensureConn()
-	if err != nil {
-		c.mu.Unlock()
-		return out[:start], err
-	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
-	for off := 0; off < len(pairs); off += maxBatch {
-		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		c.req = appendQueryReq(c.req[:0], chunk)
-		ca := getCall()
-		ca.dest = dest[off : off+len(chunk)]
-		if err := c.sendFrame(cc, c.req, ca); err != nil {
-			c.mu.Unlock()
-			putCall(ca)
-			waitCalls(calls)
-			putCalls(cl, calls)
-			return out[:start], err
-		}
-		calls = append(calls, ca)
-	}
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-	}
-	c.mu.Unlock()
-
-	for _, ca := range calls {
-		if cerr := <-ca.done; cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	putCalls(cl, calls)
-	if err != nil {
+	out = grow(out, len(pairs))
+	if err := c.many(adjPlane, pairs, answers{adj: out[start:]}, t); err != nil {
 		return out[:start], err
 	}
 	return out, nil
-}
-
-// waitCalls drains calls that were already enqueued when a later frame
-// failed; their verdicts (delivered by the reader or by fail) are discarded.
-func waitCalls(calls []*call) {
-	for _, ca := range calls {
-		<-ca.done
-	}
-}
-
-// putCalls recycles a batch's calls (verdicts already consumed) and its list.
-func putCalls(cl *callList, calls []*call) {
-	for _, ca := range calls {
-		putCall(ca)
-	}
-	cl.s = calls[:0]
-	callsPool.Put(cl)
 }
 
 // Adjacent answers a single query remotely. For throughput, prefer
@@ -603,57 +514,15 @@ func (c *Client) Adjacent(u, v int) (bool, error) {
 // pipeline and recover exactly as AdjacentMany's do. Distances of 255 or more
 // are indistinguishable from unreachable on the wire; see the package doc.
 func (c *Client) DistMany(pairs [][2]int, out []int) ([]int, error) {
+	return c.DistManyTrace(pairs, out, nil)
+}
+
+// DistManyTrace is DistMany with end-to-end tracing when t is non-nil; same
+// contract as AdjacentManyTrace.
+func (c *Client) DistManyTrace(pairs [][2]int, out []int, t *obs.SpanTally) ([]int, error) {
 	start := len(out)
-	if need := start + len(pairs); cap(out) >= need {
-		out = out[:need]
-	} else {
-		grown := make([]int, need)
-		copy(grown, out)
-		out = grown
-	}
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	dest := out[start:]
-	maxBatch := c.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-
-	c.mu.Lock()
-	cc, err := c.ensureConn()
-	if err != nil {
-		c.mu.Unlock()
-		return out[:start], err
-	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
-	for off := 0; off < len(pairs); off += maxBatch {
-		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		c.req = appendPairsReq(c.req[:0], opDist, chunk)
-		ca := getCall()
-		ca.dists = dest[off : off+len(chunk)]
-		if err := c.sendFrame(cc, c.req, ca); err != nil {
-			c.mu.Unlock()
-			putCall(ca)
-			waitCalls(calls)
-			putCalls(cl, calls)
-			return out[:start], err
-		}
-		calls = append(calls, ca)
-	}
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-	}
-	c.mu.Unlock()
-
-	for _, ca := range calls {
-		if cerr := <-ca.done; cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	putCalls(cl, calls)
-	if err != nil {
+	out = grow(out, len(pairs))
+	if err := c.many(distPlane, pairs, answers{dist: out[start:]}, t); err != nil {
 		return out[:start], err
 	}
 	return out, nil
@@ -669,95 +538,28 @@ func (c *Client) Dist(u, v int) (int, error) {
 	return res[0], nil
 }
 
-// Caps returns the capability bits the server advertises in its info
-// response (capTrace and future extensions), performing one info round trip
-// on first use and caching the answer for the client's lifetime. Servers
-// that predate capabilities advertise none, so a zero return against a
-// reachable server means "speak the base protocol only".
-func (c *Client) Caps() (uint64, error) {
-	c.mu.Lock()
-	if c.capsKnown {
-		caps := c.caps
-		c.mu.Unlock()
-		return caps, nil
-	}
-	c.mu.Unlock()
-	var n int
-	var caps uint64
-	ca := getCall()
-	ca.infoN = &n
-	ca.caps = &caps
-	if err := c.sendSmall(opInfo, ca); err != nil {
-		putCall(ca)
-		return 0, err
-	}
-	err := <-ca.done
-	putCall(ca)
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	c.caps, c.capsKnown = caps, true
-	c.mu.Unlock()
-	return caps, nil
-}
-
-// supportsTrace reports whether the server advertises the trace capability,
-// fetching capabilities on first use. A probe error means "no" — the traced
-// call that asked will surface the real error on its own frames.
-func (c *Client) supportsTrace() bool {
-	caps, err := c.Caps()
-	return err == nil && caps&capTrace != 0
-}
-
-// AdjacentManyTrace is AdjacentMany with end-to-end tracing. When the server
-// advertises the trace capability, every request frame carries t.ID
-// (generated if zero), each hop's stage report is merged into t — the direct
-// peer's own stages relabeled HopPeer, shard-labeled stages from a router
-// passing through — and the client appends its own encode and flush stages
-// plus the residual net stage (wall time minus everything else attributed),
-// so on success the HopSelf+HopPeer stages in t sum exactly to the call's
-// wall time. Against a server without the capability the batch is sent
-// untraced and t records the client-side stages only.
-func (c *Client) AdjacentManyTrace(pairs [][2]int, out []bool, t *obs.SpanTally) ([]bool, error) {
-	if t == nil {
-		return c.AdjacentMany(pairs, out)
-	}
-	return c.manyTrace(pairs, out, t)
-}
-
-// DistManyTrace is DistMany with end-to-end tracing; same contract as
-// AdjacentManyTrace.
-func (c *Client) DistManyTrace(pairs [][2]int, out []int, t *obs.SpanTally) ([]int, error) {
-	if t == nil {
-		return c.DistMany(pairs, out)
-	}
-	return c.manyTraceDist(pairs, out, t)
-}
-
-// manyTrace runs one traced adjacency batch: AdjacentMany's chunking,
-// pipelining and failure handling, plus per-call stage measurement around
-// the encode loop and the flush.
-func (c *Client) manyTrace(pairs [][2]int, boolOut []bool, t *obs.SpanTally) ([]bool, error) {
-	if t.ID == 0 {
-		t.ID = obs.NewTraceID()
-	}
-	wire := c.supportsTrace()
-	start := time.Now()
-	peerBefore := t.SumHop(obs.HopPeer)
-
-	outStart := len(boolOut)
-	if need := outStart + len(pairs); cap(boolOut) >= need {
-		boolOut = boolOut[:need]
-	} else {
-		grown := make([]bool, need)
-		copy(grown, boolOut)
-		boolOut = grown
-	}
+// many is the one send/await path under every pair-batch entry point: it
+// splits pairs into frames of at most MaxBatch on plane pl, writes them all
+// before reading any response, and waits for the answers to land in dest
+// (len(pairs) answers of pl's shape) in pair order. A non-nil t makes it the
+// traced call: frames carry t.ID when the server speaks tracing, and the
+// encode loop and the flush are timed; with a nil t the path takes no
+// timestamps at all.
+func (c *Client) many(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally) error {
 	if len(pairs) == 0 {
-		return boolOut, nil
+		return nil
 	}
-	dest := boolOut[outStart:]
+	var start time.Time
+	var peerBefore, encodeNs, flushNs int64
+	wire := false
+	if t != nil {
+		if t.ID == 0 {
+			t.ID = obs.NewTraceID()
+		}
+		wire = c.supportsTrace()
+		start = time.Now()
+		peerBefore = t.SumHop(obs.HopPeer)
+	}
 	maxBatch := c.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
@@ -767,40 +569,48 @@ func (c *Client) manyTrace(pairs [][2]int, boolOut []bool, t *obs.SpanTally) ([]
 	cc, err := c.ensureConn()
 	if err != nil {
 		c.mu.Unlock()
-		return boolOut[:outStart], err
+		return err
 	}
 	cl := callsPool.Get().(*callList)
 	calls := cl.s[:0]
-	var encodeNs int64
 	for off := 0; off < len(pairs); off += maxBatch {
 		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		encStart := time.Now()
-		if wire {
-			c.req = appendPairsReqTrace(c.req[:0], opQuery, t.ID, chunk)
-		} else {
-			c.req = appendQueryReq(c.req[:0], chunk)
+		var encStart time.Time
+		if t != nil {
+			encStart = time.Now()
 		}
 		ca := getCall()
-		ca.dest = dest[off : off+len(chunk)]
+		ca.ans = dest.slice(off, off+len(chunk))
 		if wire {
+			c.req = appendPairsReqTrace(c.req[:0], pl.op, t.ID, chunk)
 			ca.tr = t
+		} else {
+			c.req = appendPairsReq(c.req[:0], pl.op, chunk)
 		}
-		ferr := c.sendFrame(cc, c.req, ca)
-		encodeNs += int64(time.Since(encStart))
-		if ferr != nil {
-			c.mu.Unlock()
+		err = c.sendFrame(cc, c.req, ca)
+		if t != nil {
+			encodeNs += int64(time.Since(encStart))
+		}
+		if err != nil {
+			// The connection is dead; the frames already enqueued still get
+			// their verdicts (from the reader or from fail) below.
 			putCall(ca)
-			waitCalls(calls)
-			putCalls(cl, calls)
-			return boolOut[:outStart], ferr
+			break
 		}
 		calls = append(calls, ca)
 	}
-	flushStart := time.Now()
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+	var flushStart time.Time
+	if t != nil {
+		flushStart = time.Now()
 	}
-	flushNs := int64(time.Since(flushStart))
+	if err == nil {
+		if ferr := cc.bw.Flush(); ferr != nil {
+			cc.fail(fmt.Errorf("%w: %v", ErrClosed, ferr))
+		}
+	}
+	if t != nil {
+		flushNs = int64(time.Since(flushStart))
+	}
 	c.mu.Unlock()
 
 	for _, ca := range calls {
@@ -809,11 +619,58 @@ func (c *Client) manyTrace(pairs [][2]int, boolOut []bool, t *obs.SpanTally) ([]
 		}
 	}
 	putCalls(cl, calls)
-	if err != nil {
-		return boolOut[:outStart], err
+	if err == nil && t != nil {
+		c.recordCallStages(t, start, encodeNs, flushNs, peerBefore)
 	}
-	c.recordCallStages(t, start, encodeNs, flushNs, peerBefore)
-	return boolOut, nil
+	return err
+}
+
+// putCalls recycles a batch's calls (verdicts already consumed) and its list.
+func putCalls(cl *callList, calls []*call) {
+	for _, ca := range calls {
+		putCall(ca)
+	}
+	cl.s = calls[:0]
+	callsPool.Put(cl)
+}
+
+// Caps returns the capability bits the server advertises in its info
+// response (capTrace and future extensions), performing one info round trip
+// on first use and caching the answer for the client's lifetime. Servers
+// that predate capabilities advertise none, so a zero return against a
+// reachable server means "speak the base protocol only".
+func (c *Client) Caps() (uint64, error) {
+	c.mu.Lock()
+	caps, known := c.caps, c.capsKnown
+	c.mu.Unlock()
+	if known {
+		return caps, nil
+	}
+	_, caps, err := c.info()
+	if err != nil {
+		return 0, err
+	}
+	c.mu.Lock()
+	c.caps, c.capsKnown = caps, true
+	c.mu.Unlock()
+	return caps, nil
+}
+
+// info performs one info round trip: the vertex count served and the
+// capability bits advertised.
+func (c *Client) info() (n int, caps uint64, err error) {
+	ca := getCall()
+	ca.infoN, ca.caps = &n, &caps
+	err = c.small(opInfo, ca)
+	return n, caps, err
+}
+
+// supportsTrace reports whether the server advertises the trace capability,
+// fetching capabilities on first use. A probe error means "no" — the traced
+// call that asked will surface the real error on its own frames.
+func (c *Client) supportsTrace() bool {
+	caps, err := c.Caps()
+	return err == nil && caps&capTrace != 0
 }
 
 // recordCallStages appends the client-side stages of a completed traced
@@ -827,110 +684,16 @@ func (c *Client) recordCallStages(t *obs.SpanTally, start time.Time, encodeNs, f
 	totalNs := int64(time.Since(start))
 	t.Add(obs.StageEncode, obs.HopSelf, encodeNs)
 	t.Add(obs.StageFlush, obs.HopSelf, flushNs)
-	net := totalNs - encodeNs - flushNs - (t.SumHop(obs.HopPeer) - peerBefore)
-	if net < 0 {
-		// Pipelined chunks can overlap peer stage time with wall time;
-		// attribute nothing to the wire rather than a negative duration.
-		net = 0
-	}
+	// Pipelined chunks can overlap peer stage time with wall time; attribute
+	// nothing to the wire rather than a negative duration.
+	net := max(totalNs-encodeNs-flushNs-(t.SumHop(obs.HopPeer)-peerBefore), 0)
 	t.Add(obs.StageNet, obs.HopSelf, net)
-}
-
-// manyTraceDist is manyTrace's distance-plane body (separate because the
-// answer buffer is []int; the control flow is identical).
-func (c *Client) manyTraceDist(pairs [][2]int, out []int, t *obs.SpanTally) ([]int, error) {
-	if t.ID == 0 {
-		t.ID = obs.NewTraceID()
-	}
-	wire := c.supportsTrace()
-	start := time.Now()
-	peerBefore := t.SumHop(obs.HopPeer)
-
-	outStart := len(out)
-	if need := outStart + len(pairs); cap(out) >= need {
-		out = out[:need]
-	} else {
-		grown := make([]int, need)
-		copy(grown, out)
-		out = grown
-	}
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	dest := out[outStart:]
-	maxBatch := c.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-
-	c.mu.Lock()
-	cc, err := c.ensureConn()
-	if err != nil {
-		c.mu.Unlock()
-		return out[:outStart], err
-	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
-	var encodeNs int64
-	for off := 0; off < len(pairs); off += maxBatch {
-		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		encStart := time.Now()
-		if wire {
-			c.req = appendPairsReqTrace(c.req[:0], opDist, t.ID, chunk)
-		} else {
-			c.req = appendPairsReq(c.req[:0], opDist, chunk)
-		}
-		ca := getCall()
-		ca.dists = dest[off : off+len(chunk)]
-		if wire {
-			ca.tr = t
-		}
-		ferr := c.sendFrame(cc, c.req, ca)
-		encodeNs += int64(time.Since(encStart))
-		if ferr != nil {
-			c.mu.Unlock()
-			putCall(ca)
-			waitCalls(calls)
-			putCalls(cl, calls)
-			return out[:outStart], ferr
-		}
-		calls = append(calls, ca)
-	}
-	flushStart := time.Now()
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-	}
-	flushNs := int64(time.Since(flushStart))
-	c.mu.Unlock()
-
-	for _, ca := range calls {
-		if cerr := <-ca.done; cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	putCalls(cl, calls)
-	if err != nil {
-		return out[:outStart], err
-	}
-	c.recordCallStages(t, start, encodeNs, flushNs, peerBefore)
-	return out, nil
 }
 
 // Info returns the number of vertices the server's engine answers for.
 func (c *Client) Info() (int, error) {
-	var n int
-	ca := getCall()
-	ca.infoN = &n
-	if err := c.sendSmall(opInfo, ca); err != nil {
-		putCall(ca)
-		return 0, err
-	}
-	err := <-ca.done
-	putCall(ca)
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
+	n, _, err := c.info()
+	return n, err
 }
 
 // ShardInfo describes the slice of the labeling a server holds, as reported
@@ -953,33 +716,31 @@ func (c *Client) ShardInfo() (*ShardInfo, error) {
 	si := new(ShardInfo)
 	ca := getCall()
 	ca.shard = si
-	if err := c.sendSmall(opShardInfo, ca); err != nil {
-		putCall(ca)
-		return nil, err
-	}
-	err := <-ca.done
-	putCall(ca)
-	if err != nil {
+	if err := c.small(opShardInfo, ca); err != nil {
 		return nil, err
 	}
 	return si, nil
 }
 
-// sendSmall writes a one-byte request frame for ca and flushes.
-func (c *Client) sendSmall(op byte, ca *call) error {
+// small performs a one-byte request (info, shard-info) whose response fills
+// ca: write the frame, flush, wait for the verdict, recycle the call.
+func (c *Client) small(op byte, ca *call) error {
+	defer putCall(ca)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	cc, err := c.ensureConn()
+	if err == nil {
+		err = c.sendFrame(cc, []byte{op}, ca)
+	}
+	if err == nil {
+		if ferr := cc.bw.Flush(); ferr != nil {
+			cc.fail(fmt.Errorf("%w: %v", ErrClosed, ferr))
+		}
+	}
+	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := c.sendFrame(cc, []byte{op}, ca); err != nil {
-		return err
-	}
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-	}
-	return nil
+	return <-ca.done
 }
 
 // parseShardInfo decodes a shard-info response body into si. Errors are
@@ -1018,14 +779,4 @@ func parseShardInfo(si *ShardInfo, body []byte) error {
 // Pending returns the number of request frames written but not yet answered
 // on the live connection — the pipelining depth, for orchestrators (the
 // router's per-upstream in-flight gauge) and tests.
-func (c *Client) Pending() int {
-	c.mu.Lock()
-	cc := c.cc
-	c.mu.Unlock()
-	if cc == nil {
-		return 0
-	}
-	cc.qmu.Lock()
-	defer cc.qmu.Unlock()
-	return len(cc.pending) - cc.head
-}
+func (c *Client) Pending() int { return int(c.metrics.InFlight.Load()) }

@@ -26,54 +26,88 @@ func batchClass(pairs int) int {
 	}
 }
 
-// ServerMetrics is the server's always-on instrumentation: plain atomics the
-// frame loop updates unconditionally (a handful of uncontended adds per
-// frame, nothing per query), exposed by Register. Every Server owns one —
-// the metrics exist whether or not a registry ever reads them, so the hot
-// path carries no nil checks and no registration state.
-type ServerMetrics struct {
+// frontMetrics is the frame-level instrumentation of a front, the part
+// ServerMetrics and RouterMetrics share: plain atomics the frame loop updates
+// unconditionally (a handful of uncontended adds per frame, nothing per
+// query). Every Server and Router owns one — the metrics exist whether or not
+// a registry ever reads them, so the hot path carries no nil checks and no
+// registration state.
+type frontMetrics struct {
 	ConnsActive obs.Gauge   // open client connections
 	ConnsTotal  obs.Counter // connections accepted since start
 	ConnsShed   obs.Counter // connections refused at the admission cap
 	Frames      obs.Counter // request frames answered, all ops
 	ErrorFrames obs.Counter // frames answered with an error status
 	ShedFrames  obs.Counter // frames answered with a shed status (load refused)
-	ShedEvents  obs.Counter // times the shedding latch tripped on
 	WriteErrors obs.Counter // response writes/flushes that failed (dead peer)
 	// QueuedFrames is the aggregate in-flight frame depth: frames fully read
 	// but whose response has not yet been flushed, across all connections —
 	// the queue the shedding bound (Server.SetShedDepth) watches. A pipelined
 	// burst charges every read frame until the burst's coalesced flush.
 	QueuedFrames obs.Gauge
-	Queries      obs.Counter // adjacency pairs answered
+	Queries      obs.Counter // pairs answered
 	BytesIn      obs.Counter // request wire bytes, frame headers included
 	BytesOut     obs.Counter // response wire bytes, frame headers included
-	// FrameLatencyNs[batchClass] is the server-side frame handling time
-	// (request fully read → response buffered, excluding the flush) of
-	// successful query frames, one histogram per batch-size class.
+	// FrameLatencyNs[batchClass] is the frame handling time (request fully
+	// read → response buffered, excluding the flush; a router's routing,
+	// fan-out and gather included) of successful pair frames, one histogram
+	// per batch-size class.
 	FrameLatencyNs [len(batchClassLabels)]obs.Histogram
+}
+
+// observe charges one answered frame by its status: error and shed frames to
+// their counters, a successful pair frame to the query count and its
+// batch-size class's latency histogram, exemplar-stamped when traced.
+func (m *frontMetrics) observe(resp []byte, queries int, ns int64, traceID uint64) {
+	switch {
+	case len(resp) > 0 && resp[0] == statusErr:
+		m.ErrorFrames.Inc()
+	case len(resp) > 0 && resp[0] == statusShed:
+		m.ShedFrames.Inc()
+	case queries > 0:
+		m.Queries.Add(int64(queries))
+		h := &m.FrameLatencyNs[batchClass(queries)]
+		if traceID != 0 {
+			h.ObserveExemplar(ns, traceID)
+		} else {
+			h.Observe(ns)
+		}
+	}
+}
+
+// ServerMetrics is the server's always-on instrumentation, exposed by
+// Register.
+type ServerMetrics struct {
+	frontMetrics
+	ShedEvents obs.Counter // times the shedding latch tripped on
+}
+
+// register exposes the frame-level metrics on reg under family (adjserve for
+// a server, adjserve_router for a router's downstream side).
+func (m *frontMetrics) register(reg *obs.Registry, family string) {
+	reg.Gauge(family+"_connections_active", "Open client connections.", &m.ConnsActive)
+	reg.Counter(family+"_connections_total", "Client connections accepted.", &m.ConnsTotal)
+	reg.Counter(family+"_connections_shed_total", "Connections refused at the admission cap.", &m.ConnsShed)
+	reg.Counter(family+"_frames_total", "Request frames answered (all ops).", &m.Frames)
+	reg.Counter(family+"_error_frames_total", "Frames answered with an error status.", &m.ErrorFrames)
+	reg.Counter(family+"_shed_frames_total", "Frames answered with a shed status (load refused).", &m.ShedFrames)
+	reg.Counter(family+"_write_errors_total", "Response writes or flushes that failed (dead peer).", &m.WriteErrors)
+	reg.Gauge(family+"_queued_frames", "Frames read but not yet flushed, across all connections.", &m.QueuedFrames)
+	reg.Counter(family+"_queries_total", "Pairs answered.", &m.Queries)
+	reg.Counter(family+"_bytes_in_total", "Request bytes read, frame headers included.", &m.BytesIn)
+	reg.Counter(family+"_bytes_out_total", "Response bytes written, frame headers included.", &m.BytesOut)
+	for i := range m.FrameLatencyNs {
+		reg.Histogram(family+"_frame_latency_ns",
+			"Pair-frame handling time in nanoseconds by batch-size class.",
+			&m.FrameLatencyNs[i], "batch", batchClassLabels[i])
+	}
 }
 
 // Register exposes the metrics on reg under the adjserve_* family names.
 // Call once per registry.
 func (m *ServerMetrics) Register(reg *obs.Registry) {
-	reg.Gauge("adjserve_connections_active", "Open client connections.", &m.ConnsActive)
-	reg.Counter("adjserve_connections_total", "Client connections accepted.", &m.ConnsTotal)
-	reg.Counter("adjserve_connections_shed_total", "Connections refused at the admission cap.", &m.ConnsShed)
-	reg.Counter("adjserve_frames_total", "Request frames answered (all ops).", &m.Frames)
-	reg.Counter("adjserve_error_frames_total", "Frames answered with an error status.", &m.ErrorFrames)
-	reg.Counter("adjserve_shed_frames_total", "Frames answered with a shed status (load refused).", &m.ShedFrames)
+	m.register(reg, "adjserve")
 	reg.Counter("adjserve_shed_events_total", "Times the load-shedding latch tripped on.", &m.ShedEvents)
-	reg.Counter("adjserve_write_errors_total", "Response writes or flushes that failed (dead peer).", &m.WriteErrors)
-	reg.Gauge("adjserve_queued_frames", "Frames read but not yet flushed, across all connections.", &m.QueuedFrames)
-	reg.Counter("adjserve_queries_total", "Adjacency pairs answered.", &m.Queries)
-	reg.Counter("adjserve_bytes_in_total", "Request bytes read, frame headers included.", &m.BytesIn)
-	reg.Counter("adjserve_bytes_out_total", "Response bytes written, frame headers included.", &m.BytesOut)
-	for i := range m.FrameLatencyNs {
-		reg.Histogram("adjserve_frame_latency_ns",
-			"Server-side query-frame handling time in nanoseconds by batch-size class.",
-			&m.FrameLatencyNs[i], "batch", batchClassLabels[i])
-	}
 }
 
 // ClientMetrics is the client's always-on instrumentation, mirroring

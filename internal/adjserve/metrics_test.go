@@ -2,6 +2,7 @@ package adjserve
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -185,6 +186,57 @@ func TestServerMetricsE2E(t *testing.T) {
 	}
 	cl := NewClient(addr)
 	cl.Close()
+}
+
+// TestEarlyExitFlushesTally: however a pair frame ends — malformed pair,
+// engine error, trailing bytes — the pairs the engine probed before the exit
+// reach its metrics, on both planes. (Malformed-pair exits used to drop their
+// tally; engine-error and trailing-byte exits always flushed.)
+func TestEarlyExitFlushesTally(t *testing.T) {
+	var adjM, distM core.EngineMetrics
+	adj := testEngine(t, 400, 3)
+	adj.AttachMetrics(&adjM)
+	dist := testDistEngines(t, 400, 3)["pll"]
+	dist.AttachMetrics(&distM)
+	srv := NewServer(adj, 0)
+	srv.SetDistEngine(dist)
+	good := randomPairs(400, 40, 9)
+	for _, tc := range []struct {
+		op byte
+		m  *core.EngineMetrics
+	}{{opQuery, &adjM}, {opDist, &distM}} {
+		frame := func(pairs [][2]int, tail ...byte) []byte {
+			out := []byte{tc.op, 40}
+			for _, p := range pairs {
+				out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(p[0])), uint64(p[1]))
+			}
+			return append(out, tail...)
+		}
+		for _, k := range []int{0, 5, 31, 32, 37} {
+			outOfRange := append(append([][2]int(nil), good[:k]...), [2]int{5, 70000})
+			for what, req := range map[string][]byte{
+				"bad u":       frame(good[:k]),
+				"bad v":       frame(good[:k], 7),
+				"range error": frame(append(outOfRange, good[k+1:]...)),
+			} {
+				before, batches := tc.m.Queries.Load(), tc.m.Batches.Load()
+				if resp := goldenFrame(srv, req); resp[0] != statusErr {
+					t.Fatalf("op %d %s at %d: frame %q, want an error frame", tc.op, what, k, resp)
+				}
+				if got := tc.m.Queries.Load() - before; got != int64(k) {
+					t.Errorf("op %d %s at %d: engine queries grew by %d, want %d", tc.op, what, k, got, k)
+				}
+				if got := tc.m.Batches.Load() - batches; got != 0 {
+					t.Errorf("op %d %s at %d: a frame that ended early was charged as %d batches", tc.op, what, k, got)
+				}
+			}
+		}
+		before := tc.m.Queries.Load()
+		goldenFrame(srv, frame(good, 1, 2, 3))
+		if got := tc.m.Queries.Load() - before; got != 40 {
+			t.Errorf("op %d trailing bytes: engine queries grew by %d, want 40", tc.op, got)
+		}
+	}
 }
 
 // TestClientDialBounded: a client pointed at a dead address gives up after

@@ -85,6 +85,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -162,28 +163,45 @@ func appendErr(resp []byte, format string, args ...any) []byte {
 	return append(resp, msg...)
 }
 
-// appendQueryReq builds a query-request payload for a batch of pairs.
-func appendQueryReq(buf []byte, pairs [][2]int) []byte {
-	return appendPairsReq(buf, opQuery, pairs)
+// appendInfo builds an info response: the vertex count served, then the
+// trailing capability advertisement (see the package doc) — clients that
+// predate capabilities stop reading after the vertex count.
+func appendInfo(resp []byte, n int) []byte {
+	resp = append(resp, statusOK)
+	resp = binary.AppendUvarint(resp, uint64(n))
+	return binary.AppendUvarint(resp, localCaps)
+}
+
+// trivialShardMap is what an unsharded server — and a router, which presents
+// its fleet as one — reports in the shard-info handshake, so a router can
+// front plain servers, distance-only servers and other routers alike.
+var trivialShardMap = core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}
+
+// appendShardInfo builds a shard-info response up to, not including, the
+// ceil(n/8)-byte fat bitmap the caller appends.
+func appendShardInfo(resp []byte, n int, m core.ShardMap) []byte {
+	resp = append(resp, statusOK)
+	resp = binary.AppendUvarint(resp, uint64(n))
+	resp = binary.AppendUvarint(resp, uint64(m.Count))
+	resp = binary.AppendUvarint(resp, uint64(m.Index))
+	return append(resp, byte(m.Fn))
 }
 
 // appendPairsReq builds a pair-batch request payload under op (query or dist
 // — the two share request framing and differ only in the response shape).
 func appendPairsReq(buf []byte, op byte, pairs [][2]int) []byte {
-	buf = append(buf, op)
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
-	for _, p := range pairs {
-		buf = binary.AppendUvarint(buf, uint64(p[0]))
-		buf = binary.AppendUvarint(buf, uint64(p[1]))
-	}
-	return buf
+	return appendPairs(append(buf, op), pairs)
 }
 
 // appendPairsReqTrace is appendPairsReq with a trace context prepended: the
 // op byte carries opTraceFlag, followed by the fixed-width trace id.
 func appendPairsReqTrace(buf []byte, op byte, id uint64, pairs [][2]int) []byte {
 	buf = append(buf, op|opTraceFlag)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
+	return appendPairs(binary.LittleEndian.AppendUint64(buf, id), pairs)
+}
+
+// appendPairs appends a pair-batch request body: the count, then the pairs.
+func appendPairs(buf []byte, pairs [][2]int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
 	for _, p := range pairs {
 		buf = binary.AppendUvarint(buf, uint64(p[0]))

@@ -1,16 +1,12 @@
 package adjserve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -53,27 +49,13 @@ type Router struct {
 	// any replica could answer any pair.
 	replicas bool
 
-	// maxConns, when > 0, caps concurrently open downstream connections,
-	// mirroring Server.SetMaxConns: over-cap accepts get one shed frame and a
-	// close. Set before Serve.
-	maxConns int
-
 	metrics RouterMetrics
 	bufPool sync.Pool // *routerBufs; per-router because sizes scale with shard count
 
-	// sink, when non-nil, collects completed traces at the router hop,
-	// mirroring Server.sink: traced downstream frames, self-sampled frames,
-	// and slow frames. Set before Serve.
-	sink *obs.TraceSink
-
-	// draining is read once per frame by every downstream connection's loop;
-	// atomic so the frame loop takes no lock (mu guards only the registry).
-	draining atomic.Bool
-
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
+	// front is the downstream listener, the per-connection frame loop and
+	// the trace sink; it provides Serve, ListenAndServe, SetMaxConns and
+	// SetTraceSink, exactly as a Server's does.
+	front
 }
 
 // NewRouter dials one server per address, performs the shard-info handshake
@@ -103,84 +85,79 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 	r := &Router{
 		clients:  make([]*Client, len(addrs)),
 		maxBatch: maxBatch,
-		conns:    make(map[net.Conn]struct{}),
 	}
-	infos := make([]*ShardInfo, len(addrs))
-	for i, addr := range addrs {
-		c, err := Dial(addr)
-		if err != nil {
-			r.closeClients()
-			return nil, fmt.Errorf("adjserve: router: shard %s: %w", addr, err)
-		}
-		c.MaxBatch = maxBatch
-		r.clients[i] = c
-		si, err := c.ShardInfo()
-		if err != nil {
-			r.closeClients()
-			return nil, fmt.Errorf("adjserve: router: shard %s handshake: %w", addr, err)
-		}
-		infos[i] = si
+	if err := r.handshake(addrs); err != nil {
+		r.closeClients()
+		return nil, err
 	}
-	r.replicas = true
-	for _, si := range infos {
-		if si.Map.Count != 1 || si.Map.Index != 0 {
-			r.replicas = false
-			break
-		}
-	}
-	if r.replicas {
-		r.n, r.fn, r.fatBits = infos[0].N, infos[0].Map.Fn, infos[0].FatBits
-		for i, si := range infos {
-			if si.N != r.n {
-				r.closeClients()
-				return nil, fmt.Errorf("adjserve: router: replica %s serves %d vertices, fleet serves %d",
-					addrs[i], si.N, r.n)
-			}
-			if !bytes.Equal(si.FatBits, r.fatBits) {
-				r.closeClients()
-				return nil, fmt.Errorf("adjserve: router: replica %s reports a different fat set than the fleet (mixed labelings?)", addrs[i])
-			}
-		}
-	} else {
-		ordered := make([]*Client, len(addrs))
-		seen := make([]string, len(addrs)) // claimed address by shard index
-		for i, si := range infos {
-			if err := r.admit(addrs[i], si, seen); err != nil {
-				r.closeClients()
-				return nil, err
-			}
-			ordered[si.Map.Index] = r.clients[i]
-			seen[si.Map.Index] = addrs[i]
-		}
-		r.clients = ordered
-	}
-	r.metrics.init(len(addrs))
+	r.metrics.Upstreams = make([]UpstreamMetrics, len(addrs))
+	r.front.m, r.front.open = &r.metrics.frontMetrics, r.openConn
 	return r, nil
 }
 
-// admit validates one partition handshake against the fleet shape established
-// by the shards admitted before it.
-func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
-	if si.Map.Count != len(r.clients) {
-		return fmt.Errorf("adjserve: router: shard %s is %d of %d shards, fleet has %d servers",
-			addr, si.Map.Index, si.Map.Count, len(r.clients))
+// handshake dials every address, performs the shard-info handshake, and
+// admits the fleet as a partition or a replica fleet (see NewRouter).
+func (r *Router) handshake(addrs []string) error {
+	infos := make([]*ShardInfo, len(addrs))
+	r.replicas = true
+	for i, addr := range addrs {
+		c, err := Dial(addr)
+		if err != nil {
+			return fmt.Errorf("adjserve: router: shard %s: %w", addr, err)
+		}
+		c.MaxBatch = r.maxBatch
+		r.clients[i] = c
+		if infos[i], err = c.ShardInfo(); err != nil {
+			return fmt.Errorf("adjserve: router: shard %s handshake: %w", addr, err)
+		}
+		if infos[i].Map.Count != 1 || infos[i].Map.Index != 0 {
+			r.replicas = false
+		}
 	}
-	if prev := seen[si.Map.Index]; prev != "" {
-		return fmt.Errorf("adjserve: router: shards %s and %s both claim index %d (overlapping ownership)",
-			prev, addr, si.Map.Index)
+	ordered := make([]*Client, len(addrs))
+	seen := make([]string, len(addrs)) // claimed address by shard index
+	for i, si := range infos {
+		if err := r.admit(addrs[i], si, seen); err != nil {
+			return err
+		}
+		if !r.replicas {
+			ordered[si.Map.Index] = r.clients[i]
+			seen[si.Map.Index] = addrs[i]
+		}
+	}
+	if !r.replicas {
+		r.clients = ordered
+	}
+	return nil
+}
+
+// admit validates one handshake against the fleet shape established by the
+// upstreams admitted before it.
+func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
+	noun := "replica"
+	if !r.replicas {
+		noun = "shard"
+		if si.Map.Count != len(r.clients) {
+			return fmt.Errorf("adjserve: router: shard %s is %d of %d shards, fleet has %d servers",
+				addr, si.Map.Index, si.Map.Count, len(r.clients))
+		}
+		if prev := seen[si.Map.Index]; prev != "" {
+			return fmt.Errorf("adjserve: router: shards %s and %s both claim index %d (overlapping ownership)",
+				prev, addr, si.Map.Index)
+		}
 	}
 	if r.fatBits == nil {
 		r.n, r.fn, r.fatBits = si.N, si.Map.Fn, si.FatBits
 		return nil
 	}
 	if si.N != r.n {
-		return fmt.Errorf("adjserve: router: shard %s serves %d vertices, fleet serves %d", addr, si.N, r.n)
+		return fmt.Errorf("adjserve: router: %s %s serves %d vertices, fleet serves %d", noun, addr, si.N, r.n)
 	}
 	if si.Map.Fn != r.fn {
-		return fmt.Errorf("adjserve: router: shard %s uses ownership function %s, fleet uses %s", addr, si.Map.Fn, r.fn)
+		return fmt.Errorf("adjserve: router: %s %s uses ownership function %s, fleet uses %s", noun, addr, si.Map.Fn, r.fn)
 	}
 	if !bytes.Equal(si.FatBits, r.fatBits) {
-		return fmt.Errorf("adjserve: router: shard %s reports a different fat set than the fleet (mixed labelings?)", addr)
+		return fmt.Errorf("adjserve: router: %s %s reports a different fat set than the fleet (mixed labelings?)", noun, addr)
 	}
 	return nil
 }
@@ -204,15 +181,6 @@ func (r *Router) Shards() int { return len(r.clients) }
 // replicas (owner-of-u routing, distance frames allowed) rather than a
 // shard partition.
 func (r *Router) Replicas() bool { return r.replicas }
-
-// SetMaxConns caps concurrently open downstream connections; n <= 0 means
-// unlimited. Over-cap connections are answered with one shed frame and
-// closed, exactly like Server.SetMaxConns. Must be called before Serve.
-func (r *Router) SetMaxConns(n int) { r.maxConns = n }
-
-// SetTraceSink installs the router's trace collection point, mirroring
-// Server.SetTraceSink. Must be called before Serve.
-func (r *Router) SetTraceSink(sink *obs.TraceSink) { r.sink = sink }
 
 // Metrics returns the router's instrumentation; RegisterMetrics exposes it
 // (and every upstream client's) on a registry.
@@ -266,248 +234,87 @@ func (r *Router) ownerOf(u int) int {
 	return int(int64(u) * int64(len(r.clients)) / int64(r.n))
 }
 
-// Serve accepts downstream connections on ln until Close, mirroring
-// Server.Serve: each connection's frames are answered in order on its own
-// goroutine (the fan-out inside a frame is concurrent, the frames are not
-// reordered).
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining.Load() {
-		r.mu.Unlock()
-		ln.Close()
-		return ErrClosed
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if r.draining.Load() {
-				return ErrClosed
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining.Load() {
-			r.mu.Unlock()
-			c.Close()
-			continue
-		}
-		if r.maxConns > 0 && len(r.conns) >= r.maxConns {
-			r.mu.Unlock()
-			r.metrics.ConnsShed.Inc()
-			go refuseConn(c)
-			continue
-		}
-		r.conns[c] = struct{}{}
-		r.wg.Add(1)
-		r.mu.Unlock()
-		go r.handle(c)
-	}
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (r *Router) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(ln)
-}
-
 // Close drains the router exactly as Server.Close drains a server — stop
 // accepting, let every connection finish its in-flight frame, wait — and
 // then closes the upstream clients. Idempotent.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if !r.draining.CompareAndSwap(false, true) {
-		r.mu.Unlock()
-		r.wg.Wait()
-		return nil
-	}
-	ln := r.ln
-	for c := range r.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	r.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	r.wg.Wait()
+	err := r.front.Close()
 	r.closeClients()
 	return err
 }
 
-// shardJob is one shard's slice of a query or dist frame, handed to that
-// shard's worker goroutine and joined on wg. op selects the upstream call
-// (opQuery fills out, opDist fills dists). pairs/idx/out/dists grow to the
-// connection's working set and are reused for every subsequent frame.
+// shardJob is one shard's slice of a pair-batch frame, handed to that shard's
+// worker goroutine and joined on wg. pairs/idx/ans grow to the connection's
+// working set and are reused for every subsequent frame.
 type shardJob struct {
-	op    byte
+	pl    *plane
 	pairs [][2]int
 	idx   []int32 // request positions of pairs, for the scatter
-	out   []bool
-	dists []int
+	ans   answers
 	err   error
 	wg    *sync.WaitGroup
-	// traced selects the traced upstream call; tr then accumulates the
-	// upstream client's stages plus the shard's own stage report, merged into
-	// the frame's tally (relabeled with the shard index) after the join. The
-	// tally lives in the pooled job so the traced fan-out allocates nothing
-	// per frame either.
-	traced bool
-	tr     obs.SpanTally
+	// tr, when non-nil, selects the traced upstream call and points at tally,
+	// which then accumulates the upstream client's stages plus the shard's own
+	// stage report, merged into the frame's tally (relabeled with the shard
+	// index) after the join. The tally lives in the pooled job so the traced
+	// fan-out allocates nothing per frame either.
+	tr    *obs.SpanTally
+	tally obs.SpanTally
 }
 
-// routerBufs is the pooled per-connection scratch: request/response payloads
-// plus one shardJob (sub-batch, scatter indexes, answers) per shard, the
-// gathered distance slice, and the join WaitGroup — everything a frame
-// needs, so the steady-state fan-out performs zero heap allocations.
+// routerBufs is the pooled per-connection scratch and a Router connection's
+// frameConn: the request and response payloads plus one shardJob (sub-batch,
+// scatter indexes, answers) per shard, the request-ordered answer gather, and the
+// join WaitGroup — everything a frame needs, so the steady-state fan-out
+// performs zero heap allocations. chans feed the connection's worker
+// goroutines while a connection holds the buffers.
 type routerBufs struct {
-	req, resp []byte
-	jobs      []shardJob
-	dists     []int // request-ordered distance gather
-	wg        sync.WaitGroup
+	reqBuf
+	r     *Router
+	chans []chan *shardJob
+	resp  []byte
+	jobs  []shardJob
+	all   answers // request-ordered gather
+	wg    sync.WaitGroup
 }
 
-func (r *Router) getBufs() *routerBufs {
-	if b, ok := r.bufPool.Get().(*routerBufs); ok {
-		return b
+// openConn hands a downstream connection its buffers and starts one
+// persistent worker goroutine per shard, fed over a buffered channel, so the
+// per-frame fan-out is channel sends and a WaitGroup join — no goroutine
+// spawning on the query path.
+func (r *Router) openConn() frameConn {
+	b, ok := r.bufPool.Get().(*routerBufs)
+	if !ok {
+		b = &routerBufs{r: r, jobs: make([]shardJob, len(r.clients)), chans: make([]chan *shardJob, len(r.clients))}
+		for s := range b.jobs {
+			b.jobs[s].wg = &b.wg
+		}
 	}
-	b := &routerBufs{jobs: make([]shardJob, len(r.clients))}
-	for s := range b.jobs {
-		b.jobs[s].wg = &b.wg
+	for s := range b.chans {
+		b.chans[s] = make(chan *shardJob, 1)
+		go r.worker(s, b.chans[s])
 	}
 	return b
 }
 
-// handle runs one downstream connection's frame loop. Each connection gets
-// one persistent worker goroutine per shard, fed over a buffered channel, so
-// the per-frame fan-out is channel sends and a WaitGroup join — no goroutine
-// spawning on the query path.
-func (r *Router) handle(c net.Conn) {
-	r.metrics.ConnsTotal.Inc()
-	r.metrics.ConnsActive.Add(1)
-	defer func() {
-		r.metrics.ConnsActive.Add(-1)
-		r.mu.Lock()
-		delete(r.conns, c)
-		r.mu.Unlock()
-		c.Close()
-		r.wg.Done()
-	}()
-	bufs := r.getBufs()
-	defer r.bufPool.Put(bufs)
-	chans := make([]chan *shardJob, len(r.clients))
-	for s := range chans {
-		chans[s] = make(chan *shardJob, 1)
-		go r.worker(s, chans[s])
+func (b *routerBufs) answer(req []byte, start time.Time, readNs, queueNs int64) ([]byte, int) {
+	return b.r.routeFrame(req, b, start, readNs, queueNs)
+}
+
+func (b *routerBufs) close() {
+	for _, ch := range b.chans {
+		close(ch)
 	}
-	defer func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-	}()
-	br := bufio.NewReaderSize(c, 64<<10)
-	bw := bufio.NewWriterSize(c, 64<<10)
-	var hdr, fhdr [frameHeaderLen]byte
-	pending := 0
-	// burstStart tracks queue wait exactly like Server.handle: a frame whose
-	// header was already buffered when we looped back waited in this
-	// connection's read burst since burstStart.
-	var burstStart time.Time
-	for {
-		if r.draining.Load() {
-			bw.Flush()
-			return
-		}
-		waiting := br.Buffered() >= frameHeaderLen
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			bw.Flush()
-			return
-		}
-		tHdr := time.Now()
-		if !waiting {
-			burstStart = tHdr
-		}
-		plen := int(binary.LittleEndian.Uint32(hdr[:]))
-		var resp []byte
-		if plen > maxFramePayload {
-			if _, err := io.CopyN(io.Discard, br, int64(plen)); err != nil {
-				return
-			}
-			resp = appendErr(bufs.resp[:0], "frame of %d bytes exceeds limit %d", plen, maxFramePayload)
-			r.metrics.ErrorFrames.Inc()
-		} else {
-			if cap(bufs.req) < plen {
-				bufs.req = make([]byte, plen)
-			}
-			req := bufs.req[:plen]
-			if _, err := io.ReadFull(br, req); err != nil {
-				return
-			}
-			tPayload := time.Now()
-			resp, _ = r.routeFrame(req, bufs, chans, tPayload,
-				int64(tPayload.Sub(tHdr)), int64(tHdr.Sub(burstStart)))
-		}
-		r.metrics.Frames.Inc()
-		r.metrics.BytesIn.Add(int64(frameHeaderLen + plen))
-		r.metrics.BytesOut.Add(int64(frameHeaderLen + len(resp)))
-		bufs.resp = resp[:0]
-		fhdr = frameHeader(len(resp))
-		if _, err := bw.Write(fhdr[:]); err != nil {
-			return
-		}
-		if _, err := bw.Write(resp); err != nil {
-			return
-		}
-		pending++
-		// One Flush per read-burst, bounded like the server's coalescing so a
-		// downstream client that stopped reading backpressures this loop
-		// instead of growing the write buffer.
-		if br.Buffered() < frameHeaderLen || pending >= DefaultMaxPendingResponses {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			pending = 0
-		}
-	}
+	b.r.bufPool.Put(b)
 }
 
 // worker answers one shard's sub-batches for one downstream connection.
 func (r *Router) worker(s int, jobs <-chan *shardJob) {
-	c := r.clients[s]
-	m := &r.metrics.Upstreams[s]
+	c, m := r.clients[s], &r.metrics.Upstreams[s]
 	for job := range jobs {
 		start := time.Now()
-		var err error
-		if job.op == opDist {
-			var dists []int
-			if job.traced {
-				dists, err = c.DistManyTrace(job.pairs, job.dists[:0], &job.tr)
-			} else {
-				dists, err = c.DistMany(job.pairs, job.dists[:0])
-			}
-			job.dists = dists
-		} else {
-			var out []bool
-			if job.traced {
-				out, err = c.AdjacentManyTrace(job.pairs, job.out[:0], &job.tr)
-			} else {
-				out, err = c.AdjacentMany(job.pairs, job.out[:0])
-			}
-			job.out = out
-		}
-		m.Batches.Inc()
-		m.Pairs.Add(int64(len(job.pairs)))
-		m.LatencyNs.ObserveDuration(time.Since(start))
-		if errors.Is(err, ErrShed) {
-			m.Sheds.Inc()
-		} else if err != nil {
-			m.Errors.Inc()
-		}
-		job.err = err
+		job.err = c.many(job.pl, job.pairs, job.ans, job.tr)
+		m.observe(len(job.pairs), time.Since(start), job.err)
 		job.wg.Done()
 	}
 }
@@ -522,23 +329,8 @@ func (r *Router) worker(s int, jobs <-chan *shardJob) {
 // The untraced path materializes no SpanTally and performs no extra work
 // beyond the timestamps already taken by the frame loop, preserving the
 // zero-allocation router batch path.
-func (r *Router) routeFrame(req []byte, bufs *routerBufs, chans []chan *shardJob, start time.Time, readNs, queueNs int64) ([]byte, int) {
-	var tc traceCtx
-	if len(req) > traceIDLen && req[0]&opTraceFlag != 0 {
-		tc.remote = true
-		tc.id = binary.LittleEndian.Uint64(req[1 : 1+traceIDLen])
-		req[traceIDLen] = req[0] &^ opTraceFlag
-		req = req[traceIDLen:]
-	}
-	var op byte
-	if len(req) > 0 {
-		op = req[0]
-	}
-	sink := r.sink
-	if !tc.remote && sink.SampleNow() {
-		tc.sample = true
-		tc.id = obs.NewTraceID()
-	}
+func (r *Router) routeFrame(req []byte, bufs *routerBufs, start time.Time, readNs, queueNs int64) ([]byte, int) {
+	tc, req, op := beginTrace(req, r.sink)
 	// Captured frames thread a tally through process so the fan-out records
 	// scatter/upstream/gather windows and per-shard sub-traces. Slow-only
 	// frames (detected after the fact) get the coarse queue/read/route stages.
@@ -548,26 +340,11 @@ func (r *Router) routeFrame(req []byte, bufs *routerBufs, chans []chan *shardJob
 		t.ID = tc.id
 		tp = &t
 	}
-	resp, queries := r.process(req, bufs, chans, tp)
+	resp, queries := r.process(req, bufs, tp)
 	routeNs := int64(time.Since(start))
-	switch {
-	case len(resp) > 0 && resp[0] == statusErr:
-		r.metrics.ErrorFrames.Inc()
-	case len(resp) > 0 && resp[0] == statusShed:
-		r.metrics.ShedFrames.Inc()
-	case queries > 0:
-		r.metrics.Queries.Add(int64(queries))
-		h := &r.metrics.FrameLatencyNs[batchClass(queries)]
-		if tc.id != 0 {
-			h.ObserveExemplar(routeNs, tc.id)
-		} else {
-			h.Observe(routeNs)
-		}
-	}
+	r.metrics.observe(resp, queries, routeNs, tc.id)
 	total := queueNs + readNs + routeNs
-	slowNs := sink.SlowThreshold()
-	slow := slowNs > 0 && total > slowNs
-	if tc.remote || tc.sample || slow {
+	if slow := slowFrame(r.sink, total); tp != nil || slow {
 		if tp == nil {
 			// Slow-only capture: no fan-out detail was recorded, attribute the
 			// whole routing window as one upstream stage.
@@ -575,22 +352,9 @@ func (r *Router) routeFrame(req []byte, bufs *routerBufs, chans []chan *shardJob
 		}
 		t.Add(obs.StageQueue, obs.HopSelf, queueNs)
 		t.Add(obs.StageRead, obs.HopSelf, readNs)
-		if tc.remote && len(resp) > 0 && resp[0] == statusOK {
-			resp[0] |= opTraceFlag
-			resp = appendTraceTally(resp, &t)
-		}
-		if t.ID == 0 {
-			t.ID = obs.NewTraceID()
-		}
-		var tr obs.Trace
-		tr.Fill(&t, op, queries, total)
-		if tc.remote || tc.sample {
-			sink.Deposit(&tr)
-		}
-		if slow {
-			sink.DepositSlow(&tr)
-		}
+		resp = tc.finish(r.sink, &t, resp, op, queries, total, slow)
 	}
+	bufs.resp = resp[:0]
 	return resp, queries
 }
 
@@ -619,9 +383,9 @@ func mergeShardTrace(dst, jt *obs.SpanTally, shard uint8) {
 // router already knows the fleet's n and fat set from the handshake, and
 // presents itself as a single unsharded server so routers compose with every
 // existing client (plquery -remote, plbench, even another router). A non-nil
-// tp marks the frame as traced: query/dist paths record their fan-out stages
-// into it and thread the trace upstream.
-func (r *Router) process(req []byte, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
+// tp marks the frame as traced: the pair-batch path records its fan-out
+// stages into it and threads the trace upstream.
+func (r *Router) process(req []byte, bufs *routerBufs, tp *obs.SpanTally) (out []byte, queries int) {
 	resp := bufs.resp[:0]
 	if len(req) == 0 {
 		return appendErr(resp, "empty request"), 0
@@ -629,78 +393,62 @@ func (r *Router) process(req []byte, bufs *routerBufs, chans []chan *shardJob, t
 	op, body := req[0], req[1:]
 	switch op {
 	case opInfo:
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, uint64(r.n))
-		return binary.AppendUvarint(resp, localCaps), 0
+		return appendInfo(resp, r.n), 0
 	case opShardInfo:
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, uint64(r.n))
-		resp = binary.AppendUvarint(resp, 1)
-		resp = binary.AppendUvarint(resp, 0)
-		resp = append(resp, byte(core.ShardRange))
-		return append(resp, r.fatBits...), 0
-	case opQuery:
-		count, k := binary.Uvarint(body)
-		if k <= 0 {
-			return appendErr(resp, "bad pair count"), 0
-		}
-		if count > uint64(r.maxBatch) {
-			return appendErr(resp, "batch of %d pairs exceeds limit %d", count, r.maxBatch), 0
-		}
-		return r.processQuery(body[k:], resp, int(count), bufs, chans, tp)
-	case opDist:
-		if !r.replicas {
-			return appendErr(resp, "distance queries require a replica fleet (this router fronts a %d-shard partition)", len(r.clients)), 0
-		}
-		count, k := binary.Uvarint(body)
-		if k <= 0 {
-			return appendErr(resp, "bad pair count"), 0
-		}
-		if count > uint64(r.maxBatch) {
-			return appendErr(resp, "batch of %d pairs exceeds limit %d", count, r.maxBatch), 0
-		}
-		return r.processDist(body[k:], resp, int(count), bufs, chans, tp)
-	default:
+		return append(appendShardInfo(resp, r.n, trivialShardMap), r.fatBits...), 0
+	}
+	pl := planeOf(op)
+	if pl == nil {
 		return appendErr(resp, "unknown op %d", op), 0
 	}
+	return r.routePairs(pl, body, resp, bufs, tp)
 }
 
-// processQuery decodes, routes, fans out and scatters one query batch.
-func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
+// routePairs answers one pair-batch frame on plane pl — the one routing loop
+// under every plane: decode and place each pair, fan the per-shard
+// sub-batches out, join, and gather the answers back into request order.
+func (r *Router) routePairs(pl *plane, body, resp []byte, bufs *routerBufs, tp *obs.SpanTally) (out []byte, queries int) {
+	if pl.wholeStore && !r.replicas {
+		return appendErr(resp, "%s queries require a replica fleet (this router fronts a %d-shard partition)", pl.name, len(r.clients)), 0
+	}
+	count64, k := binary.Uvarint(body)
+	if k <= 0 {
+		return appendErr(resp, "bad pair count"), 0
+	}
+	if count64 > uint64(r.maxBatch) {
+		return appendErr(resp, "batch of %d pairs exceeds limit %d", count64, r.maxBatch), 0
+	}
+	body, count := body[k:], int(count64)
 	var tScatter time.Time
 	if tp != nil {
 		tScatter = time.Now()
 	}
 	jobs := bufs.jobs
 	for s := range jobs {
-		jobs[s].op = opQuery
-		jobs[s].pairs = jobs[s].pairs[:0]
-		jobs[s].idx = jobs[s].idx[:0]
-		jobs[s].out = jobs[s].out[:0]
-		jobs[s].err = nil
-		jobs[s].traced = tp != nil
+		job := &jobs[s]
+		job.pl, job.pairs, job.idx, job.err, job.tr = pl, job.pairs[:0], job.idx[:0], nil, nil
 		if tp != nil {
-			jobs[s].tr.Reset()
-			jobs[s].tr.ID = tp.ID
+			job.tally.Reset()
+			job.tally.ID = tp.ID
+			job.tr = &job.tally
 		}
 	}
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			return appendErr(resp, "pair %d: bad u", i), 0
+	var blk [core.ProbeBlock][2]int
+	for i := 0; i < count; {
+		k, rest, bad := decodePairs(blk[:min(core.ProbeBlock, count-i)], body)
+		body = rest
+		for _, p := range blk[:k] {
+			if uint(p[0]) >= uint(r.n) || uint(p[1]) >= uint(r.n) {
+				return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, uint64(p[0]), uint64(p[1]), r.n), 0
+			}
+			job := &jobs[r.route(p[0], p[1])]
+			job.pairs = append(job.pairs, p)
+			job.idx = append(job.idx, int32(i))
+			i++
 		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			return appendErr(resp, "pair %d: bad v", i), 0
+		if bad != "" {
+			return appendErr(resp, "pair %d: bad %s", i, bad), 0
 		}
-		body = body[nv:]
-		if u >= uint64(r.n) || v >= uint64(r.n) {
-			return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, u, v, r.n), 0
-		}
-		s := r.route(int(u), int(v))
-		jobs[s].pairs = append(jobs[s].pairs, [2]int{int(u), int(v)})
-		jobs[s].idx = append(jobs[s].idx, int32(i))
 	}
 	if len(body) != 0 {
 		return appendErr(resp, "%d trailing bytes after %d pairs", len(body), count), 0
@@ -709,6 +457,7 @@ func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, ch
 	// by the connection's workers, joined on the shared WaitGroup.
 	active := 0
 	for s := range jobs {
+		jobs[s].ans = jobs[s].ans.sized(pl.ints, len(jobs[s].pairs))
 		if len(jobs[s].pairs) > 0 {
 			active++
 		}
@@ -721,7 +470,7 @@ func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, ch
 	bufs.wg.Add(active)
 	for s := range jobs {
 		if len(jobs[s].pairs) > 0 {
-			chans[s] <- &jobs[s]
+			bufs.chans[s] <- &jobs[s]
 		}
 	}
 	bufs.wg.Wait()
@@ -743,139 +492,25 @@ func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, ch
 				shed = true
 				continue
 			}
-			return appendErr(resp, "shard %d (%d pairs): %v", s, len(jobs[s].pairs), err), 0
+			return appendErr(resp, "%s %d (%d pairs): %v", pl.noun, s, len(jobs[s].pairs), err), 0
 		}
 	}
 	if shed {
 		return appendShed(resp), 0
 	}
-	// Gather phase: fold each shard's bit answers back into request order.
+	// Gather phase: fold each shard's answers back into request order, then
+	// encode them as one frame.
+	bufs.all = bufs.all.sized(pl.ints, count)
+	for s := range jobs {
+		bufs.all.scatter(jobs[s].idx, jobs[s].ans)
+	}
 	resp = append(resp, statusOK)
 	resp = binary.AppendUvarint(resp, uint64(count))
-	bitsOff := len(resp)
-	for i := 0; i < (count+7)/8; i++ {
-		resp = append(resp, 0)
-	}
-	for s := range jobs {
-		idx := jobs[s].idx
-		for j, adj := range jobs[s].out {
-			if adj {
-				i := idx[j]
-				resp[bitsOff+int(i)/8] |= 1 << (7 - uint(i)%8)
-			}
-		}
-	}
+	resp = bufs.all.encode(resp)
 	if tp != nil {
 		for s := range jobs {
 			if len(jobs[s].pairs) > 0 {
-				mergeShardTrace(tp, &jobs[s].tr, uint8(s))
-			}
-		}
-		tp.Add(obs.StageGather, obs.HopSelf, int64(time.Since(tGather)))
-	}
-	return resp, count
-}
-
-// processDist decodes, routes, fans out and gathers one distance batch on a
-// replica fleet. The shape mirrors processQuery; only the routing rule
-// (owner-of-u) and the response encoding (uvarint distances, scattered
-// through a request-ordered int slice because uvarints have no fixed offsets)
-// differ.
-func (r *Router) processDist(body, resp []byte, count int, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
-	var tScatter time.Time
-	if tp != nil {
-		tScatter = time.Now()
-	}
-	jobs := bufs.jobs
-	for s := range jobs {
-		jobs[s].op = opDist
-		jobs[s].pairs = jobs[s].pairs[:0]
-		jobs[s].idx = jobs[s].idx[:0]
-		jobs[s].dists = jobs[s].dists[:0]
-		jobs[s].err = nil
-		jobs[s].traced = tp != nil
-		if tp != nil {
-			jobs[s].tr.Reset()
-			jobs[s].tr.ID = tp.ID
-		}
-	}
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			return appendErr(resp, "pair %d: bad u", i), 0
-		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			return appendErr(resp, "pair %d: bad v", i), 0
-		}
-		body = body[nv:]
-		if u >= uint64(r.n) || v >= uint64(r.n) {
-			return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, u, v, r.n), 0
-		}
-		s := r.ownerOf(int(u))
-		jobs[s].pairs = append(jobs[s].pairs, [2]int{int(u), int(v)})
-		jobs[s].idx = append(jobs[s].idx, int32(i))
-	}
-	if len(body) != 0 {
-		return appendErr(resp, "%d trailing bytes after %d pairs", len(body), count), 0
-	}
-	active := 0
-	for s := range jobs {
-		if len(jobs[s].pairs) > 0 {
-			active++
-		}
-	}
-	var tUpstream time.Time
-	if tp != nil {
-		tUpstream = time.Now()
-		tp.Add(obs.StageScatter, obs.HopSelf, int64(tUpstream.Sub(tScatter)))
-	}
-	bufs.wg.Add(active)
-	for s := range jobs {
-		if len(jobs[s].pairs) > 0 {
-			chans[s] <- &jobs[s]
-		}
-	}
-	bufs.wg.Wait()
-	var tGather time.Time
-	if tp != nil {
-		tGather = time.Now()
-		tp.Add(obs.StageUpstream, obs.HopSelf, int64(tGather.Sub(tUpstream)))
-	}
-	shed := false
-	for s := range jobs {
-		if err := jobs[s].err; err != nil {
-			if errors.Is(err, ErrShed) {
-				shed = true
-				continue
-			}
-			return appendErr(resp, "replica %d (%d pairs): %v", s, len(jobs[s].pairs), err), 0
-		}
-	}
-	if shed {
-		return appendShed(resp), 0
-	}
-	all := bufs.dists[:0]
-	for i := 0; i < count; i++ {
-		all = append(all, 0)
-	}
-	for s := range jobs {
-		idx := jobs[s].idx
-		for j, d := range jobs[s].dists {
-			all[idx[j]] = d
-		}
-	}
-	bufs.dists = all
-	resp = append(resp, statusOK)
-	resp = binary.AppendUvarint(resp, uint64(count))
-	for _, d := range all {
-		resp = binary.AppendUvarint(resp, wireDist(d))
-	}
-	if tp != nil {
-		for s := range jobs {
-			if len(jobs[s].pairs) > 0 {
-				mergeShardTrace(tp, &jobs[s].tr, uint8(s))
+				mergeShardTrace(tp, &jobs[s].tally, uint8(s))
 			}
 		}
 		tp.Add(obs.StageGather, obs.HopSelf, int64(time.Since(tGather)))
@@ -889,21 +524,8 @@ func (r *Router) processDist(body, resp []byte, count int, bufs *routerBufs, cha
 // "shard" label). The upstream clients' own metrics (frames, bytes, redials,
 // in-flight) are registered alongside by Router.RegisterMetrics.
 type RouterMetrics struct {
-	ConnsActive obs.Gauge   // open downstream connections
-	ConnsTotal  obs.Counter // downstream connections accepted
-	ConnsShed   obs.Counter // downstream connections refused at the admission cap
-	Frames      obs.Counter // downstream request frames answered
-	ErrorFrames obs.Counter // downstream frames answered with an error status
-	ShedFrames  obs.Counter // downstream frames answered with a shed status
-	Queries     obs.Counter // adjacency pairs answered
-	BytesIn     obs.Counter // downstream request bytes, frame headers included
-	BytesOut    obs.Counter // downstream response bytes, frame headers included
-	// FrameLatencyNs[batchClass] is the downstream frame handling time
-	// (request fully read → response buffered) of successful query frames —
-	// routing, fan-out, and scatter included.
-	FrameLatencyNs [len(batchClassLabels)]obs.Histogram
-
-	Upstreams []UpstreamMetrics // by shard index
+	frontMetrics                   // the downstream side
+	Upstreams    []UpstreamMetrics // by shard index
 }
 
 // UpstreamMetrics counts one shard's slice of the fan-out.
@@ -915,26 +537,23 @@ type UpstreamMetrics struct {
 	LatencyNs obs.Histogram // upstream round-trip per sub-batch
 }
 
-func (m *RouterMetrics) init(shards int) { m.Upstreams = make([]UpstreamMetrics, shards) }
+// observe charges one upstream sub-batch and its verdict.
+func (um *UpstreamMetrics) observe(pairs int, d time.Duration, err error) {
+	um.Batches.Inc()
+	um.Pairs.Add(int64(pairs))
+	um.LatencyNs.ObserveDuration(d)
+	if errors.Is(err, ErrShed) {
+		um.Sheds.Inc()
+	} else if err != nil {
+		um.Errors.Inc()
+	}
+}
 
 // Register exposes the metrics on reg under the adjserve_router_* family
 // names. Call once per registry (Router.RegisterMetrics also covers the
 // upstream clients).
 func (m *RouterMetrics) Register(reg *obs.Registry) {
-	reg.Gauge("adjserve_router_connections_active", "Open downstream connections.", &m.ConnsActive)
-	reg.Counter("adjserve_router_connections_total", "Downstream connections accepted.", &m.ConnsTotal)
-	reg.Counter("adjserve_router_connections_shed_total", "Downstream connections refused at the admission cap.", &m.ConnsShed)
-	reg.Counter("adjserve_router_frames_total", "Downstream request frames answered (all ops).", &m.Frames)
-	reg.Counter("adjserve_router_error_frames_total", "Downstream frames answered with an error status.", &m.ErrorFrames)
-	reg.Counter("adjserve_router_shed_frames_total", "Downstream frames answered with a shed status.", &m.ShedFrames)
-	reg.Counter("adjserve_router_queries_total", "Adjacency pairs answered.", &m.Queries)
-	reg.Counter("adjserve_router_bytes_in_total", "Downstream request bytes read, frame headers included.", &m.BytesIn)
-	reg.Counter("adjserve_router_bytes_out_total", "Downstream response bytes written, frame headers included.", &m.BytesOut)
-	for i := range m.FrameLatencyNs {
-		reg.Histogram("adjserve_router_frame_latency_ns",
-			"Downstream query-frame handling time in nanoseconds by batch-size class.",
-			&m.FrameLatencyNs[i], "batch", batchClassLabels[i])
-	}
+	m.register(reg, "adjserve_router")
 	for s := range m.Upstreams {
 		um := &m.Upstreams[s]
 		shard := strconv.Itoa(s)

@@ -185,7 +185,7 @@ func TestShedZeroAlloc(t *testing.T) {
 	srv := NewServer(testEngine(t, 500, 13), 0)
 	srv.SetShedDepth(1)
 	srv.metrics.QueuedFrames.Add(5) // pinned past the bound: always shed
-	req := appendQueryReq(nil, randomPairs(500, 64, 1))
+	req := appendPairsReq(nil, opQuery, randomPairs(500, 64, 1))
 	bufs := &connBuffers{resp: make([]byte, 0, 64)}
 	if resp, _ := srv.process(req, bufs); len(resp) != 1 || resp[0] != statusShed {
 		t.Fatalf("forced shed answered %v, want one shed status byte", resp)
@@ -204,7 +204,7 @@ func TestShedZeroAlloc(t *testing.T) {
 func TestServeZeroAllocSteadyState(t *testing.T) {
 	srv := NewServer(testEngine(t, 500, 17), 0)
 	srv.SetShedDepth(8) // armed but idle: the depth check itself must not cost
-	req := appendQueryReq(nil, randomPairs(500, 64, 2))
+	req := appendPairsReq(nil, opQuery, randomPairs(500, 64, 2))
 	bufs := &connBuffers{}
 	resp, queries := srv.process(req, bufs)
 	if queries != 64 {

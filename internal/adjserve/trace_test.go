@@ -398,7 +398,7 @@ func TestTraceSelfSample(t *testing.T) {
 func TestServeFrameTraceDisabledZeroAlloc(t *testing.T) {
 	srv := NewServer(testEngine(t, 2000, 23), 0)
 	srv.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(16), Slow: obs.NewTraceRing(16)})
-	req := appendQueryReq(nil, randomPairs(2000, 64, 23))
+	req := appendPairsReq(nil, opQuery, randomPairs(2000, 64, 23))
 	bufs := &connBuffers{resp: make([]byte, 0, 4096)}
 	allocs := testing.AllocsPerRun(200, func() {
 		start := time.Now()

@@ -6,13 +6,23 @@
 // about entire graph families; this verifies the promise family-wide rather
 // than on sampled instances. The distance plane gets the same treatment:
 // the PLL slab engine against BFS and the legacy decoder on every graph.
+//
+// The matrix has three columns. Local: labels decoded in process (every
+// scheme, the engines' batch surfaces, every shard of a split). Served: the
+// same engines behind an adjserve.Server, asked over a socket. Routed: a
+// Router over a 2- and a 3-shard partition (adjacency) or a 2-replica fleet
+// (distance). Every column answers to the graph itself — HasEdge or BFS — so
+// the serving tier is pinned to the paper's decoder semantics here rather
+// than by per-feature equivalence tests.
 package conformance
 
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 
+	"repro/internal/adjserve"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/schemes/baseline"
@@ -46,6 +56,85 @@ func (oneQueryScheme) Encode(g *graph.Graph) (*core.Labeling, error) {
 		return nil, err
 	}
 	return enc.Labeling, nil
+}
+
+// serveAll starts every server on its own loopback listener and returns the
+// addresses; stop closes them all. The served and routed columns boot a fleet
+// per graph, so they stop it themselves instead of waiting for test cleanup.
+func serveAll(t *testing.T, srvs ...*adjserve.Server) (addrs []string, stop func()) {
+	t.Helper()
+	for _, srv := range srvs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	return addrs, func() {
+		for _, srv := range srvs {
+			srv.Close()
+		}
+	}
+}
+
+// routeOver fronts addrs with a router and returns its address.
+func routeOver(t *testing.T, where string, addrs []string) (addr string, stop func()) {
+	t.Helper()
+	r, err := adjserve.NewRouter(addrs, 0)
+	if err != nil {
+		t.Fatalf("%s: router: %v", where, err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r.Serve(ln)
+	return ln.Addr().String(), func() { r.Close() }
+}
+
+// checkRemote asks the server or router at addr for every pair in one batch
+// on one plane and holds the answers to the graph: HasEdge when dist is
+// false, BFS hop counts (-1 unreachable) when true.
+func checkRemote(t *testing.T, where, addr string, g *graph.Graph, pairs [][2]int, dist bool) {
+	t.Helper()
+	c, err := adjserve.Dial(addr)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	defer c.Close()
+	if dist {
+		got, err := c.DistMany(pairs, nil)
+		if err != nil {
+			t.Fatalf("%s: DistMany: %v", where, err)
+		}
+		for i, p := range pairs {
+			if want := g.BFS(p[0])[p[1]]; got[i] != want {
+				t.Fatalf("%s: dist(%d,%d) = %d, BFS says %d", where, p[0], p[1], got[i], want)
+			}
+		}
+		return
+	}
+	got, err := c.AdjacentMany(pairs, nil)
+	if err != nil {
+		t.Fatalf("%s: AdjacentMany: %v", where, err)
+	}
+	for i, p := range pairs {
+		if got[i] != g.HasEdge(p[0], p[1]) {
+			t.Fatalf("%s: adjacency(%d,%d) = %v, graph says %v", where, p[0], p[1], got[i], !got[i])
+		}
+	}
+}
+
+// allPairs is every ordered pair over n vertices, self-pairs included.
+func allPairs(n int) [][2]int {
+	var all [][2]int
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			all = append(all, [2]int{u, v})
+		}
+	}
+	return all
 }
 
 // graphFromMask decodes an edge-subset bitmask into the graph on n vertices.
@@ -126,15 +215,16 @@ func TestExhaustiveBatchN5(t *testing.T) {
 // on the unsharded engine, and on every shard of a 2- and a 3-way split for
 // the pairs that shard holds a label body for (every pair must be answerable
 // on at least one shard of each split, and a shard must refuse the rest with
-// ErrNotResident, not answer them).
+// ErrNotResident, not answer them). The served column asks the unsharded
+// engine through an adjserve.Server, the routed column asks each split
+// through a Router over its shard servers; both must answer all n² pairs.
+// Booting a fleet costs about a millisecond, so above n = 4 each graph takes
+// its served and routed columns under one scheme × layout combination, chosen
+// round-robin by the graph's mask: every graph is still served and routed,
+// and n = 4 covers the full cross product.
 func exhaustiveBatch(t *testing.T, n int) {
 	t.Helper()
-	var all [][2]int
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			all = append(all, [2]int{u, v})
-		}
-	}
+	all := allPairs(n)
 	check := func(where string, g *graph.Graph, eng *core.QueryEngine, pairs [][2]int) {
 		t.Helper()
 		got, err := eng.AdjacentMany(pairs, nil)
@@ -153,9 +243,10 @@ func exhaustiveBatch(t *testing.T, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []*core.FatThinScheme{core.NewPowerLawScheme(2.5), core.NewFixedThresholdScheme(2), core.NewSparseSchemeAuto()} {
-			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+		for si, s := range []*core.FatThinScheme{core.NewPowerLawScheme(2.5), core.NewFixedThresholdScheme(2), core.NewSparseSchemeAuto()} {
+			for li, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
 				where := fmt.Sprintf("mask=%d scheme=%s layout=%v", mask, s.Name(), lay)
+				remote := n <= 4 || int(mask%6) == 2*si+li
 				s.SetLayout(lay)
 				lab, err := s.Encode(g)
 				if err != nil {
@@ -178,12 +269,18 @@ func exhaustiveBatch(t *testing.T, n int) {
 					t.Fatalf("%s: engine: %v", where, err)
 				}
 				check(where, g, eng, all)
+				if remote {
+					addrs, stop := serveAll(t, adjserve.NewServer(eng, 0))
+					checkRemote(t, where+" served", addrs[0], g, all, false)
+					stop()
+				}
 				for _, count := range []int{2, 3} {
 					arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, core.ShardRange)
 					if err != nil {
 						t.Fatalf("%s: split %d: %v", where, count, err)
 					}
 					answered := make(map[[2]int]bool, len(all))
+					var fleet []*adjserve.Server
 					for i, a := range arenas {
 						where := fmt.Sprintf("%s shard %d/%d", where, i, count)
 						sh, err := core.NewQueryEngineFromPermutedArena(a.Slab, a.BitLens, order)
@@ -210,9 +307,18 @@ func exhaustiveBatch(t *testing.T, n int) {
 							}
 						}
 						check(where, g, sh, held)
+						fleet = append(fleet, adjserve.NewServer(sh, 0))
 					}
 					if len(answered) != len(all) {
 						t.Fatalf("%s: %d-way split answers %d of %d pairs", where, count, len(answered), len(all))
+					}
+					if remote {
+						where := fmt.Sprintf("%s routed over %d shards", where, count)
+						addrs, stopFleet := serveAll(t, fleet...)
+						routed, stopRouter := routeOver(t, where, addrs)
+						checkRemote(t, where, routed, g, all, false)
+						stopRouter()
+						stopFleet()
 					}
 				}
 			}
@@ -236,9 +342,12 @@ func TestExhaustiveDistanceN5(t *testing.T) {
 // graph with n vertices, PLL labels encoded straight into a slab arena and
 // served by core.DistEngine — in both physical layouts — must answer every
 // ordered pair exactly as BFS does (disconnected pairs -1) and exactly as
-// the legacy PLLDecoder does over its own labels.
+// the legacy PLLDecoder does over its own labels. The served column asks
+// the same engine through a distance-only adjserve.Server, the routed column
+// through a Router over two such replicas.
 func exhaustiveDistance(t *testing.T, n int) {
 	t.Helper()
+	all := allPairs(n)
 	total := uint64(1) << uint(n*(n-1)/2)
 	for mask := uint64(0); mask < total; mask++ {
 		g, err := graphFromMask(n, mask)
@@ -275,6 +384,19 @@ func exhaustiveDistance(t *testing.T, n int) {
 					}
 				}
 			}
+			where := fmt.Sprintf("mask=%d layout=%v", mask, lay)
+			var replicas []*adjserve.Server
+			for range 2 {
+				srv := adjserve.NewServer(nil, 0)
+				srv.SetDistEngine(eng)
+				replicas = append(replicas, srv)
+			}
+			addrs, stopFleet := serveAll(t, replicas...)
+			checkRemote(t, where+" served", addrs[0], g, all, true)
+			routed, stopRouter := routeOver(t, where+" routed over 2 replicas", addrs)
+			checkRemote(t, where+" routed over 2 replicas", routed, g, all, true)
+			stopRouter()
+			stopFleet()
 		}
 	}
 }

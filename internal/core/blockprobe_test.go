@@ -254,10 +254,6 @@ func TestBlockKernelLengths(t *testing.T) {
 			for _, cacheBits := range []int{0, 4, 12} { // 4: sixteen slots, collisions evict inside a block
 				pinSpan(t, e, cacheBits, pairs)
 			}
-			sorted, err := e.AdjacentManySorted(pairs, nil, new(BatchScratch))
-			if err != nil {
-				t.Fatal(err)
-			}
 			parallel, err := e.AdjacentManyParallel(pairs, nil, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -267,9 +263,9 @@ func TestBlockKernelLengths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want != g.HasEdge(p[0], p[1]) || sorted[i] != want || parallel[i] != want {
-					t.Fatalf("layout %v n=%d pair %d %v: graph %v, Adjacent %v, sorted %v, parallel %v",
-						lay, n, i, p, g.HasEdge(p[0], p[1]), want, sorted[i], parallel[i])
+				if want != g.HasEdge(p[0], p[1]) || parallel[i] != want {
+					t.Fatalf("layout %v n=%d pair %d %v: graph %v, Adjacent %v, parallel %v",
+						lay, n, i, p, g.HasEdge(p[0], p[1]), want, parallel[i])
 				}
 			}
 		}
@@ -383,8 +379,7 @@ func TestBlockKernelBadLabelMidBlock(t *testing.T) {
 }
 
 // TestAdjacentManyZeroAlloc: every batch surface over the kernel — plain,
-// sharded, cached, sorted — runs a warmed 4096-pair batch without touching
-// the heap.
+// sharded, cached — runs a warmed 4096-pair batch without touching the heap.
 func TestAdjacentManyZeroAlloc(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(3000, 2.5, 2, 21)
 	if err != nil {
@@ -402,32 +397,23 @@ func TestAdjacentManyZeroAlloc(t *testing.T) {
 		random[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
 	}
 	out := make([]bool, 0, len(random))
-	var sc BatchScratch
 	for _, tc := range []struct {
-		name   string
-		e      *QueryEngine
-		pairs  [][2]int
-		sorted bool
+		name  string
+		e     *QueryEngine
+		pairs [][2]int
 	}{
-		{"plain", plain, random, false},
-		{"sharded", shard, answerable(shard, random), false},
-		{"cached", cached, random, false},
-		{"sorted", plain, random, true},
-		{"sorted+cached", cached, random, true},
+		{"plain", plain, random},
+		{"sharded", shard, answerable(shard, random)},
+		{"cached", cached, random},
 	} {
 		run := func() error {
-			var err error
-			if tc.sorted {
-				_, err = tc.e.AdjacentManySorted(tc.pairs, out[:0], &sc)
-			} else {
-				_, err = tc.e.AdjacentMany(tc.pairs, out[:0])
-			}
+			_, err := tc.e.AdjacentMany(tc.pairs, out[:0])
 			return err
 		}
 		if len(tc.pairs) < 1000 {
 			t.Fatalf("%s: only %d pairs to drive", tc.name, len(tc.pairs))
 		}
-		if err := run(); err != nil { // warm-up grows the scratch
+		if err := run(); err != nil { // warm-up
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {

@@ -73,8 +73,8 @@ const maxCacheBits = 28
 // (8·2^bits bytes) probed before the slab on every query; bits <= 0
 // detaches. Like AttachMetrics it must be called before the engine is shared
 // across goroutines — afterwards the cache itself is safe under any number
-// of concurrent readers and writers, including concurrent AdjacentManySorted
-// batches. Hits and misses are tallied into the attached EngineMetrics
+// of concurrent readers and writers, including concurrent batches. Hits and
+// misses are tallied into the attached EngineMetrics
 // (engine_cache_{hits,misses}_total). The hot path stays allocation-free:
 // the cache is allocated here, once.
 //

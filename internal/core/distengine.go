@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitstr"
@@ -54,8 +51,12 @@ type DistEngine struct {
 	meta     []vertexMeta
 	slab     []byte
 	slabBits int64 // the slab's whole 64-bit words, in bits: no read goes past it
-	metrics  *EngineMetrics
-	cache    *distCache
+	// engineMetrics is the shared attachment (batch.go). Distance queries
+	// tally the branch that resolved them: self for equal identifiers, fat
+	// when a bdist query had a fat endpoint, thin for thin-thin bdist pairs
+	// and every PLL merge.
+	engineMetrics
+	cache *distCache
 }
 
 // NewDistEngine adopts a pipeline-encoded DistArena zero-copy.
@@ -284,13 +285,6 @@ func (e *DistEngine) Kind() DistKind { return e.kind }
 // F returns the distance bound of a DistBounded engine (0 for DistPLL).
 func (e *DistEngine) F() int { return e.f }
 
-// AttachMetrics wires instrumentation into the engine's query paths; same
-// contract as QueryEngine.AttachMetrics (attach before sharing, nil
-// detaches). Distance queries tally the branch that resolved them: self for
-// equal identifiers, fat when a bdist query had a fat endpoint, thin for
-// thin-thin bdist pairs and every PLL merge.
-func (e *DistEngine) AttachMetrics(m *EngineMetrics) { e.metrics = m }
-
 // Dist answers a distance query between vertices u and v: the exact hop
 // distance, or -1 when unreachable (DistPLL) or beyond the bound f
 // (DistBounded) — the same sentinel both legacy decoders return. It is
@@ -298,18 +292,14 @@ func (e *DistEngine) AttachMetrics(m *EngineMetrics) { e.metrics = m }
 // distance.PLLDecoder.Dist / distance.Decoder.Dist over the same labels.
 func (e *DistEngine) Dist(u, v int) (int, error) {
 	var t QueryTally
-	d, err := e.DistTallied(u, v, &t)
-	if m := e.metrics; m != nil {
-		m.flush(&t)
-	}
+	d, err := e.distTallied(u, v, &t)
+	e.flush(&t)
 	return d, err
 }
 
-// DistTallied is the shared probe path: one query, branch tallies into t,
-// flushed by the caller via FlushTally once per span (the adjserve opDist
-// frame loop streams through here). With a result cache enabled the slab is
-// only probed on a miss.
-func (e *DistEngine) DistTallied(u, v int, t *QueryTally) (int, error) {
+// distTallied is the scalar probe path: one query, branch tallies into t.
+// With a result cache enabled the slab is only probed on a miss.
+func (e *DistEngine) distTallied(u, v int, t *QueryTally) (int, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return 0, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
@@ -581,160 +571,41 @@ func (e *DistEngine) thinDist(m vertexMeta, target uint64) (int, bool) {
 	return 0, false
 }
 
+// DistSpan answers a caller-tallied span of pairs into res (which must hold
+// at least len(pairs) entries): the distance plane's span kernel, with
+// AdjacentSpan's contract. It returns the number of pairs answered; when that
+// is short of len(pairs), pairs[answered] is the first failing query and err
+// its error — res[:answered] is still valid. Tallies go to t as plain
+// increments, to be flushed once per span with FlushTally. Allocation-free.
+func (e *DistEngine) DistSpan(pairs [][2]int, res []int, t *QueryTally) (answered int, err error) {
+	for i, p := range pairs {
+		d, err := e.distTallied(p[0], p[1], t)
+		if err != nil {
+			return i, err
+		}
+		res[i] = d
+	}
+	return len(pairs), nil
+}
+
 // DistMany answers a batch of queries, appending one distance per pair to
 // out and returning the extended slice; capacity for len(pairs) results
 // makes the batch allocation-free. It stops at the first failing query.
 func (e *DistEngine) DistMany(pairs [][2]int, out []int) ([]int, error) {
+	out, res := grow(out, len(pairs))
 	var t QueryTally
-	for _, p := range pairs {
-		d, err := e.DistTallied(p[0], p[1], &t)
-		if err != nil {
-			e.flushDistBatch(&t, len(pairs))
-			return out, fmt.Errorf("core: dist query (%d,%d): %w", p[0], p[1], err)
-		}
-		out = append(out, d)
-	}
-	e.flushDistBatch(&t, len(pairs))
-	return out, nil
-}
-
-// DistManySorted answers a batch like DistMany but probes pairs in
-// ascending arena-offset order of their first endpoint's label and scatters
-// the answers back into request order — the distance-plane twin of
-// AdjacentManySorted, sharing its BatchScratch and its fallback and
-// whole-batch-failure semantics.
-func (e *DistEngine) DistManySorted(pairs [][2]int, out []int, sc *BatchScratch) ([]int, error) {
-	if sc == nil || len(pairs) >= 1<<sortIdxBits {
-		return e.DistMany(pairs, out)
-	}
-	start := len(out)
-	out = growInts(out, len(pairs))
-	res := out[start:]
-	if cap(sc.keys) < len(pairs) {
-		sc.keys = make([]uint64, len(pairs))
-	}
-	keys := sc.keys[:len(pairs)]
-	const maxSortKey = 1<<(64-sortIdxBits) - 1
-	for i, p := range pairs {
-		u, v := p[0], p[1]
-		if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
-			return out[:start], fmt.Errorf("core: dist query (%d,%d): %w: (%d,%d) of %d", u, v, ErrVertexRange, u, v, e.n)
-		}
-		key := uint64(e.meta[u].off) >> 6
-		if key > maxSortKey {
-			key = maxSortKey
-		}
-		keys[i] = key<<sortIdxBits | uint64(i)
-	}
-	slices.Sort(keys)
-	var t QueryTally
-	for _, k := range keys {
-		i := int(k & (1<<sortIdxBits - 1))
-		d, err := e.DistTallied(pairs[i][0], pairs[i][1], &t)
-		if err != nil {
-			e.flushDistBatch(&t, len(pairs))
-			return out[:start], fmt.Errorf("core: dist query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
-		}
-		res[i] = d
-	}
-	e.flushDistBatch(&t, len(pairs))
-	return out, nil
+	done, err := e.DistSpan(pairs, res, &t)
+	return finishMany(&e.engineMetrics, &t, "dist query", pairs, out, done, err)
 }
 
 // DistManyParallel shards a batch across workers goroutines (<= 0 selects
-// GOMAXPROCS), answering each shard with the allocation-free single-query
-// path; results are in pair order.
+// GOMAXPROCS), answering each shard through DistSpan; results are in pair
+// order.
 func (e *DistEngine) DistManyParallel(pairs [][2]int, out []int, workers int) ([]int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
+	if workers = batchWorkers(workers, len(pairs)); workers <= 1 {
 		return e.DistMany(pairs, out)
 	}
-	start := len(out)
-	out = growInts(out, len(pairs))
-	res := out[start:]
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		if lo >= len(pairs) {
-			break
-		}
-		hi := min(lo+chunk, len(pairs))
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			var t QueryTally
-			for i := lo; i < hi; i++ {
-				d, err := e.DistTallied(pairs[i][0], pairs[i][1], &t)
-				if err != nil {
-					errs[wi] = fmt.Errorf("core: dist query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
-					break
-				}
-				res[i] = d
-			}
-			if m := e.metrics; m != nil {
-				m.flush(&t)
-			}
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	if m := e.metrics; m != nil {
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(len(pairs)))
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out[:start], err
-		}
-	}
-	return out, nil
-}
-
-// growInts extends out by extra entries, reusing capacity when it can.
-func growInts(out []int, extra int) []int {
-	if need := len(out) + extra; cap(out) >= need {
-		return out[:need]
-	}
-	grown := make([]int, len(out)+extra)
-	copy(grown, out)
-	return grown
-}
-
-// flushDistBatch charges one batch call's tally.
-func (e *DistEngine) flushDistBatch(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(pairs))
-	}
-}
-
-// FlushTally charges a caller-managed tally span, exactly as
-// QueryEngine.FlushTally does for adjacency frames.
-func (e *DistEngine) FlushTally(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		if pairs > 0 {
-			m.Batches.Inc()
-			m.BatchPairs.Observe(int64(pairs))
-		}
-	}
-	*t = QueryTally{}
-}
-
-// ObserveProbe charges one served frame's engine-probe wall time to the
-// attached metrics, exactly as QueryEngine.ObserveProbe does for adjacency
-// frames.
-func (e *DistEngine) ObserveProbe(ns int64, traceID uint64) {
-	if m := e.metrics; m != nil {
-		m.ObserveProbe(ns, traceID)
-	}
+	return manyParallel(&e.engineMetrics, e.DistSpan, "dist query", pairs, out, workers)
 }
 
 // distCache is the (u,v)→distance twin of pairCache. A slot is one atomic

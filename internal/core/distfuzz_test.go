@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"slices"
 	"testing"
 
@@ -112,28 +113,38 @@ func FuzzDistEngineHeaders(f *testing.F) {
 		// garbage relative to any graph (the slab is noise), but every call
 		// must return without panicking, errors must be range errors, and any
 		// accepted answer must be the one the reference walk decodes.
-		pairs := [][2]int{
-			{0, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 3},
-			{-1, 0}, {0, n}, {n, n},
-		}
+		pairs := [][2]int{{0, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 3}}
 		for i := 0; i < n && i < 32; i++ {
 			pairs = append(pairs, [2]int{i, (i * 7) % n})
 		}
-		for _, pr := range pairs {
-			d, err := eng.Dist(pr[0], pr[1])
-			if err != nil {
-				continue
+		for _, bad := range [][2]int{{-1, 0}, {0, n}, {n, n}} {
+			if _, err := eng.Dist(bad[0], bad[1]); !errors.Is(err, core.ErrVertexRange) {
+				t.Fatalf("dist(%d,%d): err = %v, want a range error", bad[0], bad[1], err)
 			}
-			want, err := eng.RefDist(pr[0], pr[1])
+		}
+		// The batch kernel (DistMany runs DistSpan) answers exactly like the
+		// scalar path, and both like the reference walk.
+		batch, err := eng.DistMany(pairs, nil)
+		if err != nil {
+			t.Fatalf("accepted engine, DistMany: %v", err)
+		}
+		for i, pr := range pairs {
+			d, err := eng.Dist(pr[0], pr[1])
 			if err != nil {
 				t.Fatalf("accepted engine, dist(%d,%d): %v", pr[0], pr[1], err)
 			}
-			if d != want {
-				t.Fatalf("dist(%d,%d) = %d, reference walk %d", pr[0], pr[1], d, want)
+			want, err := eng.RefDist(pr[0], pr[1])
+			if err != nil {
+				t.Fatalf("accepted engine, reference dist(%d,%d): %v", pr[0], pr[1], err)
+			}
+			if d != want || batch[i] != want {
+				t.Fatalf("dist(%d,%d) = %d, DistMany %d, reference walk %d", pr[0], pr[1], d, batch[i], want)
 			}
 		}
-		_, _ = eng.DistMany(pairs, nil)
-		var sc core.BatchScratch
-		_, _ = eng.DistManySorted(pairs, nil, &sc)
+		// A failing pair ends the batch at its index, answers before it kept.
+		short, err := eng.DistMany(append(pairs[:2:2], [2]int{0, n}, pairs[2]), nil)
+		if !errors.Is(err, core.ErrVertexRange) || len(short) != 2 || short[0] != batch[0] || short[1] != batch[1] {
+			t.Fatalf("DistMany over a bad pair: %v, %v; want the 2 answers before it and a range error", short, err)
+		}
 	})
 }

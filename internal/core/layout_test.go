@@ -118,15 +118,10 @@ func TestLayoutEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var sc BatchScratch
-					outSorted, err := engDeg.AdjacentManySorted(checkPairs, nil, &sc)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for i := range checkPairs {
-						if outID[i] != outDeg[i] || outID[i] != outSorted[i] {
-							t.Fatalf("engine answers differ at pair %d (%v): id=%v degree=%v sorted=%v",
-								i, checkPairs[i], outID[i], outDeg[i], outSorted[i])
+						if outID[i] != outDeg[i] {
+							t.Fatalf("engine answers differ at pair %d (%v): id=%v degree=%v",
+								i, checkPairs[i], outID[i], outDeg[i])
 						}
 					}
 				})
@@ -148,35 +143,6 @@ func equivalencePairs(g *graph.Graph, rng *rand.Rand, extra int) [][2]int {
 		pairs = append(pairs, [2]int{rng.Intn(g.N()), rng.Intn(g.N())})
 	}
 	return pairs
-}
-
-func TestAdjacentManySortedFallsBackWithoutScratch(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(200, 2.5, 2, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := equivalencePairs(g, rand.New(rand.NewSource(2)), 100)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.AdjacentManySorted(pairs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if want[i] != got[i] {
-			t.Fatalf("fallback answer differs at %d", i)
-		}
-	}
 }
 
 func TestEnableResultCacheValidates(t *testing.T) {
@@ -228,9 +194,8 @@ func TestResultCacheAnswersAndCounters(t *testing.T) {
 	}
 	var em EngineMetrics
 	eng.AttachMetrics(&em)
-	var sc BatchScratch
 	for round := 0; round < 2; round++ {
-		got, err := eng.AdjacentManySorted(pairs, nil, &sc)
+		got, err := eng.AdjacentMany(pairs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,11 +254,10 @@ func TestResultCacheConcurrentBatches(t *testing.T) {
 			for i, j := range idx {
 				local[i] = pairs[j]
 			}
-			var sc BatchScratch
 			var out []bool
 			for round := 0; round < 20; round++ {
 				var err error
-				out, err = eng.AdjacentManySorted(local, out[:0], &sc)
+				out, err = eng.AdjacentMany(local, out[:0])
 				if err != nil {
 					errs <- err
 					return
@@ -311,44 +275,5 @@ func TestResultCacheConcurrentBatches(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestAdjacentManySortedZeroAlloc is the acceptance bar from the issue: the
-// hot batch path performs zero heap allocations per call, result cache
-// enabled included.
-func TestAdjacentManySortedZeroAlloc(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(400, 2.5, 2, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewPowerLawScheme(2.5)
-	s.SetLayout(LayoutDegree)
-	lab, err := s.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableResultCache(10); err != nil {
-		t.Fatal(err)
-	}
-	pairs := equivalencePairs(g, rand.New(rand.NewSource(5)), 200)
-	out := make([]bool, 0, len(pairs))
-	var sc BatchScratch
-	if out, err = eng.AdjacentManySorted(pairs, out[:0], &sc); err != nil {
-		t.Fatal(err) // warm-up grows the scratch once
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		var err error
-		out, err = eng.AdjacentManySorted(pairs, out[:0], &sc)
-		if err != nil {
-			panic(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AdjacentManySorted allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -93,6 +93,12 @@ func (m *EngineMetrics) flush(t *QueryTally) {
 	m.CacheMisses.Add(t.cacheMisses)
 }
 
+// batch records one batch call of that many pairs.
+func (m *EngineMetrics) batch(pairs int) {
+	m.Batches.Inc()
+	m.BatchPairs.Observe(int64(pairs))
+}
+
 // pipelineMetrics instruments the slab encode pipeline (both the fat/thin
 // and compressed encoders): per-phase durations and the label construction
 // volume. Package-level because the pipeline entry points are free

@@ -3,9 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"slices"
-	"sync"
 
 	"repro/internal/bitstr"
 )
@@ -41,11 +38,8 @@ type QueryEngine struct {
 	// bitstr.SlabReadBits never cross the end of the backing slice (see the
 	// in-bounds argument there).
 	slab []byte
-	// metrics, when attached, receives per-call tallies (nil costs the hot
-	// path a single predictable branch). It is the one mutable piece of an
-	// otherwise immutable engine: attach before sharing the engine across
-	// goroutines.
-	metrics *EngineMetrics
+	// engineMetrics, when attached, receives per-call tallies; see batch.go.
+	engineMetrics
 	// cache, when enabled, memoizes (u,v)→answer in a fixed direct-mapped
 	// table probed before the slab (see cache.go). Like metrics it must be
 	// attached before the engine is shared; afterwards it is written only
@@ -60,12 +54,6 @@ type QueryEngine struct {
 	resident []uint64
 	shard    ShardMap
 }
-
-// AttachMetrics wires instrumentation into the engine's query paths. Must be
-// called before the engine is shared (typically right after construction);
-// passing nil detaches. The per-query cost is a stack-local tally flushed
-// with O(1) atomic adds per call, preserving the 0 allocs/op guarantee.
-func (e *QueryEngine) AttachMetrics(m *EngineMetrics) { e.metrics = m }
 
 // vertexMeta is one label's pre-parsed header, packed into a single 16-byte
 // record: the body's slab bit offset, and one word holding the identifier,
@@ -270,9 +258,7 @@ func (e *QueryEngine) N() int { return e.n }
 func (e *QueryEngine) Adjacent(u, v int) (bool, error) {
 	var t QueryTally
 	ok, err := e.adjacentTallied(u, v, &t)
-	if m := e.metrics; m != nil {
-		m.flush(&t)
-	}
+	e.flush(&t)
 	return ok, err
 }
 
@@ -366,201 +352,18 @@ func (e *QueryEngine) thinProbe(m vertexMeta, target uint64) bool {
 // for len(pairs) results makes the whole batch allocation-free. It stops at
 // the first failing query.
 func (e *QueryEngine) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
-	start := len(out)
-	out = growBools(out, len(pairs))
+	out, res := grow(out, len(pairs))
 	var t QueryTally
-	done, err := e.AdjacentSpan(pairs, out[start:], &t)
-	e.flushBatch(&t, len(pairs))
-	if err != nil {
-		return out[:start+done], queryErr(pairs[done], err)
-	}
-	return out, nil
-}
-
-// queryErr names the failing pair of a batch.
-func queryErr(p [2]int, err error) error {
-	return fmt.Errorf("core: query (%d,%d): %w", p[0], p[1], err)
-}
-
-// BatchScratch holds the reusable working memory of AdjacentManySorted. One
-// scratch serves any number of sequential batches on one goroutine (the
-// buffers grow to the largest batch seen and stay); concurrent batches each
-// need their own.
-type BatchScratch struct {
-	keys []uint64
-}
-
-// sortIdxBits is the width of the pair-index field packed into a sort key;
-// the remaining 40 bits carry the probe's slab word index.
-const sortIdxBits = 24
-
-// AdjacentManySorted answers a batch like AdjacentMany but probes the pairs
-// in ascending arena-offset order and scatters the answers back into request
-// order — on a degree-ordered slab under skewed traffic the probe stream
-// walks the hot pages nearly sequentially instead of striding the whole
-// arena. Each pair's key is the slab word its probe will touch (the first
-// endpoint's body, or the thin endpoint's when a fat/thin pair binary-searches
-// the thin list), packed with the pair's index so the sort itself is
-// allocation-free over sc.keys. Answers are identical to AdjacentMany in any
-// order and layout; only the probe schedule changes. Batches of 2^24 pairs
-// or more (beyond the index field) and calls without a scratch fall back to
-// AdjacentMany. Unlike AdjacentMany, a failing query drops the whole batch:
-// probes run out of request order, so "results so far" has no prefix
-// meaning.
-func (e *QueryEngine) AdjacentManySorted(pairs [][2]int, out []bool, sc *BatchScratch) ([]bool, error) {
-	if sc == nil || len(pairs) >= 1<<sortIdxBits {
-		return e.AdjacentMany(pairs, out)
-	}
-	start := len(out)
-	out = growBools(out, len(pairs))
-	res := out[start:]
-	if cap(sc.keys) < len(pairs) {
-		sc.keys = make([]uint64, len(pairs))
-	}
-	keys := sc.keys[:len(pairs)]
-	const maxSortKey = 1<<(64-sortIdxBits) - 1
-	for i, p := range pairs {
-		u, v := p[0], p[1]
-		if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
-			return out[:start], fmt.Errorf("core: query (%d,%d): %w: (%d,%d) of %d", u, v, ErrVertexRange, u, v, e.n)
-		}
-		mu, mv := e.meta[u], e.meta[v]
-		off := mu.off
-		if mu.fat() && !mv.fat() {
-			off = mv.off
-		}
-		key := uint64(off) >> 6
-		if key > maxSortKey {
-			// Only the schedule degrades; the index bits stay exact.
-			key = maxSortKey
-		}
-		keys[i] = key<<sortIdxBits | uint64(i)
-	}
-	slices.Sort(keys)
-	// Gather a block of pairs in sorted order, probe it, scatter the answers
-	// back to request order.
-	const idxMask = 1<<sortIdxBits - 1
-	var t QueryTally
-	var blk [ProbeBlock][2]int
-	var ans [ProbeBlock]bool
-	for len(keys) > 0 {
-		ks := keys[:min(ProbeBlock, len(keys))]
-		keys = keys[len(ks):]
-		for j, k := range ks {
-			blk[j] = pairs[k&idxMask]
-		}
-		done, err := e.adjacentBlock(blk[:len(ks)], ans[:], &t)
-		if err != nil {
-			e.flushBatch(&t, len(pairs))
-			return out[:start], queryErr(blk[done], err)
-		}
-		for j, k := range ks {
-			res[k&idxMask] = ans[j]
-		}
-	}
-	e.flushBatch(&t, len(pairs))
-	return out, nil
-}
-
-// growBools extends out by extra entries, reusing capacity when it can.
-func growBools(out []bool, extra int) []bool {
-	if need := len(out) + extra; cap(out) >= need {
-		return out[:need]
-	}
-	grown := make([]bool, len(out)+extra)
-	copy(grown, out)
-	return grown
-}
-
-// flushBatch charges one batch call's tally: O(1) atomic adds however many
-// pairs the batch held.
-func (e *QueryEngine) flushBatch(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(pairs))
-	}
-}
-
-// FlushTally charges a caller-managed tally span (see QueryTally) to the
-// attached metrics and zeroes the tally. pairs > 0 additionally records one
-// batch of that many pairs, making an externally-streamed frame
-// indistinguishable from an AdjacentMany call in the exposition; pass 0 for
-// a span that ended early (the queries already probed still count). A no-op
-// apart from the zeroing when no metrics are attached.
-func (e *QueryEngine) FlushTally(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		if pairs > 0 {
-			m.Batches.Inc()
-			m.BatchPairs.Observe(int64(pairs))
-		}
-	}
-	*t = QueryTally{}
-}
-
-// ObserveProbe charges one served frame's engine-probe wall time to the
-// attached metrics (see EngineMetrics.ObserveProbe); a no-op without
-// metrics. The serving loop calls it once per successful query frame.
-func (e *QueryEngine) ObserveProbe(ns int64, traceID uint64) {
-	if m := e.metrics; m != nil {
-		m.ObserveProbe(ns, traceID)
-	}
+	done, err := e.AdjacentSpan(pairs, res, &t)
+	return finishMany(&e.engineMetrics, &t, "query", pairs, out, done, err)
 }
 
 // AdjacentManyParallel shards a batch across workers goroutines (workers
 // <= 0 selects GOMAXPROCS) and answers each shard through the batch probe
-// kernel (AdjacentSpan). Results are returned in pair order. The engine itself
-// is read-only, so shards share it without synchronization; the only
-// coordination is the final join.
+// kernel (AdjacentSpan). Results are returned in pair order.
 func (e *QueryEngine) AdjacentManyParallel(pairs [][2]int, out []bool, workers int) ([]bool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
+	if workers = batchWorkers(workers, len(pairs)); workers <= 1 {
 		return e.AdjacentMany(pairs, out)
 	}
-	start := len(out)
-	out = growBools(out, len(pairs))
-	res := out[start:]
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		if lo >= len(pairs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			// Worker-local tally, flushed once per shard: the atomics merge
-			// shards without any cross-worker coordination in the loop.
-			var t QueryTally
-			if done, err := e.AdjacentSpan(pairs[lo:hi], res[lo:hi], &t); err != nil {
-				errs[wi] = queryErr(pairs[lo+done], err)
-			}
-			if m := e.metrics; m != nil {
-				m.flush(&t)
-			}
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	if m := e.metrics; m != nil {
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(len(pairs)))
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out[:start], err
-		}
-	}
-	return out, nil
+	return manyParallel(&e.engineMetrics, e.AdjacentSpan, "query", pairs, out, workers)
 }

@@ -15,14 +15,13 @@ import (
 // skewed traffic: the same Chung–Lu workload is labeled twice (id-ordered and
 // degree-ordered physical layout), served through the query engine, and timed
 // against probe streams of varying skew — uniform, Zipf over the degree
-// ranking, and degree-proportional — at small and large batch sizes, with the
-// streaming (request-order) and offset-sorted batch modes. Every
-// configuration's answers are checked pair-for-pair against the id-ordered
-// streaming reference before timing, so the table cannot trade correctness
-// for locality. A second table re-runs the E10 bitmap-vs-list fat-label
-// ablation with label sizes weighted by query mass instead of uniformly —
-// under skew the hot hubs are exactly the fat vertices, so per-query cost
-// follows the skew-weighted average, not the plain one.
+// ranking, and degree-proportional — at small and large batch sizes, probed
+// in request order. Every configuration's answers are checked pair-for-pair
+// against the id-ordered reference before timing, so the table cannot trade
+// correctness for locality. A second table re-runs the E10 bitmap-vs-list
+// fat-label ablation with label sizes weighted by query mass instead of
+// uniformly — under skew the hot hubs are exactly the fat vertices, so
+// per-query cost follows the skew-weighted average, not the plain one.
 func E25SkewLayout(cfg Config) ([]*Table, error) {
 	alpha := 2.5
 	n := 1 << 20
@@ -88,14 +87,14 @@ func E25SkewLayout(cfg Config) ([]*Table, error) {
 	tb := &Table{
 		ID:    "E25",
 		Title: fmt.Sprintf("skew-aware layout: probe cost by distribution × layout × batch (Chung–Lu, n=%d, α=%.1f, %d queries)", n, alpha, queries),
-		Cols:  []string{"dist", "layout", "batch", "mode", "ns/query", "Mq/s", "speedup.vs.id"},
+		Cols:  []string{"dist", "layout", "batch", "ns/query", "Mq/s", "speedup.vs.id"},
 	}
 	layouts := []struct {
 		name string
 		eng  *core.QueryEngine
 	}{{"id", engID}, {"degree", engDeg}}
-	// idNs remembers the id-layout timing per (dist,batch,mode) so the
-	// matching degree-layout row can report its speedup.
+	// idNs remembers the id-layout timing per (dist,batch) so the matching
+	// degree-layout row can report its speedup.
 	idNs := make(map[string]float64)
 	for _, d := range dists {
 		ps, err := NewProbeSampler(g, d.dist, d.s, cfg.Seed)
@@ -108,62 +107,54 @@ func E25SkewLayout(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		for _, batch := range []int{64, 4096} {
-			for _, mode := range []string{"stream", "sorted"} {
-				for _, lay := range layouts {
-					run := func(check bool) (time.Duration, error) {
-						out := make([]bool, 0, batch)
-						var sc core.BatchScratch
-						start := time.Now()
-						for off := 0; off < len(pairs); off += batch {
-							end := min(off+batch, len(pairs))
-							chunk := pairs[off:end]
-							var err error
-							if mode == "sorted" {
-								out, err = lay.eng.AdjacentManySorted(chunk, out[:0], &sc)
-							} else {
-								out, err = lay.eng.AdjacentMany(chunk, out[:0])
-							}
-							if err != nil {
-								return 0, fmt.Errorf("%s/%s/%d: %w", d.name, lay.name, batch, err)
-							}
-							if check {
-								for i, got := range out {
-									if got != ref[off+i] {
-										p := pairs[off+i]
-										return 0, fmt.Errorf("%s/%s/batch=%d/%s: answer mismatch at pair (%d,%d): got %v, id-ordered reference says %v",
-											d.name, lay.name, batch, mode, p[0], p[1], got, ref[off+i])
-									}
+			for _, lay := range layouts {
+				run := func(check bool) (time.Duration, error) {
+					out := make([]bool, 0, batch)
+					start := time.Now()
+					for off := 0; off < len(pairs); off += batch {
+						end := min(off+batch, len(pairs))
+						var err error
+						out, err = lay.eng.AdjacentMany(pairs[off:end], out[:0])
+						if err != nil {
+							return 0, fmt.Errorf("%s/%s/%d: %w", d.name, lay.name, batch, err)
+						}
+						if check {
+							for i, got := range out {
+								if got != ref[off+i] {
+									p := pairs[off+i]
+									return 0, fmt.Errorf("%s/%s/batch=%d: answer mismatch at pair (%d,%d): got %v, id-ordered reference says %v",
+										d.name, lay.name, batch, p[0], p[1], got, ref[off+i])
 								}
 							}
 						}
-						return time.Since(start), nil
 					}
-					// Untimed verification pass (also warms the page cache
-					// evenly for both layouts), then the timed pass.
-					if _, err := run(true); err != nil {
-						return nil, err
-					}
-					elapsed, err := run(false)
-					if err != nil {
-						return nil, err
-					}
-					nsQ := float64(elapsed.Nanoseconds()) / float64(len(pairs))
-					key := fmt.Sprintf("%s|%d|%s", d.name, batch, mode)
-					speedup := "1.00"
-					if lay.name == "id" {
-						idNs[key] = nsQ
-					} else if base, ok := idNs[key]; ok && nsQ > 0 {
-						speedup = fmtF2(base / nsQ)
-					}
-					tb.AddRow(d.name, lay.name, fmt.Sprintf("%d", batch), mode,
-						fmtF(nsQ), fmtF2(1e3/nsQ), speedup)
+					return time.Since(start), nil
 				}
+				// Untimed verification pass (also warms the page cache
+				// evenly for both layouts), then the timed pass.
+				if _, err := run(true); err != nil {
+					return nil, err
+				}
+				elapsed, err := run(false)
+				if err != nil {
+					return nil, err
+				}
+				nsQ := float64(elapsed.Nanoseconds()) / float64(len(pairs))
+				key := fmt.Sprintf("%s|%d", d.name, batch)
+				speedup := "1.00"
+				if lay.name == "id" {
+					idNs[key] = nsQ
+				} else if base, ok := idNs[key]; ok && nsQ > 0 {
+					speedup = fmtF2(base / nsQ)
+				}
+				tb.AddRow(d.name, lay.name, fmt.Sprintf("%d", batch),
+					fmtF(nsQ), fmtF2(1e3/nsQ), speedup)
 			}
 		}
 	}
 	tb.Notes = append(tb.Notes,
-		"answers of every configuration are verified pair-for-pair against the id-ordered streaming reference before timing",
-		"degree-ordered + sorted batches pack the hot probe stream into a few contiguous pages; the win grows with skew and batch size and vanishes under uniform traffic",
+		"answers of every configuration are verified pair-for-pair against the id-ordered reference before timing",
+		"the degree-ordered slab packs the hot probe stream into a few contiguous pages; the win grows with skew and vanishes under uniform traffic",
 		"the (u,v) result cache (plserve -pair-cache-bits) is deliberately off here: the table isolates layout, not memoization")
 
 	tb2, err := skewWeightedFatAblation(cfg, g, alpha, dists)

@@ -36,9 +36,17 @@ func startAdmin(t *testing.T, a *AdminServer) string {
 	return "http://" + addr.String()
 }
 
+// adminClient is the tests' own HTTP client, one connection per request.
+// http.DefaultClient pools connections, and when concurrent requests race a
+// fresh dial against a pooled connection coming free, the losing dial is left
+// connected with no request on it; http.Server.Shutdown counts such a
+// connection as busy for its first five seconds, which is the whole timeout
+// startAdmin's cleanup allows.
+var adminClient = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := adminClient.Get(url)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
@@ -283,7 +291,7 @@ func TestAdminReadyzDrainOrdering(t *testing.T) {
 func TestAdminContentType(t *testing.T) {
 	a := NewAdminServer(NewRegistry())
 	base := startAdmin(t, a)
-	resp, err := http.Get(base + "/metrics")
+	resp, err := adminClient.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

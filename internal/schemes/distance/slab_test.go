@@ -139,8 +139,8 @@ func TestDistEngineMatchesLegacyBounded(t *testing.T) {
 	}
 }
 
-// TestDistEngineBatchesMatchSingle pins DistMany, DistManySorted and
-// DistManyParallel to the single-query path, result cache on and off.
+// TestDistEngineBatchesMatchSingle pins DistMany and DistManyParallel to the
+// single-query path, result cache on and off.
 func TestDistEngineBatchesMatchSingle(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(400, 2.5, 3, 23)
 	if err != nil {
@@ -198,9 +198,6 @@ func TestDistEngineBatchesMatchSingle(t *testing.T) {
 			}
 			got, err := eng.DistMany(pairs, nil)
 			check("DistMany", got, err)
-			var sc core.BatchScratch
-			got, err = eng.DistManySorted(pairs, nil, &sc)
-			check("DistManySorted", got, err)
 			got, err = eng.DistManyParallel(pairs, nil, 4)
 			check("DistManyParallel", got, err)
 		}
@@ -239,10 +236,6 @@ func TestDistEngineZeroAlloc(t *testing.T) {
 			pairs[i] = [2]int{(i * 37) % g.N(), (i * 101) % g.N()}
 		}
 		out := make([]int, 0, len(pairs))
-		var sc core.BatchScratch
-		if _, err := eng.DistManySorted(pairs, out, &sc); err != nil {
-			t.Fatal(err) // warm the scratch outside the measured runs
-		}
 		if avg := testing.AllocsPerRun(10, func() {
 			if _, err := eng.Dist(pairs[0][0], pairs[0][1]); err != nil {
 				t.Fatal(err)
@@ -256,13 +249,6 @@ func TestDistEngineZeroAlloc(t *testing.T) {
 			}
 		}); avg != 0 {
 			t.Errorf("%s: DistMany allocates %.1f/op", tc.name, avg)
-		}
-		if avg := testing.AllocsPerRun(10, func() {
-			if _, err := eng.DistManySorted(pairs, out[:0], &sc); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Errorf("%s: DistManySorted allocates %.1f/op", tc.name, avg)
 		}
 	}
 }
@@ -333,29 +319,6 @@ func BenchmarkDistEngineDistMany(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if out, err = eng.DistMany(pairs, out[:0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDistEngineDistManySorted measures the offset-sorted batch path;
-// CI asserts 0 B/op, 0 allocs/op.
-func BenchmarkDistEngineDistManySorted(b *testing.B) {
-	for _, kind := range []string{"pll", "bdist"} {
-		b.Run(kind, func(b *testing.B) {
-			eng, pairs := benchDistEngine(b, kind)
-			out := make([]int, 0, len(pairs))
-			var sc core.BatchScratch
-			var err error
-			if out, err = eng.DistManySorted(pairs, out[:0], &sc); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if out, err = eng.DistManySorted(pairs, out[:0], &sc); err != nil {
 					b.Fatal(err)
 				}
 			}

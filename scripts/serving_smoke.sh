@@ -80,12 +80,12 @@ grep -q "draining" "$work/serve.log" || { echo "no drain line in log"; cat "$wor
 grep -q "served" "$work/serve.log" || { echo "no serve summary in log"; cat "$work/serve.log"; exit 1; }
 serve_pid=""
 
-echo "== skew phase: degree-ordered store, result cache, sorted batches"
+echo "== skew phase: degree-ordered store, result cache"
 "$work/bin/pllabel" -scheme powerlaw -layout degree -in "$work/graph.el" -o "$work/labels-deg.pllb" >"$work/label-deg.log"
 grep -q "layout: degree-ordered" "$work/label-deg.log" \
     || { echo "pllabel did not report the degree layout"; cat "$work/label-deg.log"; exit 1; }
 "$work/bin/plserve" -labels "$work/labels-deg.pllb" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
-    -pair-cache-bits 14 -sort-min 256 >"$work/serve-deg.log" 2>&1 &
+    -pair-cache-bits 14 >"$work/serve-deg.log" 2>&1 &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
