@@ -175,10 +175,28 @@ func putCall(ca *call) {
 	callPool.Put(ca)
 }
 
-// callsPool recycles the per-batch slice of outstanding calls.
-var callsPool = sync.Pool{New: func() any { return new(callList) }}
+// sent is the send half's pooled receipt for one pair batch: the calls await
+// collects, a send-side failure, and a traced batch's tally and timings so
+// far (peerBefore is what t already held for HopPeer, see recordCallStages).
+type sent struct {
+	calls                         []*call
+	err                           error
+	t                             *obs.SpanTally
+	start                         time.Time
+	encodeNs, flushNs, peerBefore int64
+}
 
-type callList struct{ s []*call }
+var sentPool = sync.Pool{New: func() any { return new(sent) }}
+
+// ready reports whether await would return without blocking.
+func (b *sent) ready() bool {
+	for _, ca := range b.calls {
+		if len(ca.done) == 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // clientConn is one live connection plus its FIFO of outstanding calls. The
 // reader goroutine owns the receive side; writers enqueue under the queue
@@ -451,7 +469,7 @@ func deliverTrace(ca *call, block []byte) error {
 
 // sendFrame enqueues ca and writes one frame. Callers hold c.mu, so frames
 // from concurrent callers interleave at whole-frame granularity, matching
-// the FIFO. The write is buffered; the caller flushes after its last frame.
+// the FIFO. The write is buffered; flushConn writes it out.
 func (c *Client) sendFrame(cc *clientConn, payload []byte, ca *call) error {
 	if err := cc.enqueue(ca); err != nil {
 		return err
@@ -549,16 +567,24 @@ func (c *Client) many(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally)
 	if len(pairs) == 0 {
 		return nil
 	}
-	var start time.Time
-	var peerBefore, encodeNs, flushNs int64
+	return c.await(c.send(pl, pairs, dest, t, true))
+}
+
+// send is the send half of many: it encodes pairs as request frames into the
+// connection's write buffer and returns the receipt for await. A caller with
+// more to send first (a router connection beginning several frames) passes
+// flush = false and must call Client.flush before it waits on anything.
+func (c *Client) send(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally, flush bool) *sent {
+	b := sentPool.Get().(*sent)
+	b.t = t
 	wire := false
 	if t != nil {
 		if t.ID == 0 {
 			t.ID = obs.NewTraceID()
 		}
 		wire = c.supportsTrace()
-		start = time.Now()
-		peerBefore = t.SumHop(obs.HopPeer)
+		b.start = time.Now()
+		b.peerBefore = t.SumHop(obs.HopPeer)
 	}
 	maxBatch := c.MaxBatch
 	if maxBatch <= 0 {
@@ -567,13 +593,7 @@ func (c *Client) many(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally)
 
 	c.mu.Lock()
 	cc, err := c.ensureConn()
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
-	for off := 0; off < len(pairs); off += maxBatch {
+	for off := 0; err == nil && off < len(pairs); off += maxBatch {
 		chunk := pairs[off:min(off+maxBatch, len(pairs))]
 		var encStart time.Time
 		if t != nil {
@@ -587,51 +607,68 @@ func (c *Client) many(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally)
 		} else {
 			c.req = appendPairsReq(c.req[:0], pl.op, chunk)
 		}
-		err = c.sendFrame(cc, c.req, ca)
-		if t != nil {
-			encodeNs += int64(time.Since(encStart))
-		}
-		if err != nil {
+		if err = c.sendFrame(cc, c.req, ca); err == nil {
+			b.calls = append(b.calls, ca)
+		} else {
 			// The connection is dead; the frames already enqueued still get
-			// their verdicts (from the reader or from fail) below.
+			// their verdicts (from the reader or from fail) in await.
 			putCall(ca)
-			break
 		}
-		calls = append(calls, ca)
-	}
-	var flushStart time.Time
-	if t != nil {
-		flushStart = time.Now()
-	}
-	if err == nil {
-		if ferr := cc.bw.Flush(); ferr != nil {
-			cc.fail(fmt.Errorf("%w: %v", ErrClosed, ferr))
+		if t != nil {
+			b.encodeNs += int64(time.Since(encStart))
 		}
 	}
-	if t != nil {
-		flushNs = int64(time.Since(flushStart))
+	if flush && err == nil {
+		var flushStart time.Time
+		if t != nil {
+			flushStart = time.Now()
+		}
+		c.flushConn()
+		if t != nil {
+			b.flushNs = int64(time.Since(flushStart))
+		}
 	}
+	b.err = err
 	c.mu.Unlock()
+	return b
+}
 
-	for _, ca := range calls {
+// flushConn writes out the buffered request frames; callers hold c.mu. A
+// failure kills the connection, delivering it to every outstanding call.
+func (c *Client) flushConn() {
+	if c.cc == nil || c.cc.bw.Buffered() == 0 {
+		return
+	}
+	c.metrics.Flushes.Inc()
+	if err := c.cc.bw.Flush(); err != nil {
+		c.cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+	}
+}
+
+// flush writes out what unflushed sends left buffered.
+func (c *Client) flush() {
+	c.mu.Lock()
+	c.flushConn()
+	c.mu.Unlock()
+}
+
+// await is the await half of many: it collects every call's verdict (the
+// first failure wins, a send-side one before any), closes a traced batch's
+// client stages, and recycles the calls and the receipt.
+func (c *Client) await(b *sent) error {
+	err := b.err
+	for _, ca := range b.calls {
 		if cerr := <-ca.done; cerr != nil && err == nil {
 			err = cerr
 		}
-	}
-	putCalls(cl, calls)
-	if err == nil && t != nil {
-		c.recordCallStages(t, start, encodeNs, flushNs, peerBefore)
-	}
-	return err
-}
-
-// putCalls recycles a batch's calls (verdicts already consumed) and its list.
-func putCalls(cl *callList, calls []*call) {
-	for _, ca := range calls {
 		putCall(ca)
 	}
-	cl.s = calls[:0]
-	callsPool.Put(cl)
+	if err == nil && b.t != nil {
+		c.recordCallStages(b.t, b.start, b.encodeNs, b.flushNs, b.peerBefore)
+	}
+	*b = sent{calls: b.calls[:0]}
+	sentPool.Put(b)
+	return err
 }
 
 // Caps returns the capability bits the server advertises in its info
@@ -732,9 +769,7 @@ func (c *Client) small(op byte, ca *call) error {
 		err = c.sendFrame(cc, []byte{op}, ca)
 	}
 	if err == nil {
-		if ferr := cc.bw.Flush(); ferr != nil {
-			cc.fail(fmt.Errorf("%w: %v", ErrClosed, ferr))
-		}
+		c.flushConn()
 	}
 	c.mu.Unlock()
 	if err != nil {

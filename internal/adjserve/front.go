@@ -18,7 +18,7 @@ import (
 // response, flush once per read-burst) and the frame-level metrics. What
 // answers a request payload is the owner's business — an engine probe, or a
 // fan-out over shards — reached through the frameConn the owner opens per
-// connection.
+// connection: an answerConn answers inside the loop, a pipelinedConn beside it.
 type front struct {
 	open func() frameConn // set by the owner's constructor
 	m    *frontMetrics    // the owner's metrics
@@ -60,17 +60,42 @@ type front struct {
 }
 
 // frameConn is one connection's answering state, owned by that connection's
-// frame loop and pooled by its owner across connections.
+// frame loop and pooled by its owner across connections: an answerConn or a
+// pipelinedConn.
 type frameConn interface {
 	// request returns the buffer the next n-byte payload is read into.
 	request(n int) []byte
+	close()
+}
+
+// answerConn answers a frame in one call on the frame loop's goroutine (a
+// Server's connections).
+type answerConn interface {
 	// answer answers one fully-read request payload (it may edit the payload
 	// in place); the response is valid until the next call. start is the
 	// instant the payload finished reading; readNs and queueNs are the
 	// frame's already-measured read and queue-wait stages.
 	answer(req []byte, start time.Time, readNs, queueNs int64) (resp []byte, queries int)
-	close()
 }
+
+// pipelinedConn splits answer in two, making a Router's connections
+// full-duplex: the frame loop begins frame k+1 — all that needs the payload,
+// up to buffering what it asks upstream — while a second goroutine waits for
+// frame k's answers in finish. Frames finish in the order they began.
+type pipelinedConn interface {
+	begin(slot int, req []byte, start time.Time, readNs, queueNs int64)
+	// flush sends what begin left buffered; the frame loop calls it before
+	// anything that can block it, once per read-burst.
+	flush()
+	// ready reports whether finish would return without waiting; finish's
+	// response is valid until the slot begins again.
+	ready(slot int) bool
+	finish(slot int) (resp []byte, queries int)
+}
+
+// pipelineDepth bounds the frames (and slots) between begin and finish: two
+// pipelining callers need two, four leaves room for a burst.
+const pipelineDepth = 4
 
 // reqBuf is the request buffer every frameConn embeds: it grows to the largest
 // request seen and, being pooled, is not re-allocated by short-lived connections.
@@ -101,9 +126,8 @@ func (f *front) SetMaxConns(n int) { f.maxConns = n }
 func (f *front) SetTraceSink(sink *obs.TraceSink) { f.sink = sink }
 
 // Serve accepts connections on ln until Close, answering each connection's
-// frames in order on its own goroutine (a router's fan-out inside a frame is
-// concurrent, the frames are not reordered). It returns ErrClosed after
-// Close, or the first accept error otherwise.
+// frames in request order (a router overlaps them upstream, never reorders).
+// It returns ErrClosed after Close, or the first accept error otherwise.
 func (f *front) Serve(ln net.Listener) error {
 	f.mu.Lock()
 	if f.draining.Load() {
@@ -159,7 +183,7 @@ func (f *front) ListenAndServe(addr string) error {
 }
 
 // Close drains: the listener stops accepting, every connection finishes the
-// frame it is answering (pending responses are flushed), and Close returns
+// frames it is answering (pending responses are flushed), and Close returns
 // once all connection goroutines have exited. Frames a pipelining client had
 // buffered beyond the in-flight one are dropped with the connection; clients
 // recover by reconnecting. Close is idempotent.
@@ -215,6 +239,101 @@ func refuseConn(c net.Conn) {
 	c.Write(shed)
 }
 
+// frameWriter is the response half of a connection's frame loop — frame
+// accounting, buffered write, flush policy — used by the loop that answers
+// inline or the goroutine that finishes pipelined frames. A failed write or
+// flush means the peer is gone and closes the connection (which is what
+// stops a pipelined loop reading).
+type frameWriter struct {
+	m          *frontMetrics
+	c          net.Conn
+	bw         *bufio.Writer
+	charge     func(msgs, bytes, queries int64)
+	maxPending int // caps unflushed, see front.maxPendingResp
+	// unflushed counts responses coalesced into bw since the last Flush. A
+	// frame is charged to the QueuedFrames gauge once its payload is read and
+	// released when its response is flushed: a connection sitting on eight
+	// pipelined frames is eight frames of backlog, a real queue-depth signal.
+	unflushed int
+	// fhdr escapes (its slice reaches the net.Conn interface through bufio's
+	// large-write bypass), so it lives here: one allocation per connection.
+	fhdr [frameHeaderLen]byte
+}
+
+// write buffers one response frame and charges it: a few uncontended atomic
+// adds per frame, amortized over the whole batch — nothing per query.
+func (w *frameWriter) write(plen int, resp []byte, queries int) error {
+	w.m.Frames.Inc()
+	w.m.BytesIn.Add(int64(frameHeaderLen + plen))
+	w.m.BytesOut.Add(int64(frameHeaderLen + len(resp)))
+	w.unflushed++
+	w.fhdr = frameHeader(len(resp))
+	_, err := w.bw.Write(w.fhdr[:])
+	if err == nil {
+		_, err = w.bw.Write(resp)
+	}
+	if err != nil {
+		w.c.Close()
+		return err
+	}
+	if w.charge != nil {
+		w.charge(2, int64(2*frameHeaderLen+plen+len(resp)), int64(queries))
+	}
+	if w.unflushed >= w.maxPending {
+		return w.flush()
+	}
+	return nil
+}
+
+// flush is the pipelining-aware flush: callers hold responses back while more
+// can be answered without waiting and flush before they would block. After a
+// failure the unflushed frames stay charged until teardown.
+func (w *frameWriter) flush() error {
+	if w.unflushed == 0 {
+		return nil
+	}
+	w.m.Flushes.Inc()
+	if err := w.bw.Flush(); err != nil {
+		w.c.Close()
+		return err
+	}
+	w.m.QueuedFrames.Add(int64(-w.unflushed))
+	w.unflushed = 0
+	return nil
+}
+
+// begunFrame is what the frame loop hands a pipelined connection's finisher.
+type begunFrame struct {
+	slot, plen int
+	resp       []byte // non-nil: the loop answered the frame itself (over-limit payload)
+}
+
+// finishLoop is a pipelined connection's second goroutine: it takes begun
+// frames in order, collects each one's response and writes it, flushing
+// before it would wait — nothing begun, or the frame's answers not all in.
+// Write errors are dropped: they closed the connection, and the frames already
+// begun are still finished, which returns their slots and upstream calls.
+func (w *frameWriter) finishLoop(pc pipelinedConn, pipe <-chan begunFrame, free chan<- int) {
+	for {
+		if len(pipe) == 0 {
+			_ = w.flush()
+		}
+		fr, ok := <-pipe
+		if !ok {
+			return
+		}
+		resp, queries := fr.resp, 0
+		if resp == nil {
+			if !pc.ready(fr.slot) {
+				_ = w.flush()
+			}
+			resp, queries = pc.finish(fr.slot)
+		}
+		_ = w.write(fr.plen, resp, queries)
+		free <- fr.slot
+	}
+}
+
 // handle runs one connection's frame loop.
 func (f *front) handle(c net.Conn) {
 	m := f.m
@@ -222,42 +341,41 @@ func (f *front) handle(c net.Conn) {
 	m.ConnsActive.Add(1)
 	fc := f.open()
 	br := bufio.NewReaderSize(c, 64<<10)
-	bw := bufio.NewWriterSize(c, 64<<10)
-	maxPending := f.maxPendingResp
-	if maxPending <= 0 {
-		maxPending = DefaultMaxPendingResponses
+	w := &frameWriter{m: m, c: c, bw: bufio.NewWriterSize(c, 64<<10), charge: f.charge, maxPending: f.maxPendingResp}
+	if w.maxPending <= 0 {
+		w.maxPending = DefaultMaxPendingResponses
 	}
-	// Both header arrays escape (their slices reach the net.Conn interface
-	// through bufio's large-write bypass), so they live here — one allocation
-	// per connection, not one per frame.
-	var hdr, fhdr [frameHeaderLen]byte
-	// pending counts responses coalesced into bw since the last Flush: the
-	// flush below fires once per read-burst rather than once per frame, and
-	// maxPending bounds how long an answer can sit buffered (and, because a
-	// full socket makes Flush block, how far the loop can read ahead of a
-	// client that stopped reading — backpressure, not unbounded buffering).
-	pending := 0
-	// queued is this connection's contribution to the aggregate QueuedFrames
-	// gauge: frames whose payload has been read but whose response has not yet
-	// been flushed. Charging the whole unflushed burst (rather than just the
-	// frame being answered) is what makes the gauge a real queue-depth signal
-	// — a connection sitting on eight pipelined frames is eight frames of
-	// backlog even though only one is on the CPU.
-	queued := 0
-	release := func() {
-		if queued > 0 {
-			m.QueuedFrames.Add(int64(-queued))
-			queued = 0
+	ac, _ := fc.(answerConn)
+	pc, _ := fc.(pipelinedConn)
+	var pipe chan begunFrame
+	var free chan int
+	var finished chan struct{}
+	if pc != nil {
+		// A frame holds a slot from before it enters pipe until after it
+		// leaves, so with both sized to the slots neither send can block.
+		pipe, free, finished = make(chan begunFrame, pipelineDepth), make(chan int, pipelineDepth), make(chan struct{})
+		for slot := 0; slot < pipelineDepth; slot++ {
+			free <- slot
 		}
+		go func() {
+			defer close(finished)
+			w.finishLoop(pc, pipe, free)
+		}()
 	}
 	defer func() {
-		// The end-of-connection flush (drain, read error, dead peer): its
-		// failure cannot change control flow, but it is still counted, so
-		// dead-peer writes show up in /metrics instead of vanishing.
-		if err := bw.Flush(); err != nil {
-			m.WriteErrors.Inc()
+		if pc != nil {
+			// Every begun frame is finished before the connection goes away.
+			pc.flush()
+			close(pipe)
+			<-finished
 		}
-		release()
+		// The end-of-connection flush (drain, read error, dead peer): its
+		// failure cannot change control flow but is counted, so dead-peer
+		// writes show up in /metrics instead of vanishing.
+		if err := w.flush(); err != nil {
+			m.WriteErrors.Inc()
+			m.QueuedFrames.Add(int64(-w.unflushed))
+		}
 		fc.close()
 		m.ConnsActive.Add(-1)
 		f.mu.Lock()
@@ -266,6 +384,7 @@ func (f *front) handle(c net.Conn) {
 		c.Close()
 		f.wg.Done()
 	}()
+	var hdr [frameHeaderLen]byte // escapes like frameWriter.fhdr
 	// burstStart anchors the queue-wait stage: it is reset whenever a header
 	// read actually blocked (the connection was idle), so a frame's queue
 	// time is how long it sat buffered behind earlier frames of the same
@@ -273,6 +392,14 @@ func (f *front) handle(c net.Conn) {
 	var burstStart time.Time
 	for !f.draining.Load() {
 		waiting := br.Buffered() >= frameHeaderLen
+		if !waiting {
+			// The read can block: what was held back goes out first.
+			if pc != nil {
+				pc.flush()
+			} else if w.flush() != nil {
+				return
+			}
+		}
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			// EOF (client went away), the Close wake-up deadline, or a torn
 			// header; nothing more to answer either way.
@@ -282,60 +409,46 @@ func (f *front) handle(c net.Conn) {
 		if !waiting {
 			burstStart = tHdr
 		}
-		plen := int(binary.LittleEndian.Uint32(hdr[:]))
-		var resp []byte
-		queries := 0
-		if plen > maxFramePayload {
-			// The framing itself is still trustworthy, so skip the payload
-			// and answer with an error frame instead of dropping the
-			// connection.
-			if _, err := io.CopyN(io.Discard, br, int64(plen)); err != nil {
+		fr := begunFrame{plen: int(binary.LittleEndian.Uint32(hdr[:]))}
+		if pc != nil && br.Buffered() < fr.plen {
+			pc.flush()
+		}
+		var req []byte
+		if fr.plen > maxFramePayload {
+			// The framing itself is still trustworthy: skip the payload and
+			// answer with an error frame instead of dropping the connection.
+			if _, err := io.CopyN(io.Discard, br, int64(fr.plen)); err != nil {
 				return
 			}
-			resp = appendErr(nil, "frame of %d bytes exceeds limit %d", plen, maxFramePayload)
+			fr.resp = appendErr(nil, "frame of %d bytes exceeds limit %d", fr.plen, maxFramePayload)
 			m.ErrorFrames.Inc()
 		} else {
-			req := fc.request(plen)
+			req = fc.request(fr.plen)
 			if _, err := io.ReadFull(br, req); err != nil {
 				return
 			}
-			// The queued-frame window opens once the payload is fully read and
-			// closes when the response is flushed (see release); summed over
-			// connections it is the depth the shedding bound compares against.
-			m.QueuedFrames.Add(1)
-			queued++
-			tPayload := time.Now()
-			resp, queries = fc.answer(req, tPayload, int64(tPayload.Sub(tHdr)), int64(tHdr.Sub(burstStart)))
 		}
-		// Frame-granular accounting: a few uncontended atomic adds per
-		// frame, amortized over the whole batch — the per-query serving path
-		// stays untouched.
-		m.Frames.Inc()
-		m.BytesIn.Add(int64(frameHeaderLen + plen))
-		m.BytesOut.Add(int64(frameHeaderLen + len(resp)))
-		fhdr = frameHeader(len(resp))
-		if _, err := bw.Write(fhdr[:]); err != nil {
-			return
-		}
-		if _, err := bw.Write(resp); err != nil {
-			return
-		}
-		if f.charge != nil {
-			f.charge(2, int64(2*frameHeaderLen+plen+len(resp)), int64(queries))
-		}
-		pending++
-		// Pipelining-aware flush: hold responses while more complete frames
-		// are already buffered (one Flush per read-burst), but never hold
-		// more than maxPending answers; flush before the next read could
-		// block. A flush failure means the peer is gone — close now rather
-		// than discovering it one sticky-errored write later.
-		if br.Buffered() < frameHeaderLen || pending >= maxPending {
-			if err := bw.Flush(); err != nil {
+		m.QueuedFrames.Add(1) // until the response is flushed, see frameWriter
+		tPayload := time.Now()
+		readNs, queueNs := int64(tPayload.Sub(tHdr)), int64(tHdr.Sub(burstStart))
+		if pc == nil {
+			queries := 0
+			if fr.resp == nil {
+				fr.resp, queries = ac.answer(req, tPayload, readNs, queueNs)
+			}
+			if w.write(fr.plen, fr.resp, queries) != nil {
 				return
 			}
-			pending = 0
-			release()
+			continue
 		}
+		if len(free) == 0 {
+			pc.flush()
+		}
+		fr.slot = <-free
+		if fr.resp == nil {
+			pc.begin(fr.slot, req, tPayload, readNs, queueNs)
+		}
+		pipe <- fr
 	}
 }
 

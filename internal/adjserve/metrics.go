@@ -40,6 +40,7 @@ type frontMetrics struct {
 	ErrorFrames obs.Counter // frames answered with an error status
 	ShedFrames  obs.Counter // frames answered with a shed status (load refused)
 	WriteErrors obs.Counter // response writes/flushes that failed (dead peer)
+	Flushes     obs.Counter // write-buffer flushes that had responses to write
 	// QueuedFrames is the aggregate in-flight frame depth: frames fully read
 	// but whose response has not yet been flushed, across all connections —
 	// the queue the shedding bound (Server.SetShedDepth) watches. A pipelined
@@ -48,10 +49,10 @@ type frontMetrics struct {
 	Queries      obs.Counter // pairs answered
 	BytesIn      obs.Counter // request wire bytes, frame headers included
 	BytesOut     obs.Counter // response wire bytes, frame headers included
-	// FrameLatencyNs[batchClass] is the frame handling time (request fully
-	// read → response buffered, excluding the flush; a router's routing,
-	// fan-out and gather included) of successful pair frames, one histogram
-	// per batch-size class.
+	// FrameLatencyNs[batchClass] is the handling time of successful pair
+	// frames (request fully read → response encoded, excluding the flush; a
+	// router's includes the wait behind the connection's earlier pipelined
+	// frame: residence time, not service time), one histogram per batch class.
 	FrameLatencyNs [len(batchClassLabels)]obs.Histogram
 }
 
@@ -92,13 +93,14 @@ func (m *frontMetrics) register(reg *obs.Registry, family string) {
 	reg.Counter(family+"_error_frames_total", "Frames answered with an error status.", &m.ErrorFrames)
 	reg.Counter(family+"_shed_frames_total", "Frames answered with a shed status (load refused).", &m.ShedFrames)
 	reg.Counter(family+"_write_errors_total", "Response writes or flushes that failed (dead peer).", &m.WriteErrors)
+	reg.Counter(family+"_flushes_total", "Write-buffer flushes that had responses to write; frames per flush is the response coalescing.", &m.Flushes)
 	reg.Gauge(family+"_queued_frames", "Frames read but not yet flushed, across all connections.", &m.QueuedFrames)
 	reg.Counter(family+"_queries_total", "Pairs answered.", &m.Queries)
 	reg.Counter(family+"_bytes_in_total", "Request bytes read, frame headers included.", &m.BytesIn)
 	reg.Counter(family+"_bytes_out_total", "Response bytes written, frame headers included.", &m.BytesOut)
 	for i := range m.FrameLatencyNs {
 		reg.Histogram(family+"_frame_latency_ns",
-			"Pair-frame handling time in nanoseconds by batch-size class.",
+			"Pair-frame handling time in nanoseconds by batch-size class (payload read to response encoded; on a router this includes the wait behind the connection's earlier pipelined frame).",
 			&m.FrameLatencyNs[i], "batch", batchClassLabels[i])
 	}
 }
@@ -118,6 +120,7 @@ type ClientMetrics struct {
 	DialFailures obs.Counter // dials that returned an error
 	Redials      obs.Counter // successful reconnects after a lost connection
 	FramesSent   obs.Counter // request frames written
+	Flushes      obs.Counter // write-buffer flushes that had frames to write
 	ShedFrames   obs.Counter // responses that were shed frames (ErrShed)
 	BytesOut     obs.Counter // request wire bytes written, frame headers included
 	BytesIn      obs.Counter // response wire bytes read, frame headers included
@@ -137,6 +140,7 @@ func (m *ClientMetrics) RegisterWith(reg *obs.Registry, labels ...string) {
 	reg.Counter("adjserve_client_dial_failures_total", "Connection dials that failed.", &m.DialFailures, labels...)
 	reg.Counter("adjserve_client_redials_total", "Successful reconnects after a lost connection.", &m.Redials, labels...)
 	reg.Counter("adjserve_client_frames_total", "Request frames written.", &m.FramesSent, labels...)
+	reg.Counter("adjserve_client_flushes_total", "Write-buffer flushes that had request frames to write; frames per flush is the send-side coalescing.", &m.Flushes, labels...)
 	reg.Counter("adjserve_client_shed_frames_total", "Responses that were shed frames.", &m.ShedFrames, labels...)
 	reg.Counter("adjserve_client_bytes_out_total", "Request bytes written, frame headers included.", &m.BytesOut, labels...)
 	reg.Counter("adjserve_client_bytes_in_total", "Response bytes read, frame headers included.", &m.BytesIn, labels...)

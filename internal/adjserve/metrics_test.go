@@ -47,7 +47,14 @@ func scrapeSeries(t *testing.T, url, series string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(string(body), "\n") {
+	return findSeries(t, string(body), series)
+}
+
+// findSeries returns the value of the exactly-named series in a text
+// exposition.
+func findSeries(t *testing.T, exposition, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
 		rest, ok := strings.CutPrefix(line, series+" ")
 		if !ok {
 			continue
@@ -58,7 +65,7 @@ func scrapeSeries(t *testing.T, url, series string) float64 {
 		}
 		return v
 	}
-	t.Fatalf("series %s not found in scrape:\n%s", series, body)
+	t.Fatalf("series %s not found in scrape:\n%s", series, exposition)
 	return 0
 }
 
@@ -304,5 +311,48 @@ func TestClientRedialCounted(t *testing.T) {
 	}
 	if got := c.Metrics().InFlight.Load(); got != 0 {
 		t.Errorf("InFlight = %d at rest, want 0", got)
+	}
+}
+
+// TestFlushMetricsExposed pins the series that make the coalescing at each
+// hop readable from /metrics — flushes beside frames on the server, the
+// router's downstream side and every upstream client, plus the router's
+// begun-frames gauge — and checks they count: one caller, one frame in
+// flight, so every hop flushes exactly once per frame it wrote.
+func TestFlushMetricsExposed(t *testing.T) {
+	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	addrs, srvs := startShardFleet(t, engines)
+	addr, r := startRouter(t, addrs, 0)
+	reg := obs.NewRegistry()
+	r.RegisterMetrics(reg)
+	srvs[0].Metrics().Register(reg)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Metrics().Register(reg)
+	const batches = 5
+	pairs := randomPairs(full.N(), 256, 3)
+	for i := 0; i < batches; i++ {
+		if _, err := c.AdjacentMany(pairs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := func(name string) float64 { return findSeries(t, reg.Expose(), name) }
+	for _, hop := range []struct{ flushes, frames string }{
+		{"adjserve_client_flushes_total", "adjserve_client_frames_total"},
+		{"adjserve_router_flushes_total", "adjserve_router_frames_total"},
+		{`adjserve_client_flushes_total{shard="0"}`, `adjserve_client_frames_total{shard="0"}`},
+		{"adjserve_flushes_total", "adjserve_frames_total"},
+	} {
+		flushes, frames := series(hop.flushes), series(hop.frames)
+		if flushes < batches || flushes != frames {
+			t.Errorf("%s = %v beside %s = %v, want one flush per frame over %d unpipelined batches",
+				hop.flushes, flushes, hop.frames, frames, batches)
+		}
+	}
+	if got := series("adjserve_router_begun_frames"); got != 0 {
+		t.Errorf("adjserve_router_begun_frames = %v at rest, want 0", got)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // speaks the ordinary adjserve wire protocol — clients cannot tell a router
 // from a single server holding the whole labeling — and upstream it holds one
 // pipelined Client per shard server. Each query frame is split by the
-// ownership rule, the per-shard sub-batches are fanned out concurrently, and
-// the per-shard bit-vector answers are scattered back into request order.
+// ownership rule, the per-shard sub-batches are written into the shards'
+// clients, and the per-shard answers are scattered back into request order;
+// frame k+1 is split and sent while frame k is still upstream (pipelinedConn).
 //
 // Routing rule (the invariant TestRouterRoutingInvariant pins down): a query
 // (u,v) can only be answered by a shard holding a full thin body of u or v,
@@ -50,7 +51,7 @@ type Router struct {
 	replicas bool
 
 	metrics RouterMetrics
-	bufPool sync.Pool // *routerBufs; per-router because sizes scale with shard count
+	bufPool sync.Pool // *routerConn; per-router because sizes scale with shard count
 
 	// front is the downstream listener, the per-connection frame loop and
 	// the trace sink; it provides Serve, ListenAndServe, SetMaxConns and
@@ -78,6 +79,10 @@ type Router struct {
 func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("adjserve: router needs at least one shard address")
+	}
+	if len(addrs) >= int(obs.HopPeer) {
+		// A trace labels an upstream's stages with its index in the hop byte.
+		return nil, fmt.Errorf("adjserve: router: %d upstreams, at most %d fit beside the trace plane's peer and self hop labels", len(addrs), int(obs.HopPeer)-1)
 	}
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
@@ -235,7 +240,7 @@ func (r *Router) ownerOf(u int) int {
 }
 
 // Close drains the router exactly as Server.Close drains a server — stop
-// accepting, let every connection finish its in-flight frame, wait — and
+// accepting, let every connection finish the frames it has begun, wait — and
 // then closes the upstream clients. Idempotent.
 func (r *Router) Close() error {
 	err := r.front.Close()
@@ -243,122 +248,128 @@ func (r *Router) Close() error {
 	return err
 }
 
-// shardJob is one shard's slice of a pair-batch frame, handed to that shard's
-// worker goroutine and joined on wg. pairs/idx/ans grow to the connection's
-// working set and are reused for every subsequent frame.
-type shardJob struct {
-	pl    *plane
+// shardCall is one shard's slice of a begun pair-batch frame. pairs/idx/ans
+// grow to the connection's working set and are reused by the slot's later
+// frames; so is tally, where a traced frame accumulates the upstream client's
+// stages and the shard's own stage report until finish merges them.
+type shardCall struct {
 	pairs [][2]int
-	idx   []int32 // request positions of pairs, for the scatter
+	idx   []int32 // request positions of pairs, for the gather
 	ans   answers
-	err   error
-	wg    *sync.WaitGroup
-	// tr, when non-nil, selects the traced upstream call and points at tally,
-	// which then accumulates the upstream client's stages plus the shard's own
-	// stage report, merged into the frame's tally (relabeled with the shard
-	// index) after the join. The tally lives in the pooled job so the traced
-	// fan-out allocates nothing per frame either.
-	tr    *obs.SpanTally
+	sent  *sent // the sub-batch's receipt between begin and finish, else nil
 	tally obs.SpanTally
 }
 
-// routerBufs is the pooled per-connection scratch and a Router connection's
-// frameConn: the request and response payloads plus one shardJob (sub-batch,
-// scatter indexes, answers) per shard, the request-ordered answer gather, and the
-// join WaitGroup — everything a frame needs, so the steady-state fan-out
-// performs zero heap allocations. chans feed the connection's worker
-// goroutines while a connection holds the buffers.
-type routerBufs struct {
-	reqBuf
-	r     *Router
-	chans []chan *shardJob
-	resp  []byte
-	jobs  []shardJob
-	all   answers // request-ordered gather
-	wg    sync.WaitGroup
+// routerSlot is one frame's state between begin and finish.
+type routerSlot struct {
+	tc              traceCtx
+	op              byte
+	pl              *plane // nil: begin answered the frame itself, resp holds the answer
+	count           int    // pairs in the frame
+	resp            []byte
+	start, begun    time.Time // payload read; begin done
+	readNs, queueNs int64
+	shards          []shardCall
 }
 
-// openConn hands a downstream connection its buffers and starts one
-// persistent worker goroutine per shard, fed over a buffered channel, so the
-// per-frame fan-out is channel sends and a WaitGroup join — no goroutine
-// spawning on the query path.
+// routerConn is the pooled per-connection state and a Router connection's
+// pipelinedConn: the request payload, a slot per frame in flight and the
+// request-ordered gather — all a frame needs, so the steady-state fan-out
+// allocates nothing. begin runs on the frame loop's goroutine and owns dirty,
+// finish on the finisher's and owns all; a slot passes between them with its frame.
+type routerConn struct {
+	reqBuf
+	r     *Router
+	slots [pipelineDepth]routerSlot
+	dirty []bool  // by shard: sub-batches begun since the last flush
+	all   answers // request-ordered gather
+}
+
 func (r *Router) openConn() frameConn {
-	b, ok := r.bufPool.Get().(*routerBufs)
+	b, ok := r.bufPool.Get().(*routerConn)
 	if !ok {
-		b = &routerBufs{r: r, jobs: make([]shardJob, len(r.clients)), chans: make([]chan *shardJob, len(r.clients))}
-		for s := range b.jobs {
-			b.jobs[s].wg = &b.wg
+		b = &routerConn{r: r, dirty: make([]bool, len(r.clients))}
+		for i := range b.slots {
+			b.slots[i].shards = make([]shardCall, len(r.clients))
 		}
-	}
-	for s := range b.chans {
-		b.chans[s] = make(chan *shardJob, 1)
-		go r.worker(s, b.chans[s])
 	}
 	return b
 }
 
-func (b *routerBufs) answer(req []byte, start time.Time, readNs, queueNs int64) ([]byte, int) {
-	return b.r.routeFrame(req, b, start, readNs, queueNs)
-}
+func (b *routerConn) close() { b.r.bufPool.Put(b) }
 
-func (b *routerBufs) close() {
-	for _, ch := range b.chans {
-		close(ch)
-	}
-	b.r.bufPool.Put(b)
-}
-
-// worker answers one shard's sub-batches for one downstream connection.
-func (r *Router) worker(s int, jobs <-chan *shardJob) {
-	c, m := r.clients[s], &r.metrics.Upstreams[s]
-	for job := range jobs {
-		start := time.Now()
-		job.err = c.many(job.pl, job.pairs, job.ans, job.tr)
-		m.observe(len(job.pairs), time.Since(start), job.err)
-		job.wg.Done()
-	}
-}
-
-// routeFrame is the router's analogue of Server.serveFrame: it strips an
-// inbound trace context, decides whether this frame is captured (remote trace,
-// self-sample, or slow), answers via process, and on capture echoes the
-// router-hop stage report back downstream and deposits the completed trace.
-// start is the instant the payload finished reading; readNs and queueNs are
-// the header→payload read time and the pre-read queue wait.
-//
-// The untraced path materializes no SpanTally and performs no extra work
-// beyond the timestamps already taken by the frame loop, preserving the
-// zero-allocation router batch path.
-func (r *Router) routeFrame(req []byte, bufs *routerBufs, start time.Time, readNs, queueNs int64) ([]byte, int) {
-	tc, req, op := beginTrace(req, r.sink)
-	// Captured frames thread a tally through process so the fan-out records
-	// scatter/upstream/gather windows and per-shard sub-traces. Slow-only
-	// frames (detected after the fact) get the coarse queue/read/route stages.
-	var t obs.SpanTally
-	var tp *obs.SpanTally
-	if tc.remote || tc.sample {
-		t.ID = tc.id
-		tp = &t
-	}
-	resp, queries := r.process(req, bufs, tp)
-	routeNs := int64(time.Since(start))
-	r.metrics.observe(resp, queries, routeNs, tc.id)
-	total := queueNs + readNs + routeNs
-	if slow := slowFrame(r.sink, total); tp != nil || slow {
-		if tp == nil {
-			// Slow-only capture: no fan-out detail was recorded, attribute the
-			// whole routing window as one upstream stage.
-			t.Add(obs.StageUpstream, obs.HopSelf, routeNs)
+func (b *routerConn) flush() {
+	for s, dirty := range b.dirty {
+		if dirty {
+			b.r.clients[s].flush()
+			b.dirty[s] = false
 		}
-		t.Add(obs.StageQueue, obs.HopSelf, queueNs)
-		t.Add(obs.StageRead, obs.HopSelf, readNs)
-		resp = tc.finish(r.sink, &t, resp, op, queries, total, slow)
 	}
-	bufs.resp = resp[:0]
-	return resp, queries
 }
 
-// mergeShardTrace folds one shard job's tally into the frame tally: the
+func (b *routerConn) ready(slot int) bool {
+	for s := range b.slots[slot].shards {
+		if sent := b.slots[slot].shards[s].sent; sent != nil && !sent.ready() {
+			return false
+		}
+	}
+	return true
+}
+
+// begin is the first half of the router's analogue of Server.serveFrame:
+// strip an inbound trace context, decide whether to trace, scatter the request.
+func (b *routerConn) begin(slot int, req []byte, start time.Time, readNs, queueNs int64) {
+	sl := &b.slots[slot]
+	sl.start, sl.readNs, sl.queueNs = start, readNs, queueNs
+	sl.tc, req, sl.op = beginTrace(req, b.r.sink)
+	sl.pl = nil
+	if local := b.r.scatter(req, b, sl); local != nil {
+		sl.resp = local
+	}
+	sl.begun = time.Now()
+	b.r.metrics.BegunFrames.Add(1)
+}
+
+// finish is the second half: join and gather the answers, charge the frame,
+// and — for traced, sampled or slow frames — echo the router-hop stage report
+// downstream and deposit the trace. The stages tile the frame's time at this
+// hop: queue and read as the frame loop measured them, scatter = begin,
+// upstream = begin done → answers joined (the wait behind the connection's
+// earlier frame included), gather = joined → encoded. An uncaptured frame
+// takes no timestamp the latency histograms do not need.
+func (b *routerConn) finish(slot int) ([]byte, int) {
+	r, sl := b.r, &b.slots[slot]
+	joined, queries := sl.begun, 0
+	if sl.pl != nil {
+		joined, queries = r.gather(b, sl)
+	}
+	end := time.Now()
+	r.metrics.BegunFrames.Add(-1)
+	routeNs := int64(end.Sub(sl.start))
+	r.metrics.observe(sl.resp, queries, routeNs, sl.tc.id)
+	total := sl.queueNs + sl.readNs + routeNs
+	traced := sl.tc.remote || sl.tc.sample
+	if slow := slowFrame(r.sink, total); traced || slow {
+		var t obs.SpanTally
+		t.ID = sl.tc.id
+		t.Add(obs.StageScatter, obs.HopSelf, int64(sl.begun.Sub(sl.start)))
+		t.Add(obs.StageUpstream, obs.HopSelf, int64(joined.Sub(sl.begun)))
+		if traced && queries > 0 {
+			for s := range sl.shards {
+				if len(sl.shards[s].pairs) > 0 {
+					mergeShardTrace(&t, &sl.shards[s].tally, uint8(s))
+				}
+			}
+		}
+		t.Add(obs.StageGather, obs.HopSelf, int64(end.Sub(joined)))
+		t.Add(obs.StageQueue, obs.HopSelf, sl.queueNs)
+		t.Add(obs.StageRead, obs.HopSelf, sl.readNs)
+		sl.resp = sl.tc.finish(r.sink, &t, sl.resp, sl.op, queries, total, slow)
+	}
+	return sl.resp, queries
+}
+
+// mergeShardTrace folds one shard call's tally into the frame tally: the
 // upstream client's own stages (encode/flush/net at HopSelf) collapse into a
 // single per-shard net stage, the shard server's stage report (HopPeer after
 // the client's relabel) is re-labeled with the shard index, and anything else
@@ -378,60 +389,45 @@ func mergeShardTrace(dst, jt *obs.SpanTally, shard uint8) {
 	dst.Add(obs.StageNet, shard, netNs)
 }
 
-// process answers one downstream request payload, appending the response to
-// bufs.resp (reused from its start). Info ops are answered locally — the
-// router already knows the fleet's n and fat set from the handshake, and
-// presents itself as a single unsharded server so routers compose with every
-// existing client (plquery -remote, plbench, even another router). A non-nil
-// tp marks the frame as traced: the pair-batch path records its fan-out
-// stages into it and threads the trace upstream.
-func (r *Router) process(req []byte, bufs *routerBufs, tp *obs.SpanTally) (out []byte, queries int) {
-	resp := bufs.resp[:0]
+// scatter begins one downstream request payload in sl. Info ops are answered
+// locally — the router already knows the fleet's n and fat set from the
+// handshake, and presents itself as a single unsharded server so routers
+// compose with every existing client (plquery -remote, plbench, even another
+// router) — and so is every frame that fails the router's own checks: local
+// is then the response. A pair batch goes through the one routing loop under
+// every plane, sl.pl: decode and place each pair, then write each shard's
+// sub-batch into its client, unflushed (see routerConn.flush) and traced if
+// the frame is.
+func (r *Router) scatter(req []byte, b *routerConn, sl *routerSlot) (local []byte) {
+	resp := sl.resp[:0]
 	if len(req) == 0 {
-		return appendErr(resp, "empty request"), 0
+		return appendErr(resp, "empty request")
 	}
 	op, body := req[0], req[1:]
 	switch op {
 	case opInfo:
-		return appendInfo(resp, r.n), 0
+		return appendInfo(resp, r.n)
 	case opShardInfo:
-		return append(appendShardInfo(resp, r.n, trivialShardMap), r.fatBits...), 0
+		return append(appendShardInfo(resp, r.n, trivialShardMap), r.fatBits...)
 	}
 	pl := planeOf(op)
 	if pl == nil {
-		return appendErr(resp, "unknown op %d", op), 0
+		return appendErr(resp, "unknown op %d", op)
 	}
-	return r.routePairs(pl, body, resp, bufs, tp)
-}
-
-// routePairs answers one pair-batch frame on plane pl — the one routing loop
-// under every plane: decode and place each pair, fan the per-shard
-// sub-batches out, join, and gather the answers back into request order.
-func (r *Router) routePairs(pl *plane, body, resp []byte, bufs *routerBufs, tp *obs.SpanTally) (out []byte, queries int) {
 	if pl.wholeStore && !r.replicas {
-		return appendErr(resp, "%s queries require a replica fleet (this router fronts a %d-shard partition)", pl.name, len(r.clients)), 0
+		return appendErr(resp, "%s queries require a replica fleet (this router fronts a %d-shard partition)", pl.name, len(r.clients))
 	}
 	count64, k := binary.Uvarint(body)
 	if k <= 0 {
-		return appendErr(resp, "bad pair count"), 0
+		return appendErr(resp, "bad pair count")
 	}
 	if count64 > uint64(r.maxBatch) {
-		return appendErr(resp, "batch of %d pairs exceeds limit %d", count64, r.maxBatch), 0
+		return appendErr(resp, "batch of %d pairs exceeds limit %d", count64, r.maxBatch)
 	}
 	body, count := body[k:], int(count64)
-	var tScatter time.Time
-	if tp != nil {
-		tScatter = time.Now()
-	}
-	jobs := bufs.jobs
-	for s := range jobs {
-		job := &jobs[s]
-		job.pl, job.pairs, job.idx, job.err, job.tr = pl, job.pairs[:0], job.idx[:0], nil, nil
-		if tp != nil {
-			job.tally.Reset()
-			job.tally.ID = tp.ID
-			job.tr = &job.tally
-		}
+	shards := sl.shards
+	for s := range shards {
+		shards[s].pairs, shards[s].idx = shards[s].pairs[:0], shards[s].idx[:0]
 	}
 	var blk [core.ProbeBlock][2]int
 	for i := 0; i < count; {
@@ -439,83 +435,84 @@ func (r *Router) routePairs(pl *plane, body, resp []byte, bufs *routerBufs, tp *
 		body = rest
 		for _, p := range blk[:k] {
 			if uint(p[0]) >= uint(r.n) || uint(p[1]) >= uint(r.n) {
-				return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, uint64(p[0]), uint64(p[1]), r.n), 0
+				return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, uint64(p[0]), uint64(p[1]), r.n)
 			}
-			job := &jobs[r.route(p[0], p[1])]
-			job.pairs = append(job.pairs, p)
-			job.idx = append(job.idx, int32(i))
+			sh := &shards[r.route(p[0], p[1])]
+			sh.pairs = append(sh.pairs, p)
+			sh.idx = append(sh.idx, int32(i))
 			i++
 		}
 		if bad != "" {
-			return appendErr(resp, "pair %d: bad %s", i, bad), 0
+			return appendErr(resp, "pair %d: bad %s", i, bad)
 		}
 	}
 	if len(body) != 0 {
-		return appendErr(resp, "%d trailing bytes after %d pairs", len(body), count), 0
+		return appendErr(resp, "%d trailing bytes after %d pairs", len(body), count)
 	}
-	// Scatter phase: one channel send per active shard, answered concurrently
-	// by the connection's workers, joined on the shared WaitGroup.
-	active := 0
-	for s := range jobs {
-		jobs[s].ans = jobs[s].ans.sized(pl.ints, len(jobs[s].pairs))
-		if len(jobs[s].pairs) > 0 {
-			active++
+	sl.pl, sl.count = pl, count
+	for s := range shards {
+		sh := &shards[s]
+		sh.ans = sh.ans.sized(pl.ints, len(sh.pairs))
+		if len(sh.pairs) == 0 {
+			continue
+		}
+		var tr *obs.SpanTally
+		if sl.tc.remote || sl.tc.sample {
+			sh.tally.Reset()
+			sh.tally.ID = sl.tc.id
+			tr = &sh.tally
+		}
+		sh.sent = r.clients[s].send(pl, sh.pairs, sh.ans, tr, false)
+		b.dirty[s] = true
+	}
+	return nil
+}
+
+// gather joins a scattered frame — every sub-batch is awaited whatever the
+// others' verdicts, which recycles its calls — charges the upstreams, and
+// folds the answers into request order in sl.resp; joined is the last arrival.
+func (r *Router) gather(b *routerConn, sl *routerSlot) (joined time.Time, queries int) {
+	// A shed from one shard poisons only the frames that needed it: they
+	// answer with a shed frame (ErrShed, a retryable refusal, not a generic
+	// failure) while frames touching only live shards keep answering. A
+	// non-shed error, the more informative verdict, wins over a shed.
+	joined = sl.begun
+	shed, failed := false, -1
+	var failure error
+	for s := range sl.shards {
+		sh := &sl.shards[s]
+		if sh.sent == nil {
+			continue
+		}
+		err := r.clients[s].await(sh.sent)
+		sh.sent = nil
+		joined = time.Now()
+		r.metrics.Upstreams[s].observe(len(sh.pairs), joined.Sub(sl.begun), err)
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrShed):
+			shed = true
+		case failure == nil:
+			failed, failure = s, err
 		}
 	}
-	var tUpstream time.Time
-	if tp != nil {
-		tUpstream = time.Now()
-		tp.Add(obs.StageScatter, obs.HopSelf, int64(tUpstream.Sub(tScatter)))
+	resp := sl.resp[:0]
+	switch {
+	case failure != nil:
+		sl.resp = appendErr(resp, "%s %d (%d pairs): %v", sl.pl.noun, failed, len(sl.shards[failed].pairs), failure)
+		return joined, 0
+	case shed:
+		sl.resp = appendShed(resp)
+		return joined, 0
 	}
-	bufs.wg.Add(active)
-	for s := range jobs {
-		if len(jobs[s].pairs) > 0 {
-			bufs.chans[s] <- &jobs[s]
-		}
-	}
-	bufs.wg.Wait()
-	var tGather time.Time
-	if tp != nil {
-		tGather = time.Now()
-		tp.Add(obs.StageUpstream, obs.HopSelf, int64(tGather.Sub(tUpstream)))
-	}
-	// A shed from one shard poisons only the sub-batches routed to it: the
-	// downstream frame that needed the overloaded shard answers with a shed
-	// frame (so the client sees ErrShed, a retryable refusal, not a generic
-	// failure), while frames touching only live shards keep answering. A
-	// non-shed error wins over a shed when both happen in one frame — it is
-	// the more informative verdict.
-	shed := false
-	for s := range jobs {
-		if err := jobs[s].err; err != nil {
-			if errors.Is(err, ErrShed) {
-				shed = true
-				continue
-			}
-			return appendErr(resp, "%s %d (%d pairs): %v", pl.noun, s, len(jobs[s].pairs), err), 0
-		}
-	}
-	if shed {
-		return appendShed(resp), 0
-	}
-	// Gather phase: fold each shard's answers back into request order, then
-	// encode them as one frame.
-	bufs.all = bufs.all.sized(pl.ints, count)
-	for s := range jobs {
-		bufs.all.scatter(jobs[s].idx, jobs[s].ans)
+	b.all = b.all.sized(sl.pl.ints, sl.count)
+	for s := range sl.shards {
+		b.all.scatter(sl.shards[s].idx, sl.shards[s].ans)
 	}
 	resp = append(resp, statusOK)
-	resp = binary.AppendUvarint(resp, uint64(count))
-	resp = bufs.all.encode(resp)
-	if tp != nil {
-		for s := range jobs {
-			if len(jobs[s].pairs) > 0 {
-				mergeShardTrace(tp, &jobs[s].tally, uint8(s))
-			}
-		}
-		tp.Add(obs.StageGather, obs.HopSelf, int64(time.Since(tGather)))
-	}
-	return resp, count
+	resp = binary.AppendUvarint(resp, uint64(sl.count))
+	sl.resp = b.all.encode(resp)
+	return joined, sl.count
 }
 
 // RouterMetrics is the router's always-on instrumentation: the downstream
@@ -526,15 +523,18 @@ func (r *Router) routePairs(pl *plane, body, resp []byte, bufs *routerBufs, tp *
 type RouterMetrics struct {
 	frontMetrics                   // the downstream side
 	Upstreams    []UpstreamMetrics // by shard index
+	BegunFrames  obs.Gauge         // frames between begin and finish, all connections
 }
 
 // UpstreamMetrics counts one shard's slice of the fan-out.
 type UpstreamMetrics struct {
-	Batches   obs.Counter   // sub-batches fanned out to this shard
-	Pairs     obs.Counter   // pairs routed to this shard
-	Errors    obs.Counter   // sub-batches that failed (error frame or dead shard)
-	Sheds     obs.Counter   // sub-batches the shard refused under load
-	LatencyNs obs.Histogram // upstream round-trip per sub-batch
+	Batches obs.Counter // sub-batches fanned out to this shard
+	Pairs   obs.Counter // pairs routed to this shard
+	Errors  obs.Counter // sub-batches that failed (error frame or dead shard)
+	Sheds   obs.Counter // sub-batches the shard refused under load
+	// LatencyNs: sub-batches written → this shard's answer collected, in
+	// request order, so behind the connection's earlier frame: residence time.
+	LatencyNs obs.Histogram
 }
 
 // observe charges one upstream sub-batch and its verdict.
@@ -554,6 +554,7 @@ func (um *UpstreamMetrics) observe(pairs int, d time.Duration, err error) {
 // upstream clients).
 func (m *RouterMetrics) Register(reg *obs.Registry) {
 	m.register(reg, "adjserve_router")
+	reg.Gauge("adjserve_router_begun_frames", "Frames scattered upstream and not yet gathered, across all connections.", &m.BegunFrames)
 	for s := range m.Upstreams {
 		um := &m.Upstreams[s]
 		shard := strconv.Itoa(s)
@@ -561,6 +562,6 @@ func (m *RouterMetrics) Register(reg *obs.Registry) {
 		reg.Counter("adjserve_router_upstream_pairs_total", "Pairs routed upstream, by shard.", &um.Pairs, "shard", shard)
 		reg.Counter("adjserve_router_upstream_errors_total", "Failed upstream sub-batches, by shard.", &um.Errors, "shard", shard)
 		reg.Counter("adjserve_router_upstream_sheds_total", "Upstream sub-batches refused under load, by shard.", &um.Sheds, "shard", shard)
-		reg.Histogram("adjserve_router_upstream_latency_ns", "Upstream sub-batch round-trip in nanoseconds, by shard.", &um.LatencyNs, "shard", shard)
+		reg.Histogram("adjserve_router_upstream_latency_ns", "Nanoseconds from a frame's sub-batches written to this shard's answer collected (in request order, so the wait behind the connection's earlier pipelined frame is included), by shard.", &um.LatencyNs, "shard", shard)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // startShardFleet serves each sharded engine and returns the addresses (by
@@ -180,13 +182,19 @@ func TestRouterShardKill(t *testing.T) {
 
 // TestRouterHandshakeValidation: a fleet that is not exactly one coherent
 // partition is rejected at construction — overlapping ownership (two servers
-// claiming one shard), an incomplete fleet, and mixed labelings all fail the
-// handshake rather than mis-route later.
+// claiming one shard), an incomplete fleet, mixed labelings and a fleet too
+// large for the trace plane's hop byte all fail rather than mis-route or
+// mis-report later.
 func TestRouterHandshakeValidation(t *testing.T) {
 	_, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
 	addrs, _ := startShardFleet(t, engines)
 	if _, err := NewRouter(nil, 0); err == nil {
 		t.Fatal("empty fleet accepted")
+	}
+	// Shard indexes share the trace plane's hop byte with the peer and self
+	// labels; a fleet that would collide with them is refused before any dial.
+	if _, err := NewRouter(make([]string, int(obs.HopPeer)), 0); err == nil || !strings.Contains(err.Error(), "hop labels") {
+		t.Fatalf("fleet of %d upstreams: err = %v, want a refusal naming the hop labels", obs.HopPeer, err)
 	}
 	if _, err := NewRouter([]string{addrs[0], addrs[1], addrs[1]}, 0); err == nil {
 		t.Fatal("overlapping ownership accepted (shard 1 listed twice)")
