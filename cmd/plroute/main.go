@@ -1,10 +1,10 @@
 // Command plroute is the scatter-gather router for a sharded label fleet:
 // it speaks the adjserve wire protocol downstream (clients see one server
-// covering all n vertices) and upstream (one pipelined connection per shard
-// server). Each request batch is split by owning shard, fanned out
-// concurrently, and the per-shard answers are scattered back into request
-// order — so aggregate q/s grows near-linearly with the shard count while
-// clients keep the single-server API.
+// covering all n vertices) and upstream (a few pipelined connections — lanes —
+// per shard server; each downstream connection uses one). Each request batch
+// is split by owning shard, fanned out concurrently, and the per-shard answers
+// are scattered back into request order — so aggregate q/s grows near-linearly
+// with the shard count while clients keep the single-server API.
 //
 // Usage:
 //
@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		addr        = fs.String("addr", "127.0.0.1:7441", "listen address (port 0 picks a free port)")
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/pprof (empty disables; port 0 picks a free port)")
 		maxBatch    = fs.Int("max-batch", 0, "max pairs per downstream request frame (0 = default)")
-		maxConns    = fs.Int("max-conns", 0, "downstream connection admission cap; extra conns get a shed frame and a close (0 = unlimited)")
+		maxConns    = fs.Int("max-conns", 0, "downstream connection admission cap; extra conns get a shed frame and a close (0 = unlimited); the shards' own -max-conns must leave room for this router's lanes")
 		traceSample = fs.Int64("trace-sample", 0, "self-sample every Nth routed frame into /debug/traces (0 = only trace frames that arrive traced)")
 		slowlogMs   = fs.Int64("slowlog-ms", 0, "capture frames slower than this many milliseconds in /debug/slowlog, sampled or not (0 = disabled)")
 	)
@@ -142,7 +142,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	if r.Replicas() {
 		fleet = "replicas"
 	}
-	logger.Info("handshaked", "shards", r.Shards(), "fleet", fleet, "n", r.N(),
+	logger.Info("handshaked", "shards", r.Shards(), "fleet", fleet, "lanes", r.Lanes(), "n", r.N(),
 		"elapsed", time.Since(start).Round(time.Microsecond).String())
 
 	ln, err := net.Listen("tcp", *addr)

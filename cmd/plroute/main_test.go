@@ -203,7 +203,7 @@ func TestRouteAndDrain(t *testing.T) {
 		if !strings.Contains(metrics, series+" 1\n") {
 			t.Errorf("scrape missing %s 1", series)
 		}
-		family := fmt.Sprintf(`adjserve_client_frames_total{shard="%d"}`, i)
+		family := fmt.Sprintf(`adjserve_client_frames_total{shard="%d",lane="0"}`, i)
 		if !strings.Contains(metrics, family) {
 			t.Errorf("scrape missing family %s", family)
 		}
@@ -221,7 +221,7 @@ func TestRouteAndDrain(t *testing.T) {
 	if !strings.Contains(out.String(), "routed") {
 		t.Errorf("missing route summary:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "msg=handshaked shards=3 fleet=shards") {
+	if !strings.Contains(out.String(), "msg=handshaked shards=3 fleet=shards lanes=4") {
 		t.Errorf("missing handshake line:\n%s", out.String())
 	}
 	// Admin shut down after the drain: the port no longer answers.

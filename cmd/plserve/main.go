@@ -59,7 +59,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default)")
 		useMmap     = fs.Bool("mmap", true, "memory-map the store (false forces the copying reader)")
 		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v) result cache (0 = disabled; enable only once the store is read-only warm)")
-		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited)")
+		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited); behind plroute leave room for its lanes, 4 connections per router")
 		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed)")
 		maxPending  = fs.Int("max-pending-resp", 0, "flush after this many unflushed responses per conn (0 = default)")
 		traceSample = fs.Int64("trace-sample", 0, "self-sample every Nth served frame into /debug/traces (0 = only trace frames that arrive traced)")

@@ -92,8 +92,9 @@ func BenchmarkAdjserveParallelConns(b *testing.B) {
 }
 
 // BenchmarkRouterBatch measures routed queries/sec through a 3-shard fleet
-// over one downstream connection; b.N counts queries, not frames. The 4096
-// point is the E26 batch size and must report 0 allocs/op (CI asserts it).
+// over one downstream connection and — the x2conns rows — over two, which the
+// router carries on two upstream lanes; b.N counts queries, not frames. The
+// 4096 point is the E26 batch size and must report 0 allocs/op (CI asserts it).
 func BenchmarkRouterBatch(b *testing.B) {
 	_, engines := shardEngines(b, 20000, 3, core.ShardRange, 42)
 	addrs := make([]string, len(engines))
@@ -115,27 +116,45 @@ func BenchmarkRouterBatch(b *testing.B) {
 	}
 	go r.Serve(ln)
 	defer r.Close()
-	for _, batch := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			c, err := Dial(ln.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			pairs := randomPairs(r.N(), batch, int64(batch))
-			out := make([]bool, 0, batch)
-			if _, err := c.AdjacentMany(pairs, out[:0]); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for done := 0; done < b.N; done += batch {
-				var err error
-				out, err = c.AdjacentMany(pairs, out[:0])
+	for _, row := range []struct {
+		name         string
+		batch, conns int
+	}{{"batch64", 64, 1}, {"batch4096", 4096, 1}, {"batch64x2conns", 64, 2}, {"batch4096x2conns", 4096, 2}} {
+		b.Run(row.name, func(b *testing.B) {
+			pairs := randomPairs(r.N(), row.batch, int64(row.batch))
+			clients := make([]*Client, row.conns)
+			outs := make([][]bool, row.conns)
+			for i := range clients {
+				c, err := Dial(ln.Addr().String())
 				if err != nil {
 					b.Fatal(err)
 				}
+				defer c.Close()
+				clients[i], outs[i] = c, make([]bool, 0, row.batch)
+				// One frame per slot of the router connection: each slot
+				// grows its own scatter buffers on first use.
+				for warm := 0; warm < pipelineDepth; warm++ {
+					if _, err := c.AdjacentMany(pairs, outs[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i, c := range clients {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for done := 0; done < b.N/row.conns; done += row.batch {
+						if _, err := c.AdjacentMany(pairs, outs[i]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

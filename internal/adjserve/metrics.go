@@ -133,8 +133,8 @@ func (m *ClientMetrics) Register(reg *obs.Registry) { m.RegisterWith(reg) }
 
 // RegisterWith is Register with label pairs attached to every series, so
 // multiple clients (the router's per-upstream connections) can share one
-// registry: each client registers under a distinguishing label such as
-// "shard", "2".
+// registry: each client registers under a distinguishing label set such as
+// "shard", "2", "lane", "0".
 func (m *ClientMetrics) RegisterWith(reg *obs.Registry, labels ...string) {
 	reg.Counter("adjserve_client_dial_attempts_total", "Connection dials attempted, retries included.", &m.DialAttempts, labels...)
 	reg.Counter("adjserve_client_dial_failures_total", "Connection dials that failed.", &m.DialFailures, labels...)

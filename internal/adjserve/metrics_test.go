@@ -316,9 +316,10 @@ func TestClientRedialCounted(t *testing.T) {
 
 // TestFlushMetricsExposed pins the series that make the coalescing at each
 // hop readable from /metrics — flushes beside frames on the server, the
-// router's downstream side and every upstream client, plus the router's
-// begun-frames gauge — and checks they count: one caller, one frame in
-// flight, so every hop flushes exactly once per frame it wrote.
+// router's downstream side and every upstream client (one series per shard
+// and lane), plus the router's begun-frames, lanes and pending gauges — and
+// checks they count: one caller, one frame in flight, so every hop flushes
+// exactly once per frame it wrote, summed over a shard's lanes.
 func TestFlushMetricsExposed(t *testing.T) {
 	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
 	addrs, srvs := startShardFleet(t, engines)
@@ -340,13 +341,23 @@ func TestFlushMetricsExposed(t *testing.T) {
 		}
 	}
 	series := func(name string) float64 { return findSeries(t, reg.Expose(), name) }
-	for _, hop := range []struct{ flushes, frames string }{
-		{"adjserve_client_flushes_total", "adjserve_client_frames_total"},
-		{"adjserve_router_flushes_total", "adjserve_router_frames_total"},
-		{`adjserve_client_flushes_total{shard="0"}`, `adjserve_client_frames_total{shard="0"}`},
-		{"adjserve_flushes_total", "adjserve_frames_total"},
+	// shard 0's upstream clients: one series per lane, summed.
+	upstream := func(family string) (sum float64) {
+		for l := 0; l < r.Lanes(); l++ {
+			sum += series(fmt.Sprintf(`%s{shard="0",lane="%d"}`, family, l))
+		}
+		return sum
+	}
+	for _, hop := range []struct {
+		read            func(string) float64
+		flushes, frames string
+	}{
+		{series, "adjserve_client_flushes_total", "adjserve_client_frames_total"},
+		{series, "adjserve_router_flushes_total", "adjserve_router_frames_total"},
+		{upstream, "adjserve_client_flushes_total", "adjserve_client_frames_total"},
+		{series, "adjserve_flushes_total", "adjserve_frames_total"},
 	} {
-		flushes, frames := series(hop.flushes), series(hop.frames)
+		flushes, frames := hop.read(hop.flushes), hop.read(hop.frames)
 		if flushes < batches || flushes != frames {
 			t.Errorf("%s = %v beside %s = %v, want one flush per frame over %d unpipelined batches",
 				hop.flushes, flushes, hop.frames, frames, batches)
@@ -354,5 +365,11 @@ func TestFlushMetricsExposed(t *testing.T) {
 	}
 	if got := series("adjserve_router_begun_frames"); got != 0 {
 		t.Errorf("adjserve_router_begun_frames = %v at rest, want 0", got)
+	}
+	if got := series("adjserve_router_upstream_lanes"); got != float64(r.Lanes()) {
+		t.Errorf("adjserve_router_upstream_lanes = %v, want %d", got, r.Lanes())
+	}
+	if got := series(`adjserve_router_upstream_pending_frames{shard="0"}`); got != 0 {
+		t.Errorf("adjserve_router_upstream_pending_frames = %v at rest, want 0", got)
 	}
 }

@@ -39,13 +39,13 @@ func (h *heldConn) Read(p []byte) (int, error) {
 	return h.Conn.Read(p)
 }
 
-// holdUpstream reconnects r's client for shard s through a heldConn (later
-// redials are plain) and returns the idempotent release.
-func holdUpstream(t *testing.T, r *Router, s int, kill bool) (release func()) {
+// holdUpstream reconnects upstream client c (one lane's client for one shard)
+// through a heldConn (later redials are plain) and returns the idempotent
+// release.
+func holdUpstream(t *testing.T, c *Client, kill bool) (release func()) {
 	t.Helper()
 	held := make(chan struct{})
 	var dials atomic.Int32
-	c := r.clients[s]
 	c.DialFunc = func(addr string) (net.Conn, error) {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil || dials.Add(1) > 1 {
@@ -53,7 +53,7 @@ func holdUpstream(t *testing.T, r *Router, s int, kill bool) (release func()) {
 		}
 		return &heldConn{Conn: nc, release: held, kill: kill}, nil
 	}
-	c.Close() // drop the handshake's connection
+	c.Close() // drop the handshake's connection (lane 0; the others have none yet)
 	c.mu.Lock()
 	_, err := c.ensureConn()
 	c.mu.Unlock()
@@ -139,9 +139,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // pipelineFleet is a 3-shard partition behind a router on a pipeListener,
-// with shard `held` answering through a heldConn.
+// with shard heldShard answering lane 0 — the lane of the router's first
+// downstream connection — through a heldConn.
 type pipelineFleet struct {
 	full    *core.QueryEngine
+	srvs    []*Server
 	r       *Router
 	ln      *pipeListener
 	release func()
@@ -158,10 +160,10 @@ func newPipelineFleet(t *testing.T, kill bool) *pipelineFleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &pipelineFleet{full: full, r: r, ln: newPipeListener()}
+	f := &pipelineFleet{full: full, srvs: srvs, r: r, ln: newPipeListener()}
 	go r.Serve(f.ln)
 	t.Cleanup(func() { r.Close() })
-	f.release = holdUpstream(t, r, heldShard, kill)
+	f.release = holdUpstream(t, r.lanes[0][heldShard], kill)
 	// The baseline is taken once the shard has swapped the handshake's
 	// connection for the held one, goroutines included.
 	sm := srvs[heldShard].Metrics()
@@ -193,9 +195,11 @@ func (f *pipelineFleet) settled(t *testing.T, writeErrors int64) {
 	if got := m.WriteErrors.Load(); got != writeErrors {
 		t.Errorf("WriteErrors = %d, want %d", got, writeErrors)
 	}
-	for s, c := range f.r.clients {
-		if got := c.Pending(); got != 0 {
-			t.Errorf("upstream %d has %d calls outstanding after teardown", s, got)
+	for l, lane := range f.r.lanes {
+		for s, c := range lane {
+			if got := c.Pending(); got != 0 {
+				t.Errorf("lane %d upstream %d has %d calls outstanding after teardown", l, s, got)
+			}
 		}
 	}
 	waitFor(t, "the connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= f.base })
@@ -231,7 +235,7 @@ func TestRouterPipelineOrder(t *testing.T) {
 	}
 	var sent [2]int64
 	for s := range sent {
-		sent[s] = f.r.clients[s].Metrics().FramesSent.Load()
+		sent[s] = f.r.lanes[0][s].Metrics().FramesSent.Load()
 	}
 	down := f.ln.dial(t)
 	defer down.Close()
@@ -247,12 +251,12 @@ func TestRouterPipelineOrder(t *testing.T) {
 	m := f.r.Metrics()
 	waitFor(t, "the pipeline to fill", func() bool { return m.BegunFrames.Load() == pipelineDepth })
 	for s := range sent {
-		c := f.r.clients[s]
+		c := f.r.lanes[0][s]
 		waitFor(t, fmt.Sprintf("shard %d to answer two sub-batches", s), func() bool {
 			return c.Metrics().FramesSent.Load() >= sent[s]+2 && c.Pending() == 0
 		})
 	}
-	if got := f.r.clients[heldShard].Pending(); got == 0 {
+	if got := f.r.lanes[0][heldShard].Pending(); got == 0 {
 		t.Fatal("the held shard has nothing outstanding")
 	}
 	if got := m.Frames.Load(); got != 0 {

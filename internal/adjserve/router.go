@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -15,11 +16,12 @@ import (
 
 // Router is the scatter-gather front of a sharded serving tier. Downstream it
 // speaks the ordinary adjserve wire protocol — clients cannot tell a router
-// from a single server holding the whole labeling — and upstream it holds one
-// pipelined Client per shard server. Each query frame is split by the
-// ownership rule, the per-shard sub-batches are written into the shards'
-// clients, and the per-shard answers are scattered back into request order;
-// frame k+1 is split and sent while frame k is still upstream (pipelinedConn).
+// from a single server holding the whole labeling — and upstream it holds
+// upstreamLanes pipelined Clients per shard server (S shards × L lanes). Each
+// query frame is split by the ownership rule, the per-shard sub-batches are
+// written into the shards' clients on the downstream connection's lane, and
+// the per-shard answers are scattered back into request order; frame k+1 is
+// split and sent while frame k is still upstream (pipelinedConn).
 //
 // Routing rule (the invariant TestRouterRoutingInvariant pins down): a query
 // (u,v) can only be answered by a shard holding a full thin body of u or v,
@@ -38,8 +40,14 @@ import (
 // error frame, the downstream connection stays up, and frames touching only
 // live shards keep answering.
 type Router struct {
-	clients  []*Client // by shard index (partition) or address order (replicas)
-	fatBits  []byte    // replicated fat set, bit v MSB-first within byte v/8
+	// lanes[l][s] is lane l's Client to upstream s, by shard index (partition)
+	// or address order (replicas). Lane 0 holds the handshake's clients, the
+	// others dial on first use. A downstream connection takes the next lane
+	// round-robin (openConn) and keeps it, so two connections reach a shard on
+	// two sockets and the shard answers them on two goroutines.
+	lanes    [upstreamLanes][]*Client
+	nextLane atomic.Uint32
+	fatBits  []byte // replicated fat set, bit v MSB-first within byte v/8
 	n        int
 	fn       core.ShardFn
 	maxBatch int
@@ -58,6 +66,15 @@ type Router struct {
 	// SetTraceSink, exactly as a Server's does.
 	front
 }
+
+// upstreamLanes is how many connections the router holds to each upstream. One
+// connection is one frame loop on the shard — one core — and the min-owner
+// rule sends most pairs of a skewed workload to one shard, so with one lane
+// that loop is the whole fleet's serial section. Labels are self-contained, so
+// a shard answers on any number of connections at once. A constant like
+// pipelineDepth: a few lanes cover the downstream connections that are busy at
+// once, and a lane nobody uses is never dialled.
+const upstreamLanes = 4
 
 // NewRouter dials one server per address, performs the shard-info handshake
 // with each, and admits the fleet as one of two coherent shapes:
@@ -87,13 +104,18 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	r := &Router{
-		clients:  make([]*Client, len(addrs)),
-		maxBatch: maxBatch,
-	}
+	r := &Router{maxBatch: maxBatch}
+	r.lanes[0] = make([]*Client, len(addrs))
 	if err := r.handshake(addrs); err != nil {
 		r.closeClients()
 		return nil, err
+	}
+	for l := 1; l < upstreamLanes; l++ {
+		r.lanes[l] = make([]*Client, len(addrs))
+		for s, c := range r.lanes[0] {
+			r.lanes[l][s] = NewClient(c.addr)
+			r.lanes[l][s].MaxBatch = maxBatch
+		}
 	}
 	r.metrics.Upstreams = make([]UpstreamMetrics, len(addrs))
 	r.front.m, r.front.open = &r.metrics.frontMetrics, r.openConn
@@ -111,7 +133,7 @@ func (r *Router) handshake(addrs []string) error {
 			return fmt.Errorf("adjserve: router: shard %s: %w", addr, err)
 		}
 		c.MaxBatch = r.maxBatch
-		r.clients[i] = c
+		r.lanes[0][i] = c
 		if infos[i], err = c.ShardInfo(); err != nil {
 			return fmt.Errorf("adjserve: router: shard %s handshake: %w", addr, err)
 		}
@@ -126,12 +148,12 @@ func (r *Router) handshake(addrs []string) error {
 			return err
 		}
 		if !r.replicas {
-			ordered[si.Map.Index] = r.clients[i]
+			ordered[si.Map.Index] = r.lanes[0][i]
 			seen[si.Map.Index] = addrs[i]
 		}
 	}
 	if !r.replicas {
-		r.clients = ordered
+		r.lanes[0] = ordered
 	}
 	return nil
 }
@@ -142,9 +164,9 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 	noun := "replica"
 	if !r.replicas {
 		noun = "shard"
-		if si.Map.Count != len(r.clients) {
+		if si.Map.Count != r.Shards() {
 			return fmt.Errorf("adjserve: router: shard %s is %d of %d shards, fleet has %d servers",
-				addr, si.Map.Index, si.Map.Count, len(r.clients))
+				addr, si.Map.Index, si.Map.Count, r.Shards())
 		}
 		if prev := seen[si.Map.Index]; prev != "" {
 			return fmt.Errorf("adjserve: router: shards %s and %s both claim index %d (overlapping ownership)",
@@ -168,9 +190,11 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 }
 
 func (r *Router) closeClients() {
-	for _, c := range r.clients {
-		if c != nil {
-			c.Close()
+	for _, lane := range r.lanes {
+		for _, c := range lane {
+			if c != nil {
+				c.Close()
+			}
 		}
 	}
 }
@@ -180,7 +204,11 @@ func (r *Router) N() int { return r.n }
 
 // Shards returns the number of upstream servers (partition shards, or
 // replicas when Replicas reports true).
-func (r *Router) Shards() int { return len(r.clients) }
+func (r *Router) Shards() int { return len(r.lanes[0]) }
+
+// Lanes returns the number of upstream lanes: connections per upstream
+// server, each dialled when a downstream connection first uses it.
+func (r *Router) Lanes() int { return upstreamLanes }
 
 // Replicas reports whether the fleet handshook as identical whole-store
 // replicas (owner-of-u routing, distance frames allowed) rather than a
@@ -192,17 +220,25 @@ func (r *Router) Replicas() bool { return r.replicas }
 func (r *Router) Metrics() *RouterMetrics { return &r.metrics }
 
 // RegisterMetrics exposes the router metrics plus each upstream client's
-// metrics (labeled by shard index) on reg, including a per-upstream in-flight
-// gauge backed by Client.Pending. Call once per registry.
+// metrics (labeled by shard index and lane) on reg, including a per-upstream
+// in-flight gauge backed by Client.Pending. Call once per registry.
 func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	r.metrics.Register(reg)
-	for i, c := range r.clients {
-		shard := strconv.Itoa(i)
-		c.Metrics().RegisterWith(reg, "shard", shard)
-		cl := c
+	reg.GaugeFunc("adjserve_router_upstream_lanes", "Upstream connections held per shard; a downstream connection uses one.",
+		func() int64 { return upstreamLanes })
+	for s := range r.lanes[0] {
+		shard := strconv.Itoa(s)
+		for l, lane := range r.lanes {
+			lane[s].Metrics().RegisterWith(reg, "shard", shard, "lane", strconv.Itoa(l))
+		}
 		reg.GaugeFunc("adjserve_router_upstream_pending_frames",
-			"Upstream frames written but not yet answered, by shard.",
-			func() int64 { return int64(cl.Pending()) }, "shard", shard)
+			"Upstream frames written but not yet answered, by shard (all lanes).",
+			func() (n int64) {
+				for _, lane := range r.lanes {
+					n += int64(lane[s].Pending())
+				}
+				return n
+			}, "shard", shard)
 	}
 }
 
@@ -216,7 +252,7 @@ func (r *Router) route(u, v int) int {
 	if r.replicas {
 		return r.ownerOf(u)
 	}
-	count := len(r.clients)
+	count := r.Shards()
 	ou := core.ShardOwner(r.fn, u, r.n, count)
 	ov := core.ShardOwner(r.fn, v, r.n, count)
 	uFat, vFat := r.fat(u), r.fat(v)
@@ -236,7 +272,7 @@ func (r *Router) route(u, v int) int {
 // queries on one upstream, warming that replica's result cache for exactly
 // its slice of the id space.
 func (r *Router) ownerOf(u int) int {
-	return int(int64(u) * int64(len(r.clients)) / int64(r.n))
+	return int(int64(u) * int64(r.Shards()) / int64(r.n))
 }
 
 // Close drains the router exactly as Server.Close drains a server — stop
@@ -280,6 +316,7 @@ type routerSlot struct {
 type routerConn struct {
 	reqBuf
 	r     *Router
+	lane  []*Client // by shard: this connection's upstream clients
 	slots [pipelineDepth]routerSlot
 	dirty []bool  // by shard: sub-batches begun since the last flush
 	all   answers // request-ordered gather
@@ -288,11 +325,12 @@ type routerConn struct {
 func (r *Router) openConn() frameConn {
 	b, ok := r.bufPool.Get().(*routerConn)
 	if !ok {
-		b = &routerConn{r: r, dirty: make([]bool, len(r.clients))}
+		b = &routerConn{r: r, dirty: make([]bool, r.Shards())}
 		for i := range b.slots {
-			b.slots[i].shards = make([]shardCall, len(r.clients))
+			b.slots[i].shards = make([]shardCall, r.Shards())
 		}
 	}
+	b.lane = r.lanes[(r.nextLane.Add(1)-1)%upstreamLanes]
 	return b
 }
 
@@ -301,7 +339,7 @@ func (b *routerConn) close() { b.r.bufPool.Put(b) }
 func (b *routerConn) flush() {
 	for s, dirty := range b.dirty {
 		if dirty {
-			b.r.clients[s].flush()
+			b.lane[s].flush()
 			b.dirty[s] = false
 		}
 	}
@@ -415,7 +453,7 @@ func (r *Router) scatter(req []byte, b *routerConn, sl *routerSlot) (local []byt
 		return appendErr(resp, "unknown op %d", op)
 	}
 	if pl.wholeStore && !r.replicas {
-		return appendErr(resp, "%s queries require a replica fleet (this router fronts a %d-shard partition)", pl.name, len(r.clients))
+		return appendErr(resp, "%s queries require a replica fleet (this router fronts a %d-shard partition)", pl.name, r.Shards())
 	}
 	count64, k := binary.Uvarint(body)
 	if k <= 0 {
@@ -462,7 +500,7 @@ func (r *Router) scatter(req []byte, b *routerConn, sl *routerSlot) (local []byt
 			sh.tally.ID = sl.tc.id
 			tr = &sh.tally
 		}
-		sh.sent = r.clients[s].send(pl, sh.pairs, sh.ans, tr, false)
+		sh.sent = b.lane[s].send(pl, sh.pairs, sh.ans, tr, false)
 		b.dirty[s] = true
 	}
 	return nil
@@ -484,7 +522,7 @@ func (r *Router) gather(b *routerConn, sl *routerSlot) (joined time.Time, querie
 		if sh.sent == nil {
 			continue
 		}
-		err := r.clients[s].await(sh.sent)
+		err := b.lane[s].await(sh.sent)
 		sh.sent = nil
 		joined = time.Now()
 		r.metrics.Upstreams[s].observe(len(sh.pairs), joined.Sub(sl.begun), err)

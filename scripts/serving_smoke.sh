@@ -173,7 +173,9 @@ for i in 0 1 2; do
     up=$(metric_rt "adjserve_router_upstream_pairs_total{shard=\"$i\"}") \
         || { echo "no upstream pairs series for shard $i"; exit 1; }
     [ "$up" -gt 0 ] || { echo "shard $i routed 0 pairs"; exit 1; }
-    fr=$(metric_rt "adjserve_client_frames_total{shard=\"$i\"}") \
+    # One series per (shard, lane); a connection uses one lane, so sum them.
+    fr=$(awk -v m="adjserve_client_frames_total{shard=\"$i\",lane=" \
+        'index($1, m) == 1 { sum += $2; found=1 } END { if (!found) exit 1; print sum }' "$work/metrics-route.txt") \
         || { echo "no per-shard client frames series for shard $i"; exit 1; }
     [ "$fr" -gt 0 ] || { echo "shard $i client sent 0 frames"; exit 1; }
 done
