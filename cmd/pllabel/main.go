@@ -323,15 +323,7 @@ func saveStore(path string, n int, lab *core.Labeling) error {
 		// Arena-backed labeling: persist the slab verbatim as a format-v2
 		// single-blob store (loaded zero-copy by plquery). A degree-ordered
 		// slab additionally carries its logical→physical permutation.
-		bitLens := make([]int, n)
-		for v := 0; v < n; v++ {
-			l, err := lab.Label(v)
-			if err != nil {
-				return err
-			}
-			bitLens[v] = l.Len()
-		}
-		f, err := labelstore.NewPermutedArenaFile(lab.Scheme(), params, slab, bitLens, order)
+		f, err := labelstore.NewPermutedArenaFile(lab.Scheme(), params, slab, lab.BitLens(), order)
 		if err != nil {
 			return err
 		}
@@ -367,15 +359,7 @@ func saveShardStores(stdout io.Writer, path string, n int, lab *core.Labeling, c
 	if !ok {
 		return fmt.Errorf("scheme %s is not arena-backed; sharding needs the fat/thin pipeline", lab.Scheme())
 	}
-	bitLens := make([]int, n)
-	for v := 0; v < n; v++ {
-		l, err := lab.Label(v)
-		if err != nil {
-			return err
-		}
-		bitLens[v] = l.Len()
-	}
-	arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, fn)
+	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, count, fn)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,10 @@
 // Command plserve is the adjacency-serving daemon: it memory-maps a label
 // store produced by pllabel -o, builds a zero-copy core.QueryEngine over the
 // mapped blob, and answers batched adjacency queries over TCP with the
-// internal/adjserve protocol. Startup cost is O(header) — the label bodies
-// stay in the page cache and are shared by every plserve process (and every
-// plquery) mapping the same file.
+// internal/adjserve protocol. Startup parses the store's header (O(n): bit
+// lengths, permutation, one validating walk) and moves no label byte — the
+// bodies stay in the page cache and are shared by every plserve process (and
+// every plquery) mapping the same file.
 //
 // Usage:
 //

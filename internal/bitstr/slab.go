@@ -43,74 +43,113 @@ func SlabView(slab []byte, off int64, nBits int) (String, error) {
 	return Wrap(slab[start:end:end], nBits)
 }
 
-// SlabViews builds zero-copy views of every label in a writer-produced
-// slab, given the labels' bit lengths in slab order. It is the batch
-// counterpart of SlabView for slabs whose padding bits are known to be zero
-// — SlabWriter guarantees this (Flush stores whole words with zero tails,
-// untouched words stay zero-initialized) — so unlike Wrap it never masks
-// the final byte of a view, touching no slab memory at all. Layout safety
-// is still checked: lengths must be non-negative and tile the slab exactly,
-// word-aligned. Do not use on bytes from an untrusted source; dirty padding
-// would break String equality (use SlabView, which masks in place).
-func SlabViews(slab []byte, bitLens []int) ([]String, error) {
-	views := make([]String, len(bitLens))
-	var off int64
-	for v, bits := range bitLens {
-		end := off + int64((bits+7)>>3)
-		if bits < 0 || end > int64(len(slab)) {
-			return nil, fmt.Errorf("%w: slab label %d of %d bits at byte %d in %d-byte slab",
-				ErrOutOfBounds, v, bits, off, len(slab))
-		}
-		views[v] = String{data: slab[off:end:end], n: bits}
-		off += int64(SlabWords(bits)) << 3
-	}
-	if off != int64(len(slab)) {
-		return nil, fmt.Errorf("%w: labels occupy %d of %d slab bytes", ErrMalformed, off, len(slab))
-	}
-	return views, nil
+// SlabLabel returns the zero-copy view of the label occupying bits
+// [off, off+nBits) of slab without masking the final byte, touching no slab
+// memory — safe over read-only mappings and under concurrent readers. The
+// caller vouches for the geometry (off word-aligned, the label inside the
+// slab, e.g. an offset a SlabWalk handed out) and for zero padding bits,
+// which every SlabWriter-built slab has (Flush stores whole words with zero
+// tails, untouched words stay zero-initialized); dirty padding would break
+// String equality, so bytes of unknown origin go through SlabView, which
+// masks in place.
+func SlabLabel(slab []byte, off int64, nBits int) String {
+	start := int(off >> 3)
+	end := start + (nBits+7)>>3
+	return String{data: slab[start:end:end], n: nBits}
 }
 
-// SlabViewsPermuted is SlabViews for a physically permuted slab: the label
-// stored at slab rank r (the r-th word-aligned slot) is label order[r], so
-// the slot holds bitLens[order[r]] bits. The returned views are indexed by
-// label number — views[v] is label v wherever it physically lives — which
-// restores id-indexed lookup over a degree-ordered (or otherwise reordered)
-// arena. order must be a permutation of 0..len(bitLens)-1; like SlabViews it
-// never masks or writes, so it is safe over read-only mappings, and the same
-// zero-padding caveat applies. A nil order is the identity.
-func SlabViewsPermuted(slab []byte, bitLens []int, order []int32) ([]String, error) {
-	if order == nil {
-		return SlabViews(slab, bitLens)
+// SlabWalk is the one validated pass over a label slab: it visits the labels
+// in physical order, handing out for each rank the label number stored there
+// and the bit offset of its word-aligned start, and checks on the way
+// everything a consumer relies on before touching the slab — order (nil is
+// the identity) is a permutation of 0..len(bitLens)-1, every bit length is
+// non-negative, and every label, padded to its word boundary, lies inside
+// the slab. Encoder output, store files and shard arenas all describe a slab
+// as (slab, bitLens, order), bitLens indexed by label number whatever the
+// physical order; engines, stores and the shard split all read it through
+// this walk.
+//
+//	w := bitstr.NewSlabWalk(len(slab), bitLens, order)
+//	for w.Next() {
+//		v, off := w.Label() // bitLens[v] bits at bit off
+//	}
+//	if err := w.Err(); err != nil { ... }
+//
+// The walk never reads or writes the slab itself.
+type SlabWalk struct {
+	bitLens []int
+	order   []int32
+	seen    []uint64 // labels visited so far; nil under the identity order
+	limit   int64    // slab size in bits
+	r, v    int
+	off     int64 // start of label v
+	end     int64 // start of the next rank's label
+	err     error
+}
+
+// NewSlabWalk starts a walk over a slab of slabBytes bytes.
+func NewSlabWalk(slabBytes int, bitLens []int, order []int32) SlabWalk {
+	w := SlabWalk{bitLens: bitLens, order: order, limit: int64(slabBytes) << 3}
+	if order != nil {
+		if len(order) != len(bitLens) {
+			w.err = fmt.Errorf("%w: layout permutation of %d entries over %d labels", ErrMalformed, len(order), len(bitLens))
+		}
+		w.seen = make([]uint64, (len(bitLens)+63)>>6)
 	}
-	n := len(bitLens)
-	if len(order) != n {
-		return nil, fmt.Errorf("%w: permutation of %d entries over %d labels", ErrMalformed, len(order), n)
+	return w
+}
+
+// Next advances to the next rank; it returns false at the end of the slab or
+// at the first violation, which Err then reports.
+func (w *SlabWalk) Next() bool {
+	n := len(w.bitLens)
+	if w.err != nil || w.r == n {
+		return false
 	}
-	views := make([]String, n)
-	seen := make([]uint64, (n+63)>>6)
-	var off int64
-	for r, v32 := range order {
-		v := int(v32)
+	v := w.r
+	if w.order != nil {
+		v = int(w.order[w.r])
 		if v < 0 || v >= n {
-			return nil, fmt.Errorf("%w: permutation entry %d = %d of %d labels", ErrMalformed, r, v32, n)
+			w.err = fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrMalformed, w.r, w.order[w.r], n)
+			return false
 		}
-		if seen[v>>6]&(1<<uint(v&63)) != 0 {
-			return nil, fmt.Errorf("%w: permutation repeats label %d at rank %d", ErrMalformed, v, r)
+		if w.seen[v>>6]&(1<<uint(v&63)) != 0 {
+			w.err = fmt.Errorf("%w: layout permutation repeats label %d at rank %d", ErrMalformed, v, w.r)
+			return false
 		}
-		seen[v>>6] |= 1 << uint(v&63)
-		bits := bitLens[v]
-		end := off + int64((bits+7)>>3)
-		if bits < 0 || end > int64(len(slab)) {
-			return nil, fmt.Errorf("%w: slab label %d of %d bits at byte %d in %d-byte slab",
-				ErrOutOfBounds, v, bits, off, len(slab))
-		}
-		views[v] = String{data: slab[off:end:end], n: bits}
-		off += int64(SlabWords(bits)) << 3
+		w.seen[v>>6] |= 1 << uint(v&63)
 	}
-	if off != int64(len(slab)) {
-		return nil, fmt.Errorf("%w: labels occupy %d of %d slab bytes", ErrMalformed, off, len(slab))
+	// bits is bounded by the room left before any arithmetic on it, so a
+	// hostile length cannot overflow the padded size.
+	bits, room, size := w.bitLens[v], w.limit-w.end, int64(-1)
+	if bits >= 0 && int64(bits) <= room {
+		size = int64(SlabWords(bits)) * SlabWordBits
 	}
-	return views, nil
+	if size < 0 || size > room {
+		w.err = fmt.Errorf("%w: slab label %d of %d bits at byte %d in %d-byte slab",
+			ErrOutOfBounds, v, bits, w.end>>3, w.limit>>3)
+		return false
+	}
+	w.v, w.off = v, w.end
+	w.end += size
+	w.r++
+	return true
+}
+
+// Label returns the label number at the current rank and its bit offset.
+func (w *SlabWalk) Label() (v int, off int64) { return w.v, w.off }
+
+// Err returns the violation that stopped the walk, if any.
+func (w *SlabWalk) Err() error { return w.err }
+
+// Tiled reports, after a walk that ran to its end, whether the labels occupy
+// the slab exactly; if not it returns the error a store reports. Engines
+// tolerate trailing bytes, stores do not.
+func (w *SlabWalk) Tiled() error {
+	if w.err == nil && w.end != w.limit {
+		return fmt.Errorf("%w: labels occupy %d of %d slab bytes", ErrMalformed, w.end>>3, w.limit>>3)
+	}
+	return w.err
 }
 
 // SlabSetBit sets bit pos of the slab to 1 in place — the word-free OR store

@@ -180,6 +180,97 @@ func BenchmarkSlabWriterFill(b *testing.B) {
 	}
 }
 
+// TestSlabWalk: the walk hands out every label once, in physical order, at
+// the offsets the word-aligned prefix sum dictates, under the identity and
+// under a permutation; SlabLabel over those offsets is the label written.
+func TestSlabWalk(t *testing.T) {
+	bitLens := []int{70, 0, 3, 64, 129} // id-indexed
+	for _, order := range [][]int32{nil, {4, 2, 0, 1, 3}} {
+		words := 0
+		for _, bits := range bitLens {
+			words += SlabWords(bits)
+		}
+		slab := make([]byte, SlabBytes(words))
+		// Write label v, a pattern keyed by v, at its physical slot.
+		sw := NewSlabWriter(slab)
+		wantOff := make([]int64, len(bitLens))
+		var off int64
+		for r := range bitLens {
+			v := r
+			if order != nil {
+				v = int(order[r])
+			}
+			wantOff[v] = off
+			sw.SeekBit(off)
+			for i := 0; i < bitLens[v]; i++ {
+				sw.WriteBit((i+v)%3 == 0)
+			}
+			sw.Flush()
+			off += int64(SlabWords(bitLens[v])) * SlabWordBits
+		}
+		w := NewSlabWalk(len(slab), bitLens, order)
+		for r := 0; w.Next(); r++ {
+			v, off := w.Label()
+			if want := r; order != nil && v != int(order[r]) || order == nil && v != want {
+				t.Fatalf("rank %d holds label %d under order %v", r, v, order)
+			}
+			if off != wantOff[v] {
+				t.Fatalf("label %d at bit %d, want %d", v, off, wantOff[v])
+			}
+			l := SlabLabel(slab, off, bitLens[v])
+			if l.Len() != bitLens[v] {
+				t.Fatalf("label %d view has %d bits, want %d", v, l.Len(), bitLens[v])
+			}
+			for i := 0; i < bitLens[v]; i++ {
+				if bit, _ := l.Bit(i); bit != ((i+v)%3 == 0) {
+					t.Fatalf("label %d bit %d = %v", v, i, bit)
+				}
+			}
+		}
+		if err := w.Tiled(); err != nil {
+			t.Fatalf("order %v: %v", order, err)
+		}
+	}
+}
+
+// TestSlabWalkRejects: every way a description can lie stops the walk before
+// the offending label is handed out.
+func TestSlabWalkRejects(t *testing.T) {
+	slab := make([]byte, 24)
+	for _, tc := range []struct {
+		name    string
+		bytes   int
+		bitLens []int
+		order   []int32
+		tiled   bool // the walk itself passes; only Tiled objects
+	}{
+		{name: "short permutation", bytes: 24, bitLens: []int{64, 64, 64}, order: []int32{0, 1}},
+		{name: "entry out of range", bytes: 24, bitLens: []int{64, 64, 64}, order: []int32{0, 3, 1}},
+		{name: "negative entry", bytes: 24, bitLens: []int{64, 64, 64}, order: []int32{0, -1, 1}},
+		{name: "repeated label", bytes: 24, bitLens: []int{64, 64, 64}, order: []int32{0, 1, 1}},
+		{name: "negative length", bytes: 24, bitLens: []int{64, -1, 64}},
+		{name: "label past the end", bytes: 24, bitLens: []int{64, 64, 65}},
+		{name: "padded label past the end", bytes: 23, bitLens: []int{64, 64, 60}},
+		{name: "length that overflows the padded size", bytes: 24, bitLens: []int{64, int(^uint(0) >> 1)}},
+		{name: "trailing word", bytes: 24, bitLens: []int{64, 64}, tiled: true},
+		{name: "stray bytes", bytes: 19, bitLens: []int{64, 64}, tiled: true},
+	} {
+		w := NewSlabWalk(len(slab[:tc.bytes]), tc.bitLens, tc.order)
+		for w.Next() {
+		}
+		if tc.tiled {
+			if err := w.Err(); err != nil {
+				t.Errorf("%s: walk itself failed: %v", tc.name, err)
+			}
+		} else if w.Err() == nil {
+			t.Errorf("%s: walk accepted", tc.name)
+		}
+		if w.Tiled() == nil {
+			t.Errorf("%s: Tiled accepted", tc.name)
+		}
+	}
+}
+
 // BenchmarkBuilderGrownFill is the Builder counterpart with preallocation
 // (Grow): the remaining non-slab encoders follow this pattern.
 func BenchmarkBuilderGrownFill(b *testing.B) {

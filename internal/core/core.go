@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,8 +47,10 @@ type AdjacencyDecoder interface {
 // decoder able to answer queries over those labels.
 type Labeling struct {
 	scheme  string
-	labels  []bitstr.String
 	decoder AdjacencyDecoder
+	// labels holds the per-vertex strings of a labeling assembled label by
+	// label (NewLabeling); nil for an arena labeling.
+	labels []bitstr.String
 
 	// Labels are immutable after construction, so size statistics are
 	// computed at most once.
@@ -56,16 +59,17 @@ type Labeling struct {
 
 	compacted bool
 
-	// arena, when non-nil, is the word-aligned slab the labels are views
-	// into: label v starts at bit offset 64·Σ_{u<v} ceil(len_u/64). Pipeline
-	// encoders produce labelings born this way; NewQueryEngine adopts the
-	// slab zero-copy instead of relocating label bodies.
-	arena []byte
-	// order, when non-nil, is the physical layout permutation of the arena:
-	// the label at slab rank r is label order[r] (LayoutDegree packs hubs
-	// first). The labels slice is always id-indexed — views already point at
-	// the right offsets — so every query answer is layout-independent.
-	order []int32
+	// arena, when non-nil, is the word-aligned slab a pipeline encoder wrote
+	// every label into, described the way stores, the shard split and the
+	// engines take it: bitLens[v] is label v's length, order (nil for the
+	// id-ordered layout) says the label at slab rank r is label order[r], and
+	// offs[v] is the bit offset of label v's start — the encode plan's own
+	// table, so no walk rebuilds it. No per-label view is kept: Label wraps
+	// one on demand, NewQueryEngine adopts the slab as it is.
+	arena   []byte
+	bitLens []int
+	offs    []int64
+	order   []int32
 }
 
 // NewLabeling bundles per-vertex labels with their decoder. It is exported
@@ -74,44 +78,21 @@ func NewLabeling(scheme string, labels []bitstr.String, dec AdjacencyDecoder) *L
 	return &Labeling{scheme: scheme, labels: labels, decoder: dec}
 }
 
-// NewArenaLabeling bundles labels that live in one word-aligned slab (label
-// v occupying bits [off_v, off_v + bitLens[v]) with off_v = 64·Σ_{u<v}
-// ceil(bitLens[u]/64)) with their decoder. The labeling is born compact —
-// Compact is a no-op — and Arena exposes the slab for zero-copy adoption by
-// query engines and stores. The slab must not be modified afterwards, and
-// its padding bits must be zero (true of any slab built with
-// bitstr.SlabWriter; see bitstr.SlabViews).
-func NewArenaLabeling(scheme string, slab []byte, bitLens []int, dec AdjacencyDecoder) (*Labeling, error) {
-	labels, err := bitstr.SlabViews(slab, bitLens)
-	if err != nil {
-		return nil, fmt.Errorf("core: arena labels: %w", err)
-	}
-	return &Labeling{scheme: scheme, labels: labels, decoder: dec, compacted: true, arena: slab}, nil
-}
-
-// NewPermutedArenaLabeling is NewArenaLabeling for a physically permuted
-// slab: the label at slab rank r is label order[r] (bitLens stays indexed by
-// label number). The returned labeling's labels are id-indexed views into
-// the permuted slab, so Label, Adjacent, Verify and Stats are oblivious to
-// the layout. order must be a permutation of 0..len(bitLens)-1; nil
-// delegates to NewArenaLabeling.
-func NewPermutedArenaLabeling(scheme string, slab []byte, bitLens []int, order []int32, dec AdjacencyDecoder) (*Labeling, error) {
-	if order == nil {
-		return NewArenaLabeling(scheme, slab, bitLens, dec)
-	}
-	labels, err := bitstr.SlabViewsPermuted(slab, bitLens, order)
-	if err != nil {
-		return nil, fmt.Errorf("core: arena labels: %w", err)
-	}
-	return &Labeling{scheme: scheme, labels: labels, decoder: dec, compacted: true, arena: slab, order: order}, nil
+// newArenaLabeling bundles a finished encode plan's slab with its decoder.
+// The labeling is born compact — Compact is a no-op — and ArenaLayout exposes
+// the slab for zero-copy adoption by query engines and stores. The slab must
+// not be modified afterwards; its padding bits are zero (bitstr.SlabWriter
+// guarantees it), which is what lets Label hand out unmasked views.
+func newArenaLabeling(scheme string, slab []byte, plan *slabPlan, dec AdjacencyDecoder) *Labeling {
+	return &Labeling{scheme: scheme, decoder: dec, compacted: true,
+		arena: slab, bitLens: plan.bitLens, offs: plan.offs, order: plan.order}
 }
 
 // Arena returns the word-aligned slab backing an arena labeling, or ok=false
-// for labelings assembled label-by-label. The per-label bit lengths (and
-// hence slab offsets) are recoverable from the labels themselves. For a
-// permuted arena (LayoutDegree) Arena reports ok=false — label v is *not* at
-// the v-th slot, so callers unaware of the permutation would misread every
-// offset; use ArenaLayout, which hands out the permutation alongside.
+// for labelings assembled label-by-label. For a permuted arena (LayoutDegree)
+// Arena reports ok=false — label v is *not* at the v-th slot, so callers
+// unaware of the permutation would misread every offset; use ArenaLayout,
+// which hands out the permutation alongside.
 func (l *Labeling) Arena() (slab []byte, ok bool) {
 	if l.order != nil {
 		return nil, false
@@ -121,8 +102,8 @@ func (l *Labeling) Arena() (slab []byte, ok bool) {
 
 // ArenaLayout returns the backing slab together with its physical layout
 // permutation: order is nil for the id-ordered layout, otherwise the label
-// at slab rank r is label order[r]. The pair (plus the per-label bit
-// lengths) is what NewQueryEngineFromPermutedArena and
+// at slab rank r is label order[r]. The pair plus BitLens is what
+// NewQueryEngineFromPermutedArena, ShardLabelArenas and
 // labelstore.NewPermutedArenaFile accept.
 func (l *Labeling) ArenaLayout() (slab []byte, order []int32, ok bool) {
 	return l.arena, l.order, l.arena != nil
@@ -132,16 +113,38 @@ func (l *Labeling) ArenaLayout() (slab []byte, order []int32, ok bool) {
 // the labeling is id-ordered (or not arena-backed).
 func (l *Labeling) LayoutOrder() []int32 { return l.order }
 
+// BitLens returns every label's length in bits, indexed by vertex. For an
+// arena labeling it is the labeling's own table and must not be modified.
+func (l *Labeling) BitLens() []int {
+	if l.arena != nil {
+		return l.bitLens
+	}
+	bitLens := make([]int, len(l.labels))
+	for v, s := range l.labels {
+		bitLens[v] = s.Len()
+	}
+	return bitLens
+}
+
 // Scheme returns the name of the scheme that produced the labeling.
 func (l *Labeling) Scheme() string { return l.scheme }
 
 // N returns the number of labeled vertices.
-func (l *Labeling) N() int { return len(l.labels) }
+func (l *Labeling) N() int {
+	if l.arena != nil {
+		return len(l.bitLens)
+	}
+	return len(l.labels)
+}
 
-// Label returns vertex v's label.
+// Label returns vertex v's label; for an arena labeling, a view of the slab
+// made on the spot.
 func (l *Labeling) Label(v int) (bitstr.String, error) {
-	if v < 0 || v >= len(l.labels) {
-		return bitstr.String{}, fmt.Errorf("%w: %d of %d", ErrVertexRange, v, len(l.labels))
+	if v < 0 || v >= l.N() {
+		return bitstr.String{}, fmt.Errorf("%w: %d of %d", ErrVertexRange, v, l.N())
+	}
+	if l.arena != nil {
+		return bitstr.SlabLabel(l.arena, l.offs[v], l.bitLens[v]), nil
 	}
 	return l.labels[v], nil
 }
@@ -209,15 +212,14 @@ func (l *Labeling) Stats() SizeStats {
 }
 
 func (l *Labeling) computeStats() SizeStats {
-	n := len(l.labels)
+	n := l.N()
 	if n == 0 {
 		return SizeStats{}
 	}
-	sizes := make([]int, n)
+	sizes := slices.Clone(l.BitLens())
 	var total int64
-	for i, s := range l.labels {
-		sizes[i] = s.Len()
-		total += int64(s.Len())
+	for _, bits := range sizes {
+		total += int64(bits)
 	}
 	sort.Ints(sizes)
 	pct := func(p float64) int {

@@ -100,44 +100,21 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if e.w > 32 {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, e.w)
 	}
-	if order != nil && len(order) != n {
-		return nil, fmt.Errorf("%w: layout permutation of %d entries over %d labels", ErrBadLabel, len(order), n)
-	}
-	var seen []uint64
-	if order != nil {
-		seen = make([]uint64, (n+63)>>6)
-	}
-	var off int64
-	for r := 0; r < n; r++ {
-		v := r
-		if order != nil {
-			v = int(order[r])
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrBadLabel, r, order[r], n)
-			}
-			if seen[v>>6]&(1<<uint(v&63)) != 0 {
-				return nil, fmt.Errorf("%w: layout permutation repeats label %d at rank %d", ErrBadLabel, v, r)
-			}
-			seen[v>>6] |= 1 << uint(v&63)
-		}
-		lbits := bitLens[v]
-		if lbits < 0 || lbits > maxLabelBits {
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrBadLabel, v, lbits)
-		}
-		end := off + int64(bitstr.SlabWords(lbits))*bitstr.SlabWordBits
-		if int(end>>3) > len(slab) {
-			return nil, fmt.Errorf("%w: label %d ends at byte %d of a %d-byte slab", ErrBadLabel, v, end>>3, len(slab))
-		}
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
 		var err error
 		if e.kind == DistPLL {
-			err = e.validatePLL(v, off, int64(lbits))
+			err = e.validatePLL(v, off, int64(bitLens[v]))
 		} else {
-			err = e.validateBounded(v, off, int64(lbits))
+			err = e.validateBounded(v, off, int64(bitLens[v]))
 		}
 		if err != nil {
 			return nil, err
 		}
-		off = end
+	}
+	if err := walk.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
 	return e, nil
 }

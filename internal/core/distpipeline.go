@@ -116,8 +116,9 @@ func pllWidths(n int, maxDist int32) (w, wCnt, dw int) {
 	return w, wCnt, dw
 }
 
-// distPlanRanges chunks 0..n-1 for the parallel size-plan phase.
-func distPlanRanges(n, workers int) [][2]int {
+// evenRanges chunks 0..n-1 into up to workers contiguous ranges of equal
+// length: the split of a parallel phase whose items cost about the same.
+func evenRanges(n, workers int) [][2]int {
 	ranges := make([][2]int, 0, workers)
 	chunk := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
@@ -184,7 +185,7 @@ func EncodePLLArena(entries [][]DistEntry, maxDist int32, order []int32, workers
 	// δ-coded rank gaps and fixed-width distances of each entry.
 	planStart := time.Now()
 	bitLens := make([]int, n)
-	planErr := runRangesErr(distPlanRanges(n, workers), func(lo, hi int) error {
+	planErr := runRangesErr(evenRanges(n, workers), func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			bits := w + wCnt
 			prev := uint64(0)
@@ -279,7 +280,7 @@ func EncodeBoundedArena(fat []bool, fatDist [][]int32, thin [][]DistEntry, f int
 	// Phase 1: sizes are pure arithmetic on the input shapes.
 	planStart := time.Now()
 	bitLens := make([]int, n)
-	planErr := runRangesErr(distPlanRanges(n, workers), func(lo, hi int) error {
+	planErr := runRangesErr(evenRanges(n, workers), func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			if len(fatDist[v]) != nFat {
 				return fmt.Errorf("core: bdist label %d: fat table of %d entries, want %d", v, len(fatDist[v]), nFat)

@@ -279,28 +279,19 @@ func encodeFatThinLegacy(name string, g *graph.Graph, tau int) (*Labeling, error
 	return NewLabeling(name, labels, &FatThinDecoder{n: n, w: w}), nil
 }
 
-// assignFatThinIDs computes the identifier table shared by the sequential
-// and parallel encoders: fat vertices (degree >= tau) receive 0..k-1 in
-// order of decreasing degree, thin vertices receive k..n-1 in the same
-// degree order. Keeping this in one place guarantees the two encoders can
-// never drift apart on layout.
+// assignFatThinIDs computes the identifier table shared by the legacy and
+// pipeline encoders: fat vertices (degree >= tau) receive 0..k-1 in order of
+// decreasing degree, thin vertices receive k..n-1 in the same degree order —
+// so a vertex's identifier is simply its position in that order, and the fat
+// set is the order's prefix. Keeping this in one place guarantees the
+// encoders can never drift apart on layout.
 func assignFatThinIDs(g *graph.Graph, tau int) (id []int, k int) {
-	n := g.N()
-	id = make([]int, n)
 	order := g.VerticesByDegreeDesc()
-	for _, v := range order {
-		if g.Degree(v) >= tau {
-			id[v] = k
-			k++
-		}
+	id = make([]int, len(order))
+	for i, v := range order {
+		id[v] = i
 	}
-	next := k
-	for _, v := range order {
-		if g.Degree(v) < tau {
-			id[v] = next
-			next++
-		}
-	}
+	k = sort.Search(len(order), func(i int) bool { return g.Degree(order[i]) < tau })
 	return id, k
 }
 

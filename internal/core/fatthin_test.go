@@ -344,9 +344,14 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Swap two labels: verification must notice.
-	l := lab.labels
+	l := make([]bitstr.String, lab.N())
+	for v := range l {
+		if l[v], err = lab.Label(v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	l[0], l[5] = l[5], l[0]
-	if err := lab.Verify(g); err == nil {
+	if err := NewLabeling(lab.Scheme(), l, lab.Decoder()).Verify(g); err == nil {
 		t.Error("Verify accepted a corrupted labeling")
 	}
 }

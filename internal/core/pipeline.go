@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,9 +21,10 @@ import (
 //     fat/thin class, then prefix-sum word-aligned offsets into one shared
 //     slab — one allocation for the entire labeling;
 //  2. fill: write every label in place, in parallel across word-balanced
-//     vertex ranges. Fat bitmaps are built by OR stores at computed bit
-//     positions (no intermediate Vector, no copy), thin neighbor lists by
-//     packed 64-bit word stores through a bitstr.SlabWriter.
+//     rank ranges. Fat bitmaps are built by OR stores at computed bit
+//     positions (no intermediate Vector, no copy), thin neighbor lists —
+//     gathered and sorted a block of ranks at a time (eachLabel) — by packed
+//     64-bit word stores through a bitstr.SlabWriter.
 //
 // The result is a Labeling born compact (arena-backed), which NewQueryEngine
 // adopts zero-copy, and which labelstore writes as a single body blob. The
@@ -32,19 +34,19 @@ import (
 // An optional layout pass (Layout, layout.go) reorders the *physical* slots:
 // LayoutDegree stores bodies in descending-degree order — hubs packed into
 // the first contiguous pages, thin tail after — while every label keeps its
-// exact bits and its id-indexed view, carried by the rank→vertex permutation
-// that NewPermutedArenaLabeling, the labelstore format and the query engine
-// all thread through.
+// exact bits and its id-indexed offset, carried by the rank→vertex permutation
+// that the Labeling, the labelstore format and the query engine all thread
+// through.
 
 // slabPlan is the output of phase 1: the identifier tables and the exact
 // slab layout.
 type slabPlan struct {
 	w, k    int
-	id      []int
+	id      []int32
 	bitLens []int
 	// byID[i] is the vertex whose identifier is i (ids are a permutation);
-	// fatBits[v>>6] bit v&63 is set iff id[v] < k. Together they drive the
-	// counting-sort transpose of the fill phase.
+	// fatBits[v>>6] bit v&63 is set iff id[v] < k — the L1-resident fat test
+	// of the bitmap fill.
 	byID    []int32
 	fatBits []uint64
 	// order, when non-nil, is the physical layout permutation: slab rank r
@@ -60,25 +62,17 @@ type slabPlan struct {
 	// share backing.
 	offs     []int64
 	physOffs []int64
-	// nbrIDs[nbrOffs[v]:nbrOffs[v+1]] holds thin vertex v's neighbor
-	// identifiers in ascending order — the exact body of its label, built by
-	// buildNeighborLists. Fat vertices have empty ranges; instead,
-	// fatIDs[fatOffs[j]:fatOffs[j+1]] holds the identifiers of hub j's fat
-	// neighbors — exactly the set bits of its bitmap.
-	nbrOffs []int32
-	nbrIDs  []int32
-	fatOffs []int32
-	fatIDs  []int32
 }
 
 // newSlabPlan builds the identifier tables for an n-vertex plan.
 func newSlabPlan(g *graph.Graph, tau, w int) *slabPlan {
 	id, k := assignFatThinIDs(g, tau)
 	n := g.N()
-	p := &slabPlan{w: w, k: k, id: id, bitLens: make([]int, n)}
+	p := &slabPlan{w: w, k: k, id: make([]int32, n), bitLens: make([]int, n)}
 	p.byID = make([]int32, n)
 	p.fatBits = make([]uint64, (n+63)>>6)
 	for v, i := range id {
+		p.id[v] = int32(i)
 		p.byID[i] = int32(v)
 		if i < k {
 			p.fatBits[v>>6] |= 1 << uint(v&63)
@@ -87,82 +81,55 @@ func newSlabPlan(g *graph.Graph, tau, w int) *slabPlan {
 	return p
 }
 
-// buildNeighborLists materializes every thin vertex's neighbor-identifier
-// list, already sorted ascending, in one O(n + m) pass: walking vertices in
-// increasing identifier order and appending that identifier to each
-// neighbor's list emits every list's entries in sorted order. This
-// counting-sort transpose replaces a comparison sort per thin vertex — the
-// sorts were the single hottest piece of the encode profile.
+// eachLabel calls visit(v, nbr) for the vertex at every slab rank in [lo, hi),
+// in rank order (vertex order while no layout is chosen yet): nbr is a thin
+// vertex's label body — its neighbors' identifiers in ascending order — and
+// empty for a fat one, and is only valid during the call.
 //
-// The same walk over hub sources (ids below k) also emits each hub's
-// fat-neighbor identifiers — precisely the set bits of its bitmap — so the
-// fill phase never rescans hub adjacency or resolves neighbor ids at all.
-// The fat test is the plan's L1-resident fatBits bitset, and the cursor
-// tables are int32 so the pass's random-access streams stay small.
-func (p *slabPlan) buildNeighborLists(g *graph.Graph) {
-	n, k := g.N(), p.k
-	fat := p.fatBits
-	offs := make([]int32, n+1)
-	var pos int32
-	for v := 0; v < n; v++ {
-		offs[v] = pos
-		if p.id[v] >= k {
-			pos += int32(g.Degree(v))
-		}
-	}
-	offs[n] = pos
-	// The scatter loops are branchless on the thin stream: every edge
-	// stores, but edges whose target is fat store into a shared trash slot
-	// (index pos) and leave the cursor unmoved, so hub-bound edges —
-	// frequent and unpredictably interleaved in power-law graphs — cost no
-	// mispredicts.
-	cur := make([]int32, n)
-	for v := 0; v < n; v++ {
-		if p.id[v] < k {
-			cur[v] = pos
-		} else {
-			cur[v] = offs[v]
-		}
-	}
-	ids := make([]int32, pos+1)
-
-	// Hub sources first: their edges additionally feed the fat-fat lists.
-	// Each hub's list length is its own fat-neighbor count (adjacency is
-	// symmetric), so one cheap sequential counting scan sizes the table
-	// exactly. The fat-fat branch in the scatter is rare among a hub's
-	// mostly-thin neighbors, hence well predicted.
-	fatOffs := make([]int32, k+1)
-	for j := 0; j < k; j++ {
-		cnt := int32(0)
-		for _, v := range g.Neighbors(int(p.byID[j])) {
-			cnt += int32(fat[v>>6] >> uint(v&63) & 1)
-		}
-		fatOffs[j+1] = fatOffs[j] + cnt
-	}
-	fcur := make([]int32, k)
-	copy(fcur, fatOffs[:k])
-	fatIDs := make([]int32, fatOffs[k])
-	for i := 0; i < k; i++ {
-		for _, v := range g.Neighbors(int(p.byID[i])) {
-			c := cur[v]
-			ids[c] = int32(i)
-			cur[v] = c + 1 - int32(fat[v>>6]>>uint(v&63)&1)
-			if fat[v>>6]&(1<<uint(v&63)) != 0 {
-				j := p.id[v]
-				fatIDs[fcur[j]] = int32(i)
-				fcur[j]++
+// The bodies are built a block of ranks at a time, in two passes, because the
+// lists are short (below the fat threshold, a handful of entries for most
+// vertices) and the identifier table is too large for the near caches: the
+// first pass only loads and stores, so the misses of many vertices are in
+// flight together; the second sorts lists that are by then in L1. Sorting as
+// each list is gathered would hang every compare on a miss. Every list is
+// independent of every other and reads only the graph and the identifier
+// table, so each plan or fill worker builds the lists of its own ranks as it
+// goes; nothing serial stands in front of them.
+func (p *slabPlan) eachLabel(g *graph.Graph, lo, hi int, visit func(v int, nbr []int32)) {
+	const block = 256
+	var (
+		ids  []int32
+		ends [block]int
+	)
+	for ; lo < hi; lo += block {
+		blockHi := min(lo+block, hi)
+		ids = ids[:0]
+		for r := lo; r < blockHi; r++ {
+			if v := p.vertexAt(r); int(p.id[v]) >= p.k {
+				for _, u := range g.Neighbors(v) {
+					ids = append(ids, p.id[u])
+				}
 			}
+			ends[r-lo] = len(ids)
+		}
+		from := 0
+		for r := lo; r < blockHi; r++ {
+			nbr := ids[from:ends[r-lo]]
+			slices.Sort(nbr)
+			visit(p.vertexAt(r), nbr)
+			from = ends[r-lo]
 		}
 	}
-	for i := k; i < n; i++ {
-		for _, v := range g.Neighbors(int(p.byID[i])) {
-			c := cur[v]
-			ids[c] = int32(i)
-			cur[v] = c + 1 - int32(fat[v>>6]>>uint(v&63)&1)
+}
+
+// fillFatBitmap sets, in hub v's k-bit bitmap starting at slab bit base, the
+// bit of every fat neighbor's identifier.
+func (p *slabPlan) fillFatBitmap(g *graph.Graph, v int, slab []byte, base int64) {
+	for _, u := range g.Neighbors(v) {
+		if p.fatBits[u>>6]&(1<<uint(u&63)) != 0 {
+			bitstr.SlabSetBit(slab, base+int64(p.id[u]))
 		}
 	}
-	p.nbrOffs, p.nbrIDs = offs, ids[:pos:pos]
-	p.fatOffs, p.fatIDs = fatOffs, fatIDs
 }
 
 // layout prefix-sums word-aligned label offsets from the bit lengths, in the
@@ -290,15 +257,13 @@ func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout
 	header := 1 + w
 
 	// Phase 1: size-plan. Fat/thin class and degree determine each label
-	// exactly; the scan is O(n) arithmetic on top of the id assignment and
-	// the thin-list transpose.
+	// exactly; the scan is O(n) arithmetic on top of the id assignment.
 	planStart := time.Now()
 	plan := newSlabPlan(g, tau, w)
-	plan.buildNeighborLists(g)
-	id, k := plan.id, plan.k
+	id, k := plan.id, int32(plan.k)
 	for v := 0; v < n; v++ {
 		if id[v] < k {
-			plan.bitLens[v] = header + k
+			plan.bitLens[v] = header + plan.k
 		} else {
 			plan.bitLens[v] = header + g.Degree(v)*w
 		}
@@ -310,22 +275,20 @@ func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout
 	fillStart := time.Now()
 	slab := make([]byte, int(plan.physOffs[n]>>3))
 	runRanges(splitByWords(plan.physOffs, workers), func(lo, hi int) {
-		fillFatThinSlab(plan, slab, lo, hi)
+		fillFatThinSlab(plan, g, slab, lo, hi)
 	})
 	pipelineMetrics.FillNs.ObserveDuration(time.Since(fillStart))
 	pipelineMetrics.Runs.Inc()
 	pipelineMetrics.Labels.Add(int64(n))
-	return NewPermutedArenaLabeling(name, slab, plan.bitLens, plan.order, &FatThinDecoder{n: n, w: w})
+	return newArenaLabeling(name, slab, plan, &FatThinDecoder{n: n, w: w}), nil
 }
 
 // fillFatThinSlab writes the labels of slab ranks [lo, hi) directly into the
-// slab, with zero allocations. Both label bodies come straight from the
-// plan's transposed lists — the graph is never consulted here.
-func fillFatThinSlab(plan *slabPlan, slab []byte, lo, hi int) {
+// slab; what it allocates is eachLabel's scratch, once per range.
+func fillFatThinSlab(plan *slabPlan, g *graph.Graph, slab []byte, lo, hi int) {
 	sw := bitstr.NewSlabWriter(slab)
-	id, k, w := plan.id, plan.k, plan.w
-	for r := lo; r < hi; r++ {
-		v := plan.vertexAt(r)
+	id, k, w := plan.id, int32(plan.k), plan.w
+	plan.eachLabel(g, lo, hi, func(v int, nbr []int32) {
 		off := plan.offs[v]
 		sw.SeekBit(off)
 		// The header — fat bit then the w-bit identifier — is one write: the
@@ -333,22 +296,20 @@ func fillFatThinSlab(plan *slabPlan, slab []byte, lo, hi int) {
 		if vid := id[v]; vid < k { // fat: OR stores into the k-bit bitmap
 			sw.WriteUint(1<<uint(w)|uint64(vid), 1+w)
 			sw.Flush()
-			base := off + int64(1+w)
-			for _, i := range plan.fatIDs[plan.fatOffs[vid]:plan.fatOffs[vid+1]] {
-				bitstr.SlabSetBit(slab, base+int64(i))
-			}
-		} else { // thin: packed pre-sorted neighbor ids, 64 bits per store
+			plan.fillFatBitmap(g, v, slab, off+int64(1+w))
+		} else { // thin: packed sorted neighbor ids, 64 bits per store
 			sw.WriteUint(uint64(vid), 1+w)
-			sw.WriteUints32(plan.nbrIDs[plan.nbrOffs[v]:plan.nbrOffs[v+1]], w)
+			sw.WriteUints32(nbr, w)
 			sw.Flush()
 		}
-	}
+	})
 }
 
 // encodeCompressedSlab is the pipeline encoder behind CompressedScheme. The
 // size plan is heavier than the fat/thin one — choosing between fixed-width
-// and δ-gap thin encodings requires the sorted neighbor ids — so phase 1 is
-// parallelized too; only the prefix sum is sequential.
+// and δ-gap thin encodings requires the sorted neighbor ids, which it builds
+// as the fill does — so phase 1 is parallelized too; only the prefix sum is
+// sequential.
 func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Layout) (*Labeling, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
@@ -368,27 +329,16 @@ func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Lay
 
 	planStart := time.Now()
 	plan := newSlabPlan(g, tau, w)
-	plan.buildNeighborLists(g)
-	id, k := plan.id, plan.k
+	id, k := plan.id, int32(plan.k)
 	gapFlag := make([]bool, n)
 
 	// Phase 1 (parallel): exact per-label sizes and encoding choices.
-	planRanges := make([][2]int, 0, workers)
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		planRanges = append(planRanges, [2]int{lo, hi})
-	}
-	runRanges(planRanges, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
+	runRanges(evenRanges(n, workers), func(lo, hi int) {
+		plan.eachLabel(g, lo, hi, func(v int, nbr []int32) {
 			if id[v] < k {
-				plan.bitLens[v] = header + k
-				continue
+				plan.bitLens[v] = header + plan.k
+				return
 			}
-			nbr := plan.nbrIDs[plan.nbrOffs[v]:plan.nbrOffs[v+1]]
 			gapBits := 0
 			prev := uint64(0)
 			for i, x := range nbr {
@@ -405,7 +355,7 @@ func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Lay
 			} else {
 				plan.bitLens[v] = header + 1 + fixed
 			}
-		}
+		})
 	})
 	plan.layout(lay)
 	pipelineMetrics.PlanNs.ObserveDuration(time.Since(planStart))
@@ -415,20 +365,15 @@ func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Lay
 	slab := make([]byte, int(plan.physOffs[n]>>3))
 	runRanges(splitByWords(plan.physOffs, workers), func(lo, hi int) {
 		sw := bitstr.NewSlabWriter(slab)
-		for r := lo; r < hi; r++ {
-			v := plan.vertexAt(r)
+		plan.eachLabel(g, lo, hi, func(v int, nbr []int32) {
 			off := plan.offs[v]
 			sw.SeekBit(off)
 			if vid := id[v]; vid < k {
 				sw.WriteUint(1<<uint(w)|uint64(vid), 1+w)
 				sw.Flush()
-				base := off + int64(header)
-				for _, i := range plan.fatIDs[plan.fatOffs[vid]:plan.fatOffs[vid+1]] {
-					bitstr.SlabSetBit(slab, base+int64(i))
-				}
-				continue
+				plan.fillFatBitmap(g, v, slab, off+int64(header))
+				return
 			}
-			nbr := plan.nbrIDs[plan.nbrOffs[v]:plan.nbrOffs[v+1]]
 			sw.WriteUint(uint64(id[v]), 1+w)
 			sw.WriteBit(gapFlag[v])
 			if gapFlag[v] {
@@ -445,10 +390,10 @@ func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Lay
 				sw.WriteUints32(nbr, w)
 			}
 			sw.Flush()
-		}
+		})
 	})
 	pipelineMetrics.FillNs.ObserveDuration(time.Since(fillStart))
 	pipelineMetrics.Runs.Inc()
 	pipelineMetrics.Labels.Add(int64(n))
-	return NewPermutedArenaLabeling(name, slab, plan.bitLens, plan.order, &CompressedDecoder{n: n, w: w})
+	return newArenaLabeling(name, slab, plan, &CompressedDecoder{n: n, w: w}), nil
 }

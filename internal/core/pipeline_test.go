@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -211,6 +213,56 @@ func TestPipelineLabelingBornCompact(t *testing.T) {
 	}
 }
 
+// TestLabelingViewsOnDemand: an arena labeling keeps no per-label table — a
+// Label call allocates nothing and costs no memory up front — yet answers N,
+// BitLens, Label and Stats exactly as the label-by-label labeling of the same
+// graph does, under both layouts.
+func TestLabelingViewsOnDemand(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(3000, 2.5, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewPowerLawSchemePractical(2.5)
+	tau, err := s.Threshold(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := encodeFatThinLegacy(s.Name(), g, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lay := range []Layout{LayoutID, LayoutDegree} {
+		lab, err := encodeFatThinSlab(s.Name(), g, tau, 2, lay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lab.labels != nil {
+			t.Fatalf("%v: arena labeling materialised %d views", lay, len(lab.labels))
+		}
+		if lab.N() != legacy.N() || lab.Stats() != legacy.Stats() {
+			t.Fatalf("%v: N %d / %d, Stats %+v / %+v", lay, lab.N(), legacy.N(), lab.Stats(), legacy.Stats())
+		}
+		if !slices.Equal(lab.BitLens(), legacy.BitLens()) {
+			t.Fatalf("%v: BitLens differ from the legacy labeling's", lay)
+		}
+		for v := 0; v < g.N(); v++ {
+			got, err := lab.Label(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := legacy.Label(v); !got.Equal(want) {
+				t.Fatalf("%v: label %d differs from the legacy labeling's", lay, v)
+			}
+		}
+		if _, err := lab.Label(g.N()); !errors.Is(err, ErrVertexRange) {
+			t.Fatalf("%v: Label(n) err = %v", lay, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { lab.Label(1234) }); allocs != 0 {
+			t.Errorf("%v: Label allocates %v objects per call", lay, allocs)
+		}
+	}
+}
+
 // TestSplitByWords checks the word-balanced range partitioner covers all
 // vertices exactly once, in order.
 func TestSplitByWords(t *testing.T) {
@@ -310,11 +362,10 @@ func BenchmarkEncodePipelineFill(b *testing.B) {
 	w := 17 // ceil(log2 100000)
 	header := 1 + w
 	plan := newSlabPlan(g, tau, w)
-	plan.buildNeighborLists(g)
-	id, k := plan.id, plan.k
+	id, k := plan.id, int32(plan.k)
 	for v := 0; v < n; v++ {
 		if id[v] < k {
-			plan.bitLens[v] = header + k
+			plan.bitLens[v] = header + plan.k
 		} else {
 			plan.bitLens[v] = header + g.Degree(v)*w
 		}
@@ -324,7 +375,7 @@ func BenchmarkEncodePipelineFill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fillFatThinSlab(plan, slab, 0, n)
+		fillFatThinSlab(plan, g, slab, 0, n)
 	}
 }
 

@@ -101,6 +101,22 @@ func packMeta(fat bool, id uint64, body, w, v int) (uint64, error) {
 	return word, nil
 }
 
+// fatThinHeader validates the fat/thin label v — bits bits at slab bit off,
+// inside the slab as a bitstr.SlabWalk vouches — and packs its header word.
+// The engine constructor and the shard split read every label through it.
+func fatThinHeader(slab []byte, off int64, bits, w, v int) (uint64, error) {
+	header := 1 + w
+	if bits < header {
+		return 0, fmt.Errorf("%w: label %d has %d bits, header needs %d", ErrBadLabel, v, bits, header)
+	}
+	fat := bitstr.SlabReadBits(slab, off, 1) == 1
+	var id uint64
+	if w > 0 {
+		id = bitstr.SlabReadBits(slab, off+1, w)
+	}
+	return packMeta(fat, id, bits-header, w, v)
+}
+
 // NewQueryEngine builds an engine over a labeling produced by any scheme
 // using the fat/thin label layout (FatThinScheme, baseline.NeighborList).
 // Labels are validated once here; malformed labels that FatThinDecoder
@@ -109,11 +125,7 @@ func packMeta(fat bool, id uint64, body, w, v int) (uint64, error) {
 // relocating a single body bit.
 func NewQueryEngine(lab *Labeling) (*QueryEngine, error) {
 	if lab.arena != nil {
-		bitLens := make([]int, len(lab.labels))
-		for v, s := range lab.labels {
-			bitLens[v] = s.Len()
-		}
-		return NewQueryEngineFromPermutedArena(lab.arena, bitLens, lab.order)
+		return NewQueryEngineFromPermutedArena(lab.arena, lab.bitLens, lab.order)
 	}
 	return NewQueryEngineFromLabels(lab.labels)
 }
@@ -142,61 +154,22 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	if w > 32 {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
 	}
-	if order != nil && len(order) != n {
-		return nil, fmt.Errorf("%w: layout permutation of %d entries over %d labels", ErrBadLabel, len(order), n)
-	}
 	header := 1 + w
 	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab}
-	var seen []uint64
-	if order != nil {
-		seen = make([]uint64, (n+63)>>6)
-	}
-	var off int64
-	for r := 0; r < n; r++ {
-		v := r
-		if order != nil {
-			v = int(order[r])
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrBadLabel, r, order[r], n)
-			}
-			if seen[v>>6]&(1<<uint(v&63)) != 0 {
-				return nil, fmt.Errorf("%w: layout permutation repeats label %d at rank %d", ErrBadLabel, v, r)
-			}
-			seen[v>>6] |= 1 << uint(v&63)
-		}
-		bits := bitLens[v]
-		if bits < header {
-			return nil, fmt.Errorf("%w: label %d has %d bits, header needs %d", ErrBadLabel, v, bits, header)
-		}
-		if bits > maxLabelBits {
-			// Also keeps end below overflow for any label count that fits in
-			// memory: untrusted bit lengths (fuzzed or corrupt headers) are
-			// bounded before any offset arithmetic.
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrBadLabel, v, bits)
-		}
-		end := off + int64(bitstr.SlabWords(bits))*bitstr.SlabWordBits
-		if int(end>>3) > len(slab) {
-			return nil, fmt.Errorf("%w: label %d ends at byte %d of a %d-byte slab", ErrBadLabel, v, end>>3, len(slab))
-		}
-		fat := bitstr.SlabReadBits(slab, off, 1) == 1
-		var id uint64
-		if w > 0 {
-			id = bitstr.SlabReadBits(slab, off+1, w)
-		}
-		word, err := packMeta(fat, id, bits-header, w, v)
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		word, err := fatThinHeader(slab, off, bitLens[v], w, v)
 		if err != nil {
 			return nil, err
 		}
 		e.meta[v] = vertexMeta{off: off + int64(header), word: word}
-		off = end
+	}
+	if err := walk.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
 	return e, nil
 }
-
-// maxLabelBits caps a single label's declared bit length (matching the
-// labelstore's cap): beyond it, offset arithmetic and the 31-bit body counts
-// could overflow on attacker-controlled headers.
-const maxLabelBits = 1 << 34
 
 // NewQueryEngineFromLabels builds an engine over per-vertex labels from any
 // source (e.g. a legacy label store), relocating the bodies into a fresh

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/bitstr"
 )
@@ -157,6 +158,10 @@ type ShardArena struct {
 // layout); the source is validated the same way and is not modified. The
 // fat–fat data is replicated to every shard; thin labels are kept in full
 // only on their owner and stripped to the [fat-bit][id] header elsewhere.
+//
+// One walk over the source validates it and reads each label's offset and
+// fat bit off the slab; the shards are then sized and filled independently of
+// one another, on up to GOMAXPROCS goroutines.
 func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn ShardFn) ([]ShardArena, error) {
 	n := len(bitLens)
 	if count < 2 || count > n {
@@ -165,67 +170,74 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 	if !fn.Valid() {
 		return nil, fmt.Errorf("core: unknown shard ownership function %d", uint8(fn))
 	}
-	// The source engine validates the slab geometry and pre-parses every
-	// header — fat flags and offsets — in one pass.
-	src, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
-	if err != nil {
-		return nil, err
+	w := bitstr.WidthFor(uint64(n))
+	if w > 32 {
+		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
 	}
-	w := src.w
-	header := 1 + w
-	stub := int64(bitstr.SlabWordBits) // a 1+w <= 33-bit stub occupies one word
-
-	// Pass 1: per-shard sizes. Resident labels keep their word footprint,
-	// foreign thin labels shrink to one word.
+	// src[r] describes the label at slab rank r: its vertex, where it starts,
+	// and the one shard that keeps it in full — every shard, for a fat label.
+	const everyShard = -1
+	type srcLabel struct {
+		v, home int32
+		off     int64
+	}
+	src := make([]srcLabel, 0, n)
 	shards := make([]ShardArena, count)
-	words := make([]int64, count)
-	for s := range shards {
-		shards[s].BitLens = make([]int, n)
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		word, err := fatThinHeader(slab, off, bitLens[v], w, v)
+		if err != nil {
+			return nil, err
+		}
+		home := ShardOwner(fn, v, n, count)
+		shards[home].Owned++
+		if word&1 != 0 {
+			home = everyShard
+		}
+		src = append(src, srcLabel{v: int32(v), home: int32(home), off: off})
 	}
-	for v := 0; v < n; v++ {
-		owner := ShardOwner(fn, v, n, count)
-		fat := src.meta[v].fat()
-		shards[owner].Owned++
-		for s := 0; s < count; s++ {
-			if fat || s == owner {
-				shards[s].BitLens[v] = bitLens[v]
-				words[s] += int64(bitstr.SlabWords(bitLens[v]))
+	if err := walk.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
+	}
+
+	header := 1 + w
+	fill := func(s int) {
+		// Pass 1: sizes. Resident labels keep their word footprint, foreign
+		// thin labels shrink to the one word a 1+w <= 33-bit stub occupies.
+		sh := &shards[s]
+		sh.BitLens = make([]int, n)
+		words := 0
+		for _, l := range src {
+			if l.home == everyShard || int(l.home) == s {
+				sh.BitLens[l.v] = bitLens[l.v]
+				words += bitstr.SlabWords(bitLens[l.v])
 			} else {
-				shards[s].BitLens[v] = header
-				words[s]++
+				sh.BitLens[l.v] = header
+				words++
 			}
 		}
-	}
-	for s := range shards {
-		shards[s].Slab = make([]byte, bitstr.SlabBytes(int(words[s])))
-	}
-
-	// Pass 2: copy in rank order, so each shard slab keeps the source's
-	// physical layout. meta[v].off points at the body; the label (header
-	// included) starts header bits earlier, on a word boundary.
-	offs := make([]int64, count)
-	for r := 0; r < n; r++ {
-		v := r
-		if order != nil {
-			v = int(order[r])
-		}
-		start := src.meta[v].off - int64(header)
-		fat := src.meta[v].fat()
-		owner := ShardOwner(fn, v, n, count)
-		full := int64(bitstr.SlabWords(bitLens[v])) * bitstr.SlabWordBits
-		for s := 0; s < count; s++ {
-			if fat || s == owner {
-				copy(shards[s].Slab[offs[s]>>3:], slab[start>>3:(start+full)>>3])
-				offs[s] += full
+		// Pass 2: copy in rank order, so the shard slab keeps the source's
+		// physical layout.
+		sh.Slab = make([]byte, bitstr.SlabBytes(words))
+		at := 0
+		for _, l := range src {
+			if l.home == everyShard || int(l.home) == s {
+				start := int(l.off >> 3)
+				at += copy(sh.Slab[at:], slab[start:start+bitstr.SlabBytes(bitstr.SlabWords(bitLens[l.v]))])
 			} else {
 				// Header stub: the label's first 1+w bits, left-aligned in one
 				// zeroed word.
-				hw := bitstr.SlabReadBits(slab, start, header) << (64 - uint(header))
-				putWord(shards[s].Slab[offs[s]>>3:], hw)
-				offs[s] += stub
+				putWord(sh.Slab[at:], bitstr.SlabReadBits(slab, l.off, header)<<(64-uint(header)))
+				at += 8
 			}
 		}
 	}
+	runRanges(evenRanges(count, min(count, runtime.GOMAXPROCS(0))), func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			fill(s)
+		}
+	})
 	return shards, nil
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -17,11 +19,7 @@ func arenaOf(t *testing.T, lab *Labeling) (slab []byte, bitLens []int, order []i
 	if !ok {
 		t.Fatal("labeling is not arena-backed")
 	}
-	bitLens = make([]int, lab.N())
-	for v := range bitLens {
-		bitLens[v] = lab.labels[v].Len()
-	}
-	return slab, bitLens, order
+	return slab, lab.BitLens(), order
 }
 
 // shardTestEngines builds the full engine plus count sharded engines (each
@@ -243,5 +241,45 @@ func TestShardLabelArenasValidates(t *testing.T) {
 	}
 	if _, err := ShardLabelArenas(slab, bitLens, order, 2, ShardFn(7)); err == nil {
 		t.Fatal("accepted an unknown ownership function")
+	}
+}
+
+// TestShardLabelArenasParallelMatchesSerial: the split fills its shards on up
+// to GOMAXPROCS goroutines; whatever that is, and however the shard count
+// divides among them, every arena is the one a single goroutine builds. CI
+// runs it under -race.
+func TestShardLabelArenasParallelMatchesSerial(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(600, 2.5, 2, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, lay := range []Layout{LayoutID, LayoutDegree} {
+		s := NewPowerLawScheme(2.5)
+		s.SetLayout(lay)
+		lab, err := s.Encode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab, bitLens, order := arenaOf(t, lab)
+		for _, fn := range []ShardFn{ShardRange, ShardHash} {
+			for _, count := range []int{2, 3, 7, 16} {
+				runtime.GOMAXPROCS(1)
+				want, err := ShardLabelArenas(slab, bitLens, order, count, fn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, procs := range []int{2, 7} {
+					runtime.GOMAXPROCS(procs)
+					got, err := ShardLabelArenas(slab, bitLens, order, count, fn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v %v count %d: arenas at GOMAXPROCS %d differ from the serial split's", lay, fn, count, procs)
+					}
+				}
+			}
+		}
 	}
 }

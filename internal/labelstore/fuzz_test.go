@@ -1,0 +1,137 @@
+package labelstore
+
+import (
+	"bytes"
+	"slices"
+	"strconv"
+	"testing"
+
+	"repro/internal/bitstr"
+	"repro/internal/core"
+	"repro/internal/gen"
+)
+
+// FuzzReadBytes hammers both store readers with one byte image. For ANY
+// input:
+//
+//   - ReadBytes and Read accept or reject alike, and an accepted image yields
+//     the same labels from both (bit for bit inside each label's length —
+//     Read masks the padding of the final byte, ReadBytes leaves a mapping
+//     untouched);
+//   - a file both accepted never builds an engine that answers differently
+//     between the two, whatever sits in the padding;
+//   - an adjacency engine answers exactly what the paper's decoder answers
+//     from the file's own two labels — for an unmutated seed, the source
+//     labeling.
+//
+// Seeds are real images of every store shape: v2 id-ordered, degree-ordered,
+// a shard, pll, bdist, and a v1 file.
+func FuzzReadBytes(f *testing.F) {
+	image := func(file *File) {
+		var buf bytes.Buffer
+		if err := Write(&buf, file); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	params := map[string]string{"n": strconv.Itoa(g.N())}
+	for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+		s := core.NewPowerLawScheme(2.5)
+		s.SetLayout(lay)
+		lab, err := s.Encode(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		slab, order, _ := lab.ArenaLayout()
+		file, err := NewPermutedArenaFile(lab.Scheme(), params, slab, lab.BitLens(), order)
+		if err != nil {
+			f.Fatal(err)
+		}
+		image(file)
+	}
+	shards, _ := shardStores(f, g, 3, core.ShardRange)
+	image(shards[1])
+	_, arenas := distArenas(f)
+	for kind, a := range arenas {
+		file, err := NewDistArenaFile("dist-"+kind, params, a)
+		if err != nil {
+			f.Fatal(err)
+		}
+		image(file)
+	}
+	image(sampleFile(f)) // v1
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mapped, errMapped := ReadBytes(data)
+		streamed, errStreamed := Read(bytes.NewReader(data))
+		if (errMapped == nil) != (errStreamed == nil) {
+			t.Fatalf("ReadBytes err = %v, Read err = %v", errMapped, errStreamed)
+		}
+		if errMapped != nil {
+			return
+		}
+		n := mapped.N()
+		if streamed.N() != n || len(mapped.Labels) != n || len(streamed.Labels) != n {
+			t.Fatalf("N = %d / %d, Labels %d / %d", n, streamed.N(), len(mapped.Labels), len(streamed.Labels))
+		}
+		for v, l := range mapped.Labels {
+			clean, err := bitstr.Wrap(slices.Clone(l.Bytes()), l.Len())
+			if err != nil || !clean.Equal(streamed.Labels[v]) {
+				t.Fatalf("label %d differs between ReadBytes and Read (%v)", v, err)
+			}
+		}
+		if n == 0 {
+			return
+		}
+		pairs := [][2]int{{0, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 3}}
+		for i := 0; i < n && i < 48; i++ {
+			pairs = append(pairs, [2]int{i, (i * 7) % n}, [2]int{(i * 5) % n, i})
+		}
+		if da, ok := mapped.DistArena(); ok {
+			db, _ := streamed.DistArena()
+			ea, errA := core.NewDistEngine(da)
+			eb, errB := core.NewDistEngine(db)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("distance engine: mapped err = %v, streamed err = %v", errA, errB)
+			}
+			if errA != nil {
+				return
+			}
+			for _, p := range pairs {
+				a, _ := ea.Dist(p[0], p[1])
+				b, _ := eb.Dist(p[0], p[1])
+				if a != b {
+					t.Fatalf("Dist(%d,%d) = %d mapped, %d streamed", p[0], p[1], a, b)
+				}
+			}
+			return
+		}
+		slab, bitLens, order, ok := mapped.ArenaLayout()
+		if !ok {
+			return // v1: labels only, compared above
+		}
+		ea, errA := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
+		slab, bitLens, order, _ = streamed.ArenaLayout()
+		eb, errB := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("engine: mapped err = %v, streamed err = %v", errA, errB)
+		}
+		if errA != nil {
+			return // not fat/thin labels: nothing to serve
+		}
+		dec := core.NewFatThinDecoder(n)
+		for _, p := range pairs {
+			want, wantErr := dec.Adjacent(streamed.Labels[p[0]], streamed.Labels[p[1]])
+			a, errA := ea.Adjacent(p[0], p[1])
+			b, errB := eb.Adjacent(p[0], p[1])
+			if a != want || b != want || (errA == nil) != (wantErr == nil) || (errB == nil) != (wantErr == nil) {
+				t.Fatalf("Adjacent(%d,%d): decoder %v (%v), mapped engine %v (%v), streamed engine %v (%v)",
+					p[0], p[1], want, wantErr, a, errA, b, errB)
+			}
+		}
+	})
+}

@@ -88,20 +88,28 @@ const (
 	// path, so a header declaring a huge blob over a short stream fails at
 	// EOF having over-allocated at most one chunk.
 	blobChunk = 64 << 20
+	// countChunk does the same for the per-label tables: a header declaring
+	// 2^31 labels over a short stream buys this many entries, not 2^31.
+	countChunk = 1 << 16
 )
 
 // File is an in-memory representation of a label store.
 type File struct {
 	Scheme string
 	Params map[string]string
+	// Labels holds the id-indexed per-label strings of a file the readers
+	// (Read, ReadBytes, Open) produced — views into the arena for a v2 store —
+	// or of a v1 file assembled by hand. The arena constructors leave it nil:
+	// a file on its way to Write is described by the arena alone.
 	Labels []bitstr.String
-	// arena, when non-nil, is the word-aligned slab the Labels are views
-	// into, with bitLens the per-label bit lengths. Set by NewArenaFile and
-	// by Read on v2 files; selects the v2 single-blob path in Write.
+	// arena, when non-nil, is the word-aligned slab holding every label, with
+	// bitLens the id-indexed per-label bit lengths. Set by the arena
+	// constructors and by the readers on v2 files; selects the v2 single-blob
+	// path in Write.
 	arena   []byte
 	bitLens []int
 	// order, when non-nil, is the arena's physical layout permutation: slab
-	// rank r holds label order[r]. Labels stays id-indexed either way.
+	// rank r holds label order[r].
 	order []int32
 	// shard, when non-nil, marks one shard of a partitioned store: owned
 	// vertices (plus replicated fat labels) in full, foreign thin labels as
@@ -113,7 +121,12 @@ type File struct {
 }
 
 // N returns the number of labels.
-func (f *File) N() int { return len(f.Labels) }
+func (f *File) N() int {
+	if f.arena != nil {
+		return len(f.bitLens)
+	}
+	return len(f.Labels)
+}
 
 // NewArenaFile builds a store over a word-aligned label slab (the arena of a
 // pipeline-built core.Labeling): label v occupies bits
@@ -121,58 +134,70 @@ func (f *File) N() int { return len(f.Labels) }
 // Write serializes such a file in format v2 — one header and the slab as a
 // single body blob.
 func NewArenaFile(scheme string, params map[string]string, slab []byte, bitLens []int) (*File, error) {
-	labels := make([]bitstr.String, len(bitLens))
-	var off int64
-	for v, bits := range bitLens {
-		view, err := bitstr.SlabView(slab, off, bits)
-		if err != nil {
-			return nil, fmt.Errorf("labelstore: arena label %d: %w", v, err)
-		}
-		labels[v] = view
-		off += int64(bitstr.SlabWords(bits)) * bitstr.SlabWordBits
-	}
-	if int(off>>3) != len(slab) {
-		return nil, fmt.Errorf("labelstore: arena slab has %d bytes, labels occupy %d", len(slab), off>>3)
-	}
-	return &File{Scheme: scheme, Params: params, Labels: labels, arena: slab, bitLens: bitLens}, nil
+	return NewPermutedArenaFile(scheme, params, slab, bitLens, nil)
 }
 
 // NewPermutedArenaFile is NewArenaFile for a physically permuted slab: the
 // label at word-aligned slab rank r is label order[r] with bitLens[order[r]]
 // bits (the arena of a core.LayoutDegree labeling). Write serializes it in
 // format v2 with a "layout" param and the permutation block. order must be a
-// permutation of 0..len(bitLens)-1; nil delegates to NewArenaFile.
+// permutation of 0..len(bitLens)-1; nil is the identity. The description is
+// validated and the padding zeroed (adoptArena); no per-label view is built.
 func NewPermutedArenaFile(scheme string, params map[string]string, slab []byte, bitLens []int, order []int32) (*File, error) {
-	if order == nil {
-		return NewArenaFile(scheme, params, slab, bitLens)
+	f := &File{Scheme: scheme, Params: params, arena: slab, bitLens: bitLens, order: order}
+	if err := f.adoptArena(true); err != nil {
+		return nil, err
 	}
-	n := len(bitLens)
-	if len(order) != n {
-		return nil, fmt.Errorf("labelstore: layout permutation of %d entries over %d labels", len(order), n)
-	}
-	labels := make([]bitstr.String, n)
-	seen := make([]uint64, (n+63)>>6)
-	var off int64
-	for r, v32 := range order {
-		v := int(v32)
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("labelstore: layout permutation entry %d = %d of %d labels", r, v32, n)
+	return f, nil
+}
+
+// adoptArena is the one pass every arena-backed File makes over its slab
+// before anyone may use it, constructor-built and loaded alike. A
+// bitstr.SlabWalk checks the description — the permutation, and that the
+// labels tile the slab exactly. With mask, the padding bits of each label's
+// final byte are zeroed in place, so that equal labels compare equal whoever
+// produced the slab; ReadBytes, whose slab may be a read-only mapping, passes
+// false. If the caller preallocated Labels, they are filled with the
+// id-indexed views; if it set shard, every foreign thin label must be a
+// header-only stub — the one check that reads the body, one bit of each
+// foreign label longer than a stub.
+func (f *File) adoptArena(mask bool) error {
+	n := len(f.bitLens)
+	stub := 1 + bitstr.WidthFor(uint64(n))
+	walk := bitstr.NewSlabWalk(len(f.arena), f.bitLens, f.order)
+	for walk.Next() {
+		v, off := walk.Label()
+		bits := f.bitLens[v]
+		var label bitstr.String
+		if mask {
+			var err error
+			if label, err = bitstr.SlabView(f.arena, off, bits); err != nil {
+				return fmt.Errorf("%w: arena label %d: %v", ErrFormat, v, err)
+			}
+		} else {
+			label = bitstr.SlabLabel(f.arena, off, bits)
 		}
-		if seen[v>>6]&(1<<uint(v&63)) != 0 {
-			return nil, fmt.Errorf("labelstore: layout permutation repeats label %d at rank %d", v, r)
+		if f.Labels != nil {
+			f.Labels[v] = label
 		}
-		seen[v>>6] |= 1 << uint(v&63)
-		view, err := bitstr.SlabView(slab, off, bitLens[v])
-		if err != nil {
-			return nil, fmt.Errorf("labelstore: arena label %d: %w", v, err)
+		if sb := f.shard; sb != nil {
+			if bits < stub {
+				return fmt.Errorf("%w: sharded store label %d has %d bits, fat/thin header needs %d",
+					ErrFormat, v, bits, stub)
+			}
+			// Foreign: fat labels are replicated in full, thin labels must be
+			// stripped to the stub — a full foreign thin body means the block
+			// describes a different shard than the blob holds.
+			if bits != stub && !sb.m.Owns(v, n) && bitstr.SlabReadBits(f.arena, off, 1) == 0 {
+				return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label has %d bits (stub is %d)",
+					ErrFormat, v, sb.m.Index, sb.m.Count, bits, stub)
+			}
 		}
-		labels[v] = view
-		off += int64(bitstr.SlabWords(bitLens[v])) * bitstr.SlabWordBits
 	}
-	if int(off>>3) != len(slab) {
-		return nil, fmt.Errorf("labelstore: arena slab has %d bytes, labels occupy %d", len(slab), off>>3)
+	if err := walk.Tiled(); err != nil {
+		return fmt.Errorf("%w: arena: %v", ErrFormat, err)
 	}
-	return &File{Scheme: scheme, Params: params, Labels: labels, arena: slab, bitLens: bitLens, order: order}, nil
+	return nil
 }
 
 // Arena returns the word-aligned slab backing the store plus the per-label
@@ -238,7 +263,7 @@ func Write(w io.Writer, f *File) error {
 			return fmt.Errorf("labelstore: sharded store cannot declare distance scheme %q", f.dist.Kind)
 		}
 	}
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, writeBuffer)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
 	}
@@ -296,15 +321,11 @@ func Write(w io.Writer, f *File) error {
 		if err := writeUvarint(bw, uint64(len(f.bitLens))); err != nil {
 			return err
 		}
-		for _, bits := range f.bitLens {
-			if err := writeUvarint(bw, uint64(bits)); err != nil {
-				return err
-			}
+		if err := writeUvarints(bw, f.bitLens); err != nil {
+			return err
 		}
-		for _, v := range f.order { // permutation block (empty when id-ordered)
-			if err := writeUvarint(bw, uint64(uint32(v))); err != nil {
-				return err
-			}
+		if err := writeUvarints(bw, f.order); err != nil { // permutation block (empty when id-ordered)
+			return err
 		}
 		if f.shard != nil { // shard block (absent for whole-labeling stores)
 			if err := writeUvarint(bw, uint64(f.shard.m.Index)); err != nil {
@@ -412,7 +433,7 @@ func Read(r io.Reader) (*File, error) {
 		off  int
 		bits int
 	}
-	spans := make([]span, n)
+	spans := make([]span, 0, min(n, countChunk))
 	var slab []byte
 	for i := uint64(0); i < n; i++ {
 		bits, err := binary.ReadUvarint(br)
@@ -422,13 +443,11 @@ func Read(r io.Reader) (*File, error) {
 		if bits > maxLabelBits {
 			return nil, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
 		}
-		nBytes := int((bits + 7) / 8)
 		off := len(slab)
-		slab = slices.Grow(slab, nBytes)[:off+nBytes]
-		if _, err := io.ReadFull(br, slab[off:]); err != nil {
+		if slab, err = readBody(br, slab, int64((bits+7)/8)); err != nil {
 			return nil, fmt.Errorf("%w: label %d payload: %v", ErrFormat, i, err)
 		}
-		spans[i] = span{off: off, bits: int(bits)}
+		spans = append(spans, span{off: off, bits: int(bits)})
 	}
 	// The slab no longer moves; build the views.
 	labels := make([]bitstr.String, n)
@@ -448,9 +467,9 @@ func Read(r io.Reader) (*File, error) {
 // is read with a single contiguous ReadFull and becomes the store's arena;
 // labels are zero-copy views into it.
 func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) (*File, error) {
-	bitLens := make([]int, n)
+	bitLens := make([]int, 0, min(n, countChunk))
 	var words int64
-	for i := range bitLens {
+	for i := 0; i < n; i++ {
 		bits, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: label %d length: %v", ErrFormat, i, err)
@@ -458,7 +477,7 @@ func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) 
 		if bits > maxLabelBits {
 			return nil, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
 		}
-		bitLens[i] = int(bits)
+		bitLens = append(bitLens, int(bits))
 		words += int64(bitstr.SlabWords(int(bits)))
 	}
 	var order []int32
@@ -467,9 +486,9 @@ func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) 
 			return nil, fmt.Errorf("%w: unknown layout %q", ErrFormat, lay)
 		}
 		// Entries are range-checked here and permutation-checked (no label
-		// missing or repeated) by NewPermutedArenaFile below: a truncated or
-		// garbage block errors at load, it can never mis-answer.
-		order = make([]int32, n)
+		// missing or repeated) by adoptArena below: a truncated or garbage
+		// block errors at load, it can never mis-answer.
+		order = make([]int32, n) // n lengths were read: the count is real
 		for i := range order {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
@@ -523,34 +542,69 @@ func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) 
 	if err := checkBlobLen(int64(blobLen), need); err != nil {
 		return nil, err
 	}
-	slab := make([]byte, 0, min(need, blobChunk))
-	for int64(len(slab)) < need {
-		chunk := int(min(need-int64(len(slab)), blobChunk))
-		off := len(slab)
-		slab = slices.Grow(slab, chunk)[:off+chunk]
-		if _, err := io.ReadFull(br, slab[off:]); err != nil {
-			return nil, fmt.Errorf("%w: blob payload at byte %d of %d: %v", ErrFormat, off, need, err)
-		}
-	}
-	f, err := NewPermutedArenaFile(scheme, params, slab, bitLens, order)
+	slab, err := readBody(br, make([]byte, 0, min(need, blobChunk)), need)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		return nil, fmt.Errorf("%w: blob payload of %d bytes: %v", ErrFormat, need, err)
 	}
-	if sb != nil {
-		if err := validateShardFile(f, sb); err != nil {
-			return nil, err
-		}
-		f.shard = sb
+	f := &File{Scheme: scheme, Params: params, Labels: make([]bitstr.String, n),
+		arena: slab, bitLens: bitLens, order: order, shard: sb, dist: dist}
+	if err := f.adoptArena(true); err != nil {
+		return nil, err
 	}
-	f.dist = dist
 	return f, nil
 }
 
+// writeBuffer is Write's buffer: large enough that a million-label header
+// reaches the file in a handful of writes.
+const writeBuffer = 1 << 20
+
+// writeUvarint encodes v straight into the writer's buffer: no scratch array
+// for Write to take the address of, hence no allocation per value.
 func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
+	if w.Available() < binary.MaxVarintLen64 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 	return err
+}
+
+// writeUvarints encodes a block of non-negative values back to back, keeping
+// the append cursor in hand across values and handing the buffer over only
+// when it fills.
+func writeUvarints[T int | int32](w *bufio.Writer, vs []T) error {
+	buf := w.AvailableBuffer()
+	for _, v := range vs {
+		if cap(buf)-len(buf) < binary.MaxVarintLen64 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			buf = w.AvailableBuffer()
+		}
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// readBody appends the next n bytes of the stream to dst, buying at most
+// blobChunk at a time: a length field lying about a huge body over a short
+// stream fails at EOF instead of forcing one giant allocation up front.
+func readBody(br *bufio.Reader, dst []byte, n int64) ([]byte, error) {
+	for n > 0 {
+		chunk := int(min(n, blobChunk))
+		off := len(dst)
+		dst = slices.Grow(dst, chunk)[:off+chunk]
+		if _, err := io.ReadFull(br, dst[off:]); err != nil {
+			return nil, fmt.Errorf("at byte %d: %w", off, err)
+		}
+		n -= int64(chunk)
+	}
+	return dst, nil
 }
 
 func writeString(w *bufio.Writer, s string) error {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/gen"
 )
 
-func sampleFile(t *testing.T) *File {
+func sampleFile(t testing.TB) *File {
 	t.Helper()
 	g := gen.ErdosRenyi(50, 0.1, 1)
 	lab, err := core.NewSparseScheme(2).Encode(g)
@@ -410,8 +410,8 @@ func TestNewArenaFileValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Labels[0].Len() != 3 || f.Labels[1].Len() != 64 {
-		t.Errorf("view lengths %d, %d", f.Labels[0].Len(), f.Labels[1].Len())
+	if _, bitLens, ok := f.Arena(); !ok || f.N() != 2 || bitLens[0] != 3 || bitLens[1] != 64 {
+		t.Errorf("N = %d, arena lengths %v (ok=%v)", f.N(), bitLens, ok)
 	}
 }
 

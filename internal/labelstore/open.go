@@ -74,6 +74,11 @@ func ReadBytes(data []byte) (*File, error) {
 	if n > maxLabels {
 		return nil, fmt.Errorf("%w: %d labels", ErrFormat, n)
 	}
+	if n > uint64(len(data)-p.off) {
+		// Every length takes at least a byte: refuse before the count sizes a
+		// table.
+		return nil, fmt.Errorf("%w: %d labels declared over %d bytes", ErrFormat, n, len(data)-p.off)
+	}
 	bitLens := make([]int, n)
 	var words int64
 	for i := range bitLens {
@@ -93,8 +98,8 @@ func ReadBytes(data []byte) (*File, error) {
 			return nil, fmt.Errorf("%w: unknown layout %q", ErrFormat, lay)
 		}
 		// Range-checked here, permutation-checked (no label missing or
-		// repeated) by SlabViewsPermuted below: a truncated or garbage block
-		// errors at load, it can never mis-answer.
+		// repeated) by adoptArena below: a truncated or garbage block errors
+		// at load, it can never mis-answer.
 		order = make([]int32, n)
 		for i := range order {
 			v, err := p.uvarint("layout permutation entry")
@@ -154,20 +159,12 @@ func ReadBytes(data []byte) (*File, error) {
 			ErrFormat, len(data)-p.off, need)
 	}
 	arena := data[p.off : p.off+int(need) : p.off+int(need)]
-	// SlabViewsPermuted (identity when order is nil) never masks, keeping
-	// read-only mappings safe; it also revalidates the permutation.
-	labels, err := bitstr.SlabViewsPermuted(arena, bitLens, order)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	f := &File{Scheme: scheme, Params: params, Labels: make([]bitstr.String, n),
+		arena: arena, bitLens: bitLens, order: order, shard: sb, dist: dist}
+	// Unmasked: data may be a read-only mapping.
+	if err := f.adoptArena(false); err != nil {
+		return nil, err
 	}
-	f := &File{Scheme: scheme, Params: params, Labels: labels, arena: arena, bitLens: bitLens, order: order}
-	if sb != nil {
-		if err := validateShardFile(f, sb); err != nil {
-			return nil, err
-		}
-		f.shard = sb
-	}
-	f.dist = dist
 	return f, nil
 }
 
@@ -225,10 +222,14 @@ func (p *byteParser) string() (string, error) {
 
 // MappedFile is a File backed by a memory-mapped store file. For format-v2
 // stores on platforms with mmap support, the arena (and every label view) is
-// a window into the page cache: Open costs O(header) regardless of body
-// size, and any number of processes serving the same file share one
-// physical copy of the labels. Close unmaps; the File and anything derived
-// from its arena (query engines included) must not be used afterwards.
+// a window into the page cache, and any number of processes serving the same
+// file share one physical copy of the labels. Open costs an O(n) parse of the
+// header — the n bit lengths, the permutation, one walk that validates them
+// and builds the n label views — and leaves the body alone: nothing is
+// copied, and the only body bytes read are the shard-stub check's, one bit of
+// each foreign label longer than a stub. Close unmaps; the File and anything
+// derived from its arena (query engines included) must not be used
+// afterwards.
 type MappedFile struct {
 	*File
 	mapping []byte

@@ -17,7 +17,7 @@ import (
 // distArenas builds one pll and one bdist arena over a small power-law graph
 // (degree layout for pll, id layout for bdist, so both body orders are
 // exercised by the store round trip).
-func distArenas(t *testing.T) (*graph.Graph, map[string]*core.DistArena) {
+func distArenas(t testing.TB) (*graph.Graph, map[string]*core.DistArena) {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(120, 2.5, 2, 9)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 )
 
@@ -56,24 +55,22 @@ func (f *File) Shard() (core.ShardMap, bool) {
 // under. The shard geometry is validated against the labels here, at
 // construction, with the same checks every reader re-runs at load.
 func NewShardArenaFile(scheme string, params map[string]string, slab []byte, bitLens []int, order []int32, m core.ShardMap) (*File, error) {
-	f, err := NewPermutedArenaFile(scheme, params, slab, bitLens, order)
-	if err != nil {
-		return nil, err
-	}
 	sb := &shardBlock{m: m, owned: m.OwnedCount(len(bitLens))}
-	if err := validateShardFile(f, sb); err != nil {
+	if err := sb.check(len(bitLens)); err != nil {
 		return nil, err
 	}
-	f.shard = sb
+	f := &File{Scheme: scheme, Params: params, arena: slab, bitLens: bitLens, order: order, shard: sb}
+	if err := f.adoptArena(true); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
-// validateShardFile cross-checks a shard block against the store's labels:
-// the map must be well-formed for this n, the recorded owned count must
-// match what the ownership function yields, and every foreign thin label
-// must be a header-only stub. Shared by the constructor and both readers.
-func validateShardFile(f *File, sb *shardBlock) error {
-	n := len(f.Labels)
+// check validates a shard block against the label count: the map must be
+// well-formed for this n and the recorded owned count must match what the
+// ownership function yields. The rule that ties the block to the labels —
+// foreign thin labels are stubs — is adoptArena's.
+func (sb *shardBlock) check(n int) error {
 	m := sb.m
 	if m.Count < 2 {
 		return fmt.Errorf("%w: sharded store with %d shards (want >= 2)", ErrFormat, m.Count)
@@ -84,24 +81,6 @@ func validateShardFile(f *File, sb *shardBlock) error {
 	if want := m.OwnedCount(n); sb.owned != want {
 		return fmt.Errorf("%w: shard %d/%d records %d owned vertices, ownership function %s yields %d",
 			ErrFormat, m.Index, m.Count, sb.owned, m.Fn, want)
-	}
-	w := bitstr.WidthFor(uint64(n))
-	stub := 1 + w
-	for v, l := range f.Labels {
-		if l.Len() < stub {
-			return fmt.Errorf("%w: sharded store label %d has %d bits, fat/thin header needs %d",
-				ErrFormat, v, l.Len(), stub)
-		}
-		if m.Owns(v, n) {
-			continue
-		}
-		// Foreign: fat labels are replicated in full, thin labels must be
-		// stripped to the stub — a full foreign thin body means the block
-		// describes a different shard than the blob holds.
-		if fat := l.MustPeekUint(0, 1) == 1; !fat && l.Len() != stub {
-			return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label has %d bits (stub is %d)",
-				ErrFormat, v, m.Index, m.Count, l.Len(), stub)
-		}
 	}
 	return nil
 }
@@ -118,8 +97,8 @@ func parseShardCount(val string) (int, error) {
 	return count, nil
 }
 
-// newShardBlock assembles and range-checks the parsed block fields (full
-// validation against the labels happens once the File exists).
+// newShardBlock assembles and checks the parsed block fields (validation
+// against the labels happens in adoptArena, once the File exists).
 func newShardBlock(count int, index uint64, fnByte byte, owned uint64, n int) (*shardBlock, error) {
 	if index >= uint64(count) {
 		return nil, fmt.Errorf("%w: shard index %d of %d shards", ErrFormat, index, count)
@@ -131,8 +110,9 @@ func newShardBlock(count int, index uint64, fnByte byte, owned uint64, n int) (*
 	if owned > uint64(n) {
 		return nil, fmt.Errorf("%w: shard owns %d of %d vertices", ErrFormat, owned, n)
 	}
-	return &shardBlock{
+	sb := &shardBlock{
 		m:     core.ShardMap{Count: count, Index: int(index), Fn: fn},
 		owned: int(owned),
-	}, nil
+	}
+	return sb, sb.check(n)
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -13,7 +14,7 @@ import (
 
 // shardStores splits a degree-ordered labeling of g into count shard store
 // files, returning them alongside the source labeling.
-func shardStores(t *testing.T, g *graph.Graph, count int, fn core.ShardFn) ([]*File, *core.Labeling) {
+func shardStores(t testing.TB, g *graph.Graph, count int, fn core.ShardFn) ([]*File, *core.Labeling) {
 	t.Helper()
 	s := core.NewPowerLawScheme(2.5)
 	s.SetLayout(core.LayoutDegree)
@@ -25,15 +26,7 @@ func shardStores(t *testing.T, g *graph.Graph, count int, fn core.ShardFn) ([]*F
 	if !ok {
 		t.Fatal("pipeline labeling is not arena-backed")
 	}
-	bitLens := make([]int, g.N())
-	for v := range bitLens {
-		l, err := lab.Label(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitLens[v] = l.Len()
-	}
-	arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, fn)
+	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, count, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +94,13 @@ func TestShardStoreRoundTrip(t *testing.T) {
 				if want := (core.ShardMap{Count: 3, Index: i, Fn: fn}); m != want {
 					t.Fatalf("%s shard %d: shard map %+v, want %+v", r.name, i, m, want)
 				}
-				for v := range got.Labels {
-					if !got.Labels[v].Equal(f.Labels[v]) {
+				if len(got.Labels) != f.N() {
+					t.Fatalf("%s shard %d: %d labels, want %d", r.name, i, len(got.Labels), f.N())
+				}
+				walk := bitstr.NewSlabWalk(len(f.arena), f.bitLens, f.order)
+				for walk.Next() {
+					v, off := walk.Label()
+					if !got.Labels[v].Equal(bitstr.SlabLabel(f.arena, off, f.bitLens[v])) {
 						t.Fatalf("%s shard %d: label %d differs after round trip", r.name, i, v)
 					}
 				}

@@ -100,18 +100,19 @@ func TestDistEngineMatchesLegacyBounded(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s f=%d w=%d lay=%v: EncodeArena: %v", name, f, workers, lay, err)
 					}
-					views, err := bitstr.SlabViewsPermuted(arena.Slab, arena.BitLens, arena.Order)
-					if err != nil {
-						t.Fatalf("%s f=%d: views: %v", name, f, err)
-					}
-					for v := 0; v < g.N(); v++ {
+					walk := bitstr.NewSlabWalk(len(arena.Slab), arena.BitLens, arena.Order)
+					for walk.Next() {
+						v, off := walk.Label()
 						want, err := legacy.Label(v)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !views[v].Equal(want) {
+						if !bitstr.SlabLabel(arena.Slab, off, arena.BitLens[v]).Equal(want) {
 							t.Fatalf("%s f=%d w=%d lay=%v: label %d differs from legacy", name, f, workers, lay, v)
 						}
+					}
+					if err := walk.Tiled(); err != nil {
+						t.Fatalf("%s f=%d: slab walk: %v", name, f, err)
 					}
 					eng, err := core.NewDistEngine(arena)
 					if err != nil {
