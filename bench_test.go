@@ -220,8 +220,8 @@ func benchDecode(b *testing.B, s core.Scheme) {
 	}
 }
 
-// benchEngine builds the zero-allocation query engine over the compacted
-// Theorem 4 labeling on the shared power-law workload.
+// benchEngine builds the zero-allocation query engine over the Theorem 4
+// labeling on the shared power-law workload.
 func benchEngine(b *testing.B) (*core.QueryEngine, [][2]int) {
 	b.Helper()
 	g := benchGraph(b)
@@ -229,7 +229,7 @@ func benchEngine(b *testing.B) (*core.QueryEngine, [][2]int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := core.NewQueryEngine(lab.Compact())
+	eng, err := core.NewQueryEngine(lab)
 	if err != nil {
 		b.Fatal(err)
 	}

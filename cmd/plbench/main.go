@@ -36,7 +36,6 @@ func run(args []string) error {
 		list         = fs.Bool("list", false, "list experiments and exit")
 		format       = fs.String("format", "table", "output format: table | csv")
 		probeDist    = fs.String("probe-dist", "", "probe distribution for skew experiments: uniform | zipf | degprop (empty = default sweep)")
-		distOld      = fs.String("dist", "", "deprecated alias for -probe-dist (the name now belongs to the distance query plane)")
 		zipfS        = fs.Float64("zipf-s", 1.1, "Zipf exponent for -probe-dist zipf")
 		remote       = fs.String("remote", "", "external adjserve address (plroute or plserve) for E26's throughput drive")
 		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -80,12 +79,6 @@ func run(args []string) error {
 			fmt.Printf("%-4s %s\n", r.ID, r.Description)
 		}
 		return nil
-	}
-	if *distOld != "" {
-		fmt.Fprintln(os.Stderr, "plbench: -dist is deprecated, use -probe-dist")
-		if *probeDist == "" {
-			*probeDist = *distOld
-		}
 	}
 	if *probeDist != "" {
 		if _, err := experiments.ParseProbeDist(*probeDist); err != nil {

@@ -114,7 +114,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *schemeName == "dist-pll" || *schemeName == "dist-bounded" {
 		// The distance plane: its own encode pipeline (DistArena, not
-		// Labeling) and a scheme-stamped v2 store. Distance stores are
+		// Labeling) and a scheme-stamped store. Distance stores are
 		// replicated whole for serving, never sharded.
 		if *shards != 0 {
 			return fmt.Errorf("distance stores are served by replica fleets, not shard partitions; drop -shards")
@@ -183,7 +183,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 // runDistance is the encode pipeline for the distance plane: a parallel
 // arena encode (plan → prefix-sum → fill, same shape as the adjacency
 // pipeline), size statistics over the packed labels, BFS spot-verification
-// through the serving engine, and a scheme-stamped format-v2 store that
+// through the serving engine, and a scheme-stamped store that
 // plserve and plquery -dist load zero-copy.
 func runDistance(stdout io.Writer, g *graph.Graph, name string, alpha float64, f, workers int, lay core.Layout, out string, verify bool) error {
 	var (
@@ -316,28 +316,27 @@ func encode(scheme core.Scheme, g *graph.Graph, workers int) (*core.Labeling, er
 	return scheme.Encode(g)
 }
 
+// saveStore persists the labeling's slab verbatim as a single-blob store
+// (loaded zero-copy by plquery and plserve); a degree-ordered slab carries its
+// rank→label permutation. A labeling assembled label by label (nbrlist,
+// adjmatrix, forest, onequery) is packed into an id-ordered slab first.
 func saveStore(path string, n int, lab *core.Labeling) error {
-	params := map[string]string{"n": strconv.Itoa(n)}
-	var store *labelstore.File
-	if slab, order, ok := lab.ArenaLayout(); ok {
-		// Arena-backed labeling: persist the slab verbatim as a format-v2
-		// single-blob store (loaded zero-copy by plquery). A degree-ordered
-		// slab additionally carries its logical→physical permutation.
-		f, err := labelstore.NewPermutedArenaFile(lab.Scheme(), params, slab, lab.BitLens(), order)
-		if err != nil {
-			return err
-		}
-		store = f
-	} else {
+	slab, order, ok := lab.ArenaLayout()
+	bitLens := lab.BitLens()
+	if !ok {
 		labels := make([]bitstr.String, n)
-		for v := 0; v < n; v++ {
+		for v := range labels {
 			l, err := lab.Label(v)
 			if err != nil {
 				return err
 			}
 			labels[v] = l
 		}
-		store = &labelstore.File{Scheme: lab.Scheme(), Params: params, Labels: labels}
+		slab, bitLens = bitstr.PackSlab(labels)
+	}
+	store, err := labelstore.NewPermutedArenaFile(lab.Scheme(), map[string]string{"n": strconv.Itoa(n)}, slab, bitLens, order)
+	if err != nil {
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {

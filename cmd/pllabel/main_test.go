@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/labelstore"
 )
 
 func edgeListFixture(t *testing.T) string {
@@ -80,18 +81,23 @@ func TestRunUnknownScheme(t *testing.T) {
 	}
 }
 
+// TestRunWritesStore: every scheme, the per-label ones included, is written
+// as the one slab container the store readers accept.
 func TestRunWritesStore(t *testing.T) {
 	path := edgeListFixture(t)
-	storePath := filepath.Join(t.TempDir(), "labels.pllb")
-	var out bytes.Buffer
-	if err := run([]string{"-scheme", "auto", "-in", path, "-o", storePath}, strings.NewReader(""), &out); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() == 0 {
-		t.Error("empty label store written")
+	for _, scheme := range []string{"auto", "nbrlist", "adjmatrix", "forest", "onequery"} {
+		storePath := filepath.Join(t.TempDir(), "labels.pllb")
+		var out bytes.Buffer
+		if err := run([]string{"-scheme", scheme, "-in", path, "-o", storePath}, strings.NewReader(""), &out); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		store, err := labelstore.Open(storePath)
+		if err != nil {
+			t.Fatalf("%s: written store does not load: %v", scheme, err)
+		}
+		if _, _, _, ok := store.ArenaLayout(); !ok || store.N() == 0 || len(store.Labels) != store.N() {
+			t.Errorf("%s: loaded store has arena=%v, N=%d, %d labels", scheme, ok, store.N(), len(store.Labels))
+		}
+		store.Close()
 	}
 }

@@ -25,11 +25,10 @@
 //	plload -addr 127.0.0.1:7421 -rate 0 -conns 4 -batch 64:0.9,4096:0.1
 //	plload -addr 127.0.0.1:7421 -pair-dist zipf -zipf-s 1.1 -graph g.el
 //	plload -addr 127.0.0.1:7421 -slow-conns 2 -slow-bps 65536 -kill-every 2s
-//	plload -addr 127.0.0.1:7421 -json BENCH_serving.json -label knee_2k
+//	plload -addr 127.0.0.1:7421 -json load_rows.json -label knee_2k
 //
 // With -json, one result row (offered/achieved rate, latency quantiles, shed
-// and error counts, git revision) is appended to a JSON array file — the
-// tracked BENCH_serving.json is a concatenation of such rows across configs.
+// and error counts, git revision) is appended to the JSON array file named.
 package main
 
 import (
@@ -633,7 +632,7 @@ func achievedQPS(cfg *config, res *results) float64 {
 	return float64(res.ok.Load()+res.slowOK.Load()) / secs
 }
 
-// row is one BENCH_serving.json entry: enough provenance (config, git rev,
+// row is one -json entry: enough provenance (config, git rev,
 // timestamp) that a regression can be traced to a commit, and the
 // latency/throughput numbers the knee curve is drawn from.
 type row struct {

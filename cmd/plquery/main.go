@@ -143,20 +143,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 		// Fat/thin stores are served through the pre-parsed zero-allocation
 		// query engine; other layouts (and stores whose labels the engine
-		// rejects at build time) fall back to the per-query decoder. A
-		// format-v2 store hands its word-aligned blob to the engine zero-copy
-		// — no relocation between disk and the probe arena.
+		// rejects at build time) fall back to the per-query decoder. The store
+		// hands its word-aligned blob to the engine zero-copy — no relocation
+		// between disk and the probe arena.
 		var eng *core.QueryEngine
 		if _, ok := dec.(*core.FatThinDecoder); ok {
-			if slab, bitLens, order, ok := store.ArenaLayout(); ok {
-				if e, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order); err == nil {
-					eng = e
-				}
-			}
-			if eng == nil {
-				if e, err := core.NewQueryEngineFromLabels(store.Labels); err == nil {
-					eng = e
-				}
+			slab, bitLens, order, _ := store.ArenaLayout()
+			if e, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order); err == nil {
+				eng = e
 			}
 		}
 		// A shard store only resolves pairs its residents cover; attaching the

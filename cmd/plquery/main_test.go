@@ -39,11 +39,12 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := labelstore.Write(f, &labelstore.File{
-		Scheme: lab.Scheme(),
-		Params: map[string]string{"n": strconv.Itoa(g.N())},
-		Labels: labels,
-	}); err != nil {
+	slab, bitLens := bitstr.PackSlab(labels)
+	store, err := labelstore.NewArenaFile(lab.Scheme(), map[string]string{"n": strconv.Itoa(g.N())}, slab, bitLens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labelstore.Write(f, store); err != nil {
 		t.Fatal(err)
 	}
 	return path, g

@@ -15,8 +15,8 @@
 // A distance store (pllabel -scheme dist-pll or dist-bounded) is served the
 // same way: the daemon reads the store's scheme record kind, builds a
 // core.DistEngine over the mapped slab instead, and answers distance frames
-// (plquery -dist -remote ...). The tuning flag -pair-cache-bits applies to
-// either plane.
+// (plquery -dist -remote ...). The tuning flag -pair-cache-bits belongs to the
+// distance plane; on an adjacency store it is refused.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight frames are answered and
 // flushed, then the process exits 0.
@@ -59,7 +59,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/pprof (empty disables; port 0 picks a free port)")
 		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default)")
 		useMmap     = fs.Bool("mmap", true, "memory-map the store (false forces the copying reader)")
-		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v) result cache (0 = disabled; enable only once the store is read-only warm)")
+		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v)→distance result cache (0 = disabled); distance stores only, refused on an adjacency store")
 		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited); behind plroute leave room for its lanes, 4 connections per router")
 		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed)")
 		maxPending  = fs.Int("max-pending-resp", 0, "flush after this many unflushed responses per conn (0 = default)")
@@ -102,10 +102,8 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 
 	// A store serves exactly one query plane: adjacency (the default) or
 	// distance (a scheme-stamped pll/bdist store → core.DistEngine behind the
-	// same listener, answering opDist frames). The engine-tuning flag
-	// (-pair-cache-bits) applies to whichever engine the store selects;
-	// attachMetrics abstracts over the two engine types for the admin plane
-	// below.
+	// same listener, answering opDist frames). attachMetrics abstracts over
+	// the two engine types for the admin plane below.
 	var (
 		srv           *adjserve.Server
 		attachMetrics func(*core.EngineMetrics)
@@ -128,14 +126,16 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		attachMetrics = deng.AttachMetrics
 		planeAttrs = []any{"plane", "distance/" + store.SchemeKind()}
 	} else {
-		eng, err := engineFor(store)
+		if *cacheBits > 0 {
+			return fmt.Errorf("-pair-cache-bits caches distances, a distance-plane option; %s is an adjacency store", *labelsPath)
+		}
+		// Zero-copy over the store's arena, id- or degree-ordered. Only
+		// fat/thin-layout stores (the engine's label format) are servable;
+		// anything else fails here, at startup.
+		slab, bitLens, order, _ := store.ArenaLayout()
+		eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
 		if err != nil {
 			return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
-		}
-		if *cacheBits > 0 {
-			if err := eng.EnableResultCache(*cacheBits); err != nil {
-				return err
-			}
 		}
 		// A shard store only holds its owned vertices' full labels (plus the
 		// replicated fat set); attaching the shard map makes the engine answer
@@ -270,16 +270,4 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		return nil
 	}
 	return err
-}
-
-// engineFor builds the serving engine: zero-copy from a v2 arena (id- or
-// degree-ordered — a permuted store hands its logical→physical order along so
-// the engine's id-indexed lookup stays exact), relocating otherwise. Only
-// fat/thin-layout stores (the engine's label format) are servable; anything
-// else fails here, at startup.
-func engineFor(store *labelstore.File) (*core.QueryEngine, error) {
-	if slab, bitLens, order, ok := store.ArenaLayout(); ok {
-		return core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
-	}
-	return core.NewQueryEngineFromLabels(store.Labels)
 }

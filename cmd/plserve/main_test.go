@@ -401,6 +401,18 @@ func TestRemovedSortFlagRejected(t *testing.T) {
 	}
 }
 
+// TestPairCacheFlagRefusedOnAdjacencyStore: the result cache is the distance
+// plane's; an adjacency deployment still passing the flag fails at startup,
+// told where the flag belongs, instead of having it silently ignored.
+// (TestServeDistanceStore passes it to a distance store.)
+func TestPairCacheFlagRefusedOnAdjacencyStore(t *testing.T) {
+	path, _ := storeFixture(t)
+	err := run([]string{"-labels", path, "-addr", "127.0.0.1:0", "-pair-cache-bits", "8"}, newAddrWriter(), nil)
+	if err == nil || !strings.Contains(err.Error(), "distance-plane option") {
+		t.Fatalf("run with -pair-cache-bits on an adjacency store: err = %v, want a refusal naming the distance plane", err)
+	}
+}
+
 func TestUnservableStore(t *testing.T) {
 	// An empty adjacency-matrix store builds an empty engine and serves; a
 	// pre-closed stop channel makes run drain immediately either way, so
@@ -411,7 +423,11 @@ func TestUnservableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := labelstore.Write(f, &labelstore.File{Scheme: "adjmatrix", Params: map[string]string{"n": "0"}}); err != nil {
+	store, err := labelstore.NewArenaFile("adjmatrix", map[string]string{"n": "0"}, []byte{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labelstore.Write(f, store); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})

@@ -58,6 +58,28 @@ func SlabLabel(slab []byte, off int64, nBits int) String {
 	return String{data: slab[start:end:end], n: nBits}
 }
 
+// PackSlab copies labels into a fresh slab, label v at the v-th word-aligned
+// slot, and returns it with the per-label bit lengths: the id-ordered
+// (slab, bitLens) description SlabWalk validates and engines and stores
+// adopt. A String's bytes are already MSB-first with zero padding, so each
+// label is one copy. It is how a labeling assembled label by label joins the
+// slab path.
+func PackSlab(labels []String) (slab []byte, bitLens []int) {
+	bitLens = make([]int, len(labels))
+	words := 0
+	for v, s := range labels {
+		bitLens[v] = s.n
+		words += SlabWords(s.n)
+	}
+	slab = make([]byte, SlabBytes(words))
+	word := 0
+	for _, s := range labels {
+		copy(slab[SlabBytes(word):], s.data)
+		word += SlabWords(s.n)
+	}
+	return slab, bitLens
+}
+
 // SlabWalk is the one validated pass over a label slab: it visits the labels
 // in physical order, handing out for each rank the label number stored there
 // and the bit offset of its word-aligned start, and checks on the way

@@ -1,7 +1,9 @@
 package bitstr
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -183,9 +185,19 @@ func BenchmarkSlabWriterFill(b *testing.B) {
 // TestSlabWalk: the walk hands out every label once, in physical order, at
 // the offsets the word-aligned prefix sum dictates, under the identity and
 // under a permutation; SlabLabel over those offsets is the label written.
+// Under the identity, PackSlab over the same labels built one by one is that
+// very slab, and SlabView at the walk's offsets returns them.
 func TestSlabWalk(t *testing.T) {
-	bitLens := []int{70, 0, 3, 64, 129} // id-indexed
-	for _, order := range [][]int32{nil, {4, 2, 0, 1, 3}} {
+	bitLens := []int{70, 0, 1, 64, 65, 129} // id-indexed
+	labels := make([]String, len(bitLens))
+	for v, bits := range bitLens {
+		var b Builder
+		for i := 0; i < bits; i++ {
+			b.AppendBit((i+v)%3 == 0)
+		}
+		labels[v] = b.String()
+	}
+	for _, order := range [][]int32{nil, {4, 2, 0, 5, 1, 3}} {
 		words := 0
 		for _, bits := range bitLens {
 			words += SlabWords(bits)
@@ -208,6 +220,12 @@ func TestSlabWalk(t *testing.T) {
 			sw.Flush()
 			off += int64(SlabWords(bitLens[v])) * SlabWordBits
 		}
+		if order == nil {
+			packed, lens := PackSlab(labels)
+			if !bytes.Equal(packed, slab) || !slices.Equal(lens, bitLens) {
+				t.Fatalf("PackSlab = %x, lengths %v; SlabWriter wrote %x, lengths %v", packed, lens, slab, bitLens)
+			}
+		}
 		w := NewSlabWalk(len(slab), bitLens, order)
 		for r := 0; w.Next(); r++ {
 			v, off := w.Label()
@@ -217,14 +235,11 @@ func TestSlabWalk(t *testing.T) {
 			if off != wantOff[v] {
 				t.Fatalf("label %d at bit %d, want %d", v, off, wantOff[v])
 			}
-			l := SlabLabel(slab, off, bitLens[v])
-			if l.Len() != bitLens[v] {
-				t.Fatalf("label %d view has %d bits, want %d", v, l.Len(), bitLens[v])
+			if l := SlabLabel(slab, off, bitLens[v]); !l.Equal(labels[v]) {
+				t.Fatalf("label %d: SlabLabel = %v, want %v", v, l, labels[v])
 			}
-			for i := 0; i < bitLens[v]; i++ {
-				if bit, _ := l.Bit(i); bit != ((i+v)%3 == 0) {
-					t.Fatalf("label %d bit %d = %v", v, i, bit)
-				}
+			if l, err := SlabView(slab, off, bitLens[v]); err != nil || !l.Equal(labels[v]) {
+				t.Fatalf("label %d: SlabView = %v (%v), want %v", v, l, err, labels[v])
 			}
 		}
 		if err := w.Tiled(); err != nil {

@@ -9,14 +9,14 @@ import "repro/internal/bitstr"
 // flight. A block issues all its header loads, then all first search words,
 // back to back, and the memory system overlaps them. 16, 32 and 64 measured
 // the same on the sizing prototype; 32 keeps the kernel's stack arrays at
-// 1.8 KB.
+// 1.3 KB.
 const ProbeBlock = 32
 
 // How pass 2 of adjacentBlock left a pair for pass 3.
 const (
 	// blockScalar (the zero value) hands the pair to the scalar path: a pair
-	// that will fail (the scalar path builds the error and charges the tally
-	// exactly as Adjacent would) or one the result cache answered in pass 1.
+	// that will fail — the scalar path builds the error and charges the tally
+	// exactly as Adjacent would.
 	blockScalar uint8 = iota
 	blockSelf
 	blockFat   // word holds the bitmap bit
@@ -34,14 +34,12 @@ const (
 // accesses differs. Four passes over stack arrays:
 //
 //  0. range checks; the lowest failing index ends the block;
-//  1. every header load (and every result-cache slot load), nothing
-//     branching on a loaded value;
+//  1. every header load, nothing branching on a loaded value;
 //  2. classify each pair as probe does — self, thin side (with residency),
 //     fat–fat — and issue the thin side's first binary-search word load (or
 //     the fat bitmap word load), again without branching on what it returns;
 //  3. in pair order, finish each search from its preloaded word with the
-//     ordinary branchy loop, consulting and filling the result cache as the
-//     scalar path would.
+//     ordinary branchy loop.
 //
 // A mispredicted branch in pass 2 or 3 discards only younger instructions, so
 // the loads issued by the pass before stay in flight.
@@ -61,22 +59,11 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 	for i, p := range pairs[:n] {
 		list[i], other[i] = e.meta[p[0]], e.meta[p[1]]
 	}
-	c := e.cache
-	var key, slot [ProbeBlock]uint64
-	if c != nil {
-		for i, p := range pairs[:n] {
-			key[i] = pairCacheKey(p[0], p[1])
-			slot[i] = c.slots[c.index(key[i])].Load()
-		}
-	}
 
 	var kind [ProbeBlock]uint8
 	var word [ProbeBlock]uint64
 	slab, w := e.slab, e.w
 	for i, p := range pairs[:n] {
-		if c != nil && slot[i]&1 == 1 && slot[i]>>2 == key[i] {
-			continue // cached in pass 1: no slab load to issue
-		}
 		mu, mv := list[i], other[i]
 		if mu.id() == mv.id() {
 			kind[i] = blockSelf
@@ -113,16 +100,6 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 			continue
 		}
 		t.queries++
-		if c != nil {
-			// Authoritative lookup (the slot's line is in L1 since pass 1): an
-			// earlier pair of this block may have filled the slot.
-			if ans, hit := c.get(key[i]); hit {
-				t.cacheHits++
-				res[i] = ans
-				continue
-			}
-			t.cacheMisses++
-		}
 		ans := false
 		switch kind[i] {
 		case blockSelf:
@@ -155,9 +132,6 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 			}
 		}
 		res[i] = ans
-		if c != nil {
-			c.put(key[i], ans)
-		}
 	}
 	if n < len(pairs) {
 		// Out of range: the scalar path builds the error (and tallies nothing).

@@ -16,7 +16,7 @@ import (
 // AdjacentSpan must deliver the answers, the error (text and class), the
 // answered count and every QueryTally field that calling adjacentTallied —
 // what Adjacent runs — pair by pair in order does, whatever the block
-// boundaries, the layout, the sharding or the result cache.
+// boundaries, the layout or the sharding.
 
 // scalarSpan is the reference: the scalar probe, one pair at a time, stopping
 // at the first failing pair.
@@ -31,47 +31,38 @@ func scalarSpan(e *QueryEngine, pairs [][2]int, res []bool, t *QueryTally) (int,
 	return len(pairs), nil
 }
 
-// pinSpan runs pairs through the reference and the kernel — twice each, so a
-// result cache is seen cold and warm — from the same starting state and
-// compares everything observable.
-func pinSpan(t *testing.T, e *QueryEngine, cacheBits int, pairs [][2]int) {
+// pinSpan runs pairs through the reference and the kernel and compares
+// everything observable.
+func pinSpan(t *testing.T, e *QueryEngine, pairs [][2]int) {
 	t.Helper()
 	type outcome struct {
-		done  [2]int
-		errs  [2]error
-		res   [2][]bool
+		done  int
+		err   error
+		res   []bool
 		tally QueryTally
 	}
 	run := func(span func(*QueryEngine, [][2]int, []bool, *QueryTally) (int, error)) outcome {
-		if err := e.EnableResultCache(cacheBits); err != nil { // fresh cache, or none
-			t.Fatal(err)
-		}
-		var o outcome
-		for pass := range o.done {
-			o.res[pass] = make([]bool, len(pairs))
-			o.done[pass], o.errs[pass] = span(e, pairs, o.res[pass], &o.tally)
-		}
+		o := outcome{res: make([]bool, len(pairs))}
+		o.done, o.err = span(e, pairs, o.res, &o.tally)
 		return o
 	}
 	want := run(scalarSpan)
 	got := run((*QueryEngine).AdjacentSpan)
-	for pass := range want.done {
-		if got.done[pass] != want.done[pass] {
-			t.Fatalf("pass %d: kernel answered %d pairs, scalar %d (kernel err %v, scalar err %v)",
-				pass, got.done[pass], want.done[pass], got.errs[pass], want.errs[pass])
+	if got.done != want.done {
+		t.Fatalf("kernel answered %d pairs, scalar %d (kernel err %v, scalar err %v)",
+			got.done, want.done, got.err, want.err)
+	}
+	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+		t.Fatalf("kernel error %q, scalar %q", got.err, want.err)
+	}
+	for _, class := range []error{ErrVertexRange, ErrNotResident, ErrBadLabel} {
+		if errors.Is(got.err, class) != errors.Is(want.err, class) {
+			t.Fatalf("kernel error %v and scalar error %v differ on %v", got.err, want.err, class)
 		}
-		if fmt.Sprint(got.errs[pass]) != fmt.Sprint(want.errs[pass]) {
-			t.Fatalf("pass %d: kernel error %q, scalar %q", pass, got.errs[pass], want.errs[pass])
-		}
-		for _, class := range []error{ErrVertexRange, ErrNotResident, ErrBadLabel} {
-			if errors.Is(got.errs[pass], class) != errors.Is(want.errs[pass], class) {
-				t.Fatalf("pass %d: kernel error %v and scalar error %v differ on %v", pass, got.errs[pass], want.errs[pass], class)
-			}
-		}
-		for i := 0; i < want.done[pass]; i++ {
-			if got.res[pass][i] != want.res[pass][i] {
-				t.Fatalf("pass %d: pair %d %v: kernel %v, scalar %v", pass, i, pairs[i], got.res[pass][i], want.res[pass][i])
-			}
+	}
+	for i := 0; i < want.done; i++ {
+		if got.res[i] != want.res[i] {
+			t.Fatalf("pair %d %v: kernel %v, scalar %v", i, pairs[i], got.res[i], want.res[i])
 		}
 	}
 	if got.tally != want.tally {
@@ -205,26 +196,24 @@ func TestBlockKernelShapes(t *testing.T) {
 	for _, lay := range []Layout{LayoutID, LayoutDegree} {
 		for _, e := range enginesOver(t, g, NewFixedThresholdScheme(8), lay) {
 			pairs := answerable(e, all)
-			for _, cacheBits := range []int{0, 6} {
-				t.Run(fmt.Sprintf("%v/%s/cache%d", lay, engineName(e), cacheBits), func(t *testing.T) {
-					if _, sharded := e.Shard(); !sharded {
-						// Unsharded, every pair answers — and must match the graph.
-						got, err := e.AdjacentMany(all, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i, p := range all {
-							if got[i] != g.HasEdge(p[0], p[1]) {
-								t.Fatalf("AdjacentMany%v = %v, graph says %v", p, got[i], !got[i])
-							}
+			t.Run(fmt.Sprintf("%v/%s", lay, engineName(e)), func(t *testing.T) {
+				if _, sharded := e.Shard(); !sharded {
+					// Unsharded, every pair answers — and must match the graph.
+					got, err := e.AdjacentMany(all, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, p := range all {
+						if got[i] != g.HasEdge(p[0], p[1]) {
+							t.Fatalf("AdjacentMany%v = %v, graph says %v", p, got[i], !got[i])
 						}
 					}
-					// Every block phase: the same pairs cut at every offset mod 32.
-					for skip := 0; skip < ProbeBlock; skip++ {
-						pinSpan(t, e, cacheBits, pairs[skip:])
-					}
-				})
-			}
+				}
+				// Every block phase: the same pairs cut at every offset mod 32.
+				for skip := 0; skip < ProbeBlock; skip++ {
+					pinSpan(t, e, pairs[skip:])
+				}
+			})
 		}
 	}
 }
@@ -248,12 +237,10 @@ func TestBlockKernelLengths(t *testing.T) {
 					}
 				}
 				if i%13 == 0 && i > 0 {
-					pairs[i] = pairs[i-1] // in-block duplicate: a cache fill the scalar loop would hit
+					pairs[i] = pairs[i-1] // in-block duplicate
 				}
 			}
-			for _, cacheBits := range []int{0, 4, 12} { // 4: sixteen slots, collisions evict inside a block
-				pinSpan(t, e, cacheBits, pairs)
-			}
+			pinSpan(t, e, pairs)
 			parallel, err := e.AdjacentManyParallel(pairs, nil, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -297,21 +284,19 @@ func TestBlockKernelErrorAtEveryIndex(t *testing.T) {
 					}
 				}
 			}
-			for _, cacheBits := range []int{0, 8} {
-				for _, b := range bad {
-					for at := range span {
-						pairs := append(append(append([][2]int{}, span[:at]...), b), span[at:]...)
-						pinSpan(t, e, cacheBits, pairs)
-						// Through the public batch call: the prefix survives, the
-						// error names the pair.
-						out, err := e.AdjacentMany(pairs, nil)
-						if err == nil || len(out) != at {
-							t.Fatalf("%v/%s: bad pair %v at %d: AdjacentMany returned %d answers, err %v",
-								lay, engineName(e), b, at, len(out), err)
-						}
-						if !strings.HasPrefix(err.Error(), fmt.Sprintf("core: query (%d,%d): ", b[0], b[1])) {
-							t.Fatalf("error %q does not name pair %v", err, b)
-						}
+			for _, b := range bad {
+				for at := range span {
+					pairs := append(append(append([][2]int{}, span[:at]...), b), span[at:]...)
+					pinSpan(t, e, pairs)
+					// Through the public batch call: the prefix survives, the
+					// error names the pair.
+					out, err := e.AdjacentMany(pairs, nil)
+					if err == nil || len(out) != at {
+						t.Fatalf("%v/%s: bad pair %v at %d: AdjacentMany returned %d answers, err %v",
+							lay, engineName(e), b, at, len(out), err)
+					}
+					if !strings.HasPrefix(err.Error(), fmt.Sprintf("core: query (%d,%d): ", b[0], b[1])) {
+						t.Fatalf("error %q does not name pair %v", err, b)
 					}
 				}
 			}
@@ -358,28 +343,26 @@ func TestBlockKernelBadLabelMidBlock(t *testing.T) {
 		t.Fatalf("Adjacent(1,2) = %v, want ErrBadLabel", err)
 	}
 	good := [][2]int{{0, 1}, {0, 3}, {3, 0}, {0, 0}, {1, 0}, {3, 1}, {2, 3}}
-	for _, cacheBits := range []int{0, 5} {
-		for at := 0; at < 2*ProbeBlock+3; at++ {
-			pairs := make([][2]int, 0, at+4)
-			for i := 0; i < at; i++ {
-				pairs = append(pairs, good[i%len(good)])
-			}
-			pairs = append(pairs, [2]int{1, 2}, good[0], good[1])
-			pinSpan(t, e, cacheBits, pairs)
-			var qt QueryTally
-			done, err := e.AdjacentSpan(pairs, make([]bool, len(pairs)), &qt)
-			if done != at || !errors.Is(err, ErrBadLabel) {
-				t.Fatalf("bad label at %d: answered %d, err %v", at, done, err)
-			}
-			if qt.queries != int64(at)+1 {
-				t.Fatalf("bad label at %d: tallied %d queries, want %d", at, qt.queries, at+1)
-			}
+	for at := 0; at < 2*ProbeBlock+3; at++ {
+		pairs := make([][2]int, 0, at+4)
+		for i := 0; i < at; i++ {
+			pairs = append(pairs, good[i%len(good)])
+		}
+		pairs = append(pairs, [2]int{1, 2}, good[0], good[1])
+		pinSpan(t, e, pairs)
+		var qt QueryTally
+		done, err := e.AdjacentSpan(pairs, make([]bool, len(pairs)), &qt)
+		if done != at || !errors.Is(err, ErrBadLabel) {
+			t.Fatalf("bad label at %d: answered %d, err %v", at, done, err)
+		}
+		if qt.queries != int64(at)+1 {
+			t.Fatalf("bad label at %d: tallied %d queries, want %d", at, qt.queries, at+1)
 		}
 	}
 }
 
-// TestAdjacentManyZeroAlloc: every batch surface over the kernel — plain,
-// sharded, cached — runs a warmed 4096-pair batch without touching the heap.
+// TestAdjacentManyZeroAlloc: every batch surface over the kernel — plain and
+// sharded — runs a warmed 4096-pair batch without touching the heap.
 func TestAdjacentManyZeroAlloc(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(3000, 2.5, 2, 21)
 	if err != nil {
@@ -387,10 +370,6 @@ func TestAdjacentManyZeroAlloc(t *testing.T) {
 	}
 	engines := enginesOver(t, g, NewPowerLawScheme(2.5), LayoutDegree)
 	plain, shard := engines[0], engines[len(engines)-1]
-	cached := enginesOver(t, g, NewPowerLawScheme(2.5), LayoutDegree)[0]
-	if err := cached.EnableResultCache(10); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(2))
 	random := make([][2]int, 4096)
 	for i := range random {
@@ -404,7 +383,6 @@ func TestAdjacentManyZeroAlloc(t *testing.T) {
 	}{
 		{"plain", plain, random},
 		{"sharded", shard, answerable(shard, random)},
-		{"cached", cached, random},
 	} {
 		run := func() error {
 			_, err := tc.e.AdjacentMany(tc.pairs, out[:0])

@@ -55,87 +55,6 @@ func (s *CompressedScheme) Encode(g *graph.Graph) (*Labeling, error) {
 	return encodeCompressedSlab(s.Name(), g, tau, 1, s.layout)
 }
 
-// encodeCompressedLegacy is the original Builder-based encoder, kept as the
-// executable layout specification the pipeline is tested against
-// (pipeline_test.go).
-func encodeCompressedLegacy(name string, g *graph.Graph, tau int) (*Labeling, error) {
-	if tau < 1 {
-		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
-	}
-	n := g.N()
-	w := bitstr.WidthFor(uint64(n))
-	id, k := assignFatThinIDs(g, tau)
-
-	labels := make([]bitstr.String, n)
-	var b bitstr.Builder
-	nbrIDs := make([]uint64, 0, 64)
-	for v := 0; v < n; v++ {
-		b.Reset()
-		if id[v] < k { // fat: identical to the fixed-width layout
-			b.AppendBit(true)
-			b.AppendUint(uint64(id[v]), w)
-			vec := bitstr.NewVector(k)
-			for _, u := range g.Neighbors(v) {
-				if uid := id[u]; uid < k {
-					vec.Set(uid)
-				}
-			}
-			vec.Append(&b)
-		} else { // thin: cheaper of fixed-width ids and δ-coded sorted gaps
-			b.AppendBit(false)
-			b.AppendUint(uint64(id[v]), w)
-			nbrIDs = nbrIDs[:0]
-			for _, u := range g.Neighbors(v) {
-				nbrIDs = append(nbrIDs, uint64(id[u]))
-			}
-			sortUint64(nbrIDs)
-			gapBits := 0
-			prev := uint64(0)
-			for i, x := range nbrIDs {
-				gap := x - prev
-				if i == 0 {
-					gap = x
-				}
-				gapBits += bitstr.DeltaLen(gap + 1)
-				prev = x
-			}
-			if gapBits < len(nbrIDs)*w {
-				b.AppendBit(true) // gap encoding
-				prev = uint64(0)
-				for i, x := range nbrIDs {
-					gap := x - prev
-					if i == 0 {
-						gap = x
-					}
-					b.AppendDelta0(gap)
-					prev = x
-				}
-			} else {
-				b.AppendBit(false) // fixed-width encoding
-				for _, x := range nbrIDs {
-					b.AppendUint(x, w)
-				}
-			}
-		}
-		labels[v] = b.String()
-	}
-	return NewLabeling(name, labels, &CompressedDecoder{n: n, w: w}), nil
-}
-
-func sortUint64(xs []uint64) {
-	// Insertion sort: thin lists are short (< τ entries) and usually nearly
-	// sorted already (neighbor lists are sorted by vertex, ids by degree).
-	for i := 1; i < len(xs); i++ {
-		x := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > x {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = x
-	}
-}
-
 // CompressedDecoder answers adjacency queries over compressed fat/thin
 // labels; like FatThinDecoder it depends only on n.
 type CompressedDecoder struct {

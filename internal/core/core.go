@@ -57,8 +57,6 @@ type Labeling struct {
 	statsOnce sync.Once
 	stats     SizeStats
 
-	compacted bool
-
 	// arena, when non-nil, is the word-aligned slab a pipeline encoder wrote
 	// every label into, described the way stores, the shard split and the
 	// engines take it: bitLens[v] is label v's length, order (nil for the
@@ -78,13 +76,13 @@ func NewLabeling(scheme string, labels []bitstr.String, dec AdjacencyDecoder) *L
 	return &Labeling{scheme: scheme, labels: labels, decoder: dec}
 }
 
-// newArenaLabeling bundles a finished encode plan's slab with its decoder.
-// The labeling is born compact — Compact is a no-op — and ArenaLayout exposes
-// the slab for zero-copy adoption by query engines and stores. The slab must
-// not be modified afterwards; its padding bits are zero (bitstr.SlabWriter
-// guarantees it), which is what lets Label hand out unmasked views.
+// newArenaLabeling bundles a finished encode plan's slab with its decoder;
+// ArenaLayout exposes the slab for zero-copy adoption by query engines and
+// stores. The slab must not be modified afterwards; its padding bits are zero
+// (bitstr.SlabWriter guarantees it), which is what lets Label hand out
+// unmasked views.
 func newArenaLabeling(scheme string, slab []byte, plan *slabPlan, dec AdjacencyDecoder) *Labeling {
-	return &Labeling{scheme: scheme, decoder: dec, compacted: true,
+	return &Labeling{scheme: scheme, decoder: dec,
 		arena: slab, bitLens: plan.bitLens, offs: plan.offs, order: plan.order}
 }
 
@@ -151,35 +149,6 @@ func (l *Labeling) Label(v int) (bitstr.String, error) {
 
 // Decoder returns the scheme's decoder.
 func (l *Labeling) Decoder() AdjacencyDecoder { return l.decoder }
-
-// Compact moves every label into one contiguous arena slab and re-points
-// the labels at byte-aligned (offset, bitlen) views of it. Encoders produce
-// one heap allocation per vertex; after Compact the whole labeling is a
-// single allocation, which removes n-1 objects from the GC scan set and
-// packs the query working set for cache locality. Label contents and all
-// query answers are unchanged. Compact is idempotent and returns l.
-func (l *Labeling) Compact() *Labeling {
-	if l.compacted {
-		return l
-	}
-	total := 0
-	for _, s := range l.labels {
-		total += s.SizeBytes()
-	}
-	slab := make([]byte, 0, total)
-	for i, s := range l.labels {
-		off := len(slab)
-		slab = append(slab, s.Bytes()...)
-		view, err := bitstr.Wrap(slab[off:len(slab):len(slab)], s.Len())
-		if err != nil {
-			// Unreachable: every String carries exactly ceil(Len/8) bytes.
-			continue
-		}
-		l.labels[i] = view
-	}
-	l.compacted = true
-	return l
-}
 
 // Adjacent answers an adjacency query between vertices u and v using only
 // their labels.

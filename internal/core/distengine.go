@@ -585,16 +585,18 @@ func (e *DistEngine) DistManyParallel(pairs [][2]int, out []int, workers int) ([
 	return manyParallel(&e.engineMetrics, e.DistSpan, "dist query", pairs, out, workers)
 }
 
-// distCache is the (u,v)→distance twin of pairCache. A slot is one atomic
-// word:
+// distCache is a direct-mapped (u,v)→distance cache for the engine's hot
+// pairs. A slot is one atomic word:
 //
 //	slot = key<<10 | (dist+1)<<1 | 1
 //
-// with key = min(u,v)<<27 | max(u,v). Distances carry 9 bits (stored +1 so
-// the -1 sentinel packs as 0), so the cache holds answers up to 510 hops —
-// far past any power-law diameter; larger answers are simply not inserted.
-// Keys embed both vertices, so a lost store race leaves a correct entry,
-// never a mismatched one.
+// with key = min(u,v)<<27 | max(u,v). The low valid bit distinguishes the
+// empty slot from key 0. Distances carry 9 bits (stored +1 so the -1
+// sentinel packs as 0), so the cache holds answers up to 510 hops — far past
+// any power-law diameter; larger answers are simply not inserted. Keys embed
+// both vertices, so a lost race between two stores to one slot leaves a
+// correct entry, never one answering for a different pair: reads and writes
+// need no locks. Entries are evicted only by collision.
 type distCache struct {
 	slots []atomic.Uint64
 	mask  uint64
@@ -613,6 +615,9 @@ func distCacheKey(u, v int) uint64 {
 	return uint64(u)<<27 | uint64(v)
 }
 
+// index spreads the key with the splitmix64 finalizer; direct-mapping on the
+// low bits would collide every pair sharing a low vertex id — precisely the
+// hub pairs the cache exists for.
 func (c *distCache) index(key uint64) uint64 {
 	h := key
 	h ^= h >> 30
@@ -638,12 +643,19 @@ func (c *distCache) put(key uint64, dist int) {
 	c.slots[c.index(key)].Store(key<<10 | uint64(dist+1)<<1 | 1)
 }
 
+// maxCacheBits caps the cache at 2^28 slots (2 GiB of slots is past any
+// sensible configuration; the cap mostly guards against a mistyped flag).
+const maxCacheBits = 28
+
 // EnableResultCache attaches a direct-mapped (u,v)→distance cache of 2^bits
-// slots probed before the slab; bits <= 0 detaches. Same contract as the
-// adjacency engine's: attach before sharing, safe under concurrent readers
-// and writers afterwards, hits/misses tallied into the attached metrics.
-// Distance keys pack two 27-bit vertex ids, so the cache is available for
-// engines up to 2^27 vertices.
+// slots (8·2^bits bytes) probed before the slab; bits <= 0 detaches. Like
+// AttachMetrics it must be called before the engine is shared across
+// goroutines — afterwards the cache is safe under any number of concurrent
+// readers and writers. Hits and misses are tallied into the attached
+// EngineMetrics (dist_engine_cache_{hits,misses}_total); answers are never
+// invalidated, which is sound because the labeling is immutable. Distance
+// keys pack two 27-bit vertex ids, so the cache is available for engines up
+// to 2^27 vertices.
 func (e *DistEngine) EnableResultCache(bits int) error {
 	if bits <= 0 {
 		e.cache = nil

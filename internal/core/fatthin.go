@@ -251,37 +251,10 @@ func (s *FatThinScheme) Encode(g *graph.Graph) (*Labeling, error) {
 	return encodeFatThinSlab(s.name, g, tau, 1, s.layout)
 }
 
-// encodeFatThinLegacy is the original one-Builder-per-label encoder. It is
-// kept as the executable specification of the label layout: the pipeline
-// encoder must produce bit-for-bit identical labels (pipeline_test.go), and
-// the BenchmarkEncode* suite measures the pipeline against it.
-func encodeFatThinLegacy(name string, g *graph.Graph, tau int) (*Labeling, error) {
-	if tau < 1 {
-		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
-	}
-	n := g.N()
-	w := bitstr.WidthFor(uint64(n))
-	if n <= 1 {
-		// Degenerate graphs: a single empty-ish label per vertex.
-		labels := make([]bitstr.String, n)
-		for v := range labels {
-			var b bitstr.Builder
-			b.AppendBit(false)
-			b.AppendUint(uint64(v), w)
-			labels[v] = b.String()
-		}
-		return NewLabeling(name, labels, &FatThinDecoder{n: n, w: w}), nil
-	}
-
-	id, k := assignFatThinIDs(g, tau)
-	labels := make([]bitstr.String, n)
-	buildFatThinRange(g, id, k, w, 0, n, labels, newFatThinScratch(k))
-	return NewLabeling(name, labels, &FatThinDecoder{n: n, w: w}), nil
-}
-
-// assignFatThinIDs computes the identifier table shared by the legacy and
-// pipeline encoders: fat vertices (degree >= tau) receive 0..k-1 in order of
-// decreasing degree, thin vertices receive k..n-1 in the same degree order —
+// assignFatThinIDs computes the identifier table shared by the pipeline
+// encoders and their reference encoders in legacy_test.go: fat vertices
+// (degree >= tau) receive 0..k-1 in order of decreasing degree, thin
+// vertices receive k..n-1 in the same degree order —
 // so a vertex's identifier is simply its position in that order, and the fat
 // set is the order's prefix. Keeping this in one place guarantees the
 // encoders can never drift apart on layout.
@@ -293,53 +266,6 @@ func assignFatThinIDs(g *graph.Graph, tau int) (id []int, k int) {
 	}
 	k = sort.Search(len(order), func(i int) bool { return g.Degree(order[i]) < tau })
 	return id, k
-}
-
-// fatThinScratch pools the per-vertex working buffers of label
-// construction: the bit builder, the k-bit fat adjacency vector, and the
-// neighbor-id sort buffer. One scratch serves an entire vertex range, so
-// the only allocation left per vertex is the label itself.
-type fatThinScratch struct {
-	b   bitstr.Builder
-	vec *bitstr.Vector
-	nbr []int
-}
-
-func newFatThinScratch(k int) *fatThinScratch {
-	return &fatThinScratch{vec: bitstr.NewVector(k), nbr: make([]int, 0, 64)}
-}
-
-// buildFatThinRange writes the labels of vertices [lo, hi) into labels,
-// using the shared identifier table and the caller's scratch buffers. It is
-// the single label-layout implementation behind both Encode and
-// EncodeParallel.
-func buildFatThinRange(g *graph.Graph, id []int, k, w, lo, hi int, labels []bitstr.String, sc *fatThinScratch) {
-	for v := lo; v < hi; v++ {
-		sc.b.Reset()
-		if id[v] < k { // fat
-			sc.b.AppendBit(true)
-			sc.b.AppendUint(uint64(id[v]), w)
-			sc.vec.Reset()
-			for _, u := range g.Neighbors(v) {
-				if uid := id[u]; uid < k {
-					sc.vec.Set(uid)
-				}
-			}
-			sc.vec.Append(&sc.b)
-		} else { // thin: neighbor ids sorted, enabling O(log n) binary search
-			sc.b.AppendBit(false)
-			sc.b.AppendUint(uint64(id[v]), w)
-			sc.nbr = sc.nbr[:0]
-			for _, u := range g.Neighbors(v) {
-				sc.nbr = append(sc.nbr, id[u])
-			}
-			sort.Ints(sc.nbr)
-			for _, u := range sc.nbr {
-				sc.b.AppendUint(uint64(u), w)
-			}
-		}
-		labels[v] = sc.b.String()
-	}
 }
 
 // FatThinDecoder answers adjacency queries for fat/thin labels. It depends

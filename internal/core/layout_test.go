@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -143,137 +142,4 @@ func equivalencePairs(g *graph.Graph, rng *rand.Rand, extra int) [][2]int {
 		pairs = append(pairs, [2]int{rng.Intn(g.N()), rng.Intn(g.N())})
 	}
 	return pairs
-}
-
-func TestEnableResultCacheValidates(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(100, 2.5, 2, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableResultCache(40); err == nil {
-		t.Error("oversized cache accepted")
-	}
-	if err := eng.EnableResultCache(10); err != nil {
-		t.Errorf("EnableResultCache(10): %v", err)
-	}
-	if err := eng.EnableResultCache(0); err != nil {
-		t.Errorf("EnableResultCache(0) should detach, got %v", err)
-	}
-}
-
-// TestResultCacheAnswersAndCounters: with the cache attached, answers stay
-// identical and a repeated batch registers hits on the engine metrics.
-func TestResultCacheAnswersAndCounters(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(400, 2.5, 2, 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := equivalencePairs(g, rand.New(rand.NewSource(3)), 300)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableResultCache(12); err != nil {
-		t.Fatal(err)
-	}
-	var em EngineMetrics
-	eng.AttachMetrics(&em)
-	for round := 0; round < 2; round++ {
-		got, err := eng.AdjacentMany(pairs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pairs {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: cached answer differs at pair %d (%v)", round, i, pairs[i])
-			}
-		}
-	}
-	hits, misses := em.CacheHits.Load(), em.CacheMisses.Load()
-	if hits == 0 {
-		t.Errorf("no cache hits after a repeated batch (misses=%d)", misses)
-	}
-	if misses == 0 {
-		t.Error("no cache misses recorded on a cold cache")
-	}
-}
-
-// TestResultCacheConcurrentBatches hammers one cache-enabled engine from
-// many goroutines (run under -race in CI): the direct-mapped slots are
-// single-word atomics, so concurrent batches may lose updates but can never
-// corrupt an answer.
-func TestResultCacheConcurrentBatches(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(500, 2.5, 2, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewPowerLawScheme(2.5)
-	s.SetLayout(LayoutDegree)
-	lab, err := s.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableResultCache(8); err != nil { // tiny: force eviction races
-		t.Fatal(err)
-	}
-	pairs := equivalencePairs(g, rand.New(rand.NewSource(4)), 400)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			local := make([][2]int, len(pairs))
-			idx := rng.Perm(len(pairs))
-			for i, j := range idx {
-				local[i] = pairs[j]
-			}
-			var out []bool
-			for round := 0; round < 20; round++ {
-				var err error
-				out, err = eng.AdjacentMany(local, out[:0])
-				if err != nil {
-					errs <- err
-					return
-				}
-				for i := range local {
-					if out[i] != want[idx[i]] {
-						errs <- fmt.Errorf("worker %d round %d: wrong answer at pair %v", seed, round, local[i])
-						return
-					}
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }

@@ -20,8 +20,8 @@ type EngineMetrics struct {
 	ThinBranch  obs.Counter // queries resolved by a thin binary-search probe
 	FatBranch   obs.Counter // queries resolved by a fat bitmap probe
 	SelfBranch  obs.Counter // same-identifier short-circuits
-	CacheHits   obs.Counter // result-cache hits (cache enabled only)
-	CacheMisses obs.Counter // result-cache misses (cache enabled only)
+	CacheHits   obs.Counter // distance result-cache hits (DistEngine, cache enabled only)
+	CacheMisses obs.Counter // distance result-cache misses
 	BatchPairs  obs.Histogram
 	// ProbeNs is the engine-probe wall time per served frame (decode pairs,
 	// probe the arena, encode the answer), charged once per frame by the
@@ -38,8 +38,6 @@ func (m *EngineMetrics) Register(reg *obs.Registry) {
 	reg.Counter("engine_branch_thin_total", "Queries resolved by the thin O(log n) binary-search branch.", &m.ThinBranch)
 	reg.Counter("engine_branch_fat_total", "Queries resolved by the fat O(1) bitmap-probe branch.", &m.FatBranch)
 	reg.Counter("engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)
-	reg.Counter("engine_cache_hits_total", "Queries answered from the (u,v) result cache.", &m.CacheHits)
-	reg.Counter("engine_cache_misses_total", "Result-cache lookups that fell through to a slab probe.", &m.CacheMisses)
 	reg.Histogram("engine_batch_pairs", "Pairs per batch call.", &m.BatchPairs)
 	reg.Histogram("engine_probe_ns", "Engine-probe wall time per served frame.", &m.ProbeNs)
 }

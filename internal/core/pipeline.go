@@ -28,8 +28,8 @@ import (
 //
 // The result is a Labeling born compact (arena-backed), which NewQueryEngine
 // adopts zero-copy, and which labelstore writes as a single body blob. The
-// labels are bit-for-bit identical to the legacy Builder-based encoder's
-// (asserted by TestPipelineMatchesLegacy* in pipeline_test.go).
+// labels are bit-for-bit identical to those of the one-Builder-per-label
+// reference encoders kept in legacy_test.go (TestPipelineMatchesLegacy*).
 //
 // An optional layout pass (Layout, layout.go) reorders the *physical* slots:
 // LayoutDegree stores bodies in descending-degree order — hubs packed into
@@ -139,7 +139,7 @@ func (p *slabPlan) fillFatBitmap(g *graph.Graph, v int, slab []byte, base int64)
 // the first contiguous pages of the slab, thin tail after.
 func (p *slabPlan) layout(lay Layout) {
 	n := len(p.bitLens)
-	if lay == LayoutDegree {
+	if lay == LayoutDegree && n > 1 { // one slot or none: nothing to reorder
 		p.order = p.byID
 	}
 	p.physOffs = make([]int64, n+1)
@@ -194,8 +194,10 @@ func splitByWords(offs []int64, workers int) [][2]int {
 // runRanges executes fill over the ranges, one goroutine per range beyond
 // the first caller-run one.
 func runRanges(ranges [][2]int, fill func(lo, hi int)) {
-	if len(ranges) == 1 {
-		fill(ranges[0][0], ranges[0][1])
+	if len(ranges) <= 1 { // one range, or none for the empty graph
+		for _, r := range ranges {
+			fill(r[0], r[1])
+		}
 		return
 	}
 	var wg sync.WaitGroup
@@ -242,17 +244,10 @@ func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
 	n := g.N()
-	if n <= 1 {
-		// Degenerate graphs take the legacy path (no body bits to plan, no
-		// layout to choose).
-		return encodeFatThinLegacy(name, g, tau)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = max(1, min(workers, n)) // n = 0 plans and fills nothing
 	w := bitstr.WidthFor(uint64(n))
 	header := 1 + w
 
@@ -315,15 +310,10 @@ func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Lay
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
 	n := g.N()
-	if n <= 1 {
-		return encodeCompressedLegacy(name, g, tau)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = max(1, min(workers, n))
 	w := bitstr.WidthFor(uint64(n))
 	header := 1 + w
 

@@ -72,10 +72,23 @@ func requireLabelsEqual(t *testing.T, want, got *Labeling) {
 	}
 }
 
+// requireArenaBacked: every pipeline labeling, the empty and the one-vertex
+// graph's included, carries a slab, permuted exactly when the layout asks for
+// it and there is more than one slot to permute.
+func requireArenaBacked(t *testing.T, pipe *Labeling, lay Layout) {
+	t.Helper()
+	if _, _, ok := pipe.ArenaLayout(); !ok {
+		t.Fatalf("layout %v: pipeline labeling of %d vertices is not arena-backed", lay, pipe.N())
+	}
+	if permuted := pipe.LayoutOrder() != nil; permuted != (lay == LayoutDegree && pipe.N() > 1) {
+		t.Fatalf("layout %v, n = %d: LayoutOrder() = %v", lay, pipe.N(), pipe.LayoutOrder())
+	}
+}
+
 // TestPipelineMatchesLegacyFatThin is the cross-encoder equivalence
-// property: over every (scheme, graph, workers) cell, slab-pipeline labels
-// are bit-for-bit Equal to legacy-encoder labels vertex-by-vertex, and the
-// QueryEngine built on the pipeline labeling answers exactly like the
+// property: over every (scheme, graph, layout, workers) cell, slab-pipeline
+// labels are bit-for-bit Equal to legacy-encoder labels vertex-by-vertex, and
+// the QueryEngine built on the pipeline labeling answers exactly like the
 // legacy decoder on sampled pairs.
 func TestPipelineMatchesLegacyFatThin(t *testing.T) {
 	graphs := equivGraphs(t)
@@ -90,12 +103,15 @@ func TestPipelineMatchesLegacyFatThin(t *testing.T) {
 				if err != nil {
 					t.Fatalf("legacy encode: %v", err)
 				}
-				for _, workers := range []int{1, 3, 0} {
-					pipe, err := encodeFatThinSlab(s.Name(), g, tau, workers, LayoutID)
-					if err != nil {
-						t.Fatalf("pipeline encode (workers=%d): %v", workers, err)
+				for _, lay := range []Layout{LayoutID, LayoutDegree} {
+					for _, workers := range []int{1, 3, 0} {
+						pipe, err := encodeFatThinSlab(s.Name(), g, tau, workers, lay)
+						if err != nil {
+							t.Fatalf("pipeline encode (layout=%v workers=%d): %v", lay, workers, err)
+						}
+						requireLabelsEqual(t, legacy, pipe)
+						requireArenaBacked(t, pipe, lay)
 					}
-					requireLabelsEqual(t, legacy, pipe)
 				}
 				pipe, err := s.Encode(g)
 				if err != nil {
@@ -158,12 +174,15 @@ func TestPipelineMatchesLegacyCompressed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("legacy encode: %v", err)
 				}
-				for _, workers := range []int{1, 4} {
-					pipe, err := encodeCompressedSlab(s.Name(), g, tau, workers, LayoutID)
-					if err != nil {
-						t.Fatalf("pipeline encode (workers=%d): %v", workers, err)
+				for _, lay := range []Layout{LayoutID, LayoutDegree} {
+					for _, workers := range []int{1, 4} {
+						pipe, err := encodeCompressedSlab(s.Name(), g, tau, workers, lay)
+						if err != nil {
+							t.Fatalf("pipeline encode (layout=%v workers=%d): %v", lay, workers, err)
+						}
+						requireLabelsEqual(t, legacy, pipe)
+						requireArenaBacked(t, pipe, lay)
 					}
-					requireLabelsEqual(t, legacy, pipe)
 				}
 				pipe, err := s.Encode(g)
 				if err != nil {
@@ -179,9 +198,9 @@ func TestPipelineMatchesLegacyCompressed(t *testing.T) {
 }
 
 // TestPipelineLabelingBornCompact asserts the arena contract: a
-// pipeline-built labeling exposes its slab, Compact is a no-op, and
-// NewQueryEngine adopts the slab zero-copy — the engine's probe arena is
-// the very same backing array, not a relocated copy.
+// pipeline-built labeling exposes its slab and NewQueryEngine adopts it
+// zero-copy — the engine's probe arena is the very same backing array, not a
+// relocated copy.
 func TestPipelineLabelingBornCompact(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(2000, 2.5, 2, 5)
 	if err != nil {
@@ -194,12 +213,6 @@ func TestPipelineLabelingBornCompact(t *testing.T) {
 	slab, ok := lab.Arena()
 	if !ok || len(slab) == 0 {
 		t.Fatal("pipeline labeling is not arena-backed")
-	}
-	if lab.Compact() != lab {
-		t.Fatal("Compact must return the labeling itself")
-	}
-	if slab2, _ := lab.Arena(); &slab2[0] != &slab[0] {
-		t.Fatal("Compact relocated the arena of a born-compact labeling")
 	}
 	eng, err := NewQueryEngine(lab)
 	if err != nil {
@@ -292,8 +305,7 @@ func benchGraph(b *testing.B, n int) *graph.Graph {
 }
 
 // BenchmarkEncodeLegacy is the pre-pipeline baseline: one Builder-built
-// label per vertex, then Compact for the arena layout the serving path
-// wants.
+// label per vertex.
 func BenchmarkEncodeLegacy(b *testing.B) {
 	g := benchGraph(b, 100_000)
 	s := NewPowerLawSchemePractical(2.5)
@@ -304,11 +316,9 @@ func BenchmarkEncodeLegacy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lab, err := encodeFatThinLegacy(s.Name(), g, tau)
-		if err != nil {
+		if _, err := encodeFatThinLegacy(s.Name(), g, tau); err != nil {
 			b.Fatal(err)
 		}
-		lab.Compact()
 	}
 }
 
@@ -390,11 +400,9 @@ func BenchmarkEncodeCompressedLegacy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lab, err := encodeCompressedLegacy(s.Name(), g, tau)
-		if err != nil {
+		if _, err := encodeCompressedLegacy(s.Name(), g, tau); err != nil {
 			b.Fatal(err)
 		}
-		lab.Compact()
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bitstr"
@@ -16,13 +15,14 @@ import (
 // Reader, no re-parsing. Labels are validated once at construction, so the
 // hot path never errors on well-formed inputs.
 //
-// Arena-backed labelings (the encode pipeline's output, or a format-v2 label
-// store) are adopted zero-copy: the engine points straight at the encoder's
-// slab and only parses headers. A degree-ordered slab (LayoutDegree) is
+// Arena-backed labelings (the encode pipeline's output, or a label store)
+// are adopted zero-copy: the engine points straight at the encoder's slab
+// and only parses headers. A degree-ordered slab (LayoutDegree) is
 // adopted just the same through NewQueryEngineFromPermutedArena — the meta
 // table stays id-indexed, only the offsets follow the permutation, so every
 // answer is bit-for-bit identical to the id-ordered layout. Labelings
-// assembled label-by-label are relocated into a fresh slab, as before.
+// assembled label by label are packed into a slab first (bitstr.PackSlab)
+// and adopted the same way.
 //
 // A QueryEngine is immutable after construction and safe for concurrent use
 // by any number of goroutines.
@@ -40,17 +40,12 @@ type QueryEngine struct {
 	slab []byte
 	// engineMetrics, when attached, receives per-call tallies; see batch.go.
 	engineMetrics
-	// cache, when enabled, memoizes (u,v)→answer in a fixed direct-mapped
-	// table probed before the slab (see cache.go). Like metrics it must be
-	// attached before the engine is shared; afterwards it is written only
-	// through single-word atomics and is safe under concurrent batches.
-	cache *pairCache
 	// resident, when non-nil, marks the engine as serving one shard of a
 	// partitioned store (SetShard): bit v says vertex v's full label body is
 	// present in the slab (owned, or fat — fat labels are replicated to every
 	// shard). Queries resolvable only from a non-resident body return
-	// ErrNotResident instead of probing a stripped stub. Like metrics and the
-	// cache it is set before the engine is shared and read-only afterwards.
+	// ErrNotResident instead of probing a stripped stub. Like metrics it is
+	// set before the engine is shared and read-only afterwards.
 	resident []uint64
 	shard    ShardMap
 }
@@ -132,8 +127,8 @@ func NewQueryEngine(lab *Labeling) (*QueryEngine, error) {
 
 // NewQueryEngineFromArena builds an engine directly over a word-aligned
 // label slab (label v at bit offset 64·Σ_{u<v} ceil(bitLens[u]/64)), e.g.
-// the arena of a pipeline-built Labeling or a format-v2 label store. The
-// slab is adopted zero-copy: construction parses and validates the n label
+// the arena of a pipeline-built Labeling or a label store. The slab is
+// adopted zero-copy: construction parses and validates the n label
 // headers but never moves a body.
 func NewQueryEngineFromArena(slab []byte, bitLens []int) (*QueryEngine, error) {
 	return NewQueryEngineFromPermutedArena(slab, bitLens, nil)
@@ -172,52 +167,12 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 }
 
 // NewQueryEngineFromLabels builds an engine over per-vertex labels from any
-// source (e.g. a legacy label store), relocating the bodies into a fresh
-// word-aligned slab. The identifier width is ceil(log2 len(labels)), exactly
-// as for NewFatThinDecoder.
+// source (a labeling assembled label by label, labels fetched from peers):
+// the labels are packed into a fresh id-ordered slab (bitstr.PackSlab) and
+// adopted as any other arena is. The identifier width is
+// ceil(log2 len(labels)), exactly as for NewFatThinDecoder.
 func NewQueryEngineFromLabels(labels []bitstr.String) (*QueryEngine, error) {
-	n := len(labels)
-	w := bitstr.WidthFor(uint64(n))
-	if w > 32 {
-		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
-	}
-	header := 1 + w
-	e := &QueryEngine{
-		n:    n,
-		w:    w,
-		meta: make([]vertexMeta, n),
-	}
-	// Pass 1: validate headers and size the slab (bodies word-aligned).
-	totalWords := 0
-	for v, s := range labels {
-		if s.Len() < header {
-			return nil, fmt.Errorf("%w: label %d has %d bits, header needs %d", ErrBadLabel, v, s.Len(), header)
-		}
-		fat := s.MustPeekUint(0, 1) == 1
-		word, err := packMeta(fat, s.MustPeekUint(1, w), s.Len()-header, w, v)
-		if err != nil {
-			return nil, err
-		}
-		e.meta[v] = vertexMeta{word: word}
-		totalWords += bitstr.SlabWords(s.Len() - header)
-	}
-	// Pass 2: copy bodies into the slab, MSB-first within each big-endian
-	// word to match the label bit order.
-	e.slab = make([]byte, bitstr.SlabBytes(totalWords))
-	word := 0
-	for v, s := range labels {
-		e.meta[v].off = int64(word) * bitstr.SlabWordBits
-		body := s.Len() - header
-		for i := 0; i < body; i += 64 {
-			chunk := body - i
-			if chunk > 64 {
-				chunk = 64
-			}
-			binary.BigEndian.PutUint64(e.slab[word<<3:], s.MustPeekUint(header+i, chunk)<<(64-uint(chunk)))
-			word++
-		}
-	}
-	return e, nil
+	return NewQueryEngineFromArena(bitstr.PackSlab(labels))
 }
 
 // N returns the number of vertices the engine serves.
@@ -236,27 +191,12 @@ func (e *QueryEngine) Adjacent(u, v int) (bool, error) {
 }
 
 // adjacentTallied is the scalar probe path: it answers one query and tallies
-// which decode branch resolved it into t. With a result cache enabled
-// (EnableResultCache) the slab is only probed on a miss; hits and misses are
-// tallied alongside the branch counts.
+// which decode branch resolved it into t.
 func (e *QueryEngine) adjacentTallied(u, v int, t *QueryTally) (bool, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return false, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
 	t.queries++
-	if c := e.cache; c != nil {
-		key := pairCacheKey(u, v)
-		if ans, hit := c.get(key); hit {
-			t.cacheHits++
-			return ans, nil
-		}
-		t.cacheMisses++
-		ans, err := e.probe(u, v, t)
-		if err == nil {
-			c.put(key, ans)
-		}
-		return ans, err
-	}
 	return e.probe(u, v, t)
 }
 

@@ -12,7 +12,8 @@ import (
 
 // TestQueryEngineEquivalence checks that the engine answers bit-for-bit
 // identically to FatThinDecoder on every ordered pair of every test graph,
-// for every scheme, for both the plain and the compacted labeling.
+// for every scheme, whether it adopts the pipeline's arena or packs the same
+// labels handed over one by one (NewQueryEngineFromLabels).
 func TestQueryEngineEquivalence(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, s := range schemesUnderTest() {
@@ -41,17 +42,23 @@ func TestQueryEngineEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// Compacting the labeling must not change a single answer.
-			ceng, err := NewQueryEngine(lab.Compact())
+			// The same labels, label by label, must not change a single answer.
+			labels := make([]bitstr.String, lab.N())
+			for v := range labels {
+				if labels[v], err = lab.Label(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			peng, err := NewQueryEngineFromLabels(labels)
 			if err != nil {
-				t.Fatalf("%s/%s: engine after Compact: %v", name, s.Name(), err)
+				t.Fatalf("%s/%s: engine from labels: %v", name, s.Name(), err)
 			}
 			for u := 0; u < g.N(); u++ {
 				for v := u; v < g.N(); v++ {
 					want, werr := eng.Adjacent(u, v)
-					got, gerr := ceng.Adjacent(u, v)
+					got, gerr := peng.Adjacent(u, v)
 					if werr != nil || gerr != nil || got != want {
-						t.Fatalf("%s/%s: compact (%d,%d): %v/%v vs %v/%v",
+						t.Fatalf("%s/%s: from labels (%d,%d): %v/%v vs %v/%v",
 							name, s.Name(), u, v, want, werr, got, gerr)
 					}
 				}
@@ -71,7 +78,7 @@ func TestQueryEngineSampledLargeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewQueryEngine(lab.Compact())
+	eng, err := NewQueryEngine(lab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +176,7 @@ func TestQueryEngineBatchDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewQueryEngine(lab.Compact())
+	eng, err := NewQueryEngine(lab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,41 +231,6 @@ func TestQueryEngineBatchDrivers(t *testing.T) {
 	}
 	if len(out) != len(pairs) {
 		t.Fatalf("parallel out len = %d, want %d", len(out), len(pairs))
-	}
-}
-
-// TestCompactPreservesLabels: Compact must keep every label bit-identical,
-// stay idempotent, and leave Verify green.
-func TestCompactPreservesLabels(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(600, 2.5, 2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := make([]bitstr.String, lab.N())
-	for v := range before {
-		l, _ := lab.Label(v)
-		before[v] = l
-	}
-	statsBefore := lab.Stats()
-	if lab.Compact() != lab {
-		t.Fatal("Compact must return the receiver")
-	}
-	lab.Compact() // idempotent
-	for v := range before {
-		after, _ := lab.Label(v)
-		if !after.Equal(before[v]) {
-			t.Fatalf("label %d changed after Compact", v)
-		}
-	}
-	if lab.Stats() != statsBefore {
-		t.Fatal("Stats changed after Compact")
-	}
-	if err := lab.Verify(g); err != nil {
-		t.Fatalf("Verify after Compact: %v", err)
 	}
 }
 

@@ -104,11 +104,11 @@ func E8DecodeThroughput(cfg Config) ([]*Table, error) {
 	// Query-engine rows: the Theorem 4 labels again, but served through the
 	// pre-parsed arena-backed core.QueryEngine — single queries, one batch
 	// call, and the sharded parallel driver. encode.ms for these rows is
-	// the engine build time (compaction + header pre-parse) on top of the
+	// the engine build time (header pre-parse) on top of the
 	// already-encoded labels.
 	base := rows[0].lab // powerlaw(α) labeling from the loop above
 	buildStart := time.Now()
-	eng, err := core.NewQueryEngine(base.Compact())
+	eng, err := core.NewQueryEngine(base)
 	if err != nil {
 		return nil, err
 	}

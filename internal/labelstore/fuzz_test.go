@@ -24,8 +24,8 @@ import (
 //     from the file's own two labels — for an unmutated seed, the source
 //     labeling.
 //
-// Seeds are real images of every store shape: v2 id-ordered, degree-ordered,
-// a shard, pll, bdist, and a v1 file.
+// Seeds are real images of every store shape — id-ordered, degree-ordered, a
+// shard, pll, bdist — and a retired version-1 image, which both must reject.
 func FuzzReadBytes(f *testing.F) {
 	image := func(file *File) {
 		var buf bytes.Buffer
@@ -63,7 +63,8 @@ func FuzzReadBytes(f *testing.F) {
 		}
 		image(file)
 	}
-	image(sampleFile(f)) // v1
+	_, labels := sampleFile(f)
+	f.Add(v1Image("sparse(c=2)", labels))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mapped, errMapped := ReadBytes(data)
@@ -73,6 +74,9 @@ func FuzzReadBytes(f *testing.F) {
 		}
 		if errMapped != nil {
 			return
+		}
+		if data[4] != formatVersion {
+			t.Fatalf("both readers accepted a version-%d image", data[4])
 		}
 		n := mapped.N()
 		if streamed.N() != n || len(mapped.Labels) != n || len(streamed.Labels) != n {
@@ -110,10 +114,7 @@ func FuzzReadBytes(f *testing.F) {
 			}
 			return
 		}
-		slab, bitLens, order, ok := mapped.ArenaLayout()
-		if !ok {
-			return // v1: labels only, compared above
-		}
+		slab, bitLens, order, _ := mapped.ArenaLayout()
 		ea, errA := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
 		slab, bitLens, order, _ = streamed.ArenaLayout()
 		eb, errB := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)

@@ -3,22 +3,15 @@
 // queries (the deployment model of Section 1: structural information
 // disseminated to vertices and stored locally).
 //
-// Format (all integers little-endian or uvarint):
+// Format (all integers little-endian or uvarint) — one header, one body blob,
+// the word-aligned slab of the encode pipeline verbatim:
 //
 //	magic   "PLLB"               4 bytes
-//	version u8                   1 or 2
+//	version u8                   2
 //	scheme  uvarint len + bytes  scheme name (informational)
 //	params  uvarint count, then  key/value string pairs (decoder metadata,
 //	        per pair: len+bytes   e.g. "n", "w")
 //	n       uvarint              number of labels
-//
-// followed by the label payloads. Version 1 packs each label tightly:
-//
-//	labels  n × (uvarint bit length + ceil(len/8) bytes)
-//
-// Version 2 stores the word-aligned slab of the encode pipeline verbatim —
-// one header, one body blob:
-//
 //	lens    n × uvarint          per-label bit lengths (always id-indexed)
 //	perm    n × uvarint          rank→label layout permutation; present iff
 //	                             params carries "layout" (value "degree")
@@ -27,18 +20,19 @@
 //	blob    uvarint byte count,  label perm[r] (or label r when no perm)
 //	        then the slab        starts at the r-th word-aligned slot
 //
-// A v2 blob is byte-identical to the in-memory arena of a pipeline-built
-// core.Labeling, so Write(arena-backed file) is a header plus a single
-// contiguous copy, and Read hands the blob to core.NewQueryEngineFromArena
-// with zero relocation. A degree-ordered arena (core.LayoutDegree) rides the
-// same path with its permutation block: readers reconstruct id-indexed
-// lookup from the permutation, readers too old to know the "layout" param
-// fail loudly on the extra block (a blob-length mismatch) rather than
-// mis-answer. A distance store (params carry "scheme" = pll | bdist, see
-// scheme.go) rides the same v2 body with no extra block — its engine
-// parameters live entirely in the params. Read understands both versions;
-// Write emits v2 when the file is arena-backed (NewArenaFile,
-// NewPermutedArenaFile) and v1 otherwise.
+// The blob is byte-identical to the in-memory arena of a pipeline-built
+// core.Labeling, so Write is a header plus a single contiguous copy, and the
+// readers hand the blob to core.NewQueryEngineFromPermutedArena with zero
+// relocation. A labeling assembled label by label (nbrlist, adjmatrix,
+// forest, onequery) is packed into a slab first (bitstr.PackSlab) and stored
+// the same way. A degree-ordered arena (core.LayoutDegree) carries its
+// permutation block: readers reconstruct id-indexed lookup from it, readers
+// too old to know the "layout" param fail loudly on the extra block (a
+// blob-length mismatch) rather than mis-answer. A distance store (params
+// carry "scheme" = pll | bdist, see scheme.go) rides the same body with no
+// extra block — its engine parameters live entirely in the params. The
+// per-label version 1 is no longer read or written: every reader refuses it
+// by number (re-run pllabel).
 package labelstore
 
 import (
@@ -60,12 +54,20 @@ var ErrFormat = errors.New("labelstore: malformed input")
 
 var magic = [4]byte{'P', 'L', 'L', 'B'}
 
-const (
-	version1 = 1 // tightly packed per-label payloads
-	version2 = 2 // single word-aligned slab blob
-)
+// formatVersion is the one container this package reads and writes: a single
+// word-aligned slab blob.
+const formatVersion = 2
 
-// layoutKey is the params entry announcing a physically permuted v2 blob;
+// checkVersion refuses every other container, the retired per-label
+// version 1 included.
+func checkVersion(ver byte) error {
+	if ver != formatVersion {
+		return fmt.Errorf("%w: unsupported version %d (re-run pllabel)", ErrFormat, ver)
+	}
+	return nil
+}
+
+// layoutKey is the params entry announcing a physically permuted blob;
 // its presence means a permutation block sits between the lens block and the
 // blob. The only defined value is layoutDegree (descending-degree order).
 // Any other value is rejected — misreading a permuted slab as id-ordered
@@ -98,14 +100,13 @@ type File struct {
 	Scheme string
 	Params map[string]string
 	// Labels holds the id-indexed per-label strings of a file the readers
-	// (Read, ReadBytes, Open) produced — views into the arena for a v2 store —
-	// or of a v1 file assembled by hand. The arena constructors leave it nil:
-	// a file on its way to Write is described by the arena alone.
+	// (Read, ReadBytes, Open) produced — views into the arena. The arena
+	// constructors leave it nil: a file on its way to Write is described by
+	// the arena alone.
 	Labels []bitstr.String
-	// arena, when non-nil, is the word-aligned slab holding every label, with
-	// bitLens the id-indexed per-label bit lengths. Set by the arena
-	// constructors and by the readers on v2 files; selects the v2 single-blob
-	// path in Write.
+	// arena is the word-aligned slab holding every label, with bitLens the
+	// id-indexed per-label bit lengths. Set by the arena constructors and by
+	// the readers; a File without one cannot be written.
 	arena   []byte
 	bitLens []int
 	// order, when non-nil, is the arena's physical layout permutation: slab
@@ -121,26 +122,20 @@ type File struct {
 }
 
 // N returns the number of labels.
-func (f *File) N() int {
-	if f.arena != nil {
-		return len(f.bitLens)
-	}
-	return len(f.Labels)
-}
+func (f *File) N() int { return len(f.bitLens) }
 
 // NewArenaFile builds a store over a word-aligned label slab (the arena of a
 // pipeline-built core.Labeling): label v occupies bits
 // [off_v, off_v+bitLens[v]) where off_v = 64·Σ_{u<v} ceil(bitLens[u]/64).
-// Write serializes such a file in format v2 — one header and the slab as a
-// single body blob.
+// Write serializes it as one header and the slab as a single body blob.
 func NewArenaFile(scheme string, params map[string]string, slab []byte, bitLens []int) (*File, error) {
 	return NewPermutedArenaFile(scheme, params, slab, bitLens, nil)
 }
 
 // NewPermutedArenaFile is NewArenaFile for a physically permuted slab: the
 // label at word-aligned slab rank r is label order[r] with bitLens[order[r]]
-// bits (the arena of a core.LayoutDegree labeling). Write serializes it in
-// format v2 with a "layout" param and the permutation block. order must be a
+// bits (the arena of a core.LayoutDegree labeling). Write serializes it with a
+// "layout" param and the permutation block. order must be a
 // permutation of 0..len(bitLens)-1; nil is the identity. The description is
 // validated and the padding zeroed (adoptArena); no per-label view is built.
 func NewPermutedArenaFile(scheme string, params map[string]string, slab []byte, bitLens []int, order []int32) (*File, error) {
@@ -201,10 +196,9 @@ func (f *File) adoptArena(mask bool) error {
 }
 
 // Arena returns the word-aligned slab backing the store plus the per-label
-// bit lengths, or ok=false when the store is not arena-backed (a v1 file).
-// The pair is accepted directly by core.NewQueryEngineFromArena. For a
-// permuted store Arena reports ok=false — label v is not at the v-th slot,
-// and a caller unaware of the permutation would misread every offset; use
+// bit lengths — the pair core.NewQueryEngineFromArena accepts. For a permuted
+// store Arena reports ok=false — label v is not at the v-th slot, and a
+// caller unaware of the permutation would misread every offset; use
 // ArenaLayout, which hands out the permutation alongside.
 func (f *File) Arena() (slab []byte, bitLens []int, ok bool) {
 	if f.order != nil {
@@ -215,13 +209,14 @@ func (f *File) Arena() (slab []byte, bitLens []int, ok bool) {
 
 // ArenaLayout returns the backing slab, the per-label bit lengths, and the
 // physical layout permutation (nil for the id-ordered layout) — the triple
-// core.NewQueryEngineFromPermutedArena accepts for any v2 store.
+// core.NewQueryEngineFromPermutedArena accepts. ok is true for every File a
+// constructor or a reader of this package returned.
 func (f *File) ArenaLayout() (slab []byte, bitLens []int, order []int32, ok bool) {
 	return f.arena, f.bitLens, f.order, f.arena != nil
 }
 
 // LayoutOrder returns the physical layout permutation, or nil when the store
-// is id-ordered (v1, or v2 without a layout param).
+// is id-ordered.
 func (f *File) LayoutOrder() []int32 { return f.order }
 
 // PermutationOverheadBytes returns the serialized size of a layout
@@ -249,29 +244,23 @@ func (f *File) IntParam(key string) (int, error) {
 	return n, nil
 }
 
-// Write serializes the store: format v2 (single slab blob) for arena-backed
-// files, v1 (tightly packed per-label payloads) otherwise.
+// Write serializes the store: the header, then the arena as one blob. A File
+// with no arena (one assembled by hand rather than by an arena constructor)
+// is refused — pack its labels with bitstr.PackSlab and NewArenaFile first.
 func Write(w io.Writer, f *File) error {
-	if f.dist != nil {
-		// Distance stores are v2-only (the engine adopts the slab as-is) and
-		// never sharded; refusing here keeps the two readers' rejections
-		// unreachable for files this package itself wrote.
-		if f.arena == nil {
-			return fmt.Errorf("labelstore: distance scheme %q requires an arena-backed store", f.dist.Kind)
-		}
-		if f.shard != nil {
-			return fmt.Errorf("labelstore: sharded store cannot declare distance scheme %q", f.dist.Kind)
-		}
+	if f.arena == nil {
+		return errors.New("labelstore: store has no arena (build it with NewArenaFile over bitstr.PackSlab)")
+	}
+	if f.dist != nil && f.shard != nil {
+		// Distance stores are never sharded; refusing here keeps the two
+		// readers' rejection unreachable for files this package itself wrote.
+		return fmt.Errorf("labelstore: sharded store cannot declare distance scheme %q", f.dist.Kind)
 	}
 	bw := bufio.NewWriterSize(w, writeBuffer)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
 	}
-	ver := byte(version1)
-	if f.arena != nil {
-		ver = version2
-	}
-	if err := bw.WriteByte(ver); err != nil {
+	if err := bw.WriteByte(formatVersion); err != nil {
 		return err
 	}
 	if err := writeString(bw, f.Scheme); err != nil {
@@ -317,45 +306,31 @@ func Write(w io.Writer, f *File) error {
 			return err
 		}
 	}
-	if ver == version2 {
-		if err := writeUvarint(bw, uint64(len(f.bitLens))); err != nil {
-			return err
-		}
-		if err := writeUvarints(bw, f.bitLens); err != nil {
-			return err
-		}
-		if err := writeUvarints(bw, f.order); err != nil { // permutation block (empty when id-ordered)
-			return err
-		}
-		if f.shard != nil { // shard block (absent for whole-labeling stores)
-			if err := writeUvarint(bw, uint64(f.shard.m.Index)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(byte(f.shard.m.Fn)); err != nil {
-				return err
-			}
-			if err := writeUvarint(bw, uint64(f.shard.owned)); err != nil {
-				return err
-			}
-		}
-		if err := writeUvarint(bw, uint64(len(f.arena))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(f.arena); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	if err := writeUvarint(bw, uint64(len(f.Labels))); err != nil {
+	if err := writeUvarint(bw, uint64(len(f.bitLens))); err != nil {
 		return err
 	}
-	for _, l := range f.Labels {
-		if err := writeUvarint(bw, uint64(l.Len())); err != nil {
+	if err := writeUvarints(bw, f.bitLens); err != nil {
+		return err
+	}
+	if err := writeUvarints(bw, f.order); err != nil { // permutation block (empty when id-ordered)
+		return err
+	}
+	if f.shard != nil { // shard block (absent for whole-labeling stores)
+		if err := writeUvarint(bw, uint64(f.shard.m.Index)); err != nil {
 			return err
 		}
-		if _, err := bw.Write(l.Bytes()); err != nil {
+		if err := bw.WriteByte(byte(f.shard.m.Fn)); err != nil {
 			return err
 		}
+		if err := writeUvarint(bw, uint64(f.shard.owned)); err != nil {
+			return err
+		}
+	}
+	if err := writeUvarint(bw, uint64(len(f.arena))); err != nil {
+		return err
+	}
+	if _, err := bw.Write(f.arena); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -374,8 +349,8 @@ func Read(r io.Reader) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: version: %v", ErrFormat, err)
 	}
-	if ver != version1 && ver != version2 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, ver)
+	if err := checkVersion(ver); err != nil {
+		return nil, err
 	}
 	scheme, err := readString(br)
 	if err != nil {
@@ -407,62 +382,10 @@ func Read(r io.Reader) (*File, error) {
 	if n > maxLabels {
 		return nil, fmt.Errorf("%w: %d labels", ErrFormat, n)
 	}
-	if ver == version2 {
-		return readSlab(br, scheme, params, int(n))
-	}
-	if lay, ok := params[layoutKey]; ok {
-		// v1 payloads are inherently id-ordered; a layout param can only be
-		// corruption or a format from the future. Refuse rather than guess.
-		return nil, fmt.Errorf("%w: v1 store declares layout %q", ErrFormat, lay)
-	}
-	if sh, ok := params[shardsKey]; ok {
-		// Likewise: sharding postdates v1, and loading a shard as a whole
-		// labeling would answer foreign queries from stripped stubs.
-		return nil, fmt.Errorf("%w: v1 store declares %s shards", ErrFormat, sh)
-	}
-	if sch, ok := params[schemeKey]; ok && sch != SchemeAdjacency {
-		// Distance stores are v2-only; a v1 file declaring one is corrupt or
-		// from a writer this reader cannot serve.
-		return nil, fmt.Errorf("%w: v1 store declares scheme %q", ErrFormat, sch)
-	}
-	// Arena decode: all label payloads land in one contiguous slab and the
-	// returned strings are (offset, bitlen) views into it — one allocation
-	// for the whole store instead of one per label, matching the layout
-	// core.(*Labeling).Compact produces.
-	type span struct {
-		off  int
-		bits int
-	}
-	spans := make([]span, 0, min(n, countChunk))
-	var slab []byte
-	for i := uint64(0); i < n; i++ {
-		bits, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: label %d length: %v", ErrFormat, i, err)
-		}
-		if bits > maxLabelBits {
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
-		}
-		off := len(slab)
-		if slab, err = readBody(br, slab, int64((bits+7)/8)); err != nil {
-			return nil, fmt.Errorf("%w: label %d payload: %v", ErrFormat, i, err)
-		}
-		spans = append(spans, span{off: off, bits: int(bits)})
-	}
-	// The slab no longer moves; build the views.
-	labels := make([]bitstr.String, n)
-	for i, sp := range spans {
-		end := sp.off + (sp.bits+7)/8
-		s, err := bitstr.Wrap(slab[sp.off:end:end], sp.bits)
-		if err != nil {
-			return nil, fmt.Errorf("%w: label %d: %v", ErrFormat, i, err)
-		}
-		labels[i] = s
-	}
-	return &File{Scheme: scheme, Params: params, Labels: labels}, nil
+	return readSlab(br, scheme, params, int(n))
 }
 
-// readSlab parses the v2 payload: n bit lengths, the layout permutation when
+// readSlab parses the payload: n bit lengths, the layout permutation when
 // the params announce one, then the word-aligned slab as one blob. The blob
 // is read with a single contiguous ReadFull and becomes the store's arena;
 // labels are zero-copy views into it.

@@ -2,6 +2,7 @@ package labelstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -12,7 +13,20 @@ import (
 	"repro/internal/gen"
 )
 
-func sampleFile(t testing.TB) *File {
+// packedFile builds the store of a labeling handed over label by label, the
+// way pllabel stores the per-label schemes.
+func packedFile(t testing.TB, scheme string, params map[string]string, labels []bitstr.String) *File {
+	t.Helper()
+	slab, bitLens := bitstr.PackSlab(labels)
+	f, err := NewArenaFile(scheme, params, slab, bitLens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// sampleFile returns a packed store and the labels it was packed from.
+func sampleFile(t testing.TB) (*File, []bitstr.String) {
 	t.Helper()
 	g := gen.ErdosRenyi(50, 0.1, 1)
 	lab, err := core.NewSparseScheme(2).Encode(g)
@@ -27,15 +41,26 @@ func sampleFile(t testing.TB) *File {
 		}
 		labels[v] = l
 	}
-	return &File{
-		Scheme: lab.Scheme(),
-		Params: map[string]string{"n": "50"},
-		Labels: labels,
+	return packedFile(t, lab.Scheme(), map[string]string{"n": "50"}, labels), labels
+}
+
+// v1Image hand-builds the retired version-1 container over labels: the same
+// header, then per label a uvarint bit length and its ceil(len/8) bytes.
+func v1Image(scheme string, labels []bitstr.String) []byte {
+	img := append([]byte("PLLB"), 1)
+	img = binary.AppendUvarint(img, uint64(len(scheme)))
+	img = append(img, scheme...)
+	img = binary.AppendUvarint(img, 0) // no params
+	img = binary.AppendUvarint(img, uint64(len(labels)))
+	for _, l := range labels {
+		img = binary.AppendUvarint(img, uint64(l.Len()))
+		img = append(img, l.Bytes()...)
 	}
+	return img
 }
 
 func TestRoundTrip(t *testing.T) {
-	f := sampleFile(t)
+	f, labels := sampleFile(t)
 	var buf bytes.Buffer
 	if err := Write(&buf, f); err != nil {
 		t.Fatal(err)
@@ -53,8 +78,8 @@ func TestRoundTrip(t *testing.T) {
 	if got.N() != f.N() {
 		t.Fatalf("N = %d, want %d", got.N(), f.N())
 	}
-	for i := range f.Labels {
-		if !got.Labels[i].Equal(f.Labels[i]) {
+	for i := range labels {
+		if !got.Labels[i].Equal(labels[i]) {
 			t.Fatalf("label %d differs after round trip", i)
 		}
 	}
@@ -75,7 +100,7 @@ func TestRoundTripDecodes(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, &File{Scheme: "sparse", Params: map[string]string{"n": "40"}, Labels: labels}); err != nil {
+	if err := Write(&buf, packedFile(t, "sparse", map[string]string{"n": "40"}, labels)); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Read(&buf)
@@ -119,7 +144,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"XXXX",
 		"PLLB",            // truncated after magic
 		"PLLB\x09",        // bad version
-		"PLLB\x01\x05abc", // truncated scheme string
+		"PLLB\x02\x05abc", // truncated scheme string
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in)); !errors.Is(err, ErrFormat) {
@@ -129,7 +154,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 }
 
 func TestReadTruncatedLabels(t *testing.T) {
-	f := sampleFile(t)
+	f, _ := sampleFile(t)
 	var buf bytes.Buffer
 	if err := Write(&buf, f); err != nil {
 		t.Fatal(err)
@@ -140,9 +165,15 @@ func TestReadTruncatedLabels(t *testing.T) {
 	}
 }
 
+// TestEmptyFile: a store of zero labels round-trips; a File assembled by hand,
+// with no arena, is refused by Write.
 func TestEmptyFile(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &File{Scheme: "x"}); err != nil {
+	if err := Write(&buf, &File{Scheme: "x", Labels: []bitstr.String{{}}}); err == nil {
+		t.Fatal("Write accepted a File with no arena")
+	}
+	buf.Reset()
+	if err := Write(&buf, packedFile(t, "x", nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Read(&buf)
@@ -173,7 +204,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			labels[i] = b.String()
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, &File{Scheme: "q", Labels: labels}); err != nil {
+		if err := Write(&buf, packedFile(t, "q", nil, labels)); err != nil {
 			return false
 		}
 		got, err := Read(&buf)
@@ -195,10 +226,10 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArenaReadRoundTrip: Read decodes all labels into one shared slab; the
-// views must be bit-identical to the originals (including odd bit lengths
-// that leave padding in the final byte) and must answer queries correctly
-// through a core.QueryEngine built straight over the store.
+// TestArenaReadRoundTrip: labels packed one by one into a store come back as
+// views of one shared slab; the views must be bit-identical to the originals
+// (including odd bit lengths that leave padding in the final byte) and must
+// answer queries correctly through a core.QueryEngine built over them.
 func TestArenaReadRoundTrip(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(300, 2.5, 2, 4)
 	if err != nil {
@@ -216,7 +247,7 @@ func TestArenaReadRoundTrip(t *testing.T) {
 		}
 		labels[v] = l
 	}
-	f := &File{Scheme: lab.Scheme(), Params: map[string]string{"n": "300"}, Labels: labels}
+	f := packedFile(t, lab.Scheme(), map[string]string{"n": "300"}, labels)
 	var buf bytes.Buffer
 	if err := Write(&buf, f); err != nil {
 		t.Fatal(err)
@@ -335,27 +366,30 @@ func TestSlabRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1BackCompat: files produced by the v1 writer still load — a store
-// built from plain labels takes the v1 path and comes back without an arena.
-func TestV1BackCompat(t *testing.T) {
-	f := sampleFile(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[4]; v != version1 {
-		t.Fatalf("plain store wrote version %d, want %d", v, version1)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := got.Arena(); ok {
-		t.Error("v1 store claims an arena")
-	}
-	for i := range f.Labels {
-		if !got.Labels[i].Equal(f.Labels[i]) {
-			t.Fatalf("label %d differs after v1 round trip", i)
+// TestVersion1Rejected: the per-label container is retired. Read, ReadBytes
+// and Open all refuse a version-1 image with ErrFormat naming the version,
+// before parsing anything behind it — so whatever layout, shards or scheme it
+// declares is refused with it.
+func TestVersion1Rejected(t *testing.T) {
+	_, labels := sampleFile(t)
+	img := v1Image("sparse(c=2)", labels)
+	for _, r := range []struct {
+		name string
+		load func() (*File, error)
+	}{
+		{"Read", func() (*File, error) { return Read(bytes.NewReader(img)) }},
+		{"ReadBytes", func() (*File, error) { return ReadBytes(img) }},
+		{"Open", func() (*File, error) {
+			mf, err := Open(writeTemp(t, img))
+			if err != nil {
+				return nil, err
+			}
+			mf.Close()
+			return mf.File, nil
+		}},
+	} {
+		if _, err := r.load(); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Errorf("%s on a version-1 image: err = %v, want ErrFormat naming version 1", r.name, err)
 		}
 	}
 }
@@ -423,12 +457,13 @@ func TestArenaReadMasksDirtyPadding(t *testing.T) {
 	b.AppendUint(0b10110, 5)
 	clean := b.String()
 	var buf bytes.Buffer
-	if err := Write(&buf, &File{Scheme: "x", Params: map[string]string{}, Labels: []bitstr.String{clean}}); err != nil {
+	if err := Write(&buf, packedFile(t, "x", map[string]string{}, []bitstr.String{clean})); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// The label payload is the final byte of the file; dirty its padding.
-	raw[len(raw)-1] |= 0x07
+	// The blob is the label's one slab word, the file's last 8 bytes; dirty
+	// the padding of its first byte.
+	raw[len(raw)-8] |= 0x07
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package labelstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -12,19 +11,16 @@ import (
 )
 
 // ReadBytes parses a store from an in-memory byte slice — typically a
-// memory-mapped file (see Open). For a format-v2 store the body blob is
-// adopted zero-copy: the returned File's arena is a sub-slice of data and
-// the labels are views into it, so nothing is relocated and nothing is
-// written. data must therefore stay alive (and unmodified) for the lifetime
-// of the File; a read-only mapping is fine because, unlike the streaming
-// Read path, ReadBytes never masks padding bits in place. Files written by
-// Write carry zero padding (the slab writer guarantees it), so label
-// equality is unaffected; a hand-built v2 file with dirty padding would
-// compare labels unequal while still answering queries correctly (the query
-// engine only probes bits inside each label's declared length).
-//
-// Format-v1 payloads are not word-aligned, so they take the copying Read
-// path and the returned File does not reference data at all.
+// memory-mapped file (see Open). The body blob is adopted zero-copy: the
+// returned File's arena is a sub-slice of data and the labels are views into
+// it, so nothing is relocated and nothing is written. data must therefore
+// stay alive (and unmodified) for the lifetime of the File; a read-only
+// mapping is fine because, unlike the streaming Read path, ReadBytes never
+// masks padding bits in place. Files written by Write carry zero padding (the
+// slab writer guarantees it), so label equality is unaffected; a hand-built
+// file with dirty padding would compare labels unequal while still answering
+// queries correctly (the query engine only probes bits inside each label's
+// declared length).
 func ReadBytes(data []byte) (*File, error) {
 	p := &byteParser{data: data}
 	if err := p.need(5); err != nil {
@@ -33,17 +29,10 @@ func ReadBytes(data []byte) (*File, error) {
 	if [4]byte(data[:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, data[:4])
 	}
-	ver := data[4]
-	p.off = 5
-	switch ver {
-	case version1:
-		// v1 labels are copied and masked on the heap anyway; reuse the
-		// streaming parser.
-		return Read(bytes.NewReader(data))
-	case version2:
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, ver)
+	if err := checkVersion(data[4]); err != nil {
+		return nil, err
 	}
+	p.off = 5
 	scheme, err := p.string()
 	if err != nil {
 		return nil, err
@@ -220,10 +209,10 @@ func (p *byteParser) string() (string, error) {
 	return s, nil
 }
 
-// MappedFile is a File backed by a memory-mapped store file. For format-v2
-// stores on platforms with mmap support, the arena (and every label view) is
-// a window into the page cache, and any number of processes serving the same
-// file share one physical copy of the labels. Open costs an O(n) parse of the
+// MappedFile is a File backed by a memory-mapped store file. On platforms
+// with mmap support the arena (and every label view) is a window into the
+// page cache, and any number of processes serving the same file share one
+// physical copy of the labels. Open costs an O(n) parse of the
 // header — the n bit lengths, the permutation, one walk that validates them
 // and builds the n label views — and leaves the body alone: nothing is
 // copied, and the only body bytes read are the shard-stub check's, one bit of
@@ -236,8 +225,8 @@ type MappedFile struct {
 }
 
 // Mapped reports whether the file's labels are served from a live memory
-// mapping (false for v1 stores and on platforms without mmap, where Open
-// fell back to a heap copy and Close is a no-op).
+// mapping (false on platforms without mmap, where Open fell back to a heap
+// copy and Close is a no-op).
 func (m *MappedFile) Mapped() bool { return m.mapping != nil }
 
 // Close releases the mapping, if any.
@@ -251,12 +240,12 @@ func (m *MappedFile) Close() error {
 	return munmapFile(b)
 }
 
-// Open maps the store at path and parses it with ReadBytes. A format-v2
-// store is adopted zero-copy from the mapping; a v1 store (or a platform
-// without mmap, or a file mmap refuses) is loaded through the plain copying
-// reader instead, so Open works everywhere and is merely fastest where it
-// matters. The caller owns the returned MappedFile and must Close it when
-// the labels are no longer in use.
+// Open maps the store at path and parses it with ReadBytes, adopting the blob
+// zero-copy from the mapping; on a platform without mmap, or for a file mmap
+// refuses, the store is loaded through the plain copying reader instead, so
+// Open works everywhere and is merely fastest where it matters. The caller
+// owns the returned MappedFile and must Close it when the labels are no
+// longer in use.
 func Open(path string) (*MappedFile, error) {
 	start := time.Now()
 	defer func() { storeMetrics.OpenNs.ObserveDuration(time.Since(start)) }()
@@ -282,17 +271,9 @@ func Open(path string) (*MappedFile, error) {
 		_ = munmapFile(data)
 		return nil, err
 	}
-	arena, _, _, ok := store.ArenaLayout()
-	if !ok {
-		// v1: every label was copied to the heap, nothing references the
-		// mapping — drop it now rather than at Close.
-		_ = munmapFile(data)
-		storeMetrics.OpenCopy.Inc()
-		return &MappedFile{File: store}, nil
-	}
 	storeMetrics.OpenMmap.Inc()
 	storeMetrics.MappedBytes.Add(int64(len(data)))
-	storeMetrics.BlobBytes.Add(int64(len(arena)))
+	storeMetrics.BlobBytes.Add(int64(len(store.arena)))
 	return &MappedFile{File: store, mapping: data}, nil
 }
 
@@ -306,9 +287,7 @@ func openFallback(f *os.File) (*MappedFile, error) {
 		return nil, err
 	}
 	storeMetrics.OpenCopy.Inc()
-	if arena, _, _, ok := store.ArenaLayout(); ok {
-		storeMetrics.BlobBytes.Add(int64(len(arena)))
-	}
+	storeMetrics.BlobBytes.Add(int64(len(store.arena)))
 	return &MappedFile{File: store}, nil
 }
 

@@ -135,32 +135,6 @@ func TestOpenServesQueries(t *testing.T) {
 	}
 }
 
-// TestOpenV1Fallback: a v1 store opens through the copying path — usable,
-// but not mapped.
-func TestOpenV1Fallback(t *testing.T) {
-	f := sampleFile(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	mf, err := Open(writeTemp(t, buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mf.Close()
-	if mf.Mapped() {
-		t.Error("v1 store claims a mapping")
-	}
-	if mf.N() != f.N() {
-		t.Fatalf("N = %d, want %d", mf.N(), f.N())
-	}
-	for i := range f.Labels {
-		if !mf.Labels[i].Equal(f.Labels[i]) {
-			t.Fatalf("label %d differs after Open of v1 store", i)
-		}
-	}
-}
-
 // TestOpenRejectsTruncation: a v2 file cut anywhere inside the body (or the
 // header) must fail at Open — never surface a partially-backed arena that
 // would fault at query time.

@@ -223,21 +223,6 @@ func TestNewPermutedArenaFileValidates(t *testing.T) {
 	}
 }
 
-// TestV1LayoutParamRejected: the v1 format predates physical layouts, so a v1
-// store that claims one is corrupt by definition and must not load (its
-// labels would be read un-permuted).
-func TestV1LayoutParamRejected(t *testing.T) {
-	f := sampleFile(t)
-	f.Params["layout"] = "degree"
-	var buf bytes.Buffer
-	if err := Write(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil {
-		t.Fatal("v1 store declaring a layout was accepted")
-	}
-}
-
 // TestV2WithoutPermutationBackCompat: id-ordered v2 stores carry no
 // permutation block and must keep loading exactly as before the layout
 // extension — LayoutOrder nil, arena exposed by the plain accessor.

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 )
 
-// Scheme record kind: the format-v2 extension for distance stores.
+// Scheme record kind: the format extension for distance stores.
 //
 // A store's "scheme" param declares which query plane its labels belong to:
 //
@@ -23,9 +23,8 @@ import (
 // are exactly a core.DistParams, so a reader hands DistArena() straight to
 // core.NewDistEngine. An unknown kind is rejected by name — misreading
 // distance labels as adjacency labels (or the reverse) must fail loudly at
-// load, never mis-answer. Distance stores are inherently v2 (the engine
-// adopts the slab zero-copy) and never sharded (distance serving replicates
-// whole stores; see plroute), so v1 + scheme and shards + scheme are both
+// load, never mis-answer. Distance stores are never sharded (distance
+// serving replicates whole stores; see plroute), so shards + scheme is
 // refused by writers and readers alike.
 
 // Param keys of the scheme record kind. The kind values are
@@ -74,7 +73,7 @@ func (f *File) DistArena() (*core.DistArena, bool) {
 
 // NewDistArenaFile builds a distance store over a pipeline-built
 // core.DistArena (the output of the distance EncodeArena paths). Write
-// serializes it in format v2 with the scheme params; both readers hand the
+// serializes it with the scheme params; both readers hand the
 // kind and engine parameters back via DistParams/DistArena.
 func NewDistArenaFile(scheme string, params map[string]string, a *core.DistArena) (*File, error) {
 	f, err := NewPermutedArenaFile(scheme, params, a.Slab, a.BitLens, a.Order)
@@ -118,7 +117,7 @@ func checkDistParams(dp core.DistParams, n int) error {
 	return nil
 }
 
-// parseSchemeParams interprets the scheme params of a v2 store: nil for an
+// parseSchemeParams interprets the scheme params of a store: nil for an
 // adjacency store (param absent or explicitly "adjacency"), the assembled
 // core.DistParams for a distance store, and a clear error for a kind this
 // reader does not know — the forward-compatibility contract that keeps an

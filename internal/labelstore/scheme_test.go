@@ -140,22 +140,6 @@ func TestDistSchemeUnknownKindRejected(t *testing.T) {
 	}
 }
 
-// TestDistSchemeV1Rejected: v1 payloads predate the distance plane; a v1
-// store declaring a distance scheme is corruption or a future format.
-func TestDistSchemeV1Rejected(t *testing.T) {
-	f := sampleFile(t)
-	f.Params[schemeKey] = SchemePLL
-	f.Params[distWidthKey] = "4"
-	var buf bytes.Buffer
-	if err := Write(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Read(bytes.NewReader(buf.Bytes()))
-	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "v1 store declares scheme") {
-		t.Errorf("v1 + scheme: err = %v", err)
-	}
-}
-
 // TestDistSchemeShardConflictRejected: distance stores are never sharded —
 // the writer refuses to emit the combination and both readers refuse a
 // hand-crafted header declaring it.
@@ -176,7 +160,7 @@ func TestDistSchemeShardConflictRejected(t *testing.T) {
 	buf.Reset()
 	bw := bufio.NewWriter(&buf)
 	bw.Write(magic[:])
-	bw.WriteByte(version2)
+	bw.WriteByte(formatVersion)
 	writeString(bw, "dist-pll")
 	writeUvarint(bw, 3) // params
 	for _, kv := range [][2]string{{distWidthKey, "4"}, {schemeKey, SchemePLL}, {shardsKey, "2"}} {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 )
 
-// Shard block: the format-v2 extension for partitioned stores.
+// Shard block: the format extension for partitioned stores.
 //
 // A sharded store (pllabel -shards N) is one shard of a fat/thin labeling:
 // it holds the full labels of the vertices it owns plus every fat label
@@ -22,9 +22,8 @@ import (
 //	        carries "shards"
 //
 // Readers too old to know the param fail loudly on the extra bytes (the
-// blob-length check cannot match), and v1 stores declaring shards are
-// rejected outright. The block is validated on open the same way the
-// permutation block is: structurally (index < count, a defined function,
+// blob-length check cannot match). The block is validated on open the same
+// way the permutation block is: structurally (index < count, a defined function,
 // the owned count recomputed from the function and compared) and against
 // the labels themselves (every foreign thin label must be a stub) — a
 // corrupted or mislabeled shard map errors at load, it never silently

@@ -276,21 +276,6 @@ func TestNewShardArenaFileValidates(t *testing.T) {
 	}
 }
 
-// TestV1ShardsParamRejected: the v1 format predates sharding, so a v1 store
-// that claims shards is corrupt by definition and must not load (its stripped
-// foreign labels would silently answer false).
-func TestV1ShardsParamRejected(t *testing.T) {
-	f := sampleFile(t)
-	f.Params["shards"] = "3"
-	var buf bytes.Buffer
-	if err := Write(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err == nil {
-		t.Fatal("v1 store declaring shards was accepted")
-	}
-}
-
 // TestUnshardedStoreNoShard: ordinary v2 stores (permuted or not) report no
 // shard map and keep loading exactly as before the shard extension.
 func TestUnshardedStoreNoShard(t *testing.T) {

@@ -36,6 +36,10 @@ func TestAdjMatrixCorrectness(t *testing.T) {
 	}
 }
 
+// TestNeighborListCorrectness: the labels decode correctly, and the query
+// engine built over them — a labeling assembled label by label, packed into a
+// slab by core.NewQueryEngineFromLabels — answers every pair as the shared
+// fat/thin decoder does.
 func TestNeighborListCorrectness(t *testing.T) {
 	for name, g := range allCases(t) {
 		lab, err := NeighborList{}.Encode(g)
@@ -44,6 +48,19 @@ func TestNeighborListCorrectness(t *testing.T) {
 		}
 		if err := lab.Verify(g); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+		eng, err := core.NewQueryEngine(lab)
+		if err != nil {
+			t.Fatalf("%s: engine: %v", name, err)
+		}
+		for u := 0; u < g.N(); u++ {
+			for v := 0; v < g.N(); v++ {
+				want, werr := lab.Adjacent(u, v)
+				got, gerr := eng.Adjacent(u, v)
+				if werr != nil || gerr != nil || got != want {
+					t.Fatalf("%s: (%d,%d): decoder %v (%v), engine %v (%v)", name, u, v, want, werr, got, gerr)
+				}
+			}
 		}
 	}
 }

@@ -80,12 +80,11 @@ grep -q "draining" "$work/serve.log" || { echo "no drain line in log"; cat "$wor
 grep -q "served" "$work/serve.log" || { echo "no serve summary in log"; cat "$work/serve.log"; exit 1; }
 serve_pid=""
 
-echo "== skew phase: degree-ordered store, result cache"
+echo "== skew phase: degree-ordered store"
 "$work/bin/pllabel" -scheme powerlaw -layout degree -in "$work/graph.el" -o "$work/labels-deg.pllb" >"$work/label-deg.log"
 grep -q "layout: degree-ordered" "$work/label-deg.log" \
     || { echo "pllabel did not report the degree layout"; cat "$work/label-deg.log"; exit 1; }
-"$work/bin/plserve" -labels "$work/labels-deg.pllb" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
-    -pair-cache-bits 14 >"$work/serve-deg.log" 2>&1 &
+"$work/bin/plserve" -labels "$work/labels-deg.pllb" -addr 127.0.0.1:0 >"$work/serve-deg.log" 2>&1 &
 serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
@@ -95,25 +94,13 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$addr" ] || { cat "$work/serve-deg.log"; echo "plserve (degree) never became ready"; exit 1; }
-admin=$(sed -n 's/.*msg=admin addr=//p' "$work/serve-deg.log")
 grep -q "layout=degree" "$work/serve-deg.log" \
     || { echo "plserve did not report layout=degree"; cat "$work/serve-deg.log"; exit 1; }
 
 echo "== query: degree-ordered remote vs id-ordered local must be byte-identical"
 "$work/bin/plquery" -remote "$addr" -batch <"$work/pairs.txt" >"$work/remote-deg.out"
 diff "$work/local.out" "$work/remote-deg.out"
-# Same stream again: the second pass should land in the (u,v) result cache.
-"$work/bin/plquery" -remote "$addr" -batch <"$work/pairs.txt" >/dev/null
-echo "   answers identical across layouts; cache warmed"
-
-echo "== admin: cache hit/miss counters visible in /metrics"
-curl -fsS "http://$admin/metrics" >"$work/metrics-deg.txt"
-metric_deg() { awk -v m="$1" '$1 == m { print $2; found=1 } END { if (!found) exit 1 }' "$work/metrics-deg.txt"; }
-hits=$(metric_deg engine_cache_hits_total) || { echo "no engine_cache_hits_total in scrape"; exit 1; }
-misses=$(metric_deg engine_cache_misses_total) || { echo "no engine_cache_misses_total in scrape"; exit 1; }
-[ "$hits" -gt 0 ] || { echo "engine_cache_hits_total=$hits after a repeated batch, want > 0"; exit 1; }
-[ "$misses" -gt 0 ] || { echo "engine_cache_misses_total=$misses on a cold cache, want > 0"; exit 1; }
-echo "   cache counters OK: hits=$hits misses=$misses"
+echo "   answers identical across layouts"
 
 kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "plserve (degree) exited non-zero"; cat "$work/serve-deg.log"; exit 1; }
