@@ -151,6 +151,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "labels: max=%d bits, mean=%.1f, p50=%d, p90=%d, p99=%d, total=%d bits (%.1f KiB)\n",
 		st.Max, st.Mean, st.P50, st.P90, st.P99, st.Total, float64(st.Total)/8/1024)
+	if ft, ok := scheme.(*core.FatThinScheme); ok {
+		if err := printThinEdges(stdout, g, lab, ft); err != nil {
+			return err
+		}
+	}
 	if *verify {
 		if err := lab.Verify(g); err != nil {
 			return fmt.Errorf("verification FAILED: %w", err)
@@ -247,6 +252,37 @@ func runDistance(stdout io.Writer, g *graph.Graph, name string, alpha float64, f
 		}
 		fmt.Fprintf(stdout, "label store written to %s\n", out)
 	}
+	return nil
+}
+
+// printThinEdges reports what storing each thin-side edge once saved: the
+// thin-label entries written against the count the paper's both-ends lists
+// would hold, and the max and mean label size of each. The both-ends figures
+// are closed form — a thin label of degree d is 1 + w + d·w bits, a fat one is
+// what was written.
+func printThinEdges(stdout io.Writer, g *graph.Graph, lab *core.Labeling, s *core.FatThinScheme) error {
+	tau, err := s.Threshold(g)
+	if err != nil {
+		return err
+	}
+	n, st := g.N(), lab.Stats()
+	w := bitstr.WidthFor(uint64(n))
+	if n == 0 || w == 0 {
+		return nil
+	}
+	var stored, both, bothTotal int64
+	bothMax := 0
+	for v, bits := range lab.BitLens() {
+		if d := g.Degree(v); d < tau {
+			stored += int64(bits-1-w) / int64(w)
+			both += int64(d)
+			bits = 1 + w + d*w
+		}
+		bothMax = max(bothMax, bits)
+		bothTotal += int64(bits)
+	}
+	fmt.Fprintf(stdout, "thin edges: %d entries stored of %d both-ends; label bits max/mean %d/%.1f stored, %d/%.1f both-ends\n",
+		stored, both, st.Max, st.Mean, bothMax, float64(bothTotal)/float64(n))
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -369,8 +370,17 @@ func (cc *clientConn) readLoop() {
 			cc.fail(err)
 			return
 		}
+		if cap(payload) > maxReadScratch {
+			payload = nil // a handshake's megabytes, not the steady state's
+		}
 	}
 }
+
+// maxReadScratch caps the response buffer a connection's reader keeps between
+// frames. Pair-batch answers stay far below it (DefaultMaxBatch distances are
+// 128 KiB); a shard-info response can be megabytes, is read once per
+// connection, and must not stay allocated for the connection's life.
+const maxReadScratch = 1 << 20
 
 // deliver parses one response payload into its call. A non-nil return is a
 // protocol-level corruption that must kill the connection; per-call server
@@ -735,17 +745,26 @@ func (c *Client) Info() (int, error) {
 
 // ShardInfo describes the slice of the labeling a server holds, as reported
 // by the shard-info handshake: the vertex count, the shard map (the trivial
-// 1-shard map for an unsharded server), and the fat-vertex bitmap (bit v
-// MSB-first within byte v/8) — everything a router needs to place queries.
+// 1-shard map for an unsharded server), the fat-vertex bitmap (bit v
+// MSB-first within byte v/8) and the identifier block (vertex v's scheme
+// identifier at bit v·w, w = ceil(log2 N) bits, MSB first; empty from a
+// server that holds no adjacency labels) — everything a router needs to
+// place queries.
 type ShardInfo struct {
 	N       int
 	Map     core.ShardMap
 	FatBits []byte
+	IDBits  []byte
 }
 
 // Fat reports whether vertex v is fat on the serving engine.
 func (si *ShardInfo) Fat(v int) bool {
 	return si.FatBits[v>>3]&(1<<(7-uint(v)&7)) != 0
+}
+
+// ID returns vertex v's scheme identifier; IDBits must not be empty.
+func (si *ShardInfo) ID(v int) int {
+	return packedID(si.IDBits, v, uint(bitstr.WidthFor(uint64(si.N))))
 }
 
 // ShardInfo performs the shard-info handshake.
@@ -780,34 +799,49 @@ func (c *Client) small(op byte, ca *call) error {
 
 // parseShardInfo decodes a shard-info response body into si. Errors are
 // protocol corruption (they kill the connection); semantic validation of the
-// map against sibling shards is the router's job.
+// map and the identifier block against sibling shards is the router's job.
+// What it accepts re-encodes to the same bytes: the header's uvarints must be
+// minimal, the vertex count must be one a frame can carry a bitmap for, the
+// body must be exactly the fat bitmap, or the bitmap and the identifier block,
+// that n implies, and every identifier must be below n.
 func parseShardInfo(si *ShardInfo, body []byte) error {
-	n, k := binary.Uvarint(body)
-	if k <= 0 {
-		return fmt.Errorf("%w: truncated shard-info n", ErrClosed)
+	var hdr [3]uint64 // n, shard count, shard index
+	for i, what := range [...]string{"n", "count", "index"} {
+		v, k := binary.Uvarint(body)
+		if k <= 0 || k > 1 && body[k-1] == 0 {
+			return fmt.Errorf("%w: bad shard-info %s", ErrClosed, what)
+		}
+		hdr[i], body = v, body[k:]
 	}
-	body = body[k:]
-	count, k := binary.Uvarint(body)
-	if k <= 0 {
-		return fmt.Errorf("%w: truncated shard-info count", ErrClosed)
+	n, count, index := hdr[0], hdr[1], hdr[2]
+	if len(body) == 0 {
+		return fmt.Errorf("%w: truncated shard-info ownership function", ErrClosed)
 	}
-	body = body[k:]
-	index, k := binary.Uvarint(body)
-	if k <= 0 || len(body) <= k {
-		return fmt.Errorf("%w: truncated shard-info index", ErrClosed)
+	fn := core.ShardFn(body[0])
+	body = body[1:]
+	if count < 1 || index >= count || count > max(n, 1) || !fn.Valid() {
+		return fmt.Errorf("%w: shard-info map %d/%d fn %d", ErrClosed, index, count, uint8(fn))
 	}
-	fnByte := body[k]
-	body = body[k+1:]
-	fn := core.ShardFn(fnByte)
-	if count < 1 || index >= count || !fn.Valid() {
-		return fmt.Errorf("%w: shard-info map %d/%d fn %d", ErrClosed, index, count, fnByte)
+	if n > 8*maxFramePayload {
+		return fmt.Errorf("%w: shard-info for %d vertices cannot fit a frame", ErrClosed, n)
 	}
-	if uint64(len(body)) != (n+7)/8 {
-		return fmt.Errorf("%w: %d fat-bitmap bytes for %d vertices", ErrClosed, len(body), n)
+	fatLen, idLen := (int(n)+7)/8, core.IDBitsLen(int(n))
+	if len(body) != fatLen && len(body) != fatLen+idLen {
+		return fmt.Errorf("%w: %d shard-info bytes for %d vertices, want a %d-byte fat bitmap and a %d-byte identifier block or none",
+			ErrClosed, len(body), n, fatLen, idLen)
+	}
+	ids, w := body[fatLen:], uint(bitstr.WidthFor(n))
+	if len(ids) != 0 && n != 1<<w { // at n = 2^w every w-bit value is an identifier
+		for v := 0; v < int(n); v++ {
+			if id := packedID(ids, v, w); id >= int(n) {
+				return fmt.Errorf("%w: shard-info identifier %d of vertex %d, of %d vertices", ErrClosed, id, v, n)
+			}
+		}
 	}
 	si.N = int(n)
 	si.Map = core.ShardMap{Count: int(count), Index: int(index), Fn: fn}
-	si.FatBits = append(si.FatBits[:0], body...)
+	si.FatBits = append(si.FatBits[:0], body[:fatLen]...)
+	si.IDBits = append(si.IDBits[:0], ids...)
 	return nil
 }
 

@@ -340,6 +340,49 @@ func TestGoldenRequestPayloads(t *testing.T) {
 	}
 }
 
+// goldenShardInfoFrames builds the shard-info responses the golden test pins
+// and the parser's fuzzer starts from: a whole store, one shard of a hash
+// partition, and a distance-only server.
+func goldenShardInfoFrames(t testing.TB) [][]byte {
+	full, shards := shardEngines(t, 40, 3, core.ShardHash, 7)
+	distOnly := NewServer(nil, 0)
+	distOnly.SetDistEngine(testDistEngines(t, 40, 3)["pll"])
+	return [][]byte{
+		goldenFrame(NewServer(full, 0), []byte{opShardInfo}),
+		goldenFrame(NewServer(shards[2], 0), []byte{opShardInfo}),
+		goldenFrame(distOnly, []byte{opShardInfo}),
+	}
+}
+
+// TestGoldenShardInfoFrames pins the handshake's bytes — header, fat bitmap,
+// identifier block — and that they parse back to what the engine holds.
+func TestGoldenShardInfoFrames(t *testing.T) {
+	frames := goldenShardInfoFrames(t)
+	for i, want := range []string{
+		"0028010000" + "4800000000" + "0812050061c310f60c25968d8e441128e49b71375479f96098b8555a29d7",
+		"0028030201" + "4800000000" + "0812050061c310f60c25968d8e441128e49b71375479f96098b8555a29d7",
+		"0028010000" + "0000000000",
+	} {
+		if got := hex.EncodeToString(frames[i]); got != want {
+			t.Errorf("shard-info frame %d: %s, golden %s", i, got, want)
+		}
+	}
+	var si ShardInfo
+	if err := parseShardInfo(&si, frames[1][1:]); err != nil {
+		t.Fatal(err)
+	}
+	full, _ := shardEngines(t, 40, 3, core.ShardHash, 7)
+	if want := (core.ShardMap{Count: 3, Index: 2, Fn: core.ShardHash}); si.N != 40 || si.Map != want {
+		t.Fatalf("parsed n = %d, map %+v; want 40, %+v", si.N, si.Map, want)
+	}
+	if !bytes.Equal(si.FatBits, full.AppendFatBits(nil)) || !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
+		t.Fatal("parsed tables differ from the engine's")
+	}
+	if k, err := checkIDs(&si); err != nil || k != 2 {
+		t.Fatalf("checkIDs = %d, %v; want the two fat vertices and no error", k, err)
+	}
+}
+
 // goldenFleets boots the two fleet shapes a router admits: a 3-shard
 // adjacency partition, and two replicas each holding the whole adjacency
 // labeling and the PLL distance labeling of a same-sized graph. Shard 0 of the

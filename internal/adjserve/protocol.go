@@ -26,7 +26,19 @@
 //	                        uvarint shard index, ownership function u8, then
 //	                        ceil(n/8) bytes of fat-vertex bits, bit v MSB-first
 //	                        within its byte (count=1/index=0 for an unsharded
-//	                        server, so a router can front plain servers too)
+//	                        server, so a router can front plain servers too),
+//	                        then the identifier block: vertex v's scheme
+//	                        identifier in bits [v·w, (v+1)·w), MSB first,
+//	                        w = ceil(log2 n), ceil(n·w/8) bytes — the length is
+//	                        implied by n. The read rule searches the label of
+//	                        the larger identifier, so a router needs the
+//	                        identifiers to pick the shard. A server holding no
+//	                        adjacency labels (distance-only) sends no
+//	                        identifier block at all. The whole response is one
+//	                        frame: past maxFramePayload (16 MiB; n > 5.59 M) the
+//	                        server answers an error frame naming n and the cap
+//	                        instead, and a router cannot front it — a chunked
+//	                        handshake is not built.
 //	         status=0 (ok), dist: uvarint pair count, then one uvarint hop
 //	                        distance per pair; 255 means unreachable or beyond
 //	                        the serving scheme's bound (distances >= 255 are
@@ -76,8 +88,10 @@
 //	         trailing bytes are ignored by construction), old servers send no
 //	         capability bytes, and new clients treat the absence as "no
 //	         capabilities" — both directions interoperate with no version
-//	         handshake round trip. The shard-info response is deliberately
-//	         not extended: its parser has always rejected trailing bytes.
+//	         handshake round trip. The shard-info response carries no
+//	         capabilities: its parser rejects any length n does not imply, so
+//	         routers and the servers behind them are upgraded together (a
+//	         router refuses a partition shard that sends no identifier block).
 package adjserve
 
 import (
@@ -178,13 +192,55 @@ func appendInfo(resp []byte, n int) []byte {
 var trivialShardMap = core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}
 
 // appendShardInfo builds a shard-info response up to, not including, the
-// ceil(n/8)-byte fat bitmap the caller appends.
+// ceil(n/8)-byte fat bitmap and the identifier block the caller appends.
 func appendShardInfo(resp []byte, n int, m core.ShardMap) []byte {
 	resp = append(resp, statusOK)
 	resp = binary.AppendUvarint(resp, uint64(n))
 	resp = binary.AppendUvarint(resp, uint64(m.Count))
 	resp = binary.AppendUvarint(resp, uint64(m.Index))
 	return append(resp, byte(m.Fn))
+}
+
+// buildShardInfo builds the shard-info response of a server over eng (nil: a
+// distance-only server of n vertices, which reports an empty fat set and no
+// identifier block) — or, when the response would not fit a frame of limit
+// bytes, the error frame that says so. The engine is read-only once it
+// serves, so a server builds this once and writes the same bytes to every
+// handshake; at megabytes it must never pass through per-connection scratch.
+func buildShardInfo(eng *core.QueryEngine, n int, limit int) []byte {
+	m, fatLen, idLen := trivialShardMap, (n+7)/8, 0
+	if eng != nil {
+		idLen = core.IDBitsLen(n)
+		if sm, ok := eng.Shard(); ok {
+			m = sm
+		}
+	}
+	hdr := appendShardInfo(nil, n, m)
+	size := len(hdr) + fatLen + idLen
+	if size > limit {
+		return appendErr(hdr[:0], "shard-info for %d vertices is %d bytes, over the %d-byte frame limit", n, size, limit)
+	}
+	resp := append(make([]byte, 0, size+7), hdr...) // AppendIDBits packs whole words, then cuts
+	if eng == nil {
+		return append(resp, make([]byte, fatLen)...)
+	}
+	return eng.AppendIDBits(eng.AppendFatBits(resp))
+}
+
+// packedID reads identifier v of an identifier block: the w-bit field at bit
+// v·w, MSB first. w <= 32, so the field lies within the eight bytes from its
+// first; near the end of the block the missing ones read as zero.
+func packedID(ids []byte, v int, w uint) int {
+	off := uint(v) * w
+	var word uint64
+	if i := off >> 3; i+8 <= uint(len(ids)) {
+		word = binary.BigEndian.Uint64(ids[i:])
+	} else {
+		var tail [8]byte
+		copy(tail[:], ids[i:])
+		word = binary.BigEndian.Uint64(tail[:])
+	}
+	return int(word << (off & 7) >> (64 - w))
 }
 
 // appendPairsReq builds a pair-batch request payload under op (query or dist

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -23,17 +25,19 @@ import (
 // the per-shard answers are scattered back into request order; frame k+1 is
 // split and sent while frame k is still upstream (pipelinedConn).
 //
-// Routing rule (the invariant TestRouterRoutingInvariant pins down): a query
-// (u,v) can only be answered by a shard holding a full thin body of u or v,
-// or — when both are fat — by any shard, since fat–fat bitmaps are
-// replicated everywhere. So a thin endpoint forces its owner, and every
-// remaining case (u==v, thin–thin, fat–fat) goes to min(owner(u), owner(v)).
-// Min rather than either owner keeps the choice deterministic; the sharded
-// engine's residency guard (core.ErrNotResident) turns any violation of this
-// rule into a loud error frame instead of a silent wrong answer. The rule
-// needs the fat set, which is why the shard-info handshake carries the fat
-// bitmap: naive min-owner alone would misroute a fat–thin pair whose fat
-// endpoint has the smaller owner.
+// Routing rule (the invariant TestRouterRoutingInvariant pins down): the
+// engines read one label per query — when both endpoints are fat, a fat
+// bitmap, replicated to every shard; otherwise the thin body of the endpoint
+// with the larger scheme identifier, held in full only by that vertex's owner
+// (core/fatthin.go: a thin label need not list a neighbor ranked below it, so
+// the other endpoint's owner cannot answer). So u==v and fat–fat pairs go to
+// min(owner(u), owner(v)) — min rather than either owner keeps the choice
+// deterministic — and every other pair to the owner of its larger-identifier
+// endpoint; the sharded engine's residency guard (core.ErrNotResident) turns
+// any violation of this rule into a loud error frame instead of a silent wrong
+// answer. The rule needs every vertex's identifier, which is why the
+// shard-info handshake carries the identifier block; a vertex is fat iff its
+// identifier is below the fat count, so route reads that one table, twice.
 //
 // Per-request failure semantics mirror the single server's: a shard error
 // (or a dead shard) poisons only the query frames routed to it — each gets an
@@ -47,10 +51,17 @@ type Router struct {
 	// two sockets and the shard answers them on two goroutines.
 	lanes    [upstreamLanes][]*Client
 	nextLane atomic.Uint32
-	fatBits  []byte // replicated fat set, bit v MSB-first within byte v/8
-	n        int
-	fn       core.ShardFn
-	maxBatch int
+	// info is the shard-info response this router answers — its fleet's, under
+	// the trivial shard map — built once by the handshake; fatBits (bit v
+	// MSB-first within byte v/8) and idBits (identifier v at bit v·idWidth)
+	// are views of it. k is the fat count: identifiers below it are fat.
+	info            []byte
+	fatBits, idBits []byte
+	idWidth         uint
+	k               int
+	n               int
+	fn              core.ShardFn
+	maxBatch        int
 	// replicas marks a replica fleet: every upstream reported the trivial
 	// 1-shard map, so each holds a whole store (the distance-serving
 	// deployment; a single plain server is the degenerate 1-replica fleet).
@@ -68,9 +79,9 @@ type Router struct {
 }
 
 // upstreamLanes is how many connections the router holds to each upstream. One
-// connection is one frame loop on the shard — one core — and the min-owner
-// rule sends most pairs of a skewed workload to one shard, so with one lane
-// that loop is the whole fleet's serial section. Labels are self-contained, so
+// connection is one frame loop on the shard — one core — and a skewed workload
+// sends more pairs to one shard than to the others, so with one lane that loop
+// is the whole fleet's serial section. Labels are self-contained, so
 // a shard answers on any number of connections at once. A constant like
 // pipelineDepth: a few lanes cover the downstream connections that are busy at
 // once, and a lane nobody uses is never dialled.
@@ -82,11 +93,13 @@ const upstreamLanes = 4
 //   - A partition: every shard reports the same vertex count and ownership
 //     function, a shard count equal to the fleet size, a distinct index (two
 //     servers claiming the same shard — overlapping ownership — is a
-//     deployment error caught here), and a byte-identical fat bitmap.
-//     clients are held in shard-index order, so addrs may be listed in any
-//     order.
+//     deployment error caught here), and a byte-identical fat bitmap and
+//     identifier block, the latter a permutation of 0..n-1 whose first
+//     fat-count values sit on the fat vertices. clients are held in
+//     shard-index order, so addrs may be listed in any order.
 //   - A replica fleet: every upstream reports the trivial 1-shard map with
-//     the same vertex count and fat bitmap — R whole copies of one store,
+//     the same vertex count, fat bitmap and identifier block (none, from
+//     distance-only servers) — R whole copies of one store,
 //     the distance-serving deployment (op=dist on a partition is refused;
 //     distance stores are never sharded). clients stay in addr order.
 //
@@ -125,19 +138,34 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 // handshake dials every address, performs the shard-info handshake, and
 // admits the fleet as a partition or a replica fleet (see NewRouter).
 func (r *Router) handshake(addrs []string) error {
+	// One goroutine per upstream: each builds (once) and sends a block that is
+	// megabytes at serving scale, and nothing orders one against another.
 	infos := make([]*ShardInfo, len(addrs))
-	r.replicas = true
+	errs := make([]error, len(addrs))
+	var wg sync.WaitGroup
 	for i, addr := range addrs {
-		c, err := Dial(addr)
-		if err != nil {
-			return fmt.Errorf("adjserve: router: shard %s: %w", addr, err)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(addr)
+			if err != nil {
+				errs[i] = fmt.Errorf("adjserve: router: shard %s: %w", addr, err)
+				return
+			}
+			c.MaxBatch = r.maxBatch
+			r.lanes[0][i] = c
+			if infos[i], err = c.ShardInfo(); err != nil {
+				errs[i] = fmt.Errorf("adjserve: router: shard %s handshake: %w", addr, err)
+			}
+		}()
+	}
+	wg.Wait()
+	r.replicas = true
+	for i, si := range infos {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		c.MaxBatch = r.maxBatch
-		r.lanes[0][i] = c
-		if infos[i], err = c.ShardInfo(); err != nil {
-			return fmt.Errorf("adjserve: router: shard %s handshake: %w", addr, err)
-		}
-		if infos[i].Map.Count != 1 || infos[i].Map.Index != 0 {
+		if si.Map.Count != 1 || si.Map.Index != 0 {
 			r.replicas = false
 		}
 	}
@@ -159,7 +187,8 @@ func (r *Router) handshake(addrs []string) error {
 }
 
 // admit validates one handshake against the fleet shape established by the
-// upstreams admitted before it.
+// upstreams admitted before it; the first one's tables (checkIDs) become the
+// router's.
 func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 	noun := "replica"
 	if !r.replicas {
@@ -173,8 +202,18 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 				prev, addr, si.Map.Index)
 		}
 	}
-	if r.fatBits == nil {
-		r.n, r.fn, r.fatBits = si.N, si.Map.Fn, si.FatBits
+	if len(si.IDBits) == 0 && !r.replicas {
+		return fmt.Errorf("adjserve: router: shard %s sent no identifier block, which routing over a partition needs (a distance-only server, or one older than this router)", addr)
+	}
+	if r.info == nil {
+		k, err := checkIDs(si)
+		if err != nil {
+			return fmt.Errorf("adjserve: router: %s %s: %w", noun, addr, err)
+		}
+		r.n, r.fn, r.k, r.idWidth = si.N, si.Map.Fn, k, uint(bitstr.WidthFor(uint64(si.N)))
+		r.info = append(append(appendShardInfo(nil, si.N, trivialShardMap), si.FatBits...), si.IDBits...)
+		tables := r.info[len(r.info)-len(si.FatBits)-len(si.IDBits):]
+		r.fatBits, r.idBits = tables[:len(si.FatBits)], tables[len(si.FatBits):]
 		return nil
 	}
 	if si.N != r.n {
@@ -186,7 +225,35 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 	if !bytes.Equal(si.FatBits, r.fatBits) {
 		return fmt.Errorf("adjserve: router: %s %s reports a different fat set than the fleet (mixed labelings?)", noun, addr)
 	}
+	if !bytes.Equal(si.IDBits, r.idBits) {
+		return fmt.Errorf("adjserve: router: %s %s reports different identifiers than the fleet (mixed labelings?)", noun, addr)
+	}
 	return nil
+}
+
+// checkIDs validates a handshake's identifier block against its fat bitmap, as
+// far as routing relies on them: the identifiers are a permutation of 0..n-1
+// and vertex v is fat exactly when its identifier is below the fat count,
+// which it returns. An empty block (a distance-only server) passes.
+func checkIDs(si *ShardInfo) (k int, err error) {
+	for _, b := range si.FatBits {
+		k += bits.OnesCount8(b)
+	}
+	if len(si.IDBits) == 0 {
+		return k, nil
+	}
+	seen, w := make([]uint64, (si.N+63)>>6), uint(bitstr.WidthFor(uint64(si.N)))
+	for v := 0; v < si.N; v++ {
+		id := packedID(si.IDBits, v, w) // below n: parseShardInfo checked
+		if seen[id>>6]&(1<<uint(id&63)) != 0 {
+			return 0, fmt.Errorf("identifier block is not a permutation: %d appears twice (at vertex %d)", id, v)
+		}
+		seen[id>>6] |= 1 << uint(id&63)
+		if si.Fat(v) != (id < k) {
+			return 0, fmt.Errorf("vertex %d: fat bit %v, identifier %d, fat count %d", v, si.Fat(v), id, k)
+		}
+	}
+	return k, nil
 }
 
 func (r *Router) closeClients() {
@@ -242,28 +309,20 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	}
 }
 
-// fat reports whether vertex v is fat on the fronted labeling.
-func (r *Router) fat(v int) bool {
-	return r.fatBits[v>>3]&(1<<(7-uint(v)&7)) != 0
-}
-
 // route picks the shard that answers (u, v); both must be in range.
 func (r *Router) route(u, v int) int {
 	if r.replicas {
 		return r.ownerOf(u)
 	}
 	count := r.Shards()
-	ou := core.ShardOwner(r.fn, u, r.n, count)
-	ov := core.ShardOwner(r.fn, v, r.n, count)
-	uFat, vFat := r.fat(u), r.fat(v)
-	switch {
-	case u == v || uFat == vFat:
-		return min(ou, ov)
-	case !uFat:
-		return ou
-	default:
-		return ov
+	iu, iv := packedID(r.idBits, u, r.idWidth), packedID(r.idBits, v, r.idWidth)
+	if iu == iv || iu < r.k && iv < r.k { // u == v, or both fat: any shard answers
+		return min(core.ShardOwner(r.fn, u, r.n, count), core.ShardOwner(r.fn, v, r.n, count))
 	}
+	if iu < iv {
+		u = v
+	}
+	return core.ShardOwner(r.fn, u, r.n, count) // the larger identifier's owner
 }
 
 // ownerOf is the replica-fleet placement rule: replica floor(u*R/n) answers
@@ -306,6 +365,10 @@ type routerSlot struct {
 	start, begun    time.Time // payload read; begin done
 	readNs, queueNs int64
 	shards          []shardCall
+
+	// shared, when non-nil, is the frame's answer in place of resp: the
+	// router's read-only shard-info block, written as it is.
+	shared []byte
 }
 
 // routerConn is the pooled per-connection state and a Router connection's
@@ -360,8 +423,10 @@ func (b *routerConn) begin(slot int, req []byte, start time.Time, readNs, queueN
 	sl := &b.slots[slot]
 	sl.start, sl.readNs, sl.queueNs = start, readNs, queueNs
 	sl.tc, req, sl.op = beginTrace(req, b.r.sink)
-	sl.pl = nil
-	if local := b.r.scatter(req, b, sl); local != nil {
+	sl.pl, sl.shared = nil, nil
+	if sl.op == opShardInfo {
+		sl.shared = b.r.info
+	} else if local := b.r.scatter(req, b, sl); local != nil {
 		sl.resp = local
 	}
 	sl.begun = time.Now()
@@ -377,6 +442,12 @@ func (b *routerConn) begin(slot int, req []byte, start time.Time, readNs, queueN
 // takes no timestamp the latency histograms do not need.
 func (b *routerConn) finish(slot int) ([]byte, int) {
 	r, sl := b.r, &b.slots[slot]
+	if sl.shared != nil {
+		// Megabytes, and every connection's: never traced in place, never the
+		// slot's scratch (compare Server.serveFrame).
+		r.metrics.BegunFrames.Add(-1)
+		return sl.shared, 0
+	}
 	joined, queries := sl.begun, 0
 	if sl.pl != nil {
 		joined, queries = r.gather(b, sl)
@@ -427,8 +498,8 @@ func mergeShardTrace(dst, jt *obs.SpanTally, shard uint8) {
 	dst.Add(obs.StageNet, shard, netNs)
 }
 
-// scatter begins one downstream request payload in sl. Info ops are answered
-// locally — the router already knows the fleet's n and fat set from the
+// scatter begins one downstream request payload in sl. The info op is answered
+// locally (as begin answers shard-info) — the router knows its fleet from the
 // handshake, and presents itself as a single unsharded server so routers
 // compose with every existing client (plquery -remote, plbench, even another
 // router) — and so is every frame that fails the router's own checks: local
@@ -445,8 +516,6 @@ func (r *Router) scatter(req []byte, b *routerConn, sl *routerSlot) (local []byt
 	switch op {
 	case opInfo:
 		return appendInfo(resp, r.n)
-	case opShardInfo:
-		return append(appendShardInfo(resp, r.n, trivialShardMap), r.fatBits...)
 	}
 	pl := planeOf(op)
 	if pl == nil {

@@ -77,36 +77,51 @@ func TestRouterEquivalence(t *testing.T) {
 	}
 }
 
-// TestRouterRoutingInvariant pins down the routing rule: for every pair, the
-// shard route() picks answers without ErrNotResident and agrees with the full
-// engine. This is exactly the invariant that makes scatter-gather correct —
-// a thin endpoint forces its owner (the only shard holding its neighbor
-// list), and fat–fat pairs may go anywhere because fat bitmaps are
-// replicated. Any weaker rule (plain min-owner, say) fails this test on
-// fat–thin pairs.
+// TestRouterRoutingInvariant pins down the routing rule over every pair of a
+// small graph: a pair that is neither a self pair nor fat–fat goes to the
+// shard holding its larger-identifier endpoint resident — the one label the
+// engines' read rule searches — and the routed shard answers what the full
+// engine and the graph say. Range and hash shards, id and degree slabs, and
+// both thin-edge layouts: a both-ends store, as every store written before
+// the once layout is, routes under the same rule.
 func TestRouterRoutingInvariant(t *testing.T) {
-	for _, fn := range []core.ShardFn{core.ShardRange, core.ShardHash} {
-		full, engines := shardEngines(t, 400, 3, fn, 7)
-		addrs, _ := startShardFleet(t, engines)
-		r, err := NewRouter(addrs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		rng := rand.New(rand.NewSource(13))
-		for i := 0; i < 5000; i++ {
-			u, v := rng.Intn(full.N()), rng.Intn(full.N())
-			s := r.route(u, v)
-			got, err := engines[s].Adjacent(u, v)
-			if err != nil {
-				t.Fatalf("fn=%v: route(%d,%d) = shard %d, which answered: %v", fn, u, v, s, err)
-			}
-			want, err := full.Adjacent(u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("fn=%v: (%d,%d) on routed shard %d = %v, full engine says %v", fn, u, v, s, got, want)
+	for _, thin := range []core.ThinEdges{core.ThinEdgesOnce, core.ThinEdgesBoth} {
+		for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+			for _, fn := range []core.ShardFn{core.ShardRange, core.ShardHash} {
+				g, full, engines := shardEnginesOf(t, 150, 3, fn, 7, lay, thin)
+				addrs, _ := startShardFleet(t, engines)
+				r, err := NewRouter(addrs, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				si := &ShardInfo{N: full.N(), IDBits: full.AppendIDBits(nil)}
+				for u := 0; u < full.N(); u++ {
+					for v := 0; v < full.N(); v++ {
+						s := r.route(u, v)
+						if u != v && !(full.Fat(u) && full.Fat(v)) {
+							larger := u
+							if si.ID(v) > si.ID(u) {
+								larger = v
+							}
+							if !engines[s].Resident(larger) {
+								t.Fatalf("thin=%d lay=%v fn=%v: route(%d,%d) = shard %d, where larger-identifier endpoint %d is a stub", thin, lay, fn, u, v, s, larger)
+							}
+						}
+						got, err := engines[s].Adjacent(u, v)
+						if err != nil {
+							t.Fatalf("thin=%d lay=%v fn=%v: route(%d,%d) = shard %d, which answered: %v", thin, lay, fn, u, v, s, err)
+						}
+						want, err := full.Adjacent(u, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want || got != g.HasEdge(u, v) {
+							t.Fatalf("thin=%d lay=%v fn=%v: (%d,%d) on routed shard %d = %v, full engine %v, graph %v",
+								thin, lay, fn, u, v, s, got, want, g.HasEdge(u, v))
+						}
+					}
+				}
 			}
 		}
 	}

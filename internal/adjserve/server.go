@@ -48,6 +48,11 @@ type Server struct {
 	// the per-query path.
 	metrics ServerMetrics
 
+	// shardInfo is the shard-info response (buildShardInfo), built by the
+	// first handshake and shared by every later one.
+	shardInfoOnce sync.Once
+	shardInfo     []byte
+
 	// front is the listener, the per-connection frame loop and the trace
 	// sink; it provides Serve, ListenAndServe, Close, SetMaxConns and
 	// SetTraceSink.
@@ -183,6 +188,11 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 	resp, queries := s.process(req, bufs)
 	probeNs := int64(time.Since(start))
 	s.metrics.observe(resp, queries, probeNs, tc.id)
+	if op == opShardInfo {
+		// The server's one shared block: written as it is — no trace block
+		// appended in place — and not adopted as this connection's scratch.
+		return resp, 0
+	}
 	if queries > 0 {
 		// The frame was answered on this plane's engine.
 		s.engineOf(planeOf(op)).ObserveProbe(probeNs, tc.id)
@@ -203,7 +213,8 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 // process answers one request payload, appending the response payload to
 // bufs.resp (reused from its start) and returning it along with the number of
 // adjacency queries answered. Malformed requests and engine errors produce
-// error frames; only I/O can kill the connection.
+// error frames; only I/O can kill the connection. The shard-info response
+// alone is not built in bufs: it is the server's shared block, read-only.
 func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int) {
 	resp := bufs.resp[:0]
 	if len(req) == 0 {
@@ -214,17 +225,8 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 	case opInfo:
 		return appendInfo(resp, s.servedN()), 0
 	case opShardInfo:
-		if s.engine == nil {
-			// Distance-only server: an empty fat set, so a router can admit
-			// it into a replica fleet.
-			n := s.servedN()
-			return append(appendShardInfo(resp, n, trivialShardMap), make([]byte, (n+7)/8)...), 0
-		}
-		m, ok := s.engine.Shard()
-		if !ok {
-			m = trivialShardMap
-		}
-		return s.engine.AppendFatBits(appendShardInfo(resp, s.engine.N(), m)), 0
+		s.shardInfoOnce.Do(func() { s.shardInfo = buildShardInfo(s.engine, s.servedN(), maxFramePayload) })
+		return s.shardInfo, 0
 	}
 	pl := planeOf(op)
 	if pl == nil {

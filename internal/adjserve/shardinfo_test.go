@@ -1,6 +1,7 @@
 package adjserve
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"testing"
@@ -8,18 +9,28 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // shardEngines labels a power-law graph, splits the arena into count shards,
 // and returns the full engine plus the per-shard engines (shard maps set).
 func shardEngines(t testing.TB, n, count int, fn core.ShardFn, seed int64) (*core.QueryEngine, []*core.QueryEngine) {
 	t.Helper()
+	_, full, engines := shardEnginesOf(t, n, count, fn, seed, core.LayoutDegree, core.ThinEdgesOnce)
+	return full, engines
+}
+
+// shardEnginesOf is shardEngines over a chosen slab layout and thin-edge
+// layout, returning the graph as well.
+func shardEnginesOf(t testing.TB, n, count int, fn core.ShardFn, seed int64, lay core.Layout, thin core.ThinEdges) (*graph.Graph, *core.QueryEngine, []*core.QueryEngine) {
+	t.Helper()
 	g, err := gen.ChungLuPowerLaw(n, 2.5, 2, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
+	s.SetLayout(lay)
+	s.SetThinEdges(thin)
 	lab, err := s.Encode(g)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +66,7 @@ func shardEngines(t testing.TB, n, count int, fn core.ShardFn, seed int64) (*cor
 		}
 		engines[i] = e
 	}
-	return full, engines
+	return g, full, engines
 }
 
 // TestShardInfoUnsharded: a plain server answers the handshake with the
@@ -82,6 +93,12 @@ func TestShardInfoUnsharded(t *testing.T) {
 		if si.Fat(v) != eng.Fat(v) {
 			t.Fatalf("fat bit of vertex %d = %v, engine says %v", v, si.Fat(v), eng.Fat(v))
 		}
+	}
+	if !bytes.Equal(si.IDBits, eng.AppendIDBits(nil)) {
+		t.Fatal("identifier block differs from the engine's")
+	}
+	if _, err := checkIDs(si); err != nil {
+		t.Fatalf("identifier block: %v", err)
 	}
 }
 
@@ -112,6 +129,9 @@ func TestShardInfoSharded(t *testing.T) {
 			if si.Fat(v) != full.Fat(v) {
 				t.Fatalf("shard %d fat bit of %d = %v, full engine says %v", i, v, si.Fat(v), full.Fat(v))
 			}
+		}
+		if !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
+			t.Fatalf("shard %d identifier block differs from the full engine's (stubs keep identifiers)", i)
 		}
 		if i == 0 {
 			first = append([]byte(nil), si.FatBits...)

@@ -343,8 +343,8 @@ func TestRouterShedPropagation(t *testing.T) {
 	}
 	routerAddr, r := startRouter(t, addrs, 0)
 
-	// A pair is forced to its thin endpoint's owner, so find a thin vertex
-	// owned by shard 2 — its self-pair can never be routed to shard 0.
+	// A self-pair routes to its vertex's owner, so find a thin vertex owned by
+	// shard 2 — its self-pair can never be routed to shard 0.
 	sc, err := Dial(addrs[2])
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,11 @@
 // Router over a 2- and a 3-shard partition (adjacency) or a 2-replica fleet
 // (distance). Every column answers to the graph itself — HasEdge or BFS — so
 // the serving tier is pinned to the paper's decoder semantics here rather
-// than by per-feature equivalence tests.
+// than by per-feature equivalence tests. Fat/thin labelings enter every column
+// in both thin-edge layouts: each edge stored once (the default) and the
+// paper's both-ends lists, which every store written before the once layout
+// holds — the both rows are the guarantee that those stay servable and
+// routable.
 package conformance
 
 import (
@@ -31,6 +35,12 @@ import (
 	"repro/internal/schemes/onequery"
 )
 
+// bothEnds sets a fat/thin scheme to the paper's both-ends lists.
+func bothEnds(s *core.FatThinScheme) *core.FatThinScheme {
+	s.SetThinEdges(core.ThinEdgesBoth)
+	return s
+}
+
 // allSchemes returns every adjacency scheme under test.
 func allSchemes() []core.Scheme {
 	return []core.Scheme{
@@ -38,6 +48,10 @@ func allSchemes() []core.Scheme {
 		core.NewSparseSchemeAuto(),
 		core.NewPowerLawScheme(2.5),
 		core.NewFixedThresholdScheme(2),
+		bothEnds(core.NewSparseScheme(2)),
+		bothEnds(core.NewSparseSchemeAuto()),
+		bothEnds(core.NewPowerLawScheme(2.5)),
+		bothEnds(core.NewFixedThresholdScheme(2)),
 		core.NewCompressedScheme(core.NewFixedThresholdScheme(2)),
 		baseline.NeighborList{},
 		baseline.AdjMatrix{},
@@ -210,8 +224,8 @@ func TestExhaustiveBatchN5(t *testing.T) {
 }
 
 // exhaustiveBatch is the batch row of the conformance matrix: on every graph
-// with n vertices, for every fat/thin scheme and both physical layouts, one
-// AdjacentMany call over all n² ordered pairs must answer as the graph does —
+// with n vertices, for every fat/thin scheme, both thin-edge layouts and both
+// physical layouts, one AdjacentMany call over all n² ordered pairs must answer as the graph does —
 // on the unsharded engine, and on every shard of a 2- and a 3-way split for
 // the pairs that shard holds a label body for (every pair must be answerable
 // on at least one shard of each split, and a shard must refuse the rest with
@@ -219,9 +233,9 @@ func TestExhaustiveBatchN5(t *testing.T) {
 // engine through an adjserve.Server, the routed column asks each split
 // through a Router over its shard servers; both must answer all n² pairs.
 // Booting a fleet costs about a millisecond, so above n = 4 each graph takes
-// its served and routed columns under one scheme × layout combination, chosen
-// round-robin by the graph's mask: every graph is still served and routed,
-// and n = 4 covers the full cross product.
+// its served and routed columns under one scheme × thin-edges × layout
+// combination, chosen round-robin by the graph's mask: every graph is still
+// served and routed, and n = 4 covers the full cross product.
 func exhaustiveBatch(t *testing.T, n int) {
 	t.Helper()
 	all := allPairs(n)
@@ -237,6 +251,14 @@ func exhaustiveBatch(t *testing.T, n int) {
 			}
 		}
 	}
+	type cell struct {
+		thin core.ThinEdges
+		lay  core.Layout
+	}
+	cells := []cell{
+		{core.ThinEdgesOnce, core.LayoutID}, {core.ThinEdgesOnce, core.LayoutDegree},
+		{core.ThinEdgesBoth, core.LayoutID}, {core.ThinEdgesBoth, core.LayoutDegree},
+	}
 	total := uint64(1) << uint(n*(n-1)/2)
 	for mask := uint64(0); mask < total; mask++ {
 		g, err := graphFromMask(n, mask)
@@ -244,10 +266,11 @@ func exhaustiveBatch(t *testing.T, n int) {
 			t.Fatal(err)
 		}
 		for si, s := range []*core.FatThinScheme{core.NewPowerLawScheme(2.5), core.NewFixedThresholdScheme(2), core.NewSparseSchemeAuto()} {
-			for li, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-				where := fmt.Sprintf("mask=%d scheme=%s layout=%v", mask, s.Name(), lay)
-				remote := n <= 4 || int(mask%6) == 2*si+li
-				s.SetLayout(lay)
+			for ci, c := range cells {
+				where := fmt.Sprintf("mask=%d scheme=%s thin-edges=%d layout=%v", mask, s.Name(), c.thin, c.lay)
+				remote := n <= 4 || int(mask%12) == len(cells)*si+ci
+				s.SetThinEdges(c.thin)
+				s.SetLayout(c.lay)
 				lab, err := s.Encode(g)
 				if err != nil {
 					t.Fatalf("%s: encode: %v", where, err)

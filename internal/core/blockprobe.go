@@ -35,9 +35,11 @@ const (
 //
 //  0. range checks; the lowest failing index ends the block;
 //  1. every header load, nothing branching on a loaded value;
-//  2. classify each pair as probe does — self, thin side (with residency),
-//     fat–fat — and issue the thin side's first binary-search word load (or
-//     the fat bitmap word load), again without branching on what it returns;
+//  2. classify each pair as probe does — self, fat–fat, else the endpoint with
+//     the larger identifier (with residency); both identifiers are in the
+//     words pass 1 loaded, so the choice is a compare — and issue that thin
+//     list's first binary-search word load (or the fat bitmap word load),
+//     again without branching on what it returns;
 //  3. in pair order, finish each search from its preloaded word with the
 //     ordinary branchy loop.
 //
@@ -69,16 +71,19 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 			kind[i] = blockSelf
 			continue
 		}
-		switch {
-		case !mu.fat() && e.Resident(p[0]):
-		case !mv.fat() && e.Resident(p[1]):
-			mu, mv = mv, mu
+		if mu.fat() && mv.fat() {
+			if mv.id() < uint64(mu.cnt()) {
+				kind[i] = blockFat
+				word[i] = bitstr.SlabReadBits(slab, mu.off+int64(mv.id()), 1)
+			}
+			continue // else ErrBadLabel: the scalar path reports it
+		}
+		at := p[0]
+		if mu.id() < mv.id() {
+			mu, mv, at = mv, mu, p[1]
 			list[i], other[i] = mu, mv
-		case mu.fat() && mv.fat() && mv.id() < uint64(mu.cnt()):
-			kind[i] = blockFat
-			word[i] = bitstr.SlabReadBits(slab, mu.off+int64(mv.id()), 1)
-			continue
-		default:
+		}
+		if mu.fat() || !e.Resident(at) {
 			continue // ErrBadLabel or ErrNotResident: the scalar path reports it
 		}
 		hi := int(mu.cnt()) - 1

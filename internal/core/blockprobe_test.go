@@ -193,10 +193,19 @@ func TestBlockKernelShapes(t *testing.T) {
 		t.Fatalf("shapes graph has %d fat vertices, want 4", fat)
 	}
 	all := allOrderedPairs(g.N())
-	for _, lay := range []Layout{LayoutID, LayoutDegree} {
-		for _, e := range enginesOver(t, g, NewFixedThresholdScheme(8), lay) {
+	for _, cell := range []struct {
+		thin ThinEdges
+		lay  Layout
+	}{{ThinEdgesOnce, LayoutID}, {ThinEdgesOnce, LayoutDegree}, {ThinEdgesBoth, LayoutID}, {ThinEdgesBoth, LayoutDegree}} {
+		s := NewFixedThresholdScheme(8)
+		s.SetThinEdges(cell.thin)
+		for _, e := range enginesOver(t, g, s, cell.lay) {
 			pairs := answerable(e, all)
-			t.Run(fmt.Sprintf("%v/%s", lay, engineName(e)), func(t *testing.T) {
+			name := fmt.Sprintf("%v/%s", cell.lay, engineName(e))
+			if cell.thin == ThinEdgesBoth {
+				name = "both/" + name
+			}
+			t.Run(name, func(t *testing.T) {
 				if _, sharded := e.Shard(); !sharded {
 					// Unsharded, every pair answers — and must match the graph.
 					got, err := e.AdjacentMany(all, nil)
@@ -306,7 +315,7 @@ func TestBlockKernelErrorAtEveryIndex(t *testing.T) {
 
 // TestBlockKernelBadLabelMidBlock hand-builds an arena the constructor
 // accepts but whose fat–fat probe is out of its vector: fat vertex 1's
-// adjacency vector holds one bit, fat vertex 2 has fat id 2. The pair (1,2)
+// adjacency vector holds one bit, fat vertex 2 has fat id 1. The pair (1,2)
 // fails with ErrBadLabel; planted mid-block, the answers before it are
 // delivered and the failing pair is tallied as a fat probe, as the scalar
 // loop tallies it.
@@ -331,10 +340,10 @@ func TestBlockKernelBadLabelMidBlock(t *testing.T) {
 		}
 		return b.String()
 	}
-	labels[0] = thin(0, 1, 3)
-	labels[1] = fat(1, 1)       // one-bit vector: only fat id 0 is in range
-	labels[2] = fat(2, 0, 0, 0) // fat id 2 ≥ len(vector of 1)
-	labels[3] = thin(3, 0)
+	labels[0] = thin(2, 0, 3)
+	labels[1] = fat(0, 1)       // one-bit vector: only fat id 0 is in range
+	labels[2] = fat(1, 0, 0, 0) // fat id 1 ≥ len(vector of 1)
+	labels[3] = thin(3, 2)
 	e, err := NewQueryEngineFromLabels(labels)
 	if err != nil {
 		t.Fatal(err)

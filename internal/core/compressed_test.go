@@ -66,6 +66,7 @@ func TestCompressedNeverMuchWorse(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := NewPowerLawSchemeAuto()
+	inner.SetThinEdges(ThinEdgesBoth) // the lists the compressed scheme codes
 	plain, err := inner.Encode(g)
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +91,7 @@ func TestCompressedWinsOnHeavyHubs(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := NewPowerLawSchemeAuto()
+	inner.SetThinEdges(ThinEdgesBoth) // the lists the compressed scheme codes
 	plain, err := inner.Encode(g)
 	if err != nil {
 		t.Fatal(err)

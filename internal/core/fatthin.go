@@ -17,14 +17,45 @@ import (
 //	fat vertex:  [1][own id: w][fat adjacency bit-vector: k bits]
 //
 // Fat vertices receive identifiers 0..k-1 in order of decreasing degree;
-// thin vertices receive identifiers k..n-1. Bit i of a fat vertex's vector
-// is set iff it is adjacent to the fat vertex with identifier i. Adjacency
-// between a fat and a thin vertex is stored only in the thin label, which is
-// what caps the fat label at 1 + w + k bits (Figure 1 of the paper).
+// thin vertices receive identifiers k..n-1, in the same order. Bit i of a fat
+// vertex's vector is set iff it is adjacent to the fat vertex with identifier
+// i. Adjacency between a fat and a thin vertex is stored only in the thin
+// label, which is what caps the fat label at 1 + w + k bits (Figure 1 of the
+// paper).
+//
+// Which neighbors a thin label lists is the encoder's ThinEdges choice. The
+// paper's literal layout (ThinEdgesBoth) lists all of them, so a thin–thin
+// edge sits in both endpoint labels although the decoder always holds both.
+// The default (ThinEdgesOnce) lists only the neighbors whose identifier is
+// smaller than the label's own: every fat neighbor (fat identifiers are the
+// smallest) and, of a thin–thin edge, the copy at the endpoint ranked lower
+// by degree — the orientation trick of Adjiashvili–Rotbart's bounded-degree
+// scheme, with the orientation already in the identifiers. A degree-d
+// Chung–Lu vertex then keeps about d·(d/w_min)^(2−α) entries instead of d. A
+// thin vertex just under τ whose neighbors are all fat keeps every entry, so
+// Theorem 4's worst case and Theorem 6's Ω(n^(1/α)) stand; what falls is the
+// constant, the slab and the misses that go with it (EXPERIMENTS E33).
+//
+// Every reader follows one rule that is correct for both: of two distinct
+// labels that are not both fat, search the one with the larger identifier —
+// necessarily thin — for the smaller identifier.
 //
 // The decoder needs only n (the graph family parameter F_n fixes it): the
 // identifier width is w = ceil(log2 n), and the fat vector length is
 // recovered from the label length itself.
+
+// ThinEdges selects which endpoint labels carry an edge with a thin endpoint.
+type ThinEdges uint8
+
+const (
+	// ThinEdgesOnce, the default, stores each such edge once: a thin label
+	// lists exactly the neighbors whose identifier is smaller than its own.
+	ThinEdgesOnce ThinEdges = iota
+	// ThinEdgesBoth is the paper's literal layout: a thin label lists every
+	// neighbor. The paper-claim experiments and the reference encoder use it;
+	// every store written before the once layout existed has it.
+	ThinEdgesBoth
+)
 
 // FatThinScheme is the paper's threshold-partition adjacency labeling
 // scheme. The threshold function distinguishes Theorem 3 (sparse graphs,
@@ -35,6 +66,7 @@ type FatThinScheme struct {
 	name      string
 	threshold func(g *graph.Graph) (int, error)
 	layout    Layout
+	thinEdges ThinEdges
 }
 
 var _ Scheme = (*FatThinScheme)(nil)
@@ -240,6 +272,12 @@ func (s *FatThinScheme) Threshold(g *graph.Graph) (int, error) { return s.thresh
 // scheme is not safe to reconfigure concurrently with an encode.
 func (s *FatThinScheme) SetLayout(l Layout) { s.layout = l }
 
+// SetThinEdges selects which thin labels list an edge (ThinEdgesOnce, the
+// default, or the paper's ThinEdgesBoth — see the layout comment above).
+// Query answers are identical under either and no reader is told which was
+// chosen; only label sizes change. Call before Encode, as SetLayout.
+func (s *FatThinScheme) SetThinEdges(t ThinEdges) { s.thinEdges = t }
+
 // Encode implements Scheme. It runs in O(n + m) time beyond the threshold
 // computation, through the two-phase slab pipeline (see pipeline.go): the
 // returned labeling is arena-backed and born compact.
@@ -248,7 +286,7 @@ func (s *FatThinScheme) Encode(g *graph.Graph) (*Labeling, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeFatThinSlab(s.name, g, tau, 1, s.layout)
+	return encodeFatThinSlab(s.name, g, tau, 1, s.layout, s.thinEdges)
 }
 
 // assignFatThinIDs computes the identifier table shared by the pipeline
@@ -320,16 +358,20 @@ func (d *FatThinDecoder) Adjacent(a, b bitstr.String) (bool, error) {
 		// Same vertex: never self-adjacent in a simple graph.
 		return false, nil
 	}
-	switch {
-	case !pa.fat:
-		return d.thinContains(pa, pb.id)
-	case !pb.fat:
-		return d.thinContains(pb, pa.id)
-	default:
+	if pa.fat && pb.fat {
 		// Both fat: bit pb.id of pa's vector (vectors are symmetric; either
 		// direction works, but pa's vector must be long enough).
 		return d.fatBit(pa, pb.id)
 	}
+	// Otherwise the edge, if there is one, is listed by the label with the
+	// larger identifier (by both, under ThinEdgesBoth).
+	if pa.id < pb.id {
+		pa, pb = pb, pa
+	}
+	if pa.fat {
+		return false, fmt.Errorf("%w: fat identifier %d above thin identifier %d", ErrBadLabel, pa.id, pb.id)
+	}
+	return d.thinContains(pa, pb.id)
 }
 
 // thinContains binary-searches the sorted neighbor-id list — the "O(log n)

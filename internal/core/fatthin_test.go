@@ -257,13 +257,19 @@ func TestThresholdExtremes(t *testing.T) {
 	if got := lab1.Stats().Max; got != 1+w+64 {
 		t.Errorf("all-fat max label = %d, want %d", got, 1+w+64)
 	}
-	// τ=huge: every vertex thin — the hub stores 63 neighbor ids.
-	lab2, err := NewFixedThresholdScheme(1 << 30).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lab2.Stats().Max; got != 1+w+63*w {
-		t.Errorf("all-thin max label = %d, want %d", got, 1+w+63*w)
+	// τ=huge: every vertex thin — in the paper's layout the hub stores 63
+	// neighbor ids; stored once, each edge sits at its leaf (the hub has the
+	// smallest identifier) and no label holds more than one.
+	for thin, entries := range map[ThinEdges]int{ThinEdgesBoth: 63, ThinEdgesOnce: 1} {
+		s := NewFixedThresholdScheme(1 << 30)
+		s.SetThinEdges(thin)
+		lab2, err := s.Encode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lab2.Stats().Max; got != 1+w+entries*w {
+			t.Errorf("all-thin max label (thin edges %d) = %d, want %d", thin, got, 1+w+entries*w)
+		}
 	}
 }
 

@@ -11,13 +11,14 @@ import (
 // The original one-Builder-per-label encoders, kept as the executable
 // specification of the two label layouts: the slab pipeline must produce
 // bit-for-bit the labels these do (TestPipelineMatchesLegacy*), n = 0 and
-// n = 1 included.
+// n = 1 included. The fat/thin one takes the ThinEdges choice and spells the
+// once layout out as a filter on the paper's lists.
 
 // encodeFatThinLegacy is the original one-Builder-per-label encoder. It is
 // kept as the executable specification of the label layout: the pipeline
 // encoder must produce bit-for-bit identical labels (pipeline_test.go), and
 // the BenchmarkEncode* suite measures the pipeline against it.
-func encodeFatThinLegacy(name string, g *graph.Graph, tau int) (*Labeling, error) {
+func encodeFatThinLegacy(name string, g *graph.Graph, tau int, thin ThinEdges) (*Labeling, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
@@ -37,7 +38,7 @@ func encodeFatThinLegacy(name string, g *graph.Graph, tau int) (*Labeling, error
 
 	id, k := assignFatThinIDs(g, tau)
 	labels := make([]bitstr.String, n)
-	buildFatThinRange(g, id, k, w, 0, n, labels, newFatThinScratch(k))
+	buildFatThinRange(g, id, k, w, 0, n, labels, newFatThinScratch(k), thin)
 	return NewLabeling(name, labels, &FatThinDecoder{n: n, w: w}), nil
 }
 
@@ -59,7 +60,7 @@ func newFatThinScratch(k int) *fatThinScratch {
 // using the shared identifier table and the caller's scratch buffers. It is
 // the single label-layout implementation behind both Encode and
 // EncodeParallel.
-func buildFatThinRange(g *graph.Graph, id []int, k, w, lo, hi int, labels []bitstr.String, sc *fatThinScratch) {
+func buildFatThinRange(g *graph.Graph, id []int, k, w, lo, hi int, labels []bitstr.String, sc *fatThinScratch, thin ThinEdges) {
 	for v := lo; v < hi; v++ {
 		sc.b.Reset()
 		if id[v] < k { // fat
@@ -77,7 +78,9 @@ func buildFatThinRange(g *graph.Graph, id []int, k, w, lo, hi int, labels []bits
 			sc.b.AppendUint(uint64(id[v]), w)
 			sc.nbr = sc.nbr[:0]
 			for _, u := range g.Neighbors(v) {
-				sc.nbr = append(sc.nbr, id[u])
+				if thin == ThinEdgesBoth || id[u] < id[v] {
+					sc.nbr = append(sc.nbr, id[u])
+				}
 			}
 			sort.Ints(sc.nbr)
 			for _, u := range sc.nbr {

@@ -17,7 +17,7 @@ func (s *FatThinScheme) EncodeParallel(g *graph.Graph, workers int) (*Labeling, 
 	if err != nil {
 		return nil, err
 	}
-	return encodeFatThinSlab(s.name, g, tau, workers, s.layout)
+	return encodeFatThinSlab(s.name, g, tau, workers, s.layout, s.thinEdges)
 }
 
 // EncodeParallel is the sharded-fill counterpart of CompressedScheme.Encode;

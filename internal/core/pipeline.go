@@ -14,11 +14,13 @@ import (
 // Slab encode pipeline
 //
 // The fat/thin layout fixes every label's exact bit length up front: a fat
-// label is 1 + w + k bits, a thin label 1 + w + deg·w (w = ceil(log2 n), k =
-// number of fat vertices). The pipeline exploits that in two phases:
+// label is 1 + w + k bits, a thin label 1 + w + e·w (w = ceil(log2 n), k =
+// number of fat vertices, e = the entries the label lists: its degree under
+// ThinEdgesBoth, its neighbors of smaller identifier under ThinEdgesOnce —
+// see fatthin.go). The pipeline exploits that in two phases:
 //
-//  1. size-plan: compute each vertex's label bit length from its degree and
-//     fat/thin class, then prefix-sum word-aligned offsets into one shared
+//  1. size-plan: compute each vertex's label bit length from its entry count
+//     and fat/thin class, then prefix-sum word-aligned offsets into one shared
 //     slab — one allocation for the entire labeling;
 //  2. fill: write every label in place, in parallel across word-balanced
 //     rank ranges. Fat bitmaps are built by OR stores at computed bit
@@ -41,7 +43,11 @@ import (
 // slabPlan is the output of phase 1: the identifier tables and the exact
 // slab layout.
 type slabPlan struct {
-	w, k    int
+	w, k int
+	// once is the ThinEdgesOnce choice: thin bodies hold only the neighbors
+	// of smaller identifier. thinEntries and eachLabel — the size plan and the
+	// gather — are the only code that asks.
+	once    bool
 	id      []int32
 	bitLens []int
 	// byID[i] is the vertex whose identifier is i (ids are a permutation);
@@ -81,9 +87,23 @@ func newSlabPlan(g *graph.Graph, tau, w int) *slabPlan {
 	return p
 }
 
+// thinEntries is the number of identifiers thin vertex v's label lists.
+func (p *slabPlan) thinEntries(g *graph.Graph, v int) int {
+	if !p.once {
+		return g.Degree(v)
+	}
+	entries, vid := 0, p.id[v]
+	for _, u := range g.Neighbors(v) {
+		if p.id[u] < vid {
+			entries++
+		}
+	}
+	return entries
+}
+
 // eachLabel calls visit(v, nbr) for the vertex at every slab rank in [lo, hi),
 // in rank order (vertex order while no layout is chosen yet): nbr is a thin
-// vertex's label body — its neighbors' identifiers in ascending order — and
+// vertex's label body — the identifiers it lists, in ascending order — and
 // empty for a fat one, and is only valid during the call.
 //
 // The bodies are built a block of ranks at a time, in two passes, because the
@@ -106,8 +126,11 @@ func (p *slabPlan) eachLabel(g *graph.Graph, lo, hi int, visit func(v int, nbr [
 		ids = ids[:0]
 		for r := lo; r < blockHi; r++ {
 			if v := p.vertexAt(r); int(p.id[v]) >= p.k {
+				vid := p.id[v]
 				for _, u := range g.Neighbors(v) {
-					ids = append(ids, p.id[u])
+					if uid := p.id[u]; uid < vid || !p.once {
+						ids = append(ids, uid)
+					}
 				}
 			}
 			ends[r-lo] = len(ids)
@@ -239,7 +262,7 @@ func runRangesErr(ranges [][2]int, plan func(lo, hi int) error) error {
 // EncodeParallel. workers <= 0 selects GOMAXPROCS; lay selects the physical
 // body order (LayoutDegree returns a permuted arena labeling, answers
 // unchanged).
-func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout) (*Labeling, error) {
+func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout, thin ThinEdges) (*Labeling, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
@@ -251,18 +274,22 @@ func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout
 	w := bitstr.WidthFor(uint64(n))
 	header := 1 + w
 
-	// Phase 1: size-plan. Fat/thin class and degree determine each label
-	// exactly; the scan is O(n) arithmetic on top of the id assignment.
+	// Phase 1: size-plan. Fat/thin class and entry count determine each label
+	// exactly. Counting a once-layout label's entries reads its neighbors'
+	// identifiers, so the scan runs in parallel, as the compressed plan does.
 	planStart := time.Now()
 	plan := newSlabPlan(g, tau, w)
+	plan.once = thin == ThinEdgesOnce
 	id, k := plan.id, int32(plan.k)
-	for v := 0; v < n; v++ {
-		if id[v] < k {
-			plan.bitLens[v] = header + plan.k
-		} else {
-			plan.bitLens[v] = header + g.Degree(v)*w
+	runRanges(evenRanges(n, workers), func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			if id[v] < k {
+				plan.bitLens[v] = header + plan.k
+			} else {
+				plan.bitLens[v] = header + plan.thinEntries(g, v)*w
+			}
 		}
-	}
+	})
 	plan.layout(lay)
 	pipelineMetrics.PlanNs.ObserveDuration(time.Since(planStart))
 

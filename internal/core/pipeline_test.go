@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -99,26 +100,29 @@ func TestPipelineMatchesLegacyFatThin(t *testing.T) {
 				if err != nil {
 					t.Fatalf("threshold: %v", err)
 				}
-				legacy, err := encodeFatThinLegacy(s.Name(), g, tau)
-				if err != nil {
-					t.Fatalf("legacy encode: %v", err)
-				}
-				for _, lay := range []Layout{LayoutID, LayoutDegree} {
-					for _, workers := range []int{1, 3, 0} {
-						pipe, err := encodeFatThinSlab(s.Name(), g, tau, workers, lay)
-						if err != nil {
-							t.Fatalf("pipeline encode (layout=%v workers=%d): %v", lay, workers, err)
-						}
-						requireLabelsEqual(t, legacy, pipe)
-						requireArenaBacked(t, pipe, lay)
+				for _, thin := range []ThinEdges{ThinEdgesOnce, ThinEdgesBoth} {
+					legacy, err := encodeFatThinLegacy(s.Name(), g, tau, thin)
+					if err != nil {
+						t.Fatalf("legacy encode: %v", err)
 					}
+					for _, lay := range []Layout{LayoutID, LayoutDegree} {
+						for _, workers := range []int{1, 3, 0} {
+							pipe, err := encodeFatThinSlab(s.Name(), g, tau, workers, lay, thin)
+							if err != nil {
+								t.Fatalf("pipeline encode (thin=%d layout=%v workers=%d): %v", thin, lay, workers, err)
+							}
+							requireLabelsEqual(t, legacy, pipe)
+							requireArenaBacked(t, pipe, lay)
+						}
+					}
+					s.SetThinEdges(thin)
+					pipe, err := s.Encode(g)
+					if err != nil {
+						t.Fatalf("Encode: %v", err)
+					}
+					requireLabelsEqual(t, legacy, pipe)
+					requireEnginesAgree(t, g, legacy, pipe)
 				}
-				pipe, err := s.Encode(g)
-				if err != nil {
-					t.Fatalf("Encode: %v", err)
-				}
-				requireLabelsEqual(t, legacy, pipe)
-				requireEnginesAgree(t, g, legacy, pipe)
 			})
 		}
 	}
@@ -184,15 +188,88 @@ func TestPipelineMatchesLegacyCompressed(t *testing.T) {
 						requireArenaBacked(t, pipe, lay)
 					}
 				}
-				pipe, err := s.Encode(g)
-				if err != nil {
-					t.Fatalf("Encode: %v", err)
-				}
-				requireLabelsEqual(t, legacy, pipe)
-				if err := pipe.Verify(g); err != nil {
-					t.Fatalf("pipeline compressed labeling fails verification: %v", err)
+				// The compressed decoder reads the first thin label, so the
+				// scheme always writes the paper's lists, whatever the wrapped
+				// threshold rule was told.
+				for _, thin := range []ThinEdges{ThinEdgesOnce, ThinEdgesBoth} {
+					inner.SetThinEdges(thin)
+					pipe, err := s.Encode(g)
+					if err != nil {
+						t.Fatalf("Encode: %v", err)
+					}
+					requireLabelsEqual(t, legacy, pipe)
+					if err := pipe.Verify(g); err != nil {
+						t.Fatalf("pipeline compressed labeling fails verification: %v", err)
+					}
 				}
 			})
+		}
+	}
+}
+
+// TestThinEdgesOnceListsSmallerIdentifiers reads the once layout off the
+// labels themselves: a thin body is strictly ascending and never holds an
+// identifier at or above its own, and over the whole labeling every edge with
+// a thin endpoint is listed exactly once (m minus the fat–fat edges, which
+// live in the bitmaps) — against twice the thin–thin edges plus once the
+// fat–thin ones under ThinEdgesBoth.
+func TestThinEdgesOnceListsSmallerIdentifiers(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(1200, 2.3, 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewPowerLawSchemePractical(2.5)
+	tau, err := s.Threshold(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fatFat, thinThin := 0, 0
+	g.Edges(func(u, v int) {
+		switch fu, fv := g.Degree(u) >= tau, g.Degree(v) >= tau; {
+		case fu && fv:
+			fatFat++
+		case !fu && !fv:
+			thinThin++
+		}
+	})
+	if fatFat == 0 || thinThin == 0 {
+		t.Fatalf("test graph has %d fat–fat and %d thin–thin edges, want some of each", fatFat, thinThin)
+	}
+	w := bitstr.WidthFor(uint64(g.N()))
+	for thin, want := range map[ThinEdges]int{ThinEdgesOnce: g.M() - fatFat, ThinEdgesBoth: g.M() - fatFat + thinThin} {
+		for _, lay := range []Layout{LayoutID, LayoutDegree} {
+			s.SetThinEdges(thin)
+			s.SetLayout(lay)
+			lab, err := s.EncodeParallel(g, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := 0
+			for v := 0; v < g.N(); v++ {
+				l, err := lab.Label(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l.MustPeekUint(0, 1) == 1 {
+					continue
+				}
+				own, prev := l.MustPeekUint(1, w), uint64(0)
+				for at := 1 + w; at < l.Len(); at += w {
+					x := l.MustPeekUint(at, w)
+					if at > 1+w && x <= prev {
+						t.Fatalf("thin edges %d, %v: label %d lists %d after %d", thin, lay, v, x, prev)
+					}
+					if thin == ThinEdgesOnce && x >= own {
+						t.Fatalf("%v: once-layout label %d (identifier %d) lists %d", lay, v, own, x)
+					}
+					prev = x
+					entries++
+				}
+			}
+			if entries != want {
+				t.Fatalf("thin edges %d, %v: %d entries stored, want %d (m = %d, fat–fat %d, thin–thin %d)",
+					thin, lay, entries, want, g.M(), fatFat, thinThin)
+			}
 		}
 	}
 }
@@ -240,12 +317,12 @@ func TestLabelingViewsOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := encodeFatThinLegacy(s.Name(), g, tau)
+	legacy, err := encodeFatThinLegacy(s.Name(), g, tau, ThinEdgesOnce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, lay := range []Layout{LayoutID, LayoutDegree} {
-		lab, err := encodeFatThinSlab(s.Name(), g, tau, 2, lay)
+		lab, err := encodeFatThinSlab(s.Name(), g, tau, 2, lay, ThinEdgesOnce)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +393,7 @@ func BenchmarkEncodeLegacy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeFatThinLegacy(s.Name(), g, tau); err != nil {
+		if _, err := encodeFatThinLegacy(s.Name(), g, tau, ThinEdgesOnce); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,7 +411,7 @@ func BenchmarkEncodePipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeFatThinSlab(s.Name(), g, tau, 1, LayoutID); err != nil {
+		if _, err := encodeFatThinSlab(s.Name(), g, tau, 1, LayoutID, ThinEdgesOnce); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,7 +428,7 @@ func BenchmarkEncodePipelineParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeFatThinSlab(s.Name(), g, tau, 0, LayoutID); err != nil {
+		if _, err := encodeFatThinSlab(s.Name(), g, tau, 0, LayoutID, ThinEdgesOnce); err != nil {
 			b.Fatal(err)
 		}
 	}

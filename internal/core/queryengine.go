@@ -200,38 +200,40 @@ func (e *QueryEngine) adjacentTallied(u, v int, t *QueryTally) (bool, error) {
 	return e.probe(u, v, t)
 }
 
-// probe resolves one in-range query against the slab. A thin body answers
-// for either endpoint (thin lists are complete), so the probe reads the
-// first endpoint's when it is thin and resident, else the second's; fat–fat
-// pairs read the (replicated) bitmap. On an unsharded engine every label is
-// resident and the last case is unreachable; on a shard (SetShard) a pair
-// with no resident body to answer from was misrouted and the probe refuses —
-// wherever a resident body exists the answer is bit-for-bit the unsharded
-// engine's.
+// probe resolves one in-range query against the slab, by the one read rule of
+// the fat/thin layout (fatthin.go): self → false; both fat → the (replicated)
+// bitmap; otherwise the edge is listed by the endpoint with the larger
+// identifier, a thin vertex, whose body is searched for the smaller one. On a
+// shard (SetShard) that body must be resident: a pair whose larger-identifier
+// endpoint is a stub was misrouted and the probe refuses — wherever it answers,
+// the answer is bit-for-bit the unsharded engine's.
 func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
-	mu, mv := e.meta[u], e.meta[v]
-	if mu.id() == mv.id() {
+	list, other := e.meta[u], e.meta[v]
+	if list.id() == other.id() {
 		// Same vertex: never self-adjacent in a simple graph.
 		t.self++
 		return false, nil
 	}
-	switch {
-	case !mu.fat() && e.Resident(u):
-		t.thin++
-		return e.thinProbe(mu, mv.id()), nil
-	case !mv.fat() && e.Resident(v):
-		t.thin++
-		return e.thinProbe(mv, mu.id()), nil
-	case mu.fat() && mv.fat():
-		// Both fat: bit mv.id of u's adjacency vector.
+	if list.fat() && other.fat() {
+		// Both fat: bit v.id of u's adjacency vector.
 		t.fat++
-		if mv.id() >= uint64(mu.cnt()) {
-			return false, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, mv.id(), mu.cnt())
+		if other.id() >= uint64(list.cnt()) {
+			return false, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, other.id(), list.cnt())
 		}
-		return bitstr.SlabReadBits(e.slab, mu.off+int64(mv.id()), 1) == 1, nil
-	default:
+		return bitstr.SlabReadBits(e.slab, list.off+int64(other.id()), 1) == 1, nil
+	}
+	at := u
+	if list.id() < other.id() {
+		list, other, at = other, list, v
+	}
+	switch {
+	case list.fat():
+		return false, fmt.Errorf("%w: fat identifier %d above thin identifier %d", ErrBadLabel, list.id(), other.id())
+	case !e.Resident(at):
 		return false, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
 	}
+	t.thin++
+	return e.thinProbe(list, other.id()), nil
 }
 
 // thinProbe binary-searches thin vertex u's sorted neighbor-id list for

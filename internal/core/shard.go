@@ -11,16 +11,17 @@ import (
 // Sharded label stores: the horizontal-scale path of the serving tier.
 //
 // The fat/thin split (Theorems 3/4) makes vertex partitioning unusually
-// clean. Every query (u,v) is resolved from a single label body: a thin
-// endpoint's sorted neighbor list (which names *all* its neighbors, fat ones
-// included), or — when both endpoints are fat — the k-bit fat adjacency
-// bitmap of either. So a shard that holds
+// clean. Every query (u,v) is resolved from a single label body: when both
+// endpoints are fat, the k-bit fat adjacency bitmap of either; otherwise the
+// sorted neighbor list of the endpoint with the larger identifier, which is
+// thin and lists the other (the one read rule of fatthin.go, true of both
+// ThinEdges layouts). So a shard that holds
 //
 //   - the full labels of the thin vertices it owns, and
 //   - the full labels of every fat vertex (O(√(n/ln n) · n/ln n) bits in
 //     total — the replicated fat–fat data is tiny relative to the store),
 //
-// can answer any pair with at least one endpoint it owns, plus every
+// can answer any pair whose larger-identifier endpoint it owns, plus every
 // fat–fat pair. Foreign thin labels are kept as header-only stubs
 // ([fat=0][id], exactly 1+w bits): the stub preserves the vertex's scheme
 // identifier and fat flag, so a shard engine still classifies both endpoints
@@ -241,8 +242,9 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 	return shards, nil
 }
 
-// ErrNotResident is returned by a sharded engine for queries neither of
-// whose endpoints' full labels live on this shard — a misrouted pair. The
+// ErrNotResident is returned by a sharded engine for a query whose answering
+// label — the larger-identifier endpoint's — is a stub on this shard: a
+// misrouted pair. The
 // router's job is to make this unreachable; surfacing it as an error (rather
 // than answering false from a stripped stub) is what makes misrouting loud.
 var ErrNotResident = errors.New("core: query not resident on this shard")
@@ -292,9 +294,9 @@ func (e *QueryEngine) Fat(v int) bool { return e.meta[v].fat() }
 
 // AppendFatBits appends the fat bitmap — ceil(n/8) bytes, bit v MSB-first
 // within its byte set iff vertex v is fat — and returns the extended slice.
-// This is the routing table a scatter-gather router needs: with the fat set
-// and the ownership function, it can compute which shards can answer any
-// pair. (Stubs preserve fat bits, so every shard serves the same bitmap.)
+// With AppendIDBits it is the routing table a scatter-gather router needs to
+// compute which shard answers any pair. (Stubs preserve fat bits and
+// identifiers, so every shard serves the same two blocks.)
 func (e *QueryEngine) AppendFatBits(dst []byte) []byte {
 	base := len(dst)
 	dst = append(dst, make([]byte, (e.n+7)/8)...)
@@ -304,6 +306,26 @@ func (e *QueryEngine) AppendFatBits(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// IDBitsLen is the size in bytes of the identifier block of an n-vertex
+// labeling: n identifiers of ceil(log2 n) bits, packed.
+func IDBitsLen(n int) int { return (n*bitstr.WidthFor(uint64(n)) + 7) / 8 }
+
+// AppendIDBits appends the identifier block — IDBitsLen(n) bytes, vertex v's
+// scheme identifier in bits [v·w, (v+1)·w), MSB first, w = ceil(log2 n) — and
+// returns the extended slice. The read rule picks the label to search by
+// comparing identifiers, so a router needs them to pick the shard.
+func (e *QueryEngine) AppendIDBits(dst []byte) []byte {
+	// Packed as a one-label slab, whole words, then cut to the block's length.
+	base, size := len(dst), IDBitsLen(e.n)
+	dst = append(dst, make([]byte, bitstr.SlabBytes(bitstr.SlabWords(8*size)))...)
+	sw := bitstr.NewSlabWriter(dst[base:])
+	for v := range e.meta {
+		sw.WriteUint(e.meta[v].id(), e.w)
+	}
+	sw.Flush()
+	return dst[:base+size]
 }
 
 // putWord stores one big-endian 64-bit word at the start of dst.

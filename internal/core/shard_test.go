@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/gen"
 )
 
@@ -59,17 +61,17 @@ func shardTestEngines(t *testing.T, lay Layout, count int, fn ShardFn, n int, se
 	return full, engines
 }
 
-// routeShard mirrors the router's rule: a thin endpoint forces its owner
-// (thin bodies are the only place a thin–fat or thin–thin pair resolves);
-// otherwise (self, fat–fat, thin–thin) the min owner answers.
+// routeShard mirrors the router's rule: self and fat–fat pairs go to the min
+// owner (any shard answers them); every other pair to the owner of the
+// endpoint with the larger identifier, whose thin body is the one place it
+// resolves.
 func routeShard(e *QueryEngine, fn ShardFn, count, u, v int) int {
 	n := e.N()
 	ou, ov := ShardOwner(fn, u, n, count), ShardOwner(fn, v, n, count)
-	uFat, vFat := e.Fat(u), e.Fat(v)
 	switch {
-	case u == v || uFat == vFat:
+	case u == v || e.Fat(u) && e.Fat(v):
 		return min(ou, ov)
-	case !uFat:
+	case e.meta[u].id() > e.meta[v].id():
 		return ou
 	default:
 		return ov
@@ -146,36 +148,76 @@ func TestShardedEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedEngineNotResident: a pair neither of whose thin endpoints is
-// owned (and that is not fat–fat) must fail with ErrNotResident on the wrong
-// shard — never answer false from a stub.
+// TestShardedEngineNotResident: a pair with a thin endpoint resolves on one
+// shard only, the owner of its larger-identifier endpoint; every other shard —
+// the owner of the other endpoint included — must fail with ErrNotResident,
+// never answer false from a stub or from a list that need not hold the edge.
 func TestShardedEngineNotResident(t *testing.T) {
 	full, engines := shardTestEngines(t, LayoutID, 3, ShardRange, 400, 11)
 	n := full.N()
 	misrouted := 0
-	for u := 0; u < n && misrouted < 50; u++ {
-		for v := 0; v < n && misrouted < 50; v++ {
-			if u == v || full.Fat(u) || full.Fat(v) {
+	for u := 0; u < n && misrouted < 200; u += 3 {
+		for v := 0; v < n && misrouted < 200; v += 7 {
+			if u == v || full.Fat(u) && full.Fat(v) {
 				continue
 			}
 			right := routeShard(full, ShardRange, 3, u, v)
 			for s, e := range engines {
-				if ShardOwner(ShardRange, u, n, 3) == s || ShardOwner(ShardRange, v, n, 3) == s {
-					continue
-				}
 				if right == s {
 					continue
 				}
 				_, err := e.Adjacent(u, v)
 				if !errors.Is(err, ErrNotResident) {
-					t.Fatalf("thin pair (%d,%d) on non-owning shard %d: err = %v, want ErrNotResident", u, v, s, err)
+					t.Fatalf("pair (%d,%d) on shard %d, resolved by shard %d: err = %v, want ErrNotResident", u, v, s, right, err)
 				}
 				misrouted++
 			}
 		}
 	}
 	if misrouted == 0 {
-		t.Fatal("test graph produced no misroutable thin pairs")
+		t.Fatal("test graph produced no misroutable pairs")
+	}
+}
+
+// TestAppendIDBits: the identifier block holds every label's own identifier at
+// bit v·w, is IDBitsLen bytes appended after what dst held, and is the same on
+// a shard (stubs keep identifiers) as on the full engine — at widths that do
+// and do not divide a byte, and on the degenerate one-vertex engine.
+func TestAppendIDBits(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 256, 400} {
+		g, err := gen.ChungLuPowerLaw(n, 2.5, 2, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab, err := NewPowerLawScheme(2.5).Encode(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewQueryEngine(lab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := bitstr.WidthFor(uint64(n))
+		block := e.AppendIDBits([]byte{0xAB})
+		if len(block) != 1+IDBitsLen(n) || block[0] != 0xAB {
+			t.Fatalf("n=%d: block of %d bytes starting %#x, want %d after the prefix", n, len(block), block[0], IDBitsLen(n))
+		}
+		ids, err := bitstr.Wrap(block[1:], n*w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			l, _ := lab.Label(v)
+			if got, want := ids.MustPeekUint(v*w, w), l.MustPeekUint(1, w); w > 0 && got != want {
+				t.Fatalf("n=%d: block holds identifier %d for vertex %d, its label says %d", n, got, v, want)
+			}
+		}
+	}
+	full, engines := shardTestEngines(t, LayoutDegree, 3, ShardHash, 400, 11)
+	for i, e := range engines {
+		if !bytes.Equal(e.AppendIDBits(nil), full.AppendIDBits(nil)) {
+			t.Fatalf("shard %d serves a different identifier block than the full engine", i)
+		}
 	}
 }
 

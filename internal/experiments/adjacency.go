@@ -45,20 +45,20 @@ func E1LabelSizeVsN(cfg Config) ([]*Table, error) {
 			}
 			member := powerlaw.CheckPh(g, p, 1).Member
 
-			plLab, err := core.NewPowerLawScheme(alpha).Encode(g)
+			plLab, err := paperLayout(core.NewPowerLawScheme(alpha)).Encode(g)
 			if err != nil {
 				return nil, err
 			}
 			plStats := plLab.Stats()
 
-			autoLab, err := core.NewPowerLawSchemeAuto().Encode(g)
+			autoLab, err := paperLayout(core.NewPowerLawSchemeAuto()).Encode(g)
 			if err != nil {
 				return nil, err
 			}
 			autoStats := autoLab.Stats()
 
 			c := float64(g.M()) / float64(n)
-			spLab, err := core.NewSparseScheme(c).Encode(g)
+			spLab, err := paperLayout(core.NewSparseScheme(c)).Encode(g)
 			if err != nil {
 				return nil, err
 			}
@@ -127,7 +127,7 @@ func E2ThresholdSweep(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		maxAt := func(tau int) (int, error) {
-			lab, err := core.NewFixedThresholdScheme(tau).Encode(g)
+			lab, err := paperLayout(core.NewFixedThresholdScheme(tau)).Encode(g)
 			if err != nil {
 				return 0, err
 			}
@@ -219,7 +219,7 @@ func E3AlphaSweep(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lab, err := core.NewPowerLawScheme(alpha).Encode(g)
+		lab, err := paperLayout(core.NewPowerLawScheme(alpha)).Encode(g)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +269,7 @@ func E4LowerBound(cfg Config) ([]*Table, error) {
 			}
 			inPl := powerlaw.CheckPl(emb.G, p) == nil
 			inPh := powerlaw.CheckPh(emb.G, p, 1).Member
-			lab, err := core.NewPowerLawScheme(alpha).Encode(emb.G)
+			lab, err := paperLayout(core.NewPowerLawScheme(alpha)).Encode(emb.G)
 			if err != nil {
 				return nil, err
 			}
@@ -302,4 +302,14 @@ func phMemberCheck(g *graph.Graph, alpha float64) (bool, error) {
 		return false, err
 	}
 	return powerlaw.CheckPh(g, p, 1).Member, nil
+}
+
+// paperLayout pins a fat/thin scheme to the paper's literal label layout —
+// every thin label lists all its neighbors — which is what the label-size
+// columns of E1–E19 and E21 hold against the theorems' bounds. The serving
+// experiments (E20, E23–E27) take the served default, each thin-side edge
+// stored once; E33 in EXPERIMENTS.md sets the two side by side.
+func paperLayout(s *core.FatThinScheme) *core.FatThinScheme {
+	s.SetThinEdges(core.ThinEdgesBoth)
+	return s
 }

@@ -47,11 +47,11 @@ func E21AdversarialH(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			inPl := powerlaw.CheckPl(emb.G, p) == nil
-			plLab, err := core.NewPowerLawScheme(alpha).Encode(emb.G)
+			plLab, err := paperLayout(core.NewPowerLawScheme(alpha)).Encode(emb.G)
 			if err != nil {
 				return nil, err
 			}
-			autoLab, err := core.NewPowerLawSchemeAuto().Encode(emb.G)
+			autoLab, err := paperLayout(core.NewPowerLawSchemeAuto()).Encode(emb.G)
 			if err != nil {
 				return nil, err
 			}

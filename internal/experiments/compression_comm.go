@@ -31,7 +31,7 @@ func E15CompressedThin(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner := core.NewPowerLawSchemeAuto()
+		inner := paperLayout(core.NewPowerLawSchemeAuto())
 		plain, err := inner.Encode(g)
 		if err != nil {
 			return nil, err
@@ -115,7 +115,7 @@ func E16CommunicationCost(cfg Config) ([]*Table, error) {
 			dec  core.AdjacencyDecoder
 		}
 		var cases []twoLabelCase
-		ft, err := core.NewPowerLawSchemeAuto().Encode(g)
+		ft, err := paperLayout(core.NewPowerLawSchemeAuto()).Encode(g)
 		if err != nil {
 			return nil, err
 		}

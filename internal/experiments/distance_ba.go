@@ -149,7 +149,7 @@ func E6BAForest(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			// BA graphs have power-law exponent 3.
-			ft, err := core.NewPowerLawScheme(3.0).Encode(g)
+			ft, err := paperLayout(core.NewPowerLawScheme(3.0)).Encode(g)
 			if err != nil {
 				return nil, err
 			}
@@ -194,7 +194,7 @@ func E7OneQuery(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ft, err := core.NewPowerLawScheme(alpha).Encode(g)
+		ft, err := paperLayout(core.NewPowerLawScheme(alpha)).Encode(g)
 		if err != nil {
 			return nil, err
 		}

@@ -182,6 +182,7 @@ func All() []Runner {
 		{ID: "E25", Description: "skew-aware layout: id- vs degree-ordered arena under Zipf/degree-proportional query skew", Run: E25SkewLayout},
 		{ID: "E26", Description: "sharded serving: routed-fleet equivalence + aggregate q/s scaling with shard count", Run: E26ShardedServing},
 		{ID: "E27", Description: "distance serving: DistEngine vs QueryEngine q/s local + loopback TCP; slab encode vs legacy PLL", Run: E27DistanceServing},
+		{ID: "E33", Description: "thin-side edges stored once vs both ends: label bits and store bytes vs n, α, Thm 4/6; adversarial embedding; τ sweep", Run: E33ThinEdgesOnce},
 	}
 }
 

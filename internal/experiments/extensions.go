@@ -81,7 +81,7 @@ func E11DynamicRelabels(cfg Config) ([]*Table, error) {
 				}
 			}
 			st := s.Stats()
-			staticLab, err := core.NewPowerLawSchemeAuto().Encode(s.Snapshot())
+			staticLab, err := paperLayout(core.NewPowerLawSchemeAuto()).Encode(s.Snapshot())
 			if err != nil {
 				return nil, err
 			}
@@ -128,18 +128,18 @@ func E12IncompleteKnowledge(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := core.NewPowerLawSchemeModel(alpha, modelC)
+		model := paperLayout(core.NewPowerLawSchemeModel(alpha, modelC))
 		tauModel, err := model.Threshold(g)
 		if err != nil {
 			return nil, err
 		}
-		fit := core.NewPowerLawSchemeAuto()
+		fit := paperLayout(core.NewPowerLawSchemeAuto())
 		tauFit, err := fit.Threshold(g)
 		if err != nil {
 			return nil, err
 		}
 		maxAt := func(tau int) (int, error) {
-			lab, err := core.NewFixedThresholdScheme(tau).Encode(g)
+			lab, err := paperLayout(core.NewFixedThresholdScheme(tau)).Encode(g)
 			if err != nil {
 				return 0, err
 			}
@@ -186,13 +186,13 @@ func E12IncompleteKnowledge(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fitScheme := core.NewPowerLawSchemeAuto()
+		fitScheme := paperLayout(core.NewPowerLawSchemeAuto())
 		tauFit, err := fitScheme.Threshold(g)
 		if err != nil {
 			return nil, err
 		}
 		maxAt := func(tau int) (int, error) {
-			lab, err := core.NewFixedThresholdScheme(tau).Encode(g)
+			lab, err := paperLayout(core.NewFixedThresholdScheme(tau)).Encode(g)
 			if err != nil {
 				return 0, err
 			}

@@ -83,7 +83,7 @@ func E19GenerativeModels(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ft, err := core.NewPowerLawSchemeAuto().Encode(g)
+		ft, err := paperLayout(core.NewPowerLawSchemeAuto()).Encode(g)
 		if err != nil {
 			return nil, err
 		}

@@ -43,10 +43,10 @@ func E8DecodeThroughput(cfg Config) ([]*Table, error) {
 	}
 	var rows []labeled
 	encodeAll := []core.Scheme{
-		core.NewPowerLawScheme(alpha),
-		core.NewPowerLawSchemeAuto(),
+		paperLayout(core.NewPowerLawScheme(alpha)),
+		paperLayout(core.NewPowerLawSchemeAuto()),
 		core.NewCompressedScheme(core.NewPowerLawSchemeAuto()),
-		core.NewSparseSchemeAuto(),
+		paperLayout(core.NewSparseSchemeAuto()),
 		baseline.NeighborList{},
 		forest.Scheme{},
 	}
@@ -186,10 +186,10 @@ func E9ThresholdAblation(cfg Config) ([]*Table, error) {
 			name string
 			s    *core.FatThinScheme
 		}{
-			{"sparse(thm3)", core.NewSparseSchemeAuto()},
-			{"powerlaw(thm4)", core.NewPowerLawScheme(alpha)},
-			{"powerlaw(fit)", core.NewPowerLawSchemeAuto()},
-			{"degeneracy+1", core.NewFixedThresholdScheme(degeneracyTau)},
+			{"sparse(thm3)", paperLayout(core.NewSparseSchemeAuto())},
+			{"powerlaw(thm4)", paperLayout(core.NewPowerLawScheme(alpha))},
+			{"powerlaw(fit)", paperLayout(core.NewPowerLawSchemeAuto())},
+			{"degeneracy+1", paperLayout(core.NewFixedThresholdScheme(degeneracyTau))},
 		}
 		for _, r := range rules {
 			tau, err := r.s.Threshold(g)
@@ -246,8 +246,8 @@ func E10FatEncoding(cfg Config) ([]*Table, error) {
 		g    *graph.Graph
 		s    *core.FatThinScheme
 	}{
-		{"chunglu(α=2.5)", cl, core.NewPowerLawScheme(alpha)},
-		{"dense-core", dense, core.NewFixedThresholdScheme(30)},
+		{"chunglu(α=2.5)", cl, paperLayout(core.NewPowerLawScheme(alpha))},
+		{"dense-core", dense, paperLayout(core.NewFixedThresholdScheme(30))},
 	} {
 		g := wl.g
 		tau, err := wl.s.Threshold(g)

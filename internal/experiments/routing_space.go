@@ -122,7 +122,7 @@ func E18PriceOfLocality(cfg Config) ([]*Table, error) {
 		}
 		global := compressgraph.Encode(g).TotalBits()
 
-		ft, err := core.NewPowerLawSchemeAuto().Encode(g)
+		ft, err := paperLayout(core.NewPowerLawSchemeAuto()).Encode(g)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func E14ExpectedLabelSize(cfg Config) ([]*Table, error) {
 		for _, n := range sizes {
 			var sum, sumSq float64
 			worst := 0
-			scheme := core.NewPowerLawScheme(alpha)
+			scheme := paperLayout(core.NewPowerLawScheme(alpha))
 			for s := 0; s < samples; s++ {
 				g, err := gen.ChungLuPowerLaw(n, alpha, 2, cfg.Seed+int64(s)*7919+int64(n))
 				if err != nil {

@@ -3,6 +3,7 @@ package labelstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strconv"
 	"testing"
 
@@ -43,25 +44,11 @@ func shardStores(t testing.TB, g *graph.Graph, count int, fn core.ShardFn) ([]*F
 	return files, lab
 }
 
-// routeShardIdx mirrors the router's rule (see core.ShardOwner docs): a thin
-// endpoint forces its owner, otherwise the min owner answers.
-func routeShardIdx(e *core.QueryEngine, fn core.ShardFn, count, u, v int) int {
-	n := e.N()
-	ou, ov := core.ShardOwner(fn, u, n, count), core.ShardOwner(fn, v, n, count)
-	uFat, vFat := e.Fat(u), e.Fat(v)
-	switch {
-	case u == v || uFat == vFat:
-		return min(ou, ov)
-	case !uFat:
-		return ou
-	default:
-		return ov
-	}
-}
-
 // TestShardStoreRoundTrip: every shard file survives both readers with its
-// shard map, permutation, and labels intact, and the reconstructed per-shard
-// engines — routed by the ownership rule — answer exactly the graph's edges.
+// shard map, permutation, and labels intact, and of the reconstructed
+// per-shard engines at least one answers every edge of the graph, true, while
+// the others refuse it as not resident (which shard is the routing rule's
+// business, pinned in core and adjserve).
 func TestShardStoreRoundTrip(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(200, 2.5, 2, 7)
 	if err != nil {
@@ -121,13 +108,21 @@ func TestShardStoreRoundTrip(t *testing.T) {
 		for u := 0; u < g.N(); u++ {
 			for _, v32 := range g.Neighbors(u) {
 				v := int(v32)
-				s := routeShardIdx(engines[0], fn, 3, u, v)
-				adj, err := engines[s].Adjacent(u, v)
-				if err != nil {
-					t.Fatalf("fn=%v: edge (%d,%d) on shard %d: %v", fn, u, v, s, err)
+				answered := 0
+				for s, e := range engines {
+					adj, err := e.Adjacent(u, v)
+					switch {
+					case errors.Is(err, core.ErrNotResident):
+					case err != nil:
+						t.Fatalf("fn=%v: edge (%d,%d) on shard %d: %v", fn, u, v, s, err)
+					case !adj:
+						t.Fatalf("fn=%v: edge (%d,%d) answered false on shard %d", fn, u, v, s)
+					default:
+						answered++
+					}
 				}
-				if !adj {
-					t.Fatalf("fn=%v: edge (%d,%d) answered false on shard %d", fn, u, v, s)
+				if answered == 0 {
+					t.Fatalf("fn=%v: no shard answers edge (%d,%d)", fn, u, v)
 				}
 			}
 		}

@@ -115,7 +115,7 @@ shard_addrs=""
 shard_pids=""
 for i in 0 1 2; do
     "$work/bin/plserve" -labels "$work/labels-sh.pllb.shard$i" -addr 127.0.0.1:0 \
-        >"$work/serve-sh$i.log" 2>&1 &
+        -admin-addr 127.0.0.1:0 >"$work/serve-sh$i.log" 2>&1 &
     shard_pids="$shard_pids $!"
 done
 for i in 0 1 2; do
@@ -165,8 +165,17 @@ for i in 0 1 2; do
         'index($1, m) == 1 { sum += $2; found=1 } END { if (!found) exit 1; print sum }' "$work/metrics-route.txt") \
         || { echo "no per-shard client frames series for shard $i"; exit 1; }
     [ "$fr" -gt 0 ] || { echo "shard $i client sent 0 frames"; exit 1; }
+    # The router sends a pair to the shard holding its larger-identifier
+    # endpoint's label; a shard asked for any other pair answers an error
+    # frame ("not resident"). None may have.
+    sadmin=$(sed -n 's/.*msg=admin addr=//p' "$work/serve-sh$i.log")
+    ef=$(curl -fsS "http://$sadmin/metrics" | awk '$1 == "adjserve_error_frames_total" { print $2 }')
+    [ "$ef" = 0 ] || { echo "shard $i answered $ef error frames (not resident?)"; cat "$work/serve-sh$i.log"; exit 1; }
+    ue=$(metric_rt "adjserve_router_upstream_errors_total{shard=\"$i\"}") \
+        || { echo "no upstream errors series for shard $i"; exit 1; }
+    [ "$ue" = 0 ] || { echo "router saw $ue failed sub-batches from shard $i"; exit 1; }
 done
-echo "   per-shard scrape OK: router_queries=$rq, all 3 upstreams nonzero"
+echo "   per-shard scrape OK: router_queries=$rq, all 3 upstreams nonzero, no shard error frames"
 
 echo "== graceful shutdown: router then fleet"
 kill -TERM "$route_pid"
