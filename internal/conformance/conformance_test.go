@@ -259,6 +259,11 @@ func exhaustiveBatch(t *testing.T, n int) {
 		{core.ThinEdgesOnce, core.LayoutID}, {core.ThinEdgesOnce, core.LayoutDegree},
 		{core.ThinEdgesBoth, core.LayoutID}, {core.ThinEdgesBoth, core.LayoutDegree},
 	}
+	type partition struct {
+		count int
+		fn    core.ShardFn
+	}
+	partitions := []partition{{2, core.ShardRange}, {3, core.ShardRange}, {2, core.ShardHash}, {3, core.ShardHash}}
 	total := uint64(1) << uint(n*(n-1)/2)
 	for mask := uint64(0); mask < total; mask++ {
 		g, err := graphFromMask(n, mask)
@@ -297,20 +302,21 @@ func exhaustiveBatch(t *testing.T, n int) {
 					checkRemote(t, where+" served", addrs[0], g, all, false)
 					stop()
 				}
-				for _, count := range []int{2, 3} {
-					arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, core.ShardRange)
+				for _, part := range partitions {
+					count, fn := part.count, part.fn
+					arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, fn)
 					if err != nil {
-						t.Fatalf("%s: split %d: %v", where, count, err)
+						t.Fatalf("%s: split %d fn=%v: %v", where, count, fn, err)
 					}
 					answered := make(map[[2]int]bool, len(all))
 					var fleet []*adjserve.Server
 					for i, a := range arenas {
-						where := fmt.Sprintf("%s shard %d/%d", where, i, count)
+						where := fmt.Sprintf("%s shard %d/%d fn=%v", where, i, count, fn)
 						sh, err := core.NewQueryEngineFromPermutedArena(a.Slab, a.BitLens, order)
 						if err != nil {
 							t.Fatalf("%s: engine: %v", where, err)
 						}
-						if err := sh.SetShard(core.ShardMap{Count: count, Index: i, Fn: core.ShardRange}); err != nil {
+						if err := sh.SetShard(core.ShardMap{Count: count, Index: i, Fn: fn}); err != nil {
 							t.Fatalf("%s: %v", where, err)
 						}
 						var held [][2]int
@@ -333,10 +339,10 @@ func exhaustiveBatch(t *testing.T, n int) {
 						fleet = append(fleet, adjserve.NewServer(sh, 0))
 					}
 					if len(answered) != len(all) {
-						t.Fatalf("%s: %d-way split answers %d of %d pairs", where, count, len(answered), len(all))
+						t.Fatalf("%s: %d-way fn=%v split answers %d of %d pairs", where, count, fn, len(answered), len(all))
 					}
 					if remote {
-						where := fmt.Sprintf("%s routed over %d shards", where, count)
+						where := fmt.Sprintf("%s routed over %d shards fn=%v", where, count, fn)
 						addrs, stopFleet := serveAll(t, fleet...)
 						routed, stopRouter := routeOver(t, where, addrs)
 						checkRemote(t, where, routed, g, all, false)
