@@ -22,83 +22,6 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Experiment benchmarks: one per table/figure of the evaluation. Each runs
-// the same code path as `plbench -experiment <ID> -quick`; run plbench for
-// the rendered tables and see EXPERIMENTS.md for paper-vs-measured numbers.
-// ---------------------------------------------------------------------------
-
-func benchExperiment(b *testing.B, run func(experiments.Config) ([]*experiments.Table, error)) {
-	b.Helper()
-	cfg := experiments.Config{Quick: true, Seed: 20160711}
-	for i := 0; i < b.N; i++ {
-		tables, err := run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
-			b.Fatal("experiment produced no rows")
-		}
-	}
-}
-
-func BenchmarkE1LabelSizeVsN(b *testing.B)     { benchExperiment(b, experiments.E1LabelSizeVsN) }
-func BenchmarkE2ThresholdSweep(b *testing.B)   { benchExperiment(b, experiments.E2ThresholdSweep) }
-func BenchmarkE3AlphaSweep(b *testing.B)       { benchExperiment(b, experiments.E3AlphaSweep) }
-func BenchmarkE4LowerBound(b *testing.B)       { benchExperiment(b, experiments.E4LowerBound) }
-func BenchmarkE5DistanceLabels(b *testing.B)   { benchExperiment(b, experiments.E5DistanceLabels) }
-func BenchmarkE6BAForest(b *testing.B)         { benchExperiment(b, experiments.E6BAForest) }
-func BenchmarkE7OneQuery(b *testing.B)         { benchExperiment(b, experiments.E7OneQuery) }
-func BenchmarkE8DecodeThroughput(b *testing.B) { benchExperiment(b, experiments.E8DecodeThroughput) }
-func BenchmarkE9ThresholdAblation(b *testing.B) {
-	benchExperiment(b, experiments.E9ThresholdAblation)
-}
-func BenchmarkE10FatEncoding(b *testing.B) { benchExperiment(b, experiments.E10FatEncoding) }
-func BenchmarkE11DynamicRelabels(b *testing.B) {
-	benchExperiment(b, experiments.E11DynamicRelabels)
-}
-func BenchmarkE12IncompleteKnowledge(b *testing.B) {
-	benchExperiment(b, experiments.E12IncompleteKnowledge)
-}
-func BenchmarkE13UniversalGraphs(b *testing.B) {
-	benchExperiment(b, experiments.E13UniversalGraphs)
-}
-func BenchmarkE14ExpectedLabelSize(b *testing.B) {
-	benchExperiment(b, experiments.E14ExpectedLabelSize)
-}
-func BenchmarkE15CompressedThin(b *testing.B) {
-	benchExperiment(b, experiments.E15CompressedThin)
-}
-func BenchmarkE16CommunicationCost(b *testing.B) {
-	benchExperiment(b, experiments.E16CommunicationCost)
-}
-func BenchmarkE17RoutingStretch(b *testing.B) {
-	benchExperiment(b, experiments.E17RoutingStretch)
-}
-func BenchmarkE18PriceOfLocality(b *testing.B) {
-	benchExperiment(b, experiments.E18PriceOfLocality)
-}
-func BenchmarkE19GenerativeModels(b *testing.B) {
-	benchExperiment(b, experiments.E19GenerativeModels)
-}
-func BenchmarkE20EncodeScalability(b *testing.B) {
-	benchExperiment(b, experiments.E20EncodeScalability)
-}
-func BenchmarkE21AdversarialH(b *testing.B) {
-	benchExperiment(b, experiments.E21AdversarialH)
-}
-func BenchmarkE24ObservabilityOverhead(b *testing.B) {
-	benchExperiment(b, experiments.E24ObservabilityOverhead)
-}
-
-func BenchmarkE25SkewLayout(b *testing.B) {
-	benchExperiment(b, experiments.E25SkewLayout)
-}
-
-func BenchmarkE27DistanceServing(b *testing.B) {
-	benchExperiment(b, experiments.E27DistanceServing)
-}
-
-// ---------------------------------------------------------------------------
 // Micro-benchmarks: encoder throughput and per-query decode latency for each
 // scheme on a shared power-law workload.
 // ---------------------------------------------------------------------------

@@ -35,9 +35,6 @@ func run(args []string) error {
 		seed         = fs.Int64("seed", 20160711, "generator seed")
 		list         = fs.Bool("list", false, "list experiments and exit")
 		format       = fs.String("format", "table", "output format: table | csv")
-		probeDist    = fs.String("probe-dist", "", "probe distribution for skew experiments: uniform | zipf | degprop (empty = default sweep)")
-		zipfS        = fs.Float64("zipf-s", 1.1, "Zipf exponent for -probe-dist zipf")
-		remote       = fs.String("remote", "", "external adjserve address (plroute or plserve) for E26's throughput drive")
 		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
@@ -64,8 +61,8 @@ func run(args []string) error {
 		}()
 	}
 	// Contention profiles must be armed before the workload starts; each is
-	// written on exit like -memprofile. Useful against the serving
-	// experiments (E23), where lock and channel waits dominate tail latency.
+	// written on exit like -memprofile. Useful against E20's parallel encoder,
+	// whose time off-CPU is spent waiting on its fill shards.
 	if *mutexprofile != "" {
 		runtime.SetMutexProfileFraction(1)
 		defer writeProfile("mutex", *mutexprofile)
@@ -80,12 +77,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if *probeDist != "" {
-		if _, err := experiments.ParseProbeDist(*probeDist); err != nil {
-			return err
-		}
-	}
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Dist: *probeDist, ZipfS: *zipfS, Remote: *remote}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed}
 	runners := experiments.All()
 	if *experiment != "" {
 		r, ok := experiments.ByID(*experiment)

@@ -49,7 +49,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pllabel", flag.ContinueOnError)
 	var (
-		schemeName = fs.String("scheme", "auto", "powerlaw | sparse | auto | fixed | compressed | forest | onequery | nbrlist | adjmatrix | dist-pll | dist-bounded")
+		schemeName = fs.String("scheme", "auto", "powerlaw | sparse | auto | fixed | forest | onequery | nbrlist | adjmatrix | dist-pll | dist-bounded")
 		alpha      = fs.Float64("alpha", 2.5, "power-law exponent (powerlaw and dist-bounded schemes)")
 		c          = fs.Float64("c", 0, "sparsity constant (sparse scheme; 0 = derive m/n)")
 		tau        = fs.Int("tau", 0, "fixed threshold (fixed scheme)")
@@ -436,8 +436,6 @@ func pick(name string, alpha, c float64, tau int) (core.Scheme, error) {
 		return core.NewSparseSchemeAuto(), nil
 	case "fixed":
 		return core.NewFixedThresholdScheme(tau), nil
-	case "compressed":
-		return core.NewCompressedScheme(core.NewPowerLawSchemeAuto()), nil
 	case "forest":
 		return forest.Scheme{}, nil
 	case "onequery":

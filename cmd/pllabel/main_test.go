@@ -74,10 +74,15 @@ func TestRunStdin(t *testing.T) {
 	}
 }
 
+// TestRunUnknownScheme: "compressed" is a library scheme (E8, E15, E16, E18),
+// not one pllabel writes — no reader serves its layout.
 func TestRunUnknownScheme(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-scheme", "nope"}, strings.NewReader("0 1\n"), &out); err == nil {
-		t.Error("unknown scheme accepted")
+	for _, scheme := range []string{"nope", "compressed"} {
+		var out bytes.Buffer
+		err := run([]string{"-scheme", scheme}, strings.NewReader("0 1\n"), &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+			t.Errorf("-scheme %s: err = %v, want an unknown-scheme error", scheme, err)
+		}
 	}
 }
 

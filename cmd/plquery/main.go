@@ -285,12 +285,7 @@ func serve(stdin io.Reader, stdout io.Writer, n int, batch bool,
 // decoderFor maps stored scheme names to their label-pair decoders.
 func decoderFor(scheme string, n int) (core.AdjacencyDecoder, error) {
 	switch {
-	case strings.HasPrefix(scheme, "compressed+"):
-		return core.NewCompressedDecoder(n), nil
-	case strings.HasPrefix(scheme, "sparse"),
-		strings.HasPrefix(scheme, "powerlaw"),
-		strings.HasPrefix(scheme, "fatthin"),
-		scheme == "nbrlist":
+	case core.FatThinLayout(scheme):
 		return core.NewFatThinDecoder(n), nil
 	case scheme == "adjmatrix":
 		return baseline.NewAdjMatrixDecoder(n), nil

@@ -120,8 +120,10 @@ func TestDecoderFor(t *testing.T) {
 			t.Errorf("decoderFor(%q): %v", name, err)
 		}
 	}
-	if _, err := decoderFor("mystery", 10); err == nil {
-		t.Error("unknown scheme accepted")
+	for _, name := range []string{"mystery", "compressed+powerlaw(auto)"} {
+		if _, err := decoderFor(name, 10); err == nil {
+			t.Errorf("decoderFor(%q) accepted", name)
+		}
 	}
 }
 

@@ -131,7 +131,11 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		}
 		// Zero-copy over the store's arena, id- or degree-ordered. Only
 		// fat/thin-layout stores (the engine's label format) are servable;
-		// anything else fails here, at startup.
+		// anything else fails here, at startup. The engine's header checks
+		// cannot tell every other layout apart, so the scheme name decides.
+		if !core.FatThinLayout(store.Scheme) {
+			return fmt.Errorf("store %s is not servable: scheme %q is not a fat/thin layout", *labelsPath, store.Scheme)
+		}
 		slab, bitLens, order, _ := store.ArenaLayout()
 		eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
 		if err != nil {
@@ -204,7 +208,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		engMetrics.Register(reg)
 		attachMetrics(engMetrics)
 		labelstore.RegisterMetrics(reg)
-		srv.Traffic.Register(reg, "adjserve_traffic")
 		sink.Register(reg)
 		admin = obs.NewAdminServer(reg)
 		admin.SetTraceSink(sink)
@@ -264,8 +267,9 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		admin.Shutdown(ctx)
 		cancel()
 	}
-	st := srv.Traffic.Stats()
-	logger.Info("served", "queries", st.Fetches, "frames", st.Messages/2, "bytes", st.Bytes)
+	m := srv.Metrics()
+	logger.Info("served", "queries", m.Queries.Load(), "frames", m.Frames.Load(),
+		"bytes", m.BytesIn.Load()+m.BytesOut.Load())
 	if err == adjserve.ErrClosed {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -29,11 +30,18 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writeStore(t, lab), g
+}
+
+// writeStore writes an arena-backed labeling to a store file through
+// labelstore, as pllabel -o does, and returns its path.
+func writeStore(t *testing.T, lab *core.Labeling) string {
+	t.Helper()
 	slab, ok := lab.Arena()
 	if !ok {
 		t.Fatal("labeling not arena-backed")
 	}
-	bitLens := make([]int, g.N())
+	bitLens := make([]int, lab.N())
 	for v := range bitLens {
 		l, err := lab.Label(v)
 		if err != nil {
@@ -42,7 +50,7 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 		bitLens[v] = l.Len()
 	}
 	store, err := labelstore.NewArenaFile(lab.Scheme(),
-		map[string]string{"n": strconv.Itoa(g.N())}, slab, bitLens)
+		map[string]string{"n": strconv.Itoa(lab.N())}, slab, bitLens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +63,7 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 	if err := labelstore.Write(f, store); err != nil {
 		t.Fatal(err)
 	}
-	return path, g
+	return path
 }
 
 // logAttr extracts one key=value attribute from a slog text line.
@@ -250,7 +258,7 @@ func TestAdminEndpoint(t *testing.T) {
 	// Open in the test process, so assert presence, not exact values.
 	wantFamilies := []string{
 		"adjserve_bytes_in_total", "adjserve_bytes_out_total",
-		"adjserve_frame_latency_ns_bucket", "adjserve_traffic_bytes_total",
+		"adjserve_frame_latency_ns_bucket",
 		"engine_branch_thin_total", "engine_batch_pairs_sum",
 		`labelstore_open_total{mode="mmap"}`, "labelstore_open_ns_count",
 		"labelstore_mapped_bytes", "labelstore_blob_bytes_total",
@@ -262,6 +270,7 @@ func TestAdminEndpoint(t *testing.T) {
 		}
 	}
 	_ = g
+	bytesIn, bytesOut := seriesValue(t, metrics, "adjserve_bytes_in_total"), seriesValue(t, metrics, "adjserve_bytes_out_total")
 
 	close(stop)
 	select {
@@ -272,10 +281,43 @@ func TestAdminEndpoint(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("daemon did not drain\n%s", out.String())
 	}
+	// The msg=served summary reads the counters just scraped — queries,
+	// frames, bytes in + out — and reports for this run the values it
+	// reported when it read a separate per-frame tally.
+	if bytesIn+bytesOut != 225 {
+		t.Errorf("scraped bytes in + out = %d, want 225", bytesIn+bytesOut)
+	}
+	var served string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "msg=served") {
+			served = line
+		}
+	}
+	for key, want := range map[string]int64{"queries": 100, "frames": 1, "bytes": bytesIn + bytesOut} {
+		if v, _ := logAttr(served, key); v != strconv.FormatInt(want, 10) {
+			t.Errorf("served line %q: %s=%s, want %d", served, key, v, want)
+		}
+	}
 	// Admin shut down after the drain: the port no longer answers.
 	if _, err := http.Get("http://" + admin + "/healthz"); err == nil {
 		t.Error("admin endpoint still answering after shutdown")
 	}
+}
+
+// seriesValue reads one unlabelled series' integer value from a scrape.
+func seriesValue(t *testing.T, scrape, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("scrape missing %s", name)
+	return 0
 }
 
 // TestServeShardStore boots the daemon on one shard of a 2-way split and
@@ -414,9 +456,10 @@ func TestPairCacheFlagRefusedOnAdjacencyStore(t *testing.T) {
 }
 
 func TestUnservableStore(t *testing.T) {
-	// An empty adjacency-matrix store builds an empty engine and serves; a
-	// pre-closed stop channel makes run drain immediately either way, so
-	// this pins down "run returns promptly, no error other than a refusal".
+	// An empty adjacency-matrix store is not a fat/thin layout and is
+	// refused; a pre-closed stop channel would make run drain immediately
+	// had it served, so this pins down "run returns promptly, no error
+	// other than a refusal".
 	path := filepath.Join(t.TempDir(), "bad.pllb")
 	f, err := os.Create(path)
 	if err != nil {
@@ -440,5 +483,41 @@ func TestUnservableStore(t *testing.T) {
 	case <-errC: // refusal or an immediately-drained serve: both fine
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return with a closed stop channel")
+	}
+}
+
+// TestRefusesNonFatThinStore: plserve builds the fat/thin engine only over a
+// store whose scheme names the fat/thin layout, and refuses anything else at
+// startup with an error naming the scheme. The engine's header checks cannot
+// tell every layout apart: this gap-coded (CompressedScheme) labeling passes
+// them, and an engine built over it answers the edge (0,1) false.
+func TestRefusesNonFatThinStore(t *testing.T) {
+	g := gen.ErdosRenyi(6, 2.5/6, 15)
+	lab, err := core.NewCompressedScheme(core.NewFixedThresholdScheme(3)).Encode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeStore(t, lab)
+	out := newAddrWriter()
+	stop := make(chan struct{})
+	errC := make(chan error, 1)
+	go func() { errC <- run([]string{"-labels", path, "-addr", "127.0.0.1:0"}, out, stop) }()
+	select {
+	case err := <-errC:
+		if err == nil || !strings.Contains(err.Error(), lab.Scheme()) {
+			t.Fatalf("run over a %s store: err = %v, want a refusal naming the scheme", lab.Scheme(), err)
+		}
+	case addr := <-out.addrC:
+		answer := "no answer"
+		if c, err := adjserve.Dial(addr); err == nil {
+			got, err := c.Adjacent(0, 1)
+			answer = fmt.Sprintf("(0,1) = %v, %v; graph says %v", got, err, g.HasEdge(0, 1))
+			c.Close()
+		}
+		close(stop)
+		<-errC
+		t.Fatalf("served a %s store: %s", lab.Scheme(), answer)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("run neither refused nor listened\n%s", out.String())
 	}
 }

@@ -86,8 +86,8 @@ func TestLoopbackEquivalence(t *testing.T) {
 		}
 		c.Close()
 	}
-	if st := srv.Traffic.Stats(); st.Fetches != 4*5000 {
-		t.Errorf("served %d queries, want %d", st.Fetches, 4*5000)
+	if got := srv.Metrics().Queries.Load(); got != 4*5000 {
+		t.Errorf("served %d queries, want %d", got, 4*5000)
 	}
 }
 

@@ -94,7 +94,7 @@ func BenchmarkAdjserveParallelConns(b *testing.B) {
 // BenchmarkRouterBatch measures routed queries/sec through a 3-shard fleet
 // over one downstream connection and — the x2conns rows — over two, which the
 // router carries on two upstream lanes; b.N counts queries, not frames. The
-// 4096 point is the E26 batch size and must report 0 allocs/op (CI asserts it).
+// 4096 point must report 0 allocs/op (CI asserts it).
 func BenchmarkRouterBatch(b *testing.B) {
 	_, engines := shardEngines(b, 20000, 3, core.ShardRange, 42)
 	addrs := make([]string, len(engines))
@@ -172,7 +172,7 @@ func BenchmarkServeTraceDisabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		resp, _ := srv.serveFrame(req, bufs, start, 1, 1)
+		resp := srv.serveFrame(req, bufs, start, 1, 1)
 		bufs.resp = resp[:0]
 	}
 }

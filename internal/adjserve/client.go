@@ -526,8 +526,7 @@ func (c *Client) AdjacentManyTrace(pairs [][2]int, out []bool, t *obs.SpanTally)
 }
 
 // Adjacent answers a single query remotely. For throughput, prefer
-// AdjacentMany — one frame per call is the naive baseline E23 measures
-// against.
+// AdjacentMany — one frame per call pays the whole round trip for one pair.
 func (c *Client) Adjacent(u, v int) (bool, error) {
 	var res [1]bool
 	if _, err := c.AdjacentMany([][2]int{{u, v}}, res[:0]); err != nil {

@@ -37,10 +37,6 @@ type front struct {
 	// DefaultMaxPendingResponses.
 	maxPendingResp int
 
-	// charge, when non-nil, is told about every frame written: messages, wire
-	// bytes, answered queries (Server.Traffic).
-	charge func(msgs, bytes, queries int64)
-
 	// sink, when non-nil, collects completed traces: frames that arrived
 	// with a trace context, frames self-selected by the sink's sampler, and
 	// frames over the slow threshold. Set before Serve; a nil sink still
@@ -75,7 +71,7 @@ type answerConn interface {
 	// in place); the response is valid until the next call. start is the
 	// instant the payload finished reading; readNs and queueNs are the
 	// frame's already-measured read and queue-wait stages.
-	answer(req []byte, start time.Time, readNs, queueNs int64) (resp []byte, queries int)
+	answer(req []byte, start time.Time, readNs, queueNs int64) []byte
 }
 
 // pipelinedConn splits answer in two, making a Router's connections
@@ -90,7 +86,7 @@ type pipelinedConn interface {
 	// ready reports whether finish would return without waiting; finish's
 	// response is valid until the slot begins again.
 	ready(slot int) bool
-	finish(slot int) (resp []byte, queries int)
+	finish(slot int) []byte
 }
 
 // pipelineDepth bounds the frames (and slots) between begin and finish: two
@@ -248,7 +244,6 @@ type frameWriter struct {
 	m          *frontMetrics
 	c          net.Conn
 	bw         *bufio.Writer
-	charge     func(msgs, bytes, queries int64)
 	maxPending int // caps unflushed, see front.maxPendingResp
 	// unflushed counts responses coalesced into bw since the last Flush. A
 	// frame is charged to the QueuedFrames gauge once its payload is read and
@@ -262,7 +257,7 @@ type frameWriter struct {
 
 // write buffers one response frame and charges it: a few uncontended atomic
 // adds per frame, amortized over the whole batch — nothing per query.
-func (w *frameWriter) write(plen int, resp []byte, queries int) error {
+func (w *frameWriter) write(plen int, resp []byte) error {
 	w.m.Frames.Inc()
 	w.m.BytesIn.Add(int64(frameHeaderLen + plen))
 	w.m.BytesOut.Add(int64(frameHeaderLen + len(resp)))
@@ -275,9 +270,6 @@ func (w *frameWriter) write(plen int, resp []byte, queries int) error {
 	if err != nil {
 		w.c.Close()
 		return err
-	}
-	if w.charge != nil {
-		w.charge(2, int64(2*frameHeaderLen+plen+len(resp)), int64(queries))
 	}
 	if w.unflushed >= w.maxPending {
 		return w.flush()
@@ -322,14 +314,14 @@ func (w *frameWriter) finishLoop(pc pipelinedConn, pipe <-chan begunFrame, free 
 		if !ok {
 			return
 		}
-		resp, queries := fr.resp, 0
+		resp := fr.resp
 		if resp == nil {
 			if !pc.ready(fr.slot) {
 				_ = w.flush()
 			}
-			resp, queries = pc.finish(fr.slot)
+			resp = pc.finish(fr.slot)
 		}
-		_ = w.write(fr.plen, resp, queries)
+		_ = w.write(fr.plen, resp)
 		free <- fr.slot
 	}
 }
@@ -341,7 +333,7 @@ func (f *front) handle(c net.Conn) {
 	m.ConnsActive.Add(1)
 	fc := f.open()
 	br := bufio.NewReaderSize(c, 64<<10)
-	w := &frameWriter{m: m, c: c, bw: bufio.NewWriterSize(c, 64<<10), charge: f.charge, maxPending: f.maxPendingResp}
+	w := &frameWriter{m: m, c: c, bw: bufio.NewWriterSize(c, 64<<10), maxPending: f.maxPendingResp}
 	if w.maxPending <= 0 {
 		w.maxPending = DefaultMaxPendingResponses
 	}
@@ -432,11 +424,10 @@ func (f *front) handle(c net.Conn) {
 		tPayload := time.Now()
 		readNs, queueNs := int64(tPayload.Sub(tHdr)), int64(tHdr.Sub(burstStart))
 		if pc == nil {
-			queries := 0
 			if fr.resp == nil {
-				fr.resp, queries = ac.answer(req, tPayload, readNs, queueNs)
+				fr.resp = ac.answer(req, tPayload, readNs, queueNs)
 			}
-			if w.write(fr.plen, fr.resp, queries) != nil {
+			if w.write(fr.plen, fr.resp) != nil {
 				return
 			}
 			continue

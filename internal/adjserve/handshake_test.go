@@ -74,11 +74,11 @@ func TestShardInfoOffPooledPath(t *testing.T) {
 		bufs := srv.openConn().(*connBuffers)
 		bufs.answer(bytes.Clone(steady), time.Now(), 0, 0)
 		before := cap(bufs.resp)
-		blocks[i], _ = bufs.answer([]byte{opShardInfo}, time.Now(), 0, 0)
+		blocks[i] = bufs.answer([]byte{opShardInfo}, time.Now(), 0, 0)
 		if len(blocks[i]) < core.IDBitsLen(eng.N()) || blocks[i][0] != statusOK {
 			t.Fatalf("shard-info response of %d bytes, status %d", len(blocks[i]), blocks[i][0])
 		}
-		if resp, _ := bufs.answer(bytes.Clone(steady), time.Now(), 0, 0); resp[0] != statusOK {
+		if resp := bufs.answer(bytes.Clone(steady), time.Now(), 0, 0); resp[0] != statusOK {
 			t.Fatalf("query after the handshake: status %d", resp[0])
 		}
 		if after := cap(bufs.resp); after != before {
@@ -94,7 +94,7 @@ func TestShardInfoOffPooledPath(t *testing.T) {
 	raddr, r := startRouter(t, []string{addr}, 0)
 	rc := r.openConn().(*routerConn)
 	rc.begin(0, []byte{opShardInfo}, time.Now(), 0, 0)
-	resp, _ := rc.finish(0)
+	resp := rc.finish(0)
 	if !bytes.Equal(resp, blocks[0]) { // an unsharded server's map is the trivial one a router reports
 		t.Fatal("router re-serves a different shard-info block than its upstream's")
 	}

@@ -83,7 +83,6 @@ func TestServerMetricsE2E(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv.Metrics().Register(reg)
 	em.Register(reg)
-	srv.Traffic.Register(reg, "adjserve_traffic")
 	admin := obs.NewAdminServer(reg)
 	adminAddr, err := admin.Listen("127.0.0.1:0")
 	if err != nil {
@@ -145,9 +144,6 @@ func TestServerMetricsE2E(t *testing.T) {
 	}
 	if got := scrapeSeries(t, metricsURL, "adjserve_frames_total"); got != workers*batches {
 		t.Errorf("adjserve_frames_total = %v, want %d", got, workers*batches)
-	}
-	if got := scrapeSeries(t, metricsURL, "adjserve_traffic_fetches_total"); got != wantQueries {
-		t.Errorf("adjserve_traffic_fetches_total = %v, want %d", got, wantQueries)
 	}
 	// The branch split partitions the queries.
 	thin := scrapeSeries(t, metricsURL, "engine_branch_thin_total")

@@ -440,13 +440,13 @@ func (b *routerConn) begin(slot int, req []byte, start time.Time, readNs, queueN
 // upstream = begin done → answers joined (the wait behind the connection's
 // earlier frame included), gather = joined → encoded. An uncaptured frame
 // takes no timestamp the latency histograms do not need.
-func (b *routerConn) finish(slot int) ([]byte, int) {
+func (b *routerConn) finish(slot int) []byte {
 	r, sl := b.r, &b.slots[slot]
 	if sl.shared != nil {
 		// Megabytes, and every connection's: never traced in place, never the
 		// slot's scratch (compare Server.serveFrame).
 		r.metrics.BegunFrames.Add(-1)
-		return sl.shared, 0
+		return sl.shared
 	}
 	joined, queries := sl.begun, 0
 	if sl.pl != nil {
@@ -475,7 +475,7 @@ func (b *routerConn) finish(slot int) ([]byte, int) {
 		t.Add(obs.StageRead, obs.HopSelf, sl.readNs)
 		sl.resp = sl.tc.finish(r.sink, &t, sl.resp, sl.op, queries, total, slow)
 	}
-	return sl.resp, queries
+	return sl.resp
 }
 
 // mergeShardTrace folds one shard call's tally into the frame tally: the

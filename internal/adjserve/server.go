@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/peernet"
 )
 
 // Server answers adjacency batches from a shared read-only QueryEngine. The
 // engine is immutable, so any number of connection goroutines query it with
 // no synchronization at all; the only shared mutable state is the connection
-// registry and the traffic counters. Request and response buffers are
-// sync.Pool-backed and reused across every frame of a connection, so the
-// steady-state frame loop performs zero heap allocations.
+// registry and the metrics. Request and response buffers are sync.Pool-backed
+// and reused across every frame of a connection, so the steady-state frame
+// loop performs zero heap allocations.
 type Server struct {
 	engine   *core.QueryEngine
 	dist     *core.DistEngine
@@ -38,10 +37,6 @@ type Server struct {
 	// read-burst, a connection sitting on a pipelined burst charges the whole
 	// burst to the gauge — the queue the shedding bound watches.
 	shedding atomic.Bool
-
-	// Traffic accounts wire bytes, frames (as message pairs) and answered
-	// queries in the same units as the peernet simulation.
-	Traffic peernet.Traffic
 
 	// metrics is the always-on Prometheus-facing instrumentation; see
 	// ServerMetrics for what the frame loop charges and why it stays off
@@ -69,7 +64,7 @@ func NewServer(engine *core.QueryEngine, maxBatch int) *Server {
 		maxBatch = DefaultMaxBatch
 	}
 	s := &Server{engine: engine, maxBatch: maxBatch}
-	s.front.m, s.front.charge, s.front.open = &s.metrics.frontMetrics, s.Traffic.Charge, s.openConn
+	s.front.m, s.front.open = &s.metrics.frontMetrics, s.openConn
 	return s
 }
 
@@ -133,7 +128,7 @@ func (s *Server) openConn() frameConn {
 	return bufs
 }
 
-func (b *connBuffers) answer(req []byte, start time.Time, readNs, queueNs int64) ([]byte, int) {
+func (b *connBuffers) answer(req []byte, start time.Time, readNs, queueNs int64) []byte {
 	return b.srv.serveFrame(req, b, start, readNs, queueNs)
 }
 
@@ -183,7 +178,7 @@ func (s *Server) shouldShed() bool {
 // (CI-asserted by BenchmarkServeTraceDisabled): the trace state is a stack
 // struct, and the SpanTally/Trace records are only materialized inside the
 // capture branch.
-func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, readNs, queueNs int64) ([]byte, int) {
+func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, readNs, queueNs int64) []byte {
 	tc, req, op := beginTrace(req, s.sink)
 	resp, queries := s.process(req, bufs)
 	probeNs := int64(time.Since(start))
@@ -191,7 +186,7 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 	if op == opShardInfo {
 		// The server's one shared block: written as it is — no trace block
 		// appended in place — and not adopted as this connection's scratch.
-		return resp, 0
+		return resp
 	}
 	if queries > 0 {
 		// The frame was answered on this plane's engine.
@@ -207,7 +202,7 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 		resp = tc.finish(s.sink, &t, resp, op, queries, total, slow)
 	}
 	bufs.resp = resp[:0]
-	return resp, queries
+	return resp
 }
 
 // process answers one request payload, appending the response payload to

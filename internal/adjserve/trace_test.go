@@ -472,7 +472,7 @@ func TestServeFrameTraceDisabledZeroAlloc(t *testing.T) {
 	bufs := &connBuffers{resp: make([]byte, 0, 4096)}
 	allocs := testing.AllocsPerRun(200, func() {
 		start := time.Now()
-		resp, _ := srv.serveFrame(req, bufs, start, 1, 1)
+		resp := srv.serveFrame(req, bufs, start, 1, 1)
 		bufs.resp = resp[:0]
 	})
 	if allocs != 0 {

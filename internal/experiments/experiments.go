@@ -1,9 +1,8 @@
 // Package experiments implements the evaluation harness: every table and
 // figure of the paper's experimental study (full version, arXiv:1502.03971)
 // plus bound-check experiments for each theorem, regenerated on synthetic
-// workloads whose degree tails are verified members of P_h. The same
-// experiment implementations back both cmd/plbench and the testing.B
-// benchmarks in bench_test.go; see EXPERIMENTS.md for paper-vs-measured
+// workloads whose degree tails are verified members of P_h. cmd/plbench
+// runs and renders them; see EXPERIMENTS.md for paper-vs-measured
 // discussion.
 package experiments
 
@@ -22,17 +21,6 @@ type Config struct {
 	Quick bool
 	// Seed drives every generator; experiments are bit-reproducible.
 	Seed int64
-	// Dist, when non-empty, restricts probe-driven experiments (E25) to one
-	// vertex-pair sampling distribution: uniform | zipf | degprop. Empty
-	// runs each experiment's default distribution sweep.
-	Dist string
-	// ZipfS is the Zipf exponent used when Dist selects zipf (0 picks the
-	// experiment default).
-	ZipfS float64
-	// Remote, when non-empty, points E26's throughput drive at an external
-	// adjserve-protocol address (a plroute front or a plserve) instead of
-	// booting an in-process fleet.
-	Remote string
 }
 
 // DefaultConfig returns the full-scale configuration.
@@ -177,11 +165,7 @@ func All() []Runner {
 		{ID: "E19", Description: "generative models (§6): which admit small labels, by degeneracy", Run: E19GenerativeModels},
 		{ID: "E20", Description: "encoder scalability: sequential vs parallel, ns/vertex", Run: E20EncodeScalability},
 		{ID: "E21", Description: "lower-bound construction: labels are invariant to the embedded H", Run: E21AdversarialH},
-		{ID: "E23", Description: "adjacency serving: loopback TCP throughput/latency + mmap startup", Run: E23ServingThroughput},
-		{ID: "E24", Description: "observability: obs primitive cost + engine instrumentation overhead", Run: E24ObservabilityOverhead},
 		{ID: "E25", Description: "skew-aware layout: id- vs degree-ordered arena under Zipf/degree-proportional query skew", Run: E25SkewLayout},
-		{ID: "E26", Description: "sharded serving: routed-fleet equivalence + aggregate q/s scaling with shard count", Run: E26ShardedServing},
-		{ID: "E27", Description: "distance serving: DistEngine vs QueryEngine q/s local + loopback TCP; slab encode vs legacy PLL", Run: E27DistanceServing},
 		{ID: "E33", Description: "thin-side edges stored once vs both ends: label bits and store bytes vs n, α, Thm 4/6; adversarial embedding; τ sweep", Run: E33ThinEdgesOnce},
 	}
 }

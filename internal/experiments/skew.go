@@ -60,28 +60,11 @@ func E25SkewLayout(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 
-	var dists []skewDist
-	if cfg.Dist != "" {
-		d, err := ParseProbeDist(cfg.Dist)
-		if err != nil {
-			return nil, err
-		}
-		s := cfg.ZipfS
-		if s == 0 {
-			s = 1.1
-		}
-		name := string(d)
-		if d == DistZipf {
-			name = fmt.Sprintf("zipf(s=%.1f)", s)
-		}
-		dists = []skewDist{{name, d, s}}
-	} else {
-		dists = []skewDist{
-			{"uniform", DistUniform, 0},
-			{"zipf(s=0.8)", DistZipf, 0.8},
-			{"zipf(s=1.1)", DistZipf, 1.1},
-			{"degprop", DistDegProp, 0},
-		}
+	dists := []skewDist{
+		{"uniform", DistUniform, 0},
+		{"zipf(s=0.8)", DistZipf, 0.8},
+		{"zipf(s=1.1)", DistZipf, 1.1},
+		{"degprop", DistDegProp, 0},
 	}
 
 	tb := &Table{

@@ -87,9 +87,9 @@ func (r *Registry) Counter(name, help string, c *Counter, labels ...string) {
 }
 
 // CounterFunc registers a counter series computed by fn at scrape time —
-// the bridge for components that already keep their own atomics (e.g.
-// peernet.Traffic). fn must be monotone for the series to behave as a
-// Prometheus counter.
+// the bridge for values something else already keeps (e.g. the runtime's GC
+// cycle count). fn must be monotone for the series to behave as a Prometheus
+// counter.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...string) {
 	r.register(name, help, TypeCounter, series{labels: labelString(labels), fn: fn})
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/schemes/onequery"
 )
 
@@ -35,65 +34,14 @@ type Stats struct {
 	Fetches  int64 // label fetches (request/response pairs)
 }
 
-// Traffic is the set of atomic wire-accounting counters behind Stats. It is
-// exported so that real serving paths (internal/adjserve charges one
-// request/response pair and the answered query count per frame) account
-// traffic with the same units as the peer-to-peer simulation, making E16/E23
-// bytes-per-query columns directly comparable. The zero value is ready to
-// use; all methods are safe for concurrent callers.
-type Traffic struct {
-	msgs  atomic.Int64
-	bytes atomic.Int64
-	fetch atomic.Int64
-}
-
-// Charge adds msgs messages, bytes wire bytes and fetches label fetches (or,
-// for a query server, answered queries) to the counters.
-func (t *Traffic) Charge(msgs, bytes, fetches int64) {
-	t.msgs.Add(msgs)
-	t.bytes.Add(bytes)
-	t.fetch.Add(fetches)
-}
-
-// Stats returns a snapshot of the counters. Each counter is read atomically;
-// a snapshot taken while traffic is in flight is consistent per counter, not
-// across counters.
-func (t *Traffic) Stats() Stats {
-	return Stats{
-		Messages: t.msgs.Load(),
-		Bytes:    t.bytes.Load(),
-		Fetches:  t.fetch.Load(),
-	}
-}
-
-// Reset zeroes the counters.
-func (t *Traffic) Reset() {
-	t.msgs.Store(0)
-	t.bytes.Store(0)
-	t.fetch.Store(0)
-}
-
-// Register bridges the traffic atomics into an obs.Registry as counter
-// funcs under prefix — the same counters back both the exposition and
-// Stats, never a duplicated tally. Reset makes the exposed series
-// non-monotone, so daemons that register the counters should not Reset
-// mid-flight (experiments that Reset between sweeps never register).
-func (t *Traffic) Register(reg *obs.Registry, prefix string) {
-	reg.CounterFunc(prefix+"_messages_total",
-		"Protocol messages (requests + responses) in peernet accounting units.", t.msgs.Load)
-	reg.CounterFunc(prefix+"_bytes_total",
-		"Wire bytes in the request/response framing units shared with the E16 simulation.", t.bytes.Load)
-	reg.CounterFunc(prefix+"_fetches_total",
-		"Label fetches, or answered queries for a serving-tier Traffic.", t.fetch.Load)
-}
-
 // Network is a fleet of peers, each holding one label. Fetch and the stats
 // accessors are safe for concurrent use: coordinators answering a query
-// stream from many goroutines (e.g. AdjacentManyParallel over a service)
-// share one network, so the traffic counters are atomics.
+// stream from many goroutines share one network, so the traffic counters are
+// atomics.
 type Network struct {
 	labels  []bitstr.String
-	traffic Traffic
+	bytes   atomic.Int64
+	fetches atomic.Int64
 }
 
 // New builds a network from per-vertex labels (peer v holds labels[v]).
@@ -104,24 +52,31 @@ func New(labels []bitstr.String) *Network {
 // N returns the number of peers.
 func (n *Network) N() int { return len(n.labels) }
 
-// Fetch retrieves peer v's label, charging the request/response traffic.
+// Fetch retrieves peer v's label, charging one request/response pair.
 // Safe for concurrent callers.
 func (n *Network) Fetch(v int) (bitstr.String, error) {
 	if v < 0 || v >= len(n.labels) {
 		return bitstr.String{}, fmt.Errorf("%w: %d of %d", ErrUnknownPeer, v, len(n.labels))
 	}
 	l := n.labels[v]
-	n.traffic.Charge(2, requestBytes+responseOverheadBytes+int64(l.SizeBytes()), 1)
+	n.bytes.Add(requestBytes + responseOverheadBytes + int64(l.SizeBytes()))
+	n.fetches.Add(1)
 	return l, nil
 }
 
 // Stats returns the accumulated traffic counters. Each counter is read
 // atomically; a snapshot taken while fetches are in flight is consistent per
 // counter, not across counters.
-func (n *Network) Stats() Stats { return n.traffic.Stats() }
+func (n *Network) Stats() Stats {
+	f := n.fetches.Load()
+	return Stats{Messages: 2 * f, Bytes: n.bytes.Load(), Fetches: f}
+}
 
 // ResetStats zeroes the traffic counters.
-func (n *Network) ResetStats() { n.traffic.Reset() }
+func (n *Network) ResetStats() {
+	n.bytes.Store(0)
+	n.fetches.Store(0)
+}
 
 // TwoLabelService answers adjacency queries by fetching both endpoint
 // labels and running a standard two-label decoder.
@@ -141,79 +96,6 @@ func (s *TwoLabelService) Adjacent(u, v int) (bool, error) {
 		return false, err
 	}
 	return s.Dec.Adjacent(lu, lv)
-}
-
-// AdjacentMany resolves a batch of queries, fetching each distinct endpoint
-// label at most once per batch: the coordinator caches labels for the
-// duration of the call, so a batch touching d distinct vertices costs d
-// fetches instead of 2·len(pairs). One result per pair is appended to out.
-func (s *TwoLabelService) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
-	cache := make(map[int]bitstr.String, 2*len(pairs))
-	fetch := func(v int) (bitstr.String, error) {
-		if l, ok := cache[v]; ok {
-			return l, nil
-		}
-		l, err := s.Net.Fetch(v)
-		if err != nil {
-			return bitstr.String{}, err
-		}
-		cache[v] = l
-		return l, nil
-	}
-	for _, p := range pairs {
-		lu, err := fetch(p[0])
-		if err != nil {
-			return out, err
-		}
-		lv, err := fetch(p[1])
-		if err != nil {
-			return out, err
-		}
-		ok, err := s.Dec.Adjacent(lu, lv)
-		if err != nil {
-			return out, fmt.Errorf("peernet: query (%d,%d): %w", p[0], p[1], err)
-		}
-		out = append(out, ok)
-	}
-	return out, nil
-}
-
-// EngineService is the heavy-traffic coordinator for fat/thin labelings: it
-// pulls every label exactly once (traffic charged to the network, the
-// dissemination cost of Section 1) and then serves adjacency queries
-// locally through a zero-allocation core.QueryEngine — the deployment shape
-// where one replica absorbs a query stream instead of re-fetching labels
-// per query.
-type EngineService struct {
-	Engine *core.QueryEngine
-}
-
-// NewEngineService fetches all labels from the network and builds the local
-// query engine over them.
-func NewEngineService(net *Network) (*EngineService, error) {
-	labels := make([]bitstr.String, net.N())
-	for v := range labels {
-		l, err := net.Fetch(v)
-		if err != nil {
-			return nil, err
-		}
-		labels[v] = l
-	}
-	eng, err := core.NewQueryEngineFromLabels(labels)
-	if err != nil {
-		return nil, err
-	}
-	return &EngineService{Engine: eng}, nil
-}
-
-// Adjacent answers from the local engine; no network traffic.
-func (s *EngineService) Adjacent(u, v int) (bool, error) {
-	return s.Engine.Adjacent(u, v)
-}
-
-// AdjacentMany answers a batch from the local engine; no network traffic.
-func (s *EngineService) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
-	return s.Engine.AdjacentMany(pairs, out)
 }
 
 // OneQueryService answers adjacency queries with the Section 6 protocol:

@@ -174,109 +174,10 @@ func TestOneQueryMovesFewerBytesOnHubGraphs(t *testing.T) {
 	}
 }
 
-// TestAdjacentManyDedupsFetches: a batch touching d distinct vertices must
-// cost exactly d fetches, not 2 per pair, and must agree with the
-// pair-at-a-time service.
-func TestAdjacentManyDedupsFetches(t *testing.T) {
-	g := gen.ErdosRenyi(40, 0.15, 6)
-	lab, err := core.NewSparseSchemeAuto().Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, err := LabelsOf(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := New(labels)
-	svc := &TwoLabelService{Net: net, Dec: lab.Decoder()}
-	// Every pair touches vertex 0: 10 pairs, 11 distinct vertices.
-	var pairs [][2]int
-	distinct := map[int]bool{0: true}
-	for v := 1; v <= 10; v++ {
-		pairs = append(pairs, [2]int{0, v})
-		distinct[v] = true
-	}
-	out, err := svc.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := net.Stats().Fetches, int64(len(distinct)); got != want {
-		t.Errorf("batch fetches = %d, want %d", got, want)
-	}
-	for i, p := range pairs {
-		want, err := svc.Adjacent(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[i] != want {
-			t.Errorf("AdjacentMany[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-}
-
-// TestEngineService: the engine coordinator pays n fetches once, then
-// serves every query locally with answers identical to the two-label
-// service.
-func TestEngineService(t *testing.T) {
-	g := gen.ErdosRenyi(60, 0.12, 8)
-	lab, err := core.NewSparseSchemeAuto().Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, err := LabelsOf(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := New(labels)
-	svc, err := NewEngineService(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := net.Stats().Fetches, int64(g.N()); got != want {
-		t.Fatalf("dissemination fetches = %d, want %d", got, want)
-	}
-	net.ResetStats()
-	ref := &TwoLabelService{Net: net, Dec: lab.Decoder()}
-	var pairs [][2]int
-	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
-			pairs = append(pairs, [2]int{u, v})
-		}
-	}
-	refStats := net.Stats() // zero
-	_ = refStats
-	for _, p := range pairs {
-		want, err := ref.Adjacent(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := svc.Adjacent(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("engine (%d,%d) = %v, want %v", p[0], p[1], got, want)
-		}
-	}
-	fetchesAfterRef := net.Stats().Fetches
-	out, err := svc.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.Stats().Fetches != fetchesAfterRef {
-		t.Error("engine batch touched the network")
-	}
-	for i, p := range pairs {
-		if got := out[i]; got != g.HasEdge(p[0], p[1]) {
-			t.Fatalf("engine batch (%d,%d) = %v, want %v", p[0], p[1], got, g.HasEdge(p[0], p[1]))
-		}
-	}
-}
-
 // TestConcurrentFetchStats hammers one network from many goroutines and
 // checks the counters land on exact totals — under -race this also proves
-// Fetch/Stats/ResetStats are data-race free (the coordinator shape of
-// AdjacentManyParallel over a shared network).
+// Fetch/Stats/ResetStats are data-race free (many coordinators over one
+// shared network).
 func TestConcurrentFetchStats(t *testing.T) {
 	g := gen.ErdosRenyi(32, 0.2, 9)
 	lab, err := core.NewSparseScheme(1).Encode(g)

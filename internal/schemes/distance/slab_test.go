@@ -328,7 +328,7 @@ func BenchmarkDistEngineDistMany(b *testing.B) {
 }
 
 // BenchmarkDistEncodeArena compares slab-pipeline encode throughput against
-// the legacy Builder-based PLL encoder (the E27 encode column).
+// the legacy Builder-based PLL encoder.
 func BenchmarkDistEncodeArena(b *testing.B) {
 	g, err := gen.ChungLuPowerLaw(1<<13, 2.5, 3, 17)
 	if err != nil {
