@@ -91,15 +91,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			answerMany = client.AdjacentMany
 		}
 	} else {
-		f, err := os.Open(*labelsPath)
+		store, err := labelstore.Open(*labelsPath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		store, err := labelstore.Read(f)
-		if err != nil {
-			return err
-		}
+		defer store.Close()
 		if n, err = store.IntParam("n"); err != nil {
 			return err
 		}

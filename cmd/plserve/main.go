@@ -4,7 +4,9 @@
 // internal/adjserve protocol. Startup parses the store's header (O(n): bit
 // lengths, permutation, one validating walk) and moves no label byte — the
 // bodies stay in the page cache and are shared by every plserve process (and
-// every plquery) mapping the same file.
+// every plquery) mapping the same file. Where mmap is unavailable
+// labelstore.Open reads the file into memory instead, and the loaded line says
+// mode=copied.
 //
 // Usage:
 //
@@ -58,11 +60,9 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		addr        = fs.String("addr", "127.0.0.1:7421", "listen address (port 0 picks a free port)")
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/pprof (empty disables; port 0 picks a free port)")
 		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default)")
-		useMmap     = fs.Bool("mmap", true, "memory-map the store (false forces the copying reader)")
 		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v)→distance result cache (0 = disabled); distance stores only, refused on an adjacency store")
 		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited); behind plroute leave room for its lanes, 4 connections per router")
 		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed)")
-		maxPending  = fs.Int("max-pending-resp", 0, "flush after this many unflushed responses per conn (0 = default)")
 		traceSample = fs.Int64("trace-sample", 0, "self-sample every Nth served frame into /debug/traces (0 = only trace frames that arrive traced)")
 		slowlogMs   = fs.Int64("slowlog-ms", 0, "capture frames slower than this many milliseconds in /debug/slowlog, sampled or not (0 = disabled)")
 	)
@@ -75,30 +75,11 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	logger := slog.New(slog.NewTextHandler(stdout, nil))
 
 	start := time.Now()
-	var (
-		store  *labelstore.File
-		mapped bool
-		closer func() error
-	)
-	if *useMmap {
-		mf, err := labelstore.Open(*labelsPath)
-		if err != nil {
-			return err
-		}
-		store, mapped, closer = mf.File, mf.Mapped(), mf.Close
-	} else {
-		f, err := os.Open(*labelsPath)
-		if err != nil {
-			return err
-		}
-		store, err = labelstore.Read(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		closer = func() error { return nil }
+	store, err := labelstore.Open(*labelsPath)
+	if err != nil {
+		return err
 	}
-	defer closer()
+	defer store.Close()
 
 	// A store serves exactly one query plane: adjacency (the default) or
 	// distance (a scheme-stamped pll/bdist store → core.DistEngine behind the
@@ -155,7 +136,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		attachMetrics = eng.AttachMetrics
 	}
 	mode := "copied"
-	if mapped {
+	if store.Mapped() {
 		mode = "mmap"
 	}
 	layout := "id"
@@ -169,7 +150,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 
 	srv.SetMaxConns(*maxConns)
 	srv.SetShedDepth(*shedDepth)
-	srv.SetMaxPendingResponses(*maxPending)
 
 	// The trace sink is always installed: downstream-traced frames echo their
 	// stage report regardless of flags, -trace-sample adds self-sampling, and

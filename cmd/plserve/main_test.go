@@ -122,62 +122,52 @@ func (w *addrWriter) String() string {
 // TestServeAndDrain boots the daemon on a free port, checks remote answers
 // against the graph, and verifies the shutdown path drains cleanly.
 func TestServeAndDrain(t *testing.T) {
-	for _, mmap := range []bool{true, false} {
-		path, g := storeFixture(t)
-		out := newAddrWriter()
-		stop := make(chan struct{})
-		errC := make(chan error, 1)
-		args := []string{"-labels", path, "-addr", "127.0.0.1:0"}
-		if !mmap {
-			args = append(args, "-mmap=false")
-		}
-		go func() { errC <- run(args, out, stop) }()
-		var addr string
-		select {
-		case addr = <-out.addrC:
-		case err := <-errC:
-			t.Fatalf("mmap=%v: daemon exited early: %v\n%s", mmap, err, out.String())
-		case <-time.After(10 * time.Second):
-			t.Fatalf("mmap=%v: no listening line\n%s", mmap, out.String())
-		}
-		c, err := adjserve.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := c.Info(); err != nil || n != g.N() {
-			t.Fatalf("mmap=%v: Info = %d, %v; want %d", mmap, n, err, g.N())
-		}
-		for u := 0; u < 40; u++ {
-			for v := u + 1; v < 40; v += 3 {
-				got, err := c.Adjacent(u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := g.HasEdge(u, v); got != want {
-					t.Fatalf("mmap=%v: (%d,%d) = %v, want %v", mmap, u, v, got, want)
-				}
-			}
-		}
-		c.Close()
-		close(stop)
-		select {
-		case err := <-errC:
+	path, g := storeFixture(t)
+	out := newAddrWriter()
+	stop := make(chan struct{})
+	errC := make(chan error, 1)
+	go func() { errC <- run([]string{"-labels", path, "-addr", "127.0.0.1:0"}, out, stop) }()
+	var addr string
+	select {
+	case addr = <-out.addrC:
+	case err := <-errC:
+		t.Fatalf("daemon exited early: %v\n%s", err, out.String())
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no listening line\n%s", out.String())
+	}
+	c, err := adjserve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Info(); err != nil || n != g.N() {
+		t.Fatalf("Info = %d, %v; want %d", n, err, g.N())
+	}
+	for u := 0; u < 40; u++ {
+		for v := u + 1; v < 40; v += 3 {
+			got, err := c.Adjacent(u, v)
 			if err != nil {
-				t.Fatalf("mmap=%v: daemon exit: %v\n%s", mmap, err, out.String())
+				t.Fatal(err)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("mmap=%v: daemon did not drain\n%s", mmap, out.String())
+			if want := g.HasEdge(u, v); got != want {
+				t.Fatalf("(%d,%d) = %v, want %v", u, v, got, want)
+			}
 		}
-		if !strings.Contains(out.String(), "served") {
-			t.Errorf("mmap=%v: missing serve summary:\n%s", mmap, out.String())
+	}
+	c.Close()
+	close(stop)
+	select {
+	case err := <-errC:
+		if err != nil {
+			t.Fatalf("daemon exit: %v\n%s", err, out.String())
 		}
-		wantMode := "mode=mmap"
-		if !mmap {
-			wantMode = "mode=copied"
-		}
-		if !strings.Contains(out.String(), wantMode) {
-			t.Errorf("mmap=%v: loaded-mode line missing %q:\n%s", mmap, wantMode, out.String())
-		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("daemon did not drain\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "served") {
+		t.Errorf("missing serve summary:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "mode=mmap") {
+		t.Errorf("loaded-mode line missing mode=mmap:\n%s", out.String())
 	}
 }
 

@@ -29,12 +29,8 @@ type front struct {
 	// bare RST. Set before Serve.
 	maxConns int
 
-	// maxPendingResp, when > 0, caps responses coalesced into a connection's
-	// write buffer before a forced Flush. Coalescing amortizes one syscall
-	// over a read-burst of pipelined frames; the cap bounds both the latency a
-	// buffered answer can sit unflushed and — because Flush blocks when the
-	// client stops reading — the per-connection buffered state. 0 selects
-	// DefaultMaxPendingResponses.
+	// maxPendingResp, when > 0, overrides maxPendingResponses for this
+	// front's connections (tests tighten it; nothing else sets it).
 	maxPendingResp int
 
 	// sink, when non-nil, collects completed traces: frames that arrived
@@ -104,10 +100,12 @@ func (b *reqBuf) request(n int) []byte {
 	return b.req[:n]
 }
 
-// DefaultMaxPendingResponses is the per-connection coalescing bound when
-// Server.SetMaxPendingResponses is unset: how many answered frames may sit in
-// the write buffer before a forced Flush.
-const DefaultMaxPendingResponses = 64
+// maxPendingResponses caps the answered frames a connection coalesces in its
+// write buffer before a forced Flush. Coalescing amortizes one syscall over a
+// read-burst of pipelined frames; the cap bounds both the latency a buffered
+// answer can sit unflushed and — because Flush blocks when the client stops
+// reading — the per-connection buffered state.
+const maxPendingResponses = 64
 
 // SetMaxConns caps concurrently open client connections; n <= 0 means
 // unlimited. A connection accepted past the cap is answered with a single
@@ -335,7 +333,7 @@ func (f *front) handle(c net.Conn) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	w := &frameWriter{m: m, c: c, bw: bufio.NewWriterSize(c, 64<<10), maxPending: f.maxPendingResp}
 	if w.maxPending <= 0 {
-		w.maxPending = DefaultMaxPendingResponses
+		w.maxPending = maxPendingResponses
 	}
 	ac, _ := fc.(answerConn)
 	pc, _ := fc.(pipelinedConn)

@@ -85,11 +85,6 @@ func (s *Server) Metrics() *ServerMetrics { return &s.metrics }
 // depth <= 0 disables shedding. Must be called before Serve.
 func (s *Server) SetShedDepth(depth int) { s.shedDepth = depth }
 
-// SetMaxPendingResponses caps responses coalesced per connection between
-// flushes; n <= 0 selects DefaultMaxPendingResponses. Must be called before
-// Serve.
-func (s *Server) SetMaxPendingResponses(n int) { s.maxPendingResp = n }
-
 // Shedding reports whether the server is currently refusing query frames
 // under the SetShedDepth bound — the signal /readyz surfaces so load
 // balancers route around an overloaded replica while it drains. Like the

@@ -229,7 +229,7 @@ func TestResponseCoalescingBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(eng, 0)
-	srv.SetMaxPendingResponses(1)
+	srv.maxPendingResp = 1
 	go srv.Serve(ln)
 	defer srv.Close()
 

@@ -74,28 +74,15 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if n == 0 {
 		return nil, fmt.Errorf("%w: distance engine over zero labels", ErrBadLabel)
 	}
-	if p.DW < 1 || p.DW > 32 {
-		return nil, fmt.Errorf("%w: distance width %d (want 1..32)", ErrBadLabel, p.DW)
+	if err := p.Validate(n); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
-	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, slab: slab, slabBits: int64(len(slab)>>3) * 64,
-		meta: make([]vertexMeta, n)}
-	switch p.Kind {
-	case DistPLL:
+	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, f: p.F, nFat: p.NFat, slab: slab,
+		slabBits: int64(len(slab)>>3) * 64, meta: make([]vertexMeta, n)}
+	if p.Kind == DistPLL {
 		e.w, e.wCnt, _ = pllWidths(n, 0)
-	case DistBounded:
+	} else {
 		e.w = bitstr.WidthFor(uint64(n))
-		if p.F < 1 {
-			return nil, fmt.Errorf("%w: distance bound %d (want >= 1)", ErrBadLabel, p.F)
-		}
-		if want := bitstr.WidthFor(uint64(p.F) + 2); want != p.DW {
-			return nil, fmt.Errorf("%w: bound %d needs distance width %d, params carry %d", ErrBadLabel, p.F, want, p.DW)
-		}
-		if p.NFat < 0 || p.NFat > n {
-			return nil, fmt.Errorf("%w: fat table of %d hubs over %d vertices", ErrBadLabel, p.NFat, n)
-		}
-		e.f, e.nFat = p.F, p.NFat
-	default:
-		return nil, fmt.Errorf("%w: unknown distance scheme kind %d", ErrBadLabel, uint8(p.Kind))
 	}
 	if e.w > 32 {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, e.w)

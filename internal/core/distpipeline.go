@@ -83,6 +83,36 @@ type DistParams struct {
 	NFat int
 }
 
+// Validate checks p against a labeling of n labels: a known kind, DW in
+// 1..32; for DistPLL no bounded-distance fields, for DistBounded F >= 1,
+// DW = ceil(log2 (F+2)) and 0 <= NFat <= n. It is the one rule both
+// NewDistEngineFromArena and labelstore apply; each wraps the error in its
+// own class.
+func (p DistParams) Validate(n int) error {
+	if p.Kind != DistPLL && p.Kind != DistBounded {
+		return fmt.Errorf("unknown distance scheme kind %d", uint8(p.Kind))
+	}
+	if p.DW < 1 || p.DW > 32 {
+		return fmt.Errorf("%s distance width %d (want 1..32)", p.Kind, p.DW)
+	}
+	if p.Kind == DistPLL {
+		if p.F != 0 || p.NFat != 0 {
+			return fmt.Errorf("pll carries bounded-distance params f=%d nfat=%d", p.F, p.NFat)
+		}
+		return nil
+	}
+	if p.F < 1 {
+		return fmt.Errorf("bdist distance bound f=%d (want >= 1)", p.F)
+	}
+	if want := bitstr.WidthFor(uint64(p.F) + 2); p.DW != want {
+		return fmt.Errorf("bdist distance width %d, bound f=%d requires %d", p.DW, p.F, want)
+	}
+	if p.NFat < 0 || p.NFat > n {
+		return fmt.Errorf("bdist declares %d fat hubs over %d labels", p.NFat, n)
+	}
+	return nil
+}
+
 // DistArena is a pipeline-encoded distance labeling: one word-aligned slab,
 // per-vertex bit lengths, an optional physical layout permutation (rank r
 // holds vertex Order[r]'s label; nil is the identity), and the family

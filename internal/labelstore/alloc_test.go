@@ -1,6 +1,9 @@
 package labelstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"runtime"
 	"strconv"
@@ -100,5 +103,28 @@ func TestArenaFileConstructorsAllocNoPerLabelObjects(t *testing.T) {
 		if limit := uint64(n/8 + 512); got > limit {
 			t.Errorf("%s allocates %d bytes over %d labels; want <= n/8 + 512 = %d", name, got, n, limit)
 		}
+	}
+}
+
+// TestReadShortStreamAllocatesWhatArrives: a header declaring one 2^34-bit
+// label and the matching 2 GiB blob, over a stream of a few hundred bytes,
+// fails with ErrFormat having allocated about what the stream delivered —
+// never a buffer sized by the declared blob.
+func TestReadShortStreamAllocatesWhatArrives(t *testing.T) {
+	img := append([]byte("PLLB"), formatVersion)
+	img = binary.AppendUvarint(img, 1) // scheme "x"
+	img = append(img, 'x')
+	img = binary.AppendUvarint(img, 0)              // no params
+	img = binary.AppendUvarint(img, 1)              // one label ...
+	img = binary.AppendUvarint(img, maxLabelBits)   // ... of 2^34 bits
+	img = binary.AppendUvarint(img, maxLabelBits/8) // blob: 2 GiB, as declared
+	img = append(img, make([]byte, 300)...)
+	var err error
+	got := allocatedBytes(func() { _, err = Read(bytes.NewReader(img)) })
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("Read of a %d-byte stream declaring a 2 GiB blob: err = %v, want ErrFormat", len(img), err)
+	}
+	if got > 64<<10 {
+		t.Errorf("Read allocated %d bytes over a %d-byte stream; want <= 64 KiB", got, len(img))
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/gen"
 )
 
-// FuzzReadBytes hammers both store readers with one byte image. For ANY
-// input:
+// FuzzReadBytes hammers both entry points of the one parser with one byte
+// image. For ANY input:
 //
 //   - ReadBytes and Read accept or reject alike, and an accepted image yields
 //     the same labels from both (bit for bit inside each label's length —

@@ -21,11 +21,13 @@
 //	        then the slab        starts at the r-th word-aligned slot
 //
 // The blob is byte-identical to the in-memory arena of a pipeline-built
-// core.Labeling, so Write is a header plus a single contiguous copy, and the
-// readers hand the blob to core.NewQueryEngineFromPermutedArena with zero
-// relocation. A labeling assembled label by label (nbrlist, adjmatrix,
-// forest, onequery) is packed into a slab first (bitstr.PackSlab) and stored
-// the same way. A degree-ordered arena (core.LayoutDegree) carries its
+// core.Labeling, so Write is a header plus a single contiguous copy. One
+// parser reads it back from an in-memory image: ReadBytes over a caller's
+// bytes, Open over a mapping of the file (or, without mmap, a heap copy), Read
+// over everything an io.Reader delivers; each hands the blob to
+// core.NewQueryEngineFromPermutedArena with zero relocation. A labeling
+// assembled label by label (nbrlist, adjmatrix, forest, onequery) is packed
+// into a slab first (bitstr.PackSlab) and stored the same way. A degree-ordered arena (core.LayoutDegree) carries its
 // permutation block: readers reconstruct id-indexed lookup from it, readers
 // too old to know the "layout" param fail loudly on the extra block (a
 // blob-length mismatch) rather than mis-answer. A distance store (params
@@ -41,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -77,22 +78,14 @@ const (
 	layoutDegree = "degree"
 )
 
-// Hard caps on header-declared sizes, shared by the streaming (Read) and
-// in-memory (ReadBytes) parsers: a corrupt or adversarial header must fail
-// validation before it can drive a large allocation or an out-of-bounds
+// Hard caps on header-declared sizes: a corrupt or adversarial header must
+// fail validation before it can drive a large allocation or an out-of-bounds
 // view.
 const (
 	maxParams    = 1 << 16
 	maxLabels    = 1 << 31
 	maxString    = 1 << 20
 	maxLabelBits = 1 << 34
-	// blobChunk bounds how much body is bought at a time on the streaming
-	// path, so a header declaring a huge blob over a short stream fails at
-	// EOF having over-allocated at most one chunk.
-	blobChunk = 64 << 20
-	// countChunk does the same for the per-label tables: a header declaring
-	// 2^31 labels over a short stream buys this many entries, not 2^31.
-	countChunk = 1 << 16
 )
 
 // File is an in-memory representation of a label store.
@@ -335,72 +328,95 @@ func Write(w io.Writer, f *File) error {
 	return bw.Flush()
 }
 
-// Read parses a store written by Write.
+// Read parses a store written by Write from r. It consumes r to EOF — so it
+// allocates what the stream delivers, never what a header declares — and runs
+// ReadBytes' parser over that private copy, zeroing the padding bits of each
+// label's final byte in place. Bytes after the blob are ignored, as
+// ReadBytes ignores them.
 func Read(r io.Reader) (*File, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading store: %w", ErrFormat, err)
+	}
+	return parse(data, true)
+}
+
+// ReadBytes parses a store from an in-memory byte slice — typically a
+// memory-mapped file (see Open). The body blob is adopted zero-copy: the
+// returned File's arena is a sub-slice of data and the labels are views into
+// it, so nothing is relocated and nothing is written. data must therefore
+// stay alive (and unmodified) for the lifetime of the File; a read-only
+// mapping is fine because, unlike Read, ReadBytes never masks padding bits in
+// place. Files written by Write carry zero padding (the slab writer
+// guarantees it), so label equality is unaffected; a hand-built file with
+// dirty padding would compare labels unequal while still answering queries
+// correctly (the query engine only probes bits inside each label's declared
+// length).
+func ReadBytes(data []byte) (*File, error) { return parse(data, false) }
+
+// parse is the store parser behind every reader. It decodes the header from
+// the magic to the blob length, checking each declared size against the caps
+// and against the bytes actually present before it sizes a table, then adopts
+// the blob in place as the arena — masking the padding when mask is set
+// (adoptArena).
+func parse(data []byte, mask bool) (*File, error) {
+	p := &byteParser{data: data}
+	if err := p.need(5); err != nil {
 		return nil, fmt.Errorf("%w: magic: %v", ErrFormat, err)
 	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, m[:])
+	if [4]byte(data[:4]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, data[:4])
 	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: version: %v", ErrFormat, err)
-	}
-	if err := checkVersion(ver); err != nil {
+	if err := checkVersion(data[4]); err != nil {
 		return nil, err
 	}
-	scheme, err := readString(br)
+	p.off = 5
+	scheme, err := p.string()
 	if err != nil {
 		return nil, err
 	}
-	nParams, err := binary.ReadUvarint(br)
+	nParams, err := p.uvarint("param count")
 	if err != nil {
-		return nil, fmt.Errorf("%w: param count: %v", ErrFormat, err)
+		return nil, err
 	}
 	if nParams > maxParams {
 		return nil, fmt.Errorf("%w: %d params", ErrFormat, nParams)
 	}
 	params := make(map[string]string, nParams)
 	for i := uint64(0); i < nParams; i++ {
-		k, err := readString(br)
+		k, err := p.string()
 		if err != nil {
 			return nil, err
 		}
-		v, err := readString(br)
+		v, err := p.string()
 		if err != nil {
 			return nil, err
 		}
 		params[k] = v
 	}
-	n, err := binary.ReadUvarint(br)
+	n, err := p.uvarint("label count")
 	if err != nil {
-		return nil, fmt.Errorf("%w: label count: %v", ErrFormat, err)
+		return nil, err
 	}
 	if n > maxLabels {
 		return nil, fmt.Errorf("%w: %d labels", ErrFormat, n)
 	}
-	return readSlab(br, scheme, params, int(n))
-}
-
-// readSlab parses the payload: n bit lengths, the layout permutation when
-// the params announce one, then the word-aligned slab as one blob. The blob
-// is read with a single contiguous ReadFull and becomes the store's arena;
-// labels are zero-copy views into it.
-func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) (*File, error) {
-	bitLens := make([]int, 0, min(n, countChunk))
+	if n > uint64(len(data)-p.off) {
+		// Every length takes at least a byte: refuse before the count sizes a
+		// table.
+		return nil, fmt.Errorf("%w: %d labels declared over %d bytes", ErrFormat, n, len(data)-p.off)
+	}
+	bitLens := make([]int, n)
 	var words int64
-	for i := 0; i < n; i++ {
-		bits, err := binary.ReadUvarint(br)
+	for i := range bitLens {
+		bits, err := p.uvarint("label length")
 		if err != nil {
 			return nil, fmt.Errorf("%w: label %d length: %v", ErrFormat, i, err)
 		}
 		if bits > maxLabelBits {
 			return nil, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
 		}
-		bitLens = append(bitLens, int(bits))
+		bitLens[i] = int(bits)
 		words += int64(bitstr.SlabWords(int(bits)))
 	}
 	var order []int32
@@ -408,16 +424,16 @@ func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) 
 		if lay != layoutDegree {
 			return nil, fmt.Errorf("%w: unknown layout %q", ErrFormat, lay)
 		}
-		// Entries are range-checked here and permutation-checked (no label
-		// missing or repeated) by adoptArena below: a truncated or garbage
-		// block errors at load, it can never mis-answer.
-		order = make([]int32, n) // n lengths were read: the count is real
+		// Range-checked here, permutation-checked (no label missing or
+		// repeated) by adoptArena below: a truncated or garbage block errors
+		// at load, it can never mis-answer.
+		order = make([]int32, n)
 		for i := range order {
-			v, err := binary.ReadUvarint(br)
+			v, err := p.uvarint("layout permutation entry")
 			if err != nil {
 				return nil, fmt.Errorf("%w: layout permutation entry %d: %v", ErrFormat, i, err)
 			}
-			if v >= uint64(n) {
+			if v >= n {
 				return nil, fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrFormat, i, v, n)
 			}
 			order[i] = int32(v)
@@ -429,52 +445,105 @@ func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) 
 		if err != nil {
 			return nil, err
 		}
-		index, err := binary.ReadUvarint(br)
+		index, err := p.uvarint("shard index")
 		if err != nil {
-			return nil, fmt.Errorf("%w: shard index: %v", ErrFormat, err)
+			return nil, err
 		}
-		fnByte, err := br.ReadByte()
-		if err != nil {
+		if err := p.need(1); err != nil {
 			return nil, fmt.Errorf("%w: shard ownership function: %v", ErrFormat, err)
 		}
-		owned, err := binary.ReadUvarint(br)
+		fnByte := p.data[p.off]
+		p.off++
+		owned, err := p.uvarint("shard owned count")
 		if err != nil {
-			return nil, fmt.Errorf("%w: shard owned count: %v", ErrFormat, err)
+			return nil, err
 		}
-		if sb, err = newShardBlock(count, index, fnByte, owned, n); err != nil {
+		if sb, err = newShardBlock(count, index, fnByte, owned, int(n)); err != nil {
 			return nil, err
 		}
 	}
-	dist, err := parseSchemeParams(params, n)
+	dist, err := parseSchemeParams(params, int(n))
 	if err != nil {
 		return nil, err
 	}
 	if dist != nil && sb != nil {
 		return nil, fmt.Errorf("%w: sharded store declares distance scheme %q", ErrFormat, dist.Kind)
 	}
-	// Validate the declared geometry before buying the body: the blob-length
-	// field must agree with what the bit lengths occupy (both mismatch
-	// directions are corruption), and the body is then read in bounded
-	// chunks so a header lying about a huge blob fails at EOF instead of
-	// forcing one giant allocation up front.
+	// Validate the declared geometry before any view is constructed: the
+	// blob-length field must agree with the bit lengths, and the blob must
+	// actually be present in data — a short or truncated body fails here, at
+	// load, never at query time.
 	need := words << 3
-	blobLen, err := binary.ReadUvarint(br)
+	blobLen, err := p.uvarint("blob length")
 	if err != nil {
-		return nil, fmt.Errorf("%w: blob length: %v", ErrFormat, err)
+		return nil, err
 	}
 	if err := checkBlobLen(int64(blobLen), need); err != nil {
 		return nil, err
 	}
-	slab, err := readBody(br, make([]byte, 0, min(need, blobChunk)), need)
-	if err != nil {
-		return nil, fmt.Errorf("%w: blob payload of %d bytes: %v", ErrFormat, need, err)
+	if int64(len(data)-p.off) < need {
+		return nil, fmt.Errorf("%w: blob truncated: %d bytes of body, lengths require %d",
+			ErrFormat, len(data)-p.off, need)
 	}
+	arena := data[p.off : p.off+int(need) : p.off+int(need)]
 	f := &File{Scheme: scheme, Params: params, Labels: make([]bitstr.String, n),
-		arena: slab, bitLens: bitLens, order: order, shard: sb, dist: dist}
-	if err := f.adoptArena(true); err != nil {
+		arena: arena, bitLens: bitLens, order: order, shard: sb, dist: dist}
+	if err := f.adoptArena(mask); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// checkBlobLen validates the declared blob byte count against the size the
+// per-label bit lengths occupy. The two mismatch directions get distinct
+// messages: a short blob is the truncation/corruption case, an oversized one
+// a disagreeing header.
+func checkBlobLen(blobLen, need int64) error {
+	switch {
+	case blobLen < need:
+		return fmt.Errorf("%w: blob of %d bytes too short, declared lengths require %d", ErrFormat, blobLen, need)
+	case blobLen > need:
+		return fmt.Errorf("%w: blob of %d bytes, declared lengths occupy only %d", ErrFormat, blobLen, need)
+	}
+	return nil
+}
+
+// byteParser is a bounds-checked cursor over an in-memory store image.
+type byteParser struct {
+	data []byte
+	off  int
+}
+
+func (p *byteParser) need(n int) error {
+	if len(p.data)-p.off < n {
+		return fmt.Errorf("need %d bytes, have %d", n, len(p.data)-p.off)
+	}
+	return nil
+}
+
+func (p *byteParser) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(p.data[p.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: %s: truncated or overlong uvarint", ErrFormat, what)
+	}
+	p.off += n
+	return v, nil
+}
+
+func (p *byteParser) string() (string, error) {
+	n, err := p.uvarint("string length")
+	if err != nil {
+		return "", err
+	}
+	if n > maxString {
+		return "", fmt.Errorf("%w: string of %d bytes", ErrFormat, n)
+	}
+	if err := p.need(int(n)); err != nil {
+		return "", fmt.Errorf("%w: string payload: %v", ErrFormat, err)
+	}
+	s := string(p.data[p.off : p.off+int(n)])
+	p.off += int(n)
+	return s, nil
 }
 
 // writeBuffer is Write's buffer: large enough that a million-label header
@@ -514,41 +583,10 @@ func writeUvarints[T int | int32](w *bufio.Writer, vs []T) error {
 	return err
 }
 
-// readBody appends the next n bytes of the stream to dst, buying at most
-// blobChunk at a time: a length field lying about a huge body over a short
-// stream fails at EOF instead of forcing one giant allocation up front.
-func readBody(br *bufio.Reader, dst []byte, n int64) ([]byte, error) {
-	for n > 0 {
-		chunk := int(min(n, blobChunk))
-		off := len(dst)
-		dst = slices.Grow(dst, chunk)[:off+chunk]
-		if _, err := io.ReadFull(br, dst[off:]); err != nil {
-			return nil, fmt.Errorf("at byte %d: %w", off, err)
-		}
-		n -= int64(chunk)
-	}
-	return dst, nil
-}
-
 func writeString(w *bufio.Writer, s string) error {
 	if err := writeUvarint(w, uint64(len(s))); err != nil {
 		return err
 	}
 	_, err := w.WriteString(s)
 	return err
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", fmt.Errorf("%w: string length: %v", ErrFormat, err)
-	}
-	if n > maxString {
-		return "", fmt.Errorf("%w: string of %d bytes", ErrFormat, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: string payload: %v", ErrFormat, err)
-	}
-	return string(buf), nil
 }

@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// mmapFile reports mmap as unavailable; Open falls back to the plain
-// sequential reader.
+// mmapFile reports mmap as unavailable; Open falls back to reading the file
+// into the heap (openFallback).
 func mmapFile(*os.File, int) ([]byte, error) { return nil, errors.ErrUnsupported }
 
 func munmapFile([]byte) error { return nil }

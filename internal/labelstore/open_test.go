@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 )
 
 // v2Fixture encodes a power-law graph with the pipeline (arena-backed) and
@@ -57,9 +62,9 @@ func writeTemp(t *testing.T, data []byte) string {
 	return path
 }
 
-// TestReadBytesMatchesRead: the in-memory parser and the streaming parser
-// agree on every field of a v2 store, and the in-memory arena is the file's
-// body verbatim (zero-copy: a sub-slice of the input).
+// TestReadBytesMatchesRead: ReadBytes and Read agree on every field of a v2
+// store, and ReadBytes' arena is the file's body verbatim (zero-copy: a
+// sub-slice of the input).
 func TestReadBytesMatchesRead(t *testing.T) {
 	_, data := v2Fixture(t, 200, 5)
 	a, err := ReadBytes(data)
@@ -186,19 +191,106 @@ func TestBlobLengthMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestReadBytesRejectsGarbage mirrors TestReadRejectsGarbage for the
-// in-memory parser.
-func TestReadBytesRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXX"),
-		[]byte("PLLB"),
-		[]byte("PLLB\x09"),
-		[]byte("PLLB\x02\x05abc"),
+// copyOpens reads labelstore_open_total{mode="copy"} from a scrape of reg.
+func copyOpens(t *testing.T, reg *obs.Registry) int64 {
+	t.Helper()
+	for _, line := range strings.Split(reg.Expose(), "\n") {
+		if v, ok := strings.CutPrefix(line, `labelstore_open_total{mode="copy"} `); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
 	}
-	for _, in := range cases {
-		if _, err := ReadBytes(in); !errors.Is(err, ErrFormat) {
-			t.Errorf("input %q: err = %v, want ErrFormat", in, err)
+	t.Fatal(`scrape has no labelstore_open_total{mode="copy"}`)
+	return 0
+}
+
+// TestOpenFallbackMatchesMapped: the copy fallback — the only way a store
+// loads where mmap is unavailable — yields the same store as the mapped Open
+// for every store shape (id, degree, shard, pll, bdist), and counts itself as
+// a copy open.
+func TestOpenFallbackMatchesMapped(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(120, 2.5, 2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]string{"n": strconv.Itoa(g.N())}
+	stores := map[string]*File{}
+	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab, order, _ := lab.ArenaLayout()
+	if stores["id"], err = NewPermutedArenaFile(lab.Scheme(), params, slab, lab.BitLens(), order); err != nil {
+		t.Fatal(err)
+	}
+	stores["degree"], _ = permutedStore(t, g)
+	shards, _ := shardStores(t, g, 3, core.ShardRange)
+	stores["shard"] = shards[1]
+	_, arenas := distArenas(t)
+	for kind, a := range arenas {
+		if stores[kind], err = NewDistArenaFile("dist-"+kind, params, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg)
+	for shape, store := range stores {
+		var buf bytes.Buffer
+		if err := Write(&buf, store); err != nil {
+			t.Fatal(err)
+		}
+		path := writeTemp(t, buf.Bytes())
+		mapped, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", shape, err)
+		}
+		defer mapped.Close()
+		fh, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fh.Close()
+		before := copyOpens(t, reg)
+		copied, err := openFallback(fh)
+		if err != nil {
+			t.Fatalf("%s: openFallback: %v", shape, err)
+		}
+		if got := copyOpens(t, reg) - before; got != 1 {
+			t.Errorf("%s: copy opens moved by %d, want 1", shape, got)
+		}
+		if copied.Mapped() {
+			t.Errorf("%s: fallback store reports a mapping", shape)
+		}
+
+		if copied.Scheme != mapped.Scheme || !maps.Equal(copied.Params, mapped.Params) {
+			t.Errorf("%s: scheme/params %q %v, mapped %q %v", shape, copied.Scheme, copied.Params, mapped.Scheme, mapped.Params)
+		}
+		cs, cl, co, cok := copied.ArenaLayout()
+		ms, ml, mo, mok := mapped.ArenaLayout()
+		if !cok || !mok || !bytes.Equal(cs, ms) || !slices.Equal(cl, ml) || !slices.Equal(co, mo) {
+			t.Errorf("%s: arena layouts differ (ok %v/%v)", shape, cok, mok)
+		}
+		cm, cok := copied.Shard()
+		mm, mok := mapped.Shard()
+		if cm != mm || cok != mok {
+			t.Errorf("%s: shard %+v %v, mapped %+v %v", shape, cm, cok, mm, mok)
+		}
+		cd, cok := copied.DistParams()
+		md, mok := mapped.DistParams()
+		if cd != md || cok != mok {
+			t.Errorf("%s: dist params %+v %v, mapped %+v %v", shape, cd, cok, md, mok)
+		}
+		if len(copied.Labels) != len(mapped.Labels) {
+			t.Fatalf("%s: %d labels, mapped %d", shape, len(copied.Labels), len(mapped.Labels))
+		}
+		for v := range mapped.Labels {
+			if !copied.Labels[v].Equal(mapped.Labels[v]) {
+				t.Fatalf("%s: label %d differs from the mapped store's", shape, v)
+			}
 		}
 	}
 }

@@ -44,7 +44,7 @@ func permutedStore(t *testing.T, g *graph.Graph) (*File, *core.Labeling) {
 }
 
 // TestPermutedRoundTrip checks that a degree-ordered store survives both the
-// streaming and the zero-copy reader with its permutation intact: every label
+// copying and the zero-copy entry point with its permutation intact: every label
 // read back is byte-equal to the logical label, and the reconstructed engine
 // answers exactly the graph's adjacency.
 func TestPermutedRoundTrip(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 )
 
@@ -73,48 +72,19 @@ func (f *File) DistArena() (*core.DistArena, bool) {
 
 // NewDistArenaFile builds a distance store over a pipeline-built
 // core.DistArena (the output of the distance EncodeArena paths). Write
-// serializes it with the scheme params; both readers hand the
-// kind and engine parameters back via DistParams/DistArena.
+// serializes it with the scheme params; the readers hand the kind and engine
+// parameters back via DistParams/DistArena.
 func NewDistArenaFile(scheme string, params map[string]string, a *core.DistArena) (*File, error) {
 	f, err := NewPermutedArenaFile(scheme, params, a.Slab, a.BitLens, a.Order)
 	if err != nil {
 		return nil, err
 	}
 	dp := a.Params
-	if err := checkDistParams(dp, f.N()); err != nil {
+	if err := dp.Validate(f.N()); err != nil {
 		return nil, fmt.Errorf("labelstore: %v", err)
 	}
 	f.dist = &dp
 	return f, nil
-}
-
-// checkDistParams validates an engine parameter set against the label count,
-// shared by the constructor and both readers. The checks mirror what
-// core.NewDistEngineFromArena enforces so that a store accepted here is
-// structurally able to build an engine (the engine still walks every label).
-func checkDistParams(dp core.DistParams, n int) error {
-	switch dp.Kind {
-	case core.DistPLL:
-		if dp.DW < 1 || dp.DW > 32 {
-			return fmt.Errorf("pll scheme distance width %d (want 1..32)", dp.DW)
-		}
-		if dp.F != 0 || dp.NFat != 0 {
-			return fmt.Errorf("pll scheme carries bounded-distance params f=%d nfat=%d", dp.F, dp.NFat)
-		}
-	case core.DistBounded:
-		if dp.F < 1 {
-			return fmt.Errorf("bdist scheme bound f=%d (want >= 1)", dp.F)
-		}
-		if want := bitstr.WidthFor(uint64(dp.F) + 2); dp.DW != want {
-			return fmt.Errorf("bdist scheme distance width %d, bound f=%d requires %d", dp.DW, dp.F, want)
-		}
-		if dp.NFat < 0 || dp.NFat > n {
-			return fmt.Errorf("bdist scheme declares %d fat hubs over %d labels", dp.NFat, n)
-		}
-	default:
-		return fmt.Errorf("unknown distance kind %d", dp.Kind)
-	}
-	return nil
 }
 
 // parseSchemeParams interprets the scheme params of a store: nil for an
@@ -149,7 +119,7 @@ func parseSchemeParams(params map[string]string, n int) (*core.DistParams, error
 			return nil, err
 		}
 	}
-	if err := checkDistParams(dp, n); err != nil {
+	if err := dp.Validate(n); err != nil {
 		return nil, fmt.Errorf("%w: scheme %q: %v", ErrFormat, val, err)
 	}
 	return &dp, nil
