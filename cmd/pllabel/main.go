@@ -61,7 +61,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		analyze    = fs.Bool("analyze", false, "report clustering and assortativity (O(m·Δ) time)")
 		workers    = fs.Int("workers", 1, "parallel encode fill shards (0 = GOMAXPROCS)")
 		layoutStr  = fs.String("layout", "id", "physical slab layout: id | degree (degree packs hubs contiguously)")
-		shards     = fs.Int("shards", 0, "split the store into N shard files <o>.shard0..N-1 for plserve+plroute (0 = one whole store)")
+		shards     = fs.Int("shards", 0, "split the store into N shard files <o>.shard0..N-1 for plserve -labels, one per file, behind plserve -shards (0 = one whole store)")
 		shardFnStr = fs.String("shard-fn", "range", "shard ownership function: range | hash")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the encode to this file")
 	)
@@ -388,7 +388,7 @@ func saveStore(path string, n int, lab *core.Labeling) error {
 // saveShardStores splits an arena-backed labeling into count shard store
 // files named path.shard0..count-1: each holds its owned vertices' full
 // labels plus every fat label, foreign thin labels stripped to header stubs
-// (one plserve per file, fronted by plroute).
+// (one plserve -labels per file, fronted by plserve -shards).
 func saveShardStores(stdout io.Writer, path string, n int, lab *core.Labeling, count int, fn core.ShardFn) error {
 	slab, order, ok := lab.ArenaLayout()
 	if !ok {

@@ -1,5 +1,5 @@
 // Command plload is the serving tier's load generator: it drives a running
-// plserve or plroute with an open-loop (constant-rate) or closed-loop
+// plserve (store or router mode) with an open-loop (constant-rate) or closed-loop
 // (saturating) stream of batched adjacency and distance queries and reports
 // latency quantiles that remain honest under overload.
 //
@@ -92,7 +92,7 @@ type mixClass struct {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("plload", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", "", "server address (plserve or plroute; required)")
+		addr      = fs.String("addr", "", "server address (plserve -labels or -shards; required)")
 		duration  = fs.Duration("duration", 10*time.Second, "measured run length")
 		warmup    = fs.Duration("warmup", 1*time.Second, "initial slice excluded from the stats")
 		rate      = fs.Float64("rate", 0, "offered request frames/sec across all conns (0 = closed loop)")

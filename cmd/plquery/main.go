@@ -152,7 +152,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		// A shard store only resolves pairs its residents cover; attaching the
 		// map turns misrouted pairs into errors instead of stub-decoded
 		// nonsense. Whole-keyspace queries need the full store or -remote
-		// against a plroute front.
+		// against a plserve -shards front.
 		if m, ok := store.Shard(); ok {
 			if eng == nil {
 				return fmt.Errorf("shard store %s needs the query engine (scheme %s)", *labelsPath, store.Scheme)

@@ -1,27 +1,38 @@
-// Command plserve is the adjacency-serving daemon: it memory-maps a label
-// store produced by pllabel -o, builds a zero-copy core.QueryEngine over the
-// mapped blob, and answers batched adjacency queries over TCP with the
-// internal/adjserve protocol. Startup parses the store's header (O(n): bit
-// lengths, permutation, one validating walk) and moves no label byte — the
-// bodies stay in the page cache and are shared by every plserve process (and
-// every plquery) mapping the same file. Where mmap is unavailable
-// labelstore.Open reads the file into memory instead, and the loaded line says
-// mode=copied.
+// Command plserve is the serving daemon. It takes exactly one of two flags.
+//
+// -labels FILE serves a label store produced by pllabel -o: a zero-copy
+// core.QueryEngine over the memory-mapped blob answers batched adjacency
+// queries over TCP with the internal/adjserve protocol. Startup parses the
+// header (O(n)) and moves no label byte; the bodies stay in the page cache,
+// shared by every process mapping the file. Where mmap is unavailable the
+// file is read into memory and the loaded line says mode=copied. A distance
+// store (pllabel -scheme dist-pll or dist-bounded) gets a core.DistEngine and
+// answers distance frames; -pair-cache-bits is that plane's flag.
+//
+// -shards a,b,c routes over a fleet of such daemons, speaking the same
+// protocol both ways: each request batch is split by owning shard, fanned out
+// over a few pipelined upstream connections (lanes) per shard, and gathered
+// back into request order. Startup handshakes every upstream and refuses to
+// serve until the fleet is consistent (same n and ownership function,
+// distinct shard indexes covering 0..count-1, identical fat sets). A fleet of
+// identical whole-store servers (e.g. R copies on one distance store) is
+// admitted as a replica fleet instead: requests spread by owner-of-u, and
+// distance frames are routed too, which a partition refuses. A router holds
+// no store, so -pair-cache-bits and -shed-depth are refused with -shards.
 //
 // Usage:
 //
-//	pllabel -scheme auto -in graph.el -o labels.pllb
+//	pllabel -scheme auto -in graph.el -o labels.pllb [-shards 3]
 //	plserve -labels labels.pllb -addr 127.0.0.1:7421
-//	plquery -remote 127.0.0.1:7421        # interactive "u v" lines
+//	plserve -labels labels.pllb.shard0 -addr 127.0.0.1:7431 &   # one per shard
+//	plserve -shards 127.0.0.1:7431,127.0.0.1:7432,127.0.0.1:7433 -addr 127.0.0.1:7441
+//	plquery -remote 127.0.0.1:7441        # interactive "u v" lines
 //
-// A distance store (pllabel -scheme dist-pll or dist-bounded) is served the
-// same way: the daemon reads the store's scheme record kind, builds a
-// core.DistEngine over the mapped slab instead, and answers distance frames
-// (plquery -dist -remote ...). The tuning flag -pair-cache-bits belongs to the
-// distance plane; on an adjacency store it is refused.
-//
-// SIGINT/SIGTERM drain gracefully: in-flight frames are answered and
-// flushed, then the process exits 0.
+// The admin plane (-admin-addr) comes up before the store load or the fleet
+// handshake, so /readyz reads 503 through a slow start; it turns 200 once the
+// query listener accepts (with -labels: while not shedding). SIGINT/SIGTERM
+// drain gracefully: /readyz flips back to 503, in-flight frames are answered
+// and flushed, then the process exits 0.
 package main
 
 import (
@@ -34,9 +45,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode"
 
 	"repro/internal/adjserve"
 	"repro/internal/core"
@@ -56,100 +69,29 @@ func main() {
 func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("plserve", flag.ContinueOnError)
 	var (
-		labelsPath  = fs.String("labels", "", "label store file (required)")
+		labelsPath  = fs.String("labels", "", "label store file to serve (exactly one of -labels and -shards)")
+		shardsList  = fs.String("shards", "", "comma-separated addresses of plserve -labels daemons to route over: one per shard file, or replicas of one store (exactly one of -labels and -shards)")
 		addr        = fs.String("addr", "127.0.0.1:7421", "listen address (port 0 picks a free port)")
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/pprof (empty disables; port 0 picks a free port)")
-		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default)")
-		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v)→distance result cache (0 = disabled); distance stores only, refused on an adjacency store")
-		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited); behind plroute leave room for its lanes, 4 connections per router")
-		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed)")
-		traceSample = fs.Int64("trace-sample", 0, "self-sample every Nth served frame into /debug/traces (0 = only trace frames that arrive traced)")
+		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default); a router's upstream sub-batches are never larger")
+		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v)→distance result cache (0 = disabled); distance stores only, refused on an adjacency store and with -shards")
+		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited); behind a -shards router leave room for its lanes, 4 connections per router")
+		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed); -labels only")
+		traceSample = fs.Int64("trace-sample", 0, "self-sample every Nth served or routed frame into /debug/traces (0 = only trace frames that arrive traced)")
 		slowlogMs   = fs.Int64("slowlog-ms", 0, "capture frames slower than this many milliseconds in /debug/slowlog, sampled or not (0 = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *labelsPath == "" {
-		return fmt.Errorf("-labels is required")
+	routing := *shardsList != ""
+	shards := strings.FieldsFunc(*shardsList, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	if routing == (*labelsPath != "") || routing && len(shards) == 0 {
+		return fmt.Errorf("exactly one of -labels FILE and -shards ADDR,... is required")
+	}
+	if routing && (*cacheBits != 0 || *shedDepth != 0) {
+		return fmt.Errorf("-pair-cache-bits and -shed-depth are -labels options; a -shards router holds no store")
 	}
 	logger := slog.New(slog.NewTextHandler(stdout, nil))
-
-	start := time.Now()
-	store, err := labelstore.Open(*labelsPath)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-
-	// A store serves exactly one query plane: adjacency (the default) or
-	// distance (a scheme-stamped pll/bdist store → core.DistEngine behind the
-	// same listener, answering opDist frames). attachMetrics abstracts over
-	// the two engine types for the admin plane below.
-	var (
-		srv           *adjserve.Server
-		attachMetrics func(*core.EngineMetrics)
-		planeAttrs    []any
-	)
-	if da, ok := store.DistArena(); ok {
-		deng, err := core.NewDistEngine(da)
-		if err != nil {
-			return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
-		}
-		// The result cache is attached before the engine is shared with any
-		// connection goroutine (EnableResultCache's publication contract).
-		if *cacheBits > 0 {
-			if err := deng.EnableResultCache(*cacheBits); err != nil {
-				return err
-			}
-		}
-		srv = adjserve.NewServer(nil, *maxBatch)
-		srv.SetDistEngine(deng)
-		attachMetrics = deng.AttachMetrics
-		planeAttrs = []any{"plane", "distance/" + store.SchemeKind()}
-	} else {
-		if *cacheBits > 0 {
-			return fmt.Errorf("-pair-cache-bits caches distances, a distance-plane option; %s is an adjacency store", *labelsPath)
-		}
-		// Zero-copy over the store's arena, id- or degree-ordered. Only
-		// fat/thin-layout stores (the engine's label format) are servable;
-		// anything else fails here, at startup. The engine's header checks
-		// cannot tell every other layout apart, so the scheme name decides.
-		if !core.FatThinLayout(store.Scheme) {
-			return fmt.Errorf("store %s is not servable: scheme %q is not a fat/thin layout", *labelsPath, store.Scheme)
-		}
-		slab, bitLens, order, _ := store.ArenaLayout()
-		eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
-		if err != nil {
-			return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
-		}
-		// A shard store only holds its owned vertices' full labels (plus the
-		// replicated fat set); attaching the shard map makes the engine answer
-		// ErrNotResident for misrouted pairs instead of decoding a stub. plroute
-		// reads the same map back over opShardInfo to route around it.
-		if m, ok := store.Shard(); ok {
-			if err := eng.SetShard(m); err != nil {
-				return fmt.Errorf("store %s: %w", *labelsPath, err)
-			}
-			planeAttrs = []any{"shard", fmt.Sprintf("%d/%d", m.Index, m.Count), "fn", fmt.Sprint(m.Fn)}
-		}
-		srv = adjserve.NewServer(eng, *maxBatch)
-		attachMetrics = eng.AttachMetrics
-	}
-	mode := "copied"
-	if store.Mapped() {
-		mode = "mmap"
-	}
-	layout := "id"
-	if store.LayoutOrder() != nil {
-		layout = "degree"
-	}
-	loadedAttrs := []any{"scheme", store.Scheme, "n", store.N(), "layout", layout}
-	loadedAttrs = append(loadedAttrs, planeAttrs...)
-	loadedAttrs = append(loadedAttrs, "mode", mode, "elapsed", time.Since(start).Round(time.Microsecond).String())
-	logger.Info("loaded", loadedAttrs...)
-
-	srv.SetMaxConns(*maxConns)
-	srv.SetShedDepth(*shedDepth)
 
 	// The trace sink is always installed: downstream-traced frames echo their
 	// stage report regardless of flags, -trace-sample adds self-sampling, and
@@ -171,34 +113,28 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		logger.Warn("slow_frame", "trace_id", obs.TraceID(tr.ID),
 			"total_ns", tr.TotalNs, "pairs", tr.Pairs)
 	}
-	srv.SetTraceSink(sink)
 
 	// The admin plane is optional and read-only: one registry spanning the
-	// server, engine, store and runtime families, plus pprof. Readiness flips
-	// before the query listener accepts and back off when draining starts, so
-	// a load balancer stops routing while in-flight frames finish.
-	var ready atomic.Bool
-	var admin *obs.AdminServer
+	// runtime, the trace sink and the mode's families, plus pprof. It comes up
+	// first, so /readyz answers through a slow start. Readiness flips on once
+	// the query listener accepts and off while a server sheds or once draining
+	// starts, so a load balancer stops routing to a daemon refusing work.
+	var (
+		ready atomic.Bool
+		srv   *adjserve.Server // -labels only; written before ready turns true
+		reg   *obs.Registry
+	)
 	if *adminAddr != "" {
-		reg := obs.NewRegistry()
+		reg = obs.NewRegistry()
 		obs.RegisterRuntimeMetrics(reg)
-		obs.RegisterBuildInfo(reg, "scheme", string(store.Scheme), "layout", layout)
-		srv.Metrics().Register(reg)
-		engMetrics := new(core.EngineMetrics)
-		engMetrics.Register(reg)
-		attachMetrics(engMetrics)
-		labelstore.RegisterMetrics(reg)
 		sink.Register(reg)
-		admin = obs.NewAdminServer(reg)
+		admin := obs.NewAdminServer(reg)
 		admin.SetTraceSink(sink)
-		// Readiness folds in the shedding latch: a load balancer should stop
-		// routing to a server that is refusing work, and resume once the
-		// queue drains below the release threshold.
 		admin.Readyz = func() error {
 			if !ready.Load() {
 				return errors.New("not serving")
 			}
-			if srv.Shedding() {
+			if srv != nil && srv.Shedding() {
 				return errors.New("shedding load")
 			}
 			return nil
@@ -209,7 +145,127 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		}
 		logger.Info("admin", "addr", resolved)
 		go admin.Serve()
+		// Every return from here on shuts the admin plane down, after the drain:
+		// a scrape during the drain still sees the final counters.
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			admin.Shutdown(ctx)
+			cancel()
+		}()
 	}
+
+	// Either mode's daemon is a front: listener, admission cap, frame loop, drain.
+	var d interface {
+		Serve(net.Listener) error
+		Close() error
+		SetMaxConns(int)
+		SetTraceSink(*obs.TraceSink)
+	}
+	var summary func()
+	start := time.Now()
+	if routing {
+		r, err := adjserve.NewRouter(shards, *maxBatch)
+		if err != nil {
+			return fmt.Errorf("shard handshake: %w", err)
+		}
+		if reg != nil {
+			obs.RegisterBuildInfo(reg, "role", "router")
+			r.RegisterMetrics(reg)
+		}
+		fleet := "shards"
+		if r.Replicas() {
+			fleet = "replicas"
+		}
+		logger.Info("handshaked", "shards", r.Shards(), "fleet", fleet, "lanes", r.Lanes(), "n", r.N(),
+			"elapsed", time.Since(start).Round(time.Microsecond).String())
+		m := r.Metrics()
+		d, summary = r, func() { logger.Info("routed", "queries", m.Queries.Load(), "frames", m.Frames.Load()) }
+	} else {
+		store, err := labelstore.Open(*labelsPath)
+		if err != nil {
+			return err
+		}
+		defer store.Close()
+		// A store serves exactly one query plane: adjacency (the default) or
+		// distance (a scheme-stamped pll/bdist store → core.DistEngine behind
+		// the same listener, answering opDist frames). attachMetrics abstracts
+		// over the two engine types for the admin registrations below.
+		var (
+			attachMetrics func(*core.EngineMetrics)
+			planeAttrs    []any
+		)
+		if da, ok := store.DistArena(); ok {
+			deng, err := core.NewDistEngine(da)
+			if err != nil {
+				return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
+			}
+			// The result cache is attached before the engine is shared with any
+			// connection goroutine (EnableResultCache's publication contract).
+			if *cacheBits > 0 {
+				if err := deng.EnableResultCache(*cacheBits); err != nil {
+					return err
+				}
+			}
+			srv = adjserve.NewServer(nil, *maxBatch)
+			srv.SetDistEngine(deng)
+			attachMetrics = deng.AttachMetrics
+			planeAttrs = []any{"plane", "distance/" + store.SchemeKind()}
+		} else {
+			if *cacheBits > 0 {
+				return fmt.Errorf("-pair-cache-bits caches distances, a distance-plane option; %s is an adjacency store", *labelsPath)
+			}
+			// Zero-copy over the store's arena, id- or degree-ordered. Only
+			// fat/thin-layout stores (the engine's label format) are servable;
+			// anything else fails here, at startup. The engine's header checks
+			// cannot tell every other layout apart, so the scheme name decides.
+			if !core.FatThinLayout(store.Scheme) {
+				return fmt.Errorf("store %s is not servable: scheme %q is not a fat/thin layout", *labelsPath, store.Scheme)
+			}
+			slab, bitLens, order, _ := store.ArenaLayout()
+			eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
+			if err != nil {
+				return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
+			}
+			// A shard store only holds its owned vertices' full labels (plus the
+			// replicated fat set); attaching the shard map makes the engine
+			// answer ErrNotResident for misrouted pairs instead of decoding a
+			// stub. A -shards router reads the same map back over opShardInfo.
+			if m, ok := store.Shard(); ok {
+				if err := eng.SetShard(m); err != nil {
+					return fmt.Errorf("store %s: %w", *labelsPath, err)
+				}
+				planeAttrs = []any{"shard", fmt.Sprintf("%d/%d", m.Index, m.Count), "fn", fmt.Sprint(m.Fn)}
+			}
+			srv = adjserve.NewServer(eng, *maxBatch)
+			attachMetrics = eng.AttachMetrics
+		}
+		srv.SetShedDepth(*shedDepth)
+		mode, layout := "copied", "id"
+		if store.Mapped() {
+			mode = "mmap"
+		}
+		if store.LayoutOrder() != nil {
+			layout = "degree"
+		}
+		loadedAttrs := append([]any{"scheme", store.Scheme, "n", store.N(), "layout", layout}, planeAttrs...)
+		logger.Info("loaded", append(loadedAttrs, "mode", mode, "elapsed", time.Since(start).Round(time.Microsecond).String())...)
+		if reg != nil {
+			obs.RegisterBuildInfo(reg, "scheme", string(store.Scheme), "layout", layout)
+			srv.Metrics().Register(reg)
+			engMetrics := new(core.EngineMetrics)
+			engMetrics.Register(reg)
+			attachMetrics(engMetrics)
+			labelstore.RegisterMetrics(reg)
+		}
+		m := srv.Metrics()
+		d, summary = srv, func() {
+			logger.Info("served", "queries", m.Queries.Load(), "frames", m.Frames.Load(),
+				"bytes", m.BytesIn.Load()+m.BytesOut.Load())
+		}
+	}
+	defer d.Close()
+	d.SetMaxConns(*maxConns)
+	d.SetTraceSink(sink)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -234,22 +290,13 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		case <-quit:
 		}
 		ready.Store(false)
-		srv.Close()
+		d.Close()
 	}()
 
-	err = srv.Serve(ln)
+	err = d.Serve(ln)
 	close(quit)
 	<-done
-	// Admin shutdown is ordered after the drain: a scrape during the drain
-	// window still sees the final counters (and readyz already says 503).
-	if admin != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		admin.Shutdown(ctx)
-		cancel()
-	}
-	m := srv.Metrics()
-	logger.Info("served", "queries", m.Queries.Load(), "frames", m.Frames.Load(),
-		"bytes", m.BytesIn.Load()+m.BytesOut.Load())
+	summary()
 	if err == adjserve.ErrClosed {
 		return nil
 	}

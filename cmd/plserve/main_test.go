@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -41,16 +42,8 @@ func writeStore(t *testing.T, lab *core.Labeling) string {
 	if !ok {
 		t.Fatal("labeling not arena-backed")
 	}
-	bitLens := make([]int, lab.N())
-	for v := range bitLens {
-		l, err := lab.Label(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitLens[v] = l.Len()
-	}
 	store, err := labelstore.NewArenaFile(lab.Scheme(),
-		map[string]string{"n": strconv.Itoa(lab.N())}, slab, bitLens)
+		map[string]string{"n": strconv.Itoa(lab.N())}, slab, labelBits(t, lab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +57,71 @@ func writeStore(t *testing.T, lab *core.Labeling) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// labelBits returns every label's bit length, the per-label half of an arena
+// layout.
+func labelBits(t *testing.T, lab *core.Labeling) []int {
+	t.Helper()
+	bitLens := make([]int, lab.N())
+	for v := range bitLens {
+		l, err := lab.Label(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitLens[v] = l.Len()
+	}
+	return bitLens
+}
+
+// shardArenas encodes g with the power-law scheme and splits the labeling
+// into count range shards, returning the shard arenas, the slab order they
+// share and the scheme name.
+func shardArenas(t *testing.T, g *graph.Graph, count int) ([]core.ShardArena, []int32, string) {
+	t.Helper()
+	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab, order, ok := lab.ArenaLayout()
+	if !ok {
+		t.Fatal("labeling not arena-backed")
+	}
+	arenas, err := core.ShardLabelArenas(slab, labelBits(t, lab), order, count, core.ShardRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arenas, order, lab.Scheme()
+}
+
+// shardFleet boots count in-process shard servers over a sharded power-law
+// labeling and returns their addresses plus the source graph.
+func shardFleet(t *testing.T, count int) ([]string, *graph.Graph) {
+	t.Helper()
+	g, err := gen.ChungLuPowerLaw(300, 2.5, 2, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenas, order, _ := shardArenas(t, g, count)
+	addrs := make([]string, count)
+	for i, a := range arenas {
+		eng, err := core.NewQueryEngineFromPermutedArena(a.Slab, a.BitLens, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetShard(core.ShardMap{Count: count, Index: i, Fn: core.ShardRange}); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := adjserve.NewServer(eng, 0)
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs, g
 }
 
 // logAttr extracts one key=value attribute from a slog text line.
@@ -319,27 +377,8 @@ func TestServeShardStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab, order, ok := lab.ArenaLayout()
-	if !ok {
-		t.Fatal("labeling not arena-backed")
-	}
-	bitLens := make([]int, g.N())
-	for v := range bitLens {
-		l, err := lab.Label(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitLens[v] = l.Len()
-	}
-	arenas, err := core.ShardLabelArenas(slab, bitLens, order, 2, core.ShardRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := labelstore.NewShardArenaFile(lab.Scheme(),
+	arenas, order, scheme := shardArenas(t, g, 2)
+	store, err := labelstore.NewShardArenaFile(scheme,
 		map[string]string{"n": strconv.Itoa(g.N())}, arenas[0].Slab, arenas[0].BitLens, order,
 		core.ShardMap{Count: 2, Index: 0, Fn: core.ShardRange})
 	if err != nil {
@@ -414,9 +453,200 @@ func TestServeShardStore(t *testing.T) {
 	}
 }
 
+// TestMissingLabelsFlag: plserve takes exactly one of -labels and -shards,
+// and a -shards list must name at least one address.
 func TestMissingLabelsFlag(t *testing.T) {
-	if err := run(nil, newAddrWriter(), nil); err == nil {
-		t.Fatal("no -labels accepted")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"neither", nil},
+		{"both", []string{"-labels", "labels.pllb", "-shards", "127.0.0.1:1"}},
+		{"empty shard list", []string{"-shards", " , "}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(append(tc.args, "-addr", "127.0.0.1:0"), newAddrWriter(), nil)
+			if err == nil || !strings.Contains(err.Error(), "exactly one of -labels") {
+				t.Fatalf("run(%q): err = %v, want the one-of-two-modes refusal", tc.args, err)
+			}
+		})
+	}
+}
+
+// TestRouteAndDrain boots a 3-shard fleet plus plserve -shards, checks routed
+// answers against the graph over the full wire path, scrapes the per-shard
+// metrics, and verifies the shutdown path drains cleanly.
+func TestRouteAndDrain(t *testing.T) {
+	addrs, g := shardFleet(t, 3)
+	out := newAddrWriter()
+	stop := make(chan struct{})
+	errC := make(chan error, 1)
+	go func() {
+		errC <- run([]string{
+			"-shards", strings.Join(addrs, ","),
+			"-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
+		}, out, stop)
+	}()
+	var addr, admin string
+	for addr == "" || admin == "" {
+		select {
+		case addr = <-out.addrC:
+		case admin = <-out.adminC:
+		case err := <-errC:
+			t.Fatalf("router exited early: %v\n%s", err, out.String())
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no readiness lines\n%s", out.String())
+		}
+	}
+
+	c, err := adjserve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Info(); err != nil || n != g.N() {
+		t.Fatalf("Info = %d, %v; want %d", n, err, g.N())
+	}
+	// Pairs spanning all three ownership ranges, answered in one batch.
+	var pairs [][2]int
+	for u := 0; u < g.N(); u += 7 {
+		for v := u; v < g.N(); v += 83 {
+			pairs = append(pairs, [2]int{u, v})
+		}
+	}
+	got, err := c.AdjacentMany(pairs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		if want := p[0] != p[1] && g.HasEdge(p[0], p[1]); got[i] != want {
+			t.Fatalf("(%d,%d) = %v, want %v", p[0], p[1], got[i], want)
+		}
+	}
+	c.Close()
+
+	resp, err := http.Get("http://" + admin + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz = %d while serving", resp.StatusCode)
+	}
+	resp, err = http.Get("http://" + admin + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := string(body)
+	wantSeries := []string{
+		fmt.Sprintf("adjserve_router_queries_total %d", len(pairs)),
+		"adjserve_router_frames_total 2", // the Info frame plus the query frame
+	}
+	for _, s := range wantSeries {
+		if !strings.Contains(metrics, s+"\n") {
+			t.Errorf("scrape missing %q", s)
+		}
+	}
+	// Every shard served a slice of the fan-out: per-upstream batch counters
+	// and the per-shard client families must be present and nonzero.
+	for i := range addrs {
+		series := fmt.Sprintf(`adjserve_router_upstream_batches_total{shard="%d"}`, i)
+		if !strings.Contains(metrics, series+" 1\n") {
+			t.Errorf("scrape missing %s 1", series)
+		}
+		family := fmt.Sprintf(`adjserve_client_frames_total{shard="%d",lane="0"}`, i)
+		if !strings.Contains(metrics, family) {
+			t.Errorf("scrape missing family %s", family)
+		}
+	}
+
+	close(stop)
+	select {
+	case err := <-errC:
+		if err != nil {
+			t.Fatalf("router exit: %v\n%s", err, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("router did not drain\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "msg=routed") {
+		t.Errorf("missing route summary:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "msg=handshaked shards=3 fleet=shards lanes=4") {
+		t.Errorf("missing handshake line:\n%s", out.String())
+	}
+	// Admin shut down after the drain: the port no longer answers.
+	if _, err := http.Get("http://" + admin + "/healthz"); err == nil {
+		t.Error("admin endpoint still answering after shutdown")
+	}
+}
+
+// TestHandshakeFailure points plserve -shards at a dead address: run must
+// fail fast instead of listening, and the admin plane (started before the
+// handshake) must be torn down on the way out.
+func TestHandshakeFailure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	out := newAddrWriter()
+	errC := make(chan error, 1)
+	go func() {
+		errC <- run([]string{"-shards", dead, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0"}, out, nil)
+	}()
+	select {
+	case err := <-errC:
+		if err == nil {
+			t.Fatalf("dead shard accepted\n%s", out.String())
+		}
+		if !strings.Contains(err.Error(), "shard handshake") {
+			t.Errorf("error %v does not name the handshake", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("run did not return on a dead shard\n%s", out.String())
+	}
+	select {
+	case admin := <-out.adminC:
+		if _, err := http.Get("http://" + admin + "/healthz"); err == nil {
+			t.Error("admin endpoint still answering after a failed handshake")
+		}
+	default:
+	}
+}
+
+// TestAdminDownWhenListenFails: once the admin plane is up, every way out of
+// run shuts it down, including a query listener that cannot bind. Each mode
+// is pointed at an occupied -addr.
+func TestAdminDownWhenListenFails(t *testing.T) {
+	path, _ := storeFixture(t)
+	fleet, _ := shardFleet(t, 2)
+	occupied, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer occupied.Close()
+	for _, mode := range [][]string{{"-labels", path}, {"-shards", strings.Join(fleet, ",")}} {
+		t.Run(mode[0], func(t *testing.T) {
+			out := newAddrWriter()
+			err := run(append(mode, "-addr", occupied.Addr().String(), "-admin-addr", "127.0.0.1:0"), out, nil)
+			if err == nil || !strings.Contains(err.Error(), occupied.Addr().String()) {
+				t.Fatalf("run on an occupied -addr: err = %v, want a listen error\n%s", err, out.String())
+			}
+			select {
+			case admin := <-out.adminC:
+				if _, err := http.Get("http://" + admin + "/healthz"); err == nil {
+					t.Error("admin endpoint still answering after the query listener failed")
+				}
+			default:
+				t.Fatalf("no admin line\n%s", out.String())
+			}
+		})
 	}
 }
 
@@ -436,12 +666,24 @@ func TestRemovedSortFlagRejected(t *testing.T) {
 // TestPairCacheFlagRefusedOnAdjacencyStore: the result cache is the distance
 // plane's; an adjacency deployment still passing the flag fails at startup,
 // told where the flag belongs, instead of having it silently ignored.
-// (TestServeDistanceStore passes it to a distance store.)
+// (TestServeDistanceStore passes it to a distance store.) A -shards router
+// holds no store, so it refuses both store options by name.
 func TestPairCacheFlagRefusedOnAdjacencyStore(t *testing.T) {
 	path, _ := storeFixture(t)
-	err := run([]string{"-labels", path, "-addr", "127.0.0.1:0", "-pair-cache-bits", "8"}, newAddrWriter(), nil)
-	if err == nil || !strings.Contains(err.Error(), "distance-plane option") {
-		t.Fatalf("run with -pair-cache-bits on an adjacency store: err = %v, want a refusal naming the distance plane", err)
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"adjacency store", "distance-plane option", []string{"-labels", path, "-pair-cache-bits", "8"}},
+		{"shards pair-cache-bits", "-pair-cache-bits", []string{"-shards", "127.0.0.1:1", "-pair-cache-bits", "8"}},
+		{"shards shed-depth", "-shed-depth", []string{"-shards", "127.0.0.1:1", "-shed-depth", "4"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(append(tc.args, "-addr", "127.0.0.1:0"), newAddrWriter(), nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%q): err = %v, want a refusal naming %q", tc.args, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -55,7 +55,7 @@ type Client struct {
 	// one second with ±20% jitter per sleep. The backoff sleeps while holding
 	// the client's connection lock, so concurrent calls wait out the same
 	// reconnect rather than piling up their own dial storms; the jitter keeps
-	// a fleet of such clients (plroute holds one per shard) from
+	// a fleet of such clients (a Router holds one per shard lane) from
 	// synchronizing their reconnect storms after a shared server restart.
 	RedialBackoff time.Duration
 

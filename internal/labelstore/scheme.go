@@ -23,7 +23,7 @@ import (
 // core.NewDistEngine. An unknown kind is rejected by name — misreading
 // distance labels as adjacency labels (or the reverse) must fail loudly at
 // load, never mis-answer. Distance stores are never sharded (distance
-// serving replicates whole stores; see plroute), so shards + scheme is
+// serving replicates whole stores; see plserve -shards), so shards + scheme is
 // refused by writers and readers alike.
 
 // Param keys of the scheme record kind. The kind values are

@@ -15,7 +15,7 @@ trap 'kill "${serve_pid:-}" "${route_pid:-}" ${shard_pids:-} 2>/dev/null || true
 
 echo "== build"
 mkdir -p "$work/bin"
-go build -o "$work/bin" ./cmd/plgen ./cmd/pllabel ./cmd/plserve ./cmd/plload ./cmd/plroute
+go build -o "$work/bin" ./cmd/plgen ./cmd/pllabel ./cmd/plserve ./cmd/plload
 
 echo "== generate + label"
 "$work/bin/plgen" -model chunglu -n 5000 -alpha 2.5 -wmin 2 -seed 7 -o "$work/graph.el"
@@ -108,7 +108,7 @@ wait "$serve_pid" || { echo "plserve (shed) exited non-zero"; cat "$work/serve-s
 serve_pid=""
 
 
-echo "== tracing: 3-shard fleet behind plroute, sampled end-to-end attribution"
+echo "== tracing: 3-shard fleet behind plserve -shards, sampled end-to-end attribution"
 "$work/bin/pllabel" -scheme powerlaw -layout degree -in "$work/graph.el" \
     -o "$work/labels-sh.pllb" -shards 3 >"$work/label-sh.log"
 shard_addrs=""
@@ -129,17 +129,17 @@ for i in 0 1 2; do
     shard_addrs="$shard_addrs,$saddr"
 done
 shard_addrs="${shard_addrs#,}"
-"$work/bin/plroute" -shards "$shard_addrs" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
+"$work/bin/plserve" -shards "$shard_addrs" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
     -trace-sample 4 -slowlog-ms 1 >"$work/route.log" 2>&1 &
 route_pid=$!
 raddr=""
 for _ in $(seq 1 100); do
     raddr=$(sed -n 's/.*msg=listening addr=//p' "$work/route.log")
     [ -n "$raddr" ] && break
-    kill -0 "$route_pid" 2>/dev/null || { cat "$work/route.log"; echo "plroute died"; exit 1; }
+    kill -0 "$route_pid" 2>/dev/null || { cat "$work/route.log"; echo "router died"; exit 1; }
     sleep 0.1
 done
-[ -n "$raddr" ] || { cat "$work/route.log"; echo "plroute never became ready"; exit 1; }
+[ -n "$raddr" ] || { cat "$work/route.log"; echo "router never became ready"; exit 1; }
 radmin=$(sed -n 's/.*msg=admin addr=//p' "$work/route.log")
 # No -json: the BENCH file must keep exactly the two rows asserted above.
 "$work/bin/plload" -addr "$raddr" -duration 1500ms -warmup 300ms \
@@ -169,7 +169,7 @@ python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$work/slowlog.json" 
 echo "   traced run OK: coverage=$cover%, slowlog artifact captured"
 
 kill -TERM "$route_pid"
-wait "$route_pid" || { echo "plroute exited non-zero"; cat "$work/route.log"; exit 1; }
+wait "$route_pid" || { echo "router exited non-zero"; cat "$work/route.log"; exit 1; }
 route_pid=""
 for p in $shard_pids; do kill -TERM "$p"; done
 for p in $shard_pids; do wait "$p" || { echo "traced shard $p exited non-zero"; exit 1; }; done

@@ -14,7 +14,7 @@ trap 'kill "${serve_pid:-}" "${route_pid:-}" ${shard_pids:-} ${dist_pids:-} 2>/d
 
 echo "== build"
 mkdir -p "$work/bin"
-go build -o "$work/bin" ./cmd/plgen ./cmd/pllabel ./cmd/plserve ./cmd/plquery ./cmd/plroute
+go build -o "$work/bin" ./cmd/plgen ./cmd/pllabel ./cmd/plserve ./cmd/plquery
 
 echo "== generate + label"
 "$work/bin/plgen" -model chunglu -n 5000 -alpha 2.5 -wmin 2 -seed 7 -o "$work/graph.el"
@@ -131,19 +131,19 @@ for i in 0 1 2; do
     shard_addrs="$shard_addrs,$saddr"
 done
 shard_addrs="${shard_addrs#,}"
-"$work/bin/plroute" -shards "$shard_addrs" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
+"$work/bin/plserve" -shards "$shard_addrs" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
     >"$work/route.log" 2>&1 &
 route_pid=$!
 raddr=""
 for _ in $(seq 1 100); do
     raddr=$(sed -n 's/.*msg=listening addr=//p' "$work/route.log")
     [ -n "$raddr" ] && break
-    kill -0 "$route_pid" 2>/dev/null || { cat "$work/route.log"; echo "plroute died"; exit 1; }
+    kill -0 "$route_pid" 2>/dev/null || { cat "$work/route.log"; echo "router died"; exit 1; }
     sleep 0.1
 done
-[ -n "$raddr" ] || { cat "$work/route.log"; echo "plroute never became ready"; exit 1; }
+[ -n "$raddr" ] || { cat "$work/route.log"; echo "router never became ready"; exit 1; }
 radmin=$(sed -n 's/.*msg=admin addr=//p' "$work/route.log")
-echo "   fleet $shard_addrs behind plroute at $raddr"
+echo "   fleet $shard_addrs behind plserve -shards at $raddr"
 
 echo "== query: routed fleet vs single-store local must be byte-identical"
 curl -fsS "http://$radmin/readyz" | grep -qx "ok" || { echo "router /readyz not ok"; exit 1; }
@@ -179,7 +179,7 @@ echo "   per-shard scrape OK: router_queries=$rq, all 3 upstreams nonzero, no sh
 
 echo "== graceful shutdown: router then fleet"
 kill -TERM "$route_pid"
-wait "$route_pid" || { echo "plroute exited non-zero after SIGTERM"; cat "$work/route.log"; exit 1; }
+wait "$route_pid" || { echo "router exited non-zero after SIGTERM"; cat "$work/route.log"; exit 1; }
 grep -q "routed" "$work/route.log" || { echo "no route summary in log"; cat "$work/route.log"; exit 1; }
 route_pid=""
 for p in $shard_pids; do kill -TERM "$p"; done
@@ -221,17 +221,17 @@ diff "$work/dist-local.out" "$work/dist-remote.out"
 diff "$work/dist-local.out" "$work/dist-stream.out"
 echo "   $(wc -l <"$work/dist-local.out") distances identical across local, remote-batch, remote-stream"
 
-echo "== replica fleet: 2 identical distance servers behind plroute"
-"$work/bin/plroute" -shards "$dist_addrs" -addr 127.0.0.1:0 >"$work/route-dist.log" 2>&1 &
+echo "== replica fleet: 2 identical distance servers behind plserve -shards"
+"$work/bin/plserve" -shards "$dist_addrs" -addr 127.0.0.1:0 >"$work/route-dist.log" 2>&1 &
 route_pid=$!
 raddr=""
 for _ in $(seq 1 100); do
     raddr=$(sed -n 's/.*msg=listening addr=//p' "$work/route-dist.log")
     [ -n "$raddr" ] && break
-    kill -0 "$route_pid" 2>/dev/null || { cat "$work/route-dist.log"; echo "plroute (replicas) died"; exit 1; }
+    kill -0 "$route_pid" 2>/dev/null || { cat "$work/route-dist.log"; echo "router (replicas) died"; exit 1; }
     sleep 0.1
 done
-[ -n "$raddr" ] || { cat "$work/route-dist.log"; echo "plroute (replicas) never became ready"; exit 1; }
+[ -n "$raddr" ] || { cat "$work/route-dist.log"; echo "router (replicas) never became ready"; exit 1; }
 grep -q "msg=handshaked shards=2 fleet=replicas" "$work/route-dist.log" \
     || { echo "fleet not admitted as replicas"; cat "$work/route-dist.log"; exit 1; }
 "$work/bin/plquery" -dist -remote "$raddr" -batch <"$work/pairs.txt" >"$work/dist-routed.out"
@@ -239,7 +239,7 @@ diff "$work/dist-local.out" "$work/dist-routed.out"
 echo "   $(wc -l <"$work/dist-routed.out") routed distances identical to local"
 
 kill -TERM "$route_pid"
-wait "$route_pid" || { echo "plroute (replicas) exited non-zero"; cat "$work/route-dist.log"; exit 1; }
+wait "$route_pid" || { echo "router (replicas) exited non-zero"; cat "$work/route-dist.log"; exit 1; }
 route_pid=""
 for p in $dist_pids; do kill -TERM "$p"; done
 for p in $dist_pids; do wait "$p" || { echo "distance replica $p exited non-zero"; exit 1; }; done
