@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -11,20 +12,27 @@ import (
 	"repro/internal/adjserve"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/labelstore"
 	"repro/internal/schemes/distance"
 )
 
-// distStoreFixture encodes a pll distance store (degree layout) to a file and
+// distScheme is what distStoreFixture needs of a distance scheme.
+type distScheme interface {
+	Name() string
+	EncodeArena(g *graph.Graph, workers int, layout core.Layout) (*core.DistArena, error)
+}
+
+// distStoreFixture encodes a distance store (degree layout) to a file and
 // returns the path plus an in-process engine over the same labels for
 // ground truth.
-func distStoreFixture(t *testing.T) (string, *core.DistEngine) {
+func distStoreFixture(t *testing.T, scheme distScheme) (string, *core.DistEngine) {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(250, 2.5, 2, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena, err := distance.PLLScheme{}.EncodeArena(g, 2, core.LayoutDegree)
+	arena, err := scheme.EncodeArena(g, 2, core.LayoutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +40,7 @@ func distStoreFixture(t *testing.T) (string, *core.DistEngine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := labelstore.NewDistArenaFile(distance.PLLScheme{}.Name(),
+	store, err := labelstore.NewDistArenaFile(scheme.Name(),
 		map[string]string{"n": strconv.Itoa(g.N())}, arena)
 	if err != nil {
 		t.Fatal(err)
@@ -49,12 +57,31 @@ func distStoreFixture(t *testing.T) (string, *core.DistEngine) {
 	return path, eng
 }
 
-// TestServeDistanceStore boots the daemon on a distance store and checks the
-// remote distance plane end to end: the loaded line declares the plane, the
-// engine answers match, and adjacency frames are refused without killing the
-// connection.
+// TestServeDistanceStore boots the daemon on a pll distance store and checks
+// the remote distance plane end to end: the loaded line declares the plane
+// and the hub table's heap, the engine answers match, and adjacency frames
+// are refused without killing the connection.
 func TestServeDistanceStore(t *testing.T) {
-	path, eng := distStoreFixture(t)
+	out, eng := serveDistanceStore(t, distance.PLLScheme{})
+	if want := fmt.Sprintf("plane=distance/pll hub_table_bytes=%d ", eng.HubTableBytes()); eng.HubTableBytes() == 0 || !strings.Contains(out, want) {
+		t.Errorf("loaded line does not carry %q:\n%s", want, out)
+	}
+}
+
+// TestServeBoundedDistanceStore: a bdist store serves the same plane from
+// its slab, so its loaded line carries no hub table.
+func TestServeBoundedDistanceStore(t *testing.T) {
+	out, _ := serveDistanceStore(t, distance.Scheme{Alpha: 2.5, F: 3})
+	if !strings.Contains(out, "plane=distance/bdist") || strings.Contains(out, "hub_table_bytes") {
+		t.Errorf("bdist loaded line: want plane=distance/bdist and no hub_table_bytes:\n%s", out)
+	}
+}
+
+// serveDistanceStore runs the daemon over scheme's store through one
+// connection's worth of checks and returns its log after the drain.
+func serveDistanceStore(t *testing.T, scheme distScheme) (string, *core.DistEngine) {
+	t.Helper()
+	path, eng := distStoreFixture(t, scheme)
 	out := newAddrWriter()
 	stop := make(chan struct{})
 	errC := make(chan error, 1)
@@ -110,7 +137,5 @@ func TestServeDistanceStore(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("daemon did not drain\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "plane=distance/pll") {
-		t.Errorf("loaded line does not declare the distance plane:\n%s", out.String())
-	}
+	return out.String(), eng
 }

@@ -210,6 +210,11 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			srv.SetDistEngine(deng)
 			attachMetrics = deng.AttachMetrics
 			planeAttrs = []any{"plane", "distance/" + store.SchemeKind()}
+			if deng.Kind() == core.DistPLL {
+				// The decoded hub table is heap beside the mapped store, and
+				// not shared between processes serving the same file.
+				planeAttrs = append(planeAttrs, "hub_table_bytes", deng.HubTableBytes())
+			}
 		} else {
 			if *cacheBits > 0 {
 				return fmt.Errorf("-pair-cache-bits caches distances, a distance-plane option; %s is an adjacency store", *labelsPath)

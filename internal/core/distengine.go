@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -13,27 +12,27 @@ import (
 // DistEngine is the distance-plane counterpart of QueryEngine: built once
 // over a DistArena (or a format-v2 distance label store), it pre-parses
 // every label's header into the same packed 16-byte vertexMeta records and
-// answers Dist(u, v) straight from the word-aligned slab — no Reader, no
-// re-parsing, zero heap allocations on the hot path.
+// answers Dist(u, v) with no Reader, no re-parsing and zero heap
+// allocations on the hot path.
 //
 // Two kernels, selected by the arena's DistKind:
 //
-//   - DistPLL: a merge-intersection min-sum scan over the two sorted hub
-//     lists, read straight from the slab's δ-gap hub ranks and fixed-width
-//     distances: one unaligned 8-byte load per entry, both lists decoded in
-//     lockstep into small stack blocks, then a branch-free merge (distPLL).
-//     Answers match distance.PLLDecoder.Dist bit for bit; unreachable pairs
-//     return -1 (graph.Unreachable).
-//   - DistBounded: Lemma 7's decode — the minimum over fat-hub relays
-//     (both fixed-width fat tables walked in lockstep with the legacy
-//     early-out) plus, for thin-thin pairs, a binary search of each sorted
-//     thin list. Distances beyond the bound f return -1 (distance.Beyond,
-//     numerically the same sentinel).
+//   - DistPLL: a branch-free merge-intersection min-sum scan over the two
+//     sorted hub lists (distPLL). Construction decodes every label's δ-gap
+//     hub ranks and fixed-width distances once into one table of
+//     rank<<32|dist words (hubs), so a query reads that table and never the
+//     slab. Answers match distance.PLLDecoder.Dist bit for bit; unreachable
+//     pairs return -1 (graph.Unreachable).
+//   - DistBounded: Lemma 7's decode straight from the word-aligned slab —
+//     the minimum over fat-hub relays (both fixed-width fat tables walked in
+//     lockstep with the legacy early-out) plus, for thin-thin pairs, a
+//     binary search of each sorted thin list. Distances beyond the bound f
+//     return -1 (distance.Beyond, numerically the same sentinel).
 //
 // Every label is fully validated at construction — entry lists must stay in
 // bounds, strictly sorted, and tile their label exactly — so the hot path
-// never errors and never reads outside the slab on any engine that
-// construction accepted (FuzzDistEngineHeaders leans on exactly this).
+// never errors and never reads outside the slab or the table on any engine
+// that construction accepted (FuzzDistEngineHeaders leans on exactly this).
 // Like QueryEngine, a DistEngine is immutable after construction and safe
 // for concurrent use; metrics and the result cache attach before sharing.
 type DistEngine struct {
@@ -44,13 +43,16 @@ type DistEngine struct {
 	dw   int // distance field width
 	f    int // bdist bound
 	nFat int // bdist fat-table width
-	// meta reuses QueryEngine's packed header record: off is the bit offset
-	// of the label body (pll: the first entry; bdist: the fat table), and
-	// word packs id<<32 | cnt<<1 | fat with cnt the entry count (pll: hub
-	// entries; bdist: thin-list entries).
-	meta     []vertexMeta
-	slab     []byte
-	slabBits int64 // the slab's whole 64-bit words, in bits: no read goes past it
+	// meta reuses QueryEngine's packed header record: word packs
+	// id<<32 | cnt<<1 | fat with cnt the entry count (pll: hub entries;
+	// bdist: thin-list entries). off is, for bdist, the slab bit offset of
+	// the label body (the fat table) and, for pll, the index of the
+	// vertex's first entry in hubs.
+	meta []vertexMeta
+	slab []byte
+	// hubs holds every PLL label's entries as rank<<32 | dist, label after
+	// label in slab order; nil for bdist.
+	hubs []uint64
 	// engineMetrics is the shared attachment (batch.go). Distance queries
 	// tally the branch that resolved them: self for equal identifiers, fat
 	// when a bdist query had a fat endpoint, thin for thin-thin bdist pairs
@@ -78,7 +80,7 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
 	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, f: p.F, nFat: p.NFat, slab: slab,
-		slabBits: int64(len(slab)>>3) * 64, meta: make([]vertexMeta, n)}
+		meta: make([]vertexMeta, n)}
 	if p.Kind == DistPLL {
 		e.w, e.wCnt, _ = pllWidths(n, 0)
 	} else {
@@ -88,11 +90,14 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, e.w)
 	}
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	entries := 0
 	for walk.Next() {
 		v, off := walk.Label()
 		var err error
 		if e.kind == DistPLL {
-			err = e.validatePLL(v, off, int64(bitLens[v]))
+			var cnt int
+			cnt, err = e.pllHeader(v, off, int64(bitLens[v]))
+			entries += cnt
 		} else {
 			err = e.validateBounded(v, off, int64(bitLens[v]))
 		}
@@ -103,51 +108,74 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if err := walk.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
+	if e.kind == DistPLL {
+		if err := e.decodePLL(bitLens, order, entries); err != nil {
+			return nil, err
+		}
+	}
 	return e, nil
 }
 
-// validatePLL parses label v at slab bit off spanning lbits bits, walking
-// every δ-coded entry: ranks must be strictly increasing vertex ranks, the
-// entries must tile the label exactly, and the count must fit the packed
-// meta word. On success the header lands in e.meta[v].
-func (e *DistEngine) validatePLL(v int, off, lbits int64) error {
+// pllHeader parses the header of label v at slab bit off spanning lbits
+// bits into e.meta[v], with off the slab bit offset of its first entry, and
+// returns the entry count. A well-formed entry is at least 1 (delta0 of gap
+// 0) + dw bits, so a count beyond that bound cannot tile the label; refusing
+// it here bounds the hub table decodePLL allocates by the slab's size.
+func (e *DistEngine) pllHeader(v int, off, lbits int64) (int, error) {
 	header := int64(e.w + e.wCnt)
 	if lbits < header {
-		return fmt.Errorf("%w: pll label %d has %d bits, header needs %d", ErrBadLabel, v, lbits, header)
+		return 0, fmt.Errorf("%w: pll label %d has %d bits, header needs %d", ErrBadLabel, v, lbits, header)
 	}
 	id := bitstr.SlabReadBits(e.slab, off, e.w)
 	cnt := bitstr.SlabReadBits(e.slab, off+int64(e.w), e.wCnt)
-	// A well-formed entry is at least 1 (delta0 of gap 0) + dw bits; a count
-	// beyond that bound cannot tile the label and would make the walk below
-	// quadratic on corrupt headers.
 	if cnt > uint64(lbits-header)/uint64(1+e.dw) || cnt > 1<<31-1 {
-		return fmt.Errorf("%w: pll label %d declares %d entries in %d body bits", ErrBadLabel, v, cnt, lbits-header)
-	}
-	pos, end := off+header, off+lbits
-	prev := uint64(0)
-	for i := uint64(0); i < cnt; i++ {
-		gap, wd, ok := slabReadDeltaChecked(e.slab, pos, end)
-		if !ok {
-			return fmt.Errorf("%w: pll label %d entry %d: bad rank gap code", ErrBadLabel, v, i)
-		}
-		rank := prev + gap
-		if i == 0 {
-			rank = gap
-		}
-		if rank >= uint64(e.n) || (i > 0 && gap == 0) {
-			return fmt.Errorf("%w: pll label %d entry %d: rank %d of %d", ErrBadLabel, v, i, rank, e.n)
-		}
-		prev = rank
-		pos += wd
-		if pos+int64(e.dw) > end {
-			return fmt.Errorf("%w: pll label %d entry %d: distance past label end", ErrBadLabel, v, i)
-		}
-		pos += int64(e.dw)
-	}
-	if pos != end {
-		return fmt.Errorf("%w: pll label %d: %d trailing bits after %d entries", ErrBadLabel, v, end-pos, cnt)
+		return 0, fmt.Errorf("%w: pll label %d declares %d entries in %d body bits", ErrBadLabel, v, cnt, lbits-header)
 	}
 	e.meta[v] = vertexMeta{off: off + header, word: id<<32 | cnt<<1}
+	return int(cnt), nil
+}
+
+// decodePLL allocates the hub table once, at its exact size of entries, and
+// decodes every label into it in slab order, walking every δ-coded entry:
+// ranks must be strictly increasing vertex ranks and the entries must tile
+// the label exactly. Each label's meta off moves from its slab offset to
+// its first index in the table.
+func (e *DistEngine) decodePLL(bitLens []int, order []int32, entries int) error {
+	e.hubs = make([]uint64, entries)
+	header := int64(e.w + e.wCnt)
+	next := int64(0)
+	for r := range bitLens {
+		v := r
+		if order != nil {
+			v = int(order[r])
+		}
+		m := &e.meta[v]
+		pos := m.off
+		end := pos - header + int64(bitLens[v])
+		list := e.hubs[next : next+m.cnt()]
+		rank := uint64(0)
+		for i := range list {
+			gap, wd, ok := slabReadDeltaChecked(e.slab, pos, end)
+			if !ok {
+				return fmt.Errorf("%w: pll label %d entry %d: bad rank gap code", ErrBadLabel, v, i)
+			}
+			rank += gap
+			if rank >= uint64(e.n) || (i > 0 && gap == 0) {
+				return fmt.Errorf("%w: pll label %d entry %d: rank %d of %d", ErrBadLabel, v, i, rank, e.n)
+			}
+			pos += wd
+			if pos+int64(e.dw) > end {
+				return fmt.Errorf("%w: pll label %d entry %d: distance past label end", ErrBadLabel, v, i)
+			}
+			list[i] = rank<<32 | bitstr.SlabReadBits(e.slab, pos, e.dw)
+			pos += int64(e.dw)
+		}
+		if pos != end {
+			return fmt.Errorf("%w: pll label %d: %d trailing bits after %d entries", ErrBadLabel, v, end-pos, len(list))
+		}
+		m.off = next
+		next += int64(len(list))
+	}
 	return nil
 }
 
@@ -205,7 +233,7 @@ func (e *DistEngine) validateBounded(v int, off, lbits int64) error {
 // read at or past bit end: it returns the decoded value, the code width in
 // bits, and ok=false for any code that is malformed, oversized (values are
 // vertex ranks, so 32 bits at most), or runs past end. Used only at
-// construction; the hot path decodes validated codes without checks.
+// construction: queries read the decoded hub table.
 func slabReadDeltaChecked(slab []byte, pos, end int64) (val uint64, width int64, ok bool) {
 	avail := end - pos
 	if avail <= 0 {
@@ -249,6 +277,11 @@ func (e *DistEngine) Kind() DistKind { return e.kind }
 // F returns the distance bound of a DistBounded engine (0 for DistPLL).
 func (e *DistEngine) F() int { return e.f }
 
+// HubTableBytes returns the heap a DistPLL engine holds in its decoded hub
+// table, 8 bytes per hub entry, beyond the slab it adopted (0 for
+// DistBounded, which queries the slab itself).
+func (e *DistEngine) HubTableBytes() int { return 8 * len(e.hubs) }
+
 // Dist answers a distance query between vertices u and v: the exact hop
 // distance, or -1 when unreachable (DistPLL) or beyond the bound f
 // (DistBounded) — the same sentinel both legacy decoders return. It is
@@ -262,7 +295,7 @@ func (e *DistEngine) Dist(u, v int) (int, error) {
 }
 
 // distTallied is the scalar probe path: one query, branch tallies into t.
-// With a result cache enabled the slab is only probed on a miss.
+// With a result cache enabled the labels are only probed on a miss.
 func (e *DistEngine) distTallied(u, v int, t *QueryTally) (int, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return 0, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
@@ -282,7 +315,7 @@ func (e *DistEngine) distTallied(u, v int, t *QueryTally) (int, error) {
 	return e.probeDist(u, v, t), nil
 }
 
-// probeDist resolves one in-range query against the slab.
+// probeDist resolves one in-range query against the labels.
 func (e *DistEngine) probeDist(u, v int, t *QueryTally) int {
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
@@ -301,178 +334,35 @@ func (e *DistEngine) probeDist(u, v int, t *QueryTally) int {
 	return e.distBounded(mu, mv)
 }
 
-// pllBlock is the PLL kernel's decode block: entries per list decoded ahead
-// of the merge into a fixed stack buffer. Typical power-law hub lists fit
-// one block; longer ones refill block-wise.
-const pllBlock = 64
-
-// pllWindowBits is how many bits of an entry pllWord is guaranteed to
-// cover: 64 less the up-to-7 bits between the load's byte boundary and the
-// entry's first bit.
-const pllWindowBits = 57
-
-// pllList is one hub list's decode cursor: the bit offset of its next
-// entry, the rank of the last entry decoded, and how many entries remain.
-type pllList struct {
-	off  int64
-	rank uint64
-	rem  int
-}
-
 // distPLL returns the minimum summed distance over the hubs the two sorted
-// lists share — the answer of distance.PLLDecoder.Dist — block by block:
-// pllFill decodes up to pllBlock entries of each list into stack buffers of
-// rank<<32|dist words, then a branch-free merge walks the two buffers. Each
-// step advances whichever side holds the smaller rank (both on a tie) by
-// the comparison bits themselves rather than by jumps, and folds the summed
-// distance into best, with the miss bit lifting non-matches past any real
-// sum. A buffer that drains is refilled from its list; the scan ends when
-// either list is exhausted, as no later hub can be common.
+// lists share — the answer of distance.PLLDecoder.Dist — by a branch-free
+// merge over their rank<<32|dist words in the hub table. Each step advances
+// whichever side holds the smaller rank (both on a tie) by the comparison
+// bits themselves rather than by jumps, and folds the summed distance into
+// best, with the miss bit lifting non-matches past any real sum. The scan
+// ends when either list is exhausted, as no later hub can be common.
 func (e *DistEngine) distPLL(mu, mv vertexMeta) int {
 	// Two dw <= 32 bit distances sum below 1<<33, so miss<<33 puts every
 	// non-matching step above inf; sums of 1<<30 and more count as no common
 	// hub, as they do in the legacy decoder.
 	const inf = 1 << 30
-	var bufA, bufB [pllBlock]uint64
-	a := pllList{off: mu.off, rem: int(mu.cnt())}
-	b := pllList{off: mv.off, rem: int(mv.cnt())}
+	a := e.hubs[mu.off : mu.off+mu.cnt()]
+	b := e.hubs[mv.off : mv.off+mv.cnt()]
 	best := uint64(inf)
-	ia, na, ib, nb := 0, 0, 0, 0
-	for {
-		ka, kb := 0, 0
-		if ia == na {
-			ka = min(a.rem, pllBlock)
-			ia, na = 0, ka
+	for ia, ib := 0, 0; ia < len(a) && ib < len(b); {
+		x, y := a[ia], b[ib]
+		rx, ry := x>>32, y>>32
+		lt, gt := (rx-ry)>>63, (ry-rx)>>63 // ranks are below 1<<32: the borrow is the comparison
+		if s := x&(1<<32-1) + y&(1<<32-1) + (lt|gt)<<33; s < best {
+			best = s
 		}
-		if ib == nb {
-			kb = min(b.rem, pllBlock)
-			ib, nb = 0, kb
-		}
-		if na == 0 || nb == 0 {
-			break
-		}
-		e.pllFill(&bufA, &bufB, &a, &b, ka, kb)
-		for ia < na && ib < nb {
-			x, y := bufA[ia&(pllBlock-1)], bufB[ib&(pllBlock-1)]
-			rx, ry := x>>32, y>>32
-			lt, gt := (rx-ry)>>63, (ry-rx)>>63 // ranks are below 1<<32: the borrow is the comparison
-			if s := x&(1<<32-1) + y&(1<<32-1) + (lt|gt)<<33; s < best {
-				best = s
-			}
-			ia += int(1 - gt)
-			ib += int(1 - lt)
-		}
+		ia += int(1 - gt)
+		ib += int(1 - lt)
 	}
 	if best == inf {
 		return graph.Unreachable
 	}
 	return int(best)
-}
-
-// pllFill decodes the next ka entries of list a into bufA and the next kb
-// entries of list b into bufB. Per entry: one pllWord load, the gap code off
-// its top, and the distance from the same window when code + dw fit its 57
-// bits (one more read otherwise). The chain off → load → lzcnt → shifts →
-// next off is serial within a list, so the common prefix of the two lists
-// runs in lockstep — two independent chains per iteration — and pllRest
-// finishes the longer list alone.
-func (e *DistEngine) pllFill(bufA, bufB *[pllBlock]uint64, a, b *pllList, ka, kb int) {
-	slab, dw := e.slab, e.dw
-	fast := e.slabBits - 56            // off < fast: pllWord(off) stays inside the slab
-	same := uint64(pllWindowBits - dw) // code width <= same: the distance is in the window
-	dsh := (64 - uint(dw)) & 63        // dw is 1..32
-	offA, rankA := a.off, a.rank
-	offB, rankB := b.off, b.rank
-	k := 0
-	for lim := min(ka, kb); k < lim && offA < fast && offB < fast; k++ {
-		wA, wB := pllWord(slab, offA), pllWord(slab, offB)
-		gapA, wdA := pllGap(wA)
-		gapB, wdB := pllGap(wB)
-		distA, distB := wA<<(wdA&63)>>dsh, wB<<(wdB&63)>>dsh
-		if wdA > same {
-			distA = bitstr.SlabReadBits(slab, offA+int64(wdA), dw)
-		}
-		if wdB > same {
-			distB = bitstr.SlabReadBits(slab, offB+int64(wdB), dw)
-		}
-		rankA += gapA
-		rankB += gapB
-		bufA[k&(pllBlock-1)] = rankA<<32 | distA
-		bufB[k&(pllBlock-1)] = rankB<<32 | distB
-		offA += int64(wdA) + int64(dw)
-		offB += int64(wdB) + int64(dw)
-	}
-	a.off, a.rank, a.rem = offA, rankA, a.rem-ka
-	b.off, b.rank, b.rem = offB, rankB, b.rem-kb
-	if k < ka {
-		e.pllRest(bufA, a, k, ka)
-	}
-	if k < kb {
-		e.pllRest(bufB, b, k, kb)
-	}
-}
-
-// pllRest decodes entries [from, to) of a block from list l alone — the
-// part of pllFill's work that has no partner chain. It also carries the
-// kernel's tail guard: an entry starting inside the slab's last 8 bytes,
-// where pllWord's load would leave the slab, goes through pllEntry.
-func (e *DistEngine) pllRest(buf *[pllBlock]uint64, l *pllList, from, to int) {
-	slab, dw := e.slab, e.dw
-	fast := e.slabBits - 56
-	same := uint64(pllWindowBits - dw)
-	dsh := (64 - uint(dw)) & 63
-	off, rank := l.off, l.rank
-	for i := from; i < to; i++ {
-		if off >= fast {
-			gap, dist, wd := e.pllEntry(off)
-			rank += gap
-			buf[i&(pllBlock-1)] = rank<<32 | dist
-			off += wd
-			continue
-		}
-		w := pllWord(slab, off)
-		gap, wd := pllGap(w)
-		dist := w << (wd & 63) >> dsh
-		if wd > same {
-			dist = bitstr.SlabReadBits(slab, off+int64(wd), dw)
-		}
-		rank += gap
-		buf[i&(pllBlock-1)] = rank<<32 | dist
-		off += int64(wd) + int64(dw)
-	}
-	l.off, l.rank = off, rank
-}
-
-// pllWord returns the 64-bit window whose top bit is slab bit off: one
-// unaligned big-endian 8-byte load, valid for pllWindowBits bits. The caller
-// guarantees byte off>>3 lies at least 8 bytes before the slab's end.
-func pllWord(slab []byte, off int64) uint64 {
-	return binary.BigEndian.Uint64(slab[off>>3:]) << (uint(off) & 7)
-}
-
-// pllGap decodes the validated δ gap code at the top of window w, returning
-// the gap and the code's width (at most 43 bits, so always inside the
-// window). Every shift count is masked, so the compiler emits bare shifts
-// without its >= 64 guards.
-func pllGap(w uint64) (gap, width uint64) {
-	z := uint(bits.LeadingZeros64(w))
-	nb := w << (z & 63) >> ((63 - z) & 63) // γ(nb): z zeros, then nb in z+1 bits
-	// The value is a leading 1 then the nb-1 bits after the γ prefix: plant
-	// the 1 above those bits and shift the nb-bit number down.
-	v := (w<<((2*z+1)&63)>>1 | 1<<63) >> ((64 - nb) & 63)
-	return v - 1, 2*uint64(z) + nb
-}
-
-// pllEntry decodes the validated entry at bit off with word-aligned reads
-// clamped to the slab's end, returning the rank gap, the distance and the
-// entry's total width. It is the kernel's tail guard: the only entries that
-// reach it start inside the slab's last 8 bytes.
-func (e *DistEngine) pllEntry(off int64) (gap, dist uint64, width int64) {
-	peek := min(e.slabBits-off, 64)
-	w := bitstr.SlabReadBits(e.slab, off, int(peek)) << uint(64-peek)
-	gap, wd := pllGap(w)
-	dist = bitstr.SlabReadBits(e.slab, off+int64(wd), e.dw)
-	return gap, dist, int64(wd) + int64(e.dw)
 }
 
 // distBounded is Lemma 7's decode: the minimum over fat-hub relays, then
@@ -635,7 +525,7 @@ func (c *distCache) put(key uint64, dist int) {
 const maxCacheBits = 28
 
 // EnableResultCache attaches a direct-mapped (u,v)→distance cache of 2^bits
-// slots (8·2^bits bytes) probed before the slab; bits <= 0 detaches. Like
+// slots (8·2^bits bytes) probed before the labels; bits <= 0 detaches. Like
 // AttachMetrics it must be called before the engine is shared across
 // goroutines — afterwards the cache is safe under any number of concurrent
 // readers and writers. Hits and misses are tallied into the attached

@@ -50,8 +50,8 @@ func decodeFuzzInts(data []byte) []int {
 // engine whose distance queries never panic or read out of bounds and
 // answer exactly what the checked reference walk (RefDist) reads from the
 // same bits — error or correct answer. Build-time validation is the only
-// line of defense, because the merge kernel reads the slab unchecked by
-// design.
+// line of defense: the merge kernel reads the hub table construction
+// decoded, and the bounded kernel the slab, both unchecked by design.
 // Seeds are real pll and bounded labelings in both layouts, so the corpus
 // starts valid and mutates outward.
 func FuzzDistEngineHeaders(f *testing.F) {
@@ -102,6 +102,10 @@ func FuzzDistEngineHeaders(f *testing.F) {
 		if err != nil {
 			return // rejected at build time: exactly what corrupt headers should get
 		}
+		rd, err := core.NewRefDist(eng, bitLens, order)
+		if err != nil {
+			t.Fatalf("accepted engine, reference walk: %v", err)
+		}
 		n := eng.N()
 		if n == 0 {
 			if _, err := eng.Dist(0, 0); err == nil {
@@ -133,7 +137,7 @@ func FuzzDistEngineHeaders(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted engine, dist(%d,%d): %v", pr[0], pr[1], err)
 			}
-			want, err := eng.RefDist(pr[0], pr[1])
+			want, err := rd.Dist(pr[0], pr[1])
 			if err != nil {
 				t.Fatalf("accepted engine, reference dist(%d,%d): %v", pr[0], pr[1], err)
 			}

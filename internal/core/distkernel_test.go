@@ -12,9 +12,10 @@ import (
 )
 
 // pllCase is a hand-built PLL labeling: per-vertex (hub rank, distance)
-// lists handed straight to the slab pipeline, so the kernel's edge shapes —
-// block boundaries, wide entries, the slab tail — are chosen, not hoped for.
-// The test queries every pair among vs plus the listed extra pairs.
+// lists handed straight to the slab pipeline, so the shapes the engine's
+// construction decoder meets — long and empty lists, wide entries, the slab
+// tail — are chosen, not hoped for. The test queries every pair among vs plus
+// the listed extra pairs.
 type pllCase struct {
 	name    string
 	entries [][]core.DistEntry
@@ -44,9 +45,9 @@ func (c *pllCase) addProbes(v, base int) {
 	}
 }
 
-// pllKernelCases covers every entry count around the 64-entry decode block,
-// very unequal and disjoint lists, and entries at and past the 57-bit
-// window one load covers.
+// pllKernelCases covers entry counts from 0 to 700, very unequal and
+// disjoint lists, and dw = 32 entries whose code plus distance fill 57 bits
+// and more — the widest entries the construction decoder reads.
 func pllKernelCases() []pllCase {
 	const n = 1 << 12
 	blocks := pllCase{name: "block-boundaries", entries: make([][]core.DistEntry, n), maxDist: 9}
@@ -64,9 +65,10 @@ func pllKernelCases() []pllCase {
 	blocks.addProbes(16+5, 3000)
 
 	// dw = 32 (maxDist near 2^31). A rank gap near 2^16 codes in 25 bits, so
-	// code + distance fill the 57-bit window exactly; a gap near 2^17 codes
-	// in 27 and the distance needs the second read. Distances at 2^29 and
-	// above exercise the decoders' 1<<30 "no common hub" cap.
+	// code + distance fill 57 bits exactly; a gap near 2^17 codes in 27 and
+	// the entry spans 59. Distances at 2^29 and above exercise the decoders'
+	// 1<<30 "no common hub" cap, and a full 32-bit distance beside a rank in
+	// the table's word.
 	const wideN = 1 << 20
 	wide := pllCase{name: "wide-entries", entries: make([][]core.DistEntry, wideN), maxDist: math.MaxInt32}
 	for v := 0; v < 16; v++ {
@@ -118,15 +120,15 @@ func reversedOrder(n int) []int32 {
 	return order
 }
 
-// checkPLLPair pins Dist(u, v) to the checked reference walk and to the
-// brute-force definition over the source entry lists.
-func checkPLLPair(t *testing.T, eng *core.DistEngine, entries [][]core.DistEntry, u, v int) {
+// checkPLLPair pins Dist(u, v) to the checked reference walk of the slab
+// and to the brute-force definition over the source entry lists.
+func checkPLLPair(t *testing.T, eng *core.DistEngine, rd *core.RefDist, entries [][]core.DistEntry, u, v int) {
 	t.Helper()
 	got, err := eng.Dist(u, v)
 	if err != nil {
 		t.Fatalf("Dist(%d,%d): %v", u, v, err)
 	}
-	ref, err := eng.RefDist(u, v)
+	ref, err := rd.Dist(u, v)
 	if err != nil {
 		t.Fatalf("RefDist(%d,%d): %v", u, v, err)
 	}
@@ -140,18 +142,34 @@ func checkPLLPair(t *testing.T, eng *core.DistEngine, entries [][]core.DistEntry
 	}
 }
 
+// buildWithRef builds an engine over slab and the arena's lengths, layout
+// and parameters, and the slab reference walk beside it.
+func buildWithRef(t *testing.T, slab []byte, arena *core.DistArena) (*core.DistEngine, *core.RefDist) {
+	t.Helper()
+	eng, err := core.NewDistEngineFromArena(slab, arena.BitLens, arena.Order, arena.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := core.NewRefDist(eng, arena.BitLens, arena.Order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, rd
+}
+
 // checkPLLPairs checks every ordered pair among vs.
-func checkPLLPairs(t *testing.T, eng *core.DistEngine, entries [][]core.DistEntry, vs []int) {
+func checkPLLPairs(t *testing.T, eng *core.DistEngine, rd *core.RefDist, entries [][]core.DistEntry, vs []int) {
 	t.Helper()
 	for _, u := range vs {
 		for _, v := range vs {
-			checkPLLPair(t, eng, entries, u, v)
+			checkPLLPair(t, eng, rd, entries, u, v)
 		}
 	}
 }
 
-// TestDistPLLKernelEdges drives the merge kernel through its edge shapes in
-// both an identity and a permuted layout.
+// TestDistPLLKernelEdges builds engines over the edge shapes above, in both
+// an identity and a permuted layout, and pins every answer the merge gives
+// over the decoded hub table to the slab's bits and to the definition.
 func TestDistPLLKernelEdges(t *testing.T) {
 	for _, tc := range pllKernelCases() {
 		for _, lay := range []struct {
@@ -163,13 +181,10 @@ func TestDistPLLKernelEdges(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng, err := core.NewDistEngine(arena)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkPLLPairs(t, eng, tc.entries, tc.vs)
+				eng, rd := buildWithRef(t, arena.Slab, arena)
+				checkPLLPairs(t, eng, rd, tc.entries, tc.vs)
 				for _, p := range tc.pairs {
-					checkPLLPair(t, eng, tc.entries, p[0], p[1])
+					checkPLLPair(t, eng, rd, tc.entries, p[0], p[1])
 				}
 			})
 		}
@@ -199,10 +214,10 @@ func wordExactList(rng *rand.Rand, cnt, n, headerBits, dw int, maxDist int32) []
 }
 
 // TestDistPLLKernelSlabTail puts a label whose last entry ends on the slab's
-// last bit at the physical end of the slab, so its final entries start
-// inside the last 8 bytes — where the kernel's 8-byte load would leave the
-// slab and the guarded decode takes over — and queries it against empty,
-// short, matching and much longer partners.
+// last bit at the physical end of the slab, so the construction decoder's
+// final reads start inside the slab's last 8 bytes and must stay in its
+// whole words, and queries that label against empty, short, matching and
+// much longer partners.
 func TestDistPLLKernelSlabTail(t *testing.T) {
 	const n = 1 << 16
 	const maxDist = 100               // dw = 7
@@ -235,18 +250,15 @@ func TestDistPLLKernelSlabTail(t *testing.T) {
 				t.Fatalf("tail label of %d bits at dw=%d: want whole words at dw=%d", bits, arena.Params.DW, dw)
 			}
 			// The same labels again over a slab with stray bytes after its last
-			// whole word (a store padded to no word boundary): the guard must
-			// keep every read inside the whole words.
+			// whole word (a store padded to no word boundary): decoding must
+			// neither read them nor count them as a label's bits.
 			stray := append(slices.Clone(arena.Slab), 0xff, 0xff, 0xff)
 			for name, slab := range map[string][]byte{"whole-words": arena.Slab, "stray-bytes": stray} {
-				eng, err := core.NewDistEngineFromArena(slab, arena.BitLens, arena.Order, arena.Params)
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng, rd := buildWithRef(t, slab, arena)
 				t.Run(lay.name+"/"+name, func(t *testing.T) {
-					checkPLLPairs(t, eng, c.entries, []int{lay.tail, 10, 11, 12, 13, 14, 15, 20, 21, 100})
+					checkPLLPairs(t, eng, rd, c.entries, []int{lay.tail, 10, 11, 12, 13, 14, 15, 20, 21, 100})
 					for _, p := range c.pairs {
-						checkPLLPair(t, eng, c.entries, p[0], p[1])
+						checkPLLPair(t, eng, rd, c.entries, p[0], p[1])
 					}
 				})
 			}

@@ -7,34 +7,59 @@ import (
 	"repro/internal/graph"
 )
 
-// RefDist answers an in-range distance query by a slow reference walk that
-// shares nothing with the hot kernels but the validated header records: PLL
-// lists are decoded entry by entry with the bounds-checked construction-time
-// decoder (slabReadDeltaChecked) and intersected through a map; bounded
-// labels take the plain minimum over the fat table and a linear scan of the
-// thin lists. The kernel tests and FuzzDistEngineHeaders pin Dist to it. An
-// error means the walk left the label's bits, which construction promises
-// cannot happen on an accepted engine.
-func (e *DistEngine) RefDist(u, v int) (int, error) {
-	mu, mv := e.meta[u], e.meta[v]
-	if mu.id() == mv.id() {
+// RefDist answers in-range distance queries by a slow reference walk that
+// shares nothing with the hot kernels but the validated header records (id
+// and entry count): PLL lists are decoded entry by entry from the slab with
+// the bounds-checked construction-time decoder (slabReadDeltaChecked) and
+// intersected through a map; bounded labels take the plain minimum over the
+// fat table and a linear scan of the thin lists. Each label's slab offset
+// comes from its own walk over the arena, never from the engine's meta off
+// or hub table, so the kernel tests and FuzzDistEngineHeaders pin what
+// construction decoded to the slab's bits.
+type RefDist struct {
+	e        *DistEngine
+	off, end []int64 // label body start and label end, slab bits, by vertex
+}
+
+// NewRefDist builds the reference over the arena e was built from; an
+// error means the walk does not see the labels construction accepted.
+func NewRefDist(e *DistEngine, bitLens []int, order []int32) (*RefDist, error) {
+	header := int64(e.w + e.wCnt)
+	if e.kind != DistPLL {
+		header = int64(1 + e.w)
+	}
+	r := &RefDist{e: e, off: make([]int64, len(bitLens)), end: make([]int64, len(bitLens))}
+	walk := bitstr.NewSlabWalk(len(e.slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		r.off[v], r.end[v] = off+header, off+int64(bitLens[v])
+	}
+	return r, walk.Err()
+}
+
+// Dist answers one in-range query. An error means the walk left the label's
+// bits, which construction promises cannot happen on an accepted engine.
+func (r *RefDist) Dist(u, v int) (int, error) {
+	e := r.e
+	if e.meta[u].id() == e.meta[v].id() {
 		return 0, nil
 	}
 	if e.kind == DistPLL {
-		return e.refDistPLL(mu, mv)
+		return r.distPLL(u, v)
 	}
-	return e.refDistBounded(mu, mv), nil
+	return r.distBounded(u, v), nil
 }
 
-func (e *DistEngine) refDistPLL(mu, mv vertexMeta) (int, error) {
-	hubs := make(map[uint64]uint64, mu.cnt())
+func (r *RefDist) distPLL(u, v int) (int, error) {
+	e := r.e
+	hubs := make(map[uint64]uint64, e.meta[u].cnt())
 	best := uint64(1 << 30) // the legacy decoders' "no common hub" bound
-	for side, m := range [2]vertexMeta{mu, mv} {
-		pos, rank := m.off, uint64(0)
-		for i := int64(0); i < m.cnt(); i++ {
-			gap, wd, ok := slabReadDeltaChecked(e.slab, pos, e.slabBits)
-			if !ok || pos+wd+int64(e.dw) > e.slabBits {
-				return 0, fmt.Errorf("reference walk: entry %d at bit %d leaves the slab", i, pos)
+	for side, x := range [2]int{u, v} {
+		pos, end, rank := r.off[x], r.end[x], uint64(0)
+		for i := int64(0); i < e.meta[x].cnt(); i++ {
+			gap, wd, ok := slabReadDeltaChecked(e.slab, pos, end)
+			if !ok || pos+wd+int64(e.dw) > end {
+				return 0, fmt.Errorf("reference walk: label %d entry %d at bit %d leaves the label", x, i, pos)
 			}
 			rank += gap
 			dist := bitstr.SlabReadBits(e.slab, pos+wd, e.dw)
@@ -52,21 +77,23 @@ func (e *DistEngine) refDistPLL(mu, mv vertexMeta) (int, error) {
 	return int(best), nil
 }
 
-func (e *DistEngine) refDistBounded(mu, mv vertexMeta) int {
+func (r *RefDist) distBounded(u, v int) int {
+	e := r.e
 	best := e.f + 1
 	for i := 0; i < e.nFat; i++ {
-		da := bitstr.SlabReadBits(e.slab, mu.off+int64(i*e.dw), e.dw)
-		db := bitstr.SlabReadBits(e.slab, mv.off+int64(i*e.dw), e.dw)
+		da := bitstr.SlabReadBits(e.slab, r.off[u]+int64(i*e.dw), e.dw)
+		db := bitstr.SlabReadBits(e.slab, r.off[v]+int64(i*e.dw), e.dw)
 		if s := int(da + db); s < best {
 			best = s
 		}
 	}
+	mu, mv := e.meta[u], e.meta[v]
 	if !mu.fat() && !mv.fat() && e.w > 0 {
 		stride := int64(e.w + e.dw)
-		for _, q := range [2][2]vertexMeta{{mu, mv}, {mv, mu}} {
-			base := q[0].off + int64(e.nFat*e.dw)
-			for i := int64(0); i < q[0].cnt(); i++ {
-				if bitstr.SlabReadBits(e.slab, base+i*stride, e.w) != q[1].id() {
+		for _, q := range [2][2]int{{u, v}, {v, u}} {
+			base := r.off[q[0]] + int64(e.nFat*e.dw)
+			for i := int64(0); i < e.meta[q[0]].cnt(); i++ {
+				if bitstr.SlabReadBits(e.slab, base+i*stride, e.w) != e.meta[q[1]].id() {
 					continue
 				}
 				if d := int(bitstr.SlabReadBits(e.slab, base+i*stride+int64(e.w), e.dw)); d < best {
@@ -79,4 +106,11 @@ func (e *DistEngine) refDistBounded(mu, mv vertexMeta) int {
 		return graph.Unreachable
 	}
 	return best
+}
+
+// CorruptHub overwrites the distance of entry j in vertex v's list in a PLL
+// engine's hub table, leaving the slab as it was.
+func (e *DistEngine) CorruptHub(v, j int, dist uint64) {
+	i := e.meta[v].off + int64(j)
+	e.hubs[i] = e.hubs[i]&^(1<<32-1) | dist
 }
