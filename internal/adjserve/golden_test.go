@@ -34,7 +34,7 @@ func goldenFrame(srv *Server, req []byte) []byte {
 
 // wireFrame sends one request payload to addr on a fresh connection and
 // returns the response payload — what any client sees, whatever code answers.
-func wireFrame(t *testing.T, addr string, req []byte) []byte {
+func wireFrame(t testing.TB, addr string, req []byte) []byte {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -72,7 +72,7 @@ func goldenHex(frame []byte) string {
 
 // packBits is the adjacency answer codec by hand: status, count, then bit i
 // MSB-first within byte i/8.
-func packBits(t *testing.T, eng *core.QueryEngine, pairs [][2]int) []byte {
+func packBits(t testing.TB, eng *core.QueryEngine, pairs [][2]int) []byte {
 	t.Helper()
 	out := binary.AppendUvarint([]byte{statusOK}, uint64(len(pairs)))
 	bits := make([]byte, (len(pairs)+7)/8)
@@ -90,7 +90,7 @@ func packBits(t *testing.T, eng *core.QueryEngine, pairs [][2]int) []byte {
 
 // packDists is the distance answer codec by hand: status, count, then one
 // uvarint per pair with 255 for unreachable.
-func packDists(t *testing.T, eng *core.DistEngine, pairs [][2]int) []byte {
+func packDists(t testing.TB, eng *core.DistEngine, pairs [][2]int) []byte {
 	t.Helper()
 	out := binary.AppendUvarint([]byte{statusOK}, uint64(len(pairs)))
 	for _, p := range pairs {
@@ -393,7 +393,7 @@ type goldenFleet struct {
 	srvs []*Server
 }
 
-func goldenFleets(t *testing.T) (full *core.QueryEngine, dist *core.DistEngine, partition, replicas goldenFleet) {
+func goldenFleets(t testing.TB) (full *core.QueryEngine, dist *core.DistEngine, partition, replicas goldenFleet) {
 	t.Helper()
 	boot := func(srvs []*Server) goldenFleet {
 		addrs := make([]string, len(srvs))
@@ -554,14 +554,25 @@ func traceShape(t *testing.T, resp []byte, bodyLen int) (body []byte, shape [][2
 	return body, shape
 }
 
-// TestGoldenTracedFrames pins the traced response shape on both planes, from
-// a server and through a router: the status byte carries the trace flag, the
-// body is the untraced body, and the stage block lists the hop's stages in a
-// fixed order.
-func TestGoldenTracedFrames(t *testing.T) {
+// goldenTraceID is the trace id the golden traced requests carry.
+const goldenTraceID = 0x0807060504030201
+
+// tracedGolden is one traced frame TestGoldenTracedFrames pins: the response
+// a hop sent, the untraced body it must carry, and the (stage, hop) sequence
+// of its trace block.
+type tracedGolden struct {
+	name       string
+	resp, want []byte
+	shape      [][2]uint8
+}
+
+// goldenTracedFrames sends one traced 100-pair frame on each plane to a
+// server, and through a router over both fleet shapes, and returns what came
+// back and the server's address. The trace blocks behind the bodies seed
+// FuzzParseTraceBlock.
+func goldenTracedFrames(t testing.TB) (frames []tracedGolden, direct string) {
 	full, dist, partition, replicas := goldenFleets(t)
 	pairs := goldenRing(full, 100)
-	const id = 0x0807060504030201
 	wantAdj, wantDist := packBits(t, full, pairs), packDists(t, dist, pairs)
 
 	self := obs.HopSelf
@@ -585,7 +596,7 @@ func TestGoldenTracedFrames(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	direct := ln.Addr().String()
+	direct = ln.Addr().String()
 
 	for _, tc := range []struct {
 		name, addr string
@@ -599,18 +610,30 @@ func TestGoldenTracedFrames(t *testing.T) {
 		{"replicas adjacency", replicas.addr, opQuery, wantAdj, routerShape(2)},
 		{"replicas distance", replicas.addr, opDist, wantDist, routerShape(2)},
 	} {
-		resp := wireFrame(t, tc.addr, appendPairsReqTrace(nil, tc.op, id, pairs))
-		body, shape := traceShape(t, resp, len(tc.want))
-		if !bytes.Equal(body, tc.want) {
-			t.Errorf("%s: traced body %x, want %x", tc.name, body, tc.want)
+		resp := wireFrame(t, tc.addr, appendPairsReqTrace(nil, tc.op, goldenTraceID, pairs))
+		frames = append(frames, tracedGolden{tc.name, resp, tc.want, tc.shape})
+	}
+	return frames, direct
+}
+
+// TestGoldenTracedFrames pins the traced response shape on both planes, from
+// a server and through a router: the status byte carries the trace flag, the
+// body is the untraced body, and the stage block lists the hop's stages in a
+// fixed order.
+func TestGoldenTracedFrames(t *testing.T) {
+	frames, direct := goldenTracedFrames(t)
+	for _, fr := range frames {
+		body, shape := traceShape(t, fr.resp, len(fr.want))
+		if !bytes.Equal(body, fr.want) {
+			t.Errorf("%s: traced body %x, want %x", fr.name, body, fr.want)
 		}
-		if fmt.Sprint(shape) != fmt.Sprint(tc.shape) {
-			t.Errorf("%s: stage block %v, want %v", tc.name, shape, tc.shape)
+		if fmt.Sprint(shape) != fmt.Sprint(fr.shape) {
+			t.Errorf("%s: stage block %v, want %v", fr.name, shape, fr.shape)
 		}
 	}
 	// Error frames are never extended: a traced request that fails answers
 	// byte-identically to the untraced protocol.
-	bad := appendPairsReqTrace(nil, opDist, id, [][2]int{{5, 70000}})
+	bad := appendPairsReqTrace(nil, opDist, goldenTraceID, [][2]int{{5, 70000}})
 	want := errFrame("pair 0 (5,70000): core: vertex out of range: (5,70000) of 400")
 	if got := wireFrame(t, direct, bad); !bytes.Equal(got, want) {
 		t.Errorf("traced error frame %q, want %q", got, want)

@@ -98,6 +98,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -290,7 +291,9 @@ var errMalformedTrace = &RemoteError{Msg: "malformed trace block"}
 
 // parseTraceBlock merges a response trace block (exactly the bytes of b)
 // into t, relabeling the sender's own HopSelf stages to hop; shard-labeled
-// stages the sender gathered from its upstreams pass through unchanged.
+// stages the sender gathered from its upstreams pass through unchanged. A
+// duration of 2^63 ns or more, which would read back negative and which
+// appendTraceTally never writes, refuses the block.
 func parseTraceBlock(b []byte, t *obs.SpanTally, hop uint8) error {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -304,7 +307,7 @@ func parseTraceBlock(b []byte, t *obs.SpanTally, hop uint8) error {
 		stage, h := b[0], b[1]
 		b = b[2:]
 		ns, n := binary.Uvarint(b)
-		if n <= 0 {
+		if n <= 0 || ns > math.MaxInt64 {
 			return errMalformedTrace
 		}
 		b = b[n:]

@@ -12,7 +12,7 @@ import (
 )
 
 // TestRefDistIgnoresHubTable: the reference walk reads the slab, not the
-// hub table the merge reads, so a corrupted table entry shows up as a
+// hub table the kernel reads, so a corrupted table entry shows up as a
 // disagreement on the one pair whose only common hub it is. Were the
 // reference to read the table too, the kernel tests would compare the table
 // with itself.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitstr"
@@ -17,12 +18,13 @@ import (
 //
 // Two kernels, selected by the arena's DistKind:
 //
-//   - DistPLL: a branch-free merge-intersection min-sum scan over the two
-//     sorted hub lists (distPLL). Construction decodes every label's δ-gap
-//     hub ranks and fixed-width distances once into one table of
-//     rank<<32|dist words (hubs), so a query reads that table and never the
-//     slab. Answers match distance.PLLDecoder.Dist bit for bit; unreachable
-//     pairs return -1 (graph.Unreachable).
+//   - DistPLL: a min-sum over the hubs the two sorted hub lists share,
+//     found by scattering the shorter list into a rank-indexed scratch and
+//     probing it with the longer (distPLL). Construction decodes every
+//     label's δ-gap hub ranks and fixed-width distances once into one table
+//     of rank<<32|dist words (hubs), so a query reads that table and never
+//     the slab. Answers match distance.PLLDecoder.Dist bit for bit;
+//     unreachable pairs return -1 (graph.Unreachable).
 //   - DistBounded: Lemma 7's decode straight from the word-aligned slab —
 //     the minimum over fat-hub relays (both fixed-width fat tables walked in
 //     lockstep with the legacy early-out) plus, for thin-thin pairs, a
@@ -53,10 +55,13 @@ type DistEngine struct {
 	// hubs holds every PLL label's entries as rank<<32 | dist, label after
 	// label in slab order; nil for bdist.
 	hubs []uint64
+	// scratch pools the PLL queries' rank scratches (*rankScratch); bdist
+	// engines never take one.
+	scratch sync.Pool
 	// engineMetrics is the shared attachment (batch.go). Distance queries
 	// tally the branch that resolved them: self for equal identifiers, fat
 	// when a bdist query had a fat endpoint, thin for thin-thin bdist pairs
-	// and every PLL merge.
+	// and every PLL hub-list probe.
 	engineMetrics
 	cache *distCache
 }
@@ -112,6 +117,7 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 		if err := e.decodePLL(bitLens, order, entries); err != nil {
 			return nil, err
 		}
+		e.scratch.New = func() any { return &rankScratch{slot: make([]uint32, n)} }
 	}
 	return e, nil
 }
@@ -285,18 +291,42 @@ func (e *DistEngine) HubTableBytes() int { return 8 * len(e.hubs) }
 // Dist answers a distance query between vertices u and v: the exact hop
 // distance, or -1 when unreachable (DistPLL) or beyond the bound f
 // (DistBounded) — the same sentinel both legacy decoders return. It is
-// allocation-free and answers bit-for-bit identically to
-// distance.PLLDecoder.Dist / distance.Decoder.Dist over the same labels.
+// allocation-free once the scratch pool is warm and answers bit-for-bit
+// identically to distance.PLLDecoder.Dist / distance.Decoder.Dist over the
+// same labels.
 func (e *DistEngine) Dist(u, v int) (int, error) {
+	s := e.takeScratch()
+	defer e.releaseScratch(s)
 	var t QueryTally
-	d, err := e.distTallied(u, v, &t)
+	d, err := e.distTallied(u, v, s, &t)
 	e.flush(&t)
 	return d, err
 }
 
+// rankScratch is a PLL query's scatter target, one slot per hub rank. A slot
+// holds ^dist while the query runs and is zero between queries, so the zero
+// value — a fresh make included — reads as "no such hub" (see distPLL).
+type rankScratch struct{ slot []uint32 }
+
+// takeScratch takes a clean rank scratch from the pool for one Dist or
+// DistSpan call; nil on a bdist engine, whose kernel needs none.
+func (e *DistEngine) takeScratch() *rankScratch {
+	if e.kind != DistPLL {
+		return nil
+	}
+	return e.scratch.Get().(*rankScratch)
+}
+
+// releaseScratch returns a scratch takeScratch gave out; nil is a no-op.
+func (e *DistEngine) releaseScratch(s *rankScratch) {
+	if s != nil {
+		e.scratch.Put(s)
+	}
+}
+
 // distTallied is the scalar probe path: one query, branch tallies into t.
 // With a result cache enabled the labels are only probed on a miss.
-func (e *DistEngine) distTallied(u, v int, t *QueryTally) (int, error) {
+func (e *DistEngine) distTallied(u, v int, s *rankScratch, t *QueryTally) (int, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return 0, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
@@ -308,15 +338,15 @@ func (e *DistEngine) distTallied(u, v int, t *QueryTally) (int, error) {
 			return d, nil
 		}
 		t.cacheMisses++
-		d := e.probeDist(u, v, t)
+		d := e.probeDist(u, v, s, t)
 		c.put(key, d)
 		return d, nil
 	}
-	return e.probeDist(u, v, t), nil
+	return e.probeDist(u, v, s, t), nil
 }
 
 // probeDist resolves one in-range query against the labels.
-func (e *DistEngine) probeDist(u, v int, t *QueryTally) int {
+func (e *DistEngine) probeDist(u, v int, s *rankScratch, t *QueryTally) int {
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
 		t.self++
@@ -324,7 +354,7 @@ func (e *DistEngine) probeDist(u, v int, t *QueryTally) int {
 	}
 	if e.kind == DistPLL {
 		t.thin++
-		return e.distPLL(mu, mv)
+		return e.distPLL(mu, mv, s.slot)
 	}
 	if mu.fat() || mv.fat() {
 		t.fat++
@@ -335,29 +365,42 @@ func (e *DistEngine) probeDist(u, v int, t *QueryTally) int {
 }
 
 // distPLL returns the minimum summed distance over the hubs the two sorted
-// lists share — the answer of distance.PLLDecoder.Dist — by a branch-free
-// merge over their rank<<32|dist words in the hub table. Each step advances
-// whichever side holds the smaller rank (both on a tie) by the comparison
-// bits themselves rather than by jumps, and folds the summed distance into
-// best, with the miss bit lifting non-matches past any real sum. The scan
-// ends when either list is exhausted, as no later hub can be common.
-func (e *DistEngine) distPLL(mu, mv vertexMeta) int {
-	// Two dw <= 32 bit distances sum below 1<<33, so miss<<33 puts every
-	// non-matching step above inf; sums of 1<<30 and more count as no common
-	// hub, as they do in the legacy decoder.
+// lists share — the answer of distance.PLLDecoder.Dist — by scatter, probe,
+// reset over slot, a rank-indexed scratch that is all zero on entry and on
+// return: the shorter list's distances are written to their ranks' slots,
+// the longer list is walked up to the shorter's last rank folding
+// slot + dist into best, and the written slots are zeroed. No loop carries a
+// load address from one step to the next, so entries overlap in the core.
+func (e *DistEngine) distPLL(mu, mv vertexMeta, slot []uint32) int {
+	// A slot holds ^dist, so an empty (zero) slot reads back as 1<<32-1 and
+	// its sum with any distance is at least 1<<32-1, above inf. A stored
+	// distance of 1<<32-1 is indistinguishable from no hub, and reads back as
+	// itself either way. Sums of 1<<30 and more count as no common hub, as
+	// they do in the legacy decoder.
 	const inf = 1 << 30
 	a := e.hubs[mu.off : mu.off+mu.cnt()]
 	b := e.hubs[mv.off : mv.off+mv.cnt()]
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 {
+		return graph.Unreachable
+	}
+	for _, x := range a {
+		slot[x>>32] = ^uint32(x)
+	}
+	last := a[len(a)-1] >> 32
 	best := uint64(inf)
-	for ia, ib := 0, 0; ia < len(a) && ib < len(b); {
-		x, y := a[ia], b[ib]
-		rx, ry := x>>32, y>>32
-		lt, gt := (rx-ry)>>63, (ry-rx)>>63 // ranks are below 1<<32: the borrow is the comparison
-		if s := x&(1<<32-1) + y&(1<<32-1) + (lt|gt)<<33; s < best {
+	for _, y := range b {
+		if y>>32 > last {
+			break // no later hub of the longer list is in the shorter one
+		}
+		if s := uint64(^slot[y>>32]) + y&(1<<32-1); s < best {
 			best = s
 		}
-		ia += int(1 - gt)
-		ib += int(1 - lt)
+	}
+	for _, x := range a {
+		slot[x>>32] = 0
 	}
 	if best == inf {
 		return graph.Unreachable
@@ -430,10 +473,13 @@ func (e *DistEngine) thinDist(m vertexMeta, target uint64) (int, bool) {
 // AdjacentSpan's contract. It returns the number of pairs answered; when that
 // is short of len(pairs), pairs[answered] is the first failing query and err
 // its error — res[:answered] is still valid. Tallies go to t as plain
-// increments, to be flushed once per span with FlushTally. Allocation-free.
+// increments, to be flushed once per span with FlushTally. Allocation-free
+// once the engine's scratch pool is warm.
 func (e *DistEngine) DistSpan(pairs [][2]int, res []int, t *QueryTally) (answered int, err error) {
+	s := e.takeScratch()
+	defer e.releaseScratch(s)
 	for i, p := range pairs {
-		d, err := e.distTallied(p[0], p[1], t)
+		d, err := e.distTallied(p[0], p[1], s, t)
 		if err != nil {
 			return i, err
 		}

@@ -50,8 +50,10 @@ func decodeFuzzInts(data []byte) []int {
 // engine whose distance queries never panic or read out of bounds and
 // answer exactly what the checked reference walk (RefDist) reads from the
 // same bits — error or correct answer. Build-time validation is the only
-// line of defense: the merge kernel reads the hub table construction
-// decoded, and the bounded kernel the slab, both unchecked by design.
+// line of defense: the PLL kernel reads the hub table construction
+// decoded, and the bounded kernel the slab, both unchecked by design. Each
+// accepted engine answers its pairs twice, in order and reversed, to catch
+// a scratch slot one query leaves dirty for the next.
 // Seeds are real pll and bounded labelings in both layouts, so the corpus
 // starts valid and mutates outward.
 func FuzzDistEngineHeaders(f *testing.F) {
@@ -143,6 +145,19 @@ func FuzzDistEngineHeaders(f *testing.F) {
 			}
 			if d != want || batch[i] != want {
 				t.Fatalf("dist(%d,%d) = %d, DistMany %d, reference walk %d", pr[0], pr[1], d, batch[i], want)
+			}
+		}
+		// The same pairs in reverse order, so each pair follows different
+		// ones: a scratch slot one pair left dirty would move a later answer.
+		reversed := slices.Clone(pairs)
+		slices.Reverse(reversed)
+		again, err := eng.DistMany(reversed, nil)
+		if err != nil {
+			t.Fatalf("accepted engine, reversed DistMany: %v", err)
+		}
+		for i, d := range again {
+			if j := len(pairs) - 1 - i; d != batch[j] {
+				t.Fatalf("dist%v = %d in the reversed batch, %d in order", pairs[j], d, batch[j])
 			}
 		}
 		// A failing pair ends the batch at its index, answers before it kept.

@@ -1,14 +1,19 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/schemes/distance"
 )
 
 // pllCase is a hand-built PLL labeling: per-vertex (hub rank, distance)
@@ -168,7 +173,7 @@ func checkPLLPairs(t *testing.T, eng *core.DistEngine, rd *core.RefDist, entries
 }
 
 // TestDistPLLKernelEdges builds engines over the edge shapes above, in both
-// an identity and a permuted layout, and pins every answer the merge gives
+// an identity and a permuted layout, and pins every answer the kernel gives
 // over the decoded hub table to the slab's bits and to the definition.
 func TestDistPLLKernelEdges(t *testing.T) {
 	for _, tc := range pllKernelCases() {
@@ -189,6 +194,131 @@ func TestDistPLLKernelEdges(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDistScratchClean: every way a PLL query ends — a long batch, a span cut
+// short by a range error, a self pair, an unreachable pair, an empty label —
+// leaves the pooled rank scratch all zero. A slot left dirty would answer
+// for a hub the next pair does not have.
+func TestDistScratchClean(t *testing.T) {
+	for _, tc := range pllKernelCases() {
+		for _, lay := range []struct {
+			name  string
+			order []int32
+		}{{"id", nil}, {"reversed", reversedOrder(len(tc.entries))}} {
+			t.Run(tc.name+"/"+lay.name, func(t *testing.T) {
+				arena, err := core.EncodePLLArena(tc.entries, tc.maxDist, lay.order, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, _ := buildWithRef(t, arena.Slab, arena)
+				clean := func(after string) {
+					t.Helper()
+					if dirty := eng.DirtyScratchSlots(); dirty != 0 {
+						t.Fatalf("after %s: %d scratch slots left non-zero", after, dirty)
+					}
+				}
+				vs := append(slices.Clone(tc.vs), 1000, 1001, 2000, 3000)
+				rng := rand.New(rand.NewSource(7))
+				pairs := make([][2]int, 4096)
+				for i := range pairs {
+					pairs[i] = [2]int{vs[rng.Intn(len(vs))], vs[rng.Intn(len(vs))]}
+				}
+				if _, err := eng.DistMany(pairs, nil); err != nil {
+					t.Fatal(err)
+				}
+				clean("a 4096-pair DistMany")
+
+				n := eng.N()
+				res := make([]int, 32)
+				for _, k := range []int{0, 5, 31} {
+					span := slices.Clone(pairs[:32])
+					span[k] = [2]int{span[k][0], n}
+					var tally core.QueryTally
+					if done, err := eng.DistSpan(span, res, &tally); done != k || !errors.Is(err, core.ErrVertexRange) {
+						t.Fatalf("DistSpan with pair %d out of range: answered %d, %v", k, done, err)
+					}
+					clean(fmt.Sprintf("a DistSpan failing at pair %d", k))
+				}
+
+				// Probes 1000 and 1001 each hold one hub, a different one; the
+				// top of the id space holds no label.
+				if bruteDist(tc.entries[1000], tc.entries[1001]) != -1 || len(tc.entries[n-1]) != 0 {
+					t.Fatal("case lost its unreachable probe pair or its empty top label")
+				}
+				for _, q := range []struct {
+					name string
+					u, v int
+					want int
+				}{
+					{"a self pair", 10, 10, 0},
+					{"an unreachable pair", 1000, 1001, -1},
+					{"a pair with an empty label", 10, n - 1, -1},
+				} {
+					if d, err := eng.Dist(q.u, q.v); d != q.want || err != nil {
+						t.Fatalf("Dist(%d,%d) on %s = %d, %v; want %d", q.u, q.v, q.name, d, err, q.want)
+					}
+					clean(q.name)
+				}
+			})
+		}
+	}
+}
+
+// TestDistEngineConcurrentSpans runs spans and single queries over
+// overlapping pairs from 8 goroutines on one PLL engine: each call takes its
+// own scratch from the pool, so every answer equals the reference walk's
+// (and, under -race, no two calls share a slot).
+func TestDistEngineConcurrentSpans(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(300, 2.5, 2, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, err := distance.PLLScheme{}.EncodeArena(g, 1, core.LayoutDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, rd := buildWithRef(t, arena.Slab, arena)
+	rng := rand.New(rand.NewSource(5))
+	pairs := make([][2]int, 256)
+	want := make([]int, len(pairs))
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
+		if want[i], err = rd.Dist(pairs[i][0], pairs[i][1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const span = 32
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			res := make([]int, span)
+			var tally core.QueryTally
+			for i := 0; i < 200; i++ {
+				lo := (w*37 + i*13) % (len(pairs) - span)
+				if i%4 == 3 {
+					if d, err := eng.Dist(pairs[lo][0], pairs[lo][1]); d != want[lo] || err != nil {
+						t.Errorf("worker %d: Dist%v = %d, %v; want %d", w, pairs[lo], d, err, want[lo])
+						return
+					}
+					continue
+				}
+				if done, err := eng.DistSpan(pairs[lo:lo+span], res, &tally); done != span || err != nil {
+					t.Errorf("worker %d: DistSpan at %d answered %d, %v", w, lo, done, err)
+					return
+				}
+				for j, d := range res {
+					if d != want[lo+j] {
+						t.Errorf("worker %d: DistSpan at %d: pair %v = %d, want %d", w, lo, pairs[lo+j], d, want[lo+j])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // wordExactList draws strictly increasing hub ranks below n until the PLL

@@ -108,6 +108,21 @@ func (r *RefDist) distBounded(u, v int) int {
 	return best
 }
 
+// DirtyScratchSlots takes a rank scratch from a PLL engine's pool, counts
+// its non-zero slots and puts it back: every query must leave the scratch
+// it used all zero.
+func (e *DistEngine) DirtyScratchSlots() int {
+	s := e.takeScratch()
+	defer e.releaseScratch(s)
+	dirty := 0
+	for _, x := range s.slot {
+		if x != 0 {
+			dirty++
+		}
+	}
+	return dirty
+}
+
 // CorruptHub overwrites the distance of entry j in vertex v's list in a PLL
 // engine's hub table, leaving the slab as it was.
 func (e *DistEngine) CorruptHub(v, j int, dist uint64) {

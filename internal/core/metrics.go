@@ -45,12 +45,12 @@ func (m *EngineMetrics) Register(reg *obs.Registry) {
 // RegisterDist exposes the metrics on reg under the dist_engine_* family
 // names — the distance plane's instrumentation (DistEngine shares the
 // EngineMetrics/QueryTally machinery; only the exposition names and branch
-// semantics differ: thin counts PLL merges and thin-thin bounded pairs, fat
+// semantics differ: thin counts PLL hub-list probes and thin-thin bounded pairs, fat
 // counts bounded queries resolved through the fat-hub relay tables).
 func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 	reg.Counter("dist_engine_queries_total", "Distance queries answered by the distance engine.", &m.Queries)
 	reg.Counter("dist_engine_batches_total", "Batch calls (DistMany and variants).", &m.Batches)
-	reg.Counter("dist_engine_branch_thin_total", "PLL hub-list merges and thin-thin bounded-distance queries.", &m.ThinBranch)
+	reg.Counter("dist_engine_branch_thin_total", "PLL hub-list probes and thin-thin bounded-distance queries.", &m.ThinBranch)
 	reg.Counter("dist_engine_branch_fat_total", "Bounded-distance queries with a fat endpoint (fat-relay only).", &m.FatBranch)
 	reg.Counter("dist_engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)
 	reg.Counter("dist_engine_cache_hits_total", "Queries answered from the (u,v) distance cache.", &m.CacheHits)
