@@ -307,7 +307,7 @@ func TestAdminEndpoint(t *testing.T) {
 	wantFamilies := []string{
 		"adjserve_bytes_in_total", "adjserve_bytes_out_total",
 		"adjserve_frame_latency_ns_bucket",
-		"engine_branch_thin_total", "engine_batch_pairs_sum",
+		"engine_branch_thin_total", "engine_branch_thin_inline_total", "engine_batch_pairs_sum",
 		`labelstore_open_total{mode="mmap"}`, "labelstore_open_ns_count",
 		"labelstore_mapped_bytes", "labelstore_blob_bytes_total",
 		"go_goroutines", "go_heap_alloc_bytes", "process_uptime_seconds_total",

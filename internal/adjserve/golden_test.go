@@ -317,23 +317,31 @@ func TestGoldenDistFrames(t *testing.T) {
 	}
 }
 
-// TestGoldenRequestPayloads pins what the client puts on the wire for a pair
-// batch on either plane, untraced and traced.
-func TestGoldenRequestPayloads(t *testing.T) {
+// goldenRequest is one request payload TestGoldenRequestPayloads pins; the
+// payloads also seed FuzzServeRequest.
+type goldenRequest struct {
+	name string
+	got  []byte
+	want string
+}
+
+func goldenRequestPayloads() []goldenRequest {
 	pairs := [][2]int{{0, 1}, {127, 128}, {300, 70000}}
 	const id = 0x0807060504030201
-	for _, tc := range []struct {
-		name string
-		got  []byte
-		want string
-	}{
+	return []goldenRequest{
 		{"query", appendPairsReq(nil, opQuery, pairs), "010300017f8001ac02f0a204"},
 		{"dist", appendPairsReq(nil, opDist, pairs), "040300017f8001ac02f0a204"},
 		{"query traced", appendPairsReqTrace(nil, opQuery, id, pairs), "8101020304050607080300017f8001ac02f0a204"},
 		{"dist traced", appendPairsReqTrace(nil, opDist, id, pairs), "8401020304050607080300017f8001ac02f0a204"},
 		{"empty query", appendPairsReq(nil, opQuery, nil), "0100"},
 		{"empty dist traced", appendPairsReqTrace(nil, opDist, id, nil), "84010203040506070800"},
-	} {
+	}
+}
+
+// TestGoldenRequestPayloads pins what the client puts on the wire for a pair
+// batch on either plane, untraced and traced.
+func TestGoldenRequestPayloads(t *testing.T) {
+	for _, tc := range goldenRequestPayloads() {
 		if enc := hex.EncodeToString(tc.got); enc != tc.want {
 			t.Errorf("%s: payload %s, want %s", tc.name, enc, tc.want)
 		}

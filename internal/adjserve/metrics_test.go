@@ -152,6 +152,10 @@ func TestServerMetricsE2E(t *testing.T) {
 	if thin+fat+self != wantQueries {
 		t.Errorf("branch split %v+%v+%v != %d", thin, fat, self, wantQueries)
 	}
+	// Short thin lists live in the header record; the rest are slab reads.
+	if inline := scrapeSeries(t, metricsURL, "engine_branch_thin_inline_total"); inline <= 0 || inline > thin {
+		t.Errorf("engine_branch_thin_inline_total = %v of %v thin probes, want in (0, thin]", inline, thin)
+	}
 	if got := scrapeSeries(t, metricsURL, "adjserve_error_frames_total"); got != 0 {
 		t.Errorf("adjserve_error_frames_total = %v before any error", got)
 	}

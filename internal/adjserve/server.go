@@ -309,7 +309,8 @@ func (s *Server) engineOf(pl *plane) pairEngine {
 // span-kernel contract. It is a static switch, not a function value in the
 // plane table, because whatever is passed through a function value escapes
 // to the heap and the frame loop's block must stay on its stack: the kernel
-// zeroes 2 KB of stack arrays on entry and then reads the block, and when a
+// zeroes 1.3 KB of stack arrays on entry (two 512-byte header arrays, 256
+// bytes of search words, 32 kind bytes) and then reads the block, and when a
 // heap block's address happens to collide with those arrays modulo 4 KiB
 // every one of its loads stalls (+15 ns/pair measured on 64-pair frames).
 // On the stack the two sit at a fixed, non-colliding distance.

@@ -19,9 +19,10 @@ const (
 	// exactly as Adjacent would.
 	blockScalar uint8 = iota
 	blockSelf
-	blockFat   // word holds the bitmap bit
-	blockThin  // word holds the first binary-search identifier
-	blockEmpty // thin side with an empty neighbor list
+	blockFat    // word holds the bitmap bit
+	blockThin   // word holds the first binary-search identifier
+	blockInline // word holds the whole list, from the header record
+	blockEmpty  // thin side with an empty neighbor list
 )
 
 // adjacentBlock is the batch probe kernel under every batch surface:
@@ -39,9 +40,10 @@ const (
 //     the larger identifier (with residency); both identifiers are in the
 //     words pass 1 loaded, so the choice is a compare — and issue that thin
 //     list's first binary-search word load (or the fat bitmap word load),
-//     again without branching on what it returns;
+//     again without branching on what it returns; a list the header record
+//     holds (vertexMeta) needs no load, its record word is the whole list;
 //  3. in pair order, finish each search from its preloaded word with the
-//     ordinary branchy loop.
+//     ordinary branchy loop, or inlineSearch for a record-held list.
 //
 // A mispredicted branch in pass 2 or 3 discards only younger instructions, so
 // the loads issued by the pass before stay in flight.
@@ -86,13 +88,16 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 		if mu.fat() || !e.Resident(at) {
 			continue // ErrBadLabel or ErrNotResident: the scalar path reports it
 		}
-		hi := int(mu.cnt()) - 1
-		if hi < 0 {
+		switch hi := int(mu.cnt()) - 1; {
+		case hi < 0:
 			kind[i] = blockEmpty
-			continue
+		case e.inline(mu.cnt()):
+			kind[i] = blockInline
+			word[i] = uint64(mu.off)
+		default:
+			kind[i] = blockThin
+			word[i] = bitstr.SlabReadBits(slab, mu.off+int64((hi>>1)*w), w)
 		}
-		kind[i] = blockThin
-		word[i] = bitstr.SlabReadBits(slab, mu.off+int64((hi>>1)*w), w)
 	}
 
 	for i, p := range pairs[:n] {
@@ -114,6 +119,10 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 			ans = word[i] == 1
 		case blockEmpty:
 			t.thin++
+		case blockInline:
+			t.thin++
+			t.inline++
+			ans = inlineSearch(word[i], int(list[i].cnt()), w, other[i].id())
 		case blockThin:
 			t.thin++
 			base, target := list[i].off, other[i].id()

@@ -122,6 +122,10 @@ func engineName(e *QueryEngine) string {
 // 0, 1, 2, 3, 4, 5, 6 and 7 identifiers spread over the id range, so the
 // exhaustive pair set below probes every list length with the target below
 // the first entry, above the last, between entries and at every position.
+// At n = 48 (w = 6) a header record holds lists of up to 10 identifiers, so
+// all of these are record-held; under threshold 16 the four hubs turn thin
+// with 9, 10, 10 and 11 identifiers: on the boundary, and one past it, in
+// the slab.
 func shapesGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	const n = 48
@@ -196,8 +200,14 @@ func TestBlockKernelShapes(t *testing.T) {
 	for _, cell := range []struct {
 		thin ThinEdges
 		lay  Layout
-	}{{ThinEdgesOnce, LayoutID}, {ThinEdgesOnce, LayoutDegree}, {ThinEdgesBoth, LayoutID}, {ThinEdgesBoth, LayoutDegree}} {
-		s := NewFixedThresholdScheme(8)
+		tau  int
+	}{
+		{ThinEdgesOnce, LayoutID, 8}, {ThinEdgesOnce, LayoutDegree, 8},
+		{ThinEdgesBoth, LayoutID, 8}, {ThinEdgesBoth, LayoutDegree, 8},
+		// No fat vertex; record-held and slab lists side by side in a block.
+		{ThinEdgesBoth, LayoutID, 16}, {ThinEdgesBoth, LayoutDegree, 16},
+	} {
+		s := NewFixedThresholdScheme(cell.tau)
 		s.SetThinEdges(cell.thin)
 		for _, e := range enginesOver(t, g, s, cell.lay) {
 			pairs := answerable(e, all)
@@ -205,7 +215,26 @@ func TestBlockKernelShapes(t *testing.T) {
 			if cell.thin == ThinEdgesBoth {
 				name = "both/" + name
 			}
+			if cell.tau != 8 {
+				name = fmt.Sprintf("tau%d/%s", cell.tau, name)
+			}
 			t.Run(name, func(t *testing.T) {
+				if _, sharded := e.Shard(); !sharded {
+					// Both kinds of thin list where the cell promises them.
+					inline, slab := 0, 0
+					for _, m := range e.meta {
+						switch {
+						case m.fat() || m.cnt() == 0:
+						case e.inline(m.cnt()):
+							inline++
+						default:
+							slab++
+						}
+					}
+					if inline == 0 || (cell.tau == 16) != (slab > 0) {
+						t.Fatalf("%d record-held and %d slab thin lists", inline, slab)
+					}
+				}
 				if _, sharded := e.Shard(); !sharded {
 					// Unsharded, every pair answers — and must match the graph.
 					got, err := e.AdjacentMany(all, nil)

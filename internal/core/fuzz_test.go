@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/gen"
 )
 
@@ -98,12 +100,25 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 			pairs = append(pairs, [2]int{i, (i * 7) % n}, [2]int{(i * 5) % n, i})
 		}
 		pairs = append(pairs, [2]int{-1, 0}, [2]int{0, n}, [2]int{n, n})
+		// The reference decoder over the same labels is the oracle outside the
+		// engine: the scalar probe and the kernel share the record-held list
+		// path, so a bug there would agree with itself.
+		labels := fuzzLabels(t, slab, bitLens)
+		dec := NewFatThinDecoder(n)
 		// The batch kernel against the scalar probe: the same answers up to the
 		// first failing pair, and the same error there.
 		var want []bool
 		var wantErr error
 		for _, p := range pairs {
 			ans, err := eng.Adjacent(p[0], p[1])
+			if p[0] >= 0 && p[0] < n && p[1] >= 0 && p[1] < n {
+				ref, refErr := dec.Adjacent(labels[p[0]], labels[p[1]])
+				if ans != ref || fmt.Sprint(err) != fmt.Sprint(refErr) {
+					t.Fatalf("pair %v: engine %v, %v; FatThinDecoder %v, %v", p, ans, err, ref, refErr)
+				}
+			} else if !errors.Is(err, ErrVertexRange) {
+				t.Fatalf("pair %v out of range: err %v", p, err)
+			}
 			if err != nil {
 				wantErr = fmt.Errorf("core: query (%d,%d): %w", p[0], p[1], err)
 				break
@@ -115,4 +130,26 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 			t.Fatalf("AdjacentMany = %v, %v; Adjacent pair by pair = %v, %v", got, gotErr, want, wantErr)
 		}
 	})
+}
+
+// fuzzLabels cuts the labels of an id-ordered slab the engine accepted out
+// of a copy of it (SlabView masks padding in place; the fuzz input stays
+// untouched).
+func fuzzLabels(t *testing.T, slab []byte, bitLens []int) []bitstr.String {
+	t.Helper()
+	slab = slices.Clone(slab)
+	labels := make([]bitstr.String, len(bitLens))
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, nil)
+	for walk.Next() {
+		v, off := walk.Label()
+		l, err := bitstr.SlabView(slab, off, bitLens[v])
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels[v] = l
+	}
+	if err := walk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return labels
 }

@@ -13,11 +13,13 @@ import (
 // The fat/thin branch split is the paper's decode dichotomy made visible:
 // ThinBranch counts queries resolved by the O(log n) binary search of
 // Theorems 3–4, FatBranch the O(1) hub bitmap probes, SelfBranch the
-// same-identifier short-circuit.
+// same-identifier short-circuit. ThinInline is the part of ThinBranch whose
+// list the header record held, so the search read no slab word.
 type EngineMetrics struct {
 	Queries     obs.Counter // adjacency queries answered
 	Batches     obs.Counter // AdjacentMany/AdjacentManyParallel calls
 	ThinBranch  obs.Counter // queries resolved by a thin binary-search probe
+	ThinInline  obs.Counter // thin probes answered from the header record
 	FatBranch   obs.Counter // queries resolved by a fat bitmap probe
 	SelfBranch  obs.Counter // same-identifier short-circuits
 	CacheHits   obs.Counter // distance result-cache hits (DistEngine, cache enabled only)
@@ -36,6 +38,7 @@ func (m *EngineMetrics) Register(reg *obs.Registry) {
 	reg.Counter("engine_queries_total", "Adjacency queries answered by the query engine.", &m.Queries)
 	reg.Counter("engine_batches_total", "Batch calls (AdjacentMany and the parallel variant).", &m.Batches)
 	reg.Counter("engine_branch_thin_total", "Queries resolved by the thin O(log n) binary-search branch.", &m.ThinBranch)
+	reg.Counter("engine_branch_thin_inline_total", "Thin probes answered from the header record, no slab read.", &m.ThinInline)
 	reg.Counter("engine_branch_fat_total", "Queries resolved by the fat O(1) bitmap-probe branch.", &m.FatBranch)
 	reg.Counter("engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)
 	reg.Histogram("engine_batch_pairs", "Pairs per batch call.", &m.BatchPairs)
@@ -67,6 +70,7 @@ func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 // never an atomic.
 type QueryTally struct {
 	queries, thin, fat, self int64
+	inline                   int64 // thin probes whose list the record held
 	cacheHits, cacheMisses   int64
 }
 
@@ -85,6 +89,7 @@ func (m *EngineMetrics) ObserveProbe(ns int64, traceID uint64) {
 func (m *EngineMetrics) flush(t *QueryTally) {
 	m.Queries.Add(t.queries)
 	m.ThinBranch.Add(t.thin)
+	m.ThinInline.Add(t.inline)
 	m.FatBranch.Add(t.fat)
 	m.SelfBranch.Add(t.self)
 	m.CacheHits.Add(t.cacheHits)

@@ -29,14 +29,17 @@ import (
 type QueryEngine struct {
 	n int // number of vertices
 	w int // identifier width: ceil(log2 n)
+	// inlineMax is the longest thin list a header record holds in place of
+	// its slab offset: 64/w identifiers, 0 when w is 0 (see vertexMeta).
+	inlineMax int
 	// meta holds the flat pre-parsed headers, one 16-byte record per vertex
 	// (four to a cache line), indexed by vertex id regardless of the slab's
 	// physical layout.
 	meta []vertexMeta
 	// slab holds the label bodies: each vertex's body (neighbor ids or fat
-	// vector) starts at bit offset meta[v].off. Probes via
-	// bitstr.SlabReadBits never cross the end of the backing slice (see the
-	// in-bounds argument there).
+	// vector) starts at bit offset meta[v].off, unless the record holds it.
+	// Probes via bitstr.SlabReadBits never cross the end of the backing
+	// slice (see the in-bounds argument there).
 	slab []byte
 	// engineMetrics, when attached, receives per-call tallies; see batch.go.
 	engineMetrics
@@ -51,8 +54,8 @@ type QueryEngine struct {
 }
 
 // vertexMeta is one label's pre-parsed header, packed into a single 16-byte
-// record: the body's slab bit offset, and one word holding the identifier,
-// the body count, and the fat flag —
+// record: off, and one word holding the identifier, the body count, and the
+// fat flag —
 //
 //	word = id<<32 | cnt<<1 | fat
 //
@@ -60,6 +63,13 @@ type QueryEngine struct {
 // identifiers, for fat labels the vector length in bits; both are capped at
 // 2^31-1 at build time, and identifiers fit 32 bits because the engine
 // refuses id widths above 32 (2^32 vertices is far beyond maxLabels).
+//
+// In a QueryEngine off is the body's slab bit offset, except for a thin
+// label whose whole list fits one word (1 <= cnt and cnt·w <= 64): there off
+// holds the list itself, its cnt·w body bits right-aligned with the first
+// identifier most significant, read off the slab once at build. Which it is
+// follows from (fat, cnt, w) alone, so no flag marks it. A DistEngine gives
+// off its own meaning (see DistEngine.meta).
 type vertexMeta struct {
 	off  int64
 	word uint64
@@ -151,6 +161,9 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	}
 	header := 1 + w
 	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab}
+	if w > 0 {
+		e.inlineMax = 64 / w
+	}
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
 	for walk.Next() {
 		v, off := walk.Label()
@@ -158,7 +171,11 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 		if err != nil {
 			return nil, err
 		}
-		e.meta[v] = vertexMeta{off: off + int64(header), word: word}
+		m := vertexMeta{off: off + int64(header), word: word}
+		if !m.fat() && e.inline(m.cnt()) {
+			m.off = int64(bitstr.SlabReadBits(slab, m.off, int(m.cnt())*w))
+		}
+		e.meta[v] = m
 	}
 	if err := walk.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
@@ -233,14 +250,22 @@ func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 		return false, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
 	}
 	t.thin++
-	return e.thinProbe(list, other.id()), nil
+	return e.thinProbe(list, other.id(), t), nil
 }
+
+// inline reports whether a thin label of cnt identifiers is held in its
+// header record (1 <= cnt and cnt·w <= 64, see vertexMeta).
+func (e *QueryEngine) inline(cnt int64) bool { return uint64(cnt-1) < uint64(e.inlineMax) }
 
 // thinProbe binary-searches thin vertex u's sorted neighbor-id list for
 // target — the O(log n) decode of Theorems 3/4, with each probe at most two
-// word loads at a computed slab offset. Bounds were validated at build
-// time.
-func (e *QueryEngine) thinProbe(m vertexMeta, target uint64) bool {
+// word loads at a computed slab offset, or none for a list the record holds.
+// Bounds were validated at build time.
+func (e *QueryEngine) thinProbe(m vertexMeta, target uint64, t *QueryTally) bool {
+	if e.inline(m.cnt()) {
+		t.inline++
+		return inlineSearch(uint64(m.off), int(m.cnt()), e.w, target)
+	}
 	w := e.w
 	if w == 0 {
 		return false
@@ -250,6 +275,28 @@ func (e *QueryEngine) thinProbe(m vertexMeta, target uint64) bool {
 	for lo <= hi {
 		mid := int(uint(lo+hi) >> 1)
 		got := bitstr.SlabReadBits(slab, base+int64(mid*w), w)
+		switch {
+		case got == target:
+			return true
+		case got < target:
+			lo = mid + 1
+		default:
+			hi = mid - 1
+		}
+	}
+	return false
+}
+
+// inlineSearch binary-searches a list held in a header record — cnt
+// identifiers of w bits, right-aligned in list, the first most significant —
+// for target. It visits the positions the slab search visits, so the two
+// answer alike on every list construction accepts, sorted or not.
+func inlineSearch(list uint64, cnt, w int, target uint64) bool {
+	mask := uint64(1)<<uint(w) - 1
+	lo, hi := 0, cnt-1
+	for lo <= hi {
+		mid := int(uint(lo+hi) >> 1)
+		got := list >> (uint(cnt-1-mid) * uint(w)) & mask
 		switch {
 		case got == target:
 			return true

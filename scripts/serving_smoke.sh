@@ -62,7 +62,7 @@ eq=$(metric engine_queries_total) || { echo "no engine_queries_total in scrape";
 mm=$(metric 'labelstore_open_total{mode="mmap"}') || { echo "no labelstore_open_total in scrape"; exit 1; }
 [ "$mm" = 1 ] || { echo "labelstore_open_total{mode=mmap}=$mm, want 1"; exit 1; }
 for fam in adjserve_frames_total adjserve_bytes_in_total engine_branch_thin_total \
-           labelstore_mapped_bytes go_goroutines process_uptime_seconds_total; do
+           engine_branch_thin_inline_total labelstore_mapped_bytes go_goroutines process_uptime_seconds_total; do
     grep -q "^$fam" "$work/metrics.txt" || { echo "family $fam missing from scrape"; exit 1; }
 done
 grep -q '^plabel_build_info{' "$work/metrics.txt" \
