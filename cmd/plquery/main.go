@@ -140,7 +140,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		// Fat/thin stores are served through the pre-parsed zero-allocation
 		// query engine; other layouts (and stores whose labels the engine
 		// rejects at build time) fall back to the per-query decoder. The store
-		// hands its word-aligned blob to the engine zero-copy — no relocation
+		// hands its slab blob to the engine zero-copy — no relocation
 		// between disk and the probe arena.
 		var eng *core.QueryEngine
 		if _, ok := dec.(*core.FatThinDecoder); ok {

@@ -45,7 +45,7 @@ type AdjacencyDecoder interface {
 
 // Labeling is the output of an encoder: one label per vertex plus the
 // decoder able to answer queries over those labels. Every label lives in one
-// word-aligned slab (slabArena), described the way stores, the shard split
+// byte-packed slab (slabArena), described the way stores, the shard split
 // and the engines take it. No per-label view is kept: Label wraps one on
 // demand, NewQueryEngine adopts the slab as it is.
 type Labeling struct {

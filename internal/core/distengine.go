@@ -11,7 +11,7 @@ import (
 )
 
 // DistEngine is the distance-plane counterpart of QueryEngine: built once
-// over a DistArena (or a format-v2 distance label store), it pre-parses
+// over a DistArena (or a distance label store), it pre-parses
 // every label's header into the same packed 16-byte vertexMeta records and
 // answers Dist(u, v) with no Reader, no re-parsing and zero heap
 // allocations on the hot path.
@@ -25,7 +25,7 @@ import (
 //     of rank<<32|dist words (hubs), so a query reads that table and never
 //     the slab. Answers match distance.PLLDecoder.Dist bit for bit;
 //     unreachable pairs return -1 (graph.Unreachable).
-//   - DistBounded: Lemma 7's decode straight from the word-aligned slab —
+//   - DistBounded: Lemma 7's decode straight from the slab —
 //     the minimum over fat-hub relays (both fixed-width fat tables walked in
 //     lockstep with the legacy early-out) plus, for thin-thin pairs, a
 //     binary search of each sorted thin list. Distances beyond the bound f

@@ -70,9 +70,14 @@ func FuzzDistEngineHeaders(f *testing.F) {
 		for i, v := range a.Order {
 			order[i] = int(v)
 		}
-		// Each labeling twice: as encoded, and with stray bytes after the
-		// slab's last whole word.
-		for _, slab := range [][]byte{a.Slab, append(slices.Clone(a.Slab), 0xa5, 0x5a, 0xff)} {
+		// Each labeling three times: as encoded, with stray bytes after the
+		// slab's last whole word, and cut back to its labels' last byte, so
+		// that the last label ends in a partial word.
+		labelBytes := 0
+		for _, bits := range a.BitLens {
+			labelBytes += (bits + 7) / 8
+		}
+		for _, slab := range [][]byte{a.Slab, append(slices.Clone(a.Slab), 0xa5, 0x5a, 0xff), a.Slab[:labelBytes]} {
 			f.Add(slab, encodeFuzzInts(a.BitLens), encodeFuzzInts(order),
 				byte(a.Params.Kind), a.Params.DW, a.Params.F, a.Params.NFat)
 		}
@@ -89,6 +94,7 @@ func FuzzDistEngineHeaders(f *testing.F) {
 	seed(bdist, core.LayoutDegree)
 	f.Add([]byte{}, []byte{}, []byte{}, byte(1), 4, 0, 0)
 	f.Add(make([]byte, 16), encodeFuzzInts([]int{9, 64}), []byte{}, byte(2), 3, 2, 1)
+	f.Add(make([]byte, 11), encodeFuzzInts([]int{9, 64}), []byte{}, byte(2), 3, 2, 1)
 
 	f.Fuzz(func(t *testing.T, slab, lensBytes, orderBytes []byte, kind byte, dw, fBound, nFat int) {
 		bitLens := decodeFuzzInts(lensBytes)

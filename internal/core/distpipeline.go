@@ -110,11 +110,11 @@ func (p DistParams) Validate(n int) error {
 	return nil
 }
 
-// DistArena is a pipeline-encoded distance labeling: one word-aligned slab,
+// DistArena is a pipeline-encoded distance labeling: one byte-packed slab,
 // per-vertex bit lengths, an optional physical layout permutation (rank r
 // holds vertex Order[r]'s label; nil is the identity), and the family
 // parameters. It is what NewDistEngineFromArena adopts zero-copy and what
-// labelstore stores as a format-v2 blob.
+// labelstore stores as its body blob.
 type DistArena struct {
 	Slab    []byte
 	BitLens []int
@@ -144,7 +144,7 @@ func pllWidths(n int, maxDist int32) (w, wCnt, dw int) {
 }
 
 // EncodePLLArena writes per-vertex PLL entry lists (sorted by hub rank,
-// exactly as the pruned BFS emits them) into one word-aligned slab. maxDist
+// exactly as the pruned BFS emits them) into one byte-packed slab. maxDist
 // is the largest entry distance (it sizes the fixed-width distance field the
 // same way the legacy encoder does). order, when non-nil, is the physical
 // layout permutation (rank→vertex), refused unless it is one; workers <= 0
@@ -204,7 +204,7 @@ func EncodePLLArena(entries [][]DistEntry, maxDist int32, order []int32, workers
 }
 
 // EncodeBoundedArena writes Lemma 7 bounded-distance labels into one
-// word-aligned slab, bit-for-bit identical to the legacy Builder encoder's
+// byte-packed slab, bit-for-bit identical to the legacy Builder encoder's
 // labels. fat flags each vertex's class; fatDist[v] is v's full fat table
 // (one dw-wide entry per hub, sentinel f+1 for "beyond"); thin[v] is thin
 // vertex v's (id, dist) list sorted by id ascending (ignored for fat

@@ -56,6 +56,13 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 		}
 		slab, _, _ := lab.ArenaLayout()
 		f.Add(slab, encodeLens(lab.BitLens()))
+		// The same labels over slabs that are not a whole number of words:
+		// cut back to the labels' last byte, the last label ends in a partial
+		// word (unless the labels happen to fill theirs) and must be refused;
+		// with stray bytes after the tail, every label's last word is whole
+		// and the labels must be served.
+		f.Add(slab[:fuzzLabelBytes(lab.BitLens())], encodeLens(lab.BitLens()))
+		f.Add(append(slices.Clone(slab), 0xa5, 0x5a, 0xff), encodeLens(lab.BitLens()))
 	}
 	g, err := gen.ChungLuPowerLaw(150, 2.5, 2, 17)
 	if err != nil {
@@ -66,6 +73,7 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 	seed(func() (*Labeling, error) { return NewCompressedScheme(NewPowerLawScheme(2.5)).Encode(g) })
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, 16), encodeLens([]int{9, 64}))
+	f.Add(make([]byte, 11), encodeLens([]int{9, 64})) // label 1 ends in a partial word
 
 	f.Fuzz(func(t *testing.T, slab []byte, lensBytes []byte) {
 		bitLens := decodeLens(lensBytes)
@@ -119,6 +127,16 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 			t.Fatalf("AdjacentMany = %v, %v; Adjacent pair by pair = %v, %v", got, gotErr, want, wantErr)
 		}
 	})
+}
+
+// fuzzLabelBytes is what labels of bitLens occupy in a slab before its tail
+// is padded to a word.
+func fuzzLabelBytes(bitLens []int) int {
+	size := 0
+	for _, bits := range bitLens {
+		size += bitstr.SlabLabelBytes(bits)
+	}
+	return size
 }
 
 // fuzzLabels cuts the labels of an id-ordered slab the engine accepted out

@@ -9,8 +9,8 @@ import "fmt"
 type Layout uint8
 
 const (
-	// LayoutID is the historical layout: label v occupies the v-th
-	// word-aligned slot. The zero value, and the default everywhere.
+	// LayoutID is the historical layout: label v is the v-th in the slab.
+	// The zero value, and the default everywhere.
 	LayoutID Layout = iota
 	// LayoutDegree orders bodies by descending degree: the fat-set hubs —
 	// the labels Zipf-skewed traffic hammers — pack into the first few pages

@@ -9,7 +9,7 @@ import (
 // goroutines. The identifier assignment (a sort by degree) and the size-plan
 // prefix sum stay sequential; the fill phase — the dominant cost for large
 // graphs — is embarrassingly parallel because every label occupies its own
-// word-aligned slab range and depends only on its own adjacency list and the
+// bytes of the slab and depends only on its own adjacency list and the
 // shared id table. Output is bit-for-bit identical to Encode's.
 // workers <= 0 selects GOMAXPROCS.
 func (s *FatThinScheme) EncodeParallel(g *graph.Graph, workers int) (*Labeling, error) {

@@ -23,11 +23,13 @@ import (
 // that for all four encoders in two phases:
 //
 //  1. size-plan: each encoder's size rule computes the bit lengths of a range
-//     of vertices, in parallel; the one word-aligned prefix sum
-//     (slabArena.layout) then places every label in one shared slab — one
-//     allocation for the entire labeling;
+//     of vertices, in parallel; the one byte-aligned prefix sum
+//     (slabArena.layout) then places every label in one shared slab, back
+//     to back — one allocation for the entire labeling;
 //  2. fill: each encoder's writer writes the labels of a range of slab ranks
-//     in place, in parallel across word-balanced rank ranges. Fat bitmaps
+//     in place, in parallel across word-balanced rank ranges. Two ranges may
+//     meet inside a 64-bit word, never inside a byte, and a writer stores
+//     only its own labels' bytes, so the ranges need no merge. Fat bitmaps
 //     are built by OR stores at computed bit positions (no intermediate
 //     Vector, no copy), thin neighbor lists — gathered and sorted a block of
 //     ranks at a time (eachLabel) — by packed 64-bit word stores through a
@@ -49,7 +51,7 @@ import (
 // that the Labeling, the labelstore format and the query engine all thread
 // through.
 
-// slabArena is a word-aligned slab with its description: bitLens[v] is
+// slabArena is a byte-packed slab with its description: bitLens[v] is
 // label v's length, order (nil for the id-ordered layout) says the label at
 // slab rank r is label order[r], and offs[v] is the bit offset of label v's
 // start — the prefix sum's own table, so no walk rebuilds it.
@@ -68,28 +70,29 @@ func vertexAt(order []int32, r int) int {
 	return int(order[r])
 }
 
-// layout is the one word-aligned prefix sum of the slab path: it sets offs
+// layout is the one byte-aligned prefix sum of the slab path: it sets offs
 // from bitLens in the physical order, and returns the rank-indexed offsets
-// (monotonic — what splitByWords reads) with the slab size in bits at the
-// end. It refuses an order that is not a permutation of the labels, as every
-// reader's bitstr.SlabWalk does: a repeated entry would leave one label
-// unwritten and write another twice.
+// (monotonic — what splitByWords reads) with the labels' end in bits at the
+// end; the slab is that many bytes, its tail padded to a whole word
+// (bitstr.SlabSize). It refuses an order that is not a permutation of the
+// labels, as every reader's bitstr.SlabWalk does: a repeated entry would
+// leave one label unwritten and write another twice.
 func (a *slabArena) layout() ([]int64, error) {
 	n := len(a.bitLens)
 	if a.order != nil && len(a.order) != n {
 		return nil, fmt.Errorf("core: layout permutation of %d entries over %d labels", len(a.order), n)
 	}
 	physOffs := make([]int64, n+1)
-	words := 0
+	var end int64
 	for r := 0; r < n; r++ {
 		v := vertexAt(a.order, r)
 		if uint(v) >= uint(n) {
 			return nil, fmt.Errorf("core: layout permutation entry %d = %d of %d labels", r, v, n)
 		}
-		physOffs[r] = int64(words) * bitstr.SlabWordBits
-		words += bitstr.SlabWords(a.bitLens[v])
+		physOffs[r] = end
+		end += int64(bitstr.SlabLabelBytes(a.bitLens[v])) << 3
 	}
-	physOffs[n] = int64(words) * bitstr.SlabWordBits
+	physOffs[n] = end
 	if a.order == nil {
 		a.offs = physOffs[:n]
 		return physOffs, nil
@@ -133,7 +136,7 @@ func encodeSlab(n, workers int, order []int32,
 	pipelineMetrics.PlanNs.ObserveDuration(time.Since(planStart))
 
 	fillStart := time.Now()
-	a.slab = make([]byte, physOffs[n]>>3)
+	a.slab = make([]byte, bitstr.SlabSize(int(physOffs[n]>>3)))
 	_ = runRangesErr(splitByWords(physOffs, workers), func(lo, hi int) error { // writers cannot fail
 		write(a, bitstr.NewSlabWriter(a.slab), lo, hi)
 		return nil

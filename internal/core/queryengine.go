@@ -9,7 +9,7 @@ import (
 // QueryEngine is the serving-path counterpart of FatThinDecoder: it is built
 // once from a complete fat/thin labeling, pre-parses every label's header
 // (fat bit, identifier, body length) into flat slices, and probes label
-// bodies in a word-aligned byte slab (big-endian 64-bit words, the shared
+// bodies in a byte-packed slab (big-endian 64-bit words, the shared
 // slab layout of bitstr). A query is then a handful of word-addressed probes
 // — at most two word loads and a shift per probe, zero heap allocations, no
 // Reader, no re-parsing. Labels are validated once at construction, so the
@@ -137,7 +137,7 @@ func NewQueryEngine(lab *Labeling) (*QueryEngine, error) {
 // rank order while scattering headers to meta[order[r]] — so queries are
 // answered byte-for-byte identically to an id-ordered engine over the same
 // labeling. order must be a permutation of 0..len(bitLens)-1; nil is the
-// identity (label v at the v-th word-aligned slot). The slab is adopted
+// identity (label v the v-th in the slab). The slab is adopted
 // zero-copy: construction parses and validates the n label headers but
 // never moves a body.
 func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) (*QueryEngine, error) {

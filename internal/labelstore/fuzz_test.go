@@ -25,14 +25,16 @@ import (
 //     labeling.
 //
 // Seeds are real images of every store shape — id-ordered, degree-ordered, a
-// shard, pll, bdist — and a retired version-1 image, which both must reject.
+// shard, pll, bdist — and images both must reject: a retired version-1
+// image, version-2 stamps, and blobs whose last label ends in a partial word.
 func FuzzReadBytes(f *testing.F) {
-	image := func(file *File) {
+	image := func(file *File) []byte {
 		var buf bytes.Buffer
 		if err := Write(&buf, file); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		return buf.Bytes()
 	}
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 5)
 	if err != nil {
@@ -51,7 +53,20 @@ func FuzzReadBytes(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		image(file)
+		img := image(file)
+		// The image again, stamped with the retired version 2, and with its
+		// blob cut back to the labels' last byte (blob length to match), so
+		// that the last label ends in a partial word: both readers refuse
+		// either.
+		old := slices.Clone(img)
+		old[4] = 2
+		f.Add(old)
+		labelBytes := 0
+		for _, bits := range lab.BitLens() {
+			labelBytes += bitstr.SlabLabelBytes(bits)
+		}
+		cut := corruptBlobLen(f, img, len(slab), uint64(labelBytes))
+		f.Add(cut[:len(cut)-len(slab)+labelBytes])
 	}
 	shards, _ := shardStores(f, g, 3, core.ShardRange)
 	image(shards[1])

@@ -149,7 +149,7 @@ func TestOpenRejectsTruncation(t *testing.T) {
 // corruptBlobLen returns a copy of a v2 image whose blob-length uvarint is
 // rewritten by delta bytes (the field sits immediately before the body blob,
 // which is blobBytes long).
-func corruptBlobLen(t *testing.T, data []byte, blobBytes int, newLen uint64) []byte {
+func corruptBlobLen(t testing.TB, data []byte, blobBytes int, newLen uint64) []byte {
 	t.Helper()
 	var lenField [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenField[:], newLen)

@@ -5,11 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -71,6 +75,54 @@ func shardArenaSha(a core.ShardArena) string {
 	return sha(append(buf, a.Slab...))
 }
 
+// labelsSha hashes labels alone: each one's bit length and bits, in id
+// order. Where a slab puts a label, and how much padding follows it, does not
+// enter it.
+func labelsSha(labels []bitstr.String) string {
+	var buf []byte
+	for _, l := range labels {
+		buf = binary.AppendUvarint(buf, uint64(l.Len()))
+		buf = append(buf, l.Bytes()...)
+	}
+	return sha(buf)
+}
+
+// storeContentSha is labelsSha over the labels of the image Write produces,
+// read back by Read (which masks each label's final byte).
+func storeContentSha(t *testing.T, f *File) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return labelsSha(got.Labels)
+}
+
+// arenaContentSha is labelsSha over a shard arena's labels, cut from a copy
+// of its slab at the offsets the walk hands out.
+func arenaContentSha(t *testing.T, a core.ShardArena, order []int32) string {
+	t.Helper()
+	slab := slices.Clone(a.Slab)
+	labels := make([]bitstr.String, len(a.BitLens))
+	walk := bitstr.NewSlabWalk(len(slab), a.BitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		l, err := bitstr.SlabView(slab, off, a.BitLens[v])
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels[v] = l
+	}
+	if err := walk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return labelsSha(labels)
+}
+
 var pinLayouts = []core.Layout{core.LayoutID, core.LayoutDegree}
 
 var pinSplits = []struct {
@@ -78,12 +130,13 @@ var pinSplits = []struct {
 	fn    core.ShardFn
 }{{3, core.ShardRange}, {2, core.ShardHash}}
 
-// pinStores computes every pinned hash, keyed scheme/layout/shape.
-func pinStores(t *testing.T) map[string]string {
+// pinStores computes every pinned hash, keyed scheme/layout/shape: the bytes
+// of each output, and the content of its labels.
+func pinStores(t *testing.T) (got, content map[string]string) {
 	t.Helper()
 	g := pinGraph(t)
 	params := map[string]string{"n": strconv.Itoa(g.N())}
-	got := map[string]string{}
+	got, content = map[string]string{}, map[string]string{}
 
 	adj := map[string]func(core.Layout) (*core.Labeling, error){
 		// The paper's both-ends lists: the bytes every store had before the
@@ -122,6 +175,7 @@ func pinStores(t *testing.T) map[string]string {
 				t.Fatal(err)
 			}
 			got[key+"/whole"] = writtenSha(t, f)
+			content[key+"/whole"] = storeContentSha(t, f)
 			for _, sp := range pinSplits {
 				shape := fmt.Sprintf("%s/%s%d", key, sp.fn, sp.count)
 				arenas, err := core.ShardLabelArenas(slab, bitLens, order, sp.count, sp.fn)
@@ -137,13 +191,16 @@ func pinStores(t *testing.T) map[string]string {
 					t.Fatal(err)
 				}
 				for i, a := range arenas {
-					got[fmt.Sprintf("%s/arena%d", shape, i)] = shardArenaSha(a)
+					arenaKey, storeKey := fmt.Sprintf("%s/arena%d", shape, i), fmt.Sprintf("%s/store%d", shape, i)
+					got[arenaKey] = shardArenaSha(a)
+					content[arenaKey] = arenaContentSha(t, a, order)
 					m := core.ShardMap{Count: sp.count, Index: i, Fn: sp.fn}
 					f, err := NewShardArenaFile(lab.Scheme(), params, a.Slab, a.BitLens, order, m)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got[fmt.Sprintf("%s/store%d", shape, i)] = writtenSha(t, f)
+					got[storeKey] = writtenSha(t, f)
+					content[storeKey] = storeContentSha(t, f)
 				}
 			}
 		}
@@ -165,10 +222,28 @@ func pinStores(t *testing.T) map[string]string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[fmt.Sprintf("%s/%s/whole", name, lay)] = writtenSha(t, f)
+			key := fmt.Sprintf("%s/%s/whole", name, lay)
+			got[key] = writtenSha(t, f)
+			content[key] = storeContentSha(t, f)
 		}
 	}
-	return got
+	return got, content
+}
+
+// checkPins compares every hash of got with its pinned value and reports
+// outputs that have none.
+func checkPins(t *testing.T, procs int, what string, got, pinned map[string]string) {
+	t.Helper()
+	for key, want := range pinned {
+		if got[key] != want {
+			t.Errorf("GOMAXPROCS %d: %s %s = %q, pinned %q", procs, what, key, got[key], want)
+		}
+	}
+	for key, sum := range got {
+		if _, ok := pinned[key]; !ok {
+			t.Errorf("GOMAXPROCS %d: unpinned %s %q: %q,", procs, what, key, sum)
+		}
+	}
 }
 
 // TestStoreBytesPinned compares every hash with its recorded value, once per
@@ -179,71 +254,174 @@ func TestStoreBytesPinned(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 7} {
 		runtime.GOMAXPROCS(procs)
-		got := pinStores(t)
-		for key, want := range pinnedStoreShas {
-			if got[key] != want {
-				t.Errorf("GOMAXPROCS %d: %s = %q, pinned %q", procs, key, got[key], want)
-			}
+		got, _ := pinStores(t)
+		checkPins(t, procs, "bytes", got, pinnedStoreShas)
+	}
+}
+
+// TestStoreContentPinned is the byte pins' alignment-free twin: the labels
+// every output carries, bit for bit, wherever the slab puts them. A change
+// to how labels are laid out moves the byte pins and must leave these alone.
+func TestStoreContentPinned(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		_, content := pinStores(t)
+		checkPins(t, procs, "content", content, pinnedContentShas)
+	}
+}
+
+// TestStoreVersion2Refused: each store shape — id-ordered, degree-ordered,
+// a shard, pll, bdist — stamped with the retired word-aligned container's
+// version number is refused by number by every reader, whatever its body.
+func TestStoreVersion2Refused(t *testing.T) {
+	g := pinGraph(t)
+	params := map[string]string{"n": strconv.Itoa(g.N())}
+	id, _ := sampleFile(t)
+	degree, _ := permutedStore(t, g)
+	shards, _ := shardStores(t, g, 3, core.ShardRange)
+	files := map[string]*File{"id": id, "degree": degree, "shard": shards[1]}
+	_, arenas := distArenas(t)
+	for kind, a := range arenas {
+		f, err := NewDistArenaFile("dist-"+kind, params, a)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for key, sum := range got {
-			if _, ok := pinnedStoreShas[key]; !ok {
-				t.Errorf("GOMAXPROCS %d: unpinned output %q: %q,", procs, key, sum)
+		files[kind] = f
+	}
+	for name, f := range files {
+		var buf bytes.Buffer
+		if err := Write(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		img[4] = 2
+		for reader, load := range map[string]func() (*File, error){
+			"Read":      func() (*File, error) { return Read(bytes.NewReader(img)) },
+			"ReadBytes": func() (*File, error) { return ReadBytes(img) },
+			"Open": func() (*File, error) {
+				mf, err := Open(writeTemp(t, img))
+				if err != nil {
+					return nil, err
+				}
+				mf.Close()
+				return mf.File, nil
+			},
+		} {
+			if _, err := load(); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported version 2") {
+				t.Errorf("%s of a version-2 %s store: err = %v, want ErrFormat naming version 2", reader, name, err)
 			}
 		}
 	}
 }
 
-// pinnedStoreShas was recorded at commit a028a4f, before the set-up path was
-// reworked; the fatthin-once rows when the once layout landed.
+// pinnedContentShas was recorded at commit 474c7f2, on the word-aligned
+// slab, before labels were packed byte-aligned; that change left it as it was.
+var pinnedContentShas = map[string]string{
+	"bdist/degree/whole":                "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
+	"bdist/id/whole":                    "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
+	"compressed/degree/whole":           "be326621efc23f4fd2471342494c9457b10744a97139f9a3d9347697fe3baa7f",
+	"compressed/id/whole":               "be326621efc23f4fd2471342494c9457b10744a97139f9a3d9347697fe3baa7f",
+	"fatthin-once/degree/hash2/arena0":  "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
+	"fatthin-once/degree/hash2/arena1":  "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
+	"fatthin-once/degree/hash2/store0":  "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
+	"fatthin-once/degree/hash2/store1":  "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
+	"fatthin-once/degree/range3/arena0": "2df2d6a9b391f9e030c6152c73e66c4c7f20b7b95e0a14d5bcf89fe5dd08adc8",
+	"fatthin-once/degree/range3/arena1": "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
+	"fatthin-once/degree/range3/arena2": "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
+	"fatthin-once/degree/range3/store0": "2df2d6a9b391f9e030c6152c73e66c4c7f20b7b95e0a14d5bcf89fe5dd08adc8",
+	"fatthin-once/degree/range3/store1": "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
+	"fatthin-once/degree/range3/store2": "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
+	"fatthin-once/degree/whole":         "8e244e28172034d97ca7ae9169ba918920ecc71ccc977305aa3d0c50a210a2e0",
+	"fatthin-once/id/hash2/arena0":      "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
+	"fatthin-once/id/hash2/arena1":      "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
+	"fatthin-once/id/hash2/store0":      "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
+	"fatthin-once/id/hash2/store1":      "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
+	"fatthin-once/id/range3/arena0":     "2df2d6a9b391f9e030c6152c73e66c4c7f20b7b95e0a14d5bcf89fe5dd08adc8",
+	"fatthin-once/id/range3/arena1":     "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
+	"fatthin-once/id/range3/arena2":     "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
+	"fatthin-once/id/range3/store0":     "2df2d6a9b391f9e030c6152c73e66c4c7f20b7b95e0a14d5bcf89fe5dd08adc8",
+	"fatthin-once/id/range3/store1":     "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
+	"fatthin-once/id/range3/store2":     "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
+	"fatthin-once/id/whole":             "8e244e28172034d97ca7ae9169ba918920ecc71ccc977305aa3d0c50a210a2e0",
+	"fatthin/degree/hash2/arena0":       "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
+	"fatthin/degree/hash2/arena1":       "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
+	"fatthin/degree/hash2/store0":       "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
+	"fatthin/degree/hash2/store1":       "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
+	"fatthin/degree/range3/arena0":      "2c659e34fb7f4d8d6c93620301d16a4759e67223e4d73fbe604c5573ac832420",
+	"fatthin/degree/range3/arena1":      "6d048705e908e10ac31e29aa05329a4ff284445e97a7eaff08d646d722e613c6",
+	"fatthin/degree/range3/arena2":      "b5335f01838d60f2ba2fc2d56e8469680d41f148fe714c2ba054834085e4a42f",
+	"fatthin/degree/range3/store0":      "2c659e34fb7f4d8d6c93620301d16a4759e67223e4d73fbe604c5573ac832420",
+	"fatthin/degree/range3/store1":      "6d048705e908e10ac31e29aa05329a4ff284445e97a7eaff08d646d722e613c6",
+	"fatthin/degree/range3/store2":      "b5335f01838d60f2ba2fc2d56e8469680d41f148fe714c2ba054834085e4a42f",
+	"fatthin/degree/whole":              "f2550e572b42ec32587f8387091dbe52a4d68b58e70147418242b4823e2584e2",
+	"fatthin/id/hash2/arena0":           "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
+	"fatthin/id/hash2/arena1":           "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
+	"fatthin/id/hash2/store0":           "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
+	"fatthin/id/hash2/store1":           "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
+	"fatthin/id/range3/arena0":          "2c659e34fb7f4d8d6c93620301d16a4759e67223e4d73fbe604c5573ac832420",
+	"fatthin/id/range3/arena1":          "6d048705e908e10ac31e29aa05329a4ff284445e97a7eaff08d646d722e613c6",
+	"fatthin/id/range3/arena2":          "b5335f01838d60f2ba2fc2d56e8469680d41f148fe714c2ba054834085e4a42f",
+	"fatthin/id/range3/store0":          "2c659e34fb7f4d8d6c93620301d16a4759e67223e4d73fbe604c5573ac832420",
+	"fatthin/id/range3/store1":          "6d048705e908e10ac31e29aa05329a4ff284445e97a7eaff08d646d722e613c6",
+	"fatthin/id/range3/store2":          "b5335f01838d60f2ba2fc2d56e8469680d41f148fe714c2ba054834085e4a42f",
+	"fatthin/id/whole":                  "f2550e572b42ec32587f8387091dbe52a4d68b58e70147418242b4823e2584e2",
+	"pll/degree/whole":                  "c9bda7a22b28124eb81faa6f27ada57617781b960c3ed624df51d7775b6884b3",
+	"pll/id/whole":                      "c9bda7a22b28124eb81faa6f27ada57617781b960c3ed624df51d7775b6884b3",
+}
+
+// pinnedStoreShas was recorded when labels were packed byte-aligned and the
+// store container went to version 3 (commit 474c7f2's word-aligned bytes
+// were pinned here before; pinnedContentShas shows the labels did not move).
 var pinnedStoreShas = map[string]string{
-	"bdist/degree/whole":                "ca47f7593b50690d9b10042cb4fc9168268538ae499a0998c1e994efa776fc55",
-	"bdist/id/whole":                    "1a289f04f78e4c2ab4774bceb9beae7a3f010145dcf9106b5bf6f517094a2573",
-	"compressed/degree/whole":           "2b2b0ba355caa8f45e75ee0dba56e68c0052c0520a0ec4bca8c72daae6b0fcfb",
-	"compressed/id/whole":               "3a486bca2d57f9db558c1cb778ff377a3776e816015e8bb4f883b596e249b579",
-	"fatthin/degree/hash2/arena0":       "44286714ed26524a2b481aa965879827efaf6f0efb418c3cc8dace6018d074c1",
-	"fatthin/degree/hash2/arena1":       "08d7b57fa5c28237a939484c1e76a3b5e7e1a7078f65d5285937bb0b579ad41a",
-	"fatthin/degree/hash2/store0":       "f4759b159622cc892f09625982ba1aa8dd5634a7be4a937964d844d77ec48edc",
-	"fatthin/degree/hash2/store1":       "c5a99b47a9b0ab295222f8b9faf79cd41be1ef68ce4ad9181cb40dec42d27e11",
-	"fatthin/degree/range3/arena0":      "f78cd715a8b860a06b0601c630483ac9198e0999891c530e150954a0bc36e4d2",
-	"fatthin/degree/range3/arena1":      "6a4d0585105ebbade2d7b6f93cd383670fc948778b561b1fb47495b69050c02f",
-	"fatthin/degree/range3/arena2":      "052baa8571e54c9bed3b87c88b08916f0bf2b5c2211c0fb9393aeeffb4e9ecfb",
-	"fatthin/degree/range3/store0":      "1d291706f08fee9768655ad966cfd0d9909db055f8f1bdc75668f081f6d73c53",
-	"fatthin/degree/range3/store1":      "c8bc517b4d05cf2dd821ae9d616dddaa4e8d6b77ec37b88a25c8bc52bd9cad08",
-	"fatthin/degree/range3/store2":      "23b7356002fb3d25ac1a64c38d868e638721885217ed5777400b7c1cacf36804",
-	"fatthin/degree/whole":              "f132118ac541ef289f556680a6d3fd5860ad350d4018208ef70370b9fda55176",
-	"fatthin/id/hash2/arena0":           "f2ba8262007d14bb4775c7c609cfedee9634d4cbb3ffd2d96e3c21822252ce01",
-	"fatthin/id/hash2/arena1":           "46ee02822d5b2ab44b8137c4a325739becd65cb47f3a29af29555bc215a52433",
-	"fatthin/id/hash2/store0":           "fba1758bc2b494355f0c1e87879fea198268938fcf7c658d2097ae07f6feb05b",
-	"fatthin/id/hash2/store1":           "5b47d0c558a360194f9e49c1b85db65c6fc8ef9b2bb3b2be50d27311791e7061",
-	"fatthin/id/range3/arena0":          "209f259b92987e70f0b1ec10c2aea39ec28820b2617a2328f8a28dbc4d577c8c",
-	"fatthin/id/range3/arena1":          "96c8461bc7c225b13b71c705f612614a3a1bfc5d424e38f248b8315f25782ca4",
-	"fatthin/id/range3/arena2":          "ff4cd57578f90ab1a2c34c1409d61af940e4d0259c8430fbec2748d1fad7020e",
-	"fatthin/id/range3/store0":          "47ba5f16aeefa2b5ff7d91f6f857c9e26a33c5ece7aff44c51b7820aa66040ef",
-	"fatthin/id/range3/store1":          "096e4aadb2e89b2fb9798c70903f460b4f2881727b6d3838b955501b56ae6dd8",
-	"fatthin/id/range3/store2":          "c5442f71ddcfa467df584147c332b9dfa53b6a8fc4d62cbdb74ab700804ee03d",
-	"fatthin/id/whole":                  "f6698f4508dd74c3a6d4dc591663d02bc639fdbc2dada09f1f5d315a2dce7db7",
-	"fatthin-once/degree/hash2/arena0":  "4a37eae665fd37118f1be26aa965d6264a0e56856c773500ff3aed838831b091",
-	"fatthin-once/degree/hash2/arena1":  "b9f2f23e31635876d731f5ca39d70243128e1cfe33ec632ee2d92206dd03a826",
-	"fatthin-once/degree/hash2/store0":  "12b38eedd60142ad3bc99ff8020e0b4d441be4eb81ddea0746c3189f3dd1b052",
-	"fatthin-once/degree/hash2/store1":  "9913962c0b1d3d223f8aaac9ad8f31edf3feea70d778dffb1080aacd84a3484c",
-	"fatthin-once/degree/range3/arena0": "ade3a3d149249317dac8a0cc2f69588007af4348f62a316da211d755beff912a",
-	"fatthin-once/degree/range3/arena1": "dac8c69db5eedbd4203ed3cfc1566bd42e8848547ffa6ce5eba161da4eb5da59",
-	"fatthin-once/degree/range3/arena2": "92c0f17983ef120f958615b5c71bf3cc8eb5a4d5bc794baaf986126dc878aa77",
-	"fatthin-once/degree/range3/store0": "35fb03dfdff62cddc1a28879411412f3c6c2aafda061b28b0cdb7108a64526e5",
-	"fatthin-once/degree/range3/store1": "d9dbc35f9a23eed9d8bacc80a2b2741d635424586594ba7a3002e86bec52ba31",
-	"fatthin-once/degree/range3/store2": "79c8f9fb0d8a8a65a1a6138836cd2d7481097af6b7dd39e80f6ed6b1c07f3556",
-	"fatthin-once/degree/whole":         "7108a5d49df4adbf4facfa5863f9ded140bed8fa93e094679110d42808f48137",
-	"fatthin-once/id/hash2/arena0":      "630965d74234dfd3ee09d54b7bb456e4e5ed9e952a901f881517a96df5302edd",
-	"fatthin-once/id/hash2/arena1":      "ddaea31e5089fdbfd227fb28460d2b30f39fccf78982ff0cf63200c8250994f0",
-	"fatthin-once/id/hash2/store0":      "2387d866e6db8df995a31648c9ba32492f5ea51d42c40d7ccec6f639022eeef8",
-	"fatthin-once/id/hash2/store1":      "fe7cf4eaec8edfec06bc29a292f11517af75e58afd80ea43fb23219a7ec1874c",
-	"fatthin-once/id/range3/arena0":     "b35326dee58bec17941ffb1c778789234b63eb97a740b07c7b241152962e9c19",
-	"fatthin-once/id/range3/arena1":     "345ec18c1150528d3ab6bd2bd6c188ef45903fa3b38b82aaacb8f0b820bd20b4",
-	"fatthin-once/id/range3/arena2":     "b4b36058cfb796680e5f63432328245b38f1d1716b3a02f68837e7210af224d5",
-	"fatthin-once/id/range3/store0":     "21300f05b93c139ed60c0dfb340a6cb7ef9590602647a1ebac3bb37b1503380d",
-	"fatthin-once/id/range3/store1":     "11f21db9dc931f35d800fd459036dc2323ec3e49549b26dde9b5dbafd65d5d29",
-	"fatthin-once/id/range3/store2":     "69dd30350469b05e16f0a6567b94c20fb72fcd58160074386127595465a51148",
-	"fatthin-once/id/whole":             "68f4578968212698359d2a638ead5c73ad6ef1a4b1a6252f85ffeb771c97b83c",
-	"pll/degree/whole":                  "501d5561504dcc4d740aa054e44fcd5f202e3625e4c6063a4e82d69d5e4d37b6",
-	"pll/id/whole":                      "07ff11c54f8e621f113df4753f0ba2220bb798ccac4c250026f12a2efa1e8edd",
+	"bdist/degree/whole":                "ee325e9c37c084c7945a508b7a30803245f0cf6621a0aad7b2865183faa6a986",
+	"bdist/id/whole":                    "40797be4dcf483f893a31fa083f9352ce56d3004a14ff7c16b8918467310bbf2",
+	"compressed/degree/whole":           "14976e867dce4ad9fc74b303fcde8309ff2d80160651e5139af36c73e64c0d27",
+	"compressed/id/whole":               "38b213c520e4a65953a7253ca15eff2c37a0eedc57639e492412f32e68b5ec29",
+	"fatthin-once/degree/hash2/arena0":  "9190b95c1d645197b1df1c973b4cc3f2580d7f6be1e0f0ddd644aa29fc46782e",
+	"fatthin-once/degree/hash2/arena1":  "1f08e1ad0172f94eb991ac02b55ca530ba4ed57fe13cdb6851118195974e7b44",
+	"fatthin-once/degree/hash2/store0":  "7f3079d27bf7e80d0fbf146d288f2a4e0bf1104113ce4a7e001afb379740495d",
+	"fatthin-once/degree/hash2/store1":  "f94f2c9bc7400c6252aec37a6fdcde5f83023f3e4b2238a5ee11681ebada7042",
+	"fatthin-once/degree/range3/arena0": "339d76d4677847ec0c358981a55f948c619870a29f82730dade1685a063fb230",
+	"fatthin-once/degree/range3/arena1": "e89bf057f6c6147197b27ffd592037e2eedcf3c42676ee57d75a274c6d0780a1",
+	"fatthin-once/degree/range3/arena2": "a006f4f33a9db75fc7240e662a469d5b533b0fc3a0da488dbdea5a871d452ccf",
+	"fatthin-once/degree/range3/store0": "466f516b3c0e8fc98c2ea84a8c41d4368ab953d9558f5eeb345aa34426e65559",
+	"fatthin-once/degree/range3/store1": "89d3caf1f7b3f8ebb5580af90ad615b4f7038eb2a6a7bd9a17896007249f83d5",
+	"fatthin-once/degree/range3/store2": "fe1c53f00166e3f78a9a9e6022be3009c1a34e3c9dd75f99088c4e8c7114c346",
+	"fatthin-once/degree/whole":         "0e0b85f4966cedd9c787bd9af993ac88aef7ada2ef2fff1c82d0f0f64a2c4dc2",
+	"fatthin-once/id/hash2/arena0":      "940a9bbe9e67edb8b264fad1103f5a9f0c562bcd17ef7a634b195e1180f0ff41",
+	"fatthin-once/id/hash2/arena1":      "e0204e63d3273e459af94c0493743997800f8dad3548bbae63f155785ea1afcc",
+	"fatthin-once/id/hash2/store0":      "5ce6a139133a24740d9581d75326817f5f962ac93ce89dbbf4b9b496a552ac75",
+	"fatthin-once/id/hash2/store1":      "d2cdd0fcd1f0788f84462be9abdae51c19b1b6c2bd259cfcbc332fe3b3aadbb9",
+	"fatthin-once/id/range3/arena0":     "f3e7f7de6617b232393a4446d88615528b44135f3882a1740414290b5af00c51",
+	"fatthin-once/id/range3/arena1":     "de313b15e818ed8ebf767bcdf27b1ee36a41fa58d8e9268ce3aac941573d8aa0",
+	"fatthin-once/id/range3/arena2":     "6b17eda7977f2322fdcb41e458f7dce3a99148dd93e1f1ce8c4dbbc44088fc13",
+	"fatthin-once/id/range3/store0":     "8ca1a37720300b2fd3f849888f272ead3f96dd21f331f7bb84e1aa68cc1494e8",
+	"fatthin-once/id/range3/store1":     "b3711fa3e72bd258a1fc95f2a72f28c477271b1389b623371354ef0f2c0171ff",
+	"fatthin-once/id/range3/store2":     "7e67de87fcd32fcd638c2ec3f014ebdc5e83cdb957997aae4df9cafadeabb6f1",
+	"fatthin-once/id/whole":             "23853fe76deb012ccd19bb0e711a91fc0f5bf2b4a17e461e1ad513753a3610c2",
+	"fatthin/degree/hash2/arena0":       "62a22385b0edc8f74b9fabee9f880852fc592f8c418848649ad24a8117678d55",
+	"fatthin/degree/hash2/arena1":       "7690c5dd14927b901e30d4d670565d607a113f612a046bff4030efb39a6da455",
+	"fatthin/degree/hash2/store0":       "fa20cfd2dfc2694bf112e172bb4917aae8978a048b3218df9048b4d3ecebfa98",
+	"fatthin/degree/hash2/store1":       "93d25076749e109a3a5d0cbbcc165a676c110e112d9a7490dcb6b2a8db231620",
+	"fatthin/degree/range3/arena0":      "7067a4486833f6b8f9160d5e23918e522aa223f35d3082b984814e420382dc29",
+	"fatthin/degree/range3/arena1":      "fd6e31fc35552e042e90a062aecb90afee34155f8efe5130c33bf87d7fe69f32",
+	"fatthin/degree/range3/arena2":      "07aca92099b5ca1442414b9aefe6fa17603db87e3ec4c8ba419e57a278980705",
+	"fatthin/degree/range3/store0":      "d060ef6a068f73a9a523f448ac20b77d7e704c9fba892e1232fc1b2571a85974",
+	"fatthin/degree/range3/store1":      "01e65e2f15d0ad60e2ee7808a0162c5c16291e77fc77dd95dbf7f559e940bad3",
+	"fatthin/degree/range3/store2":      "74c54a6631254e33123d5d142a47f2707e7daf5d115d9bc78f7cb9377b790b0b",
+	"fatthin/degree/whole":              "e58c2cab385a143a6564fea4d3257eb4394dc8197f1956caaf36a35f1cd6a622",
+	"fatthin/id/hash2/arena0":           "3cf0cd47caa110959fa418c1e569f364d248714023c01af5e92368dfcedd00ab",
+	"fatthin/id/hash2/arena1":           "4b6030ab788a69b705766334132c8735cdc8ff300cb6f5bbc41177b0eafd4a12",
+	"fatthin/id/hash2/store0":           "f17839b01b782be2c1e5109092b1e16b5541edbef05aad05ecba0155a9875005",
+	"fatthin/id/hash2/store1":           "5a86c3e094e34aa02e3e2f5777a6a4645e2febb15a8c36ab97639fdeff3654d0",
+	"fatthin/id/range3/arena0":          "64423c395ff0f31cfaf43a6b989bf644f361072ea49d052c4accf2df9961467a",
+	"fatthin/id/range3/arena1":          "ea597900b2932f487e48428adbdabfc12e930be3e8ff091d48b25f36b53dcc6f",
+	"fatthin/id/range3/arena2":          "cfd963a1ed85582e287e8232a72e579d9536b3a35769191081e857b2f9d4a020",
+	"fatthin/id/range3/store0":          "919783ebb93fbdaf665d056969c8bd095d0b7bee5cc2a987859673fc1324ffe9",
+	"fatthin/id/range3/store1":          "976cb89027a2b0ef7a1de9514a83f079da320a66dabc5041ca3c128c2816ab87",
+	"fatthin/id/range3/store2":          "8f477533aa11ac7778946d4ebbfd2de8cde747e93f6808ad19fdd524a26ac9c6",
+	"fatthin/id/whole":                  "f8be33ded7ad10dd1399fbce9e482d8b9701f666230ed860cabebc92d5e48f57",
+	"pll/degree/whole":                  "74f1d7f7951968350eb4cc8fdc90edc9130adf4ba0514ea443994bbdd5bddb30",
+	"pll/id/whole":                      "5de646bd060c79deffb3a9196108b5dc528e03cf32f93d4fbf906f56cdc08dc2",
 }

@@ -14,9 +14,9 @@ import (
 // Lemma 7 — but instead of building one bitstr.String per vertex, the
 // per-vertex entry lists are handed to core's parallel size-plan →
 // prefix-sum → fill pipeline, which writes the whole labeling into one
-// word-aligned slab (δ-gap hub ranks for PLL; bit-identical legacy layout
+// byte-packed slab (δ-gap hub ranks for PLL; bit-identical legacy layout
 // for bdist). The result is a core.DistArena that NewDistEngine adopts
-// zero-copy and labelstore stores as a format-v2 blob under the matching
+// zero-copy and labelstore stores as its body blob under the matching
 // scheme= record kind.
 
 // EncodeArena builds pruned landmark labels for g directly into a slab
