@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 )
 
@@ -75,7 +76,7 @@ func TestShardInfoOffPooledPath(t *testing.T) {
 		bufs.answer(bytes.Clone(steady), time.Now(), 0, 0)
 		before := cap(bufs.resp)
 		blocks[i] = bufs.answer([]byte{opShardInfo}, time.Now(), 0, 0)
-		if len(blocks[i]) < core.IDBitsLen(eng.N()) || blocks[i][0] != statusOK {
+		if len(blocks[i]) < bitstr.IDBlockLen(eng.N()) || blocks[i][0] != statusOK {
 			t.Fatalf("shard-info response of %d bytes, status %d", len(blocks[i]), blocks[i][0])
 		}
 		if resp := bufs.answer(bytes.Clone(steady), time.Now(), 0, 0); resp[0] != statusOK {
@@ -126,7 +127,7 @@ func TestClientDropsHandshakeReadBuffer(t *testing.T) {
 	const n = 1 << 20 // fat bitmap + 20-bit identifiers: 2.6 MB
 	body := appendShardInfo(nil, n, trivialShardMap)
 	body = append(body, make([]byte, n/8)...)
-	ids := make([]byte, core.IDBitsLen(n)) // every identifier 0: parses, no permutation
+	ids := make([]byte, bitstr.IDBlockLen(n)) // every identifier 0: parses, no permutation
 	addr := fakeUpstream(t, append(body, ids...))
 	c, err := Dial(addr)
 	if err != nil {
@@ -181,7 +182,7 @@ func TestShardInfoFrameLimit(t *testing.T) {
 	}
 	// The largest n the real limit admits is the documented one.
 	fits := func(n int) bool {
-		return len(appendShardInfo(nil, n, trivialShardMap))+(n+7)/8+core.IDBitsLen(n) <= maxFramePayload
+		return len(appendShardInfo(nil, n, trivialShardMap))+(n+7)/8+bitstr.IDBlockLen(n) <= maxFramePayload
 	}
 	if !fits(5_590_000) || fits(5_600_000) {
 		t.Fatal("protocol.go documents the handshake limit as n ≈ 5.59 M; the arithmetic moved")
@@ -215,13 +216,13 @@ func TestRouterNeedsIdentifierBlock(t *testing.T) {
 	_, engines := shardEngines(t, 300, 2, core.ShardRange, 5)
 	addrs, _ := startShardFleet(t, engines)
 	block := shardInfoOf(engines[0])
-	stripped := block[:len(block)-core.IDBitsLen(300)]
+	stripped := block[:len(block)-bitstr.IDBlockLen(300)]
 	if _, err := NewRouter([]string{fakeUpstream(t, stripped), addrs[1]}, 0); err == nil || !strings.Contains(err.Error(), "no identifier block") {
 		t.Fatalf("partition shard without an identifier block: err = %v", err)
 	}
 	// Flip vertex 0's fat bit: the bitmap now disagrees with the identifiers.
 	lying := bytes.Clone(block)
-	lying[len(lying)-core.IDBitsLen(300)-(300+7)/8] ^= 0x80
+	lying[len(lying)-bitstr.IDBlockLen(300)-(300+7)/8] ^= 0x80
 	if _, err := NewRouter([]string{fakeUpstream(t, lying), addrs[1]}, 0); err == nil || !strings.Contains(err.Error(), "fat bit") {
 		t.Fatalf("partition shard whose fat bitmap contradicts its identifiers: err = %v", err)
 	}

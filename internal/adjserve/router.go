@@ -244,7 +244,7 @@ func checkIDs(si *ShardInfo) (k int, err error) {
 	}
 	seen, w := make([]uint64, (si.N+63)>>6), uint(bitstr.WidthFor(uint64(si.N)))
 	for v := 0; v < si.N; v++ {
-		id := packedID(si.IDBits, v, w) // below n: parseShardInfo checked
+		id := bitstr.IDBlockField(si.IDBits, v, w) // below n: parseShardInfo checked
 		if seen[id>>6]&(1<<uint(id&63)) != 0 {
 			return 0, fmt.Errorf("identifier block is not a permutation: %d appears twice (at vertex %d)", id, v)
 		}
@@ -315,7 +315,7 @@ func (r *Router) route(u, v int) int {
 		return r.ownerOf(u)
 	}
 	count := r.Shards()
-	iu, iv := packedID(r.idBits, u, r.idWidth), packedID(r.idBits, v, r.idWidth)
+	iu, iv := bitstr.IDBlockField(r.idBits, u, r.idWidth), bitstr.IDBlockField(r.idBits, v, r.idWidth)
 	if iu == iv || iu < r.k && iv < r.k { // u == v, or both fat: any shard answers
 		return min(core.ShardOwner(r.fn, u, r.n, count), core.ShardOwner(r.fn, v, r.n, count))
 	}

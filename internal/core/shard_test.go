@@ -180,7 +180,7 @@ func TestShardedEngineNotResident(t *testing.T) {
 }
 
 // TestAppendIDBits: the identifier block holds every label's own identifier at
-// bit v·w, is IDBitsLen bytes appended after what dst held, and is the same on
+// bit v·w, is bitstr.IDBlockLen bytes appended after what dst held, and is the same on
 // a shard (stubs keep identifiers) as on the full engine — at widths that do
 // and do not divide a byte, and on the degenerate one-vertex engine.
 func TestAppendIDBits(t *testing.T) {
@@ -199,8 +199,8 @@ func TestAppendIDBits(t *testing.T) {
 		}
 		w := bitstr.WidthFor(uint64(n))
 		block := e.AppendIDBits([]byte{0xAB})
-		if len(block) != 1+IDBitsLen(n) || block[0] != 0xAB {
-			t.Fatalf("n=%d: block of %d bytes starting %#x, want %d after the prefix", n, len(block), block[0], IDBitsLen(n))
+		if len(block) != 1+bitstr.IDBlockLen(n) || block[0] != 0xAB {
+			t.Fatalf("n=%d: block of %d bytes starting %#x, want %d after the prefix", n, len(block), block[0], bitstr.IDBlockLen(n))
 		}
 		ids, err := bitstr.Wrap(block[1:], n*w)
 		if err != nil {
