@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	plgen -model chunglu -n 10000 -alpha 2.5 [-seed N] [-workers K] [-o out.el]
+//	plgen -model chunglu -n 10000 -alpha 2.5 [-seed N] [-o out.el]
 //	plgen -model ba -n 10000 -m 3
 //	plgen -model config -n 10000 -alpha 2.5
 //	plgen -model er -n 10000 -p 0.001
@@ -12,9 +12,8 @@
 //	plgen -model pl -n 10000 -alpha 2.5        (Section 5 P_l construction)
 //
 // The chunglu, er, config and lognormal models sample, build and write with
-// -workers goroutines (default GOMAXPROCS); output is deterministic for a
-// fixed seed at every worker count. Output goes to stdout unless -o is
-// given.
+// GOMAXPROCS goroutines; output is deterministic for a fixed seed at every
+// GOMAXPROCS. Output goes to stdout unless -o is given.
 package main
 
 import (
@@ -48,24 +47,23 @@ type phases struct {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("plgen", flag.ContinueOnError)
 	var (
-		model   = fs.String("model", "chunglu", "chunglu | ba | config | er | waxman | lognormal | hierarchical | pl | tree")
-		n       = fs.Int("n", 10000, "number of vertices")
-		alpha   = fs.Float64("alpha", 2.5, "power-law exponent (chunglu, config, pl)")
-		wmin    = fs.Float64("wmin", 2, "minimum expected degree (chunglu)")
-		m       = fs.Int("m", 3, "attachment parameter (ba)")
-		p       = fs.Float64("p", 0.001, "edge probability (er)")
-		beta    = fs.Float64("beta", 0.4, "Waxman beta")
-		gamma   = fs.Float64("gamma", 0.15, "Waxman gamma")
-		mu      = fs.Float64("mu", 1.0, "lognormal log-mean")
-		sigma   = fs.Float64("sigma", 1.1, "lognormal log-stddev")
-		seed    = fs.Int64("seed", 1, "generator seed")
-		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for sampling, CSR build and writing")
-		out     = fs.String("o", "", "output file (default stdout)")
+		model = fs.String("model", "chunglu", "chunglu | ba | config | er | waxman | lognormal | hierarchical | pl | tree")
+		n     = fs.Int("n", 10000, "number of vertices")
+		alpha = fs.Float64("alpha", 2.5, "power-law exponent (chunglu, config, pl)")
+		wmin  = fs.Float64("wmin", 2, "minimum expected degree (chunglu)")
+		m     = fs.Int("m", 3, "attachment parameter (ba)")
+		p     = fs.Float64("p", 0.001, "edge probability (er)")
+		beta  = fs.Float64("beta", 0.4, "Waxman beta")
+		gamma = fs.Float64("gamma", 0.15, "Waxman gamma")
+		mu    = fs.Float64("mu", 1.0, "lognormal log-mean")
+		sigma = fs.Float64("sigma", 1.1, "lognormal log-stddev")
+		seed  = fs.Int64("seed", 1, "generator seed")
+		out   = fs.String("o", "", "output file (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, ph, err := generate(*model, *n, *alpha, *wmin, *m, *p, *beta, *gamma, *mu, *sigma, *seed, *workers)
+	g, ph, err := generate(*model, *n, *alpha, *wmin, *m, *p, *beta, *gamma, *mu, *sigma, *seed)
 	if err != nil {
 		return err
 	}
@@ -79,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 		w = f
 	}
 	writeStart := time.Now()
-	werr := g.WriteEdgeListParallel(w, *workers)
+	werr := g.WriteEdgeListParallel(w, 0)
 	// Close exactly once, whether or not the write failed, and surface the
 	// Close error (a full disk often only reports at close time).
 	if f != nil {
@@ -93,8 +91,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	writeTime := time.Since(writeStart)
 	eps := func(d time.Duration) float64 { return float64(g.M()) / max(d.Seconds(), 1e-9) }
-	fmt.Fprintf(os.Stderr, "plgen: %s graph, n=%d m=%d maxdeg=%d workers=%d\n",
-		*model, g.N(), g.M(), g.MaxDegree(), *workers)
+	fmt.Fprintf(os.Stderr, "plgen: %s graph, n=%d m=%d maxdeg=%d GOMAXPROCS=%d\n",
+		*model, g.N(), g.M(), g.MaxDegree(), runtime.GOMAXPROCS(0))
 	if ph.build > 0 {
 		fmt.Fprintf(os.Stderr, "plgen: sample %.3fs (%.0f edges/s), build %.3fs (%.0f edges/s), write %.3fs (%.0f edges/s)\n",
 			ph.sample.Seconds(), eps(ph.sample), ph.build.Seconds(), eps(ph.build),
@@ -108,14 +106,16 @@ func run(args []string, stdout io.Writer) error {
 
 // buildPhased runs the sampled EdgeBuilder through its parallel CSR build,
 // timing the two phases separately.
-func buildPhased(sampleStart time.Time, eb *graph.EdgeBuilder, workers int) (*graph.Graph, phases, error) {
+func buildPhased(sampleStart time.Time, eb *graph.EdgeBuilder) (*graph.Graph, phases, error) {
 	sample := time.Since(sampleStart)
 	buildStart := time.Now()
-	g := eb.Build(workers)
+	g := eb.Build(0)
 	return g, phases{sample: sample, build: time.Since(buildStart)}, nil
 }
 
-func generate(model string, n int, alpha, wmin float64, m int, p, beta, gamma, mu, sigma float64, seed int64, workers int) (*graph.Graph, phases, error) {
+// generate samples the model's graph; the parallel samplers and the CSR build
+// run over GOMAXPROCS goroutines (worker count 0).
+func generate(model string, n int, alpha, wmin float64, m int, p, beta, gamma, mu, sigma float64, seed int64) (*graph.Graph, phases, error) {
 	start := time.Now()
 	whole := func(g *graph.Graph, err error) (*graph.Graph, phases, error) {
 		return g, phases{sample: time.Since(start)}, err
@@ -126,18 +126,18 @@ func generate(model string, n int, alpha, wmin float64, m int, p, beta, gamma, m
 		if err != nil {
 			return nil, phases{}, err
 		}
-		return buildPhased(start, gen.ChungLuParallelEdges(w, seed, workers), workers)
+		return buildPhased(start, gen.ChungLuParallelEdges(w, seed, 0))
 	case "lognormal":
 		w, err := gen.LogNormalWeights(n, mu, sigma, seed)
 		if err != nil {
 			return nil, phases{}, err
 		}
-		return buildPhased(start, gen.ChungLuParallelEdges(w, seed+1, workers), workers)
+		return buildPhased(start, gen.ChungLuParallelEdges(w, seed+1, 0))
 	case "er":
 		if p <= 0 || p >= 1 || n < 2 {
-			return whole(gen.ErdosRenyiParallel(n, p, seed, workers), nil)
+			return whole(gen.ErdosRenyiParallel(n, p, seed, 0), nil)
 		}
-		return buildPhased(start, gen.ErdosRenyiParallelEdges(n, p, seed, workers), workers)
+		return buildPhased(start, gen.ErdosRenyiParallelEdges(n, p, seed, 0))
 	case "config":
 		kmax := n - 1
 		if kmax < 1 {
@@ -147,11 +147,11 @@ func generate(model string, n int, alpha, wmin float64, m int, p, beta, gamma, m
 		if err != nil {
 			return nil, phases{}, err
 		}
-		eb, err := gen.ConfigurationModelEdges(deg, seed+1, workers)
+		eb, err := gen.ConfigurationModelEdges(deg, seed+1, 0)
 		if err != nil {
 			return nil, phases{}, err
 		}
-		return buildPhased(start, eb, workers)
+		return buildPhased(start, eb)
 	case "ba":
 		return whole(gen.BarabasiAlbert(n, m, seed))
 	case "waxman":

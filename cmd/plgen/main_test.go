@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestGenerateModels(t *testing.T) {
 		{"pl", 4096},
 	}
 	for _, tc := range cases {
-		g, _, err := generate(tc.model, tc.n, 2.5, 2, 3, 0.05, 0.4, 0.15, 1.0, 1.1, 1, 2)
+		g, _, err := generate(tc.model, tc.n, 2.5, 2, 3, 0.05, 0.4, 0.15, 1.0, 1.1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.model, err)
 		}
@@ -33,10 +34,10 @@ func TestGenerateModels(t *testing.T) {
 			t.Errorf("%s: n=%d, want %d", tc.model, g.N(), tc.n)
 		}
 	}
-	if _, _, err := generate("hierarchical", 4096, 2.5, 2, 3, 0.05, 0.4, 0.15, 1.0, 1.1, 1, 2); err != nil {
+	if _, _, err := generate("hierarchical", 4096, 2.5, 2, 3, 0.05, 0.4, 0.15, 1.0, 1.1, 1); err != nil {
 		t.Fatalf("hierarchical: %v", err)
 	}
-	if _, _, err := generate("nope", 10, 2.5, 2, 3, 0.05, 0.4, 0.15, 1.0, 1.1, 1, 2); err == nil {
+	if _, _, err := generate("nope", 10, 2.5, 2, 3, 0.05, 0.4, 0.15, 1.0, 1.1, 1); err == nil {
 		t.Error("unknown model accepted")
 	}
 }
@@ -56,21 +57,27 @@ func TestRunWritesEdgeList(t *testing.T) {
 }
 
 // TestRunWorkerInvariance asserts the flagship determinism contract at the
-// CLI level: the emitted bytes are identical at every -workers value for a
-// fixed seed.
+// CLI level: the emitted bytes are identical at every GOMAXPROCS, which sets
+// the sampling, CSR-build and writing worker counts, for a fixed seed.
 func TestRunWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	args := func(model string) []string {
+		return []string{"-model", model, "-n", "400", "-p", "0.02", "-seed", "7"}
+	}
 	for _, model := range []string{"chunglu", "er", "config"} {
+		runtime.GOMAXPROCS(1)
 		var ref bytes.Buffer
-		if err := run([]string{"-model", model, "-n", "400", "-p", "0.02", "-seed", "7", "-workers", "1"}, &ref); err != nil {
-			t.Fatalf("%s workers=1: %v", model, err)
+		if err := run(args(model), &ref); err != nil {
+			t.Fatalf("%s GOMAXPROCS 1: %v", model, err)
 		}
-		for _, workers := range []string{"2", "7"} {
+		for _, procs := range []int{2, 7} {
+			runtime.GOMAXPROCS(procs)
 			var out bytes.Buffer
-			if err := run([]string{"-model", model, "-n", "400", "-p", "0.02", "-seed", "7", "-workers", workers}, &out); err != nil {
-				t.Fatalf("%s workers=%s: %v", model, workers, err)
+			if err := run(args(model), &out); err != nil {
+				t.Fatalf("%s GOMAXPROCS %d: %v", model, procs, err)
 			}
 			if !bytes.Equal(ref.Bytes(), out.Bytes()) {
-				t.Errorf("%s: output differs between -workers 1 and -workers %s", model, workers)
+				t.Errorf("%s: output differs between GOMAXPROCS 1 and %d", model, procs)
 			}
 		}
 	}

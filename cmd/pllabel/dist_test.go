@@ -16,7 +16,7 @@ func TestRunDistanceSchemes(t *testing.T) {
 		args []string
 		kind string
 	}{
-		{[]string{"-scheme", "dist-pll", "-layout", "degree", "-workers", "2"}, labelstore.SchemePLL},
+		{[]string{"-scheme", "dist-pll"}, labelstore.SchemePLL},
 		{[]string{"-scheme", "dist-bounded", "-f", "3"}, labelstore.SchemeBDist},
 	} {
 		storePath := filepath.Join(t.TempDir(), "dists.pllb")

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -59,17 +60,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		verify     = fs.Bool("verify", true, "verify decode correctness")
 		fit        = fs.Bool("fit", false, "report the fitted power-law exponent")
 		analyze    = fs.Bool("analyze", false, "report clustering and assortativity (O(m·Δ) time)")
-		workers    = fs.Int("workers", 1, "parallel encode fill shards (0 = GOMAXPROCS)")
-		layoutStr  = fs.String("layout", "id", "physical slab layout: id | degree (degree packs hubs contiguously)")
 		shards     = fs.Int("shards", 0, "split the store into N shard files <o>.shard0..N-1 for plserve -labels, one per file, behind plserve -shards (0 = one whole store)")
 		shardFnStr = fs.String("shard-fn", "range", "shard ownership function: range | hash")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the encode to this file")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	lay, err := core.ParseLayout(*layoutStr)
-	if err != nil {
 		return err
 	}
 	r := stdin
@@ -119,36 +114,22 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *shards != 0 {
 			return fmt.Errorf("distance stores are served by replica fleets, not shard partitions; drop -shards")
 		}
-		return runDistance(stdout, g, *schemeName, *alpha, *bound, *workers, lay, *out, *verify)
+		return runDistance(stdout, g, *schemeName, *alpha, *bound, *out, *verify)
 	}
 	scheme, err := pick(*schemeName, *alpha, *c, *tau)
 	if err != nil {
 		return err
 	}
-	if ls, ok := scheme.(interface{ SetLayout(core.Layout) }); ok {
-		ls.SetLayout(lay)
-	} else if lay != core.LayoutID {
-		return fmt.Errorf("scheme %q does not support -layout %s", *schemeName, lay)
-	}
 	start := time.Now()
-	lab, err := encode(scheme, g, *workers)
+	lab, err := encode(scheme, g)
 	if err != nil {
 		return fmt.Errorf("encode: %w", err)
 	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(stdout, "encode: %.3fs (%.0f vertices/s, workers=%d)\n",
-		elapsed.Seconds(), float64(g.N())/max(elapsed.Seconds(), 1e-9), *workers)
+	printEncode(stdout, time.Since(start), g.N())
 	st := lab.Stats()
 	fmt.Fprintf(stdout, "scheme: %s\n", lab.Scheme())
-	// Report the layout the encoder actually produced (degenerate graphs fall
-	// back to the id order even when -layout degree was asked for) and what
-	// the permutation block will cost in the store.
-	if order := lab.LayoutOrder(); order != nil {
-		fmt.Fprintf(stdout, "layout: degree-ordered (permutation overhead %d bytes)\n",
-			labelstore.PermutationOverheadBytes(order))
-	} else {
-		fmt.Fprintln(stdout, "layout: id-ordered (permutation overhead 0 bytes)")
-	}
+	_, order, _ := lab.ArenaLayout()
+	printLayout(stdout, order)
 	fmt.Fprintf(stdout, "labels: max=%d bits, mean=%.1f, p50=%d, p90=%d, p99=%d, total=%d bits (%.1f KiB)\n",
 		st.Max, st.Mean, st.P50, st.P90, st.P99, st.Total, float64(st.Total)/8/1024)
 	if ft, ok := scheme.(*core.FatThinScheme); ok {
@@ -191,12 +172,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-// runDistance is the encode pipeline for the distance plane: a parallel
-// arena encode (plan → prefix-sum → fill, same shape as the adjacency
-// pipeline), size statistics over the packed labels, BFS spot-verification
-// through the serving engine, and a scheme-stamped store that
-// plserve and plquery -dist load zero-copy.
-func runDistance(stdout io.Writer, g *graph.Graph, name string, alpha float64, f, workers int, lay core.Layout, out string, verify bool) error {
+// runDistance is the encode pipeline for the distance plane: a parallel,
+// degree-ordered arena encode (plan → prefix-sum → fill, same shape as the
+// adjacency pipeline), size statistics over the packed labels, BFS
+// spot-verification through the serving engine, and a scheme-stamped store
+// that plserve and plquery -dist load zero-copy.
+func runDistance(stdout io.Writer, g *graph.Graph, name string, alpha float64, f int, out string, verify bool) error {
 	var (
 		arena       *core.DistArena
 		schemeLabel string
@@ -207,28 +188,21 @@ func runDistance(stdout io.Writer, g *graph.Graph, name string, alpha float64, f
 	case "dist-pll":
 		s := distance.PLLScheme{}
 		schemeLabel = s.Name()
-		arena, err = s.EncodeArena(g, workers, lay)
+		arena, err = s.EncodeArena(g, 0, core.LayoutDegree)
 	case "dist-bounded":
 		if f < 1 {
 			return fmt.Errorf("dist-bounded needs -f >= 1")
 		}
 		s := distance.Scheme{Alpha: alpha, F: f}
 		schemeLabel = s.Name()
-		arena, err = s.EncodeArena(g, workers, lay)
+		arena, err = s.EncodeArena(g, 0, core.LayoutDegree)
 	}
 	if err != nil {
 		return fmt.Errorf("encode: %w", err)
 	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(stdout, "encode: %.3fs (%.0f vertices/s, workers=%d)\n",
-		elapsed.Seconds(), float64(g.N())/max(elapsed.Seconds(), 1e-9), workers)
+	printEncode(stdout, time.Since(start), g.N())
 	fmt.Fprintf(stdout, "scheme: %s\n", schemeLabel)
-	if arena.Order != nil {
-		fmt.Fprintf(stdout, "layout: degree-ordered (permutation overhead %d bytes)\n",
-			labelstore.PermutationOverheadBytes(arena.Order))
-	} else {
-		fmt.Fprintln(stdout, "layout: id-ordered (permutation overhead 0 bytes)")
-	}
+	printLayout(stdout, arena.Order)
 	printBitLenStats(stdout, arena.BitLens)
 	if verify {
 		eng, err := core.NewDistEngine(arena)
@@ -259,6 +233,26 @@ func runDistance(stdout io.Writer, g *graph.Graph, name string, alpha float64, f
 		fmt.Fprintf(stdout, "label store written to %s\n", out)
 	}
 	return nil
+}
+
+// printEncode reports the encode's wall time and rate; the encoders fan out
+// over GOMAXPROCS goroutines.
+func printEncode(stdout io.Writer, elapsed time.Duration, n int) {
+	fmt.Fprintf(stdout, "encode: %.3fs (%.0f vertices/s, GOMAXPROCS=%d)\n",
+		elapsed.Seconds(), float64(n)/max(elapsed.Seconds(), 1e-9), runtime.GOMAXPROCS(0))
+}
+
+// printLayout reports the layout the encoder produced and what its
+// permutation block costs in the store. The fat/thin and distance encoders
+// write degree order, except on graphs of one vertex or none, which have
+// nothing to reorder; the baselines have no permutation and stay id-ordered.
+func printLayout(stdout io.Writer, order []int32) {
+	if order != nil {
+		fmt.Fprintf(stdout, "layout: degree-ordered (permutation overhead %d bytes)\n",
+			labelstore.PermutationOverheadBytes(order))
+	} else {
+		fmt.Fprintln(stdout, "layout: id-ordered (permutation overhead 0 bytes)")
+	}
 }
 
 // printThinEdges reports what storing each thin-side edge once saved: the
@@ -344,16 +338,12 @@ func verifyDistance(g *graph.Graph, eng *core.DistEngine) error {
 	return nil
 }
 
-// parallelScheme is implemented by schemes with a sharded-fill encode path.
-type parallelScheme interface {
-	EncodeParallel(g *graph.Graph, workers int) (*core.Labeling, error)
-}
-
-// encode runs the scheme's parallel encoder when one exists (workers != 1 or
-// not; the pipeline is the same code either way), else the plain Encode.
-func encode(scheme core.Scheme, g *graph.Graph, workers int) (*core.Labeling, error) {
-	if ps, ok := scheme.(parallelScheme); ok {
-		return ps.EncodeParallel(g, workers)
+// encode runs a fat/thin scheme's encoder over GOMAXPROCS goroutines in
+// degree layout, and any other scheme's plain, id-ordered Encode.
+func encode(scheme core.Scheme, g *graph.Graph) (*core.Labeling, error) {
+	if ft, ok := scheme.(*core.FatThinScheme); ok {
+		ft.SetLayout(core.LayoutDegree)
+		return ft.EncodeParallel(g, 0)
 	}
 	return scheme.Encode(g)
 }

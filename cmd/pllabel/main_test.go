@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/labelstore"
+	"repro/internal/schemes/baseline"
+	"repro/internal/schemes/distance"
+	"repro/internal/schemes/forest"
 )
 
 func edgeListFixture(t *testing.T) string {
@@ -86,22 +92,96 @@ func TestRunUnknownScheme(t *testing.T) {
 	}
 }
 
-// TestRunWritesStore: every scheme, the per-label ones included, is written
-// as the one slab container the store readers accept.
+// TestRunWritesStore is one table keyed by scheme: pllabel writes the store
+// the library builds for that scheme, byte for byte. The fat/thin and
+// distance schemes write degree order; the baselines have no permutation
+// and stay id-ordered. Every store loads through the one reader.
 func TestRunWritesStore(t *testing.T) {
 	path := edgeListFixture(t)
-	for _, scheme := range []string{"auto", "nbrlist", "adjmatrix", "forest", "onequery"} {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadEdgeList(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]string{"n": strconv.Itoa(g.N())}
+	slabStore := func(lab *core.Labeling, err error) (*labelstore.File, error) {
+		if err != nil {
+			return nil, err
+		}
+		slab, order, _ := lab.ArenaLayout()
+		return labelstore.NewPermutedArenaFile(lab.Scheme(), params, slab, lab.BitLens(), order)
+	}
+	degree := func(s *core.FatThinScheme) (*labelstore.File, error) {
+		s.SetLayout(core.LayoutDegree)
+		return slabStore(s.Encode(g))
+	}
+	distStore := func(name string, a *core.DistArena, err error) (*labelstore.File, error) {
+		if err != nil {
+			return nil, err
+		}
+		return labelstore.NewDistArenaFile(name, params, a)
+	}
+	for _, tc := range []struct {
+		args  []string
+		order bool // degree-ordered
+		lib   func() (*labelstore.File, error)
+	}{
+		{[]string{"-scheme", "powerlaw"}, true, func() (*labelstore.File, error) { return degree(core.NewPowerLawScheme(2.5)) }},
+		{[]string{"-scheme", "sparse"}, true, func() (*labelstore.File, error) { return degree(core.NewSparseSchemeAuto()) }},
+		{[]string{"-scheme", "auto"}, true, func() (*labelstore.File, error) { return degree(core.NewPowerLawSchemeAuto()) }},
+		{[]string{"-scheme", "fixed", "-tau", "5"}, true, func() (*labelstore.File, error) { return degree(core.NewFixedThresholdScheme(5)) }},
+		{[]string{"-scheme", "dist-pll"}, true, func() (*labelstore.File, error) {
+			s := distance.PLLScheme{}
+			a, err := s.EncodeArena(g, 0, core.LayoutDegree)
+			return distStore(s.Name(), a, err)
+		}},
+		{[]string{"-scheme", "dist-bounded"}, true, func() (*labelstore.File, error) {
+			s := distance.Scheme{Alpha: 2.5, F: 2}
+			a, err := s.EncodeArena(g, 0, core.LayoutDegree)
+			return distStore(s.Name(), a, err)
+		}},
+		{[]string{"-scheme", "forest"}, false, func() (*labelstore.File, error) { return slabStore(forest.Scheme{}.Encode(g)) }},
+		{[]string{"-scheme", "onequery"}, false, func() (*labelstore.File, error) { return slabStore(oneQueryAdapter{}.Encode(g)) }},
+		{[]string{"-scheme", "nbrlist"}, false, func() (*labelstore.File, error) { return slabStore(baseline.NeighborList{}.Encode(g)) }},
+		{[]string{"-scheme", "adjmatrix"}, false, func() (*labelstore.File, error) { return slabStore(baseline.AdjMatrix{}.Encode(g)) }},
+	} {
 		storePath := filepath.Join(t.TempDir(), "labels.pllb")
 		var out bytes.Buffer
-		if err := run([]string{"-scheme", scheme, "-in", path, "-o", storePath}, strings.NewReader(""), &out); err != nil {
-			t.Fatalf("%s: %v", scheme, err)
+		if err := run(append(tc.args, "-in", path, "-o", storePath), strings.NewReader(""), &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		wantLine := "layout: id-ordered"
+		if tc.order {
+			wantLine = "layout: degree-ordered"
+		}
+		if !strings.Contains(out.String(), wantLine) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, wantLine, out.String())
+		}
+		got, err := os.ReadFile(storePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := tc.lib()
+		if err != nil {
+			t.Fatalf("%v: library store: %v", tc.args, err)
+		}
+		var want bytes.Buffer
+		if err := labelstore.Write(&want, lib); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%v: written store (%d bytes) differs from the library's (%d bytes)", tc.args, len(got), want.Len())
 		}
 		store, err := labelstore.Open(storePath)
 		if err != nil {
-			t.Fatalf("%s: written store does not load: %v", scheme, err)
+			t.Fatalf("%v: written store does not load: %v", tc.args, err)
 		}
-		if _, _, _, ok := store.ArenaLayout(); !ok || store.N() == 0 || len(store.Labels) != store.N() {
-			t.Errorf("%s: loaded store has arena=%v, N=%d, %d labels", scheme, ok, store.N(), len(store.Labels))
+		if _, _, order, ok := store.ArenaLayout(); !ok || (order != nil) != tc.order || store.N() != g.N() {
+			t.Errorf("%v: loaded store has arena=%v, order=%v, N=%d", tc.args, ok, order != nil, store.N())
 		}
 		store.Close()
 	}

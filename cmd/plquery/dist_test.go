@@ -69,7 +69,7 @@ func TestQueryDistLocal(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		args := []string{"-dist", "-labels", path}
 		if batch {
-			args = append(args, "-batch", "-workers", "2")
+			args = append(args, "-batch")
 		}
 		var out bytes.Buffer
 		if err := run(args, bytes.NewReader(in.Bytes()), &out); err != nil {

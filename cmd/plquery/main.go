@@ -7,17 +7,17 @@
 //	pllabel -scheme auto -in graph.el -o labels.pllb
 //	plquery -labels labels.pllb            # interactive: "u v" per line
 //	echo "3 17" | plquery -labels labels.pllb
-//	plquery -labels labels.pllb -batch -workers 8 < pairs.txt
+//	plquery -labels labels.pllb -batch < pairs.txt
 //	plquery -remote 127.0.0.1:7421 -batch < pairs.txt
 //	plquery -dist -labels dists.pllb       # "u v d" lines; d=-1 unreachable
 //	plquery -dist -remote 127.0.0.1:7421   # against a distance-serving plserve
 //
 // For fat/thin label stores, queries are served by the pre-parsed
 // zero-allocation core.QueryEngine; -batch reads all pairs up front and
-// answers them in one (optionally sharded-parallel) batch call. With
-// -remote, queries go to a running plserve daemon over the adjserve batch
-// protocol instead of loading any labels locally — output is line-for-line
-// identical to the local mode on the same store.
+// answers them in one batch call. With -remote, queries go to a running
+// plserve daemon over the adjserve batch protocol instead of loading any
+// labels locally — output is line-for-line identical to the local mode on
+// the same store.
 package main
 
 import (
@@ -49,7 +49,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		remote     = fs.String("remote", "", "plserve address; answer via the network instead of local labels")
 		stats      = fs.Bool("stats", false, "print store statistics and exit")
 		batch      = fs.Bool("batch", false, "read all pairs, answer as one batch")
-		workers    = fs.Int("workers", 1, "batch shards (0 = GOMAXPROCS); needs -batch, local only")
 		dist       = fs.Bool("dist", false, "answer hop distances (-1 = unreachable/beyond bound); needs a distance store or server")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -127,9 +126,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				return err
 			}
 			distTo = eng.Dist
-			distToMany = func(pairs [][2]int, out []int) ([]int, error) {
-				return eng.DistManyParallel(pairs, out, *workers)
-			}
+			distToMany = eng.DistMany
 			return serve(stdin, stdout, n, *batch, answer, answerMany, distTo, distToMany)
 		}
 		dec, err := decoderFor(store.Scheme, n)
@@ -138,15 +135,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 
 		// Fat/thin stores are served through the pre-parsed zero-allocation
-		// query engine; other layouts (and stores whose labels the engine
-		// rejects at build time) fall back to the per-query decoder. The store
-		// hands its slab blob to the engine zero-copy — no relocation
-		// between disk and the probe arena.
+		// query engine, and a store whose labels the engine rejects is
+		// refused, as plserve refuses it; only adjmatrix falls back to the
+		// per-query decoder. The store hands its slab blob to the engine
+		// zero-copy — no relocation between disk and the probe arena.
 		var eng *core.QueryEngine
 		if _, ok := dec.(*core.FatThinDecoder); ok {
 			slab, bitLens, order, _ := store.ArenaLayout()
-			if e, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order); err == nil {
-				eng = e
+			if eng, err = core.NewQueryEngineFromPermutedArena(slab, bitLens, order); err != nil {
+				return fmt.Errorf("store %s: %w", *labelsPath, err)
 			}
 		}
 		// A shard store only resolves pairs its residents cover; attaching the
@@ -161,24 +158,22 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				return err
 			}
 		}
-		answer = func(u, v int) (bool, error) {
-			if eng != nil {
-				return eng.Adjacent(u, v)
+		if eng != nil {
+			answer, answerMany = eng.Adjacent, eng.AdjacentMany
+		} else {
+			answer = func(u, v int) (bool, error) {
+				return dec.Adjacent(store.Labels[u], store.Labels[v])
 			}
-			return dec.Adjacent(store.Labels[u], store.Labels[v])
-		}
-		answerMany = func(pairs [][2]int, out []bool) ([]bool, error) {
-			if eng != nil {
-				return eng.AdjacentManyParallel(pairs, out, *workers)
-			}
-			for _, p := range pairs {
-				adj, err := answer(p[0], p[1])
-				if err != nil {
-					return out, err
+			answerMany = func(pairs [][2]int, out []bool) ([]bool, error) {
+				for _, p := range pairs {
+					adj, err := answer(p[0], p[1])
+					if err != nil {
+						return out, err
+					}
+					out = append(out, adj)
 				}
-				out = append(out, adj)
+				return out, nil
 			}
-			return out, nil
 		}
 	}
 	return serve(stdin, stdout, n, *batch, answer, answerMany, distTo, distToMany)

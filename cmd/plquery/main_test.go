@@ -21,6 +21,14 @@ import (
 // path and the graph for truth checks.
 func storeFixture(t *testing.T) (string, *graph.Graph) {
 	t.Helper()
+	g, scheme, labels := fixtureLabels(t)
+	return writeStore(t, scheme, labels), g
+}
+
+// fixtureLabels is the sparse labeling of the 40-vertex fixture graph, one
+// label per vertex.
+func fixtureLabels(t *testing.T) (*graph.Graph, string, []bitstr.String) {
+	t.Helper()
 	g := gen.ErdosRenyi(40, 0.12, 9)
 	lab, err := core.NewSparseSchemeAuto().Encode(g)
 	if err != nil {
@@ -33,6 +41,12 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 			t.Fatal(err)
 		}
 	}
+	return g, lab.Scheme(), labels
+}
+
+// writeStore packs labels into an id-ordered store file and returns its path.
+func writeStore(t *testing.T, scheme string, labels []bitstr.String) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "l.pllb")
 	f, err := os.Create(path)
 	if err != nil {
@@ -40,14 +54,40 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 	}
 	defer f.Close()
 	slab, bitLens := bitstr.PackSlab(labels)
-	store, err := labelstore.NewPermutedArenaFile(lab.Scheme(), map[string]string{"n": strconv.Itoa(g.N())}, slab, bitLens, nil)
+	store, err := labelstore.NewPermutedArenaFile(scheme, map[string]string{"n": strconv.Itoa(len(labels))}, slab, bitLens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := labelstore.Write(f, store); err != nil {
 		t.Fatal(err)
 	}
-	return path, g
+	return path
+}
+
+// TestQueryRefusesUnservableStore: a fat/thin store whose labels the query
+// engine rejects — here thin label 36 padded by one bit — is refused at
+// start, streaming and batch, as plserve refuses it. No answer is printed
+// from the per-query decoder.
+func TestQueryRefusesUnservableStore(t *testing.T) {
+	_, scheme, labels := fixtureLabels(t)
+	if fat, _ := labels[36].Bit(0); fat {
+		t.Fatal("fixture label 36 is fat; the test pads a thin one")
+	}
+	var b bitstr.Builder
+	b.AppendString(labels[36])
+	b.AppendBit(false)
+	labels[36] = b.String()
+	path := writeStore(t, scheme, labels)
+	for _, extra := range [][]string{nil, {"-batch"}} {
+		var out bytes.Buffer
+		err := run(append([]string{"-labels", path}, extra...), strings.NewReader("36 7\n0 1\n"), &out)
+		if err == nil || !strings.Contains(err.Error(), "not a multiple of id width") {
+			t.Errorf("%v: err = %v, want the engine's refusal", extra, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: answered from a refused store:\n%s", extra, out.String())
+		}
+	}
 }
 
 func TestQueryAnswersMatchGraph(t *testing.T) {
@@ -183,24 +223,18 @@ func TestQueryRemoteMode(t *testing.T) {
 }
 
 // TestQueryBatchMode: -batch must produce exactly the streaming output
-// (same lines, same order, parse errors interleaved), for both serial and
-// sharded-parallel batch answering.
+// (same lines, same order, parse errors interleaved).
 func TestQueryBatchMode(t *testing.T) {
 	path, _ := storeFixture(t)
 	input := "garbage\n0 1\n2 3\n0 999\n4 5\n# c\n6 7\n"
-	var want bytes.Buffer
+	var want, got bytes.Buffer
 	if err := run([]string{"-labels", path}, strings.NewReader(input), &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []string{"1", "4", "0"} {
-		var got bytes.Buffer
-		if err := run([]string{"-labels", path, "-batch", "-workers", workers},
-			strings.NewReader(input), &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("workers=%s: batch output differs\nbatch:\n%s\nstreaming:\n%s",
-				workers, got.String(), want.String())
-		}
+	if err := run([]string{"-labels", path, "-batch"}, strings.NewReader(input), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("batch output differs\nbatch:\n%s\nstreaming:\n%s", got.String(), want.String())
 	}
 }

@@ -249,7 +249,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		if store.Mapped() {
 			mode = "mmap"
 		}
-		if store.LayoutOrder() != nil {
+		if _, _, order, _ := store.ArenaLayout(); order != nil {
 			layout = "degree"
 		}
 		loadedAttrs := append([]any{"scheme", store.Scheme, "n", store.N(), "layout", layout}, planeAttrs...)

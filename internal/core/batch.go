@@ -1,17 +1,13 @@
 package core
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // The batch surface of both engines, defined once. An engine contributes one
 // span kernel — QueryEngine.AdjacentSpan, DistEngine.DistSpan — and gets its
-// Many and ManyParallel entry points, its tally flushes and its probe
-// histogram from here. The single-batch entry points call their kernel
-// directly (a kernel reached through a function value would move the batch's
-// stack tally to the heap) and share everything around that call.
+// Many entry point, its tally flushes and its probe histogram from here. The
+// Many entry points call their kernel directly (a kernel reached through a
+// function value would move the batch's stack tally to the heap) and share
+// everything around that call.
 
 // engineMetrics is the metrics attachment both engines embed. It is the one
 // mutable piece of an otherwise immutable engine: attach before sharing the
@@ -94,50 +90,4 @@ func finishMany[T any](e *engineMetrics, t *QueryTally, what string, pairs [][2]
 // a query ("query", "dist query").
 func queryErr(what string, p [2]int, err error) error {
 	return fmt.Errorf("core: %s (%d,%d): %w", what, p[0], p[1], err)
-}
-
-// batchWorkers resolves a ManyParallel worker count: <= 0 selects GOMAXPROCS,
-// and no more workers than pairs.
-func batchWorkers(workers, pairs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, pairs)
-}
-
-// manyParallel shards a batch across workers > 1 goroutines, each answering
-// its contiguous shard through the engine's span kernel; results land in pair
-// order and a failing shard drops the whole batch. The engine is read-only,
-// so shards share it without synchronization; the only coordination is the
-// final join.
-func manyParallel[T any](e *engineMetrics, span func([][2]int, []T, *QueryTally) (int, error), what string, pairs [][2]int, out []T, workers int) ([]T, error) {
-	out, res := grow(out, len(pairs))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for wi := 0; wi*chunk < len(pairs); wi++ {
-		lo := wi * chunk
-		hi := min(lo+chunk, len(pairs))
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			// Worker-local tally, flushed once per shard: the atomics merge
-			// shards without any cross-worker coordination in the loop.
-			var t QueryTally
-			if done, err := span(pairs[lo:hi], res[lo:hi], &t); err != nil {
-				errs[wi] = queryErr(what, pairs[lo+done], err)
-			}
-			e.flush(&t)
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	if m := e.metrics; m != nil {
-		m.batch(len(pairs)) // the workers flushed their own tallies
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out[:len(out)-len(pairs)], err
-		}
-	}
-	return out, nil
 }

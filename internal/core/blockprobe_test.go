@@ -279,7 +279,7 @@ func TestBlockKernelLengths(t *testing.T) {
 				}
 			}
 			pinSpan(t, e, pairs)
-			parallel, err := e.AdjacentManyParallel(pairs, nil, 3)
+			batch, err := e.AdjacentMany(pairs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,9 +288,9 @@ func TestBlockKernelLengths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want != g.HasEdge(p[0], p[1]) || parallel[i] != want {
-					t.Fatalf("layout %v n=%d pair %d %v: graph %v, Adjacent %v, parallel %v",
-						lay, n, i, p, g.HasEdge(p[0], p[1]), want, parallel[i])
+				if want != g.HasEdge(p[0], p[1]) || batch[i] != want {
+					t.Fatalf("layout %v n=%d pair %d %v: graph %v, Adjacent %v, AdjacentMany %v",
+						lay, n, i, p, g.HasEdge(p[0], p[1]), want, batch[i])
 				}
 			}
 		}

@@ -23,8 +23,7 @@ import (
 // flag keeps every label within one bit of the fixed-width layout. This
 // trade-off is measured by experiment E15. Decoding remains a single scan.
 type CompressedScheme struct {
-	inner  *FatThinScheme
-	layout Layout
+	inner *FatThinScheme
 }
 
 var _ Scheme = (*CompressedScheme)(nil)
@@ -41,18 +40,15 @@ func (s *CompressedScheme) Name() string { return "compressed+" + s.inner.Name()
 // Threshold exposes the wrapped threshold rule.
 func (s *CompressedScheme) Threshold(g *graph.Graph) (int, error) { return s.inner.threshold(g) }
 
-// SetLayout selects the physical slab layout of subsequent encodes, exactly
-// as FatThinScheme.SetLayout.
-func (s *CompressedScheme) SetLayout(l Layout) { s.layout = l }
-
 // Encode implements Scheme, through the slab pipeline (see pipeline.go):
-// the returned labeling is born compact, written straight into its slab.
+// the returned labeling is born compact, written straight into its
+// id-ordered slab.
 func (s *CompressedScheme) Encode(g *graph.Graph) (*Labeling, error) {
 	tau, err := s.inner.threshold(g)
 	if err != nil {
 		return nil, err
 	}
-	return encodeCompressedSlab(s.Name(), g, tau, 1, s.layout)
+	return encodeCompressedSlab(s.Name(), g, tau, 1)
 }
 
 // CompressedDecoder answers adjacency queries over compressed fat/thin

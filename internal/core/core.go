@@ -82,10 +82,6 @@ func (l *Labeling) ArenaLayout() (slab []byte, order []int32, ok bool) {
 	return l.slab, l.order, true
 }
 
-// LayoutOrder returns the arena's physical layout permutation, or nil when
-// the labeling is id-ordered.
-func (l *Labeling) LayoutOrder() []int32 { return l.order }
-
 // BitLens returns every label's length in bits, indexed by vertex. It is the
 // labeling's own table and must not be modified.
 func (l *Labeling) BitLens() []int { return l.bitLens }

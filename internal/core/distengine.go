@@ -498,16 +498,6 @@ func (e *DistEngine) DistMany(pairs [][2]int, out []int) ([]int, error) {
 	return finishMany(&e.engineMetrics, &t, "dist query", pairs, out, done, err)
 }
 
-// DistManyParallel shards a batch across workers goroutines (<= 0 selects
-// GOMAXPROCS), answering each shard through DistSpan; results are in pair
-// order.
-func (e *DistEngine) DistManyParallel(pairs [][2]int, out []int, workers int) ([]int, error) {
-	if workers = batchWorkers(workers, len(pairs)); workers <= 1 {
-		return e.DistMany(pairs, out)
-	}
-	return manyParallel(&e.engineMetrics, e.DistSpan, "dist query", pairs, out, workers)
-}
-
 // distCache is a direct-mapped (u,v)→distance cache for the engine's hot
 // pairs. A slot is one atomic word:
 //

@@ -107,21 +107,6 @@ func BenchmarkQueryEngineAdjacentMany(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/query")
 }
 
-func BenchmarkQueryEngineAdjacentManyParallel(b *testing.B) {
-	eng, pairs := benchEngine(b)
-	out := make([]bool, 0, len(pairs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		out, err = eng.AdjacentManyParallel(pairs, out[:0], 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/query")
-}
-
 // BenchmarkQueryEngineColdSlab measures the batch probe kernel against the
 // scalar loop where the kernel earns its keep: n = 2^20, a 16 MB header table
 // and an 18 MB degree-ordered slab, probe rings of 2^21 pairs that outlast the

@@ -23,7 +23,7 @@ const (
 	LayoutDegree
 )
 
-// String names the layout as the CLIs spell it (pllabel -layout).
+// String names the layout as pin keys and experiment tables spell it.
 func (l Layout) String() string {
 	switch l {
 	case LayoutID:
@@ -32,17 +32,5 @@ func (l Layout) String() string {
 		return "degree"
 	default:
 		return fmt.Sprintf("Layout(%d)", uint8(l))
-	}
-}
-
-// ParseLayout maps the CLI spelling back to a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "id":
-		return LayoutID, nil
-	case "degree":
-		return LayoutDegree, nil
-	default:
-		return LayoutID, fmt.Errorf("core: unknown layout %q (want id or degree)", s)
 	}
 }

@@ -5,30 +5,38 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-func TestParseLayout(t *testing.T) {
-	for s, want := range map[string]Layout{"id": LayoutID, "degree": LayoutDegree} {
-		got, err := ParseLayout(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLayout(%q) = %v, %v", s, got, err)
+// TestLayoutString: the names pin keys and experiment tables print.
+func TestLayoutString(t *testing.T) {
+	for lay, want := range map[Layout]string{LayoutID: "id", LayoutDegree: "degree", Layout(7): "Layout(7)"} {
+		if got := lay.String(); got != want {
+			t.Errorf("Layout(%d).String() = %q, want %q", uint8(lay), got, want)
 		}
-		if got.String() != s {
-			t.Errorf("Layout(%v).String() = %q, want %q", got, got.String(), s)
-		}
-	}
-	if _, err := ParseLayout("zigzag"); err == nil {
-		t.Error("ParseLayout accepted garbage")
 	}
 }
 
-// layoutScheme is any scheme that can switch its physical slab layout.
-type layoutScheme interface {
-	Scheme
-	SetLayout(Layout)
-	EncodeParallel(*graph.Graph, int) (*Labeling, error)
+// relayout lays lab's labels out again in the physical order given, as the
+// slab pipeline places them: byte-aligned, back to back in rank order.
+func relayout(t *testing.T, lab *Labeling, order []int32) *Labeling {
+	t.Helper()
+	a := slabArena{bitLens: lab.bitLens, order: order}
+	physOffs, err := a.layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.slab = make([]byte, bitstr.SlabSize(int(physOffs[len(physOffs)-1]>>3)))
+	for v, off := range a.offs {
+		l, err := lab.Label(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(a.slab[off>>3:], l.Bytes())
+	}
+	return &Labeling{scheme: lab.scheme, decoder: lab.decoder, slabArena: a}
 }
 
 // TestLayoutEquivalence is the tentpole invariant: the degree-ordered layout
@@ -36,6 +44,10 @@ type layoutScheme interface {
 // counts, every per-vertex label must be byte-equal to the id-ordered
 // encoding's and every adjacency answer identical pair-for-pair — through
 // the decoder and (for the engine's label format) through the query engine.
+// The compressed scheme writes id order only; its row lays the same labels
+// out in the degree order the fat/thin plan computes, so a labeling's reads
+// of a permuted slab are held to its id-ordered answers whatever the label
+// format.
 func TestLayoutEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"path":  gen.Path(24),
@@ -53,25 +65,45 @@ func TestLayoutEquivalence(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	schemes := map[string]func() layoutScheme{
-		"powerlaw":   func() layoutScheme { return NewPowerLawScheme(2.5) },
-		"sparse":     func() layoutScheme { return NewSparseSchemeAuto() },
-		"compressed": func() layoutScheme { return NewCompressedScheme(NewPowerLawScheme(2.5)) },
+	fatThin := func(mk func() *FatThinScheme) func(*testing.T, *graph.Graph, int, Layout) *Labeling {
+		return func(t *testing.T, g *graph.Graph, workers int, lay Layout) *Labeling {
+			s := mk()
+			s.SetLayout(lay)
+			lab, err := s.EncodeParallel(g, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lab
+		}
 	}
-	for sname, mk := range schemes {
+	powerlaw := fatThin(func() *FatThinScheme { return NewPowerLawScheme(2.5) })
+	schemes := map[string]func(*testing.T, *graph.Graph, int, Layout) *Labeling{
+		"powerlaw": powerlaw,
+		"sparse":   fatThin(NewSparseSchemeAuto),
+		"compressed": func(t *testing.T, g *graph.Graph, workers int, lay Layout) *Labeling {
+			s := NewCompressedScheme(NewPowerLawScheme(2.5))
+			tau, err := s.Threshold(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lab, err := encodeCompressedSlab(s.Name(), g, tau, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lay == LayoutID {
+				return lab
+			}
+			_, order, _ := powerlaw(t, g, workers, lay).ArenaLayout()
+			return relayout(t, lab, order)
+		},
+	}
+	for sname, encode := range schemes {
 		for gname, g := range graphs {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", sname, gname, workers), func(t *testing.T) {
-					idScheme, degScheme := mk(), mk()
-					idScheme.SetLayout(LayoutID)
-					degScheme.SetLayout(LayoutDegree)
-					idLab, err := idScheme.EncodeParallel(g, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					degLab, err := degScheme.EncodeParallel(g, workers)
-					if err != nil {
-						t.Fatal(err)
+					idLab, degLab := encode(t, g, workers, LayoutID), encode(t, g, workers, LayoutDegree)
+					if _, order, _ := degLab.ArenaLayout(); (order != nil) != (g.N() > 1) {
+						t.Fatalf("degree layout of %d vertices: order %v", g.N(), order)
 					}
 					for v := 0; v < g.N(); v++ {
 						a, err1 := idLab.Label(v)

@@ -17,7 +17,7 @@ import (
 // list the header record held, so the search read no slab word.
 type EngineMetrics struct {
 	Queries     obs.Counter // adjacency queries answered
-	Batches     obs.Counter // AdjacentMany/AdjacentManyParallel calls
+	Batches     obs.Counter // AdjacentMany/DistMany calls and served frames
 	ThinBranch  obs.Counter // queries resolved by a thin binary-search probe
 	ThinInline  obs.Counter // thin probes answered from the header record
 	FatBranch   obs.Counter // queries resolved by a fat bitmap probe
@@ -36,7 +36,7 @@ type EngineMetrics struct {
 // once per registry.
 func (m *EngineMetrics) Register(reg *obs.Registry) {
 	reg.Counter("engine_queries_total", "Adjacency queries answered by the query engine.", &m.Queries)
-	reg.Counter("engine_batches_total", "Batch calls (AdjacentMany and the parallel variant).", &m.Batches)
+	reg.Counter("engine_batches_total", "Batch calls (AdjacentMany and served frames).", &m.Batches)
 	reg.Counter("engine_branch_thin_total", "Queries resolved by the thin O(log n) binary-search branch.", &m.ThinBranch)
 	reg.Counter("engine_branch_thin_inline_total", "Thin probes answered from the header record, no slab read.", &m.ThinInline)
 	reg.Counter("engine_branch_fat_total", "Queries resolved by the fat O(1) bitmap-probe branch.", &m.FatBranch)
@@ -52,7 +52,7 @@ func (m *EngineMetrics) Register(reg *obs.Registry) {
 // counts bounded queries resolved through the fat-hub relay tables).
 func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 	reg.Counter("dist_engine_queries_total", "Distance queries answered by the distance engine.", &m.Queries)
-	reg.Counter("dist_engine_batches_total", "Batch calls (DistMany and variants).", &m.Batches)
+	reg.Counter("dist_engine_batches_total", "Batch calls (DistMany and served frames).", &m.Batches)
 	reg.Counter("dist_engine_branch_thin_total", "PLL hub-list probes and thin-thin bounded-distance queries.", &m.ThinBranch)
 	reg.Counter("dist_engine_branch_fat_total", "Bounded-distance queries with a fat endpoint (fat-relay only).", &m.FatBranch)
 	reg.Counter("dist_engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)

@@ -19,14 +19,3 @@ func (s *FatThinScheme) EncodeParallel(g *graph.Graph, workers int) (*Labeling, 
 	}
 	return encodeFatThinSlab(s.name, g, tau, workers, s.layout, s.thinEdges)
 }
-
-// EncodeParallel is the sharded-fill counterpart of CompressedScheme.Encode;
-// both the size-plan (which must sort neighbor ids to price the δ-gap
-// encoding) and the fill phase run across workers.
-func (s *CompressedScheme) EncodeParallel(g *graph.Graph, workers int) (*Labeling, error) {
-	tau, err := s.inner.threshold(g)
-	if err != nil {
-		return nil, err
-	}
-	return encodeCompressedSlab(s.Name(), g, tau, workers, s.layout)
-}

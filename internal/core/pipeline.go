@@ -383,8 +383,8 @@ func fillFatThinSlab(plan *slabPlan, g *graph.Graph, a *slabArena, sw *bitstr.Sl
 // encodeCompressedSlab is the pipeline encoder behind CompressedScheme. Its
 // size rule is heavier than the fat/thin one — choosing between fixed-width
 // and δ-gap thin encodings requires the sorted neighbor ids, which it builds
-// as the fill does.
-func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Layout) (*Labeling, error) {
+// as the fill does. Its slab is id-ordered.
+func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int) (*Labeling, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
@@ -394,7 +394,7 @@ func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Lay
 	plan := newSlabPlan(g, tau, w)
 	id, k := plan.id, int32(plan.k)
 	gapFlag := make([]bool, n)
-	a, err := encodeSlab(n, workers, plan.order(lay), func(bitLens []int, lo, hi int) error {
+	a, err := encodeSlab(n, workers, nil, func(bitLens []int, lo, hi int) error {
 		plan.eachLabel(g, nil, lo, hi, func(v int, nbr []int32) {
 			if id[v] < k {
 				bitLens[v] = header + plan.k

@@ -81,8 +81,8 @@ func requireArenaBacked(t *testing.T, pipe *Labeling, lay Layout) {
 	if _, _, ok := pipe.ArenaLayout(); !ok {
 		t.Fatalf("layout %v: pipeline labeling of %d vertices is not arena-backed", lay, pipe.N())
 	}
-	if permuted := pipe.LayoutOrder() != nil; permuted != (lay == LayoutDegree && pipe.N() > 1) {
-		t.Fatalf("layout %v, n = %d: LayoutOrder() = %v", lay, pipe.N(), pipe.LayoutOrder())
+	if _, order, _ := pipe.ArenaLayout(); (order != nil) != (lay == LayoutDegree && pipe.N() > 1) {
+		t.Fatalf("layout %v, n = %d: order = %v", lay, pipe.N(), order)
 	}
 }
 
@@ -178,15 +178,13 @@ func TestPipelineMatchesLegacyCompressed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("legacy encode: %v", err)
 				}
-				for _, lay := range []Layout{LayoutID, LayoutDegree} {
-					for _, workers := range []int{1, 4} {
-						pipe, err := encodeCompressedSlab(s.Name(), g, tau, workers, lay)
-						if err != nil {
-							t.Fatalf("pipeline encode (layout=%v workers=%d): %v", lay, workers, err)
-						}
-						requireLabelsEqual(t, legacy, pipe)
-						requireArenaBacked(t, pipe, lay)
+				for _, workers := range []int{1, 4} {
+					pipe, err := encodeCompressedSlab(s.Name(), g, tau, workers)
+					if err != nil {
+						t.Fatalf("pipeline encode (workers=%d): %v", workers, err)
 					}
+					requireLabelsEqual(t, legacy, pipe)
+					requireArenaBacked(t, pipe, LayoutID)
 				}
 				// The compressed decoder reads the first thin label, so the
 				// scheme always writes the paper's lists, whatever the wrapped
@@ -368,7 +366,7 @@ func TestEncodeSlabEdgeCases(t *testing.T) {
 			return arena{lab.slab, lab.bitLens}, nil
 		},
 		"compressed": func(n, workers int) (arena, error) {
-			lab, err := encodeCompressedSlab("x", gen.Path(n), 2, workers, LayoutDegree)
+			lab, err := encodeCompressedSlab("x", gen.Path(n), 2, workers)
 			if err != nil {
 				return arena{}, err
 			}
@@ -569,7 +567,7 @@ func BenchmarkEncodeCompressedPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeCompressedSlab(s.Name(), g, tau, 0, LayoutID); err != nil {
+		if _, err := encodeCompressedSlab(s.Name(), g, tau, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -297,13 +297,3 @@ func (e *QueryEngine) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
 	done, err := e.AdjacentSpan(pairs, res, &t)
 	return finishMany(&e.engineMetrics, &t, "query", pairs, out, done, err)
 }
-
-// AdjacentManyParallel shards a batch across workers goroutines (workers
-// <= 0 selects GOMAXPROCS) and answers each shard through the batch probe
-// kernel (AdjacentSpan). Results are returned in pair order.
-func (e *QueryEngine) AdjacentManyParallel(pairs [][2]int, out []bool, workers int) ([]bool, error) {
-	if workers = batchWorkers(workers, len(pairs)); workers <= 1 {
-		return e.AdjacentMany(pairs, out)
-	}
-	return manyParallel(&e.engineMetrics, e.AdjacentSpan, "query", pairs, out, workers)
-}

@@ -158,15 +158,15 @@ func TestQueryEngineVertexRange(t *testing.T) {
 	if _, err := eng.AdjacentMany([][2]int{{0, 1}, {0, 99}}, nil); !errors.Is(err, ErrVertexRange) {
 		t.Errorf("AdjacentMany err = %v, want ErrVertexRange", err)
 	}
-	if _, err := eng.AdjacentManyParallel(make([][2]int, 64), nil, 4); err != nil {
+	if _, err := eng.AdjacentMany(make([][2]int, 64), nil); err != nil {
 		// all-zero pairs are valid (0,0) queries
-		t.Errorf("AdjacentManyParallel err = %v", err)
+		t.Errorf("AdjacentMany of (0,0) pairs: err = %v", err)
 	}
 }
 
-// TestQueryEngineBatchDrivers checks the batch and sharded-parallel paths
-// against the single-query path, including result ordering and out-slice
-// reuse, and exercises concurrent use of one engine (run with -race).
+// TestQueryEngineBatchDrivers checks the batch path against the single-query
+// path, including result ordering and out-slice reuse, and exercises
+// concurrent batches over one engine (run with -race).
 func TestQueryEngineBatchDrivers(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(1200, 2.5, 2, 3)
 	if err != nil {
@@ -202,35 +202,36 @@ func TestQueryEngineBatchDrivers(t *testing.T) {
 			t.Fatalf("AdjacentMany[%d] = %v, want %v", i, batch[i], want[i])
 		}
 	}
-	// Concurrent parallel batches over the same shared engine.
+	// Concurrent batches over the same shared engine, each from its own
+	// offset into the pairs.
 	var wg sync.WaitGroup
 	for job := 0; job < 4; job++ {
 		wg.Add(1)
-		go func(workers int) {
+		go func(lo int) {
 			defer wg.Done()
-			out := make([]bool, 0, len(pairs))
-			out, err := eng.AdjacentManyParallel(pairs, out, workers)
+			out, err := eng.AdjacentMany(pairs[lo:], make([]bool, 0, len(pairs)))
 			if err != nil {
-				t.Errorf("parallel(%d): %v", workers, err)
+				t.Errorf("batch from %d: %v", lo, err)
 				return
 			}
-			for i := range want {
-				if out[i] != want[i] {
-					t.Errorf("parallel(%d)[%d] = %v, want %v", workers, i, out[i], want[i])
+			for i := range out {
+				if out[i] != want[lo+i] {
+					t.Errorf("batch from %d: [%d] = %v, want %v", lo, i, out[i], want[lo+i])
 					return
 				}
 			}
-		}(1 + job)
+		}(job * 1000)
 	}
 	wg.Wait()
-	// Reused out slice with spare capacity must not reallocate results.
-	out := make([]bool, 0, len(pairs))
-	out, err = eng.AdjacentManyParallel(pairs, out[:0], 3)
+	// A reused out slice keeps its earlier results and its backing array.
+	out := make([]bool, 1, 1+len(pairs))
+	out[0] = true
+	got, err := eng.AdjacentMany(pairs, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(pairs) {
-		t.Fatalf("parallel out len = %d, want %d", len(out), len(pairs))
+	if len(got) != 1+len(pairs) || !got[0] || &got[0] != &out[0] {
+		t.Fatalf("reused out: len %d (want %d), kept result %v, same array %v", len(got), 1+len(pairs), got[0], &got[0] == &out[0])
 	}
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,29 @@ func TestByID(t *testing.T) {
 	}
 	if len(IDs()) != len(All()) {
 		t.Error("IDs/All length mismatch")
+	}
+}
+
+// TestE8EngineRows: E8 ends with the three engine rows — single queries, one
+// batch, and the batch fanned out over GOMAXPROCS goroutines — at every
+// GOMAXPROCS, the fan-out over more goroutines than one included.
+func TestE8EngineRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		tables, err := E8DecodeThroughput(quickCfg())
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		rows := tables[0].Rows
+		var got []string
+		for _, row := range rows[len(rows)-3:] {
+			got = append(got, row[0])
+		}
+		want := []string{"engine(single)", "engine(batch)", fmt.Sprintf("engine(par=%d)", procs)}
+		if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d: last rows %q, want %q", procs, got, want)
+		}
 	}
 }
 

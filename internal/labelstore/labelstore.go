@@ -196,10 +196,6 @@ func (f *File) ArenaLayout() (slab []byte, bitLens []int, order []int32, ok bool
 	return f.arena, f.bitLens, f.order, f.arena != nil
 }
 
-// LayoutOrder returns the physical layout permutation, or nil when the store
-// is id-ordered.
-func (f *File) LayoutOrder() []int32 { return f.order }
-
 // PermutationOverheadBytes returns the serialized size of a layout
 // permutation block — the header bytes a permuted store carries beyond its
 // id-ordered equivalent (pllabel reports it in its summary line).

@@ -73,9 +73,6 @@ func TestPermutedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.LayoutOrder() == nil {
-				t.Fatal("loaded store lost its layout permutation")
-			}
 			for v := 0; v < g.N(); v++ {
 				want, err := lab.Label(v)
 				if err != nil {
@@ -88,6 +85,9 @@ func TestPermutedRoundTrip(t *testing.T) {
 			slab, bitLens, order, ok := got.ArenaLayout()
 			if !ok {
 				t.Fatal("loaded store is not arena-backed")
+			}
+			if order == nil {
+				t.Fatal("loaded store lost its layout permutation")
 			}
 			eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
 			if err != nil {
@@ -138,7 +138,7 @@ func TestPermutationBlockSpansWriteBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got.LayoutOrder(), order) {
+	if _, _, gotOrder, _ := got.ArenaLayout(); !slices.Equal(gotOrder, order) {
 		t.Fatal("permutation differs after round trip")
 	}
 }
@@ -151,7 +151,7 @@ func TestPermutedStoreArenaHidden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := permutedStore(t, g)
+	f, lab := permutedStore(t, g)
 	_, _, order, ok := f.ArenaLayout()
 	if !ok {
 		t.Fatal("ArenaLayout() should expose the permuted slab")
@@ -159,10 +159,8 @@ func TestPermutedStoreArenaHidden(t *testing.T) {
 	if len(order) != g.N() {
 		t.Fatalf("ArenaLayout() handed out a permuted slab with a %d-entry order, want %d", len(order), g.N())
 	}
-	for r, v := range f.LayoutOrder() {
-		if order[r] != v {
-			t.Fatalf("ArenaLayout() order[%d] = %d, LayoutOrder()[%d] = %d", r, order[r], r, v)
-		}
+	if _, want, _ := lab.ArenaLayout(); !slices.Equal(order, want) {
+		t.Fatal("ArenaLayout() order differs from the encoder's")
 	}
 }
 
@@ -284,7 +282,7 @@ func TestNewPermutedArenaFileValidates(t *testing.T) {
 
 // TestV2WithoutPermutationBackCompat: id-ordered v2 stores carry no
 // permutation block and must keep loading exactly as before the layout
-// extension — LayoutOrder nil, arena exposed by the plain accessor.
+// extension — no order, arena exposed by the plain accessor.
 func TestV2WithoutPermutationBackCompat(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(100, 2.5, 2, 9)
 	if err != nil {
@@ -312,10 +310,11 @@ func TestV2WithoutPermutationBackCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.LayoutOrder() != nil {
+		_, _, order, ok := got.ArenaLayout()
+		if order != nil {
 			t.Fatal("id-ordered store grew a permutation")
 		}
-		if _, _, _, ok := got.ArenaLayout(); !ok {
+		if !ok {
 			t.Fatal("id-ordered v2 store hides its arena")
 		}
 		for v := 0; v < g.N(); v++ {

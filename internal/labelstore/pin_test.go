@@ -152,14 +152,16 @@ func pinStores(t *testing.T) (got, content map[string]string) {
 			s.SetLayout(lay)
 			return s.EncodeParallel(g, 0)
 		},
-		"compressed": func(lay core.Layout) (*core.Labeling, error) {
-			s := core.NewCompressedScheme(core.NewPowerLawScheme(2.5))
-			s.SetLayout(lay)
-			return s.EncodeParallel(g, 0)
+		// The compressed scheme has one layout, id order.
+		"compressed": func(core.Layout) (*core.Labeling, error) {
+			return core.NewCompressedScheme(core.NewPowerLawScheme(2.5)).Encode(g)
 		},
 	}
 	for name, encode := range adj {
 		for _, lay := range pinLayouts {
+			if name == "compressed" && lay != core.LayoutID {
+				continue
+			}
 			lab, err := encode(lay)
 			if err != nil {
 				t.Fatal(err)
@@ -320,7 +322,6 @@ func TestStoreVersion2Refused(t *testing.T) {
 var pinnedContentShas = map[string]string{
 	"bdist/degree/whole":                "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
 	"bdist/id/whole":                    "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
-	"compressed/degree/whole":           "be326621efc23f4fd2471342494c9457b10744a97139f9a3d9347697fe3baa7f",
 	"compressed/id/whole":               "be326621efc23f4fd2471342494c9457b10744a97139f9a3d9347697fe3baa7f",
 	"fatthin-once/degree/hash2/arena0":  "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
 	"fatthin-once/degree/hash2/arena1":  "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
@@ -376,7 +377,6 @@ var pinnedContentShas = map[string]string{
 var pinnedStoreShas = map[string]string{
 	"bdist/degree/whole":                "ee325e9c37c084c7945a508b7a30803245f0cf6621a0aad7b2865183faa6a986",
 	"bdist/id/whole":                    "40797be4dcf483f893a31fa083f9352ce56d3004a14ff7c16b8918467310bbf2",
-	"compressed/degree/whole":           "14976e867dce4ad9fc74b303fcde8309ff2d80160651e5139af36c73e64c0d27",
 	"compressed/id/whole":               "38b213c520e4a65953a7253ca15eff2c37a0eedc57639e492412f32e68b5ec29",
 	"fatthin-once/degree/hash2/arena0":  "9190b95c1d645197b1df1c973b4cc3f2580d7f6be1e0f0ddd644aa29fc46782e",
 	"fatthin-once/degree/hash2/arena1":  "1f08e1ad0172f94eb991ac02b55ca530ba4ed57fe13cdb6851118195974e7b44",

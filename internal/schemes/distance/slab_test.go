@@ -140,8 +140,8 @@ func TestDistEngineMatchesLegacyBounded(t *testing.T) {
 	}
 }
 
-// TestDistEngineBatchesMatchSingle pins DistMany and DistManyParallel to the
-// single-query path, result cache on and off.
+// TestDistEngineBatchesMatchSingle pins DistMany to the single-query path,
+// result cache on and off.
 func TestDistEngineBatchesMatchSingle(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(400, 2.5, 3, 23)
 	if err != nil {
@@ -199,8 +199,6 @@ func TestDistEngineBatchesMatchSingle(t *testing.T) {
 			}
 			got, err := eng.DistMany(pairs, nil)
 			check("DistMany", got, err)
-			got, err = eng.DistManyParallel(pairs, nil, 4)
-			check("DistManyParallel", got, err)
 		}
 	}
 }

@@ -109,7 +109,7 @@ serve_pid=""
 
 
 echo "== tracing: 3-shard fleet behind plserve -shards, sampled end-to-end attribution"
-"$work/bin/pllabel" -scheme powerlaw -layout degree -in "$work/graph.el" \
+"$work/bin/pllabel" -scheme powerlaw -in "$work/graph.el" \
     -o "$work/labels-sh.pllb" -shards 3 >"$work/label-sh.log"
 shard_addrs=""
 shard_pids=""

@@ -16,9 +16,11 @@ echo "== build"
 mkdir -p "$work/bin"
 go build -o "$work/bin" ./cmd/plgen ./cmd/pllabel ./cmd/plserve ./cmd/plquery
 
-echo "== generate + label"
+echo "== generate + label (pllabel writes the degree-ordered layout)"
 "$work/bin/plgen" -model chunglu -n 5000 -alpha 2.5 -wmin 2 -seed 7 -o "$work/graph.el"
-"$work/bin/pllabel" -scheme powerlaw -in "$work/graph.el" -o "$work/labels.pllb"
+"$work/bin/pllabel" -scheme powerlaw -in "$work/graph.el" -o "$work/labels.pllb" >"$work/label.log"
+grep -q "layout: degree-ordered" "$work/label.log" \
+    || { echo "pllabel did not report the degree layout"; cat "$work/label.log"; exit 1; }
 
 echo "== serve (port 0 = kernel-assigned, admin plane on)"
 "$work/bin/plserve" -labels "$work/labels.pllb" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 >"$work/serve.log" 2>&1 &
@@ -35,6 +37,8 @@ done
 [ -n "$addr" ] || { cat "$work/serve.log"; echo "plserve never became ready"; exit 1; }
 admin=$(sed -n 's/.*msg=admin addr=//p' "$work/serve.log")
 [ -n "$admin" ] || { cat "$work/serve.log"; echo "no admin address line"; exit 1; }
+grep -q "layout=degree" "$work/serve.log" \
+    || { echo "plserve did not report layout=degree"; cat "$work/serve.log"; exit 1; }
 echo "   plserve up at $addr, admin at $admin (pid $serve_pid)"
 
 echo "== admin: health + readiness"
@@ -80,34 +84,8 @@ grep -q "draining" "$work/serve.log" || { echo "no drain line in log"; cat "$wor
 grep -q "served" "$work/serve.log" || { echo "no serve summary in log"; cat "$work/serve.log"; exit 1; }
 serve_pid=""
 
-echo "== skew phase: degree-ordered store"
-"$work/bin/pllabel" -scheme powerlaw -layout degree -in "$work/graph.el" -o "$work/labels-deg.pllb" >"$work/label-deg.log"
-grep -q "layout: degree-ordered" "$work/label-deg.log" \
-    || { echo "pllabel did not report the degree layout"; cat "$work/label-deg.log"; exit 1; }
-"$work/bin/plserve" -labels "$work/labels-deg.pllb" -addr 127.0.0.1:0 >"$work/serve-deg.log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/.*msg=listening addr=//p' "$work/serve-deg.log")
-    [ -n "$addr" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$work/serve-deg.log"; echo "plserve (degree) died"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { cat "$work/serve-deg.log"; echo "plserve (degree) never became ready"; exit 1; }
-grep -q "layout=degree" "$work/serve-deg.log" \
-    || { echo "plserve did not report layout=degree"; cat "$work/serve-deg.log"; exit 1; }
-
-echo "== query: degree-ordered remote vs id-ordered local must be byte-identical"
-"$work/bin/plquery" -remote "$addr" -batch <"$work/pairs.txt" >"$work/remote-deg.out"
-diff "$work/local.out" "$work/remote-deg.out"
-echo "   answers identical across layouts"
-
-kill -TERM "$serve_pid"
-wait "$serve_pid" || { echo "plserve (degree) exited non-zero"; cat "$work/serve-deg.log"; exit 1; }
-serve_pid=""
-
 echo "== sharded phase: 3 shard stores, 3 servers, one router"
-"$work/bin/pllabel" -scheme powerlaw -layout degree -in "$work/graph.el" \
+"$work/bin/pllabel" -scheme powerlaw -in "$work/graph.el" \
     -o "$work/labels-sh.pllb" -shards 3 >"$work/label-sh.log"
 grep -c "shard store written" "$work/label-sh.log" | grep -qx 3 \
     || { echo "expected 3 shard stores"; cat "$work/label-sh.log"; exit 1; }
@@ -187,7 +165,7 @@ for p in $shard_pids; do wait "$p" || { echo "shard server $p exited non-zero"; 
 shard_pids=""
 
 echo "== distance phase: dist-pll store, distance daemon, replica fleet"
-"$work/bin/pllabel" -scheme dist-pll -layout degree -in "$work/graph.el" \
+"$work/bin/pllabel" -scheme dist-pll -in "$work/graph.el" \
     -o "$work/dists.pllb" >"$work/label-dist.log"
 grep -q "verify: ok" "$work/label-dist.log" \
     || { echo "distance labeling failed verification"; cat "$work/label-dist.log"; exit 1; }
