@@ -117,8 +117,12 @@ func NewClient(addr string) *Client { return &Client{addr: addr} }
 // Dial connects to an adjacency server eagerly, returning the first
 // connection error (after the client's bounded retry policy) instead of
 // deferring it to the first call.
-func Dial(addr string) (*Client, error) {
+func Dial(addr string) (*Client, error) { return dialWith(addr, nil) }
+
+// dialWith is Dial with DialFunc set to dial before the first connection.
+func dialWith(addr string, dial func(string) (net.Conn, error)) (*Client, error) {
 	c := NewClient(addr)
+	c.DialFunc = dial
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.ensureConn(); err != nil {

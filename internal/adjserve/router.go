@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -106,7 +107,11 @@ const upstreamLanes = 4
 // maxBatch caps pairs per downstream frame (<= 0 selects DefaultMaxBatch);
 // upstream sub-batches are never larger, so upstream servers need an equal
 // or larger limit.
-func NewRouter(addrs []string, maxBatch int) (*Router, error) {
+func NewRouter(addrs []string, maxBatch int) (*Router, error) { return newRouter(addrs, maxBatch, nil) }
+
+// newRouter is NewRouter with every upstream connection, every lane's, made
+// by dial (nil dials TCP): the fuzz target runs a fleet over in-memory pipes.
+func newRouter(addrs []string, maxBatch int, dial func(string) (net.Conn, error)) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("adjserve: router needs at least one shard address")
 	}
@@ -119,7 +124,7 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 	}
 	r := &Router{maxBatch: maxBatch}
 	r.lanes[0] = make([]*Client, len(addrs))
-	if err := r.handshake(addrs); err != nil {
+	if err := r.handshake(addrs, dial); err != nil {
 		r.closeClients()
 		return nil, err
 	}
@@ -128,6 +133,7 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 		for s, c := range r.lanes[0] {
 			r.lanes[l][s] = NewClient(c.addr)
 			r.lanes[l][s].MaxBatch = maxBatch
+			r.lanes[l][s].DialFunc = dial
 		}
 	}
 	r.metrics.Upstreams = make([]UpstreamMetrics, len(addrs))
@@ -137,7 +143,7 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 
 // handshake dials every address, performs the shard-info handshake, and
 // admits the fleet as a partition or a replica fleet (see NewRouter).
-func (r *Router) handshake(addrs []string) error {
+func (r *Router) handshake(addrs []string, dial func(string) (net.Conn, error)) error {
 	// One goroutine per upstream: each builds (once) and sends a block that is
 	// megabytes at serving scale, and nothing orders one against another.
 	infos := make([]*ShardInfo, len(addrs))
@@ -147,7 +153,7 @@ func (r *Router) handshake(addrs []string) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dialWith(addr, dial)
 			if err != nil {
 				errs[i] = fmt.Errorf("adjserve: router: shard %s: %w", addr, err)
 				return

@@ -13,36 +13,46 @@ import (
 )
 
 // TestRefDistIgnoresHubTable: the reference walk reads the slab, not the
-// hub table the kernel reads, so a corrupted table entry shows up as a
-// disagreement on the one pair whose only common hub it is. Were the
-// reference to read the table too, the kernel tests would compare the table
-// with itself.
+// hub records the kernel reads, so a corrupted head distance or tail entry
+// shows up as a disagreement on the one pair whose only common hub it is.
+// Were the reference to read the records too, the kernel tests would
+// compare the records with themselves.
 func TestRefDistIgnoresHubTable(t *testing.T) {
-	entries := [][]core.DistEntry{
-		{{ID: 0, D: 0}, {ID: 3, D: 2}},
-		{{ID: 1, D: 0}, {ID: 3, D: 1}},
-		{{ID: 2, D: 0}},
-		{{ID: 3, D: 0}},
-	}
-	for _, order := range [][]int32{nil, {3, 1, 0, 2}} {
-		arena, err := core.EncodePLLArena(entries, 2, order, 1)
+	// Vertices 0 and 1 meet only at hub 3, in the head; vertices 2 and 3 only
+	// at hub 300, in the tail.
+	entries := make([][]core.DistEntry, 320)
+	entries[0] = []core.DistEntry{{ID: 0, D: 0}, {ID: 3, D: 2}}
+	entries[1] = []core.DistEntry{{ID: 1, D: 0}, {ID: 3, D: 1}}
+	entries[2] = []core.DistEntry{{ID: 2, D: 0}, {ID: 300, D: 2}, {ID: 310, D: 1}}
+	entries[3] = []core.DistEntry{{ID: 3, D: 0}, {ID: 300, D: 1}}
+	for _, order := range [][]int32{nil, reversedOrder(len(entries))} {
+		arena, err := core.EncodePLLArena(entries, 9, order, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng, rd := buildWithRef(t, arena.Slab, arena)
-		for _, p := range [][2]int{{0, 1}, {1, 0}} {
-			got, _ := eng.Dist(p[0], p[1])
-			want, err := rd.Dist(p[0], p[1])
-			if err != nil || got != 3 || want != 3 {
-				t.Fatalf("order %v: before corruption Dist%v = %d, reference %d (%v); want 3", order, p, got, want, err)
+		for _, tc := range []struct {
+			where string
+			v, j  int // the entry corrupted: vertex v's j-th hub
+			pair  [2]int
+		}{
+			{"head distance", 0, 1, [2]int{0, 1}}, // vertex 0's hub 3: distance 2 → 7
+			{"tail entry", 2, 1, [2]int{2, 3}},    // vertex 2's hub 300: distance 2 → 7
+		} {
+			for _, p := range [][2]int{tc.pair, {tc.pair[1], tc.pair[0]}} {
+				got, _ := eng.Dist(p[0], p[1])
+				want, err := rd.Dist(p[0], p[1])
+				if err != nil || got != 3 || want != 3 {
+					t.Fatalf("order %v: before corrupting a %s Dist%v = %d, reference %d (%v); want 3", order != nil, tc.where, p, got, want, err)
+				}
 			}
-		}
-		eng.CorruptHub(0, 1, 7) // vertex 0's entry for hub 3: distance 2 → 7
-		for _, p := range [][2]int{{0, 1}, {1, 0}} {
-			got, _ := eng.Dist(p[0], p[1])
-			want, err := rd.Dist(p[0], p[1])
-			if err != nil || got != 8 || want != 3 {
-				t.Fatalf("order %v: after corrupting the table Dist%v = %d, reference %d (%v); want 8 and 3", order, p, got, want, err)
+			eng.CorruptHub(tc.v, tc.j, 7)
+			for _, p := range [][2]int{tc.pair, {tc.pair[1], tc.pair[0]}} {
+				got, _ := eng.Dist(p[0], p[1])
+				want, err := rd.Dist(p[0], p[1])
+				if err != nil || got != 8 || want != 3 {
+					t.Fatalf("order %v: after corrupting a %s Dist%v = %d, reference %d (%v); want 8 and 3", order != nil, tc.where, p, got, want, err)
+				}
 			}
 		}
 	}
@@ -68,10 +78,11 @@ func allocatedBytes(fn func()) uint64 {
 // declares the largest entry count its body bits allow — each entry at its
 // 1 + dw bit minimum — over bodies that decode to no valid entry list. The
 // build fails with ErrBadLabel, and what it allocates on the way (the hub
-// table sized by those counts, the meta table) stays within
-// 64/(1+dw) × the slab's bytes plus 16 bytes per label: a hostile store
-// cannot make construction allocate more than a fixed multiple of itself.
-// One entry more than the bound is refused before any hub table exists.
+// records sized by those counts, their offsets) stays within 64/(1+dw) ×
+// the slab's bytes — at most one 8-byte word per entry — plus a record's
+// fixed bytes per label: a hostile store cannot make construction allocate
+// more than a fixed multiple of itself. One entry more than the bound is
+// refused before any record exists.
 func TestDistEngineHostileCountsAllocateBounded(t *testing.T) {
 	const n = 1 << 10
 	const header = 10 + 11 // w + wCnt for n = 2^10
@@ -99,12 +110,19 @@ func TestDistEngineHostileCountsAllocateBounded(t *testing.T) {
 		for _, words := range []int{1, 4, 33} {
 			cnt := (words*64 - header) / (1 + dw)
 			got, slabBytes := build(dw, words, cnt)
-			if limit := uint64(64*slabBytes/(1+dw) + 16*n); got > limit {
+			// A record's fixed bytes: its 4-byte offset, the id and tail-count
+			// words, the 256-bit bitmap and at most one word of head padding,
+			// in 32-bit words when dw <= 8 (w = 10), else 64-bit ones.
+			word := 4
+			if dw > 8 {
+				word = 8
+			}
+			if limit := uint64(64*slabBytes/(1+dw) + (4+3*word+32)*n); got > limit {
 				t.Errorf("dw=%d, %d-word labels declaring %d entries: construction allocated %d bytes over a %d-byte slab; want <= %d",
 					dw, words, cnt, got, slabBytes, limit)
 			}
 			if got, _ := build(dw, words, cnt+1); got > 16*n+4<<10 {
-				t.Errorf("dw=%d, %d-word labels declaring %d entries, one past the bound: construction allocated %d bytes; want the meta table and no hub table",
+				t.Errorf("dw=%d, %d-word labels declaring %d entries, one past the bound: construction allocated %d bytes; want the record offsets and no records",
 					dw, words, cnt+1, got)
 			}
 		}
@@ -113,9 +131,9 @@ func TestDistEngineHostileCountsAllocateBounded(t *testing.T) {
 
 // BenchmarkDistEngineBuild builds a PLL engine over a degree-ordered arena at
 // n = 2^14. CI holds its B/op under a ceiling (scripts/alloc_ceiling_gate.sh)
-// of the exact meta table (16 B per label) plus the exact hub table (8 B per
-// entry; 731 648 entries on this graph) plus 5 %: a table grown by append, or
-// a second copy of it, fails it.
+// of the exact hub records and their offsets (HubTableBytes, 2 337 268 bytes
+// on this graph) plus 5 %: a table grown by append, a second copy of it, or
+// the 8-byte-per-entry table it replaced (5 853 184 bytes) fails it.
 func BenchmarkDistEngineBuild(b *testing.B) {
 	g, err := gen.ChungLuPowerLaw(1<<14, 2.5, 2, 1)
 	if err != nil {

@@ -11,20 +11,20 @@ import (
 )
 
 // DistEngine is the distance-plane counterpart of QueryEngine: built once
-// over a DistArena (or a distance label store), it pre-parses
-// every label's header into the same packed 16-byte vertexMeta records and
-// answers Dist(u, v) with no Reader, no re-parsing and zero heap
-// allocations on the hot path.
+// over a DistArena (or a distance label store), it answers Dist(u, v) with
+// no Reader, no re-parsing and zero heap allocations on the hot path.
 //
 // Two kernels, selected by the arena's DistKind:
 //
-//   - DistPLL: a min-sum over the hubs the two sorted hub lists share,
-//     found by scattering the shorter list into a rank-indexed scratch and
-//     probing it with the longer (distPLL). Construction decodes every
-//     label's δ-gap hub ranks and fixed-width distances once into one table
-//     of rank<<32|dist words (hubs), so a query reads that table and never
-//     the slab. Answers match distance.PLLDecoder.Dist bit for bit;
-//     unreachable pairs return -1 (graph.Unreachable).
+//   - DistPLL: a min-sum over the hubs the two sorted hub lists share.
+//     Construction decodes every label's δ-gap hub ranks and fixed-width
+//     distances once into one compact hub record per vertex (hubRecords): a
+//     bitmap over the pllHeadHubs top-ranked hubs with their distances, then
+//     the rest of the list as rank<<dw|dist words. A query ANDs the two
+//     bitmaps and scatters only the shorter tail into a rank-indexed scratch
+//     to probe it with the longer (hubRecords.probe); it never reads the
+//     slab. Answers match distance.PLLDecoder.Dist bit for bit; unreachable
+//     pairs return -1 (graph.Unreachable).
 //   - DistBounded: Lemma 7's decode straight from the slab —
 //     the minimum over fat-hub relays (both fixed-width fat tables walked in
 //     lockstep with the legacy early-out) plus, for thin-thin pairs, a
@@ -33,7 +33,7 @@ import (
 //
 // Every label is fully validated at construction — entry lists must stay in
 // bounds, strictly sorted, and tile their label exactly — so the hot path
-// never errors and never reads outside the slab or the table on any engine
+// never errors and never reads outside the slab or the records on any engine
 // that construction accepted (FuzzDistEngineHeaders leans on exactly this).
 // Like QueryEngine, a DistEngine is immutable after construction and safe
 // for concurrent use; metrics and the result cache attach before sharing.
@@ -45,16 +45,17 @@ type DistEngine struct {
 	dw   int // distance field width
 	f    int // bdist bound
 	nFat int // bdist fat-table width
-	// meta reuses QueryEngine's packed header record: word packs
-	// id<<32 | cnt<<1 | fat with cnt the entry count (pll: hub entries;
-	// bdist: thin-list entries). off is, for bdist, the slab bit offset of
-	// the label body (the fat table) and, for pll, the index of the
-	// vertex's first entry in hubs.
+	// meta reuses QueryEngine's packed header record for a bdist engine:
+	// word packs id<<32 | cnt<<1 | fat with cnt the thin-list entry count,
+	// and off is the slab bit offset of the label body (the fat table). A
+	// PLL engine has none: its ids live in its hub records.
 	meta []vertexMeta
 	slab []byte
-	// hubs holds every PLL label's entries as rank<<32 | dist, label after
-	// label in slab order; nil for bdist.
-	hubs []uint64
+	// A PLL engine's hub records, in 32-bit words when a tail entry
+	// rank<<dw|dist fits 32 bits and in 64-bit words otherwise; exactly one
+	// is set, both are nil for bdist.
+	pll32 *hubRecords[uint32]
+	pll64 *hubRecords[uint64]
 	// scratch pools the PLL queries' rank scratches (*rankScratch); bdist
 	// engines never take one.
 	scratch sync.Pool
@@ -84,8 +85,7 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if err := p.Validate(n); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
-	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, f: p.F, nFat: p.NFat, slab: slab,
-		meta: make([]vertexMeta, n)}
+	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, f: p.F, nFat: p.NFat, slab: slab}
 	if p.Kind == DistPLL {
 		e.w, e.wCnt, _ = pllWidths(n, 0)
 	} else {
@@ -94,95 +94,243 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if e.w > 32 {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, e.w)
 	}
+	if e.kind == DistPLL {
+		return e, e.buildPLL(bitLens, order)
+	}
+	e.meta = make([]vertexMeta, n)
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
-	entries := 0
 	for walk.Next() {
 		v, off := walk.Label()
-		var err error
-		if e.kind == DistPLL {
-			var cnt int
-			cnt, err = e.pllHeader(v, off, int64(bitLens[v]))
-			entries += cnt
-		} else {
-			err = e.validateBounded(v, off, int64(bitLens[v]))
-		}
-		if err != nil {
+		if err := e.validateBounded(v, off, int64(bitLens[v])); err != nil {
 			return nil, err
 		}
 	}
 	if err := walk.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
-	if e.kind == DistPLL {
-		if err := e.decodePLL(bitLens, order, entries); err != nil {
-			return nil, err
-		}
-		e.scratch.New = func() any { return &rankScratch{slot: make([]uint32, n)} }
-	}
 	return e, nil
 }
 
-// pllHeader parses the header of label v at slab bit off spanning lbits
-// bits into e.meta[v], with off the slab bit offset of its first entry, and
-// returns the entry count. A well-formed entry is at least 1 (delta0 of gap
-// 0) + dw bits, so a count beyond that bound cannot tile the label; refusing
-// it here bounds the hub table decodePLL allocates by the slab's size.
-func (e *DistEngine) pllHeader(v int, off, lbits int64) (int, error) {
-	header := int64(e.w + e.wCnt)
-	if lbits < header {
-		return 0, fmt.Errorf("%w: pll label %d has %d bits, header needs %d", ErrBadLabel, v, lbits, header)
-	}
-	id := bitstr.SlabReadBits(e.slab, off, e.w)
-	cnt := bitstr.SlabReadBits(e.slab, off+int64(e.w), e.wCnt)
-	if cnt > uint64(lbits-header)/uint64(1+e.dw) || cnt > 1<<31-1 {
-		return 0, fmt.Errorf("%w: pll label %d declares %d entries in %d body bits", ErrBadLabel, v, cnt, lbits-header)
-	}
-	e.meta[v] = vertexMeta{off: off + header, word: id<<32 | cnt<<1}
-	return int(cnt), nil
+// pllHeadHubs is how many top-ranked hubs a PLL hub record keeps as a bitmap
+// with distances only: in a power-law graph most hub entries, and almost
+// every pair's nearest common hub, sit in this head (DESIGN, PLL query
+// kernel).
+const pllHeadHubs = 256
+
+// hubWord is the word a PLL engine's hub records are made of.
+type hubWord interface{ ~uint32 | ~uint64 }
+
+// hubRecords holds every PLL label's decoded hub list, one record per
+// vertex, record after record in slab order:
+//
+//	[tail] [id] [tail count] [bitmap: pllHeadHubs bits] [head distances]
+//
+// with off pointing at the id. The tail is every hub of rank pllHeadHubs and
+// above, one rank<<dw | dist word each, ascending; the bitmap marks the
+// vertex's hubs of rank below pllHeadHubs, bit r for rank r, low bits of
+// low words first; the head distances follow in rank order, one byte each in 32-bit records
+// and 32 bits each in 64-bit ones (headLog), the last word zero-padded. A
+// head distance never straddles a word and its width is a constant of the
+// instantiation, so a read is one load and one shift. The tail sits before
+// the header so that both parts start at offsets the header gives, with no
+// count of the bitmap's bits, and the head distances share the bitmap's
+// cache lines.
+type hubRecords[T hubWord] struct {
+	off   []uint32 // the id word of vertex v's record
+	words []T
+	dw    uint // distance field width
 }
 
-// decodePLL allocates the hub table once, at its exact size of entries, and
-// decodes every label into it in slab order, walking every δ-coded entry:
-// ranks must be strictly increasing vertex ranks and the entries must tile
-// the label exactly. Each label's meta off moves from its slab offset to
-// its first index in the table.
-func (e *DistEngine) decodePLL(bitLens []int, order []int32, entries int) error {
-	e.hubs = make([]uint64, entries)
-	header := int64(e.w + e.wCnt)
-	next := int64(0)
-	for r := range bitLens {
-		v := r
-		if order != nil {
-			v = int(order[r])
-		}
-		m := &e.meta[v]
-		pos := m.off
-		end := pos - header + int64(bitLens[v])
-		list := e.hubs[next : next+m.cnt()]
-		rank := uint64(0)
-		for i := range list {
-			gap, wd, ok := slabReadDeltaChecked(e.slab, pos, end)
-			if !ok {
-				return fmt.Errorf("%w: pll label %d entry %d: bad rank gap code", ErrBadLabel, v, i)
-			}
-			rank += gap
-			if rank >= uint64(e.n) || (i > 0 && gap == 0) {
-				return fmt.Errorf("%w: pll label %d entry %d: rank %d of %d", ErrBadLabel, v, i, rank, e.n)
-			}
-			pos += wd
-			if pos+int64(e.dw) > end {
-				return fmt.Errorf("%w: pll label %d entry %d: distance past label end", ErrBadLabel, v, i)
-			}
-			list[i] = rank<<32 | bitstr.SlabReadBits(e.slab, pos, e.dw)
-			pos += int64(e.dw)
-		}
-		if pos != end {
-			return fmt.Errorf("%w: pll label %d: %d trailing bits after %d entries", ErrBadLabel, v, end-pos, len(list))
-		}
-		m.off = next
-		next += int64(len(list))
+// pllCursor walks one PLL label's δ-coded entries with every read checked
+// against the label's end: ranks must be strictly increasing and below n.
+type pllCursor struct {
+	slab     []byte
+	pos, end int64
+	v, i     int
+	rank, n  uint64
+	dw       int
+}
+
+// next decodes the cursor's next entry; ok is false, and the cursor stays
+// on the entry for err to describe, if it is malformed.
+func (c *pllCursor) next() (rank, dist uint64, ok bool) {
+	buf, avail := slabWindow(c.slab, c.pos, c.end)
+	gap, wd, ok := deltaChecked(buf, avail)
+	rank = c.rank + gap
+	dw := int64(c.dw)
+	if !ok || rank >= c.n || (c.i > 0 && gap == 0) || wd+dw > avail {
+		return 0, 0, false
 	}
-	return nil
+	if wd+dw <= 64 {
+		dist = buf << uint(wd) >> uint(64-dw) // the code's window holds it
+	} else {
+		dist = bitstr.SlabReadBits(c.slab, c.pos+wd, c.dw)
+	}
+	c.rank, c.pos, c.i = rank, c.pos+wd+dw, c.i+1
+	return rank, dist, true
+}
+
+// err describes the malformed entry next refused.
+func (c *pllCursor) err() error {
+	gap, _, ok := slabReadDeltaChecked(c.slab, c.pos, c.end)
+	switch rank := c.rank + gap; {
+	case !ok:
+		return fmt.Errorf("%w: pll label %d entry %d: bad rank gap code", ErrBadLabel, c.v, c.i)
+	case rank >= c.n || (c.i > 0 && gap == 0):
+		return fmt.Errorf("%w: pll label %d entry %d: rank %d of %d", ErrBadLabel, c.v, c.i, rank, c.n)
+	default:
+		return fmt.Errorf("%w: pll label %d entry %d: distance past label end", ErrBadLabel, c.v, c.i)
+	}
+}
+
+// pllLabel parses the header of label v at slab bit off spanning lbits bits
+// and returns its id, its entry count and a cursor at its first entry. A
+// well-formed entry is at least 1 (delta0 of gap 0) + dw bits, so a count
+// beyond that bound cannot tile the label; refusing it here bounds the
+// records buildPLL allocates by the slab's size.
+func (e *DistEngine) pllLabel(v int, off int64, lbits int) (id uint64, cnt int, c pllCursor, err error) {
+	header := int64(e.w + e.wCnt)
+	if int64(lbits) < header {
+		return 0, 0, c, fmt.Errorf("%w: pll label %d has %d bits, header needs %d", ErrBadLabel, v, lbits, header)
+	}
+	id = bitstr.SlabReadBits(e.slab, off, e.w)
+	n := bitstr.SlabReadBits(e.slab, off+int64(e.w), e.wCnt)
+	if body := int64(lbits) - header; n > uint64(body)/uint64(1+e.dw) || n > 1<<31-1 {
+		return 0, 0, c, fmt.Errorf("%w: pll label %d declares %d entries in %d body bits", ErrBadLabel, v, n, body)
+	}
+	c = pllCursor{slab: e.slab, pos: off + header, end: off + int64(lbits), v: v, n: uint64(e.n), dw: e.dw}
+	return id, int(n), c, nil
+}
+
+// buildPLL builds the engine's hub records: in 32-bit words when a tail
+// entry fits one and a distance fits a byte (headLog), else in 64-bit ones.
+func (e *DistEngine) buildPLL(bitLens []int, order []int32) (err error) {
+	if e.w+e.dw <= 32 && e.dw <= 8 {
+		e.pll32, err = buildRecords[uint32](e, bitLens, order)
+	} else {
+		e.pll64, err = buildRecords[uint64](e, bitLens, order)
+	}
+	n := e.n
+	e.scratch.New = func() any { return &rankScratch{slot: make([]uint32, n)} }
+	return err
+}
+
+// buildRecords decodes the slab into hub records in two walks: the first
+// parses every header and decodes each label's head, which sizes its
+// record; the second — over the one allocation of exactly the records'
+// words — decodes every entry into them. Every read is checked, so a
+// malformed label errors in one walk or the other.
+func buildRecords[T hubWord](e *DistEngine, bitLens []int, order []int32) (*hubRecords[T], error) {
+	lg, hl := wordLog[T](), headLog[T]()
+	off := make([]uint32, e.n)
+	total := uint64(0)
+	walk := bitstr.NewSlabWalk(len(e.slab), bitLens, order)
+	for walk.Next() {
+		v, pos := walk.Label()
+		_, cnt, c, err := e.pllLabel(v, pos, bitLens[v])
+		if err != nil {
+			return nil, err
+		}
+		// Ranks ascend: the head ends at the first tail entry.
+		head := 0
+		for head < cnt {
+			rank, _, ok := c.next()
+			if !ok {
+				return nil, c.err()
+			}
+			if rank >= pllHeadHubs {
+				break
+			}
+			head++
+		}
+		tail := cnt - head
+		if total+uint64(tail) >= 1<<32 {
+			return nil, fmt.Errorf("%w: pll hub records past 2^32 words", ErrBadLabel)
+		}
+		off[v] = uint32(total) + uint32(tail)
+		total += uint64(tail + 2 + pllHeadHubs>>lg + (head<<hl+1<<lg-1)>>lg)
+	}
+	if err := walk.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
+	}
+	h := &hubRecords[T]{off: off, words: make([]T, total), dw: uint(e.dw)}
+	return h, fillRecords(e, h, bitLens, order)
+}
+
+// fillRecords is buildRecords' second walk: it decodes every label again into
+// its record in h, checking what the first walk did not read — the tail
+// past its first entry and the label's exact end.
+func fillRecords[T hubWord](e *DistEngine, h *hubRecords[T], bitLens []int, order []int32) error {
+	lg := wordLog[T]()
+	bw := pllHeadHubs >> lg
+	walk := bitstr.NewSlabWalk(len(e.slab), bitLens, order)
+	for walk.Next() {
+		v, pos := walk.Label()
+		id, cnt, c, err := e.pllLabel(v, pos, bitLens[v])
+		if err != nil {
+			return err
+		}
+		rec := h.words[h.off[v]:]
+		rec[0] = T(id)
+		dists := rec[2+bw:]
+		head := 0
+		for i := range cnt {
+			rank, dist, ok := c.next()
+			if !ok {
+				return c.err()
+			}
+			if rank < pllHeadHubs {
+				rec[2+rank>>lg] |= 1 << (rank & (1<<lg - 1))
+				setHead(dists, uint(head), dist)
+				head++
+				continue
+			}
+			// Ranks ascend, so the head is complete at the first tail entry.
+			h.words[int(h.off[v])-(cnt-i)] = T(rank<<h.dw | dist)
+		}
+		if c.pos != c.end {
+			return fmt.Errorf("%w: pll label %d: %d trailing bits after %d entries", ErrBadLabel, v, c.end-c.pos, cnt)
+		}
+		rec[1] = T(cnt - head)
+	}
+	return walk.Err()
+}
+
+// wordLog is log2 of T's width in bits, a constant in each instantiation.
+func wordLog[T hubWord]() uint {
+	if uint64(^T(0)) > 1<<32-1 {
+		return 6
+	}
+	return 5
+}
+
+// bitmapWord returns bits 64k to 64k+63 of a record's head bitmap m.
+func bitmapWord[T hubWord](m []T, k int) uint64 {
+	if wordLog[T]() == 6 {
+		return uint64(m[k])
+	}
+	return uint64(m[2*k]) | uint64(m[2*k+1])<<32
+}
+
+// headLog is log2 of a head distance's width in bits: a byte in 32-bit
+// records, which buildPLL picks only for distances of at most 8 bits, 32
+// bits in 64-bit ones.
+func headLog[T hubWord]() uint { return 2*wordLog[T]() - 7 }
+
+// setHead overwrites head distance i in dists.
+func setHead[T hubWord](dists []T, i uint, val uint64) {
+	p := i << headLog[T]()
+	k, sh := p>>wordLog[T](), p&(1<<wordLog[T]()-1)
+	mask := uint64(1)<<(1<<headLog[T]()) - 1
+	dists[k] = dists[k]&^T(mask<<sh) | T(val<<sh)
+}
+
+// headDist reads head distance i in dists: one load, one shift.
+func headDist[T hubWord](dists []T, i uint) uint64 {
+	if wordLog[T]() == 5 {
+		return uint64(dists[i>>2] >> (i & 3 << 3) & 0xff)
+	}
+	return uint64(dists[i>>1] >> (i & 1 << 5) & (1<<32 - 1))
 }
 
 // validateBounded checks a Lemma 7 label: exact fat length, thin list
@@ -239,19 +387,27 @@ func (e *DistEngine) validateBounded(v int, off, lbits int64) error {
 // read at or past bit end: it returns the decoded value, the code width in
 // bits, and ok=false for any code that is malformed, oversized (values are
 // vertex ranks, so 32 bits at most), or runs past end. Used only at
-// construction: queries read the decoded hub table.
+// construction: queries read the decoded hub records.
 func slabReadDeltaChecked(slab []byte, pos, end int64) (val uint64, width int64, ok bool) {
-	avail := end - pos
+	buf, avail := slabWindow(slab, pos, end)
+	return deltaChecked(buf, avail)
+}
+
+// slabWindow returns the (at most 64) bits from pos up to end, most
+// significant first and left-aligned, and how many bits lie before end.
+func slabWindow(slab []byte, pos, end int64) (buf uint64, avail int64) {
+	avail = end - pos
+	if avail <= 0 {
+		return 0, avail
+	}
+	peek := min(avail, 64)
+	return bitstr.SlabReadBits(slab, pos, int(peek)) << uint(64-peek), avail
+}
+
+// deltaChecked is slabReadDeltaChecked over a window from slabWindow.
+func deltaChecked(buf uint64, avail int64) (val uint64, width int64, ok bool) {
 	if avail <= 0 {
 		return 0, 0, false
-	}
-	peek := avail
-	if peek > 64 {
-		peek = 64
-	}
-	buf := bitstr.SlabReadBits(slab, pos, int(peek))
-	if peek < 64 {
-		buf <<= uint(64 - peek)
 	}
 	z := bits.LeadingZeros64(buf)
 	// gamma(nb): z zeros then nb in z+1 bits; values fit 33 bits (rank+1 for
@@ -283,10 +439,18 @@ func (e *DistEngine) Kind() DistKind { return e.kind }
 // F returns the distance bound of a DistBounded engine (0 for DistPLL).
 func (e *DistEngine) F() int { return e.f }
 
-// HubTableBytes returns the heap a DistPLL engine holds in its decoded hub
-// table, 8 bytes per hub entry, beyond the slab it adopted (0 for
-// DistBounded, which queries the slab itself).
-func (e *DistEngine) HubTableBytes() int { return 8 * len(e.hubs) }
+// HubTableBytes returns the heap a DistPLL engine holds in its hub records
+// and their offsets beyond the slab it adopted (0 for DistBounded, which
+// queries the slab itself).
+func (e *DistEngine) HubTableBytes() int {
+	if h := e.pll32; h != nil {
+		return 4*len(h.off) + 4*len(h.words)
+	}
+	if h := e.pll64; h != nil {
+		return 4*len(h.off) + 8*len(h.words)
+	}
+	return 0
+}
 
 // Dist answers a distance query between vertices u and v: the exact hop
 // distance, or -1 when unreachable (DistPLL) or beyond the bound f
@@ -347,14 +511,16 @@ func (e *DistEngine) distTallied(u, v int, s *rankScratch, t *QueryTally) (int, 
 
 // probeDist resolves one in-range query against the labels.
 func (e *DistEngine) probeDist(u, v int, s *rankScratch, t *QueryTally) int {
+	if h := e.pll32; h != nil {
+		return h.probe(u, v, s.slot, t)
+	}
+	if h := e.pll64; h != nil {
+		return h.probe(u, v, s.slot, t)
+	}
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
 		t.self++
 		return 0
-	}
-	if e.kind == DistPLL {
-		t.thin++
-		return e.distPLL(mu, mv, s.slot)
 	}
 	if mu.fat() || mv.fat() {
 		t.fat++
@@ -364,48 +530,100 @@ func (e *DistEngine) probeDist(u, v int, s *rankScratch, t *QueryTally) int {
 	return e.distBounded(mu, mv)
 }
 
-// distPLL returns the minimum summed distance over the hubs the two sorted
-// lists share — the answer of distance.PLLDecoder.Dist — by scatter, probe,
-// reset over slot, a rank-indexed scratch that is all zero on entry and on
-// return: the shorter list's distances are written to their ranks' slots,
-// the longer list is walked up to the shorter's last rank folding
-// slot + dist into best, and the written slots are zeroed. No loop carries a
-// load address from one step to the next, so entries overlap in the core.
-func (e *DistEngine) distPLL(mu, mv vertexMeta, slot []uint32) int {
+// probe returns the minimum summed distance over the hubs u's and v's
+// records share — the answer of distance.PLLDecoder.Dist, 0 for equal ids:
+// shared head hubs are the set bits of the two bitmaps' AND (headMin), and
+// only the tails go through the rank scratch (tailMin).
+func (h *hubRecords[T]) probe(u, v int, slot []uint32, t *QueryTally) int {
+	a, b := h.words[h.off[u]:], h.words[h.off[v]:]
+	if a[0] == b[0] {
+		t.self++
+		return 0
+	}
+	t.thin++
 	// A slot holds ^dist, so an empty (zero) slot reads back as 1<<32-1 and
 	// its sum with any distance is at least 1<<32-1, above inf. A stored
 	// distance of 1<<32-1 is indistinguishable from no hub, and reads back as
 	// itself either way. Sums of 1<<30 and more count as no common hub, as
 	// they do in the legacy decoder.
 	const inf = 1 << 30
-	a := e.hubs[mu.off : mu.off+mu.cnt()]
-	b := e.hubs[mv.off : mv.off+mv.cnt()]
-	if len(a) > len(b) {
-		a, b = b, a
+	best := headMin(a, b, inf)
+	// The tails end at the offsets. Swapping the plain integers, not the
+	// slices, lets the compiler pick the shorter without a branch.
+	ea, na, eb, nb := h.off[u], uint32(a[1]), h.off[v], uint32(b[1])
+	if na > nb {
+		ea, na, eb, nb = eb, nb, ea, na
 	}
-	if len(a) == 0 {
-		return graph.Unreachable
-	}
-	for _, x := range a {
-		slot[x>>32] = ^uint32(x)
-	}
-	last := a[len(a)-1] >> 32
-	best := uint64(inf)
-	for _, y := range b {
-		if y>>32 > last {
-			break // no later hub of the longer list is in the shorter one
-		}
-		if s := uint64(^slot[y>>32]) + y&(1<<32-1); s < best {
-			best = s
-		}
-	}
-	for _, x := range a {
-		slot[x>>32] = 0
+	if na > 0 {
+		best = tailMin(h.words[ea-na:ea], h.words[eb-nb:eb], h.dw, slot, best)
 	}
 	if best == inf {
 		return graph.Unreachable
 	}
 	return int(best)
+}
+
+// headMin folds into best the sums over the head hubs records a and b
+// share: the set bits of their bitmaps' AND, each hub's distance at its
+// bit's rank among its bitmap's set bits. Bitmap word 0, the 64 top hubs,
+// holds almost every shared hub and needs no running count, so it is done
+// here; words 1 to 3 go to headRest only when one of them has a shared hub
+// (in process ≈ 5–10 % faster than one loop over all four words).
+func headMin[T hubWord](a, b []T, best uint64) uint64 {
+	bw := pllHeadHubs >> wordLog[T]()
+	ma, mb, da, db := a[2:2+bw], b[2:2+bw], a[2+bw:], b[2+bw:]
+	wa, wb := bitmapWord(ma, 0), bitmapWord(mb, 0)
+	for m := wa & wb; m != 0; m &= m - 1 {
+		below := m&-m - 1
+		ia, ib := uint(bits.OnesCount64(wa&below)), uint(bits.OnesCount64(wb&below))
+		best = min(best, headDist(da, ia)+headDist(db, ib))
+	}
+	if bitmapWord(ma, 1)&bitmapWord(mb, 1)|bitmapWord(ma, 2)&bitmapWord(mb, 2)|bitmapWord(ma, 3)&bitmapWord(mb, 3) != 0 {
+		best = headRest(ma, mb, da, db, best)
+	}
+	return best
+}
+
+// headRest is headMin over bitmap words 1 to 3, given the two bitmaps and
+// head distances: a word's ranks start after the set bits of the words
+// before it.
+func headRest[T hubWord](ma, mb, da, db []T, best uint64) uint64 {
+	var na, nb uint
+	for k := 1; k < pllHeadHubs/64; k++ {
+		na += uint(bits.OnesCount64(bitmapWord(ma, k-1)))
+		nb += uint(bits.OnesCount64(bitmapWord(mb, k-1)))
+		wa, wb := bitmapWord(ma, k), bitmapWord(mb, k)
+		for m := wa & wb; m != 0; m &= m - 1 {
+			below := m&-m - 1
+			ia := na + uint(bits.OnesCount64(wa&below))
+			ib := nb + uint(bits.OnesCount64(wb&below))
+			best = min(best, headDist(da, ia)+headDist(db, ib))
+		}
+	}
+	return best
+}
+
+// tailMin folds into best the sums over the tail hubs ta and tb share, ta
+// the shorter and not empty, by scatter, probe, reset over slot, a
+// rank-indexed scratch that is all zero on entry and on return: ta's
+// distances are written to their ranks' slots, every entry of tb folds
+// slot + dist into best — a rank ta lacks reads an empty slot, which cannot
+// win — and the written slots are zeroed. No loop carries a load address or
+// a data-dependent exit from one step to the next, so entries overlap in
+// the core.
+func tailMin[T hubWord](ta, tb []T, dw uint, slot []uint32, best uint64) uint64 {
+	dw &= 63 // at most 32: the mask spares the shifts their overflow checks
+	mask := uint64(1)<<dw - 1
+	for _, x := range ta {
+		slot[uint64(x)>>dw] = ^uint32(uint64(x) & mask)
+	}
+	for _, y := range tb {
+		best = min(best, uint64(^slot[uint64(y)>>dw])+uint64(y)&mask)
+	}
+	for _, x := range ta {
+		slot[uint64(x)>>dw] = 0
+	}
+	return best
 }
 
 // distBounded is Lemma 7's decode: the minimum over fat-hub relays, then

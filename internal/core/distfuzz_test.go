@@ -92,6 +92,19 @@ func FuzzDistEngineHeaders(f *testing.F) {
 	seed(pll, core.LayoutDegree)
 	seed(bdist, core.LayoutID)
 	seed(bdist, core.LayoutDegree)
+	// Hub ranks on both sides of the hub records' 256-hub head, a list
+	// ending at rank 255 and one starting at 256 among them.
+	cross := make([][]core.DistEntry, 300)
+	for v := range cross {
+		cross[v] = []core.DistEntry{{ID: int32(v % 7), D: 1}, {ID: int32(250 + v%6), D: 2}}
+		if v%5 != 0 {
+			cross[v] = append(cross[v], core.DistEntry{ID: int32(256 + v%40), D: 3})
+		}
+		if v%11 == 0 {
+			cross[v] = cross[v][2:]
+		}
+	}
+	seed(func(core.Layout) (*core.DistArena, error) { return core.EncodePLLArena(cross, 3, nil, 1) }, core.LayoutID)
 	f.Add([]byte{}, []byte{}, []byte{}, byte(1), 4, 0, 0)
 	f.Add(make([]byte, 16), encodeFuzzInts([]int{9, 64}), []byte{}, byte(2), 3, 2, 1)
 	f.Add(make([]byte, 11), encodeFuzzInts([]int{9, 64}), []byte{}, byte(2), 3, 2, 1)

@@ -27,6 +27,9 @@ type pllCase struct {
 	maxDist int32
 	vs      []int
 	pairs   [][2]int
+	// wordBits is the hub record word width the engine must pick: 32 when
+	// a tail entry fits 32 bits and distances fit a byte, else 64.
+	wordBits int
 }
 
 // hubList returns cnt entries over ranks first, first+step, ... with
@@ -51,11 +54,12 @@ func (c *pllCase) addProbes(v, base int) {
 }
 
 // pllKernelCases covers entry counts from 0 to 700, very unequal and
-// disjoint lists, and dw = 32 entries whose code plus distance fill 57 bits
-// and more — the widest entries the construction decoder reads.
+// disjoint lists, dw = 32 entries whose code plus distance fill 57 bits and
+// more — the widest entries the construction decoder reads — and the hub
+// records' head/tail boundary (headTailCase) in both record widths.
 func pllKernelCases() []pllCase {
 	const n = 1 << 12
-	blocks := pllCase{name: "block-boundaries", entries: make([][]core.DistEntry, n), maxDist: 9}
+	blocks := pllCase{name: "block-boundaries", entries: make([][]core.DistEntry, n), maxDist: 9, wordBits: 32}
 	for v, cnt := range []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 700} {
 		blocks.entries[v] = hubList(cnt, v%3, 1, 9)            // dense: every list shares hubs
 		blocks.entries[16+v] = hubList(cnt, 5+v, 1+v%4, 9)     // strided: partial overlap
@@ -75,7 +79,7 @@ func pllKernelCases() []pllCase {
 	// 1<<30 "no common hub" cap, and a full 32-bit distance beside a rank in
 	// the table's word.
 	const wideN = 1 << 20
-	wide := pllCase{name: "wide-entries", entries: make([][]core.DistEntry, wideN), maxDist: math.MaxInt32}
+	wide := pllCase{name: "wide-entries", entries: make([][]core.DistEntry, wideN), maxDist: math.MaxInt32, wordBits: 64}
 	for v := 0; v < 16; v++ {
 		gap, cnt := 1<<17, 3+v%5
 		if v >= 8 {
@@ -95,7 +99,50 @@ func pllKernelCases() []pllCase {
 		wide.vs = append(wide.vs, v)
 		wide.addProbes(v, 1000+32*v)
 	}
-	return []pllCase{blocks, wide}
+	// dw = 9 (maxDist 300) fits a 32-bit tail entry beside a 12-bit rank, but
+	// not a byte-wide head distance: the 64-bit records of a store with
+	// w + dw <= 32.
+	return []pllCase{blocks, wide, headTailCase("head-tail/32", 9, 32), headTailCase("head-tail/64", 300, 64)}
+}
+
+// headTailCase puts hub lists on both sides of the hub records' head, the
+// pllHeadHubs = 256 top-ranked hubs kept as a bitmap: hubs at ranks 255 and
+// 256, lists wholly in the head and wholly in the tail, pairs whose best
+// common hub is only in the head, only in the tail or in both, and pairs
+// with no common hub in either.
+func headTailCase(name string, maxDist int32, wordBits int) pllCase {
+	const n = 1 << 12
+	c := pllCase{name: name, entries: make([][]core.DistEntry, n), maxDist: maxDist, wordBits: wordBits}
+	list := func(ranks ...int32) []core.DistEntry {
+		out := make([]core.DistEntry, len(ranks)/2)
+		for i := range out {
+			out[i] = core.DistEntry{ID: ranks[2*i], D: ranks[2*i+1]}
+		}
+		return out
+	}
+	// (rank, distance) pairs, ranks ascending.
+	c.entries[0] = list(255, 3, 256, 4)                  // one hub either side of the boundary
+	c.entries[1] = list(255, 2)                          // the last head hub alone
+	c.entries[2] = list(256, 1)                          // the first tail hub alone
+	c.entries[3] = hubList(256, 0, 1, min(maxDist, 9))   // the whole head, no tail
+	c.entries[4] = hubList(345, 256, 1, min(maxDist, 9)) // a tail only, from rank 256
+	c.entries[5] = list(10, 1, 300, 5)                   // 5–6: best only in the head
+	c.entries[6] = list(10, 1, 300, 5, 301, 0)
+	c.entries[7] = list(10, 5, 300, 1) // 7–8: best only in the tail
+	c.entries[8] = list(0, 0, 10, 5, 300, 1)
+	c.entries[9] = list(64, 2, 255, 7, 256, 1, 999, 8) // 9–10: best in both, equal
+	c.entries[10] = list(64, 2, 255, 0, 256, 3, 999, 0)
+	c.entries[11] = list(20, 1, 400, 1) // 11–12: no common hub
+	c.entries[12] = list(21, 1, 401, 1)
+	c.entries[13] = hubList(64, 0, 2, min(maxDist, 9)) // even head ranks ...
+	c.entries[14] = hubList(64, 1, 2, min(maxDist, 9)) // ... never meet odd ones
+	for v := 0; v < 16; v++ {
+		c.vs = append(c.vs, v)
+	}
+	c.addProbes(3, 1000)
+	c.addProbes(4, 2000)
+	c.addProbes(0, 3000)
+	return c
 }
 
 // bruteDist is the definition the kernel implements: the minimum summed
@@ -173,8 +220,9 @@ func checkPLLPairs(t *testing.T, eng *core.DistEngine, rd *core.RefDist, entries
 }
 
 // TestDistPLLKernelEdges builds engines over the edge shapes above, in both
-// an identity and a permuted layout, and pins every answer the kernel gives
-// over the decoded hub table to the slab's bits and to the definition.
+// an identity and a permuted layout, checks the record width each picks, and
+// pins every answer the kernel gives over the decoded hub records to the
+// slab's bits and to the definition.
 func TestDistPLLKernelEdges(t *testing.T) {
 	for _, tc := range pllKernelCases() {
 		for _, lay := range []struct {
@@ -187,6 +235,9 @@ func TestDistPLLKernelEdges(t *testing.T) {
 					t.Fatal(err)
 				}
 				eng, rd := buildWithRef(t, arena.Slab, arena)
+				if got := eng.HubWordBits(); got != tc.wordBits {
+					t.Fatalf("dw = %d: hub records of %d-bit words, want %d", arena.Params.DW, got, tc.wordBits)
+				}
 				checkPLLPairs(t, eng, rd, tc.entries, tc.vs)
 				for _, p := range tc.pairs {
 					checkPLLPair(t, eng, rd, tc.entries, p[0], p[1])
