@@ -313,9 +313,12 @@ func TestAdminEndpoint(t *testing.T) {
 	}
 	// The msg=served summary reads the counters just scraped — queries,
 	// frames, bytes in + out — and reports for this run the values it
-	// reported when it read a separate per-frame tally.
-	if bytesIn+bytesOut != 225 {
-		t.Errorf("scraped bytes in + out = %d, want 225", bytesIn+bytesOut)
+	// reported when it read a separate per-frame tally. The request is
+	// 100 pairs of identifiers below 20, packed at 5 bits: op, count, width
+	// and 125 field bytes; the answer is status, count and 13 answer bytes;
+	// each frame has its 4-byte length.
+	if bytesIn+bytesOut != 151 {
+		t.Errorf("scraped bytes in + out = %d, want 151 (4+128 in, 4+15 out)", bytesIn+bytesOut)
 	}
 	var served string
 	for _, line := range strings.Split(out.String(), "\n") {

@@ -91,11 +91,13 @@ const pipelineDepth = 4
 
 // reqBuf is the request buffer every frameConn embeds: it grows to the largest
 // request seen and, being pooled, is not re-allocated by short-lived connections.
+// Every payload it hands out has pairSlack bytes of capacity behind it, so the
+// pair decoder reads a frame's last block in place.
 type reqBuf struct{ req []byte }
 
 func (b *reqBuf) request(n int) []byte {
-	if cap(b.req) < n {
-		b.req = make([]byte, n)
+	if cap(b.req) < n+pairSlack {
+		b.req = make([]byte, n+pairSlack)
 	}
 	return b.req[:n]
 }

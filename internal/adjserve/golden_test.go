@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -165,61 +167,59 @@ func TestGoldenErrorFrames(t *testing.T) {
 	for i := range good {
 		good[i] = [2]int{200 + i, 250 + i} // both owned by shard 1/3 (167..333)
 	}
-	// req assembles a frame that claims count pairs from the given pairs and
-	// raw tail bytes, so it can stop short or carry garbage.
-	req := func(pairs [][2]int, tail ...byte) []byte {
-		out := []byte{opQuery, count}
-		for _, p := range pairs {
-			out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(p[0])), uint64(p[1]))
-		}
-		return append(out, tail...)
+	// req assembles a frame that claims count pairs at width w from the given
+	// pairs and raw tail bytes, so it can stop short or carry garbage; the
+	// good pairs are 200..289, so w = 9 is their own width.
+	req := func(w uint, pairs [][2]int, tail ...byte) []byte {
+		return refPairReq(opQuery, count, w, pairs, tail...)
 	}
 	with := func(n, at int, p [2]int) [][2]int {
 		pairs := append([][2]int(nil), good[:n]...)
 		pairs[at] = p
 		return pairs
 	}
-	overlong := bytes.Repeat([]byte{0xff}, 11) // a uvarint that overflows 64 bits
 
 	srv := NewServer(eng, 0)
-	for _, at := range []int{0, 31, 32, 33, count - 1} {
-		check := func(what string, frame []byte, want string) {
-			t.Helper()
-			if got := goldenFrame(srv, frame); !bytes.Equal(got, errFrame(want)) {
-				t.Errorf("%s at %d: frame %q, want %q", what, at, got, errFrame(want))
-			}
+	check := func(what string, frame []byte, want string) {
+		t.Helper()
+		if got := goldenFrame(srv, frame); !bytes.Equal(got, errFrame(want)) {
+			t.Errorf("%s: frame %q, want %q", what, got, errFrame(want))
 		}
-		u := binary.AppendUvarint(nil, uint64(good[at][0]))
-		badU, badV := fmt.Sprintf("pair %d: bad u", at), fmt.Sprintf("pair %d: bad v", at)
-		check("bad u", req(good[:at]), badU)
-		check("bad v", req(good[:at], u...), badV)
-		check("overlong u", req(good[:at], overlong...), badU)
-		check("overlong v", req(good[:at], append(u, overlong...)...), badV)
-		check("range", req(with(count, at, [2]int{5, 70000})),
+	}
+	for _, at := range []int{0, 31, 32, 33, count - 1} {
+		// A frame whose fields stop at pair at is refused whole.
+		check(fmt.Sprintf("truncated at %d", at), req(9, good[:at]),
+			fmt.Sprintf("truncated: %d field bytes for 40 pairs of 9 bits", (18*at+7)/8))
+		check(fmt.Sprintf("range at %d", at), appendPairsReq(nil, opQuery, with(count, at, [2]int{5, 70000})),
 			fmt.Sprintf("pair %d (5,70000): core: vertex out of range: (5,70000) of 500", at))
 		if at > 0 {
-			// An engine error at a lower index wins over a malformed pair
-			// behind it, in the same block (at 31, 33, 39) or the next (32).
-			check("range before bad u", req(with(at, at-1, [2]int{70000, 5})),
+			// Of two engine errors, in the same block (at 31, 33, 39) or
+			// the next (32), the lower index wins.
+			pairs := with(count, at, [2]int{5, 70000})
+			pairs[at-1] = [2]int{70000, 5}
+			check(fmt.Sprintf("range before range at %d", at), appendPairsReq(nil, opQuery, pairs),
 				fmt.Sprintf("pair %d (70000,5): core: vertex out of range: (70000,5) of 500", at-1))
 		}
 	}
-	if got, want := goldenFrame(srv, req(good, 1, 2, 3)), errFrame("3 trailing bytes after 40 pairs"); !bytes.Equal(got, want) {
-		t.Errorf("trailing: frame %q, want %q", got, want)
+	check("one byte short", req(9, good)[:3+90-1], "truncated: 89 field bytes for 40 pairs of 9 bits")
+	check("trailing", req(9, good, 1, 2, 3), "3 trailing bytes after 40 pairs")
+	check("width 0", req(0, nil), "bad pair width 0")
+	check("width 65", req(65, good), "bad pair width 65")
+	check("no width", []byte{opQuery, count}, "missing pair width")
+	// Wider than the pairs need is still well-formed.
+	if got, want := goldenFrame(srv, req(17, good)), packBits(t, eng, good); !bytes.Equal(got, want) {
+		t.Errorf("width 17: frame %x, want %x", got, want)
 	}
 	// A vertex past 2^63 prints as the client sent it in the pair, and as
 	// the engine saw it in the cause.
-	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{opQuery, 1}, 1<<64-1), 1)
-	want := "pair 0 (18446744073709551615,1): core: vertex out of range: (-1,1) of 500"
-	if got := goldenFrame(srv, huge); !bytes.Equal(got, errFrame(want)) {
-		t.Errorf("huge vertex: frame %q, want %q", got, errFrame(want))
-	}
+	check("huge vertex", appendPairsReq(nil, opQuery, [][2]int{{-1, 1}}),
+		"pair 0 (18446744073709551615,1): core: vertex out of range: (-1,1) of 500")
 
 	shardSrv := NewServer(shard, 0)
 	for _, at := range []int{0, 31, 32, 33, count - 1} {
 		want := fmt.Sprintf("pair %d (%d,%d): core: query not resident on this shard: (%d,%d) on shard 1/3",
 			at, foreign[0], foreign[1], foreign[0], foreign[1])
-		if got := goldenFrame(shardSrv, req(with(count, at, foreign))); !bytes.Equal(got, errFrame(want)) {
+		if got := goldenFrame(shardSrv, appendPairsReq(nil, opQuery, with(count, at, foreign))); !bytes.Equal(got, errFrame(want)) {
 			t.Errorf("not resident at %d: frame %q, want %q", at, got, errFrame(want))
 		}
 	}
@@ -265,19 +265,15 @@ func TestGoldenDistFrames(t *testing.T) {
 
 	const count = 40
 	good := ring[:count]
-	req := func(pairs [][2]int, tail ...byte) []byte {
-		out := []byte{opDist, count}
-		for _, p := range pairs {
-			out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(p[0])), uint64(p[1]))
-		}
-		return append(out, tail...)
+	const w = 9 // identifiers below 400
+	req := func(w uint, pairs [][2]int, tail ...byte) []byte {
+		return refPairReq(opDist, count, w, pairs, tail...)
 	}
 	with := func(n, at int, p [2]int) [][2]int {
 		pairs := append([][2]int(nil), good[:n]...)
 		pairs[at] = p
 		return pairs
 	}
-	overlong := bytes.Repeat([]byte{0xff}, 11)
 	check := func(what string, frame []byte, want string) {
 		t.Helper()
 		if got := goldenFrame(srv, frame); !bytes.Equal(got, errFrame(want)) {
@@ -285,28 +281,29 @@ func TestGoldenDistFrames(t *testing.T) {
 		}
 	}
 	for _, at := range []int{0, 31, 32, count - 1} {
-		u := binary.AppendUvarint(nil, uint64(good[at][0]))
-		badU, badV := fmt.Sprintf("pair %d: bad u", at), fmt.Sprintf("pair %d: bad v", at)
-		check(badU, req(good[:at]), badU)
-		check(badV, req(good[:at], u...), badV)
-		check("overlong "+badV, req(good[:at], append(u, overlong...)...), badV)
+		truncated := fmt.Sprintf("truncated: %d field bytes for 40 pairs of %d bits", (18*at+7)/8, w)
+		check(truncated, req(w, good[:at]), truncated)
 		rangeAt := fmt.Sprintf("pair %d (5,70000): core: vertex out of range: (5,70000) of 400", at)
-		check(rangeAt, req(with(count, at, [2]int{5, 70000})), rangeAt)
+		check(rangeAt, appendPairsReq(nil, opDist, with(count, at, [2]int{5, 70000})), rangeAt)
 		if at > 0 {
-			// The lowest failing index wins, whichever kind of failure it is.
+			// The lowest failing index wins.
+			pairs := with(count, at, [2]int{5, 70000})
+			pairs[at-1] = [2]int{70000, 5}
 			before := fmt.Sprintf("pair %d (70000,5): core: vertex out of range: (70000,5) of 400", at-1)
-			check("range before bad u", req(with(at, at-1, [2]int{70000, 5})), before)
+			check("range before range", appendPairsReq(nil, opDist, pairs), before)
 		}
 	}
-	check("trailing", req(good, 1, 2, 3), "3 trailing bytes after 40 pairs")
+	check("trailing", req(w, good, 1, 2, 3), "3 trailing bytes after 40 pairs")
+	check("width 0", req(0, good), "bad pair width 0")
+	check("width 65", req(65, good), "bad pair width 65")
 	check("count", []byte{opDist}, "bad pair count")
 	check("oversize", binary.AppendUvarint([]byte{opDist}, DefaultMaxBatch+1),
 		fmt.Sprintf("batch of %d pairs exceeds limit %d", DefaultMaxBatch+1, DefaultMaxBatch))
-	huge := binary.AppendUvarint(binary.AppendUvarint([]byte{opDist, 1}, 1<<64-1), 1)
-	check("huge vertex", huge, "pair 0 (18446744073709551615,1): core: vertex out of range: (-1,1) of 400")
+	check("huge vertex", appendPairsReq(nil, opDist, [][2]int{{-1, 1}}),
+		"pair 0 (18446744073709551615,1): core: vertex out of range: (-1,1) of 400")
 
 	adjOnly := NewServer(testEngine(t, 100, 7), 0)
-	if got, want := goldenFrame(adjOnly, req(good)), errFrame("server holds no distance engine"); !bytes.Equal(got, want) {
+	if got, want := goldenFrame(adjOnly, appendPairsReq(nil, opDist, good)), errFrame("server holds no distance engine"); !bytes.Equal(got, want) {
 		t.Errorf("no distance engine: frame %q, want %q", got, want)
 	}
 	if got, want := goldenFrame(srv, appendPairsReq(nil, opQuery, good)), errFrame("server holds no adjacency engine"); !bytes.Equal(got, want) {
@@ -326,15 +323,22 @@ type goldenRequest struct {
 }
 
 func goldenRequestPayloads() []goldenRequest {
+	// The largest identifier, 70000, is 17 bits long: w = 0x11, and the six
+	// fields 0, 1, 127, 128, 300, 70000 take 102 bits, 13 bytes with the pad.
 	pairs := [][2]int{{0, 1}, {127, 128}, {300, 70000}}
+	const fields = "00000000400fe00800096445c0"
 	const id = 0x0807060504030201
 	return []goldenRequest{
-		{"query", appendPairsReq(nil, opQuery, pairs), "010300017f8001ac02f0a204"},
-		{"dist", appendPairsReq(nil, opDist, pairs), "040300017f8001ac02f0a204"},
-		{"query traced", appendPairsReqTrace(nil, opQuery, id, pairs), "8101020304050607080300017f8001ac02f0a204"},
-		{"dist traced", appendPairsReqTrace(nil, opDist, id, pairs), "8401020304050607080300017f8001ac02f0a204"},
-		{"empty query", appendPairsReq(nil, opQuery, nil), "0100"},
-		{"empty dist traced", appendPairsReqTrace(nil, opDist, id, nil), "84010203040506070800"},
+		{"query", appendPairsReq(nil, opQuery, pairs), "050311" + fields},
+		{"dist", appendPairsReq(nil, opDist, pairs), "060311" + fields},
+		{"query traced", appendPairsReqTrace(nil, opQuery, id, pairs), "850102030405060708" + "0311" + fields},
+		{"dist traced", appendPairsReqTrace(nil, opDist, id, pairs), "860102030405060708" + "0311" + fields},
+		// The package doc's example: (1,2),(3,0) at w = 2 is 01 10 11 00.
+		{"doc example", appendPairsReq(nil, opQuery, [][2]int{{1, 2}, {3, 0}}), "0502026c"},
+		// A negative identifier travels as its 64 bits.
+		{"bit 63", appendPairsReq(nil, opQuery, [][2]int{{-1, 1}}), "050140" + "ffffffffffffffff" + "0000000000000001"},
+		{"empty query", appendPairsReq(nil, opQuery, nil), "050001"},
+		{"empty dist traced", appendPairsReqTrace(nil, opDist, id, nil), "8601020304050607080001"},
 	}
 }
 
@@ -344,6 +348,62 @@ func TestGoldenRequestPayloads(t *testing.T) {
 	for _, tc := range goldenRequestPayloads() {
 		if enc := hex.EncodeToString(tc.got); enc != tc.want {
 			t.Errorf("%s: payload %s, want %s", tc.name, enc, tc.want)
+		}
+	}
+}
+
+// retiredPayloads are pair batches as a client before packed pair frames
+// wrote them (ops 1 and 4, uvarint pairs; byte for byte that build's pinned
+// request payloads), with the error frame every server and router answers.
+func retiredPayloads() (reqs []string, want map[string][]byte) {
+	q := errFrame("retired op 1: uvarint pair batches are no longer served (upgrade the client)")
+	d := errFrame("retired op 4: uvarint pair batches are no longer served (upgrade the client)")
+	want = map[string][]byte{
+		"010300017f8001ac02f0a204":                 q,
+		"040300017f8001ac02f0a204":                 d,
+		"8101020304050607080300017f8001ac02f0a204": q,
+		"8401020304050607080300017f8001ac02f0a204": d,
+		"0100":                 q,
+		"84010203040506070800": d,
+	}
+	for req := range want {
+		reqs = append(reqs, req)
+	}
+	slices.Sort(reqs)
+	return reqs, want
+}
+
+// TestRetiredOpsRefused: a pair batch in the retired uvarint format gets the
+// error frame naming its op from a server and from a router over either
+// fleet shape — never an answer read from bytes in another format.
+func TestRetiredOpsRefused(t *testing.T) {
+	full, dist, partition, replicas := goldenFleets(t)
+	srv := NewServer(full, 0)
+	srv.SetDistEngine(dist)
+	ln, err := netListen(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	reqs, want := retiredPayloads()
+	for _, hexReq := range reqs {
+		req, _ := hex.DecodeString(hexReq)
+		// serveFrame strips a trace context in place: hand it a copy.
+		if got := srv.serveFrame(slices.Clone(req), &connBuffers{}, time.Now(), 0, 0); !bytes.Equal(got, want[hexReq]) {
+			t.Errorf("%s to serveFrame: %q, want %q", hexReq, got, want[hexReq])
+		}
+		for name, addr := range map[string]string{"server": ln.Addr().String(), "partition": partition.addr, "replicas": replicas.addr} {
+			if got := wireFrame(t, addr, req); !bytes.Equal(got, want[hexReq]) {
+				t.Errorf("%s to the %s: %q, want %q", hexReq, name, got, want[hexReq])
+			}
+		}
+	}
+	for _, f := range []goldenFleet{partition, replicas} {
+		for _, s := range f.srvs {
+			if n := s.Metrics().Queries.Load(); n != 0 {
+				t.Errorf("an upstream answered %d queries for retired frames", n)
+			}
 		}
 	}
 }
@@ -462,11 +522,11 @@ func TestGoldenRouterFrames(t *testing.T) {
 		}
 	}
 	for _, addr := range []string{partition.addr, replicas.addr} {
-		if got, want := wireFrame(t, addr, []byte{opQuery, 0}), []byte{statusOK, 0}; !bytes.Equal(got, want) {
+		if got, want := wireFrame(t, addr, []byte{opQuery, 0, 1}), []byte{statusOK, 0}; !bytes.Equal(got, want) {
 			t.Errorf("empty adjacency frame: %x, want %x", got, want)
 		}
 	}
-	if got, want := wireFrame(t, replicas.addr, []byte{opDist, 0}), []byte{statusOK, 0}; !bytes.Equal(got, want) {
+	if got, want := wireFrame(t, replicas.addr, []byte{opDist, 0, 1}), []byte{statusOK, 0}; !bytes.Equal(got, want) {
 		t.Errorf("empty distance frame: %x, want %x", got, want)
 	}
 
@@ -487,11 +547,15 @@ func TestGoldenRouterFrames(t *testing.T) {
 		addr      string
 		req, want []byte
 	}{
-		"partition bad v": {partition.addr, []byte{opQuery, 2, 1, 2, 3}, errFrame("pair 1: bad v")},
-		"replicas bad u":  {replicas.addr, []byte{opDist, 2, 1, 2}, errFrame("pair 1: bad u")},
-		"partition trail": {partition.addr, []byte{opQuery, 1, 1, 2, 3}, errFrame("1 trailing bytes after 1 pairs")},
-		"replicas trail":  {replicas.addr, []byte{opDist, 1, 1, 2, 3, 4}, errFrame("2 trailing bytes after 1 pairs")},
-		"replicas count":  {replicas.addr, []byte{opDist}, errFrame("bad pair count")},
+		"partition truncated": {partition.addr, []byte{opQuery, 2, 8, 1, 2, 3}, errFrame("truncated: 3 field bytes for 2 pairs of 8 bits")},
+		"replicas width 0":    {replicas.addr, []byte{opDist, 2, 0, 1, 2}, errFrame("bad pair width 0")},
+		"replicas width 65":   {replicas.addr, []byte{opDist, 1, 65, 1, 2}, errFrame("bad pair width 65")},
+		"partition no width":  {partition.addr, []byte{opQuery, 0}, errFrame("missing pair width")},
+		"partition retired":   {partition.addr, []byte{opQueryUvarint, 2, 1, 2, 3, 4}, errFrame("retired op 1: uvarint pair batches are no longer served (upgrade the client)")},
+		"replicas retired":    {replicas.addr, []byte{opDistUvarint, 0}, errFrame("retired op 4: uvarint pair batches are no longer served (upgrade the client)")},
+		"partition trail":     {partition.addr, []byte{opQuery, 1, 1, 2, 3}, errFrame("1 trailing bytes after 1 pairs")},
+		"replicas trail":      {replicas.addr, []byte{opDist, 1, 1, 2, 3, 4}, errFrame("2 trailing bytes after 1 pairs")},
+		"replicas count":      {replicas.addr, []byte{opDist}, errFrame("bad pair count")},
 		"partition oversize": {partition.addr, binary.AppendUvarint([]byte{opQuery}, DefaultMaxBatch+1),
 			errFrame(fmt.Sprintf("batch of %d pairs exceeds limit %d", DefaultMaxBatch+1, DefaultMaxBatch))},
 		"partition distance": {partition.addr, distReq,

@@ -2,11 +2,11 @@ package adjserve
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -195,10 +195,11 @@ func TestServerMetricsE2E(t *testing.T) {
 	cl.Close()
 }
 
-// TestEarlyExitFlushesTally: however a pair frame ends — malformed pair,
-// engine error, trailing bytes — the pairs the engine probed before the exit
-// reach its metrics, on both planes. (Malformed-pair exits used to drop their
-// tally; engine-error and trailing-byte exits always flushed.)
+// TestEarlyExitFlushesTally: however a pair frame ends, the engine's metrics
+// hold exactly the pairs it probed, on both planes — those ahead of an engine
+// error, and none for a malformed frame (truncated, trailing bytes, a bad
+// width), which is refused whole before any probe. A frame that ended early is
+// never charged as a batch.
 func TestEarlyExitFlushesTally(t *testing.T) {
 	var adjM, distM core.EngineMetrics
 	adj := testEngine(t, 400, 3)
@@ -212,36 +213,38 @@ func TestEarlyExitFlushesTally(t *testing.T) {
 		op byte
 		m  *core.EngineMetrics
 	}{{opQuery, &adjM}, {opDist, &distM}} {
-		frame := func(pairs [][2]int, tail ...byte) []byte {
-			out := []byte{tc.op, 40}
-			for _, p := range pairs {
-				out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(p[0])), uint64(p[1]))
-			}
-			return append(out, tail...)
-		}
+		whole := appendPairsReq(nil, tc.op, good)
+		badWidth := slices.Clone(whole)
+		badWidth[2] = 65 // op, count 40, width
 		for _, k := range []int{0, 5, 31, 32, 37} {
 			outOfRange := append(append([][2]int(nil), good[:k]...), [2]int{5, 70000})
-			for what, req := range map[string][]byte{
-				"bad u":       frame(good[:k]),
-				"bad v":       frame(good[:k], 7),
-				"range error": frame(append(outOfRange, good[k+1:]...)),
+			for what, fr := range map[string]struct {
+				req    []byte
+				probed int
+			}{
+				"range error": {appendPairsReq(nil, tc.op, append(outOfRange, good[k+1:]...)), k},
+				"truncated":   {whole[:len(whole)-1-k], 0},
+				"trailing":    {append(slices.Clone(whole), make([]byte, k+1)...), 0},
+				"bad width":   {badWidth, 0},
 			} {
 				before, batches := tc.m.Queries.Load(), tc.m.Batches.Load()
-				if resp := goldenFrame(srv, req); resp[0] != statusErr {
+				if resp := goldenFrame(srv, fr.req); resp[0] != statusErr {
 					t.Fatalf("op %d %s at %d: frame %q, want an error frame", tc.op, what, k, resp)
 				}
-				if got := tc.m.Queries.Load() - before; got != int64(k) {
-					t.Errorf("op %d %s at %d: engine queries grew by %d, want %d", tc.op, what, k, got, k)
+				if got := tc.m.Queries.Load() - before; got != int64(fr.probed) {
+					t.Errorf("op %d %s at %d: engine queries grew by %d, want %d", tc.op, what, k, got, fr.probed)
 				}
 				if got := tc.m.Batches.Load() - batches; got != 0 {
 					t.Errorf("op %d %s at %d: a frame that ended early was charged as %d batches", tc.op, what, k, got)
 				}
 			}
 		}
-		before := tc.m.Queries.Load()
-		goldenFrame(srv, frame(good, 1, 2, 3))
-		if got := tc.m.Queries.Load() - before; got != 40 {
-			t.Errorf("op %d trailing bytes: engine queries grew by %d, want 40", tc.op, got)
+		before, batches := tc.m.Queries.Load(), tc.m.Batches.Load()
+		if resp := goldenFrame(srv, whole); resp[0] != statusOK {
+			t.Fatalf("op %d whole frame: %q, want an OK frame", tc.op, resp)
+		}
+		if q, b := tc.m.Queries.Load()-before, tc.m.Batches.Load()-batches; q != 40 || b != 1 {
+			t.Errorf("op %d whole frame: engine queries grew by %d and batches by %d, want 40 and 1", tc.op, q, b)
 		}
 	}
 }

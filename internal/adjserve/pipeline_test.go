@@ -225,13 +225,13 @@ func TestRouterPipelineOrder(t *testing.T) {
 		{"shard 0 only", fast0Req, packBits(t, f.full, fast0)},
 		{"opInfo", []byte{opInfo}, appendInfo(nil, f.full.N())},
 		{"shard 1 only", fast1Req, packBits(t, f.full, fast1)},
-		{"malformed", []byte{opQuery, 2, 1, 2, 3}, errFrame("pair 1: bad v")},
+		{"malformed", appendPairsReq(nil, opQuery, [][2]int{{1, 2}, {3, 0}})[:3], errFrame("truncated: 0 field bytes for 2 pairs of 2 bits")},
 		{"out of range", appendPairsReq(nil, opQuery, outOfRange), errFrame("pair 3 (5,70000): vertex out of range [0,400)")},
 		{"over limit", binary.AppendUvarint([]byte{opQuery}, DefaultMaxBatch+1),
 			errFrame(fmt.Sprintf("batch of %d pairs exceeds limit %d", DefaultMaxBatch+1, DefaultMaxBatch))},
 		{"all shards", appendPairsReq(nil, opQuery, mixed), packBits(t, f.full, mixed)},
 		{"one held pair", appendPairsReq(nil, opQuery, slow[:1]), packBits(t, f.full, slow[:1])},
-		{"empty batch", []byte{opQuery, 0}, []byte{statusOK, 0}},
+		{"empty batch", appendPairsReq(nil, opQuery, nil), []byte{statusOK, 0}},
 	}
 	var sent [2]int64
 	for s := range sent {

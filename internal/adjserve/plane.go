@@ -3,6 +3,7 @@ package adjserve
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -107,6 +108,14 @@ func (a answers) scatter(idx []int32, from answers) {
 	}
 }
 
+// bit is b as a 0/1 byte.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // grow extends out by extra entries, reusing capacity when it can.
 func grow[T any](out []T, extra int) []T {
 	if need := len(out) + extra; cap(out) >= need {
@@ -118,16 +127,23 @@ func grow[T any](out []T, extra int) []T {
 }
 
 // encode appends the wire form of a's answers to a response body: adjacency
-// answer i at bit i MSB-first within byte i/8, distances one uvarint each,
-// clamped by wireDist. A frame may be encoded over several calls; every call
-// but the last must carry a multiple of 8 answers (a probe block is).
+// answer i at bit i MSB-first within byte i/8, packed eight to a step,
+// distances one uvarint each, clamped by wireDist. A frame may be encoded over
+// several calls; every call but the last must carry a multiple of 8 answers
+// (a probe block is).
 func (a answers) encode(resp []byte) []byte {
-	for i, adj := range a.adj {
-		if i%8 == 0 {
-			resp = append(resp, 0)
-		}
-		if adj {
-			resp[len(resp)-1] |= 1 << (7 - uint(i)%8)
+	start, n := len(resp), (len(a.adj)+7)/8
+	resp = slices.Grow(resp, n)[:start+n]
+	out, adj := resp[start:], a.adj
+	for ; len(adj) >= 8; adj, out = adj[8:], out[1:] {
+		g := adj[:8]
+		out[0] = bit(g[0])<<7 | bit(g[1])<<6 | bit(g[2])<<5 | bit(g[3])<<4 |
+			bit(g[4])<<3 | bit(g[5])<<2 | bit(g[6])<<1 | bit(g[7])
+	}
+	if len(adj) > 0 {
+		out[0] = 0
+		for i, x := range adj {
+			out[0] |= bit(x) << (7 - i)
 		}
 	}
 	for _, d := range a.dist {
@@ -143,7 +159,13 @@ func (a answers) decode(body []byte) (rest []byte, err error) {
 	if len(body) < need {
 		return nil, fmt.Errorf("%w: %d answer bytes for %d pairs", ErrClosed, len(body), len(a.adj))
 	}
-	for i := range a.adj {
+	full := len(a.adj) &^ 7
+	for i := 0; i < full; i += 8 {
+		g, x := a.adj[i:i+8], body[i/8]
+		g[0], g[1], g[2], g[3] = x&0x80 != 0, x&0x40 != 0, x&0x20 != 0, x&0x10 != 0
+		g[4], g[5], g[6], g[7] = x&0x08 != 0, x&0x04 != 0, x&0x02 != 0, x&0x01 != 0
+	}
+	for i := full; i < len(a.adj); i++ {
 		a.adj[i] = body[i/8]&(1<<(7-uint(i)%8)) != 0
 	}
 	body = body[need:]

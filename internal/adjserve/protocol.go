@@ -8,15 +8,31 @@
 // share a single page-cache copy of the labels.
 //
 // Wire format (all multi-byte integers are unsigned LEB128 uvarints except
-// the frame length, which is fixed-width):
+// the frame length and the packed pair fields, which are fixed-width):
 //
 //	frame    u32 little-endian payload length, then the payload
 //
 //	request  op u8
-//	         op=1 (query): uvarint pair count, then per pair uvarint u, uvarint v
+//	         op=5 (query): pair batch, see below
 //	         op=2 (info):  empty
 //	         op=3 (shard-info): empty
-//	         op=4 (dist):  uvarint pair count, then per pair uvarint u, uvarint v
+//	         op=6 (dist):  pair batch, see below
+//	         op=1, op=4:   retired (the uvarint pair batches of older peers):
+//	                       refused by number with an error frame naming the
+//	                       op, so a peer of either generation fails loudly
+//	                       instead of reading the other's pairs wrong
+//
+//	pairs    uvarint pair count, then u8 width w (1 <= w <= 64), then the
+//	         2·count identifiers u0, v0, u1, v1, ... as w-bit fields, MSB
+//	         first, zero-padded to a byte: exactly ceil(2·count·w/8) bytes,
+//	         anything else refuses the whole frame before any probe. The
+//	         encoder picks w = max(1, bit length of the frame's largest
+//	         identifier); a negative identifier travels as its uint64 bits
+//	         (w = 64), and the engine refuses it as out of range. Worked
+//	         example: pairs (1,2),(3,0) have largest identifier 3, so w = 2
+//	         and the fields 01 10 11 00 make one byte, 0x6C: the query
+//	         payload is 05 02 02 6c. A probe block of 32 pairs is 8w bytes,
+//	         so every block starts on a byte.
 //
 //	response status u8
 //	         status=0 (ok), query: uvarint pair count, then ceil(count/8)
@@ -99,6 +115,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -108,10 +126,15 @@ import (
 // Protocol constants. A frame payload is capped independently of the batch
 // size so a malicious length prefix cannot make either side buy gigabytes.
 const (
-	opQuery     = 1
 	opInfo      = 2
 	opShardInfo = 3
-	opDist      = 4
+	opQuery     = 5
+	opDist      = 6
+
+	// opQueryUvarint and opDistUvarint are the retired uvarint pair batches
+	// (see the package doc): refused by number, never parsed.
+	opQueryUvarint = 1
+	opDistUvarint  = 4
 
 	statusOK   = 0
 	statusErr  = 1
@@ -242,14 +265,157 @@ func appendPairsReqTrace(buf []byte, op byte, id uint64, pairs [][2]int) []byte 
 	return appendPairs(binary.LittleEndian.AppendUint64(buf, id), pairs)
 }
 
-// appendPairs appends a pair-batch request body: the count, then the pairs.
-func appendPairs(buf []byte, pairs [][2]int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
+// pairSlack is the spare capacity the pair codec keeps behind a packed body:
+// it loads and stores whole 64-bit words (and a ninth byte on fields wider
+// than 28 bits) at a field's first byte, so the last field's window may reach
+// up to 8 bytes past the body's end. appendPairs leaves it behind what it
+// writes and reqBuf.request behind every payload it reads, so the decoder
+// never copies a block to the stack; the bytes there are never part of a
+// decoded identifier.
+const pairSlack = 8
+
+// pairWidth is a batch's field width: the bit length of its largest
+// identifier (a negative one counts as its uint64 bits), at least 1.
+func pairWidth(pairs [][2]int) uint {
+	var all uint64
 	for _, p := range pairs {
-		buf = binary.AppendUvarint(buf, uint64(p[0]))
-		buf = binary.AppendUvarint(buf, uint64(p[1]))
+		all |= uint64(p[0]) | uint64(p[1])
 	}
-	return buf
+	return uint(max(1, bits.Len64(all)))
+}
+
+// packedLen is the byte length of count pairs' fields at width w.
+func packedLen(count int, w uint) int { return (2*count*int(w) + 7) / 8 }
+
+// appendPairs appends a pair-batch request body — count, width, packed
+// fields (see the package doc) — with pairSlack bytes of spare capacity
+// behind it. Fields of at most 28 bits write a pair in one 64-bit store;
+// wider ones write each field in a word and a byte. Every store ORs in the
+// bits already in its first byte, whose low bits the previous store zeroed.
+func appendPairs(buf []byte, pairs [][2]int) []byte {
+	w := pairWidth(pairs)
+	buf = append(binary.AppendUvarint(buf, uint64(len(pairs))), byte(w))
+	start, n := len(buf), packedLen(len(pairs), w)
+	buf = slices.Grow(buf, n+pairSlack)[:start+n+pairSlack]
+	out := buf[start:]
+	out[0] = 0
+	if 2*w <= 56 {
+		packNarrow(out, pairs, w)
+	} else {
+		for j, p := range pairs {
+			bit := uint(j) * 2 * w
+			putField(out, bit, w, uint64(p[0]))
+			putField(out, bit+w, w, uint64(p[1]))
+		}
+	}
+	return buf[:start+n]
+}
+
+// packNarrow is appendPairs at 2w <= 56: one load and one store per pair.
+func packNarrow(out []byte, pairs [][2]int, w uint) {
+	// Shift counts masked to 63 compile to bare shifts.
+	sh, w := (64-2*w)&63, w&63
+	for j, bit := 0, uint(0); j < len(pairs); j, bit = j+1, bit+2*w {
+		i := bit >> 3
+		x := (uint64(pairs[j][0])<<w | uint64(pairs[j][1])) << sh >> (bit & 7)
+		binary.BigEndian.PutUint64(out[i:i+8], uint64(out[i])<<56|x)
+	}
+}
+
+// putField writes the w-bit field x at bit offset bit of out: a 64-bit store
+// at its first byte, then the byte after it (zero when bit is byte-aligned).
+func putField(out []byte, bit, w uint, x uint64) {
+	i, s := bit>>3, bit&7
+	x <<= 64 - w
+	win := out[i : i+9]
+	binary.BigEndian.PutUint64(win, uint64(win[0])<<56|x>>s)
+	win[8] = byte(x << (8 - s))
+}
+
+// readPairHeader reads a pair-batch request body's count and width and
+// checks its length: fields must be exactly the packedLen(count, w) bytes the
+// header implies. Any failure refuses the whole frame before a probe; err is
+// the error frame's message.
+func readPairHeader(body []byte, maxBatch int) (count int, w uint, fields []byte, err error) {
+	c, k := binary.Uvarint(body)
+	if k <= 0 {
+		return 0, 0, nil, errors.New("bad pair count")
+	}
+	if c > uint64(maxBatch) {
+		return 0, 0, nil, fmt.Errorf("batch of %d pairs exceeds limit %d", c, maxBatch)
+	}
+	body = body[k:]
+	if len(body) == 0 {
+		return 0, 0, nil, errors.New("missing pair width")
+	}
+	w, fields = uint(body[0]), body[1:]
+	if w == 0 || w > 64 {
+		return 0, 0, nil, fmt.Errorf("bad pair width %d", w)
+	}
+	// Every pair takes at least 2 bits: past 4 per byte the count is
+	// truncated whatever the width, and below it packedLen cannot overflow.
+	if c > 4*uint64(len(fields)) || packedLen(int(c), w) > len(fields) {
+		return 0, 0, nil, fmt.Errorf("truncated: %d field bytes for %d pairs of %d bits", len(fields), c, w)
+	}
+	if extra := len(fields) - packedLen(int(c), w); extra != 0 {
+		return 0, 0, nil, fmt.Errorf("%d trailing bytes after %d pairs", extra, c)
+	}
+	return int(c), w, fields, nil
+}
+
+// decodePairs fills dst, at most core.ProbeBlock pairs, from the front of
+// fields at width w (readPairHeader has checked the length) and returns the
+// fields after them. Fields of at most 28 bits read a pair with one 64-bit
+// load; wider ones read each field with a word and a byte. A block without
+// pairSlack bytes of capacity behind it is copied to the stack first, so
+// nothing past len(fields) reaches an identifier either way.
+func decodePairs(dst [][2]int, fields []byte, w uint) (rest []byte) {
+	n := packedLen(len(dst), w)
+	src := fields[:n]
+	if cap(src)-n < pairSlack {
+		var tmp [8*64 + pairSlack]byte // a whole block at w = 64
+		src = tmp[:copy(tmp[:], src)]
+	}
+	if 2*w <= 56 {
+		unpackNarrow(dst, src, w)
+	} else {
+		for j := range dst {
+			bit := uint(j) * 2 * w
+			dst[j] = [2]int{int(getField(src, bit, w)), int(getField(src, bit+w, w))}
+		}
+	}
+	return fields[n:]
+}
+
+// unpackNarrow is decodePairs at 2w <= 56: one load per pair. Kept apart from
+// the stack copy so the loop's state stays in registers.
+func unpackNarrow(dst [][2]int, src []byte, w uint) {
+	// Shift counts masked to 63 compile to bare shifts.
+	sh, w := (64-2*w)&63, w&63
+	mask := uint64(1)<<w - 1
+	for j, bit := 0, uint(0); j < len(dst); j, bit = j+1, bit+2*w {
+		i := bit >> 3
+		x := binary.BigEndian.Uint64(src[i:i+8]) << (bit & 7) >> sh
+		dst[j] = [2]int{int(x >> w), int(x & mask)}
+	}
+}
+
+// getField reads the w-bit field at bit offset bit of src: the word at its
+// first byte, topped up from the byte after it.
+func getField(src []byte, bit, w uint) uint64 {
+	i, s := bit>>3, bit&7
+	win := src[i : i+9]
+	x := binary.BigEndian.Uint64(win)<<s | uint64(win[8])>>(8-s)
+	return x >> (64 - w)
+}
+
+// appendBadOp builds the error frame for an op no plane serves, naming the
+// retired uvarint pair batches as such.
+func appendBadOp(resp []byte, op byte) []byte {
+	if op == opQueryUvarint || op == opDistUvarint {
+		return appendErr(resp, "retired op %d: uvarint pair batches are no longer served (upgrade the client)", op)
+	}
+	return appendErr(resp, "unknown op %d", op)
 }
 
 // appendTraceTally appends a response trace block carrying t's stages:

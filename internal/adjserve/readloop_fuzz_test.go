@@ -69,9 +69,10 @@ func FuzzClientReadLoop(f *testing.F) {
 			f.Add(append(slices.Clone(ok), ok[:5]...), mode, uint16(count-1))           // unsolicited
 			f.Add(append(respFrames([]byte{statusShed}), ok...), mode, uint16(count-1)) // shed, then answers
 		}
-		f.Add(respFrames(errFrame("pair 0: bad u")), mode, uint16(0))
-		f.Add(respFrames([]byte{0x7f}), mode, uint16(0)) // unknown status
-		f.Add(respFrames(nil), mode, uint16(0))          // empty response
+		f.Add(respFrames(errFrame("truncated: 0 field bytes for 2 pairs of 2 bits")), mode, uint16(0))
+		f.Add(respFrames(errFrame("unknown op 5")), mode, uint16(0)) // a server older than packed pair frames
+		f.Add(respFrames([]byte{0x7f}), mode, uint16(0))             // unknown status
+		f.Add(respFrames(nil), mode, uint16(0))                      // empty response
 		f.Add([]byte{0xff, 0xff, 0xff, 0x7f}, mode, uint16(0))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8, count uint16) {

@@ -525,27 +525,23 @@ func (r *Router) scatter(req []byte, b *routerConn, sl *routerSlot) (local []byt
 	}
 	pl := planeOf(op)
 	if pl == nil {
-		return appendErr(resp, "unknown op %d", op)
+		return appendBadOp(resp, op)
 	}
 	if pl.wholeStore && !r.replicas {
 		return appendErr(resp, "%s queries require a replica fleet (this router fronts a %d-shard partition)", pl.name, r.Shards())
 	}
-	count64, k := binary.Uvarint(body)
-	if k <= 0 {
-		return appendErr(resp, "bad pair count")
+	count, w, fields, err := readPairHeader(body, r.maxBatch)
+	if err != nil {
+		return appendErr(resp, "%s", err)
 	}
-	if count64 > uint64(r.maxBatch) {
-		return appendErr(resp, "batch of %d pairs exceeds limit %d", count64, r.maxBatch)
-	}
-	body, count := body[k:], int(count64)
 	shards := sl.shards
 	for s := range shards {
 		shards[s].pairs, shards[s].idx = shards[s].pairs[:0], shards[s].idx[:0]
 	}
 	var blk [core.ProbeBlock][2]int
 	for i := 0; i < count; {
-		k, rest, bad := decodePairs(blk[:min(core.ProbeBlock, count-i)], body)
-		body = rest
+		k := min(core.ProbeBlock, count-i)
+		fields = decodePairs(blk[:k], fields, w)
 		for _, p := range blk[:k] {
 			if uint(p[0]) >= uint(r.n) || uint(p[1]) >= uint(r.n) {
 				return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, uint64(p[0]), uint64(p[1]), r.n)
@@ -555,12 +551,6 @@ func (r *Router) scatter(req []byte, b *routerConn, sl *routerSlot) (local []byt
 			sh.idx = append(sh.idx, int32(i))
 			i++
 		}
-		if bad != "" {
-			return appendErr(resp, "pair %d: bad %s", i, bad)
-		}
-	}
-	if len(body) != 0 {
-		return appendErr(resp, "%d trailing bytes after %d pairs", len(body), count)
 	}
 	sl.pl, sl.count = pl, count
 	for s := range shards {

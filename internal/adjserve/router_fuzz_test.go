@@ -172,7 +172,8 @@ func FuzzRouterUpstream(f *testing.F) {
 			f.Add(wrongOp, shape, uint16(count-1), false)
 		}
 		f.Add(respFrames([]byte{statusShed}), shape, uint16(99), false)
-		f.Add(respFrames(errFrame("pair 0: bad u")), shape, uint16(99), false)
+		f.Add(respFrames(errFrame("truncated: 0 field bytes for 2 pairs of 2 bits")), shape, uint16(99), false)
+		f.Add(respFrames(errFrame("unknown op 5")), shape, uint16(99), false) // an upstream older than packed pair frames
 		f.Add(respFrames([]byte{0x7f}), shape, uint16(99), false)
 		f.Add([]byte{0xff, 0xff, 0xff, 0x7f}, shape, uint16(99), false)
 	}

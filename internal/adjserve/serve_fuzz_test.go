@@ -3,6 +3,8 @@ package adjserve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -18,7 +20,9 @@ import (
 // for a pair batch, count answers, each the engine's answer for the pair as
 // decoded from the payload; for info and shard-info, the advertised bytes.
 // A traced request's OK frame carries the trace flag and a well-formed trace
-// block after that body. Seeded from the golden request payloads.
+// block after that body, and a retired uvarint pair batch (op 1 or 4) draws
+// exactly the error frame naming its op. Seeded from the golden request
+// payloads, malformed frames of every kind and the retired ops' payloads.
 func FuzzServeRequest(f *testing.F) {
 	adj := testEngine(f, 400, 7)
 	dist := testDistEngines(f, 400, 3)["pll"]
@@ -32,6 +36,18 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add([]byte{opInfo})
 	f.Add([]byte{opShardInfo})
 	f.Add([]byte{})
+	whole := appendPairsReq(nil, opQuery, goldenRing(adj, 40))
+	f.Add(whole[:len(whole)-1])                                      // truncated
+	f.Add(append(slices.Clone(whole), 0))                            // one byte over
+	f.Add(append([]byte{opDist}, bytes.Repeat([]byte{0xff}, 11)...)) // overlong count
+	f.Add(refPairReq(opQuery, 3, 0, nil))                            // width 0
+	f.Add(refPairReq(opDist, 1, 65, nil, make([]byte, 17)...))       // width 65
+	f.Add(refPairReq(opQuery, 2, 9, [][2]int{{1, 2}}))               // a pair short
+	retired, _ := retiredPayloads()
+	for _, req := range retired {
+		b, _ := hex.DecodeString(req)
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		want, traced, ok := serveWant(adj, dist, req)
@@ -50,8 +66,8 @@ func FuzzServeRequest(f *testing.F) {
 			if k <= 0 || msgLen != uint64(len(resp)-1-k) {
 				t.Fatalf("request %x: malformed error frame %x", req, resp)
 			}
-			if ok {
-				t.Fatalf("request %x: error frame %q, want %x", req, resp, want)
+			if ok || want != nil && !bytes.Equal(resp, want) {
+				t.Fatalf("request %x: error frame %q, want %q", req, resp, want)
 			}
 		default:
 			switch {
@@ -73,9 +89,11 @@ func FuzzServeRequest(f *testing.F) {
 }
 
 // serveWant is the fuzzer's oracle, written from the wire format in the
-// package doc rather than from the serving loop: the untraced OK response a
+// package doc rather than from the serving loop — pairs come from the
+// bit-by-bit reference reader, never the production decoder: the untraced OK response a
 // server over adj and dist owes req, whether that response is extended by a
-// trace block, and ok=false when req must draw an error frame instead.
+// trace block, and ok=false when req must draw an error frame instead (want,
+// when not nil, is then that exact frame).
 func serveWant(adj *core.QueryEngine, dist *core.DistEngine, req []byte) (want []byte, traced, ok bool) {
 	if len(req) > traceIDLen && req[0]&opTraceFlag != 0 {
 		traced = true
@@ -92,25 +110,18 @@ func serveWant(adj *core.QueryEngine, dist *core.DistEngine, req []byte) (want [
 	case opShardInfo:
 		return buildShardInfo(adj, adj.N(), maxFramePayload), false, true
 	case opQuery, opDist:
+	case opQueryUvarint, opDistUvarint:
+		return errFrame(fmt.Sprintf("retired op %d: uvarint pair batches are no longer served (upgrade the client)", op)), false, false
 	default:
 		return nil, false, false
 	}
-	count, k := binary.Uvarint(body)
-	if k <= 0 || count > DefaultMaxBatch {
+	pairs, ok := refReadPairs(body, DefaultMaxBatch)
+	if !ok {
 		return nil, false, false
 	}
-	body = body[k:]
-	want = binary.AppendUvarint([]byte{statusOK}, count)
-	for i := uint64(0); i < count; i++ {
-		u, ku := binary.Uvarint(body)
-		if ku <= 0 {
-			return nil, false, false
-		}
-		v, kv := binary.Uvarint(body[ku:])
-		if kv <= 0 {
-			return nil, false, false
-		}
-		body = body[ku+kv:]
+	want = binary.AppendUvarint([]byte{statusOK}, uint64(len(pairs)))
+	for i, p := range pairs {
+		u, v := p[0], p[1]
 		if op == opQuery {
 			a, err := adj.Adjacent(int(u), int(v))
 			if err != nil {
@@ -132,9 +143,6 @@ func serveWant(adj *core.QueryEngine, dist *core.DistEngine, req []byte) (want [
 			d = 255
 		}
 		want = binary.AppendUvarint(want, uint64(d))
-	}
-	if len(body) != 0 {
-		return nil, false, false
 	}
 	return want, traced, true
 }

@@ -220,7 +220,7 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 	}
 	pl := planeOf(op)
 	if pl == nil {
-		return appendErr(resp, "unknown op %d", op), 0
+		return appendBadOp(resp, op), 0
 	}
 	return s.servePairs(pl, body, bufs)
 }
@@ -229,8 +229,9 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 // under every plane: decode a block of pairs, hand it to the plane's engine
 // kernel, encode the block's answers. One tally per frame, flushed on every
 // exit: the engine's per-query metric cost on this path is two increments
-// (see core.QueryTally), and the pairs probed ahead of a malformed or failing
-// one still count.
+// (see core.QueryTally), and the pairs probed ahead of a failing one still
+// count. A malformed frame (count, width or length) is refused whole before
+// any probe.
 func (s *Server) servePairs(pl *plane, body []byte, bufs *connBuffers) (out []byte, queries int) {
 	resp := bufs.resp[:0]
 	// Shed before touching the payload: under overload the whole point is
@@ -244,53 +245,35 @@ func (s *Server) servePairs(pl *plane, body []byte, bufs *connBuffers) (out []by
 	if eng == nil {
 		return appendErr(resp, "server holds no %s engine", pl.name), 0
 	}
-	count, n := binary.Uvarint(body)
-	if n <= 0 {
-		return appendErr(resp, "bad pair count"), 0
+	count, w, fields, err := readPairHeader(body, s.maxBatch)
+	if err != nil {
+		return appendErr(resp, "%s", err), 0
 	}
-	if count > uint64(s.maxBatch) {
-		return appendErr(resp, "batch of %d pairs exceeds limit %d", count, s.maxBatch), 0
-	}
-	body = body[n:]
 	resp = append(resp, statusOK)
-	resp = binary.AppendUvarint(resp, count)
+	resp = binary.AppendUvarint(resp, uint64(count))
 	var blk [core.ProbeBlock][2]int
 	var adj [core.ProbeBlock]bool
 	var dist [core.ProbeBlock]int
-	failed := false
-	for i := 0; i < int(count); {
-		k, rest, bad := decodePairs(blk[:min(core.ProbeBlock, int(count)-i)], body)
-		body = rest
+	for i := 0; i < count; {
+		k := min(core.ProbeBlock, count-i)
+		fields = decodePairs(blk[:k], fields, w)
 		ans := answers{adj: adj[:k]}
 		if pl.ints {
 			ans = answers{dist: dist[:k]}
 		}
-		// The pairs ahead of a malformed one are probed first, so an engine
-		// error among them is the one reported: lowest pair index wins.
+		// The lowest failing pair index wins.
 		done, err := s.span(pl, blk[:k], ans, &bufs.tally)
 		if err != nil {
 			p := blk[done]
 			resp = appendErr(resp[:0], "pair %d (%d,%d): %v", i+done, uint64(p[0]), uint64(p[1]), err)
-			failed = true
-			break
-		}
-		if bad != "" {
-			resp = appendErr(resp[:0], "pair %d: bad %s", i+k, bad)
-			failed = true
+			count = 0 // a span that ended early is not charged as a batch
 			break
 		}
 		resp = ans.encode(resp)
 		i += k
 	}
-	if !failed && len(body) != 0 {
-		resp = appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count)
-		failed = true
-	}
-	if failed {
-		count = 0 // a span that ended early is not charged as a batch
-	}
-	eng.FlushTally(&bufs.tally, int(count))
-	return resp, int(count)
+	eng.FlushTally(&bufs.tally, count)
+	return resp, count
 }
 
 // engineOf and span are the two places the server tells planes apart.
@@ -319,27 +302,6 @@ func (s *Server) span(pl *plane, pairs [][2]int, a answers, t *core.QueryTally) 
 		return s.dist.DistSpan(pairs, a.dist, t)
 	}
 	return s.engine.AdjacentSpan(pairs, a.adj, t)
-}
-
-// decodePairs fills dst with uvarint-coded (u,v) pairs from body and returns
-// how many it decoded and the unread rest of body. bad is "" when dst was
-// filled; otherwise pair number n is malformed and bad names its side, "u" or
-// "v".
-func decodePairs(dst [][2]int, body []byte) (n int, rest []byte, bad string) {
-	for n < len(dst) {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			return n, body, "u"
-		}
-		v, nv := binary.Uvarint(body[nu:])
-		if nv <= 0 {
-			return n, body, "v"
-		}
-		body = body[nu+nv:]
-		dst[n] = [2]int{int(u), int(v)}
-		n++
-	}
-	return n, body, ""
 }
 
 // servedN is the vertex count of whichever plane the server holds (equal when
