@@ -14,7 +14,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/powerlaw"
 	"repro/internal/schemes/baseline"
-	"repro/internal/schemes/distance"
 	"repro/internal/schemes/forest"
 	"repro/internal/schemes/onequery"
 )
@@ -91,20 +90,6 @@ func BenchmarkEncodeOneQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeDistanceF3(b *testing.B) {
-	g, err := gen.ChungLuPowerLaw(1<<11, 2.5, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (distance.Scheme{Alpha: 2.5, F: 3}).Encode(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // queryPairs builds a deterministic query mix (half edges, half random).
 func queryPairs(g *graph.Graph, count int) [][2]int {
 	rng := rand.New(rand.NewSource(9))
@@ -160,26 +145,6 @@ func BenchmarkDecodeOneQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		if _, err := enc.Adjacent(p[0], p[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeDistanceF3(b *testing.B) {
-	g, err := gen.ChungLuPowerLaw(1<<11, 2.5, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lab, err := (distance.Scheme{Alpha: 2.5, F: 3}).Encode(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := queryPairs(g, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if _, err := lab.Dist(p[0], p[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"time"
 
@@ -126,12 +125,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("encode: %w", err)
 	}
 	printEncode(stdout, time.Since(start), g.N())
-	st := lab.Stats()
 	fmt.Fprintf(stdout, "scheme: %s\n", lab.Scheme())
 	_, order, _ := lab.ArenaLayout()
 	printLayout(stdout, order)
-	fmt.Fprintf(stdout, "labels: max=%d bits, mean=%.1f, p50=%d, p90=%d, p99=%d, total=%d bits (%.1f KiB)\n",
-		st.Max, st.Mean, st.P50, st.P90, st.P99, st.Total, float64(st.Total)/8/1024)
+	printSizeStats(stdout, lab.Stats())
 	if ft, ok := scheme.(*core.FatThinScheme); ok {
 		if err := printThinEdges(stdout, g, lab, ft); err != nil {
 			return err
@@ -203,7 +200,7 @@ func runDistance(stdout io.Writer, g *graph.Graph, name string, alpha float64, f
 	printEncode(stdout, time.Since(start), g.N())
 	fmt.Fprintf(stdout, "scheme: %s\n", schemeLabel)
 	printLayout(stdout, arena.Order)
-	printBitLenStats(stdout, arena.BitLens)
+	printSizeStats(stdout, core.SizeStatsOf(arena.BitLens))
 	if verify {
 		eng, err := core.NewDistEngine(arena)
 		if err != nil {
@@ -286,31 +283,10 @@ func printThinEdges(stdout io.Writer, g *graph.Graph, lab *core.Labeling, s *cor
 	return nil
 }
 
-// printBitLenStats reports the label-size line from packed bit lengths, in
-// the same shape as core.Labeling.Stats.
-func printBitLenStats(stdout io.Writer, bitLens []int) {
-	sorted := append([]int(nil), bitLens...)
-	sort.Ints(sorted)
-	total, maxBits := int64(0), 0
-	for _, l := range bitLens {
-		total += int64(l)
-		if l > maxBits {
-			maxBits = l
-		}
-	}
-	q := func(p float64) int {
-		if len(sorted) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	mean := 0.0
-	if len(bitLens) > 0 {
-		mean = float64(total) / float64(len(bitLens))
-	}
+// printSizeStats reports the label-size line.
+func printSizeStats(stdout io.Writer, st core.SizeStats) {
 	fmt.Fprintf(stdout, "labels: max=%d bits, mean=%.1f, p50=%d, p90=%d, p99=%d, total=%d bits (%.1f KiB)\n",
-		maxBits, mean, q(0.50), q(0.90), q(0.99), total, float64(total)/8/1024)
+		st.Max, st.Mean, st.P50, st.P90, st.P99, st.Total, float64(st.Total)/8/1024)
 }
 
 // verifyDistance spot-checks the engine against BFS ground truth from a

@@ -7,7 +7,7 @@
 // shared by every process mapping the file. Where mmap is unavailable the
 // file is read into memory and the loaded line says mode=copied. A distance
 // store (pllabel -scheme dist-pll or dist-bounded) gets a core.DistEngine and
-// answers distance frames; -pair-cache-bits is that plane's flag.
+// answers distance frames.
 //
 // -shards a,b,c routes over a fleet of such daemons, speaking the same
 // protocol both ways: each request batch is split by owning shard, fanned out
@@ -18,7 +18,7 @@
 // identical whole-store servers (e.g. R copies on one distance store) is
 // admitted as a replica fleet instead: requests spread by owner-of-u, and
 // distance frames are routed too, which a partition refuses. A router holds
-// no store, so -pair-cache-bits and -shed-depth are refused with -shards.
+// no store, so -shed-depth is refused with -shards.
 //
 // Usage:
 //
@@ -74,7 +74,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		addr        = fs.String("addr", "127.0.0.1:7421", "listen address (port 0 picks a free port)")
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/pprof (empty disables; port 0 picks a free port)")
 		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default); a router's upstream sub-batches are never larger")
-		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v)→distance result cache (0 = disabled); distance stores only, refused on an adjacency store and with -shards")
 		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited); behind a -shards router leave room for its lanes, 4 connections per router")
 		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed); -labels only")
 		traceSample = fs.Int64("trace-sample", 0, "self-sample every Nth served or routed frame into /debug/traces (0 = only trace frames that arrive traced)")
@@ -88,8 +87,8 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	if routing == (*labelsPath != "") || routing && len(shards) == 0 {
 		return fmt.Errorf("exactly one of -labels FILE and -shards ADDR,... is required")
 	}
-	if routing && (*cacheBits != 0 || *shedDepth != 0) {
-		return fmt.Errorf("-pair-cache-bits and -shed-depth are -labels options; a -shards router holds no store")
+	if routing && *shedDepth != 0 {
+		return fmt.Errorf("-shed-depth is a -labels option; a -shards router holds no store")
 	}
 	logger := slog.New(slog.NewTextHandler(stdout, nil))
 
@@ -199,13 +198,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			if err != nil {
 				return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
 			}
-			// The result cache is attached before the engine is shared with any
-			// connection goroutine (EnableResultCache's publication contract).
-			if *cacheBits > 0 {
-				if err := deng.EnableResultCache(*cacheBits); err != nil {
-					return err
-				}
-			}
 			srv = adjserve.NewServer(nil, *maxBatch)
 			srv.SetDistEngine(deng)
 			attachMetrics = deng.AttachMetrics
@@ -216,9 +208,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 				planeAttrs = append(planeAttrs, "hub_table_bytes", deng.HubTableBytes())
 			}
 		} else {
-			if *cacheBits > 0 {
-				return fmt.Errorf("-pair-cache-bits caches distances, a distance-plane option; %s is an adjacency store", *labelsPath)
-			}
 			// Zero-copy over the store's arena, id- or degree-ordered. Only
 			// fat/thin-layout stores (the engine's label format) are servable;
 			// anything else fails here, at startup. The engine's header checks

@@ -648,19 +648,15 @@ func TestRemovedSortFlagRejected(t *testing.T) {
 	}
 }
 
-// TestPairCacheFlagRefusedOnAdjacencyStore: the result cache is the distance
-// plane's; an adjacency deployment still passing the flag fails at startup,
-// told where the flag belongs, instead of having it silently ignored.
-// (TestServeDistanceStore passes it to a distance store.) A -shards router
-// holds no store, so it refuses both store options by name.
+// TestPairCacheFlagRefusedOnAdjacencyStore: a -shards router holds no store,
+// so it refuses the store-side -shed-depth by name instead of ignoring it.
+// (The name is kept from when the table also covered the since-removed
+// distance result-cache flag; an unknown flag now fails in flag parsing.)
 func TestPairCacheFlagRefusedOnAdjacencyStore(t *testing.T) {
-	path, _ := storeFixture(t)
 	for _, tc := range []struct {
 		name, want string
 		args       []string
 	}{
-		{"adjacency store", "distance-plane option", []string{"-labels", path, "-pair-cache-bits", "8"}},
-		{"shards pair-cache-bits", "-pair-cache-bits", []string{"-shards", "127.0.0.1:1", "-pair-cache-bits", "8"}},
 		{"shards shed-depth", "-shed-depth", []string{"-shards", "127.0.0.1:1", "-shed-depth", "4"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

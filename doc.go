@@ -11,6 +11,6 @@
 // Lemma 7 distance labels (internal/schemes/distance), and the evaluation
 // harness (internal/experiments). See README.md for a tour, DESIGN.md for
 // the system inventory, and EXPERIMENTS.md for the paper-vs-measured
-// results. The benchmarks in bench_test.go regenerate every experiment
-// table.
+// results. cmd/plbench regenerates every experiment table; bench_test.go
+// holds per-scheme encode and decode micro-benchmarks.
 package repro

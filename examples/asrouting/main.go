@@ -60,15 +60,18 @@ func main() {
 	// bound f already answers the bulk of queries while keeping the fat
 	// distance table — the dominant label term — short.
 	const f = 4
-	ds := distance.Scheme{Alpha: 3.0, F: f}
-	dl, err := ds.Encode(g)
+	arena, err := (distance.Scheme{Alpha: 3.0, F: f}).EncodeArena(g, 0, core.LayoutID)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, maxBits, meanBits := dl.Stats()
+	dl, err := core.NewDistEngine(arena)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sizes := core.SizeStatsOf(arena.BitLens)
 	exactBits := n * bitsFor(diam+2) // the trivial exact-vector label, for scale
 	fmt.Printf("distance labels (f=%d): max=%d bits, mean=%.0f bits (exact distance vectors would be %d bits)\n",
-		f, maxBits, meanBits, exactBits)
+		f, sizes.Max, sizes.Mean, exactBits)
 
 	answered, beyond := 0, 0
 	for _, p := range [][2]int{{0, n - 1}, {1, 2}, {17, 4242}, {123, 7654}, {999, 5000}} {

@@ -21,13 +21,13 @@ import (
 // dead server surfaces as an error carrying the last dial failure instead of
 // an infinitely retrying call.
 const (
-	// DefaultMaxDialAttempts is the consecutive dial-attempt cap per
-	// reconnect when Client.MaxDialAttempts is unset.
-	DefaultMaxDialAttempts = 4
-	// DefaultRedialBackoff is the initial inter-attempt backoff when
-	// Client.RedialBackoff is unset; it doubles per failure up to
+	// defaultMaxDialAttempts is the consecutive dial-attempt cap per
+	// reconnect when Client.maxDialAttempts is unset.
+	defaultMaxDialAttempts = 4
+	// defaultRedialBackoff is the initial inter-attempt backoff when
+	// Client.redialBackoff is unset; it doubles per failure up to
 	// maxRedialBackoff.
-	DefaultRedialBackoff = 25 * time.Millisecond
+	defaultRedialBackoff = 25 * time.Millisecond
 	maxRedialBackoff     = 1 * time.Second
 )
 
@@ -37,7 +37,7 @@ const (
 // responses back up — so one TCP round trip covers an arbitrarily large
 // batch. Calls are safe for concurrent goroutines, which share (and
 // pipeline over) a single connection; if the connection dies, the next call
-// transparently redials — bounded by MaxDialAttempts with exponential
+// transparently redials — bounded by 4 dial attempts with exponential
 // backoff, so a dead server surfaces as the last dial error rather than a
 // silent retry loop.
 type Client struct {
@@ -46,19 +46,20 @@ type Client struct {
 	// rejected remotely.
 	MaxBatch int
 
-	// MaxDialAttempts caps consecutive dial attempts per reconnect (<= 0
-	// selects DefaultMaxDialAttempts). After that many consecutive failures
-	// the triggering call returns the last dial error.
-	MaxDialAttempts int
+	// maxDialAttempts caps consecutive dial attempts per reconnect (<= 0
+	// selects defaultMaxDialAttempts). After that many consecutive failures
+	// the triggering call returns the last dial error. Set only by tests.
+	maxDialAttempts int
 
-	// RedialBackoff is the initial delay between dial attempts (<= 0
-	// selects DefaultRedialBackoff), doubling per consecutive failure up to
+	// redialBackoff is the initial delay between dial attempts (<= 0
+	// selects defaultRedialBackoff), doubling per consecutive failure up to
 	// one second with ±20% jitter per sleep. The backoff sleeps while holding
 	// the client's connection lock, so concurrent calls wait out the same
 	// reconnect rather than piling up their own dial storms; the jitter keeps
 	// a fleet of such clients (a Router holds one per shard lane) from
 	// synchronizing their reconnect storms after a shared server restart.
-	RedialBackoff time.Duration
+	// Set only by tests.
+	redialBackoff time.Duration
 
 	// DialFunc, when non-nil, replaces net.Dial("tcp", addr) for every
 	// connection this client establishes. It is the hook chaos harnesses use
@@ -279,7 +280,7 @@ func (cc *clientConn) fail(err error) {
 
 // ensureConn returns the live connection, dialing a fresh one if the
 // previous connection has shut down. A reconnect tries at most
-// MaxDialAttempts dials with exponential backoff between them and then
+// maxDialAttempts dials with exponential backoff between them and then
 // surfaces the last dial error — transparent redial is bounded, never an
 // infinite silent retry. Callers hold c.mu, so one caller performs the
 // reconnect while the rest queue behind it.
@@ -293,13 +294,13 @@ func (c *Client) ensureConn() (*clientConn, error) {
 		}
 		c.cc = nil
 	}
-	attempts := c.MaxDialAttempts
+	attempts := c.maxDialAttempts
 	if attempts <= 0 {
-		attempts = DefaultMaxDialAttempts
+		attempts = defaultMaxDialAttempts
 	}
-	backoff := c.RedialBackoff
+	backoff := c.redialBackoff
 	if backoff <= 0 {
-		backoff = DefaultRedialBackoff
+		backoff = defaultRedialBackoff
 	}
 	dial := c.DialFunc
 	if dial == nil {

@@ -250,7 +250,7 @@ func TestEarlyExitFlushesTally(t *testing.T) {
 }
 
 // TestClientDialBounded: a client pointed at a dead address gives up after
-// MaxDialAttempts with the last dial error, and the attempt/failure counters
+// maxDialAttempts with the last dial error, and the attempt/failure counters
 // record exactly the configured cap.
 func TestClientDialBounded(t *testing.T) {
 	// A listener opened and closed immediately yields an address that
@@ -263,8 +263,8 @@ func TestClientDialBounded(t *testing.T) {
 	ln.Close()
 
 	c := NewClient(addr)
-	c.MaxDialAttempts = 3
-	c.RedialBackoff = time.Millisecond
+	c.maxDialAttempts = 3
+	c.redialBackoff = time.Millisecond
 	_, err = c.AdjacentMany([][2]int{{0, 1}}, nil)
 	if err == nil {
 		t.Fatal("call to dead server succeeded")

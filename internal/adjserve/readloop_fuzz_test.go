@@ -84,7 +84,7 @@ func FuzzClientReadLoop(f *testing.F) {
 		}
 		c := NewClient("pipe")
 		c.MaxBatch = readLoopBatch
-		c.MaxDialAttempts = 1
+		c.maxDialAttempts = 1
 		var peers sync.WaitGroup
 		c.DialFunc = func(string) (net.Conn, error) {
 			client, peer := net.Pipe()

@@ -187,7 +187,7 @@ func FuzzRouterUpstream(f *testing.F) {
 		defer r.Close()
 		for _, lane := range r.lanes {
 			for _, c := range lane {
-				c.MaxDialAttempts = 1
+				c.maxDialAttempts = 1
 			}
 		}
 

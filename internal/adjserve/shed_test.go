@@ -153,7 +153,7 @@ func TestAdmissionCap(t *testing.T) {
 	// admission: its first call draws ErrShed. The client then redials on the
 	// next call and is refused again while the slot is held.
 	second := NewClient(addr)
-	second.MaxDialAttempts = 1
+	second.maxDialAttempts = 1
 	defer second.Close()
 	if _, err := second.Adjacent(3, 4); err != ErrShed {
 		t.Fatalf("over-cap call: err = %v, want ErrShed", err)
@@ -281,8 +281,8 @@ func TestJitterBackoffBounds(t *testing.T) {
 // may pass.
 func TestRedialBackoffJittered(t *testing.T) {
 	c := NewClient("127.0.0.1:1") // never dialed: DialFunc injects failures
-	c.MaxDialAttempts = 4
-	c.RedialBackoff = 100 * time.Millisecond
+	c.maxDialAttempts = 4
+	c.redialBackoff = 100 * time.Millisecond
 	dials := 0
 	c.DialFunc = func(addr string) (net.Conn, error) {
 		dials++
@@ -297,7 +297,7 @@ func TestRedialBackoffJittered(t *testing.T) {
 		t.Fatal("call against a dead dialer succeeded")
 	}
 	if dials != 4 {
-		t.Fatalf("dials = %d, want MaxDialAttempts = 4", dials)
+		t.Fatalf("dials = %d, want maxDialAttempts = 4", dials)
 	}
 	// Backoff ladder 100ms, 200ms, 400ms scaled by draws 0 → ×0.8,
 	// 1 → ×1.2, 0.5 → ×1.0. Sleeps happen before attempts 2..4.

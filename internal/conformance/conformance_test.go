@@ -5,7 +5,8 @@
 // with each other — on every vertex pair. Labeling schemes are promises
 // about entire graph families; this verifies the promise family-wide rather
 // than on sampled instances. The distance plane gets the same treatment:
-// the PLL slab engine against BFS and the legacy decoder on every graph.
+// the PLL and Lemma 7 slab engines against BFS on every graph, Lemma 7's
+// also against its own decoder.
 //
 // The matrix has three columns. Local: labels decoded in process (every
 // scheme, the engines' batch surfaces, every shard of a split). Served: the
@@ -27,6 +28,7 @@ import (
 	"testing"
 
 	"repro/internal/adjserve"
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/schemes/baseline"
@@ -108,22 +110,22 @@ func routeOver(t *testing.T, where string, addrs []string) (addr string, stop fu
 }
 
 // checkRemote asks the server or router at addr for every pair in one batch
-// on one plane and holds the answers to the graph: HasEdge when dist is
-// false, BFS hop counts (-1 unreachable) when true.
-func checkRemote(t *testing.T, where, addr string, g *graph.Graph, pairs [][2]int, dist bool) {
+// on one plane and holds the answers to the graph: HasEdge when dist is nil,
+// else on the distance plane the hop count dist gives.
+func checkRemote(t *testing.T, where, addr string, g *graph.Graph, pairs [][2]int, dist func(u, v int) int) {
 	t.Helper()
 	c, err := adjserve.Dial(addr)
 	if err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
 	defer c.Close()
-	if dist {
+	if dist != nil {
 		got, err := c.DistMany(pairs, nil)
 		if err != nil {
 			t.Fatalf("%s: DistMany: %v", where, err)
 		}
 		for i, p := range pairs {
-			if want := g.BFS(p[0])[p[1]]; got[i] != want {
+			if want := dist(p[0], p[1]); got[i] != want {
 				t.Fatalf("%s: dist(%d,%d) = %d, BFS says %d", where, p[0], p[1], got[i], want)
 			}
 		}
@@ -299,7 +301,7 @@ func exhaustiveBatch(t *testing.T, n int) {
 				check(where, g, eng, all)
 				if remote {
 					addrs, stop := serveAll(t, adjserve.NewServer(eng, 0))
-					checkRemote(t, where+" served", addrs[0], g, all, false)
+					checkRemote(t, where+" served", addrs[0], g, all, nil)
 					stop()
 				}
 				for _, part := range partitions {
@@ -345,7 +347,7 @@ func exhaustiveBatch(t *testing.T, n int) {
 						where := fmt.Sprintf("%s routed over %d shards fn=%v", where, count, fn)
 						addrs, stopFleet := serveAll(t, fleet...)
 						routed, stopRouter := routeOver(t, where, addrs)
-						checkRemote(t, where, routed, g, all, false)
+						checkRemote(t, where, routed, g, all, nil)
 						stopRouter()
 						stopFleet()
 					}
@@ -355,25 +357,35 @@ func exhaustiveBatch(t *testing.T, n int) {
 	}
 }
 
-// TestExhaustiveDistanceN4 checks the PLL distance plane on all 64 graphs
-// with 4 vertices.
+// TestExhaustiveDistanceN4 checks the distance plane on all 64 graphs with
+// 4 vertices.
 func TestExhaustiveDistanceN4(t *testing.T) {
 	exhaustiveDistance(t, 4)
 }
 
-// TestExhaustiveDistanceN5 checks the PLL distance plane on all 1024 graphs
+// TestExhaustiveDistanceN5 checks the distance plane on all 1024 graphs
 // with 5 vertices.
 func TestExhaustiveDistanceN5(t *testing.T) {
 	exhaustiveDistance(t, 5)
 }
 
+// distRows are the distance labelings of the matrix: PLL (f = 0 here: exact
+// at every distance) and Lemma 7 at f = 1, 2 and 3. Each is served over one
+// replica; PLL also routed over two.
+var distRows = []struct {
+	f              int
+	served, routed bool
+}{{0, true, true}, {1, false, false}, {2, true, false}, {3, false, false}}
+
 // exhaustiveDistance is the distance row of the conformance matrix: on every
-// graph with n vertices, PLL labels encoded straight into a slab arena and
-// served by core.DistEngine — in both physical layouts — must answer every
-// ordered pair exactly as BFS does (disconnected pairs -1) and exactly as
-// the legacy PLLDecoder does over its own labels. The served column asks
-// the same engine through a distance-only adjserve.Server, the routed column
-// through a Router over two such replicas.
+// graph with n vertices, each labeling of distRows encoded straight into a
+// slab arena and served by core.DistEngine — in both physical layouts —
+// must answer every ordered pair as BFS does: PLL exactly (disconnected
+// pairs -1), Lemma 7 exactly up to f and -1 beyond. Lemma 7's own decoder,
+// distance.Decoder, must answer the same from the arena's labels viewed in
+// place. The served column asks the same engine through a distance-only
+// adjserve.Server, the routed column through a Router over two such
+// replicas.
 func exhaustiveDistance(t *testing.T, n int) {
 	t.Helper()
 	all := allPairs(n)
@@ -383,50 +395,97 @@ func exhaustiveDistance(t *testing.T, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := distance.PLLScheme{}.Encode(g)
-		if err != nil {
-			t.Fatalf("mask=%d: legacy encode: %v", mask, err)
+		bfs := make([][]int, n)
+		for u := range bfs {
+			bfs[u] = g.BFS(u)
 		}
-		for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-			arena, err := distance.PLLScheme{}.EncodeArena(g, 1, lay)
-			if err != nil {
-				t.Fatalf("mask=%d layout=%v: encode: %v", mask, lay, err)
+		for _, row := range distRows {
+			want := func(u, v int) int {
+				if d := bfs[u][v]; row.f == 0 || d <= row.f {
+					return d
+				}
+				return distance.Beyond
 			}
-			eng, err := core.NewDistEngine(arena)
-			if err != nil {
-				t.Fatalf("mask=%d layout=%v: engine: %v", mask, lay, err)
-			}
-			for u := 0; u < n; u++ {
-				bfs := g.BFS(u)
-				for v := 0; v < n; v++ {
-					got, err := eng.Dist(u, v)
-					if err != nil {
-						t.Fatalf("mask=%d layout=%v (%d,%d): %v", mask, lay, u, v, err)
-					}
-					old, err := legacy.Dist(u, v)
-					if err != nil {
-						t.Fatalf("mask=%d legacy (%d,%d): %v", mask, u, v, err)
-					}
-					if got != bfs[v] || got != old {
-						t.Fatalf("mask=%d layout=%v: dist(%d,%d) = %d, BFS says %d, legacy decoder %d",
-							mask, lay, u, v, got, bfs[v], old)
+			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+				where := fmt.Sprintf("mask=%d f=%d layout=%v", mask, row.f, lay)
+				var arena *core.DistArena
+				if row.f == 0 {
+					arena, err = distance.PLLScheme{}.EncodeArena(g, 1, lay)
+				} else {
+					arena, err = distance.Scheme{Alpha: 2.5, F: row.f}.EncodeArena(g, 1, lay)
+				}
+				if err != nil {
+					t.Fatalf("%s: encode: %v", where, err)
+				}
+				eng, err := core.NewDistEngine(arena)
+				if err != nil {
+					t.Fatalf("%s: engine: %v", where, err)
+				}
+				decode := lemma7Decode(t, where, arena)
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						got, err := eng.Dist(u, v)
+						if err != nil {
+							t.Fatalf("%s (%d,%d): %v", where, u, v, err)
+						}
+						if got != want(u, v) {
+							t.Fatalf("%s: dist(%d,%d) = %d, BFS says %d", where, u, v, got, want(u, v))
+						}
+						if decode != nil {
+							if d := decode(u, v); d != got {
+								t.Fatalf("%s: dist(%d,%d) = %d, Lemma 7's decoder %d", where, u, v, got, d)
+							}
+						}
 					}
 				}
+				if !row.served {
+					continue
+				}
+				var replicas []*adjserve.Server
+				for range 2 {
+					srv := adjserve.NewServer(nil, 0)
+					srv.SetDistEngine(eng)
+					replicas = append(replicas, srv)
+				}
+				addrs, stopFleet := serveAll(t, replicas...)
+				checkRemote(t, where+" served", addrs[0], g, all, want)
+				if row.routed {
+					routed, stopRouter := routeOver(t, where+" routed over 2 replicas", addrs)
+					checkRemote(t, where+" routed over 2 replicas", routed, g, all, want)
+					stopRouter()
+				}
+				stopFleet()
 			}
-			where := fmt.Sprintf("mask=%d layout=%v", mask, lay)
-			var replicas []*adjserve.Server
-			for range 2 {
-				srv := adjserve.NewServer(nil, 0)
-				srv.SetDistEngine(eng)
-				replicas = append(replicas, srv)
-			}
-			addrs, stopFleet := serveAll(t, replicas...)
-			checkRemote(t, where+" served", addrs[0], g, all, true)
-			routed, stopRouter := routeOver(t, where+" routed over 2 replicas", addrs)
-			checkRemote(t, where+" routed over 2 replicas", routed, g, all, true)
-			stopRouter()
-			stopFleet()
 		}
+	}
+}
+
+// lemma7Decode returns Lemma 7's own decoder over a bdist arena's labels,
+// viewed in place; nil for any other arena.
+func lemma7Decode(t *testing.T, where string, arena *core.DistArena) func(u, v int) int {
+	t.Helper()
+	if arena.Params.Kind != core.DistBounded {
+		return nil
+	}
+	dec, err := distance.NewDecoder(arena.N(), arena.Params)
+	if err != nil {
+		t.Fatalf("%s: decoder: %v", where, err)
+	}
+	labels := make([]bitstr.String, arena.N())
+	walk := bitstr.NewSlabWalk(len(arena.Slab), arena.BitLens, arena.Order)
+	for walk.Next() {
+		v, off := walk.Label()
+		labels[v] = bitstr.SlabLabel(arena.Slab, off, arena.BitLens[v])
+	}
+	if err := walk.Tiled(); err != nil {
+		t.Fatalf("%s: slab walk: %v", where, err)
+	}
+	return func(u, v int) int {
+		d, err := dec.Dist(labels[u], labels[v])
+		if err != nil {
+			t.Fatalf("%s: decoder dist(%d,%d): %v", where, u, v, err)
+		}
+		return d
 	}
 }
 

@@ -129,16 +129,19 @@ type SizeStats struct {
 // immutable after construction, so the sort-heavy computation runs once and
 // the result is memoized.
 func (l *Labeling) Stats() SizeStats {
-	l.statsOnce.Do(func() { l.stats = l.computeStats() })
+	l.statsOnce.Do(func() { l.stats = SizeStatsOf(l.BitLens()) })
 	return l.stats
 }
 
-func (l *Labeling) computeStats() SizeStats {
-	n := l.N()
+// SizeStatsOf summarizes a labeling's label sizes from its bit lengths: the
+// one size summary every labeling, encoder report and experiment table
+// prints. Percentile p is the sorted sizes' entry at ⌊p·(n−1)⌋.
+func SizeStatsOf(bitLens []int) SizeStats {
+	n := len(bitLens)
 	if n == 0 {
 		return SizeStats{}
 	}
-	sizes := slices.Clone(l.BitLens())
+	sizes := slices.Clone(bitLens)
 	var total int64
 	for _, bits := range sizes {
 		total += int64(bits)

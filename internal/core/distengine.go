@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitstr"
 	"repro/internal/graph"
@@ -23,12 +22,13 @@ import (
 //     the rest of the list as rank<<dw|dist words. A query ANDs the two
 //     bitmaps and scatters only the shorter tail into a rank-indexed scratch
 //     to probe it with the longer (hubRecords.probe); it never reads the
-//     slab. Answers match distance.PLLDecoder.Dist bit for bit; unreachable
-//     pairs return -1 (graph.Unreachable).
+//     slab. Answers are the minimum summed distance over the shared hubs, the
+//     exact distance of a 2-hop cover; unreachable pairs return -1
+//     (graph.Unreachable).
 //   - DistBounded: Lemma 7's decode straight from the slab —
 //     the minimum over fat-hub relays (both fixed-width fat tables walked in
-//     lockstep with the legacy early-out) plus, for thin-thin pairs, a
-//     binary search of each sorted thin list. Distances beyond the bound f
+//     lockstep with distance.Decoder's early-out) plus, for thin-thin pairs,
+//     a binary search of each sorted thin list. Distances beyond the bound f
 //     return -1 (distance.Beyond, numerically the same sentinel).
 //
 // Every label is fully validated at construction — entry lists must stay in
@@ -36,7 +36,7 @@ import (
 // never errors and never reads outside the slab or the records on any engine
 // that construction accepted (FuzzDistEngineHeaders leans on exactly this).
 // Like QueryEngine, a DistEngine is immutable after construction and safe
-// for concurrent use; metrics and the result cache attach before sharing.
+// for concurrent use; metrics attach before sharing.
 type DistEngine struct {
 	kind DistKind
 	n    int
@@ -64,7 +64,6 @@ type DistEngine struct {
 	// when a bdist query had a fat endpoint, thin for thin-thin bdist pairs
 	// and every PLL hub-list probe.
 	engineMetrics
-	cache *distCache
 }
 
 // NewDistEngine adopts a pipeline-encoded DistArena zero-copy.
@@ -335,8 +334,8 @@ func headDist[T hubWord](dists []T, i uint) uint64 {
 
 // validateBounded checks a Lemma 7 label: exact fat length, thin list
 // tiling, and strictly ascending in-range thin ids (the binary search's
-// precondition — and what makes it answer identically to the legacy linear
-// scan).
+// precondition — and what makes it answer identically to distance.Decoder's
+// linear scan).
 func (e *DistEngine) validateBounded(v int, off, lbits int64) error {
 	header := int64(1 + e.w)
 	listOff := header + int64(e.nFat*e.dw)
@@ -454,10 +453,9 @@ func (e *DistEngine) HubTableBytes() int {
 
 // Dist answers a distance query between vertices u and v: the exact hop
 // distance, or -1 when unreachable (DistPLL) or beyond the bound f
-// (DistBounded) — the same sentinel both legacy decoders return. It is
-// allocation-free once the scratch pool is warm and answers bit-for-bit
-// identically to distance.PLLDecoder.Dist / distance.Decoder.Dist over the
-// same labels.
+// (DistBounded), numerically distance.Beyond. It is allocation-free once the
+// scratch pool is warm; a DistBounded engine answers bit-for-bit identically
+// to distance.Decoder.Dist over the same labels.
 func (e *DistEngine) Dist(u, v int) (int, error) {
 	s := e.takeScratch()
 	defer e.releaseScratch(s)
@@ -488,52 +486,36 @@ func (e *DistEngine) releaseScratch(s *rankScratch) {
 	}
 }
 
-// distTallied is the scalar probe path: one query, branch tallies into t.
-// With a result cache enabled the labels are only probed on a miss.
+// distTallied is the scalar probe path: one query against the labels, branch
+// tallies into t.
 func (e *DistEngine) distTallied(u, v int, s *rankScratch, t *QueryTally) (int, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return 0, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
 	t.queries++
-	if c := e.cache; c != nil {
-		key := distCacheKey(u, v)
-		if d, hit := c.get(key); hit {
-			t.cacheHits++
-			return d, nil
-		}
-		t.cacheMisses++
-		d := e.probeDist(u, v, s, t)
-		c.put(key, d)
-		return d, nil
-	}
-	return e.probeDist(u, v, s, t), nil
-}
-
-// probeDist resolves one in-range query against the labels.
-func (e *DistEngine) probeDist(u, v int, s *rankScratch, t *QueryTally) int {
 	if h := e.pll32; h != nil {
-		return h.probe(u, v, s.slot, t)
+		return h.probe(u, v, s.slot, t), nil
 	}
 	if h := e.pll64; h != nil {
-		return h.probe(u, v, s.slot, t)
+		return h.probe(u, v, s.slot, t), nil
 	}
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
 		t.self++
-		return 0
+		return 0, nil
 	}
 	if mu.fat() || mv.fat() {
 		t.fat++
 	} else {
 		t.thin++
 	}
-	return e.distBounded(mu, mv)
+	return e.distBounded(mu, mv), nil
 }
 
 // probe returns the minimum summed distance over the hubs u's and v's
-// records share — the answer of distance.PLLDecoder.Dist, 0 for equal ids:
-// shared head hubs are the set bits of the two bitmaps' AND (headMin), and
-// only the tails go through the rank scratch (tailMin).
+// records share — the exact distance, 0 for equal ids: shared head hubs are
+// the set bits of the two bitmaps' AND (headMin), and only the tails go
+// through the rank scratch (tailMin).
 func (h *hubRecords[T]) probe(u, v int, slot []uint32, t *QueryTally) int {
 	a, b := h.words[h.off[u]:], h.words[h.off[v]:]
 	if a[0] == b[0] {
@@ -544,8 +526,7 @@ func (h *hubRecords[T]) probe(u, v int, slot []uint32, t *QueryTally) int {
 	// A slot holds ^dist, so an empty (zero) slot reads back as 1<<32-1 and
 	// its sum with any distance is at least 1<<32-1, above inf. A stored
 	// distance of 1<<32-1 is indistinguishable from no hub, and reads back as
-	// itself either way. Sums of 1<<30 and more count as no common hub, as
-	// they do in the legacy decoder.
+	// itself either way. Sums of 1<<30 and more count as no common hub.
 	const inf = 1 << 30
 	best := headMin(a, b, inf)
 	// The tails end at the offsets. Swapping the plain integers, not the
@@ -628,8 +609,8 @@ func tailMin[T hubWord](ta, tb []T, dw uint, slot []uint32, best uint64) uint64 
 
 // distBounded is Lemma 7's decode: the minimum over fat-hub relays, then
 // for thin-thin pairs the two sorted thin lists — binary-searched here, with
-// answers identical to the legacy linear scan because construction verified
-// strict id order.
+// answers identical to distance.Decoder's linear scan because construction
+// verified strict id order.
 func (e *DistEngine) distBounded(mu, mv vertexMeta) int {
 	best := e.f + 1
 	offA, offB := mu.off, mv.off
@@ -714,90 +695,4 @@ func (e *DistEngine) DistMany(pairs [][2]int, out []int) ([]int, error) {
 	var t QueryTally
 	done, err := e.DistSpan(pairs, res, &t)
 	return finishMany(&e.engineMetrics, &t, "dist query", pairs, out, done, err)
-}
-
-// distCache is a direct-mapped (u,v)→distance cache for the engine's hot
-// pairs. A slot is one atomic word:
-//
-//	slot = key<<10 | (dist+1)<<1 | 1
-//
-// with key = min(u,v)<<27 | max(u,v). The low valid bit distinguishes the
-// empty slot from key 0. Distances carry 9 bits (stored +1 so the -1
-// sentinel packs as 0), so the cache holds answers up to 510 hops — far past
-// any power-law diameter; larger answers are simply not inserted. Keys embed
-// both vertices, so a lost race between two stores to one slot leaves a
-// correct entry, never one answering for a different pair: reads and writes
-// need no locks. Entries are evicted only by collision.
-type distCache struct {
-	slots []atomic.Uint64
-	mask  uint64
-}
-
-func newDistCache(bits int) *distCache {
-	return &distCache{slots: make([]atomic.Uint64, 1<<bits), mask: 1<<bits - 1}
-}
-
-// distCacheKey canonicalizes an unordered pair (distances are symmetric).
-// Callers guarantee 0 <= u,v < n <= 2^27.
-func distCacheKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<27 | uint64(v)
-}
-
-// index spreads the key with the splitmix64 finalizer; direct-mapping on the
-// low bits would collide every pair sharing a low vertex id — precisely the
-// hub pairs the cache exists for.
-func (c *distCache) index(key uint64) uint64 {
-	h := key
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h & c.mask
-}
-
-func (c *distCache) get(key uint64) (dist int, hit bool) {
-	s := c.slots[c.index(key)].Load()
-	if s&1 == 1 && s>>10 == key {
-		return int(s>>1&0x1ff) - 1, true
-	}
-	return 0, false
-}
-
-func (c *distCache) put(key uint64, dist int) {
-	if dist < -1 || dist > 509 {
-		return
-	}
-	c.slots[c.index(key)].Store(key<<10 | uint64(dist+1)<<1 | 1)
-}
-
-// maxCacheBits caps the cache at 2^28 slots (2 GiB of slots is past any
-// sensible configuration; the cap mostly guards against a mistyped flag).
-const maxCacheBits = 28
-
-// EnableResultCache attaches a direct-mapped (u,v)→distance cache of 2^bits
-// slots (8·2^bits bytes) probed before the labels; bits <= 0 detaches. Like
-// AttachMetrics it must be called before the engine is shared across
-// goroutines — afterwards the cache is safe under any number of concurrent
-// readers and writers. Hits and misses are tallied into the attached
-// EngineMetrics (dist_engine_cache_{hits,misses}_total); answers are never
-// invalidated, which is sound because the labeling is immutable. Distance
-// keys pack two 27-bit vertex ids, so the cache is available for engines up
-// to 2^27 vertices.
-func (e *DistEngine) EnableResultCache(bits int) error {
-	if bits <= 0 {
-		e.cache = nil
-		return nil
-	}
-	if bits > maxCacheBits {
-		return fmt.Errorf("core: result cache of 2^%d slots (max 2^%d)", bits, maxCacheBits)
-	}
-	if e.n > 1<<27 {
-		return fmt.Errorf("core: distance cache keys pack 27-bit vertex ids, engine has %d vertices", e.n)
-	}
-	e.cache = newDistCache(bits)
-	return nil
 }

@@ -552,26 +552,3 @@ func TestDistEncodersRefuseBadOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestEnableResultCacheValidates: the distance cache refuses a slot count
-// past its cap, attaches within it and detaches at zero.
-func TestEnableResultCacheValidates(t *testing.T) {
-	entries := [][]core.DistEntry{{{ID: 0, D: 0}}, {{ID: 0, D: 1}}, {{ID: 0, D: 2}}}
-	arena, err := core.EncodePLLArena(entries, 2, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.NewDistEngine(arena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableResultCache(40); err == nil {
-		t.Error("oversized cache accepted")
-	}
-	if err := eng.EnableResultCache(10); err != nil {
-		t.Errorf("EnableResultCache(10): %v", err)
-	}
-	if err := eng.EnableResultCache(0); err != nil {
-		t.Errorf("EnableResultCache(0) should detach, got %v", err)
-	}
-}

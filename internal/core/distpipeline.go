@@ -29,12 +29,12 @@ import (
 //	bdist  [fat bit][own id: w][dist to fat hub i: dw] × nFat
 //	       then, thin vertices only, entries sorted by vertex id:
 //	       [thin id: w][dist: dw]
-//	       w = ceil(log2 n), dw = ceil(log2 (f+2)) — bit-for-bit the legacy
-//	       Lemma 7 label layout of distance.Scheme, so a slab label and the
-//	       Builder-built label are identical strings.
+//	       w = ceil(log2 n), dw = ceil(log2 (f+2)) — the label layout
+//	       Lemma 7's own decoder, distance.Decoder, reads.
 //
-// Answers from a DistEngine over either slab are pinned byte-identical to
-// the legacy PLLDecoder/Decoder by TestDistEngineMatchesLegacy*.
+// Answers from a DistEngine over either slab are pinned to BFS, and a bdist
+// engine's to distance.Decoder over the same slab, by the distance package's
+// tests and the conformance matrix.
 
 // DistEntry is one (id, dist) pair of a distance label body: a PLL
 // (landmark rank, distance) entry, or a Lemma 7 thin-list (vertex id,
@@ -126,7 +126,7 @@ type DistArena struct {
 func (a *DistArena) N() int { return len(a.BitLens) }
 
 // pllWidths returns the PLL label field widths for an n-vertex graph with
-// maximum stored distance maxDist — identical to the legacy encoder's.
+// maximum stored distance maxDist.
 func pllWidths(n int, maxDist int32) (w, wCnt, dw int) {
 	w = bitstr.WidthFor(uint64(n))
 	if w == 0 {
@@ -145,10 +145,9 @@ func pllWidths(n int, maxDist int32) (w, wCnt, dw int) {
 
 // EncodePLLArena writes per-vertex PLL entry lists (sorted by hub rank,
 // exactly as the pruned BFS emits them) into one byte-packed slab. maxDist
-// is the largest entry distance (it sizes the fixed-width distance field the
-// same way the legacy encoder does). order, when non-nil, is the physical
-// layout permutation (rank→vertex), refused unless it is one; workers <= 0
-// selects GOMAXPROCS.
+// is the largest entry distance (it sizes the fixed-width distance field).
+// order, when non-nil, is the physical layout permutation (rank→vertex),
+// refused unless it is one; workers <= 0 selects GOMAXPROCS.
 func EncodePLLArena(entries [][]DistEntry, maxDist int32, order []int32, workers int) (*DistArena, error) {
 	n := len(entries)
 	if n == 0 {
@@ -204,11 +203,11 @@ func EncodePLLArena(entries [][]DistEntry, maxDist int32, order []int32, workers
 }
 
 // EncodeBoundedArena writes Lemma 7 bounded-distance labels into one
-// byte-packed slab, bit-for-bit identical to the legacy Builder encoder's
-// labels. fat flags each vertex's class; fatDist[v] is v's full fat table
-// (one dw-wide entry per hub, sentinel f+1 for "beyond"); thin[v] is thin
-// vertex v's (id, dist) list sorted by id ascending (ignored for fat
-// vertices). order and workers as in EncodePLLArena.
+// byte-packed slab, in the layout distance.Decoder reads. fat flags each
+// vertex's class; fatDist[v] is v's full fat table (one dw-wide entry per
+// hub, sentinel f+1 for "beyond"); thin[v] is thin vertex v's (id, dist)
+// list sorted by id ascending (ignored for fat vertices). order and workers
+// as in EncodePLLArena.
 func EncodeBoundedArena(fat []bool, fatDist [][]int32, thin [][]DistEntry, f int, order []int32, workers int) (*DistArena, error) {
 	n := len(fat)
 	if n == 0 {

@@ -16,15 +16,13 @@ import (
 // same-identifier short-circuit. ThinInline is the part of ThinBranch whose
 // list the header record held, so the search read no slab word.
 type EngineMetrics struct {
-	Queries     obs.Counter // adjacency queries answered
-	Batches     obs.Counter // AdjacentMany/DistMany calls and served frames
-	ThinBranch  obs.Counter // queries resolved by a thin binary-search probe
-	ThinInline  obs.Counter // thin probes answered from the header record
-	FatBranch   obs.Counter // queries resolved by a fat bitmap probe
-	SelfBranch  obs.Counter // same-identifier short-circuits
-	CacheHits   obs.Counter // distance result-cache hits (DistEngine, cache enabled only)
-	CacheMisses obs.Counter // distance result-cache misses
-	BatchPairs  obs.Histogram
+	Queries    obs.Counter // adjacency queries answered
+	Batches    obs.Counter // AdjacentMany/DistMany calls and served frames
+	ThinBranch obs.Counter // queries resolved by a thin binary-search probe
+	ThinInline obs.Counter // thin probes answered from the header record
+	FatBranch  obs.Counter // queries resolved by a fat bitmap probe
+	SelfBranch obs.Counter // same-identifier short-circuits
+	BatchPairs obs.Histogram
 	// ProbeNs is the engine-probe wall time per served frame (decode pairs,
 	// probe the arena, encode the answer), charged once per frame by the
 	// serving loop via ObserveProbe — the engine-layer stage the tracing
@@ -56,8 +54,6 @@ func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 	reg.Counter("dist_engine_branch_thin_total", "PLL hub-list probes and thin-thin bounded-distance queries.", &m.ThinBranch)
 	reg.Counter("dist_engine_branch_fat_total", "Bounded-distance queries with a fat endpoint (fat-relay only).", &m.FatBranch)
 	reg.Counter("dist_engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)
-	reg.Counter("dist_engine_cache_hits_total", "Queries answered from the (u,v) distance cache.", &m.CacheHits)
-	reg.Counter("dist_engine_cache_misses_total", "Distance-cache lookups that fell through to a slab probe.", &m.CacheMisses)
 	reg.Histogram("dist_engine_batch_pairs", "Pairs per distance batch call.", &m.BatchPairs)
 	reg.Histogram("dist_engine_probe_ns", "Engine-probe wall time per served distance frame.", &m.ProbeNs)
 }
@@ -71,7 +67,6 @@ func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 type QueryTally struct {
 	queries, thin, fat, self int64
 	inline                   int64 // thin probes whose list the record held
-	cacheHits, cacheMisses   int64
 }
 
 // ObserveProbe charges one served frame's engine-probe wall time, stamping
@@ -92,8 +87,6 @@ func (m *EngineMetrics) flush(t *QueryTally) {
 	m.ThinInline.Add(t.inline)
 	m.FatBranch.Add(t.fat)
 	m.SelfBranch.Add(t.self)
-	m.CacheHits.Add(t.cacheHits)
-	m.CacheMisses.Add(t.cacheMisses)
 }
 
 // batch records one batch call of that many pairs.

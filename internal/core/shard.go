@@ -67,9 +67,9 @@ func ParseShardFn(s string) (ShardFn, error) {
 	}
 }
 
-// shardHash is the splitmix64 finalizer over the vertex number (the same
-// mixer the pair cache uses): owner assignment must be uncorrelated with the
-// id ordering, or hash sharding would degenerate into range sharding.
+// shardHash is the splitmix64 finalizer over the vertex number: owner
+// assignment must be uncorrelated with the id ordering, or hash sharding
+// would degenerate into range sharding.
 func shardHash(v int) uint64 {
 	h := uint64(v) + 0x9E3779B97F4A7C15
 	h ^= h >> 30

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/powerlaw"
@@ -37,16 +38,19 @@ func E5DistanceLabels(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		_, exactMax, _ := exact.Stats()
-		pll, err := (distance.PLLScheme{}).Encode(g)
+		pll, err := (distance.PLLScheme{}).EncodeArena(g, 0, core.LayoutID)
 		if err != nil {
 			return nil, err
 		}
-		_, pllMax, _ := pll.Stats()
+		pllMax, err := pllFixedWidthMax(pll)
+		if err != nil {
+			return nil, err
+		}
 		diam := g.Diameter()
 		fs := []int{2, 3, 4, int(math.Ceil(math.Log2(float64(n))))}
 		for _, f := range fs {
 			s := distance.Scheme{Alpha: alpha, F: f}
-			lab, err := s.Encode(g)
+			arena, err := s.EncodeArena(g, 0, core.LayoutID)
 			if err != nil {
 				return nil, err
 			}
@@ -54,11 +58,16 @@ func E5DistanceLabels(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			nFat := lab.Decoder().NFat()
-			_, fMax, fAvg := lab.Stats()
+			nFat := arena.Params.NFat
+			stats := core.SizeStatsOf(arena.BitLens)
+			fMax, fAvg := stats.Max, stats.Mean
 
 			// Spot-check correctness on a deterministic pair sample.
-			checked, err := checkDistanceSample(g, lab, f, 64)
+			eng, err := core.NewDistEngine(arena)
+			if err != nil {
+				return nil, err
+			}
+			checked, err := checkDistanceSample(g, eng, f, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -83,12 +92,29 @@ func E5DistanceLabels(cfg Config) ([]*Table, error) {
 	return []*Table{tb}, nil
 }
 
+// pllFixedWidthMax prices the PLL labels of a at fixed width, as Lemma 7's
+// labels are: a w-bit id, a wCnt-bit entry count, then per entry a w-bit
+// rank and a dw-bit distance — the arena's own entry counts and dw, without
+// its δ-gap rank coding. It returns the largest such label in bits.
+func pllFixedWidthMax(a *core.DistArena) (int, error) {
+	n := a.N()
+	w, wCnt := max(bitstr.WidthFor(uint64(n)), 1), max(bitstr.WidthFor(uint64(n)+1), 1)
+	best := 0
+	walk := bitstr.NewSlabWalk(len(a.Slab), a.BitLens, a.Order)
+	for walk.Next() {
+		_, off := walk.Label()
+		cnt := int(bitstr.SlabReadBits(a.Slab, off+int64(w), wCnt))
+		best = max(best, w+wCnt+cnt*(w+a.Params.DW))
+	}
+	return best, walk.Err()
+}
+
 // checkDistanceSample verifies the Lemma 7 contract on sources spread over
 // the vertex set; returns the number of verified pairs.
 func checkDistanceSample(g interface {
 	N() int
 	BFS(int) []int
-}, lab *distance.Labeling, f, sources int) (int, error) {
+}, eng *core.DistEngine, f, sources int) (int, error) {
 	n := g.N()
 	if n == 0 {
 		return 0, nil
@@ -101,7 +127,7 @@ func checkDistanceSample(g interface {
 	for u := 0; u < n; u += step {
 		truth := g.BFS(u)
 		for _, v := range []int{0, n / 3, n / 2, 2 * n / 3, n - 1} {
-			got, err := lab.Dist(u, v)
+			got, err := eng.Dist(u, v)
 			if err != nil {
 				return checked, err
 			}

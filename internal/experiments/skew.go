@@ -137,8 +137,7 @@ func E25SkewLayout(cfg Config) ([]*Table, error) {
 	}
 	tb.Notes = append(tb.Notes,
 		"answers of every configuration are verified pair-for-pair against the id-ordered reference before timing",
-		"the degree-ordered slab packs the hot probe stream into a few contiguous pages; the win grows with skew and vanishes under uniform traffic",
-		"the (u,v) result cache (plserve -pair-cache-bits) is deliberately off here: the table isolates layout, not memoization")
+		"the degree-ordered slab packs the hot probe stream into a few contiguous pages; the win grows with skew and vanishes under uniform traffic")
 
 	tb2, err := skewWeightedFatAblation(cfg, g, alpha, dists)
 	if err != nil {

@@ -102,13 +102,15 @@ func TestRoutingDecoderRobust(t *testing.T) {
 }
 
 func TestDistanceDecodersRobust(t *testing.T) {
-	// Distance decoders come from encodes; fuzz their Dist entry points.
+	// Distance decoders come from encodes; fuzz their Dist entry points. The
+	// served engines validate every label at construction instead, which
+	// core's FuzzDistEngineHeaders fuzzes.
 	g := gen.Path(30)
-	lab, err := (distance.Scheme{Alpha: 2.5, F: 3}).Encode(g)
+	arena, err := (distance.Scheme{Alpha: 2.5, F: 3}).EncodeArena(g, 0, core.LayoutID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pll, err := (distance.PLLScheme{}).Encode(g)
+	dec, err := distance.NewDecoder(arena.N(), arena.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +127,13 @@ func TestDistanceDecodersRobust(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		a := randomLabel(rng, 300)
 		b := randomLabel(rng, 300)
-		_, _ = lab.Decoder().Dist(a, b)
-		_, _ = pllDist(pll, a, b)
+		_, _ = dec.Dist(a, b)
 		_, _ = exactDist(exact, a, b)
 	}
 }
 
-// pllDist / exactDist reach the decoders through a pair of stored labels
-// replaced by fuzz inputs (the decoders are only exposed via labelings).
-func pllDist(l *distance.PLLLabeling, a, b bitstr.String) (int, error) {
-	return l.DistLabels(a, b)
-}
-
+// exactDist reaches the decoder through a pair of stored labels replaced by
+// fuzz inputs (the decoder is only exposed via its labeling).
 func exactDist(l *distance.ExactLabeling, a, b bitstr.String) (int, error) {
 	return l.DistLabels(a, b)
 }

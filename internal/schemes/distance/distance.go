@@ -13,8 +13,10 @@ package distance
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/bitstr"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/powerlaw"
 )
@@ -37,76 +39,20 @@ type Scheme struct {
 // Name identifies the scheme in experiment output.
 func (s Scheme) Name() string { return fmt.Sprintf("dist-f%d(α=%g)", s.F, s.Alpha) }
 
-// Labeling is the output of the distance encoder.
-type Labeling struct {
-	labels []bitstr.String
-	dec    *Decoder
-}
-
-// N returns the number of labeled vertices.
-func (l *Labeling) N() int { return len(l.labels) }
-
-// Label returns vertex v's label.
-func (l *Labeling) Label(v int) (bitstr.String, error) {
-	if v < 0 || v >= len(l.labels) {
-		return bitstr.String{}, fmt.Errorf("distance: vertex %d of %d", v, len(l.labels))
-	}
-	return l.labels[v], nil
-}
-
-// Decoder returns the scheme's decoder.
-func (l *Labeling) Decoder() *Decoder { return l.dec }
-
-// DistLabels answers a query directly from two raw labels (the network
-// deployment path, where labels arrive from peers).
-func (l *Labeling) DistLabels(a, b bitstr.String) (int, error) {
-	return l.dec.Dist(a, b)
-}
-
-// Dist answers a distance query between u and v from their labels alone.
-func (l *Labeling) Dist(u, v int) (int, error) {
-	lu, err := l.Label(u)
-	if err != nil {
-		return 0, err
-	}
-	lv, err := l.Label(v)
-	if err != nil {
-		return 0, err
-	}
-	return l.dec.Dist(lu, lv)
-}
-
-// Stats reports label-size statistics in bits.
-func (l *Labeling) Stats() (min, max int, mean float64) {
-	if len(l.labels) == 0 {
-		return 0, 0, 0
-	}
-	min = l.labels[0].Len()
-	var total int64
-	for _, s := range l.labels {
-		n := s.Len()
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-		total += int64(n)
-	}
-	return min, max, float64(total) / float64(len(l.labels))
-}
-
 // Threshold returns the fat-degree threshold the scheme uses on an n-vertex
 // graph.
 func (s Scheme) Threshold(n int) (int, error) {
-	p, err := powerlaw.NewParams(s.Alpha, maxInt(n, 1))
+	p, err := powerlaw.NewParams(s.Alpha, max(n, 1))
 	if err != nil {
 		return 0, err
 	}
 	return p.DistanceFatThreshold(s.F), nil
 }
 
-// Encode labels every vertex of g.
+// EncodeArena labels every vertex of g into one slab arena, which
+// core.NewDistEngine serves and labelstore stores. lay as in
+// PLLScheme.EncodeArena (LayoutDegree orders bodies by descending degree,
+// fat hubs first).
 //
 // Label layout (w = ceil(log2 n), dw = ceil(log2(f+2)), F fat vertices):
 //
@@ -114,62 +60,129 @@ func (s Scheme) Threshold(n int) (int, error) {
 //	  then, thin vertices only, entries of [thin id: w][dist: dw]
 //
 // Distances greater than f (or unreachable) are stored as the sentinel
-// value f+1.
-func (s Scheme) Encode(g *graph.Graph) (*Labeling, error) {
+// value f+1. A thin list may overestimate a distance whose shortest path
+// uses a fat hop; the fat-table minimum corrects it at query time.
+func (s Scheme) EncodeArena(g *graph.Graph, workers int, lay core.Layout) (*core.DistArena, error) {
 	if s.F < 1 {
 		return nil, fmt.Errorf("distance: bound F must be >= 1, got %d", s.F)
 	}
 	n := g.N()
-	// The fat/thin tables — one bounded BFS per fat hub, one thin-only
-	// bounded BFS per thin vertex — are shared with the slab encoder
-	// (boundedTables, slab.go), so both paths label from identical data.
 	fat, fatDist, thin, err := s.boundedTables(g)
 	if err != nil {
 		return nil, err
 	}
-	nFat := 0
-	if n > 0 {
-		nFat = len(fatDist[0])
-	}
-
-	w := bitstr.WidthFor(uint64(n))
-	dw := bitstr.WidthFor(uint64(s.F + 2))
-	labels := make([]bitstr.String, n)
-	var b bitstr.Builder
-	for v := 0; v < n; v++ {
-		b.Reset()
-		b.AppendBit(fat[v])
-		b.AppendUint(uint64(v), w)
-		for _, d := range fatDist[v] {
-			b.AppendUint(uint64(d), dw)
+	var order []int32
+	if lay == core.LayoutDegree {
+		order = make([]int32, n)
+		for r, v := range g.VerticesByDegreeDesc() {
+			order[r] = int32(v)
 		}
-		if !fat[v] {
-			// Thin-reachability list: any overestimate it contains (because
-			// the true shortest path uses a fat hop) is corrected at query
-			// time by the fat-table minimum.
-			for _, e := range thin[v] {
-				b.AppendUint(uint64(e.ID), w)
-				b.AppendUint(uint64(e.D), dw)
-			}
-		}
-		labels[v] = b.String()
 	}
-	dec := &Decoder{n: n, w: w, dw: dw, f: s.F, nFat: nFat}
-	return &Labeling{labels: labels, dec: dec}, nil
+	return core.EncodeBoundedArena(fat, fatDist, thin, s.F, order, workers)
 }
 
-// Decoder answers bounded distance queries from two labels. It depends only
-// on the family parameters (n, f, number of fat vertices).
+// boundedTables computes the Lemma 7 label contents: the fat flag per
+// vertex, every vertex's fat-hub distance table (sentinel F+1), and each
+// thin vertex's sorted thin-reachability list.
+func (s Scheme) boundedTables(g *graph.Graph) (fat []bool, fatDist [][]int32, thin [][]core.DistEntry, err error) {
+	n := g.N()
+	tau, err := s.Threshold(n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	hubs, fatIsSet := fatHubs(g, tau)
+	fat = fatIsSet
+
+	sentinel := int32(s.F + 1)
+	fatDist = make([][]int32, n)
+	for v := range fatDist {
+		row := make([]int32, len(hubs))
+		for i := range row {
+			row[i] = sentinel
+		}
+		fatDist[v] = row
+	}
+	for i, fv := range hubs {
+		for v, d := range g.BFSBounded(fv, s.F, nil) {
+			fatDist[v][i] = int32(d)
+		}
+	}
+
+	thin = make([][]core.DistEntry, n)
+	for v := 0; v < n; v++ {
+		if fat[v] {
+			continue
+		}
+		reach := g.BFSBounded(v, s.F, func(u int) bool { return !fat[u] })
+		list := make([]core.DistEntry, 0, len(reach))
+		for u, d := range reach {
+			if u != v {
+				list = append(list, core.DistEntry{ID: int32(u), D: int32(d)})
+			}
+		}
+		sortDistEntries(list) // deterministic labels, sorted for binary search
+		thin[v] = list
+	}
+	return fat, fatDist, thin, nil
+}
+
+// sortDistEntries orders a thin list by vertex id ascending.
+func sortDistEntries(list []core.DistEntry) {
+	sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
+}
+
+// sortHubs orders the fat set by (degree desc, id asc) — the table index
+// order of Lemma 7's labels.
+func sortHubs(g *graph.Graph, hubs []int) {
+	sort.Slice(hubs, func(i, j int) bool {
+		di, dj := g.Degree(hubs[i]), g.Degree(hubs[j])
+		if di != dj {
+			return di > dj
+		}
+		return hubs[i] < hubs[j]
+	})
+}
+
+// fatHubs returns the fat vertices sorted by (degree desc, id asc) — table
+// index order — and the per-vertex fat flag.
+func fatHubs(g *graph.Graph, tau int) ([]int, []bool) {
+	n := g.N()
+	var hubs []int
+	for v := 0; v < n; v++ {
+		if g.Degree(v) >= tau {
+			hubs = append(hubs, v)
+		}
+	}
+	sortHubs(g, hubs)
+	fat := make([]bool, n)
+	for _, v := range hubs {
+		fat[v] = true
+	}
+	return hubs, fat
+}
+
+// Decoder is Lemma 7's decoder: it answers bounded distance queries from two
+// labels alone, the paper's contract the served DistEngine is pinned to. It
+// depends only on the family parameters (n, f, number of fat vertices).
 type Decoder struct {
-	n    int
 	w    int
 	dw   int
 	f    int
 	nFat int
 }
 
-// NFat returns the number of fat vertices (the fat-table width).
-func (d *Decoder) NFat() int { return d.nFat }
+// NewDecoder returns the decoder for a Lemma 7 labeling of n vertices with
+// family parameters p, a bdist arena's or store's Params. Its labels are the
+// arena's, viewed in place with bitstr.SlabLabel.
+func NewDecoder(n int, p core.DistParams) (*Decoder, error) {
+	if p.Kind != core.DistBounded {
+		return nil, fmt.Errorf("distance: Lemma 7's decoder reads bdist labels, not %s", p.Kind)
+	}
+	if err := p.Validate(n); err != nil {
+		return nil, fmt.Errorf("distance: %w", err)
+	}
+	return &Decoder{w: bitstr.WidthFor(uint64(n)), dw: p.DW, f: p.F, nFat: p.NFat}, nil
+}
 
 type parsed struct {
 	fat     bool
@@ -297,11 +310,4 @@ func (d *Decoder) Dist(a, b bitstr.String) (int, error) {
 		return Beyond, nil
 	}
 	return best, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

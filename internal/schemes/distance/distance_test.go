@@ -4,22 +4,74 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitstr"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
+// bounded is a Lemma 7 labeling as the tests query it: the served engine,
+// and Lemma 7's own decoder over the arena's labels viewed in place.
+type bounded struct {
+	eng    *core.DistEngine
+	dec    *Decoder
+	labels []bitstr.String // by vertex
+}
+
+// encodeBounded labels g with s through the slab pipeline.
+func encodeBounded(t testing.TB, g *graph.Graph, s Scheme, workers int, lay core.Layout) bounded {
+	t.Helper()
+	arena, err := s.EncodeArena(g, workers, lay)
+	if err != nil {
+		t.Fatalf("%s: EncodeArena: %v", s.Name(), err)
+	}
+	eng, err := core.NewDistEngine(arena)
+	if err != nil {
+		t.Fatalf("%s: NewDistEngine: %v", s.Name(), err)
+	}
+	dec, err := NewDecoder(arena.N(), arena.Params)
+	if err != nil {
+		t.Fatalf("%s: NewDecoder: %v", s.Name(), err)
+	}
+	labels := make([]bitstr.String, arena.N())
+	walk := bitstr.NewSlabWalk(len(arena.Slab), arena.BitLens, arena.Order)
+	for walk.Next() {
+		v, off := walk.Label()
+		labels[v] = bitstr.SlabLabel(arena.Slab, off, arena.BitLens[v])
+	}
+	if err := walk.Tiled(); err != nil {
+		t.Fatalf("%s: slab walk: %v", s.Name(), err)
+	}
+	return bounded{eng: eng, dec: dec, labels: labels}
+}
+
+// dist answers (u, v) from the engine, failing the test unless the decoder
+// gives the same answer from the two labels.
+func (b bounded) dist(t testing.TB, u, v int) int {
+	t.Helper()
+	got, err := b.eng.Dist(u, v)
+	if err != nil {
+		t.Fatalf("engine Dist(%d,%d): %v", u, v, err)
+	}
+	want, err := b.dec.Dist(b.labels[u], b.labels[v])
+	if err != nil {
+		t.Fatalf("decoder Dist(%d,%d): %v", u, v, err)
+	}
+	if got != want {
+		t.Fatalf("Dist(%d,%d): engine %d, decoder %d", u, v, got, want)
+	}
+	return got
+}
+
 // checkBounded verifies the Lemma 7 contract on every pair: queries answer
 // the exact distance when it is <= f, and Beyond otherwise.
-func checkBounded(t *testing.T, g *graph.Graph, lab *Labeling, f int) {
+func checkBounded(t *testing.T, g *graph.Graph, lab bounded, f int) {
 	t.Helper()
 	n := g.N()
 	for u := 0; u < n; u++ {
 		truth := g.BFS(u)
 		for v := 0; v < n; v++ {
-			got, err := lab.Dist(u, v)
-			if err != nil {
-				t.Fatalf("Dist(%d,%d): %v", u, v, err)
-			}
+			got := lab.dist(t, u, v)
 			want := truth[v]
 			if want == graph.Unreachable || want > f {
 				if got != Beyond {
@@ -50,23 +102,23 @@ func TestDistanceSchemeSmallGraphs(t *testing.T) {
 		"single": graph.Empty(1),
 	}
 	for name, g := range cases {
-		for _, f := range []int{1, 2, 3, 5} {
-			s := Scheme{Alpha: 2.5, F: f}
-			lab, err := s.Encode(g)
-			if err != nil {
-				t.Fatalf("%s f=%d: %v", name, f, err)
+		t.Run(name, func(t *testing.T) {
+			for _, f := range []int{1, 2, 3, 5} {
+				checkBounded(t, g, encodeBounded(t, g, Scheme{Alpha: 2.5, F: f}, 0, core.LayoutID), f)
 			}
-			checkBounded(t, g, lab, f)
-		}
+		})
 	}
 }
 
 func TestDistanceSchemeValidation(t *testing.T) {
-	if _, err := (Scheme{Alpha: 2.5, F: 0}).Encode(gen.Path(5)); err == nil {
+	if _, err := (Scheme{Alpha: 2.5, F: 0}).EncodeArena(gen.Path(5), 0, core.LayoutID); err == nil {
 		t.Error("F=0 accepted")
 	}
-	if _, err := (Scheme{Alpha: 1.0, F: 2}).Encode(gen.Path(5)); err == nil {
+	if _, err := (Scheme{Alpha: 1.0, F: 2}).EncodeArena(gen.Path(5), 0, core.LayoutID); err == nil {
 		t.Error("alpha=1 accepted")
+	}
+	if _, err := NewDecoder(5, core.DistParams{Kind: core.DistPLL, DW: 2}); err == nil {
+		t.Error("decoder over pll params accepted")
 	}
 }
 
@@ -74,16 +126,10 @@ func TestDistanceF1IsAdjacency(t *testing.T) {
 	// With f=1 the scheme answers adjacency: 1 for edges, 0 for self,
 	// Beyond for everything else.
 	g := gen.ErdosRenyi(60, 0.1, 4)
-	lab, err := (Scheme{Alpha: 2.5, F: 1}).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lab := encodeBounded(t, g, Scheme{Alpha: 2.5, F: 1}, 0, core.LayoutID)
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
-			got, err := lab.Dist(u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := lab.dist(t, u, v)
 			switch {
 			case u == v:
 				if got != 0 {
@@ -113,11 +159,11 @@ func TestDistanceLabelShrinkWithF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := (Scheme{Alpha: 2.5, F: 2}).Encode(g)
+	arena, err := (Scheme{Alpha: 2.5, F: 2}).EncodeArena(g, 0, core.LayoutID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, maxBounded, _ := lab.Stats()
+	maxBounded := core.SizeStatsOf(arena.BitLens).Max
 	exact, err := (ExactScheme{}).Encode(g)
 	if err != nil {
 		t.Fatal(err)
@@ -173,17 +219,11 @@ func TestDistanceThresholdMonotone(t *testing.T) {
 func TestQuickDistanceBoundedContract(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.ErdosRenyi(30, 0.1, seed)
-		lab, err := (Scheme{Alpha: 2.5, F: 3}).Encode(g)
-		if err != nil {
-			return false
-		}
+		lab := encodeBounded(t, g, Scheme{Alpha: 2.5, F: 3}, 0, core.LayoutDegree)
 		for u := 0; u < g.N(); u++ {
 			truth := g.BFS(u)
 			for v := 0; v < g.N(); v++ {
-				got, err := lab.Dist(u, v)
-				if err != nil {
-					return false
-				}
+				got := lab.dist(t, u, v)
 				want := truth[v]
 				if want == graph.Unreachable || want > 3 {
 					if got != Beyond {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/schemes/distance"
 )
@@ -12,15 +13,19 @@ import (
 // answered exactly from two labels; anything farther reports Beyond.
 func ExampleScheme() {
 	g := gen.Path(10) // 0-1-2-...-9
-	lab, err := (distance.Scheme{Alpha: 2.5, F: 3}).Encode(g)
+	arena, err := (distance.Scheme{Alpha: 2.5, F: 3}).EncodeArena(g, 0, core.LayoutID)
 	if err != nil {
 		log.Fatal(err)
 	}
-	d1, err := lab.Dist(0, 3)
+	eng, err := core.NewDistEngine(arena)
 	if err != nil {
 		log.Fatal(err)
 	}
-	d2, err := lab.Dist(0, 9)
+	d1, err := eng.Dist(0, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	d2, err := eng.Dist(0, 9)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,11 +37,15 @@ func ExampleScheme() {
 // labels answer every distance.
 func ExamplePLLScheme() {
 	g := gen.Grid(4, 4)
-	lab, err := (distance.PLLScheme{}).Encode(g)
+	arena, err := (distance.PLLScheme{}).EncodeArena(g, 0, core.LayoutID)
 	if err != nil {
 		log.Fatal(err)
 	}
-	d, err := lab.Dist(0, 15) // opposite corners of the 4x4 grid
+	eng, err := core.NewDistEngine(arena)
+	if err != nil {
+		log.Fatal(err)
+	}
+	d, err := eng.Dist(0, 15) // opposite corners of the 4x4 grid
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package distance
 
 import (
-	"fmt"
-
-	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -24,213 +21,95 @@ type PLLScheme struct{}
 // Name identifies the scheme in experiment output.
 func (PLLScheme) Name() string { return "dist-pll" }
 
-// Encode builds pruned landmark labels for g.
+// EncodeArena builds pruned landmark labels for g into one slab arena, which
+// core.NewDistEngine serves and labelstore stores: per vertex its id, its
+// entry count and its (landmark rank, distance) entries sorted by rank, the
+// ranks δ-gap coded (core.EncodePLLArena has the bit layout). workers
+// drives the pipeline's plan/fill parallelism (the pruned BFS itself is
+// inherently sequential in landmark order); lay selects the physical body
+// order — LayoutDegree packs hub-heavy labels first, in the landmark
+// (descending-degree) order the scheme already computes.
+func (s PLLScheme) EncodeArena(g *graph.Graph, workers int, lay core.Layout) (*core.DistArena, error) {
+	entries, maxDist, degOrder := pllEntries(g)
+	var order []int32
+	if lay == core.LayoutDegree {
+		order = make([]int32, len(degOrder))
+		for r, v := range degOrder {
+			order[r] = int32(v)
+		}
+	}
+	return core.EncodePLLArena(entries, maxDist, order, workers)
+}
+
+// pllEntries runs the pruned landmark BFS sweep and returns each vertex's
+// (landmark rank, distance) list — sorted by rank, exactly as the pruning
+// emits it — plus the largest stored distance and the landmark order
+// itself (vertices by descending degree).
 //
-// Label layout (w = ceil(log2 n), dw sized to the largest stored distance):
-//
-//	[own id: w][entry count: w][rank: w, dist: dw] × count
-//
-// Entries are sorted by landmark rank, enabling merge-scan queries. The
-// pruned BFS sweep itself is shared with the slab encoder (pllEntries,
-// slab.go), so the legacy and arena paths label from identical entry lists.
-func (s PLLScheme) Encode(g *graph.Graph) (*PLLLabeling, error) {
-	entries, maxDist, _ := pllEntries(g)
-	return pllLegacyLabeling(entries, maxDist)
-}
+// The prune is the standard pruned-landmark test: before each landmark's
+// BFS its current entries are scattered into a rank-indexed table
+// (rootDist[rank] = distance, ∞ elsewhere), so asking whether the labels
+// already certify dist(root, u) <= du is one pass over u's entries that
+// stops at the first certificate, instead of a two-list merge computing the
+// exact minimum. "A certificate exists" and "the minimum is <= du" are the
+// same predicate, so the entry lists are identical to the merge-based
+// prune's (TestPLLEntriesMatchMergePrune).
+func pllEntries(g *graph.Graph) (entries [][]core.DistEntry, maxDist int32, order []int) {
+	n := g.N()
+	order = g.VerticesByDegreeDesc()
+	entries = make([][]core.DistEntry, n)
 
-// pllLegacyLabeling packs per-vertex (landmark rank, distance) lists into
-// legacy labels. The merge-scan decoder needs strictly increasing ranks;
-// the pruned sweep emits them that way (one entry per landmark, in rank
-// order), so a list that is not is reported, not repaired.
-func pllLegacyLabeling(entries [][]core.DistEntry, maxDist int32) (*PLLLabeling, error) {
-	n := len(entries)
-	w := bitstr.WidthFor(uint64(n))
-	if w == 0 {
-		w = 1
+	const inf = int32(1 << 30) // inf + any BFS distance stays inside int32
+	rootDist := make([]int32, n)
+	for i := range rootDist {
+		rootDist[i] = inf
 	}
-	wCnt := bitstr.WidthFor(uint64(n) + 1) // entry counts range over [0, n]
-	if wCnt == 0 {
-		wCnt = 1
+
+	// Pruned BFS from each landmark in rank order.
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
 	}
-	dw := bitstr.WidthFor(uint64(maxDist) + 2)
-	if dw == 0 {
-		dw = 1
-	}
-	labels := make([]bitstr.String, n)
-	var b bitstr.Builder
-	for v := 0; v < n; v++ {
-		b.Reset()
-		b.AppendUint(uint64(v), w)
-		b.AppendUint(uint64(len(entries[v])), wCnt)
-		for i, e := range entries[v] {
-			if i > 0 && e.ID <= entries[v][i-1].ID {
-				return nil, fmt.Errorf("distance: pll label %d: entry %d has rank %d after rank %d",
-					v, i, e.ID, entries[v][i-1].ID)
-			}
-			b.AppendUint(uint64(e.ID), w)
-			b.AppendUint(uint64(e.D), dw)
+	queue := make([]int32, 0, 256)
+	for r, vk := range order {
+		for _, e := range entries[vk] {
+			rootDist[e.ID] = e.D
 		}
-		labels[v] = b.String()
-	}
-	return &PLLLabeling{labels: labels, dec: &PLLDecoder{n: n, w: w, wCnt: wCnt, dw: dw}}, nil
-}
-
-// PLLLabeling holds pruned landmark labels.
-type PLLLabeling struct {
-	labels []bitstr.String
-	dec    *PLLDecoder
-}
-
-// N returns the number of labeled vertices.
-func (l *PLLLabeling) N() int { return len(l.labels) }
-
-// Label returns vertex v's label.
-func (l *PLLLabeling) Label(v int) (bitstr.String, error) {
-	if v < 0 || v >= len(l.labels) {
-		return bitstr.String{}, fmt.Errorf("distance: vertex %d of %d", v, len(l.labels))
-	}
-	return l.labels[v], nil
-}
-
-// DistLabels answers a query directly from two raw labels.
-func (l *PLLLabeling) DistLabels(a, b bitstr.String) (int, error) {
-	return l.dec.Dist(a, b)
-}
-
-// Dist answers an exact distance query from the two labels
-// (graph.Unreachable for disconnected pairs).
-func (l *PLLLabeling) Dist(u, v int) (int, error) {
-	lu, err := l.Label(u)
-	if err != nil {
-		return 0, err
-	}
-	lv, err := l.Label(v)
-	if err != nil {
-		return 0, err
-	}
-	return l.dec.Dist(lu, lv)
-}
-
-// Stats reports label-size statistics in bits.
-func (l *PLLLabeling) Stats() (min, max int, mean float64) {
-	if len(l.labels) == 0 {
-		return 0, 0, 0
-	}
-	min = l.labels[0].Len()
-	var total int64
-	for _, s := range l.labels {
-		n := s.Len()
-		if n < min {
-			min = n
+		queue = queue[:0]
+		dist[vk] = 0
+		queue = append(queue, int32(vk))
+	bfs:
+		for head := 0; head < len(queue); head++ {
+			u := int(queue[head])
+			du := dist[u]
+			// Prune: if the existing labels already certify dist(vk,u) <= du,
+			// u needs no new entry and its subtree is covered via vk's
+			// earlier landmarks.
+			for _, e := range entries[u] {
+				if rootDist[e.ID]+e.D <= du {
+					continue bfs
+				}
+			}
+			entries[u] = append(entries[u], core.DistEntry{ID: int32(r), D: du})
+			if du > maxDist {
+				maxDist = du
+			}
+			for _, wv := range g.Neighbors(u) {
+				if dist[wv] < 0 {
+					dist[wv] = du + 1
+					queue = append(queue, wv)
+				}
+			}
 		}
-		if n > max {
-			max = n
+		// Every visited vertex is in the queue exactly once.
+		for _, u := range queue {
+			dist[u] = -1
 		}
-		total += int64(n)
-	}
-	return min, max, float64(total) / float64(len(l.labels))
-}
-
-// PLLDecoder answers exact distance queries over PLL labels.
-type PLLDecoder struct {
-	n, w, wCnt, dw int
-}
-
-type pllParsed struct {
-	id    uint64
-	count int
-	body  int
-	s     bitstr.String
-}
-
-func (d *PLLDecoder) parse(s bitstr.String) (pllParsed, error) {
-	r := bitstr.NewReader(s)
-	id, err := r.ReadUint(d.w)
-	if err != nil {
-		return pllParsed{}, fmt.Errorf("%w: %v", ErrBadLabel, err)
-	}
-	cnt, err := r.ReadUint(d.wCnt)
-	if err != nil {
-		return pllParsed{}, fmt.Errorf("%w: %v", ErrBadLabel, err)
-	}
-	body := d.w + d.wCnt
-	if want := body + int(cnt)*(d.w+d.dw); s.Len() != want {
-		return pllParsed{}, fmt.Errorf("%w: pll label of %d bits, want %d", ErrBadLabel, s.Len(), want)
-	}
-	return pllParsed{id: id, count: int(cnt), body: body, s: s}, nil
-}
-
-// Dist merges the two sorted landmark lists and returns the minimum summed
-// distance (graph.Unreachable when the lists share no landmark).
-func (d *PLLDecoder) Dist(a, b bitstr.String) (int, error) {
-	pa, err := d.parse(a)
-	if err != nil {
-		return 0, err
-	}
-	pb, err := d.parse(b)
-	if err != nil {
-		return 0, err
-	}
-	if pa.id == pb.id {
-		return 0, nil
-	}
-	ra := bitstr.NewReader(pa.s)
-	rb := bitstr.NewReader(pb.s)
-	if err := ra.Seek(pa.body); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadLabel, err)
-	}
-	if err := rb.Seek(pb.body); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadLabel, err)
-	}
-	const inf = 1 << 30
-	best := inf
-	i, j := 0, 0
-	var (
-		rankA, distA uint64
-		rankB, distB uint64
-		haveA, haveB bool
-	)
-	for i < pa.count || j < pb.count {
-		if !haveA && i < pa.count {
-			if rankA, err = ra.ReadUint(d.w); err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrBadLabel, err)
-			}
-			if distA, err = ra.ReadUint(d.dw); err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrBadLabel, err)
-			}
-			haveA = true
-		}
-		if !haveB && j < pb.count {
-			if rankB, err = rb.ReadUint(d.w); err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrBadLabel, err)
-			}
-			if distB, err = rb.ReadUint(d.dw); err != nil {
-				return 0, fmt.Errorf("%w: %v", ErrBadLabel, err)
-			}
-			haveB = true
-		}
-		switch {
-		case !haveA:
-			j = pb.count // A exhausted: no more common landmarks
-		case !haveB:
-			i = pa.count
-		case rankA == rankB:
-			if s := int(distA + distB); s < best {
-				best = s
-			}
-			haveA, haveB = false, false
-			i++
-			j++
-		case rankA < rankB:
-			haveA = false
-			i++
-		default:
-			haveB = false
-			j++
+		// The root's own (r, 0) entry, added by this sweep, was never
+		// scattered; clearing it is harmless.
+		for _, e := range entries[vk] {
+			rootDist[e.ID] = inf
 		}
 	}
-	if best == inf {
-		return graph.Unreachable, nil
-	}
-	return best, nil
+	return entries, maxDist, order
 }

@@ -1,23 +1,37 @@
 package distance
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-func checkPLLExact(t *testing.T, g *graph.Graph) {
+// encodePLL labels g with PLL through the slab pipeline and returns the
+// served engine and the arena.
+func encodePLL(t testing.TB, g *graph.Graph, workers int, lay core.Layout) (*core.DistEngine, *core.DistArena) {
 	t.Helper()
-	lab, err := (PLLScheme{}).Encode(g)
+	arena, err := (PLLScheme{}).EncodeArena(g, workers, lay)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("EncodeArena: %v", err)
 	}
+	eng, err := core.NewDistEngine(arena)
+	if err != nil {
+		t.Fatalf("NewDistEngine: %v", err)
+	}
+	return eng, arena
+}
+
+// checkPLLExact checks every ordered pair against BFS.
+func checkPLLExact(t *testing.T, g *graph.Graph, eng *core.DistEngine) {
+	t.Helper()
 	for u := 0; u < g.N(); u++ {
 		truth := g.BFS(u)
 		for v := 0; v < g.N(); v++ {
-			got, err := lab.Dist(u, v)
+			got, err := eng.Dist(u, v)
 			if err != nil {
 				t.Fatalf("Dist(%d,%d): %v", u, v, err)
 			}
@@ -49,7 +63,10 @@ func TestPLLExactSmallGraphs(t *testing.T) {
 		"single": graph.Empty(1),
 	}
 	for name, g := range cases {
-		t.Run(name, func(t *testing.T) { checkPLLExact(t, g) })
+		t.Run(name, func(t *testing.T) {
+			eng, _ := encodePLL(t, g, 0, core.LayoutID)
+			checkPLLExact(t, g, eng)
+		})
 	}
 }
 
@@ -60,53 +77,40 @@ func TestPLLPruningEffective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := (PLLScheme{}).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, max, mean := lab.Stats()
+	_, arena := encodePLL(t, g, 0, core.LayoutID)
+	stats := core.SizeStatsOf(arena.BitLens)
 	exact, err := (ExactScheme{}).Encode(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, exactMax, _ := exact.Stats()
-	if max >= exactMax/4 {
-		t.Errorf("PLL max %d not well below exact vectors %d", max, exactMax)
+	if stats.Max >= exactMax/4 {
+		t.Errorf("PLL max %d not well below exact vectors %d", stats.Max, exactMax)
 	}
-	if mean <= 0 {
-		t.Errorf("mean = %v", mean)
+	if stats.Mean <= 0 {
+		t.Errorf("mean = %v", stats.Mean)
 	}
 }
 
-func TestPLLDecoderRejectsMalformed(t *testing.T) {
-	g := gen.Path(10)
-	lab, err := (PLLScheme{}).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l0, err := lab.Label(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var empty = l0
-	_ = empty
-	// Truncate a label: the count no longer matches the body.
-	if _, err := lab.Label(99); err == nil {
-		t.Error("out-of-range label accepted")
+// TestPLLEngineRejectsOutOfRange: a query naming a vertex the labeling does
+// not hold is an error, not an answer.
+func TestPLLEngineRejectsOutOfRange(t *testing.T) {
+	eng, _ := encodePLL(t, gen.Path(10), 0, core.LayoutID)
+	for _, p := range [][2]int{{0, 99}, {99, 0}, {-1, 3}} {
+		if _, err := eng.Dist(p[0], p[1]); !errors.Is(err, core.ErrVertexRange) {
+			t.Errorf("Dist(%d,%d): err = %v, want ErrVertexRange", p[0], p[1], err)
+		}
 	}
 }
 
 func TestQuickPLLExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.ErdosRenyi(35, 0.1, seed)
-		lab, err := (PLLScheme{}).Encode(g)
-		if err != nil {
-			return false
-		}
+		eng, _ := encodePLL(t, g, 0, core.LayoutDegree)
 		for u := 0; u < g.N(); u++ {
 			truth := g.BFS(u)
 			for v := 0; v < g.N(); v++ {
-				got, err := lab.Dist(u, v)
+				got, err := eng.Dist(u, v)
 				if err != nil || got != truth[v] {
 					return false
 				}

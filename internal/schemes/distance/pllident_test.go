@@ -118,26 +118,48 @@ func TestPLLEntriesMatchMergePrune(t *testing.T) {
 	}
 }
 
-// TestPLLLegacyLabelingRejectsUnsorted checks the legacy encoder reports a
-// list whose ranks do not strictly increase instead of sorting it.
-func TestPLLLegacyLabelingRejectsUnsorted(t *testing.T) {
+// TestPLLArenaRejectsUnsorted checks the PLL encoder reports a list whose
+// ranks do not strictly increase instead of sorting it.
+func TestPLLArenaRejectsUnsorted(t *testing.T) {
 	for _, list := range [][]core.DistEntry{
 		{{ID: 2, D: 1}, {ID: 1, D: 1}},
 		{{ID: 1, D: 1}, {ID: 1, D: 2}},
 	} {
-		if _, err := pllLegacyLabeling([][]core.DistEntry{nil, list, nil}, 2); err == nil {
-			t.Errorf("entries %v: legacy labeling accepted ranks that do not increase", list)
+		if _, err := core.EncodePLLArena([][]core.DistEntry{nil, list, nil}, 2, nil, 1); err == nil {
+			t.Errorf("entries %v: encoder accepted ranks that do not increase", list)
 		}
 	}
 }
 
-// TestDistEngineMatchesPLLDecoderHandBuilt is the differential twin of
-// core's kernel edge tests: hand-built entry lists — every count around the
+// entriesDist is the 2-hop-cover answer straight from two entry lists: 0
+// for a vertex with itself, else the minimum summed distance over the ranks
+// both lists hold, graph.Unreachable when they share none (sums of 2^30 and
+// more count as none, as in the engine).
+func entriesDist(entries [][]core.DistEntry, u, v int) int {
+	if u == v {
+		return 0
+	}
+	best := int64(1 << 30)
+	for _, a := range entries[u] {
+		for _, b := range entries[v] {
+			if a.ID == b.ID {
+				best = min(best, int64(a.D)+int64(b.D))
+			}
+		}
+	}
+	if best == 1<<30 {
+		return graph.Unreachable
+	}
+	return int(best)
+}
+
+// TestDistEngineMatchesEntriesHandBuilt is the differential twin of core's
+// kernel edge tests: hand-built entry lists — every count around the
 // 64-entry decode block, very unequal and disjoint lists, an entry wider
-// than one 57-bit window, a last label ending on the slab's last bit —
-// go through both the legacy labeling and the slab pipeline, and DistEngine
-// must answer every pair exactly as PLLDecoder does, in both layouts.
-func TestDistEngineMatchesPLLDecoderHandBuilt(t *testing.T) {
+// than one 57-bit window, a last label ending on the slab's last bit — go
+// through the slab pipeline, and DistEngine must answer every pair with the
+// minimum summed distance the lists themselves give, in both layouts.
+func TestDistEngineMatchesEntriesHandBuilt(t *testing.T) {
 	run := func(cnt, first, step int, maxDist int32) []core.DistEntry {
 		list := make([]core.DistEntry, cnt)
 		for i := range list {
@@ -194,10 +216,6 @@ func TestDistEngineMatchesPLLDecoderHandBuilt(t *testing.T) {
 	cases = append(cases, tail)
 
 	for _, tc := range cases {
-		legacy, err := pllLegacyLabeling(tc.entries, tc.maxDist)
-		if err != nil {
-			t.Fatalf("%s: legacy labeling: %v", tc.name, err)
-		}
 		n := len(tc.entries)
 		reversed := make([]int32, n)
 		for r := range reversed {
@@ -234,16 +252,13 @@ func TestDistEngineMatchesPLLDecoderHandBuilt(t *testing.T) {
 			}
 			for _, u := range tc.vs {
 				for _, v := range tc.vs {
-					want, err := legacy.Dist(u, v)
-					if err != nil {
-						t.Fatalf("%s: legacy Dist(%d,%d): %v", tc.name, u, v, err)
-					}
+					want := entriesDist(tc.entries, u, v)
 					got, err := eng.Dist(u, v)
 					if err != nil {
 						t.Fatalf("%s/%s: Dist(%d,%d): %v", tc.name, layName, u, v, err)
 					}
 					if got != want {
-						t.Fatalf("%s/%s: Dist(%d,%d) = %d, PLLDecoder %d (%d and %d entries)",
+						t.Fatalf("%s/%s: Dist(%d,%d) = %d, entry lists %d (%d and %d entries)",
 							tc.name, layName, u, v, got, want, len(tc.entries[u]), len(tc.entries[v]))
 					}
 				}

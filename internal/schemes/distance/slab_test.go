@@ -3,7 +3,6 @@ package distance
 import (
 	"testing"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -43,38 +42,23 @@ func slabTestGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// TestDistEngineMatchesLegacyPLL pins DistEngine answers over the PLL slab
-// byte-identical to PLLDecoder.Dist for every vertex pair, across worker
-// counts and layouts.
+// TestDistEngineMatchesLegacyPLL pins DistEngine answers over the PLL slab,
+// for every vertex pair across worker counts and layouts, to BFS and to the
+// min-sum over the entry lists of the merge-based prune
+// (pllEntriesMergePrune), the sweep as it was before the scatter table.
 func TestDistEngineMatchesLegacyPLL(t *testing.T) {
 	for name, g := range slabTestGraphs(t) {
-		legacy, err := PLLScheme{}.Encode(g)
-		if err != nil {
-			t.Fatalf("%s: legacy encode: %v", name, err)
-		}
+		legacy, _, _ := pllEntriesMergePrune(g)
 		for _, workers := range []int{1, 3} {
 			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-				arena, err := PLLScheme{}.EncodeArena(g, workers, lay)
-				if err != nil {
-					t.Fatalf("%s w=%d lay=%v: EncodeArena: %v", name, workers, lay, err)
-				}
-				eng, err := core.NewDistEngine(arena)
-				if err != nil {
-					t.Fatalf("%s w=%d lay=%v: NewDistEngine: %v", name, workers, lay, err)
-				}
-				n := g.N()
-				for u := 0; u < n; u++ {
-					for v := 0; v < n; v++ {
-						want, err := legacy.Dist(u, v)
-						if err != nil {
-							t.Fatalf("legacy Dist(%d,%d): %v", u, v, err)
-						}
-						got, err := eng.Dist(u, v)
-						if err != nil {
-							t.Fatalf("engine Dist(%d,%d): %v", u, v, err)
-						}
-						if got != want {
-							t.Fatalf("%s w=%d lay=%v: Dist(%d,%d) = %d, legacy %d", name, workers, lay, u, v, got, want)
+				t.Logf("%s w=%d lay=%v", name, workers, lay)
+				eng, _ := encodePLL(t, g, workers, lay)
+				checkPLLExact(t, g, eng)
+				for u := 0; u < g.N(); u++ {
+					for v := 0; v < g.N(); v++ {
+						if got, _ := eng.Dist(u, v); got != entriesDist(legacy, u, v) {
+							t.Fatalf("%s w=%d lay=%v: Dist(%d,%d) = %d, legacy entries %d",
+								name, workers, lay, u, v, got, entriesDist(legacy, u, v))
 						}
 					}
 				}
@@ -84,64 +68,22 @@ func TestDistEngineMatchesLegacyPLL(t *testing.T) {
 }
 
 // TestDistEngineMatchesLegacyBounded pins the bounded-distance engine to
-// Decoder.Dist, and additionally asserts the slab labels are bit-for-bit
-// the legacy labels (the bdist layout is unchanged, only the container is).
+// Decoder, Lemma 7's own decoder, reading the same slab labels in place, and
+// both to BFS, across worker counts and layouts.
 func TestDistEngineMatchesLegacyBounded(t *testing.T) {
 	for name, g := range slabTestGraphs(t) {
 		for _, f := range []int{2, 4} {
-			s := Scheme{Alpha: 2.5, F: f}
-			legacy, err := s.Encode(g)
-			if err != nil {
-				t.Fatalf("%s f=%d: legacy encode: %v", name, f, err)
-			}
 			for _, workers := range []int{1, 4} {
 				for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-					arena, err := s.EncodeArena(g, workers, lay)
-					if err != nil {
-						t.Fatalf("%s f=%d w=%d lay=%v: EncodeArena: %v", name, f, workers, lay, err)
-					}
-					walk := bitstr.NewSlabWalk(len(arena.Slab), arena.BitLens, arena.Order)
-					for walk.Next() {
-						v, off := walk.Label()
-						want, err := legacy.Label(v)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bitstr.SlabLabel(arena.Slab, off, arena.BitLens[v]).Equal(want) {
-							t.Fatalf("%s f=%d w=%d lay=%v: label %d differs from legacy", name, f, workers, lay, v)
-						}
-					}
-					if err := walk.Tiled(); err != nil {
-						t.Fatalf("%s f=%d: slab walk: %v", name, f, err)
-					}
-					eng, err := core.NewDistEngine(arena)
-					if err != nil {
-						t.Fatalf("%s f=%d w=%d lay=%v: NewDistEngine: %v", name, f, workers, lay, err)
-					}
-					n := g.N()
-					for u := 0; u < n; u++ {
-						for v := 0; v < n; v++ {
-							want, err := legacy.Dist(u, v)
-							if err != nil {
-								t.Fatalf("legacy Dist(%d,%d): %v", u, v, err)
-							}
-							got, err := eng.Dist(u, v)
-							if err != nil {
-								t.Fatalf("engine Dist(%d,%d): %v", u, v, err)
-							}
-							if got != want {
-								t.Fatalf("%s f=%d w=%d lay=%v: Dist(%d,%d) = %d, legacy %d", name, f, workers, lay, u, v, got, want)
-							}
-						}
-					}
+					t.Logf("%s f=%d w=%d lay=%v", name, f, workers, lay)
+					checkBounded(t, g, encodeBounded(t, g, Scheme{Alpha: 2.5, F: f}, workers, lay), f)
 				}
 			}
 		}
 	}
 }
 
-// TestDistEngineBatchesMatchSingle pins DistMany to the single-query path,
-// result cache on and off.
+// TestDistEngineBatchesMatchSingle pins DistMany to the single-query path.
 func TestDistEngineBatchesMatchSingle(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(400, 2.5, 3, 23)
 	if err != nil {
@@ -164,41 +106,32 @@ func TestDistEngineBatchesMatchSingle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, cacheBits := range []int{0, 10} {
-			if err := eng.EnableResultCache(cacheBits); err != nil {
+		pairs := make([][2]int, 0, 4096)
+		x := uint64(88172645463325252)
+		for i := 0; i < 4096; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			u := int(x % uint64(g.N()))
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			pairs = append(pairs, [2]int{u, int(x % uint64(g.N()))})
+		}
+		want := make([]int, len(pairs))
+		for i, p := range pairs {
+			if want[i], err = eng.Dist(p[0], p[1]); err != nil {
 				t.Fatal(err)
 			}
-			pairs := make([][2]int, 0, 4096)
-			x := uint64(88172645463325252)
-			for i := 0; i < 4096; i++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				u := int(x % uint64(g.N()))
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				pairs = append(pairs, [2]int{u, int(x % uint64(g.N()))})
+		}
+		got, err := eng.DistMany(pairs, nil)
+		if err != nil {
+			t.Fatalf("%s DistMany: %v", tc.name, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s DistMany: pair %d = %d, want %d", tc.name, i, got[i], want[i])
 			}
-			want := make([]int, len(pairs))
-			for i, p := range pairs {
-				if want[i], err = eng.Dist(p[0], p[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check := func(label string, got []int, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s cache=%d %s: %v", tc.name, cacheBits, label, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s cache=%d %s: pair %d = %d, want %d", tc.name, cacheBits, label, i, got[i], want[i])
-					}
-				}
-			}
-			got, err := eng.DistMany(pairs, nil)
-			check("DistMany", got, err)
 		}
 	}
 }
@@ -226,9 +159,6 @@ func TestDistEngineZeroAlloc(t *testing.T) {
 		}
 		eng, err := core.NewDistEngine(arena)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.EnableResultCache(8); err != nil {
 			t.Fatal(err)
 		}
 		pairs := make([][2]int, 512)
@@ -335,8 +265,7 @@ func BenchmarkDistEngineDistMany(b *testing.B) {
 	}
 }
 
-// BenchmarkDistEncodeArena compares slab-pipeline encode throughput against
-// the legacy Builder-based PLL encoder.
+// BenchmarkDistEncodeArena measures the PLL slab-pipeline encode.
 func BenchmarkDistEncodeArena(b *testing.B) {
 	g, err := gen.ChungLuPowerLaw(1<<13, 2.5, 3, 17)
 	if err != nil {
@@ -345,13 +274,6 @@ func BenchmarkDistEncodeArena(b *testing.B) {
 	b.Run("pll-arena", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := (PLLScheme{}).EncodeArena(g, 0, core.LayoutID); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pll-legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (PLLScheme{}).Encode(g); err != nil {
 				b.Fatal(err)
 			}
 		}

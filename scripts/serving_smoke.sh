@@ -223,4 +223,31 @@ for p in $dist_pids; do kill -TERM "$p"; done
 for p in $dist_pids; do wait "$p" || { echo "distance replica $p exited non-zero"; exit 1; }; done
 dist_pids=""
 
+echo "== distance phase: dist-bounded (Lemma 7, f=2) store, distance daemon"
+"$work/bin/pllabel" -scheme dist-bounded -f 2 -in "$work/graph.el" \
+    -o "$work/bdist.pllb" >"$work/label-bdist.log"
+grep -q "verify: ok" "$work/label-bdist.log" \
+    || { echo "dist-bounded labeling failed verification"; cat "$work/label-bdist.log"; exit 1; }
+"$work/bin/plserve" -labels "$work/bdist.pllb" -addr 127.0.0.1:0 >"$work/serve-bdist.log" 2>&1 &
+serve_pid=$!
+baddr=""
+for _ in $(seq 1 100); do
+    baddr=$(sed -n 's/.*msg=listening addr=//p' "$work/serve-bdist.log")
+    [ -n "$baddr" ] && break
+    kill -0 "$serve_pid" 2>/dev/null || { cat "$work/serve-bdist.log"; echo "dist-bounded plserve died"; exit 1; }
+    sleep 0.1
+done
+[ -n "$baddr" ] || { cat "$work/serve-bdist.log"; echo "dist-bounded plserve never became ready"; exit 1; }
+grep -q "plane=distance/bdist" "$work/serve-bdist.log" \
+    || { echo "plserve did not report plane=distance/bdist"; cat "$work/serve-bdist.log"; exit 1; }
+"$work/bin/plquery" -dist -labels "$work/bdist.pllb" -batch <"$work/pairs.txt" >"$work/bdist-local.out"
+"$work/bin/plquery" -dist -remote "$baddr" -batch <"$work/pairs.txt" >"$work/bdist-remote.out"
+"$work/bin/plquery" -dist -remote "$baddr" <"$work/pairs.txt" >"$work/bdist-stream.out"
+diff "$work/bdist-local.out" "$work/bdist-remote.out"
+diff "$work/bdist-local.out" "$work/bdist-stream.out"
+echo "   $(wc -l <"$work/bdist-local.out") bounded distances identical across local, remote-batch, remote-stream"
+kill -TERM "$serve_pid"
+wait "$serve_pid" || { echo "dist-bounded plserve exited non-zero"; cat "$work/serve-bdist.log"; exit 1; }
+serve_pid=""
+
 echo "== serving smoke OK"
