@@ -73,7 +73,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		shardsList  = fs.String("shards", "", "comma-separated addresses of plserve -labels daemons to route over: one per shard file, or replicas of one store (exactly one of -labels and -shards)")
 		addr        = fs.String("addr", "127.0.0.1:7421", "listen address (port 0 picks a free port)")
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/pprof (empty disables; port 0 picks a free port)")
-		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default); a router's upstream sub-batches are never larger")
 		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited); behind a -shards router leave room for its lanes, 4 connections per router")
 		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed); -labels only")
 		traceSample = fs.Int64("trace-sample", 0, "self-sample every Nth served or routed frame into /debug/traces (0 = only trace frames that arrive traced)")
@@ -163,7 +162,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	var summary func()
 	start := time.Now()
 	if routing {
-		r, err := adjserve.NewRouter(shards, *maxBatch)
+		r, err := adjserve.NewRouter(shards, 0)
 		if err != nil {
 			return fmt.Errorf("shard handshake: %w", err)
 		}
@@ -198,7 +197,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			if err != nil {
 				return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
 			}
-			srv = adjserve.NewServer(nil, *maxBatch)
+			srv = adjserve.NewServer(nil, 0)
 			srv.SetDistEngine(deng)
 			attachMetrics = deng.AttachMetrics
 			planeAttrs = []any{"plane", "distance/" + store.SchemeKind()}
@@ -230,7 +229,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 				}
 				planeAttrs = []any{"shard", fmt.Sprintf("%d/%d", m.Index, m.Count), "fn", fmt.Sprint(m.Fn)}
 			}
-			srv = adjserve.NewServer(eng, *maxBatch)
+			srv = adjserve.NewServer(eng, 0)
 			attachMetrics = eng.AttachMetrics
 		}
 		srv.SetShedDepth(*shedDepth)

@@ -76,13 +76,6 @@ type Client struct {
 	everConnected bool // a redial (vs first dial) is a reconnect, for metrics
 	metrics       ClientMetrics
 
-	// caps caches the server's advertised capability bits (guarded by mu);
-	// capsKnown distinguishes "no capabilities" from "never asked". Fetched
-	// lazily by Caps with one info round trip and kept for the client's
-	// lifetime — capabilities describe the server build, not the connection.
-	caps      uint64
-	capsKnown bool
-
 	// sleep and jitterFloat are the backoff clock and jitter source,
 	// swappable by tests (fake clock, deterministic rand); nil selects
 	// time.Sleep and a lazily seeded rand.Float64. Guarded by mu like the
@@ -152,14 +145,12 @@ func (c *Client) Close() error {
 // whichever shape the caller sized it), infoN (info) or shard (shard-info),
 // and done delivers the per-call verdict exactly once. tr, when non-nil,
 // receives the response's trace block (the reader goroutine writes it
-// strictly before the done send, so the waiting caller reads it race-free);
-// caps, when non-nil, receives the info response's trailing capability bits.
+// strictly before the done send, so the waiting caller reads it race-free).
 type call struct {
 	ans   answers
 	infoN *int
 	shard *ShardInfo
 	tr    *obs.SpanTally
-	caps  *uint64
 	done  chan error
 }
 
@@ -435,23 +426,21 @@ func deliver(ca *call, payload []byte) error {
 	}
 }
 
-// deliverInfo parses an info response body: the vertex count, then the
-// optional trailing capability uvarint — absent on servers that predate
-// capabilities (which means "none"); any bytes beyond it belong to future
-// extensions and are ignored the same way. A count no int holds is refused,
-// not wrapped negative.
+// deliverInfo parses an info response body: the vertex count as one minimal
+// uvarint and nothing after it. A count no int holds is refused, not wrapped
+// negative.
 func deliverInfo(ca *call, body []byte) error {
 	v, n := binary.Uvarint(body)
-	if n <= 0 {
-		return fmt.Errorf("%w: truncated info response", ErrClosed)
+	if n <= 0 || n > 1 && body[n-1] == 0 {
+		return fmt.Errorf("%w: bad info response vertex count", ErrClosed)
+	}
+	if n != len(body) {
+		return fmt.Errorf("%w: %d bytes after the info response's vertex count", ErrClosed, len(body)-n)
 	}
 	if v > math.MaxInt {
 		return fmt.Errorf("%w: info response counts %d vertices", ErrClosed, v)
 	}
 	*ca.infoN = int(v)
-	if ca.caps != nil {
-		*ca.caps, _ = binary.Uvarint(body[n:]) // 0 when absent or malformed
-	}
 	return nil
 }
 
@@ -579,9 +568,8 @@ func (c *Client) Dist(u, v int) (int, error) {
 // splits pairs into frames of at most MaxBatch on plane pl, writes them all
 // before reading any response, and waits for the answers to land in dest
 // (len(pairs) answers of pl's shape) in pair order. A non-nil t makes it the
-// traced call: frames carry t.ID when the server speaks tracing, and the
-// encode loop and the flush are timed; with a nil t the path takes no
-// timestamps at all.
+// traced call: frames carry t.ID, and the encode loop and the flush are
+// timed; with a nil t the path takes no timestamps at all.
 func (c *Client) many(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally) error {
 	if len(pairs) == 0 {
 		return nil
@@ -596,12 +584,10 @@ func (c *Client) many(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally)
 func (c *Client) send(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally, flush bool) *sent {
 	b := sentPool.Get().(*sent)
 	b.t = t
-	wire := false
 	if t != nil {
 		if t.ID == 0 {
 			t.ID = obs.NewTraceID()
 		}
-		wire = c.supportsTrace()
 		b.start = time.Now()
 		b.peerBefore = t.SumHop(obs.HopPeer)
 	}
@@ -620,7 +606,7 @@ func (c *Client) send(pl *plane, pairs [][2]int, dest answers, t *obs.SpanTally,
 		}
 		ca := getCall()
 		ca.ans = dest.slice(off, off+len(chunk))
-		if wire {
+		if t != nil {
 			c.req = appendPairsReqTrace(c.req[:0], pl.op, t.ID, chunk)
 			ca.tr = t
 		} else {
@@ -690,45 +676,6 @@ func (c *Client) await(b *sent) error {
 	return err
 }
 
-// Caps returns the capability bits the server advertises in its info
-// response (capTrace and future extensions), performing one info round trip
-// on first use and caching the answer for the client's lifetime. Servers
-// that predate capabilities advertise none, so a zero return against a
-// reachable server means "speak the base protocol only".
-func (c *Client) Caps() (uint64, error) {
-	c.mu.Lock()
-	caps, known := c.caps, c.capsKnown
-	c.mu.Unlock()
-	if known {
-		return caps, nil
-	}
-	_, caps, err := c.info()
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	c.caps, c.capsKnown = caps, true
-	c.mu.Unlock()
-	return caps, nil
-}
-
-// info performs one info round trip: the vertex count served and the
-// capability bits advertised.
-func (c *Client) info() (n int, caps uint64, err error) {
-	ca := getCall()
-	ca.infoN, ca.caps = &n, &caps
-	err = c.small(opInfo, ca)
-	return n, caps, err
-}
-
-// supportsTrace reports whether the server advertises the trace capability,
-// fetching capabilities on first use. A probe error means "no" — the traced
-// call that asked will surface the real error on its own frames.
-func (c *Client) supportsTrace() bool {
-	caps, err := c.Caps()
-	return err == nil && caps&capTrace != 0
-}
-
 // recordCallStages appends the client-side stages of a completed traced
 // call: encode, flush, and the residual net — the call's wall time minus
 // encode, flush and the direct peer's self-reported stages. Shard-labeled
@@ -747,8 +694,10 @@ func (c *Client) recordCallStages(t *obs.SpanTally, start time.Time, encodeNs, f
 }
 
 // Info returns the number of vertices the server's engine answers for.
-func (c *Client) Info() (int, error) {
-	n, _, err := c.info()
+func (c *Client) Info() (n int, err error) {
+	ca := getCall()
+	ca.infoN = &n
+	err = c.small(opInfo, ca)
 	return n, err
 }
 

@@ -8,14 +8,12 @@ import (
 )
 
 // FuzzDeliverInfo feeds the client's info-response parser arbitrary bodies.
-// It must never panic, and it must either refuse a body or deliver exactly
-// what the wire doc reads from it: the leading uvarint as the vertex count,
-// the next uvarint as the capability bits — 0 when the server sent none or
-// sent a malformed one — and nothing from any bytes after them. A count an
-// int cannot hold is refused, never wrapped negative. Seeded from the golden
+// It must never panic, and it must deliver exactly the bodies the wire doc
+// allows and refuse every other: one minimal uvarint vertex count that an int
+// holds (never wrapped negative), and no byte after it. Seeded from the golden
 // info frames of an adjacency and a distance server, with and without a
-// trailing extension, a body from before capabilities existed, and the edges
-// of the uvarint range.
+// trailing byte, a non-minimal and a truncated count, and the edges of the
+// uvarint range.
 func FuzzDeliverInfo(f *testing.F) {
 	adjSrv := NewServer(testEngine(f, 500, 7), 0)
 	distSrv := NewServer(nil, 0)
@@ -23,19 +21,19 @@ func FuzzDeliverInfo(f *testing.F) {
 	for _, srv := range []*Server{adjSrv, distSrv} {
 		body := goldenFrame(srv, []byte{opInfo})[1:]
 		f.Add(body)
-		f.Add(append(slices.Clone(body), 0x07, 0xff))
+		f.Add(append(slices.Clone(body), 0x01)) // the capability word older servers sent
 	}
-	f.Add(binary.AppendUvarint(nil, 500))               // no capability uvarint
-	f.Add(append(binary.AppendUvarint(nil, 500), 0x80)) // a truncated one
+	f.Add([]byte{0x80, 0x00}) // 0, not minimal
+	f.Add([]byte{0x80})       // truncated
 	f.Add(appendInfo(nil, 0)[1:])
 	f.Add(binary.AppendUvarint(nil, math.MaxInt64))  // the largest count an int holds
 	f.Add(binary.AppendUvarint(nil, math.MaxUint64)) // past it
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		n, caps := -1, uint64(1)<<63 // stale values a delivery must overwrite
-		err := deliverInfo(&call{infoN: &n, caps: &caps}, body)
+		n := -1 // a stale value a delivery must overwrite
+		err := deliverInfo(&call{infoN: &n}, body)
 		wantN, k := binary.Uvarint(body)
-		if k <= 0 || wantN > math.MaxInt {
+		if k <= 0 || wantN > math.MaxInt || k != len(body) || !slices.Equal(binary.AppendUvarint(nil, wantN), body) {
 			if err == nil {
 				t.Fatalf("body %x: accepted, n = %d", body, n)
 			}
@@ -44,9 +42,8 @@ func FuzzDeliverInfo(f *testing.F) {
 		if err != nil {
 			t.Fatalf("body %x: refused the count %d: %v", body, wantN, err)
 		}
-		wantCaps, _ := binary.Uvarint(body[k:])
-		if uint64(n) != wantN || caps != wantCaps {
-			t.Fatalf("body %x: delivered n = %d, caps = %#x; want n = %d, caps = %#x", body, n, caps, wantN, wantCaps)
+		if uint64(n) != wantN {
+			t.Fatalf("body %x: delivered n = %d, want %d", body, n, wantN)
 		}
 	})
 }

@@ -79,14 +79,12 @@
 //
 // # Trace context
 //
-// Any query or dist frame may carry an optional trace context, negotiated so
-// old and new peers interoperate:
+// Any query or dist frame may carry an optional trace context. Every peer
+// that speaks ops 5 and 6 speaks it too, so there is no capability bit and no
+// negotiation: a client traces a frame whenever its caller asked for a trace.
 //
 //	request  op u8 with the high bit (0x80) set, then a fixed 8-byte
-//	         little-endian trace id, then the normal request body. Servers
-//	         that predate tracing would reject the unknown op with an error
-//	         frame, so a client only sets the flag after the server
-//	         advertised the capability (below).
+//	         little-endian trace id, then the normal request body.
 //
 //	response for a traced request answered with status=0, the status byte has
 //	         the high bit (0x80) set and a trace block follows the normal
@@ -98,16 +96,10 @@
 //	         and shed responses are never extended — they stay byte-identical
 //	         to the untraced protocol.
 //
-//	caps     the info response carries a trailing capability uvarint after
-//	         the vertex count: bit 0 (capTrace) advertises trace-context
-//	         support. Old clients never read past the vertex count (the
-//	         trailing bytes are ignored by construction), old servers send no
-//	         capability bytes, and new clients treat the absence as "no
-//	         capabilities" — both directions interoperate with no version
-//	         handshake round trip. The shard-info response carries no
-//	         capabilities: its parser rejects any length n does not imply, so
-//	         routers and the servers behind them are upgraded together (a
-//	         router refuses a partition shard that sends no identifier block).
+// The info and shard-info responses carry nothing past what their formats
+// above imply, and clients refuse any byte more: a fleet's clients, routers
+// and servers are upgraded together (a router also refuses a partition shard
+// that sends no identifier block).
 package adjserve
 
 import (
@@ -160,14 +152,6 @@ const (
 	opTraceFlag = 0x80
 	// traceIDLen is the fixed width of the on-wire trace id.
 	traceIDLen = 8
-
-	// capTrace is the trace-context capability bit in the info response's
-	// trailing capability uvarint; a client only sets opTraceFlag on requests
-	// to a server that advertised it.
-	capTrace = 1 << 0
-
-	// localCaps is what this build advertises in info responses.
-	localCaps = capTrace
 )
 
 // ErrClosed is returned for calls on a client whose connection is gone and
@@ -202,13 +186,10 @@ func appendErr(resp []byte, format string, args ...any) []byte {
 	return append(resp, msg...)
 }
 
-// appendInfo builds an info response: the vertex count served, then the
-// trailing capability advertisement (see the package doc) — clients that
-// predate capabilities stop reading after the vertex count.
+// appendInfo builds an info response: the vertex count served.
 func appendInfo(resp []byte, n int) []byte {
 	resp = append(resp, statusOK)
-	resp = binary.AppendUvarint(resp, uint64(n))
-	return binary.AppendUvarint(resp, localCaps)
+	return binary.AppendUvarint(resp, uint64(n))
 }
 
 // trivialShardMap is what an unsharded server — and a router, which presents

@@ -105,8 +105,7 @@ func serveWant(adj *core.QueryEngine, dist *core.DistEngine, req []byte) (want [
 	op, body := req[0], req[1:]
 	switch op {
 	case opInfo:
-		n := binary.AppendUvarint([]byte{statusOK}, uint64(adj.N()))
-		return binary.AppendUvarint(n, localCaps), traced, true
+		return binary.AppendUvarint([]byte{statusOK}, uint64(adj.N())), traced, true
 	case opShardInfo:
 		return buildShardInfo(adj, adj.N(), maxFramePayload), false, true
 	case opQuery, opDist:

@@ -138,12 +138,8 @@ func TestTraceDirectE2E(t *testing.T) {
 	srv.SetTraceSink(sink)
 
 	c, wire := dialWireClock(t, addr)
-	caps, err := c.Caps()
-	if err != nil {
+	if _, err := c.Info(); err != nil { // the dial, before the clock is armed
 		t.Fatal(err)
-	}
-	if caps&capTrace == 0 {
-		t.Fatalf("server caps %#x missing capTrace", caps)
 	}
 	wire.arm()
 
@@ -219,7 +215,7 @@ func TestTraceRoutedE2E(t *testing.T) {
 	r.SetTraceSink(sink)
 
 	c, wire := dialWireClock(t, addr)
-	if _, err := c.Caps(); err != nil { // the handshake, before the clock is armed
+	if _, err := c.Info(); err != nil { // the dial, before the clock is armed
 		t.Fatal(err)
 	}
 	wire.arm()
@@ -296,49 +292,6 @@ func TestTraceRoutedE2E(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("trace id %s not in router ring (got %d traces)", obs.TraceID(tally.ID), len(snap))
-	}
-}
-
-// TestTraceCapsFallback pins the downgrade path: against a server that does
-// not advertise capTrace, a traced call still answers correctly and the tally
-// carries the client-side stages only — no peer report, no wire extension.
-func TestTraceCapsFallback(t *testing.T) {
-	eng := testEngine(t, 400, 13)
-	addr, _, _ := startServer(t, eng, 0)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// White-box: pin the negotiated capability word to "none", as dialing a
-	// pre-trace build would have.
-	c.mu.Lock()
-	c.caps, c.capsKnown = 0, true
-	c.mu.Unlock()
-
-	pairs := randomPairs(eng.N(), 500, 13)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tally obs.SpanTally
-	got, err := c.AdjacentManyTrace(pairs, nil, &tally)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
-	if tally.Len() == 0 {
-		t.Fatal("fallback tally is empty")
-	}
-	for _, st := range tally.Stages() {
-		if st.Hop != obs.HopSelf {
-			t.Errorf("unexpected non-self stage %s@%s against an untraced server",
-				obs.StageName(st.Stage), obs.HopName(st.Hop))
-		}
 	}
 }
 
@@ -477,26 +430,5 @@ func TestServeFrameTraceDisabledZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("serveFrame with tracing disabled allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestRouterOpInfoCaps: the router advertises capTrace downstream, so a
-// tracing client treats a fleet behind a router exactly like a single traced
-// server.
-func TestRouterOpInfoCaps(t *testing.T) {
-	_, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
-	addrs, _ := startShardFleet(t, engines)
-	addr, _ := startRouter(t, addrs, 0)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	caps, err := c.Caps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if caps&capTrace == 0 {
-		t.Fatalf("router caps %#x missing capTrace", caps)
 	}
 }

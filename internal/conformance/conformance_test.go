@@ -19,6 +19,10 @@
 // paper's both-ends lists, which every store written before the once layout
 // holds — the both rows are the guarantee that those stay servable and
 // routable.
+//
+// A fourth column, robust_test.go, gives the decoders labels no encoder wrote:
+// in the paper's deployment labels arrive from untrusted peers, so a corrupt
+// or adversarial label must give an error or a boolean, never a panic.
 package conformance
 
 import (
