@@ -14,13 +14,15 @@ import (
 // BenchmarkDistManyScale is the in-process PLL kernel at three sizes: a
 // degree-ordered PLL engine over a Chung–Lu graph (α = 2.5, w_min = 2,
 // seed 1) answering 4096 uniform pairs per DistMany. Besides ns/pair it
-// reports the engine's hub-table heap and one build's wall time, so one run
+// reports the engine's hub-table heap and the wall time of one encode
+// (EncodeArena on GOMAXPROCS workers) and one engine build, so one run
 // gives EXPERIMENTS' in-process table row by row:
 //
 //	go test -run '^$' -bench 'DistManyScale/n=2\^1[46]$' -count 5 ./internal/core
 //
-// n = 2^18 encodes for tens of seconds and holds a few hundred MB; select it
-// explicitly.
+// n = 2^18 encodes in about 11 s on two cores (2 vCPU Xeon; the
+// landmark-by-landmark sweep it replaced took about 57 s) and peaks near
+// 750 MB resident; select it explicitly.
 func BenchmarkDistManyScale(b *testing.B) {
 	for _, lg := range []int{14, 16, 18} {
 		b.Run(fmt.Sprintf("n=2^%d", lg), func(b *testing.B) {
@@ -28,11 +30,13 @@ func BenchmarkDistManyScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			start := time.Now()
 			arena, err := distance.PLLScheme{}.EncodeArena(g, 0, core.LayoutDegree)
 			if err != nil {
 				b.Fatal(err)
 			}
-			start := time.Now()
+			encode := time.Since(start)
+			start = time.Now()
 			eng, err := core.NewDistEngine(arena)
 			if err != nil {
 				b.Fatal(err)
@@ -53,6 +57,7 @@ func BenchmarkDistManyScale(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
 			b.ReportMetric(float64(eng.HubTableBytes()), "hub_table_bytes")
 			b.ReportMetric(float64(len(arena.Slab)), "slab_bytes")
+			b.ReportMetric(float64(encode.Microseconds())/1e3, "encode_ms")
 			b.ReportMetric(float64(build.Microseconds())/1e3, "build_ms")
 		})
 	}

@@ -2,6 +2,7 @@ package distance
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -120,5 +121,26 @@ func TestQuickPLLExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+var pllEntriesSink [][]core.DistEntry
+
+// BenchmarkPLLEntries is the label sweep alone at n = 2^14 (Chung–Lu,
+// α = 2.5, w_min = 2, seed 1) on one and two workers, B/op included:
+//
+//	go test -run '^$' -bench 'BenchmarkPLLEntries$' -count 5 ./internal/schemes/distance
+func BenchmarkPLLEntries(b *testing.B) {
+	g, err := gen.ChungLuPowerLawParallel(1<<14, 2.5, 2, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pllEntriesSink, _, _ = pllEntries(g, workers)
+			}
+		})
 	}
 }

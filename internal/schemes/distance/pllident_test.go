@@ -2,6 +2,7 @@ package distance
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -12,11 +13,11 @@ import (
 	"repro/internal/graph"
 )
 
-// pllEntriesMergePrune is the pruned landmark sweep as it was before the
-// scatter-table prune: every BFS visit merges the root's and the vertex's
-// full entry lists to the exact minimum and only then compares it with the
-// BFS distance. Kept as the reference pllEntries must reproduce entry for
-// entry.
+// pllEntriesMergePrune is the textbook pruned landmark sweep: a BFS from
+// each landmark in rank order, every visit merging the root's and the
+// vertex's full entry lists to the exact minimum and only then comparing it
+// with the BFS distance. It is the reference pllEntries must reproduce entry
+// for entry.
 func pllEntriesMergePrune(g *graph.Graph) (entries [][]core.DistEntry, maxDist int32, order []int) {
 	n := g.N()
 	order = g.VerticesByDegreeDesc()
@@ -68,54 +69,119 @@ func pllEntriesMergePrune(g *graph.Graph) (entries [][]core.DistEntry, maxDist i
 	return entries, maxDist, order
 }
 
-// TestPLLEntriesMatchMergePrune pins the scatter-table prune to the
-// merge-based one: identical entry lists, largest distance and landmark
-// order on every graph, and — through the shared slab pipeline — identical
-// arena bytes in both layouts.
-func TestPLLEntriesMatchMergePrune(t *testing.T) {
-	graphs := map[string]func(seed int64) *graph.Graph{
-		"chunglu": func(seed int64) *graph.Graph {
-			g, err := gen.ChungLuPowerLaw(400, 2.5, 2, seed)
-			if err != nil {
-				t.Fatal(err)
+// checkPLLEntries runs pllEntries on g at each worker count and requires the
+// merge prune's entry lists, largest distance and landmark order.
+func checkPLLEntries(t testing.TB, name string, g *graph.Graph, workers ...int) {
+	t.Helper()
+	want, wantMax, wantOrder := pllEntriesMergePrune(g)
+	for _, w := range workers {
+		got, gotMax, gotOrder := pllEntries(g, w)
+		if gotMax != wantMax || !slices.Equal(gotOrder, wantOrder) {
+			t.Fatalf("%s workers=%d: maxDist %d / order differ from the merge prune's (maxDist %d)", name, w, gotMax, wantMax)
+		}
+		for v := range want {
+			if !slices.Equal(got[v], want[v]) {
+				t.Fatalf("%s workers=%d: vertex %d entries %v, merge prune %v", name, w, v, got[v], want[v])
 			}
-			return g
-		},
-		"er":   func(seed int64) *graph.Graph { return gen.ErdosRenyi(200, 0.03, seed) },
-		"path": func(seed int64) *graph.Graph { return gen.Path(20 + int(seed)) },
-		"star": func(seed int64) *graph.Graph { return gen.Star(20 + int(seed)) },
+		}
+	}
+}
+
+// TestPLLEntriesMatchMergePrune pins the round-by-round sweep to the
+// landmark-by-landmark merge prune: identical entry lists, largest distance
+// and landmark order on every graph and worker count, and — through the
+// shared slab pipeline — identical arena bytes in both layouts. Besides
+// random graphs it runs the shapes a round structure could get wrong: many
+// equal shortest paths (grid, cycle, complete and complete bipartite graphs,
+// where the prune's "≤" ties decide), ≈ 200 rounds (a long path), a single
+// round (no edges) and one or two vertices.
+func TestPLLEntriesMatchMergePrune(t *testing.T) {
+	type named struct {
+		name string
+		g    *graph.Graph
+	}
+	var graphs []named
+	add := func(name string, g *graph.Graph, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		graphs = append(graphs, named{name, g})
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		g, err := gen.ChungLuPowerLaw(400, 2.5, 2, seed)
+		add(fmt.Sprintf("chunglu/%d", seed), g, err)
+		add(fmt.Sprintf("er/%d", seed), gen.ErdosRenyi(200, 0.03, seed), nil)
+		add(fmt.Sprintf("path/%d", seed), gen.Path(20+int(seed)), nil)
+		add(fmt.Sprintf("star/%d", seed), gen.Star(20+int(seed)), nil)
 		// Far below the connectivity threshold: many components and
 		// isolated vertices.
-		"disconnected": func(seed int64) *graph.Graph { return gen.ErdosRenyi(150, 0.005, seed) },
+		add(fmt.Sprintf("disconnected/%d", seed), gen.ErdosRenyi(150, 0.005, seed), nil)
+		add(fmt.Sprintf("grid/%d", seed), gen.Grid(4+int(seed), 9), nil)
+		add(fmt.Sprintf("cycle/%d", seed), gen.Cycle(9+4*int(seed)), nil)
+		add(fmt.Sprintf("bipartite/%d", seed), gen.CompleteBipartite(int(seed), 3+2*int(seed)), nil)
+		add(fmt.Sprintf("tree/%d", seed), gen.RandomTree(300, seed), nil)
+		g, err = gen.BarabasiAlbert(500, 2, seed)
+		add(fmt.Sprintf("ba/%d", seed), g, err)
 	}
-	for name, build := range graphs {
-		for seed := int64(1); seed <= 5; seed++ {
-			g := build(seed)
-			want, wantMax, wantOrder := pllEntriesMergePrune(g)
-			got, gotMax, gotOrder := pllEntries(g)
-			if gotMax != wantMax || !slices.Equal(gotOrder, wantOrder) {
-				t.Fatalf("%s seed=%d: maxDist %d / order differ from the merge prune's (maxDist %d)", name, seed, gotMax, wantMax)
-			}
-			for v := range want {
-				if !slices.Equal(got[v], want[v]) {
-					t.Fatalf("%s seed=%d: vertex %d entries %v, merge prune %v", name, seed, v, got[v], want[v])
-				}
-			}
-			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-				arena, err := PLLScheme{}.EncodeArena(g, 2, lay)
+	for k := 4; k <= 11; k++ {
+		add(fmt.Sprintf("complete/%d", k), gen.Complete(k), nil)
+	}
+	for _, n := range []int{1, 2, 200} {
+		add(fmt.Sprintf("path%d", n), gen.Path(n), nil)
+	}
+	add("noedges", graph.Empty(30), nil)
+
+	for _, tc := range graphs {
+		checkPLLEntries(t, tc.name, tc.g, 1, 2, 7)
+		want, wantMax, _ := pllEntriesMergePrune(tc.g)
+		for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
+			for _, w := range []int{1, 7} {
+				arena, err := PLLScheme{}.EncodeArena(tc.g, w, lay)
 				if err != nil {
-					t.Fatalf("%s seed=%d layout=%v: %v", name, seed, lay, err)
+					t.Fatalf("%s workers=%d layout=%v: %v", tc.name, w, lay, err)
 				}
 				ref, err := core.EncodePLLArena(want, wantMax, arena.Order, 1)
 				if err != nil {
-					t.Fatalf("%s seed=%d layout=%v: reference arena: %v", name, seed, lay, err)
+					t.Fatalf("%s workers=%d layout=%v: reference arena: %v", tc.name, w, lay, err)
 				}
 				if sha256.Sum256(arena.Slab) != sha256.Sum256(ref.Slab) || !slices.Equal(arena.BitLens, ref.BitLens) {
-					t.Fatalf("%s seed=%d layout=%v: slab differs from the merge prune's", name, seed, lay)
+					t.Fatalf("%s workers=%d layout=%v: slab differs from the merge prune's", tc.name, w, lay)
 				}
 			}
 		}
 	}
+	if _, maxDist, _ := pllEntries(graph.Empty(30), 2); maxDist != 0 {
+		t.Fatalf("no edges: maxDist %d, want 0", maxDist)
+	}
+}
+
+// FuzzPLLEntries pins the round-by-round sweep to the merge prune on
+// arbitrary small graphs: the first byte picks n ≤ 48, each further byte
+// pair is an edge (self-loops dropped, repeats merged by the builder), and
+// pllEntries at workers 1 and 3 must give the merge prune's entry lists,
+// largest distance and landmark order.
+//
+//	go test -run '^$' -fuzz 'FuzzPLLEntries$' -fuzztime 30s -fuzzminimizetime 2s ./internal/schemes/distance
+func FuzzPLLEntries(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0})
+	f.Add([]byte{9, 0, 1, 0, 2, 1, 3, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 4, 8})
+	f.Add([]byte{48})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 49
+		b := graph.NewBuilder(n)
+		for i := 1; n > 0 && i+1 < len(data); i += 2 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if u != v {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		checkPLLEntries(t, "fuzz", b.Build(), 1, 3)
+	})
 }
 
 // TestPLLArenaRejectsUnsorted checks the PLL encoder reports a list whose
