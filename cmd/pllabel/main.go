@@ -60,7 +60,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fit        = fs.Bool("fit", false, "report the fitted power-law exponent")
 		analyze    = fs.Bool("analyze", false, "report clustering and assortativity (O(m·Δ) time)")
 		shards     = fs.Int("shards", 0, "split the store into N shard files <o>.shard0..N-1 for plserve -labels, one per file, behind plserve -shards (0 = one whole store)")
-		shardFnStr = fs.String("shard-fn", "range", "shard ownership function: range | hash")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the encode to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -153,11 +152,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *out == "" {
 			return fmt.Errorf("-shards requires -o (shard files are named <o>.shardI)")
 		}
-		fn, err := core.ParseShardFn(*shardFnStr)
-		if err != nil {
-			return err
-		}
-		if err := saveShardStores(stdout, *out, g.N(), lab, *shards, fn); err != nil {
+		if err := saveShardStores(stdout, *out, g.N(), lab, *shards); err != nil {
 			return fmt.Errorf("write shard stores: %w", err)
 		}
 	} else if *out != "" {
@@ -345,18 +340,18 @@ func saveStore(path string, n int, lab *core.Labeling) error {
 }
 
 // saveShardStores splits a fat/thin labeling into count shard store files
-// named path.shard0..count-1: each holds its owned vertices' full labels plus
-// every fat label, foreign thin labels stripped to header stubs (one plserve
-// -labels per file, fronted by plserve -shards).
-func saveShardStores(stdout io.Writer, path string, n int, lab *core.Labeling, count int, fn core.ShardFn) error {
+// named path.shard0..count-1: each holds the full labels of its owned vertex
+// range plus every fat label, foreign thin labels stripped to header stubs
+// (one plserve -labels per file, fronted by plserve -shards).
+func saveShardStores(stdout io.Writer, path string, n int, lab *core.Labeling, count int) error {
 	slab, order, _ := lab.ArenaLayout()
-	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, count, fn)
+	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, count, core.ShardRange)
 	if err != nil {
 		return err
 	}
 	params := map[string]string{"n": strconv.Itoa(n)}
 	for i, a := range arenas {
-		m := core.ShardMap{Count: count, Index: i, Fn: fn}
+		m := core.ShardMap{Count: count, Index: i, Fn: core.ShardRange}
 		store, err := labelstore.NewShardArenaFile(lab.Scheme(), params, a.Slab, a.BitLens, order, m)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -374,7 +369,7 @@ func saveShardStores(stdout io.Writer, path string, n int, lab *core.Labeling, c
 			return err
 		}
 		fmt.Fprintf(stdout, "shard store written to %s (shard %d/%d fn=%s, %d owned vertices, slab %.1f KiB of %.1f)\n",
-			shardPath, i, count, fn, a.Owned, float64(len(a.Slab))/1024, float64(len(slab))/1024)
+			shardPath, i, count, m.Fn, a.Owned, float64(len(a.Slab))/1024, float64(len(slab))/1024)
 	}
 	return nil
 }

@@ -99,12 +99,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 		if *stats {
+			_, bitLens, _, _ := store.ArenaLayout()
 			max, total := 0, int64(0)
-			for _, l := range store.Labels {
-				if l.Len() > max {
-					max = l.Len()
+			for _, bits := range bitLens {
+				if bits > max {
+					max = bits
 				}
-				total += int64(l.Len())
+				total += int64(bits)
 			}
 			fmt.Fprintf(stdout, "scheme=%s n=%d max=%d bits mean=%.1f bits\n",
 				store.Scheme, store.N(), max, float64(total)/float64(max1(store.N())))

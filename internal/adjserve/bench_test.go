@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -96,7 +95,7 @@ func BenchmarkAdjserveParallelConns(b *testing.B) {
 // router carries on two upstream lanes; b.N counts queries, not frames. The
 // 4096 point must report 0 allocs/op (CI asserts it).
 func BenchmarkRouterBatch(b *testing.B) {
-	_, engines := shardEngines(b, 20000, 3, core.ShardRange, 42)
+	_, engines := shardEngines(b, 20000, 3, 42)
 	addrs := make([]string, len(engines))
 	for i, e := range engines {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

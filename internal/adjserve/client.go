@@ -703,21 +703,16 @@ func (c *Client) Info() (n int, err error) {
 
 // ShardInfo describes the slice of the labeling a server holds, as reported
 // by the shard-info handshake: the vertex count, the shard map (the trivial
-// 1-shard map for an unsharded server), the fat-vertex bitmap (bit v
-// MSB-first within byte v/8) and the identifier block (vertex v's scheme
-// identifier at bit v·w, w = ceil(log2 N) bits, MSB first; empty from a
-// server that holds no adjacency labels) — everything a router needs to
-// place queries.
+// 1-shard map for an unsharded server), the fat count K (vertex v is fat
+// exactly when its identifier is below K, which the server checked) and the
+// identifier block (vertex v's scheme identifier at bit v·w, w = ceil(log2 N)
+// bits, MSB first; empty, with K = 0, from a server that holds no adjacency
+// labels) — everything a router needs to place queries.
 type ShardInfo struct {
-	N       int
-	Map     core.ShardMap
-	FatBits []byte
-	IDBits  []byte
-}
-
-// Fat reports whether vertex v is fat on the serving engine.
-func (si *ShardInfo) Fat(v int) bool {
-	return si.FatBits[v>>3]&(1<<(7-uint(v)&7)) != 0
+	N      int
+	Map    core.ShardMap
+	K      int
+	IDBits []byte
 }
 
 // ID returns vertex v's scheme identifier; IDBits must not be empty.
@@ -758,48 +753,61 @@ func (c *Client) small(op byte, ca *call) error {
 // parseShardInfo decodes a shard-info response body into si. Errors are
 // protocol corruption (they kill the connection); semantic validation of the
 // map and the identifier block against sibling shards is the router's job.
-// What it accepts re-encodes to the same bytes: the header's uvarints must be
-// minimal, the vertex count must be one a frame can carry a bitmap for, the
-// body must be exactly the fat bitmap, or the bitmap and the identifier block,
-// that n implies, and every identifier must be below n.
+// What it accepts re-encodes to the same bytes: every uvarint must be
+// minimal, the vertex count must be one a frame can carry, the shard map must
+// be valid for it (the retired hash function is refused by name), k must not
+// exceed n, the body must end right after k or after the identifier block
+// that n implies, and every identifier must be below n. A body from a server
+// that still sends the fat bitmap after the map is refused: from n = 9 up its
+// length cannot match.
 func parseShardInfo(si *ShardInfo, body []byte) error {
-	var hdr [3]uint64 // n, shard count, shard index
-	for i, what := range [...]string{"n", "count", "index"} {
+	var hdr [4]uint64 // n, shard count, shard index, then k after the function
+	read := func(i int, what string) error {
 		v, k := binary.Uvarint(body)
 		if k <= 0 || k > 1 && body[k-1] == 0 {
 			return fmt.Errorf("%w: bad shard-info %s", ErrClosed, what)
 		}
 		hdr[i], body = v, body[k:]
+		return nil
 	}
-	n, count, index := hdr[0], hdr[1], hdr[2]
-	if len(body) == 0 {
-		return fmt.Errorf("%w: truncated shard-info ownership function", ErrClosed)
+	for i, what := range [...]string{"n", "count", "index"} {
+		if err := read(i, what); err != nil {
+			return err
+		}
 	}
-	fn := core.ShardFn(body[0])
-	body = body[1:]
-	if count < 1 || index >= count || count > max(n, 1) || !fn.Valid() {
-		return fmt.Errorf("%w: shard-info map %d/%d fn %d", ErrClosed, index, count, uint8(fn))
-	}
+	n := hdr[0]
 	if n > 8*maxFramePayload {
 		return fmt.Errorf("%w: shard-info for %d vertices cannot fit a frame", ErrClosed, n)
 	}
-	fatLen, idLen := (int(n)+7)/8, bitstr.IDBlockLen(int(n))
-	if len(body) != fatLen && len(body) != fatLen+idLen {
-		return fmt.Errorf("%w: %d shard-info bytes for %d vertices, want a %d-byte fat bitmap and a %d-byte identifier block or none",
-			ErrClosed, len(body), n, fatLen, idLen)
+	if len(body) == 0 {
+		return fmt.Errorf("%w: truncated shard-info ownership function", ErrClosed)
 	}
-	ids, w := body[fatLen:], uint(bitstr.WidthFor(n))
-	if len(ids) != 0 && n != 1<<w { // at n = 2^w every w-bit value is an identifier
+	// A count or index past MaxInt converts negative, which Validate refuses.
+	m := core.ShardMap{Count: int(hdr[1]), Index: int(hdr[2]), Fn: core.ShardFn(body[0])}
+	body = body[1:]
+	if err := m.Validate(max(int(n), 1)); err != nil {
+		return fmt.Errorf("%w: shard-info map: %v", ErrClosed, err)
+	}
+	if err := read(3, "fat count"); err != nil {
+		return err
+	}
+	k, idLen := hdr[3], bitstr.IDBlockLen(int(n))
+	switch {
+	case k > n:
+		return fmt.Errorf("%w: shard-info fat count %d of %d vertices", ErrClosed, k, n)
+	case len(body) != 0 && len(body) != idLen:
+		return fmt.Errorf("%w: %d shard-info bytes after the fat count for %d vertices, want a %d-byte identifier block or none",
+			ErrClosed, len(body), n, idLen)
+	}
+	if w := uint(bitstr.WidthFor(n)); len(body) != 0 && n != 1<<w { // at n = 2^w every w-bit value is an identifier
 		for v := 0; v < int(n); v++ {
-			if id := bitstr.IDBlockField(ids, v, w); id >= int(n) {
+			if id := bitstr.IDBlockField(body, v, w); id >= int(n) {
 				return fmt.Errorf("%w: shard-info identifier %d of vertex %d, of %d vertices", ErrClosed, id, v, n)
 			}
 		}
 	}
-	si.N = int(n)
-	si.Map = core.ShardMap{Count: int(count), Index: int(index), Fn: fn}
-	si.FatBits = append(si.FatBits[:0], body[:fatLen]...)
-	si.IDBits = append(si.IDBits[:0], ids...)
+	si.N, si.Map, si.K = int(n), m, int(k)
+	si.IDBits = append(si.IDBits[:0], body...)
 	return nil
 }
 

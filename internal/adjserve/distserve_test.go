@@ -187,7 +187,7 @@ func TestRouterReplicaFleet(t *testing.T) {
 	}
 
 	// Partition fleet: distance frames are refused, adjacency still works.
-	full, shards := shardEngines(t, 300, 2, core.ShardRange, 9)
+	full, shards := shardEngines(t, 300, 2, 9)
 	addrs, _ := startShardFleet(t, shards)
 	addr, r := startRouter(t, addrs, 0)
 	if r.replicas {

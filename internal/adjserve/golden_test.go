@@ -150,7 +150,7 @@ func TestGoldenOKFrames(t *testing.T) {
 
 func TestGoldenErrorFrames(t *testing.T) {
 	eng := testEngine(t, 500, 7)
-	_, shards := shardEngines(t, 500, 3, core.ShardRange, 7)
+	_, shards := shardEngines(t, 500, 3, 7)
 	shard := shards[1]
 	// A pair shard 1/3 cannot answer: both endpoints thin and owned elsewhere.
 	var foreign [2]int
@@ -409,10 +409,10 @@ func TestRetiredOpsRefused(t *testing.T) {
 }
 
 // goldenShardInfoFrames builds the shard-info responses the golden test pins
-// and the parser's fuzzer starts from: a whole store, one shard of a hash
-// partition, and a distance-only server.
+// and the parser's fuzzer starts from: a whole store, the last shard of a
+// three-shard range partition, and a distance-only server.
 func goldenShardInfoFrames(t testing.TB) [][]byte {
-	full, shards := shardEngines(t, 40, 3, core.ShardHash, 7)
+	full, shards := shardEngines(t, 40, 3, 7)
 	distOnly := NewServer(nil, 0)
 	distOnly.SetDistEngine(testDistEngines(t, 40, 3)["pll"])
 	return [][]byte{
@@ -422,14 +422,29 @@ func goldenShardInfoFrames(t testing.TB) [][]byte {
 	}
 }
 
-// TestGoldenShardInfoFrames pins the handshake's bytes — header, fat bitmap,
-// identifier block — and that they parse back to what the engine holds.
+// TestGoldenShardInfoFrames pins the handshake's bytes — header, fat count,
+// identifier block — and that they parse back to what the engine holds. By
+// hand, for the 40-vertex labeling (6-bit identifiers):
+//
+//	00          status ok
+//	28          n = 40
+//	01 00 | 03 02   shard count 1, index 0 (whole store) | count 3, index 2
+//	00          ownership function 0, range
+//	02          k = 2: identifiers 0 and 1 are the fat vertices
+//	0812050061c3...  the identifier block, 40·6 bits = 30 bytes: 000010
+//	            000001 001000 000101 000000 ... — vertex 0 has identifier 2,
+//	            vertex 1 identifier 1 and vertex 4 identifier 0, so 1 and 4
+//	            are fat; the shard's block is the whole store's (stubs keep
+//	            identifiers)
+//
+// The distance-only server sends the whole-store header, k = 0 and no block.
 func TestGoldenShardInfoFrames(t *testing.T) {
 	frames := goldenShardInfoFrames(t)
+	const ids = "0812050061c310f60c25968d8e441128e49b71375479f96098b8555a29d7"
 	for i, want := range []string{
-		"0028010000" + "4800000000" + "0812050061c310f60c25968d8e441128e49b71375479f96098b8555a29d7",
-		"0028030201" + "4800000000" + "0812050061c310f60c25968d8e441128e49b71375479f96098b8555a29d7",
-		"0028010000" + "0000000000",
+		"0028010000" + "02" + ids,
+		"0028030200" + "02" + ids,
+		"0028010000" + "00",
 	} {
 		if got := hex.EncodeToString(frames[i]); got != want {
 			t.Errorf("shard-info frame %d: %s, golden %s", i, got, want)
@@ -439,15 +454,15 @@ func TestGoldenShardInfoFrames(t *testing.T) {
 	if err := parseShardInfo(&si, frames[1][1:]); err != nil {
 		t.Fatal(err)
 	}
-	full, _ := shardEngines(t, 40, 3, core.ShardHash, 7)
-	if want := (core.ShardMap{Count: 3, Index: 2, Fn: core.ShardHash}); si.N != 40 || si.Map != want {
-		t.Fatalf("parsed n = %d, map %+v; want 40, %+v", si.N, si.Map, want)
+	full, _ := shardEngines(t, 40, 3, 7)
+	if want := (core.ShardMap{Count: 3, Index: 2, Fn: core.ShardRange}); si.N != 40 || si.Map != want || si.K != 2 {
+		t.Fatalf("parsed n = %d, map %+v, k = %d; want 40, %+v, 2", si.N, si.Map, si.K, want)
 	}
-	if !bytes.Equal(si.FatBits, full.AppendFatBits(nil)) || !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
-		t.Fatal("parsed tables differ from the engine's")
+	if !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
+		t.Fatal("parsed identifier block differs from the engine's")
 	}
-	if k, err := checkIDs(&si); err != nil || k != 2 {
-		t.Fatalf("checkIDs = %d, %v; want the two fat vertices and no error", k, err)
+	if err := checkIDs(&si); err != nil {
+		t.Fatalf("checkIDs: %v", err)
 	}
 }
 
@@ -478,7 +493,7 @@ func goldenFleets(t testing.TB) (full *core.QueryEngine, dist *core.DistEngine, 
 		addr, _ := startRouter(t, addrs, 0)
 		return goldenFleet{addr: addr, srvs: srvs}
 	}
-	full, shards := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, shards := shardEngines(t, 400, 3, 7)
 	dist = testDistEngines(t, 400, 3)["pll"]
 	var part, repl []*Server
 	for _, e := range shards {

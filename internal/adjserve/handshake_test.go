@@ -124,9 +124,8 @@ func TestShardInfoOffPooledPath(t *testing.T) {
 // live heap is back where it was once the caller lets go of the ShardInfo.
 // The same all-zero identifier block is what admit must refuse.
 func TestClientDropsHandshakeReadBuffer(t *testing.T) {
-	const n = 1 << 20 // fat bitmap + 20-bit identifiers: 2.6 MB
-	body := appendShardInfo(nil, n, trivialShardMap)
-	body = append(body, make([]byte, n/8)...)
+	const n = 1 << 20 // 20-bit identifiers: 2.5 MB
+	body := appendShardInfo(nil, n, trivialShardMap, 0)
 	ids := make([]byte, bitstr.IDBlockLen(n)) // every identifier 0: parses, no permutation
 	addr := fakeUpstream(t, append(body, ids...))
 	c, err := Dial(addr)
@@ -149,12 +148,12 @@ func TestClientDropsHandshakeReadBuffer(t *testing.T) {
 		t.Fatalf("identifier block of %d bytes, want %d (above the %d-byte scratch cap)", len(si.IDBits), len(ids), maxReadScratch)
 	}
 	if !raceEnabled { // the race runtime's shadow heap moves HeapAlloc by megabytes
-		kept := int64(liveHeap()) - int64(before) - int64(len(si.IDBits)+len(si.FatBits))
+		kept := int64(liveHeap()) - int64(before) - int64(len(si.IDBits))
 		if kept > maxReadScratch {
 			t.Fatalf("%d bytes stayed live on the connection after a %d-byte handshake", kept, len(body)+len(ids))
 		}
 	}
-	if _, err := checkIDs(si); err == nil || !strings.Contains(err.Error(), "not a permutation") {
+	if err := checkIDs(si); err == nil || !strings.Contains(err.Error(), "not a permutation") {
 		t.Fatalf("all-zero identifier block: err = %v, want a refusal naming the permutation", err)
 	}
 	if _, err := NewRouter([]string{addr}, 0); err == nil || !strings.Contains(err.Error(), "not a permutation") {
@@ -182,16 +181,17 @@ func TestShardInfoFrameLimit(t *testing.T) {
 	}
 	// The largest n the real limit admits is the documented one.
 	fits := func(n int) bool {
-		return len(appendShardInfo(nil, n, trivialShardMap))+(n+7)/8+bitstr.IDBlockLen(n) <= maxFramePayload
+		return len(appendShardInfo(nil, n, trivialShardMap, n))+bitstr.IDBlockLen(n) <= maxFramePayload
 	}
-	if !fits(5_590_000) || fits(5_600_000) {
-		t.Fatal("protocol.go documents the handshake limit as n ≈ 5.59 M; the arithmetic moved")
+	if !fits(5_830_000) || fits(5_840_000) {
+		t.Fatal("protocol.go documents the handshake limit as n ≈ 5.83 M; the arithmetic moved")
 	}
 }
 
-// TestRouterNeedsIdentifierBlock: a distance-only server reports an empty
+// TestRouterNeedsIdentifierBlock: a distance-only server reports k = 0 and no
 // identifier block, which a replica fleet admits; a partition shard without
-// one — or with one that contradicts the fat bitmap — is refused.
+// one is refused, and so is a server whose labels break the rule k stands
+// for — it answers the handshake with an error frame.
 func TestRouterNeedsIdentifierBlock(t *testing.T) {
 	dist := testDistEngines(t, 200, 5)["pll"]
 	daddr, _ := startDistServer(t, dist, 0)
@@ -204,8 +204,8 @@ func TestRouterNeedsIdentifierBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(si.IDBits) != 0 || len(si.FatBits) != (dist.N()+7)/8 {
-		t.Fatalf("distance-only handshake: %d fat bytes, %d identifier bytes; want %d and none", len(si.FatBits), len(si.IDBits), (dist.N()+7)/8)
+	if len(si.IDBits) != 0 || si.K != 0 {
+		t.Fatalf("distance-only handshake: k = %d, %d identifier bytes; want 0 and none", si.K, len(si.IDBits))
 	}
 	if r, err := NewRouter([]string{daddr, daddr}, 0); err != nil {
 		t.Fatalf("replica fleet of distance-only servers: %v", err)
@@ -213,30 +213,42 @@ func TestRouterNeedsIdentifierBlock(t *testing.T) {
 		r.Close()
 	}
 
-	_, engines := shardEngines(t, 300, 2, core.ShardRange, 5)
+	_, engines := shardEngines(t, 300, 2, 5)
 	addrs, _ := startShardFleet(t, engines)
 	block := shardInfoOf(engines[0])
 	stripped := block[:len(block)-bitstr.IDBlockLen(300)]
 	if _, err := NewRouter([]string{fakeUpstream(t, stripped), addrs[1]}, 0); err == nil || !strings.Contains(err.Error(), "no identifier block") {
 		t.Fatalf("partition shard without an identifier block: err = %v", err)
 	}
-	// Flip vertex 0's fat bit: the bitmap now disagrees with the identifiers.
-	lying := bytes.Clone(block)
-	lying[len(lying)-bitstr.IDBlockLen(300)-(300+7)/8] ^= 0x80
-	if _, err := NewRouter([]string{fakeUpstream(t, lying), addrs[1]}, 0); err == nil || !strings.Contains(err.Error(), "fat bit") {
-		t.Fatalf("partition shard whose fat bitmap contradicts its identifiers: err = %v", err)
-	}
 	if r, err := NewRouter([]string{fakeUpstream(t, block), addrs[1]}, 0); err != nil {
 		t.Fatalf("the unedited block behind the same fake: %v", err)
 	} else {
 		r.Close()
 	}
+
+	// Vertex 0 thin with identifier 0, vertex 1 fat with identifier 1: one fat
+	// vertex, whose identifier is not below k = 1.
+	var thin, fat bitstr.Builder
+	thin.AppendBit(false)
+	thin.AppendUint(0, 1)
+	fat.AppendBit(true)
+	fat.AppendUint(1, 1)
+	fat.AppendBit(false)
+	broken, err := core.NewQueryEngine(core.NewLabeling("", []bitstr.String{thin.String(), fat.String()}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baddr, _, _ := startServer(t, broken, 0)
+	if _, err := NewRouter([]string{baddr}, 0); err == nil || !strings.Contains(err.Error(), "handshake") || !strings.Contains(err.Error(), "fat count") {
+		t.Fatalf("server whose fat vertex is above a thin identifier: err = %v, want its error frame as a handshake failure", err)
+	}
 }
 
 // FuzzParseShardInfo: any body either fails to parse or yields a ShardInfo
-// that re-encodes to exactly the bytes parsed, with every identifier below n
-// and every accessor in bounds — and checkIDs, which admit runs on it, returns
-// without panicking. Seeded from the golden shard-info frames.
+// that re-encodes to exactly the bytes parsed, with k at most n, every
+// identifier below n and every accessor in bounds — and checkIDs, which admit
+// runs on it, returns without panicking. Seeded from the golden shard-info
+// frames and each way a body is refused.
 func FuzzParseShardInfo(f *testing.F) {
 	for _, frame := range goldenShardInfoFrames(f) {
 		f.Add(frame[1:])
@@ -244,20 +256,42 @@ func FuzzParseShardInfo(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0})
 	f.Add([]byte{0x80, 0x00, 1, 0, 0}) // n = 0 spelled in two bytes
+	whole := goldenShardInfoFrames(f)[0][1:]
+	hdr, ids := whole[:4], whole[5:] // n, count, index, function | k | identifiers
+	hash := bytes.Clone(whole)
+	hash[3] = 1
+	for _, r := range []struct {
+		what, err string
+		body      []byte
+	}{
+		{"k > n", "fat count 41", append(append(bytes.Clone(hdr), 41), ids...)},
+		{"k in two bytes", "bad shard-info fat count", append(append(bytes.Clone(hdr), 0x82, 0x00), ids...)},
+		{"a byte after the block", "identifier block or none", append(bytes.Clone(whole), 0)},
+		{"the retired body, a fat bitmap before the block", "fat count 72 of 40", append(append(bytes.Clone(hdr), 0x48, 0, 0, 0, 0), ids...)},
+		{"the retired hash function", "re-run pllabel -shards", hash},
+	} {
+		var si ShardInfo
+		if err := parseShardInfo(&si, r.body); err == nil || !strings.Contains(err.Error(), r.err) {
+			f.Fatalf("%s: err = %v, want a refusal naming %q", r.what, err, r.err)
+		}
+		f.Add(r.body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var si ShardInfo
 		if err := parseShardInfo(&si, body); err != nil {
 			return
 		}
-		again := append(append(appendShardInfo(nil, si.N, si.Map)[1:], si.FatBits...), si.IDBits...)
+		again := append(appendShardInfo(nil, si.N, si.Map, si.K)[1:], si.IDBits...)
 		if !bytes.Equal(again, body) {
 			t.Fatalf("parsed %x, re-encoded %x", body, again)
 		}
 		if err := si.Map.Validate(max(si.N, 1)); err != nil {
 			t.Fatalf("accepted shard map %+v over %d vertices: %v", si.Map, si.N, err)
 		}
+		if si.K > si.N {
+			t.Fatalf("accepted fat count %d of %d vertices", si.K, si.N)
+		}
 		for v := 0; v < si.N; v++ {
-			si.Fat(v)
 			if len(si.IDBits) != 0 && si.ID(v) >= si.N {
 				t.Fatalf("accepted identifier %d of vertex %d, of %d vertices", si.ID(v), v, si.N)
 			}

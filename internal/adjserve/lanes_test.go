@@ -82,7 +82,7 @@ func (f *pipelineFleet) beginOnBothLanes(t *testing.T, req []byte) (downs [2]net
 
 func TestRouterLanes(t *testing.T) {
 	t.Run("connections take lanes round-robin", func(t *testing.T) {
-		full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+		full, engines := shardEngines(t, 400, 3, 7)
 		addrs, srvs := startShardFleet(t, engines)
 		addr, r := startRouter(t, addrs, 0)
 		if got := r.Lanes(); got != upstreamLanes {
@@ -240,7 +240,7 @@ func TestRouterLanes(t *testing.T) {
 	// redialled frame by frame, while its other shards and the other lane
 	// keep answering.
 	t.Run("a refused lane fails alone", func(t *testing.T) {
-		full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+		full, engines := shardEngines(t, 400, 3, 7)
 		addrs := make([]string, len(engines))
 		srvs := make([]*Server, len(engines))
 		for i, e := range engines {
@@ -257,8 +257,8 @@ func TestRouterLanes(t *testing.T) {
 			addrs[i], srvs[i] = ln.Addr().String(), srv
 		}
 		addr, r := startRouter(t, addrs, 0)
-		capped := thinPairsOwnedBy(full, core.ShardRange, 3, 0, 32)
-		open := thinPairsOwnedBy(full, core.ShardRange, 3, 1, 32)
+		capped := thinPairsOwnedBy(full, 3, 0, 32)
+		open := thinPairsOwnedBy(full, 3, 1, 32)
 		var conns [2]*Client
 		for l := range conns {
 			c, err := Dial(addr)

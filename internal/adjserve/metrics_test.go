@@ -324,7 +324,7 @@ func TestClientRedialCounted(t *testing.T) {
 // checks they count: one caller, one frame in flight, so every hop flushes
 // exactly once per frame it wrote, summed over a shard's lanes.
 func TestFlushMetricsExposed(t *testing.T) {
-	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, engines := shardEngines(t, 400, 3, 7)
 	addrs, srvs := startShardFleet(t, engines)
 	addr, r := startRouter(t, addrs, 0)
 	reg := obs.NewRegistry()

@@ -154,7 +154,7 @@ const heldShard = 2
 
 func newPipelineFleet(t *testing.T, kill bool) *pipelineFleet {
 	t.Helper()
-	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, engines := shardEngines(t, 400, 3, 7)
 	addrs, srvs := startShardFleet(t, engines)
 	r, err := NewRouter(addrs, 0)
 	if err != nil {
@@ -176,7 +176,7 @@ func newPipelineFleet(t *testing.T, kill bool) *pipelineFleet {
 
 // owned returns count thin pairs only shard s can answer, as a request.
 func (f *pipelineFleet) owned(s, count int) ([][2]int, []byte) {
-	pairs := thinPairsOwnedBy(f.full, core.ShardRange, 3, s, count)
+	pairs := thinPairsOwnedBy(f.full, 3, s, count)
 	return pairs, appendPairsReq(nil, opQuery, pairs)
 }
 

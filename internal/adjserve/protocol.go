@@ -39,20 +39,24 @@
 //	                        bytes of answers, bit i MSB-first within its byte
 //	         status=0 (ok), info:  uvarint n (vertex count served)
 //	         status=0 (ok), shard-info: uvarint n, uvarint shard count,
-//	                        uvarint shard index, ownership function u8, then
-//	                        ceil(n/8) bytes of fat-vertex bits, bit v MSB-first
-//	                        within its byte (count=1/index=0 for an unsharded
-//	                        server, so a router can front plain servers too),
-//	                        then the identifier block: vertex v's scheme
-//	                        identifier in bits [v·w, (v+1)·w), MSB first,
-//	                        w = ceil(log2 n), ceil(n·w/8) bytes — the length is
-//	                        implied by n. The read rule searches the label of
-//	                        the larger identifier, so a router needs the
-//	                        identifiers to pick the shard. A server holding no
-//	                        adjacency labels (distance-only) sends no
-//	                        identifier block at all. The whole response is one
-//	                        frame: past maxFramePayload (16 MiB; n > 5.59 M) the
-//	                        server answers an error frame naming n and the cap
+//	                        uvarint shard index, ownership function u8 (0 =
+//	                        range, the only value defined; the retired hash
+//	                        function's 1 is refused by name), uvarint fat count
+//	                        k (count=1/index=0 for an unsharded server, so a
+//	                        router can front plain servers too), then the
+//	                        identifier block: vertex v's scheme identifier in
+//	                        bits [v·w, (v+1)·w), MSB first, w = ceil(log2 n),
+//	                        ceil(n·w/8) bytes — the length is implied by n.
+//	                        Vertex v is fat exactly when its identifier is
+//	                        below k; the server checks that rule and answers an
+//	                        error frame for a store that breaks it. The read
+//	                        rule searches the label of the larger identifier,
+//	                        so a router needs the identifiers and k to pick
+//	                        the shard. A server holding no adjacency labels
+//	                        (distance-only) sends k = 0 and no identifier
+//	                        block. The whole response is one frame: past
+//	                        maxFramePayload (16 MiB; n > 5.83 M) the server
+//	                        answers an error frame naming n and the cap
 //	                        instead, and a router cannot front it — a chunked
 //	                        handshake is not built.
 //	         status=0 (ok), dist: uvarint pair count, then one uvarint hop
@@ -198,39 +202,44 @@ func appendInfo(resp []byte, n int) []byte {
 var trivialShardMap = core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}
 
 // appendShardInfo builds a shard-info response up to, not including, the
-// ceil(n/8)-byte fat bitmap and the identifier block the caller appends.
-func appendShardInfo(resp []byte, n int, m core.ShardMap) []byte {
+// identifier block the caller appends.
+func appendShardInfo(resp []byte, n int, m core.ShardMap, k int) []byte {
 	resp = append(resp, statusOK)
 	resp = binary.AppendUvarint(resp, uint64(n))
 	resp = binary.AppendUvarint(resp, uint64(m.Count))
 	resp = binary.AppendUvarint(resp, uint64(m.Index))
-	return append(resp, byte(m.Fn))
+	resp = append(resp, byte(m.Fn))
+	return binary.AppendUvarint(resp, uint64(k))
 }
 
 // buildShardInfo builds the shard-info response of a server over eng (nil: a
-// distance-only server of n vertices, which reports an empty fat set and no
-// identifier block) — or, when the response would not fit a frame of limit
-// bytes, the error frame that says so. The engine is read-only once it
-// serves, so a server builds this once and writes the same bytes to every
+// distance-only server of n vertices, which reports k = 0 and no identifier
+// block) — or, when the engine's fat vertices are not exactly the identifiers
+// below k (core.QueryEngine.FatCount) or the response would not fit a frame
+// of limit bytes, the error frame that says so. The engine is read-only once
+// it serves, so a server builds this once and writes the same bytes to every
 // handshake; at megabytes it must never pass through per-connection scratch.
 func buildShardInfo(eng *core.QueryEngine, n int, limit int) []byte {
-	m, fatLen, idLen := trivialShardMap, (n+7)/8, 0
+	m, k, idLen := trivialShardMap, 0, 0
 	if eng != nil {
+		var err error
+		if k, err = eng.FatCount(); err != nil {
+			return appendErr(nil, "shard-info: %v", err)
+		}
 		idLen = bitstr.IDBlockLen(n)
 		if sm, ok := eng.Shard(); ok {
 			m = sm
 		}
 	}
-	hdr := appendShardInfo(nil, n, m)
-	size := len(hdr) + fatLen + idLen
+	hdr := appendShardInfo(nil, n, m, k)
+	size := len(hdr) + idLen
 	if size > limit {
 		return appendErr(hdr[:0], "shard-info for %d vertices is %d bytes, over the %d-byte frame limit", n, size, limit)
 	}
-	resp := append(make([]byte, 0, size), hdr...)
 	if eng == nil {
-		return append(resp, make([]byte, fatLen)...)
+		return hdr
 	}
-	return eng.AppendIDBits(eng.AppendFatBits(resp))
+	return eng.AppendIDBits(append(make([]byte, 0, size), hdr...))
 }
 
 // appendPairsReq builds a pair-batch request payload under op (query or dist

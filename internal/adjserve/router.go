@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"net"
 	"strconv"
 	"sync"
@@ -38,7 +37,9 @@ import (
 // any violation of this rule into a loud error frame instead of a silent wrong
 // answer. The rule needs every vertex's identifier, which is why the
 // shard-info handshake carries the identifier block; a vertex is fat iff its
-// identifier is below the fat count, so route reads that one table, twice.
+// identifier is below the fat count k, which the handshake carries beside it
+// (each server checks the rule on its own labels), so route reads that one
+// table, twice, and ownership is the range formula core.ShardOwner.
 //
 // Per-request failure semantics mirror the single server's: a shard error
 // (or a dead shard) poisons only the query frames routed to it — each gets an
@@ -53,16 +54,15 @@ type Router struct {
 	lanes    [upstreamLanes][]*Client
 	nextLane atomic.Uint32
 	// info is the shard-info response this router answers — its fleet's, under
-	// the trivial shard map — built once by the handshake; fatBits (bit v
-	// MSB-first within byte v/8) and idBits (identifier v at bit v·idWidth)
-	// are views of it. k is the fat count: identifiers below it are fat.
-	info            []byte
-	fatBits, idBits []byte
-	idWidth         uint
-	k               int
-	n               int
-	fn              core.ShardFn
-	maxBatch        int
+	// the trivial shard map — built once by the handshake; idBits (identifier
+	// v at bit v·idWidth) is a view of it. k is the fat count: identifiers
+	// below it are fat.
+	info     []byte
+	idBits   []byte
+	idWidth  uint
+	k        int
+	n        int
+	maxBatch int
 	// replicas marks a replica fleet: every upstream reported the trivial
 	// 1-shard map, so each holds a whole store (the distance-serving
 	// deployment; a single plain server is the degenerate 1-replica fleet).
@@ -91,15 +91,14 @@ const upstreamLanes = 4
 // NewRouter dials one server per address, performs the shard-info handshake
 // with each, and admits the fleet as one of two coherent shapes:
 //
-//   - A partition: every shard reports the same vertex count and ownership
-//     function, a shard count equal to the fleet size, a distinct index (two
-//     servers claiming the same shard — overlapping ownership — is a
-//     deployment error caught here), and a byte-identical fat bitmap and
-//     identifier block, the latter a permutation of 0..n-1 whose first
-//     fat-count values sit on the fat vertices. clients are held in
-//     shard-index order, so addrs may be listed in any order.
+//   - A partition: every shard reports the same vertex count, a shard count
+//     equal to the fleet size, a distinct index (two servers claiming the
+//     same shard — overlapping ownership — is a deployment error caught
+//     here), and the same fat count and byte-identical identifier block, the
+//     latter a permutation of 0..n-1. clients are held in shard-index order,
+//     so addrs may be listed in any order.
 //   - A replica fleet: every upstream reports the trivial 1-shard map with
-//     the same vertex count, fat bitmap and identifier block (none, from
+//     the same vertex count, fat count and identifier block (none, from
 //     distance-only servers) — R whole copies of one store,
 //     the distance-serving deployment (op=dist on a partition is refused;
 //     distance stores are never sharded). clients stay in addr order.
@@ -212,24 +211,19 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 		return fmt.Errorf("adjserve: router: shard %s sent no identifier block, which routing over a partition needs (a distance-only server, or one older than this router)", addr)
 	}
 	if r.info == nil {
-		k, err := checkIDs(si)
-		if err != nil {
+		if err := checkIDs(si); err != nil {
 			return fmt.Errorf("adjserve: router: %s %s: %w", noun, addr, err)
 		}
-		r.n, r.fn, r.k, r.idWidth = si.N, si.Map.Fn, k, uint(bitstr.WidthFor(uint64(si.N)))
-		r.info = append(append(appendShardInfo(nil, si.N, trivialShardMap), si.FatBits...), si.IDBits...)
-		tables := r.info[len(r.info)-len(si.FatBits)-len(si.IDBits):]
-		r.fatBits, r.idBits = tables[:len(si.FatBits)], tables[len(si.FatBits):]
+		r.n, r.k, r.idWidth = si.N, si.K, uint(bitstr.WidthFor(uint64(si.N)))
+		r.info = append(appendShardInfo(nil, si.N, trivialShardMap, si.K), si.IDBits...)
+		r.idBits = r.info[len(r.info)-len(si.IDBits):]
 		return nil
 	}
 	if si.N != r.n {
 		return fmt.Errorf("adjserve: router: %s %s serves %d vertices, fleet serves %d", noun, addr, si.N, r.n)
 	}
-	if si.Map.Fn != r.fn {
-		return fmt.Errorf("adjserve: router: %s %s uses ownership function %s, fleet uses %s", noun, addr, si.Map.Fn, r.fn)
-	}
-	if !bytes.Equal(si.FatBits, r.fatBits) {
-		return fmt.Errorf("adjserve: router: %s %s reports a different fat set than the fleet (mixed labelings?)", noun, addr)
+	if si.K != r.k {
+		return fmt.Errorf("adjserve: router: %s %s reports %d fat vertices, fleet has %d (mixed labelings?)", noun, addr, si.K, r.k)
 	}
 	if !bytes.Equal(si.IDBits, r.idBits) {
 		return fmt.Errorf("adjserve: router: %s %s reports different identifiers than the fleet (mixed labelings?)", noun, addr)
@@ -237,29 +231,22 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 	return nil
 }
 
-// checkIDs validates a handshake's identifier block against its fat bitmap, as
-// far as routing relies on them: the identifiers are a permutation of 0..n-1
-// and vertex v is fat exactly when its identifier is below the fat count,
-// which it returns. An empty block (a distance-only server) passes.
-func checkIDs(si *ShardInfo) (k int, err error) {
-	for _, b := range si.FatBits {
-		k += bits.OnesCount8(b)
-	}
+// checkIDs validates a handshake's identifier block as far as routing relies
+// on it: the identifiers are a permutation of 0..n-1. An empty block (a
+// distance-only server) passes.
+func checkIDs(si *ShardInfo) error {
 	if len(si.IDBits) == 0 {
-		return k, nil
+		return nil
 	}
 	seen, w := make([]uint64, (si.N+63)>>6), uint(bitstr.WidthFor(uint64(si.N)))
 	for v := 0; v < si.N; v++ {
 		id := bitstr.IDBlockField(si.IDBits, v, w) // below n: parseShardInfo checked
 		if seen[id>>6]&(1<<uint(id&63)) != 0 {
-			return 0, fmt.Errorf("identifier block is not a permutation: %d appears twice (at vertex %d)", id, v)
+			return fmt.Errorf("identifier block is not a permutation: %d appears twice (at vertex %d)", id, v)
 		}
 		seen[id>>6] |= 1 << uint(id&63)
-		if si.Fat(v) != (id < k) {
-			return 0, fmt.Errorf("vertex %d: fat bit %v, identifier %d, fat count %d", v, si.Fat(v), id, k)
-		}
 	}
-	return k, nil
+	return nil
 }
 
 func (r *Router) closeClients() {
@@ -323,12 +310,12 @@ func (r *Router) route(u, v int) int {
 	count := r.Shards()
 	iu, iv := bitstr.IDBlockField(r.idBits, u, r.idWidth), bitstr.IDBlockField(r.idBits, v, r.idWidth)
 	if iu == iv || iu < r.k && iv < r.k { // u == v, or both fat: any shard answers
-		return min(core.ShardOwner(r.fn, u, r.n, count), core.ShardOwner(r.fn, v, r.n, count))
+		return min(core.ShardOwner(u, r.n, count), core.ShardOwner(v, r.n, count))
 	}
 	if iu < iv {
 		u = v
 	}
-	return core.ShardOwner(r.fn, u, r.n, count) // the larger identifier's owner
+	return core.ShardOwner(u, r.n, count) // the larger identifier's owner
 }
 
 // ownerOf is the replica-fleet placement rule: replica floor(u*R/n) answers
@@ -336,9 +323,7 @@ func (r *Router) route(u, v int) int {
 // whole store — but keying on u alone spreads load and keeps each vertex's
 // queries on one upstream, warming that replica's caches for exactly its
 // slice of the id space.
-func (r *Router) ownerOf(u int) int {
-	return int(int64(u) * int64(r.Shards()) / int64(r.n))
-}
+func (r *Router) ownerOf(u int) int { return core.ShardOwner(u, r.n, r.Shards()) }
 
 // Close drains the router exactly as Server.Close drains a server — stop
 // accepting, let every connection finish the frames it has begun, wait — and

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // routerFuzzMaxPairs caps the pairs per downstream frame FuzzRouterUpstream
@@ -30,7 +28,7 @@ type routerFuzzFleet struct {
 // routerFuzzFleets builds the golden fleets' two shapes over the same engines
 // golden_test.go pins: a 3-shard adjacency partition and 2 distance replicas.
 func routerFuzzFleets(t testing.TB) [2]routerFuzzFleet {
-	full, shards := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, shards := shardEngines(t, 400, 3, 7)
 	dist := testDistEngines(t, 400, 3)["pll"]
 	part := routerFuzzFleet{op: opQuery, pairs: goldenRing(full, routerFuzzMaxPairs)}
 	for _, e := range shards {

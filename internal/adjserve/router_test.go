@@ -42,38 +42,36 @@ func startRouter(t testing.TB, addrs []string, maxBatch int) (string, *Router) {
 
 // TestRouterEquivalence is the tentpole acceptance check: answers through the
 // router are bit-for-bit identical to the full single-store engine, across
-// ownership functions and batch sizes (sub-byte, multi-frame, large).
+// batch sizes (sub-byte, multi-frame, large).
 func TestRouterEquivalence(t *testing.T) {
-	for _, fn := range []core.ShardFn{core.ShardRange, core.ShardHash} {
-		full, engines := shardEngines(t, 400, 3, fn, 7)
-		addrs, _ := startShardFleet(t, engines)
-		addr, _ := startRouter(t, addrs, 0)
-		for _, batch := range []int{1, 3, 64, 4096} {
-			c, err := Dial(addr)
+	full, engines := shardEngines(t, 400, 3, 7)
+	addrs, _ := startShardFleet(t, engines)
+	addr, _ := startRouter(t, addrs, 0)
+	for _, batch := range []int{1, 3, 64, 4096} {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.MaxBatch = batch
+		pairs := randomPairs(full.N(), 5000, int64(batch))
+		for v := 0; v < full.N(); v++ {
+			pairs = append(pairs, [2]int{v, v})
+		}
+		got, err := c.AdjacentMany(pairs, nil)
+		if err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
+		}
+		for i, p := range pairs {
+			want, err := full.Adjacent(p[0], p[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.MaxBatch = batch
-			pairs := randomPairs(full.N(), 5000, int64(batch))
-			for v := 0; v < full.N(); v++ {
-				pairs = append(pairs, [2]int{v, v})
+			if got[i] != want {
+				t.Fatalf("batch=%d: pair %d (%d,%d) = %v, engine says %v",
+					batch, i, p[0], p[1], got[i], want)
 			}
-			got, err := c.AdjacentMany(pairs, nil)
-			if err != nil {
-				t.Fatalf("fn=%v batch=%d: %v", fn, batch, err)
-			}
-			for i, p := range pairs {
-				want, err := full.Adjacent(p[0], p[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[i] != want {
-					t.Fatalf("fn=%v batch=%d: pair %d (%d,%d) = %v, engine says %v",
-						fn, batch, i, p[0], p[1], got[i], want)
-				}
-			}
-			c.Close()
 		}
+		c.Close()
 	}
 }
 
@@ -81,45 +79,43 @@ func TestRouterEquivalence(t *testing.T) {
 // small graph: a pair that is neither a self pair nor fat–fat goes to the
 // shard holding its larger-identifier endpoint resident — the one label the
 // engines' read rule searches — and the routed shard answers what the full
-// engine and the graph say. Range and hash shards, id and degree slabs, and
-// both thin-edge layouts: a both-ends store, as every store written before
-// the once layout is, routes under the same rule.
+// engine and the graph say. Id and degree slabs, and both thin-edge layouts:
+// a both-ends store, as every store written before the once layout is,
+// routes under the same rule.
 func TestRouterRoutingInvariant(t *testing.T) {
 	for _, thin := range []core.ThinEdges{core.ThinEdgesOnce, core.ThinEdgesBoth} {
 		for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-			for _, fn := range []core.ShardFn{core.ShardRange, core.ShardHash} {
-				g, full, engines := shardEnginesOf(t, 150, 3, fn, 7, lay, thin)
-				addrs, _ := startShardFleet(t, engines)
-				r, err := NewRouter(addrs, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
-				si := &ShardInfo{N: full.N(), IDBits: full.AppendIDBits(nil)}
-				for u := 0; u < full.N(); u++ {
-					for v := 0; v < full.N(); v++ {
-						s := r.route(u, v)
-						if u != v && !(full.Fat(u) && full.Fat(v)) {
-							larger := u
-							if si.ID(v) > si.ID(u) {
-								larger = v
-							}
-							if !engines[s].Resident(larger) {
-								t.Fatalf("thin=%d lay=%v fn=%v: route(%d,%d) = shard %d, where larger-identifier endpoint %d is a stub", thin, lay, fn, u, v, s, larger)
-							}
+			g, full, engines := shardEnginesOf(t, 150, 3, 7, lay, thin)
+			addrs, _ := startShardFleet(t, engines)
+			r, err := NewRouter(addrs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			si := &ShardInfo{N: full.N(), K: fatCount(t, full), IDBits: full.AppendIDBits(nil)}
+			for u := 0; u < full.N(); u++ {
+				for v := 0; v < full.N(); v++ {
+					s := r.route(u, v)
+					if u != v && !(si.ID(u) < si.K && si.ID(v) < si.K) {
+						larger := u
+						if si.ID(v) > si.ID(u) {
+							larger = v
 						}
-						got, err := engines[s].Adjacent(u, v)
-						if err != nil {
-							t.Fatalf("thin=%d lay=%v fn=%v: route(%d,%d) = shard %d, which answered: %v", thin, lay, fn, u, v, s, err)
+						if !engines[s].Resident(larger) {
+							t.Fatalf("thin=%d lay=%v: route(%d,%d) = shard %d, where larger-identifier endpoint %d is a stub", thin, lay, u, v, s, larger)
 						}
-						want, err := full.Adjacent(u, v)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want || got != g.HasEdge(u, v) {
-							t.Fatalf("thin=%d lay=%v fn=%v: (%d,%d) on routed shard %d = %v, full engine %v, graph %v",
-								thin, lay, fn, u, v, s, got, want, g.HasEdge(u, v))
-						}
+					}
+					got, err := engines[s].Adjacent(u, v)
+					if err != nil {
+						t.Fatalf("thin=%d lay=%v: route(%d,%d) = shard %d, which answered: %v", thin, lay, u, v, s, err)
+					}
+					want, err := full.Adjacent(u, v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want || got != g.HasEdge(u, v) {
+						t.Fatalf("thin=%d lay=%v: (%d,%d) on routed shard %d = %v, full engine %v, graph %v",
+							thin, lay, u, v, s, got, want, g.HasEdge(u, v))
 					}
 				}
 			}
@@ -129,11 +125,12 @@ func TestRouterRoutingInvariant(t *testing.T) {
 
 // thinPairsOwnedBy collects pairs whose endpoints are both thin and owned by
 // shard s — pairs the routing rule must send to s and no other shard.
-func thinPairsOwnedBy(e *core.QueryEngine, fn core.ShardFn, count, s, want int) [][2]int {
-	n := e.N()
+func thinPairsOwnedBy(e *core.QueryEngine, count, s, want int) [][2]int {
+	k, _ := e.FatCount() // the test labelings keep the rule
+	si := &ShardInfo{N: e.N(), IDBits: e.AppendIDBits(nil)}
 	var own []int
-	for v := 0; v < n; v++ {
-		if !e.Fat(v) && core.ShardOwner(fn, v, n, count) == s {
+	for v, hi := (core.ShardMap{Count: count, Index: s}).Range(e.N()); v < hi; v++ {
+		if si.ID(v) >= k {
 			own = append(own, v)
 		}
 	}
@@ -150,7 +147,7 @@ func thinPairsOwnedBy(e *core.QueryEngine, fn core.ShardFn, count, s, want int) 
 // connection-survives error type) — while the same downstream connection
 // keeps answering requests for the remaining shards.
 func TestRouterShardKill(t *testing.T) {
-	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, engines := shardEngines(t, 400, 3, 7)
 	addrs, srvs := startShardFleet(t, engines)
 	addr, _ := startRouter(t, addrs, 0)
 	c, err := Dial(addr)
@@ -159,8 +156,8 @@ func TestRouterShardKill(t *testing.T) {
 	}
 	defer c.Close()
 	const victim = 2
-	victimPairs := thinPairsOwnedBy(full, core.ShardRange, 3, victim, 64)
-	livePairs := thinPairsOwnedBy(full, core.ShardRange, 3, 0, 64)
+	victimPairs := thinPairsOwnedBy(full, 3, victim, 64)
+	livePairs := thinPairsOwnedBy(full, 3, 0, 64)
 	if _, err := c.AdjacentMany(victimPairs, nil); err != nil {
 		t.Fatalf("victim shard up, batch failed: %v", err)
 	}
@@ -201,7 +198,7 @@ func TestRouterShardKill(t *testing.T) {
 // large for the trace plane's hop byte all fail rather than mis-route or
 // mis-report later.
 func TestRouterHandshakeValidation(t *testing.T) {
-	_, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	_, engines := shardEngines(t, 400, 3, 7)
 	addrs, _ := startShardFleet(t, engines)
 	if _, err := NewRouter(nil, 0); err == nil {
 		t.Fatal("empty fleet accepted")
@@ -217,12 +214,12 @@ func TestRouterHandshakeValidation(t *testing.T) {
 	if _, err := NewRouter(addrs[:2], 0); err == nil {
 		t.Fatal("incomplete fleet accepted (2 servers of a 3-shard partition)")
 	}
-	// A shard from a different partition of the same size: wrong fat set or
-	// wrong ownership function must be caught.
-	_, hashEngines := shardEngines(t, 400, 3, core.ShardHash, 7)
-	hashAddr, _, _ := startServer(t, hashEngines[0], 0)
-	if _, err := NewRouter([]string{hashAddr, addrs[1], addrs[2]}, 0); err == nil {
-		t.Fatal("mixed ownership functions accepted")
+	// Shard 0 of a different labeling of the same size: its fat count or
+	// identifiers differ, and the mix must be caught.
+	_, others := shardEngines(t, 400, 3, 8)
+	otherShard, _, _ := startServer(t, others[0], 0)
+	if _, err := NewRouter([]string{otherShard, addrs[1], addrs[2]}, 0); err == nil || !strings.Contains(err.Error(), "mixed labelings") {
+		t.Fatalf("shard of another labeling: err = %v, want a refusal naming mixed labelings", err)
 	}
 	// A whole different labeling behind one address: n mismatch.
 	other := testEngine(t, 200, 9)
@@ -275,7 +272,7 @@ func TestRouterFrontsPlainServer(t *testing.T) {
 // one client (pipelined) plus goroutines with their own connections, under
 // the race detector in CI.
 func TestRouterConcurrent(t *testing.T) {
-	full, engines := shardEngines(t, 400, 3, core.ShardHash, 7)
+	full, engines := shardEngines(t, 400, 3, 7)
 	addrs, _ := startShardFleet(t, engines)
 	addr, _ := startRouter(t, addrs, 0)
 	shared, err := Dial(addr)
@@ -327,7 +324,7 @@ func TestRouterZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
-	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, engines := shardEngines(t, 400, 3, 7)
 	addrs, _ := startShardFleet(t, engines)
 	addr, _ := startRouter(t, addrs, 0)
 	c, err := Dial(addr)
@@ -355,7 +352,7 @@ func TestRouterZeroAlloc(t *testing.T) {
 // TestRouterMetrics: per-upstream counters move and the downstream side
 // accounts frames/queries — the observability satellite's contract.
 func TestRouterMetrics(t *testing.T) {
-	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, engines := shardEngines(t, 400, 3, 7)
 	addrs, _ := startShardFleet(t, engines)
 	addr, r := startRouter(t, addrs, 0)
 	c, err := Dial(addr)

@@ -12,17 +12,18 @@ import (
 	"repro/internal/graph"
 )
 
-// shardEngines labels a power-law graph, splits the arena into count shards,
-// and returns the full engine plus the per-shard engines (shard maps set).
-func shardEngines(t testing.TB, n, count int, fn core.ShardFn, seed int64) (*core.QueryEngine, []*core.QueryEngine) {
+// shardEngines labels a power-law graph, splits the arena into count range
+// shards, and returns the full engine plus the per-shard engines (shard maps
+// set).
+func shardEngines(t testing.TB, n, count int, seed int64) (*core.QueryEngine, []*core.QueryEngine) {
 	t.Helper()
-	_, full, engines := shardEnginesOf(t, n, count, fn, seed, core.LayoutDegree, core.ThinEdgesOnce)
+	_, full, engines := shardEnginesOf(t, n, count, seed, core.LayoutDegree, core.ThinEdgesOnce)
 	return full, engines
 }
 
 // shardEnginesOf is shardEngines over a chosen slab layout and thin-edge
 // layout, returning the graph as well.
-func shardEnginesOf(t testing.TB, n, count int, fn core.ShardFn, seed int64, lay core.Layout, thin core.ThinEdges) (*graph.Graph, *core.QueryEngine, []*core.QueryEngine) {
+func shardEnginesOf(t testing.TB, n, count int, seed int64, lay core.Layout, thin core.ThinEdges) (*graph.Graph, *core.QueryEngine, []*core.QueryEngine) {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(n, 2.5, 2, seed)
 	if err != nil {
@@ -51,7 +52,7 @@ func shardEnginesOf(t testing.TB, n, count int, fn core.ShardFn, seed int64, lay
 	if err != nil {
 		t.Fatal(err)
 	}
-	arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, fn)
+	arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, core.ShardRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func shardEnginesOf(t testing.TB, n, count int, fn core.ShardFn, seed int64, lay
 		if err != nil {
 			t.Fatalf("shard %d engine: %v", i, err)
 		}
-		if err := e.SetShard(core.ShardMap{Count: count, Index: i, Fn: fn}); err != nil {
+		if err := e.SetShard(core.ShardMap{Count: count, Index: i, Fn: core.ShardRange}); err != nil {
 			t.Fatalf("shard %d SetShard: %v", i, err)
 		}
 		engines[i] = e
@@ -69,8 +70,20 @@ func shardEnginesOf(t testing.TB, n, count int, fn core.ShardFn, seed int64, lay
 	return g, full, engines
 }
 
+// fatCount is e's fat count k: vertex v is fat exactly when its identifier is
+// below it.
+func fatCount(t testing.TB, e *core.QueryEngine) int {
+	t.Helper()
+	k, err := e.FatCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 // TestShardInfoUnsharded: a plain server answers the handshake with the
-// trivial 1-shard map and its engine's fat bitmap, so a router can front it.
+// trivial 1-shard map, its engine's fat count and identifier block, so a
+// router can front it.
 func TestShardInfoUnsharded(t *testing.T) {
 	eng := testEngine(t, 300, 5)
 	addr, _, _ := startServer(t, eng, 0)
@@ -89,25 +102,23 @@ func TestShardInfoUnsharded(t *testing.T) {
 	if want := (core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}); si.Map != want {
 		t.Fatalf("unsharded shard map %+v, want %+v", si.Map, want)
 	}
-	for v := 0; v < eng.N(); v++ {
-		if si.Fat(v) != eng.Fat(v) {
-			t.Fatalf("fat bit of vertex %d = %v, engine says %v", v, si.Fat(v), eng.Fat(v))
-		}
+	if k := fatCount(t, eng); si.K != k || k == 0 {
+		t.Fatalf("fat count %d, engine has %d", si.K, k)
 	}
 	if !bytes.Equal(si.IDBits, eng.AppendIDBits(nil)) {
 		t.Fatal("identifier block differs from the engine's")
 	}
-	if _, err := checkIDs(si); err != nil {
+	if err := checkIDs(si); err != nil {
 		t.Fatalf("identifier block: %v", err)
 	}
 }
 
 // TestShardInfoSharded: each shard server reports its own index under the
-// shared count/fn, and all report byte-identical fat bitmaps (fat labels are
-// replicated, so every shard knows the full fat set).
+// shared count/fn, and all report the full engine's fat count and identifier
+// block (stubs keep fat bits and identifiers).
 func TestShardInfoSharded(t *testing.T) {
-	full, engines := shardEngines(t, 300, 3, core.ShardHash, 5)
-	var first []byte
+	full, engines := shardEngines(t, 300, 3, 5)
+	k := fatCount(t, full)
 	for i, e := range engines {
 		addr, _, _ := startServer(t, e, 0)
 		c, err := Dial(addr)
@@ -119,24 +130,17 @@ func TestShardInfoSharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		if want := (core.ShardMap{Count: 3, Index: i, Fn: core.ShardHash}); si.Map != want {
+		if want := (core.ShardMap{Count: 3, Index: i, Fn: core.ShardRange}); si.Map != want {
 			t.Fatalf("shard %d map %+v, want %+v", i, si.Map, want)
 		}
 		if si.N != full.N() {
 			t.Fatalf("shard %d n = %d, want %d", i, si.N, full.N())
 		}
-		for v := 0; v < full.N(); v++ {
-			if si.Fat(v) != full.Fat(v) {
-				t.Fatalf("shard %d fat bit of %d = %v, full engine says %v", i, v, si.Fat(v), full.Fat(v))
-			}
+		if si.K != k {
+			t.Fatalf("shard %d fat count %d, full engine has %d", i, si.K, k)
 		}
 		if !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
 			t.Fatalf("shard %d identifier block differs from the full engine's (stubs keep identifiers)", i)
-		}
-		if i == 0 {
-			first = append([]byte(nil), si.FatBits...)
-		} else if string(first) != string(si.FatBits) {
-			t.Fatalf("shard %d fat bitmap differs from shard 0", i)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestShedHysteresis drives the latch through its trip/hold/release cycle by
@@ -327,7 +325,7 @@ func (*timeoutErr) Temporary() bool { return true }
 // frames routed entirely to live shards keep serving; once the shard drains,
 // the same router connection recovers.
 func TestRouterShedPropagation(t *testing.T) {
-	full, engines := shardEngines(t, 400, 3, core.ShardRange, 21)
+	full, engines := shardEngines(t, 400, 3, 21)
 	addrs := make([]string, len(engines))
 	srvs := make([]*Server, len(engines))
 	for i, e := range engines {
@@ -355,8 +353,8 @@ func TestRouterShedPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveVertex := -1
-	for v := 0; v < si.N; v++ {
-		if si.Map.Owner(v, si.N) == 2 && !si.Fat(v) {
+	for v, hi := si.Map.Range(si.N); v < hi; v++ {
+		if si.ID(v) >= si.K {
 			liveVertex = v
 			break
 		}

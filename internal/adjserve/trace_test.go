@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -205,7 +204,7 @@ func TestTraceDirectE2E(t *testing.T) {
 // (checkStageSum) — shard-indexed entries nest inside the router's upstream
 // window and are excluded from the invariant.
 func TestTraceRoutedE2E(t *testing.T) {
-	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
+	full, engines := shardEngines(t, 400, 3, 7)
 	addrs, srvs := startShardFleet(t, engines)
 	for _, s := range srvs {
 		s.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(16)})

@@ -269,7 +269,7 @@ func exhaustiveBatch(t *testing.T, n int) {
 		count int
 		fn    core.ShardFn
 	}
-	partitions := []partition{{2, core.ShardRange}, {3, core.ShardRange}, {2, core.ShardHash}, {3, core.ShardHash}}
+	partitions := []partition{{2, core.ShardRange}, {3, core.ShardRange}}
 	total := uint64(1) << uint(n*(n-1)/2)
 	for mask := uint64(0); mask < total; mask++ {
 		g, err := graphFromMask(n, mask)

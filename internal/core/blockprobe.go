@@ -85,7 +85,7 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 			mu, mv, at = mv, mu, p[1]
 			list[i], other[i] = mu, mv
 		}
-		if mu.fat() || !e.Resident(at) {
+		if mu.fat() || !e.owns(at) {
 			continue // ErrBadLabel or ErrNotResident: the scalar path reports it
 		}
 		switch hi := int(mu.cnt()) - 1; {

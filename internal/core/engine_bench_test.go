@@ -12,7 +12,8 @@ import (
 )
 
 // QueryEngine benchmarks. CI's zero-alloc gate (scripts/zero_alloc_gate.sh)
-// holds BenchmarkQueryEngineAdjacent, BenchmarkQueryEngineAdjacentMany and
+// holds BenchmarkQueryEngineAdjacent, BenchmarkQueryEngineAdjacentMany,
+// BenchmarkQueryEngineAdjacentManySharded and
 // BenchmarkQueryEngineAdjacentManyInstrumented at 0 allocs/op;
 // BenchmarkQueryEngineColdSlab is the in-process kernel-vs-scalar instrument
 // at n = 2^20.
@@ -101,6 +102,52 @@ func BenchmarkQueryEngineAdjacentMany(b *testing.B) {
 		var err error
 		out, err = eng.AdjacentMany(pairs, out[:0])
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/query")
+}
+
+// BenchmarkQueryEngineAdjacentManySharded is BenchmarkQueryEngineAdjacentMany
+// on one shard: the middle of three range shards of the same labeling, over
+// 4096 pairs of the same mix that the shard answers (its owned range's thin
+// holders, fat–fat and self pairs) — the sub-batch a router sends it, through
+// the residency test of the batch kernel. Also 0 allocs/op.
+func BenchmarkQueryEngineAdjacentManySharded(b *testing.B) {
+	g, err := gen.ChungLuPowerLaw(1<<14, 2.5, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slab, order, _ := lab.ArenaLayout()
+	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, 3, core.ShardRange)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewQueryEngineFromPermutedArena(arenas[1].Slab, arenas[1].BitLens, order)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.SetShard(core.ShardMap{Count: 3, Index: 1, Fn: core.ShardRange}); err != nil {
+		b.Fatal(err)
+	}
+	pairs := make([][2]int, 0, 4096)
+	for _, p := range benchPairs(g, 4*4096) {
+		if _, err := eng.Adjacent(p[0], p[1]); err == nil && len(pairs) < cap(pairs) {
+			pairs = append(pairs, p)
+		}
+	}
+	if len(pairs) < cap(pairs) {
+		b.Fatalf("shard 1/3 answers %d pairs of the mix, want %d", len(pairs), cap(pairs))
+	}
+	out := make([]bool, 0, len(pairs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out, err = eng.AdjacentMany(pairs, out[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,14 +40,15 @@ type QueryEngine struct {
 	slab []byte
 	// engineMetrics, when attached, receives per-call tallies; see batch.go.
 	engineMetrics
-	// resident, when non-nil, marks the engine as serving one shard of a
-	// partitioned store (SetShard): bit v says vertex v's full label body is
-	// present in the slab (owned, or fat — fat labels are replicated to every
-	// shard). Queries resolvable only from a non-resident body return
-	// ErrNotResident instead of probing a stripped stub. Like metrics it is
-	// set before the engine is shared and read-only afterwards.
-	resident []uint64
-	shard    ShardMap
+	// [lo, hi) is the owned vertex range: [0, n) unsharded, the shard map's
+	// range once SetShard marks the engine as serving one shard of a
+	// partitioned store. A vertex's full label body is present when it is
+	// owned or fat (fat labels are replicated to every shard); a query
+	// resolvable only from another body returns ErrNotResident instead of
+	// probing a stripped stub. Like metrics they are set before the engine is
+	// shared and read-only afterwards.
+	lo, hi int
+	shard  ShardMap
 }
 
 // vertexMeta is one label's pre-parsed header, packed into a single 16-byte
@@ -147,7 +148,7 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
 	}
 	header := 1 + w
-	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab}
+	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab, hi: n}
 	if w > 0 {
 		e.inlineMax = 64 / w
 	}
@@ -224,7 +225,7 @@ func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 	switch {
 	case list.fat():
 		return false, fmt.Errorf("%w: fat identifier %d above thin identifier %d", ErrBadLabel, list.id(), other.id())
-	case !e.Resident(at):
+	case !e.owns(at):
 		return false, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
 	}
 	t.thin++

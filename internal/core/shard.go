@@ -28,24 +28,25 @@ import (
 // of every query and routes misdirected pairs to ErrNotResident instead of
 // silently answering from an empty body.
 
-// ShardFn selects the vertex→shard ownership function. It is serialized in
-// the label-store shard block, so values are stable wire constants.
+// ShardFn names the vertex→shard ownership function. It is serialized in the
+// label-store shard block and the shard-info handshake, so values are stable
+// wire constants; ShardRange is the only one defined. The byte stays so that
+// range stores and frames keep their bytes, and a store or handshake carrying
+// the retired hash function's byte (1) is refused by value.
 type ShardFn uint8
 
-const (
-	// ShardRange assigns contiguous vertex ranges: owner(v) = ⌊v·S/n⌋.
-	// Ranges follow vertex numbering, so workloads with id locality keep it.
-	ShardRange ShardFn = 0
-	// ShardHash assigns vertices by a splitmix64 hash of the vertex number:
-	// owner(v) = h(v) mod S. Robust to any id-correlated skew.
-	ShardHash ShardFn = 1
-)
+// ShardRange assigns contiguous vertex ranges: owner(v) = ⌊v·S/n⌋. The fat
+// vertices are resident on every shard, so residency is one range compare.
+const ShardRange ShardFn = 0
+
+// shardHashRetired is the byte the retired hash ownership function wrote.
+const shardHashRetired ShardFn = 1
 
 func (f ShardFn) String() string {
 	switch f {
 	case ShardRange:
 		return "range"
-	case ShardHash:
+	case shardHashRetired:
 		return "hash"
 	default:
 		return fmt.Sprintf("shardfn(%d)", uint8(f))
@@ -53,41 +54,19 @@ func (f ShardFn) String() string {
 }
 
 // Valid reports whether f is a defined ownership function.
-func (f ShardFn) Valid() bool { return f == ShardRange || f == ShardHash }
+func (f ShardFn) Valid() bool { return f == ShardRange }
 
-// ParseShardFn parses the flag spelling of an ownership function.
-func ParseShardFn(s string) (ShardFn, error) {
-	switch s {
-	case "range":
-		return ShardRange, nil
-	case "hash":
-		return ShardHash, nil
-	default:
-		return 0, fmt.Errorf("core: unknown shard ownership function %q (want range or hash)", s)
+// errShardFn is the refusal of an undefined ownership function.
+func errShardFn(f ShardFn) error {
+	if f == shardHashRetired {
+		return errors.New("core: shard ownership function hash is retired (re-run pllabel -shards)")
 	}
-}
-
-// shardHash is the splitmix64 finalizer over the vertex number: owner
-// assignment must be uncorrelated with the id ordering, or hash sharding
-// would degenerate into range sharding.
-func shardHash(v int) uint64 {
-	h := uint64(v) + 0x9E3779B97F4A7C15
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	return fmt.Errorf("core: unknown shard ownership function %d", uint8(f))
 }
 
 // ShardOwner returns the shard owning vertex v among count shards of an
 // n-vertex labeling. Callers guarantee 0 <= v < n and count >= 1.
-func ShardOwner(fn ShardFn, v, n, count int) int {
-	if fn == ShardHash {
-		return int(shardHash(v) % uint64(count))
-	}
-	return int(int64(v) * int64(count) / int64(n))
-}
+func ShardOwner(v, n, count int) int { return int(int64(v) * int64(count) / int64(n)) }
 
 // ShardMap identifies one shard of a partitioned label store: the shard
 // count, this shard's index, and the ownership function all shards agree on.
@@ -107,36 +86,26 @@ func (m ShardMap) Validate(n int) error {
 	case m.Index < 0 || m.Index >= m.Count:
 		return fmt.Errorf("core: shard index %d of %d shards", m.Index, m.Count)
 	case !m.Fn.Valid():
-		return fmt.Errorf("core: unknown shard ownership function %d", uint8(m.Fn))
+		return errShardFn(m.Fn)
 	}
 	return nil
 }
 
-// Owner returns the shard owning vertex v of an n-vertex labeling.
-func (m ShardMap) Owner(v, n int) int { return ShardOwner(m.Fn, v, n, m.Count) }
-
-// Owns reports whether this shard owns vertex v.
-func (m ShardMap) Owns(v, n int) bool { return m.Owner(v, n) == m.Index }
+// Range returns the vertices this shard owns, [lo, hi) =
+// [⌈index·n/count⌉, ⌈(index+1)·n/count⌉): the v with ⌊v·count/n⌋ == index,
+// found by inverting ShardOwner's floor division.
+func (m ShardMap) Range(n int) (lo, hi int) {
+	lo = int((int64(m.Index)*int64(n) + int64(m.Count) - 1) / int64(m.Count))
+	hi = int((int64(m.Index+1)*int64(n) + int64(m.Count) - 1) / int64(m.Count))
+	return lo, hi
+}
 
 // OwnedCount returns the number of vertices this shard owns — the figure the
-// label-store shard block records so a corrupted index or function is caught
+// label-store shard block records so a corrupted index is caught
 // structurally at load.
 func (m ShardMap) OwnedCount(n int) int {
-	if m.Fn == ShardRange {
-		// Contiguous: [⌈index·n/count⌉, ⌈(index+1)·n/count⌉) … computed by
-		// inverting Owner's floor division, i.e. counting v with
-		// ⌊v·count/n⌋ == index.
-		lo := (int64(m.Index)*int64(n) + int64(m.Count) - 1) / int64(m.Count)
-		hi := (int64(m.Index+1)*int64(n) + int64(m.Count) - 1) / int64(m.Count)
-		return int(hi - lo)
-	}
-	owned := 0
-	for v := 0; v < n; v++ {
-		if m.Owns(v, n) {
-			owned++
-		}
-	}
-	return owned
+	lo, hi := m.Range(n)
+	return hi - lo
 }
 
 // ShardArena is one shard's label slab: resident labels (owned vertices plus
@@ -169,7 +138,7 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 		return nil, fmt.Errorf("core: splitting %d labels into %d shards (want 2..n)", n, count)
 	}
 	if !fn.Valid() {
-		return nil, fmt.Errorf("core: unknown shard ownership function %d", uint8(fn))
+		return nil, errShardFn(fn)
 	}
 	w := bitstr.WidthFor(uint64(n))
 	if w > 32 {
@@ -191,7 +160,7 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 		if err != nil {
 			return nil, err
 		}
-		home := ShardOwner(fn, v, n, count)
+		home := ShardOwner(v, n, count)
 		shards[home].Owned++
 		if word&1 != 0 {
 			home = everyShard
@@ -253,63 +222,57 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 // than answering false from a stripped stub) is what makes misrouting loud.
 var ErrNotResident = errors.New("core: query not resident on this shard")
 
-// SetShard marks the engine as serving one shard of a partitioned store: it
-// builds the residency bitset (owned vertices plus every fat vertex) and
-// cross-checks the shard map against the loaded labels — every non-resident
-// thin label must be a header-only stub, so a store loaded under the wrong
-// shard map fails here, at attach time, not at query time. Like
-// AttachMetrics it must be called before the engine is shared across
-// goroutines.
+// SetShard marks the engine as serving one shard of a partitioned store: its
+// owned range becomes the map's, and the map is cross-checked against the
+// loaded labels — every thin label outside the range must be a header-only
+// stub, so a store loaded under the wrong shard map fails here, at attach
+// time, not at query time. Like AttachMetrics it must be called before the
+// engine is shared across goroutines.
 func (e *QueryEngine) SetShard(m ShardMap) error {
 	if err := m.Validate(e.n); err != nil {
 		return err
 	}
-	resident := make([]uint64, (e.n+63)>>6)
-	for v := 0; v < e.n; v++ {
-		if e.meta[v].fat() || m.Owns(v, e.n) {
-			resident[v>>6] |= 1 << uint(v&63)
-		} else if e.meta[v].cnt() != 0 {
+	lo, hi := m.Range(e.n)
+	for v, mv := range e.meta {
+		if (v < lo || v >= hi) && !mv.fat() && mv.cnt() != 0 {
 			return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label carries a %d-id body (wrong shard map?)",
-				ErrBadLabel, v, m.Index, m.Count, e.meta[v].cnt())
+				ErrBadLabel, v, m.Index, m.Count, mv.cnt())
 		}
 	}
-	e.resident = resident
-	e.shard = m
+	e.lo, e.hi, e.shard = lo, hi, m
 	return nil
 }
 
 // Shard returns the shard map attached by SetShard; ok=false for an
 // unsharded engine.
-func (e *QueryEngine) Shard() (ShardMap, bool) { return e.shard, e.resident != nil }
+func (e *QueryEngine) Shard() (ShardMap, bool) { return e.shard, e.shard.Count != 0 }
 
-// Resident reports whether vertex v's full label body is present (always
-// true on an unsharded engine).
-func (e *QueryEngine) Resident(v int) bool {
-	if e.resident == nil {
-		return true
-	}
-	return e.resident[v>>6]&(1<<uint(v&63)) != 0
-}
+// owns reports whether v is in the engine's owned range (every vertex, on an
+// unsharded engine).
+func (e *QueryEngine) owns(v int) bool { return e.lo <= v && v < e.hi }
 
-// Fat reports whether vertex v is fat (its label carries the k-bit fat
-// adjacency bitmap). Valid on sharded engines for every vertex: stubs keep
-// the fat bit.
-func (e *QueryEngine) Fat(v int) bool { return e.meta[v].fat() }
+// Resident reports whether vertex v's full label body is present: v is owned,
+// or fat (fat labels are replicated to every shard).
+func (e *QueryEngine) Resident(v int) bool { return e.owns(v) || e.meta[v].fat() }
 
-// AppendFatBits appends the fat bitmap — ceil(n/8) bytes, bit v MSB-first
-// within its byte set iff vertex v is fat — and returns the extended slice.
-// With AppendIDBits it is the routing table a scatter-gather router needs to
-// compute which shard answers any pair. (Stubs preserve fat bits and
-// identifiers, so every shard serves the same two blocks.)
-func (e *QueryEngine) AppendFatBits(dst []byte) []byte {
-	base := len(dst)
-	dst = append(dst, make([]byte, (e.n+7)/8)...)
-	for v := 0; v < e.n; v++ {
-		if e.meta[v].fat() {
-			dst[base+v/8] |= 1 << (7 - uint(v)%8)
+// FatCount returns k, the number of fat vertices, after checking the rule a
+// router's routing table rests on: vertex v is fat exactly when its scheme
+// identifier is below k. With AppendIDBits it is everything a router needs to
+// compute which shard answers any pair (stubs keep fat bits and identifiers,
+// so every shard reports the same k and block).
+func (e *QueryEngine) FatCount() (int, error) {
+	k := 0
+	for _, mv := range e.meta {
+		if mv.fat() {
+			k++
 		}
 	}
-	return dst
+	for v, mv := range e.meta {
+		if mv.fat() != (mv.id() < uint64(k)) {
+			return 0, fmt.Errorf("%w: vertex %d: fat %v, identifier %d, fat count %d", ErrBadLabel, v, mv.fat(), mv.id(), k)
+		}
+	}
+	return k, nil
 }
 
 // AppendIDBits appends the identifier block (bitstr.IDBlockLen(n) bytes,

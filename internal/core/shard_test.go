@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -26,7 +27,7 @@ func arenaOf(t *testing.T, lab *Labeling) (slab []byte, bitLens []int, order []i
 
 // shardTestEngines builds the full engine plus count sharded engines (each
 // with its shard map attached) over one labeling of g.
-func shardTestEngines(t *testing.T, lay Layout, count int, fn ShardFn, n int, seed int64) (*QueryEngine, []*QueryEngine) {
+func shardTestEngines(t *testing.T, lay Layout, count int, n int, seed int64) (*QueryEngine, []*QueryEngine) {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(n, 2.5, 2, seed)
 	if err != nil {
@@ -43,7 +44,7 @@ func shardTestEngines(t *testing.T, lay Layout, count int, fn ShardFn, n int, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	arenas, err := ShardLabelArenas(slab, bitLens, order, count, fn)
+	arenas, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func shardTestEngines(t *testing.T, lay Layout, count int, fn ShardFn, n int, se
 		if err != nil {
 			t.Fatalf("shard %d engine: %v", i, err)
 		}
-		if err := e.SetShard(ShardMap{Count: count, Index: i, Fn: fn}); err != nil {
+		if err := e.SetShard(ShardMap{Count: count, Index: i, Fn: ShardRange}); err != nil {
 			t.Fatalf("shard %d SetShard: %v", i, err)
 		}
 		engines[i] = e
@@ -65,11 +66,11 @@ func shardTestEngines(t *testing.T, lay Layout, count int, fn ShardFn, n int, se
 // owner (any shard answers them); every other pair to the owner of the
 // endpoint with the larger identifier, whose thin body is the one place it
 // resolves.
-func routeShard(e *QueryEngine, fn ShardFn, count, u, v int) int {
+func routeShard(e *QueryEngine, count, u, v int) int {
 	n := e.N()
-	ou, ov := ShardOwner(fn, u, n, count), ShardOwner(fn, v, n, count)
+	ou, ov := ShardOwner(u, n, count), ShardOwner(v, n, count)
 	switch {
-	case u == v || e.Fat(u) && e.Fat(v):
+	case u == v || e.meta[u].fat() && e.meta[v].fat():
 		return min(ou, ov)
 	case e.meta[u].id() > e.meta[v].id():
 		return ou
@@ -78,37 +79,48 @@ func routeShard(e *QueryEngine, fn ShardFn, count, u, v int) int {
 	}
 }
 
-// TestShardOwnerPartition: both ownership functions partition 0..n-1 into
-// count non-empty classes whose sizes OwnedCount predicts exactly, and range
-// ownership is contiguous and monotone.
+// rangeEdges returns the vertices at the edges of every shard's owned range
+// [lo, hi) — lo−1, lo, hi−1 and hi, where they are vertices — on the first,
+// middle and last of count shards.
+func rangeEdges(n, count int) []int {
+	var edges []int
+	for _, i := range []int{0, count / 2, count - 1} {
+		lo, hi := ShardMap{Count: count, Index: i}.Range(n)
+		for _, v := range []int{lo - 1, lo, hi - 1, hi} {
+			if v >= 0 && v < n {
+				edges = append(edges, v)
+			}
+		}
+	}
+	return edges
+}
+
+// TestShardOwnerPartition: range ownership partitions 0..n-1 into count
+// non-empty contiguous, monotone classes whose bounds Range and sizes
+// OwnedCount predict exactly.
 func TestShardOwnerPartition(t *testing.T) {
-	for _, fn := range []ShardFn{ShardRange, ShardHash} {
-		for _, n := range []int{7, 64, 1000} {
-			for _, count := range []int{2, 3, 7} {
-				got := make([]int, count)
-				prev := 0
-				for v := 0; v < n; v++ {
-					o := ShardOwner(fn, v, n, count)
-					if o < 0 || o >= count {
-						t.Fatalf("%v: owner(%d) = %d of %d shards", fn, v, o, count)
-					}
-					got[o]++
-					if fn == ShardRange {
-						if o < prev {
-							t.Fatalf("range owner not monotone at v=%d: %d after %d", v, o, prev)
-						}
-						prev = o
-					}
+	for _, n := range []int{7, 64, 1000} {
+		for _, count := range []int{2, 3, 7} {
+			for v := 0; v < n; v++ {
+				o := ShardOwner(v, n, count)
+				if o < 0 || o >= count {
+					t.Fatalf("owner(%d) = %d of %d shards", v, o, count)
 				}
-				for i, c := range got {
-					m := ShardMap{Count: count, Index: i, Fn: fn}
-					if want := m.OwnedCount(n); c != want {
-						t.Fatalf("%v n=%d count=%d: shard %d owns %d, OwnedCount says %d", fn, n, count, i, c, want)
-					}
-					if fn == ShardRange && c == 0 {
-						t.Fatalf("range shard %d/%d empty at n=%d", i, count, n)
-					}
+				if lo, hi := (ShardMap{Count: count, Index: o}).Range(n); v < lo || v >= hi {
+					t.Fatalf("n=%d count=%d: owner(%d) = %d, whose range is [%d, %d)", n, count, v, o, lo, hi)
 				}
+			}
+			next := 0
+			for i := 0; i < count; i++ {
+				m := ShardMap{Count: count, Index: i, Fn: ShardRange}
+				lo, hi := m.Range(n)
+				if lo != next || hi <= lo || m.OwnedCount(n) != hi-lo {
+					t.Fatalf("n=%d count=%d: shard %d owns [%d, %d) (%d vertices) after %d", n, count, i, lo, hi, m.OwnedCount(n), next)
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("n=%d count=%d: ranges end at %d", n, count, next)
 			}
 		}
 	}
@@ -116,33 +128,37 @@ func TestShardOwnerPartition(t *testing.T) {
 
 // TestShardedEngineEquivalence is the core correctness property of the
 // sharded layout: for every pair, the shard the routing rule picks answers
-// bit-for-bit identically to the full engine — across both ownership
-// functions and both physical layouts, over every edge plus random pairs.
+// bit-for-bit identically to the full engine — across both physical layouts,
+// over random pairs, self pairs, and every pair of vertices at a range edge.
 func TestShardedEngineEquivalence(t *testing.T) {
 	for _, lay := range []Layout{LayoutID, LayoutDegree} {
-		for _, fn := range []ShardFn{ShardRange, ShardHash} {
-			full, engines := shardTestEngines(t, lay, 3, fn, 400, 11)
-			n := full.N()
-			rng := rand.New(rand.NewSource(99))
-			check := func(u, v int) {
-				want, err := full.Adjacent(u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := routeShard(full, fn, 3, u, v)
-				got, err := engines[s].Adjacent(u, v)
-				if err != nil {
-					t.Fatalf("layout=%v fn=%v: routed (%d,%d) to shard %d: %v", lay, fn, u, v, s, err)
-				}
-				if got != want {
-					t.Fatalf("layout=%v fn=%v: (%d,%d) on shard %d = %v, full engine says %v", lay, fn, u, v, s, got, want)
-				}
+		full, engines := shardTestEngines(t, lay, 3, 400, 11)
+		n := full.N()
+		rng := rand.New(rand.NewSource(99))
+		check := func(u, v int) {
+			want, err := full.Adjacent(u, v)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := 0; i < 4000; i++ {
-				check(rng.Intn(n), rng.Intn(n))
+			s := routeShard(full, 3, u, v)
+			got, err := engines[s].Adjacent(u, v)
+			if err != nil {
+				t.Fatalf("layout=%v: routed (%d,%d) to shard %d: %v", lay, u, v, s, err)
 			}
-			for v := 0; v < n; v++ {
-				check(v, v)
+			if got != want {
+				t.Fatalf("layout=%v: (%d,%d) on shard %d = %v, full engine says %v", lay, u, v, s, got, want)
+			}
+		}
+		for i := 0; i < 4000; i++ {
+			check(rng.Intn(n), rng.Intn(n))
+		}
+		for v := 0; v < n; v++ {
+			check(v, v)
+		}
+		edges := rangeEdges(n, 3)
+		for _, u := range edges {
+			for _, v := range edges {
+				check(u, v)
 			}
 		}
 	}
@@ -152,16 +168,18 @@ func TestShardedEngineEquivalence(t *testing.T) {
 // shard only, the owner of its larger-identifier endpoint; every other shard —
 // the owner of the other endpoint included — must fail with ErrNotResident,
 // never answer false from a stub or from a list that need not hold the edge.
+// The edge rows put both endpoints at range edges and ask every shard, so a
+// residency test off by one at lo or hi shows here.
 func TestShardedEngineNotResident(t *testing.T) {
-	full, engines := shardTestEngines(t, LayoutID, 3, ShardRange, 400, 11)
+	full, engines := shardTestEngines(t, LayoutID, 3, 400, 11)
 	n := full.N()
 	misrouted := 0
 	for u := 0; u < n && misrouted < 200; u += 3 {
 		for v := 0; v < n && misrouted < 200; v += 7 {
-			if u == v || full.Fat(u) && full.Fat(v) {
+			if u == v || full.meta[u].fat() && full.meta[v].fat() {
 				continue
 			}
-			right := routeShard(full, ShardRange, 3, u, v)
+			right := routeShard(full, 3, u, v)
 			for s, e := range engines {
 				if right == s {
 					continue
@@ -176,6 +194,39 @@ func TestShardedEngineNotResident(t *testing.T) {
 	}
 	if misrouted == 0 {
 		t.Fatal("test graph produced no misroutable pairs")
+	}
+
+	edges := rangeEdges(n, 3)
+	foreign := 0
+	for _, u := range edges {
+		for _, v := range edges {
+			want, err := full.Adjacent(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holder := u
+			if full.meta[v].id() > full.meta[u].id() {
+				holder = v
+			}
+			for s, e := range engines {
+				got, err := e.Adjacent(u, v)
+				lo, hi := (ShardMap{Count: 3, Index: s}).Range(n)
+				if u != v && !full.meta[holder].fat() && (holder < lo || holder >= hi) {
+					if !errors.Is(err, ErrNotResident) {
+						t.Fatalf("edge pair (%d,%d) on shard %d owning [%d, %d): thin holder %d is foreign, err = %v, want ErrNotResident",
+							u, v, s, lo, hi, holder, err)
+					}
+					foreign++
+					continue
+				}
+				if err != nil || got != want {
+					t.Fatalf("edge pair (%d,%d) on shard %d owning [%d, %d) = %v, %v; full engine says %v", u, v, s, lo, hi, got, err, want)
+				}
+			}
+		}
+	}
+	if foreign == 0 {
+		t.Fatal("no edge pair had a foreign thin holder")
 	}
 }
 
@@ -213,7 +264,7 @@ func TestAppendIDBits(t *testing.T) {
 			}
 		}
 	}
-	full, engines := shardTestEngines(t, LayoutDegree, 3, ShardHash, 400, 11)
+	full, engines := shardTestEngines(t, LayoutDegree, 3, 400, 11)
 	for i, e := range engines {
 		if !bytes.Equal(e.AppendIDBits(nil), full.AppendIDBits(nil)) {
 			t.Fatalf("shard %d serves a different identifier block than the full engine", i)
@@ -225,7 +276,7 @@ func TestAppendIDBits(t *testing.T) {
 // match the slab's actual partition must fail — thin labels the wrong map
 // claims foreign still carry bodies, and SetShard's stub check sees them.
 func TestSetShardRejectsWrongMap(t *testing.T) {
-	_, engines := shardTestEngines(t, LayoutID, 3, ShardRange, 400, 11)
+	_, engines := shardTestEngines(t, LayoutID, 3, 400, 11)
 	// Rebuild shard 0's engine (SetShard is one-shot per engine in spirit;
 	// use a fresh engine over the same slab).
 	e := engines[0]
@@ -241,6 +292,15 @@ func TestSetShardRejectsWrongMap(t *testing.T) {
 	}
 	if err := fresh.SetShard(ShardMap{Count: 3, Index: 0, Fn: ShardFn(9)}); err == nil {
 		t.Fatal("SetShard accepted an unknown ownership function")
+	}
+	if err := fresh.SetShard(ShardMap{Count: 3, Index: 0, Fn: ShardFn(1)}); err == nil || !strings.Contains(err.Error(), "hash is retired") {
+		t.Fatalf("SetShard under the retired hash function: err = %v, want a refusal naming it", err)
+	}
+	if _, ok := fresh.Shard(); ok {
+		t.Fatal("refused shard maps left the engine sharded")
+	}
+	if err := fresh.SetShard(ShardMap{Count: 3, Index: 0, Fn: ShardRange}); err != nil {
+		t.Fatalf("SetShard refused the slab's own map: %v", err)
 	}
 }
 
@@ -284,6 +344,9 @@ func TestShardLabelArenasValidates(t *testing.T) {
 	if _, err := ShardLabelArenas(slab, bitLens, order, 2, ShardFn(7)); err == nil {
 		t.Fatal("accepted an unknown ownership function")
 	}
+	if _, err := ShardLabelArenas(slab, bitLens, order, 2, ShardFn(1)); err == nil || !strings.Contains(err.Error(), "re-run pllabel -shards") {
+		t.Fatalf("split under the retired hash function: err = %v, want a refusal naming it", err)
+	}
 }
 
 // TestShardLabelArenasParallelMatchesSerial: the split fills its shards on up
@@ -304,24 +367,55 @@ func TestShardLabelArenasParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		slab, bitLens, order := arenaOf(t, lab)
-		for _, fn := range []ShardFn{ShardRange, ShardHash} {
-			for _, count := range []int{2, 3, 7, 16} {
-				runtime.GOMAXPROCS(1)
-				want, err := ShardLabelArenas(slab, bitLens, order, count, fn)
+		for _, count := range []int{2, 3, 7, 16} {
+			runtime.GOMAXPROCS(1)
+			want, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{2, 7} {
+				runtime.GOMAXPROCS(procs)
+				got, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, procs := range []int{2, 7} {
-					runtime.GOMAXPROCS(procs)
-					got, err := ShardLabelArenas(slab, bitLens, order, count, fn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v %v count %d: arenas at GOMAXPROCS %d differ from the serial split's", lay, fn, count, procs)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v count %d: arenas at GOMAXPROCS %d differ from the serial split's", lay, count, procs)
 				}
 			}
 		}
+	}
+}
+
+// TestFatCount: k is the number of fat vertices and the same on every shard
+// (stubs keep fat bits), and an engine whose fat vertex holds an identifier
+// at or above k — labels the router could not route — is refused.
+func TestFatCount(t *testing.T) {
+	full, engines := shardTestEngines(t, LayoutDegree, 3, 400, 11)
+	want := 0
+	for _, mv := range full.meta {
+		if mv.fat() {
+			want++
+		}
+	}
+	for i, e := range append([]*QueryEngine{full}, engines...) {
+		if k, err := e.FatCount(); err != nil || k != want || want == 0 {
+			t.Fatalf("engine %d: FatCount = %d, %v; want %d fat vertices", i, k, err, want)
+		}
+	}
+	// Vertex 0 thin with identifier 0, vertex 1 fat with identifier 1: k = 1,
+	// and the fat vertex's identifier is not below it.
+	var thin, fat bitstr.Builder
+	thin.AppendBit(false)
+	thin.AppendUint(0, 1)
+	fat.AppendBit(true)
+	fat.AppendUint(1, 1)
+	fat.AppendBit(false)
+	e, err := NewQueryEngine(NewLabeling("", []bitstr.String{thin.String(), fat.String()}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.FatCount(); !errors.Is(err, ErrBadLabel) {
+		t.Fatalf("fat vertex above a thin identifier: err = %v, want ErrBadLabel", err)
 	}
 }

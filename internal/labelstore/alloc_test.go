@@ -31,7 +31,7 @@ func arenaFixture(t *testing.T, n int) (lab *core.Labeling, arenas []core.ShardA
 		t.Fatal(err)
 	}
 	slab, order, _ := lab.ArenaLayout()
-	if arenas, err = core.ShardLabelArenas(slab, lab.BitLens(), order, 3, core.ShardHash); err != nil {
+	if arenas, err = core.ShardLabelArenas(slab, lab.BitLens(), order, 3, core.ShardRange); err != nil {
 		t.Fatal(err)
 	}
 	return lab, arenas
@@ -63,7 +63,7 @@ func TestWriteAllocsIndependentOfN(t *testing.T) {
 		_, order, _ := lab.ArenaLayout()
 		params := map[string]string{"n": strconv.Itoa(n)}
 		f, err := NewShardArenaFile(lab.Scheme(), params, arenas[0].Slab, arenas[0].BitLens, order,
-			core.ShardMap{Count: 3, Index: 0, Fn: core.ShardHash})
+			core.ShardMap{Count: 3, Index: 0, Fn: core.ShardRange})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestArenaFileConstructorsAllocNoPerLabelObjects(t *testing.T) {
 		},
 		"NewShardArenaFile": func() (*File, error) {
 			return NewShardArenaFile(lab.Scheme(), nil, arenas[1].Slab, arenas[1].BitLens, order,
-				core.ShardMap{Count: 3, Index: 1, Fn: core.ShardHash})
+				core.ShardMap{Count: 3, Index: 1, Fn: core.ShardRange})
 		},
 	} {
 		var err error

@@ -68,8 +68,9 @@ func FuzzReadBytes(f *testing.F) {
 		cut := corruptBlobLen(f, img, len(slab), uint64(labelBytes))
 		f.Add(cut[:len(cut)-len(slab)+labelBytes])
 	}
-	shards, _ := shardStores(f, g, 3, core.ShardRange)
+	shards, _ := shardStores(f, g, 3)
 	image(shards[1])
+	f.Add(hashOwnedImage(f, g))
 	_, arenas := distArenas(f)
 	for kind, a := range arenas {
 		file, err := NewDistArenaFile("dist-"+kind, params, a)
@@ -94,13 +95,18 @@ func FuzzReadBytes(f *testing.F) {
 			t.Fatalf("both readers accepted a version-%d image", data[4])
 		}
 		n := mapped.N()
-		if streamed.N() != n || len(mapped.Labels) != n || len(streamed.Labels) != n {
-			t.Fatalf("N = %d / %d, Labels %d / %d", n, streamed.N(), len(mapped.Labels), len(streamed.Labels))
+		_, sharded := mapped.Shard()
+		if streamed.N() != n || (mapped.Labels == nil) != sharded || (streamed.Labels == nil) != sharded {
+			t.Fatalf("N = %d / %d, shard store %v, Labels %d / %d", n, streamed.N(), sharded, len(mapped.Labels), len(streamed.Labels))
 		}
-		for v, l := range mapped.Labels {
+		mappedLabels, streamedLabels := labelViews(mapped), labelViews(streamed)
+		for v, l := range mappedLabels {
 			clean, err := bitstr.Wrap(slices.Clone(l.Bytes()), l.Len())
-			if err != nil || !clean.Equal(streamed.Labels[v]) {
+			if err != nil || !clean.Equal(streamedLabels[v]) {
 				t.Fatalf("label %d differs between ReadBytes and Read (%v)", v, err)
+			}
+			if !sharded && !mapped.Labels[v].Equal(l) {
+				t.Fatalf("label %d: ReadBytes' view differs from its arena", v)
 			}
 		}
 		if n == 0 {
@@ -141,7 +147,7 @@ func FuzzReadBytes(f *testing.F) {
 		}
 		dec := core.NewFatThinDecoder(n)
 		for _, p := range pairs {
-			want, wantErr := dec.Adjacent(streamed.Labels[p[0]], streamed.Labels[p[1]])
+			want, wantErr := dec.Adjacent(streamedLabels[p[0]], streamedLabels[p[1]])
 			a, errA := ea.Adjacent(p[0], p[1])
 			b, errB := eb.Adjacent(p[0], p[1])
 			if a != want || b != want || (errA == nil) != (wantErr == nil) || (errB == nil) != (wantErr == nil) {
@@ -150,4 +156,17 @@ func FuzzReadBytes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// labelViews returns a loaded store's labels, id-indexed, as views cut from
+// its arena — a shard store has no Labels.
+func labelViews(f *File) []bitstr.String {
+	slab, bitLens, order, _ := f.ArenaLayout()
+	labels := make([]bitstr.String, len(bitLens))
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		labels[v] = bitstr.SlabLabel(slab, off, bitLens[v])
+	}
+	return labels
 }

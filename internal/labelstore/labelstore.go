@@ -98,10 +98,11 @@ const (
 type File struct {
 	Scheme string
 	Params map[string]string
-	// Labels holds the id-indexed per-label strings of a file the readers
-	// (Read, ReadBytes, Open) produced — views into the arena. The arena
-	// constructors leave it nil: a file on its way to Write is described by
-	// the arena alone.
+	// Labels holds the id-indexed per-label strings of a whole-labeling store
+	// the readers (Read, ReadBytes, Open) produced — views into the arena. It
+	// is nil on a shard store, which is only ever served through the engine,
+	// and on what the arena constructors build: a file on its way to Write is
+	// described by the arena alone.
 	Labels []bitstr.String
 	// arena is the byte-packed slab holding every label, with bitLens the
 	// id-indexed per-label bit lengths. Set by the arena constructors and by
@@ -146,12 +147,16 @@ func NewPermutedArenaFile(scheme string, params map[string]string, slab []byte, 
 // final byte are zeroed in place, so that equal labels compare equal whoever
 // produced the slab; ReadBytes, whose slab may be a read-only mapping, passes
 // false. If the caller preallocated Labels, they are filled with the
-// id-indexed views; if it set shard, every foreign thin label must be a
-// header-only stub — the one check that reads the body, one bit of each
-// foreign label longer than a stub.
+// id-indexed views; if it set shard, every thin label outside the owned range
+// must be a header-only stub — the one check that reads the body, one bit of
+// each foreign label longer than a stub.
 func (f *File) adoptArena(mask bool) error {
 	n := len(f.bitLens)
 	stub := 1 + bitstr.WidthFor(uint64(n))
+	var lo, hi int
+	if f.shard != nil {
+		lo, hi = f.shard.m.Range(n)
+	}
 	walk := bitstr.NewSlabWalk(len(f.arena), f.bitLens, f.order)
 	for walk.Next() {
 		v, off := walk.Label()
@@ -176,7 +181,7 @@ func (f *File) adoptArena(mask bool) error {
 			// Foreign: fat labels are replicated in full, thin labels must be
 			// stripped to the stub — a full foreign thin body means the block
 			// describes a different shard than the blob holds.
-			if bits != stub && !sb.m.Owns(v, n) && bitstr.SlabReadBits(f.arena, off, 1) == 0 {
+			if bits != stub && (v < lo || v >= hi) && bitstr.SlabReadBits(f.arena, off, 1) == 0 {
 				return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label has %d bits (stub is %d)",
 					ErrFormat, v, sb.m.Index, sb.m.Count, bits, stub)
 			}
@@ -452,8 +457,10 @@ func parse(data []byte, mask bool) (*File, error) {
 			ErrFormat, len(data)-p.off, need)
 	}
 	arena := data[p.off : p.off+int(need) : p.off+int(need)]
-	f := &File{Scheme: scheme, Params: params, Labels: make([]bitstr.String, n),
-		arena: arena, bitLens: bitLens, order: order, shard: sb, dist: dist}
+	f := &File{Scheme: scheme, Params: params, arena: arena, bitLens: bitLens, order: order, shard: sb, dist: dist}
+	if sb == nil {
+		f.Labels = make([]bitstr.String, n)
+	}
 	if err := f.adoptArena(mask); err != nil {
 		return nil, err
 	}

@@ -375,27 +375,39 @@ func TestSlabRoundTrip(t *testing.T) {
 // TestVersion1Rejected: the per-label container is retired. Read, ReadBytes
 // and Open all refuse a version-1 image with ErrFormat naming the version,
 // before parsing anything behind it — so whatever layout, shards or scheme it
-// declares is refused with it.
+// declares is refused with it. The same readers refuse a shard store of the
+// retired hash ownership function by its ownership byte, naming it.
 func TestVersion1Rejected(t *testing.T) {
 	_, labels := sampleFile(t)
-	img := v1Image("sparse(c=2)", labels)
-	for _, r := range []struct {
-		name string
-		load func() (*File, error)
+	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, img := range []struct {
+		name, want string
+		data       []byte
 	}{
-		{"Read", func() (*File, error) { return Read(bytes.NewReader(img)) }},
-		{"ReadBytes", func() (*File, error) { return ReadBytes(img) }},
-		{"Open", func() (*File, error) {
-			mf, err := Open(writeTemp(t, img))
-			if err != nil {
-				return nil, err
-			}
-			mf.Close()
-			return mf.File, nil
-		}},
+		{"version-1", "unsupported version 1", v1Image("sparse(c=2)", labels)},
+		{"hash-owned shard", "hash is retired (re-run pllabel -shards)", hashOwnedImage(t, g)},
 	} {
-		if _, err := r.load(); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported version 1") {
-			t.Errorf("%s on a version-1 image: err = %v, want ErrFormat naming version 1", r.name, err)
+		for _, r := range []struct {
+			name string
+			load func() (*File, error)
+		}{
+			{"Read", func() (*File, error) { return Read(bytes.NewReader(img.data)) }},
+			{"ReadBytes", func() (*File, error) { return ReadBytes(img.data) }},
+			{"Open", func() (*File, error) {
+				mf, err := Open(writeTemp(t, img.data))
+				if err != nil {
+					return nil, err
+				}
+				mf.Close()
+				return mf.File, nil
+			}},
+		} {
+			if _, err := r.load(); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), img.want) {
+				t.Errorf("%s on a %s image: err = %v, want ErrFormat naming %q", r.name, img.name, err, img.want)
+			}
 		}
 	}
 }

@@ -216,7 +216,7 @@ func TestOpenFallbackMatchesMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores["degree"], _ = permutedStore(t, g)
-	shards, _ := shardStores(t, g, 3, core.ShardRange)
+	shards, _ := shardStores(t, g, 3)
 	stores["shard"] = shards[1]
 	_, arenas := distArenas(t)
 	for kind, a := range arenas {

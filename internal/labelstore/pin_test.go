@@ -21,8 +21,8 @@ import (
 )
 
 // The set-up path's byte pins: the sha256 of every store file Write produces
-// for one fixed graph, over both layouts × {whole store, 3 range shards, 2
-// hash shards} × every scheme the constructors accept in that shape, and of
+// for one fixed graph, over both layouts × {whole store, 3 range shards} ×
+// every scheme the constructors accept in that shape, and of
 // every ShardLabelArenas output. Whatever the encoder, the shard split, the
 // File constructors or Write do internally, these bytes — and with them
 // store_bytes and label_bits_max — must not move.
@@ -88,7 +88,8 @@ func labelsSha(labels []bitstr.String) string {
 }
 
 // storeContentSha is labelsSha over the labels of the image Write produces,
-// read back by Read (which masks each label's final byte).
+// read back by Read (which masks each label's final byte) and cut from its
+// arena, which every store has (a shard store carries no Labels).
 func storeContentSha(t *testing.T, f *File) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -99,7 +100,8 @@ func storeContentSha(t *testing.T, f *File) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return labelsSha(got.Labels)
+	slab, bitLens, order, _ := got.ArenaLayout()
+	return arenaContentSha(t, core.ShardArena{Slab: slab, BitLens: bitLens}, order)
 }
 
 // arenaContentSha is labelsSha over a shard arena's labels, cut from a copy
@@ -125,10 +127,8 @@ func arenaContentSha(t *testing.T, a core.ShardArena, order []int32) string {
 
 var pinLayouts = []core.Layout{core.LayoutID, core.LayoutDegree}
 
-var pinSplits = []struct {
-	count int
-	fn    core.ShardFn
-}{{3, core.ShardRange}, {2, core.ShardHash}}
+// pinShards is the shard count of the pinned range partition.
+const pinShards = 3
 
 // pinStores computes every pinned hash, keyed scheme/layout/shape: the bytes
 // of each output, and the content of its labels.
@@ -178,32 +178,30 @@ func pinStores(t *testing.T) (got, content map[string]string) {
 			}
 			got[key+"/whole"] = writtenSha(t, f)
 			content[key+"/whole"] = storeContentSha(t, f)
-			for _, sp := range pinSplits {
-				shape := fmt.Sprintf("%s/%s%d", key, sp.fn, sp.count)
-				arenas, err := core.ShardLabelArenas(slab, bitLens, order, sp.count, sp.fn)
-				if name == "compressed" {
-					// Compressed thin bodies are not fat/thin neighbour lists; the
-					// split refuses them, and that refusal is part of the pin.
-					if err == nil {
-						t.Errorf("%s: ShardLabelArenas accepted compressed labels", shape)
-					}
-					continue
+			shape := fmt.Sprintf("%s/range%d", key, pinShards)
+			arenas, err := core.ShardLabelArenas(slab, bitLens, order, pinShards, core.ShardRange)
+			if name == "compressed" {
+				// Compressed thin bodies are not fat/thin neighbour lists; the
+				// split refuses them, and that refusal is part of the pin.
+				if err == nil {
+					t.Errorf("%s: ShardLabelArenas accepted compressed labels", shape)
 				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range arenas {
+				arenaKey, storeKey := fmt.Sprintf("%s/arena%d", shape, i), fmt.Sprintf("%s/store%d", shape, i)
+				got[arenaKey] = shardArenaSha(a)
+				content[arenaKey] = arenaContentSha(t, a, order)
+				m := core.ShardMap{Count: pinShards, Index: i, Fn: core.ShardRange}
+				f, err := NewShardArenaFile(lab.Scheme(), params, a.Slab, a.BitLens, order, m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, a := range arenas {
-					arenaKey, storeKey := fmt.Sprintf("%s/arena%d", shape, i), fmt.Sprintf("%s/store%d", shape, i)
-					got[arenaKey] = shardArenaSha(a)
-					content[arenaKey] = arenaContentSha(t, a, order)
-					m := core.ShardMap{Count: sp.count, Index: i, Fn: sp.fn}
-					f, err := NewShardArenaFile(lab.Scheme(), params, a.Slab, a.BitLens, order, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[storeKey] = writtenSha(t, f)
-					content[storeKey] = storeContentSha(t, f)
-				}
+				got[storeKey] = writtenSha(t, f)
+				content[storeKey] = storeContentSha(t, f)
 			}
 		}
 	}
@@ -281,7 +279,7 @@ func TestStoreVersion2Refused(t *testing.T) {
 	params := map[string]string{"n": strconv.Itoa(g.N())}
 	id, _ := sampleFile(t)
 	degree, _ := permutedStore(t, g)
-	shards, _ := shardStores(t, g, 3, core.ShardRange)
+	shards, _ := shardStores(t, g, 3)
 	files := map[string]*File{"id": id, "degree": degree, "shard": shards[1]}
 	_, arenas := distArenas(t)
 	for kind, a := range arenas {
@@ -323,10 +321,6 @@ var pinnedContentShas = map[string]string{
 	"bdist/degree/whole":                "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
 	"bdist/id/whole":                    "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
 	"compressed/id/whole":               "be326621efc23f4fd2471342494c9457b10744a97139f9a3d9347697fe3baa7f",
-	"fatthin-once/degree/hash2/arena0":  "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
-	"fatthin-once/degree/hash2/arena1":  "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
-	"fatthin-once/degree/hash2/store0":  "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
-	"fatthin-once/degree/hash2/store1":  "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
 	"fatthin-once/degree/range3/arena0": "2df2d6a9b391f9e030c6152c73e66c4c7f20b7b95e0a14d5bcf89fe5dd08adc8",
 	"fatthin-once/degree/range3/arena1": "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
 	"fatthin-once/degree/range3/arena2": "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
@@ -334,10 +328,6 @@ var pinnedContentShas = map[string]string{
 	"fatthin-once/degree/range3/store1": "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
 	"fatthin-once/degree/range3/store2": "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
 	"fatthin-once/degree/whole":         "8e244e28172034d97ca7ae9169ba918920ecc71ccc977305aa3d0c50a210a2e0",
-	"fatthin-once/id/hash2/arena0":      "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
-	"fatthin-once/id/hash2/arena1":      "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
-	"fatthin-once/id/hash2/store0":      "54634799ed79cbe8c257a8cb3d936c613f59055581f38251ebaa093ebe5dff0c",
-	"fatthin-once/id/hash2/store1":      "6c7f35fd5c14335feca082cf93496bc52a34c0931582194fe015c88d5692458d",
 	"fatthin-once/id/range3/arena0":     "2df2d6a9b391f9e030c6152c73e66c4c7f20b7b95e0a14d5bcf89fe5dd08adc8",
 	"fatthin-once/id/range3/arena1":     "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
 	"fatthin-once/id/range3/arena2":     "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
@@ -345,10 +335,6 @@ var pinnedContentShas = map[string]string{
 	"fatthin-once/id/range3/store1":     "d5f80c1f18747dcbf1b870f76401cc356d7553f0c056899ddbd32078054107db",
 	"fatthin-once/id/range3/store2":     "0997510e1a4247dc03c89e54ec5cbc4f5b44b799ae9587411c5b9e477b4e32ab",
 	"fatthin-once/id/whole":             "8e244e28172034d97ca7ae9169ba918920ecc71ccc977305aa3d0c50a210a2e0",
-	"fatthin/degree/hash2/arena0":       "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
-	"fatthin/degree/hash2/arena1":       "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
-	"fatthin/degree/hash2/store0":       "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
-	"fatthin/degree/hash2/store1":       "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
 	"fatthin/degree/range3/arena0":      "2c659e34fb7f4d8d6c93620301d16a4759e67223e4d73fbe604c5573ac832420",
 	"fatthin/degree/range3/arena1":      "6d048705e908e10ac31e29aa05329a4ff284445e97a7eaff08d646d722e613c6",
 	"fatthin/degree/range3/arena2":      "b5335f01838d60f2ba2fc2d56e8469680d41f148fe714c2ba054834085e4a42f",
@@ -356,10 +342,6 @@ var pinnedContentShas = map[string]string{
 	"fatthin/degree/range3/store1":      "6d048705e908e10ac31e29aa05329a4ff284445e97a7eaff08d646d722e613c6",
 	"fatthin/degree/range3/store2":      "b5335f01838d60f2ba2fc2d56e8469680d41f148fe714c2ba054834085e4a42f",
 	"fatthin/degree/whole":              "f2550e572b42ec32587f8387091dbe52a4d68b58e70147418242b4823e2584e2",
-	"fatthin/id/hash2/arena0":           "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
-	"fatthin/id/hash2/arena1":           "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
-	"fatthin/id/hash2/store0":           "892c2389d82186a2307fc68bd3373177fb7d106ac1f99d44f2d87038895617b0",
-	"fatthin/id/hash2/store1":           "e917c72b849d0c54951d9bdfdd2fa527538accd08c9994e5411dfbe687615343",
 	"fatthin/id/range3/arena0":          "2c659e34fb7f4d8d6c93620301d16a4759e67223e4d73fbe604c5573ac832420",
 	"fatthin/id/range3/arena1":          "6d048705e908e10ac31e29aa05329a4ff284445e97a7eaff08d646d722e613c6",
 	"fatthin/id/range3/arena2":          "b5335f01838d60f2ba2fc2d56e8469680d41f148fe714c2ba054834085e4a42f",
@@ -378,10 +360,6 @@ var pinnedStoreShas = map[string]string{
 	"bdist/degree/whole":                "ee325e9c37c084c7945a508b7a30803245f0cf6621a0aad7b2865183faa6a986",
 	"bdist/id/whole":                    "40797be4dcf483f893a31fa083f9352ce56d3004a14ff7c16b8918467310bbf2",
 	"compressed/id/whole":               "38b213c520e4a65953a7253ca15eff2c37a0eedc57639e492412f32e68b5ec29",
-	"fatthin-once/degree/hash2/arena0":  "9190b95c1d645197b1df1c973b4cc3f2580d7f6be1e0f0ddd644aa29fc46782e",
-	"fatthin-once/degree/hash2/arena1":  "1f08e1ad0172f94eb991ac02b55ca530ba4ed57fe13cdb6851118195974e7b44",
-	"fatthin-once/degree/hash2/store0":  "7f3079d27bf7e80d0fbf146d288f2a4e0bf1104113ce4a7e001afb379740495d",
-	"fatthin-once/degree/hash2/store1":  "f94f2c9bc7400c6252aec37a6fdcde5f83023f3e4b2238a5ee11681ebada7042",
 	"fatthin-once/degree/range3/arena0": "339d76d4677847ec0c358981a55f948c619870a29f82730dade1685a063fb230",
 	"fatthin-once/degree/range3/arena1": "e89bf057f6c6147197b27ffd592037e2eedcf3c42676ee57d75a274c6d0780a1",
 	"fatthin-once/degree/range3/arena2": "a006f4f33a9db75fc7240e662a469d5b533b0fc3a0da488dbdea5a871d452ccf",
@@ -389,10 +367,6 @@ var pinnedStoreShas = map[string]string{
 	"fatthin-once/degree/range3/store1": "89d3caf1f7b3f8ebb5580af90ad615b4f7038eb2a6a7bd9a17896007249f83d5",
 	"fatthin-once/degree/range3/store2": "fe1c53f00166e3f78a9a9e6022be3009c1a34e3c9dd75f99088c4e8c7114c346",
 	"fatthin-once/degree/whole":         "0e0b85f4966cedd9c787bd9af993ac88aef7ada2ef2fff1c82d0f0f64a2c4dc2",
-	"fatthin-once/id/hash2/arena0":      "940a9bbe9e67edb8b264fad1103f5a9f0c562bcd17ef7a634b195e1180f0ff41",
-	"fatthin-once/id/hash2/arena1":      "e0204e63d3273e459af94c0493743997800f8dad3548bbae63f155785ea1afcc",
-	"fatthin-once/id/hash2/store0":      "5ce6a139133a24740d9581d75326817f5f962ac93ce89dbbf4b9b496a552ac75",
-	"fatthin-once/id/hash2/store1":      "d2cdd0fcd1f0788f84462be9abdae51c19b1b6c2bd259cfcbc332fe3b3aadbb9",
 	"fatthin-once/id/range3/arena0":     "f3e7f7de6617b232393a4446d88615528b44135f3882a1740414290b5af00c51",
 	"fatthin-once/id/range3/arena1":     "de313b15e818ed8ebf767bcdf27b1ee36a41fa58d8e9268ce3aac941573d8aa0",
 	"fatthin-once/id/range3/arena2":     "6b17eda7977f2322fdcb41e458f7dce3a99148dd93e1f1ce8c4dbbc44088fc13",
@@ -400,10 +374,6 @@ var pinnedStoreShas = map[string]string{
 	"fatthin-once/id/range3/store1":     "b3711fa3e72bd258a1fc95f2a72f28c477271b1389b623371354ef0f2c0171ff",
 	"fatthin-once/id/range3/store2":     "7e67de87fcd32fcd638c2ec3f014ebdc5e83cdb957997aae4df9cafadeabb6f1",
 	"fatthin-once/id/whole":             "23853fe76deb012ccd19bb0e711a91fc0f5bf2b4a17e461e1ad513753a3610c2",
-	"fatthin/degree/hash2/arena0":       "62a22385b0edc8f74b9fabee9f880852fc592f8c418848649ad24a8117678d55",
-	"fatthin/degree/hash2/arena1":       "7690c5dd14927b901e30d4d670565d607a113f612a046bff4030efb39a6da455",
-	"fatthin/degree/hash2/store0":       "fa20cfd2dfc2694bf112e172bb4917aae8978a048b3218df9048b4d3ecebfa98",
-	"fatthin/degree/hash2/store1":       "93d25076749e109a3a5d0cbbcc165a676c110e112d9a7490dcb6b2a8db231620",
 	"fatthin/degree/range3/arena0":      "7067a4486833f6b8f9160d5e23918e522aa223f35d3082b984814e420382dc29",
 	"fatthin/degree/range3/arena1":      "fd6e31fc35552e042e90a062aecb90afee34155f8efe5130c33bf87d7fe69f32",
 	"fatthin/degree/range3/arena2":      "07aca92099b5ca1442414b9aefe6fa17603db87e3ec4c8ba419e57a278980705",
@@ -411,10 +381,6 @@ var pinnedStoreShas = map[string]string{
 	"fatthin/degree/range3/store1":      "01e65e2f15d0ad60e2ee7808a0162c5c16291e77fc77dd95dbf7f559e940bad3",
 	"fatthin/degree/range3/store2":      "74c54a6631254e33123d5d142a47f2707e7daf5d115d9bc78f7cb9377b790b0b",
 	"fatthin/degree/whole":              "e58c2cab385a143a6564fea4d3257eb4394dc8197f1956caaf36a35f1cd6a622",
-	"fatthin/id/hash2/arena0":           "3cf0cd47caa110959fa418c1e569f364d248714023c01af5e92368dfcedd00ab",
-	"fatthin/id/hash2/arena1":           "4b6030ab788a69b705766334132c8735cdc8ff300cb6f5bbc41177b0eafd4a12",
-	"fatthin/id/hash2/store0":           "f17839b01b782be2c1e5109092b1e16b5541edbef05aad05ecba0155a9875005",
-	"fatthin/id/hash2/store1":           "5a86c3e094e34aa02e3e2f5777a6a4645e2febb15a8c36ab97639fdeff3654d0",
 	"fatthin/id/range3/arena0":          "64423c395ff0f31cfaf43a6b989bf644f361072ea49d052c4accf2df9961467a",
 	"fatthin/id/range3/arena1":          "ea597900b2932f487e48428adbdabfc12e930be3e8ff091d48b25f36b53dcc6f",
 	"fatthin/id/range3/arena2":          "cfd963a1ed85582e287e8232a72e579d9536b3a35769191081e857b2f9d4a020",

@@ -17,17 +17,19 @@ import (
 // like the "layout" param and its permutation block — keys a binary shard
 // block between the permutation block and the body blob:
 //
-//	shard   uvarint shard index, u8 ownership function (0 = range,
-//	        1 = hash), uvarint owned-vertex count; present iff params
-//	        carries "shards"
+//	shard   uvarint shard index, u8 ownership function (0 = range, the
+//	        only value defined), uvarint owned-vertex count; present iff
+//	        params carries "shards"
 //
 // Readers too old to know the param fail loudly on the extra bytes (the
 // blob-length check cannot match). The block is validated on open the same
-// way the permutation block is: structurally (index < count, a defined function,
-// the owned count recomputed from the function and compared) and against
-// the labels themselves (every foreign thin label must be a stub) — a
-// corrupted or mislabeled shard map errors at load, it never silently
-// mis-answers for vertices the shard does not hold.
+// way the permutation block is: structurally (index < count, the range
+// function, the owned count recomputed from the range and compared) and
+// against the labels themselves (every thin label outside the owned range
+// must be a stub) — a corrupted or mislabeled shard map errors at load, it
+// never silently mis-answers for vertices the shard does not hold. A store
+// from a pllabel that still wrote hash ownership (byte 1) is refused by that
+// byte: "hash is retired (re-run pllabel -shards)".
 
 // shardsKey is the params entry announcing a sharded store; its value is the
 // decimal shard count.
@@ -66,8 +68,8 @@ func NewShardArenaFile(scheme string, params map[string]string, slab []byte, bit
 }
 
 // check validates a shard block against the label count: the map must be
-// well-formed for this n and the recorded owned count must match what the
-// ownership function yields. The rule that ties the block to the labels —
+// well-formed for this n and the recorded owned count must match the size of
+// the owned range. The rule that ties the block to the labels —
 // foreign thin labels are stubs — is adoptArena's.
 func (sb *shardBlock) check(n int) error {
 	m := sb.m
@@ -78,8 +80,8 @@ func (sb *shardBlock) check(n int) error {
 		return fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 	if want := m.OwnedCount(n); sb.owned != want {
-		return fmt.Errorf("%w: shard %d/%d records %d owned vertices, ownership function %s yields %d",
-			ErrFormat, m.Index, m.Count, sb.owned, m.Fn, want)
+		return fmt.Errorf("%w: shard %d/%d records %d owned vertices, its range holds %d",
+			ErrFormat, m.Index, m.Count, sb.owned, want)
 	}
 	return nil
 }
@@ -102,15 +104,11 @@ func newShardBlock(count int, index uint64, fnByte byte, owned uint64, n int) (*
 	if index >= uint64(count) {
 		return nil, fmt.Errorf("%w: shard index %d of %d shards", ErrFormat, index, count)
 	}
-	fn := core.ShardFn(fnByte)
-	if !fn.Valid() {
-		return nil, fmt.Errorf("%w: unknown shard ownership function %d", ErrFormat, fnByte)
-	}
 	if owned > uint64(n) {
 		return nil, fmt.Errorf("%w: shard owns %d of %d vertices", ErrFormat, owned, n)
 	}
 	sb := &shardBlock{
-		m:     core.ShardMap{Count: count, Index: int(index), Fn: fn},
+		m:     core.ShardMap{Count: count, Index: int(index), Fn: core.ShardFn(fnByte)},
 		owned: int(owned),
 	}
 	return sb, sb.check(n)

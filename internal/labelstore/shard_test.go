@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 	"repro/internal/graph"
 )
 
-// shardStores splits a degree-ordered labeling of g into count shard store
-// files, returning them alongside the source labeling.
-func shardStores(t testing.TB, g *graph.Graph, count int, fn core.ShardFn) ([]*File, *core.Labeling) {
+// shardStores splits a degree-ordered labeling of g into count range shard
+// store files, returning them alongside the source labeling.
+func shardStores(t testing.TB, g *graph.Graph, count int) ([]*File, *core.Labeling) {
 	t.Helper()
 	s := core.NewPowerLawScheme(2.5)
 	s.SetLayout(core.LayoutDegree)
@@ -27,14 +28,14 @@ func shardStores(t testing.TB, g *graph.Graph, count int, fn core.ShardFn) ([]*F
 	if !ok {
 		t.Fatal("pipeline labeling is not arena-backed")
 	}
-	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, count, fn)
+	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, count, core.ShardRange)
 	if err != nil {
 		t.Fatal(err)
 	}
 	files := make([]*File, count)
 	params := map[string]string{"n": strconv.Itoa(g.N())}
 	for i, a := range arenas {
-		m := core.ShardMap{Count: count, Index: i, Fn: fn}
+		m := core.ShardMap{Count: count, Index: i, Fn: core.ShardRange}
 		f, err := NewShardArenaFile(lab.Scheme(), params, a.Slab, a.BitLens, order, m)
 		if err != nil {
 			t.Fatalf("shard %d store: %v", i, err)
@@ -45,85 +46,80 @@ func shardStores(t testing.TB, g *graph.Graph, count int, fn core.ShardFn) ([]*F
 }
 
 // TestShardStoreRoundTrip: every shard file survives both readers with its
-// shard map, permutation, and labels intact, and of the reconstructed
-// per-shard engines at least one answers every edge of the graph, true, while
-// the others refuse it as not resident (which shard is the routing rule's
-// business, pinned in core and adjserve).
+// shard map, permutation, and slab intact — and no per-label view table,
+// which a shard store, served only through the engine, does not build — and
+// of the reconstructed per-shard engines at least one answers every edge of
+// the graph, true, while the others refuse it as not resident (which shard is
+// the routing rule's business, pinned in core and adjserve).
 func TestShardStoreRoundTrip(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(200, 2.5, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fn := range []core.ShardFn{core.ShardRange, core.ShardHash} {
-		files, _ := shardStores(t, g, 3, fn)
-		engines := make([]*core.QueryEngine, len(files))
-		for i, f := range files {
-			var buf bytes.Buffer
-			if err := Write(&buf, f); err != nil {
-				t.Fatal(err)
-			}
-			data := buf.Bytes()
-			for _, r := range []struct {
-				name string
-				load func() (*File, error)
-			}{
-				{"Read", func() (*File, error) { return Read(bytes.NewReader(data)) }},
-				{"ReadBytes", func() (*File, error) { return ReadBytes(data) }},
-			} {
-				got, err := r.load()
-				if err != nil {
-					t.Fatalf("%s shard %d: %v", r.name, i, err)
-				}
-				m, ok := got.Shard()
-				if !ok {
-					t.Fatalf("%s shard %d: loaded store lost its shard map", r.name, i)
-				}
-				if want := (core.ShardMap{Count: 3, Index: i, Fn: fn}); m != want {
-					t.Fatalf("%s shard %d: shard map %+v, want %+v", r.name, i, m, want)
-				}
-				if len(got.Labels) != f.N() {
-					t.Fatalf("%s shard %d: %d labels, want %d", r.name, i, len(got.Labels), f.N())
-				}
-				walk := bitstr.NewSlabWalk(len(f.arena), f.bitLens, f.order)
-				for walk.Next() {
-					v, off := walk.Label()
-					if !got.Labels[v].Equal(bitstr.SlabLabel(f.arena, off, f.bitLens[v])) {
-						t.Fatalf("%s shard %d: label %d differs after round trip", r.name, i, v)
-					}
-				}
-				slab, bitLens, order, ok := got.ArenaLayout()
-				if !ok {
-					t.Fatalf("%s shard %d: store is not arena-backed", r.name, i)
-				}
-				eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
-				if err != nil {
-					t.Fatalf("%s shard %d engine: %v", r.name, i, err)
-				}
-				if err := eng.SetShard(m); err != nil {
-					t.Fatalf("%s shard %d SetShard: %v", r.name, i, err)
-				}
-				engines[i] = eng
-			}
+	files, _ := shardStores(t, g, 3)
+	engines := make([]*core.QueryEngine, len(files))
+	for i, f := range files {
+		var buf bytes.Buffer
+		if err := Write(&buf, f); err != nil {
+			t.Fatal(err)
 		}
-		for u := 0; u < g.N(); u++ {
-			for _, v32 := range g.Neighbors(u) {
-				v := int(v32)
-				answered := 0
-				for s, e := range engines {
-					adj, err := e.Adjacent(u, v)
-					switch {
-					case errors.Is(err, core.ErrNotResident):
-					case err != nil:
-						t.Fatalf("fn=%v: edge (%d,%d) on shard %d: %v", fn, u, v, s, err)
-					case !adj:
-						t.Fatalf("fn=%v: edge (%d,%d) answered false on shard %d", fn, u, v, s)
-					default:
-						answered++
-					}
+		data := buf.Bytes()
+		for _, r := range []struct {
+			name string
+			load func() (*File, error)
+		}{
+			{"Read", func() (*File, error) { return Read(bytes.NewReader(data)) }},
+			{"ReadBytes", func() (*File, error) { return ReadBytes(data) }},
+		} {
+			got, err := r.load()
+			if err != nil {
+				t.Fatalf("%s shard %d: %v", r.name, i, err)
+			}
+			m, ok := got.Shard()
+			if !ok {
+				t.Fatalf("%s shard %d: loaded store lost its shard map", r.name, i)
+			}
+			if want := (core.ShardMap{Count: 3, Index: i, Fn: core.ShardRange}); m != want {
+				t.Fatalf("%s shard %d: shard map %+v, want %+v", r.name, i, m, want)
+			}
+			if got.Labels != nil {
+				t.Fatalf("%s shard %d: %d label views built for a shard store", r.name, i, len(got.Labels))
+			}
+			slab, bitLens, order, ok := got.ArenaLayout()
+			if !ok {
+				t.Fatalf("%s shard %d: store is not arena-backed", r.name, i)
+			}
+			if !bytes.Equal(slab, f.arena) || !slices.Equal(bitLens, f.bitLens) || !slices.Equal(order, f.order) {
+				t.Fatalf("%s shard %d: arena differs after round trip", r.name, i)
+			}
+			eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
+			if err != nil {
+				t.Fatalf("%s shard %d engine: %v", r.name, i, err)
+			}
+			if err := eng.SetShard(m); err != nil {
+				t.Fatalf("%s shard %d SetShard: %v", r.name, i, err)
+			}
+			engines[i] = eng
+		}
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, v32 := range g.Neighbors(u) {
+			v := int(v32)
+			answered := 0
+			for s, e := range engines {
+				adj, err := e.Adjacent(u, v)
+				switch {
+				case errors.Is(err, core.ErrNotResident):
+				case err != nil:
+					t.Fatalf("edge (%d,%d) on shard %d: %v", u, v, s, err)
+				case !adj:
+					t.Fatalf("edge (%d,%d) answered false on shard %d", u, v, s)
+				default:
+					answered++
 				}
-				if answered == 0 {
-					t.Fatalf("fn=%v: no shard answers edge (%d,%d)", fn, u, v)
-				}
+			}
+			if answered == 0 {
+				t.Fatalf("no shard answers edge (%d,%d)", u, v)
 			}
 		}
 	}
@@ -132,7 +128,7 @@ func TestShardStoreRoundTrip(t *testing.T) {
 // shardBlockRange locates the [start, end) byte range of the shard block in a
 // serialized store image by walking every header field in front of
 // it (including the permutation block when the store is degree-ordered).
-func shardBlockRange(t *testing.T, data []byte, n int, permuted bool) (int, int) {
+func shardBlockRange(t testing.TB, data []byte, n int, permuted bool) (int, int) {
 	t.Helper()
 	off := 5 // magic + version
 	uv := func(what string) uint64 {
@@ -166,6 +162,23 @@ func shardBlockRange(t *testing.T, data []byte, n int, permuted bool) (int, int)
 	return start, off
 }
 
+// hashOwnedImage is shard 1 of a 3-shard range partition of g, written and
+// stamped with the retired hash function's ownership byte (1): what a pllabel
+// that still offered -shard-fn hash wrote, as far as any reader looks before
+// refusing it.
+func hashOwnedImage(t testing.TB, g *graph.Graph) []byte {
+	t.Helper()
+	files, _ := shardStores(t, g, 3)
+	var buf bytes.Buffer
+	if err := Write(&buf, files[1]); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	start, _ := shardBlockRange(t, img, g.N(), true)
+	img[start+1] = 1 // after the one-byte index
+	return img
+}
+
 // TestShardCorruptionErrors is the load-time safety property of the shard
 // block, mirroring the permutation block's: any truncation inside it, and any
 // single corrupted byte of it, must make both readers fail. (A corrupted
@@ -178,7 +191,7 @@ func TestShardCorruptionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := shardStores(t, g, 3, core.ShardRange)
+	files, _ := shardStores(t, g, 3)
 	// Shard 1: a nonzero index exercises both uvarint fields.
 	var buf bytes.Buffer
 	if err := Write(&buf, files[1]); err != nil {
@@ -222,7 +235,7 @@ func TestShardWrongIndexRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := shardStores(t, g, 3, core.ShardRange)
+	files, _ := shardStores(t, g, 3)
 	var buf bytes.Buffer
 	if err := Write(&buf, files[1]); err != nil {
 		t.Fatal(err)
@@ -246,19 +259,19 @@ func TestShardWrongIndexRejected(t *testing.T) {
 
 // TestNewShardArenaFileValidates rejects maps that disagree with the arena at
 // construction: an overlapping/wrong-index map (labels it calls foreign have
-// full bodies), an out-of-range index, a degenerate count, an unknown
-// ownership function.
+// full bodies), an out-of-range index, a degenerate count, the retired hash
+// function and an unknown one.
 func TestNewShardArenaFileValidates(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, lab := shardStores(t, g, 3, core.ShardRange)
+	files, lab := shardStores(t, g, 3)
 	slab, bitLens, order, _ := files[0].ArenaLayout()
 	params := map[string]string{"n": strconv.Itoa(g.N())}
 	for name, m := range map[string]core.ShardMap{
 		"wrong index":      {Count: 3, Index: 1, Fn: core.ShardRange},
-		"wrong function":   {Count: 3, Index: 0, Fn: core.ShardHash},
+		"retired function": {Count: 3, Index: 0, Fn: core.ShardFn(1)},
 		"index range":      {Count: 3, Index: 3, Fn: core.ShardRange},
 		"one shard":        {Count: 1, Index: 0, Fn: core.ShardRange},
 		"unknown function": {Count: 3, Index: 0, Fn: core.ShardFn(9)},
