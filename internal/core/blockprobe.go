@@ -21,8 +21,9 @@ const (
 	blockSelf
 	blockFat    // word holds the bitmap bit
 	blockThin   // word holds the first binary-search identifier
-	blockInline // word holds the whole list, from the header record
+	blockInline // word is nonzero iff the header record's list holds the id
 	blockEmpty  // thin side with an empty neighbor list
+	blockKinds
 )
 
 // adjacentBlock is the batch probe kernel under every batch surface:
@@ -41,9 +42,11 @@ const (
 //     words pass 1 loaded, so the choice is a compare — and issue that thin
 //     list's first binary-search word load (or the fat bitmap word load),
 //     again without branching on what it returns; a list the header record
-//     holds (vertexMeta) needs no load, its record word is the whole list;
-//  3. in pair order, finish each search from its preloaded word with the
-//     ordinary branchy loop, or inlineSearch for a record-held list.
+//     holds (vertexMeta) needs no load: its record word is the whole list,
+//     matched there and then in one word (inlineSearch);
+//  3. in pair order, finish each slab search from its preloaded word with
+//     the ordinary branchy loop; every other pair's answer is its word, and
+//     its tally a count by kind, folded into t once.
 //
 // A mispredicted branch in pass 2 or 3 discards only younger instructions, so
 // the loads issued by the pass before stay in flight.
@@ -93,41 +96,28 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 			kind[i] = blockEmpty
 		case e.inline(mu.cnt()):
 			kind[i] = blockInline
-			word[i] = uint64(mu.off)
+			word[i] = inlineSearch(uint64(mu.off), e.inlineRepFor(mu.cnt()), w, mv.id())
 		default:
 			kind[i] = blockThin
 			word[i] = bitstr.SlabReadBits(slab, mu.off+int64((hi>>1)*w), w)
 		}
 	}
 
+	var kinds [blockKinds]int64 // pairs answered so far, by kind
 	for i, p := range pairs[:n] {
-		if kind[i] == blockScalar {
+		switch kind[i] {
+		case blockScalar:
 			ans, err := e.adjacentTallied(p[0], p[1], t)
 			if err != nil {
+				t.addKinds(&kinds)
 				return i, err
 			}
 			res[i] = ans
-			continue
-		}
-		t.queries++
-		ans := false
-		switch kind[i] {
-		case blockSelf:
-			t.self++
-		case blockFat:
-			t.fat++
-			ans = word[i] == 1
-		case blockEmpty:
-			t.thin++
-		case blockInline:
-			t.thin++
-			t.inline++
-			ans = inlineSearch(word[i], int(list[i].cnt()), w, other[i].id())
 		case blockThin:
-			t.thin++
 			base, target := list[i].off, other[i].id()
 			lo, hi := 0, int(list[i].cnt())-1
 			mid, got := hi>>1, word[i]
+			ans := false
 			for {
 				if got == target {
 					ans = true
@@ -144,15 +134,30 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 				mid = int(uint(lo+hi) >> 1)
 				got = bitstr.SlabReadBits(slab, base+int64(mid*w), w)
 			}
+			res[i] = ans
+		default:
+			res[i] = word[i] != 0
 		}
-		res[i] = ans
+		kinds[kind[i]]++
 	}
+	t.addKinds(&kinds)
 	if n < len(pairs) {
 		// Out of range: the scalar path builds the error (and tallies nothing).
 		_, err := e.adjacentTallied(pairs[n][0], pairs[n][1], t)
 		return n, err
 	}
 	return n, nil
+}
+
+// addKinds charges t with the pairs pass 3 of adjacentBlock answered without
+// the scalar path, counted by kind: the tallies probe charges for them.
+func (t *QueryTally) addKinds(kinds *[blockKinds]int64) {
+	thin := kinds[blockThin] + kinds[blockInline] + kinds[blockEmpty]
+	t.queries += kinds[blockSelf] + kinds[blockFat] + thin
+	t.self += kinds[blockSelf]
+	t.fat += kinds[blockFat]
+	t.thin += thin
+	t.inline += kinds[blockInline]
 }
 
 // AdjacentSpan answers a caller-tallied span of pairs into res (which must

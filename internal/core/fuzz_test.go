@@ -44,10 +44,12 @@ func decodeLens(data []byte) []int {
 // FuzzQueryEngineHeaders hammers NewQueryEngineFromPermutedArena with raw
 // slab bytes and header-declared bit lengths. The property under test: for ANY input,
 // construction either errors or yields an engine whose queries never panic
-// or read out of bounds — the build-time validation is the only line of
-// defense, because the probe path (bitstr.SlabReadBits) is unchecked by
-// design. Seeds come from real fat/thin and compressed labelings so the
-// corpus starts at valid headers and mutates outward.
+// or read out of bounds, and answer as FatThinDecoder does — the build-time
+// validation is the only line of defense, because the probe path
+// (bitstr.SlabReadBits) is unchecked by design, and the one-word match of a
+// record-held list is exact only on the sorted lists the build lets through.
+// Seeds come from real fat/thin and compressed labelings so the corpus starts
+// at valid headers and mutates outward.
 func FuzzQueryEngineHeaders(f *testing.F) {
 	seed := func(encode func() (*Labeling, error)) {
 		lab, err := encode()
@@ -71,6 +73,14 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 	seed(func() (*Labeling, error) { return NewPowerLawScheme(2.5).Encode(g) })
 	seed(func() (*Labeling, error) { return NewSparseSchemeAuto().Encode(g) })
 	seed(func() (*Labeling, error) { return NewCompressedScheme(NewPowerLawScheme(2.5)).Encode(g) })
+	// A descending list the header record would hold: the build must refuse
+	// it, since the one-word match of a record-held list assumes sorted ids.
+	labels, _ := inlineLabels(3, []inlineShape{{"unsorted", 64 / 3, true}})
+	slab, bitLens := bitstr.PackSlab(labels)
+	if _, err := NewQueryEngineFromPermutedArena(slab, bitLens, nil); !errors.Is(err, ErrBadLabel) {
+		f.Fatalf("unsorted record-held list: build err %v, want ErrBadLabel", err)
+	}
+	f.Add(slab, encodeLens(bitLens))
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, 16), encodeLens([]int{9, 64}))
 	f.Add(make([]byte, 11), encodeLens([]int{9, 64})) // label 1 ends in a partial word

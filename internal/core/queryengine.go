@@ -28,7 +28,10 @@ type QueryEngine struct {
 	w int // identifier width: ceil(log2 n)
 	// inlineMax is the longest thin list a header record holds in place of
 	// its slab offset: 64/w identifiers, 0 when w is 0 (see vertexMeta).
+	// inlineRep has bit i·w set for every i < inlineMax; a list of cnt
+	// identifiers matches against inlineRep >> ((inlineMax-cnt)·w).
 	inlineMax int
+	inlineRep uint64
 	// meta holds the flat pre-parsed headers, one 16-byte record per vertex
 	// (four to a cache line), indexed by vertex id regardless of the slab's
 	// physical layout.
@@ -65,9 +68,10 @@ type QueryEngine struct {
 // In a QueryEngine off is the body's slab bit offset, except for a thin
 // label whose whole list fits one word (1 <= cnt and cnt·w <= 64): there off
 // holds the list itself, its cnt·w body bits right-aligned with the first
-// identifier most significant, read off the slab once at build. Which it is
-// follows from (fat, cnt, w) alone, so no flag marks it. A DistEngine gives
-// off its own meaning (see DistEngine.meta).
+// identifier most significant, read off the slab once at build, where the
+// list must also be sorted (non-decreasing) — inlineSearch relies on it.
+// Which it is follows from (fat, cnt, w) alone, so no flag marks it. A
+// DistEngine gives off its own meaning (see DistEngine.meta).
 type vertexMeta struct {
 	off  int64
 	word uint64
@@ -140,7 +144,10 @@ func NewQueryEngine(lab *Labeling) (*QueryEngine, error) {
 // labeling. order must be a permutation of 0..len(bitLens)-1; nil is the
 // identity (label v the v-th in the slab). The slab is adopted
 // zero-copy: construction parses and validates the n label headers but
-// never moves a body.
+// never moves a body. A thin list short enough for its header record is
+// copied into the record and must be sorted (non-decreasing): an unsorted
+// one is refused with ErrBadLabel. A longer, slab-held list is searched in
+// place, in the order FatThinDecoder searches it, so it may be unsorted.
 func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) (*QueryEngine, error) {
 	n := len(bitLens)
 	w := bitstr.WidthFor(uint64(n))
@@ -149,9 +156,7 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	}
 	header := 1 + w
 	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab, hi: n}
-	if w > 0 {
-		e.inlineMax = 64 / w
-	}
+	e.inlineMax, e.inlineRep = inlineLayout(w)
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
 	for walk.Next() {
 		v, off := walk.Label()
@@ -161,7 +166,11 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 		}
 		m := vertexMeta{off: off + int64(header), word: word}
 		if !m.fat() && e.inline(m.cnt()) {
-			m.off = int64(bitstr.SlabReadBits(slab, m.off, int(m.cnt())*w))
+			list := bitstr.SlabReadBits(slab, m.off, int(m.cnt())*w)
+			if !inlineSorted(list, int(m.cnt()), w) {
+				return nil, fmt.Errorf("%w: label %d: record-held list of %d ids not sorted", ErrBadLabel, v, m.cnt())
+			}
+			m.off = int64(list)
 		}
 		e.meta[v] = m
 	}
@@ -236,14 +245,48 @@ func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 // header record (1 <= cnt and cnt·w <= 64, see vertexMeta).
 func (e *QueryEngine) inline(cnt int64) bool { return uint64(cnt-1) < uint64(e.inlineMax) }
 
+// inlineLayout returns, for id width w, the longest record-held list, 64/w
+// identifiers (0 when w is 0), and the word with bit i·w set for each of them.
+func inlineLayout(w int) (most int, rep uint64) {
+	if w == 0 {
+		return 0, 0
+	}
+	most = 64 / w
+	for i := range most {
+		rep |= 1 << uint(i*w)
+	}
+	return most, rep
+}
+
+// inlineRepFor is the word with bit i·w set for each i < cnt, for a
+// record-held list of cnt identifiers.
+func (e *QueryEngine) inlineRepFor(cnt int64) uint64 {
+	return e.inlineRep >> uint((e.inlineMax-int(cnt))*e.w)
+}
+
+// inlineSorted reports whether the cnt identifiers of w bits held in list
+// (right-aligned, the first most significant) are non-decreasing.
+func inlineSorted(list uint64, cnt, w int) bool {
+	mask := uint64(1)<<uint(w) - 1
+	prev := uint64(0)
+	for i := cnt - 1; i >= 0; i-- {
+		id := list >> uint(i*w) & mask
+		if id < prev {
+			return false
+		}
+		prev = id
+	}
+	return true
+}
+
 // thinProbe binary-searches thin vertex u's sorted neighbor-id list for
 // target — the O(log n) decode of Theorems 3/4, with each probe at most two
-// word loads at a computed slab offset, or none for a list the record holds.
-// Bounds were validated at build time.
+// word loads at a computed slab offset — or, for a list the record holds,
+// matches it in one word (inlineSearch). Bounds were validated at build time.
 func (e *QueryEngine) thinProbe(m vertexMeta, target uint64, t *QueryTally) bool {
 	if e.inline(m.cnt()) {
 		t.inline++
-		return inlineSearch(uint64(m.off), int(m.cnt()), e.w, target)
+		return inlineSearch(uint64(m.off), e.inlineRepFor(m.cnt()), e.w, target) != 0
 	}
 	w := e.w
 	if w == 0 {
@@ -266,26 +309,17 @@ func (e *QueryEngine) thinProbe(m vertexMeta, target uint64, t *QueryTally) bool
 	return false
 }
 
-// inlineSearch binary-searches a list held in a header record — cnt
-// identifiers of w bits, right-aligned in list, the first most significant —
-// for target. It visits the positions the slab search visits, so the two
-// answer alike on every list construction accepts, sorted or not.
-func inlineSearch(list uint64, cnt, w int, target uint64) bool {
-	mask := uint64(1)<<uint(w) - 1
-	lo, hi := 0, cnt-1
-	for lo <= hi {
-		mid := int(uint(lo+hi) >> 1)
-		got := list >> (uint(cnt-1-mid) * uint(w)) & mask
-		switch {
-		case got == target:
-			return true
-		case got < target:
-			lo = mid + 1
-		default:
-			hi = mid - 1
-		}
-	}
-	return false
+// inlineSearch returns a word that is nonzero exactly when target (below
+// 2^w) is one of the identifiers of a list held in a header record — w bits
+// each, right-aligned in list — where rep has bit i·w set for each of the
+// list's cnt fields. It is the SWAR zero-field test: x is zero exactly in the
+// fields equal to target, and subtracting rep borrows into the top bit of the
+// lowest such field. The engine holds only sorted lists in a record (see
+// vertexMeta), and on a sorted list membership is the binary search's answer,
+// so the slab search and FatThinDecoder answer alike.
+func inlineSearch(list, rep uint64, w int, target uint64) uint64 {
+	x := list ^ target*rep
+	return (x - rep) &^ x & (rep << uint(w-1))
 }
 
 // AdjacentMany answers a batch of queries, appending one result per pair to

@@ -41,7 +41,7 @@ func TestEdgeBuilderMatchesBuilder(t *testing.T) {
 	want := buildReference(t, n, edges)
 	eb := NewEdgeBuilder(n, 3)
 	for i, e := range edges {
-		eb.Shard(i % 3).Add(e.U, e.V)
+		eb.Shard(i%3).Add(e.U, e.V)
 	}
 	if got := eb.Len(); got != count {
 		t.Fatalf("Len=%d, want %d", got, count)
@@ -70,7 +70,7 @@ func TestEdgeBuilderWorkerInvariance(t *testing.T) {
 		for _, shards := range []int{1, workers} {
 			eb := NewEdgeBuilder(n, shards)
 			for i, e := range edges {
-				eb.Shard(i % shards).Add(e.U, e.V)
+				eb.Shard(i%shards).Add(e.U, e.V)
 			}
 			got := serialize(eb.Build(workers))
 			if ref == nil {
