@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -138,4 +140,64 @@ func serveDistanceStore(t *testing.T, scheme distScheme) (string, *core.DistEngi
 		t.Fatalf("daemon did not drain\n%s", out.String())
 	}
 	return out.String(), eng
+}
+
+// TestDistanceStoreMetrics: a distance daemon's /metrics names its engine
+// counters by plane — dist_engine_* — and carries none of the adjacency
+// engine's engine_* series.
+func TestDistanceStoreMetrics(t *testing.T) {
+	path, eng := distStoreFixture(t, distance.PLLScheme{})
+	out := newAddrWriter()
+	stop := make(chan struct{})
+	errC := make(chan error, 1)
+	go func() {
+		errC <- run([]string{"-labels", path, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0"}, out, stop)
+	}()
+	var addr, admin string
+	for addr == "" || admin == "" {
+		select {
+		case addr = <-out.addrC:
+		case admin = <-out.adminC:
+		case err := <-errC:
+			t.Fatalf("daemon exited early: %v\n%s", err, out.String())
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no readiness lines\n%s", out.String())
+		}
+	}
+	c, err := adjserve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := [][2]int{{0, 1}, {2, 3}, {4, eng.N() - 1}}
+	if _, err := c.DistMany(pairs, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	resp, err := http.Get("http://" + admin + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := "\n" + string(body)
+	if want := fmt.Sprintf("\ndist_engine_queries_total %d\n", len(pairs)); !strings.Contains(metrics, want) {
+		t.Errorf("scrape missing %q", strings.TrimSpace(want))
+	}
+	for _, family := range []string{"engine_queries_total", "engine_branch_thin_inline_total"} {
+		if strings.Contains(metrics, "\n"+family) {
+			t.Errorf("distance daemon exposes adjacency series %s", family)
+		}
+	}
+	close(stop)
+	select {
+	case err := <-errC:
+		if err != nil {
+			t.Fatalf("daemon exit: %v\n%s", err, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("daemon did not drain\n%s", out.String())
+	}
 }

@@ -187,10 +187,13 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		// A store serves exactly one query plane: adjacency (the default) or
 		// distance (a scheme-stamped pll/bdist store → core.DistEngine behind
 		// the same listener, answering opDist frames). attachMetrics abstracts
-		// over the two engine types for the admin registrations below.
+		// over the two engine types for the admin registrations below, and
+		// registerEngine names the metrics by plane (engine_* or
+		// dist_engine_*).
 		var (
-			attachMetrics func(*core.EngineMetrics)
-			planeAttrs    []any
+			attachMetrics  func(*core.EngineMetrics)
+			registerEngine = (*core.EngineMetrics).Register
+			planeAttrs     []any
 		)
 		if da, ok := store.DistArena(); ok {
 			deng, err := core.NewDistEngine(da)
@@ -200,6 +203,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			srv = adjserve.NewServer(nil, 0)
 			srv.SetDistEngine(deng)
 			attachMetrics = deng.AttachMetrics
+			registerEngine = (*core.EngineMetrics).RegisterDist
 			planeAttrs = []any{"plane", "distance/" + store.SchemeKind()}
 			if deng.Kind() == core.DistPLL {
 				// The decoded hub table is heap beside the mapped store, and
@@ -246,7 +250,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			obs.RegisterBuildInfo(reg, "scheme", string(store.Scheme), "layout", layout)
 			srv.Metrics().Register(reg)
 			engMetrics := new(core.EngineMetrics)
-			engMetrics.Register(reg)
+			registerEngine(engMetrics, reg)
 			attachMetrics(engMetrics)
 			labelstore.RegisterMetrics(reg)
 		}

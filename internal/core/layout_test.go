@@ -39,15 +39,14 @@ func relayout(t *testing.T, lab *Labeling, order []int32) *Labeling {
 	return &Labeling{scheme: lab.scheme, decoder: lab.decoder, slabArena: a}
 }
 
-// TestLayoutEquivalence is the tentpole invariant: the degree-ordered layout
-// is a physical rearrangement only. Across schemes, graphs, and worker
-// counts, every per-vertex label must be byte-equal to the id-ordered
-// encoding's and every adjacency answer identical pair-for-pair — through
-// the decoder and (for the engine's label format) through the query engine.
-// The compressed scheme writes id order only; its row lays the same labels
-// out in the degree order the fat/thin plan computes, so a labeling's reads
-// of a permuted slab are held to its id-ordered answers whatever the label
-// format.
+// TestLayoutEquivalence: the degree-ordered layout is a physical
+// rearrangement only. Across schemes, graphs, and worker counts, every
+// per-vertex label must be byte-equal to the id-ordered encoding's. The
+// conformance matrix holds both layouts' fat/thin answers to the graph; the
+// compressed scheme, which writes id order only and has no engine, has no
+// row there, so its row here lays the same labels out in the degree order
+// the fat/thin plan computes and holds the decoder's reads of the permuted
+// slab to its id-ordered answers and to the graph.
 func TestLayoutEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"path":  gen.Path(24),
@@ -115,9 +114,11 @@ func TestLayoutEquivalence(t *testing.T) {
 							t.Fatalf("label %d differs between layouts", v)
 						}
 					}
+					if sname != "compressed" {
+						return
+					}
 					rng := rand.New(rand.NewSource(1))
-					checkPairs := equivalencePairs(g, rng, 500)
-					for _, p := range checkPairs {
+					for _, p := range equivalencePairs(g, rng, 500) {
 						a, err1 := idLab.Adjacent(p[0], p[1])
 						b, err2 := degLab.Adjacent(p[0], p[1])
 						if err1 != nil || err2 != nil {
@@ -128,31 +129,6 @@ func TestLayoutEquivalence(t *testing.T) {
 						}
 						if a != g.HasEdge(p[0], p[1]) {
 							t.Fatalf("wrong answer at (%d,%d)", p[0], p[1])
-						}
-					}
-					if sname == "compressed" || g.N() == 0 {
-						return // engine serves the plain fat/thin format only
-					}
-					engID, err := NewQueryEngine(idLab)
-					if err != nil {
-						t.Fatal(err)
-					}
-					engDeg, err := NewQueryEngine(degLab)
-					if err != nil {
-						t.Fatal(err)
-					}
-					outID, err := engID.AdjacentMany(checkPairs, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					outDeg, err := engDeg.AdjacentMany(checkPairs, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range checkPairs {
-						if outID[i] != outDeg[i] {
-							t.Fatalf("engine answers differ at pair %d (%v): id=%v degree=%v",
-								i, checkPairs[i], outID[i], outDeg[i])
 						}
 					}
 				})

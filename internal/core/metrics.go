@@ -94,25 +94,3 @@ func (m *EngineMetrics) batch(pairs int) {
 	m.Batches.Inc()
 	m.BatchPairs.Observe(int64(pairs))
 }
-
-// pipelineMetrics instruments the slab encode pipeline (both the fat/thin
-// and compressed encoders): per-phase durations and the label construction
-// volume. Package-level because the pipeline entry points are free
-// functions; the counters accumulate whether or not a registry exposes them.
-var pipelineMetrics struct {
-	Runs   obs.Counter
-	Labels obs.Counter
-	PlanNs obs.Histogram
-	FillNs obs.Histogram
-}
-
-// RegisterPipelineMetrics exposes the encode-pipeline metrics on reg under
-// the encode_* family names. Call once per registry; the values cover every
-// pipeline encode in the process, including those finished before
-// registration.
-func RegisterPipelineMetrics(reg *obs.Registry) {
-	reg.Counter("encode_runs_total", "Slab-pipeline encodes completed.", &pipelineMetrics.Runs)
-	reg.Counter("encode_labels_total", "Labels constructed by the slab pipeline (rate() gives labels/s).", &pipelineMetrics.Labels)
-	reg.Histogram("encode_plan_ns", "Size-plan phase duration per encode run.", &pipelineMetrics.PlanNs)
-	reg.Histogram("encode_fill_ns", "Fill phase duration per encode run.", &pipelineMetrics.FillNs)
-}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/bitstr"
 	"repro/internal/graph"
@@ -122,7 +121,6 @@ func encodeSlab(n, workers int, order []int32,
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, n)) // n = 0 plans and fills nothing
-	planStart := time.Now()
 	a := &slabArena{bitLens: make([]int, n), order: order}
 	if err := runRangesErr(evenRanges(n, workers), func(lo, hi int) error {
 		return size(a.bitLens, lo, hi)
@@ -133,17 +131,11 @@ func encodeSlab(n, workers int, order []int32,
 	if err != nil {
 		return nil, err
 	}
-	pipelineMetrics.PlanNs.ObserveDuration(time.Since(planStart))
-
-	fillStart := time.Now()
 	a.slab = make([]byte, bitstr.SlabSize(int(physOffs[n]>>3)))
 	_ = runRangesErr(splitByWords(physOffs, workers), func(lo, hi int) error { // writers cannot fail
 		write(a, bitstr.NewSlabWriter(a.slab), lo, hi)
 		return nil
 	})
-	pipelineMetrics.FillNs.ObserveDuration(time.Since(fillStart))
-	pipelineMetrics.Runs.Inc()
-	pipelineMetrics.Labels.Add(int64(n))
 	return a, nil
 }
 

@@ -135,7 +135,7 @@ func benchGenWrite(b *testing.B, workers int) {
 func BenchmarkGenWriteEdgeListSeq(b *testing.B)       { benchGenWrite(b, 1) }
 func BenchmarkGenWriteEdgeListParallel4(b *testing.B) { benchGenWrite(b, 4) }
 
-func benchGenRead(b *testing.B, workers int) {
+func benchGenRead(b *testing.B) {
 	g, err := gen.ChungLuPowerLaw(genBenchSize(b), 2.5, 2, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -148,7 +148,7 @@ func benchGenRead(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := graph.ReadEdgeListParallel(bytes.NewReader(data), workers)
+		got, err := graph.ReadEdgeList(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,5 +159,4 @@ func benchGenRead(b *testing.B, workers int) {
 	b.ReportMetric(float64(g.M())*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
-func BenchmarkGenReadEdgeListSeq(b *testing.B)       { benchGenRead(b, 1) }
-func BenchmarkGenReadEdgeListParallel4(b *testing.B) { benchGenRead(b, 4) }
+func BenchmarkGenReadEdgeListSeq(b *testing.B) { benchGenRead(b) }

@@ -8,6 +8,9 @@ import (
 	"strings"
 )
 
+// maxVertexID bounds parsed IDs to the CSR's int32 neighbor storage.
+const maxVertexID = 1<<31 - 1
+
 // WriteEdgeList writes the graph in a plain-text edge-list format:
 // a header line "# n <vertices> m <edges>" followed by one "u v" pair per
 // line with u < v. The format round-trips through ReadEdgeList.

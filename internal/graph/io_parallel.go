@@ -2,22 +2,17 @@ package graph
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"runtime"
 	"strconv"
 )
 
-// Parallel edge-list I/O
+// Parallel edge-list writing
 //
-// The text edge-list format is line-oriented and the CSR is vertex-ordered,
-// so both directions shard naturally: writing formats disjoint vertex
-// ranges into private buffers that are flushed in order (output bytes are
-// identical to the sequential WriteEdgeList), and reading splits the input
-// into newline-aligned blocks parsed concurrently, with the final CSR
-// assembled by the EdgeBuilder (same graph as ReadEdgeList for any worker
-// count).
+// The CSR is vertex-ordered, so writing shards naturally: disjoint vertex
+// ranges format into private buffers that are flushed in order, and the
+// output bytes are identical to the sequential WriteEdgeList's.
 
 // writeChunkSlots is the per-chunk incidence budget for the parallel
 // writer: ~128k incidences format into roughly 1 MiB of text, large enough
@@ -90,160 +85,4 @@ func (g *Graph) WriteEdgeListParallel(w io.Writer, workers int) error {
 		return werr
 	}
 	return bw.Flush()
-}
-
-// readBlockSize is the target byte size of one newline-aligned parse block.
-const readBlockSize = 1 << 22
-
-// maxVertexID bounds parsed IDs to the CSR's int32 neighbor storage.
-const maxVertexID = 1<<31 - 1
-
-// edgeBlock is one parsed block's result.
-type edgeBlock struct {
-	pairs   []Edge
-	headerN int // n from the last header line in the block, -1 if none
-	maxID   int
-	err     error
-}
-
-// ReadEdgeListParallel parses the WriteEdgeList format with workers
-// goroutines (workers <= 0 means GOMAXPROCS), splitting the input into
-// newline-aligned blocks and assembling the CSR through an EdgeBuilder. It
-// accepts exactly the inputs ReadEdgeList accepts and returns the same
-// graph.
-func ReadEdgeListParallel(r io.Reader, workers int) (*Graph, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return ReadEdgeList(r)
-	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	var blocks [][]byte
-	var startLines []int
-	line := 0
-	var pending []byte
-	for {
-		chunk := make([]byte, readBlockSize)
-		n, err := io.ReadFull(br, chunk)
-		data := chunk[:n]
-		if len(pending) > 0 {
-			data = append(pending, data...)
-			pending = nil
-		}
-		if err == nil {
-			if cut := bytes.LastIndexByte(data, '\n'); cut >= 0 {
-				pending = append(pending, data[cut+1:]...)
-				data = data[:cut+1]
-			} else {
-				pending = data
-				data = nil
-			}
-		}
-		if len(data) > 0 {
-			blocks = append(blocks, data)
-			startLines = append(startLines, line)
-			line += bytes.Count(data, []byte{'\n'})
-			if data[len(data)-1] != '\n' {
-				line++ // final unterminated line
-			}
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("graph: read: %w", err)
-		}
-	}
-	results := make([]edgeBlock, len(blocks))
-	parallelJobs(workers, len(blocks), func(i int) {
-		results[i] = parseEdgeBlock(blocks[i], startLines[i])
-	})
-	n, maxID := -1, -1
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		if results[i].headerN >= 0 {
-			n = results[i].headerN // last header in file order wins
-		}
-		if results[i].maxID > maxID {
-			maxID = results[i].maxID
-		}
-	}
-	if n < 0 {
-		n = maxID + 1
-	}
-	if maxID >= n {
-		return nil, fmt.Errorf("graph: vertex ID %d exceeds declared n=%d", maxID, n)
-	}
-	eb := NewEdgeBuilder(n, workers)
-	for i := range results {
-		eb.Shard(i % workers).AddEdges(results[i].pairs)
-	}
-	return eb.Build(workers), nil
-}
-
-// parseEdgeBlock parses one newline-aligned block starting at the given
-// 0-based line offset, mirroring ReadEdgeList's per-line semantics:
-// blank lines and non-header comments are skipped, header lines set n
-// (last wins), self-loops are tolerated by dropping them (but still count
-// toward the inferred vertex range).
-func parseEdgeBlock(data []byte, startLine int) edgeBlock {
-	res := edgeBlock{headerN: -1, maxID: -1}
-	ln := startLine
-	for len(data) > 0 {
-		ln++
-		var lineB []byte
-		if idx := bytes.IndexByte(data, '\n'); idx >= 0 {
-			lineB, data = data[:idx], data[idx+1:]
-		} else {
-			lineB, data = data, nil
-		}
-		lineB = bytes.TrimSpace(lineB)
-		if len(lineB) == 0 {
-			continue
-		}
-		if lineB[0] == '#' {
-			var hn, hm int
-			if _, err := fmt.Sscanf(string(lineB), "# n %d m %d", &hn, &hm); err == nil {
-				res.headerN = hn
-			}
-			continue
-		}
-		fields := bytes.Fields(lineB)
-		if len(fields) < 2 {
-			res.err = fmt.Errorf("graph: line %d: want two vertex IDs, got %q", ln, string(lineB))
-			return res
-		}
-		u, err := strconv.Atoi(string(fields[0]))
-		if err != nil {
-			res.err = fmt.Errorf("graph: line %d: %w", ln, err)
-			return res
-		}
-		v, err := strconv.Atoi(string(fields[1]))
-		if err != nil {
-			res.err = fmt.Errorf("graph: line %d: %w", ln, err)
-			return res
-		}
-		if u < 0 || v < 0 {
-			res.err = fmt.Errorf("graph: line %d: negative vertex ID", ln)
-			return res
-		}
-		if u > maxVertexID || v > maxVertexID {
-			res.err = fmt.Errorf("graph: line %d: vertex ID exceeds int32 range", ln)
-			return res
-		}
-		if u > res.maxID {
-			res.maxID = u
-		}
-		if v > res.maxID {
-			res.maxID = v
-		}
-		if u == v {
-			continue
-		}
-		res.pairs = append(res.pairs, Edge{int32(u), int32(v)})
-	}
-	return res
 }

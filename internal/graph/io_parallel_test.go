@@ -5,15 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 )
 
-// ioWorkerCounts is the invariance matrix for the parallel I/O paths.
+// ioWorkerCounts is the invariance matrix for the parallel writer.
 var ioWorkerCounts = []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 
-// buildLarge returns a random graph big enough to span several read blocks
-// when serialized, exercising real chunking.
+// buildLarge returns a random graph.
 func buildLarge(t *testing.T, n, count int, seed int64) *Graph {
 	t.Helper()
 	eb := NewEdgeBuilder(n, 1)
@@ -38,72 +36,6 @@ func TestWriteEdgeListParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestReadEdgeListParallelMatchesSequential(t *testing.T) {
-	g := buildLarge(t, 3000, 40000, 2)
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, workers := range ioWorkerCounts {
-		got, err := ReadEdgeListParallel(bytes.NewReader(data), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !EqualGraph(g, got) {
-			t.Errorf("workers=%d: parsed graph differs", workers)
-		}
-	}
-}
-
-// TestReadEdgeListParallelSemantics re-runs the sequential reader's edge
-// cases through the block parser: comments, blank lines, missing header,
-// self-loops, missing trailing newline.
-func TestReadEdgeListParallelSemantics(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		n, m int
-	}{
-		{"no header", "0 1\n1 2\n", 3, 2},
-		{"comments and blanks", "# a comment\n\n0 1\n# another\n2 3\n", 4, 2},
-		{"self-loops dropped", "0 0\n0 1\n", 2, 1},
-		{"isolated via header", "# n 5 m 1\n0 1\n", 5, 1},
-		{"no trailing newline", "0 1\n1 2", 3, 2},
-		{"self-loop extends range", "2 2\n0 1\n", 3, 1},
-	}
-	for _, tc := range cases {
-		seq, err := ReadEdgeList(strings.NewReader(tc.in))
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", tc.name, err)
-		}
-		par, err := ReadEdgeListParallel(strings.NewReader(tc.in), 4)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", tc.name, err)
-		}
-		if par.N() != tc.n || par.M() != tc.m {
-			t.Errorf("%s: n=%d m=%d, want n=%d m=%d", tc.name, par.N(), par.M(), tc.n, tc.m)
-		}
-		if !EqualGraph(seq, par) {
-			t.Errorf("%s: parallel differs from sequential", tc.name)
-		}
-	}
-}
-
-func TestReadEdgeListParallelErrors(t *testing.T) {
-	cases := []string{
-		"0\n",              // too few fields
-		"a b\n",            // non-numeric
-		"0 -2\n",           // negative
-		"# n 2 m 1\n0 5\n", // ID exceeds declared n
-	}
-	for _, in := range cases {
-		if _, err := ReadEdgeListParallel(strings.NewReader(in), 4); err == nil {
-			t.Errorf("input %q: expected error", in)
-		}
-	}
-}
-
 // errWriter fails once the byte budget would be exceeded, covering the
 // parallel writer's error-drain path.
 type errWriter struct{ budget int }
@@ -123,9 +55,8 @@ func TestWriteEdgeListParallelPropagatesError(t *testing.T) {
 	}
 }
 
-// TestEdgeListParallelRoundTripLarge pushes a serialization across the
-// readBlockSize boundary so the parallel reader splits into multiple
-// blocks.
+// TestEdgeListParallelRoundTripLarge writes a graph of several
+// writeChunkSlots chunks in parallel and reads it back with ReadEdgeList.
 func TestEdgeListParallelRoundTripLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large round-trip")
@@ -145,10 +76,10 @@ func TestEdgeListParallelRoundTripLarge(t *testing.T) {
 	if err := g.WriteEdgeListParallel(&buf, 4); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() < readBlockSize {
-		t.Fatalf("fixture too small to span blocks: %d bytes", buf.Len())
+	if g.offsets[n] < 2*writeChunkSlots {
+		t.Fatalf("fixture too small to span chunks: %d incidences", g.offsets[n])
 	}
-	got, err := ReadEdgeListParallel(bytes.NewReader(buf.Bytes()), 4)
+	got, err := ReadEdgeList(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
