@@ -339,10 +339,11 @@ func saveStore(path string, n int, lab *core.Labeling) error {
 	return f.Close()
 }
 
-// saveShardStores splits a fat/thin labeling into count shard store files
-// named path.shard0..count-1: each holds the full labels of its owned vertex
-// range plus every fat label, foreign thin labels stripped to header stubs
-// (one plserve -labels per file, fronted by plserve -shards).
+// saveShardStores splits a degree-ordered fat/thin labeling into count shard
+// store files named path.shard0..count-1: each holds the full labels of its
+// owned vertex range plus every fat label, and no bytes for a foreign thin
+// label, whose identifier is its rank in the permutation block (one plserve
+// -labels per file, fronted by plserve -shards).
 func saveShardStores(stdout io.Writer, path string, n int, lab *core.Labeling, count int) error {
 	slab, order, _ := lab.ArenaLayout()
 	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, count, core.ShardRange)

@@ -99,16 +99,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return err
 		}
 		if *stats {
-			_, bitLens, _, _ := store.ArenaLayout()
-			max, total := 0, int64(0)
-			for _, bits := range bitLens {
-				if bits > max {
-					max = bits
-				}
-				total += int64(bits)
-			}
-			fmt.Fprintf(stdout, "scheme=%s n=%d max=%d bits mean=%.1f bits\n",
-				store.Scheme, store.N(), max, float64(total)/float64(max1(store.N())))
+			printStats(stdout, store.File)
 			return nil
 		}
 		if *dist || store.SchemeKind() != labelstore.SchemeAdjacency {
@@ -148,9 +139,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			}
 		}
 		// A shard store only resolves pairs its residents cover; attaching the
-		// map turns misrouted pairs into errors instead of stub-decoded
-		// nonsense. Whole-keyspace queries need the full store or -remote
-		// against a plserve -shards front.
+		// map gives its engine the owned range (it owns no thin vertex until
+		// then), outside which misrouted pairs are errors. Whole-keyspace
+		// queries need the full store or -remote against a plserve -shards
+		// front.
 		if m, ok := store.Shard(); ok {
 			if eng == nil {
 				return fmt.Errorf("shard store %s needs the query engine (scheme %s)", *labelsPath, store.Scheme)
@@ -178,6 +170,30 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 	return serve(stdin, stdout, n, *batch, answer, answerMany, distTo, distToMany)
+}
+
+// printStats prints a store's label statistics. On a shard store they cover
+// the labels the shard holds — owned and fat — after its shard map: a foreign
+// thin label is absent (0 bits) and would drag the mean toward 0.
+func printStats(stdout io.Writer, store *labelstore.File) {
+	_, bitLens, _, _ := store.ArenaLayout()
+	m, sharded := store.Shard()
+	held, most, total := 0, 0, int64(0)
+	for _, bits := range bitLens {
+		if sharded && bits == 0 {
+			continue
+		}
+		held++
+		most = max(most, bits)
+		total += int64(bits)
+	}
+	if sharded {
+		fmt.Fprintf(stdout, "scheme=%s n=%d shard=%d/%d fn=%s held=%d max=%d bits mean=%.1f bits\n",
+			store.Scheme, store.N(), m.Index, m.Count, m.Fn, held, most, float64(total)/float64(max1(held)))
+		return
+	}
+	fmt.Fprintf(stdout, "scheme=%s n=%d max=%d bits mean=%.1f bits\n",
+		store.Scheme, store.N(), most, float64(total)/float64(max1(held)))
 }
 
 // serve runs the query loop over stdin. Exactly one plane's answer pair is

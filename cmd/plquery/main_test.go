@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -117,6 +118,9 @@ func TestQueryAnswersMatchGraph(t *testing.T) {
 	}
 }
 
+// TestQueryStatsFlag: -stats prints a whole store's label statistics, and on
+// a shard store its shard map and the statistics of the labels it holds —
+// owned and fat ones, not the absent foreign thin labels.
 func TestQueryStatsFlag(t *testing.T) {
 	path, _ := storeFixture(t)
 	var out bytes.Buffer
@@ -125,6 +129,54 @@ func TestQueryStatsFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "n=40") {
 		t.Errorf("stats output %q", out.String())
+	}
+
+	g, err := gen.ChungLuPowerLaw(300, 2.5, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewPowerLawScheme(2.5)
+	s.SetLayout(core.LayoutDegree)
+	lab, err := s.Encode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab, order, _ := lab.ArenaLayout()
+	arenas, err := core.ShardLabelArenas(slab, lab.BitLens(), order, 3, core.ShardRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arenas[1]
+	store, err := labelstore.NewShardArenaFile(lab.Scheme(), map[string]string{"n": "300"}, a.Slab, a.BitLens, order,
+		core.ShardMap{Count: 3, Index: 1, Fn: core.ShardRange})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardPath := filepath.Join(t.TempDir(), "s.pllb.shard1")
+	var img bytes.Buffer
+	if err := labelstore.Write(&img, store); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardPath, img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	held, most, total := 0, 0, 0
+	for _, bits := range a.BitLens {
+		if bits > 0 {
+			held, most, total = held+1, max(most, bits), total+bits
+		}
+	}
+	if held == a.Owned || held == g.N() {
+		t.Fatalf("shard 1 holds %d labels of %d, owning %d: the row pins nothing", held, g.N(), a.Owned)
+	}
+	out.Reset()
+	if err := run([]string{"-labels", shardPath, "-stats"}, strings.NewReader(""), &out); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("scheme=%s n=300 shard=1/3 fn=range held=%d max=%d bits mean=%.1f bits\n",
+		lab.Scheme(), held, most, float64(total)/float64(held))
+	if out.String() != want {
+		t.Errorf("shard stats output %q, want %q", out.String(), want)
 	}
 }
 

@@ -224,9 +224,10 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 				return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
 			}
 			// A shard store only holds its owned vertices' full labels (plus the
-			// replicated fat set); attaching the shard map makes the engine
-			// answer ErrNotResident for misrouted pairs instead of decoding a
-			// stub. A -shards router reads the same map back over opShardInfo.
+			// replicated fat set); attaching the shard map gives the engine its
+			// owned range, outside which it answers ErrNotResident for
+			// misrouted pairs. A -shards router reads the same map back over
+			// opShardInfo.
 			if m, ok := store.Shard(); ok {
 				if err := eng.SetShard(m); err != nil {
 					return fmt.Errorf("store %s: %w", *labelsPath, err)

@@ -56,12 +56,14 @@ func writeStore(t *testing.T, lab *core.Labeling) string {
 	return path
 }
 
-// shardArenas encodes g with the power-law scheme and splits the labeling
-// into count range shards, returning the shard arenas, the slab order they
-// share and the scheme name.
+// shardArenas encodes g with the power-law scheme in the degree layout, as
+// pllabel does, and splits the labeling into count range shards, returning
+// the shard arenas, the slab order they share and the scheme name.
 func shardArenas(t *testing.T, g *graph.Graph, count int) ([]core.ShardArena, []int32, string) {
 	t.Helper()
-	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
+	s := core.NewPowerLawScheme(2.5)
+	s.SetLayout(core.LayoutDegree)
+	lab, err := s.Encode(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +358,7 @@ func seriesValue(t *testing.T, scrape, name string) int64 {
 // TestServeShardStore boots the daemon on one shard of a 2-way split and
 // checks the residency contract over the wire: the loaded line names the
 // shard, owned pairs answer exactly, and a misrouted pair comes back as an
-// error frame instead of a silently-wrong answer decoded from a stub.
+// error frame instead of a silently-wrong answer read off an absent label.
 func TestServeShardStore(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(250, 2.5, 2, 21)
 	if err != nil {

@@ -434,8 +434,8 @@ func goldenShardInfoFrames(t testing.TB) [][]byte {
 //	0812050061c3...  the identifier block, 40·6 bits = 30 bytes: 000010
 //	            000001 001000 000101 000000 ... — vertex 0 has identifier 2,
 //	            vertex 1 identifier 1 and vertex 4 identifier 0, so 1 and 4
-//	            are fat; the shard's block is the whole store's (stubs keep
-//	            identifiers)
+//	            are fat; the shard's block is the whole store's (an absent
+//	            label's identifier is its rank)
 //
 // The distance-only server sends the whole-store header, k = 0 and no block.
 func TestGoldenShardInfoFrames(t *testing.T) {

@@ -79,44 +79,41 @@ func TestRouterEquivalence(t *testing.T) {
 // small graph: a pair that is neither a self pair nor fat–fat goes to the
 // shard holding its larger-identifier endpoint resident — the one label the
 // engines' read rule searches — and the routed shard answers what the full
-// engine and the graph say. Id and degree slabs, and both thin-edge layouts:
-// a both-ends store, as every store written before the once layout is,
-// routes under the same rule.
+// engine and the graph say. Both thin-edge layouts: a both-ends store, as
+// every store written before the once layout is, routes under the same rule.
 func TestRouterRoutingInvariant(t *testing.T) {
 	for _, thin := range []core.ThinEdges{core.ThinEdgesOnce, core.ThinEdgesBoth} {
-		for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-			g, full, engines := shardEnginesOf(t, 150, 3, 7, lay, thin)
-			addrs, _ := startShardFleet(t, engines)
-			r, err := NewRouter(addrs, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			si := &ShardInfo{N: full.N(), K: fatCount(t, full), IDBits: full.AppendIDBits(nil)}
-			for u := 0; u < full.N(); u++ {
-				for v := 0; v < full.N(); v++ {
-					s := r.route(u, v)
-					if u != v && !(si.ID(u) < si.K && si.ID(v) < si.K) {
-						larger := u
-						if si.ID(v) > si.ID(u) {
-							larger = v
-						}
-						if !engines[s].Resident(larger) {
-							t.Fatalf("thin=%d lay=%v: route(%d,%d) = shard %d, where larger-identifier endpoint %d is a stub", thin, lay, u, v, s, larger)
-						}
+		g, full, engines := shardEnginesOf(t, 150, 3, 7, thin)
+		addrs, _ := startShardFleet(t, engines)
+		r, err := NewRouter(addrs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		si := &ShardInfo{N: full.N(), K: fatCount(t, full), IDBits: full.AppendIDBits(nil)}
+		for u := 0; u < full.N(); u++ {
+			for v := 0; v < full.N(); v++ {
+				s := r.route(u, v)
+				if u != v && !(si.ID(u) < si.K && si.ID(v) < si.K) {
+					larger := u
+					if si.ID(v) > si.ID(u) {
+						larger = v
 					}
-					got, err := engines[s].Adjacent(u, v)
-					if err != nil {
-						t.Fatalf("thin=%d lay=%v: route(%d,%d) = shard %d, which answered: %v", thin, lay, u, v, s, err)
+					if !engines[s].Resident(larger) {
+						t.Fatalf("thin=%d: route(%d,%d) = shard %d, where larger-identifier endpoint %d is absent", thin, u, v, s, larger)
 					}
-					want, err := full.Adjacent(u, v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want || got != g.HasEdge(u, v) {
-						t.Fatalf("thin=%d lay=%v: (%d,%d) on routed shard %d = %v, full engine %v, graph %v",
-							thin, lay, u, v, s, got, want, g.HasEdge(u, v))
-					}
+				}
+				got, err := engines[s].Adjacent(u, v)
+				if err != nil {
+					t.Fatalf("thin=%d: route(%d,%d) = shard %d, which answered: %v", thin, u, v, s, err)
+				}
+				want, err := full.Adjacent(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || got != g.HasEdge(u, v) {
+					t.Fatalf("thin=%d: (%d,%d) on routed shard %d = %v, full engine %v, graph %v",
+						thin, u, v, s, got, want, g.HasEdge(u, v))
 				}
 			}
 		}

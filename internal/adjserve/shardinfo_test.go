@@ -12,25 +12,25 @@ import (
 	"repro/internal/graph"
 )
 
-// shardEngines labels a power-law graph, splits the arena into count range
-// shards, and returns the full engine plus the per-shard engines (shard maps
-// set).
+// shardEngines labels a power-law graph in the degree layout, splits the
+// arena into count range shards, and returns the full engine plus the
+// per-shard engines (shard maps set).
 func shardEngines(t testing.TB, n, count int, seed int64) (*core.QueryEngine, []*core.QueryEngine) {
 	t.Helper()
-	_, full, engines := shardEnginesOf(t, n, count, seed, core.LayoutDegree, core.ThinEdgesOnce)
+	_, full, engines := shardEnginesOf(t, n, count, seed, core.ThinEdgesOnce)
 	return full, engines
 }
 
-// shardEnginesOf is shardEngines over a chosen slab layout and thin-edge
-// layout, returning the graph as well.
-func shardEnginesOf(t testing.TB, n, count int, seed int64, lay core.Layout, thin core.ThinEdges) (*graph.Graph, *core.QueryEngine, []*core.QueryEngine) {
+// shardEnginesOf is shardEngines over a chosen thin-edge layout, returning
+// the graph as well.
+func shardEnginesOf(t testing.TB, n, count int, seed int64, thin core.ThinEdges) (*graph.Graph, *core.QueryEngine, []*core.QueryEngine) {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(n, 2.5, 2, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(lay)
+	s.SetLayout(core.LayoutDegree)
 	s.SetThinEdges(thin)
 	lab, err := s.Encode(g)
 	if err != nil {
@@ -115,7 +115,8 @@ func TestShardInfoUnsharded(t *testing.T) {
 
 // TestShardInfoSharded: each shard server reports its own index under the
 // shared count/fn, and all report the full engine's fat count and identifier
-// block (stubs keep fat bits and identifiers).
+// block (fat labels are replicated, and an absent label is thin with its
+// rank for identifier).
 func TestShardInfoSharded(t *testing.T) {
 	full, engines := shardEngines(t, 300, 3, 5)
 	k := fatCount(t, full)
@@ -140,7 +141,7 @@ func TestShardInfoSharded(t *testing.T) {
 			t.Fatalf("shard %d fat count %d, full engine has %d", i, si.K, k)
 		}
 		if !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
-			t.Fatalf("shard %d identifier block differs from the full engine's (stubs keep identifiers)", i)
+			t.Fatalf("shard %d identifier block differs from the full engine's (an absent label's identifier is its rank)", i)
 		}
 	}
 }

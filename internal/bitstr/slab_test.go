@@ -302,7 +302,7 @@ func TestSlabWalkTiles(t *testing.T) {
 		{8, []int{1}},
 		{8, []int{3, 9, 17, 0, 8}},  // 1+2+3+0+1 bytes
 		{16, []int{64, 3}},          // 9 bytes
-		{16, []int{21, 21, 21, 21}}, // foreign stubs at w = 20: 3 bytes each
+		{16, []int{21, 21, 21, 21}}, // 1 + w bits at w = 20: 3 bytes each
 	} {
 		w := NewSlabWalk(tc.bytes, tc.bitLens, nil)
 		for w.Next() {

@@ -146,6 +146,7 @@ func TestGeneratedColumn(t *testing.T) {
 					s.SetLayout(c.lay)
 					where := fmt.Sprintf("%s scheme=%s thin-edges=%d layout=%v", gg.name, s.Name(), c.thin, c.lay)
 					lab := adjacencyCell(t, where, g, s, pairs, genFrames, &m)
+					pinThinCounters(t, where, lab, pairs)
 					if c.thin == core.ThinEdgesOnce {
 						longest = max(longest, longestThin(t, lab))
 					}
@@ -180,6 +181,55 @@ func TestGeneratedColumn(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pinThinCounters asks a fresh engine over lab every pair in one AdjacentMany
+// call and holds its branch counters to what the label lengths predict: a
+// thin probe for every pair that is neither a self pair nor fat–fat, and a
+// slab-held search — ThinBranch − ThinInline — for those whose answering
+// label, the larger identifier's, lists more identifiers than its header
+// record holds (64/w). An empty list is answered from the record.
+func pinThinCounters(t *testing.T, where string, lab *core.Labeling, pairs [][2]int) {
+	t.Helper()
+	eng, err := core.NewQueryEngine(lab)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	var m core.EngineMetrics
+	eng.AttachMetrics(&m)
+	if _, err := eng.AdjacentMany(pairs, nil); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	n := lab.N()
+	w := bitstr.WidthFor(uint64(n))
+	fat, id, cnt := make([]bool, n), make([]uint64, n), make([]int, n)
+	for v := range n {
+		l, err := lab.Label(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fat[v], id[v], cnt[v] = l.MustPeekUint(0, 1) == 1, l.MustPeekUint(1, w), (l.Len()-1-w)/w
+	}
+	var thin, slab int64
+	for _, p := range pairs {
+		u, v := p[0], p[1]
+		if id[u] == id[v] || fat[u] && fat[v] {
+			continue
+		}
+		if id[v] > id[u] {
+			u = v
+		}
+		thin++
+		if cnt[u] > 64/w {
+			slab++
+		}
+	}
+	if got := m.ThinBranch.Load(); got != thin {
+		t.Errorf("%s: %d thin probes counted, %d predicted", where, got, thin)
+	}
+	if got := m.ThinBranch.Load() - m.ThinInline.Load(); got != slab {
+		t.Errorf("%s: %d slab-held searches counted (thin − inline), %d predicted from label lengths", where, got, slab)
 	}
 }
 

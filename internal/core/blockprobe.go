@@ -21,8 +21,7 @@ const (
 	blockSelf
 	blockFat    // word holds the bitmap bit
 	blockThin   // word holds the first binary-search identifier
-	blockInline // word is nonzero iff the header record's list holds the id
-	blockEmpty  // thin side with an empty neighbor list
+	blockInline // word is nonzero iff the header record's list (maybe empty) holds the id
 	blockKinds
 )
 
@@ -42,8 +41,9 @@ const (
 //     words pass 1 loaded, so the choice is a compare — and issue that thin
 //     list's first binary-search word load (or the fat bitmap word load),
 //     again without branching on what it returns; a list the header record
-//     holds (vertexMeta) needs no load: its record word is the whole list,
-//     matched there and then in one word (inlineSearch);
+//     holds (vertexMeta), an empty one included, needs no load: its record
+//     word is the whole list, matched there and then in one word
+//     (inlineSearch);
 //  3. in pair order, finish each slab search from its preloaded word with
 //     the ordinary branchy loop; every other pair's answer is its word, and
 //     its tally a count by kind, folded into t once.
@@ -91,15 +91,13 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 		if mu.fat() || !e.owns(at) {
 			continue // ErrBadLabel or ErrNotResident: the scalar path reports it
 		}
-		switch hi := int(mu.cnt()) - 1; {
-		case hi < 0:
-			kind[i] = blockEmpty
-		case e.inline(mu.cnt()):
+		if cnt := mu.cnt(); e.inline(cnt) {
 			kind[i] = blockInline
-			word[i] = inlineSearch(uint64(mu.off), e.inlineRepFor(mu.cnt()), w, mv.id())
-		default:
+			word[i] = inlineSearch(uint64(mu.off), e.inlineRepFor(cnt), w, mv.id())
+		} else {
 			kind[i] = blockThin
-			word[i] = bitstr.SlabReadBits(slab, mu.off+int64((hi>>1)*w), w)
+			mid := (int(cnt) - 1) >> 1
+			word[i] = bitstr.SlabReadBits(slab, mu.off+int64(mid*w), w)
 		}
 	}
 
@@ -152,7 +150,7 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 // addKinds charges t with the pairs pass 3 of adjacentBlock answered without
 // the scalar path, counted by kind: the tallies probe charges for them.
 func (t *QueryTally) addKinds(kinds *[blockKinds]int64) {
-	thin := kinds[blockThin] + kinds[blockInline] + kinds[blockEmpty]
+	thin := kinds[blockThin] + kinds[blockInline]
 	t.queries += kinds[blockSelf] + kinds[blockFat] + thin
 	t.self += kinds[blockSelf]
 	t.fat += kinds[blockFat]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,14 +75,11 @@ func pinSpan(t *testing.T, e *QueryEngine, pairs [][2]int) {
 // unsharded engine followed by every shard engine of a 1-, 2- and 3-way range
 // split (the 1-way "split" is the full slab with the trivial shard map
 // attached, so the residency condition is exercised with everything resident).
+// Only a degree-ordered slab is split; an id-ordered one stops at the 1-way
+// map (idSplitRefused holds its split to the refusal).
 func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) []*QueryEngine {
 	t.Helper()
-	s.SetLayout(lay)
-	lab, err := s.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab, bitLens, order := arenaOf(t, lab)
+	slab, bitLens, order := encodeArena(t, g, s, lay)
 	build := func(slab []byte, bitLens []int, m ShardMap) *QueryEngine {
 		e, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
 		if err != nil {
@@ -99,6 +97,9 @@ func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) []*
 		build(slab, bitLens, ShardMap{Count: 1, Fn: ShardRange}),
 	}
 	for _, count := range []int{2, 3} {
+		if lay == LayoutID {
+			break
+		}
 		arenas, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
 		if err != nil {
 			t.Fatal(err)
@@ -108,6 +109,60 @@ func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) []*
 		}
 	}
 	return engines
+}
+
+// encodeArena encodes g with the scheme in the given layout and returns the
+// labeling's slab description.
+func encodeArena(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) (slab []byte, bitLens []int, order []int32) {
+	t.Helper()
+	s.SetLayout(lay)
+	lab, err := s.Encode(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arenaOf(t, lab)
+}
+
+// idSplitRefused holds shard m of an id-ordered slab to the refusal: the
+// split refuses the slab, and an engine refuses the shard's labels laid out
+// in id order with its foreign thin labels absent — there a rank is not an
+// identifier, so an absent label would have none.
+func idSplitRefused(t *testing.T, slab []byte, bitLens []int, m ShardMap) {
+	t.Helper()
+	if _, err := ShardLabelArenas(slab, bitLens, nil, m.Count, ShardRange); !errors.Is(err, ErrBadLabel) {
+		t.Fatalf("split of an id-ordered slab: err = %v, want ErrBadLabel", err)
+	}
+	shardSlab, shardLens := stripForeign(t, slab, bitLens, nil, m)
+	if slices.Index(shardLens, 0) < 0 {
+		t.Fatal("the shard has no foreign thin label to leave absent")
+	}
+	if _, err := NewQueryEngineFromPermutedArena(shardSlab, shardLens, nil); !errors.Is(err, ErrBadLabel) {
+		t.Fatalf("id-ordered shard with absent labels: err = %v, want ErrBadLabel", err)
+	}
+}
+
+// stripForeign lays out shard m of a labeling the way ShardLabelArenas does,
+// without its check that the slab's ranks are identifiers: owned and fat
+// labels copied in the source's physical order, foreign thin labels absent.
+func stripForeign(t testing.TB, slab []byte, bitLens []int, order []int32, m ShardMap) ([]byte, []int) {
+	t.Helper()
+	lo, hi := m.Range(len(bitLens))
+	var physical []bitstr.String
+	lens := make([]int, len(bitLens))
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		l := bitstr.SlabLabel(slab, off, bitLens[v])
+		if (lo <= v && v < hi) || l.MustPeekUint(0, 1) == 1 {
+			physical = append(physical, l)
+			lens[v] = bitLens[v]
+		}
+	}
+	if err := walk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	packed, _ := bitstr.PackSlab(physical)
+	return packed, lens
 }
 
 func engineName(e *QueryEngine) string {
@@ -209,16 +264,31 @@ func TestBlockKernelShapes(t *testing.T) {
 	} {
 		s := NewFixedThresholdScheme(cell.tau)
 		s.SetThinEdges(cell.thin)
-		for _, e := range enginesOver(t, g, s, cell.lay) {
-			pairs := answerable(e, all)
-			name := fmt.Sprintf("%v/%s", cell.lay, engineName(e))
+		cellName := func(engine string) string {
+			name := fmt.Sprintf("%v/%s", cell.lay, engine)
 			if cell.thin == ThinEdgesBoth {
 				name = "both/" + name
 			}
 			if cell.tau != 8 {
 				name = fmt.Sprintf("tau%d/%s", cell.tau, name)
 			}
-			t.Run(name, func(t *testing.T) {
+			return name
+		}
+		if cell.lay == LayoutID {
+			// An id-ordered slab is not split: its shard rows are refusals.
+			slab, bitLens, _ := encodeArena(t, g, s, LayoutID)
+			for _, count := range []int{2, 3} {
+				for i := range count {
+					m := ShardMap{Count: count, Index: i, Fn: ShardRange}
+					t.Run(cellName(fmt.Sprintf("shard%dof%d", i, count)), func(t *testing.T) {
+						idSplitRefused(t, slab, bitLens, m)
+					})
+				}
+			}
+		}
+		for _, e := range enginesOver(t, g, s, cell.lay) {
+			pairs := answerable(e, all)
+			t.Run(cellName(engineName(e)), func(t *testing.T) {
 				if _, sharded := e.Shard(); !sharded {
 					// Both kinds of thin list where the cell promises them.
 					inline, slab := 0, 0

@@ -118,7 +118,9 @@ func BenchmarkQueryEngineAdjacentManySharded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
+	s := core.NewPowerLawScheme(2.5)
+	s.SetLayout(core.LayoutDegree) // the only layout a shard store has
+	lab, err := s.Encode(g)
 	if err != nil {
 		b.Fatal(err)
 	}

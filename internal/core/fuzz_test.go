@@ -41,30 +41,55 @@ func decodeLens(data []byte) []int {
 	return lens
 }
 
+// decodeOrder reads a layout permutation as uvarints, nil for no bytes —
+// unsanitized like decodeLens: a repeated, missing or out-of-range rank is the
+// engine's to refuse.
+func decodeOrder(data []byte) []int32 {
+	var order []int32
+	for _, v := range decodeLens(data) {
+		order = append(order, int32(v))
+	}
+	return order
+}
+
+// encodeOrder is decodeOrder's inverse.
+func encodeOrder(order []int32) []byte {
+	lens := make([]int, len(order))
+	for r, v := range order {
+		lens[r] = int(v)
+	}
+	return encodeLens(lens)
+}
+
 // FuzzQueryEngineHeaders hammers NewQueryEngineFromPermutedArena with raw
-// slab bytes and header-declared bit lengths. The property under test: for ANY input,
+// slab bytes, header-declared bit lengths and a layout permutation (none:
+// id order). The property under test: for ANY input,
 // construction either errors or yields an engine whose queries never panic
 // or read out of bounds, and answer as FatThinDecoder does — the build-time
 // validation is the only line of defense, because the probe path
 // (bitstr.SlabReadBits) is unchecked by design, and the one-word match of a
 // record-held list is exact only on the sorted lists the build lets through.
-// Seeds come from real fat/thin and compressed labelings so the corpus starts
-// at valid headers and mutates outward.
+// An engine holding absent labels (0 bits, a shard's foreign thin labels)
+// answers as the decoder does over their header stubs ([fat=0][rank]) where it
+// answers, and otherwise refuses with ErrNotResident, never answering a pair
+// a thin label resolves. Seeds come from real fat/thin and compressed
+// labelings so the corpus starts at valid headers and mutates outward.
 func FuzzQueryEngineHeaders(f *testing.F) {
+	var none []byte // id order
 	seed := func(encode func() (*Labeling, error)) {
 		lab, err := encode()
 		if err != nil {
 			f.Fatal(err)
 		}
 		slab, _, _ := lab.ArenaLayout()
-		f.Add(slab, encodeLens(lab.BitLens()))
+		f.Add(slab, encodeLens(lab.BitLens()), none)
 		// The same labels over slabs that are not a whole number of words:
 		// cut back to the labels' last byte, the last label ends in a partial
 		// word (unless the labels happen to fill theirs) and must be refused;
 		// with stray bytes after the tail, every label's last word is whole
 		// and the labels must be served.
-		f.Add(slab[:fuzzLabelBytes(lab.BitLens())], encodeLens(lab.BitLens()))
-		f.Add(append(slices.Clone(slab), 0xa5, 0x5a, 0xff), encodeLens(lab.BitLens()))
+		f.Add(slab[:fuzzLabelBytes(lab.BitLens())], encodeLens(lab.BitLens()), none)
+		f.Add(append(slices.Clone(slab), 0xa5, 0x5a, 0xff), encodeLens(lab.BitLens()), none)
 	}
 	g, err := gen.ChungLuPowerLaw(150, 2.5, 2, 17)
 	if err != nil {
@@ -80,14 +105,40 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 	if _, err := NewQueryEngineFromPermutedArena(slab, bitLens, nil); !errors.Is(err, ErrBadLabel) {
 		f.Fatalf("unsorted record-held list: build err %v, want ErrBadLabel", err)
 	}
-	f.Add(slab, encodeLens(bitLens))
-	f.Add([]byte{}, []byte{})
-	f.Add(make([]byte, 16), encodeLens([]int{9, 64}))
-	f.Add(make([]byte, 11), encodeLens([]int{9, 64})) // label 1 ends in a partial word
+	f.Add(slab, encodeLens(bitLens), none)
+	f.Add([]byte{}, []byte{}, none)
+	f.Add(make([]byte, 16), encodeLens([]int{9, 64}), none)
+	f.Add(make([]byte, 11), encodeLens([]int{9, 64}), none) // label 1 ends in a partial word
+	// A shard of a degree-ordered labeling, its foreign thin labels absent:
+	// built, it answers fat–fat pairs only. The same shard laid out in id
+	// order, where a rank is no identifier, is refused.
+	dg := NewPowerLawScheme(2.5)
+	dg.SetLayout(LayoutDegree)
+	lab, err := dg.Encode(g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	slab, order, _ := lab.ArenaLayout()
+	arenas, err := ShardLabelArenas(slab, lab.BitLens(), order, 3, ShardRange)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(arenas[1].Slab, encodeLens(arenas[1].BitLens), encodeOrder(order))
+	idLab, err := NewPowerLawScheme(2.5).Encode(g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	idSlab, _, _ := idLab.ArenaLayout()
+	stripped, strippedLens := stripForeign(f, idSlab, idLab.BitLens(), nil, ShardMap{Count: 3, Index: 1, Fn: ShardRange})
+	if _, err := NewQueryEngineFromPermutedArena(stripped, strippedLens, nil); !errors.Is(err, ErrBadLabel) {
+		f.Fatalf("absent labels in an id-ordered slab: build err %v, want ErrBadLabel", err)
+	}
+	f.Add(stripped, encodeLens(strippedLens), none)
 
-	f.Fuzz(func(t *testing.T, slab []byte, lensBytes []byte) {
+	f.Fuzz(func(t *testing.T, slab []byte, lensBytes []byte, orderBytes []byte) {
 		bitLens := decodeLens(lensBytes)
-		eng, err := NewQueryEngineFromPermutedArena(slab, bitLens, nil)
+		order := decodeOrder(orderBytes)
+		eng, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
 		if err != nil {
 			return // rejected at build time: exactly what corrupt headers should get
 		}
@@ -110,7 +161,7 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 		// The reference decoder over the same labels is the oracle outside the
 		// engine: the scalar probe and the kernel share the record-held list
 		// path, so a bug there would agree with itself.
-		labels := fuzzLabels(t, slab, bitLens)
+		labels, absent := fuzzLabels(t, slab, bitLens, order)
 		dec := NewFatThinDecoder(n)
 		// The batch kernel against the scalar probe: the same answers up to the
 		// first failing pair, and the same error there.
@@ -120,7 +171,13 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 			ans, err := eng.Adjacent(p[0], p[1])
 			if p[0] >= 0 && p[0] < n && p[1] >= 0 && p[1] < n {
 				ref, refErr := dec.Adjacent(labels[p[0]], labels[p[1]])
-				if ans != ref || fmt.Sprint(err) != fmt.Sprint(refErr) {
+				bitmap := labels[p[0]].MustPeekUint(0, 1)&labels[p[1]].MustPeekUint(0, 1) == 1 ||
+					labels[p[0]].MustPeekUint(1, eng.w) == labels[p[1]].MustPeekUint(1, eng.w)
+				switch {
+				case absent && err == nil && !bitmap:
+					t.Fatalf("pair %v: engine holding absent labels answered %v from a thin label", p, ans)
+				case absent && errors.Is(err, ErrNotResident):
+				case ans != ref || fmt.Sprint(err) != fmt.Sprint(refErr):
 					t.Fatalf("pair %v: engine %v, %v; FatThinDecoder %v, %v", p, ans, err, ref, refErr)
 				}
 			} else if !errors.Is(err, ErrVertexRange) {
@@ -149,16 +206,25 @@ func fuzzLabelBytes(bitLens []int) int {
 	return size
 }
 
-// fuzzLabels cuts the labels of an id-ordered slab the engine accepted out
-// of a copy of it (SlabView masks padding in place; the fuzz input stays
-// untouched).
-func fuzzLabels(t *testing.T, slab []byte, bitLens []int) []bitstr.String {
+// fuzzLabels cuts the labels of a slab the engine accepted out of a copy of
+// it (SlabView masks padding in place; the fuzz input stays untouched). An
+// absent label is given its header stub, thin with its rank for identifier,
+// and absent reports whether there was one.
+func fuzzLabels(t *testing.T, slab []byte, bitLens []int, order []int32) (labels []bitstr.String, absent bool) {
 	t.Helper()
 	slab = slices.Clone(slab)
-	labels := make([]bitstr.String, len(bitLens))
-	walk := bitstr.NewSlabWalk(len(slab), bitLens, nil)
-	for walk.Next() {
+	labels = make([]bitstr.String, len(bitLens))
+	w := bitstr.WidthFor(uint64(len(bitLens)))
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for r := 0; walk.Next(); r++ {
 		v, off := walk.Label()
+		if bitLens[v] == 0 {
+			var b bitstr.Builder
+			b.AppendBit(false)
+			b.AppendUint(uint64(r), w)
+			labels[v], absent = b.String(), true
+			continue
+		}
 		l, err := bitstr.SlabView(slab, off, bitLens[v])
 		if err != nil {
 			t.Fatal(err)
@@ -168,5 +234,5 @@ func fuzzLabels(t *testing.T, slab []byte, bitLens []int) []bitstr.String {
 	if err := walk.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return labels
+	return labels, absent
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // A thin list of cnt identifiers of w bits is held in its header record when
-// 1 <= cnt and cnt·w <= 64, and such a list must be sorted. TestInlineBoundary
+// cnt·w <= 64 (an empty list included), and such a list must be sorted. TestInlineBoundary
 // hand-packs labelings with lists on and around that boundary for every id
 // width a test can build cheaply and pins the kernel, the scalar probe and
 // FatThinDecoder to one another on them: answers, errors and every QueryTally
@@ -102,7 +102,8 @@ func (b inlineBuild) engine() (*QueryEngine, error) {
 
 // inlineBuilds lays labels out as an id-ordered slab, a degree-ordered one
 // (longest list first), and, when n allows, the three shards of a range split
-// of the degree-ordered slab.
+// of the slab the split takes, whose rank is each label's identifier: since
+// identifier v is vertex v's, the identity permutation.
 func inlineBuilds(t *testing.T, labels []bitstr.String) []inlineBuild {
 	t.Helper()
 	order := make([]int32, len(labels))
@@ -119,12 +120,16 @@ func inlineBuilds(t *testing.T, labels []bitstr.String) []inlineBuild {
 
 	builds := []inlineBuild{{slab: idSlab, bitLens: bitLens}, {slab: degSlab, bitLens: bitLens, order: order}}
 	if len(labels) >= 3 {
-		arenas, err := ShardLabelArenas(degSlab, bitLens, order, 3, ShardRange)
+		ranks := make([]int32, len(labels))
+		for r := range ranks {
+			ranks[r] = int32(r)
+		}
+		arenas, err := ShardLabelArenas(idSlab, bitLens, ranks, 3, ShardRange)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, a := range arenas {
-			builds = append(builds, inlineBuild{a.Slab, a.BitLens, order, ShardMap{Count: 3, Index: i, Fn: ShardRange}})
+			builds = append(builds, inlineBuild{a.Slab, a.BitLens, ranks, ShardMap{Count: 3, Index: i, Fn: ShardRange}})
 		}
 	}
 	return builds
@@ -237,9 +242,9 @@ func testInlineGroup(t *testing.T, w int, group []inlineShape) {
 					t.Fatalf("%v: engine %v, %v; decoder %v, %v", p, got, err, want, werr)
 				}
 				// The probe is charged to the record exactly when it
-				// searched a list of 1..64/w ids.
+				// searched a list of at most 64/w ids.
 				list := lists[max(p[0], p[1])]
-				held := tally.thin == 1 && len(list) >= 1 && len(list)*w <= 64
+				held := tally.thin == 1 && len(list)*w <= 64
 				if (tally.inline == 1) != held {
 					t.Fatalf("%v: tally %+v for a list of %d ids", p, tally, len(list))
 				}
@@ -263,7 +268,7 @@ func testInlineGroup(t *testing.T, w int, group []inlineShape) {
 
 // pinInlineRefusal holds build b of labels, whose vertices refused carry
 // unsorted record-held lists, to failing with ErrBadLabel naming one of them
-// when b holds one's body (a shard owning none holds stubs and builds), and
+// when b holds one's body (a shard owning none leaves them absent and builds), and
 // FatThinDecoder to answering every pair of labels all the same.
 func pinInlineRefusal(t *testing.T, b inlineBuild, labels []bitstr.String, refused []int, pairs [][2]int) {
 	t.Helper()
@@ -294,9 +299,39 @@ func pinInlineRefusal(t *testing.T, b inlineBuild, labels []bitstr.String, refus
 	}
 }
 
+// TestEmptyListRecordAnswered: a probe of an empty thin list is answered
+// from the header record — counted inline, as the scalar probe and the batch
+// kernel both count it — so engine_branch_thin_total minus
+// engine_branch_thin_inline_total is the number of slab-held searches.
+func TestEmptyListRecordAnswered(t *testing.T) {
+	labels, _ := inlineLabels(3, []inlineShape{{"empty", 0, false}})
+	for _, b := range inlineBuilds(t, labels)[:2] {
+		e, err := b.engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m EngineMetrics
+		e.AttachMetrics(&m)
+		// Vertex 7's list is empty and its identifier the larger of each pair.
+		pairs := [][2]int{{7, 1}, {2, 7}, {7, 6}}
+		for _, p := range pairs {
+			if got, err := e.Adjacent(p[0], p[1]); got || err != nil {
+				t.Fatalf("Adjacent%v = %v, %v", p, got, err)
+			}
+		}
+		got, err := e.AdjacentMany(pairs, nil)
+		if err != nil || slices.Contains(got, true) {
+			t.Fatalf("AdjacentMany = %v, %v", got, err)
+		}
+		if thin, inline := m.ThinBranch.Load(), m.ThinInline.Load(); thin != 6 || inline != 6 {
+			t.Fatalf("%d thin probes, %d record-answered; want 6 and 6", thin, inline)
+		}
+	}
+}
+
 // TestInlineSearchMatchesBinary holds the one-word match of a record-held
 // list to a binary search of the same sorted list, for every id width the
-// engine packs and every list length its record holds: random non-decreasing
+// engine packs and every list length its record holds, 0 included: random non-decreasing
 // lists with duplicates, probed for 0, 2^w-1, each listed id and random ids,
 // through the scalar probe, so the per-length mask the engine derives from
 // its constant is under test too. inlineSorted is held to slices.IsSorted on
@@ -336,7 +371,7 @@ func TestInlineSearchMatchesBinary(t *testing.T) {
 		if e.inlineMax != 64/w {
 			t.Fatalf("w=%d: inlineMax %d", w, e.inlineMax)
 		}
-		for cnt := 1; cnt <= e.inlineMax; cnt++ {
+		for cnt := 0; cnt <= e.inlineMax; cnt++ {
 			for range 20 {
 				// Few distinct values make duplicates and runs likely.
 				span := uint64(1)<<uint(w) - 1

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitstr"
 )
@@ -45,10 +46,11 @@ type QueryEngine struct {
 	engineMetrics
 	// [lo, hi) is the owned vertex range: [0, n) unsharded, the shard map's
 	// range once SetShard marks the engine as serving one shard of a
-	// partitioned store. A vertex's full label body is present when it is
-	// owned or fat (fat labels are replicated to every shard); a query
+	// partitioned store, and empty on an engine holding absent labels that no
+	// shard map has named yet. A vertex's full label body is present when it
+	// is owned or fat (fat labels are replicated to every shard); a query
 	// resolvable only from another body returns ErrNotResident instead of
-	// probing a stripped stub. Like metrics they are set before the engine is
+	// probing an absent label. Like metrics they are set before the engine is
 	// shared and read-only afterwards.
 	lo, hi int
 	shard  ShardMap
@@ -66,12 +68,17 @@ type QueryEngine struct {
 // refuses id widths above 32 (2^32 vertices is far beyond maxLabels).
 //
 // In a QueryEngine off is the body's slab bit offset, except for a thin
-// label whose whole list fits one word (1 <= cnt and cnt·w <= 64): there off
-// holds the list itself, its cnt·w body bits right-aligned with the first
-// identifier most significant, read off the slab once at build, where the
-// list must also be sorted (non-decreasing) — inlineSearch relies on it.
-// Which it is follows from (fat, cnt, w) alone, so no flag marks it. A
-// DistEngine gives off its own meaning (see DistEngine.meta).
+// label whose whole list fits one word (cnt·w <= 64): there off holds the
+// list itself, its cnt·w body bits right-aligned with the first identifier
+// most significant, read off the slab once at build, where the list must
+// also be sorted (non-decreasing) — inlineSearch relies on it. An empty list
+// is record-held too, its word left unread: with no identifier in it,
+// inlineSearch matches nothing whatever the word holds. Which it is follows
+// from (fat, cnt, w) alone, so no flag marks it. An absent label (0 bits: a
+// shard store's foreign thin vertex, see ShardLabelArenas) is a thin record
+// of no identifiers whose word is absentList, where a present empty list's
+// holds its slab offset; its identifier is its slab rank. A DistEngine gives
+// off its own meaning (see DistEngine.meta).
 type vertexMeta struct {
 	off  int64
 	word uint64
@@ -80,6 +87,14 @@ type vertexMeta struct {
 func (m vertexMeta) id() uint64 { return m.word >> 32 }
 func (m vertexMeta) cnt() int64 { return int64(m.word >> 1 & (1<<31 - 1)) }
 func (m vertexMeta) fat() bool  { return m.word&1 != 0 }
+
+// absentList is the list word of an absent label's record. An empty list
+// matches nothing whatever its word holds, so the mark costs the probe
+// nothing; SetShard reads it.
+const absentList = -1
+
+// absent reports whether the record stands for an absent label.
+func (m vertexMeta) absent() bool { return m.word&(1<<32-1) == 0 && m.off == absentList }
 
 // packMeta validates a label's body size and packs the header word.
 func packMeta(fat bool, id uint64, body, w, v int) (uint64, error) {
@@ -108,11 +123,19 @@ func packMeta(fat bool, id uint64, body, w, v int) (uint64, error) {
 	return word, nil
 }
 
+// errAbsent is fatThinHeader's refusal of a 0-bit label: an absent label,
+// which only the engine constructor accepts. It is one value, so the absent
+// labels of a shard, most of its labels, cost no allocation.
+var errAbsent = fmt.Errorf("%w: an absent label (0 bits)", ErrBadLabel)
+
 // fatThinHeader validates the fat/thin label v — bits bits at slab bit off,
 // inside the slab as a bitstr.SlabWalk vouches — and packs its header word.
 // The engine constructor and the shard split read every label through it.
 func fatThinHeader(slab []byte, off int64, bits, w, v int) (uint64, error) {
 	header := 1 + w
+	if bits == 0 {
+		return 0, errAbsent
+	}
 	if bits < header {
 		return 0, fmt.Errorf("%w: label %d has %d bits, header needs %d", ErrBadLabel, v, bits, header)
 	}
@@ -148,6 +171,14 @@ func NewQueryEngine(lab *Labeling) (*QueryEngine, error) {
 // copied into the record and must be sorted (non-decreasing): an unsorted
 // one is refused with ErrBadLabel. A longer, slab-held list is searched in
 // place, in the order FatThinDecoder searches it, so it may be unsorted.
+//
+// A label of 0 bits is absent — a foreign thin vertex of a shard store
+// (ShardLabelArenas) — and its identifier is its rank, which holds only in a
+// permuted slab whose every present label's identifier is its rank, as in
+// the degree layout; anywhere else an absent label is refused with
+// ErrBadLabel. An engine holding absent labels owns no thin vertex until
+// SetShard names its range, so it answers a pair only from a fat bitmap and
+// refuses every other with ErrNotResident.
 func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) (*QueryEngine, error) {
 	n := len(bitLens)
 	w := bitstr.WidthFor(uint64(n))
@@ -157,18 +188,29 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	header := 1 + w
 	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab, hi: n}
 	e.inlineMax, e.inlineRep = inlineLayout(w)
+	var unranked uint64 // nonzero once a present label's identifier is not its rank
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
-	for walk.Next() {
+	for r := 0; walk.Next(); r++ {
 		v, off := walk.Label()
 		word, err := fatThinHeader(slab, off, bitLens[v], w, v)
 		if err != nil {
-			return nil, err
+			if err != errAbsent {
+				return nil, err
+			}
+			// Absent: thin, no identifiers, its rank for identifier, and no
+			// thin vertex owned until SetShard names a range.
+			e.meta[v] = vertexMeta{off: absentList, word: uint64(r) << 32}
+			e.hi = 0
+			continue
 		}
 		m := vertexMeta{off: off + int64(header), word: word}
-		if !m.fat() && e.inline(m.cnt()) {
-			list := bitstr.SlabReadBits(slab, m.off, int(m.cnt())*w)
-			if !inlineSorted(list, int(m.cnt()), w) {
-				return nil, fmt.Errorf("%w: label %d: record-held list of %d ids not sorted", ErrBadLabel, v, m.cnt())
+		unranked |= m.id() ^ uint64(r)
+		// An empty list is not read: its record word matches nothing,
+		// whatever it holds.
+		if cnt := m.cnt(); !m.fat() && cnt > 0 && e.inline(cnt) {
+			list := bitstr.SlabReadBits(slab, m.off, int(cnt)*w)
+			if !inlineSorted(list, int(cnt), w) {
+				return nil, fmt.Errorf("%w: label %d: record-held list of %d ids not sorted", ErrBadLabel, v, cnt)
 			}
 			m.off = int64(list)
 		}
@@ -176,6 +218,15 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	}
 	if err := walk.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
+	}
+	if e.hi == n { // no absent label
+		return e, nil
+	}
+	switch absent := slices.Index(bitLens, 0); {
+	case order == nil:
+		return nil, fmt.Errorf("%w: label %d is absent in an id-ordered slab, where its rank is not its identifier", ErrBadLabel, absent)
+	case unranked != 0:
+		return nil, fmt.Errorf("%w: label %d is absent beside a label whose identifier is not its rank", ErrBadLabel, absent)
 	}
 	return e, nil
 }
@@ -210,8 +261,8 @@ func (e *QueryEngine) adjacentTallied(u, v int, t *QueryTally) (bool, error) {
 // bitmap; otherwise the edge is listed by the endpoint with the larger
 // identifier, a thin vertex, whose body is searched for the smaller one. On a
 // shard (SetShard) that body must be resident: a pair whose larger-identifier
-// endpoint is a stub was misrouted and the probe refuses — wherever it answers,
-// the answer is bit-for-bit the unsharded engine's.
+// endpoint is foreign was misrouted and the probe refuses — wherever it
+// answers, the answer is bit-for-bit the unsharded engine's.
 func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 	list, other := e.meta[u], e.meta[v]
 	if list.id() == other.id() {
@@ -235,15 +286,15 @@ func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 	case list.fat():
 		return false, fmt.Errorf("%w: fat identifier %d above thin identifier %d", ErrBadLabel, list.id(), other.id())
 	case !e.owns(at):
-		return false, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
+		return false, e.notResident(u, v)
 	}
 	t.thin++
 	return e.thinProbe(list, other.id(), t), nil
 }
 
 // inline reports whether a thin label of cnt identifiers is held in its
-// header record (1 <= cnt and cnt·w <= 64, see vertexMeta).
-func (e *QueryEngine) inline(cnt int64) bool { return uint64(cnt-1) < uint64(e.inlineMax) }
+// header record (cnt·w <= 64, an empty list included; see vertexMeta).
+func (e *QueryEngine) inline(cnt int64) bool { return uint64(cnt) <= uint64(e.inlineMax) }
 
 // inlineLayout returns, for id width w, the longest record-held list, 64/w
 // identifiers (0 when w is 0), and the word with bit i·w set for each of them.
@@ -259,7 +310,8 @@ func inlineLayout(w int) (most int, rep uint64) {
 }
 
 // inlineRepFor is the word with bit i·w set for each i < cnt, for a
-// record-held list of cnt identifiers.
+// record-held list of cnt identifiers: 0 for an empty list, which
+// inlineSearch then matches against nothing.
 func (e *QueryEngine) inlineRepFor(cnt int64) uint64 {
 	return e.inlineRep >> uint((e.inlineMax-int(cnt))*e.w)
 }
@@ -289,9 +341,6 @@ func (e *QueryEngine) thinProbe(m vertexMeta, target uint64, t *QueryTally) bool
 		return inlineSearch(uint64(m.off), e.inlineRepFor(m.cnt()), e.w, target) != 0
 	}
 	w := e.w
-	if w == 0 {
-		return false
-	}
 	slab, base := e.slab, m.off
 	lo, hi := 0, int(m.cnt())-1
 	for lo <= hi {

@@ -22,11 +22,13 @@ import (
 //     total — the replicated fat–fat data is tiny relative to the store),
 //
 // can answer any pair whose larger-identifier endpoint it owns, plus every
-// fat–fat pair. Foreign thin labels are kept as header-only stubs
-// ([fat=0][id], exactly 1+w bits): the stub preserves the vertex's scheme
-// identifier and fat flag, so a shard engine still classifies both endpoints
-// of every query and routes misdirected pairs to ErrNotResident instead of
-// silently answering from an empty body.
+// fat–fat pair. Of any other vertex it needs only the identifier, to pick
+// which endpoint's label a pair reads — and in the degree layout the label at
+// slab rank r has identifier r, so the layout permutation a shard store
+// carries already records every identifier. A foreign thin label is
+// therefore absent: 0 bits, no slab bytes, its identifier its rank. A pair
+// whose answering label is foreign fails the engine's range check with
+// ErrNotResident, so an absent label is never searched.
 
 // ShardFn names the vertex→shard ownership function. It is serialized in the
 // label-store shard block and the shard-info handshake, so values are stable
@@ -109,11 +111,9 @@ func (m ShardMap) OwnedCount(n int) int {
 }
 
 // ShardArena is one shard's label slab: resident labels (owned vertices plus
-// every fat vertex) copied verbatim, foreign thin labels reduced to their
-// 1+w-bit header stub. BitLens is id-indexed like the source; the physical
-// rank order (and hence any layout permutation) is preserved, so a
-// degree-ordered source yields degree-ordered shards carrying the same
-// permutation.
+// every fat vertex) copied verbatim, foreign thin labels absent (0 bits).
+// BitLens is id-indexed like the source; the physical rank order is
+// preserved, so each shard carries the source's layout permutation.
 type ShardArena struct {
 	Slab    []byte
 	BitLens []int
@@ -122,16 +122,19 @@ type ShardArena struct {
 	Owned int
 }
 
-// ShardLabelArenas splits a fat/thin label slab into count per-shard arenas
-// under the given ownership function. slab/bitLens/order describe the source
-// exactly as NewQueryEngineFromPermutedArena accepts them (order nil = id
-// layout); the source is validated the same way and is not modified. The
-// fat–fat data is replicated to every shard; thin labels are kept in full
-// only on their owner and stripped to the [fat-bit][id] header elsewhere.
+// ShardLabelArenas splits a degree-ordered fat/thin label slab — one whose
+// label at rank r has identifier r — into count per-shard arenas under the
+// given ownership function. slab/bitLens/order describe the source exactly
+// as NewQueryEngineFromPermutedArena accepts them; the source is validated
+// the same way and is not modified. An id-ordered source (order nil), or a
+// label whose identifier is not its rank, is refused with ErrBadLabel: a
+// shard engine reads an absent label's identifier off its rank. The fat–fat
+// data is replicated to every shard; thin labels are kept in full only on
+// their owner and are absent elsewhere.
 //
-// One walk over the source validates it and reads each label's offset and
-// fat bit off the slab; the shards are then sized and filled independently of
-// one another, on up to GOMAXPROCS goroutines.
+// One walk over the source validates it and reads each label's offset, fat
+// bit and identifier off the slab; the shards are then sized and filled
+// independently of one another, on up to GOMAXPROCS goroutines.
 func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn ShardFn) ([]ShardArena, error) {
 	n := len(bitLens)
 	if count < 2 || count > n {
@@ -140,16 +143,19 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 	if !fn.Valid() {
 		return nil, errShardFn(fn)
 	}
+	if order == nil {
+		return nil, fmt.Errorf("%w: splitting an id-ordered slab: a shard store needs the degree layout, whose rank is each label's identifier", ErrBadLabel)
+	}
 	w := bitstr.WidthFor(uint64(n))
 	if w > 32 {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
 	}
-	// src[r] describes the label at slab rank r: its vertex, where it starts,
-	// and the one shard that keeps it in full — every shard, for a fat label.
+	// src[r] describes the label at slab rank r: where it starts, and the one
+	// shard that keeps it — every shard, for a fat label.
 	const everyShard = -1
 	type srcLabel struct {
-		v, home int32
-		off     int64
+		home int32
+		off  int64
 	}
 	src := make([]srcLabel, 0, n)
 	shards := make([]ShardArena, count)
@@ -160,49 +166,41 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 		if err != nil {
 			return nil, err
 		}
+		if r := len(src); word>>32 != uint64(r) {
+			return nil, fmt.Errorf("%w: label %d at rank %d has identifier %d: not a degree-ordered slab", ErrBadLabel, v, r, word>>32)
+		}
 		home := ShardOwner(v, n, count)
 		shards[home].Owned++
 		if word&1 != 0 {
 			home = everyShard
 		}
-		src = append(src, srcLabel{v: int32(v), home: int32(home), off: off})
+		src = append(src, srcLabel{home: int32(home), off: off})
 	}
 	if err := walk.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
 
-	header := 1 + w
-	stubBytes := bitstr.SlabLabelBytes(header)
 	fill := func(s int) {
 		// Pass 1: sizes. Resident labels keep their bytes, foreign thin labels
-		// shrink to the ⌈(1+w)/8⌉ bytes of their stub.
+		// have none.
 		sh := &shards[s]
 		sh.BitLens = make([]int, n)
 		size := 0
-		for _, l := range src {
+		for r, l := range src {
 			if l.home == everyShard || int(l.home) == s {
-				sh.BitLens[l.v] = bitLens[l.v]
-				size += bitstr.SlabLabelBytes(bitLens[l.v])
-			} else {
-				sh.BitLens[l.v] = header
-				size += stubBytes
+				v := order[r]
+				sh.BitLens[v] = bitLens[v]
+				size += bitstr.SlabLabelBytes(bitLens[v])
 			}
 		}
 		// Pass 2: copy in rank order, so the shard slab keeps the source's
 		// physical layout.
 		sh.Slab = make([]byte, bitstr.SlabSize(size))
-		sw := bitstr.NewSlabWriter(sh.Slab)
 		at := 0
-		for _, l := range src {
+		for r, l := range src {
 			if l.home == everyShard || int(l.home) == s {
 				start := int(l.off >> 3)
-				at += copy(sh.Slab[at:], slab[start:start+bitstr.SlabLabelBytes(bitLens[l.v])])
-			} else {
-				// Header stub: the label's first 1+w bits.
-				sw.SeekBit(int64(at) << 3)
-				sw.WriteUint(bitstr.SlabReadBits(slab, l.off, header), header)
-				sw.Flush()
-				at += stubBytes
+				at += copy(sh.Slab[at:], slab[start:start+bitstr.SlabLabelBytes(bitLens[order[r]])])
 			}
 		}
 	}
@@ -216,27 +214,40 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 }
 
 // ErrNotResident is returned by a sharded engine for a query whose answering
-// label — the larger-identifier endpoint's — is a stub on this shard: a
-// misrouted pair. The
-// router's job is to make this unreachable; surfacing it as an error (rather
-// than answering false from a stripped stub) is what makes misrouting loud.
+// label — the larger-identifier endpoint's — is a foreign thin label, absent
+// on this shard: a misrouted pair. The router's job is to make this
+// unreachable; the engine's range check makes it loud.
 var ErrNotResident = errors.New("core: query not resident on this shard")
+
+// notResident is the error of a pair whose answering label the engine does
+// not own.
+func (e *QueryEngine) notResident(u, v int) error {
+	if e.shard.Count == 0 {
+		return fmt.Errorf("%w: (%d,%d) on an engine holding absent labels and no shard map", ErrNotResident, u, v)
+	}
+	return fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
+}
 
 // SetShard marks the engine as serving one shard of a partitioned store: its
 // owned range becomes the map's, and the map is cross-checked against the
-// loaded labels — every thin label outside the range must be a header-only
-// stub, so a store loaded under the wrong shard map fails here, at attach
-// time, not at query time. Like AttachMetrics it must be called before the
-// engine is shared across goroutines.
+// loaded labels — a thin label is present exactly when its vertex is inside
+// the range — so a store loaded under the wrong shard map, or a whole
+// labeling under any map, fails here, at attach time, not at query time.
+// Like AttachMetrics it must be called before the engine is shared across
+// goroutines.
 func (e *QueryEngine) SetShard(m ShardMap) error {
 	if err := m.Validate(e.n); err != nil {
 		return err
 	}
 	lo, hi := m.Range(e.n)
 	for v, mv := range e.meta {
-		if (v < lo || v >= hi) && !mv.fat() && mv.cnt() != 0 {
-			return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label carries a %d-id body (wrong shard map?)",
-				ErrBadLabel, v, m.Index, m.Count, mv.cnt())
+		if inside := lo <= v && v < hi; !mv.fat() && mv.absent() == inside {
+			if inside {
+				return fmt.Errorf("%w: vertex %d is owned by shard %d/%d yet its label is absent (wrong shard map?)",
+					ErrBadLabel, v, m.Index, m.Count)
+			}
+			return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label is present (wrong shard map?)",
+				ErrBadLabel, v, m.Index, m.Count)
 		}
 	}
 	e.lo, e.hi, e.shard = lo, hi, m
@@ -258,8 +269,8 @@ func (e *QueryEngine) Resident(v int) bool { return e.owns(v) || e.meta[v].fat()
 // FatCount returns k, the number of fat vertices, after checking the rule a
 // router's routing table rests on: vertex v is fat exactly when its scheme
 // identifier is below k. With AppendIDBits it is everything a router needs to
-// compute which shard answers any pair (stubs keep fat bits and identifiers,
-// so every shard reports the same k and block).
+// compute which shard answers any pair (an absent label is thin and its
+// identifier is its rank, so every shard reports the same k and block).
 func (e *QueryEngine) FatCount() (int, error) {
 	k := 0
 	for _, mv := range e.meta {

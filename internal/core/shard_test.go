@@ -25,21 +25,23 @@ func arenaOf(t *testing.T, lab *Labeling) (slab []byte, bitLens []int, order []i
 	return slab, lab.BitLens(), order
 }
 
-// shardTestEngines builds the full engine plus count sharded engines (each
-// with its shard map attached) over one labeling of g.
-func shardTestEngines(t *testing.T, lay Layout, count int, n int, seed int64) (*QueryEngine, []*QueryEngine) {
+// degreeArena encodes a Chung–Lu graph of n vertices in the degree layout
+// and returns the labeling's slab description, the one ShardLabelArenas
+// splits.
+func degreeArena(t *testing.T, n int, seed int64) (slab []byte, bitLens []int, order []int32) {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(n, 2.5, 2, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewPowerLawScheme(2.5)
-	s.SetLayout(lay)
-	lab, err := s.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab, bitLens, order := arenaOf(t, lab)
+	return encodeArena(t, g, NewPowerLawScheme(2.5), LayoutDegree)
+}
+
+// shardTestEngines builds the full engine plus count sharded engines (each
+// with its shard map attached) over one degree-ordered labeling.
+func shardTestEngines(t *testing.T, count int, n int, seed int64) (*QueryEngine, []*QueryEngine) {
+	t.Helper()
+	slab, bitLens, order := degreeArena(t, n, seed)
 	full, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
 	if err != nil {
 		t.Fatal(err)
@@ -128,38 +130,37 @@ func TestShardOwnerPartition(t *testing.T) {
 
 // TestShardedEngineEquivalence is the core correctness property of the
 // sharded layout: for every pair, the shard the routing rule picks answers
-// bit-for-bit identically to the full engine — across both physical layouts,
-// over random pairs, self pairs, and every pair of vertices at a range edge.
+// bit-for-bit identically to the full engine — over random pairs, self
+// pairs, and every pair of vertices at a range edge. (Only a degree-ordered
+// slab is split; TestShardSplitRefusals holds the id layout to its refusal.)
 func TestShardedEngineEquivalence(t *testing.T) {
-	for _, lay := range []Layout{LayoutID, LayoutDegree} {
-		full, engines := shardTestEngines(t, lay, 3, 400, 11)
-		n := full.N()
-		rng := rand.New(rand.NewSource(99))
-		check := func(u, v int) {
-			want, err := full.Adjacent(u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := routeShard(full, 3, u, v)
-			got, err := engines[s].Adjacent(u, v)
-			if err != nil {
-				t.Fatalf("layout=%v: routed (%d,%d) to shard %d: %v", lay, u, v, s, err)
-			}
-			if got != want {
-				t.Fatalf("layout=%v: (%d,%d) on shard %d = %v, full engine says %v", lay, u, v, s, got, want)
-			}
+	full, engines := shardTestEngines(t, 3, 400, 11)
+	n := full.N()
+	rng := rand.New(rand.NewSource(99))
+	check := func(u, v int) {
+		want, err := full.Adjacent(u, v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 4000; i++ {
-			check(rng.Intn(n), rng.Intn(n))
+		s := routeShard(full, 3, u, v)
+		got, err := engines[s].Adjacent(u, v)
+		if err != nil {
+			t.Fatalf("routed (%d,%d) to shard %d: %v", u, v, s, err)
 		}
-		for v := 0; v < n; v++ {
-			check(v, v)
+		if got != want {
+			t.Fatalf("(%d,%d) on shard %d = %v, full engine says %v", u, v, s, got, want)
 		}
-		edges := rangeEdges(n, 3)
-		for _, u := range edges {
-			for _, v := range edges {
-				check(u, v)
-			}
+	}
+	for i := 0; i < 4000; i++ {
+		check(rng.Intn(n), rng.Intn(n))
+	}
+	for v := 0; v < n; v++ {
+		check(v, v)
+	}
+	edges := rangeEdges(n, 3)
+	for _, u := range edges {
+		for _, v := range edges {
+			check(u, v)
 		}
 	}
 }
@@ -167,11 +168,12 @@ func TestShardedEngineEquivalence(t *testing.T) {
 // TestShardedEngineNotResident: a pair with a thin endpoint resolves on one
 // shard only, the owner of its larger-identifier endpoint; every other shard —
 // the owner of the other endpoint included — must fail with ErrNotResident,
-// never answer false from a stub or from a list that need not hold the edge.
+// never answer false from an absent label or from a list that need not hold
+// the edge.
 // The edge rows put both endpoints at range edges and ask every shard, so a
 // residency test off by one at lo or hi shows here.
 func TestShardedEngineNotResident(t *testing.T) {
-	full, engines := shardTestEngines(t, LayoutID, 3, 400, 11)
+	full, engines := shardTestEngines(t, 3, 400, 11)
 	n := full.N()
 	misrouted := 0
 	for u := 0; u < n && misrouted < 200; u += 3 {
@@ -232,8 +234,9 @@ func TestShardedEngineNotResident(t *testing.T) {
 
 // TestAppendIDBits: the identifier block holds every label's own identifier at
 // bit v·w, is bitstr.IDBlockLen bytes appended after what dst held, and is the same on
-// a shard (stubs keep identifiers) as on the full engine — at widths that do
-// and do not divide a byte, and on the degenerate one-vertex engine.
+// a shard (an absent label's identifier is its rank) as on the full engine —
+// at widths that do and do not divide a byte, and on the degenerate
+// one-vertex engine.
 func TestAppendIDBits(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 256, 400} {
 		g, err := gen.ChungLuPowerLaw(n, 2.5, 2, 11)
@@ -264,7 +267,7 @@ func TestAppendIDBits(t *testing.T) {
 			}
 		}
 	}
-	full, engines := shardTestEngines(t, LayoutDegree, 3, 400, 11)
+	full, engines := shardTestEngines(t, 3, 400, 11)
 	for i, e := range engines {
 		if !bytes.Equal(e.AppendIDBits(nil), full.AppendIDBits(nil)) {
 			t.Fatalf("shard %d serves a different identifier block than the full engine", i)
@@ -272,20 +275,28 @@ func TestAppendIDBits(t *testing.T) {
 	}
 }
 
-// TestSetShardRejectsWrongMap: attaching a shard map whose index does not
-// match the slab's actual partition must fail — thin labels the wrong map
-// claims foreign still carry bodies, and SetShard's stub check sees them.
+// TestSetShardRejectsWrongMap: attaching a shard map that does not match the
+// slab's actual partition must fail — the wrong map claims foreign vertices
+// whose thin labels are present and owns vertices whose labels are absent,
+// and SetShard's presence check sees them; so must any map of two or more
+// shards on a whole labeling, whose foreign thin labels are all present.
 func TestSetShardRejectsWrongMap(t *testing.T) {
-	_, engines := shardTestEngines(t, LayoutID, 3, 400, 11)
-	// Rebuild shard 0's engine (SetShard is one-shot per engine in spirit;
-	// use a fresh engine over the same slab).
-	e := engines[0]
-	fresh, err := NewQueryEngineFromPermutedArena(e.slab, rebuildBitLens(e), nil)
+	slab, bitLens, order := degreeArena(t, 400, 11)
+	arenas, err := ShardLabelArenas(slab, bitLens, order, 3, ShardRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SetShard is one-shot per engine in spirit: use a fresh engine over
+	// shard 0's slab.
+	fresh, err := NewQueryEngineFromPermutedArena(arenas[0].Slab, arenas[0].BitLens, order)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.SetShard(ShardMap{Count: 3, Index: 1, Fn: ShardRange}); err == nil {
 		t.Fatal("SetShard accepted shard 0's slab under index 1")
+	}
+	if err := fresh.SetShard(ShardMap{Count: 2, Index: 0, Fn: ShardRange}); err == nil {
+		t.Fatal("SetShard accepted shard 0 of 3's slab as shard 0 of 2")
 	}
 	if err := fresh.SetShard(ShardMap{Count: 3, Index: 3, Fn: ShardRange}); err == nil {
 		t.Fatal("SetShard accepted an out-of-range index")
@@ -302,21 +313,80 @@ func TestSetShardRejectsWrongMap(t *testing.T) {
 	if err := fresh.SetShard(ShardMap{Count: 3, Index: 0, Fn: ShardRange}); err != nil {
 		t.Fatalf("SetShard refused the slab's own map: %v", err)
 	}
+	whole, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.SetShard(ShardMap{Count: 3, Index: 0, Fn: ShardRange}); !errors.Is(err, ErrBadLabel) {
+		t.Fatalf("SetShard on a whole labeling: err = %v, want ErrBadLabel", err)
+	}
 }
 
-// rebuildBitLens recovers an engine's per-label bit lengths from its meta
-// (test helper; header + body units).
-func rebuildBitLens(e *QueryEngine) []int {
-	lens := make([]int, e.n)
-	for v := 0; v < e.n; v++ {
-		m := e.meta[v]
-		body := int(m.cnt())
-		if !m.fat() {
-			body *= e.w
-		}
-		lens[v] = 1 + e.w + body
+// TestShardSplitRefusals: an absent label's identifier is its rank, so the
+// split takes only a slab whose rank is every label's identifier, and an
+// engine takes absent labels only there — an id-ordered split, an absent
+// label in an id-ordered slab and one beside a present label whose
+// identifier is not its rank are refused with ErrBadLabel. A whole engine
+// holding absent labels builds but owns no thin vertex: every pair a thin
+// label answers is ErrNotResident, never false, and fat–fat pairs answer.
+func TestShardSplitRefusals(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(400, 2.5, 2, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return lens
+	idSlab, idLens, _ := encodeArena(t, g, NewPowerLawScheme(2.5), LayoutID)
+	m := ShardMap{Count: 3, Index: 1, Fn: ShardRange}
+	idSplitRefused(t, idSlab, idLens, m)
+
+	// The id-ordered slab under an explicit identity permutation: permuted,
+	// but a rank is a vertex, not its identifier.
+	ranks := make([]int32, len(idLens))
+	for r := range ranks {
+		ranks[r] = int32(r)
+	}
+	if _, err := ShardLabelArenas(idSlab, idLens, ranks, 3, ShardRange); !errors.Is(err, ErrBadLabel) || !strings.Contains(err.Error(), "not a degree-ordered slab") {
+		t.Fatalf("split of a permuted slab whose ranks are not identifiers: err = %v, want ErrBadLabel", err)
+	}
+	shardSlab, shardLens := stripForeign(t, idSlab, idLens, ranks, m)
+	if _, err := NewQueryEngineFromPermutedArena(shardSlab, shardLens, ranks); !errors.Is(err, ErrBadLabel) || !strings.Contains(err.Error(), "whose identifier is not its rank") {
+		t.Fatalf("absent labels beside identifiers that are not ranks: err = %v, want ErrBadLabel", err)
+	}
+
+	slab, bitLens, order := degreeArena(t, 400, 11)
+	full, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenas, err := ShardLabelArenas(slab, bitLens, order, 3, ShardRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewQueryEngineFromPermutedArena(arenas[1].Slab, arenas[1].BitLens, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fat, thin := 0, 0
+	for u := 0; u < full.N(); u++ {
+		for v := 0; v < full.N(); v += 3 {
+			want, _ := full.Adjacent(u, v)
+			got, err := e.Adjacent(u, v)
+			batch, berr := e.AdjacentMany([][2]int{{u, v}}, nil)
+			switch {
+			case u == v || full.meta[u].fat() && full.meta[v].fat():
+				if err != nil || got != want || berr != nil || batch[0] != want {
+					t.Fatalf("(%d,%d) without a shard map: %v, %v / %v, %v; want %v", u, v, got, err, batch, berr, want)
+				}
+				fat++
+			case !errors.Is(err, ErrNotResident) || !errors.Is(berr, ErrNotResident):
+				t.Fatalf("(%d,%d) without a shard map: %v, %v / %v, %v; want ErrNotResident", u, v, got, err, batch, berr)
+			default:
+				thin++
+			}
+		}
+	}
+	if fat == 0 || thin == 0 {
+		t.Fatalf("%d fat–fat or self and %d thin pairs: the row pins nothing", fat, thin)
+	}
 }
 
 // TestShardLabelArenasValidates rejects degenerate splits.
@@ -347,6 +417,9 @@ func TestShardLabelArenasValidates(t *testing.T) {
 	if _, err := ShardLabelArenas(slab, bitLens, order, 2, ShardFn(1)); err == nil || !strings.Contains(err.Error(), "re-run pllabel -shards") {
 		t.Fatalf("split under the retired hash function: err = %v, want a refusal naming it", err)
 	}
+	if _, err := ShardLabelArenas(slab, bitLens, nil, 2, ShardRange); !errors.Is(err, ErrBadLabel) || !strings.Contains(err.Error(), "id-ordered") {
+		t.Fatalf("split of an id-ordered slab: err = %v, want ErrBadLabel naming the layout", err)
+	}
 }
 
 // TestShardLabelArenasParallelMatchesSerial: the split fills its shards on up
@@ -359,39 +432,31 @@ func TestShardLabelArenasParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, lay := range []Layout{LayoutID, LayoutDegree} {
-		s := NewPowerLawScheme(2.5)
-		s.SetLayout(lay)
-		lab, err := s.Encode(g)
+	slab, bitLens, order := encodeArena(t, g, NewPowerLawScheme(2.5), LayoutDegree)
+	for _, count := range []int{2, 3, 7, 16} {
+		runtime.GOMAXPROCS(1)
+		want, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slab, bitLens, order := arenaOf(t, lab)
-		for _, count := range []int{2, 3, 7, 16} {
-			runtime.GOMAXPROCS(1)
-			want, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
+		for _, procs := range []int{2, 7} {
+			runtime.GOMAXPROCS(procs)
+			got, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, procs := range []int{2, 7} {
-				runtime.GOMAXPROCS(procs)
-				got, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v count %d: arenas at GOMAXPROCS %d differ from the serial split's", lay, count, procs)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("count %d: arenas at GOMAXPROCS %d differ from the serial split's", count, procs)
 			}
 		}
 	}
 }
 
 // TestFatCount: k is the number of fat vertices and the same on every shard
-// (stubs keep fat bits), and an engine whose fat vertex holds an identifier
+// (fat labels are replicated, absent ones thin), and an engine whose fat vertex holds an identifier
 // at or above k — labels the router could not route — is refused.
 func TestFatCount(t *testing.T) {
-	full, engines := shardTestEngines(t, LayoutDegree, 3, 400, 11)
+	full, engines := shardTestEngines(t, 3, 400, 11)
 	want := 0
 	for _, mv := range full.meta {
 		if mv.fat() {

@@ -2,6 +2,7 @@ package labelstore
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"strconv"
 	"testing"
@@ -24,9 +25,14 @@ import (
 //     from the file's own two labels — for an unmutated seed, the source
 //     labeling.
 //
+// A shard store's engine carries its shard map, and answers what the decoder
+// answers over the labels with each absent one given its header stub
+// ([fat=0][rank]), or refuses the pair as not resident.
+//
 // Seeds are real images of every store shape — id-ordered, degree-ordered, a
 // shard, pll, bdist — and images both must reject: a retired version-1
-// image, version-2 stamps, and blobs whose last label ends in a partial word.
+// image, version-2 stamps, blobs whose last label ends in a partial word, and
+// shard stores with header stubs or in id order.
 func FuzzReadBytes(f *testing.F) {
 	image := func(file *File) []byte {
 		var buf bytes.Buffer
@@ -81,6 +87,8 @@ func FuzzReadBytes(f *testing.F) {
 	}
 	_, labels := sampleFile(f)
 	f.Add(v1Image("sparse(c=2)", labels))
+	f.Add(retiredShardImage(f, g, false))
+	f.Add(retiredShardImage(f, g, true))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mapped, errMapped := ReadBytes(data)
@@ -135,21 +143,33 @@ func FuzzReadBytes(f *testing.F) {
 			}
 			return
 		}
-		slab, bitLens, order, _ := mapped.ArenaLayout()
-		ea, errA := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
-		slab, bitLens, order, _ = streamed.ArenaLayout()
-		eb, errB := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
+		engine := func(f *File) (*core.QueryEngine, error) {
+			slab, bitLens, order, _ := f.ArenaLayout()
+			e, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
+			if m, ok := f.Shard(); ok && err == nil {
+				err = e.SetShard(m)
+			}
+			return e, err
+		}
+		ea, errA := engine(mapped)
+		eb, errB := engine(streamed)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("engine: mapped err = %v, streamed err = %v", errA, errB)
 		}
 		if errA != nil {
 			return // not fat/thin labels: nothing to serve
 		}
+		_, bitLens, _, _ := streamed.ArenaLayout()
+		absent := slices.Contains(bitLens, 0) // an engine holding absent labels owns only its shard's range
+		stubbed := withStubs(streamed, streamedLabels)
 		dec := core.NewFatThinDecoder(n)
 		for _, p := range pairs {
-			want, wantErr := dec.Adjacent(streamedLabels[p[0]], streamedLabels[p[1]])
+			want, wantErr := dec.Adjacent(stubbed[p[0]], stubbed[p[1]])
 			a, errA := ea.Adjacent(p[0], p[1])
 			b, errB := eb.Adjacent(p[0], p[1])
+			if (sharded || absent) && errors.Is(errA, core.ErrNotResident) && errors.Is(errB, core.ErrNotResident) {
+				continue
+			}
 			if a != want || b != want || (errA == nil) != (wantErr == nil) || (errB == nil) != (wantErr == nil) {
 				t.Fatalf("Adjacent(%d,%d): decoder %v (%v), mapped engine %v (%v), streamed engine %v (%v)",
 					p[0], p[1], want, wantErr, a, errA, b, errB)
@@ -169,4 +189,22 @@ func labelViews(f *File) []bitstr.String {
 		labels[v] = bitstr.SlabLabel(slab, off, bitLens[v])
 	}
 	return labels
+}
+
+// withStubs returns a store's labels with each absent one (0 bits) replaced by
+// the header stub its identifier, the label's rank, makes: the labels a
+// decoder can read a pair off.
+func withStubs(f *File, labels []bitstr.String) []bitstr.String {
+	_, bitLens, order, _ := f.ArenaLayout()
+	w := bitstr.WidthFor(uint64(len(bitLens)))
+	out := slices.Clone(labels)
+	for r, v := range order {
+		if bitLens[v] == 0 {
+			var b bitstr.Builder
+			b.AppendBit(false)
+			b.AppendUint(uint64(r), w)
+			out[v] = b.String()
+		}
+	}
+	return out
 }

@@ -113,8 +113,8 @@ type File struct {
 	// rank r holds label order[r].
 	order []int32
 	// shard, when non-nil, marks one shard of a partitioned store: owned
-	// vertices (plus replicated fat labels) in full, foreign thin labels as
-	// header stubs. See shard.go.
+	// vertices (plus replicated fat labels) in full, foreign thin labels
+	// absent. See shard.go.
 	shard *shardBlock
 	// dist, when non-nil, marks a distance store (scheme kind pll or bdist)
 	// and carries the engine parameters. See scheme.go.
@@ -147,15 +147,19 @@ func NewPermutedArenaFile(scheme string, params map[string]string, slab []byte, 
 // final byte are zeroed in place, so that equal labels compare equal whoever
 // produced the slab; ReadBytes, whose slab may be a read-only mapping, passes
 // false. If the caller preallocated Labels, they are filled with the
-// id-indexed views; if it set shard, every thin label outside the owned range
-// must be a header-only stub — the one check that reads the body, one bit of
-// each foreign label longer than a stub.
+// id-indexed views; if it set shard, the slab must be permuted and every
+// thin label outside the owned range absent (0 bits) — the one check that
+// reads the body, one bit of each foreign label present.
 func (f *File) adoptArena(mask bool) error {
 	n := len(f.bitLens)
-	stub := 1 + bitstr.WidthFor(uint64(n))
+	header := 1 + bitstr.WidthFor(uint64(n))
 	var lo, hi int
-	if f.shard != nil {
-		lo, hi = f.shard.m.Range(n)
+	if sb := f.shard; sb != nil {
+		if f.order == nil {
+			return fmt.Errorf("%w: shard %d/%d is id-ordered; a shard store carries the degree layout (re-run pllabel -shards)",
+				ErrFormat, sb.m.Index, sb.m.Count)
+		}
+		lo, hi = sb.m.Range(n)
 	}
 	walk := bitstr.NewSlabWalk(len(f.arena), f.bitLens, f.order)
 	for walk.Next() {
@@ -174,16 +178,8 @@ func (f *File) adoptArena(mask bool) error {
 			f.Labels[v] = label
 		}
 		if sb := f.shard; sb != nil {
-			if bits < stub {
-				return fmt.Errorf("%w: sharded store label %d has %d bits, fat/thin header needs %d",
-					ErrFormat, v, bits, stub)
-			}
-			// Foreign: fat labels are replicated in full, thin labels must be
-			// stripped to the stub — a full foreign thin body means the block
-			// describes a different shard than the blob holds.
-			if bits != stub && (v < lo || v >= hi) && bitstr.SlabReadBits(f.arena, off, 1) == 0 {
-				return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label has %d bits (stub is %d)",
-					ErrFormat, v, sb.m.Index, sb.m.Count, bits, stub)
+			if err := sb.checkLabel(f.arena, v, off, bits, header, v < lo || v >= hi); err != nil {
+				return err
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 // physical copy of the labels. Open costs an O(n) parse of the
 // header — the n bit lengths, the permutation, one walk that validates them
 // and builds the n label views — and leaves the body alone: nothing is
-// copied, and the only body bytes read are the shard-stub check's, one bit of
-// each foreign label longer than a stub. Close unmaps; the File and anything
+// copied, and the only body bytes read are the shard check's, one bit of each
+// foreign label a shard store holds (it must be fat). Close unmaps; the File and anything
 // derived from its arena (query engines included) must not be used
 // afterwards.
 type MappedFile struct {

@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 )
 
 // Shard block: the format extension for partitioned stores.
 //
-// A sharded store (pllabel -shards N) is one shard of a fat/thin labeling:
-// it holds the full labels of the vertices it owns plus every fat label
-// (replicated fat–fat data), with foreign thin labels stripped to their
-// 1+w-bit [fat-bit][id] header stub (core.ShardLabelArenas). The store
-// announces itself with a "shards" param (the shard count), which — exactly
-// like the "layout" param and its permutation block — keys a binary shard
-// block between the permutation block and the body blob:
+// A sharded store (pllabel -shards N) is one shard of a degree-ordered
+// fat/thin labeling: it holds the full labels of the vertices it owns plus
+// every fat label (replicated fat–fat data); a foreign thin label is absent
+// — 0 bits, one byte in the lens block, nothing in the blob — because its
+// identifier is its rank in the permutation block (core.ShardLabelArenas).
+// The store announces itself with a "shards" param (the shard count), which
+// — exactly like the "layout" param and its permutation block — keys a
+// binary shard block between the permutation block and the body blob:
 //
 //	shard   uvarint shard index, u8 ownership function (0 = range, the
 //	        only value defined), uvarint owned-vertex count; present iff
@@ -25,11 +27,12 @@ import (
 // blob-length check cannot match). The block is validated on open the same
 // way the permutation block is: structurally (index < count, the range
 // function, the owned count recomputed from the range and compared) and
-// against the labels themselves (every thin label outside the owned range
-// must be a stub) — a corrupted or mislabeled shard map errors at load, it
-// never silently mis-answers for vertices the shard does not hold. A store
-// from a pllabel that still wrote hash ownership (byte 1) is refused by that
-// byte: "hash is retired (re-run pllabel -shards)".
+// against the labels themselves (the store is permuted, every owned label
+// present and every foreign thin label absent) — a corrupted or mislabeled
+// shard map errors at load, it never silently mis-answers for vertices the
+// shard does not hold. A store from a pllabel that still wrote hash
+// ownership (byte 1), or 1+w-bit header stubs for foreign thin labels, is
+// refused by that byte or that length: "(re-run pllabel -shards)".
 
 // shardsKey is the params entry announcing a sharded store; its value is the
 // decimal shard count.
@@ -69,8 +72,8 @@ func NewShardArenaFile(scheme string, params map[string]string, slab []byte, bit
 
 // check validates a shard block against the label count: the map must be
 // well-formed for this n and the recorded owned count must match the size of
-// the owned range. The rule that ties the block to the labels —
-// foreign thin labels are stubs — is adoptArena's.
+// the owned range. The rule that ties the block to the labels — foreign thin
+// labels are absent — is checkLabel's, which adoptArena runs on every label.
 func (sb *shardBlock) check(n int) error {
 	m := sb.m
 	if m.Count < 2 {
@@ -82,6 +85,31 @@ func (sb *shardBlock) check(n int) error {
 	if want := m.OwnedCount(n); sb.owned != want {
 		return fmt.Errorf("%w: shard %d/%d records %d owned vertices, its range holds %d",
 			ErrFormat, m.Index, m.Count, sb.owned, want)
+	}
+	return nil
+}
+
+// checkLabel holds label v of the shard's slab — bits bits at bit off,
+// foreign when outside the owned range — to the shard rule: an owned label is
+// present, with at least a fat/thin header of header bits; a foreign one is
+// absent or fat (read off its first bit). A foreign label exactly one header
+// long is the header stub a pllabel before absent labels wrote.
+func (sb *shardBlock) checkLabel(slab []byte, v int, off int64, bits, header int, foreign bool) error {
+	switch {
+	case bits == 0 && !foreign:
+		return fmt.Errorf("%w: vertex %d is owned by shard %d/%d yet its label is absent", ErrFormat, v, sb.m.Index, sb.m.Count)
+	case bits == 0:
+		return nil
+	case bits < header:
+		return fmt.Errorf("%w: sharded store label %d has %d bits, fat/thin header needs %d", ErrFormat, v, bits, header)
+	case !foreign:
+		return nil
+	case bits == header:
+		return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d and carries a %d-bit header stub (re-run pllabel -shards)",
+			ErrFormat, v, sb.m.Index, sb.m.Count, bits)
+	case bitstr.SlabReadBits(slab, off, 1) == 0:
+		return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label has %d bits, not 0",
+			ErrFormat, v, sb.m.Index, sb.m.Count, bits)
 	}
 	return nil
 }

@@ -179,13 +179,59 @@ func hashOwnedImage(t testing.TB, g *graph.Graph) []byte {
 	return img
 }
 
+// retiredShardImage is shard 1 of a 3-shard range partition of g as a
+// pllabel before absent labels wrote it, each foreign thin label cut to its
+// 1+w-bit [fat=0][id] header stub — or, idOrder, the shard laid out in id
+// order with its foreign thin labels absent, which no pllabel wrote. Write
+// serializes either as it stands; every reader refuses both.
+func retiredShardImage(t testing.TB, g *graph.Graph, idOrder bool) []byte {
+	t.Helper()
+	files, lab := shardStores(t, g, 3)
+	_, order, _ := lab.ArenaLayout()
+	w := bitstr.WidthFor(uint64(g.N()))
+	lo, hi := files[1].shard.m.Range(g.N())
+	labels := make([]bitstr.String, g.N())
+	for v := range labels {
+		l, err := lab.Label(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (v < lo || v >= hi) && l.MustPeekUint(0, 1) == 0 {
+			var stub bitstr.Builder
+			if !idOrder {
+				stub.AppendBit(false)
+				stub.AppendUint(l.MustPeekUint(1, w), w)
+			}
+			l = stub.String()
+		}
+		labels[v] = l
+	}
+	physical := labels
+	if idOrder {
+		order = nil
+	} else {
+		physical = make([]bitstr.String, len(labels))
+		for r, v := range order {
+			physical[r] = labels[v]
+		}
+	}
+	f := &File{Scheme: files[1].Scheme, Params: files[1].Params, order: order, shard: files[1].shard}
+	f.arena, _ = bitstr.PackSlab(physical)
+	_, f.bitLens = bitstr.PackSlab(labels)
+	var buf bytes.Buffer
+	if err := Write(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestShardCorruptionErrors is the load-time safety property of the shard
 // block, mirroring the permutation block's: any truncation inside it, and any
 // single corrupted byte of it, must make both readers fail. (A corrupted
 // field either breaks the uvarint framing — shifting the blob length out of
 // agreement — or decodes to a map the validators reject: index out of range,
-// unknown function, owned count disagreeing with the function, or full thin
-// bodies where the claimed map demands stubs.)
+// unknown function, owned count disagreeing with the function, or thin labels
+// present where the claimed map demands them absent.)
 func TestShardCorruptionErrors(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
@@ -228,8 +274,9 @@ func TestShardCorruptionErrors(t *testing.T) {
 
 // TestShardWrongIndexRejected: patching the serialized index to a different
 // but structurally valid shard (same count, near-equal owned counts) must
-// still fail on open — the stub pattern of the blob belongs to the true
-// index, so labels the forged map calls foreign carry full thin bodies.
+// still fail on open — the absent labels of the blob belong to the true
+// index, so labels the forged map calls foreign are present thin labels, and
+// labels it owns are absent.
 func TestShardWrongIndexRejected(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
