@@ -309,11 +309,10 @@ func verifyDistance(g *graph.Graph, eng *core.DistEngine) error {
 	return nil
 }
 
-// encode runs a fat/thin scheme's encoder over GOMAXPROCS goroutines in
-// degree layout, and any other scheme's plain, id-ordered Encode.
+// encode runs a fat/thin scheme's encoder over GOMAXPROCS goroutines, and
+// any other scheme's plain, id-ordered Encode.
 func encode(scheme core.Scheme, g *graph.Graph) (*core.Labeling, error) {
 	if ft, ok := scheme.(*core.FatThinScheme); ok {
-		ft.SetLayout(core.LayoutDegree)
 		return ft.EncodeParallel(g, 0)
 	}
 	return scheme.Encode(g)

@@ -116,7 +116,6 @@ func TestRunWritesStore(t *testing.T) {
 		return labelstore.NewPermutedArenaFile(lab.Scheme(), params, slab, lab.BitLens(), order)
 	}
 	degree := func(s *core.FatThinScheme) (*labelstore.File, error) {
-		s.SetLayout(core.LayoutDegree)
 		return slabStore(s.Encode(g))
 	}
 	distStore := func(name string, a *core.DistArena, err error) (*labelstore.File, error) {

@@ -136,7 +136,6 @@ func TestQueryStatsFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
 	lab, err := s.Encode(g)
 	if err != nil {
 		t.Fatal(err)

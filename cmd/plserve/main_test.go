@@ -62,7 +62,6 @@ func writeStore(t *testing.T, lab *core.Labeling) string {
 func shardArenas(t *testing.T, g *graph.Graph, count int) ([]core.ShardArena, []int32, string) {
 	t.Helper()
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
 	lab, err := s.Encode(g)
 	if err != nil {
 		t.Fatal(err)

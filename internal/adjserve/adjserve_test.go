@@ -54,43 +54,6 @@ func randomPairs(n, count int, seed int64) [][2]int {
 	return pairs
 }
 
-// TestLoopbackEquivalence is the e2e acceptance check: remote batch answers
-// are bit-for-bit identical to the in-process engine on the same labeling,
-// across batch sizes that exercise single-frame, multi-frame and sub-byte
-// bit-vector paths.
-func TestLoopbackEquivalence(t *testing.T) {
-	eng := testEngine(t, 400, 3)
-	addr, srv, _ := startServer(t, eng, 0)
-	for _, batch := range []int{1, 3, 64, 4096} {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.MaxBatch = batch
-		pairs := randomPairs(eng.N(), 5000, int64(batch))
-		want, err := eng.AdjacentMany(pairs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.AdjacentMany(pairs, nil)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("batch=%d: %d answers, want %d", batch, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch=%d: pair %d %v: got %v, want %v", batch, i, pairs[i], got[i], want[i])
-			}
-		}
-		c.Close()
-	}
-	if got := srv.Metrics().Queries.Load(); got != 4*5000 {
-		t.Errorf("served %d queries, want %d", got, 4*5000)
-	}
-}
-
 func TestSingleQueryAndInfo(t *testing.T) {
 	eng := testEngine(t, 120, 9)
 	addr, _, _ := startServer(t, eng, 0)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/schemes/distance"
 )
 
@@ -18,7 +17,7 @@ func netListen(t testing.TB) (net.Listener, error) {
 }
 
 // testDistEngines builds a pll and a bdist engine over the same power-law
-// graph (degree layout, the serving default).
+// graph.
 func testDistEngines(t testing.TB, n int, seed int64) map[string]*core.DistEngine {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(n, 2.5, 2, seed)
@@ -56,47 +55,6 @@ func startDistServer(t testing.TB, eng *core.DistEngine, maxBatch int) (string, 
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return ln.Addr().String(), srv
-}
-
-// TestDistLoopbackEquivalence: remote distance answers are identical to the
-// in-process engine, across both schemes and batch sizes that exercise
-// single- and multi-frame paths.
-func TestDistLoopbackEquivalence(t *testing.T) {
-	engines := testDistEngines(t, 400, 3)
-	for kind, eng := range engines {
-		addr, _ := startDistServer(t, eng, 0)
-		for _, batch := range []int{1, 64, 4096} {
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.MaxBatch = batch
-			pairs := randomPairs(eng.N(), 3000, int64(batch))
-			want, err := eng.DistMany(pairs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.DistMany(pairs, nil)
-			if err != nil {
-				t.Fatalf("%s batch=%d: %v", kind, batch, err)
-			}
-			for i := range want {
-				w := want[i]
-				if w > 254 {
-					w = graph.Unreachable // wire clamp; unhit on log-diameter graphs
-				}
-				if got[i] != w {
-					t.Fatalf("%s batch=%d: pair %d %v = %d, engine says %d",
-						kind, batch, i, pairs[i], got[i], want[i])
-				}
-			}
-			d, err := c.Dist(pairs[0][0], pairs[0][1])
-			if err != nil || d != got[0] {
-				t.Fatalf("%s: Dist = %d, %v; DistMany said %d", kind, d, err, got[0])
-			}
-			c.Close()
-		}
-	}
 }
 
 // TestDistPlaneErrors: a frame for a plane the server does not hold gets an

@@ -169,15 +169,6 @@ func (f *front) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and calls Serve.
-func (f *front) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return f.Serve(ln)
-}
-
 // Close drains: the listener stops accepting, every connection finishes the
 // frames it is answering (pending responses are flushed), and Close returns
 // once all connection goroutines have exited. Frames a pipelining client had

@@ -74,7 +74,7 @@ type Router struct {
 	bufPool sync.Pool // *routerConn; per-router because sizes scale with shard count
 
 	// front is the downstream listener, the per-connection frame loop and
-	// the trace sink; it provides Serve, ListenAndServe, SetMaxConns and
+	// the trace sink; it provides Serve, SetMaxConns and
 	// SetTraceSink, exactly as a Server's does.
 	front
 }

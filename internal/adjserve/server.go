@@ -49,7 +49,7 @@ type Server struct {
 	shardInfo     []byte
 
 	// front is the listener, the per-connection frame loop and the trace
-	// sink; it provides Serve, ListenAndServe, Close, SetMaxConns and
+	// sink; it provides Serve, Close, SetMaxConns and
 	// SetTraceSink.
 	front
 }

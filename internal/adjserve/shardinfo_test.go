@@ -30,7 +30,6 @@ func shardEnginesOf(t testing.TB, n, count int, seed int64, thin core.ThinEdges)
 		t.Fatal(err)
 	}
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
 	s.SetThinEdges(thin)
 	lab, err := s.Encode(g)
 	if err != nil {

@@ -276,15 +276,9 @@ func TestExhaustiveBatchN5(t *testing.T) {
 	exhaustiveBatch(t, 5)
 }
 
-// batchCells are the thin-edge × physical layouts every fat/thin scheme of the
-// batch matrix is encoded in.
-var batchCells = []struct {
-	thin core.ThinEdges
-	lay  core.Layout
-}{
-	{core.ThinEdgesOnce, core.LayoutID}, {core.ThinEdgesOnce, core.LayoutDegree},
-	{core.ThinEdgesBoth, core.LayoutID}, {core.ThinEdgesBoth, core.LayoutDegree},
-}
+// batchCells are the thin-edge layouts every fat/thin scheme of the batch
+// matrix is encoded in.
+var batchCells = []core.ThinEdges{core.ThinEdgesOnce, core.ThinEdgesBoth}
 
 // batchSchemes are the fat/thin schemes of the batch matrix, the fixed
 // threshold one at threshold tau.
@@ -295,9 +289,9 @@ func batchSchemes(tau int) []*core.FatThinScheme {
 // exhaustiveBatch is the batch row of the conformance matrix: every cell
 // (adjacencyCell) on every graph with n vertices, asked all n² ordered pairs.
 // Booting a fleet costs about a millisecond, so above n = 4 each graph takes
-// its served and routed columns under one scheme × thin-edges × layout
-// combination, chosen round-robin by the graph's mask: every graph is still
-// served and routed, and n = 4 covers the full cross product.
+// its served and routed columns under one scheme × thin-edges combination,
+// chosen round-robin by the graph's mask: every graph is still served and
+// routed, and n = 4 covers the full cross product.
 func exhaustiveBatch(t *testing.T, n int) {
 	t.Helper()
 	all := allPairs(n)
@@ -307,15 +301,15 @@ func exhaustiveBatch(t *testing.T, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for si, s := range batchSchemes(2) {
-			for ci, c := range batchCells {
-				s.SetThinEdges(c.thin)
-				s.SetLayout(c.lay)
+		schemes := batchSchemes(2)
+		for si, s := range schemes {
+			for ci, thin := range batchCells {
+				s.SetThinEdges(thin)
 				var frames []int
-				if n <= 4 || int(mask%12) == len(batchCells)*si+ci {
+				if n <= 4 || int(mask%uint64(len(schemes)*len(batchCells))) == len(batchCells)*si+ci {
 					frames = []int{0} // adjserve.DefaultMaxBatch
 				}
-				where := fmt.Sprintf("mask=%d scheme=%s thin-edges=%d layout=%v", mask, s.Name(), c.thin, c.lay)
+				where := fmt.Sprintf("mask=%d scheme=%s thin-edges=%d", mask, s.Name(), thin)
 				adjacencyCell(t, where, g, s, all, frames, nil)
 			}
 		}
@@ -323,8 +317,9 @@ func exhaustiveBatch(t *testing.T, n int) {
 }
 
 // adjacencyCell is one cell of the batch matrix: fat/thin scheme s, its
-// thin-edge and physical layouts set, on g. It encodes g at one worker and at
-// encodeWorkers (the two slabs must be byte-identical) and holds the answer
+// thin-edge layout set, on g. It encodes g at one worker and at encodeWorkers
+// (the two slabs must be byte-identical, and carry an order: g has at least
+// two vertices, and the encoders write identifier order) and holds the answer
 // to every pair of pairs to g.HasEdge: the labeling's own decoder
 // (Labeling.Adjacent), then the engine's scalar Adjacent and batch
 // AdjacentMany, on the unsharded engine and on every shard of a 2- and a
@@ -337,6 +332,9 @@ func adjacencyCell(t *testing.T, where string, g *graph.Graph, s *core.FatThinSc
 	lab := encodeTwice(t, where, s, g)
 	holdEach(t, where+" decoder", pairs, lab.Adjacent, g.HasEdge)
 	slab, order, _ := lab.ArenaLayout()
+	if order == nil {
+		t.Fatalf("%s: a labeling of %d vertices has no slab order", where, g.N())
+	}
 	bitLens := lab.BitLens()
 	eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
 	if err != nil {
@@ -356,7 +354,7 @@ func adjacencyCell(t *testing.T, where string, g *graph.Graph, s *core.FatThinSc
 	for _, count := range []int{2, 3} {
 		where := fmt.Sprintf("%s split %d", where, count)
 		fleet := checkSplit(t, where, g, slab, bitLens, order, count, pairs)
-		if frames != nil && fleet != nil {
+		if frames != nil {
 			addrs, stopFleet := serveAll(t, fleet...)
 			routed, stopRouter := routeOver(t, where+" routed", addrs)
 			checkRemote(t, where+" routed", routed, frames, g, pairs, nil)
@@ -399,19 +397,10 @@ func encodeTwice(t *testing.T, where string, s *core.FatThinScheme, g *graph.Gra
 // rest with ErrNotResident. While the shard has answered at most
 // 3·ProbeBlock pairs, a batch of those pairs ending on a refused one must
 // stop there, the pairs before it answered. Every pair must be answered on at
-// least one shard. It returns an unstarted server per shard. An id-ordered
-// slab (order nil) is not split — there a rank is not an identifier, and a
-// shard's absent labels would have none — so for one the split must refuse
-// with ErrBadLabel, and checkSplit returns no servers.
+// least one shard. It returns an unstarted server per shard.
 func checkSplit(t *testing.T, where string, g *graph.Graph, slab []byte, bitLens []int, order []int32, count int, pairs [][2]int) []*adjserve.Server {
 	t.Helper()
 	arenas, err := core.ShardLabelArenas(slab, bitLens, order, count, core.ShardRange)
-	if order == nil {
-		if !errors.Is(err, core.ErrBadLabel) {
-			t.Fatalf("%s: split of an id-ordered slab: err = %v, want ErrBadLabel", where, err)
-		}
-		return nil
-	}
 	if err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
@@ -478,8 +467,8 @@ var distRows = []struct {
 }{{0, true, true}, {1, false, false}, {2, true, false}, {3, false, false}}
 
 // exhaustiveDistance is the distance row of the conformance matrix: every
-// labeling of distRows in both physical layouts (distanceCell) on every graph
-// with n vertices, asked all n² ordered pairs.
+// labeling of distRows (distanceCell) on every graph with n vertices, asked
+// all n² ordered pairs.
 func exhaustiveDistance(t *testing.T, n int) {
 	t.Helper()
 	all := allPairs(n)
@@ -495,10 +484,8 @@ func exhaustiveDistance(t *testing.T, n int) {
 			if row.served {
 				frames = []int{0} // adjserve.DefaultMaxBatch
 			}
-			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-				where := fmt.Sprintf("mask=%d f=%d layout=%v", mask, row.f, lay)
-				distanceCell(t, where, g, row.f, lay, all, bfs, frames, row.routed)
-			}
+			where := fmt.Sprintf("mask=%d f=%d", mask, row.f)
+			distanceCell(t, where, g, row.f, all, bfs, frames, row.routed)
 		}
 	}
 }
@@ -517,16 +504,17 @@ func bfsTable(g *graph.Graph) func(u, v int) int {
 }
 
 // distanceCell is one cell of the distance matrix: PLL (f = 0) or Lemma 7 at
-// bound f, on g in physical layout lay. It encodes g straight into a slab
-// arena at one worker and at encodeWorkers (the two must be byte-identical)
-// and builds a core.DistEngine over it. The engine must answer every pair of
-// pairs as BFS (bfs) does, by Dist pair by pair and in one DistMany call: PLL
-// exactly (disconnected pairs -1), Lemma 7 exactly up to f and -1 beyond.
+// bound f, on g. It encodes g straight into a slab arena at one worker and at
+// encodeWorkers (the two must be byte-identical, and carry an order: g has at
+// least two vertices) and builds a core.DistEngine over it. The engine must
+// answer every pair of pairs as BFS (bfs) does, by Dist pair by pair and in
+// one DistMany call: PLL exactly (disconnected pairs -1), Lemma 7 exactly up
+// to f and -1 beyond.
 // Lemma 7's own decoder, distance.Decoder, must answer the same from the
 // arena's labels viewed in place. With frame caps the engine is also served
 // from a distance-only adjserve.Server, and with routed asked through a
 // Router over two such replicas, under every cap. It returns the arena.
-func distanceCell(t *testing.T, where string, g *graph.Graph, f int, lay core.Layout, pairs [][2]int, bfs func(u, v int) int, frames []int, routed bool) *core.DistArena {
+func distanceCell(t *testing.T, where string, g *graph.Graph, f int, pairs [][2]int, bfs func(u, v int) int, frames []int, routed bool) *core.DistArena {
 	t.Helper()
 	want := func(u, v int) int {
 		if d := bfs(u, v); f == 0 || d <= f {
@@ -538,9 +526,9 @@ func distanceCell(t *testing.T, where string, g *graph.Graph, f int, lay core.La
 	for i, workers := range []int{1, encodeWorkers()} {
 		var err error
 		if f == 0 {
-			arenas[i], err = distance.PLLScheme{}.EncodeArena(g, workers, lay)
+			arenas[i], err = distance.PLLScheme{}.EncodeArena(g, workers, core.LayoutDegree)
 		} else {
-			arenas[i], err = distance.Scheme{Alpha: 2.5, F: f}.EncodeArena(g, workers, lay)
+			arenas[i], err = distance.Scheme{Alpha: 2.5, F: f}.EncodeArena(g, workers, core.LayoutDegree)
 		}
 		if err != nil {
 			t.Fatalf("%s: encode at %d workers: %v", where, workers, err)
@@ -550,6 +538,9 @@ func distanceCell(t *testing.T, where string, g *graph.Graph, f int, lay core.La
 	if !bytes.Equal(arena.Slab, other.Slab) || !slices.Equal(arena.BitLens, other.BitLens) ||
 		!slices.Equal(arena.Order, other.Order) || arena.Params != other.Params {
 		t.Fatalf("%s: encode at %d workers is not byte-identical to one worker's", where, encodeWorkers())
+	}
+	if arena.Order == nil {
+		t.Fatalf("%s: a labeling of %d vertices has no slab order", where, g.N())
 	}
 	eng, err := core.NewDistEngine(arena)
 	if err != nil {

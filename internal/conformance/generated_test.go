@@ -123,12 +123,11 @@ func genPairs(g *graph.Graph) [][2]int {
 }
 
 // TestGeneratedColumn runs every generated graph through every cell of the
-// matrix: three fat/thin schemes in both thin-edge and both physical layouts
-// (adjacencyCell), and PLL and Lemma 7 at f = 2 in both physical layouts
-// (distanceCell), each local, served and routed under every frame cap of
-// genFrames. Through an EngineMetrics attached to every unsharded adjacency
-// engine and through the PLL arenas' parameters it then asserts that the
-// graph crossed each boundary it is listed for.
+// matrix: three fat/thin schemes in both thin-edge layouts (adjacencyCell),
+// and PLL and Lemma 7 at f = 2 (distanceCell), each local, served and routed
+// under every frame cap of genFrames. Through an EngineMetrics attached to
+// every unsharded adjacency engine and through the PLL arenas' parameters it
+// then asserts that the graph crossed each boundary it is listed for.
 func TestGeneratedColumn(t *testing.T) {
 	for _, gg := range generatedGraphs(t) {
 		t.Run(gg.name, func(t *testing.T) {
@@ -141,13 +140,12 @@ func TestGeneratedColumn(t *testing.T) {
 			var m core.EngineMetrics
 			longest := 0 // identifiers in the longest once-layout thin list
 			for _, s := range batchSchemes(bipartiteTau) {
-				for _, c := range batchCells {
-					s.SetThinEdges(c.thin)
-					s.SetLayout(c.lay)
-					where := fmt.Sprintf("%s scheme=%s thin-edges=%d layout=%v", gg.name, s.Name(), c.thin, c.lay)
+				for _, thin := range batchCells {
+					s.SetThinEdges(thin)
+					where := fmt.Sprintf("%s scheme=%s thin-edges=%d", gg.name, s.Name(), thin)
 					lab := adjacencyCell(t, where, g, s, pairs, genFrames, &m)
 					pinThinCounters(t, where, lab, pairs)
-					if c.thin == core.ThinEdgesOnce {
+					if thin == core.ThinEdgesOnce {
 						longest = max(longest, longestThin(t, lab))
 					}
 				}
@@ -162,17 +160,15 @@ func TestGeneratedColumn(t *testing.T) {
 				crossed["beyond-wire"] = crossed["beyond-wire"] || bfs(p[0], p[1]) >= wireSentinel
 			}
 			for _, f := range []int{0, 2} {
-				for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-					where := fmt.Sprintf("%s f=%d layout=%v", gg.name, f, lay)
-					arena := distanceCell(t, where, g, f, lay, pairs, bfs, genFrames, true)
-					if f == 0 {
-						// core.buildPLL's record width rule; a PLL id is at
-						// least one bit wide.
-						dw, w := arena.Params.DW, max(bitstr.WidthFor(uint64(arena.N())), 1)
-						crossed["pll-tail"] = arena.N() > pllHeadHubs
-						crossed["hub32"] = dw <= 8 && w+dw <= 32
-						crossed["hub64"] = !crossed["hub32"]
-					}
+				where := fmt.Sprintf("%s f=%d", gg.name, f)
+				arena := distanceCell(t, where, g, f, pairs, bfs, genFrames, true)
+				if f == 0 {
+					// core.buildPLL's record width rule; a PLL id is at
+					// least one bit wide.
+					dw, w := arena.Params.DW, max(bitstr.WidthFor(uint64(arena.N())), 1)
+					crossed["pll-tail"] = arena.N() > pllHeadHubs
+					crossed["hub32"] = dw <= 8 && w+dw <= 32
+					crossed["hub64"] = !crossed["hub32"]
 				}
 			}
 			for _, b := range gg.crosses {

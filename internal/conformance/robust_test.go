@@ -122,7 +122,7 @@ func TestRoutingDecoderRobust(t *testing.T) {
 // label at construction instead, which core's FuzzDistEngineHeaders fuzzes.
 func TestDistanceDecodersRobust(t *testing.T) {
 	g := gen.Path(30)
-	arena, err := (distance.Scheme{Alpha: 2.5, F: 3}).EncodeArena(g, 0, core.LayoutID)
+	arena, err := (distance.Scheme{Alpha: 2.5, F: 3}).EncodeArena(g, 0, core.LayoutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}

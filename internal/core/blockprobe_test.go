@@ -75,11 +75,12 @@ func pinSpan(t *testing.T, e *QueryEngine, pairs [][2]int) {
 // unsharded engine followed by every shard engine of a 1-, 2- and 3-way range
 // split (the 1-way "split" is the full slab with the trivial shard map
 // attached, so the residency condition is exercised with everything resident).
-// Only a degree-ordered slab is split; an id-ordered one stops at the 1-way
-// map (idSplitRefused holds its split to the refusal).
-func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) []*QueryEngine {
+// With id set the labels are laid out again in vertex order, as stores of
+// before the degree layout hold them; that slab is not split, so it stops at
+// the 1-way map (idSplitRefused holds its split to the refusal).
+func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, id bool) []*QueryEngine {
 	t.Helper()
-	slab, bitLens, order := encodeArena(t, g, s, lay)
+	slab, bitLens, order := encodeArena(t, g, s, id)
 	build := func(slab []byte, bitLens []int, m ShardMap) *QueryEngine {
 		e, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
 		if err != nil {
@@ -97,7 +98,7 @@ func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) []*
 		build(slab, bitLens, ShardMap{Count: 1, Fn: ShardRange}),
 	}
 	for _, count := range []int{2, 3} {
-		if lay == LayoutID {
+		if id {
 			break
 		}
 		arenas, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
@@ -111,14 +112,18 @@ func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) []*
 	return engines
 }
 
-// encodeArena encodes g with the scheme in the given layout and returns the
-// labeling's slab description.
-func encodeArena(t *testing.T, g *graph.Graph, s *FatThinScheme, lay Layout) (slab []byte, bitLens []int, order []int32) {
+// encodeArena encodes g with the scheme and returns the labeling's slab
+// description; with id set, its labels laid out again in vertex order
+// (relayout with a nil order), the input a reader still meets in an older
+// store.
+func encodeArena(t *testing.T, g *graph.Graph, s *FatThinScheme, id bool) (slab []byte, bitLens []int, order []int32) {
 	t.Helper()
-	s.SetLayout(lay)
 	lab, err := s.Encode(g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if id {
+		lab = relayout(t, lab, nil)
 	}
 	return arenaOf(t, lab)
 }
@@ -254,18 +259,21 @@ func TestBlockKernelShapes(t *testing.T) {
 	all := allOrderedPairs(g.N())
 	for _, cell := range []struct {
 		thin ThinEdges
-		lay  Layout
+		id   bool // vertex-ordered input, as older stores hold it
 		tau  int
 	}{
-		{ThinEdgesOnce, LayoutID, 8}, {ThinEdgesOnce, LayoutDegree, 8},
-		{ThinEdgesBoth, LayoutID, 8}, {ThinEdgesBoth, LayoutDegree, 8},
+		{ThinEdgesOnce, true, 8}, {ThinEdgesOnce, false, 8},
+		{ThinEdgesBoth, true, 8}, {ThinEdgesBoth, false, 8},
 		// No fat vertex; record-held and slab lists side by side in a block.
-		{ThinEdgesBoth, LayoutID, 16}, {ThinEdgesBoth, LayoutDegree, 16},
+		{ThinEdgesBoth, true, 16}, {ThinEdgesBoth, false, 16},
 	} {
 		s := NewFixedThresholdScheme(cell.tau)
 		s.SetThinEdges(cell.thin)
 		cellName := func(engine string) string {
-			name := fmt.Sprintf("%v/%s", cell.lay, engine)
+			name := "degree/" + engine
+			if cell.id {
+				name = "id/" + engine
+			}
 			if cell.thin == ThinEdgesBoth {
 				name = "both/" + name
 			}
@@ -274,9 +282,9 @@ func TestBlockKernelShapes(t *testing.T) {
 			}
 			return name
 		}
-		if cell.lay == LayoutID {
+		if cell.id {
 			// An id-ordered slab is not split: its shard rows are refusals.
-			slab, bitLens, _ := encodeArena(t, g, s, LayoutID)
+			slab, bitLens, _ := encodeArena(t, g, s, true)
 			for _, count := range []int{2, 3} {
 				for i := range count {
 					m := ShardMap{Count: count, Index: i, Fn: ShardRange}
@@ -286,7 +294,7 @@ func TestBlockKernelShapes(t *testing.T) {
 				}
 			}
 		}
-		for _, e := range enginesOver(t, g, s, cell.lay) {
+		for _, e := range enginesOver(t, g, s, cell.id) {
 			pairs := answerable(e, all)
 			t.Run(cellName(engineName(e)), func(t *testing.T) {
 				if _, sharded := e.Shard(); !sharded {
@@ -332,36 +340,34 @@ func TestBlockKernelLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	for _, lay := range []Layout{LayoutID, LayoutDegree} {
-		e := enginesOver(t, g, NewPowerLawScheme(2.5), lay)[0]
-		for _, n := range []int{0, 1, 31, 32, 33, 95, 4096} {
-			pairs := make([][2]int, n)
-			for i := range pairs {
-				pairs[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
-				if i%7 == 0 { // a known edge, both orders over the run
-					u := rng.Intn(g.N())
-					if nb := g.Neighbors(u); len(nb) > 0 {
-						pairs[i] = [2]int{int(nb[rng.Intn(len(nb))]), u}
-					}
-				}
-				if i%13 == 0 && i > 0 {
-					pairs[i] = pairs[i-1] // in-block duplicate
+	e := enginesOver(t, g, NewPowerLawScheme(2.5), false)[0]
+	for _, n := range []int{0, 1, 31, 32, 33, 95, 4096} {
+		pairs := make([][2]int, n)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(g.N()), rng.Intn(g.N())}
+			if i%7 == 0 { // a known edge, both orders over the run
+				u := rng.Intn(g.N())
+				if nb := g.Neighbors(u); len(nb) > 0 {
+					pairs[i] = [2]int{int(nb[rng.Intn(len(nb))]), u}
 				}
 			}
-			pinSpan(t, e, pairs)
-			batch, err := e.AdjacentMany(pairs, nil)
+			if i%13 == 0 && i > 0 {
+				pairs[i] = pairs[i-1] // in-block duplicate
+			}
+		}
+		pinSpan(t, e, pairs)
+		batch, err := e.AdjacentMany(pairs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range pairs {
+			want, err := e.Adjacent(p[0], p[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, p := range pairs {
-				want, err := e.Adjacent(p[0], p[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want != g.HasEdge(p[0], p[1]) || batch[i] != want {
-					t.Fatalf("layout %v n=%d pair %d %v: graph %v, Adjacent %v, AdjacentMany %v",
-						lay, n, i, p, g.HasEdge(p[0], p[1]), want, batch[i])
-				}
+			if want != g.HasEdge(p[0], p[1]) || batch[i] != want {
+				t.Fatalf("n=%d pair %d %v: graph %v, Adjacent %v, AdjacentMany %v",
+					n, i, p, g.HasEdge(p[0], p[1]), want, batch[i])
 			}
 		}
 	}
@@ -377,35 +383,33 @@ func TestBlockKernelErrorAtEveryIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	for _, lay := range []Layout{LayoutID, LayoutDegree} {
-		for _, e := range enginesOver(t, g, NewPowerLawScheme(2.5), lay) {
-			good := answerable(e, allOrderedPairs(g.N()))
-			rng.Shuffle(len(good), func(i, j int) { good[i], good[j] = good[j], good[i] })
-			span := good[:3*ProbeBlock]
-			bad := [][2]int{{g.N(), 0}, {0, -1}}
-			if _, sharded := e.Shard(); sharded {
-				for _, p := range allOrderedPairs(g.N()) {
-					var qt QueryTally
-					if _, err := e.probe(p[0], p[1], &qt); errors.Is(err, ErrNotResident) {
-						bad = append(bad, p)
-						break
-					}
+	for _, e := range enginesOver(t, g, NewPowerLawScheme(2.5), false) {
+		good := answerable(e, allOrderedPairs(g.N()))
+		rng.Shuffle(len(good), func(i, j int) { good[i], good[j] = good[j], good[i] })
+		span := good[:3*ProbeBlock]
+		bad := [][2]int{{g.N(), 0}, {0, -1}}
+		if _, sharded := e.Shard(); sharded {
+			for _, p := range allOrderedPairs(g.N()) {
+				var qt QueryTally
+				if _, err := e.probe(p[0], p[1], &qt); errors.Is(err, ErrNotResident) {
+					bad = append(bad, p)
+					break
 				}
 			}
-			for _, b := range bad {
-				for at := range span {
-					pairs := append(append(append([][2]int{}, span[:at]...), b), span[at:]...)
-					pinSpan(t, e, pairs)
-					// Through the public batch call: the prefix survives, the
-					// error names the pair.
-					out, err := e.AdjacentMany(pairs, nil)
-					if err == nil || len(out) != at {
-						t.Fatalf("%v/%s: bad pair %v at %d: AdjacentMany returned %d answers, err %v",
-							lay, engineName(e), b, at, len(out), err)
-					}
-					if !strings.HasPrefix(err.Error(), fmt.Sprintf("core: query (%d,%d): ", b[0], b[1])) {
-						t.Fatalf("error %q does not name pair %v", err, b)
-					}
+		}
+		for _, b := range bad {
+			for at := range span {
+				pairs := append(append(append([][2]int{}, span[:at]...), b), span[at:]...)
+				pinSpan(t, e, pairs)
+				// Through the public batch call: the prefix survives, the
+				// error names the pair.
+				out, err := e.AdjacentMany(pairs, nil)
+				if err == nil || len(out) != at {
+					t.Fatalf("%s: bad pair %v at %d: AdjacentMany returned %d answers, err %v",
+						engineName(e), b, at, len(out), err)
+				}
+				if !strings.HasPrefix(err.Error(), fmt.Sprintf("core: query (%d,%d): ", b[0], b[1])) {
+					t.Fatalf("error %q does not name pair %v", err, b)
 				}
 			}
 		}
@@ -476,7 +480,7 @@ func TestAdjacentManyZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := enginesOver(t, g, NewPowerLawScheme(2.5), LayoutDegree)
+	engines := enginesOver(t, g, NewPowerLawScheme(2.5), false)
 	plain, shard := engines[0], engines[len(engines)-1]
 	rng := rand.New(rand.NewSource(2))
 	random := make([][2]int, 4096)

@@ -66,12 +66,12 @@ type Labeling struct {
 func NewLabeling(scheme string, labels []bitstr.String, dec AdjacencyDecoder) *Labeling {
 	l := &Labeling{scheme: scheme, decoder: dec}
 	l.slab, l.bitLens = bitstr.PackSlab(labels)
-	_, _ = l.layout() // cannot fail: an id-ordered layout has no permutation to refuse
+	_, _ = l.layout() // cannot fail: a vertex-ordered slab has no permutation to refuse
 	return l
 }
 
 // ArenaLayout returns the backing slab together with its physical layout
-// permutation: order is nil for the id-ordered layout, otherwise the label
+// permutation: order is nil for a vertex-ordered slab, otherwise the label
 // at slab rank r is label order[r]. The pair plus BitLens is what
 // NewQueryEngineFromPermutedArena, ShardLabelArenas and
 // labelstore.NewPermutedArenaFile accept. ok is always true: every Labeling

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/schemes/distance"
@@ -44,6 +45,18 @@ func decodeFuzzInts(data []byte) []int {
 	return vals
 }
 
+// vertexOrdered lays a's labels out again in vertex order, with a nil order.
+func vertexOrdered(a *core.DistArena) *core.DistArena {
+	labels := make([]bitstr.String, len(a.BitLens))
+	walk := bitstr.NewSlabWalk(len(a.Slab), a.BitLens, a.Order)
+	for walk.Next() {
+		v, off := walk.Label()
+		labels[v] = bitstr.SlabLabel(a.Slab, off, a.BitLens[v])
+	}
+	slab, bitLens := bitstr.PackSlab(labels)
+	return &core.DistArena{Slab: slab, BitLens: bitLens, Params: a.Params}
+}
+
 // FuzzDistEngineHeaders hammers NewDistEngineFromArena with raw slab bytes,
 // header-declared bit lengths, a layout permutation, and engine parameters.
 // The property: for ANY input, construction either errors or yields an
@@ -54,18 +67,15 @@ func decodeFuzzInts(data []byte) []int {
 // decoded, and the bounded kernel the slab, both unchecked by design. Each
 // accepted engine answers its pairs twice, in order and reversed, to catch
 // a scratch slot one query leaves dirty for the next.
-// Seeds are real pll and bounded labelings in both layouts, so the corpus
-// starts valid and mutates outward.
+// Seeds are real pll and bounded labelings, as encoded and laid out again in
+// vertex order (the nil order older stores carry), so the corpus starts valid
+// and mutates outward.
 func FuzzDistEngineHeaders(f *testing.F) {
 	g, err := gen.ChungLuPowerLaw(150, 2.5, 2, 17)
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed := func(encode func(lay core.Layout) (*core.DistArena, error), lay core.Layout) {
-		a, err := encode(lay)
-		if err != nil {
-			f.Fatal(err)
-		}
+	seed := func(a *core.DistArena) {
 		order := make([]int, len(a.Order))
 		for i, v := range a.Order {
 			order[i] = int(v)
@@ -82,16 +92,18 @@ func FuzzDistEngineHeaders(f *testing.F) {
 				byte(a.Params.Kind), a.Params.DW, a.Params.F, a.Params.NFat)
 		}
 	}
-	pll := func(lay core.Layout) (*core.DistArena, error) {
-		return distance.PLLScheme{}.EncodeArena(g, 1, lay)
+	pll, err := distance.PLLScheme{}.EncodeArena(g, 1, core.LayoutDegree)
+	if err != nil {
+		f.Fatal(err)
 	}
-	bdist := func(lay core.Layout) (*core.DistArena, error) {
-		return distance.Scheme{Alpha: 2.5, F: 3}.EncodeArena(g, 1, lay)
+	bdist, err := distance.Scheme{Alpha: 2.5, F: 3}.EncodeArena(g, 1, core.LayoutDegree)
+	if err != nil {
+		f.Fatal(err)
 	}
-	seed(pll, core.LayoutID)
-	seed(pll, core.LayoutDegree)
-	seed(bdist, core.LayoutID)
-	seed(bdist, core.LayoutDegree)
+	for _, a := range []*core.DistArena{pll, bdist} {
+		seed(a)
+		seed(vertexOrdered(a))
+	}
 	// Hub ranks on both sides of the hub records' 256-hub head, a list
 	// ending at rank 255 and one starting at 256 among them.
 	cross := make([][]core.DistEntry, 300)
@@ -104,7 +116,11 @@ func FuzzDistEngineHeaders(f *testing.F) {
 			cross[v] = cross[v][2:]
 		}
 	}
-	seed(func(core.Layout) (*core.DistArena, error) { return core.EncodePLLArena(cross, 3, nil, 1) }, core.LayoutID)
+	crossArena, err := core.EncodePLLArena(cross, 3, nil, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed(crossArena)
 	f.Add([]byte{}, []byte{}, []byte{}, byte(1), 4, 0, 0)
 	f.Add(make([]byte, 16), encodeFuzzInts([]int{9, 64}), []byte{}, byte(2), 3, 2, 1)
 	f.Add(make([]byte, 11), encodeFuzzInts([]int{9, 64}), []byte{}, byte(2), 3, 2, 1)

@@ -119,7 +119,6 @@ func BenchmarkQueryEngineAdjacentManySharded(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree) // the only layout a shard store has
 	lab, err := s.Encode(g)
 	if err != nil {
 		b.Fatal(err)
@@ -171,7 +170,6 @@ func BenchmarkQueryEngineColdSlab(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
 	lab, err := s.EncodeParallel(g, 0)
 	if err != nil {
 		b.Fatal(err)

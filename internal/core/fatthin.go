@@ -66,7 +66,6 @@ const (
 type FatThinScheme struct {
 	name      string
 	threshold func(g *graph.Graph) (int, error)
-	layout    Layout
 	thinEdges ThinEdges
 }
 
@@ -281,17 +280,15 @@ func FatThinLayout(scheme string) bool {
 // Threshold exposes the degree threshold the scheme would use on g.
 func (s *FatThinScheme) Threshold(g *graph.Graph) (int, error) { return s.threshold(g) }
 
-// SetLayout selects the physical slab layout of subsequent encodes
-// (LayoutID, the default, or LayoutDegree — see layout.go). Label contents
-// and query answers are identical under either; only the arena order (and
-// with it the locality of skewed traffic) changes. Call before Encode; a
-// scheme is not safe to reconfigure concurrently with an encode.
-func (s *FatThinScheme) SetLayout(l Layout) { s.layout = l }
+// SetLayout keeps the call sites that name a layout compiling: LayoutDegree
+// is the only one, and every encode writes it (layout.go).
+func (s *FatThinScheme) SetLayout(Layout) {}
 
 // SetThinEdges selects which thin labels list an edge (ThinEdgesOnce, the
 // default, or the paper's ThinEdgesBoth — see the layout comment above).
 // Query answers are identical under either and no reader is told which was
-// chosen; only label sizes change. Call before Encode, as SetLayout.
+// chosen; only label sizes change. Call before Encode; a scheme is not safe
+// to reconfigure concurrently with an encode.
 func (s *FatThinScheme) SetThinEdges(t ThinEdges) { s.thinEdges = t }
 
 // Encode implements Scheme. It runs in O(n + m) time beyond the threshold
@@ -302,7 +299,7 @@ func (s *FatThinScheme) Encode(g *graph.Graph) (*Labeling, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeFatThinSlab(s.name, g, tau, 1, s.layout, s.thinEdges)
+	return encodeFatThinSlab(s.name, g, tau, 1, s.thinEdges)
 }
 
 // assignFatThinIDs computes the identifier table shared by the pipeline

@@ -81,6 +81,7 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		lab = relayout(f, lab, nil)
 		slab, _, _ := lab.ArenaLayout()
 		f.Add(slab, encodeLens(lab.BitLens()), none)
 		// The same labels over slabs that are not a whole number of words:
@@ -112,9 +113,7 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 	// A shard of a degree-ordered labeling, its foreign thin labels absent:
 	// built, it answers fat–fat pairs only. The same shard laid out in id
 	// order, where a rank is no identifier, is refused.
-	dg := NewPowerLawScheme(2.5)
-	dg.SetLayout(LayoutDegree)
-	lab, err := dg.Encode(g)
+	lab, err := NewPowerLawScheme(2.5).Encode(g)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -124,10 +123,7 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(arenas[1].Slab, encodeLens(arenas[1].BitLens), encodeOrder(order))
-	idLab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		f.Fatal(err)
-	}
+	idLab := relayout(f, lab, nil)
 	idSlab, _, _ := idLab.ArenaLayout()
 	stripped, strippedLens := stripForeign(f, idSlab, idLab.BitLens(), nil, ShardMap{Count: 3, Index: 1, Fn: ShardRange})
 	if _, err := NewQueryEngineFromPermutedArena(stripped, strippedLens, nil); !errors.Is(err, ErrBadLabel) {

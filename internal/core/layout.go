@@ -2,35 +2,26 @@ package core
 
 import "fmt"
 
-// Layout selects the physical order of label bodies inside a pipeline slab.
-// The logical labeling — which label belongs to which vertex, and every query
-// answer — is identical under every layout; only where each body lives in the
-// arena changes, and with it the cache behavior of skewed query traffic.
+// Layout names the physical order of label bodies inside a slab. There is one:
+// every fat/thin and distance encoder writes its labels in identifier order,
+// which Theorems 3/4 assign by descending degree — the fat hubs 0..k-1 first,
+// the thin tail after — so the label at slab rank r is the vertex whose
+// identifier is r, and the hubs skewed traffic hammers pack into the slab's
+// first pages. The slab carries that rank→vertex permutation (the plan's byID
+// table, or the distance schemes' landmark order), which engines and stores
+// thread through so id-indexed lookup is bit-for-bit the same
+// (NewQueryEngineFromPermutedArena, labelstore's permutation block). Readers
+// still take a nil order: stores of the per-label schemes, CompressedScheme's
+// slab and NewLabeling are in vertex order.
 type Layout uint8
 
-const (
-	// LayoutID is the historical layout: label v is the v-th in the slab.
-	// The zero value, and the default everywhere.
-	LayoutID Layout = iota
-	// LayoutDegree orders bodies by descending degree: the fat-set hubs —
-	// the labels Zipf-skewed traffic hammers — pack into the first few pages
-	// of the slab, with the thin tail after. Because fat/thin identifiers are
-	// themselves assigned in descending-degree order (assignFatThinIDs), this
-	// is exactly identifier order, and the rank→vertex permutation is the
-	// plan's byID table. Engines and stores carry that permutation so
-	// id-indexed lookup is reconstructed bit-for-bit (see
-	// NewQueryEngineFromPermutedArena, labelstore's layout param).
-	LayoutDegree
-)
+// LayoutDegree is the one layout, and the zero value.
+const LayoutDegree Layout = 0
 
-// String names the layout as pin keys and experiment tables spell it.
+// String names the layout: "degree".
 func (l Layout) String() string {
-	switch l {
-	case LayoutID:
-		return "id"
-	case LayoutDegree:
+	if l == LayoutDegree {
 		return "degree"
-	default:
-		return fmt.Sprintf("Layout(%d)", uint8(l))
 	}
+	return fmt.Sprintf("Layout(%d)", uint8(l))
 }

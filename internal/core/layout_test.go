@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -10,9 +12,9 @@ import (
 	"repro/internal/graph"
 )
 
-// TestLayoutString: the names pin keys and experiment tables print.
+// TestLayoutString: the one layout's name, and an unknown value's.
 func TestLayoutString(t *testing.T) {
-	for lay, want := range map[Layout]string{LayoutID: "id", LayoutDegree: "degree", Layout(7): "Layout(7)"} {
+	for lay, want := range map[Layout]string{LayoutDegree: "degree", Layout(7): "Layout(7)"} {
 		if got := lay.String(); got != want {
 			t.Errorf("Layout(%d).String() = %q, want %q", uint8(lay), got, want)
 		}
@@ -21,7 +23,7 @@ func TestLayoutString(t *testing.T) {
 
 // relayout lays lab's labels out again in the physical order given, as the
 // slab pipeline places them: byte-aligned, back to back in rank order.
-func relayout(t *testing.T, lab *Labeling, order []int32) *Labeling {
+func relayout(t testing.TB, lab *Labeling, order []int32) *Labeling {
 	t.Helper()
 	a := slabArena{bitLens: lab.bitLens, order: order}
 	physOffs, err := a.layout()
@@ -39,14 +41,13 @@ func relayout(t *testing.T, lab *Labeling, order []int32) *Labeling {
 	return &Labeling{scheme: lab.scheme, decoder: lab.decoder, slabArena: a}
 }
 
-// TestLayoutEquivalence: the degree-ordered layout is a physical
-// rearrangement only. Across schemes, graphs, and worker counts, every
-// per-vertex label must be byte-equal to the id-ordered encoding's. The
-// conformance matrix holds both layouts' fat/thin answers to the graph; the
-// compressed scheme, which writes id order only and has no engine, has no
-// row there, so its row here lays the same labels out in the degree order
-// the fat/thin plan computes and holds the decoder's reads of the permuted
-// slab to its id-ordered answers and to the graph.
+// TestLayoutEquivalence pins the one slab order. Across the fat/thin schemes,
+// both ThinEdges choices, graphs and worker counts, a labeling of n ≥ 2
+// vertices carries an order, the label at slab rank r has identifier r, and
+// SetLayout(LayoutDegree) at GOMAXPROCS workers changes no byte; one of fewer
+// vertices has no order. The compressed scheme writes vertex order; its row
+// lays the same labels out in the fat/thin plan's order and holds the
+// decoder's reads of both slabs to each other and to the graph.
 func TestLayoutEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"path":  gen.Path(24),
@@ -64,75 +65,96 @@ func TestLayoutEquivalence(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	fatThin := func(mk func() *FatThinScheme) func(*testing.T, *graph.Graph, int, Layout) *Labeling {
-		return func(t *testing.T, g *graph.Graph, workers int, lay Layout) *Labeling {
-			s := mk()
-			s.SetLayout(lay)
-			lab, err := s.EncodeParallel(g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return lab
-		}
+	schemes := map[string]func() *FatThinScheme{
+		"powerlaw":   func() *FatThinScheme { return NewPowerLawScheme(2.5) },
+		"sparse":     NewSparseSchemeAuto,
+		"compressed": nil,
 	}
-	powerlaw := fatThin(func() *FatThinScheme { return NewPowerLawScheme(2.5) })
-	schemes := map[string]func(*testing.T, *graph.Graph, int, Layout) *Labeling{
-		"powerlaw": powerlaw,
-		"sparse":   fatThin(NewSparseSchemeAuto),
-		"compressed": func(t *testing.T, g *graph.Graph, workers int, lay Layout) *Labeling {
-			s := NewCompressedScheme(NewPowerLawScheme(2.5))
-			tau, err := s.Threshold(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lab, err := encodeCompressedSlab(s.Name(), g, tau, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lay == LayoutID {
-				return lab
-			}
-			_, order, _ := powerlaw(t, g, workers, lay).ArenaLayout()
-			return relayout(t, lab, order)
-		},
-	}
-	for sname, encode := range schemes {
+	for sname, mk := range schemes {
 		for gname, g := range graphs {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", sname, gname, workers), func(t *testing.T) {
-					idLab, degLab := encode(t, g, workers, LayoutID), encode(t, g, workers, LayoutDegree)
-					if _, order, _ := degLab.ArenaLayout(); (order != nil) != (g.N() > 1) {
-						t.Fatalf("degree layout of %d vertices: order %v", g.N(), order)
-					}
-					for v := 0; v < g.N(); v++ {
-						a, err1 := idLab.Label(v)
-						b, err2 := degLab.Label(v)
-						if err1 != nil || err2 != nil {
-							t.Fatal(err1, err2)
-						}
-						if !a.Equal(b) {
-							t.Fatalf("label %d differs between layouts", v)
-						}
-					}
-					if sname != "compressed" {
+					if mk == nil {
+						compressedRelayout(t, g, workers)
 						return
 					}
-					rng := rand.New(rand.NewSource(1))
-					for _, p := range equivalencePairs(g, rng, 500) {
-						a, err1 := idLab.Adjacent(p[0], p[1])
-						b, err2 := degLab.Adjacent(p[0], p[1])
-						if err1 != nil || err2 != nil {
-							t.Fatal(err1, err2)
+					for _, thin := range []ThinEdges{ThinEdgesOnce, ThinEdgesBoth} {
+						s := mk()
+						s.SetThinEdges(thin)
+						lab, err := s.EncodeParallel(g, workers)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if a != b {
-							t.Fatalf("decoder answers differ at (%d,%d): id=%v degree=%v", p[0], p[1], a, b)
+						requireIdentifierOrder(t, lab)
+						s.SetLayout(LayoutDegree)
+						again, err := s.EncodeParallel(g, 0)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if a != g.HasEdge(p[0], p[1]) {
-							t.Fatalf("wrong answer at (%d,%d)", p[0], p[1])
+						slab, order, _ := lab.ArenaLayout()
+						slab2, order2, _ := again.ArenaLayout()
+						if !bytes.Equal(slab, slab2) || !slices.Equal(order, order2) {
+							t.Fatalf("thin=%d: SetLayout(LayoutDegree) moved a byte", thin)
 						}
 					}
 				})
 			}
+		}
+	}
+}
+
+// requireIdentifierOrder: a fat/thin labeling of n ≥ 2 vertices has an
+// order, under which the label at slab rank r has identifier r; one of fewer
+// vertices has none.
+func requireIdentifierOrder(t *testing.T, lab *Labeling) {
+	t.Helper()
+	_, order, _ := lab.ArenaLayout()
+	if (order != nil) != (lab.N() > 1) {
+		t.Fatalf("n = %d: order %v", lab.N(), order)
+	}
+	w := bitstr.WidthFor(uint64(lab.N()))
+	for r, v := range order {
+		l, err := lab.Label(int(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := l.MustPeekUint(1, w); id != uint64(r) {
+			t.Fatalf("rank %d holds label %d of identifier %d", r, v, id)
+		}
+	}
+}
+
+// compressedRelayout lays the compressed scheme's vertex-ordered labels out
+// in the powerlaw plan's order and holds the decoder's reads of both slabs to
+// each other and to the graph.
+func compressedRelayout(t *testing.T, g *graph.Graph, workers int) {
+	s := NewCompressedScheme(NewPowerLawScheme(2.5))
+	tau, err := s.Threshold(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := encodeCompressedSlab(s.Name(), g, tau, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, order, _ := lab.ArenaLayout(); order != nil {
+		t.Fatalf("compressed slab has an order: %v", order)
+	}
+	ft, err := NewPowerLawScheme(2.5).EncodeParallel(g, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, order, _ := ft.ArenaLayout()
+	perm := relayout(t, lab, order)
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range equivalencePairs(g, rng, 500) {
+		a, err1 := lab.Adjacent(p[0], p[1])
+		b, err2 := perm.Adjacent(p[0], p[1])
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if a != b || a != g.HasEdge(p[0], p[1]) {
+			t.Fatalf("(%d,%d): vertex order %v, permuted %v, graph %v", p[0], p[1], a, b, g.HasEdge(p[0], p[1]))
 		}
 	}
 }

@@ -17,5 +17,5 @@ func (s *FatThinScheme) EncodeParallel(g *graph.Graph, workers int) (*Labeling, 
 	if err != nil {
 		return nil, err
 	}
-	return encodeFatThinSlab(s.name, g, tau, workers, s.layout, s.thinEdges)
+	return encodeFatThinSlab(s.name, g, tau, workers, s.thinEdges)
 }

@@ -43,15 +43,13 @@ import (
 // one-Builder-per-label reference encoders kept in legacy_test.go
 // (TestPipelineMatchesLegacy*).
 //
-// An optional layout pass (Layout, layout.go) reorders the *physical* slots:
-// LayoutDegree stores bodies in descending-degree order — hubs packed into
-// the first contiguous pages, thin tail after — while every label keeps its
-// exact bits and its id-indexed offset, carried by the rank→vertex permutation
-// that the Labeling, the labelstore format and the query engine all thread
-// through.
+// The fat/thin and distance encoders place labels in identifier order —
+// descending degree, fat hubs first (layout.go) — so the slab carries a
+// rank→vertex permutation, while every label keeps its exact bits and its
+// vertex-indexed offset.
 
 // slabArena is a byte-packed slab with its description: bitLens[v] is
-// label v's length, order (nil for the id-ordered layout) says the label at
+// label v's length, order (nil for vertex order) says the label at
 // slab rank r is label order[r], and offs[v] is the bit offset of label v's
 // start — the prefix sum's own table, so no walk rebuilds it.
 type slabArena struct {
@@ -113,7 +111,7 @@ func (a *slabArena) layout() ([]int64, error) {
 // for each vertex v of a range [lo, hi); write fills the labels of slab ranks
 // [lo, hi) of a, through sw. Both run on up to workers goroutines (<= 0
 // selects GOMAXPROCS), never more than one per label; size's error, if any,
-// is the lowest range's. order is the physical layout (nil = id order).
+// is the lowest range's. order is the physical layout (nil = vertex order).
 func encodeSlab(n, workers int, order []int32,
 	size func(bitLens []int, lo, hi int) error,
 	write func(a *slabArena, sw *bitstr.SlabWriter, lo, hi int)) (*slabArena, error) {
@@ -234,15 +232,12 @@ func newSlabPlan(g *graph.Graph, tau, w int) *slabPlan {
 	return p
 }
 
-// order returns the physical layout permutation lay asks for. LayoutID keeps
-// the historical identity (label v at slot v). LayoutDegree simply points at
-// byID — identifiers are assigned in descending-degree order (fat hubs
-// 0..k-1, then the thin tail), so identifier order *is* degree order, the
-// fat-set hubs the skewed traffic touches pack into the first contiguous
-// pages of the slab, and the layout costs nothing beyond the plan's existing
-// tables. One slot or none has nothing to reorder.
-func (p *slabPlan) order(lay Layout) []int32 {
-	if lay == LayoutDegree && len(p.byID) > 1 {
+// order returns the slab order, identifier order: byID itself, since
+// identifiers are assigned in descending-degree order (fat hubs 0..k-1, then
+// the thin tail), so the layout costs nothing beyond the plan's tables. One
+// slot or none has nothing to reorder.
+func (p *slabPlan) order() []int32 {
+	if len(p.byID) > 1 {
 		return p.byID
 	}
 	return nil
@@ -323,9 +318,9 @@ func (p *slabPlan) writeFat(g *graph.Graph, sw *bitstr.SlabWriter, slab []byte, 
 }
 
 // encodeFatThinSlab is the pipeline encoder behind FatThinScheme.Encode and
-// EncodeParallel. workers <= 0 selects GOMAXPROCS; lay selects the physical
-// body order (LayoutDegree returns a permuted labeling, answers unchanged).
-func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout, thin ThinEdges) (*Labeling, error) {
+// EncodeParallel. workers <= 0 selects GOMAXPROCS; the labeling it returns is
+// in identifier order (slabPlan.order).
+func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, thin ThinEdges) (*Labeling, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
@@ -338,7 +333,7 @@ func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout
 	// Fat/thin class and entry count determine each label exactly. Counting a
 	// once-layout label's entries reads its neighbors' identifiers, which is
 	// why the size rule runs in parallel too.
-	a, err := encodeSlab(n, workers, plan.order(lay), func(bitLens []int, lo, hi int) error {
+	a, err := encodeSlab(n, workers, plan.order(), func(bitLens []int, lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			if id[v] < k {
 				bitLens[v] = header + plan.k
@@ -375,7 +370,8 @@ func fillFatThinSlab(plan *slabPlan, g *graph.Graph, a *slabArena, sw *bitstr.Sl
 // encodeCompressedSlab is the pipeline encoder behind CompressedScheme. Its
 // size rule is heavier than the fat/thin one — choosing between fixed-width
 // and δ-gap thin encodings requires the sorted neighbor ids, which it builds
-// as the fill does. Its slab is id-ordered.
+// as the fill does. Its slab is in vertex order: no reader of a gap-coded
+// label needs the degree order's locality (layout.go).
 func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int) (*Labeling, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)

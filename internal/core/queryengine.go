@@ -18,9 +18,9 @@ import (
 //
 // A slab (a Labeling's, or a label store's) is adopted zero-copy: the engine
 // points straight at the encoder's slab and only parses headers. A
-// degree-ordered slab (LayoutDegree) is adopted just the same — the meta
-// table stays id-indexed, only the offsets follow the permutation, so every
-// answer is bit-for-bit identical to the id-ordered layout.
+// degree-ordered slab (the encoders' one order) is adopted just the same —
+// the meta table stays id-indexed, only the offsets follow the permutation,
+// so every answer is bit-for-bit identical to a vertex-ordered slab's.
 //
 // A QueryEngine is immutable after construction and safe for concurrent use
 // by any number of goroutines.

@@ -19,7 +19,6 @@ func setupBenchGraph(b *testing.B) (*graph.Graph, *FatThinScheme) {
 		b.Fatal(err)
 	}
 	s := NewPowerLawScheme(2.5)
-	s.SetLayout(LayoutDegree)
 	return g, s
 }
 

@@ -25,8 +25,7 @@ func arenaOf(t *testing.T, lab *Labeling) (slab []byte, bitLens []int, order []i
 	return slab, lab.BitLens(), order
 }
 
-// degreeArena encodes a Chung–Lu graph of n vertices in the degree layout
-// and returns the labeling's slab description, the one ShardLabelArenas
+// degreeArena encodes a Chung–Lu graph of n vertices and returns the labeling's slab description, the one ShardLabelArenas
 // splits.
 func degreeArena(t *testing.T, n int, seed int64) (slab []byte, bitLens []int, order []int32) {
 	t.Helper()
@@ -34,7 +33,7 @@ func degreeArena(t *testing.T, n int, seed int64) (slab []byte, bitLens []int, o
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeArena(t, g, NewPowerLawScheme(2.5), LayoutDegree)
+	return encodeArena(t, g, NewPowerLawScheme(2.5), false)
 }
 
 // shardTestEngines builds the full engine plus count sharded engines (each
@@ -334,7 +333,7 @@ func TestShardSplitRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idSlab, idLens, _ := encodeArena(t, g, NewPowerLawScheme(2.5), LayoutID)
+	idSlab, idLens, _ := encodeArena(t, g, NewPowerLawScheme(2.5), true)
 	m := ShardMap{Count: 3, Index: 1, Fn: ShardRange}
 	idSplitRefused(t, idSlab, idLens, m)
 
@@ -432,7 +431,7 @@ func TestShardLabelArenasParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	slab, bitLens, order := encodeArena(t, g, NewPowerLawScheme(2.5), LayoutDegree)
+	slab, bitLens, order := encodeArena(t, g, NewPowerLawScheme(2.5), false)
 	for _, count := range []int{2, 3, 7, 16} {
 		runtime.GOMAXPROCS(1)
 		want, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)

@@ -307,7 +307,7 @@ func phMemberCheck(g *graph.Graph, alpha float64) (bool, error) {
 // paperLayout pins a fat/thin scheme to the paper's literal label layout —
 // every thin label lists all its neighbors — which is what the label-size
 // columns of E1–E19 and E21 hold against the theorems' bounds. The encoder
-// and layout experiments (E20, E25) take the served default, each thin-side
+// experiment (E20) takes the served default, each thin-side
 // edge stored once; E33 in EXPERIMENTS.md sets the two side by side.
 func paperLayout(s *core.FatThinScheme) *core.FatThinScheme {
 	s.SetThinEdges(core.ThinEdgesBoth)

@@ -38,7 +38,7 @@ func E5DistanceLabels(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		_, exactMax, _ := exact.Stats()
-		pll, err := (distance.PLLScheme{}).EncodeArena(g, 0, core.LayoutID)
+		pll, err := (distance.PLLScheme{}).EncodeArena(g, 0, core.LayoutDegree)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func E5DistanceLabels(cfg Config) ([]*Table, error) {
 		fs := []int{2, 3, 4, int(math.Ceil(math.Log2(float64(n))))}
 		for _, f := range fs {
 			s := distance.Scheme{Alpha: alpha, F: f}
-			arena, err := s.EncodeArena(g, 0, core.LayoutID)
+			arena, err := s.EncodeArena(g, 0, core.LayoutDegree)
 			if err != nil {
 				return nil, err
 			}

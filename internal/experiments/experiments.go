@@ -23,9 +23,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the full-scale configuration.
-func DefaultConfig() Config { return Config{Seed: 20160711} }
-
 // Table is a rendered experiment result.
 type Table struct {
 	ID    string
@@ -165,7 +162,7 @@ func All() []Runner {
 		{ID: "E19", Description: "generative models (§6): which admit small labels, by degeneracy", Run: E19GenerativeModels},
 		{ID: "E20", Description: "encoder scalability: sequential vs parallel, ns/vertex", Run: E20EncodeScalability},
 		{ID: "E21", Description: "lower-bound construction: labels are invariant to the embedded H", Run: E21AdversarialH},
-		{ID: "E25", Description: "skew-aware layout: id- vs degree-ordered arena under Zipf/degree-proportional query skew", Run: E25SkewLayout},
+		{ID: "E25", Description: "fat-label bitmap-vs-list ablation under Zipf/degree-proportional query skew", Run: E25SkewFatAblation},
 		{ID: "E33", Description: "thin-side edges stored once vs both ends: label bits and store bytes vs n, α, Thm 4/6; adversarial embedding; τ sweep", Run: E33ThinEdgesOnce},
 	}
 }

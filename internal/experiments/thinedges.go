@@ -116,7 +116,6 @@ func E33ThinEdgesOnce(cfg Config) ([]*Table, error) {
 // and the bytes labelstore.Write produces for the labeling.
 func encodeThinEdges(g *graph.Graph, alpha float64, thin core.ThinEdges) (core.SizeStats, int64, error) {
 	s := core.NewPowerLawScheme(alpha)
-	s.SetLayout(core.LayoutDegree)
 	s.SetThinEdges(thin)
 	lab, err := s.EncodeParallel(g, 0)
 	if err != nil {
@@ -188,7 +187,6 @@ func thinEdgesTauSweep(n int, alpha float64, seed int64) (*Table, error) {
 			}
 		}
 		s := core.NewFixedThresholdScheme(tau)
-		s.SetLayout(core.LayoutDegree)
 		lab, err := s.EncodeParallel(g, 0)
 		if err != nil {
 			return nil, err

@@ -26,7 +26,6 @@ func arenaFixture(t *testing.T, n int) (lab *core.Labeling, arenas []core.ShardA
 		t.Fatal(err)
 	}
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
 	if lab, err = s.Encode(g); err != nil {
 		t.Fatal(err)
 	}

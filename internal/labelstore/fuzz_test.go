@@ -47,14 +47,16 @@ func FuzzReadBytes(f *testing.F) {
 		f.Fatal(err)
 	}
 	params := map[string]string{"n": strconv.Itoa(g.N())}
-	for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-		s := core.NewPowerLawScheme(2.5)
-		s.SetLayout(lay)
-		lab, err := s.Encode(g)
-		if err != nil {
-			f.Fatal(err)
+	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	degSlab, degOrder, _ := lab.ArenaLayout()
+	for _, order := range [][]int32{degOrder, nil} {
+		slab := degSlab
+		if order == nil {
+			slab = vertexOrder(f, degSlab, lab.BitLens(), degOrder)
 		}
-		slab, order, _ := lab.ArenaLayout()
 		file, err := NewPermutedArenaFile(lab.Scheme(), params, slab, lab.BitLens(), order)
 		if err != nil {
 			f.Fatal(err)

@@ -44,6 +44,23 @@ func sampleFile(t testing.TB) (*File, []bitstr.String) {
 	return packedFile(t, lab.Scheme(), map[string]string{"n": "50"}, labels), labels
 }
 
+// vertexOrder lays the labels of slab (bitLens, order) out again in vertex
+// order, as stores written before the degree layout hold them.
+func vertexOrder(t testing.TB, slab []byte, bitLens []int, order []int32) []byte {
+	t.Helper()
+	labels := make([]bitstr.String, len(bitLens))
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		labels[v] = bitstr.SlabLabel(slab, off, bitLens[v])
+	}
+	if err := walk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	packed, _ := bitstr.PackSlab(labels)
+	return packed
+}
+
 // v1Image hand-builds the retired version-1 container over labels: the same
 // header, then per label a uvarint bit length and its ceil(len/8) bytes.
 func v1Image(scheme string, labels []bitstr.String) []byte {
@@ -298,9 +315,11 @@ func TestArenaReadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSlabRoundTrip: a pipeline-built labeling round-trips through format v2
-// — labels bit-identical, arena recovered, and a query engine built straight
-// over the loaded blob (zero relocation) answers like the original labeling.
+// TestSlabRoundTrip: a pipeline-built labeling laid out in vertex order — an
+// id-ordered whole fat/thin store, as pllabel wrote before the degree layout
+// — round-trips through the store: labels bit-identical, arena recovered, and
+// a query engine built straight over the loaded blob (zero relocation)
+// answers like the original labeling.
 func TestSlabRoundTrip(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(500, 2.4, 2, 11)
 	if err != nil {
@@ -310,7 +329,6 @@ func TestSlabRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab, _, _ := lab.ArenaLayout()
 	origLabels := make([]bitstr.String, g.N())
 	for v := range origLabels {
 		l, err := lab.Label(v)
@@ -319,7 +337,8 @@ func TestSlabRoundTrip(t *testing.T) {
 		}
 		origLabels[v] = l
 	}
-	f, err := NewPermutedArenaFile(lab.Scheme(), map[string]string{"n": "500"}, slab, lab.BitLens(), nil)
+	slab, bitLens := bitstr.PackSlab(origLabels) // vertex order, as older stores hold it
+	f, err := NewPermutedArenaFile(lab.Scheme(), map[string]string{"n": "500"}, slab, bitLens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,8 +446,8 @@ func TestSlabReadRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab, _, _ := lab.ArenaLayout()
-	f, err := NewPermutedArenaFile(lab.Scheme(), nil, slab, lab.BitLens(), nil)
+	slab, order, _ := lab.ArenaLayout()
+	f, err := NewPermutedArenaFile(lab.Scheme(), nil, slab, lab.BitLens(), order)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ func v2Fixture(t *testing.T, n int, seed int64) (*core.Labeling, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab, _, _ := lab.ArenaLayout()
-	f, err := NewPermutedArenaFile(lab.Scheme(), map[string]string{"n": "x"}, slab, lab.BitLens(), nil)
+	slab, order, _ := lab.ArenaLayout()
+	f, err := NewPermutedArenaFile(lab.Scheme(), map[string]string{"n": "x"}, slab, lab.BitLens(), order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestOpenServesQueries(t *testing.T) {
 	if runtime.GOOS == "linux" && !mf.Mapped() {
 		t.Error("v2 store on linux should be memory-mapped")
 	}
-	slab, bitLens, _, ok := mf.ArenaLayout()
+	slab, bitLens, order, ok := mf.ArenaLayout()
 	if !ok {
 		t.Fatal("opened v2 store has no arena")
 	}
-	eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, nil)
+	eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
 	if err != nil {
 		t.Fatal(err)
 	}

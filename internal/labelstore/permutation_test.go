@@ -19,7 +19,6 @@ import (
 func permutedStore(t *testing.T, g *graph.Graph) (*File, *core.Labeling) {
 	t.Helper()
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
 	lab, err := s.Encode(g)
 	if err != nil {
 		t.Fatal(err)
@@ -239,25 +238,10 @@ func TestPermutationCorruptionErrors(t *testing.T) {
 	}
 }
 
-// TestNewPermutedArenaFileValidates rejects malformed descriptions at
-// construction: under the identity order, slab/length mismatches; under a
-// permutation, wrong length, out-of-range entries, duplicates. A valid one
-// is handed back by ArenaLayout as it went in.
+// TestNewPermutedArenaFileValidates rejects malformed permutations at
+// construction: wrong length, out-of-range entries, duplicates
+// (TestNewArenaFileValidates has the nil order's slab/length checks).
 func TestNewPermutedArenaFileValidates(t *testing.T) {
-	if _, err := NewPermutedArenaFile("x", nil, make([]byte, 8), []int{65}, nil); err == nil {
-		t.Error("oversized label accepted")
-	}
-	if _, err := NewPermutedArenaFile("x", nil, make([]byte, 24), []int{64}, nil); err == nil {
-		t.Error("trailing slab bytes accepted")
-	}
-	id, err := NewPermutedArenaFile("x", nil, make([]byte, 16), []int{3, 64}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, bitLens, order, ok := id.ArenaLayout(); !ok || id.N() != 2 || bitLens[0] != 3 || bitLens[1] != 64 || order != nil {
-		t.Errorf("N = %d, arena lengths %v, order %v (ok=%v)", id.N(), bitLens, order, ok)
-	}
-
 	g, err := gen.ChungLuPowerLaw(80, 2.5, 2, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +276,8 @@ func TestV2WithoutPermutationBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab, _, _ := lab.ArenaLayout()
+	slab, order, _ := lab.ArenaLayout()
+	slab = vertexOrder(t, slab, lab.BitLens(), order)
 	f, err := NewPermutedArenaFile(lab.Scheme(), map[string]string{"n": strconv.Itoa(g.N())}, slab, lab.BitLens(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,11 @@ import (
 )
 
 // The set-up path's byte pins: the sha256 of every store file Write produces
-// for one fixed graph, over both layouts × {whole store, 3 range shards of
-// the degree layout} × every scheme the constructors accept in that shape,
-// and of every ShardLabelArenas output. Whatever the encoder, the shard split, the
-// File constructors or Write do internally, these bytes — and with them
-// store_bytes and label_bits_max — must not move.
+// for one fixed graph, over {whole store, 3 range shards} × every scheme the
+// constructors accept in that shape, and of every ShardLabelArenas output.
+// Whatever the encoder, the shard split, the File constructors or Write do
+// internally, these bytes — and with them store_bytes and label_bits_max —
+// must not move.
 
 // pinGraph is the fixed input of every pin.
 func pinGraph(t *testing.T) *graph.Graph {
@@ -125,8 +125,6 @@ func arenaContentSha(t *testing.T, a core.ShardArena, order []int32) string {
 	return labelsSha(labels)
 }
 
-var pinLayouts = []core.Layout{core.LayoutID, core.LayoutDegree}
-
 // pinShards is the shard count of the pinned range partition.
 const pinShards = 3
 
@@ -138,95 +136,88 @@ func pinStores(t *testing.T) (got, content map[string]string) {
 	params := map[string]string{"n": strconv.Itoa(g.N())}
 	got, content = map[string]string{}, map[string]string{}
 
-	adj := map[string]func(core.Layout) (*core.Labeling, error){
+	adj := map[string]func() (*core.Labeling, error){
 		// The paper's both-ends lists: the bytes every store had before the
 		// once layout existed, and still has under the option.
-		"fatthin": func(lay core.Layout) (*core.Labeling, error) {
+		"fatthin": func() (*core.Labeling, error) {
 			s := core.NewPowerLawScheme(2.5)
-			s.SetLayout(lay)
 			s.SetThinEdges(core.ThinEdgesBoth)
 			return s.EncodeParallel(g, 0)
 		},
-		"fatthin-once": func(lay core.Layout) (*core.Labeling, error) {
-			s := core.NewPowerLawScheme(2.5)
-			s.SetLayout(lay)
-			return s.EncodeParallel(g, 0)
+		"fatthin-once": func() (*core.Labeling, error) {
+			return core.NewPowerLawScheme(2.5).EncodeParallel(g, 0)
 		},
-		// The compressed scheme has one layout, id order.
-		"compressed": func(core.Layout) (*core.Labeling, error) {
+		// The compressed scheme writes vertex order: its keys say "id".
+		"compressed": func() (*core.Labeling, error) {
 			return core.NewCompressedScheme(core.NewPowerLawScheme(2.5)).Encode(g)
 		},
 	}
 	for name, encode := range adj {
-		for _, lay := range pinLayouts {
-			if name == "compressed" && lay != core.LayoutID {
-				continue
+		lab, err := encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab, order, ok := lab.ArenaLayout()
+		if !ok {
+			t.Fatalf("%s: labeling is not arena-backed", name)
+		}
+		bitLens := labelingBitLens(t, lab)
+		key := name + "/degree"
+		if order == nil {
+			key = name + "/id"
+		}
+		f, err := NewPermutedArenaFile(lab.Scheme(), params, slab, bitLens, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[key+"/whole"] = writtenSha(t, f)
+		content[key+"/whole"] = storeContentSha(t, f)
+		shape := fmt.Sprintf("%s/range%d", key, pinShards)
+		arenas, err := core.ShardLabelArenas(slab, bitLens, order, pinShards, core.ShardRange)
+		if name == "compressed" {
+			// Compressed thin bodies are not fat/thin neighbour lists, and
+			// in its vertex-ordered slab a rank is not an identifier; the
+			// split refuses it, and that refusal is part of the pin.
+			if err == nil {
+				t.Errorf("%s: ShardLabelArenas accepted the labels", shape)
 			}
-			lab, err := encode(lay)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arenas {
+			arenaKey, storeKey := fmt.Sprintf("%s/arena%d", shape, i), fmt.Sprintf("%s/store%d", shape, i)
+			got[arenaKey] = shardArenaSha(a)
+			content[arenaKey] = arenaContentSha(t, a, order)
+			m := core.ShardMap{Count: pinShards, Index: i, Fn: core.ShardRange}
+			f, err := NewShardArenaFile(lab.Scheme(), params, a.Slab, a.BitLens, order, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slab, order, ok := lab.ArenaLayout()
-			if !ok {
-				t.Fatalf("%s: labeling is not arena-backed", name)
-			}
-			bitLens := labelingBitLens(t, lab)
-			key := fmt.Sprintf("%s/%s", name, lay)
-			f, err := NewPermutedArenaFile(lab.Scheme(), params, slab, bitLens, order)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[key+"/whole"] = writtenSha(t, f)
-			content[key+"/whole"] = storeContentSha(t, f)
-			shape := fmt.Sprintf("%s/range%d", key, pinShards)
-			arenas, err := core.ShardLabelArenas(slab, bitLens, order, pinShards, core.ShardRange)
-			if name == "compressed" || lay == core.LayoutID {
-				// Compressed thin bodies are not fat/thin neighbour lists, and
-				// in an id-ordered slab a rank is not an identifier; the split
-				// refuses both, and that refusal is part of the pin.
-				if err == nil {
-					t.Errorf("%s: ShardLabelArenas accepted the labels", shape)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, a := range arenas {
-				arenaKey, storeKey := fmt.Sprintf("%s/arena%d", shape, i), fmt.Sprintf("%s/store%d", shape, i)
-				got[arenaKey] = shardArenaSha(a)
-				content[arenaKey] = arenaContentSha(t, a, order)
-				m := core.ShardMap{Count: pinShards, Index: i, Fn: core.ShardRange}
-				f, err := NewShardArenaFile(lab.Scheme(), params, a.Slab, a.BitLens, order, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[storeKey] = writtenSha(t, f)
-				content[storeKey] = storeContentSha(t, f)
-			}
+			got[storeKey] = writtenSha(t, f)
+			content[storeKey] = storeContentSha(t, f)
 		}
 	}
 
-	dist := map[string]func(core.Layout) (*core.DistArena, error){
-		"pll": func(lay core.Layout) (*core.DistArena, error) { return distance.PLLScheme{}.EncodeArena(g, 0, lay) },
-		"bdist": func(lay core.Layout) (*core.DistArena, error) {
-			return distance.Scheme{Alpha: 2.5, F: 3}.EncodeArena(g, 0, lay)
+	dist := map[string]func() (*core.DistArena, error){
+		"pll": func() (*core.DistArena, error) { return distance.PLLScheme{}.EncodeArena(g, 0, core.LayoutDegree) },
+		"bdist": func() (*core.DistArena, error) {
+			return distance.Scheme{Alpha: 2.5, F: 3}.EncodeArena(g, 0, core.LayoutDegree)
 		},
 	}
 	for name, encode := range dist {
-		for _, lay := range pinLayouts {
-			a, err := encode(lay)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := NewDistArenaFile("dist-"+name, params, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := fmt.Sprintf("%s/%s/whole", name, lay)
-			got[key] = writtenSha(t, f)
-			content[key] = storeContentSha(t, f)
+		a, err := encode()
+		if err != nil {
+			t.Fatal(err)
 		}
+		f, err := NewDistArenaFile("dist-"+name, params, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := name + "/degree/whole"
+		got[key] = writtenSha(t, f)
+		content[key] = storeContentSha(t, f)
 	}
 	return got, content
 }
@@ -320,10 +311,10 @@ func TestStoreVersion2Refused(t *testing.T) {
 // slab, before labels were packed byte-aligned; that change left it as it was.
 // Its range3 rows were re-pinned when a shard's foreign thin labels went from
 // 1+w-bit header stubs to absent (0 bits): the labels a shard holds changed,
-// and the id-layout rows went with the id-ordered split.
+// and the id-layout rows went with the id-ordered split. The id-layout whole
+// rows went when the encoders kept one order; compressed's stayed.
 var pinnedContentShas = map[string]string{
 	"bdist/degree/whole":                "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
-	"bdist/id/whole":                    "210ec4b4a6ad773b40ee836a901c0d27d9b1f72543fd85e108f601556adc49cc",
 	"compressed/id/whole":               "be326621efc23f4fd2471342494c9457b10744a97139f9a3d9347697fe3baa7f",
 	"fatthin-once/degree/range3/arena0": "0898fc021c5a01e77c0fc65355b9a79144c376ea6a578820a8544f0ffec1c940",
 	"fatthin-once/degree/range3/arena1": "79340e89906196aa48084ba66e4b02198f8eed3295bbfb1a00604fcd8e5a45c0",
@@ -332,7 +323,6 @@ var pinnedContentShas = map[string]string{
 	"fatthin-once/degree/range3/store1": "79340e89906196aa48084ba66e4b02198f8eed3295bbfb1a00604fcd8e5a45c0",
 	"fatthin-once/degree/range3/store2": "16c458d02c2f4ab35fe027b2d33a4d43dd89034f4afdf6bf23c35589a2a64a27",
 	"fatthin-once/degree/whole":         "8e244e28172034d97ca7ae9169ba918920ecc71ccc977305aa3d0c50a210a2e0",
-	"fatthin-once/id/whole":             "8e244e28172034d97ca7ae9169ba918920ecc71ccc977305aa3d0c50a210a2e0",
 	"fatthin/degree/range3/arena0":      "5ccb2d22aac68ca2fa5891287f02fc3de8f6562e938bbb268bedc4cecf20ade2",
 	"fatthin/degree/range3/arena1":      "dde9199f68b875593754a98f03a5ca48cd9d60f7ac1f7c86c32bf3f3058ed032",
 	"fatthin/degree/range3/arena2":      "167df7fd06707bfc69326a797e742b98915e3663be09861de0b1d044d9772f5a",
@@ -340,19 +330,16 @@ var pinnedContentShas = map[string]string{
 	"fatthin/degree/range3/store1":      "dde9199f68b875593754a98f03a5ca48cd9d60f7ac1f7c86c32bf3f3058ed032",
 	"fatthin/degree/range3/store2":      "167df7fd06707bfc69326a797e742b98915e3663be09861de0b1d044d9772f5a",
 	"fatthin/degree/whole":              "f2550e572b42ec32587f8387091dbe52a4d68b58e70147418242b4823e2584e2",
-	"fatthin/id/whole":                  "f2550e572b42ec32587f8387091dbe52a4d68b58e70147418242b4823e2584e2",
 	"pll/degree/whole":                  "c9bda7a22b28124eb81faa6f27ada57617781b960c3ed624df51d7775b6884b3",
-	"pll/id/whole":                      "c9bda7a22b28124eb81faa6f27ada57617781b960c3ed624df51d7775b6884b3",
 }
 
 // pinnedStoreShas was recorded when labels were packed byte-aligned and the
 // store container went to version 3 (commit 474c7f2's word-aligned bytes
 // were pinned here before; pinnedContentShas shows the labels did not move).
 // Its range3 rows were re-pinned with pinnedContentShas' when foreign thin
-// labels became absent.
+// labels became absent, and lost its id-layout rows with pinnedContentShas'.
 var pinnedStoreShas = map[string]string{
 	"bdist/degree/whole":                "ee325e9c37c084c7945a508b7a30803245f0cf6621a0aad7b2865183faa6a986",
-	"bdist/id/whole":                    "40797be4dcf483f893a31fa083f9352ce56d3004a14ff7c16b8918467310bbf2",
 	"compressed/id/whole":               "38b213c520e4a65953a7253ca15eff2c37a0eedc57639e492412f32e68b5ec29",
 	"fatthin-once/degree/range3/arena0": "f5b712116b8792d61c2e1c0160bf15e1928476e901b07df7957eef5abc610bbb",
 	"fatthin-once/degree/range3/arena1": "65906c7f040796955048e2cd2409cce2c4798c8291b2532fb6b024a7dca8f275",
@@ -361,7 +348,6 @@ var pinnedStoreShas = map[string]string{
 	"fatthin-once/degree/range3/store1": "93d54d74efba84410b2393b1dfe9e634d19eecff95b149ed9486b6b378a877fc",
 	"fatthin-once/degree/range3/store2": "172cd291915f5855624fb9981463d3a3454d6a075f873efffc01dcbc3e8b3d94",
 	"fatthin-once/degree/whole":         "0e0b85f4966cedd9c787bd9af993ac88aef7ada2ef2fff1c82d0f0f64a2c4dc2",
-	"fatthin-once/id/whole":             "23853fe76deb012ccd19bb0e711a91fc0f5bf2b4a17e461e1ad513753a3610c2",
 	"fatthin/degree/range3/arena0":      "3c977eb6c9e489ce19e2e0d33161f6dfc6bb21b99ca12a81557a95a186b1a5ad",
 	"fatthin/degree/range3/arena1":      "f69e9bf263339d65e54c379543e785d76b3d9ce24801300446dcbf1602213376",
 	"fatthin/degree/range3/arena2":      "ec3ef64dd936fca9c0652217cc68eaa3efb21b8a32444abad89024ffb0dfa528",
@@ -369,7 +355,5 @@ var pinnedStoreShas = map[string]string{
 	"fatthin/degree/range3/store1":      "e3fd3e24a941efc0dc0ddfda6cd355a61f498f6d2bab8586abf172d65736d83a",
 	"fatthin/degree/range3/store2":      "3db90048d412b0a6d2a5a06896c548f4b9985c34c4c22d6587007120c6d133d9",
 	"fatthin/degree/whole":              "e58c2cab385a143a6564fea4d3257eb4394dc8197f1956caaf36a35f1cd6a622",
-	"fatthin/id/whole":                  "f8be33ded7ad10dd1399fbce9e482d8b9701f666230ed860cabebc92d5e48f57",
 	"pll/degree/whole":                  "74f1d7f7951968350eb4cc8fdc90edc9130adf4ba0514ea443994bbdd5bddb30",
-	"pll/id/whole":                      "5de646bd060c79deffb3a9196108b5dc528e03cf32f93d4fbf906f56cdc08dc2",
 }

@@ -14,9 +14,10 @@ import (
 	"repro/internal/schemes/distance"
 )
 
-// distArenas builds one pll and one bdist arena over a small power-law graph
-// (degree layout for pll, id layout for bdist, so both body orders are
-// exercised by the store round trip).
+// distArenas builds one pll and one bdist arena over a small power-law graph,
+// the bdist labels laid out again in vertex order as stores written before
+// the degree layout hold them, so both body orders go through the store
+// round trip.
 func distArenas(t testing.TB) (*graph.Graph, map[string]*core.DistArena) {
 	t.Helper()
 	g, err := gen.ChungLuPowerLaw(120, 2.5, 2, 9)
@@ -27,10 +28,11 @@ func distArenas(t testing.TB) (*graph.Graph, map[string]*core.DistArena) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := distance.Scheme{Alpha: 2.5, F: 3}.EncodeArena(g, 2, core.LayoutID)
+	bd, err := distance.Scheme{Alpha: 2.5, F: 3}.EncodeArena(g, 2, core.LayoutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bd = &core.DistArena{Slab: vertexOrder(t, bd.Slab, bd.BitLens, bd.Order), BitLens: bd.BitLens, Params: bd.Params}
 	return g, map[string]*core.DistArena{SchemePLL: pll, SchemeBDist: bd}
 }
 

@@ -19,7 +19,6 @@ import (
 func shardStores(t testing.TB, g *graph.Graph, count int) ([]*File, *core.Labeling) {
 	t.Helper()
 	s := core.NewPowerLawScheme(2.5)
-	s.SetLayout(core.LayoutDegree)
 	lab, err := s.Encode(g)
 	if err != nil {
 		t.Fatal(err)

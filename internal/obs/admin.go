@@ -98,14 +98,6 @@ func (a *AdminServer) Serve() error {
 	return a.srv.Serve(a.ln)
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (a *AdminServer) ListenAndServe(addr string) error {
-	if _, err := a.Listen(addr); err != nil {
-		return err
-	}
-	return a.Serve()
-}
-
 // Shutdown gracefully stops the admin server, letting in-flight scrapes
 // finish until ctx expires.
 func (a *AdminServer) Shutdown(ctx context.Context) error {

@@ -50,9 +50,9 @@ func (s Scheme) Threshold(n int) (int, error) {
 }
 
 // EncodeArena labels every vertex of g into one slab arena, which
-// core.NewDistEngine serves and labelstore stores. lay as in
-// PLLScheme.EncodeArena (LayoutDegree orders bodies by descending degree,
-// fat hubs first).
+// core.NewDistEngine serves and labelstore stores, its bodies in descending
+// degree order, fat hubs first (core.Layout); the Layout argument is ignored,
+// as in PLLScheme.EncodeArena.
 //
 // Label layout (w = ceil(log2 n), dw = ceil(log2(f+2)), F fat vertices):
 //
@@ -62,7 +62,7 @@ func (s Scheme) Threshold(n int) (int, error) {
 // Distances greater than f (or unreachable) are stored as the sentinel
 // value f+1. A thin list may overestimate a distance whose shortest path
 // uses a fat hop; the fat-table minimum corrects it at query time.
-func (s Scheme) EncodeArena(g *graph.Graph, workers int, lay core.Layout) (*core.DistArena, error) {
+func (s Scheme) EncodeArena(g *graph.Graph, workers int, _ core.Layout) (*core.DistArena, error) {
 	if s.F < 1 {
 		return nil, fmt.Errorf("distance: bound F must be >= 1, got %d", s.F)
 	}
@@ -71,12 +71,9 @@ func (s Scheme) EncodeArena(g *graph.Graph, workers int, lay core.Layout) (*core
 	if err != nil {
 		return nil, err
 	}
-	var order []int32
-	if lay == core.LayoutDegree {
-		order = make([]int32, n)
-		for r, v := range g.VerticesByDegreeDesc() {
-			order[r] = int32(v)
-		}
+	order := make([]int32, n)
+	for r, v := range g.VerticesByDegreeDesc() {
+		order[r] = int32(v)
 	}
 	return core.EncodeBoundedArena(fat, fatDist, thin, s.F, order, workers)
 }

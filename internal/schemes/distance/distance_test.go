@@ -19,9 +19,9 @@ type bounded struct {
 }
 
 // encodeBounded labels g with s through the slab pipeline.
-func encodeBounded(t testing.TB, g *graph.Graph, s Scheme, workers int, lay core.Layout) bounded {
+func encodeBounded(t testing.TB, g *graph.Graph, s Scheme, workers int) bounded {
 	t.Helper()
-	arena, err := s.EncodeArena(g, workers, lay)
+	arena, err := s.EncodeArena(g, workers, core.LayoutDegree)
 	if err != nil {
 		t.Fatalf("%s: EncodeArena: %v", s.Name(), err)
 	}
@@ -104,17 +104,17 @@ func TestDistanceSchemeSmallGraphs(t *testing.T) {
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
 			for _, f := range []int{1, 2, 3, 5} {
-				checkBounded(t, g, encodeBounded(t, g, Scheme{Alpha: 2.5, F: f}, 0, core.LayoutID), f)
+				checkBounded(t, g, encodeBounded(t, g, Scheme{Alpha: 2.5, F: f}, 0), f)
 			}
 		})
 	}
 }
 
 func TestDistanceSchemeValidation(t *testing.T) {
-	if _, err := (Scheme{Alpha: 2.5, F: 0}).EncodeArena(gen.Path(5), 0, core.LayoutID); err == nil {
+	if _, err := (Scheme{Alpha: 2.5, F: 0}).EncodeArena(gen.Path(5), 0, core.LayoutDegree); err == nil {
 		t.Error("F=0 accepted")
 	}
-	if _, err := (Scheme{Alpha: 1.0, F: 2}).EncodeArena(gen.Path(5), 0, core.LayoutID); err == nil {
+	if _, err := (Scheme{Alpha: 1.0, F: 2}).EncodeArena(gen.Path(5), 0, core.LayoutDegree); err == nil {
 		t.Error("alpha=1 accepted")
 	}
 	if _, err := NewDecoder(5, core.DistParams{Kind: core.DistPLL, DW: 2}); err == nil {
@@ -126,7 +126,7 @@ func TestDistanceF1IsAdjacency(t *testing.T) {
 	// With f=1 the scheme answers adjacency: 1 for edges, 0 for self,
 	// Beyond for everything else.
 	g := gen.ErdosRenyi(60, 0.1, 4)
-	lab := encodeBounded(t, g, Scheme{Alpha: 2.5, F: 1}, 0, core.LayoutID)
+	lab := encodeBounded(t, g, Scheme{Alpha: 2.5, F: 1}, 0)
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
 			got := lab.dist(t, u, v)
@@ -159,7 +159,7 @@ func TestDistanceLabelShrinkWithF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena, err := (Scheme{Alpha: 2.5, F: 2}).EncodeArena(g, 0, core.LayoutID)
+	arena, err := (Scheme{Alpha: 2.5, F: 2}).EncodeArena(g, 0, core.LayoutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestDistanceThresholdMonotone(t *testing.T) {
 func TestQuickDistanceBoundedContract(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.ErdosRenyi(30, 0.1, seed)
-		lab := encodeBounded(t, g, Scheme{Alpha: 2.5, F: 3}, 0, core.LayoutDegree)
+		lab := encodeBounded(t, g, Scheme{Alpha: 2.5, F: 3}, 0)
 		for u := 0; u < g.N(); u++ {
 			truth := g.BFS(u)
 			for v := 0; v < g.N(); v++ {

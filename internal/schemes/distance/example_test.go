@@ -16,7 +16,7 @@ import (
 // answered exactly from two labels; anything farther reports Beyond.
 func ExampleScheme() {
 	g := gen.Path(10) // 0-1-2-...-9
-	arena, err := (distance.Scheme{Alpha: 2.5, F: 3}).EncodeArena(g, 0, core.LayoutID)
+	arena, err := (distance.Scheme{Alpha: 2.5, F: 3}).EncodeArena(g, 0, core.LayoutDegree)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func ExampleScheme() {
 // labels answer every distance.
 func ExamplePLLScheme() {
 	g := gen.Grid(4, 4)
-	arena, err := (distance.PLLScheme{}).EncodeArena(g, 0, core.LayoutID)
+	arena, err := (distance.PLLScheme{}).EncodeArena(g, 0, core.LayoutDegree)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func Example_asRouting() {
 	// already answers the bulk of queries while keeping the fat distance
 	// table — the dominant label term — short.
 	const f = 4
-	arena, err := (distance.Scheme{Alpha: 3.0, F: f}).EncodeArena(g, 0, core.LayoutID)
+	arena, err := (distance.Scheme{Alpha: 3.0, F: f}).EncodeArena(g, 0, core.LayoutDegree)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,18 +32,15 @@ func (PLLScheme) Name() string { return "dist-pll" }
 // entry count and its (landmark rank, distance) entries sorted by rank, the
 // ranks δ-gap coded (core.EncodePLLArena has the bit layout). workers
 // (≤ 0 means GOMAXPROCS) drives both the label sweep's rounds and the
-// pipeline's plan/fill parallelism, and the bytes do not depend on it; lay
-// selects the physical body order — LayoutDegree packs hub-heavy labels
-// first, in the landmark (descending-degree) order the scheme already
-// computes.
-func (s PLLScheme) EncodeArena(g *graph.Graph, workers int, lay core.Layout) (*core.DistArena, error) {
+// pipeline's plan/fill parallelism, and the bytes do not depend on it. The
+// bodies go in the landmark (descending-degree) order the scheme already
+// computes, hub-heavy labels first (core.Layout); the Layout argument is
+// ignored, since LayoutDegree is the only layout.
+func (s PLLScheme) EncodeArena(g *graph.Graph, workers int, _ core.Layout) (*core.DistArena, error) {
 	entries, maxDist, degOrder := pllEntries(g, workers)
-	var order []int32
-	if lay == core.LayoutDegree {
-		order = make([]int32, len(degOrder))
-		for r, v := range degOrder {
-			order[r] = int32(v)
-		}
+	order := make([]int32, len(degOrder))
+	for r, v := range degOrder {
+		order[r] = int32(v)
 	}
 	return core.EncodePLLArena(entries, maxDist, order, workers)
 }

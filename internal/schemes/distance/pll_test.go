@@ -13,9 +13,9 @@ import (
 
 // encodePLL labels g with PLL through the slab pipeline and returns the
 // served engine and the arena.
-func encodePLL(t testing.TB, g *graph.Graph, workers int, lay core.Layout) (*core.DistEngine, *core.DistArena) {
+func encodePLL(t testing.TB, g *graph.Graph, workers int) (*core.DistEngine, *core.DistArena) {
 	t.Helper()
-	arena, err := (PLLScheme{}).EncodeArena(g, workers, lay)
+	arena, err := (PLLScheme{}).EncodeArena(g, workers, core.LayoutDegree)
 	if err != nil {
 		t.Fatalf("EncodeArena: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestPLLExactSmallGraphs(t *testing.T) {
 	}
 	for name, g := range cases {
 		t.Run(name, func(t *testing.T) {
-			eng, _ := encodePLL(t, g, 0, core.LayoutID)
+			eng, _ := encodePLL(t, g, 0)
 			checkPLLExact(t, g, eng)
 		})
 	}
@@ -78,7 +78,7 @@ func TestPLLPruningEffective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, arena := encodePLL(t, g, 0, core.LayoutID)
+	_, arena := encodePLL(t, g, 0)
 	stats := core.SizeStatsOf(arena.BitLens)
 	exact, err := (ExactScheme{}).Encode(g)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestPLLPruningEffective(t *testing.T) {
 // TestPLLEngineRejectsOutOfRange: a query naming a vertex the labeling does
 // not hold is an error, not an answer.
 func TestPLLEngineRejectsOutOfRange(t *testing.T) {
-	eng, _ := encodePLL(t, gen.Path(10), 0, core.LayoutID)
+	eng, _ := encodePLL(t, gen.Path(10), 0)
 	for _, p := range [][2]int{{0, 99}, {99, 0}, {-1, 3}} {
 		if _, err := eng.Dist(p[0], p[1]); !errors.Is(err, core.ErrVertexRange) {
 			t.Errorf("Dist(%d,%d): err = %v, want ErrVertexRange", p[0], p[1], err)
@@ -107,7 +107,7 @@ func TestPLLEngineRejectsOutOfRange(t *testing.T) {
 func TestQuickPLLExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.ErdosRenyi(35, 0.1, seed)
-		eng, _ := encodePLL(t, g, 0, core.LayoutDegree)
+		eng, _ := encodePLL(t, g, 0)
 		for u := 0; u < g.N(); u++ {
 			truth := g.BFS(u)
 			for v := 0; v < g.N(); v++ {

@@ -90,7 +90,7 @@ func checkPLLEntries(t testing.TB, name string, g *graph.Graph, workers ...int) 
 // TestPLLEntriesMatchMergePrune pins the round-by-round sweep to the
 // landmark-by-landmark merge prune: identical entry lists, largest distance
 // and landmark order on every graph and worker count, and — through the
-// shared slab pipeline — identical arena bytes in both layouts. Besides
+// shared slab pipeline — identical arena bytes. Besides
 // random graphs it runs the shapes a round structure could get wrong: many
 // equal shortest paths (grid, cycle, complete and complete bipartite graphs,
 // where the prune's "≤" ties decide), ≈ 200 rounds (a long path), a single
@@ -134,19 +134,17 @@ func TestPLLEntriesMatchMergePrune(t *testing.T) {
 	for _, tc := range graphs {
 		checkPLLEntries(t, tc.name, tc.g, 1, 2, 7)
 		want, wantMax, _ := pllEntriesMergePrune(tc.g)
-		for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-			for _, w := range []int{1, 7} {
-				arena, err := PLLScheme{}.EncodeArena(tc.g, w, lay)
-				if err != nil {
-					t.Fatalf("%s workers=%d layout=%v: %v", tc.name, w, lay, err)
-				}
-				ref, err := core.EncodePLLArena(want, wantMax, arena.Order, 1)
-				if err != nil {
-					t.Fatalf("%s workers=%d layout=%v: reference arena: %v", tc.name, w, lay, err)
-				}
-				if sha256.Sum256(arena.Slab) != sha256.Sum256(ref.Slab) || !slices.Equal(arena.BitLens, ref.BitLens) {
-					t.Fatalf("%s workers=%d layout=%v: slab differs from the merge prune's", tc.name, w, lay)
-				}
+		for _, w := range []int{1, 7} {
+			arena, err := PLLScheme{}.EncodeArena(tc.g, w, core.LayoutDegree)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			ref, err := core.EncodePLLArena(want, wantMax, arena.Order, 1)
+			if err != nil {
+				t.Fatalf("%s workers=%d: reference arena: %v", tc.name, w, err)
+			}
+			if sha256.Sum256(arena.Slab) != sha256.Sum256(ref.Slab) || !slices.Equal(arena.BitLens, ref.BitLens) {
+				t.Fatalf("%s workers=%d: slab differs from the merge prune's", tc.name, w)
 			}
 		}
 	}

@@ -43,23 +43,20 @@ func slabTestGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestDistEngineMatchesLegacyPLL pins DistEngine answers over the PLL slab,
-// for every vertex pair across worker counts and layouts, to BFS and to the
+// for every vertex pair across worker counts, to BFS and to the
 // min-sum over the entry lists of the merge-based prune
 // (pllEntriesMergePrune), the sweep as it was before the scatter table.
 func TestDistEngineMatchesLegacyPLL(t *testing.T) {
 	for name, g := range slabTestGraphs(t) {
 		legacy, _, _ := pllEntriesMergePrune(g)
 		for _, workers := range []int{1, 3} {
-			for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-				t.Logf("%s w=%d lay=%v", name, workers, lay)
-				eng, _ := encodePLL(t, g, workers, lay)
-				checkPLLExact(t, g, eng)
-				for u := 0; u < g.N(); u++ {
-					for v := 0; v < g.N(); v++ {
-						if got, _ := eng.Dist(u, v); got != entriesDist(legacy, u, v) {
-							t.Fatalf("%s w=%d lay=%v: Dist(%d,%d) = %d, legacy entries %d",
-								name, workers, lay, u, v, got, entriesDist(legacy, u, v))
-						}
+			eng, _ := encodePLL(t, g, workers)
+			checkPLLExact(t, g, eng)
+			for u := 0; u < g.N(); u++ {
+				for v := 0; v < g.N(); v++ {
+					if got, _ := eng.Dist(u, v); got != entriesDist(legacy, u, v) {
+						t.Fatalf("%s w=%d: Dist(%d,%d) = %d, legacy entries %d",
+							name, workers, u, v, got, entriesDist(legacy, u, v))
 					}
 				}
 			}
@@ -69,15 +66,12 @@ func TestDistEngineMatchesLegacyPLL(t *testing.T) {
 
 // TestDistEngineMatchesLegacyBounded pins the bounded-distance engine to
 // Decoder, Lemma 7's own decoder, reading the same slab labels in place, and
-// both to BFS, across worker counts and layouts.
+// both to BFS, across worker counts.
 func TestDistEngineMatchesLegacyBounded(t *testing.T) {
-	for name, g := range slabTestGraphs(t) {
+	for _, g := range slabTestGraphs(t) {
 		for _, f := range []int{2, 4} {
 			for _, workers := range []int{1, 4} {
-				for _, lay := range []core.Layout{core.LayoutID, core.LayoutDegree} {
-					t.Logf("%s f=%d w=%d lay=%v", name, f, workers, lay)
-					checkBounded(t, g, encodeBounded(t, g, Scheme{Alpha: 2.5, F: f}, workers, lay), f)
-				}
+				checkBounded(t, g, encodeBounded(t, g, Scheme{Alpha: 2.5, F: f}, workers), f)
 			}
 		}
 	}
@@ -273,7 +267,7 @@ func BenchmarkDistEncodeArena(b *testing.B) {
 	}
 	b.Run("pll-arena", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := (PLLScheme{}).EncodeArena(g, 0, core.LayoutID); err != nil {
+			if _, err := (PLLScheme{}).EncodeArena(g, 0, core.LayoutDegree); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,8 +9,12 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-work="${1:-$(mktemp -d)}"
-trap 'kill "${serve_pid:-}" "${route_pid:-}" ${shard_pids:-} ${dist_pids:-} 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$work/bin" "$work"/*.tmp' EXIT
+# A workdir passed as the argument is kept (all but bin/ and *.tmp); one the
+# script makes itself is removed whole on exit.
+work="${1:-}"
+made_work=""
+if [ -z "$work" ]; then work=$(mktemp -d); made_work=1; fi
+trap 'kill "${serve_pid:-}" "${route_pid:-}" ${shard_pids:-} ${dist_pids:-} 2>/dev/null || true; wait 2>/dev/null || true; if [ -n "$made_work" ]; then rm -rf "$work"; else rm -rf "$work/bin" "$work"/*.tmp; fi' EXIT
 
 echo "== build"
 mkdir -p "$work/bin"
