@@ -11,6 +11,11 @@
 //	pllabel -scheme onequery -in graph.el     (Section 6, 1-query)
 //	pllabel -scheme nbrlist | adjmatrix       (baselines)
 //
+// -o writes a label store for plserve and plquery. Only schemes an engine
+// serves are stored: the fat/thin schemes (powerlaw, sparse, auto, fixed),
+// nbrlist, and the distance schemes; -o with forest, onequery or adjmatrix
+// is refused and writes nothing (they label, report and verify in memory).
+//
 // Distance labelings (the second query plane; serve with plserve, query
 // with plquery -dist):
 //
@@ -55,7 +60,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		tau        = fs.Int("tau", 0, "fixed threshold (fixed scheme)")
 		bound      = fs.Int("f", 2, "distance bound f(n) (dist-bounded scheme)")
 		in         = fs.String("in", "", "input edge list (default stdin)")
-		out        = fs.String("o", "", "write the labeling to a label store file (for plquery)")
+		out        = fs.String("o", "", "write the labeling to a label store file for plserve and plquery (fat/thin, nbrlist and distance schemes)")
 		verify     = fs.Bool("verify", true, "verify decode correctness")
 		fit        = fs.Bool("fit", false, "report the fitted power-law exponent")
 		analyze    = fs.Bool("analyze", false, "report clustering and assortativity (O(m·Δ) time)")
@@ -156,6 +161,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("write shard stores: %w", err)
 		}
 	} else if *out != "" {
+		// Every store pllabel writes opens: a scheme whose labels no engine
+		// reads (forest, onequery, adjmatrix) is refused by the readers' own
+		// rule, before the file is created.
+		if err := labelstore.CheckServable(lab.Scheme()); err != nil {
+			return fmt.Errorf("-o: %w; no engine serves it", err)
+		}
 		if err := saveStore(*out, g.N(), lab); err != nil {
 			return fmt.Errorf("write label store: %w", err)
 		}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/labelstore"
 	"repro/internal/schemes/baseline"
 	"repro/internal/schemes/distance"
-	"repro/internal/schemes/forest"
 )
 
 func edgeListFixture(t *testing.T) string {
@@ -93,9 +92,11 @@ func TestRunUnknownScheme(t *testing.T) {
 }
 
 // TestRunWritesStore is one table keyed by scheme: pllabel writes the store
-// the library builds for that scheme, byte for byte. The fat/thin and
-// distance schemes write degree order; the baselines have no permutation
-// and stay id-ordered. Every store loads through the one reader.
+// the library builds for that scheme, byte for byte, and the written file
+// opens — its engine comes from the one opener and answers as the graph
+// says. The fat/thin and distance schemes write degree order; nbrlist has no
+// permutation and stays id-ordered. A scheme no engine serves (forest,
+// onequery, adjmatrix) is refused and leaves no file behind.
 func TestRunWritesStore(t *testing.T) {
 	path := edgeListFixture(t)
 	f, err := os.Open(path)
@@ -126,8 +127,8 @@ func TestRunWritesStore(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		args  []string
-		order bool // degree-ordered
-		lib   func() (*labelstore.File, error)
+		order bool                             // degree-ordered
+		lib   func() (*labelstore.File, error) // nil: -o is refused
 	}{
 		{[]string{"-scheme", "powerlaw"}, true, func() (*labelstore.File, error) { return degree(core.NewPowerLawScheme(2.5)) }},
 		{[]string{"-scheme", "sparse"}, true, func() (*labelstore.File, error) { return degree(core.NewSparseSchemeAuto()) }},
@@ -143,14 +144,24 @@ func TestRunWritesStore(t *testing.T) {
 			a, err := s.EncodeArena(g, 0, core.LayoutDegree)
 			return distStore(s.Name(), a, err)
 		}},
-		{[]string{"-scheme", "forest"}, false, func() (*labelstore.File, error) { return slabStore(forest.Scheme{}.Encode(g)) }},
-		{[]string{"-scheme", "onequery"}, false, func() (*labelstore.File, error) { return slabStore(oneQueryAdapter{}.Encode(g)) }},
 		{[]string{"-scheme", "nbrlist"}, false, func() (*labelstore.File, error) { return slabStore(baseline.NeighborList{}.Encode(g)) }},
-		{[]string{"-scheme", "adjmatrix"}, false, func() (*labelstore.File, error) { return slabStore(baseline.AdjMatrix{}.Encode(g)) }},
+		{[]string{"-scheme", "forest"}, false, nil},
+		{[]string{"-scheme", "onequery"}, false, nil},
+		{[]string{"-scheme", "adjmatrix"}, false, nil},
 	} {
 		storePath := filepath.Join(t.TempDir(), "labels.pllb")
 		var out bytes.Buffer
-		if err := run(append(tc.args, "-in", path, "-o", storePath), strings.NewReader(""), &out); err != nil {
+		err := run(append(tc.args, "-in", path, "-o", storePath), strings.NewReader(""), &out)
+		if tc.lib == nil {
+			if err == nil || !strings.Contains(err.Error(), "not a fat/thin layout") {
+				t.Errorf("%v -o: err = %v, want a refusal", tc.args, err)
+			}
+			if _, serr := os.Stat(storePath); serr == nil {
+				t.Errorf("%v -o: refused, yet wrote %s", tc.args, storePath)
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
 		wantLine := "layout: id-ordered"
@@ -182,7 +193,36 @@ func TestRunWritesStore(t *testing.T) {
 		if _, _, order, ok := store.ArenaLayout(); !ok || (order != nil) != tc.order || store.N() != g.N() {
 			t.Errorf("%v: loaded store has arena=%v, order=%v, N=%d", tc.args, ok, order != nil, store.N())
 		}
+		checkEngines(t, tc.args, store.File, g)
 		store.Close()
+	}
+}
+
+// checkEngines builds a written store's engine through the one opener and
+// checks a few pairs against g — at a spread of vertices, the next vertex and
+// the first neighbour — by adjacency or distance 1, on the store's own plane.
+func checkEngines(t *testing.T, args []string, store *labelstore.File, g *graph.Graph) {
+	t.Helper()
+	eng, deng, err := store.Engines()
+	if err != nil {
+		t.Fatalf("%v: written store builds no engine: %v", args, err)
+	}
+	for u := 0; u < g.N(); u += 37 {
+		vs := []int{(u + 1) % g.N()}
+		if nbrs := g.Neighbors(u); len(nbrs) > 0 {
+			vs = append(vs, int(nbrs[0]))
+		}
+		for _, v := range vs {
+			if eng != nil {
+				if got, err := eng.Adjacent(u, v); err != nil || got != g.HasEdge(u, v) {
+					t.Errorf("%v: Adjacent(%d,%d) = %v, %v; graph says %v", args, u, v, got, err, g.HasEdge(u, v))
+				}
+				continue
+			}
+			if got, err := deng.Dist(u, v); err != nil || (got == 1) != g.HasEdge(u, v) {
+				t.Errorf("%v: Dist(%d,%d) = %d, %v; graph says edge=%v", args, u, v, got, err, g.HasEdge(u, v))
+			}
+		}
 	}
 }
 

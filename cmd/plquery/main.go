@@ -12,8 +12,10 @@
 //	plquery -dist -labels dists.pllb       # "u v d" lines; d=-1 unreachable
 //	plquery -dist -remote 127.0.0.1:7421   # against a distance-serving plserve
 //
-// For fat/thin label stores, queries are served by the pre-parsed
-// zero-allocation core.QueryEngine; -batch reads all pairs up front and
+// Queries are answered by the engine the store builds (labelstore's
+// Engines): the zero-allocation core.QueryEngine of a fat/thin store or the
+// core.DistEngine of a distance store. plquery answers exactly the stores
+// plserve serves and refuses the rest. -batch reads all pairs up front and
 // answers them in one batch call. With -remote, queries go to a running
 // plserve daemon over the adjserve batch protocol instead of loading any
 // labels locally — output is line-for-line identical to the local mode on
@@ -30,9 +32,7 @@ import (
 	"strings"
 
 	"repro/internal/adjserve"
-	"repro/internal/core"
 	"repro/internal/labelstore"
-	"repro/internal/schemes/baseline"
 )
 
 func main() {
@@ -102,71 +102,25 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			printStats(stdout, store.File)
 			return nil
 		}
-		if *dist || store.SchemeKind() != labelstore.SchemeAdjacency {
-			// The distance plane: the store's scheme record kind and -dist
-			// must agree — misreading one plane's labels as the other's
-			// would answer garbage, so both directions fail loudly.
-			da, ok := store.DistArena()
-			switch {
-			case !*dist:
-				return fmt.Errorf("store %s holds %s distance labels; pass -dist", *labelsPath, store.SchemeKind())
-			case !ok:
+		// The store's scheme record kind and -dist must agree — misreading
+		// one plane's labels as the other's would answer garbage, so both
+		// directions fail loudly. Then the store builds its engine, or is
+		// refused as plserve refuses it; a shard store's engine answers only
+		// the pairs its residents cover, and misrouted pairs are errors.
+		if kind := store.SchemeKind(); (kind != labelstore.SchemeAdjacency) != *dist {
+			if *dist {
 				return fmt.Errorf("-dist needs a distance store; %s holds adjacency labels", *labelsPath)
 			}
-			eng, err := core.NewDistEngine(da)
-			if err != nil {
-				return err
-			}
-			distTo = eng.Dist
-			distToMany = eng.DistMany
-			return serve(stdin, stdout, n, *batch, answer, answerMany, distTo, distToMany)
+			return fmt.Errorf("store %s holds %s distance labels; pass -dist", *labelsPath, kind)
 		}
-		dec, err := decoderFor(store.Scheme, n)
+		eng, deng, err := store.Engines()
 		if err != nil {
-			return err
+			return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
 		}
-
-		// Fat/thin stores are served through the pre-parsed zero-allocation
-		// query engine, and a store whose labels the engine rejects is
-		// refused, as plserve refuses it; only adjmatrix falls back to the
-		// per-query decoder. The store hands its slab blob to the engine
-		// zero-copy — no relocation between disk and the probe arena.
-		var eng *core.QueryEngine
-		if _, ok := dec.(*core.FatThinDecoder); ok {
-			slab, bitLens, order, _ := store.ArenaLayout()
-			if eng, err = core.NewQueryEngineFromPermutedArena(slab, bitLens, order); err != nil {
-				return fmt.Errorf("store %s: %w", *labelsPath, err)
-			}
-		}
-		// A shard store only resolves pairs its residents cover; attaching the
-		// map gives its engine the owned range (it owns no thin vertex until
-		// then), outside which misrouted pairs are errors. Whole-keyspace
-		// queries need the full store or -remote against a plserve -shards
-		// front.
-		if m, ok := store.Shard(); ok {
-			if eng == nil {
-				return fmt.Errorf("shard store %s needs the query engine (scheme %s)", *labelsPath, store.Scheme)
-			}
-			if err := eng.SetShard(m); err != nil {
-				return err
-			}
-		}
-		if eng != nil {
-			answer, answerMany = eng.Adjacent, eng.AdjacentMany
+		if deng != nil {
+			distTo, distToMany = deng.Dist, deng.DistMany
 		} else {
-			answer = func(u, v int) (bool, error) {
-				return dec.Adjacent(store.Labels[u], store.Labels[v])
-			}
-			answerMany = func(pairs [][2]int, out []bool) ([]bool, error) {
-				for _, p := range pairs {
-					adj, err := answer(p[0], p[1])
-					if err != nil {
-						return out, err
-					}
-					out = append(out, adj)
-				}
-				return out, nil
-			}
+			answer, answerMany = eng.Adjacent, eng.AdjacentMany
 		}
 	}
 	return serve(stdin, stdout, n, *batch, answer, answerMany, distTo, distToMany)
@@ -288,18 +242,6 @@ func serve(stdin io.Reader, stdout io.Writer, n int, batch bool,
 		fmt.Fprintf(stdout, "%d %d %s\n", p[0], p[1], emit(e.pairIdx))
 	}
 	return nil
-}
-
-// decoderFor maps stored scheme names to their label-pair decoders.
-func decoderFor(scheme string, n int) (core.AdjacencyDecoder, error) {
-	switch {
-	case core.FatThinLayout(scheme):
-		return core.NewFatThinDecoder(n), nil
-	case scheme == "adjmatrix":
-		return baseline.NewAdjMatrixDecoder(n), nil
-	default:
-		return nil, fmt.Errorf("no decoder registered for scheme %q", scheme)
-	}
 }
 
 func max1(n int) int {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/labelstore"
+	"repro/internal/schemes/baseline"
 )
 
 // storeFixture labels a small graph and writes a label store, returning the
@@ -32,17 +33,22 @@ func fixtureLabels(t *testing.T) (*graph.Graph, string, []bitstr.String) {
 	t.Helper()
 	g := gen.ErdosRenyi(40, 0.12, 9)
 	lab, err := core.NewSparseSchemeAuto().Encode(g)
+	return g, lab.Scheme(), labelsOf(t, lab, err)
+}
+
+// labelsOf returns an encoder's labels, one per vertex.
+func labelsOf(t *testing.T, lab *core.Labeling, err error) []bitstr.String {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]bitstr.String, g.N())
+	labels := make([]bitstr.String, lab.N())
 	for v := range labels {
-		labels[v], err = lab.Label(v)
-		if err != nil {
+		if labels[v], err = lab.Label(v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return g, lab.Scheme(), labels
+	return labels
 }
 
 // writeStore packs labels into an id-ordered store file and returns its path.
@@ -65,12 +71,14 @@ func writeStore(t *testing.T, scheme string, labels []bitstr.String) string {
 	return path
 }
 
-// TestQueryRefusesUnservableStore: a fat/thin store whose labels the query
-// engine rejects — here thin label 36 padded by one bit — is refused at
-// start, streaming and batch, as plserve refuses it. No answer is printed
-// from the per-query decoder.
+// TestQueryRefusesUnservableStore: plquery answers exactly the stores plserve
+// serves and refuses the rest at start, streaming and batch, with no answer
+// printed: a fat/thin store whose labels the query engine rejects — here thin
+// label 36 padded by one bit — and stores whose scheme names no fat/thin
+// layout (adjmatrix, and a CompressedScheme labeling whose gap-coded labels
+// pass the engine's header checks), refused by name.
 func TestQueryRefusesUnservableStore(t *testing.T) {
-	_, scheme, labels := fixtureLabels(t)
+	g, scheme, labels := fixtureLabels(t)
 	if fat, _ := labels[36].Bit(0); fat {
 		t.Fatal("fixture label 36 is fat; the test pads a thin one")
 	}
@@ -78,15 +86,24 @@ func TestQueryRefusesUnservableStore(t *testing.T) {
 	b.AppendString(labels[36])
 	b.AppendBit(false)
 	labels[36] = b.String()
-	path := writeStore(t, scheme, labels)
-	for _, extra := range [][]string{nil, {"-batch"}} {
-		var out bytes.Buffer
-		err := run(append([]string{"-labels", path}, extra...), strings.NewReader("36 7\n0 1\n"), &out)
-		if err == nil || !strings.Contains(err.Error(), "not a multiple of id width") {
-			t.Errorf("%v: err = %v, want the engine's refusal", extra, err)
-		}
-		if out.Len() != 0 {
-			t.Errorf("%v: answered from a refused store:\n%s", extra, out.String())
+	adj, err := baseline.AdjMatrix{}.Encode(g)
+	adjLabels := labelsOf(t, adj, err)
+	comp, err := core.NewCompressedScheme(core.NewFixedThresholdScheme(3)).Encode(g)
+	compLabels := labelsOf(t, comp, err)
+	for _, tc := range []struct{ path, want string }{
+		{writeStore(t, scheme, labels), "not a multiple of id width"},
+		{writeStore(t, adj.Scheme(), adjLabels), adj.Scheme()},
+		{writeStore(t, comp.Scheme(), compLabels), comp.Scheme()},
+	} {
+		for _, extra := range [][]string{nil, {"-batch"}} {
+			var out bytes.Buffer
+			err := run(append([]string{"-labels", tc.path}, extra...), strings.NewReader("36 7\n0 1\n"), &out)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s%v: err = %v, want a refusal naming %q", tc.want, extra, err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s%v: answered from a refused store:\n%s", tc.want, extra, out.String())
+			}
 		}
 	}
 }
@@ -205,35 +222,18 @@ func TestQueryMissingFlags(t *testing.T) {
 	}
 }
 
-func TestDecoderFor(t *testing.T) {
-	for _, name := range []string{"sparse(auto)", "powerlaw(α=2.5)", "fatthin(τ=3)", "nbrlist", "adjmatrix"} {
-		if _, err := decoderFor(name, 10); err != nil {
-			t.Errorf("decoderFor(%q): %v", name, err)
-		}
-	}
-	for _, name := range []string{"mystery", "compressed+powerlaw(auto)"} {
-		if _, err := decoderFor(name, 10); err == nil {
-			t.Errorf("decoderFor(%q) accepted", name)
-		}
-	}
-}
-
 // TestQueryRemoteMode: -remote against a loopback adjserve server over the
 // same labeling must produce byte-identical output to the local -labels
 // mode, in both streaming and batch form (including interleaved parse
 // errors, which never reach the network).
 func TestQueryRemoteMode(t *testing.T) {
 	path, _ := storeFixture(t)
-	f, err := os.Open(path)
+	store, err := labelstore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	store, err := labelstore.Read(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.NewQueryEngine(core.NewLabeling("", store.Labels, nil))
+	defer store.Close()
+	eng, _, err := store.Engines()
 	if err != nil {
 		t.Fatal(err)
 	}

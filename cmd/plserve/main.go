@@ -184,22 +184,22 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 			return err
 		}
 		defer store.Close()
-		// A store serves exactly one query plane: adjacency (the default) or
-		// distance (a scheme-stamped pll/bdist store → core.DistEngine behind
-		// the same listener, answering opDist frames). attachMetrics abstracts
-		// over the two engine types for the admin registrations below, and
-		// registerEngine names the metrics by plane (engine_* or
-		// dist_engine_*).
+		// A store serves exactly one query plane, and the store decides which:
+		// Engines builds its adjacency or distance engine (with the shard map
+		// attached on a shard store) or refuses it here, at startup.
+		// attachMetrics abstracts over the two engine types for the admin
+		// registrations below, and registerEngine names the metrics by plane
+		// (engine_* or dist_engine_*).
+		eng, deng, err := store.Engines()
+		if err != nil {
+			return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
+		}
 		var (
 			attachMetrics  func(*core.EngineMetrics)
 			registerEngine = (*core.EngineMetrics).Register
 			planeAttrs     []any
 		)
-		if da, ok := store.DistArena(); ok {
-			deng, err := core.NewDistEngine(da)
-			if err != nil {
-				return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
-			}
+		if deng != nil {
 			srv = adjserve.NewServer(nil, 0)
 			srv.SetDistEngine(deng)
 			attachMetrics = deng.AttachMetrics
@@ -211,27 +211,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 				planeAttrs = append(planeAttrs, "hub_table_bytes", deng.HubTableBytes())
 			}
 		} else {
-			// Zero-copy over the store's arena, id- or degree-ordered. Only
-			// fat/thin-layout stores (the engine's label format) are servable;
-			// anything else fails here, at startup. The engine's header checks
-			// cannot tell every other layout apart, so the scheme name decides.
-			if !core.FatThinLayout(store.Scheme) {
-				return fmt.Errorf("store %s is not servable: scheme %q is not a fat/thin layout", *labelsPath, store.Scheme)
-			}
-			slab, bitLens, order, _ := store.ArenaLayout()
-			eng, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
-			if err != nil {
-				return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
-			}
-			// A shard store only holds its owned vertices' full labels (plus the
-			// replicated fat set); attaching the shard map gives the engine its
-			// owned range, outside which it answers ErrNotResident for
-			// misrouted pairs. A -shards router reads the same map back over
-			// opShardInfo.
-			if m, ok := store.Shard(); ok {
-				if err := eng.SetShard(m); err != nil {
-					return fmt.Errorf("store %s: %w", *labelsPath, err)
-				}
+			if m, ok := eng.Shard(); ok {
 				planeAttrs = []any{"shard", fmt.Sprintf("%d/%d", m.Index, m.Count), "fn", fmt.Sprint(m.Fn)}
 			}
 			srv = adjserve.NewServer(eng, 0)

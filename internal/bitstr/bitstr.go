@@ -124,15 +124,6 @@ func (s String) String() string {
 	return b.String()
 }
 
-// FromBits constructs a String from a slice of booleans. Useful in tests.
-func FromBits(bitsIn []bool) String {
-	var b Builder
-	for _, bit := range bitsIn {
-		b.AppendBit(bit)
-	}
-	return b.String()
-}
-
 // Builder incrementally assembles a bit string. The zero value is ready to
 // use. Builder is not safe for concurrent use.
 type Builder struct {
@@ -254,14 +245,6 @@ func (s String) peek64(i, w int) uint64 {
 	return v
 }
 
-// AppendUnary appends v as a unary code: v one-bits followed by a zero.
-func (b *Builder) AppendUnary(v uint64) {
-	for i := uint64(0); i < v; i++ {
-		b.AppendBit(true)
-	}
-	b.AppendBit(false)
-}
-
 // AppendGamma appends v >= 1 using the Elias gamma code:
 // floor(log2 v) zeros, then the binary representation of v.
 // Gamma codes use 2*floor(log2 v)+1 bits.
@@ -357,21 +340,6 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 	v := r.s.peek64(r.pos, width)
 	r.pos += width
 	return v, nil
-}
-
-// ReadUnary consumes a unary code and returns its value.
-func (r *Reader) ReadUnary() (uint64, error) {
-	var v uint64
-	for {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if !bit {
-			return v, nil
-		}
-		v++
-	}
 }
 
 // ReadGamma consumes an Elias gamma code.

@@ -87,24 +87,6 @@ func TestAppendUintZeroWidth(t *testing.T) {
 	}
 }
 
-func TestUnaryRoundTrip(t *testing.T) {
-	var b Builder
-	values := []uint64{0, 1, 2, 7, 13, 64}
-	for _, v := range values {
-		b.AppendUnary(v)
-	}
-	r := NewReader(b.String())
-	for _, want := range values {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("ReadUnary: %v", err)
-		}
-		if got != want {
-			t.Errorf("ReadUnary = %d, want %d", got, want)
-		}
-	}
-}
-
 func TestGammaRoundTrip(t *testing.T) {
 	var b Builder
 	values := []uint64{1, 2, 3, 4, 5, 15, 16, 17, 1000, 1 << 32, ^uint64(0)}
@@ -387,8 +369,11 @@ func TestQuickAppendString(t *testing.T) {
 }
 
 func TestStringRender(t *testing.T) {
-	s := FromBits([]bool{true, false, true})
-	if s.String() != "101" {
+	var short Builder
+	for _, bit := range []bool{true, false, true} {
+		short.AppendBit(bit)
+	}
+	if s := short.String(); s.String() != "101" {
 		t.Errorf("String() = %q, want 101", s.String())
 	}
 	var b Builder

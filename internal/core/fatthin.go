@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/bitstr"
 	"repro/internal/graph"
@@ -261,21 +260,6 @@ func NewFixedThresholdScheme(tau int) *FatThinScheme {
 
 // Name implements Scheme.
 func (s *FatThinScheme) Name() string { return s.name }
-
-// FatThinLayout reports whether labels stored under a scheme name (Scheme.Name,
-// as a label store records it) are in the fat/thin layout that FatThinDecoder
-// and QueryEngine read: every FatThinScheme's, and the all-thin "nbrlist"
-// baseline's. Any other layout — CompressedScheme's gap-coded thin labels
-// included — can pass the engine's header checks and still answer wrongly, so
-// a reader must ask this before building an engine over a store.
-func FatThinLayout(scheme string) bool {
-	for _, prefix := range []string{"sparse", "powerlaw", "fatthin"} {
-		if strings.HasPrefix(scheme, prefix) {
-			return true
-		}
-	}
-	return scheme == "nbrlist"
-}
 
 // Threshold exposes the degree threshold the scheme would use on g.
 func (s *FatThinScheme) Threshold(g *graph.Graph) (int, error) { return s.threshold(g) }

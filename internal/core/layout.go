@@ -11,8 +11,8 @@ import "fmt"
 // table, or the distance schemes' landmark order), which engines and stores
 // thread through so id-indexed lookup is bit-for-bit the same
 // (NewQueryEngineFromPermutedArena, labelstore's permutation block). Readers
-// still take a nil order: stores of the per-label schemes, CompressedScheme's
-// slab and NewLabeling are in vertex order.
+// still take a nil order: nbrlist stores, CompressedScheme's slab and
+// NewLabeling are in vertex order.
 type Layout uint8
 
 // LayoutDegree is the one layout, and the zero value.

@@ -31,7 +31,8 @@
 // order) is how any labeling becomes a store. One parser reads it back from
 // an in-memory image: ReadBytes over a caller's bytes, Open over a mapping of
 // the file (or, without mmap, a heap copy), Read over everything an io.Reader
-// delivers; each hands the blob to core.NewQueryEngineFromPermutedArena with
+// delivers. Engines (engine.go) builds the engine that answers a loaded
+// store — the one store-to-engine rule its readers share — over the blob with
 // zero relocation. A degree-ordered arena (core.LayoutDegree) carries its
 // permutation block: readers reconstruct id-indexed lookup from it, readers
 // too old to know the "layout" param fail loudly on the extra block (a

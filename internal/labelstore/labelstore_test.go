@@ -13,8 +13,8 @@ import (
 	"repro/internal/gen"
 )
 
-// packedFile builds the store of a labeling handed over label by label, the
-// way pllabel stores the per-label schemes.
+// packedFile builds the store of a labeling handed over label by label, in
+// vertex order, as pllabel stores nbrlist.
 func packedFile(t testing.TB, scheme string, params map[string]string, labels []bitstr.String) *File {
 	t.Helper()
 	slab, bitLens := bitstr.PackSlab(labels)

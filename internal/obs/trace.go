@@ -168,20 +168,6 @@ func (t *SpanTally) SumHop(hop uint8) int64 {
 	return s
 }
 
-// MergePeer appends stages into t, relabeling the source's HopSelf entries
-// to hop (HopPeer at a client merge, a shard index at a router merge) and
-// keeping other labels as they are — already-assigned shard indices pass
-// through unchanged.
-func (t *SpanTally) MergePeer(stages []TraceStage, hop uint8) {
-	for _, s := range stages {
-		h := s.Hop
-		if h == HopSelf {
-			h = hop
-		}
-		t.Add(s.Stage, h, s.Ns)
-	}
-}
-
 // Trace is a completed, self-contained trace record as stored in a ring
 // slot: fixed size, no pointers, safe to copy with one memmove.
 type Trace struct {

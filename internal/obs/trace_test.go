@@ -44,25 +44,6 @@ func TestSpanTallyOverflowDrops(t *testing.T) {
 	}
 }
 
-func TestMergePeerRelabels(t *testing.T) {
-	src := []TraceStage{
-		{Stage: StageProbe, Hop: HopSelf, Ns: 5}, // callee's own → relabeled
-		{Stage: StageNet, Hop: 3, Ns: 7},         // shard-labeled → pass through
-	}
-	var dst SpanTally
-	dst.MergePeer(src, HopPeer)
-	st := dst.Stages()
-	if len(st) != 2 {
-		t.Fatalf("merged %d stages, want 2", len(st))
-	}
-	if st[0].Hop != HopPeer || st[0].Stage != StageProbe {
-		t.Errorf("stage 0 = %+v, want probe@peer", st[0])
-	}
-	if st[1].Hop != 3 || st[1].Stage != StageNet {
-		t.Errorf("stage 1 = %+v, want net@shard3", st[1])
-	}
-}
-
 func TestTraceRingSnapshotNewestFirst(t *testing.T) {
 	r := NewTraceRing(4)
 	if got := r.Snapshot(nil); len(got) != 0 {
