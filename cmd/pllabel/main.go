@@ -246,13 +246,14 @@ func printEncode(stdout io.Writer, elapsed time.Duration, n int) {
 }
 
 // printLayout reports the layout the encoder produced and what its
-// permutation block costs in the store. The fat/thin and distance encoders
+// permutation block costs in the store: its size and the number of increasing
+// runs it names, one per distinct degree at most. The fat/thin and distance encoders
 // write degree order, except on graphs of one vertex or none, which have
 // nothing to reorder; the baselines have no permutation and stay id-ordered.
 func printLayout(stdout io.Writer, order []int32) {
 	if order != nil {
-		fmt.Fprintf(stdout, "layout: degree-ordered (permutation overhead %d bytes)\n",
-			labelstore.PermutationOverheadBytes(order))
+		fmt.Fprintf(stdout, "layout: degree-ordered (permutation overhead %d bytes, %d runs)\n",
+			labelstore.PermutationOverheadBytes(order), labelstore.PermutationRuns(order))
 	} else {
 		fmt.Fprintln(stdout, "layout: id-ordered (permutation overhead 0 bytes)")
 	}

@@ -671,9 +671,8 @@ func TestPairCacheFlagRefusedOnAdjacencyStore(t *testing.T) {
 
 func TestUnservableStore(t *testing.T) {
 	// An empty adjacency-matrix store is not a fat/thin layout and is
-	// refused; a pre-closed stop channel would make run drain immediately
-	// had it served, so this pins down "run returns promptly, no error
-	// other than a refusal".
+	// refused by name. A pre-closed stop channel makes run drain at once had
+	// it served, so a serve shows up as a nil error, not a hang.
 	path := filepath.Join(t.TempDir(), "bad.pllb")
 	f, err := os.Create(path)
 	if err != nil {
@@ -694,7 +693,10 @@ func TestUnservableStore(t *testing.T) {
 		errC <- run([]string{"-labels", path, "-addr", "127.0.0.1:0"}, newAddrWriter(), stop)
 	}()
 	select {
-	case <-errC: // refusal or an immediately-drained serve: both fine
+	case err := <-errC:
+		if err == nil || !strings.Contains(err.Error(), "adjmatrix") || !strings.Contains(err.Error(), "not a fat/thin layout") {
+			t.Fatalf("run over an adjmatrix store: err = %v, want a refusal naming adjmatrix as not a fat/thin layout", err)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return with a closed stop channel")
 	}

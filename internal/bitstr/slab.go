@@ -206,8 +206,9 @@ func SlabReadBits(slab []byte, off int64, w int) uint64 {
 // IDBlockLen returns the size in bytes of an identifier block over n values:
 // n fields of w = WidthFor(n) bits back to back, MSB first, the last byte's
 // tail zero. A SlabWriter writes one (WriteUint(v, w) per field, then Flush)
-// and IDBlockField reads a field back; the shard-info identifier block and a
-// store's layout permutation are both this block.
+// and IDBlockField reads a field back. The shard-info identifier block is
+// this block; a store's layout permutation packs its run fields the same way,
+// at ⌈log₂ R⌉ bits for R runs.
 func IDBlockLen(n int) int { return (n*WidthFor(uint64(n)) + 7) >> 3 }
 
 // IDBlockField returns field i of an identifier block of w-bit fields. For

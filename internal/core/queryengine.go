@@ -54,6 +54,12 @@ type QueryEngine struct {
 	// shared and read-only afterwards.
 	lo, hi int
 	shard  ShardMap
+	// fatCount is k, the number of fat labels, and fatRanked whether the
+	// build walk found the rule a router rests on — fat ⇔ identifier < k —
+	// to hold, which it decides for labels whose identifiers are their ranks
+	// (FatCount).
+	fatCount  int
+	fatRanked bool
 }
 
 // vertexMeta is one label's pre-parsed header, packed into a single 16-byte
@@ -189,6 +195,10 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab, hi: n}
 	e.inlineMax, e.inlineRep = inlineLayout(w)
 	var unranked uint64 // nonzero once a present label's identifier is not its rank
+	// The largest fat identifier. Where every identifier is its rank, the
+	// identifiers are 0..n-1 once each, so fat ⇔ id < k holds exactly when
+	// maxFat < k: the k fat ones are then 0..k-1, and every thin one is >= k.
+	maxFat := uint64(0)
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
 	for r := 0; walk.Next(); r++ {
 		v, off := walk.Label()
@@ -205,6 +215,10 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 		}
 		m := vertexMeta{off: off + int64(header), word: word}
 		unranked |= m.id() ^ uint64(r)
+		if m.fat() {
+			e.fatCount++
+			maxFat = max(maxFat, m.id())
+		}
 		// An empty list is not read: its record word matches nothing,
 		// whatever it holds.
 		if cnt := m.cnt(); !m.fat() && cnt > 0 && e.inline(cnt) {
@@ -219,6 +233,7 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	if err := walk.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
+	e.fatRanked = unranked == 0 && (e.fatCount == 0 || maxFat < uint64(e.fatCount))
 	if e.hi == n { // no absent label
 		return e, nil
 	}

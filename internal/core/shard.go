@@ -270,8 +270,15 @@ func (e *QueryEngine) Resident(v int) bool { return e.owns(v) || e.meta[v].fat()
 // router's routing table rests on: vertex v is fat exactly when its scheme
 // identifier is below k. With AppendIDBits it is everything a router needs to
 // compute which shard answers any pair (an absent label is thin and its
-// identifier is its rank, so every shard reports the same k and block).
+// identifier is its rank, so every shard reports the same k and block). Over
+// labels whose identifiers are their ranks — every slab an encoder writes —
+// the build walk has already decided the rule from k and the largest fat
+// identifier, so FatCount is O(1) when it holds; only otherwise do two passes
+// decide it and name the first vertex that breaks it.
 func (e *QueryEngine) FatCount() (int, error) {
+	if e.fatRanked {
+		return e.fatCount, nil
+	}
 	k := 0
 	for _, mv := range e.meta {
 		if mv.fat() {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -453,7 +454,8 @@ func TestShardLabelArenasParallelMatchesSerial(t *testing.T) {
 
 // TestFatCount: k is the number of fat vertices and the same on every shard
 // (fat labels are replicated, absent ones thin), and an engine whose fat vertex holds an identifier
-// at or above k — labels the router could not route — is refused.
+// at or above k, or whose thin vertex one below it — labels the router could
+// not route — is refused, by the error naming the first such vertex.
 func TestFatCount(t *testing.T) {
 	full, engines := shardTestEngines(t, 3, 400, 11)
 	want := 0
@@ -467,19 +469,84 @@ func TestFatCount(t *testing.T) {
 			t.Fatalf("engine %d: FatCount = %d, %v; want %d fat vertices", i, k, err, want)
 		}
 	}
-	// Vertex 0 thin with identifier 0, vertex 1 fat with identifier 1: k = 1,
-	// and the fat vertex's identifier is not below it.
-	var thin, fat bitstr.Builder
-	thin.AppendBit(false)
-	thin.AppendUint(0, 1)
-	fat.AppendBit(true)
-	fat.AppendUint(1, 1)
-	fat.AppendBit(false)
-	e, err := NewQueryEngine(NewLabeling("", []bitstr.String{thin.String(), fat.String()}, nil))
-	if err != nil {
-		t.Fatal(err)
+	// Two-vertex labelings with k = 1 that break the rule: a fat identifier
+	// not below k, a thin one below it, or only one side of it broken.
+	label := func(fat bool, id uint64) bitstr.String {
+		var b bitstr.Builder
+		b.AppendBit(fat)
+		b.AppendUint(id, 1)
+		if fat {
+			b.AppendBit(false) // a one-bit fat vector
+		}
+		return b.String()
 	}
-	if _, err := e.FatCount(); !errors.Is(err, ErrBadLabel) {
-		t.Fatalf("fat vertex above a thin identifier: err = %v, want ErrBadLabel", err)
+	for _, tc := range []struct {
+		labels []bitstr.String
+		named  string
+	}{
+		{[]bitstr.String{label(false, 0), label(true, 1)}, "vertex 0: fat false, identifier 0, fat count 1"},
+		{[]bitstr.String{label(true, 0), label(false, 0)}, "vertex 1: fat false, identifier 0, fat count 1"},
+		{[]bitstr.String{label(true, 1), label(false, 1)}, "vertex 0: fat true, identifier 1, fat count 1"},
+	} {
+		e, err := NewQueryEngine(NewLabeling("", tc.labels, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.FatCount(); !errors.Is(err, ErrBadLabel) || !strings.Contains(err.Error(), tc.named) {
+			t.Errorf("err = %v, want ErrBadLabel naming %q", err, tc.named)
+		}
+	}
+}
+
+// TestFatCountFlippedFatBits: the build walk's verdict on the rule fat ⇔
+// identifier < k agrees with the rule itself. Each vertex's fat bit is
+// flipped in turn in a copy of a degree-ordered slab, and FatCount over every
+// engine that still builds returns what the two passes over its records do —
+// the same k, or the same error text, naming the same vertex (the first in
+// vertex order that breaks the rule). Flipping the last fat or the first thin
+// vertex moves k and keeps the rule; any other flip breaks it.
+func TestFatCountFlippedFatBits(t *testing.T) {
+	slab, bitLens, order := degreeArena(t, 300, 5)
+	offs := make([]int64, len(bitLens))
+	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
+	for walk.Next() {
+		v, off := walk.Label()
+		offs[v] = off
+	}
+	twoPass := func(e *QueryEngine) (int, error) {
+		k := 0
+		for _, mv := range e.meta {
+			if mv.fat() {
+				k++
+			}
+		}
+		for v, mv := range e.meta {
+			if mv.fat() != (mv.id() < uint64(k)) {
+				return 0, fmt.Errorf("%w: vertex %d: fat %v, identifier %d, fat count %d", ErrBadLabel, v, mv.fat(), mv.id(), k)
+			}
+		}
+		return k, nil
+	}
+	held, broken := 0, 0
+	for v := range bitLens {
+		flipped := bytes.Clone(slab)
+		flipped[offs[v]>>3] ^= 0x80
+		e, err := NewQueryEngineFromPermutedArena(flipped, bitLens, order)
+		if err != nil {
+			continue // the flipped header no longer parses
+		}
+		k, err := e.FatCount()
+		wantK, wantErr := twoPass(e)
+		if k != wantK || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("vertex %d flipped: FatCount = %d, %v; two passes say %d, %v", v, k, err, wantK, wantErr)
+		}
+		if err != nil {
+			broken++
+		} else {
+			held++
+		}
+	}
+	if held == 0 || broken == 0 {
+		t.Fatalf("%d flips kept the rule and %d broke it; want some of each", held, broken)
 	}
 }

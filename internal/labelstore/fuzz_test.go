@@ -31,7 +31,8 @@ import (
 //
 // Seeds are real images of every store shape — id-ordered, degree-ordered, a
 // shard, pll, bdist — and images both must reject: a retired version-1
-// image, version-2 stamps, blobs whose last label ends in a partial word, and
+// image, version-2 stamps, a degree-ordered store with the retired identifier
+// block (layout "degree"), blobs whose last label ends in a partial word, and
 // shard stores with header stubs or in id order.
 func FuzzReadBytes(f *testing.F) {
 	image := func(file *File) []byte {
@@ -62,6 +63,9 @@ func FuzzReadBytes(f *testing.F) {
 			f.Fatal(err)
 		}
 		img := image(file)
+		if order != nil {
+			f.Add(degreeLayoutImage(f, file))
+		}
 		// The image again, stamped with the retired version 2, and with its
 		// blob cut back to the labels' last byte (blob length to match), so
 		// that the last label ends in a partial word: both readers refuse

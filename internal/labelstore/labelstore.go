@@ -13,10 +13,14 @@
 //	        per pair: len+bytes   e.g. "n", "w")
 //	n       uvarint              number of labels
 //	lens    n × uvarint          per-label bit lengths (always id-indexed)
-//	perm    ⌈n·w/8⌉ bytes        rank→label layout permutation: n entries of
-//	                             w = ⌈log₂ n⌉ bits, MSB first, the last
-//	                             byte's tail zero; present iff params
-//	                             carries "layout" (value "degree")
+//	perm    uvarint R,           rank→label layout permutation, run-coded
+//	        R × uvarint length,  (permutation.go): its R maximal increasing
+//	        ⌈n·b/8⌉ bytes        runs' lengths, then n fields of
+//	                             b = ⌈log₂ R⌉ bits naming each vertex's run,
+//	                             MSB first, the last byte's tail zero;
+//	                             present iff params carries "layout" (value
+//	                             "runs"). R ≤ #distinct degrees = O(n^(1/α)),
+//	                             so b ≈ (log₂ n)/α + O(1) bits per vertex
 //	shard   uvarint index,       shard map of a partitioned store; present
 //	        u8 fn, uvarint owned iff params carries "shards" (see shard.go)
 //	blob    uvarint byte count,  the labels back to back in rank order, label
@@ -36,7 +40,9 @@
 // zero relocation. A degree-ordered arena (core.LayoutDegree) carries its
 // permutation block: readers reconstruct id-indexed lookup from it, readers
 // too old to know the "layout" param fail loudly on the extra block (a
-// blob-length mismatch) rather than mis-answer. A distance store (params
+// blob-length mismatch) rather than mis-answer, and a store whose "layout" is
+// "degree" — the ⌈log₂ n⌉-bit identifier block this container held before
+// the run-coded one — is refused by name (re-run pllabel). A distance store (params
 // carry "scheme" = pll | bdist, see scheme.go) rides the same body with no
 // extra block — its engine parameters live entirely in the params. The
 // per-label version 1 and the word-aligned version 2 (every label on a
@@ -63,7 +69,7 @@ var ErrFormat = errors.New("labelstore: malformed input")
 var magic = [4]byte{'P', 'L', 'L', 'B'}
 
 // formatVersion is the one container this package reads and writes: a single
-// byte-packed slab blob behind a w-bit permutation block.
+// byte-packed slab blob behind the header blocks (lens, permutation, shard).
 const formatVersion = 3
 
 // checkVersion refuses every other container, the retired per-label
@@ -77,11 +83,14 @@ func checkVersion(ver byte) error {
 
 // layoutKey is the params entry announcing a physically permuted blob;
 // its presence means a permutation block sits between the lens block and the
-// blob. The only defined value is layoutDegree (descending-degree order).
-// Any other value is rejected — misreading a permuted slab as id-ordered
-// would silently answer queries from the wrong labels.
+// blob. The only value read is layoutRuns, the run-coded block
+// (permutation.go). layoutDegree, the ⌈log₂ n⌉-bit identifier block stores
+// carried before it, is refused by name (re-run pllabel); any other value is
+// rejected — misreading a permuted slab as id-ordered would silently answer
+// queries from the wrong labels.
 const (
 	layoutKey    = "layout"
+	layoutRuns   = "runs"
 	layoutDegree = "degree"
 )
 
@@ -166,17 +175,13 @@ func (f *File) adoptArena(mask bool) error {
 	for walk.Next() {
 		v, off := walk.Label()
 		bits := f.bitLens[v]
-		var label bitstr.String
-		if mask {
-			var err error
-			if label, err = bitstr.SlabView(f.arena, off, bits); err != nil {
-				return fmt.Errorf("%w: arena label %d: %v", ErrFormat, v, err)
-			}
-		} else {
-			label = bitstr.SlabLabel(f.arena, off, bits)
+		// The walk has bounded the label inside the slab: its last byte is
+		// masked in place, and a view is cut only for a Labels table.
+		if pad := bits & 7; mask && pad != 0 {
+			f.arena[(off+int64(bits))>>3] &= 0xFF << (8 - pad)
 		}
 		if f.Labels != nil {
-			f.Labels[v] = label
+			f.Labels[v] = bitstr.SlabLabel(f.arena, off, bits)
 		}
 		if sb := f.shard; sb != nil {
 			if err := sb.checkLabel(f.arena, v, off, bits, header, v < lo || v >= hi); err != nil {
@@ -197,11 +202,6 @@ func (f *File) adoptArena(mask bool) error {
 func (f *File) ArenaLayout() (slab []byte, bitLens []int, order []int32, ok bool) {
 	return f.arena, f.bitLens, f.order, f.arena != nil
 }
-
-// PermutationOverheadBytes returns the serialized size of a layout
-// permutation block — the header bytes a permuted store carries beyond its
-// id-ordered equivalent (pllabel reports it in its summary line).
-func PermutationOverheadBytes(order []int32) int { return bitstr.IDBlockLen(len(order)) }
 
 // IntParam returns an integer metadata parameter.
 func (f *File) IntParam(key string) (int, error) {
@@ -248,7 +248,7 @@ func Write(w io.Writer, f *File) error {
 			params[k] = v
 		}
 		if f.order != nil {
-			params[layoutKey] = layoutDegree
+			params[layoutKey] = layoutRuns
 		}
 		if f.shard != nil {
 			params[shardsKey] = strconv.Itoa(f.shard.m.Count)
@@ -284,8 +284,10 @@ func Write(w io.Writer, f *File) error {
 	if err := writeUvarints(bw, f.bitLens); err != nil {
 		return err
 	}
-	if err := writePermutation(bw, f.order); err != nil { // empty when id-ordered
-		return err
+	if f.order != nil { // permutation block (absent when id-ordered)
+		if err := writePermutation(bw, f.order); err != nil {
+			return err
+		}
 	}
 	if f.shard != nil { // shard block (absent for whole-labeling stores)
 		if err := writeUvarint(bw, uint64(f.shard.m.Index)); err != nil {
@@ -400,11 +402,15 @@ func parse(data []byte, mask bool) (*File, error) {
 	}
 	var order []int32
 	if lay, ok := params[layoutKey]; ok {
-		if lay != layoutDegree {
+		switch lay {
+		case layoutRuns:
+			if order, err = p.permutation(int(n)); err != nil {
+				return nil, err
+			}
+		case layoutDegree:
+			return nil, fmt.Errorf("%w: layout %q: the ⌈log₂ n⌉-bit permutation block is retired for the run-coded one (re-run pllabel)", ErrFormat, lay)
+		default:
 			return nil, fmt.Errorf("%w: unknown layout %q", ErrFormat, lay)
-		}
-		if order, err = p.permutation(int(n)); err != nil {
-			return nil, err
 		}
 	}
 	var sb *shardBlock
@@ -500,33 +506,6 @@ func (p *byteParser) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// permutation reads the permutation block over n labels, an identifier block
-// (bitstr.IDBlockLen). Each entry is range-checked here and the tail of the
-// last byte must be zero, so an order has one encoding; the permutation check
-// (no label missing or repeated) is adoptArena's. A truncated or garbage
-// block errors at load, it can never mis-answer.
-func (p *byteParser) permutation(n int) ([]int32, error) {
-	size := bitstr.IDBlockLen(n)
-	if err := p.need(size); err != nil {
-		return nil, fmt.Errorf("%w: layout permutation block: %v", ErrFormat, err)
-	}
-	block := p.data[p.off : p.off+size]
-	p.off += size
-	width := uint(bitstr.WidthFor(uint64(n)))
-	order := make([]int32, n)
-	for i := range order {
-		v := bitstr.IDBlockField(block, i, width)
-		if v >= n {
-			return nil, fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrFormat, i, v, n)
-		}
-		order[i] = int32(v)
-	}
-	if used := uint(n) * width & 7; used != 0 && block[size-1]<<used != 0 {
-		return nil, fmt.Errorf("%w: layout permutation block ends in nonzero padding", ErrFormat)
-	}
-	return order, nil
-}
-
 func (p *byteParser) string() (string, error) {
 	n, err := p.uvarint("string length")
 	if err != nil {
@@ -578,35 +557,6 @@ func writeUvarints(w *bufio.Writer, vs []int) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// writePermutation writes the permutation block, an identifier block
-// (bitstr.IDBlockLen), straight into the writer's buffer: a SlabWriter packs
-// each chunk of entries, a multiple of eight of them so every chunk but the
-// last ends on a byte. The writer stores every byte of a chunk whole, so the
-// buffer's stale bytes need no clearing.
-func writePermutation(w *bufio.Writer, order []int32) error {
-	width := bitstr.WidthFor(uint64(len(order)))
-	if width == 0 { // at most one label: the block is empty
-		return nil
-	}
-	for len(order) > 0 {
-		if w.Available() < width {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-		}
-		m := min(len(order), w.Available()/width*8)
-		buf := w.AvailableBuffer()[:(m*width+7)>>3]
-		sw := bitstr.NewSlabWriter(buf)
-		sw.WriteUints32(order[:m], width)
-		sw.Flush()
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		order = order[m:]
-	}
-	return nil
 }
 
 func writeString(w *bufio.Writer, s string) error {

@@ -396,14 +396,19 @@ func TestSlabRoundTrip(t *testing.T) {
 // before parsing anything behind it — so whatever layout, shards or scheme it
 // declares is refused with it. The same readers refuse a shard store of the
 // retired hash ownership function by its ownership byte, naming it, a shard
-// store whose foreign thin labels are header stubs by their length, and an
-// id-ordered shard store, whose absent labels would have no identifier.
+// store whose foreign thin labels are header stubs by their length, an
+// id-ordered shard store, whose absent labels would have no identifier, and a
+// whole or shard store whose permutation block is the retired ⌈log₂ n⌉-bit
+// identifier block (layout "degree"), by that layout.
 func TestVersion1Rejected(t *testing.T) {
 	_, labels := sampleFile(t)
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole, _ := permutedStore(t, g)
+	shards, _ := shardStores(t, g, 3)
+	const degreeRefused = `layout "degree": the ⌈log₂ n⌉-bit permutation block is retired for the run-coded one (re-run pllabel)`
 	for _, img := range []struct {
 		name, want string
 		data       []byte
@@ -412,6 +417,8 @@ func TestVersion1Rejected(t *testing.T) {
 		{"hash-owned shard", "hash is retired (re-run pllabel -shards)", hashOwnedImage(t, g)},
 		{"stub-era shard", "header stub (re-run pllabel -shards)", retiredShardImage(t, g, false)},
 		{"id-ordered shard", "carries the degree layout (re-run pllabel -shards)", retiredShardImage(t, g, true)},
+		{"layout=degree", degreeRefused, degreeLayoutImage(t, whole)},
+		{"layout=degree shard", degreeRefused, degreeLayoutImage(t, shards[2])},
 	} {
 		for _, r := range []struct {
 			name string

@@ -158,11 +158,6 @@ func corruptBlobLen(t testing.TB, data []byte, blobBytes int, newLen uint64) []b
 	return out
 }
 
-func uvarintLen(v uint64) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(buf[:], v)
-}
-
 // TestBlobLengthMismatchRejected: both parsers reject a blob-length field
 // that disagrees with the declared bit lengths, in both directions, before
 // constructing any views.

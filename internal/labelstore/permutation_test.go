@@ -1,11 +1,14 @@
 package labelstore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -16,7 +19,7 @@ import (
 
 // permutedStore encodes g degree-ordered and returns the store file plus the
 // labeling it came from.
-func permutedStore(t *testing.T, g *graph.Graph) (*File, *core.Labeling) {
+func permutedStore(t testing.TB, g *graph.Graph) (*File, *core.Labeling) {
 	t.Helper()
 	s := core.NewPowerLawScheme(2.5)
 	lab, err := s.Encode(g)
@@ -108,8 +111,9 @@ func TestPermutedRoundTrip(t *testing.T) {
 }
 
 // TestPermutationBlockSpansWriteBuffer writes a permutation block larger than
-// Write's buffer (2^19 entries of 19 bits), so it is packed in several chunks
-// that start with the buffer partly full, and reads every entry back.
+// Write's buffer (a random order of 2^19 labels has about 2^18 runs, so 2^19
+// run fields of 18 bits), so it is packed in several chunks that start with
+// the buffer partly full, and reads every entry back.
 func TestPermutationBlockSpansWriteBuffer(t *testing.T) {
 	const n = 1 << 19
 	bitLens := make([]int, n)
@@ -122,8 +126,8 @@ func TestPermutationBlockSpansWriteBuffer(t *testing.T) {
 	for r, v := range rand.New(rand.NewSource(9)).Perm(n) {
 		order[r] = int32(v)
 	}
-	if bitstr.IDBlockLen(n) <= writeBuffer {
-		t.Fatalf("a %d-byte block fits the %d-byte write buffer", bitstr.IDBlockLen(n), writeBuffer)
+	if size := PermutationOverheadBytes(order); size <= writeBuffer {
+		t.Fatalf("a %d-byte block fits the %d-byte write buffer", size, writeBuffer)
 	}
 	f, err := NewPermutedArenaFile("test", nil, make([]byte, bitstr.SlabSize(size)), bitLens, order)
 	if err != nil {
@@ -166,7 +170,7 @@ func TestPermutedStoreArenaHidden(t *testing.T) {
 // permBlockRange locates the [start, end) byte range of the permutation
 // block inside a serialized store image by walking the header fields in
 // front of it.
-func permBlockRange(t *testing.T, data []byte, n int) (int, int) {
+func permBlockRange(t testing.TB, data []byte, n int) (int, int) {
 	t.Helper()
 	off := 5 // magic + version
 	uv := func(what string) uint64 {
@@ -190,15 +194,34 @@ func permBlockRange(t *testing.T, data []byte, n int) (int, int) {
 	for i := 0; i < n; i++ {
 		uv("label length")
 	}
-	return off, off + bitstr.IDBlockLen(n)
+	return off, permBlockEnd(t, data, off, n)
+}
+
+// permBlockEnd returns the offset just past the permutation block over n
+// labels that starts at off: its run count, run lengths and run fields.
+func permBlockEnd(t testing.TB, data []byte, off, n int) int {
+	t.Helper()
+	uv := func(what string) uint64 {
+		v, k := binary.Uvarint(data[off:])
+		if k <= 0 {
+			t.Fatalf("parsing %s at offset %d", what, off)
+		}
+		off += k
+		return v
+	}
+	runs := uv("run count")
+	for j := uint64(0); j < runs; j++ {
+		uv("run length")
+	}
+	return off + runFieldsLen(n, int(runs))
 }
 
 // TestPermutationCorruptionErrors is the load-time safety property of the
 // permutation block: any truncation inside it, and any single corrupted byte
 // of it, must make both readers fail — a damaged permutation may never load
-// and silently mis-answer. (A corrupted entry either breaks the uvarint
-// framing, leaves the permutation's range, or collides with another entry;
-// all three are checked at load.)
+// and silently mis-answer. (A corrupted byte breaks the uvarint framing, a
+// run length, a field's range, a run's count, a descent at a run boundary or
+// the padding; all are checked at load.)
 func TestPermutationCorruptionErrors(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
@@ -312,4 +335,184 @@ func TestV2WithoutPermutationBackCompat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// packFields packs vs at width bits each, MSB first, the last byte's tail
+// zero.
+func packFields(vs []int32, width int) []byte {
+	size := (len(vs)*width + 7) >> 3
+	block := make([]byte, size+8) // the writer stores whole words
+	sw := bitstr.NewSlabWriter(block)
+	sw.WriteUints32(vs, width)
+	sw.Flush()
+	return block[:size]
+}
+
+// identifierBlock is the permutation block stores carried under layout
+// "degree": n entries of ⌈log₂ n⌉ bits.
+func identifierBlock(order []int32) []byte {
+	return packFields(order, bitstr.WidthFor(uint64(len(order))))
+}
+
+// degreeLayoutImage is f, a permuted store, as a pllabel before the run-coded
+// block wrote it: layout "degree" and the identifier block in its place.
+func degreeLayoutImage(t testing.TB, f *File) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	start, end := permBlockRange(t, img, f.N())
+	runs, degree := []byte("\x06layout\x04runs"), []byte("\x06layout\x06degree")
+	if bytes.Count(img[:start], runs) != 1 {
+		t.Fatalf("image does not declare layout %q once", layoutRuns)
+	}
+	out := bytes.Replace(img[:start:start], runs, degree, 1)
+	out = append(out, identifierBlock(f.order)...)
+	return append(out, img[end:]...)
+}
+
+// encodePermutation is the block writePermutation writes for order.
+func encodePermutation(t testing.TB, order []int32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := writePermutation(w, order); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// runBlock hand-builds a permutation block: the run count and lengths as
+// given, then fields packed at width bits, the last byte's tail ORed with pad.
+func runBlock(runs []uint64, fields []int32, width int, pad byte) []byte {
+	block := binary.AppendUvarint(nil, uint64(len(runs)))
+	for _, l := range runs {
+		block = binary.AppendUvarint(block, l)
+	}
+	packed := packFields(fields, width)
+	if len(packed) > 0 {
+		packed[len(packed)-1] |= pad
+	}
+	return append(block, packed...)
+}
+
+// badPermutationBlocks are blocks the reader refuses, one per check, each
+// with the words its error names.
+var badPermutationBlocks = []struct {
+	name, want string
+	n          int
+	block      []byte
+}{
+	{"not maximal", "do not descend", 5, runBlock([]uint64{2, 3}, []int32{0, 0, 1, 1, 1}, 1, 0)},
+	{"field ≥ R", "in run 3 of 3", 5, runBlock([]uint64{2, 2, 1}, []int32{0, 3, 1, 1, 2}, 2, 0)},
+	{"lengths sum short", "runs cover 4 of 5", 5, runBlock([]uint64{2, 2}, []int32{1, 1, 0, 0, 1}, 1, 0)},
+	{"lengths sum long", "run 1 of length 4", 5, runBlock([]uint64{2, 4}, []int32{1, 1, 0, 0, 1}, 1, 0)},
+	{"zero length", "run 0 of length 0", 5, runBlock([]uint64{0, 5}, []int32{1, 1, 1, 1, 1}, 1, 0)},
+	{"run overfull", "more labels than its declared length", 5, runBlock([]uint64{2, 3}, []int32{1, 0, 0, 0, 1}, 1, 0)},
+	{"nonzero padding", "nonzero padding", 4, runBlock([]uint64{2, 2}, []int32{1, 1, 0, 0}, 1, 0x01)},
+	{"more runs than labels", "declares 3 runs", 2, runBlock([]uint64{1, 1, 1}, []int32{0, 1}, 2, 0)},
+	{"no runs", "declares 0 runs", 2, []byte{0x00}},
+	{"overlong run count", "overlong uvarint", 2, []byte{0x82, 0x00, 0x01, 0x01, 0x40}},
+	{"overlong run length", "overlong uvarint", 2, []byte{0x02, 0x81, 0x00, 0x01, 0x40}},
+	{"fields truncated", "run fields", 16, runBlock([]uint64{8, 8}, nil, 1, 0)},
+}
+
+// TestPermutationBlockRefusals: each of the reader's checks refuses its
+// block, by name.
+func TestPermutationBlockRefusals(t *testing.T) {
+	for _, bad := range badPermutationBlocks {
+		p := &byteParser{data: bad.block}
+		if order, err := p.permutation(bad.n); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: order %v, err = %v, want ErrFormat naming %q", bad.name, order, err, bad.want)
+		}
+	}
+}
+
+// TestPermutationBlockRoundTrip: the block of every order shape decodes to
+// that order, and the size PermutationOverheadBytes reports is the size
+// written. A degree order costs a run field of ⌈log₂ R⌉ bits per label.
+func TestPermutationBlockRoundTrip(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(3000, 2.5, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := permutedStore(t, g)
+	random := make([]int32, 500)
+	for r, v := range rand.New(rand.NewSource(3)).Perm(len(random)) {
+		random[r] = int32(v)
+	}
+	for name, order := range map[string][]int32{
+		"empty":     {},
+		"single":    {0},
+		"identity":  {0, 1, 2, 3, 4, 5, 6},
+		"reversed":  {6, 5, 4, 3, 2, 1, 0},
+		"two runs":  {3, 4, 5, 0, 1, 2},
+		"random":    random,
+		"degree":    f.order,
+		"two descs": {1, 0, 3, 2},
+	} {
+		block := encodePermutation(t, order)
+		if len(block) != PermutationOverheadBytes(order) {
+			t.Errorf("%s: wrote %d bytes, PermutationOverheadBytes says %d", name, len(block), PermutationOverheadBytes(order))
+		}
+		p := &byteParser{data: block}
+		got, err := p.permutation(len(order))
+		if err != nil || !slices.Equal(got, order) || p.off != len(block) {
+			t.Errorf("%s: decoded %v (%v) after %d of %d bytes", name, got, err, p.off, len(block))
+		}
+	}
+	n, runs := len(f.order), PermutationRuns(f.order)
+	if fields := runFieldsLen(n, runs); PermutationOverheadBytes(f.order) > fields+2*runs+2 {
+		t.Errorf("degree order of %d labels, %d runs: block of %d bytes, want about %d", n, runs, PermutationOverheadBytes(f.order), fields)
+	}
+	if runs >= n/4 {
+		t.Errorf("degree order of %d labels has %d runs", n, runs)
+	}
+}
+
+// FuzzPermutationBlock: any input either fails to decode as the permutation
+// block over n labels, or decodes to a permutation whose re-encoding is the
+// bytes the decoder consumed — a block has one decoding and an order one
+// encoding. Seeds are real blocks, one with 0-bit fields (R = 1), the
+// retired identifier block, and badPermutationBlocks: a run split that is not
+// maximal, a field naming no run, run lengths that do not cover n, nonzero
+// padding, overlong uvarints.
+func FuzzPermutationBlock(f *testing.F) {
+	g, err := gen.ChungLuPowerLaw(300, 2.5, 2, 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	degree, _ := permutedStore(f, g)
+	add := func(n int, block []byte) { f.Add(uint16(n), block) }
+	add(len(degree.order), encodePermutation(f, degree.order))
+	add(len(degree.order), identifierBlock(degree.order))
+	add(5, encodePermutation(f, []int32{0, 1, 2, 3, 4}))    // R = 1
+	add(6, encodePermutation(f, []int32{3, 4, 5, 0, 1, 2})) // R = 2
+	for _, bad := range badPermutationBlocks {
+		add(bad.n, bad.block)
+	}
+	add(0, []byte{0x00})
+	f.Fuzz(func(t *testing.T, n16 uint16, data []byte) {
+		n := int(n16 % 4097)
+		p := &byteParser{data: data}
+		order, err := p.permutation(n)
+		if err != nil {
+			return
+		}
+		seen := make([]bool, n)
+		for r, v := range order {
+			if v < 0 || int(v) >= n || seen[v] {
+				t.Fatalf("decoded order repeats or leaves the range at rank %d: %d", r, v)
+			}
+			seen[v] = true
+		}
+		if re := encodePermutation(t, order); !bytes.Equal(re, data[:p.off]) {
+			t.Fatalf("order of %d labels re-encodes to %x, decoded from %x", n, re, data[:p.off])
+		}
+	})
 }

@@ -338,22 +338,25 @@ var pinnedContentShas = map[string]string{
 // were pinned here before; pinnedContentShas shows the labels did not move).
 // Its range3 rows were re-pinned with pinnedContentShas' when foreign thin
 // labels became absent, and lost its id-layout rows with pinnedContentShas'.
+// Its permuted whole and store rows were re-pinned when the permutation block
+// went from ⌈log₂ n⌉-bit identifiers to run-coded fields (layout "runs"): the
+// arena rows, compressed's id-ordered store and pinnedContentShas did not move.
 var pinnedStoreShas = map[string]string{
-	"bdist/degree/whole":                "ee325e9c37c084c7945a508b7a30803245f0cf6621a0aad7b2865183faa6a986",
+	"bdist/degree/whole":                "bf4d1ebc88359e0371dde6779c4f96e960e7a721f5f4084703856034eee86767",
 	"compressed/id/whole":               "38b213c520e4a65953a7253ca15eff2c37a0eedc57639e492412f32e68b5ec29",
 	"fatthin-once/degree/range3/arena0": "f5b712116b8792d61c2e1c0160bf15e1928476e901b07df7957eef5abc610bbb",
 	"fatthin-once/degree/range3/arena1": "65906c7f040796955048e2cd2409cce2c4798c8291b2532fb6b024a7dca8f275",
 	"fatthin-once/degree/range3/arena2": "65dac93f19dd795c4f9926d7101fa471e54e8322f61205eb159441c5ab786cc1",
-	"fatthin-once/degree/range3/store0": "812296f959962c40c95b35747b5b419b18d26f793539c68b84766e24e6cebc7d",
-	"fatthin-once/degree/range3/store1": "93d54d74efba84410b2393b1dfe9e634d19eecff95b149ed9486b6b378a877fc",
-	"fatthin-once/degree/range3/store2": "172cd291915f5855624fb9981463d3a3454d6a075f873efffc01dcbc3e8b3d94",
-	"fatthin-once/degree/whole":         "0e0b85f4966cedd9c787bd9af993ac88aef7ada2ef2fff1c82d0f0f64a2c4dc2",
+	"fatthin-once/degree/range3/store0": "95f66106a4a9f286c0f16b7eb2205ed45a69c1b0c0869d546680d7327451ebe7",
+	"fatthin-once/degree/range3/store1": "1b3d05390a3e7260aa3bbf3bef1df6872e01d9b9fa4c7abbfad189606644d50d",
+	"fatthin-once/degree/range3/store2": "2f2ed6879fcb5e6aabf66ea67c7c47d3e512846fdd03a920eda6ab297a3c1901",
+	"fatthin-once/degree/whole":         "2b8acca9c50b233441d25e3b65422776d4d095a1ca114ff84370bacaec2b5441",
 	"fatthin/degree/range3/arena0":      "3c977eb6c9e489ce19e2e0d33161f6dfc6bb21b99ca12a81557a95a186b1a5ad",
 	"fatthin/degree/range3/arena1":      "f69e9bf263339d65e54c379543e785d76b3d9ce24801300446dcbf1602213376",
 	"fatthin/degree/range3/arena2":      "ec3ef64dd936fca9c0652217cc68eaa3efb21b8a32444abad89024ffb0dfa528",
-	"fatthin/degree/range3/store0":      "17854295e75c2927e27d5f33ff42ab1d33c2682d2ef793552258c1dcd884a7c5",
-	"fatthin/degree/range3/store1":      "e3fd3e24a941efc0dc0ddfda6cd355a61f498f6d2bab8586abf172d65736d83a",
-	"fatthin/degree/range3/store2":      "3db90048d412b0a6d2a5a06896c548f4b9985c34c4c22d6587007120c6d133d9",
-	"fatthin/degree/whole":              "e58c2cab385a143a6564fea4d3257eb4394dc8197f1956caaf36a35f1cd6a622",
-	"pll/degree/whole":                  "74f1d7f7951968350eb4cc8fdc90edc9130adf4ba0514ea443994bbdd5bddb30",
+	"fatthin/degree/range3/store0":      "e39598939931aa95ce5d65f67bdde1b793c5110bf16ca0ae902494f9d29c78e6",
+	"fatthin/degree/range3/store1":      "74d6061f0dd9efc07855402dff7fe38f1f8b01a88d9056ca4c89e7bf49fc8e5f",
+	"fatthin/degree/range3/store2":      "49cf29641b07023e627aa866c4d306924552693d8888e7d86456324df8fb2349",
+	"fatthin/degree/whole":              "f455dfb36b610b9dc773e3fb158d7cd5fd3d49752ba6e5ddb0ad3699eaf3d9f4",
+	"pll/degree/whole":                  "75e6775170b1937cafeabf7ff1bd3fef7bfae838307473c49f4cfefa004f244b",
 }

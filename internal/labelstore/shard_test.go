@@ -152,7 +152,7 @@ func shardBlockRange(t testing.TB, data []byte, n int, permuted bool) (int, int)
 		uv("label length")
 	}
 	if permuted {
-		off += bitstr.IDBlockLen(n)
+		off = permBlockEnd(t, data, off, n)
 	}
 	start := off
 	uv("shard index")
