@@ -23,17 +23,25 @@ import (
 // path and the graph for truth checks.
 func storeFixture(t *testing.T) (string, *graph.Graph) {
 	t.Helper()
-	g, scheme, labels := fixtureLabels(t)
-	return writeStore(t, scheme, labels), g
+	g, lab := fixtureLabeling(t)
+	return writeStore(t, lab.Scheme(), labelsOf(t, lab, nil), layoutOf(lab)), g
 }
 
-// fixtureLabels is the sparse labeling of the 40-vertex fixture graph, one
-// label per vertex.
-func fixtureLabels(t *testing.T) (*graph.Graph, string, []bitstr.String) {
+// fixtureLabeling is the sparse labeling of the 40-vertex fixture graph.
+func fixtureLabeling(t *testing.T) (*graph.Graph, *core.Labeling) {
 	t.Helper()
 	g := gen.ErdosRenyi(40, 0.12, 9)
 	lab, err := core.NewSparseSchemeAuto().Encode(g)
-	return g, lab.Scheme(), labelsOf(t, lab, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, lab
+}
+
+// layoutOf is a labeling's rank→vertex permutation (nil: vertex order).
+func layoutOf(lab *core.Labeling) []int32 {
+	_, order, _ := lab.ArenaLayout()
+	return order
 }
 
 // labelsOf returns an encoder's labels, one per vertex.
@@ -51,8 +59,9 @@ func labelsOf(t *testing.T, lab *core.Labeling, err error) []bitstr.String {
 	return labels
 }
 
-// writeStore packs labels into an id-ordered store file and returns its path.
-func writeStore(t *testing.T, scheme string, labels []bitstr.String) string {
+// writeStore packs labels, label order[r] at slab rank r (order nil: vertex
+// order), into a store file and returns its path.
+func writeStore(t *testing.T, scheme string, labels []bitstr.String, order []int32) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "l.pllb")
 	f, err := os.Create(path)
@@ -60,8 +69,19 @@ func writeStore(t *testing.T, scheme string, labels []bitstr.String) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	slab, bitLens := bitstr.PackSlab(labels)
-	store, err := labelstore.NewPermutedArenaFile(scheme, map[string]string{"n": strconv.Itoa(len(labels))}, slab, bitLens, nil)
+	physical := labels
+	if order != nil {
+		physical = make([]bitstr.String, len(order))
+		for r, v := range order {
+			physical[r] = labels[v]
+		}
+	}
+	slab, _ := bitstr.PackSlab(physical)
+	bitLens := make([]int, len(labels))
+	for v, l := range labels {
+		bitLens[v] = l.Len()
+	}
+	store, err := labelstore.NewPermutedArenaFile(scheme, map[string]string{"n": strconv.Itoa(len(labels))}, slab, bitLens, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +94,14 @@ func writeStore(t *testing.T, scheme string, labels []bitstr.String) string {
 // TestQueryRefusesUnservableStore: plquery answers exactly the stores plserve
 // serves and refuses the rest at start, streaming and batch, with no answer
 // printed: a fat/thin store whose labels the query engine rejects — here thin
-// label 36 padded by one bit — and stores whose scheme names no fat/thin
-// layout (adjmatrix, and a CompressedScheme labeling whose gap-coded labels
-// pass the engine's header checks), refused by name.
+// label 36 padded by one bit — the same labels in vertex order, a stale store
+// from before the degree layout (re-run pllabel), and stores whose scheme
+// names no fat/thin layout (adjmatrix, and a CompressedScheme labeling),
+// refused by name.
 func TestQueryRefusesUnservableStore(t *testing.T) {
-	g, scheme, labels := fixtureLabels(t)
+	g, lab := fixtureLabeling(t)
+	scheme, labels, order := lab.Scheme(), labelsOf(t, lab, nil), layoutOf(lab)
+	stale := writeStore(t, scheme, labels, nil)
 	if fat, _ := labels[36].Bit(0); fat {
 		t.Fatal("fixture label 36 is fat; the test pads a thin one")
 	}
@@ -91,9 +114,10 @@ func TestQueryRefusesUnservableStore(t *testing.T) {
 	comp, err := core.NewCompressedScheme(core.NewFixedThresholdScheme(3)).Encode(g)
 	compLabels := labelsOf(t, comp, err)
 	for _, tc := range []struct{ path, want string }{
-		{writeStore(t, scheme, labels), "not a multiple of id width"},
-		{writeStore(t, adj.Scheme(), adjLabels), adj.Scheme()},
-		{writeStore(t, comp.Scheme(), compLabels), comp.Scheme()},
+		{writeStore(t, scheme, labels, order), "not a multiple of id width"},
+		{stale, "re-run pllabel"},
+		{writeStore(t, adj.Scheme(), adjLabels, nil), adj.Scheme()},
+		{writeStore(t, comp.Scheme(), compLabels, nil), comp.Scheme()},
 	} {
 		for _, extra := range [][]string{nil, {"-batch"}} {
 			var out bytes.Buffer

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/adjserve"
+	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -39,8 +40,14 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 func writeStore(t *testing.T, lab *core.Labeling) string {
 	t.Helper()
 	slab, order, _ := lab.ArenaLayout()
-	store, err := labelstore.NewPermutedArenaFile(lab.Scheme(),
-		map[string]string{"n": strconv.Itoa(lab.N())}, slab, lab.BitLens(), order)
+	return writeArena(t, lab.Scheme(), slab, lab.BitLens(), order)
+}
+
+// writeArena writes a store of the given arena and returns its path.
+func writeArena(t *testing.T, scheme string, slab []byte, bitLens []int, order []int32) string {
+	t.Helper()
+	store, err := labelstore.NewPermutedArenaFile(scheme,
+		map[string]string{"n": strconv.Itoa(len(bitLens))}, slab, bitLens, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,42 +678,56 @@ func TestPairCacheFlagRefusedOnAdjacencyStore(t *testing.T) {
 
 func TestUnservableStore(t *testing.T) {
 	// An empty adjacency-matrix store is not a fat/thin layout and is
-	// refused by name. A pre-closed stop channel makes run drain at once had
-	// it served, so a serve shows up as a nil error, not a hang.
-	path := filepath.Join(t.TempDir(), "bad.pllb")
-	f, err := os.Create(path)
+	// refused by name; a fat/thin store in vertex order, as pllabel wrote
+	// before the degree layout, is stale and refused with the remedy. A
+	// pre-closed stop channel makes run drain at once had it served, so a
+	// serve shows up as a nil error, not a hang.
+	g, err := gen.ChungLuPowerLaw(250, 2.5, 2, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	store, err := labelstore.NewPermutedArenaFile("adjmatrix", map[string]string{"n": "0"}, []byte{}, nil, nil)
+	lab, err := core.NewPowerLawScheme(2.5).Encode(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := labelstore.Write(f, store); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	close(stop)
-	errC := make(chan error, 1)
-	go func() {
-		errC <- run([]string{"-labels", path, "-addr", "127.0.0.1:0"}, newAddrWriter(), stop)
-	}()
-	select {
-	case err := <-errC:
-		if err == nil || !strings.Contains(err.Error(), "adjmatrix") || !strings.Contains(err.Error(), "not a fat/thin layout") {
-			t.Fatalf("run over an adjmatrix store: err = %v, want a refusal naming adjmatrix as not a fat/thin layout", err)
+	labels := make([]bitstr.String, lab.N())
+	for v := range labels {
+		if labels[v], err = lab.Label(v); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not return with a closed stop channel")
+	}
+	idSlab, idLens := bitstr.PackSlab(labels)
+	for _, tc := range []struct {
+		path string
+		want []string
+	}{
+		{writeArena(t, "adjmatrix", []byte{}, nil, nil), []string{"adjmatrix", "not a fat/thin layout"}},
+		{writeArena(t, lab.Scheme(), idSlab, idLens, nil), []string{lab.Scheme(), "re-run pllabel"}},
+	} {
+		stop := make(chan struct{})
+		close(stop)
+		errC := make(chan error, 1)
+		go func() {
+			errC <- run([]string{"-labels", tc.path, "-addr", "127.0.0.1:0"}, newAddrWriter(), stop)
+		}()
+		select {
+		case err := <-errC:
+			for _, want := range tc.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("run over an unservable store: err = %v, want a refusal naming %q", err, want)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("run did not return with a closed stop channel")
+		}
 	}
 }
 
 // TestRefusesNonFatThinStore: plserve builds the fat/thin engine only over a
 // store whose scheme names the fat/thin layout, and refuses anything else at
-// startup with an error naming the scheme. The engine's header checks cannot
-// tell every layout apart: this gap-coded (CompressedScheme) labeling passes
-// them, and an engine built over it answers the edge (0,1) false.
+// startup with an error naming the scheme, before any engine is built: the
+// name rule, not the engine's header checks, is what keeps a gap-coded
+// (CompressedScheme) labeling from being served.
 func TestRefusesNonFatThinStore(t *testing.T) {
 	g := gen.ErdosRenyi(6, 2.5/6, 15)
 	lab, err := core.NewCompressedScheme(core.NewFixedThresholdScheme(3)).Encode(g)
@@ -720,8 +741,8 @@ func TestRefusesNonFatThinStore(t *testing.T) {
 	go func() { errC <- run([]string{"-labels", path, "-addr", "127.0.0.1:0"}, out, stop) }()
 	select {
 	case err := <-errC:
-		if err == nil || !strings.Contains(err.Error(), lab.Scheme()) {
-			t.Fatalf("run over a %s store: err = %v, want a refusal naming the scheme", lab.Scheme(), err)
+		if err == nil || !strings.Contains(err.Error(), lab.Scheme()) || !strings.Contains(err.Error(), "not a fat/thin layout") {
+			t.Fatalf("run over a %s store: err = %v, want a refusal naming the scheme as not a fat/thin layout", lab.Scheme(), err)
 		}
 	case addr := <-out.addrC:
 		answer := "no answer"

@@ -704,10 +704,12 @@ func (c *Client) Info() (n int, err error) {
 // ShardInfo describes the slice of the labeling a server holds, as reported
 // by the shard-info handshake: the vertex count, the shard map (the trivial
 // 1-shard map for an unsharded server), the fat count K (vertex v is fat
-// exactly when its identifier is below K, which the server checked) and the
-// identifier block (vertex v's scheme identifier at bit v·w, w = ceil(log2 N)
-// bits, MSB first; empty, with K = 0, from a server that holds no adjacency
-// labels) — everything a router needs to place queries.
+// exactly when its identifier is below K, which the server's engine build
+// enforced: its slab's fat labels are ranks 0..K-1, each carrying its rank as
+// identifier) and the identifier block (vertex v's scheme identifier at bit
+// v·w, w = ceil(log2 N) bits, MSB first; empty, with K = 0, from a server
+// that holds no adjacency labels) — everything a router needs to place
+// queries.
 type ShardInfo struct {
 	N      int
 	Map    core.ShardMap

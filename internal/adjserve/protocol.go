@@ -214,19 +214,14 @@ func appendShardInfo(resp []byte, n int, m core.ShardMap, k int) []byte {
 
 // buildShardInfo builds the shard-info response of a server over eng (nil: a
 // distance-only server of n vertices, which reports k = 0 and no identifier
-// block) — or, when the engine's fat vertices are not exactly the identifiers
-// below k (core.QueryEngine.FatCount) or the response would not fit a frame
-// of limit bytes, the error frame that says so. The engine is read-only once
-// it serves, so a server builds this once and writes the same bytes to every
-// handshake; at megabytes it must never pass through per-connection scratch.
+// block) — or, when the response would not fit a frame of limit bytes, the
+// error frame that says so. The engine is read-only once it serves, so a
+// server builds this once and writes the same bytes to every handshake; at
+// megabytes it must never pass through per-connection scratch.
 func buildShardInfo(eng *core.QueryEngine, n int, limit int) []byte {
 	m, k, idLen := trivialShardMap, 0, 0
 	if eng != nil {
-		var err error
-		if k, err = eng.FatCount(); err != nil {
-			return appendErr(nil, "shard-info: %v", err)
-		}
-		idLen = bitstr.IDBlockLen(n)
+		k, idLen = eng.FatCount(), bitstr.IDBlockLen(n)
 		if sm, ok := eng.Shard(); ok {
 			m = sm
 		}

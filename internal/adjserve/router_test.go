@@ -90,7 +90,7 @@ func TestRouterRoutingInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		si := &ShardInfo{N: full.N(), K: fatCount(t, full), IDBits: full.AppendIDBits(nil)}
+		si := &ShardInfo{N: full.N(), K: full.FatCount(), IDBits: full.AppendIDBits(nil)}
 		for u := 0; u < full.N(); u++ {
 			for v := 0; v < full.N(); v++ {
 				s := r.route(u, v)
@@ -123,7 +123,7 @@ func TestRouterRoutingInvariant(t *testing.T) {
 // thinPairsOwnedBy collects pairs whose endpoints are both thin and owned by
 // shard s — pairs the routing rule must send to s and no other shard.
 func thinPairsOwnedBy(e *core.QueryEngine, count, s, want int) [][2]int {
-	k, _ := e.FatCount() // the test labelings keep the rule
+	k := e.FatCount()
 	si := &ShardInfo{N: e.N(), IDBits: e.AppendIDBits(nil)}
 	var own []int
 	for v, hi := (core.ShardMap{Count: count, Index: s}).Range(e.N()); v < hi; v++ {

@@ -69,17 +69,6 @@ func shardEnginesOf(t testing.TB, n, count int, seed int64, thin core.ThinEdges)
 	return g, full, engines
 }
 
-// fatCount is e's fat count k: vertex v is fat exactly when its identifier is
-// below it.
-func fatCount(t testing.TB, e *core.QueryEngine) int {
-	t.Helper()
-	k, err := e.FatCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
-}
-
 // TestShardInfoUnsharded: a plain server answers the handshake with the
 // trivial 1-shard map, its engine's fat count and identifier block, so a
 // router can front it.
@@ -101,7 +90,7 @@ func TestShardInfoUnsharded(t *testing.T) {
 	if want := (core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}); si.Map != want {
 		t.Fatalf("unsharded shard map %+v, want %+v", si.Map, want)
 	}
-	if k := fatCount(t, eng); si.K != k || k == 0 {
+	if k := eng.FatCount(); si.K != k || k == 0 {
 		t.Fatalf("fat count %d, engine has %d", si.K, k)
 	}
 	if !bytes.Equal(si.IDBits, eng.AppendIDBits(nil)) {
@@ -118,7 +107,7 @@ func TestShardInfoUnsharded(t *testing.T) {
 // rank for identifier).
 func TestShardInfoSharded(t *testing.T) {
 	full, engines := shardEngines(t, 300, 3, 5)
-	k := fatCount(t, full)
+	k := full.FatCount()
 	for i, e := range engines {
 		addr, _, _ := startServer(t, e, 0)
 		c, err := Dial(addr)

@@ -14,9 +14,9 @@ const ProbeBlock = 32
 
 // How pass 2 of adjacentBlock left a pair for pass 3.
 const (
-	// blockScalar (the zero value) hands the pair to the scalar path: a pair
-	// that will fail — the scalar path builds the error and charges the tally
-	// exactly as Adjacent would.
+	// blockScalar (the zero value) hands the pair to the scalar path: a
+	// misrouted pair, which will fail with ErrNotResident — the scalar path
+	// builds the error and charges the tally exactly as Adjacent would.
 	blockScalar uint8 = iota
 	blockSelf
 	blockFat    // word holds the bitmap bit
@@ -77,19 +77,17 @@ func (e *QueryEngine) adjacentBlock(pairs [][2]int, res []bool, t *QueryTally) (
 			continue
 		}
 		if mu.fat() && mv.fat() {
-			if mv.id() < uint64(mu.cnt()) {
-				kind[i] = blockFat
-				word[i] = bitstr.SlabReadBits(slab, mu.off+int64(mv.id()), 1)
-			}
-			continue // else ErrBadLabel: the scalar path reports it
+			kind[i] = blockFat
+			word[i] = bitstr.SlabReadBits(slab, mu.off+int64(mv.id()), 1)
+			continue
 		}
 		at := p[0]
 		if mu.id() < mv.id() {
 			mu, mv, at = mv, mu, p[1]
 			list[i], other[i] = mu, mv
 		}
-		if mu.fat() || !e.owns(at) {
-			continue // ErrBadLabel or ErrNotResident: the scalar path reports it
+		if !e.owns(at) {
+			continue // ErrNotResident: the scalar path reports it
 		}
 		if cnt := mu.cnt(); e.inline(cnt) {
 			kind[i] = blockInline

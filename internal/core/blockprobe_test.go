@@ -71,16 +71,13 @@ func pinSpan(t *testing.T, e *QueryEngine, pairs [][2]int) {
 	}
 }
 
-// enginesOver encodes g with the scheme in the given layout and returns the
-// unsharded engine followed by every shard engine of a 1-, 2- and 3-way range
-// split (the 1-way "split" is the full slab with the trivial shard map
-// attached, so the residency condition is exercised with everything resident).
-// With id set the labels are laid out again in vertex order, as stores of
-// before the degree layout hold them; that slab is not split, so it stops at
-// the 1-way map (idSplitRefused holds its split to the refusal).
-func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, id bool) []*QueryEngine {
+// enginesOver encodes g with the scheme and returns the unsharded engine
+// followed by every shard engine of a 1-, 2- and 3-way range split (the 1-way
+// "split" is the full slab with the trivial shard map attached, so the
+// residency condition is exercised with everything resident).
+func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme) []*QueryEngine {
 	t.Helper()
-	slab, bitLens, order := encodeArena(t, g, s, id)
+	slab, bitLens, order := encodeArena(t, g, s, false)
 	build := func(slab []byte, bitLens []int, m ShardMap) *QueryEngine {
 		e, err := NewQueryEngineFromPermutedArena(slab, bitLens, order)
 		if err != nil {
@@ -98,9 +95,6 @@ func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, id bool) []*Que
 		build(slab, bitLens, ShardMap{Count: 1, Fn: ShardRange}),
 	}
 	for _, count := range []int{2, 3} {
-		if id {
-			break
-		}
 		arenas, err := ShardLabelArenas(slab, bitLens, order, count, ShardRange)
 		if err != nil {
 			t.Fatal(err)
@@ -114,8 +108,8 @@ func enginesOver(t *testing.T, g *graph.Graph, s *FatThinScheme, id bool) []*Que
 
 // encodeArena encodes g with the scheme and returns the labeling's slab
 // description; with id set, its labels laid out again in vertex order
-// (relayout with a nil order), the input a reader still meets in an older
-// store.
+// (relayout with a nil order), as stores of before the degree layout hold
+// them — a slab whose ranks are not identifiers, which no engine builds over.
 func encodeArena(t *testing.T, g *graph.Graph, s *FatThinScheme, id bool) (slab []byte, bitLens []int, order []int32) {
 	t.Helper()
 	lab, err := s.Encode(g)
@@ -128,21 +122,24 @@ func encodeArena(t *testing.T, g *graph.Graph, s *FatThinScheme, id bool) (slab 
 	return arenaOf(t, lab)
 }
 
-// idSplitRefused holds shard m of an id-ordered slab to the refusal: the
-// split refuses the slab, and an engine refuses the shard's labels laid out
-// in id order with its foreign thin labels absent — there a rank is not an
-// identifier, so an absent label would have none.
-func idSplitRefused(t *testing.T, slab []byte, bitLens []int, m ShardMap) {
+// idRefused holds shard m of an id-ordered slab to the build refusal: with
+// m.Count at most 1, the whole slab's engine is refused; otherwise the split
+// refuses the slab, and an engine refuses the shard's labels laid out in id
+// order with its foreign thin labels absent. Either way a label whose
+// identifier is not its rank is named.
+func idRefused(t *testing.T, slab []byte, bitLens []int, m ShardMap) {
 	t.Helper()
-	if _, err := ShardLabelArenas(slab, bitLens, nil, m.Count, ShardRange); !errors.Is(err, ErrBadLabel) {
-		t.Fatalf("split of an id-ordered slab: err = %v, want ErrBadLabel", err)
+	if m.Count > 1 {
+		if _, err := ShardLabelArenas(slab, bitLens, nil, m.Count, ShardRange); !errors.Is(err, ErrBadLabel) {
+			t.Fatalf("split of an id-ordered slab: err = %v, want ErrBadLabel", err)
+		}
+		slab, bitLens = stripForeign(t, slab, bitLens, nil, m)
+		if slices.Index(bitLens, 0) < 0 {
+			t.Fatal("the shard has no foreign thin label to leave absent")
+		}
 	}
-	shardSlab, shardLens := stripForeign(t, slab, bitLens, nil, m)
-	if slices.Index(shardLens, 0) < 0 {
-		t.Fatal("the shard has no foreign thin label to leave absent")
-	}
-	if _, err := NewQueryEngineFromPermutedArena(shardSlab, shardLens, nil); !errors.Is(err, ErrBadLabel) {
-		t.Fatalf("id-ordered shard with absent labels: err = %v, want ErrBadLabel", err)
+	if _, err := NewQueryEngineFromPermutedArena(slab, bitLens, nil); !errors.Is(err, ErrBadLabel) || !strings.Contains(err.Error(), "not its rank") {
+		t.Fatalf("id-ordered slab: err = %v, want ErrBadLabel naming a label whose identifier is not its rank", err)
 	}
 }
 
@@ -283,18 +280,19 @@ func TestBlockKernelShapes(t *testing.T) {
 			return name
 		}
 		if cell.id {
-			// An id-ordered slab is not split: its shard rows are refusals.
+			// An id-ordered slab breaks the slab contract: every row of the
+			// cell is a build refusal.
 			slab, bitLens, _ := encodeArena(t, g, s, true)
-			for _, count := range []int{2, 3} {
-				for i := range count {
-					m := ShardMap{Count: count, Index: i, Fn: ShardRange}
-					t.Run(cellName(fmt.Sprintf("shard%dof%d", i, count)), func(t *testing.T) {
-						idSplitRefused(t, slab, bitLens, m)
-					})
+			for _, m := range []ShardMap{{}, {Count: 1}, {Count: 2}, {Count: 2, Index: 1}, {Count: 3}, {Count: 3, Index: 1}, {Count: 3, Index: 2}} {
+				name := "unsharded"
+				if m.Count > 0 {
+					name = fmt.Sprintf("shard%dof%d", m.Index, m.Count)
 				}
+				t.Run(cellName(name), func(t *testing.T) { idRefused(t, slab, bitLens, m) })
 			}
+			continue
 		}
-		for _, e := range enginesOver(t, g, s, cell.id) {
+		for _, e := range enginesOver(t, g, s) {
 			pairs := answerable(e, all)
 			t.Run(cellName(engineName(e)), func(t *testing.T) {
 				if _, sharded := e.Shard(); !sharded {
@@ -340,7 +338,7 @@ func TestBlockKernelLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	e := enginesOver(t, g, NewPowerLawScheme(2.5), false)[0]
+	e := enginesOver(t, g, NewPowerLawScheme(2.5))[0]
 	for _, n := range []int{0, 1, 31, 32, 33, 95, 4096} {
 		pairs := make([][2]int, n)
 		for i := range pairs {
@@ -383,7 +381,7 @@ func TestBlockKernelErrorAtEveryIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	for _, e := range enginesOver(t, g, NewPowerLawScheme(2.5), false) {
+	for _, e := range enginesOver(t, g, NewPowerLawScheme(2.5)) {
 		good := answerable(e, allOrderedPairs(g.N()))
 		rng.Shuffle(len(good), func(i, j int) { good[i], good[j] = good[j], good[i] })
 		span := good[:3*ProbeBlock]
@@ -416,15 +414,13 @@ func TestBlockKernelErrorAtEveryIndex(t *testing.T) {
 	}
 }
 
-// TestBlockKernelBadLabelMidBlock hand-builds an arena the constructor
-// accepts but whose fat–fat probe is out of its vector: fat vertex 1's
-// adjacency vector holds one bit, fat vertex 2 has fat id 1. The pair (1,2)
-// fails with ErrBadLabel; planted mid-block, the answers before it are
-// delivered and the failing pair is tallied as a fat probe, as the scalar
-// loop tallies it.
+// TestBlockKernelBadLabelMidBlock: a slab with a label the kernel could not
+// answer never reaches it — the build refuses a fat identifier outside a
+// fat vector, in vertex order or in contract order — and over the same four
+// vertices, built to the contract, a pair out of range at any index of a
+// span stops the kernel there with the answers and the tally before it intact.
 func TestBlockKernelBadLabelMidBlock(t *testing.T) {
-	const n, w = 4, 2
-	labels := make([]bitstr.String, n)
+	const w = 2
 	thin := func(id uint64, nbrs ...uint64) bitstr.String {
 		var b bitstr.Builder
 		b.AppendUint(0, 1)
@@ -443,32 +439,36 @@ func TestBlockKernelBadLabelMidBlock(t *testing.T) {
 		}
 		return b.String()
 	}
-	labels[0] = thin(2, 0, 3)
-	labels[1] = fat(0, 1)       // one-bit vector: only fat id 0 is in range
-	labels[2] = fat(1, 0, 0, 0) // fat id 1 ≥ len(vector of 1)
-	labels[3] = thin(3, 2)
-	e, err := NewQueryEngine(NewLabeling("", labels, nil))
+	for _, tc := range []struct {
+		name, named string
+		labels      []bitstr.String
+	}{
+		{"vertex order", "label 0 at rank 0: ", []bitstr.String{thin(2, 0, 3), fat(0, 1), fat(1, 0, 0, 0), thin(3, 2)}},
+		{"contract order", "label 1 at rank 1: ", []bitstr.String{fat(0, 1), fat(1, 0, 0, 0), thin(2, 0, 3), thin(3, 2)}},
+	} {
+		if _, err := NewQueryEngine(NewLabeling("", tc.labels, nil)); !errors.Is(err, ErrBadLabel) || !strings.Contains(err.Error(), tc.named) {
+			t.Errorf("%s: engine build err = %v, want ErrBadLabel naming %q", tc.name, err, tc.named)
+		}
+	}
+	e, err := NewQueryEngine(NewLabeling("", []bitstr.String{fat(0, 0, 1), fat(1, 1, 0), thin(2, 0, 3), thin(3, 2)}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Adjacent(1, 2); !errors.Is(err, ErrBadLabel) {
-		t.Fatalf("Adjacent(1,2) = %v, want ErrBadLabel", err)
-	}
 	good := [][2]int{{0, 1}, {0, 3}, {3, 0}, {0, 0}, {1, 0}, {3, 1}, {2, 3}}
 	for at := 0; at < 2*ProbeBlock+3; at++ {
-		pairs := make([][2]int, 0, at+4)
+		pairs := make([][2]int, 0, at+3)
 		for i := 0; i < at; i++ {
 			pairs = append(pairs, good[i%len(good)])
 		}
-		pairs = append(pairs, [2]int{1, 2}, good[0], good[1])
+		pairs = append(pairs, [2]int{1, 4}, good[0], good[1])
 		pinSpan(t, e, pairs)
 		var qt QueryTally
 		done, err := e.AdjacentSpan(pairs, make([]bool, len(pairs)), &qt)
-		if done != at || !errors.Is(err, ErrBadLabel) {
-			t.Fatalf("bad label at %d: answered %d, err %v", at, done, err)
+		if done != at || !errors.Is(err, ErrVertexRange) {
+			t.Fatalf("bad pair at %d: answered %d, err %v", at, done, err)
 		}
-		if qt.queries != int64(at)+1 {
-			t.Fatalf("bad label at %d: tallied %d queries, want %d", at, qt.queries, at+1)
+		if qt.queries != int64(at) { // a pair out of range is refused uncounted
+			t.Fatalf("bad pair at %d: tallied %d queries, want %d", at, qt.queries, at)
 		}
 	}
 }
@@ -480,7 +480,7 @@ func TestAdjacentManyZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := enginesOver(t, g, NewPowerLawScheme(2.5), false)
+	engines := enginesOver(t, g, NewPowerLawScheme(2.5))
 	plain, shard := engines[0], engines[len(engines)-1]
 	rng := rand.New(rand.NewSource(2))
 	random := make([][2]int, 4096)

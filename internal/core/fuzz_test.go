@@ -69,36 +69,43 @@ func encodeOrder(order []int32) []byte {
 // validation is the only line of defense, because the probe path
 // (bitstr.SlabReadBits) is unchecked by design, and the one-word match of a
 // record-held list is exact only on the sorted lists the build lets through.
-// An engine holding absent labels (0 bits, a shard's foreign thin labels)
-// answers as the decoder does over their header stubs ([fat=0][rank]) where it
-// answers, and otherwise refuses with ErrNotResident, never answering a pair
-// a thin label resolves. Seeds come from real fat/thin and compressed
-// labelings so the corpus starts at valid headers and mutates outward.
+// An accepted engine's FatCount is its number of fat labels. An engine
+// holding absent labels (0 bits, a shard's foreign thin labels) answers as
+// the decoder does over their header stubs ([fat=0][rank]) where it answers,
+// and otherwise refuses with ErrNotResident, never answering a pair a thin
+// label resolves. Seeds come from real fat/thin and compressed labelings in
+// their own order, so the corpus starts at valid headers and mutates outward,
+// and from slabs the contract refuses.
 func FuzzQueryEngineHeaders(f *testing.F) {
 	var none []byte // id order
-	seed := func(encode func() (*Labeling, error)) {
-		lab, err := encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		lab = relayout(f, lab, nil)
-		slab, _, _ := lab.ArenaLayout()
-		f.Add(slab, encodeLens(lab.BitLens()), none)
+	seed := func(lab *Labeling) {
+		slab, order, _ := lab.ArenaLayout()
+		lens, perm := encodeLens(lab.BitLens()), encodeOrder(order)
+		f.Add(slab, lens, perm)
 		// The same labels over slabs that are not a whole number of words:
 		// cut back to the labels' last byte, the last label ends in a partial
 		// word (unless the labels happen to fill theirs) and must be refused;
 		// with stray bytes after the tail, every label's last word is whole
 		// and the labels must be served.
-		f.Add(slab[:fuzzLabelBytes(lab.BitLens())], encodeLens(lab.BitLens()), none)
-		f.Add(append(slices.Clone(slab), 0xa5, 0x5a, 0xff), encodeLens(lab.BitLens()), none)
+		f.Add(slab[:fuzzLabelBytes(lab.BitLens())], lens, perm)
+		f.Add(append(slices.Clone(slab), 0xa5, 0x5a, 0xff), lens, perm)
 	}
 	g, err := gen.ChungLuPowerLaw(150, 2.5, 2, 17)
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed(func() (*Labeling, error) { return NewPowerLawScheme(2.5).Encode(g) })
-	seed(func() (*Labeling, error) { return NewSparseSchemeAuto().Encode(g) })
-	seed(func() (*Labeling, error) { return NewCompressedScheme(NewPowerLawScheme(2.5)).Encode(g) })
+	lab, err := NewPowerLawScheme(2.5).Encode(g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed(lab)
+	for _, s := range []Scheme{NewSparseSchemeAuto(), NewCompressedScheme(NewPowerLawScheme(2.5))} {
+		other, err := s.Encode(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(other)
+	}
 	// A descending list the header record would hold: the build must refuse
 	// it, since the one-word match of a record-held list assumes sorted ids.
 	labels, _ := inlineLabels(3, []inlineShape{{"unsorted", 64 / 3, true}})
@@ -111,25 +118,27 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 	f.Add(make([]byte, 16), encodeLens([]int{9, 64}), none)
 	f.Add(make([]byte, 11), encodeLens([]int{9, 64}), none) // label 1 ends in a partial word
 	// A shard of a degree-ordered labeling, its foreign thin labels absent:
-	// built, it answers fat–fat pairs only. The same shard laid out in id
-	// order, where a rank is no identifier, is refused.
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		f.Fatal(err)
-	}
+	// built, it answers fat–fat pairs only.
 	slab, order, _ := lab.ArenaLayout()
 	arenas, err := ShardLabelArenas(slab, lab.BitLens(), order, 3, ShardRange)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(arenas[1].Slab, encodeLens(arenas[1].BitLens), encodeOrder(order))
+	// The labeling and the same shard laid out in id order, where a rank is
+	// no identifier: both refused.
 	idLab := relayout(f, lab, nil)
 	idSlab, _, _ := idLab.ArenaLayout()
 	stripped, strippedLens := stripForeign(f, idSlab, idLab.BitLens(), nil, ShardMap{Count: 3, Index: 1, Fn: ShardRange})
-	if _, err := NewQueryEngineFromPermutedArena(stripped, strippedLens, nil); !errors.Is(err, ErrBadLabel) {
-		f.Fatalf("absent labels in an id-ordered slab: build err %v, want ErrBadLabel", err)
+	for _, id := range []struct {
+		slab    []byte
+		bitLens []int
+	}{{idSlab, idLab.BitLens()}, {stripped, strippedLens}} {
+		if _, err := NewQueryEngineFromPermutedArena(id.slab, id.bitLens, nil); !errors.Is(err, ErrBadLabel) {
+			f.Fatalf("an id-ordered slab: build err %v, want ErrBadLabel", err)
+		}
+		f.Add(id.slab, encodeLens(id.bitLens), none)
 	}
-	f.Add(stripped, encodeLens(strippedLens), none)
 
 	f.Fuzz(func(t *testing.T, slab []byte, lensBytes []byte, orderBytes []byte) {
 		bitLens := decodeLens(lensBytes)
@@ -158,6 +167,13 @@ func FuzzQueryEngineHeaders(f *testing.F) {
 		// engine: the scalar probe and the kernel share the record-held list
 		// path, so a bug there would agree with itself.
 		labels, absent := fuzzLabels(t, slab, bitLens, order)
+		fat := 0
+		for _, l := range labels {
+			fat += int(l.MustPeekUint(0, 1))
+		}
+		if eng.FatCount() != fat {
+			t.Fatalf("FatCount = %d over %d fat labels", eng.FatCount(), fat)
+		}
 		dec := NewFatThinDecoder(n)
 		// The batch kernel against the scalar probe: the same answers up to the
 		// first failing pair, and the same error there.

@@ -16,7 +16,7 @@ import (
 // hand-packs labelings with lists on and around that boundary for every id
 // width a test can build cheaply and pins the kernel, the scalar probe and
 // FatThinDecoder to one another on them: answers, errors and every QueryTally
-// field, over an id-ordered slab, a degree-ordered one and a 3-shard split.
+// field, over an id-ordered slab, a permuted one and a 3-shard split.
 // An unsorted record-held list is refused at build instead.
 
 // inlineShape is one thin list of the boundary test: its length, and whether
@@ -100,31 +100,20 @@ func (b inlineBuild) engine() (*QueryEngine, error) {
 	return e, e.SetShard(b.shard)
 }
 
-// inlineBuilds lays labels out as an id-ordered slab, a degree-ordered one
-// (longest list first), and, when n allows, the three shards of a range split
-// of the slab the split takes, whose rank is each label's identifier: since
-// identifier v is vertex v's, the identity permutation.
+// inlineBuilds lays labels out as an id-ordered slab, the same slab under
+// the identity permutation — since identifier v is vertex v's, the one
+// permutation the slab contract admits — and, when n allows, the three shards
+// of a range split of the permuted slab.
 func inlineBuilds(t *testing.T, labels []bitstr.String) []inlineBuild {
 	t.Helper()
-	order := make([]int32, len(labels))
-	for r := range order {
-		order[r] = int32(r)
+	ranks := make([]int32, len(labels))
+	for r := range ranks {
+		ranks[r] = int32(r)
 	}
-	slices.SortStableFunc(order, func(a, b int32) int { return labels[b].Len() - labels[a].Len() })
-	physical := make([]bitstr.String, len(labels))
-	for r, v := range order {
-		physical[r] = labels[v]
-	}
-	degSlab, _ := bitstr.PackSlab(physical)
-	idSlab, bitLens := bitstr.PackSlab(labels)
-
-	builds := []inlineBuild{{slab: idSlab, bitLens: bitLens}, {slab: degSlab, bitLens: bitLens, order: order}}
+	slab, bitLens := bitstr.PackSlab(labels)
+	builds := []inlineBuild{{slab: slab, bitLens: bitLens}, {slab: slab, bitLens: bitLens, order: ranks}}
 	if len(labels) >= 3 {
-		ranks := make([]int32, len(labels))
-		for r := range ranks {
-			ranks[r] = int32(r)
-		}
-		arenas, err := ShardLabelArenas(idSlab, bitLens, ranks, 3, ShardRange)
+		arenas, err := ShardLabelArenas(slab, bitLens, ranks, 3, ShardRange)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +269,7 @@ func pinInlineRefusal(t *testing.T, b inlineBuild, labels []bitstr.String, refus
 	var want []string
 	for _, v := range refused {
 		if lo <= v && v < hi {
-			want = append(want, fmt.Sprintf("label %d: record-held list of", v))
+			want = append(want, fmt.Sprintf("label %d at rank %d: record-held list of", v, v))
 		}
 	}
 	_, err := b.engine()

@@ -10,9 +10,12 @@ import "fmt"
 // first pages. The slab carries that rank→vertex permutation (the plan's byID
 // table, or the distance schemes' landmark order), which engines and stores
 // thread through so id-indexed lookup is bit-for-bit the same
-// (NewQueryEngineFromPermutedArena, labelstore's permutation block). Readers
-// still take a nil order: nbrlist stores, CompressedScheme's slab and
-// NewLabeling are in vertex order.
+// (NewQueryEngineFromPermutedArena, labelstore's permutation block). The
+// query engine holds every slab to that contract at build: the label at rank
+// r carries identifier r, the k fat labels lead, each with a k-bit body. A
+// nil order is the identity (NewLabeling and CompressedScheme pack vertex
+// order), which meets the contract only where vertex v carries identifier v,
+// as in a nbrlist labeling.
 type Layout uint8
 
 // LayoutDegree is the one layout, and the zero value.

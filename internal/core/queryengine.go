@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bitstr"
 )
@@ -13,14 +12,16 @@ import (
 // bodies in a byte-packed slab (big-endian 64-bit words, the shared
 // slab layout of bitstr). A query is then a handful of word-addressed probes
 // — at most two word loads and a shift per probe, zero heap allocations, no
-// Reader, no re-parsing. Labels are validated once at construction, so the
-// hot path never errors on well-formed inputs.
+// Reader, no re-parsing. Labels are validated once at construction, against
+// the one slab contract every encoder meets — the label at rank r carries
+// identifier r, the k fat labels come first, every fat body is k bits (see
+// NewQueryEngineFromPermutedArena) — so a query fails only on range or
+// residency, never on a label.
 //
 // A slab (a Labeling's, or a label store's) is adopted zero-copy: the engine
-// points straight at the encoder's slab and only parses headers. A
-// degree-ordered slab (the encoders' one order) is adopted just the same —
-// the meta table stays id-indexed, only the offsets follow the permutation,
-// so every answer is bit-for-bit identical to a vertex-ordered slab's.
+// points straight at the encoder's slab and only parses headers. The meta
+// table stays id-indexed whatever the slab's rank→vertex permutation; only
+// the offsets follow it.
 //
 // A QueryEngine is immutable after construction and safe for concurrent use
 // by any number of goroutines.
@@ -54,12 +55,9 @@ type QueryEngine struct {
 	// shared and read-only afterwards.
 	lo, hi int
 	shard  ShardMap
-	// fatCount is k, the number of fat labels, and fatRanked whether the
-	// build walk found the rule a router rests on — fat ⇔ identifier < k —
-	// to hold, which it decides for labels whose identifiers are their ranks
-	// (FatCount).
-	fatCount  int
-	fatRanked bool
+	// fatCount is k, the number of fat labels: the build's contract makes
+	// them the identifiers 0..k-1 (FatCount).
+	fatCount int
 }
 
 // vertexMeta is one label's pre-parsed header, packed into a single 16-byte
@@ -102,31 +100,9 @@ const absentList = -1
 // absent reports whether the record stands for an absent label.
 func (m vertexMeta) absent() bool { return m.word&(1<<32-1) == 0 && m.off == absentList }
 
-// packMeta validates a label's body size and packs the header word.
-func packMeta(fat bool, id uint64, body, w, v int) (uint64, error) {
-	if body > 1<<31-1 {
-		// cnt occupies 31 bits; a larger body would silently truncate and turn
-		// the build-time bounds guarantees into query-time garbage.
-		return 0, fmt.Errorf("%w: label %d: body of %d bits", ErrBadLabel, v, body)
-	}
-	cnt := 0
-	switch {
-	case fat:
-		cnt = body
-	case w == 0:
-		cnt = 0
-	default:
-		if body%w != 0 {
-			return 0, fmt.Errorf("%w: label %d: thin body %d bits not a multiple of id width %d",
-				ErrBadLabel, v, body, w)
-		}
-		cnt = body / w
-	}
-	word := id<<32 | uint64(cnt)<<1
-	if fat {
-		word |= 1
-	}
-	return word, nil
+// errLabel is a build-time refusal of the label of vertex v at slab rank r.
+func errLabel(v, r int, format string, args ...any) error {
+	return fmt.Errorf("%w: label %d at rank %d: "+format, append([]any{ErrBadLabel, v, r}, args...)...)
 }
 
 // errAbsent is fatThinHeader's refusal of a 0-bit label: an absent label,
@@ -134,57 +110,83 @@ func packMeta(fat bool, id uint64, body, w, v int) (uint64, error) {
 // labels of a shard, most of its labels, cost no allocation.
 var errAbsent = fmt.Errorf("%w: an absent label (0 bits)", ErrBadLabel)
 
-// fatThinHeader validates the fat/thin label v — bits bits at slab bit off,
-// inside the slab as a bitstr.SlabWalk vouches — and packs its header word.
-// The engine constructor and the shard split read every label through it.
-func fatThinHeader(slab []byte, off int64, bits, w, v int) (uint64, error) {
+// fatThinHeader validates the fat/thin label of vertex v at slab rank r —
+// bits bits at slab bit off, inside the slab as a bitstr.SlabWalk vouches —
+// and packs its header word. It holds the label to the rank half of the slab
+// contract (NewQueryEngineFromPermutedArena): its identifier is r. The
+// engine constructor and the shard split read every label through it.
+func fatThinHeader(slab []byte, off int64, bits, w, v, r int) (uint64, error) {
 	header := 1 + w
-	if bits == 0 {
+	body := bits - header
+	switch {
+	case bits == 0:
 		return 0, errAbsent
+	case body < 0:
+		return 0, errLabel(v, r, "%d bits, header needs %d", bits, header)
+	case body > 1<<31-1:
+		// cnt occupies 31 bits; a larger body would silently truncate and turn
+		// the build-time bounds guarantees into query-time garbage.
+		return 0, errLabel(v, r, "body of %d bits", body)
 	}
-	if bits < header {
-		return 0, fmt.Errorf("%w: label %d has %d bits, header needs %d", ErrBadLabel, v, bits, header)
-	}
-	fat := bitstr.SlabReadBits(slab, off, 1) == 1
 	var id uint64
 	if w > 0 {
 		id = bitstr.SlabReadBits(slab, off+1, w)
 	}
-	return packMeta(fat, id, bits-header, w, v)
+	if id != uint64(r) {
+		return 0, errLabel(v, r, "identifier %d, not its rank", id)
+	}
+	if bitstr.SlabReadBits(slab, off, 1) == 1 {
+		return id<<32 | uint64(body)<<1 | 1, nil
+	}
+	cnt := 0
+	if w > 0 {
+		if body%w != 0 {
+			return 0, errLabel(v, r, "thin body %d bits not a multiple of id width %d", body, w)
+		}
+		cnt = body / w
+	}
+	return id<<32 | uint64(cnt)<<1, nil
 }
 
 // NewQueryEngine builds an engine over a labeling produced by any scheme
-// using the fat/thin label layout (FatThinScheme, baseline.NeighborList).
-// Labels are validated once here; malformed labels that FatThinDecoder
-// would reject at query time are rejected at build time instead. The
-// labeling's slab — id-ordered or degree-ordered — is adopted without
-// relocating a single body bit.
+// using the fat/thin label layout (FatThinScheme, baseline.NeighborList),
+// adopting its slab without relocating a single body bit. Labels are
+// validated once here, against the slab contract
+// NewQueryEngineFromPermutedArena states.
 func NewQueryEngine(lab *Labeling) (*QueryEngine, error) {
 	return NewQueryEngineFromPermutedArena(lab.slab, lab.bitLens, lab.order)
 }
 
-// NewQueryEngineFromPermutedArena builds an engine over a physically
-// permuted slab: the label at slab rank r is label order[r], occupying
-// bitLens[order[r]] bits (the LayoutDegree output of the encode pipeline,
-// or a label store carrying a layout permutation). The meta table is still
-// indexed by vertex id — reconstruction is a matter of walking the slab in
-// rank order while scattering headers to meta[order[r]] — so queries are
-// answered byte-for-byte identically to an id-ordered engine over the same
-// labeling. order must be a permutation of 0..len(bitLens)-1; nil is the
-// identity (label v the v-th in the slab). The slab is adopted
-// zero-copy: construction parses and validates the n label headers but
-// never moves a body. A thin list short enough for its header record is
-// copied into the record and must be sorted (non-decreasing): an unsorted
-// one is refused with ErrBadLabel. A longer, slab-held list is searched in
-// place, in the order FatThinDecoder searches it, so it may be unsorted.
+// NewQueryEngineFromPermutedArena builds an engine over a slab whose label
+// at rank r is label order[r], occupying bitLens[order[r]] bits; nil order
+// is the identity (label v the v-th in the slab). The meta table is indexed
+// by vertex id — the walk in rank order scatters headers to meta[order[r]] —
+// and the slab is adopted zero-copy: construction parses and validates the n
+// label headers but never moves a body.
+//
+// The slab must meet the contract every encoder's slab meets (Theorems 3/4
+// number vertices by descending degree, the fat hubs first):
+//
+//   - the label at rank r carries identifier r (with order nil, vertex v
+//     carries v, as a nbrlist labeling does);
+//   - the fat labels occupy ranks 0..k-1;
+//   - every fat body is exactly k bits.
+//
+// The first label that breaks it is refused with ErrBadLabel naming its
+// vertex and rank; a fat prefix whose bodies agree but are not k bits long
+// is refused at its first label. So a probe never meets a fat identifier
+// outside a vector or a fat label above a thin one: after the build a query
+// fails only on range or residency. A thin list short enough for its header
+// record is copied into the record and must be sorted (non-decreasing): an
+// unsorted one is refused with ErrBadLabel. A longer, slab-held list is
+// searched in place, in the order FatThinDecoder searches it, so it may be
+// unsorted.
 //
 // A label of 0 bits is absent — a foreign thin vertex of a shard store
-// (ShardLabelArenas) — and its identifier is its rank, which holds only in a
-// permuted slab whose every present label's identifier is its rank, as in
-// the degree layout; anywhere else an absent label is refused with
-// ErrBadLabel. An engine holding absent labels owns no thin vertex until
-// SetShard names its range, so it answers a pair only from a fat bitmap and
-// refuses every other with ErrNotResident.
+// (ShardLabelArenas) — and its identifier is its rank. An engine holding
+// absent labels owns no thin vertex until SetShard names its range, so it
+// answers a pair only from a fat bitmap and refuses every other with
+// ErrNotResident.
 func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) (*QueryEngine, error) {
 	n := len(bitLens)
 	w := bitstr.WidthFor(uint64(n))
@@ -194,15 +196,13 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	header := 1 + w
 	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab, hi: n}
 	e.inlineMax, e.inlineRep = inlineLayout(w)
-	var unranked uint64 // nonzero once a present label's identifier is not its rank
-	// The largest fat identifier. Where every identifier is its rank, the
-	// identifiers are 0..n-1 once each, so fat ⇔ id < k holds exactly when
-	// maxFat < k: the k fat ones are then 0..k-1, and every thin one is >= k.
-	maxFat := uint64(0)
+	// The first fat label — at rank 0 — and its body, which every fat body
+	// matches.
+	first, fatBody := 0, int64(0)
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
 	for r := 0; walk.Next(); r++ {
 		v, off := walk.Label()
-		word, err := fatThinHeader(slab, off, bitLens[v], w, v)
+		word, err := fatThinHeader(slab, off, bitLens[v], w, v, r)
 		if err != nil {
 			if err != errAbsent {
 				return nil, err
@@ -214,17 +214,23 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 			continue
 		}
 		m := vertexMeta{off: off + int64(header), word: word}
-		unranked |= m.id() ^ uint64(r)
 		if m.fat() {
+			switch {
+			case r != e.fatCount:
+				return nil, errLabel(v, r, "fat after a thin label")
+			case r == 0:
+				first, fatBody = v, m.cnt()
+			case m.cnt() != fatBody:
+				return nil, errLabel(v, r, "fat body of %d bits, the first has %d", m.cnt(), fatBody)
+			}
 			e.fatCount++
-			maxFat = max(maxFat, m.id())
 		}
 		// An empty list is not read: its record word matches nothing,
 		// whatever it holds.
 		if cnt := m.cnt(); !m.fat() && cnt > 0 && e.inline(cnt) {
 			list := bitstr.SlabReadBits(slab, m.off, int(cnt)*w)
 			if !inlineSorted(list, int(cnt), w) {
-				return nil, fmt.Errorf("%w: label %d: record-held list of %d ids not sorted", ErrBadLabel, v, cnt)
+				return nil, errLabel(v, r, "record-held list of %d ids not sorted", cnt)
 			}
 			m.off = int64(list)
 		}
@@ -233,15 +239,8 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	if err := walk.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLabel, err)
 	}
-	e.fatRanked = unranked == 0 && (e.fatCount == 0 || maxFat < uint64(e.fatCount))
-	if e.hi == n { // no absent label
-		return e, nil
-	}
-	switch absent := slices.Index(bitLens, 0); {
-	case order == nil:
-		return nil, fmt.Errorf("%w: label %d is absent in an id-ordered slab, where its rank is not its identifier", ErrBadLabel, absent)
-	case unranked != 0:
-		return nil, fmt.Errorf("%w: label %d is absent beside a label whose identifier is not its rank", ErrBadLabel, absent)
+	if k := e.fatCount; k > 0 && fatBody != int64(k) {
+		return nil, errLabel(first, 0, "fat body of %d bits, not the fat count %d", fatBody, k)
 	}
 	return e, nil
 }
@@ -274,8 +273,10 @@ func (e *QueryEngine) adjacentTallied(u, v int, t *QueryTally) (bool, error) {
 // probe resolves one in-range query against the slab, by the one read rule of
 // the fat/thin layout (fatthin.go): self → false; both fat → the (replicated)
 // bitmap; otherwise the edge is listed by the endpoint with the larger
-// identifier, a thin vertex, whose body is searched for the smaller one. On a
-// shard (SetShard) that body must be resident: a pair whose larger-identifier
+// identifier, a thin vertex, whose body is searched for the smaller one. The
+// build's slab contract makes both reads safe: a fat vector holds k bits and
+// every fat identifier is below k, below every thin one. On a shard
+// (SetShard) the list must be resident: a pair whose larger-identifier
 // endpoint is foreign was misrouted and the probe refuses — wherever it
 // answers, the answer is bit-for-bit the unsharded engine's.
 func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
@@ -288,19 +289,13 @@ func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 	if list.fat() && other.fat() {
 		// Both fat: bit v.id of u's adjacency vector.
 		t.fat++
-		if other.id() >= uint64(list.cnt()) {
-			return false, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, other.id(), list.cnt())
-		}
 		return bitstr.SlabReadBits(e.slab, list.off+int64(other.id()), 1) == 1, nil
 	}
 	at := u
 	if list.id() < other.id() {
 		list, other, at = other, list, v
 	}
-	switch {
-	case list.fat():
-		return false, fmt.Errorf("%w: fat identifier %d above thin identifier %d", ErrBadLabel, list.id(), other.id())
-	case !e.owns(at):
+	if !e.owns(at) {
 		return false, e.notResident(u, v)
 	}
 	t.thin++

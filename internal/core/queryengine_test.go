@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,9 +12,10 @@ import (
 )
 
 // TestQueryEngineEquivalence: the engine answers the same whether it adopts
-// the pipeline's arena or the same labels handed over one by one (NewLabeling
-// packs them), on every ordered pair of every test graph, for every scheme.
-// The conformance matrix holds the pipeline's engine to the graph.
+// the pipeline's arena or the same labels handed over one by one and packed
+// again in the labeling's rank order (bitstr.PackSlab), on every ordered pair
+// of every test graph, for every scheme. The conformance matrix holds the pipeline's
+// engine to the graph.
 func TestQueryEngineEquivalence(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, s := range schemesUnderTest() {
@@ -25,13 +27,19 @@ func TestQueryEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: engine: %v", name, s.Name(), err)
 			}
-			labels := make([]bitstr.String, lab.N())
-			for v := range labels {
-				if labels[v], err = lab.Label(v); err != nil {
+			_, order, _ := lab.ArenaLayout()
+			physical := make([]bitstr.String, lab.N())
+			for r := range physical {
+				v := r
+				if order != nil {
+					v = int(order[r])
+				}
+				if physical[r], err = lab.Label(v); err != nil {
 					t.Fatal(err)
 				}
 			}
-			peng, err := NewQueryEngine(NewLabeling("", labels, nil))
+			slab, _ := bitstr.PackSlab(physical)
+			peng, err := NewQueryEngineFromPermutedArena(slab, lab.BitLens(), order)
 			if err != nil {
 				t.Fatalf("%s/%s: engine from labels: %v", name, s.Name(), err)
 			}
@@ -49,37 +57,11 @@ func TestQueryEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestQueryEngineSampledLargeGraph checks engine-vs-decoder agreement on
-// sampled pairs of a graph above the exhaustive-verification limit.
-func TestQueryEngineSampledLargeGraph(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(4000, 2.5, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	check := func(u, v int) {
-		want, werr := lab.Adjacent(u, v)
-		got, gerr := eng.Adjacent(u, v)
-		if werr != nil || gerr != nil || got != want {
-			t.Fatalf("(%d,%d): decoder=%v/%v engine=%v/%v", u, v, want, werr, got, gerr)
-		}
-	}
-	g.Edges(func(u, v int) { check(u, v); check(v, u) })
-	for i := 0; i < 20000; i++ {
-		check(rng.Intn(g.N()), rng.Intn(g.N()))
-	}
-}
-
 // TestQueryEngineMalformedLabels: labels FatThinDecoder rejects at query
-// time are rejected by the engine at build time, with the same sentinel.
+// time are rejected by the engine at build time, with the same sentinel, and
+// so are labels that break the slab contract, which the decoder would meet as
+// a fat identifier outside a vector. Each refusal names the label's vertex
+// and rank.
 func TestQueryEngineMalformedLabels(t *testing.T) {
 	g := gen.Star(50)
 	lab, err := NewFixedThresholdScheme(3).Encode(g)
@@ -95,16 +77,21 @@ func TestQueryEngineMalformedLabels(t *testing.T) {
 		labels[v] = l
 	}
 	w := bitstr.WidthFor(uint64(len(labels)))
+	// The star's hub is vertex 0 and the leaves tie, so identifier v is
+	// vertex v's and the labels meet the contract in vertex order.
+	if _, err := NewQueryEngine(NewLabeling("", labels, nil)); err != nil {
+		t.Fatalf("the star's labels in vertex order: %v", err)
+	}
 
-	corrupt := func(name string, mutate func([]bitstr.String)) {
+	corrupt := func(name, named string, labels []bitstr.String, mutate func([]bitstr.String)) {
 		bad := append([]bitstr.String(nil), labels...)
 		mutate(bad)
-		if _, err := NewQueryEngine(NewLabeling("", bad, nil)); !errors.Is(err, ErrBadLabel) {
-			t.Errorf("%s: engine build err = %v, want ErrBadLabel", name, err)
+		if _, err := NewQueryEngine(NewLabeling("", bad, nil)); !errors.Is(err, ErrBadLabel) || !strings.Contains(err.Error(), named) {
+			t.Errorf("%s: engine build err = %v, want ErrBadLabel naming %q", name, err, named)
 		}
 	}
 	// Truncated header: too short for even the fat bit + id.
-	corrupt("short-header", func(bad []bitstr.String) {
+	corrupt("short-header", "label 3 at rank 3: ", labels, func(bad []bitstr.String) {
 		var b bitstr.Builder
 		b.AppendUint(1, w/2)
 		bad[3] = b.String()
@@ -113,14 +100,55 @@ func TestQueryEngineMalformedLabels(t *testing.T) {
 	// FatThinDecoder reports at query time.
 	var b bitstr.Builder
 	b.AppendBit(false)
-	b.AppendUint(7, w)
+	b.AppendUint(5, w)
 	b.AppendUint(1, w+1)
 	oddThin := b.String()
-	corrupt("ragged-thin-body", func(bad []bitstr.String) { bad[5] = oddThin })
+	corrupt("ragged-thin-body", "label 5 at rank 5: thin body", labels, func(bad []bitstr.String) { bad[5] = oddThin })
 	dec := NewFatThinDecoder(len(labels))
 	if _, err := dec.Adjacent(oddThin, labels[0]); !errors.Is(err, ErrBadLabel) {
 		t.Errorf("decoder on ragged thin body: err = %v, want ErrBadLabel", err)
 	}
+
+	// Four labels of id width 2 in contract order: fat 0 and 1, thin 2 and 3.
+	// With fat 1's vector longer than fat 0's one bit, the decoder finds
+	// identifier 1 outside fat 0's vector; with both one bit, outside either.
+	fat := func(id uint64, vector ...uint64) bitstr.String {
+		var b bitstr.Builder
+		b.AppendBit(true)
+		b.AppendUint(id, 2)
+		for _, bit := range vector {
+			b.AppendUint(bit, 1)
+		}
+		return b.String()
+	}
+	thin := func(id uint64, nbrs ...uint64) bitstr.String {
+		var b bitstr.Builder
+		b.AppendBit(false)
+		b.AppendUint(id, 2)
+		for _, x := range nbrs {
+			b.AppendUint(x, 2)
+		}
+		return b.String()
+	}
+	small := []bitstr.String{fat(0, 0, 1), fat(1, 1, 0), thin(2, 0, 3), thin(3, 2)}
+	if _, err := NewQueryEngine(NewLabeling("", small, nil)); err != nil {
+		t.Fatalf("the four labels unbroken: %v", err)
+	}
+	corrupt("fat-vector-mismatch", "label 1 at rank 1: fat body of 3 bits, the first has 1", small, func(bad []bitstr.String) {
+		bad[0], bad[1] = fat(0, 1), fat(1, 0, 0, 0)
+	})
+	if _, err := NewFatThinDecoder(4).Adjacent(fat(0, 1), fat(1, 0, 0, 0)); !errors.Is(err, ErrBadLabel) {
+		t.Errorf("decoder on a fat identifier outside the vector: err = %v, want ErrBadLabel", err)
+	}
+	corrupt("fat-vector-short", "label 0 at rank 0: fat body of 1 bits, not the fat count 2", small, func(bad []bitstr.String) {
+		bad[0], bad[1] = fat(0, 1), fat(1, 1)
+	})
+	corrupt("fat-vector-long", "label 0 at rank 0: fat body of 3 bits, not the fat count 2", small, func(bad []bitstr.String) {
+		bad[0], bad[1] = fat(0, 0, 1, 0), fat(1, 1, 0, 0)
+	})
+	corrupt("fat-after-thin", "label 3 at rank 3: fat after a thin label", small, func(bad []bitstr.String) {
+		bad[3] = fat(3, 0, 0)
+	})
 }
 
 func TestQueryEngineVertexRange(t *testing.T) {

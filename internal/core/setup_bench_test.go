@@ -48,3 +48,37 @@ func BenchmarkSetupShardLabelArenas(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQueryEngineBuild times the engine build — the one header walk that
+// holds a slab to its contract — over the two slabs a server opens: the whole
+// degree-ordered slab, and shard 1 of a 3-way range split, most of whose
+// labels are absent.
+func BenchmarkQueryEngineBuild(b *testing.B) {
+	g, s := setupBenchGraph(b)
+	lab, err := s.EncodeParallel(g, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slab, order, _ := lab.ArenaLayout()
+	arenas, err := ShardLabelArenas(slab, lab.BitLens(), order, 3, ShardRange)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		slab    []byte
+		bitLens []int
+	}{
+		{"whole", slab, lab.BitLens()},
+		{"shard1of3", arenas[1].Slab, arenas[1].BitLens},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewQueryEngineFromPermutedArena(tc.slab, tc.bitLens, order); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -125,12 +125,13 @@ type ShardArena struct {
 // ShardLabelArenas splits a degree-ordered fat/thin label slab — one whose
 // label at rank r has identifier r — into count per-shard arenas under the
 // given ownership function. slab/bitLens/order describe the source exactly
-// as NewQueryEngineFromPermutedArena accepts them; the source is validated
-// the same way and is not modified. An id-ordered source (order nil), or a
-// label whose identifier is not its rank, is refused with ErrBadLabel: a
-// shard engine reads an absent label's identifier off its rank. The fat–fat
-// data is replicated to every shard; thin labels are kept in full only on
-// their owner and are absent elsewhere.
+// as NewQueryEngineFromPermutedArena accepts them; every header is read
+// through the same check, so a label whose identifier is not its rank is
+// refused with ErrBadLabel, as is an id-ordered source (order nil), which a
+// shard store cannot carry. A shard engine reads an absent label's
+// identifier off its rank. The fat–fat data is replicated to every shard;
+// thin labels are kept in full only on their owner and are absent elsewhere.
+// The engines built over the shards hold them to the rest of the contract.
 //
 // One walk over the source validates it and reads each label's offset, fat
 // bit and identifier off the slab; the shards are then sized and filled
@@ -162,12 +163,9 @@ func ShardLabelArenas(slab []byte, bitLens []int, order []int32, count int, fn S
 	walk := bitstr.NewSlabWalk(len(slab), bitLens, order)
 	for walk.Next() {
 		v, off := walk.Label()
-		word, err := fatThinHeader(slab, off, bitLens[v], w, v)
+		word, err := fatThinHeader(slab, off, bitLens[v], w, v, len(src))
 		if err != nil {
 			return nil, err
-		}
-		if r := len(src); word>>32 != uint64(r) {
-			return nil, fmt.Errorf("%w: label %d at rank %d has identifier %d: not a degree-ordered slab", ErrBadLabel, v, r, word>>32)
 		}
 		home := ShardOwner(v, n, count)
 		shards[home].Owned++
@@ -266,32 +264,14 @@ func (e *QueryEngine) owns(v int) bool { return e.lo <= v && v < e.hi }
 // or fat (fat labels are replicated to every shard).
 func (e *QueryEngine) Resident(v int) bool { return e.owns(v) || e.meta[v].fat() }
 
-// FatCount returns k, the number of fat vertices, after checking the rule a
-// router's routing table rests on: vertex v is fat exactly when its scheme
-// identifier is below k. With AppendIDBits it is everything a router needs to
-// compute which shard answers any pair (an absent label is thin and its
-// identifier is its rank, so every shard reports the same k and block). Over
-// labels whose identifiers are their ranks — every slab an encoder writes —
-// the build walk has already decided the rule from k and the largest fat
-// identifier, so FatCount is O(1) when it holds; only otherwise do two passes
-// decide it and name the first vertex that breaks it.
-func (e *QueryEngine) FatCount() (int, error) {
-	if e.fatRanked {
-		return e.fatCount, nil
-	}
-	k := 0
-	for _, mv := range e.meta {
-		if mv.fat() {
-			k++
-		}
-	}
-	for v, mv := range e.meta {
-		if mv.fat() != (mv.id() < uint64(k)) {
-			return 0, fmt.Errorf("%w: vertex %d: fat %v, identifier %d, fat count %d", ErrBadLabel, v, mv.fat(), mv.id(), k)
-		}
-	}
-	return k, nil
-}
+// FatCount returns k, the number of fat vertices. The build's slab contract
+// puts the fat labels at ranks 0..k-1, whose identifiers are their ranks, so
+// vertex v is fat exactly when its identifier is below k — the rule a
+// router's routing table rests on. With AppendIDBits it is everything a
+// router needs to compute which shard answers any pair (an absent label is
+// thin and its identifier is its rank, so every shard reports the same k and
+// block).
+func (e *QueryEngine) FatCount() int { return e.fatCount }
 
 // AppendIDBits appends the identifier block (bitstr.IDBlockLen(n) bytes,
 // vertex v's scheme identifier in bits [v·w, (v+1)·w), MSB first,

@@ -183,20 +183,6 @@ func (g *Graph) DegreeHistogram() []int {
 	return h
 }
 
-// DegreeDistribution returns ddist(k) = |V_k| / n as defined in Section 2 of
-// the paper, indexed by degree k. Returns nil for the empty graph.
-func (g *Graph) DegreeDistribution() []float64 {
-	if g.n == 0 {
-		return nil
-	}
-	h := g.DegreeHistogram()
-	d := make([]float64, len(h))
-	for k, c := range h {
-		d[k] = float64(c) / float64(g.n)
-	}
-	return d
-}
-
 // TailCounts returns t where t[k] = sum over i >= k of |V_i| — the quantity
 // bounded by Definition 1 (the P_h family). t has length MaxDegree+2 so that
 // t[MaxDegree+1] == 0.

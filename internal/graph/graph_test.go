@@ -41,9 +41,6 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 || g.MaxDegree() != 0 {
 		t.Errorf("empty graph: n=%d m=%d max=%d", g.N(), g.M(), g.MaxDegree())
 	}
-	if g.DegreeDistribution() != nil {
-		t.Error("empty graph should have nil degree distribution")
-	}
 }
 
 func TestBuilderRejectsBadEdges(t *testing.T) {

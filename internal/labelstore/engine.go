@@ -14,8 +14,12 @@ import (
 // name (CheckServable) and gets a core.QueryEngine over its arena, zero-copy;
 // a shard store also gets its shard map attached, so the engine answers
 // ErrNotResident for a pair outside its owned range instead of reading an
-// absent label. The engines read the store's arena: built over a MappedFile,
-// they must not be used after Close.
+// absent label. A fat/thin store of two or more labels with no layout
+// permutation is refused by shape: pllabel has written every such labeling
+// in its degree order since the degree layout, so one in vertex order is a
+// stale store (re-run pllabel). A nbrlist store, whose vertex v carries
+// identifier v, is served in vertex order. The engines read the store's
+// arena: built over a MappedFile, they must not be used after Close.
 func (f *File) Engines() (*core.QueryEngine, *core.DistEngine, error) {
 	if da, ok := f.DistArena(); ok {
 		deng, err := core.NewDistEngine(da)
@@ -26,6 +30,9 @@ func (f *File) Engines() (*core.QueryEngine, *core.DistEngine, error) {
 	}
 	if err := CheckServable(f.Scheme); err != nil {
 		return nil, nil, err
+	}
+	if f.order == nil && f.N() > 1 && f.Scheme != "nbrlist" {
+		return nil, nil, fmt.Errorf("labelstore: %q store in vertex order, the layout before the degree layout (re-run pllabel)", f.Scheme)
 	}
 	eng, err := core.NewQueryEngineFromPermutedArena(f.arena, f.bitLens, f.order)
 	if err != nil {

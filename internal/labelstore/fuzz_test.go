@@ -95,6 +95,10 @@ func FuzzReadBytes(f *testing.F) {
 	f.Add(v1Image("sparse(c=2)", labels))
 	f.Add(retiredShardImage(f, g, false))
 	f.Add(retiredShardImage(f, g, true))
+	// Eight absent labels in vertex order, no params, an empty blob: an
+	// engine builds over it (each absent label's identifier is its rank,
+	// here its vertex) and answers only self pairs.
+	f.Add([]byte("PLLB\x03\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mapped, errMapped := ReadBytes(data)
@@ -199,12 +203,16 @@ func labelViews(f *File) []bitstr.String {
 
 // withStubs returns a store's labels with each absent one (0 bits) replaced by
 // the header stub its identifier, the label's rank, makes: the labels a
-// decoder can read a pair off.
+// decoder can read a pair off. With no order, rank r is vertex r.
 func withStubs(f *File, labels []bitstr.String) []bitstr.String {
 	_, bitLens, order, _ := f.ArenaLayout()
 	w := bitstr.WidthFor(uint64(len(bitLens)))
 	out := slices.Clone(labels)
-	for r, v := range order {
+	for r := range bitLens {
+		v := r
+		if order != nil {
+			v = int(order[r])
+		}
 		if bitLens[v] == 0 {
 			var b bitstr.Builder
 			b.AppendBit(false)

@@ -42,7 +42,11 @@
 // too old to know the "layout" param fail loudly on the extra block (a
 // blob-length mismatch) rather than mis-answer, and a store whose "layout" is
 // "degree" — the ⌈log₂ n⌉-bit identifier block this container held before
-// the run-coded one — is refused by name (re-run pllabel). A distance store (params
+// the run-coded one — is refused by name (re-run pllabel). A store without
+// the block is in vertex order: a nbrlist store, whose vertex v carries
+// identifier v, is served so; an id-ordered fat/thin store, as pllabel wrote
+// before the degree layout, still parses but is refused at Engines (re-run
+// pllabel), since its ranks are not its identifiers. A distance store (params
 // carry "scheme" = pll | bdist, see scheme.go) rides the same body with no
 // extra block — its engine parameters live entirely in the params. The
 // per-label version 1 and the word-aligned version 2 (every label on a

@@ -206,8 +206,3 @@ func quantileFrom(b *[HistogramBuckets]int64, total int64, q float64) int64 {
 	}
 	return histMaxFinite
 }
-
-// QuantileDuration is Quantile for nanosecond-valued histograms.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q))
-}

@@ -126,9 +126,6 @@ func TestObserveDuration(t *testing.T) {
 	if got := h.Sum(); got != 1500 {
 		t.Fatalf("sum = %d, want 1500", got)
 	}
-	if d := h.QuantileDuration(1); d < time.Microsecond || d > 2048*time.Nanosecond {
-		t.Fatalf("p100 = %v, want within the le=2048ns bucket", d)
-	}
 }
 
 // TestConcurrentObserveAddRender hammers every primitive from many
