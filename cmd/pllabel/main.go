@@ -253,7 +253,7 @@ func printEncode(stdout io.Writer, elapsed time.Duration, n int) {
 func printLayout(stdout io.Writer, order []int32) {
 	if order != nil {
 		fmt.Fprintf(stdout, "layout: degree-ordered (permutation overhead %d bytes, %d runs)\n",
-			labelstore.PermutationOverheadBytes(order), labelstore.PermutationRuns(order))
+			len(core.AppendPermutation(nil, order)), core.PermutationRuns(order))
 	} else {
 		fmt.Fprintln(stdout, "layout: id-ordered (permutation overhead 0 bytes)")
 	}

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -706,20 +705,18 @@ func (c *Client) Info() (n int, err error) {
 // 1-shard map for an unsharded server), the fat count K (vertex v is fat
 // exactly when its identifier is below K, which the server's engine build
 // enforced: its slab's fat labels are ranks 0..K-1, each carrying its rank as
-// identifier) and the identifier block (vertex v's scheme identifier at bit
-// v·w, w = ceil(log2 N) bits, MSB first; empty, with K = 0, from a server
-// that holds no adjacency labels) — everything a router needs to place
-// queries.
+// identifier) and the permutation block of the identifiers
+// (core.AppendPermutation: rank r is the vertex whose identifier is r; empty,
+// with K = 0, from a server that holds no adjacency labels) — everything a
+// router needs to place queries.
 type ShardInfo struct {
 	N      int
 	Map    core.ShardMap
 	K      int
 	IDBits []byte
-}
-
-// ID returns vertex v's scheme identifier; IDBits must not be empty.
-func (si *ShardInfo) ID(v int) int {
-	return bitstr.IDBlockField(si.IDBits, v, uint(bitstr.WidthFor(uint64(si.N))))
+	// order is IDBits decoded, which parseShardInfo does to validate it: the
+	// router inverts the first upstream's into its routing table.
+	order []int32
 }
 
 // ShardInfo performs the shard-info handshake.
@@ -754,16 +751,18 @@ func (c *Client) small(op byte, ca *call) error {
 
 // parseShardInfo decodes a shard-info response body into si. Errors are
 // protocol corruption (they kill the connection); semantic validation of the
-// map and the identifier block against sibling shards is the router's job.
-// What it accepts re-encodes to the same bytes: every uvarint must be
-// minimal, the vertex count must be one a frame can carry, the shard map must
-// be valid for it (the retired hash function is refused by name), k must not
-// exceed n, the body must end right after k or after the identifier block
-// that n implies, and every identifier must be below n. A body from a server
-// that still sends the fat bitmap after the map is refused: from n = 9 up its
-// length cannot match.
+// map and the block against sibling shards is the router's job. What it
+// accepts re-encodes to the same bytes: every uvarint must be minimal, the
+// vertex count must be one a frame can carry (handshakeFits, checked before
+// the block's decoder sizes a table), the shard map must be valid for it (the
+// retired hash function is refused by name), k must not exceed n, and the
+// body must end right after k or after a permutation block over n vertices
+// that decodes (core.DecodePermutation). A body from a server that still
+// sends the fat bitmap after the map, or the ⌈log₂ n⌉-bit identifier block
+// after k, is refused: neither decodes as a permutation block.
 func parseShardInfo(si *ShardInfo, body []byte) error {
 	var hdr [4]uint64 // n, shard count, shard index, then k after the function
+	whole := len(body)
 	read := func(i int, what string) error {
 		v, k := binary.Uvarint(body)
 		if k <= 0 || k > 1 && body[k-1] == 0 {
@@ -793,22 +792,24 @@ func parseShardInfo(si *ShardInfo, body []byte) error {
 	if err := read(3, "fat count"); err != nil {
 		return err
 	}
-	k, idLen := hdr[3], bitstr.IDBlockLen(int(n))
-	switch {
-	case k > n:
+	if k := hdr[3]; k > n {
 		return fmt.Errorf("%w: shard-info fat count %d of %d vertices", ErrClosed, k, n)
-	case len(body) != 0 && len(body) != idLen:
-		return fmt.Errorf("%w: %d shard-info bytes after the fat count for %d vertices, want a %d-byte identifier block or none",
-			ErrClosed, len(body), n, idLen)
 	}
-	if w := uint(bitstr.WidthFor(n)); len(body) != 0 && n != 1<<w { // at n = 2^w every w-bit value is an identifier
-		for v := 0; v < int(n); v++ {
-			if id := bitstr.IDBlockField(body, v, w); id >= int(n) {
-				return fmt.Errorf("%w: shard-info identifier %d of vertex %d, of %d vertices", ErrClosed, id, v, n)
-			}
+	var order []int32
+	if len(body) != 0 {
+		if !handshakeFits(1+whole-len(body), n) {
+			return fmt.Errorf("%w: shard-info for %d vertices, past the handshake's vertex range", ErrClosed, n)
+		}
+		var size int
+		var err error
+		if order, size, err = core.DecodePermutation(body, int(n)); err != nil {
+			return fmt.Errorf("%w: shard-info %v", ErrClosed, err)
+		}
+		if size != len(body) {
+			return fmt.Errorf("%w: %d shard-info bytes after the permutation block", ErrClosed, len(body)-size)
 		}
 	}
-	si.N, si.Map, si.K = int(n), m, int(k)
+	si.N, si.Map, si.K, si.order = int(n), m, int(hdr[3]), order
 	si.IDBits = append(si.IDBits[:0], body...)
 	return nil
 }

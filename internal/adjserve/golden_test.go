@@ -422,28 +422,41 @@ func goldenShardInfoFrames(t testing.TB) [][]byte {
 	}
 }
 
+// retiredShardInfoFrames are goldenShardInfoFrames' first two frames as a
+// server before the permutation block sent them: the same header and k, then
+// the ⌈log₂ n⌉-bit identifier block — 40·6 bits, vertex v's identifier in
+// bits [6v, 6v+6). No parser admits them.
+func retiredShardInfoFrames() [][]byte {
+	ids, _ := hex.DecodeString("0812050061c310f60c25968d8e441128e49b71375479f96098b8555a29d7")
+	return [][]byte{append([]byte{0, 40, 1, 0, 0, 2}, ids...), append([]byte{0, 40, 3, 2, 0, 2}, ids...)}
+}
+
 // TestGoldenShardInfoFrames pins the handshake's bytes — header, fat count,
-// identifier block — and that they parse back to what the engine holds. By
-// hand, for the 40-vertex labeling (6-bit identifiers):
+// permutation block — that they parse back to what the engine holds, and that
+// the frames of the identifier block before it are refused. By hand, for the
+// 40-vertex labeling:
 //
 //	00          status ok
 //	28          n = 40
 //	01 00 | 03 02   shard count 1, index 0 (whole store) | count 3, index 2
 //	00          ownership function 0, range
 //	02          k = 2: identifiers 0 and 1 are the fat vertices
-//	0812050061c3...  the identifier block, 40·6 bits = 30 bytes: 000010
-//	            000001 001000 000101 000000 ... — vertex 0 has identifier 2,
-//	            vertex 1 identifier 1 and vertex 4 identifier 0, so 1 and 4
-//	            are fat; the shard's block is the whole store's (an absent
-//	            label's identifier is its rank)
+//	09          the permutation block: R = 9 increasing runs of the order
+//	01 01 03 03 04 03 09 0b 05   their lengths, summing to 40
+//	2143...86   40 run fields of ⌈log₂ 9⌉ = 4 bits, 20 bytes, field v the
+//	            run holding vertex v: 2 1 4 3 0 3 ... — vertex 4 is run 0
+//	            (identifier 0) and vertex 1 run 1 (identifier 1), so 1 and 4
+//	            are fat; vertex 0 is run 2's smallest vertex, identifier 2.
+//	            The shard's block is the whole store's (an absent label's
+//	            identifier is its rank)
 //
 // The distance-only server sends the whole-store header, k = 0 and no block.
 func TestGoldenShardInfoFrames(t *testing.T) {
 	frames := goldenShardInfoFrames(t)
-	const ids = "0812050061c310f60c25968d8e441128e49b71375479f96098b8555a29d7"
+	const block = "09010103030403090b05" + "2143033226754775886645677676778784766786"
 	for i, want := range []string{
-		"0028010000" + "02" + ids,
-		"0028030200" + "02" + ids,
+		"0028010000" + "02" + block,
+		"0028030200" + "02" + block,
 		"0028010000" + "00",
 	} {
 		if got := hex.EncodeToString(frames[i]); got != want {
@@ -458,11 +471,13 @@ func TestGoldenShardInfoFrames(t *testing.T) {
 	if want := (core.ShardMap{Count: 3, Index: 2, Fn: core.ShardRange}); si.N != 40 || si.Map != want || si.K != 2 {
 		t.Fatalf("parsed n = %d, map %+v, k = %d; want 40, %+v, 2", si.N, si.Map, si.K, want)
 	}
-	if !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
-		t.Fatal("parsed identifier block differs from the engine's")
+	if !bytes.Equal(si.IDBits, full.AppendPermutation(nil)) {
+		t.Fatal("parsed permutation block differs from the engine's")
 	}
-	if err := checkIDs(&si); err != nil {
-		t.Fatalf("checkIDs: %v", err)
+	for i, frame := range retiredShardInfoFrames() {
+		if err := parseShardInfo(&si, frame[1:]); err == nil || !strings.Contains(err.Error(), "layout permutation") {
+			t.Errorf("retired shard-info frame %d: err = %v, want the block refused", i, err)
+		}
 	}
 }
 

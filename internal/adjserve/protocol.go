@@ -44,21 +44,24 @@
 //	                        function's 1 is refused by name), uvarint fat count
 //	                        k (count=1/index=0 for an unsharded server, so a
 //	                        router can front plain servers too), then the
-//	                        identifier block: vertex v's scheme identifier in
-//	                        bits [v·w, (v+1)·w), MSB first, w = ceil(log2 n),
-//	                        ceil(n·w/8) bytes — the length is implied by n.
-//	                        Vertex v is fat exactly when its identifier is
-//	                        below k; the server checks that rule and answers an
-//	                        error frame for a store that breaks it. The read
-//	                        rule searches the label of the larger identifier,
-//	                        so a router needs the identifiers and k to pick
-//	                        the shard. A server holding no adjacency labels
-//	                        (distance-only) sends k = 0 and no identifier
-//	                        block. The whole response is one frame: past
-//	                        maxFramePayload (16 MiB; n > 5.83 M) the server
-//	                        answers an error frame naming n and the cap
-//	                        instead, and a router cannot front it — a chunked
-//	                        handshake is not built.
+//	                        permutation block (core.AppendPermutation: the
+//	                        run-coded rank→vertex order a label store
+//	                        carries, byte for byte) of the engine's
+//	                        identifiers — rank r is the vertex whose
+//	                        identifier is r — ending the response. Vertex v
+//	                        is fat exactly when its identifier is below k;
+//	                        the engine build checks that rule. The read rule
+//	                        searches the label of the larger identifier, so a
+//	                        router needs the identifiers and k to pick the
+//	                        shard. A server holding no adjacency labels
+//	                        (distance-only) sends k = 0 and no block. A
+//	                        response with a block declares n ≤ 5 835 550 (the
+//	                        range the ⌈log₂ n⌉-bit identifier block it carried
+//	                        before fitted one frame; handshakeFits); the
+//	                        whole response is one frame: past maxFramePayload
+//	                        (16 MiB) the server answers an error frame naming
+//	                        n and the cap instead, and a router cannot front
+//	                        it — a chunked handshake is not built.
 //	         status=0 (ok), dist: uvarint pair count, then one uvarint hop
 //	                        distance per pair; 255 means unreachable or beyond
 //	                        the serving scheme's bound (distances >= 255 are
@@ -103,7 +106,7 @@
 // The info and shard-info responses carry nothing past what their formats
 // above imply, and clients refuse any byte more: a fleet's clients, routers
 // and servers are upgraded together (a router also refuses a partition shard
-// that sends no identifier block).
+// that sends no permutation block).
 package adjserve
 
 import (
@@ -202,7 +205,7 @@ func appendInfo(resp []byte, n int) []byte {
 var trivialShardMap = core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}
 
 // appendShardInfo builds a shard-info response up to, not including, the
-// identifier block the caller appends.
+// permutation block the caller appends.
 func appendShardInfo(resp []byte, n int, m core.ShardMap, k int) []byte {
 	resp = append(resp, statusOK)
 	resp = binary.AppendUvarint(resp, uint64(n))
@@ -212,29 +215,37 @@ func appendShardInfo(resp []byte, n int, m core.ShardMap, k int) []byte {
 	return binary.AppendUvarint(resp, uint64(k))
 }
 
+// handshakeFits reports whether a shard-info response whose header (status
+// through k) is hdrLen bytes may carry a permutation block over n vertices:
+// the vertex range the handshake accepted when its block held ⌈log₂ n⌉ bits
+// per vertex and had to fit one frame beside the header (n ≤ 5 835 550). A
+// one-run block is a few bytes at any n, so the frame no longer bounds n and
+// this does, before a 4n-byte table is sized.
+func handshakeFits(hdrLen int, n uint64) bool {
+	return n <= 8*maxFramePayload && uint64(hdrLen)+(n*uint64(bitstr.WidthFor(n))+7)/8 <= maxFramePayload
+}
+
 // buildShardInfo builds the shard-info response of a server over eng (nil: a
-// distance-only server of n vertices, which reports k = 0 and no identifier
+// distance-only server of n vertices, which reports k = 0 and no permutation
 // block) — or, when the response would not fit a frame of limit bytes, the
 // error frame that says so. The engine is read-only once it serves, so a
-// server builds this once and writes the same bytes to every handshake; at
-// megabytes it must never pass through per-connection scratch.
+// server builds this once and writes the same bytes to every handshake.
 func buildShardInfo(eng *core.QueryEngine, n int, limit int) []byte {
-	m, k, idLen := trivialShardMap, 0, 0
+	m, k := trivialShardMap, 0
 	if eng != nil {
-		k, idLen = eng.FatCount(), bitstr.IDBlockLen(n)
+		k = eng.FatCount()
 		if sm, ok := eng.Shard(); ok {
 			m = sm
 		}
 	}
-	hdr := appendShardInfo(nil, n, m, k)
-	size := len(hdr) + idLen
-	if size > limit {
-		return appendErr(hdr[:0], "shard-info for %d vertices is %d bytes, over the %d-byte frame limit", n, size, limit)
+	resp := appendShardInfo(nil, n, m, k)
+	if eng != nil {
+		resp = eng.AppendPermutation(resp)
 	}
-	if eng == nil {
-		return hdr
+	if len(resp) > limit {
+		return appendErr(nil, "shard-info for %d vertices is %d bytes, over the %d-byte frame limit", n, len(resp), limit)
 	}
-	return eng.AppendIDBits(append(make([]byte, 0, size), hdr...))
+	return resp
 }
 
 // appendPairsReq builds a pair-batch request payload under op (query or dist

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -36,10 +35,11 @@ import (
 // endpoint; the sharded engine's residency guard (core.ErrNotResident) turns
 // any violation of this rule into a loud error frame instead of a silent wrong
 // answer. The rule needs every vertex's identifier, which is why the
-// shard-info handshake carries the identifier block; a vertex is fat iff its
-// identifier is below the fat count k, which the handshake carries beside it
-// (each server checks the rule on its own labels), so route reads that one
-// table, twice, and ownership is the range formula core.ShardOwner.
+// shard-info handshake carries the permutation block of the identifiers; a
+// vertex is fat iff its identifier is below the fat count k, which the
+// handshake carries beside it (each server checks the rule on its own
+// labels), so route reads one vertex → identifier table, twice, and ownership
+// is the range formula core.ShardOwner.
 //
 // Per-request failure semantics mirror the single server's: a shard error
 // (or a dead shard) poisons only the query frames routed to it — each gets an
@@ -54,12 +54,13 @@ type Router struct {
 	lanes    [upstreamLanes][]*Client
 	nextLane atomic.Uint32
 	// info is the shard-info response this router answers — its fleet's, under
-	// the trivial shard map — built once by the handshake; idBits (identifier
-	// v at bit v·idWidth) is a view of it. k is the fat count: identifiers
-	// below it are fat.
+	// the trivial shard map — built once by the handshake; block, the fleet's
+	// permutation block, is a view of it. ids[v] is vertex v's identifier,
+	// decoded from the block once; k is the fat count: identifiers below it
+	// are fat.
 	info     []byte
-	idBits   []byte
-	idWidth  uint
+	block    []byte
+	ids      []int32
 	k        int
 	n        int
 	maxBatch int
@@ -94,11 +95,11 @@ const upstreamLanes = 4
 //   - A partition: every shard reports the same vertex count, a shard count
 //     equal to the fleet size, a distinct index (two servers claiming the
 //     same shard — overlapping ownership — is a deployment error caught
-//     here), and the same fat count and byte-identical identifier block, the
-//     latter a permutation of 0..n-1. clients are held in shard-index order,
+//     here), and the same fat count and byte-identical permutation block
+//     (one order has one encoding). clients are held in shard-index order,
 //     so addrs may be listed in any order.
 //   - A replica fleet: every upstream reports the trivial 1-shard map with
-//     the same vertex count, fat count and identifier block (none, from
+//     the same vertex count, fat count and permutation block (none, from
 //     distance-only servers) — R whole copies of one store,
 //     the distance-serving deployment (op=dist on a partition is refused;
 //     distance stores are never sharded). clients stay in addr order.
@@ -192,8 +193,9 @@ func (r *Router) handshake(addrs []string, dial func(string) (net.Conn, error)) 
 }
 
 // admit validates one handshake against the fleet shape established by the
-// upstreams admitted before it; the first one's tables (checkIDs) become the
-// router's.
+// upstreams admitted before it. The first one's block, which parseShardInfo
+// decoded, becomes the router's routing table; every later block must be
+// byte-equal to it.
 func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 	noun := "replica"
 	if !r.replicas {
@@ -208,15 +210,18 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 		}
 	}
 	if len(si.IDBits) == 0 && !r.replicas {
-		return fmt.Errorf("adjserve: router: shard %s sent no identifier block, which routing over a partition needs (a distance-only server, or one older than this router)", addr)
+		return fmt.Errorf("adjserve: router: shard %s sent no permutation block, which routing over a partition needs (a distance-only server, or one older than this router)", addr)
 	}
 	if r.info == nil {
-		if err := checkIDs(si); err != nil {
-			return fmt.Errorf("adjserve: router: %s %s: %w", noun, addr, err)
-		}
-		r.n, r.k, r.idWidth = si.N, si.K, uint(bitstr.WidthFor(uint64(si.N)))
+		r.n, r.k = si.N, si.K
 		r.info = append(appendShardInfo(nil, si.N, trivialShardMap, si.K), si.IDBits...)
-		r.idBits = r.info[len(r.info)-len(si.IDBits):]
+		r.block = r.info[len(r.info)-len(si.IDBits):]
+		if !r.replicas { // a replica fleet routes by owner-of-u, no identifiers
+			r.ids = make([]int32, si.N)
+			for id, v := range si.order {
+				r.ids[v] = int32(id)
+			}
+		}
 		return nil
 	}
 	if si.N != r.n {
@@ -225,26 +230,8 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 	if si.K != r.k {
 		return fmt.Errorf("adjserve: router: %s %s reports %d fat vertices, fleet has %d (mixed labelings?)", noun, addr, si.K, r.k)
 	}
-	if !bytes.Equal(si.IDBits, r.idBits) {
+	if !bytes.Equal(si.IDBits, r.block) {
 		return fmt.Errorf("adjserve: router: %s %s reports different identifiers than the fleet (mixed labelings?)", noun, addr)
-	}
-	return nil
-}
-
-// checkIDs validates a handshake's identifier block as far as routing relies
-// on it: the identifiers are a permutation of 0..n-1. An empty block (a
-// distance-only server) passes.
-func checkIDs(si *ShardInfo) error {
-	if len(si.IDBits) == 0 {
-		return nil
-	}
-	seen, w := make([]uint64, (si.N+63)>>6), uint(bitstr.WidthFor(uint64(si.N)))
-	for v := 0; v < si.N; v++ {
-		id := bitstr.IDBlockField(si.IDBits, v, w) // below n: parseShardInfo checked
-		if seen[id>>6]&(1<<uint(id&63)) != 0 {
-			return fmt.Errorf("identifier block is not a permutation: %d appears twice (at vertex %d)", id, v)
-		}
-		seen[id>>6] |= 1 << uint(id&63)
 	}
 	return nil
 }
@@ -308,7 +295,7 @@ func (r *Router) route(u, v int) int {
 		return r.ownerOf(u)
 	}
 	count := r.Shards()
-	iu, iv := bitstr.IDBlockField(r.idBits, u, r.idWidth), bitstr.IDBlockField(r.idBits, v, r.idWidth)
+	iu, iv := int(r.ids[u]), int(r.ids[v])
 	if iu == iv || iu < r.k && iv < r.k { // u == v, or both fat: any shard answers
 		return min(core.ShardOwner(u, r.n, count), core.ShardOwner(v, r.n, count))
 	}

@@ -40,41 +40,6 @@ func startRouter(t testing.TB, addrs []string, maxBatch int) (string, *Router) {
 	return ln.Addr().String(), r
 }
 
-// TestRouterEquivalence is the tentpole acceptance check: answers through the
-// router are bit-for-bit identical to the full single-store engine, across
-// batch sizes (sub-byte, multi-frame, large).
-func TestRouterEquivalence(t *testing.T) {
-	full, engines := shardEngines(t, 400, 3, 7)
-	addrs, _ := startShardFleet(t, engines)
-	addr, _ := startRouter(t, addrs, 0)
-	for _, batch := range []int{1, 3, 64, 4096} {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.MaxBatch = batch
-		pairs := randomPairs(full.N(), 5000, int64(batch))
-		for v := 0; v < full.N(); v++ {
-			pairs = append(pairs, [2]int{v, v})
-		}
-		got, err := c.AdjacentMany(pairs, nil)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		for i, p := range pairs {
-			want, err := full.Adjacent(p[0], p[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i] != want {
-				t.Fatalf("batch=%d: pair %d (%d,%d) = %v, engine says %v",
-					batch, i, p[0], p[1], got[i], want)
-			}
-		}
-		c.Close()
-	}
-}
-
 // TestRouterRoutingInvariant pins down the routing rule over every pair of a
 // small graph: a pair that is neither a self pair nor fat–fat goes to the
 // shard holding its larger-identifier endpoint resident — the one label the
@@ -90,13 +55,13 @@ func TestRouterRoutingInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		si := &ShardInfo{N: full.N(), K: full.FatCount(), IDBits: full.AppendIDBits(nil)}
+		ids, k := engineIDs(full), int32(full.FatCount())
 		for u := 0; u < full.N(); u++ {
 			for v := 0; v < full.N(); v++ {
 				s := r.route(u, v)
-				if u != v && !(si.ID(u) < si.K && si.ID(v) < si.K) {
+				if u != v && !(ids[u] < k && ids[v] < k) {
 					larger := u
-					if si.ID(v) > si.ID(u) {
+					if ids[v] > ids[u] {
 						larger = v
 					}
 					if !engines[s].Resident(larger) {
@@ -120,14 +85,26 @@ func TestRouterRoutingInvariant(t *testing.T) {
 	}
 }
 
+// engineIDs is vertex → identifier of e, decoded from its permutation block.
+func engineIDs(e *core.QueryEngine) []int32 {
+	order, _, err := core.DecodePermutation(e.AppendPermutation(nil), e.N())
+	if err != nil {
+		panic(err) // a built engine's identifiers are a permutation
+	}
+	ids := make([]int32, len(order))
+	for id, v := range order {
+		ids[v] = int32(id)
+	}
+	return ids
+}
+
 // thinPairsOwnedBy collects pairs whose endpoints are both thin and owned by
 // shard s — pairs the routing rule must send to s and no other shard.
 func thinPairsOwnedBy(e *core.QueryEngine, count, s, want int) [][2]int {
-	k := e.FatCount()
-	si := &ShardInfo{N: e.N(), IDBits: e.AppendIDBits(nil)}
+	ids, k := engineIDs(e), int32(e.FatCount())
 	var own []int
 	for v, hi := (core.ShardMap{Count: count, Index: s}).Range(e.N()); v < hi; v++ {
-		if si.ID(v) >= k {
+		if ids[v] >= k {
 			own = append(own, v)
 		}
 	}

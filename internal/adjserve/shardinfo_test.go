@@ -70,7 +70,7 @@ func shardEnginesOf(t testing.TB, n, count int, seed int64, thin core.ThinEdges)
 }
 
 // TestShardInfoUnsharded: a plain server answers the handshake with the
-// trivial 1-shard map, its engine's fat count and identifier block, so a
+// trivial 1-shard map, its engine's fat count and permutation block, so a
 // router can front it.
 func TestShardInfoUnsharded(t *testing.T) {
 	eng := testEngine(t, 300, 5)
@@ -87,24 +87,24 @@ func TestShardInfoUnsharded(t *testing.T) {
 	if si.N != eng.N() {
 		t.Fatalf("shard-info n = %d, engine has %d", si.N, eng.N())
 	}
-	if want := (core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}); si.Map != want {
-		t.Fatalf("unsharded shard map %+v, want %+v", si.Map, want)
+	if si.Map != trivialShardMap {
+		t.Fatalf("unsharded shard map %+v, want %+v", si.Map, trivialShardMap)
 	}
 	if k := eng.FatCount(); si.K != k || k == 0 {
 		t.Fatalf("fat count %d, engine has %d", si.K, k)
 	}
-	if !bytes.Equal(si.IDBits, eng.AppendIDBits(nil)) {
-		t.Fatal("identifier block differs from the engine's")
+	if !bytes.Equal(si.IDBits, eng.AppendPermutation(nil)) {
+		t.Fatal("permutation block differs from the engine's")
 	}
-	if err := checkIDs(si); err != nil {
-		t.Fatalf("identifier block: %v", err)
+	if _, size, err := core.DecodePermutation(si.IDBits, si.N); err != nil || size != len(si.IDBits) {
+		t.Fatalf("permutation block: size %d of %d, %v", size, len(si.IDBits), err)
 	}
 }
 
 // TestShardInfoSharded: each shard server reports its own index under the
-// shared count/fn, and all report the full engine's fat count and identifier
-// block (fat labels are replicated, and an absent label is thin with its
-// rank for identifier).
+// shared count/fn, and all report the full engine's fat count and
+// permutation block (fat labels are replicated, and an absent label is thin
+// with its rank for identifier).
 func TestShardInfoSharded(t *testing.T) {
 	full, engines := shardEngines(t, 300, 3, 5)
 	k := full.FatCount()
@@ -128,13 +128,12 @@ func TestShardInfoSharded(t *testing.T) {
 		if si.K != k {
 			t.Fatalf("shard %d fat count %d, full engine has %d", i, si.K, k)
 		}
-		if !bytes.Equal(si.IDBits, full.AppendIDBits(nil)) {
-			t.Fatalf("shard %d identifier block differs from the full engine's (an absent label's identifier is its rank)", i)
+		if !bytes.Equal(si.IDBits, full.AppendPermutation(nil)) {
+			t.Fatalf("shard %d permutation block differs from the full engine's (an absent label's identifier is its rank)", i)
 		}
 	}
 }
 
-// TestClientPending tracks the pipelining depth across an unanswered frame.
 func TestClientPending(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -353,9 +353,10 @@ func TestRouterShedPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveVertex := -1
-	for v, hi := si.Map.Range(si.N); v < hi; v++ {
-		if si.ID(v) >= si.K {
-			liveVertex = v
+	lo, hi := si.Map.Range(si.N)
+	for _, v := range si.order[si.K:] { // the thin vertices, by identifier
+		if lo <= int(v) && int(v) < hi {
+			liveVertex = int(v)
 			break
 		}
 	}

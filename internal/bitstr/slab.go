@@ -203,17 +203,11 @@ func SlabReadBits(slab []byte, off int64, w int) uint64 {
 	return v >> (64 - uint(w))
 }
 
-// IDBlockLen returns the size in bytes of an identifier block over n values:
-// n fields of w = WidthFor(n) bits back to back, MSB first, the last byte's
-// tail zero. A SlabWriter writes one (WriteUint(v, w) per field, then Flush)
-// and IDBlockField reads a field back. The shard-info identifier block is
-// this block; a store's layout permutation packs its run fields the same way,
-// at ⌈log₂ R⌉ bits for R runs.
-func IDBlockLen(n int) int { return (n*WidthFor(uint64(n)) + 7) >> 3 }
-
-// IDBlockField returns field i of an identifier block of w-bit fields. For
-// w <= 57 the field lies within the eight bytes from its first; near the end
-// of the block the missing ones read as zero.
+// IDBlockField returns field i of a block of w-bit fields back to back, MSB
+// first, the last byte's tail zero — as a SlabWriter writes them (WriteUint
+// or WriteUints32, then Flush). The run fields of core's permutation block
+// are one. For w <= 57 the field lies within the eight bytes from its first;
+// near the end of the block the missing ones read as zero.
 func IDBlockField(block []byte, i int, w uint) int {
 	off := uint(i) * w
 	var word uint64

@@ -393,19 +393,17 @@ func BenchmarkVectorGrowReuse(b *testing.B) {
 	}
 }
 
-// TestIDBlockRoundTrip writes identifier blocks with a SlabWriter, one
-// WriteUint per field, and reads every field back with IDBlockField: sizes on
-// both sides of a power of two (so the field width changes), the fields near
-// the block's end that read past its last byte, and a zero tail.
+// TestIDBlockRoundTrip writes blocks of n fields of ⌈log₂ n⌉ bits with a
+// SlabWriter, one WriteUint per field, and reads every field back with
+// IDBlockField: sizes on both sides of a power of two (so the field width
+// changes), the fields near the block's end that read past its last byte, and
+// a zero tail.
 func TestIDBlockRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 2, 3, 7, 8, 9, 255, 256, 257, 1000, 1 << 16, 1<<16 + 1} {
 		w := WidthFor(uint64(n))
 		ids := make([]int, n)
-		block := make([]byte, IDBlockLen(n))
-		if want := (n*w + 7) / 8; len(block) != want {
-			t.Fatalf("n=%d: IDBlockLen %d, want %d", n, len(block), want)
-		}
+		block := make([]byte, (n*w+7)/8)
 		sw := NewSlabWriter(block)
 		for v := range ids {
 			ids[v] = rng.Intn(n)

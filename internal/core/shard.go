@@ -267,25 +267,21 @@ func (e *QueryEngine) Resident(v int) bool { return e.owns(v) || e.meta[v].fat()
 // FatCount returns k, the number of fat vertices. The build's slab contract
 // puts the fat labels at ranks 0..k-1, whose identifiers are their ranks, so
 // vertex v is fat exactly when its identifier is below k — the rule a
-// router's routing table rests on. With AppendIDBits it is everything a
+// router's routing table rests on. With AppendPermutation it is everything a
 // router needs to compute which shard answers any pair (an absent label is
 // thin and its identifier is its rank, so every shard reports the same k and
 // block).
 func (e *QueryEngine) FatCount() int { return e.fatCount }
 
-// AppendIDBits appends the identifier block (bitstr.IDBlockLen(n) bytes,
-// vertex v's scheme identifier in bits [v·w, (v+1)·w), MSB first,
-// w = ceil(log2 n)) and returns the extended slice. The read rule picks the
-// label to search by comparing identifiers, so a router needs them to pick
-// the shard.
-func (e *QueryEngine) AppendIDBits(dst []byte) []byte {
-	// Packed as a one-label slab: the writer stores only the block's bytes.
-	base := len(dst)
-	dst = append(dst, make([]byte, bitstr.IDBlockLen(e.n))...)
-	sw := bitstr.NewSlabWriter(dst[base:])
-	for v := range e.meta {
-		sw.WriteUint(e.meta[v].id(), e.w)
+// AppendPermutation appends the permutation block (AppendPermutation) of the
+// engine's identifier order — rank r ↦ the vertex whose identifier is r,
+// which the build's slab contract makes the slab order of the store it
+// serves — and returns the extended slice. The read rule picks the label to
+// search by comparing identifiers, so a router needs them to pick the shard.
+func (e *QueryEngine) AppendPermutation(dst []byte) []byte {
+	order := make([]int32, e.n)
+	for v, m := range e.meta {
+		order[m.id()] = int32(v)
 	}
-	sw.Flush()
-	return dst
+	return AppendPermutation(dst, order)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,12 +195,11 @@ func TestShardedEngineNotResident(t *testing.T) {
 	}
 }
 
-// TestAppendIDBits: the identifier block holds every label's own identifier at
-// bit v·w, is bitstr.IDBlockLen bytes appended after what dst held, and is the same on
-// a shard (an absent label's identifier is its rank) as on the full engine —
-// at widths that do and do not divide a byte, and on the degenerate
-// one-vertex engine.
-func TestAppendIDBits(t *testing.T) {
+// TestAppendPermutation: the engine's permutation block, appended after what
+// dst held, decodes to its labeling's build order (nil is the identity, at
+// n = 1), and is the same on a shard (an absent label's identifier is its
+// rank) as on the full engine.
+func TestAppendPermutation(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 256, 400} {
 		g, err := gen.ChungLuPowerLaw(n, 2.5, 2, 11)
 		if err != nil {
@@ -213,26 +213,20 @@ func TestAppendIDBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := bitstr.WidthFor(uint64(n))
-		block := e.AppendIDBits([]byte{0xAB})
-		if len(block) != 1+bitstr.IDBlockLen(n) || block[0] != 0xAB {
-			t.Fatalf("n=%d: block of %d bytes starting %#x, want %d after the prefix", n, len(block), block[0], bitstr.IDBlockLen(n))
+		_, want, _ := lab.ArenaLayout()
+		if want == nil {
+			want = []int32{0}
 		}
-		ids, err := bitstr.Wrap(block[1:], n*w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < n; v++ {
-			l, _ := lab.Label(v)
-			if got, want := ids.MustPeekUint(v*w, w), l.MustPeekUint(1, w); w > 0 && got != want {
-				t.Fatalf("n=%d: block holds identifier %d for vertex %d, its label says %d", n, got, v, want)
-			}
+		block := e.AppendPermutation([]byte{0xAB})
+		order, size, err := DecodePermutation(block[1:], n)
+		if err != nil || block[0] != 0xAB || size != len(block)-1 || !slices.Equal(order, want) {
+			t.Fatalf("n=%d: block %x decodes to %v (%v, %d bytes), want the build order %v", n, block, order, err, size, want)
 		}
 	}
 	full, engines := shardTestEngines(t, 3, 400, 11)
 	for i, e := range engines {
-		if !bytes.Equal(e.AppendIDBits(nil), full.AppendIDBits(nil)) {
-			t.Fatalf("shard %d serves a different identifier block than the full engine", i)
+		if !bytes.Equal(e.AppendPermutation(nil), full.AppendPermutation(nil)) {
+			t.Fatalf("shard %d serves a different permutation block than the full engine", i)
 		}
 	}
 }

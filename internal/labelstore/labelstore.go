@@ -14,8 +14,10 @@
 //	n       uvarint              number of labels
 //	lens    n × uvarint          per-label bit lengths (always id-indexed)
 //	perm    uvarint R,           rank→label layout permutation, run-coded
-//	        R × uvarint length,  (permutation.go): its R maximal increasing
-//	        ⌈n·b/8⌉ bytes        runs' lengths, then n fields of
+//	        R × uvarint length,  (core.AppendPermutation, the one codec of the
+//	        ⌈n·b/8⌉ bytes        order, which the shard-info handshake sends
+//	                             too): its R maximal increasing runs'
+//	                             lengths, then n fields of
 //	                             b = ⌈log₂ R⌉ bits naming each vertex's run,
 //	                             MSB first, the last byte's tail zero;
 //	                             present iff params carries "layout" (value
@@ -88,10 +90,10 @@ func checkVersion(ver byte) error {
 // layoutKey is the params entry announcing a physically permuted blob;
 // its presence means a permutation block sits between the lens block and the
 // blob. The only value read is layoutRuns, the run-coded block
-// (permutation.go). layoutDegree, the ⌈log₂ n⌉-bit identifier block stores
-// carried before it, is refused by name (re-run pllabel); any other value is
-// rejected — misreading a permuted slab as id-ordered would silently answer
-// queries from the wrong labels.
+// (core.DecodePermutation). layoutDegree, the ⌈log₂ n⌉-bit identifier block
+// stores carried before it, is refused by name (re-run pllabel); any other
+// value is rejected — misreading a permuted slab as id-ordered would silently
+// answer queries from the wrong labels.
 const (
 	layoutKey    = "layout"
 	layoutRuns   = "runs"
@@ -289,7 +291,7 @@ func Write(w io.Writer, f *File) error {
 		return err
 	}
 	if f.order != nil { // permutation block (absent when id-ordered)
-		if err := writePermutation(bw, f.order); err != nil {
+		if _, err := bw.Write(core.AppendPermutation(bw.AvailableBuffer(), f.order)); err != nil {
 			return err
 		}
 	}
@@ -408,9 +410,11 @@ func parse(data []byte, mask bool) (*File, error) {
 	if lay, ok := params[layoutKey]; ok {
 		switch lay {
 		case layoutRuns:
-			if order, err = p.permutation(int(n)); err != nil {
-				return nil, err
+			var size int
+			if order, size, err = core.DecodePermutation(p.data[p.off:], int(n)); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 			}
+			p.off += size
 		case layoutDegree:
 			return nil, fmt.Errorf("%w: layout %q: the ⌈log₂ n⌉-bit permutation block is retired for the run-coded one (re-run pllabel)", ErrFormat, lay)
 		default:

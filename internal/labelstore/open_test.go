@@ -153,7 +153,8 @@ func corruptBlobLen(t testing.TB, data []byte, blobBytes int, newLen uint64) []b
 	t.Helper()
 	var lenField [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenField[:], newLen)
-	head := data[: len(data)-blobBytes-uvarintLen(uint64(blobBytes)) : len(data)-blobBytes-uvarintLen(uint64(blobBytes))]
+	cut := len(data) - blobBytes - len(binary.AppendUvarint(nil, uint64(blobBytes)))
+	head := data[:cut:cut]
 	out := append(append(append([]byte{}, head...), lenField[:n]...), data[len(data)-blobBytes:]...)
 	return out
 }

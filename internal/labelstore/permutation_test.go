@@ -1,7 +1,6 @@
 package labelstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -112,8 +111,8 @@ func TestPermutedRoundTrip(t *testing.T) {
 
 // TestPermutationBlockSpansWriteBuffer writes a permutation block larger than
 // Write's buffer (a random order of 2^19 labels has about 2^18 runs, so 2^19
-// run fields of 18 bits), so it is packed in several chunks that start with
-// the buffer partly full, and reads every entry back.
+// run fields of 18 bits), so the block outgrows the buffer's free space while
+// the header before it sits in the buffer, and reads every entry back.
 func TestPermutationBlockSpansWriteBuffer(t *testing.T) {
 	const n = 1 << 19
 	bitLens := make([]int, n)
@@ -126,7 +125,7 @@ func TestPermutationBlockSpansWriteBuffer(t *testing.T) {
 	for r, v := range rand.New(rand.NewSource(9)).Perm(n) {
 		order[r] = int32(v)
 	}
-	if size := PermutationOverheadBytes(order); size <= writeBuffer {
+	if size := len(core.AppendPermutation(nil, order)); size <= writeBuffer {
 		t.Fatalf("a %d-byte block fits the %d-byte write buffer", size, writeBuffer)
 	}
 	f, err := NewPermutedArenaFile("test", nil, make([]byte, bitstr.SlabSize(size)), bitLens, order)
@@ -198,22 +197,14 @@ func permBlockRange(t testing.TB, data []byte, n int) (int, int) {
 }
 
 // permBlockEnd returns the offset just past the permutation block over n
-// labels that starts at off: its run count, run lengths and run fields.
+// labels that starts at off.
 func permBlockEnd(t testing.TB, data []byte, off, n int) int {
 	t.Helper()
-	uv := func(what string) uint64 {
-		v, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			t.Fatalf("parsing %s at offset %d", what, off)
-		}
-		off += k
-		return v
+	_, size, err := core.DecodePermutation(data[off:], n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runs := uv("run count")
-	for j := uint64(0); j < runs; j++ {
-		uv("run length")
-	}
-	return off + runFieldsLen(n, int(runs))
+	return off + size
 }
 
 // TestPermutationCorruptionErrors is the load-time safety property of the
@@ -255,8 +246,8 @@ func TestPermutationCorruptionErrors(t *testing.T) {
 		if _, err := Read(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("Read accepted a store with perm byte %d corrupted", i)
 		}
-		if _, err := ReadBytes(bad); err == nil {
-			t.Fatalf("ReadBytes accepted a store with perm byte %d corrupted", i)
+		if _, err := ReadBytes(bad); !errors.Is(err, ErrFormat) {
+			t.Fatalf("ReadBytes of a store with perm byte %d corrupted: err = %v, want ErrFormat", i, err)
 		}
 	}
 }
@@ -373,20 +364,6 @@ func degreeLayoutImage(t testing.TB, f *File) []byte {
 	return append(out, img[end:]...)
 }
 
-// encodePermutation is the block writePermutation writes for order.
-func encodePermutation(t testing.TB, order []int32) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writePermutation(w, order); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // runBlock hand-builds a permutation block: the run count and lengths as
 // given, then fields packed at width bits, the last byte's tail ORed with pad.
 func runBlock(runs []uint64, fields []int32, width int, pad byte) []byte {
@@ -420,22 +397,24 @@ var badPermutationBlocks = []struct {
 	{"overlong run count", "overlong uvarint", 2, []byte{0x82, 0x00, 0x01, 0x01, 0x40}},
 	{"overlong run length", "overlong uvarint", 2, []byte{0x02, 0x81, 0x00, 0x01, 0x40}},
 	{"fields truncated", "run fields", 16, runBlock([]uint64{8, 8}, nil, 1, 0)},
+	// Every field zero: the all-zero block, which names no permutation.
+	{"all fields zero", "run 0 holds more labels", 4, runBlock([]uint64{2, 2}, []int32{0, 0, 0, 0}, 1, 0)},
 }
 
-// TestPermutationBlockRefusals: each of the reader's checks refuses its
-// block, by name.
+// TestPermutationBlockRefusals: each of the decoder's checks refuses its
+// block, by name (TestPermutationCorruptionErrors: a store refuses it with
+// ErrFormat).
 func TestPermutationBlockRefusals(t *testing.T) {
 	for _, bad := range badPermutationBlocks {
-		p := &byteParser{data: bad.block}
-		if order, err := p.permutation(bad.n); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), bad.want) {
-			t.Errorf("%s: order %v, err = %v, want ErrFormat naming %q", bad.name, order, err, bad.want)
+		if order, _, err := core.DecodePermutation(bad.block, bad.n); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("%s: order %v, err = %v, want a refusal naming %q", bad.name, order, err, bad.want)
 		}
 	}
 }
 
 // TestPermutationBlockRoundTrip: the block of every order shape decodes to
-// that order, and the size PermutationOverheadBytes reports is the size
-// written. A degree order costs a run field of ⌈log₂ R⌉ bits per label.
+// that order, consuming exactly the block. A degree order costs a run field
+// of ⌈log₂ R⌉ bits per label.
 func TestPermutationBlockRoundTrip(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(3000, 2.5, 2, 8)
 	if err != nil {
@@ -456,19 +435,16 @@ func TestPermutationBlockRoundTrip(t *testing.T) {
 		"degree":    f.order,
 		"two descs": {1, 0, 3, 2},
 	} {
-		block := encodePermutation(t, order)
-		if len(block) != PermutationOverheadBytes(order) {
-			t.Errorf("%s: wrote %d bytes, PermutationOverheadBytes says %d", name, len(block), PermutationOverheadBytes(order))
-		}
-		p := &byteParser{data: block}
-		got, err := p.permutation(len(order))
-		if err != nil || !slices.Equal(got, order) || p.off != len(block) {
-			t.Errorf("%s: decoded %v (%v) after %d of %d bytes", name, got, err, p.off, len(block))
+		block := core.AppendPermutation(nil, order)
+		got, size, err := core.DecodePermutation(block, len(order))
+		if err != nil || !slices.Equal(got, order) || size != len(block) {
+			t.Errorf("%s: decoded %v (%v) after %d of %d bytes", name, got, err, size, len(block))
 		}
 	}
-	n, runs := len(f.order), PermutationRuns(f.order)
-	if fields := runFieldsLen(n, runs); PermutationOverheadBytes(f.order) > fields+2*runs+2 {
-		t.Errorf("degree order of %d labels, %d runs: block of %d bytes, want about %d", n, runs, PermutationOverheadBytes(f.order), fields)
+	n, runs := len(f.order), core.PermutationRuns(f.order)
+	size := len(core.AppendPermutation(nil, f.order))
+	if fields := (n*bitstr.WidthFor(uint64(runs)) + 7) / 8; size > fields+2*runs+2 {
+		t.Errorf("degree order of %d labels, %d runs: block of %d bytes, want about %d", n, runs, size, fields)
 	}
 	if runs >= n/4 {
 		t.Errorf("degree order of %d labels has %d runs", n, runs)
@@ -489,18 +465,17 @@ func FuzzPermutationBlock(f *testing.F) {
 	}
 	degree, _ := permutedStore(f, g)
 	add := func(n int, block []byte) { f.Add(uint16(n), block) }
-	add(len(degree.order), encodePermutation(f, degree.order))
+	add(len(degree.order), core.AppendPermutation(nil, degree.order))
 	add(len(degree.order), identifierBlock(degree.order))
-	add(5, encodePermutation(f, []int32{0, 1, 2, 3, 4}))    // R = 1
-	add(6, encodePermutation(f, []int32{3, 4, 5, 0, 1, 2})) // R = 2
+	add(5, core.AppendPermutation(nil, []int32{0, 1, 2, 3, 4}))    // R = 1
+	add(6, core.AppendPermutation(nil, []int32{3, 4, 5, 0, 1, 2})) // R = 2
 	for _, bad := range badPermutationBlocks {
 		add(bad.n, bad.block)
 	}
 	add(0, []byte{0x00})
 	f.Fuzz(func(t *testing.T, n16 uint16, data []byte) {
 		n := int(n16 % 4097)
-		p := &byteParser{data: data}
-		order, err := p.permutation(n)
+		order, size, err := core.DecodePermutation(data, n)
 		if err != nil {
 			return
 		}
@@ -511,8 +486,8 @@ func FuzzPermutationBlock(f *testing.F) {
 			}
 			seen[v] = true
 		}
-		if re := encodePermutation(t, order); !bytes.Equal(re, data[:p.off]) {
-			t.Fatalf("order of %d labels re-encodes to %x, decoded from %x", n, re, data[:p.off])
+		if re := core.AppendPermutation(nil, order); !bytes.Equal(re, data[:size]) {
+			t.Fatalf("order of %d labels re-encodes to %x, decoded from %x", n, re, data[:size])
 		}
 	})
 }
