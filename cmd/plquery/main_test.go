@@ -106,7 +106,10 @@ func TestQueryRefusesUnservableStore(t *testing.T) {
 		t.Fatal("fixture label 36 is fat; the test pads a thin one")
 	}
 	var b bitstr.Builder
-	b.AppendString(labels[36])
+	for i := range labels[36].Len() {
+		bit, _ := labels[36].Bit(i)
+		b.AppendBit(bit)
+	}
 	b.AppendBit(false)
 	labels[36] = b.String()
 	adj, err := baseline.AdjMatrix{}.Encode(g)

@@ -250,9 +250,11 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		return err
 	}
 	// The msg=listening line is the readiness contract scripts wait for
-	// (scripts/serving_smoke.sh extracts the resolved port from its addr key).
-	logger.Info("listening", "addr", ln.Addr().String())
+	// (scripts/serving_smoke.sh extracts the resolved port from its addr key),
+	// so /readyz turns ready before it is written: the listener already
+	// queues connections, and a caller acting on the line never reads 503.
 	ready.Store(true)
+	logger.Info("listening", "addr", ln.Addr().String())
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)

@@ -705,18 +705,37 @@ func (c *Client) Info() (n int, err error) {
 // 1-shard map for an unsharded server), the fat count K (vertex v is fat
 // exactly when its identifier is below K, which the server's engine build
 // enforced: its slab's fat labels are ranks 0..K-1, each carrying its rank as
-// identifier) and the permutation block of the identifiers
-// (core.AppendPermutation: rank r is the vertex whose identifier is r; empty,
-// with K = 0, from a server that holds no adjacency labels) — everything a
-// router needs to place queries.
+// identifier) and the permutation block of the identifiers, as bytes
+// (core.AppendPermutation: rank r is the vertex whose identifier is r; the
+// block of the store the server was opened over, byte for byte; empty, with
+// K = 0, from a server that holds no adjacency labels) — everything a router
+// needs to place queries. The block is not decoded here: a router decodes its
+// first upstream's once (decodeOrder) and holds every other to its bytes.
 type ShardInfo struct {
 	N      int
 	Map    core.ShardMap
 	K      int
 	IDBits []byte
-	// order is IDBits decoded, which parseShardInfo does to validate it: the
-	// router inverts the first upstream's into its routing table.
-	order []int32
+}
+
+// decodeOrder decodes the handshake's permutation block into the rank→vertex
+// order (nil when there is no block): the one decode a router makes, of its
+// first upstream's block. The block must decode over N vertices
+// (core.DecodePermutation) and end the body. A body from a server that still
+// sends the ⌈log₂ n⌉-bit identifier block after k is refused here: it does
+// not decode as a permutation block.
+func (si *ShardInfo) decodeOrder() ([]int32, error) {
+	if len(si.IDBits) == 0 {
+		return nil, nil
+	}
+	order, size, err := core.DecodePermutation(si.IDBits, si.N)
+	if err != nil {
+		return nil, fmt.Errorf("shard-info %v", err)
+	}
+	if size != len(si.IDBits) {
+		return nil, fmt.Errorf("%d shard-info bytes after the permutation block", len(si.IDBits)-size)
+	}
+	return order, nil
 }
 
 // ShardInfo performs the shard-info handshake.
@@ -749,17 +768,16 @@ func (c *Client) small(op byte, ca *call) error {
 	return <-ca.done
 }
 
-// parseShardInfo decodes a shard-info response body into si. Errors are
-// protocol corruption (they kill the connection); semantic validation of the
-// map and the block against sibling shards is the router's job. What it
-// accepts re-encodes to the same bytes: every uvarint must be minimal, the
-// vertex count must be one a frame can carry (handshakeFits, checked before
-// the block's decoder sizes a table), the shard map must be valid for it (the
-// retired hash function is refused by name), k must not exceed n, and the
-// body must end right after k or after a permutation block over n vertices
-// that decodes (core.DecodePermutation). A body from a server that still
-// sends the fat bitmap after the map, or the ⌈log₂ n⌉-bit identifier block
-// after k, is refused: neither decodes as a permutation block.
+// parseShardInfo parses a shard-info response body into si, keeping the
+// permutation block as bytes. Errors are protocol corruption (they kill the
+// connection); decoding the block (ShardInfo.decodeOrder) and validating the
+// map and the block against sibling shards is the router's job. Every uvarint
+// must be minimal, the shard map must be valid for n (the retired hash
+// function is refused by name), k must not exceed n, and a body that goes on
+// after k must declare a vertex count a frame can carry (handshakeFits,
+// checked before anyone sizes a table). A body from a server that still sends
+// the fat bitmap after the map is refused: its first bitmap byte reads as a
+// fat count past n, or the block after it does not decode.
 func parseShardInfo(si *ShardInfo, body []byte) error {
 	var hdr [4]uint64 // n, shard count, shard index, then k after the function
 	whole := len(body)
@@ -795,21 +813,10 @@ func parseShardInfo(si *ShardInfo, body []byte) error {
 	if k := hdr[3]; k > n {
 		return fmt.Errorf("%w: shard-info fat count %d of %d vertices", ErrClosed, k, n)
 	}
-	var order []int32
-	if len(body) != 0 {
-		if !handshakeFits(1+whole-len(body), n) {
-			return fmt.Errorf("%w: shard-info for %d vertices, past the handshake's vertex range", ErrClosed, n)
-		}
-		var size int
-		var err error
-		if order, size, err = core.DecodePermutation(body, int(n)); err != nil {
-			return fmt.Errorf("%w: shard-info %v", ErrClosed, err)
-		}
-		if size != len(body) {
-			return fmt.Errorf("%w: %d shard-info bytes after the permutation block", ErrClosed, len(body)-size)
-		}
+	if len(body) != 0 && !handshakeFits(1+whole-len(body), n) {
+		return fmt.Errorf("%w: shard-info for %d vertices, past the handshake's vertex range", ErrClosed, n)
 	}
-	si.N, si.Map, si.K, si.order = int(n), m, int(hdr[3]), order
+	si.N, si.Map, si.K = int(n), m, int(hdr[3])
 	si.IDBits = append(si.IDBits[:0], body...)
 	return nil
 }

@@ -433,7 +433,8 @@ func retiredShardInfoFrames() [][]byte {
 
 // TestGoldenShardInfoFrames pins the handshake's bytes — header, fat count,
 // permutation block — that they parse back to what the engine holds, and that
-// the frames of the identifier block before it are refused. By hand, for the
+// the frames of the identifier block before it are refused by a router's
+// parse and decode. By hand, for the
 // 40-vertex labeling:
 //
 //	00          status ok
@@ -475,7 +476,7 @@ func TestGoldenShardInfoFrames(t *testing.T) {
 		t.Fatal("parsed permutation block differs from the engine's")
 	}
 	for i, frame := range retiredShardInfoFrames() {
-		if err := parseShardInfo(&si, frame[1:]); err == nil || !strings.Contains(err.Error(), "layout permutation") {
+		if _, err := parseAndDecode(&si, frame[1:]); err == nil || !strings.Contains(err.Error(), "layout permutation") {
 			t.Errorf("retired shard-info frame %d: err = %v, want the block refused", i, err)
 		}
 	}

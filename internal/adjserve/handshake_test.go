@@ -149,14 +149,14 @@ func TestClientDropsHandshakeReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(si.IDBits) != len(block) || len(si.IDBits) < maxReadScratch || !slices.Equal(si.order, order) {
-		t.Fatalf("permutation block of %d bytes, want %d (above the %d-byte scratch cap) decoding to the order sent", len(si.IDBits), len(block), maxReadScratch)
-	}
 	if !raceEnabled { // the race runtime's shadow heap moves HeapAlloc by megabytes
-		kept := int64(liveHeap()) - int64(before) - int64(len(si.IDBits)) - 4*int64(len(si.order))
+		kept := int64(liveHeap()) - int64(before) - int64(len(si.IDBits))
 		if kept > maxReadScratch {
 			t.Fatalf("%d bytes stayed live on the connection after a %d-byte handshake", kept, len(body)+len(block))
 		}
+	}
+	if got, err := si.decodeOrder(); len(si.IDBits) < maxReadScratch || err != nil || !slices.Equal(got, order) {
+		t.Fatalf("permutation block of %d bytes (above the %d-byte scratch cap?) decoding to the order sent: %v", len(si.IDBits), maxReadScratch, err)
 	}
 }
 
@@ -193,8 +193,11 @@ func TestShardInfoVertexRange(t *testing.T) {
 		return binary.AppendUvarint(append(body, 1), n) // R = 1, its length n, no fields
 	}
 	var si ShardInfo
-	if err := parseShardInfo(&si, oneRun(top)); err != nil || len(si.order) != top {
-		t.Fatalf("n = %d: err = %v, %d vertices decoded; want it accepted", top, err, len(si.order))
+	if err := parseShardInfo(&si, oneRun(top)); err != nil {
+		t.Fatalf("n = %d: err = %v; want it accepted", top, err)
+	}
+	if order, err := si.decodeOrder(); err != nil || len(order) != top {
+		t.Fatalf("n = %d: err = %v, %d vertices decoded; want it accepted", top, err, len(order))
 	}
 	for _, n := range []uint64{top + 1, 8 * maxFramePayload} {
 		body, least := oneRun(n), ^uint64(0)
@@ -253,11 +256,12 @@ func TestRouterNeedsIdentifierBlock(t *testing.T) {
 	}
 }
 
-// FuzzParseShardInfo: any body either fails to parse or yields a ShardInfo
-// that re-encodes to exactly the bytes parsed — its permutation block too,
-// from the decoded order — with k at most n and a valid shard map. Seeded
-// from the golden shard-info frames, the frames of the identifier block before
-// them, and each way a body is refused.
+// FuzzParseShardInfo runs what a router does with a handshake body, the
+// header parse and then the one decode of its block: any body either fails
+// one of them or yields a ShardInfo that re-encodes to exactly the bytes
+// parsed — its permutation block too, from the decoded order — with k at most
+// n and a valid shard map. Seeded from the golden shard-info frames, the
+// frames of the identifier block before them, and each way a body is refused.
 func FuzzParseShardInfo(f *testing.F) {
 	golden := goldenShardInfoFrames(f)
 	for _, frame := range golden {
@@ -288,7 +292,7 @@ func FuzzParseShardInfo(f *testing.F) {
 		{"a distance-only body", "", golden[2][1:]},
 	} {
 		var si ShardInfo
-		err := parseShardInfo(&si, r.body)
+		_, err := parseAndDecode(&si, r.body)
 		if r.err == "" && (err != nil || len(si.IDBits) != 0) || r.err != "" && (err == nil || !strings.Contains(err.Error(), r.err)) {
 			f.Fatalf("%s: err = %v, %d block bytes; want %q (empty: accepted, no block)", r.what, err, len(si.IDBits), r.err)
 		}
@@ -296,14 +300,15 @@ func FuzzParseShardInfo(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var si ShardInfo
-		if err := parseShardInfo(&si, body); err != nil {
+		order, err := parseAndDecode(&si, body)
+		if err != nil {
 			return
 		}
 		again := append(appendShardInfo(nil, si.N, si.Map, si.K)[1:], si.IDBits...)
 		if !bytes.Equal(again, body) {
 			t.Fatalf("parsed %x, re-encoded %x", body, again)
 		}
-		if len(si.IDBits) != 0 && !bytes.Equal(core.AppendPermutation(nil, si.order), si.IDBits) {
+		if len(si.IDBits) != 0 && !bytes.Equal(core.AppendPermutation(nil, order), si.IDBits) {
 			t.Fatalf("block %x decoded to an order that re-encodes otherwise", si.IDBits)
 		}
 		if err := si.Map.Validate(max(si.N, 1)); err != nil {
@@ -313,4 +318,13 @@ func FuzzParseShardInfo(f *testing.F) {
 			t.Fatalf("accepted fat count %d of %d vertices", si.K, si.N)
 		}
 	})
+}
+
+// parseAndDecode is a router's whole reading of a handshake body: the header
+// parse, then the one decode of its block.
+func parseAndDecode(si *ShardInfo, body []byte) ([]int32, error) {
+	if err := parseShardInfo(si, body); err != nil {
+		return nil, err
+	}
+	return si.decodeOrder()
 }

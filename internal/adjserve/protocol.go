@@ -44,16 +44,18 @@
 //	                        function's 1 is refused by name), uvarint fat count
 //	                        k (count=1/index=0 for an unsharded server, so a
 //	                        router can front plain servers too), then the
-//	                        permutation block (core.AppendPermutation: the
-//	                        run-coded rank→vertex order a label store
-//	                        carries, byte for byte) of the engine's
-//	                        identifiers — rank r is the vertex whose
-//	                        identifier is r — ending the response. Vertex v
-//	                        is fat exactly when its identifier is below k;
-//	                        the engine build checks that rule. The read rule
+//	                        permutation block (core.AppendPermutation) of
+//	                        the order the engine was built over — rank r is
+//	                        the vertex whose identifier is r — ending the
+//	                        response: a server over a label store sends the
+//	                        store's block, byte for byte. Vertex v is fat
+//	                        exactly when its identifier is below k; the
+//	                        engine build checks that rule. The read rule
 //	                        searches the label of the larger identifier, so a
 //	                        router needs the identifiers and k to pick the
-//	                        shard. A server holding no adjacency labels
+//	                        shard; it decodes its first upstream's block
+//	                        once and holds every other upstream's to the
+//	                        same bytes. A server holding no adjacency labels
 //	                        (distance-only) sends k = 0 and no block. A
 //	                        response with a block declares n ≤ 5 835 550 (the
 //	                        range the ⌈log₂ n⌉-bit identifier block it carried

@@ -193,9 +193,10 @@ func (r *Router) handshake(addrs []string, dial func(string) (net.Conn, error)) 
 }
 
 // admit validates one handshake against the fleet shape established by the
-// upstreams admitted before it. The first one's block, which parseShardInfo
-// decoded, becomes the router's routing table; every later block must be
-// byte-equal to it.
+// upstreams admitted before it. The first one's block is decoded — the
+// router's one decode, in either fleet shape — and on a partition becomes
+// the routing table; every later block must be byte-equal to it, since one
+// order has one encoding.
 func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 	noun := "replica"
 	if !r.replicas {
@@ -213,12 +214,16 @@ func (r *Router) admit(addr string, si *ShardInfo, seen []string) error {
 		return fmt.Errorf("adjserve: router: shard %s sent no permutation block, which routing over a partition needs (a distance-only server, or one older than this router)", addr)
 	}
 	if r.info == nil {
+		order, err := si.decodeOrder()
+		if err != nil {
+			return fmt.Errorf("adjserve: router: %s %s handshake: %w", noun, addr, err)
+		}
 		r.n, r.k = si.N, si.K
 		r.info = append(appendShardInfo(nil, si.N, trivialShardMap, si.K), si.IDBits...)
 		r.block = r.info[len(r.info)-len(si.IDBits):]
 		if !r.replicas { // a replica fleet routes by owner-of-u, no identifiers
 			r.ids = make([]int32, si.N)
-			for id, v := range si.order {
+			for id, v := range order {
 				r.ids[v] = int32(id)
 			}
 		}

@@ -352,9 +352,13 @@ func TestRouterShedPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	order, err := si.decodeOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
 	liveVertex := -1
 	lo, hi := si.Map.Range(si.N)
-	for _, v := range si.order[si.K:] { // the thin vertices, by identifier
+	for _, v := range order[si.K:] { // the thin vertices, by identifier
 		if lo <= int(v) && int(v) < hi {
 			liveVertex = int(v)
 			break

@@ -49,23 +49,10 @@ func (s String) Bit(i int) (bool, error) {
 	return s.data[i>>3]&(1<<(7-uint(i&7))) != 0, nil
 }
 
-// PeekUint reads w bits starting at bit offset i (MSB first) without a
-// Reader — the allocation-free fast path used by query engines that probe
-// word-sized fields at computed offsets. w must be in [0, 64] and the range
-// [i, i+w) must lie inside the string.
-func (s String) PeekUint(i, w int) (uint64, error) {
-	if w < 0 || w > 64 {
-		return 0, fmt.Errorf("%w: width %d", ErrMalformed, w)
-	}
-	if i < 0 || i+w > s.n {
-		return 0, fmt.Errorf("%w: bits [%d,%d) of %d", ErrOutOfBounds, i, i+w, s.n)
-	}
-	return s.peek64(i, w), nil
-}
-
-// MustPeekUint is PeekUint for callers that have already bounds-checked
-// [i, i+w) against Len(); out-of-range offsets cause a panic or garbage
-// bits rather than an error.
+// MustPeekUint reads w (at most 64) bits starting at bit offset i, MSB
+// first, without a Reader, for callers that have already bounds-checked
+// [i, i+w) against Len(); out-of-range offsets cause a panic or garbage bits
+// rather than an error.
 func (s String) MustPeekUint(i, w int) uint64 {
 	return s.peek64(i, w)
 }
@@ -191,26 +178,6 @@ func (b *Builder) AppendUint(v uint64, width int) {
 	}
 }
 
-// AppendString appends all bits of another bit string.
-func (b *Builder) AppendString(s String) {
-	// Fast path: byte-aligned destination.
-	if b.n&7 == 0 {
-		b.data = append(b.data, s.data...)
-		b.n += s.n
-		// Trim excess padding bytes if s had them.
-		b.data = b.data[:(b.n+7)>>3]
-		return
-	}
-	for i := 0; i < s.n; i += 64 {
-		w := s.n - i
-		if w > 64 {
-			w = 64
-		}
-		v := s.peek64(i, w)
-		b.AppendUint(v, w)
-	}
-}
-
 // peek64 reads w (<=64) bits starting at bit offset i; the caller
 // guarantees i+w <= s.n. The fast path loads 8 bytes at once (plus at most
 // one spill byte); the tail path near the end of the buffer accumulates the
@@ -303,9 +270,6 @@ type Reader struct {
 
 // NewReader returns a Reader positioned at the start of s.
 func NewReader(s String) *Reader { return &Reader{s: s} }
-
-// Pos returns the current bit offset.
-func (r *Reader) Pos() int { return r.pos }
 
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.s.n - r.pos }

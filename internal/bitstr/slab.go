@@ -33,20 +33,6 @@ func SlabLabelBytes(nBits int) int { return (nBits + 7) >> 3 }
 // the tail padded to a whole 64-bit word.
 func SlabSize(labelBytes int) int { return (labelBytes + 7) &^ 7 }
 
-// SlabView wraps the label occupying bits [off, off+nBits) of slab as a
-// zero-copy String. off must be byte-aligned (a slab label start).
-func SlabView(slab []byte, off int64, nBits int) (String, error) {
-	if off < 0 || off&7 != 0 {
-		return String{}, fmt.Errorf("%w: slab view at unaligned bit %d", ErrMalformed, off)
-	}
-	start := int(off >> 3)
-	end := start + SlabLabelBytes(nBits)
-	if nBits < 0 || end > len(slab) {
-		return String{}, fmt.Errorf("%w: slab view [%d,%d) of %d bytes", ErrOutOfBounds, start, end, len(slab))
-	}
-	return Wrap(slab[start:end:end], nBits)
-}
-
 // SlabLabel returns the zero-copy view of the label occupying bits
 // [off, off+nBits) of slab without masking the final byte, touching no slab
 // memory — safe over read-only mappings and under concurrent readers. The
@@ -54,8 +40,8 @@ func SlabView(slab []byte, off int64, nBits int) (String, error) {
 // slab, e.g. an offset a SlabWalk handed out) and for zero padding bits,
 // which every SlabWriter-built slab has (Flush stores the label's last byte
 // with a zero tail, untouched bytes stay zero-initialized); dirty padding
-// would break String equality, so bytes of unknown origin go through
-// SlabView, which masks in place.
+// would break String equality, so bytes of unknown origin are masked first
+// (labelstore's Read masks a heap copy in place).
 func SlabLabel(slab []byte, off int64, nBits int) String {
 	start := int(off >> 3)
 	end := start + SlabLabelBytes(nBits)
@@ -251,11 +237,6 @@ func NewSlabWriter(slab []byte) *SlabWriter {
 func (w *SlabWriter) SeekBit(pos int64) {
 	w.Flush()
 	w.at = int(pos >> 3)
-}
-
-// Pos returns the absolute bit offset the next write lands at.
-func (w *SlabWriter) Pos() int64 {
-	return int64(w.at)<<3 + int64(w.fill)
 }
 
 // WriteBit appends a single bit.

@@ -38,18 +38,14 @@ func TestSlabWriterMatchesBuilder(t *testing.T) {
 			sw.WriteUint(f.v, f.w)
 		}
 		sw.Flush()
-		got, err := SlabView(slab, 0, bits)
-		if err != nil {
-			t.Fatalf("trial %d: SlabView: %v", trial, err)
-		}
-		if !got.Equal(want) {
+		if got := SlabLabel(slab, 0, bits); !got.Equal(want) {
 			t.Fatalf("trial %d: slab %v != builder %v", trial, got, want)
 		}
 	}
 }
 
 // TestSlabWriterMultiLabel packs several labels back to back at byte offsets
-// and checks each view independently, including Pos accounting.
+// and checks each view independently.
 func TestSlabWriterMultiLabel(t *testing.T) {
 	lens := []int{1, 63, 64, 65, 130, 7}
 	size := 0
@@ -65,16 +61,10 @@ func TestSlabWriterMultiLabel(t *testing.T) {
 		for j := 0; j < l; j++ {
 			sw.WriteBit((i+j)%3 == 0)
 		}
-		if got := sw.Pos(); got != offs[i]+int64(l) {
-			t.Fatalf("label %d: Pos = %d, want %d", i, got, offs[i]+int64(l))
-		}
 		sw.Flush()
 	}
 	for i, l := range lens {
-		view, err := SlabView(slab, offs[i], l)
-		if err != nil {
-			t.Fatalf("label %d: %v", i, err)
-		}
+		view := SlabLabel(slab, offs[i], l)
 		for j := 0; j < l; j++ {
 			bit, err := view.Bit(j)
 			if err != nil {
@@ -99,40 +89,21 @@ func TestSlabSetBitAndReadBits(t *testing.T) {
 		SlabSetBit(slab, p)
 		set[p] = true
 	}
-	view, err := SlabView(slab, 0, bits)
-	if err != nil {
-		t.Fatal(err)
-	}
+	view := SlabLabel(slab, 0, bits)
 	for p := int64(0); p < bits; p++ {
 		bit, _ := view.Bit(int(p))
 		if bit != set[p] {
 			t.Fatalf("bit %d = %v, want %v", p, bit, set[p])
 		}
 	}
-	// Random word-width reads must agree with PeekUint on the view.
+	// Random word-width reads must agree with MustPeekUint on the view.
 	for i := 0; i < 500; i++ {
 		w := 1 + rng.Intn(64)
 		off := rng.Intn(bits - w + 1)
-		want, err := view.PeekUint(off, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := view.MustPeekUint(off, w)
 		if got := SlabReadBits(slab, int64(off), w); got != want {
 			t.Fatalf("SlabReadBits(%d,%d) = %#x, want %#x", off, w, got, want)
 		}
-	}
-}
-
-func TestSlabViewErrors(t *testing.T) {
-	slab := make([]byte, 16)
-	if _, err := SlabView(slab, 3, 8); err == nil {
-		t.Fatal("unaligned view accepted")
-	}
-	if _, err := SlabView(slab, 64, 100); err == nil {
-		t.Fatal("overlong view accepted")
-	}
-	if _, err := SlabView(slab, 0, -1); err == nil {
-		t.Fatal("negative length accepted")
 	}
 }
 
@@ -186,7 +157,7 @@ func BenchmarkSlabWriterFill(b *testing.B) {
 // the offsets the byte-aligned prefix sum dictates, under the identity and
 // under a permutation; SlabLabel over those offsets is the label written.
 // Under the identity, PackSlab over the same labels built one by one is that
-// very slab, and SlabView at the walk's offsets returns them.
+// very slab.
 func TestSlabWalk(t *testing.T) {
 	bitLens := []int{70, 0, 1, 64, 65, 129} // id-indexed
 	labels := make([]String, len(bitLens))
@@ -237,9 +208,6 @@ func TestSlabWalk(t *testing.T) {
 			}
 			if l := SlabLabel(slab, off, bitLens[v]); !l.Equal(labels[v]) {
 				t.Fatalf("label %d: SlabLabel = %v, want %v", v, l, labels[v])
-			}
-			if l, err := SlabView(slab, off, bitLens[v]); err != nil || !l.Equal(labels[v]) {
-				t.Fatalf("label %d: SlabView = %v (%v), want %v", v, l, err, labels[v])
 			}
 		}
 		if err := w.Tiled(); err != nil {
@@ -344,7 +312,7 @@ func TestSlabWriterSharedWord(t *testing.T) {
 					for j := 0; j < lens[i]; {
 						// Mixed field widths, so stores land mid-word.
 						width := min(1+(i+j)%23, lens[i]-j)
-						v, _ := want[i].PeekUint(j, width)
+						v := want[i].MustPeekUint(j, width)
 						sw.WriteUint(v, width)
 						j += width
 					}

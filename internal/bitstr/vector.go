@@ -1,19 +1,13 @@
 package bitstr
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// Vector is a fixed-length mutable bit vector with optional O(1) rank
-// support. It backs the "fat bit string" part of the labeling schemes: fat
-// vertex i sets bit j iff it is adjacent to fat vertex j.
+// Vector is a fixed-length mutable bit vector. It backs the "fat bit string"
+// part of the labeling schemes: fat vertex i sets bit j iff it is adjacent to
+// fat vertex j.
 type Vector struct {
 	words []uint64
 	n     int
-	// rank[i] = number of set bits in words[0:i]; built lazily by
-	// BuildRank and invalidated by Set/Clear.
-	rank []uint32
 }
 
 // NewVector returns an all-zero vector of n bits.
@@ -22,32 +16,6 @@ func NewVector(n int) *Vector {
 		n = 0
 	}
 	return &Vector{words: make([]uint64, (n+63)>>6), n: n}
-}
-
-// VectorFromString interprets a bit string (as produced by Vector.Append)
-// of length n as a vector.
-func VectorFromString(s String, offset, n int) (*Vector, error) {
-	if offset < 0 || n < 0 || offset+n > s.Len() {
-		return nil, fmt.Errorf("%w: vector [%d,%d) of %d", ErrOutOfBounds, offset, offset+n, s.Len())
-	}
-	v := NewVector(n)
-	r := NewReader(s)
-	if err := r.Seek(offset); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i += 64 {
-		w := n - i
-		if w > 64 {
-			w = 64
-		}
-		chunk, err := r.ReadUint(w)
-		if err != nil {
-			return nil, err
-		}
-		// Left-align within the word to match Set/Get layout below.
-		v.words[i>>6] = chunk << uint(64-w)
-	}
-	return v, nil
 }
 
 // Len returns the number of bits.
@@ -59,7 +27,6 @@ func (v *Vector) Reset() {
 	for i := range v.words {
 		v.words[i] = 0
 	}
-	v.rank = nil
 }
 
 // Grow extends the vector to at least n bits, preserving existing bits; new
@@ -88,19 +55,16 @@ func (v *Vector) Grow(n int) {
 		}
 	}
 	v.n = n
-	v.rank = nil
 }
 
 // Set sets bit i to 1.
 func (v *Vector) Set(i int) {
 	v.words[i>>6] |= 1 << (63 - uint(i&63))
-	v.rank = nil
 }
 
 // Clear sets bit i to 0.
 func (v *Vector) Clear(i int) {
 	v.words[i>>6] &^= 1 << (63 - uint(i&63))
-	v.rank = nil
 }
 
 // Get returns bit i.
@@ -113,45 +77,6 @@ func (v *Vector) Count() int {
 	c := 0
 	for _, w := range v.words {
 		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// BuildRank precomputes per-word prefix popcounts enabling O(1) Rank.
-func (v *Vector) BuildRank() {
-	v.rank = make([]uint32, len(v.words)+1)
-	var c uint32
-	for i, w := range v.words {
-		v.rank[i] = c
-		c += uint32(bits.OnesCount64(w))
-	}
-	v.rank[len(v.words)] = c
-}
-
-// Rank returns the number of set bits strictly before position i.
-// If BuildRank has not been called (or the vector changed since), it falls
-// back to a linear scan.
-func (v *Vector) Rank(i int) int {
-	if i <= 0 {
-		return 0
-	}
-	if i > v.n {
-		i = v.n
-	}
-	word, off := i>>6, uint(i&63)
-	if v.rank != nil {
-		c := int(v.rank[word])
-		if off != 0 {
-			c += bits.OnesCount64(v.words[word] >> (64 - off) << (64 - off))
-		}
-		return c
-	}
-	c := 0
-	for k := 0; k < word; k++ {
-		c += bits.OnesCount64(v.words[k])
-	}
-	if off != 0 {
-		c += bits.OnesCount64(v.words[word] >> (64 - off) << (64 - off))
 	}
 	return c
 }

@@ -3,7 +3,6 @@ package bitstr
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestVectorSetGetClear(t *testing.T) {
@@ -40,44 +39,6 @@ func TestVectorZeroLength(t *testing.T) {
 	}
 }
 
-func TestVectorRank(t *testing.T) {
-	v := NewVector(300)
-	set := map[int]bool{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 90; i++ {
-		k := rng.Intn(300)
-		set[k] = true
-		v.Set(k)
-	}
-	check := func() {
-		want := 0
-		for i := 0; i <= 300; i++ {
-			if got := v.Rank(i); got != want {
-				t.Fatalf("Rank(%d) = %d, want %d", i, got, want)
-			}
-			if i < 300 && set[i] {
-				want++
-			}
-		}
-	}
-	check() // linear fallback path
-	v.BuildRank()
-	check() // O(1) path
-}
-
-func TestVectorRankInvalidatedBySet(t *testing.T) {
-	v := NewVector(64)
-	v.Set(3)
-	v.BuildRank()
-	if v.Rank(64) != 1 {
-		t.Fatalf("Rank = %d, want 1", v.Rank(64))
-	}
-	v.Set(10)
-	if v.Rank(64) != 2 {
-		t.Errorf("Rank after mutation = %d, want 2 (cache must invalidate)", v.Rank(64))
-	}
-}
-
 func TestVectorAppendRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 128, 200} {
 		v := NewVector(n)
@@ -91,54 +52,14 @@ func TestVectorAppendRoundTrip(t *testing.T) {
 		b.AppendBit(true) // misalign on purpose
 		off := b.Len()
 		v.Append(&b)
-		got, err := VectorFromString(b.String(), off, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		s := b.String()
+		if s.Len() != off+n {
+			t.Fatalf("n=%d: appended %d bits", n, s.Len()-off)
 		}
 		for i := 0; i < n; i++ {
-			if got.Get(i) != v.Get(i) {
+			if got, _ := s.Bit(off + i); got != v.Get(i) {
 				t.Fatalf("n=%d bit %d mismatch", n, i)
 			}
 		}
-	}
-}
-
-func TestVectorFromStringBounds(t *testing.T) {
-	var b Builder
-	b.AppendUint(0, 10)
-	if _, err := VectorFromString(b.String(), 5, 10); err == nil {
-		t.Error("expected out-of-bounds error")
-	}
-	if _, err := VectorFromString(b.String(), -1, 5); err == nil {
-		t.Error("expected error for negative offset")
-	}
-}
-
-// Property: rank is consistent with a naive recount at every boundary.
-func TestQuickVectorRank(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw%512) + 1
-		v := NewVector(n)
-		rng := rand.New(rand.NewSource(seed))
-		bitsSet := make([]bool, n)
-		for i := 0; i < n/3; i++ {
-			k := rng.Intn(n)
-			bitsSet[k] = true
-			v.Set(k)
-		}
-		v.BuildRank()
-		want := 0
-		for i := 0; i <= n; i++ {
-			if v.Rank(i) != want {
-				return false
-			}
-			if i < n && bitsSet[i] {
-				want++
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

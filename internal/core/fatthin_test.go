@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/bitstr"
 	"repro/internal/gen"
@@ -51,20 +49,6 @@ func schemesUnderTest() []*FatThinScheme {
 		NewFixedThresholdScheme(1),
 		NewFixedThresholdScheme(3),
 		NewFixedThresholdScheme(1 << 20), // everything thin
-	}
-}
-
-func TestFatThinExhaustiveCorrectness(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		for _, s := range schemesUnderTest() {
-			lab, err := s.Encode(g)
-			if err != nil {
-				t.Fatalf("%s / %s: encode: %v", name, s.Name(), err)
-			}
-			if err := lab.Verify(g); err != nil {
-				t.Errorf("%s / %s: %v", name, s.Name(), err)
-			}
-		}
 	}
 }
 
@@ -373,35 +357,6 @@ func TestVerifySampledPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := lab.Verify(g); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: on arbitrary G(n,p) graphs and arbitrary thresholds, decode
-// agrees with the graph on every pair.
-func TestQuickFatThinAgreesWithGraph(t *testing.T) {
-	f := func(seed int64, tauRaw uint8) bool {
-		n := 24
-		rng := rand.New(rand.NewSource(seed))
-		b := graph.NewBuilder(n)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Intn(3) == 0 {
-					if err := b.AddEdge(u, v); err != nil {
-						return false
-					}
-				}
-			}
-		}
-		g := b.Build()
-		tau := int(tauRaw)%12 + 1
-		lab, err := NewFixedThresholdScheme(tau).Encode(g)
-		if err != nil {
-			return false
-		}
-		return lab.Verify(g) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

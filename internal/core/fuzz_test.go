@@ -219,7 +219,7 @@ func fuzzLabelBytes(bitLens []int) int {
 }
 
 // fuzzLabels cuts the labels of a slab the engine accepted out of a copy of
-// it (SlabView masks padding in place; the fuzz input stays untouched). An
+// it (Wrap masks padding in place; the fuzz input stays untouched). An
 // absent label is given its header stub, thin with its rank for identifier,
 // and absent reports whether there was one.
 func fuzzLabels(t *testing.T, slab []byte, bitLens []int, order []int32) (labels []bitstr.String, absent bool) {
@@ -237,7 +237,8 @@ func fuzzLabels(t *testing.T, slab []byte, bitLens []int, order []int32) (labels
 			labels[v], absent = b.String(), true
 			continue
 		}
-		l, err := bitstr.SlabView(slab, off, bitLens[v])
+		start := off >> 3
+		l, err := bitstr.Wrap(slab[start:start+int64(bitstr.SlabLabelBytes(bitLens[v]))], bitLens[v])
 		if err != nil {
 			t.Fatal(err)
 		}

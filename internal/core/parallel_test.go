@@ -7,40 +7,6 @@ import (
 	"repro/internal/graph"
 )
 
-func TestEncodeParallelMatchesSequential(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(2000, 2.5, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewPowerLawScheme(2.5)
-	seq, err := s.Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		par, err := s.EncodeParallel(g, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.N() != seq.N() {
-			t.Fatalf("workers=%d: N mismatch", workers)
-		}
-		for v := 0; v < g.N(); v++ {
-			a, err := seq.Label(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := par.Label(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !a.Equal(b) {
-				t.Fatalf("workers=%d: label %d differs", workers, v)
-			}
-		}
-	}
-}
-
 func TestEncodeParallelDegenerate(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Empty(0), graph.Empty(1), gen.Path(2)} {
 		lab, err := NewSparseScheme(1).EncodeParallel(g, 4)

@@ -58,6 +58,10 @@ type QueryEngine struct {
 	// fatCount is k, the number of fat labels: the build's contract makes
 	// them the identifiers 0..k-1 (FatCount).
 	fatCount int
+	// order is the slab's rank→vertex permutation the engine was built over
+	// (nil: the identity), which the contract makes its identifier order:
+	// rank r is the vertex whose identifier is r (AppendPermutation).
+	order []int32
 }
 
 // vertexMeta is one label's pre-parsed header, packed into a single 16-byte
@@ -194,7 +198,7 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
 	}
 	header := 1 + w
-	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab, hi: n}
+	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab, hi: n, order: order}
 	e.inlineMax, e.inlineRep = inlineLayout(w)
 	// The first fat label — at rank 0 — and its body, which every fat body
 	// matches.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -230,9 +231,12 @@ func (e *QueryEngine) notResident(u, v int) error {
 // owned range becomes the map's, and the map is cross-checked against the
 // loaded labels — a thin label is present exactly when its vertex is inside
 // the range — so a store loaded under the wrong shard map, or a whole
-// labeling under any map, fails here, at attach time, not at query time.
-// Like AttachMetrics it must be called before the engine is shared across
-// goroutines.
+// labeling under any map, fails here, at attach time, not at query time. It
+// is the one residency check of a shard store: the engine build has already
+// held every present label to the slab contract. A foreign thin label of
+// exactly a header, no identifier in its list, is the stub a pllabel before
+// absent labels wrote, and is refused as such. Like AttachMetrics it must be
+// called before the engine is shared across goroutines.
 func (e *QueryEngine) SetShard(m ShardMap) error {
 	if err := m.Validate(e.n); err != nil {
 		return err
@@ -240,16 +244,38 @@ func (e *QueryEngine) SetShard(m ShardMap) error {
 	lo, hi := m.Range(e.n)
 	for v, mv := range e.meta {
 		if inside := lo <= v && v < hi; !mv.fat() && mv.absent() == inside {
-			if inside {
-				return fmt.Errorf("%w: vertex %d is owned by shard %d/%d yet its label is absent (wrong shard map?)",
-					ErrBadLabel, v, m.Index, m.Count)
-			}
-			return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label is present (wrong shard map?)",
-				ErrBadLabel, v, m.Index, m.Count)
+			return e.misplaced(m, lo, hi)
 		}
 	}
 	e.lo, e.hi, e.shard = lo, hi, m
 	return nil
+}
+
+// misplaced is SetShard's refusal of labels that break the map [lo, hi): it
+// names the first offending label in slab order, the order a store's reader
+// walks, which SetShard's scan in vertex order — sequential over the record
+// table, where the slab order is not — does not follow.
+func (e *QueryEngine) misplaced(m ShardMap, lo, hi int) error {
+	for r := range e.n {
+		v := r
+		if e.order != nil {
+			v = int(e.order[r])
+		}
+		mv, inside := e.meta[v], lo <= v && v < hi
+		switch {
+		case mv.fat() || mv.absent() != inside:
+		case inside:
+			return fmt.Errorf("%w: vertex %d is owned by shard %d/%d yet its label is absent (wrong shard map?)",
+				ErrBadLabel, v, m.Index, m.Count)
+		case mv.cnt() == 0:
+			return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d and carries a %d-bit header stub (re-run pllabel -shards)",
+				ErrBadLabel, v, m.Index, m.Count, 1+e.w)
+		default:
+			return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label is present (wrong shard map?)",
+				ErrBadLabel, v, m.Index, m.Count)
+		}
+	}
+	return nil // unreachable: SetShard found one
 }
 
 // Shard returns the shard map attached by SetShard; ok=false for an
@@ -275,13 +301,17 @@ func (e *QueryEngine) FatCount() int { return e.fatCount }
 
 // AppendPermutation appends the permutation block (AppendPermutation) of the
 // engine's identifier order — rank r ↦ the vertex whose identifier is r,
-// which the build's slab contract makes the slab order of the store it
-// serves — and returns the extended slice. The read rule picks the label to
-// search by comparing identifiers, so a router needs them to pick the shard.
+// which the build's slab contract makes the slab order the engine was built
+// over — and returns the extended slice: the block of the store it serves,
+// byte for byte. The read rule picks the label to search by comparing
+// identifiers, so a router needs them to pick the shard.
 func (e *QueryEngine) AppendPermutation(dst []byte) []byte {
-	order := make([]int32, e.n)
-	for v, m := range e.meta {
-		order[m.id()] = int32(v)
+	if e.order == nil { // the identity: one run of all n vertices, no field bits
+		dst = binary.AppendUvarint(dst, uint64(min(e.n, 1)))
+		if e.n > 0 {
+			dst = binary.AppendUvarint(dst, uint64(e.n))
+		}
+		return dst
 	}
-	return AppendPermutation(dst, order)
+	return AppendPermutation(dst, e.order)
 }

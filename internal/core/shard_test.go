@@ -223,6 +223,21 @@ func TestAppendPermutation(t *testing.T) {
 			t.Fatalf("n=%d: block %x decodes to %v (%v, %d bytes), want the build order %v", n, block, order, err, size, want)
 		}
 	}
+	for _, n := range []int{0, 3} { // built over no order: the identity's block
+		labels := make([]bitstr.String, n)
+		identity := make([]int32, n)
+		for v := range labels {
+			var b bitstr.Builder
+			b.AppendBit(false)
+			b.AppendUint(uint64(v), bitstr.WidthFor(uint64(n)))
+			labels[v], identity[v] = b.String(), int32(v)
+		}
+		slab, bitLens := bitstr.PackSlab(labels)
+		e, err := NewQueryEngineFromPermutedArena(slab, bitLens, nil)
+		if err != nil || !bytes.Equal(e.AppendPermutation(nil), AppendPermutation(nil, identity)) {
+			t.Fatalf("n=%d in vertex order: %v, or a block other than the identity's", n, err)
+		}
+	}
 	full, engines := shardTestEngines(t, 3, 400, 11)
 	for i, e := range engines {
 		if !bytes.Equal(e.AppendPermutation(nil), full.AppendPermutation(nil)) {

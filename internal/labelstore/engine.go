@@ -12,9 +12,11 @@ import (
 // success. A distance store (scheme kind pll or bdist) gets a core.DistEngine
 // over its DistArena. An adjacency store must carry a fat/thin-layout scheme
 // name (CheckServable) and gets a core.QueryEngine over its arena, zero-copy;
-// a shard store also gets its shard map attached, so the engine answers
-// ErrNotResident for a pair outside its owned range instead of reading an
-// absent label. A fat/thin store of two or more labels with no layout
+// a shard store also gets its shard map attached (core.QueryEngine.SetShard,
+// the one check of its labels against the map: an owned label absent, a
+// foreign thin label present or a stub-era header stub is refused here,
+// naming the vertex), so the engine answers ErrNotResident for a pair outside
+// its owned range instead of reading an absent label. A fat/thin store of two or more labels with no layout
 // permutation is refused by shape: pllabel has written every such labeling
 // in its degree order since the degree layout, so one in vertex order is a
 // stale store (re-run pllabel). A nbrlist store, whose vertex v carries

@@ -19,8 +19,10 @@ import (
 //     the same labels from both (bit for bit inside each label's length —
 //     Read masks the padding of the final byte, ReadBytes leaves a mapping
 //     untouched);
-//   - a file both accepted never builds an engine that answers differently
-//     between the two, whatever sits in the padding;
+//   - Engines, the one store-to-engine rule, builds over both or neither, and
+//     is built before any answer is compared: a file both accepted never
+//     serves an engine that answers differently between the two, whatever
+//     sits in the padding;
 //   - an adjacency engine answers exactly what the paper's decoder answers
 //     from the file's own two labels — for an unmutated seed, the source
 //     labeling.
@@ -30,10 +32,11 @@ import (
 // ([fat=0][rank]), or refuses the pair as not resident.
 //
 // Seeds are real images of every store shape — id-ordered, degree-ordered, a
-// shard, pll, bdist — and images both must reject: a retired version-1
+// shard, pll, bdist — and images that must not serve: a retired version-1
 // image, version-2 stamps, a degree-ordered store with the retired identifier
 // block (layout "degree"), blobs whose last label ends in a partial word, and
-// shard stores with header stubs or in id order.
+// a shard store in id order (both readers reject these), and a shard store
+// with header stubs (Engines rejects it).
 func FuzzReadBytes(f *testing.F) {
 	image := func(file *File) []byte {
 		var buf bytes.Buffer
@@ -95,10 +98,10 @@ func FuzzReadBytes(f *testing.F) {
 	f.Add(v1Image("sparse(c=2)", labels))
 	f.Add(retiredShardImage(f, g, false))
 	f.Add(retiredShardImage(f, g, true))
-	// Eight absent labels in vertex order, no params, an empty blob: an
-	// engine builds over it (each absent label's identifier is its rank,
-	// here its vertex) and answers only self pairs.
-	f.Add([]byte("PLLB\x03\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	// Eight absent labels of a nbrlist store in vertex order, no params, an
+	// empty blob: an engine builds over it (each absent label's identifier is
+	// its rank, here its vertex) and answers only self pairs.
+	f.Add([]byte("PLLB\x03\x07nbrlist\x00\x08\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mapped, errMapped := ReadBytes(data)
@@ -127,47 +130,30 @@ func FuzzReadBytes(f *testing.F) {
 				t.Fatalf("label %d: ReadBytes' view differs from its arena", v)
 			}
 		}
-		if n == 0 {
+		// The engine the store serves through (Engines) holds the labels to
+		// the slab contract and a shard store's to its map; only a store it
+		// builds over is asked a pair.
+		ea, da, errA := mapped.Engines()
+		eb, db, errB := streamed.Engines()
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("Engines: mapped err = %v, streamed err = %v", errA, errB)
+		}
+		if errA != nil || n == 0 {
 			return
 		}
 		pairs := [][2]int{{0, 0}, {0, n - 1}, {n - 1, 0}, {n / 2, n / 3}}
 		for i := 0; i < n && i < 48; i++ {
 			pairs = append(pairs, [2]int{i, (i * 7) % n}, [2]int{(i * 5) % n, i})
 		}
-		if da, ok := mapped.DistArena(); ok {
-			db, _ := streamed.DistArena()
-			ea, errA := core.NewDistEngine(da)
-			eb, errB := core.NewDistEngine(db)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("distance engine: mapped err = %v, streamed err = %v", errA, errB)
-			}
-			if errA != nil {
-				return
-			}
+		if da != nil {
 			for _, p := range pairs {
-				a, _ := ea.Dist(p[0], p[1])
-				b, _ := eb.Dist(p[0], p[1])
+				a, _ := da.Dist(p[0], p[1])
+				b, _ := db.Dist(p[0], p[1])
 				if a != b {
 					t.Fatalf("Dist(%d,%d) = %d mapped, %d streamed", p[0], p[1], a, b)
 				}
 			}
 			return
-		}
-		engine := func(f *File) (*core.QueryEngine, error) {
-			slab, bitLens, order, _ := f.ArenaLayout()
-			e, err := core.NewQueryEngineFromPermutedArena(slab, bitLens, order)
-			if m, ok := f.Shard(); ok && err == nil {
-				err = e.SetShard(m)
-			}
-			return e, err
-		}
-		ea, errA := engine(mapped)
-		eb, errB := engine(streamed)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("engine: mapped err = %v, streamed err = %v", errA, errB)
-		}
-		if errA != nil {
-			return // not fat/thin labels: nothing to serve
 		}
 		_, bitLens, _, _ := streamed.ArenaLayout()
 		absent := slices.Contains(bitLens, 0) // an engine holding absent labels owns only its shard's range

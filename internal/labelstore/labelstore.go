@@ -39,10 +39,12 @@
 // the file (or, without mmap, a heap copy), Read over everything an io.Reader
 // delivers. Engines (engine.go) builds the engine that answers a loaded
 // store — the one store-to-engine rule its readers share — over the blob with
-// zero relocation. A degree-ordered arena (core.LayoutDegree) carries its
-// permutation block: readers reconstruct id-indexed lookup from it, readers
-// too old to know the "layout" param fail loudly on the extra block (a
-// blob-length mismatch) rather than mis-answer, and a store whose "layout" is
+// zero relocation; it is where the labels are checked, a shard store's
+// against its shard map too, so the readers read no label body byte. A
+// degree-ordered arena (core.LayoutDegree) carries its permutation block:
+// readers reconstruct id-indexed lookup from it, readers too old to know the
+// "layout" param fail loudly on the extra block (a blob-length mismatch)
+// rather than mis-answer, and a store whose "layout" is
 // "degree" — the ⌈log₂ n⌉-bit identifier block this container held before
 // the run-coded one — is refused by name (re-run pllabel). A store without
 // the block is in vertex order: a nbrlist store, whose vertex v carries
@@ -162,21 +164,9 @@ func NewPermutedArenaFile(scheme string, params map[string]string, slab []byte, 
 // labels tile the slab exactly. With mask, the padding bits of each label's
 // final byte are zeroed in place, so that equal labels compare equal whoever
 // produced the slab; ReadBytes, whose slab may be a read-only mapping, passes
-// false. If the caller preallocated Labels, they are filled with the
-// id-indexed views; if it set shard, the slab must be permuted and every
-// thin label outside the owned range absent (0 bits) — the one check that
-// reads the body, one bit of each foreign label present.
+// false and so reads no label body byte. If the caller preallocated Labels,
+// they are filled with the id-indexed views.
 func (f *File) adoptArena(mask bool) error {
-	n := len(f.bitLens)
-	header := 1 + bitstr.WidthFor(uint64(n))
-	var lo, hi int
-	if sb := f.shard; sb != nil {
-		if f.order == nil {
-			return fmt.Errorf("%w: shard %d/%d is id-ordered; a shard store carries the degree layout (re-run pllabel -shards)",
-				ErrFormat, sb.m.Index, sb.m.Count)
-		}
-		lo, hi = sb.m.Range(n)
-	}
 	walk := bitstr.NewSlabWalk(len(f.arena), f.bitLens, f.order)
 	for walk.Next() {
 		v, off := walk.Label()
@@ -188,11 +178,6 @@ func (f *File) adoptArena(mask bool) error {
 		}
 		if f.Labels != nil {
 			f.Labels[v] = bitstr.SlabLabel(f.arena, off, bits)
-		}
-		if sb := f.shard; sb != nil {
-			if err := sb.checkLabel(f.arena, v, off, bits, header, v < lo || v >= hi); err != nil {
-				return err
-			}
 		}
 	}
 	if err := walk.Tiled(); err != nil {
@@ -450,6 +435,9 @@ func parse(data []byte, mask bool) (*File, error) {
 	}
 	if dist != nil && sb != nil {
 		return nil, fmt.Errorf("%w: sharded store declares distance scheme %q", ErrFormat, dist.Kind)
+	}
+	if sb != nil && order == nil {
+		return nil, sb.errIDOrdered()
 	}
 	// Validate the declared geometry before any view is constructed: the
 	// blob-length field must agree with the bit lengths, and the blob must

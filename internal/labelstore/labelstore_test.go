@@ -392,11 +392,12 @@ func TestSlabRoundTrip(t *testing.T) {
 // and Open all refuse a version-1 image with ErrFormat naming the version,
 // before parsing anything behind it — so whatever layout, shards or scheme it
 // declares is refused with it. The same readers refuse a shard store of the
-// retired hash ownership function by its ownership byte, naming it, a shard
-// store whose foreign thin labels are header stubs by their length, an
+// retired hash ownership function by its ownership byte, naming it, an
 // id-ordered shard store, whose absent labels would have no identifier, and a
 // whole or shard store whose permutation block is the retired ⌈log₂ n⌉-bit
-// identifier block (layout "degree"), by that layout.
+// identifier block (layout "degree"), by that layout. (A shard store whose
+// foreign thin labels are header stubs loads, and Engines refuses it:
+// TestEnginesShardRefusals.)
 func TestVersion1Rejected(t *testing.T) {
 	_, labels := sampleFile(t)
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
@@ -412,7 +413,6 @@ func TestVersion1Rejected(t *testing.T) {
 	}{
 		{"version-1", "unsupported version 1", v1Image("sparse(c=2)", labels)},
 		{"hash-owned shard", "hash is retired (re-run pllabel -shards)", hashOwnedImage(t, g)},
-		{"stub-era shard", "header stub (re-run pllabel -shards)", retiredShardImage(t, g, false)},
 		{"id-ordered shard", "carries the degree layout (re-run pllabel -shards)", retiredShardImage(t, g, true)},
 		{"layout=degree", degreeRefused, degreeLayoutImage(t, whole)},
 		{"layout=degree shard", degreeRefused, degreeLayoutImage(t, shards[2])},

@@ -12,9 +12,9 @@ import (
 // physical copy of the labels. Open costs an O(n) parse of the
 // header — the n bit lengths, the permutation, one walk that validates them
 // and builds the n label views — and leaves the body alone: nothing is
-// copied, and the only body bytes read are the shard check's, one bit of each
-// foreign label a shard store holds (it must be fat). Close unmaps; the File and anything
-// derived from its arena (query engines included) must not be used
+// copied and no label body byte is read (a shard store's labels are held to
+// its map where it is served, by Engines). Close unmaps; the File and
+// anything derived from its arena (query engines included) must not be used
 // afterwards.
 type MappedFile struct {
 	*File

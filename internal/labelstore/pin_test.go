@@ -113,7 +113,8 @@ func arenaContentSha(t *testing.T, a core.ShardArena, order []int32) string {
 	walk := bitstr.NewSlabWalk(len(slab), a.BitLens, order)
 	for walk.Next() {
 		v, off := walk.Label()
-		l, err := bitstr.SlabView(slab, off, a.BitLens[v])
+		start := off >> 3
+		l, err := bitstr.Wrap(slab[start:start+int64(bitstr.SlabLabelBytes(a.BitLens[v]))], a.BitLens[v])
 		if err != nil {
 			t.Fatal(err)
 		}

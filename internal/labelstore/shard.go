@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/bitstr"
 	"repro/internal/core"
 )
 
@@ -24,15 +23,19 @@ import (
 //	        params carries "shards"
 //
 // Readers too old to know the param fail loudly on the extra bytes (the
-// blob-length check cannot match). The block is validated on open the same
-// way the permutation block is: structurally (index < count, the range
-// function, the owned count recomputed from the range and compared) and
-// against the labels themselves (the store is permuted, every owned label
-// present and every foreign thin label absent) — a corrupted or mislabeled
-// shard map errors at load, it never silently mis-answers for vertices the
+// blob-length check cannot match). The block is validated on open
+// structurally — index < count, the range function, the owned count
+// recomputed from the range and compared, the store permuted — and no label
+// body byte is read: the labels are held to the map where the store is
+// served, by the engine build and core.QueryEngine.SetShard (Engines), which
+// refuse an owned label absent, a foreign thin label present, and the 1+w-bit
+// header stub a pllabel before absent labels wrote for a foreign thin label
+// "(re-run pllabel -shards)". A corrupted or mislabeled shard map errors
+// before the store serves; it never silently mis-answers for vertices the
 // shard does not hold. A store from a pllabel that still wrote hash
-// ownership (byte 1), or 1+w-bit header stubs for foreign thin labels, is
-// refused by that byte or that length: "(re-run pllabel -shards)".
+// ownership (byte 1) is refused by that byte, and an id-ordered one, whose
+// absent labels would have no identifier, by its missing layout (re-run
+// pllabel -shards).
 
 // shardsKey is the params entry announcing a sharded store; its value is the
 // decimal shard count.
@@ -56,12 +59,16 @@ func (f *File) Shard() (core.ShardMap, bool) {
 // NewShardArenaFile builds one shard's store over a per-shard arena produced
 // by core.ShardLabelArenas: slab/bitLens/order exactly as
 // NewPermutedArenaFile takes them, plus the shard map the arena was split
-// under. The shard geometry is validated against the labels here, at
-// construction, with the same checks every reader re-runs at load.
+// under. The map is checked against the label count and the layout here, as
+// every reader checks it at load; the labels are held to it where the store
+// is served (Engines).
 func NewShardArenaFile(scheme string, params map[string]string, slab []byte, bitLens []int, order []int32, m core.ShardMap) (*File, error) {
 	sb := &shardBlock{m: m, owned: m.OwnedCount(len(bitLens))}
 	if err := sb.check(len(bitLens)); err != nil {
 		return nil, err
+	}
+	if order == nil {
+		return nil, sb.errIDOrdered()
 	}
 	f := &File{Scheme: scheme, Params: params, arena: slab, bitLens: bitLens, order: order, shard: sb}
 	if err := f.adoptArena(true); err != nil {
@@ -72,8 +79,7 @@ func NewShardArenaFile(scheme string, params map[string]string, slab []byte, bit
 
 // check validates a shard block against the label count: the map must be
 // well-formed for this n and the recorded owned count must match the size of
-// the owned range. The rule that ties the block to the labels — foreign thin
-// labels are absent — is checkLabel's, which adoptArena runs on every label.
+// the owned range.
 func (sb *shardBlock) check(n int) error {
 	m := sb.m
 	if m.Count < 2 {
@@ -89,29 +95,11 @@ func (sb *shardBlock) check(n int) error {
 	return nil
 }
 
-// checkLabel holds label v of the shard's slab — bits bits at bit off,
-// foreign when outside the owned range — to the shard rule: an owned label is
-// present, with at least a fat/thin header of header bits; a foreign one is
-// absent or fat (read off its first bit). A foreign label exactly one header
-// long is the header stub a pllabel before absent labels wrote.
-func (sb *shardBlock) checkLabel(slab []byte, v int, off int64, bits, header int, foreign bool) error {
-	switch {
-	case bits == 0 && !foreign:
-		return fmt.Errorf("%w: vertex %d is owned by shard %d/%d yet its label is absent", ErrFormat, v, sb.m.Index, sb.m.Count)
-	case bits == 0:
-		return nil
-	case bits < header:
-		return fmt.Errorf("%w: sharded store label %d has %d bits, fat/thin header needs %d", ErrFormat, v, bits, header)
-	case !foreign:
-		return nil
-	case bits == header:
-		return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d and carries a %d-bit header stub (re-run pllabel -shards)",
-			ErrFormat, v, sb.m.Index, sb.m.Count, bits)
-	case bitstr.SlabReadBits(slab, off, 1) == 0:
-		return fmt.Errorf("%w: vertex %d is foreign to shard %d/%d yet its thin label has %d bits, not 0",
-			ErrFormat, v, sb.m.Index, sb.m.Count, bits)
-	}
-	return nil
+// errIDOrdered refuses a shard store without the degree layout, whose rank is
+// each absent label's identifier.
+func (sb *shardBlock) errIDOrdered() error {
+	return fmt.Errorf("%w: shard %d/%d is id-ordered; a shard store carries the degree layout (re-run pllabel -shards)",
+		ErrFormat, sb.m.Index, sb.m.Count)
 }
 
 // parseShardCount interprets the "shards" param value.
@@ -126,8 +114,7 @@ func parseShardCount(val string) (int, error) {
 	return count, nil
 }
 
-// newShardBlock assembles and checks the parsed block fields (validation
-// against the labels happens in adoptArena, once the File exists).
+// newShardBlock assembles and checks the parsed block fields.
 func newShardBlock(count int, index uint64, fnByte byte, owned uint64, n int) (*shardBlock, error) {
 	if index >= uint64(count) {
 		return nil, fmt.Errorf("%w: shard index %d of %d shards", ErrFormat, index, count)

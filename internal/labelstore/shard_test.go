@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bitstr"
@@ -182,12 +184,33 @@ func hashOwnedImage(t testing.TB, g *graph.Graph) []byte {
 // pllabel before absent labels wrote it, each foreign thin label cut to its
 // 1+w-bit [fat=0][id] header stub — or, idOrder, the shard laid out in id
 // order with its foreign thin labels absent, which no pllabel wrote. Write
-// serializes either as it stands; every reader refuses both.
+// serializes either as it stands; the readers refuse the id-ordered one,
+// Engines the stub-era one.
 func retiredShardImage(t testing.TB, g *graph.Graph, idOrder bool) []byte {
+	t.Helper()
+	w := bitstr.WidthFor(uint64(g.N()))
+	return shardImage(t, g, idOrder, func(v int, l bitstr.String, foreignThin bool) bitstr.String {
+		var stub bitstr.Builder
+		if foreignThin && !idOrder {
+			stub.AppendBit(false)
+			stub.AppendUint(l.MustPeekUint(1, w), w)
+		}
+		if foreignThin {
+			return stub.String()
+		}
+		return l
+	})
+}
+
+// shardImage is shard 1 of a 3-shard range partition of g written label by
+// label: label v is edit(v, its full label, whether v is a foreign thin
+// vertex) — absent (the empty string) for each foreign thin label in a true
+// shard — laid out in the degree order, or in id order when idOrder. Write
+// serializes it as it stands, whatever edit returns.
+func shardImage(t testing.TB, g *graph.Graph, idOrder bool, edit func(v int, l bitstr.String, foreignThin bool) bitstr.String) []byte {
 	t.Helper()
 	files, lab := shardStores(t, g, 3)
 	_, order, _ := lab.ArenaLayout()
-	w := bitstr.WidthFor(uint64(g.N()))
 	lo, hi := files[1].shard.m.Range(g.N())
 	labels := make([]bitstr.String, g.N())
 	for v := range labels {
@@ -195,15 +218,7 @@ func retiredShardImage(t testing.TB, g *graph.Graph, idOrder bool) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (v < lo || v >= hi) && l.MustPeekUint(0, 1) == 0 {
-			var stub bitstr.Builder
-			if !idOrder {
-				stub.AppendBit(false)
-				stub.AppendUint(l.MustPeekUint(1, w), w)
-			}
-			l = stub.String()
-		}
-		labels[v] = l
+		labels[v] = edit(v, l, (v < lo || v >= hi) && l.MustPeekUint(0, 1) == 0)
 	}
 	physical := labels
 	if idOrder {
@@ -224,13 +239,87 @@ func retiredShardImage(t testing.TB, g *graph.Graph, idOrder bool) []byte {
 	return buf.Bytes()
 }
 
+// TestEnginesShardRefusals: a shard store whose labels break the shard rule
+// loads — the readers check only the block's format and read no label body —
+// and Engines refuses it before it serves, naming the first offending vertex
+// in slab order: an owned label absent, a foreign thin label present, the
+// stub-era store whose foreign thin labels are header stubs, and a label
+// shorter than its fat/thin header.
+func TestEnginesShardRefusals(t *testing.T) {
+	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, lab := shardStores(t, g, 3)
+	_, order, _ := lab.ArenaLayout()
+	lo, hi := files[1].shard.m.Range(g.N())
+	thin := func(v int) bool {
+		l, _ := lab.Label(v)
+		return l.MustPeekUint(0, 1) == 0
+	}
+	owned, foreign, stub := -1, -1, -1 // an owned and a foreign thin vertex; the first foreign thin one by rank
+	for _, v32 := range order {
+		switch v := int(v32); {
+		case !thin(v):
+		case lo <= v && v < hi:
+			owned = max(owned, v)
+		case stub < 0:
+			stub, foreign = v, v
+		}
+	}
+	if owned < 0 || foreign < 0 {
+		t.Fatalf("shard [%d, %d) of %d vertices has no owned or no foreign thin vertex", lo, hi, g.N())
+	}
+	split := func(target int, cut func(bitstr.String) bitstr.String) []byte {
+		return shardImage(t, g, false, func(v int, l bitstr.String, foreignThin bool) bitstr.String {
+			switch {
+			case v == target:
+				return cut(l)
+			case foreignThin:
+				return bitstr.String{}
+			}
+			return l
+		})
+	}
+	var oneBit bitstr.Builder
+	oneBit.AppendBit(false)
+	for _, row := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"owned label absent", fmt.Sprintf("vertex %d is owned by shard 1/3 yet its label is absent", owned),
+			split(owned, func(bitstr.String) bitstr.String { return bitstr.String{} })},
+		{"foreign thin label present", fmt.Sprintf("vertex %d is foreign to shard 1/3 yet its thin label is present", foreign),
+			split(foreign, func(l bitstr.String) bitstr.String { return l })},
+		{"stub-era store", fmt.Sprintf("vertex %d is foreign to shard 1/3 and carries a", stub) + " 7-bit header stub (re-run pllabel -shards)",
+			retiredShardImage(t, g, false)},
+		{"header-short label", fmt.Sprintf("label %d at rank", owned),
+			split(owned, func(bitstr.String) bitstr.String { return oneBit.String() })},
+	} {
+		for _, r := range []struct {
+			name string
+			load func() (*File, error)
+		}{
+			{"Read", func() (*File, error) { return Read(bytes.NewReader(row.data)) }},
+			{"ReadBytes", func() (*File, error) { return ReadBytes(row.data) }},
+		} {
+			f, err := r.load()
+			if err != nil {
+				t.Fatalf("%s of a %s image: %v, want it loaded", r.name, row.name, err)
+			}
+			if _, _, err := f.Engines(); !errors.Is(err, core.ErrBadLabel) || !strings.Contains(err.Error(), row.want) {
+				t.Errorf("Engines over a %s image (%s): err = %v, want ErrBadLabel naming %q", row.name, r.name, err, row.want)
+			}
+		}
+	}
+}
+
 // TestShardCorruptionErrors is the load-time safety property of the shard
 // block, mirroring the permutation block's: any truncation inside it, and any
 // single corrupted byte of it, must make both readers fail. (A corrupted
 // field either breaks the uvarint framing — shifting the blob length out of
 // agreement — or decodes to a map the validators reject: index out of range,
-// unknown function, owned count disagreeing with the function, or thin labels
-// present where the claimed map demands them absent.)
+// unknown function, owned count disagreeing with the function.)
 func TestShardCorruptionErrors(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
@@ -272,10 +361,10 @@ func TestShardCorruptionErrors(t *testing.T) {
 }
 
 // TestShardWrongIndexRejected: patching the serialized index to a different
-// but structurally valid shard (same count, near-equal owned counts) must
-// still fail on open — the absent labels of the blob belong to the true
-// index, so labels the forged map calls foreign are present thin labels, and
-// labels it owns are absent.
+// but structurally valid shard (same count, near-equal owned counts) loads —
+// the readers hold the block to its format only — and Engines refuses it
+// before it serves: the absent labels of the blob belong to the true index,
+// so labels the forged map owns are absent.
 func TestShardWrongIndexRejected(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
@@ -294,19 +383,25 @@ func TestShardWrongIndexRejected(t *testing.T) {
 	for _, forged := range []byte{0, 2} {
 		bad := bytes.Clone(data)
 		bad[start] = forged
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("Read accepted shard 1's blob under forged index %d", forged)
-		}
-		if _, err := ReadBytes(bad); err == nil {
-			t.Fatalf("ReadBytes accepted shard 1's blob under forged index %d", forged)
+		for name, load := range map[string]func() (*File, error){
+			"Read":      func() (*File, error) { return Read(bytes.NewReader(bad)) },
+			"ReadBytes": func() (*File, error) { return ReadBytes(bad) },
+		} {
+			f, err := load()
+			if err != nil {
+				t.Fatalf("%s under forged index %d: %v", name, forged, err)
+			}
+			if _, _, err := f.Engines(); !errors.Is(err, core.ErrBadLabel) || !strings.Contains(err.Error(), "(wrong shard map?)") {
+				t.Fatalf("Engines over shard 1's blob under forged index %d (%s): err = %v", forged, name, err)
+			}
 		}
 	}
 }
 
-// TestNewShardArenaFileValidates rejects maps that disagree with the arena at
-// construction: an overlapping/wrong-index map (labels it calls foreign have
-// full bodies), an out-of-range index, a degenerate count, the retired hash
-// function and an unknown one.
+// TestNewShardArenaFileValidates rejects at construction the maps that are
+// malformed for the arena — an out-of-range index, a degenerate count, the
+// retired hash function and an unknown one — and leaves an overlapping,
+// wrong-index map (labels it calls foreign have full bodies) to Engines.
 func TestNewShardArenaFileValidates(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(60, 2.5, 2, 11)
 	if err != nil {
@@ -315,8 +410,14 @@ func TestNewShardArenaFileValidates(t *testing.T) {
 	files, lab := shardStores(t, g, 3)
 	slab, bitLens, order, _ := files[0].ArenaLayout()
 	params := map[string]string{"n": strconv.Itoa(g.N())}
+	wrong, err := NewShardArenaFile(lab.Scheme(), params, slab, bitLens, order, core.ShardMap{Count: 3, Index: 1, Fn: core.ShardRange})
+	if err != nil {
+		t.Fatalf("wrong index: %v, want the map left to Engines", err)
+	}
+	if _, _, err := wrong.Engines(); !errors.Is(err, core.ErrBadLabel) {
+		t.Errorf("wrong index: Engines err = %v, want ErrBadLabel", err)
+	}
 	for name, m := range map[string]core.ShardMap{
-		"wrong index":      {Count: 3, Index: 1, Fn: core.ShardRange},
 		"retired function": {Count: 3, Index: 0, Fn: core.ShardFn(1)},
 		"index range":      {Count: 3, Index: 3, Fn: core.ShardRange},
 		"one shard":        {Count: 1, Index: 0, Fn: core.ShardRange},
